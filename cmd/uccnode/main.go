@@ -82,7 +82,7 @@ func main() {
 		replBatch    = flag.Int("repl-batch", 512, "records per catch-up batch (a cut batch re-pulls immediately)")
 
 		dataDir  = flag.String("data-dir", "", "durability root: write-ahead log + snapshots under <dir>/site<N> (empty = volatile)")
-		gcWindow = flag.Int64("wal-group-commit-us", 0, "group-commit window (µs); 0 (default) syncs each write before exposing it — a nonzero window amortizes syncs but a crash inside it loses writes other sites may have observed")
+		gcWindow = flag.Int64("wal-group-commit-us", 0, "group-commit window (µs): how long a queue-manager shard waits after journaling a write before the WAL sync covering it; 0 (default) syncs once the shard has drained its mailbox. A written item's grants are held until that sync at every value, so a wider window only batches more writes per sync at more latency")
 		segBytes = flag.Int("wal-segment-bytes", 1<<20, "WAL segment roll threshold")
 		snapN    = flag.Uint64("wal-snapshot-every", 10000, "snapshot + truncate the WAL after this many journaled writes (0 = never)")
 
@@ -277,5 +277,8 @@ func main() {
 		if err := siteLog.Flush(); err != nil {
 			log.Printf("uccnode: final wal flush: %v", err)
 		}
+		ws := siteLog.Stats()
+		log.Printf("uccnode: site %d wal: appends=%d, syncs=%d (%.1f appends/sync), snapshots=%d",
+			*site, ws.Appends, ws.Syncs, float64(ws.Appends)/float64(max(ws.Syncs, 1)), ws.Snapshots)
 	}
 }

@@ -104,22 +104,26 @@ type Durability struct {
 	// SnapshotEvery takes a store snapshot and truncates the log after this
 	// many journaled writes (0 disables automatic snapshots).
 	SnapshotEvery uint64
-	// GroupCommitMicros defers WAL syncs by up to this window so writes of
-	// concurrently committing transactions share one sync; zero syncs every
-	// delivery that implemented a write. See qm.Options.GroupCommitMicros.
+	// GroupCommitMicros is how long a queue-manager shard waits after
+	// journaling a write before the WAL sync that covers it; zero syncs as
+	// soon as the shard has drained its pending deliveries. See
+	// qm.Options.GroupCommitMicros.
 	//
-	// CAUTION with CrashSite: writes inside an unexpired window are not yet
-	// durable, and this protocol has no release-ack to gate their effects
-	// on the sync. A crash inside the window therefore loses writes whose
-	// effects other sites already saw — the recovered site diverges from
-	// its replicas. Invariant-checked fault-injection runs must use 0
-	// (sync-per-commit-batch); a nonzero window models the real
-	// throughput/loss tradeoff of group commit without commit-ack gating.
-	// The history checker is likewise unreliable in that lossy regime: a
-	// crash-discarded write keeps its log entry while the recovered chain
-	// re-uses its version ordinal, so snapshot reads recorded afterwards
-	// can be mispositioned (Record + CrashSite + nonzero window is outside
-	// the checked envelope, like replica agreement above).
+	// With CrashSite: the write-ahead rule holds at every window — a
+	// journaled write parks its item, and no grant, promotion or snapshot
+	// reply leaves the site past it before its sync returns. A crash inside
+	// the window therefore destroys only writes nobody observed through
+	// that site; the site recovers to a state consistent with everything it
+	// ever exposed, and the history log retracts the destroyed writes'
+	// entries, so Record + CrashSite + any window is inside the checked
+	// envelope. What a crash cannot do is un-commit the transaction — the
+	// protocol has no release-ack — so the copy that lost the write stays
+	// behind its peers until something re-ships it. Quorum catch-up does
+	// (a recovered site re-pulls every peer's log); write-all replication
+	// has no such plane, and a copy that lost a write this way stays stale
+	// until the item is written again. (Under the simulator a zero window
+	// leaves no instant for a crash to land in: the sync is scheduled at
+	// the release's own virtual time.)
 	GroupCommitMicros int64
 }
 
@@ -446,8 +450,8 @@ func (c *Cluster) SetLatency(m engine.LatencyModel) {
 }
 
 // SetGroupCommitWindow changes one site's group-commit window mid-run — the
-// slow-disk fault hook (see qm.Manager.SetGroupCommitMicros for the
-// discipline). No-op for an unknown site.
+// slow-disk fault hook (qm.Manager.SetGroupCommitMicros; safe while traffic
+// flows, on either engine). No-op for an unknown site.
 func (c *Cluster) SetGroupCommitWindow(site model.SiteID, windowMicros int64) {
 	if m, ok := c.Managers[site]; ok {
 		m.SetGroupCommitMicros(windowMicros)

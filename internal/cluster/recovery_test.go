@@ -403,3 +403,74 @@ func TestGroupCommitBatchesInSim(t *testing.T) {
 			qt.WALSyncs, base)
 	}
 }
+
+// TestCrashInsideCommitWindow drives the combination that used to be outside
+// the checked envelope: history recording + CrashSite + a nonzero
+// group-commit window, on a quorum-replicated durable cluster. The crash is
+// placed where it destroys journaled-but-unsynced writes (checked), with
+// traffic still flowing. Those writes were
+// parked — nothing was granted past them at the crashed site, and their
+// history entries are retracted with them — so the run stays serializable
+// and drains, and the copy that lost them re-converges by log shipping from
+// its quorum peers.
+func TestCrashInsideCommitWindow(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
+		cfg := quorumCfg(seed)
+		cfg.Durability.GroupCommitMicros = 20_000
+		cl, err := NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addMixedDrivers(t, cl, 40, 3_000_000)
+		cl.Start()
+		cl.Eng.RunUntil(1_200_000)
+		// Step on to the first instant at which site 1 holds a journaled
+		// write that no sync has covered yet, and crash it right there.
+		for mark := cl.WALs[1].Stats(); ; {
+			if !cl.Eng.Step() {
+				t.Fatalf("seed %d: the workload ended before site 1 journaled a write", seed)
+			}
+			st := cl.WALs[1].Stats()
+			if st.Syncs == mark.Syncs && st.Appends > mark.Appends {
+				break
+			}
+			mark = st
+		}
+		before := cl.Stores[1].Copies()
+		cl.CrashSite(1, 0)
+		cl.RecoverSite(1, 0)
+		for cl.Managers[1].Snapshot().Recoveries == 0 {
+			if !cl.Eng.Step() {
+				t.Fatalf("seed %d: site 1 never recovered", seed)
+			}
+		}
+		lost := 0
+		for i, c := range cl.Stores[1].Copies() {
+			if c.Version >= before[i].Version {
+				continue
+			}
+			lost++
+			// The destroyed write must leave the history log with it, or the
+			// recovered chain re-uses its version ordinal under a stale entry.
+			for _, e := range cl.Recorder.Log(c.ID) {
+				if e.Kind == model.OpWrite && e.Txn == before[i].Writer {
+					t.Fatalf("seed %d: %v: history still lists the destroyed write of %v", seed, c.ID, e.Txn)
+				}
+			}
+		}
+		if lost == 0 {
+			t.Fatalf("seed %d: the crash destroyed no journaled write; it did not land inside a commit window", seed)
+		}
+
+		cl.Eng.RunUntil(3_000_000 + 10_000_000)
+		checkRun(t, "crash-in-window", cl.Finish(), 150)
+		for item := 0; item < cfg.Items; item++ {
+			vals := cl.ReplicaValues(model.ItemID(item))
+			for _, v := range vals[1:] {
+				if v != vals[0] {
+					t.Fatalf("seed %d: item %d replicas diverged after the in-window crash: %v", seed, item, vals)
+				}
+			}
+		}
+	}
+}

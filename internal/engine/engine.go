@@ -104,7 +104,10 @@ type Context interface {
 }
 
 // Actor is a message-driven protocol state machine. OnMessage must not
-// block, spawn goroutines, or retain ctx beyond the call.
+// block, spawn goroutines, or retain ctx beyond the call. The one sanctioned
+// block is the queue manager's drain-sync: the WAL sync a shard runs when
+// its FlushMsg arrives, once per mailbox drain (never per write), behind
+// which that shard's parked grants wait by design.
 type Actor interface {
 	OnMessage(ctx Context, from Addr, msg model.Message)
 }

@@ -125,7 +125,7 @@ func Exp9(cfg RunConfig) Result {
 	notes = append(notes,
 		"outage 'none' is the durable-but-never-crashed baseline; its cost vs the volatile engine is the journaling overhead",
 		"deferred msgs = traffic that arrived during the outage and was replayed to the recovered site in order",
-		"a wider group-commit window amortizes more writes per sync at the cost of a longer unsynced (crash-lossy) tail")
+		"a wider group-commit window amortizes more writes per sync; the written items' grants wait for that sync at every window, so the cost is latency, not exposure")
 	return Result{
 		ID:     "EXP-9",
 		Title:  "Site crash, WAL recovery, and group commit",

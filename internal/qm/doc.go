@@ -22,8 +22,8 @@
 //   - The commit sequencer (sequencer.go): a transaction's writes may span
 //     shards, but its commit point is one atomic site-wide WAL sync. Shards
 //     drain their dirty batches through a per-site leader/follower
-//     sequencer, so concurrently expiring shard batches coalesce into one
-//     media sync (cross-shard group commit) while each shard's write-ahead
+//     sequencer, so concurrently flushing shards coalesce into one media
+//     sync (cross-shard group commit) while each shard's write-ahead
 //     guarantee — sync before the grant exposing the write — is preserved.
 //   - Crash and recovery (CrashMsg/RecoverMsg): a site fails as a unit;
 //     every shard goes down together, defers its traffic, and drains in
@@ -38,10 +38,22 @@
 //     straight from the store's version chain at their snapshot timestamp —
 //     no entry, no lock, no threshold check — and recorded into the history
 //     log at the position of the version they observed.
-//   - Durability control (CrashMsg/RecoverMsg/FlushMsg): the manager drives
-//     when the site's write-ahead log syncs (per delivery, or deferred by a
-//     group-commit window) and how a crashed site defers traffic until its
-//     store — version chains included — is rebuilt from snapshot + replay.
+//   - Durability control (CrashMsg/RecoverMsg): how a crashed site defers
+//     traffic until its store — version chains included — is rebuilt from
+//     snapshot + replay.
+//
+// Write-ahead exposure (shard.go: park, maybeFlush, flush) is one discipline
+// at every group-commit window: journal → park → drain-sync → un-park. A
+// release that implements a write journals it through the store's hook and
+// parks the item's queue; the shard arms one self-addressed FlushMsg
+// Options.GroupCommitMicros ahead — at zero, the tail of what is already in
+// its mailbox — and keeps handling messages, which update a parked queue but
+// send no grant, promotion or snapshot reply from it. The FlushMsg does one
+// commit-sequencer pass for everything journaled since the last one, then
+// un-parks and dispatches. So no value, and nothing ordered after a value,
+// leaves a shard before the sync covering it has returned; the sync blocks
+// the shard once per mailbox drain instead of once per write; and a crash
+// destroys only writes nobody observed through this site.
 //
 // Backpressure: Options.MaxQueueDepth bounds every data queue. A request
 // landing on a full queue — unless its transaction is already resident —

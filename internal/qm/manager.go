@@ -38,15 +38,17 @@ type Options struct {
 	// Re-requests by transactions already resident (PA re-insertion, attempt
 	// replacement) are never NAK'd — they do not grow the queue.
 	MaxQueueDepth int
-	// GroupCommitMicros, when positive and a Durable is attached, defers
-	// WAL syncs by up to this window so writes implemented by concurrently
-	// committing transactions share one sync (group commit). Zero syncs a
-	// write immediately after it is implemented, before any grant exposing
-	// it is sent — the write-ahead ordering a crash cannot violate. The
-	// window trades that guarantee for fewer syncs: writes inside an
-	// unexpired window are lost by a crash even though their effects may
-	// already have been observed elsewhere. Each shard defers its own batch;
-	// the per-site commit sequencer coalesces the expiring windows.
+	// GroupCommitMicros, with a Durable attached, is how long a shard waits
+	// after journaling a write before the WAL sync that covers it. The
+	// write-ahead rule holds at every value: a write parks its item's queue
+	// when journaled, and no grant, promotion or snapshot reply carrying or
+	// ordered after it leaves the shard until the sync has returned — a
+	// crash can only lose writes nobody observed through this site. Zero
+	// (the default) syncs as soon as the shard has drained what is already
+	// in its mailbox, so every release queued behind the first shares that
+	// sync; a positive window holds the exposure longer to batch harder.
+	// Each shard parks and flushes its own queues; the per-site commit
+	// sequencer coalesces the shards' syncs.
 	GroupCommitMicros int64
 	// InitialValue seeds copies this site gains at a map install before
 	// their transfer stream arrives (matching cluster.Config.InitialValue,
@@ -128,6 +130,9 @@ type Manager struct {
 	// Set once via SetDurable before traffic flows.
 	dur Durable
 	seq *commitSequencer
+	// groupCommitMicros is the live value of Options.GroupCommitMicros
+	// (SetGroupCommitMicros changes it while shards read it).
+	groupCommitMicros atomic.Int64
 
 	// Control plane: crash/recovery and the stats tick serialize here so
 	// they cannot interleave; the per-item fast path never touches ctlMu.
@@ -173,11 +178,13 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 		recorder: recorder,
 		opts:     opts,
 	}
+	m.groupCommitMicros.Store(opts.GroupCommitMicros)
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
 		m.shards[i] = &shard{
 			m:        m,
 			idx:      i,
+			flushMsg: model.FlushMsg{Shard: int32(i)},
 			queues:   map[model.ItemID]*dataQueue{},
 			pending:  map[model.ItemID]bool{},
 			retiring: map[model.ItemID]bool{},
@@ -211,17 +218,14 @@ func (m *Manager) SetDurable(d Durable) {
 
 // SetGroupCommitMicros changes the group-commit window at runtime — the
 // slow-disk fault hook: a degraded disk is modeled as forced sync batching
-// (a wide window amortizes many writes per sync, at the documented cost of
-// a longer unsynced tail). Shards read the option on every maybeFlush, so
-// the new window governs the next delivery. Simulator-only discipline: call
-// between engine steps (the scenario runner applies it at a phase-boundary
-// fault point); on the real-time runtime shards read the field without
-// synchronization, so it must not change while traffic flows.
+// (a wide window amortizes many writes per sync; the writes stay parked,
+// unexposed, for that long). Safe while traffic flows on either engine: the
+// new window governs the next FlushMsg a shard arms.
 func (m *Manager) SetGroupCommitMicros(window int64) {
 	if window < 0 {
 		window = 0
 	}
-	m.opts.GroupCommitMicros = window
+	m.groupCommitMicros.Store(window)
 }
 
 // Down reports whether the site is currently crashed (tests).
@@ -410,6 +414,17 @@ func (m *Manager) unlockAll() {
 	}
 }
 
+// flushAll runs every shard's flush in place: the control plane's sync
+// point (catch-up and transfer applies), after which everything it journaled
+// is durable and exposed. Callers hold ctlMu and no shard lock.
+func (m *Manager) flushAll(ctx engine.Context) {
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		sh.flush(ctx)
+		sh.mu.Unlock()
+	}
+}
+
 // onCrash injects a site crash (CrashMsg, simulation only): the volatile
 // store and the unsynced WAL tail are destroyed; the synced prefix and
 // snapshot survive on the durable media. The site fails as a unit — every
@@ -430,7 +445,15 @@ func (m *Manager) onCrash() {
 	for _, sh := range m.shards {
 		sh.down = true
 		sh.dirty = false
-		sh.flushArmed = false
+		sh.flushArmed = false // a FlushMsg still in flight defers, and is a no-op after recovery
+		// The journaled-but-unsynced writes die with the log tail. Nothing
+		// exposed them, so only their history entries need retracting. The
+		// queues stay parked through the outage: recovery's flush dispatches
+		// them against the recovered store.
+		for _, w := range sh.unsynced {
+			m.recorder.Discard(w.copy, w.txn)
+		}
+		sh.unsynced = sh.unsynced[:0]
 	}
 	m.store.Wipe()
 	m.dur.Crash()
@@ -476,7 +499,7 @@ func (m *Manager) onRecover(ctx engine.Context) {
 			sh.handle(ctx, p.from, p.msg)
 		}
 		sh.deferred = nil
-		sh.maybeFlush(ctx)
+		sh.flush(ctx) // also un-parks the queues the crash caught parked
 		sh.mu.Unlock()
 	}
 	m.shards[0].mu.Lock()

@@ -100,10 +100,13 @@ func (sh *shard) owns(item model.ItemID) bool {
 
 // maybeRetire deletes a drained retiring queue: the item moved away at a map
 // install while transactions were still resident, the last one just left,
-// and from here on completions for it get the wrong-epoch NAK. Callers hold
-// sh.mu and pass the queue already looked up.
+// and from here on completions for it get the wrong-epoch NAK. A parked
+// queue is not drained yet — its last write is not durable, and the transfer
+// that hands the item off is served from the durable log (onTransferPull
+// answers NotReady while anything is retiring) — so it retires at its
+// un-park instead. Callers hold sh.mu and pass the queue already looked up.
 func (sh *shard) maybeRetire(item model.ItemID, q *dataQueue) {
-	if sh.retiring[item] && len(q.entries) == 0 {
+	if sh.retiring[item] && len(q.entries) == 0 && !q.parked {
 		delete(sh.queues, item)
 		delete(sh.retiring, item)
 	}
@@ -136,13 +139,9 @@ func (m *Manager) onMapInstall(ctx engine.Context, v model.MapInstallMsg) {
 		case ownsNow && !hasQueue:
 			gained = append(gained, item)
 		case !ownsNow && hasQueue:
-			if len(sh.queues[item].entries) == 0 {
-				delete(sh.queues, item)
-				delete(sh.retiring, item)
-				delete(sh.pending, item)
-			} else {
-				sh.retiring[item] = true
-			}
+			sh.retiring[item] = true
+			delete(sh.pending, item)
+			sh.maybeRetire(item, sh.queues[item])
 		case ownsNow && hasQueue:
 			// Still owned; if it was mid-retirement under a previous epoch
 			// that has now been superseded, keep it.
@@ -340,17 +339,14 @@ func (m *Manager) onTransferRecords(ctx engine.Context, v model.TransferRecordsM
 		sh := m.shardFor(r.Item)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if sh.queues[r.Item] == nil || !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
+		q := sh.queues[r.Item]
+		if q == nil || !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
 			return false
 		}
-		sh.dirty = true
+		sh.park(q)
 		return true
 	})
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sh.maybeFlush(ctx)
-		sh.mu.Unlock()
-	}
+	m.flushAll(ctx)
 	m.shards[0].mu.Lock()
 	m.shards[0].counters.TransferApplied += uint64(st.Applied)
 	m.shards[0].counters.TransferBytes += uint64(len(v.Frames))

@@ -120,6 +120,10 @@ type dataQueue struct {
 	// queue uses the paper's simpler "lock everything" unified enforcement
 	// (every grant is full and conversions are ignored) — ablation ABL-1.
 	semiLocksEnabled bool
+	// parked is set while the item holds a journaled write no WAL sync has
+	// covered yet: messages keep updating the queue, but the shard's dispatch
+	// sends nothing from it until the flush that un-parks it (shard.flush).
+	parked bool
 
 	// Cumulative grant counters (inputs to λr(j)/λw(j) estimation).
 	readGrants, writeGrants uint64

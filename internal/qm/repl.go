@@ -101,12 +101,13 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 
 // onReplRecords replays one shipped batch: each record is applied under the
 // owning shard's lock through the store's stamp-gated ApplyShipped (stale
-// and duplicate records skip — the idempotence the protocol leans on), dirty
-// shards are flushed so catch-up progress is itself durable, and the peer's
-// watermark advances. Only one shard lock is ever held at a time, so there
-// is no cycle against crash/recovery's lockAll. A torn batch applies its
-// intact prefix but does not advance the watermark — the tail re-ships next
-// pull. More (a batch cut at the bound, or a Reset image) re-pulls
+// and duplicate records skip — the idempotence the protocol leans on) and
+// parks its item like any journaled write, every shard is then flushed in
+// place so catch-up progress is itself durable, and only then does the
+// peer's watermark advance. Only one shard lock is ever held at a time, so
+// there is no cycle against crash/recovery's lockAll. A torn batch applies
+// its intact prefix but does not advance the watermark — the tail re-ships
+// next pull. More (a batch cut at the bound, or a Reset image) re-pulls
 // immediately instead of waiting out a period per batch.
 func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	m.ctlMu.Lock()
@@ -121,14 +122,10 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		if !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
 			return false
 		}
-		sh.dirty = true
+		sh.park(sh.queues[r.Item])
 		return true
 	})
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sh.maybeFlush(ctx)
-		sh.mu.Unlock()
-	}
+	m.flushAll(ctx)
 	m.shards[0].mu.Lock()
 	m.shards[0].counters.ReplApplied += uint64(st.Applied)
 	m.shards[0].counters.ReplSkipped += uint64(st.Skipped)

@@ -4,9 +4,9 @@ import "sync"
 
 // commitSequencer is the per-site commit point the shards drain through: a
 // transaction's writes become durable at one atomic site-wide sync no matter
-// how many shards implemented them. Each committing shard calls commit();
+// how many shards implemented them. Each flushing shard calls commit();
 // one caller at a time becomes the leader and performs the underlying flush
-// for everyone waiting, so N concurrently expiring shard batches cost far
+// for everyone waiting, so N concurrently flushing shards cost far
 // fewer than N media syncs (the same leader/follower shape as the WAL's
 // GroupCommitter, kept separate so qm depends only on the Durable
 // interface, not on internal/wal).
@@ -16,8 +16,8 @@ import "sync"
 // the log buffer before this shard's last append, so the caller waits for
 // the next generation instead — that is what makes the sequencer a valid
 // write-ahead barrier: when a shard's commit() returns, every record it
-// journaled is on durable media, and only then are grants exposing those
-// writes sent.
+// journaled is on durable media, and only then does the shard un-park the
+// queues whose grants expose those writes.
 type commitSequencer struct {
 	mu    sync.Mutex
 	cond  *sync.Cond

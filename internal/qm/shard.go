@@ -33,10 +33,26 @@ type shard struct {
 	pending  map[model.ItemID]bool
 	retiring map[model.ItemID]bool
 
-	dirty      bool // journaled writes await a sync
-	flushArmed bool // a group-commit FlushMsg timer is pending for this shard
-	down       bool // site crashed: messages defer until recovery
-	deferred   []pendingMsg
+	// Exposure discipline (see flush): a write is journaled when implemented,
+	// its queue is parked, and nothing carrying or ordered after the value
+	// leaves the shard until the sync covering it has returned.
+	dirty      bool                // journaled writes await a sync
+	flushArmed bool                // a FlushMsg is pending for this shard
+	flushMsg   model.Message       // this shard's FlushMsg, boxed once so arming allocates nothing
+	parked     []*dataQueue        // queues whose dispatch waits for the next sync (reused)
+	snapWait   []model.SnapReadMsg // snapshot reads of parked items, answered at un-park (reused)
+	// unsynced lists the writes journaled since the last sync, kept only when
+	// a history recorder is attached: a crash destroys those writes, and
+	// their log entries are retracted with them (onCrash).
+	unsynced []unsyncedWrite
+
+	down     bool // site crashed: messages defer until recovery
+	deferred []pendingMsg
+}
+
+type unsyncedWrite struct {
+	copy model.CopyID
+	txn  model.TxnID
 }
 
 // onMessage handles one delivery for this shard. Crashed shards defer
@@ -88,49 +104,72 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 	case *model.SnapReadMsg:
 		sh.onSnapRead(ctx, *v)
 	case model.FlushMsg:
-		sh.onFlushTimer()
+		sh.flushArmed = false
+		sh.flush(ctx)
 	default:
 		panic(fmt.Sprintf("qm: site %d shard %d: unexpected message %T", sh.m.site, sh.idx, msg))
 	}
 }
 
-// maybeFlush is the commit-path durability policy, run after every handled
-// message: with no group-commit window the writes this delivery implemented
-// are synced now (one commit-sequencer pass per delivery, already batched
-// across a transaction's co-resident copies and coalesced with concurrently
-// flushing shards); with a window, the sync is deferred to a per-shard
-// FlushMsg timer so concurrently committing transactions share it.
+// maybeFlush arms the shard's drain-sync, run after every handled message:
+// if the delivery journaled a write, one self-addressed FlushMsg is set
+// GroupCommitMicros ahead. A zero window lands it at the tail of what is
+// already in the mailbox (engine.Runtime) or at the current instant (sim),
+// so every release queued behind this one shares the sync; a positive
+// window only delays the same message.
 func (sh *shard) maybeFlush(ctx engine.Context) {
-	if !sh.dirty || sh.m.dur == nil {
+	if !sh.dirty || sh.flushArmed {
 		return
 	}
-	if sh.m.opts.GroupCommitMicros > 0 {
-		if !sh.flushArmed {
-			sh.flushArmed = true
-			ctx.SetTimer(sh.m.opts.GroupCommitMicros, model.FlushMsg{Shard: int32(sh.idx)})
+	sh.flushArmed = true
+	ctx.SetTimer(sh.m.groupCommitMicros.Load(), sh.flushMsg)
+}
+
+// park notes a write to q's item that was journaled but that no sync has
+// covered yet: dispatch refuses q until the next flush. On a volatile site
+// there is no journal to wait for and nothing parks. q may be nil (a shipped
+// record for an item whose queue already retired).
+func (sh *shard) park(q *dataQueue) {
+	if sh.m.dur == nil {
+		return
+	}
+	sh.dirty = true
+	if q != nil && !q.parked {
+		q.parked = true
+		sh.parked = append(sh.parked, q)
+	}
+}
+
+// flush is the one exposure point for journaled writes: a single pass
+// through the site's commit sequencer makes every record this shard
+// journaled before the call durable (concurrently flushing shards coalesce
+// into one media sync), and only then is each parked queue un-parked and
+// dispatched — the grants, promotions and snapshot replies held back while
+// it was parked, including those owed to messages that arrived meanwhile,
+// leave now. The blocking sync is deliberate: it runs once per mailbox
+// drain, not once per write. After a crash the parked writes are gone with
+// the log tail (dirty is clear) and the un-park exposes the recovered state.
+func (sh *shard) flush(ctx engine.Context) {
+	if sh.dirty {
+		if err := sh.m.seq.commit(); err != nil {
+			// Losing the WAL means losing the durability contract; there is no
+			// meaningful way to continue serving writes.
+			panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
 		}
-		return
+		sh.dirty = false
+		sh.unsynced = sh.unsynced[:0]
 	}
-	sh.flushNow()
-}
-
-func (sh *shard) onFlushTimer() {
-	sh.flushArmed = false
-	if sh.dirty && sh.m.dur != nil {
-		sh.flushNow()
+	for i, q := range sh.parked {
+		sh.parked[i] = nil
+		q.parked = false
+		sh.dispatch(ctx, q)
+		sh.maybeRetire(q.copyID.Item, q)
 	}
-}
-
-// flushNow drains this shard's dirty batch through the site's commit
-// sequencer: it returns once every record the shard journaled before the
-// call is durable. Concurrent shards coalesce into one media sync.
-func (sh *shard) flushNow() {
-	if err := sh.m.seq.commit(); err != nil {
-		// Losing the WAL means losing the durability contract; there is no
-		// meaningful way to continue serving writes.
-		panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
+	sh.parked = sh.parked[:0]
+	for _, v := range sh.snapWait {
+		sh.onSnapRead(ctx, v)
 	}
-	sh.dirty = false
+	sh.snapWait = sh.snapWait[:0]
 }
 
 func (sh *shard) queue(item model.ItemID) *dataQueue {
@@ -248,28 +287,22 @@ func (sh *shard) onRelease(ctx engine.Context, v model.ReleaseMsg) {
 		// its operations are implemented now, and the lock becomes a
 		// semi-lock until every item has issued a normal grant.
 		if !e.semi {
-			sh.implement(e, v)
+			sh.implement(q, e, v)
 			q.toSemi(e)
 			sh.counters.Conversion++
 		}
-		// Sync before dispatch: the grants dispatch sends carry the value
-		// just implemented, and on the real runtime they hit the wire
-		// before OnMessage returns — a write another site observed must
-		// not be lost by a crash.
-		sh.maybeFlush(ctx)
-		sh.dispatch(ctx, q)
+		sh.dispatch(ctx, q) // a no-op if the write just parked q
 		return
 	}
 	if !e.semi {
 		// Implemented at release (§4.3: 2PL/PA always; T/O when it received
 		// no pre-scheduled lock and released directly).
-		sh.implement(e, v)
+		sh.implement(q, e, v)
 	}
 	q.remove(e)
 	recycleEntry(e)
 	sh.counters.Releases++
-	sh.maybeFlush(ctx) // before dispatch exposes the write (see above)
-	sh.dispatch(ctx, q)
+	sh.dispatch(ctx, q) // a no-op if the write just parked q
 	sh.maybeRetire(v.Copy.Item, q)
 }
 
@@ -291,6 +324,12 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
+	if q := sh.queues[v.Copy.Item]; q != nil && q.parked {
+		// The chain's head is journaled but not yet synced, and the reply
+		// must not carry it: answer at the un-park.
+		sh.snapWait = append(sh.snapWait, v)
+		return
+	}
 	sh.counters.SnapReads++
 	ver, exact := sh.m.store.ReadAt(v.Copy.Item, v.SnapMicros)
 	if !exact {
@@ -310,13 +349,17 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 	}))
 }
 
-// implement applies the operation to the store and the history log.
-func (sh *shard) implement(e *entry, v model.ReleaseMsg) {
-	c := model.CopyID{Item: v.Copy.Item, Site: sh.m.site}
+// implement applies the operation to the store and the history log. A
+// journaled write parks q until the sync that covers it.
+func (sh *shard) implement(q *dataQueue, e *entry, v model.ReleaseMsg) {
+	c := q.copyID
 	if e.kind == model.OpWrite {
 		if v.HasWrite {
 			sh.m.store.Write(v.Copy.Item, e.txn, v.Value, v.CommitMicros) // journaled via the store's hook
-			sh.dirty = true
+			sh.park(q)
+			if q.parked && sh.m.recorder != nil {
+				sh.unsynced = append(sh.unsynced, unsyncedWrite{c, e.txn}) // the log entry below dies with the write at a crash
+			}
 		}
 		if sh.m.recorder != nil {
 			sh.m.recorder.Implemented(c, e.txn, model.OpWrite)
@@ -349,8 +392,12 @@ func (sh *shard) onAbort(ctx engine.Context, v model.AbortMsg) {
 }
 
 // dispatch grants every grantable head in sequence and then promotes
-// pre-scheduled locks whose earlier conflicts have all been released.
+// pre-scheduled locks whose earlier conflicts have all been released. A
+// parked queue is left alone: flush dispatches it once its write is durable.
 func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
+	if q.parked {
+		return
+	}
 	for {
 		hd := q.head()
 		if hd == nil {

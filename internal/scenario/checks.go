@@ -170,8 +170,9 @@ func ROFastPathUsed(n uint64) Check {
 
 // WALBatchingAtLeast asserts the phase's WAL batching factor — journal
 // appends per media sync — is at least factor. With a wide group-commit
-// window many writes share one sync, so the factor rises well above the
-// sync-per-write baseline of ~1: the slow-disk scenario's signature.
+// window many writes share one sync, so the factor rises well above what
+// the sparse simulated load reaches at window zero: the slow-disk
+// scenario's signature.
 func WALBatchingAtLeast(factor float64) Check {
 	return Check{
 		Name: fmt.Sprintf("wal-appends/sync>=%.1f", factor),
@@ -191,8 +192,13 @@ func WALBatchingAtLeast(factor float64) Check {
 	}
 }
 
-// WALBatchingAtMost is the zero-window counterpart: every implemented write
-// syncs before its effects are exposed, so appends track syncs ~1:1.
+// WALBatchingAtMost bounds the same factor from above — a load-shape
+// assertion, not a durability one. The zero-window invariant is "synced
+// before exposed", and it says nothing about how many writes one sync
+// covers: a shard syncs once per drain of what is already in its mailbox.
+// Only because the simulated scenarios deliver releases at distinct virtual
+// instants does a zero window keep the factor near 1 there, which is what
+// lets slow-disk-wal tell its baseline phase from its widened one.
 func WALBatchingAtMost(factor float64) Check {
 	return Check{
 		Name: fmt.Sprintf("wal-appends/sync<=%.1f", factor),
@@ -215,7 +221,6 @@ func WALBatchingAtMost(factor float64) Check {
 // --- Final checks: evaluated after the drain over the whole run ---
 
 // Serializable asserts the recorded history has an acyclic conflict graph.
-// Requires history recording (on by default; incompatible with NoHistory).
 func Serializable() Check {
 	return Check{
 		Name: "serializable",
@@ -225,7 +230,7 @@ func Serializable() Check {
 				return err
 			}
 			if f.Serializability == nil {
-				return fmt.Errorf("history recording was disabled (scenario sets NoHistory)")
+				return fmt.Errorf("no history was recorded")
 			}
 			if !f.Serializability.Serializable {
 				return fmt.Errorf("conflict cycle over %d txns: %v", f.Serializability.Txns, f.Serializability.Cycle)

@@ -11,10 +11,10 @@ import (
 
 // CrashSite is a fault that destroys site's volatile state atMicros into the
 // phase (the store and unsynced WAL tail are lost; until recovery the site
-// defers every message). The scenario's cluster must set Durability, and —
-// when history checking is on — a zero group-commit window (see
-// cluster.Durability.GroupCommitMicros for why a crash inside a deferred
-// sync window is outside the checked envelope).
+// defers every message). The scenario's cluster must set Durability. Any
+// group-commit window is inside the checked envelope; ReplicasAgree after a
+// crash inside a nonzero window additionally needs quorum catch-up (see
+// cluster.Durability.GroupCommitMicros).
 func CrashSite(site model.SiteID, atMicros int64) Fault {
 	return Fault{
 		Name:     fmt.Sprintf("crash-site-%d", site),

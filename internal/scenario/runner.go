@@ -33,7 +33,7 @@ func Run(sc Scenario, opt Options) (*RunRecord, error) {
 		return nil, err
 	}
 	cfg := sc.Cluster
-	cfg.Record = !sc.NoHistory
+	cfg.Record = true
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}

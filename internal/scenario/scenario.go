@@ -21,9 +21,9 @@ type Scenario struct {
 	// Description is one line for -list output.
 	Description string
 
-	// Cluster is the system under test. Run forces Record=true unless
-	// NoHistory is set (serializability checking is the point of the
-	// harness); Seed may be overridden per run.
+	// Cluster is the system under test. Run forces Record=true
+	// (serializability checking is the point of the harness); Seed may be
+	// overridden per run.
 	Cluster cluster.Config
 
 	// Phases execute in order from engine time zero. Every site runs the
@@ -39,11 +39,6 @@ type Scenario struct {
 	// Final checks run after the drain against the complete run —
 	// serializability, replica agreement, unfinished-transaction counts.
 	Final []Check
-
-	// NoHistory disables history recording for scenarios outside the checked
-	// envelope (e.g. crash faults combined with a nonzero group-commit
-	// window — see cluster.Durability.GroupCommitMicros).
-	NoHistory bool
 }
 
 // Phase is one segment of scenario time: a workload shape held for a

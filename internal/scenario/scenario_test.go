@@ -285,14 +285,14 @@ func TestLiveRebalanceAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestQuorumScenariosAcrossSeeds runs the two quorum scenarios across the
-// seed battery: the failover and catch-up stories must hold under every
-// arrival pattern, not just the library default.
+// TestQuorumScenariosAcrossSeeds runs the quorum scenarios across the seed
+// battery: the failover, catch-up and crash-inside-the-commit-window stories
+// must hold under every arrival pattern, not just the library default.
 func TestQuorumScenariosAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")
 	}
-	for _, name := range []string{"quorum-failover", "replica-catchup"} {
+	for _, name := range []string{"quorum-failover", "replica-catchup", "crash-in-commit-window"} {
 		sc, ok := ByName(name)
 		if !ok {
 			t.Fatalf("scenario %q missing", name)

@@ -18,9 +18,11 @@ type Options struct {
 	SnapshotEvery uint64
 	// GroupCommit serializes concurrent Flush callers through a
 	// GroupCommitter so one sync covers every record appended by the
-	// concurrently committing transactions. Leave false under the
-	// single-threaded simulator, where the queue manager already batches
-	// per delivery (and per group-commit window).
+	// concurrently committing transactions. The queue manager already
+	// batches — one sync per shard mailbox drain, shards coalesced by its
+	// commit sequencer — so this matters only to callers that Flush from
+	// several goroutines of their own; under the single-threaded simulator
+	// it changes nothing.
 	GroupCommit bool
 }
 

@@ -188,12 +188,15 @@ type Config struct {
 	QuorumN, QuorumW, QuorumR int
 	// ReplPullPeriod is the catch-up pull period (default 150ms).
 	ReplPullPeriod time.Duration
-	// GroupCommitWindow, with Durability, defers WAL syncs by up to this
-	// window so concurrently committing transactions share one sync. Leave
-	// it 0 (sync at every commit batch) when also injecting CrashSite: a
-	// crash inside a nonzero window loses writes whose effects other sites
-	// already observed, so the recovered site can diverge from its
-	// replicas (there is no commit-ack gating effects on the sync).
+	// GroupCommitWindow, with Durability, is how long a site waits after
+	// journaling a write before the WAL sync that covers it, so
+	// concurrently committing transactions share one sync. The written
+	// item's grants and snapshot replies are held until that sync at every
+	// value (0, the default, syncs as soon as the site has drained its
+	// pending deliveries), so a CrashSite inside the window destroys only
+	// writes nobody observed through that site; a copy that lost one is
+	// re-shipped by quorum catch-up (write-all replication has no such
+	// repair path — see cluster.Durability.GroupCommitMicros).
 	GroupCommitWindow time.Duration
 }
 
