@@ -1,11 +1,11 @@
-// Benchmarks: one testing.B target per experiment in DESIGN.md's index
-// (each regenerates its table in Quick mode and logs it), plus
+// Benchmarks: one testing.B target per registered experiment (`go run
+// ./cmd/uccbench -list`; each regenerates its table in Quick mode and logs
+// it), plus
 // microbenchmarks for the hot paths (precedence comparison, queue
 // operations, the STL' evaluator, the serializability checker, and the
 // virtual-time engine).
 //
-// Full-scale tables (the ones recorded in EXPERIMENTS.md) come from
-// `go run ./cmd/uccbench`.
+// Full-scale tables come from `go run ./cmd/uccbench`.
 package ucc
 
 import (

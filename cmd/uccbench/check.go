@@ -10,9 +10,9 @@
 // candidate value GROWS beyond tolerance. For the
 // simulator benchmarks they measure virtual-time throughput and are
 // near-deterministic across hardware; for ratio metrics (commits per sync)
-// they are hardware-robust by construction. ns/op is reported for context
-// and only gated with -gate-ns, because wall-clock per-op cost does not
-// transfer between runner generations the way the gated metrics do.
+// they are hardware-robust by construction. ns/op is not compared:
+// wall-clock per-op cost does not transfer between runner generations, and
+// timing belongs to bench/ (BENCHMARK.json).
 package main
 
 import (
@@ -42,7 +42,6 @@ type baselineFile struct {
 
 type baselineEntry struct {
 	Name    string             `json:"name"`
-	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// LowerIsBetter lists the metric keys (normalized form, e.g.
 	// "allocs_per_committed_txn") whose gate direction is inverted: an
@@ -120,7 +119,7 @@ func parseBenchOutput(r io.Reader) ([]benchSample, error) {
 type checkResult struct {
 	name   string
 	kind   string // "" (metric comparison), "missing", or "new"
-	what   string // metric key, or "ns/op"
+	what   string // metric key
 	base   float64
 	got    float64
 	change float64 // relative change of the measured value vs the baseline
@@ -142,7 +141,7 @@ func (r checkResult) improved() bool {
 // silently ungated, which is how a renamed or typo'd bench regex turns the
 // gate green while gating nothing. `require` (nil = every baseline entry)
 // lets a CI job that deliberately runs a subset say which entries it owes.
-func runCheck(base baselineFile, samples []benchSample, tolerance float64, gateNs bool, require *regexp.Regexp) ([]checkResult, error) {
+func runCheck(base baselineFile, samples []benchSample, tolerance float64, require *regexp.Regexp) ([]checkResult, error) {
 	byName := map[string]benchSample{}
 	for _, s := range samples {
 		byName[s.Name] = s
@@ -178,13 +177,6 @@ func runCheck(base baselineFile, samples []benchSample, tolerance float64, gateN
 				lower: lower, failed: failed,
 			})
 		}
-		if b.NsPerOp > 0 && s.NsPerOp > 0 {
-			change := b.NsPerOp/s.NsPerOp - 1 // faster = positive improvement
-			out = append(out, checkResult{
-				name: b.Name, what: "ns/op", base: b.NsPerOp, got: s.NsPerOp, change: change,
-				failed: gateNs && change < -tolerance,
-			})
-		}
 	}
 	// Samples without a baseline entry print as informational "new" rows:
 	// the full delta table always shows everything the run measured, so CI
@@ -216,7 +208,7 @@ func runCheck(base baselineFile, samples []benchSample, tolerance float64, gateN
 // check is the -check entry point; returns the process exit code.
 // requireExpr scopes which baseline entries MUST be present in the bench
 // output ("" requires all of them — missing is a loud failure, not a skip).
-func check(benchFile, basePath string, tolerance float64, gateNs bool, requireExpr string) int {
+func check(benchFile, basePath string, tolerance float64, requireExpr string) int {
 	var require *regexp.Regexp
 	if requireExpr != "" {
 		re, err := regexp.Compile(requireExpr)
@@ -247,7 +239,7 @@ func check(benchFile, basePath string, tolerance float64, gateNs bool, requireEx
 		fmt.Fprintf(os.Stderr, "uccbench: parse %s: %v\n", basePath, err)
 		return 2
 	}
-	results, checkErr := runCheck(base, samples, tolerance, gateNs, require)
+	results, checkErr := runCheck(base, samples, tolerance, require)
 	// The full delta table prints on pass AND fail — including the
 	// zero-matches failure, where the MISS/NEW rows are exactly what reveals
 	// a renamed suite or typo'd -bench regex.
@@ -256,8 +248,7 @@ func check(benchFile, basePath string, tolerance float64, gateNs bool, requireEx
 	// never individually trip the tolerance stay invisible until they have
 	// compounded into a regression nobody can bisect.
 	failures, compared, improved, regressed, fresh := 0, 0, 0, 0, 0
-	fmt.Printf("bench gate: %s vs %s (tolerance %.0f%%, ns/op gated: %v)\n",
-		benchFile, basePath, tolerance*100, gateNs)
+	fmt.Printf("bench gate: %s vs %s (tolerance %.0f%%)\n", benchFile, basePath, tolerance*100)
 	for _, r := range results {
 		switch r.kind {
 		case "missing":
@@ -280,8 +271,6 @@ func check(benchFile, basePath string, tolerance float64, gateNs bool, requireEx
 		if r.failed {
 			verdict = "FAIL"
 			failures++
-		} else if !r.lower && r.change < -tolerance {
-			verdict = "info" // ns/op drift outside tolerance but not gated
 		}
 		what := r.what
 		if r.lower {

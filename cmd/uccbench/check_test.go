@@ -58,14 +58,14 @@ func TestParseBenchOutput(t *testing.T) {
 
 func TestCheckPassesAgainstHonestBaseline(t *testing.T) {
 	base := baselineFile{Benchmarks: []baselineEntry{
-		{Name: "BenchmarkReadPathThroughput", NsPerOp: 500_000_000,
+		{Name: "BenchmarkReadPathThroughput",
 			Metrics: map[string]float64{"txn_per_s": 480}}, // we measure 500: improvement
-		{Name: "BenchmarkCommitGroup16", NsPerOp: 250_000,
+		{Name: "BenchmarkCommitGroup16",
 			Metrics: map[string]float64{"commits_per_sync": 4.5}},
-		{Name: "BenchmarkNotRunThisTime", NsPerOp: 1, // scoped out by -require below
+		{Name: "BenchmarkNotRunThisTime", // scoped out by -require below
 			Metrics: map[string]float64{"txn_per_s": 1e9}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false,
+	results, err := runCheck(base, parsedSamples(t), 0.20,
 		regexp.MustCompile("ReadPathThroughput|CommitGroup16"))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestCheckFailsAgainstDegradedBaseline(t *testing.T) {
 		{Name: "BenchmarkReadPathThroughput",
 			Metrics: map[string]float64{"txn_per_s": 1000}}, // measured 500 → −50%
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCheckToleranceBoundary(t *testing.T) {
 		base := baselineFile{Benchmarks: []baselineEntry{
 			{Name: "BenchmarkReadPathThroughput", Metrics: map[string]float64{"txn_per_s": baselineTxn}},
 		}}
-		res, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+		res, err := runCheck(base, parsedSamples(t), 0.20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,33 +130,6 @@ func TestCheckToleranceBoundary(t *testing.T) {
 	}
 }
 
-// TestCheckNsOptIn: ns/op regressions are informational unless -gate-ns.
-func TestCheckNsOptIn(t *testing.T) {
-	base := baselineFile{Benchmarks: []baselineEntry{
-		{Name: "BenchmarkCommitGroup16", NsPerOp: 100_000}, // measured 240193: 2.4x slower
-	}}
-	res, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.failed {
-			t.Fatalf("ns/op gated without -gate-ns: %+v", r)
-		}
-	}
-	res, err = runCheck(base, parsedSamples(t), 0.20, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawFail bool
-	for _, r := range res {
-		sawFail = sawFail || r.failed
-	}
-	if !sawFail {
-		t.Fatal("-gate-ns did not gate a 2.4x ns/op regression")
-	}
-}
-
 // TestCheckLowerIsBetterFailsOnIncrease is the allocs-gate acceptance
 // criterion: a lower_is_better metric that GREW beyond tolerance (a PR that
 // re-introduced per-txn allocations) must fail, even though the same delta
@@ -167,7 +140,7 @@ func TestCheckLowerIsBetterFailsOnIncrease(t *testing.T) {
 			Metrics:       map[string]float64{"allocs_per_committed_txn": 0.2}, // measured 0.38 → +90%
 			LowerIsBetter: []string{"allocs_per_committed_txn"}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +167,7 @@ func TestCheckLowerIsBetterPassesOnDecrease(t *testing.T) {
 			Metrics:       map[string]float64{"allocs_per_committed_txn": 10}, // measured 0.38 → −96%
 			LowerIsBetter: []string{"allocs_per_committed_txn"}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +197,7 @@ func TestCheckLowerIsBetterDirectionIsPerEntry(t *testing.T) {
 		{Name: "BenchmarkReadWriteThroughput/shards=1",
 			Metrics: map[string]float64{"allocs_per_committed_txn": 10}}, // measured 0.38 → −96%
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +224,7 @@ func TestCheckLowerIsBetterMissingFailsUnderRequire(t *testing.T) {
 		{Name: "BenchmarkReadPathThroughput",
 			Metrics: map[string]float64{"txn_per_s": 480}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false,
+	results, err := runCheck(base, parsedSamples(t), 0.20,
 		regexp.MustCompile("AllocGate|ReadPathThroughput"))
 	if err != nil {
 		t.Fatal(err)
@@ -274,9 +247,9 @@ func TestCheckLowerIsBetterMissingFailsUnderRequire(t *testing.T) {
 // silently green gate.
 func TestCheckEmptyIntersectionFails(t *testing.T) {
 	base := baselineFile{Benchmarks: []baselineEntry{
-		{Name: "BenchmarkSomethingElse", NsPerOp: 1},
+		{Name: "BenchmarkSomethingElse", Metrics: map[string]float64{"txn_per_s": 1}},
 	}}
-	if _, err := runCheck(base, parsedSamples(t), 0.20, false, nil); err == nil {
+	if _, err := runCheck(base, parsedSamples(t), 0.20, nil); err == nil {
 		t.Fatal("empty baseline∩output intersection must error")
 	}
 }
@@ -291,7 +264,7 @@ func TestCheckMissingBaselineFailsLoudly(t *testing.T) {
 		{Name: "BenchmarkRenamedAway",
 			Metrics: map[string]float64{"txn_per_s": 100}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +292,7 @@ func TestCheckRequireScopesMissing(t *testing.T) {
 		{Name: "BenchmarkNightlyOnly",
 			Metrics: map[string]float64{"txn_per_s": 100}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false,
+	results, err := runCheck(base, parsedSamples(t), 0.20,
 		regexp.MustCompile("^BenchmarkReadPath"))
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +309,7 @@ func TestCheckRequireScopesMissing(t *testing.T) {
 		{Name: "BenchmarkCommitGroup16",
 			Metrics: map[string]float64{"commits_per_sync": 4.5}},
 	}}
-	results, err = runCheck(base2, parsedSamples(t), 0.20, false,
+	results, err = runCheck(base2, parsedSamples(t), 0.20,
 		regexp.MustCompile("^BenchmarkReadPath"))
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +330,7 @@ func TestCheckReportsNewBenchmarks(t *testing.T) {
 	base := baselineFile{Benchmarks: []baselineEntry{
 		{Name: "BenchmarkReadPathThroughput", Metrics: map[string]float64{"txn_per_s": 480}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +358,7 @@ func TestCheckResultsSorted(t *testing.T) {
 		{Name: "BenchmarkReadPathThroughput", Metrics: map[string]float64{"txn_per_s": 480}},
 		{Name: "BenchmarkCommitGroup16", Metrics: map[string]float64{"commits_per_sync": 4.5}},
 	}}
-	results, err := runCheck(base, parsedSamples(t), 0.20, false, nil)
+	results, err := runCheck(base, parsedSamples(t), 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +379,8 @@ func TestCheckPrintsDeltaTableOnPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseJSON := `{"benchmarks": [
-		{"name": "BenchmarkReadPathThroughput", "ns_per_op": 500000000, "metrics": {"txn_per_s": 480}},
-		{"name": "BenchmarkCommitGroup16", "ns_per_op": 250000, "metrics": {"commits_per_sync": 4.5}}
+		{"name": "BenchmarkReadPathThroughput", "metrics": {"txn_per_s": 480}},
+		{"name": "BenchmarkCommitGroup16", "metrics": {"commits_per_sync": 4.5}}
 	]}`
 	if err := os.WriteFile(basePath, []byte(baseJSON), 0o644); err != nil {
 		t.Fatal(err)
@@ -419,7 +392,7 @@ func TestCheckPrintsDeltaTableOnPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	code := check(benchPath, basePath, 0.20, false, "ReadPathThroughput|CommitGroup16")
+	code := check(benchPath, basePath, 0.20, "ReadPathThroughput|CommitGroup16")
 	w.Close()
 	os.Stdout = old
 	out, err := io.ReadAll(r)
@@ -462,7 +435,7 @@ func TestCheckZeroMatchesStillPrintsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	code := check(benchPath, basePath, 0.20, false, "")
+	code := check(benchPath, basePath, 0.20, "")
 	w.Close()
 	os.Stdout = old
 	out, err := io.ReadAll(r)

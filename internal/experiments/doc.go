@@ -1,5 +1,6 @@
 // Package experiments defines one registered, reproducible experiment per
-// evaluation claim of the paper (see DESIGN.md §4 for the index), plus the
+// evaluation claim of the paper (`uccbench -list` prints the index;
+// docs/ARCHITECTURE.md places each in the system), plus the
 // beyond-the-paper experiments the repo has grown: EXP-9 (site crash, WAL
 // recovery, group commit), EXP-10 (the read-only snapshot fast path
 // on/off), EXP-11 (queue-manager shard scaling, uniform vs hot-shard),
@@ -9,6 +10,6 @@
 // and renders the table/series the evaluation describes — except EXP-11,
 // which measures wall-clock throughput on a multi-goroutine harness
 // (ShardThroughput) because the single-threaded simulator cannot express
-// parallel speedup. EXPERIMENTS.md records paper-claim vs measured for
-// each.
+// parallel speedup. Each experiment's Claim field states what the paper
+// (or the PR that added it) asserts; the rendered table is the measurement.
 package experiments

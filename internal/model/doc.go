@@ -19,6 +19,5 @@
 // contract (wire.go): a stable one-byte WireTag per message type — never
 // renumbered — with explicit varint field encoders and error-latching
 // decoding (WireReader), reused by internal/wire for envelope framing and by
-// internal/wal for record payloads. Gob registration (RegisterGob) remains
-// for the transport's legacy v2 fallback stream.
+// internal/wal for record payloads.
 package model

@@ -1,15 +1,11 @@
 package model
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // Message is the marker interface for everything exchanged between actors.
 // All concrete messages are plain-data structs so the same protocol runs
 // over the in-process engines and the TCP transport; each carries a stable
-// wire tag and explicit binary encoders (wire.go) for the v3 wire format,
-// and remains gob-encodable for the legacy v2 fallback stream.
+// wire tag and explicit binary encoders (wire.go) for the v3 wire format.
 type Message interface {
 	isMessage()
 }
@@ -432,7 +428,7 @@ type ReplPullMsg struct {
 
 // ReplRecordsMsg answers a ReplPullMsg with a batch of WAL record frames.
 // Frames carries the records in the WAL's own framed varint codec (crc32C +
-// era-flagged length word + varint payload, see internal/wal) — the stream a
+// flagged length word + varint payload, see internal/wal) — the stream a
 // peer ships is byte-identical to what it would replay from its own media,
 // so one decoder hardens both paths. The receiver replays each record
 // through its store's stamp-gated apply, which makes duplicate, overlapping,
@@ -565,45 +561,6 @@ func (MapInstallMsg) isMessage()      {}
 func (MapUpdateMsg) isMessage()       {}
 func (TransferPullMsg) isMessage()    {}
 func (TransferRecordsMsg) isMessage() {}
-
-// RegisterGob registers all message types with encoding/gob for the TCP
-// transport. Safe to call multiple times.
-func RegisterGob() {
-	gob.Register(RequestMsg{})
-	gob.Register(FinalTSMsg{})
-	gob.Register(ReleaseMsg{})
-	gob.Register(AbortMsg{})
-	gob.Register(GrantMsg{})
-	gob.Register(NormalGrantMsg{})
-	gob.Register(RejectMsg{})
-	gob.Register(BackoffMsg{})
-	gob.Register(VictimMsg{})
-	gob.Register(BusyMsg{})
-	gob.Register(WFGReportMsg{})
-	gob.Register(ProbeWFGMsg{})
-	gob.Register(SubmitTxnMsg{})
-	gob.Register(TxnDoneMsg{})
-	gob.Register(TickMsg{})
-	gob.Register(ComputeDoneMsg{})
-	gob.Register(RestartMsg{})
-	gob.Register(StopMsg{})
-	gob.Register(QueueStatsMsg{})
-	gob.Register(EstimateMsg{})
-	gob.Register(CrashMsg{})
-	gob.Register(RecoverMsg{})
-	gob.Register(FlushMsg{})
-	gob.Register(SnapReadMsg{})
-	gob.Register(SnapReadReplyMsg{})
-	gob.Register(TxnFinishedMsg{})
-	gob.Register(ReplPullMsg{})
-	gob.Register(ReplRecordsMsg{})
-	gob.Register(WrongEpochMsg{})
-	gob.Register(MapInstallMsg{})
-	gob.Register(MapUpdateMsg{})
-	gob.Register(TransferPullMsg{})
-	gob.Register(TransferRecordsMsg{})
-	gob.Register(&Txn{})
-}
 
 func (QueueStatsMsg) isMessage() {}
 func (EstimateMsg) isMessage()   {}

@@ -1,100 +1,6 @@
 package model
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
-
-// TestGobRoundTripAllMessages ensures every wire message survives gob
-// encoding behind the Message interface (the TCP transport's framing): a
-// type left out of RegisterGob, or an accidentally unexported field, fails
-// here rather than in a live cluster.
-func TestGobRoundTripAllMessages(t *testing.T) {
-	RegisterGob()
-	txn := TxnID{Site: 3, Seq: 77}
-	c := CopyID{Item: 5, Site: 2}
-	msgs := []Message{
-		RequestMsg{Txn: txn, Attempt: 1, Protocol: PA, Kind: OpWrite, Copy: c, TS: 42, Interval: 7, Site: 3},
-		FinalTSMsg{Txn: txn, Attempt: 1, Copy: c, TS: 99},
-		ReleaseMsg{Txn: txn, Copy: c, ToSemi: true, HasWrite: true, Value: -5},
-		AbortMsg{Txn: txn, Attempt: 2, Copy: c},
-		GrantMsg{Txn: txn, Copy: c, Lock: SWL, PreScheduled: true, TS: 13, Value: 8, Version: 4},
-		NormalGrantMsg{Txn: txn, Copy: c},
-		RejectMsg{Txn: txn, Copy: c, Threshold: 55},
-		BackoffMsg{Txn: txn, Copy: c, NewTS: 66},
-		VictimMsg{Txn: txn, Attempt: 1, Cycle: []TxnID{txn, {Site: 1, Seq: 2}}},
-		WFGReportMsg{From: 2, Round: 9, Edges: []WaitEdge{{Waiter: txn, Holder: TxnID{Site: 1, Seq: 1}, Copy: c, Waiter2PL: true}}},
-		ProbeWFGMsg{Round: 9},
-		SubmitTxnMsg{Txn: NewTxn(txn, TO, []ItemID{1}, []ItemID{2}, 100)},
-		TxnDoneMsg{Txn: txn, Protocol: TwoPL, Outcome: OutcomeCommitted, DoneMicros: 5, Size: 2, Messages: 9},
-		QueueStatsMsg{From: 1, AtMicros: 3, ReadGrants: map[ItemID]uint64{1: 2}, WriteGrants: map[ItemID]uint64{2: 3}},
-		EstimateMsg{AtMicros: 4, LambdaR: map[ItemID]float64{1: 2.5}, LambdaW: map[ItemID]float64{}, LambdaA: 2.5, Qr: 0.5, K: 3},
-		TickMsg{Tag: 4},
-		ComputeDoneMsg{Txn: txn, Attempt: 3},
-		RestartMsg{Txn: txn, Attempt: 4},
-		StopMsg{},
-		WrongEpochMsg{Txn: txn, Attempt: 1, Copy: c, Map: PartitionMap{Epoch: 3, Assignments: [][]SiteID{{1, 0}, {2}}}},
-		MapInstallMsg{Map: PartitionMap{Epoch: 4, Assignments: [][]SiteID{{0}, {1}}}},
-		MapUpdateMsg{Map: PartitionMap{Epoch: 5, Assignments: [][]SiteID{{2, 1}}}},
-		TransferPullMsg{From: 2, Epoch: 4, AfterSeq: 17},
-		TransferRecordsMsg{From: 1, Epoch: 4, Frames: []byte{1, 2, 3}, NextAfterSeq: 20, More: true},
-	}
-	for _, msg := range msgs {
-		var buf bytes.Buffer
-		wrapped := struct{ M Message }{M: msg}
-		if err := gob.NewEncoder(&buf).Encode(&wrapped); err != nil {
-			t.Fatalf("%T: encode: %v", msg, err)
-		}
-		var back struct{ M Message }
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-			t.Fatalf("%T: decode: %v", msg, err)
-		}
-		if _, ok := msg.(SubmitTxnMsg); ok {
-			// Pointer payload: compare the transaction's fields.
-			a := msg.(SubmitTxnMsg).Txn
-			b := back.M.(SubmitTxnMsg).Txn
-			if a.ID != b.ID || a.Protocol != b.Protocol || a.Size() != b.Size() {
-				t.Fatalf("SubmitTxnMsg mangled: %+v vs %+v", a, b)
-			}
-			continue
-		}
-		switch got := back.M.(type) {
-		case QueueStatsMsg:
-			if got.ReadGrants[1] != 2 {
-				t.Fatalf("QueueStatsMsg mangled: %+v", got)
-			}
-		case EstimateMsg:
-			if got.LambdaR[1] != 2.5 {
-				t.Fatalf("EstimateMsg mangled: %+v", got)
-			}
-		case WFGReportMsg:
-			if len(got.Edges) != 1 || !got.Edges[0].Waiter2PL {
-				t.Fatalf("WFGReportMsg mangled: %+v", got)
-			}
-		case VictimMsg:
-			if len(got.Cycle) != 2 {
-				t.Fatalf("VictimMsg mangled: %+v", got)
-			}
-		case WrongEpochMsg:
-			if got.Map.Epoch != 3 || got.Map.Primary(0) != 1 {
-				t.Fatalf("WrongEpochMsg mangled: %+v", got)
-			}
-		case MapInstallMsg:
-			if got.Map.Epoch != 4 || got.Map.Items() != 2 {
-				t.Fatalf("MapInstallMsg mangled: %+v", got)
-			}
-		case MapUpdateMsg:
-			if got.Map.Epoch != 5 || got.Map.Primary(0) != 2 {
-				t.Fatalf("MapUpdateMsg mangled: %+v", got)
-			}
-		case TransferRecordsMsg:
-			if !bytes.Equal(got.Frames, []byte{1, 2, 3}) || got.NextAfterSeq != 20 || !got.More {
-				t.Fatalf("TransferRecordsMsg mangled: %+v", got)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestMessageStringer(t *testing.T) {
 	m := RequestMsg{

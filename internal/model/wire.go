@@ -16,7 +16,7 @@ import (
 // allocations (see internal/wire for framing and buffer pooling).
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds negotiate v3 against each other, so tags must NEVER be renumbered or
+// builds speak v3 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags.
 
 // WireTag identifies a message type on the wire.

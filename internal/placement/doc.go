@@ -6,9 +6,7 @@
 //
 //   - Builders construct epoch-0 maps from a Policy (round-robin, contiguous
 //     ranges, or hashed) — the startup placement cluster.NewSim seeds stores
-//     and queue managers from. RoundRobin reproduces the historical
-//     storage.Catalog layout bit for bit, so existing seeds and baselines are
-//     unchanged.
+//     and queue managers from. Build is the only constructor of a map.
 //
 //   - Planners derive epoch N+1 from an installed map: PlanMove re-homes an
 //     explicit item set onto a destination site, PlanAdd carves an even share

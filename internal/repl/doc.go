@@ -10,7 +10,7 @@
 // it has already applied. On a periodic tick the site sends each peer a
 // model.ReplPullMsg carrying its watermark; the peer answers with a
 // model.ReplRecordsMsg holding the durable records past it, batched and
-// framed with the WAL's own varint record codec (crc32C + era-flagged length
+// framed with the WAL's own varint record codec (crc32C + flagged length
 // word + varint payload — the batch on the wire is byte-identical to the
 // segment bytes it came from, so DecodeRecordFrames hardens replay and
 // shipping with one decoder). The receiver replays each record through

@@ -124,19 +124,12 @@ func FuzzReplStream(f *testing.F) {
 			}
 		}
 
-		// Round-trip: re-encoding every decoded record reproduces the
-		// intact prefix byte for byte.
+		// Round-trip: one record, one frame encoding — re-encoding every
+		// decoded record reproduces the intact prefix byte for byte.
 		var reenc []byte
-		wal.DecodeRecordFrames(data, func(r wal.Record) { reenc = append(reenc, wal.AppendRecordFrame(nil, r)...) })
-		if !bytes.Equal(reenc, data[:len(data)-torn]) && decoded > 0 {
-			// Legacy fixed-width frames re-encode into varint frames, so
-			// byte equality only holds for varint-era input; tolerate a
-			// mismatch only if re-decoding reproduces the same records.
-			var rr []wal.Record
-			wal.DecodeRecordFrames(reenc, func(r wal.Record) { rr = append(rr, r) })
-			if len(rr) != decoded {
-				t.Fatalf("re-encode lost records: %d != %d", len(rr), decoded)
-			}
+		wal.DecodeRecordFrames(data, func(r wal.Record) { reenc = wal.AppendRecordFrame(reenc, r) })
+		if !bytes.Equal(reenc, data[:len(data)-torn]) {
+			t.Fatalf("accepted frames are not the canonical encoding:\n in: %x\nout: %x", data[:len(data)-torn], reenc)
 		}
 	})
 }

@@ -1,11 +1,15 @@
 package repl
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/wal"
+	"ucc/internal/wire"
 )
 
 func rec(seq uint64, item int, value int64, commit int64) wal.Record {
@@ -180,5 +184,50 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 		if st.Applied > 3 {
 			t.Fatalf("cut=%d: invented records: %+v", cut, st)
 		}
+	}
+}
+
+// TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope encoded at the
+// commit before the WAL's fixed-width decoder was removed (three records
+// spanning the field extremes, framed by wal.AppendRecordFrame) decodes to
+// the same records, and re-encodes to the same bytes, now.
+func TestShippedBatchGoldenBytes(t *testing.T) {
+	const golden = "0104000102001c045fb1fd83c310000080010e0429e1a2f3ad070180808080804091a1e306" +
+		"21000080020000ffffffffffffffffff01feffffffffffffff7fffffffffffffffffff0101" +
+		"921c79bc1600008003feffffff0ffeffffff0f0900038080f28183898506030001"
+	want := []wal.Record{
+		{Seq: 1, Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, Version: 1, CommitMicros: 1 << 40},
+		{Seq: 2, Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, Version: 1<<64 - 1, CommitMicros: -1},
+		{Seq: 3, Item: 1<<31 - 1, Txn: model.TxnID{Site: 1<<31 - 1, Seq: 9}, Value: 0, Version: 3, CommitMicros: 1700000000000000},
+	}
+	raw, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := wire.DecodeEnvelope(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, ok := env.Msg.(model.ReplRecordsMsg)
+	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More {
+		t.Fatalf("decoded %T %+v", env.Msg, env.Msg)
+	}
+	var got []wal.Record
+	st := Apply(msg.Frames, func(r wal.Record) bool { got = append(got, r); return true })
+	if st.Torn != 0 || st.Applied != len(want) {
+		t.Fatalf("apply stats %+v, want %d applied and nothing torn", st, len(want))
+	}
+	for i, r := range got {
+		if r != want[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, r, want[i])
+		}
+	}
+	msg.Frames = frames(want...)
+	re, err := wire.AppendEnvelope(nil, engine.Envelope{From: env.From, To: env.To, Msg: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, raw) {
+		t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", re, raw)
 	}
 }

@@ -17,9 +17,8 @@
 //	λb   = (λA − λ)·(1 − (1 − λ/λA)^(K−1))   — rate of blocking grants
 //	λnew = λw + (1−Qr)·λr                    — mean loss added per block
 //
-// (The proceedings scan garbles the first term of the printed recurrence;
-// see DESIGN.md for the OCR note. The form above matches the paper's two
-// prose cases exactly.)
+// (The proceedings scan garbles the first term of the printed recurrence.
+// The form above matches the paper's two prose cases exactly.)
 //
 // Evaluate solves the recursion by dynamic programming over the loss ladder
 // λ, λ+λnew, λ+2λnew, … (capped at λA) and a uniform time grid, exactly the

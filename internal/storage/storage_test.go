@@ -2,7 +2,6 @@ package storage
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ucc/internal/model"
 )
@@ -172,78 +171,5 @@ func TestStoreItemsSorted(t *testing.T) {
 	}
 	if !s.Has(3) || s.Has(4) {
 		t.Fatal("Has wrong")
-	}
-}
-
-func TestCatalogPlacement(t *testing.T) {
-	sites := []model.SiteID{0, 1, 2}
-	c := NewCatalog(9, sites, 2)
-	if c.Items() != 9 {
-		t.Fatalf("items = %d", c.Items())
-	}
-	for i := 0; i < 9; i++ {
-		reps := c.Replicas(model.ItemID(i))
-		if len(reps) != 2 {
-			t.Fatalf("item %d: %d replicas", i, len(reps))
-		}
-		if reps[0] == reps[1] {
-			t.Fatalf("item %d: replicas on same site", i)
-		}
-		if c.Primary(model.ItemID(i)) != reps[0] {
-			t.Fatalf("primary mismatch for %d", i)
-		}
-	}
-}
-
-func TestCatalogReplicasClamped(t *testing.T) {
-	c := NewCatalog(4, []model.SiteID{0, 1}, 5)
-	if got := len(c.Replicas(0)); got != 2 {
-		t.Fatalf("replicas = %d, want clamp to 2 sites", got)
-	}
-	c2 := NewCatalog(4, []model.SiteID{0, 1}, 0)
-	if got := len(c2.Replicas(0)); got != 1 {
-		t.Fatalf("replicas = %d, want min 1", got)
-	}
-}
-
-// Property: every item is stored somewhere, CopiesAt inverts Replicas, and
-// load is balanced within one item across sites.
-func TestCatalogProperties(t *testing.T) {
-	f := func(nItems, nSites, reps uint8) bool {
-		I := int(nItems%40) + 1
-		S := int(nSites%6) + 1
-		R := int(reps%4) + 1
-		sites := make([]model.SiteID, S)
-		for i := range sites {
-			sites[i] = model.SiteID(i)
-		}
-		c := NewCatalog(I, sites, R)
-		// Round-trip: item ∈ CopiesAt(s) ⇔ s ∈ Replicas(item).
-		have := map[model.CopyID]bool{}
-		for _, s := range sites {
-			for _, it := range c.CopiesAt(s) {
-				have[model.CopyID{Item: it, Site: s}] = true
-			}
-		}
-		for i := 0; i < I; i++ {
-			reps := c.Replicas(model.ItemID(i))
-			wantR := R
-			if wantR > S {
-				wantR = S
-			}
-			if len(reps) != wantR {
-				return false
-			}
-			for _, s := range reps {
-				if !have[model.CopyID{Item: model.ItemID(i), Site: s}] {
-					return false
-				}
-				delete(have, model.CopyID{Item: model.ItemID(i), Site: s})
-			}
-		}
-		return len(have) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }

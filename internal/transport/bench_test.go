@@ -24,61 +24,47 @@ func (a *countActor) OnMessage(ctx engine.Context, from engine.Addr, msg model.M
 
 // BenchmarkTransportThroughput is the end-to-end wire cost: request-sized
 // envelopes pushed through two real nodes over loopback TCP, encode → frame
-// → kernel → decode → inject. The v2 sub-benchmark pins the sender to the
-// legacy gob stream (the pre-v3 deployment, byte-identical), so the pair of
-// numbers is the deployment-level speedup of the codec swap — the in-process
-// shard harness (BenchmarkReadWriteThroughput) never crosses the wire and
-// cannot show it. Wall-clock and loopback-bound, so the numbers are
-// host-local (not in BENCH_baseline.json); the codec-level ratios are gated
-// by TestWireCodecGate instead.
+// → kernel → decode → inject — the path the in-process shard harness
+// (BenchmarkReadWriteThroughput) never crosses. Wall-clock and
+// loopback-bound, so the numbers are host-local (not in
+// BENCH_baseline.json).
 func BenchmarkTransportThroughput(b *testing.B) {
-	run := func(b *testing.B, forceV2 bool) {
-		rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
-		rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
-		defer rtA.Shutdown()
-		defer rtB.Shutdown()
-		nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer nodeB.Close()
-		nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer nodeA.Close()
-		if forceV2 {
-			nodeA.preferVersion = WireVersionV2
-		}
-
-		recv := &countActor{target: int64(b.N), done: make(chan struct{})}
-		rtB.Register(engine.QMAddr(1), recv)
-		env := engine.Envelope{
-			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 1}, Protocol: model.PA, Kind: model.OpWrite,
-				Copy: model.CopyID{Item: 7, Site: 1}, TS: 123456, Interval: 250},
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nodeA.forward(env)
-		}
-		select {
-		case <-recv.done:
-		case <-time.After(60 * time.Second):
-			b.Fatalf("delivered %d/%d", recv.n.Load(), b.N)
-		}
-		b.StopTimer()
-		if b.Elapsed() > 0 {
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-		}
-		ws := nodeA.Wire().Snapshot()
-		if forceV2 && ws.V3Conns > 0 {
-			b.Fatalf("v2 pin leaked a v3 conn: %+v", ws)
-		}
-		if !forceV2 && ws.BytesOut > 0 {
-			b.ReportMetric(ws.BytesPerMsgOut(), "B/msg")
-		}
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("v3", func(b *testing.B) { run(b, false) })
-	b.Run("gob", func(b *testing.B) { run(b, true) })
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nodeA.Close()
+
+	recv := &countActor{target: int64(b.N), done: make(chan struct{})}
+	rtB.Register(engine.QMAddr(1), recv)
+	env := engine.Envelope{
+		From: engine.RIAddr(0), To: engine.QMAddr(1),
+		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 1}, Protocol: model.PA, Kind: model.OpWrite,
+			Copy: model.CopyID{Item: 7, Site: 1}, TS: 123456, Interval: 250},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodeA.forward(env)
+	}
+	select {
+	case <-recv.done:
+	case <-time.After(60 * time.Second):
+		b.Fatalf("delivered %d/%d", recv.n.Load(), b.N)
+	}
+	b.StopTimer()
+	if b.Elapsed() > 0 {
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+	}
+	if ws := nodeA.Wire().Snapshot(); ws.BytesOut > 0 {
+		b.ReportMetric(ws.BytesPerMsgOut(), "B/msg")
+	}
 }

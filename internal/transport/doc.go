@@ -11,34 +11,31 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 3): every connection starts with a single version
-// byte, then — after the listener's one-byte ack — a stream of
-// length-prefixed binary frames (internal/wire: stable per-message tags,
-// explicit varint field encoders, pooled buffers, no reflection; zero
-// steady-state encode allocations for the fixed-shape hot-path messages,
-// ~16x gob's encode+decode throughput at ~1/5 the bytes). Frames carrying a
-// message tag this build doesn't know are skipped, not fatal — a newer
-// peer's appended types must not sever mixed-version v3 streams mid-upgrade.
-// Version 2 — a gob stream of WireEnvelope values — is
-// retained in both directions for rolling upgrades: a v3 listener speaks gob
-// to a v2 dialer, and a v3 dialer whose ack read fails (an old listener
-// closes on the unknown version byte) redials speaking v2. Version choice is
-// per connection and re-probed on every dial, so an upgraded peer is picked
-// up at the next reconnect. Readers drop connections with an unknown version
-// byte rather than decode a misframed stream; Node.Wire() exposes
-// metrics.WireCounters (msgs/bytes each way, v3 vs fallback conns).
+// Wire format (version 3): a dialer opens every connection with a single
+// version byte and sends nothing more until it has read the listener's
+// one-byte ack; then a stream of length-prefixed binary frames follows
+// (internal/wire: stable per-message tags, explicit varint field encoders,
+// pooled buffers, no reflection; zero steady-state encode allocations for
+// the fixed-shape hot-path messages). A listener closes any connection whose
+// first byte is not the version rather than decode a misframed stream; a
+// dialer whose peer closes, stalls past handshakeTimeout, or answers a
+// different byte has failed to connect — the same outcome as a refused
+// dial. Frames carrying a message tag this build doesn't know are skipped,
+// not fatal — a newer peer's appended message types must not sever the
+// stream mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes
+// each way, completed outbound handshakes, skipped frames).
 //
 // Failure model: messages are best-effort with one retry. A batch that
 // fails mid-write retires its connection — socket, buffered writer, and
-// encoder are all discarded together, so a half-written frame cannot leak
-// into a replacement connection's stream — and is re-sent whole on a fresh
-// dial exactly once. A genuinely down peer drops traffic (the protocol
-// tolerates that as a crashed site), but a dropped batch's sheddable
-// envelopes are first NAK'd back to their local senders so the issuing
-// attempts abort instead of stranding; a bounced peer may see duplicates
-// from the retried batch, which the protocol's attempt tagging absorbs.
-// Per-peer FIFO is preserved end to end: one outbox, one writer,
-// retry-before-next-batch.
+// frame writer are all discarded together, so a half-written frame cannot
+// leak into a replacement connection's stream — and is re-sent whole on a
+// fresh dial exactly once. A peer that cannot be dialed or fails the
+// handshake drops traffic (the protocol tolerates that as a crashed site),
+// but a dropped batch's sheddable envelopes are first NAK'd back to their
+// local senders so the issuing attempts abort instead of stranding; a
+// bounced peer may see duplicates from the retried batch, which the
+// protocol's attempt tagging absorbs. Per-peer FIFO is preserved end to end:
+// one outbox, one writer, retry-before-next-batch.
 //
 // Backpressure: each peer outbox can be bounded (Node.SetSendQueueCap).
 // When an enqueue would exceed the cap, the OLDEST queued sheddable

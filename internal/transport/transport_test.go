@@ -1,15 +1,18 @@
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/wire"
 )
 
 type recorder struct {
@@ -155,27 +158,15 @@ func TestStandardAssign(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	env := engine.Envelope{
-		From: engine.RIAddr(3),
-		To:   engine.QMShardAddr(7, 5),
-		Msg:  model.GrantMsg{Txn: model.TxnID{Site: 3, Seq: 9}, Lock: model.SWL, TS: 42},
-	}
-	got := fromWire(toWire(env))
-	if got.From != env.From || got.To != env.To {
-		t.Fatalf("addresses corrupted: %+v", got)
-	}
-	if got.To.Shard != 5 {
-		t.Fatalf("shard index lost on the wire: %+v", got.To)
-	}
-	if g, ok := got.Msg.(model.GrantMsg); !ok || g.TS != 42 || g.Lock != model.SWL {
-		t.Fatalf("payload corrupted: %+v", got.Msg)
-	}
-}
+// v2TickStream is, byte for byte, what a wire-v2 dialer wrote on a fresh
+// connection: version byte 2, then a gob stream carrying one envelope
+// RI(1)→QM(0) TickMsg{Tag: 7} (captured from the last build that spoke v2).
+const v2TickStream = "02677f0301010c57697265456e76656c6f706501ff80000107010846726f6d4b696e64010600010646726f6d4944010400010946726f6d53686172640106000106546f4b696e640106000104546f49440104000107546f536861726401060001034d736701100000003fff8002020201031a7563632f696e7465726e616c2f6d6f64656c2e5469636b4d7367ff81030101075469636b4d736701ff820001010103546167010600000007ff820301070000"
 
-// TestWireVersionRejected: a peer speaking the wrong framing era must be
-// dropped before any gob bytes reach the decoder, not fed as a misframed
-// stream.
+// TestWireVersionRejected: a connection whose first byte is not WireVersion
+// is closed before anything behind it reaches a decoder — no ack, nothing
+// injected — whether what follows is a well-formed v3 frame or a real v2
+// dialer's whole stream.
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -188,26 +179,53 @@ func TestWireVersionRejected(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 1}
 	rt.Register(engine.QMAddr(0), recv)
 
-	c, err := net.Dial("tcp", node.Addr())
+	payload, err := wire.AppendEnvelope(nil, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	// Version byte 1 (the pre-batching era), then bytes that would decode as
-	// an envelope if the reader ignored the version.
-	c.Write([]byte{1})
-	enc := gob.NewEncoder(c)
-	enc.Encode(toWire(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}}))
+	frame := frameOf(payload)
+	v2, err := hex.DecodeString(v2TickStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string][]byte{
+		"v2 dialer":             v2,
+		"byte 2 then v3 frame":  append([]byte{2}, frame...),
+		"byte 1 then v3 frame":  append([]byte{1}, frame...),
+		"ack byte as version":   append([]byte{wireAckV3}, frame...),
+		"random byte, v3 frame": append([]byte{0x5a}, frame...),
+	}
+	for name, stream := range streams {
+		c, err := net.Dial("tcp", node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(stream); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The listener closes without writing a byte: the read ends in an
+		// error (EOF, or a reset when unread input was pending), never data.
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var b [1]byte
+		if n, err := c.Read(b[:]); n != 0 || err == nil {
+			t.Fatalf("%s: listener answered %#x", name, b[0])
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: listener kept the connection open", name)
+		}
+		c.Close()
+	}
 	select {
 	case <-recv.done:
 		t.Fatal("envelope delivered despite version mismatch")
-	case <-time.After(200 * time.Millisecond):
+	case <-time.After(100 * time.Millisecond):
+	}
+	if s := node.Wire().Snapshot(); s.MsgsIn != 0 || s.BytesIn != 0 || s.UnknownIn != 0 {
+		t.Fatalf("rejected connections moved the inbound counters: %+v", s)
 	}
 }
 
 // TestBatchCoalesces: a backlog accumulated while the writer is busy must go
-// out in far fewer flushes than envelopes — the pipelined-encoder batching
-// the wire format exists for.
+// out in far fewer flushes than envelopes.
 func TestBatchCoalesces(t *testing.T) {
 	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
 	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
@@ -249,6 +267,10 @@ func TestBatchCoalesces(t *testing.T) {
 		recv.mu.Unlock()
 		t.Fatalf("timed out: got %d/%d", n, total)
 	}
+	eventually(t, "the sender to count its batches", func() bool {
+		envs, _ := nodeA.BatchStats()
+		return envs >= total
+	})
 	envs, flushes := nodeA.BatchStats()
 	if envs != total {
 		t.Fatalf("sent %d envelopes, want %d", envs, total)

@@ -27,22 +27,15 @@ const (
 	segPrefix  = "wal-"
 	snapPrefix = "snap-"
 
-	// frameHeader is crc32(payload) + uint32 payload length word.
+	// frameHeader is crc32C(lenWord | payload) + uint32 payload length word.
 	frameHeader = 8
-	// recordPayload is the fixed encoded size of one legacy (pre-wire-v3)
-	// Record payload. Still decoded — media written by an older build must
-	// replay after an in-place upgrade — but never written anymore.
-	recordPayload = 8 + 4 + 4 + 8 + 8 + 8 + 8
-	// varintFlag marks a frame whose payload uses the wire-v3 varint codec
-	// (the same primitives the transport's message encoders use, see
-	// internal/model's wire encoders). The high bit can never appear in a
-	// legacy length word (payloads were 48 bytes), so the two eras are
-	// unambiguous per frame; an old build reading a flagged frame sees an
-	// absurd length and stops replay there, which is the usual
-	// downgrade-loses-the-tail contract.
+	// varintFlag is set in every frame's length word: the payload is in the
+	// wire-v3 varint codec (the same primitives the transport's message
+	// encoders use, see internal/model's wire encoders). A length word
+	// without it is corruption and stops replay at that frame.
 	varintFlag = uint32(1) << 31
-	// maxRecordPayload bounds a varint record payload (7 fields × ≤10 bytes
-	// worst case); anything larger is corruption.
+	// maxRecordPayload bounds a record payload (7 fields × ≤10 bytes worst
+	// case); anything larger is corruption.
 	maxRecordPayload = 70
 )
 
@@ -59,12 +52,9 @@ func isSnap(name string) bool { return strings.HasPrefix(name, snapPrefix) }
 
 // appendRecord frames and appends one record:
 // crc32C(lenWord | payload) | varintFlag|len | payload, payload in the
-// shared wire-v3 varint codec. Typical records shrink from the legacy fixed
-// 48 bytes to ~15, which is most of what log replay and group-commit flushes
-// pay. Unlike the legacy frames (whose crc covers only the payload), the
-// varint-era crc also covers the length word: the word now carries the era
-// flag, and an unprotected flag bit flipped on media could otherwise send a
-// frame down the wrong decoder with its payload crc still intact.
+// shared wire-v3 varint codec (~15 bytes for a typical record). The crc
+// covers the length word as well as the payload, so a bit flipped in either
+// on media fails the checksum and stops replay; it can never misdecode.
 func appendRecord(buf []byte, r Record) []byte {
 	var scratch [maxRecordPayload]byte
 	p := appendRecordPayload(scratch[:0], r)
@@ -108,19 +98,6 @@ func decodeRecordPayload(p []byte) (Record, bool) {
 	return r, true
 }
 
-// decodeLegacyPayload decodes the fixed-width format older builds wrote.
-func decodeLegacyPayload(p []byte) Record {
-	var r Record
-	r.Seq = binary.LittleEndian.Uint64(p[0:])
-	r.Item = model.ItemID(binary.LittleEndian.Uint32(p[8:]))
-	r.Txn.Site = model.SiteID(binary.LittleEndian.Uint32(p[12:]))
-	r.Txn.Seq = binary.LittleEndian.Uint64(p[16:])
-	r.Value = int64(binary.LittleEndian.Uint64(p[24:]))
-	r.Version = binary.LittleEndian.Uint64(p[32:])
-	r.CommitMicros = int64(binary.LittleEndian.Uint64(p[40:]))
-	return r
-}
-
 // decodeRecords yields every intact record at the front of data. It stops —
 // without error — at the first torn or corrupt frame: a crash mid-write
 // leaves a damaged suffix, and exactly the checksummed prefix is the durable
@@ -132,50 +109,30 @@ func decodeRecords(data []byte, fn func(Record)) (torn int) {
 		}
 		crc := binary.LittleEndian.Uint32(data[0:])
 		lenWord := binary.LittleEndian.Uint32(data[4:])
-		varint := lenWord&varintFlag != 0
 		n := lenWord &^ varintFlag
-		if varint {
-			if n == 0 || n > maxRecordPayload {
-				return len(data)
-			}
-		} else if n != recordPayload {
+		if lenWord&varintFlag == 0 || n == 0 || n > maxRecordPayload {
 			return len(data)
 		}
-		if len(data) < frameHeader+int(n) {
+		end := frameHeader + int(n)
+		if len(data) < end {
 			return len(data)
 		}
-		payload := data[frameHeader : frameHeader+int(n)]
-		// Varint-era frames checksum the length word together with the
-		// payload (data[4:] is contiguous: lenWord then payload); legacy
-		// frames checksum the payload alone. Either way a corrupted era
-		// flag fails the crc of whichever branch it lands in, so a bit flip
-		// can only ever stop replay, never misdecode.
-		var sum uint32
-		if varint {
-			sum = crc32.Checksum(data[4:frameHeader+int(n)], crcTable)
-		} else {
-			sum = crc32.Checksum(payload, crcTable)
-		}
-		if sum != crc {
+		// data[4:end] is contiguous: lenWord then payload.
+		if crc32.Checksum(data[4:end], crcTable) != crc {
 			return len(data)
 		}
-		var r Record
-		if varint {
-			var ok bool
-			if r, ok = decodeRecordPayload(payload); !ok {
-				return len(data)
-			}
-		} else {
-			r = decodeLegacyPayload(payload)
+		r, ok := decodeRecordPayload(data[frameHeader:end])
+		if !ok {
+			return len(data)
 		}
 		fn(r)
-		data = data[frameHeader+int(n):]
+		data = data[end:]
 	}
 	return 0
 }
 
-// AppendRecordFrame frames one record onto buf in the varint-era frame
-// format — exported for log shipping (internal/repl): a catch-up batch on
+// AppendRecordFrame frames one record onto buf in the segment frame format
+// — exported for log shipping (internal/repl): a catch-up batch on
 // the wire is byte-identical to the segment bytes it came from, so one
 // decoder (DecodeRecordFrames) hardens both the local-replay and the
 // shipped-stream paths.

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -255,103 +257,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// appendLegacyRecord writes the fixed-width frame format of pre-wire-v3
-// builds, byte-for-byte (the old appendRecord implementation, kept here as
-// the upgrade-compat oracle).
-func appendLegacyRecord(buf []byte, r Record) []byte {
-	var p [recordPayload]byte
-	binary.LittleEndian.PutUint64(p[0:], r.Seq)
-	binary.LittleEndian.PutUint32(p[8:], uint32(r.Item))
-	binary.LittleEndian.PutUint32(p[12:], uint32(r.Txn.Site))
-	binary.LittleEndian.PutUint64(p[16:], r.Txn.Seq)
-	binary.LittleEndian.PutUint64(p[24:], uint64(r.Value))
-	binary.LittleEndian.PutUint64(p[32:], r.Version)
-	binary.LittleEndian.PutUint64(p[40:], uint64(r.CommitMicros))
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:], crc32.Checksum(p[:], crcTable))
-	binary.LittleEndian.PutUint32(h[4:], uint32(len(p)))
-	buf = append(buf, h[:]...)
-	return append(buf, p[:]...)
-}
-
-// TestReplayLegacyRecords: a segment written by an older build (fixed-width
-// frames) must replay exactly after an in-place upgrade — the WAL analogue
-// of the transport's v2 fallback.
-func TestReplayLegacyRecords(t *testing.T) {
-	media := NewMemMedia()
-	w, err := media.Create(segName(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for i := 1; i <= 10; i++ {
-		buf = appendLegacyRecord(buf, Record{
-			Seq: uint64(i), Item: model.ItemID(i % 3), Txn: model.TxnID{Site: 1, Seq: uint64(i)},
-			Value: int64(-i), Version: uint64(i), CommitMicros: int64(i) * 1000,
-		})
-	}
-	if _, err := w.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	got := replayAll(t, media, 0)
-	if len(got) != 10 {
-		t.Fatalf("replayed %d legacy records, want 10", len(got))
-	}
-	for i, r := range got {
-		want := Record{
-			Seq: uint64(i + 1), Item: model.ItemID((i + 1) % 3), Txn: model.TxnID{Site: 1, Seq: uint64(i + 1)},
-			Value: int64(-(i + 1)), Version: uint64(i + 1), CommitMicros: int64(i+1) * 1000,
-		}
-		if r != want {
-			t.Fatalf("legacy record %d: got %+v want %+v", i, r, want)
-		}
-	}
-}
-
-// TestReplayMixedEraSegments: legacy frames in an old segment followed by
-// varint frames in a newer one — exactly what media looks like after an
-// upgraded node appends to surviving history.
-func TestReplayMixedEraSegments(t *testing.T) {
-	media := NewMemMedia()
-	// Old build wrote segment 1 (legacy frames).
-	w, _ := media.Create(segName(1))
-	var buf []byte
-	for i := 1; i <= 5; i++ {
-		buf = appendLegacyRecord(buf, Record{Seq: uint64(i), Item: 1, Txn: model.TxnID{Site: 1, Seq: uint64(i)}, Value: int64(i)})
-	}
-	w.Write(buf)
-	w.Sync()
-	w.Close()
-
-	// Upgraded build appends segment 2 (varint frames) via the real Log.
-	l, err := NewLog(media, 1<<20, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 6; i <= 9; i++ {
-		l.Append(Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: uint64(i)}, Value: int64(i)})
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	got := replayAll(t, media, 0)
-	if len(got) != 9 {
-		t.Fatalf("replayed %d records across eras, want 9", len(got))
-	}
-	for i, r := range got {
-		if r.Seq != uint64(i+1) || r.Value != int64(i+1) {
-			t.Fatalf("record %d: got %+v", i, r)
-		}
-	}
-}
-
 // TestRecordRoundTripExtremes: varint payloads must round-trip the field
 // extremes (negative values, max versions) and reject truncation at every
 // byte.
@@ -381,42 +286,105 @@ func TestRecordRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// TestFlippedEraFlagStopsReplay: the era flag lives in the length word, so
-// a flipped flag bit must fail the frame's checksum in whichever decode
-// branch it lands — replay stops, never misdecodes.
-func TestFlippedEraFlagStopsReplay(t *testing.T) {
-	flip := func(frame []byte) []byte {
-		out := append([]byte{}, frame...)
-		out[7] ^= 0x80 // bit 31 of the little-endian length word
+// goldenRecords and goldenFrames pin the frame bytes: the hex string is
+// AppendRecordFrame's output for these records at the commit before the
+// fixed-width decoder was removed. Segments and log-shipping batches written
+// then must decode identically now.
+var goldenRecords = []Record{
+	{Seq: 1, Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, Version: 1, CommitMicros: 1 << 40},
+	{Seq: 2, Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, Version: 1<<64 - 1, CommitMicros: -1},
+	{Seq: 3, Item: 1<<31 - 1, Txn: model.TxnID{Site: 1<<31 - 1, Seq: 9}, Value: 0, Version: 3, CommitMicros: 1700000000000000},
+}
+
+const goldenFrames = "b1fd83c310000080010e0429e1a2f3ad070180808080804091a1e306" +
+	"21000080020000ffffffffffffffffff01feffffffffffffff7fffffffffffffffffff0101" +
+	"921c79bc1600008003feffffff0ffeffffff0f0900038080f28183898506"
+
+func writeSegment(t *testing.T, media Media, frames []byte) {
+	t.Helper()
+	w, err := media.Create(segName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+}
+
+// TestRecordFrameGoldenBytes: the written frame format is unchanged, and a
+// segment holding the golden bytes replays to the golden records.
+func TestRecordFrameGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, r := range goldenRecords {
+		got = AppendRecordFrame(got, r)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame bytes changed:\n got %x\nwant %x", got, want)
+	}
+	media := NewMemMedia()
+	writeSegment(t, media, want)
+	replayed := replayAll(t, media, 0)
+	if len(replayed) != len(goldenRecords) {
+		t.Fatalf("replayed %d records, want %d", len(replayed), len(goldenRecords))
+	}
+	for i, r := range replayed {
+		if r != goldenRecords[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, r, goldenRecords[i])
+		}
+	}
+}
+
+// TestUnflaggedFrameStopsReplay: every frame's length word carries
+// varintFlag; one without it is corruption, and replay stops there with the
+// preceding records intact — even when the frame is otherwise well-formed
+// under some checksum convention (the flag check, not luck with the crc, is
+// what refuses it).
+func TestUnflaggedFrameStopsReplay(t *testing.T) {
+	r1 := Record{Seq: 1, Item: 1, Txn: model.TxnID{Site: 1, Seq: 1}, Value: 7}
+	r2 := Record{Seq: 2, Item: 2, Txn: model.TxnID{Site: 1, Seq: 2}, Value: 8}
+	r3 := Record{Seq: 3, Item: 3, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 9}
+
+	frame := func(lenWord uint32, payload []byte, crcCoversLenWord bool) []byte {
+		out := make([]byte, frameHeader, frameHeader+len(payload))
+		binary.LittleEndian.PutUint32(out[4:], lenWord)
+		out = append(out, payload...)
+		sum := crc32.Checksum(payload, crcTable)
+		if crcCoversLenWord {
+			sum = crc32.Checksum(out[4:], crcTable)
+		}
+		binary.LittleEndian.PutUint32(out[0:], sum)
 		return out
 	}
-	write := func(t *testing.T, media Media, frames []byte) {
-		t.Helper()
-		w, err := media.Create(segName(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(frames); err != nil {
-			t.Fatal(err)
-		}
-		w.Sync()
-		w.Close()
-	}
-	r1 := Record{Seq: 1, Item: 1, Txn: model.TxnID{Site: 1, Seq: 1}, Value: 7}
+	// The 48-byte fixed-width payload pre-varint builds wrote.
+	var fixed [48]byte
+	binary.LittleEndian.PutUint64(fixed[0:], r2.Seq)
+	binary.LittleEndian.PutUint32(fixed[8:], uint32(r2.Item))
+	binary.LittleEndian.PutUint32(fixed[12:], uint32(r2.Txn.Site))
+	binary.LittleEndian.PutUint64(fixed[16:], r2.Txn.Seq)
+	binary.LittleEndian.PutUint64(fixed[24:], uint64(r2.Value))
+	varint := appendRecordPayload(nil, r2)
+	stripped := appendRecord(nil, r2)
+	stripped[7] &^= 0x80 // bit 31 of the little-endian length word
 
-	// Varint frame with the flag cleared: lands in the legacy branch, whose
-	// payload-only crc cannot match a crc that covered the length word.
-	media := NewMemMedia()
-	write(t, media, flip(appendRecord(nil, r1)))
-	if got := replayAll(t, media, 0); len(got) != 0 {
-		t.Fatalf("flag-stripped varint frame replayed %d records, want 0", len(got))
-	}
-
-	// Legacy frame with the flag set: lands in the varint branch, whose
-	// lenword+payload crc cannot match a payload-only crc.
-	media2 := NewMemMedia()
-	write(t, media2, flip(appendLegacyRecord(nil, r1)))
-	if got := replayAll(t, media2, 0); len(got) != 0 {
-		t.Fatalf("flag-set legacy frame replayed %d records, want 0", len(got))
+	for name, bad := range map[string][]byte{
+		"fixed-width frame, payload-only crc":          frame(uint32(len(fixed)), fixed[:], false),
+		"varint frame, flag cleared, crc left stale":   stripped,
+		"varint frame, flag cleared, crc recomputed":   frame(uint32(len(varint)), varint, true),
+		"varint frame, flag cleared, payload-only crc": frame(uint32(len(varint)), varint, false),
+	} {
+		media := NewMemMedia()
+		writeSegment(t, media, append(append(appendRecord(nil, r1), bad...), appendRecord(nil, r3)...))
+		got := replayAll(t, media, 0)
+		if len(got) != 1 || got[0] != r1 {
+			t.Errorf("%s: replayed %+v, want exactly the record before it", name, got)
+		}
 	}
 }

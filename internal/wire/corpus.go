@@ -3,11 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
-	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
@@ -82,73 +78,13 @@ func Corpus() []engine.Envelope {
 	return out
 }
 
-// CodecNumbers are one codec's measured costs over the corpus.
-type CodecNumbers struct {
-	MsgsPerSec   float64 `json:"msgs_per_sec"`
-	NsPerMsg     float64 `json:"ns_per_msg"`
-	AllocsPerMsg float64 `json:"allocs_per_msg"`
-	BytesPerMsg  float64 `json:"bytes_per_msg"`
-}
-
-// CodecReport compares the v3 codec against encoding/gob on the mixed
-// corpus: a full encode→decode round trip per message, matching what the
-// transport pays on each side of the wire.
-type CodecReport struct {
-	CorpusMsgs int          `json:"corpus_msgs"`
-	Rounds     int          `json:"rounds"`
-	V3         CodecNumbers `json:"v3"`
-	Gob        CodecNumbers `json:"gob"`
-	// Speedup is v3 msgs/sec over gob msgs/sec; AllocRatio is v3 allocs/msg
-	// over gob allocs/msg (both encode+decode).
-	Speedup    float64 `json:"speedup"`
-	AllocRatio float64 `json:"alloc_ratio"`
-}
-
-// gobEnvelope mirrors transport's v2 WireEnvelope so the comparison measures
-// the exact legacy encoding, without importing transport (which imports us).
-type gobEnvelope struct {
-	FromKind  uint8
-	FromID    int32
-	FromShard uint8
-	ToKind    uint8
-	ToID      int32
-	ToShard   uint8
-	Msg       model.Message
-}
-
-// CompareWithGob measures both codecs over rounds passes of the corpus.
-// Deterministic enough for a ratio gate; absolute numbers are host-bound.
-func CompareWithGob(rounds int) (CodecReport, error) {
-	if rounds <= 0 {
-		rounds = 200
-	}
-	corpus := Corpus()
-	rep := CodecReport{CorpusMsgs: len(corpus), Rounds: rounds}
-
-	v3, err := measureV3(corpus, rounds)
-	if err != nil {
-		return rep, err
-	}
-	g, err := measureGob(corpus, rounds)
-	if err != nil {
-		return rep, err
-	}
-	rep.V3, rep.Gob = v3, g
-	if g.MsgsPerSec > 0 {
-		rep.Speedup = v3.MsgsPerSec / g.MsgsPerSec
-	}
-	if g.AllocsPerMsg > 0 {
-		rep.AllocRatio = v3.AllocsPerMsg / g.AllocsPerMsg
-	}
-	return rep, nil
-}
-
 // V3Harness holds reusable v3 codec state for repeated corpus passes: the
 // writer, reader, and their pooled buffers live across passes exactly as
 // they live across batches on a transport connection, so a measured pass is
-// the codec's steady state. Shared by CompareWithGob (the TestWireCodecGate
-// ratio gate and BENCH_wire.json) and BenchmarkWireCodec (the msgs/KB bench
-// gate) — one round-trip loop, so the gates cannot drift apart.
+// the codec's steady state. Shared by TestWireCodecGate (the ratio gate
+// against the gob reference), BenchmarkWireCodec (the msgs/KB bench gate)
+// and bench/'s codec drill — one round-trip loop, so they cannot drift
+// apart.
 type V3Harness struct {
 	sink bytes.Buffer
 	bw   *bufio.Writer
@@ -229,132 +165,4 @@ func (h *V3Harness) PassPooled(corpus []engine.Envelope) (streamBytes int, err e
 func (h *V3Harness) Release() {
 	h.w.Release()
 	h.r.Release()
-}
-
-// GobHarness is the legacy-codec counterpart of V3Harness: a fresh gob
-// encoder/decoder pair per pass, matching how the v2 transport pays a fresh
-// type dictionary per connection stream.
-type GobHarness struct {
-	sink bytes.Buffer
-}
-
-// NewGobHarness registers the gob types and builds the harness.
-func NewGobHarness() *GobHarness {
-	model.RegisterGob()
-	return &GobHarness{}
-}
-
-// Pass round-trips the corpus through gob, returning the stream size.
-func (h *GobHarness) Pass(corpus []engine.Envelope) (streamBytes int, err error) {
-	h.sink.Reset()
-	enc := gob.NewEncoder(&h.sink)
-	for _, env := range corpus {
-		ge := gobEnvelope{
-			FromKind: uint8(env.From.Kind), FromID: int32(env.From.ID), FromShard: env.From.Shard,
-			ToKind: uint8(env.To.Kind), ToID: int32(env.To.ID), ToShard: env.To.Shard,
-			Msg: env.Msg,
-		}
-		if err := enc.Encode(ge); err != nil {
-			return 0, err
-		}
-	}
-	streamBytes = h.sink.Len()
-	dec := gob.NewDecoder(bytes.NewReader(h.sink.Bytes()))
-	for {
-		var ge gobEnvelope
-		if err := dec.Decode(&ge); err != nil {
-			if err == io.EOF {
-				return streamBytes, nil
-			}
-			return 0, err
-		}
-	}
-}
-
-func measureV3(corpus []engine.Envelope, rounds int) (CodecNumbers, error) {
-	h := NewV3Harness()
-	defer h.Release()
-	// One warm pass sizes the sink and scratch, then measure steady state.
-	bytesPerPass, err := h.Pass(corpus)
-	if err != nil {
-		return CodecNumbers{}, err
-	}
-	return timeCodec(len(corpus), rounds, bytesPerPass, func() error {
-		_, err := h.Pass(corpus)
-		return err
-	})
-}
-
-func measureGob(corpus []engine.Envelope, rounds int) (CodecNumbers, error) {
-	h := NewGobHarness()
-	bytesPerPass, err := h.Pass(corpus)
-	if err != nil {
-		return CodecNumbers{}, err
-	}
-	return timeCodec(len(corpus), rounds, bytesPerPass, func() error {
-		_, err := h.Pass(corpus)
-		return err
-	})
-}
-
-// timeCodec times rounds invocations of pass and samples allocations around
-// them.
-func timeCodec(corpusMsgs, rounds, bytesPerPass int, pass func() error) (CodecNumbers, error) {
-	var msBefore, msAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		if err := pass(); err != nil {
-			return CodecNumbers{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&msAfter)
-
-	msgs := float64(corpusMsgs * rounds)
-	var n CodecNumbers
-	if elapsed > 0 {
-		n.MsgsPerSec = msgs / elapsed.Seconds()
-		n.NsPerMsg = float64(elapsed.Nanoseconds()) / msgs
-	}
-	n.AllocsPerMsg = float64(msAfter.Mallocs-msBefore.Mallocs) / msgs
-	n.BytesPerMsg = float64(bytesPerPass) / float64(corpusMsgs)
-	return n, nil
-}
-
-// Verify round-trips the corpus once and errors on any mismatch in envelope
-// count or decode failure — a cheap self-check for callers that are about to
-// trust the measurement (uccbench -wire-json).
-func Verify() error {
-	corpus := Corpus()
-	var sink bytes.Buffer
-	bw := bufio.NewWriter(&sink)
-	w := NewWriter(bw)
-	defer w.Release()
-	for _, env := range corpus {
-		if _, err := w.WriteEnvelope(env); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	r := NewReader(bufio.NewReader(bytes.NewReader(sink.Bytes())))
-	defer r.Release()
-	got := 0
-	for {
-		_, _, err := r.ReadEnvelope()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		got++
-	}
-	if got != len(corpus) {
-		return fmt.Errorf("wire: corpus round trip decoded %d of %d envelopes", got, len(corpus))
-	}
-	return nil
 }

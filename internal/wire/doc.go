@@ -37,7 +37,7 @@
 // interface as it enters the runtime (plus the payload-owned slices of the
 // rare control-plane messages that carry them).
 //
-// Version negotiation against older gob-speaking peers lives in
+// The connection handshake (version byte and ack) lives in
 // internal/transport; the WAL reuses the same model primitives for its
 // record payloads.
 package wire

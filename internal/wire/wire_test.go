@@ -206,13 +206,6 @@ func TestEncodeUnknownMessageType(t *testing.T) {
 	}
 }
 
-// TestVerify exercises the self-check used by uccbench -wire-json.
-func TestVerify(t *testing.T) {
-	if err := Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEncodeSteadyStateAllocs: after warm-up, encoding through a Writer must
 // not allocate at all.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
