@@ -116,8 +116,8 @@ func main() {
 		log.Fatalf("uccnode: %v", err)
 	}
 
-	// Build this site's slice of the system. Latency is the real network;
-	// the runtime adds nothing on top.
+	// Build this site's slice of the system. A runtime send is a mailbox push
+	// or a hand-off to the transport: the only latency is the network's.
 	rt := engine.NewRuntime(engine.FixedLatency{}, int64(*site)+1)
 	// Bound every mailbox registered below: new-work requests beyond the
 	// bound are NAK'd busy rather than queued without limit.
@@ -204,6 +204,17 @@ func main() {
 			PersistRounds: 2,
 		})
 		rt.Register(engine.DetectorAddr(), det)
+	}
+
+	// The node installs the runtime's uplink, so it is up before any tick is
+	// posted: the detector's first probe round and the first catch-up pull go
+	// to other sites.
+	node, err := transport.NewNode(rt, fmt.Sprintf("site%d", *site), *listen, topo)
+	if err != nil {
+		log.Fatalf("uccnode: %v", err)
+	}
+	node.SetSendQueueCap(*sendCap)
+	if self == 0 {
 		rt.Post(engine.Envelope{From: engine.DetectorAddr(), To: engine.DetectorAddr(), Msg: model.TickMsg{}})
 	}
 	// Start the QM stats push (reports flow to the client's collector).
@@ -212,12 +223,6 @@ func main() {
 		// Start the catch-up pull chain (tagged tick; re-arms itself).
 		rt.Post(engine.Envelope{From: engine.QMAddr(self), To: engine.QMAddr(self), Msg: model.TickMsg{Tag: qm.ReplTickTag}})
 	}
-
-	node, err := transport.NewNode(rt, fmt.Sprintf("site%d", *site), *listen, topo)
-	if err != nil {
-		log.Fatalf("uccnode: %v", err)
-	}
-	node.SetSendQueueCap(*sendCap)
 	log.Printf("uccnode: site %d up on %s (%d items stored, %d sites, %d replicas, placement=%s, %d qm shards, durability=%v, admission=%v)",
 		*site, node.Addr(), store.Len(), *sites, *replicas, policy, mgr.NumShards(), siteLog != nil, *admission)
 

@@ -6,11 +6,13 @@
 // transport.
 //
 // The package also defines the address space (one Addr per actor role and
-// site) and the pluggable network LatencyModel. Latency jitter is
-// load-bearing for the protocols: without it every queue sees requests in
-// timestamp order and T/O never rejects. The models are bounded, which is
-// also what the read-only snapshot fast path's staleness margin leans on —
-// a release older than the margin has always arrived.
+// site) and the pluggable network LatencyModel, which the simulator applies
+// to every send. Latency jitter is load-bearing for the protocols: without it
+// every queue sees requests in timestamp order and T/O never rejects. The
+// models are bounded, which is also what the read-only snapshot fast path's
+// staleness margin leans on — a release older than the margin has always
+// arrived. The real-time runtime applies no model: a send there is a mailbox
+// push (or a hand-off to the transport) completed before Send returns.
 //
 // Backpressure: the real-time runtime's mailboxes can be bounded
 // (Runtime.SetMailboxDepth). A sheddable message (model.Sheddable — the

@@ -93,8 +93,12 @@ type Context interface {
 	NowMicros() int64
 	// Self is the handling actor's own address.
 	Self() Addr
-	// Send delivers msg to the actor at 'to' after the engine's network
-	// latency model. Delivery is FIFO per (sender, receiver) pair.
+	// Send delivers msg to the actor at 'to', FIFO per (sender, receiver)
+	// pair. The simulator delivers after its latency model. The real-time
+	// runtime delivers before Send returns — msg is then in the destination's
+	// mailbox, or on the destination peer's outbox — so there sends made by
+	// one goroutine arrive in program order whatever their sender address,
+	// and sends two actors make under a common lock are ordered by that lock.
 	Send(to Addr, msg model.Message)
 	// SetTimer delivers msg back to this actor after delayMicros (no network
 	// latency involved).
@@ -113,7 +117,8 @@ type Actor interface {
 }
 
 // LatencyModel computes the one-way network delay for a message. The model
-// must be deterministic given the rng stream it is handed.
+// must be deterministic given the rng stream it is handed. Models are applied
+// by the simulator (internal/sim); the real-time runtime adds no delay.
 type LatencyModel interface {
 	// DelayMicros returns the delivery delay from src to dst.
 	DelayMicros(src, dst Addr, rng *rand.Rand) int64

@@ -17,27 +17,27 @@ type Envelope struct {
 	Msg  model.Message
 }
 
-// Runtime is the real-time engine: every actor gets a mailbox and a
-// goroutine; Send applies the latency model with wall-clock timers. It is
-// used by the runnable examples and by the TCP deployment (remote addresses
-// are forwarded through an uplink).
+// Runtime is the real-time engine of the TCP deployment (cmd/uccnode,
+// cmd/uccclient, bench/): every actor gets a mailbox and a goroutine, and
+// addresses not registered here are forwarded through an uplink, the
+// transport. It adds no latency; that is modelled in internal/sim.
 //
-// FIFO guarantee: messages between one (sender, receiver) pair are delivered
-// in send order even under jittered latency, as they would be over a TCP
-// connection.
+// A send is synchronous: when Context.Send or Post returns, the envelope is
+// in the destination's mailbox, or with the uplink, which has queued it on
+// the destination peer's outbox. So sends made by one goroutine are delivered
+// in program order whatever their From address, and sends made under a common
+// lock in the order the lock was held; the FIFO per (sender, receiver) pair
+// that the queue discipline needs is a corollary.
 type Runtime struct {
-	latency LatencyModel
-	seed    int64
+	seed int64
 
-	mu       sync.Mutex
-	actors   map[Addr]*mailbox
-	lastSend map[pairKey]time.Time
-	pairs    map[pairKey]*pairQueue
-	uplink   func(Envelope)
-	closed   bool
-	start    time.Time
-	epoch    int64 // start as wall-clock µs since the Unix epoch
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	actors map[Addr]*mailbox
+	uplink func(Envelope)
+	closed bool
+	start  time.Time
+	epoch  int64 // start as wall-clock µs since the Unix epoch
+	wg     sync.WaitGroup
 
 	// mailboxDepth bounds every mailbox registered after SetMailboxDepth:
 	// sheddable messages (model.Sheddable — new-work openers) arriving at a
@@ -50,69 +50,13 @@ type Runtime struct {
 	overflows atomic.Uint64
 }
 
-type pairKey struct{ from, to Addr }
-
-// pairQueue serializes deliveries on one (sender, receiver) pair: a single
-// drain goroutine sleeps until each message's delivery time and fires them
-// strictly in send order. (Scheduling one time.AfterFunc per message would
-// race when deadlines coincide — Go timers with equal deadlines fire in
-// arbitrary order.)
-type pairQueue struct {
-	mu sync.Mutex
-	q  []timedEnv
-	// head indexes the next undelivered element: draining advances head
-	// instead of re-slicing, so the backing array is reused once the queue
-	// empties rather than re-grown for every burst (the per-delivery append
-	// was a steady-state allocation on the hot path).
-	head    int
-	running bool
-}
-
-type timedEnv struct {
-	at   time.Time
-	env  Envelope
-	fire func(Envelope)
-}
-
-func (p *pairQueue) push(te timedEnv) {
-	p.mu.Lock()
-	p.q = append(p.q, te)
-	if p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = true
-	p.mu.Unlock()
-	go p.drain()
-}
-
-func (p *pairQueue) drain() {
-	for {
-		p.mu.Lock()
-		if p.head == len(p.q) {
-			p.q = p.q[:0]
-			p.head = 0
-			p.running = false
-			p.mu.Unlock()
-			return
-		}
-		te := p.q[p.head]
-		p.q[p.head] = timedEnv{} // release the envelope for reuse/GC
-		p.head++
-		p.mu.Unlock()
-		if d := time.Until(te.at); d > 0 {
-			time.Sleep(d)
-		}
-		te.fire(te.env)
-	}
-}
-
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []Envelope
-	// head indexes the next unpopped element; popping advances it instead of
-	// re-slicing so the backing array is reused across bursts (see pairQueue).
+	// head indexes the next unpopped element: popping advances it instead of
+	// re-slicing, so the backing array is reused once the queue empties rather
+	// than re-grown for every burst.
 	head int
 	done bool
 	// bound is the depth at which sheddable messages are refused (0 =
@@ -180,21 +124,20 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
-// NewRuntime builds a real-time engine with the given latency model and
-// random seed.
+// NewRuntime builds a real-time engine; seed derives the per-actor random
+// sources. The runtime cannot delay a message, so latency must be nil or the
+// zero FixedLatency; anything else panics rather than being silently ignored
+// (delays are modelled by the simulator, internal/sim).
 func NewRuntime(latency LatencyModel, seed int64) *Runtime {
-	if latency == nil {
-		latency = FixedLatency{}
+	if latency != nil && latency != (FixedLatency{}) {
+		panic(fmt.Sprintf("engine: Runtime adds no latency, got %T%+v; model delays with internal/sim", latency, latency))
 	}
 	now := time.Now()
 	return &Runtime{
-		latency:  latency,
-		seed:     seed,
-		actors:   map[Addr]*mailbox{},
-		lastSend: map[pairKey]time.Time{},
-		pairs:    map[pairKey]*pairQueue{},
-		start:    now,
-		epoch:    now.UnixMicro(),
+		seed:   seed,
+		actors: map[Addr]*mailbox{},
+		start:  now,
+		epoch:  now.UnixMicro(),
 	}
 }
 
@@ -239,9 +182,28 @@ func (r *Runtime) MailboxStats() (overflows uint64, highWater int) {
 	return r.overflows.Load(), highWater
 }
 
-// nak answers a refused sheddable envelope with its BusyMsg, delivered
-// straight to the sender's mailbox (or the uplink for remote senders). The
-// NAK itself is never sheddable, so this cannot recurse.
+// route hands env to its destination before returning: a registered actor
+// gets it in its mailbox (a refused sheddable is NAK'd back to its sender),
+// any other address goes to the uplink. An actor's Send, Post and the NAK of
+// a refusal all take this one path. After Shutdown nothing is routed.
+func (r *Runtime) route(env Envelope) {
+	r.mu.Lock()
+	mb, uplink, closed := r.actors[env.To], r.uplink, r.closed
+	r.mu.Unlock()
+	switch {
+	case closed:
+	case mb != nil:
+		if !mb.push(env) {
+			r.nak(env)
+		}
+	case uplink != nil:
+		uplink(unpoolEnv(env))
+	}
+}
+
+// nak answers a refused sheddable envelope with its BusyMsg, routed to the
+// sender before the refused send returns. The NAK itself is never sheddable,
+// so this cannot recurse.
 func (r *Runtime) nak(env Envelope) {
 	r.overflows.Add(1)
 	sh, ok := env.Msg.(model.Sheddable)
@@ -252,17 +214,7 @@ func (r *Runtime) nak(env Envelope) {
 	// The refused message dies here: the Busy reply above copied everything
 	// it needs, so a pooled original goes back to its pool now.
 	model.RecycleMessage(env.Msg)
-	r.mu.Lock()
-	mb := r.actors[back.To]
-	uplink := r.uplink
-	r.mu.Unlock()
-	if mb != nil {
-		mb.push(back)
-		return
-	}
-	if uplink != nil {
-		uplink(back)
-	}
+	r.route(back)
 }
 
 // Register adds an actor and starts its mailbox goroutine.
@@ -294,9 +246,9 @@ func (r *Runtime) Register(addr Addr, a Actor) {
 }
 
 // Inject delivers an envelope that arrived from a remote node straight into
-// the destination mailbox (no further latency is applied: the wire already
-// provided it). An envelope addressed to an actor not registered here is
-// dropped — inbound wire traffic for another site must not loop back out.
+// the destination mailbox. It is the local-only arm of route: an envelope
+// addressed to an actor not registered here is dropped — inbound wire traffic
+// for another site must not loop back out.
 func (r *Runtime) Inject(env Envelope) {
 	r.mu.Lock()
 	mb := r.actors[env.To]
@@ -306,31 +258,15 @@ func (r *Runtime) Inject(env Envelope) {
 	}
 }
 
-// Post routes a locally originated envelope like an actor send, minus
-// latency: a registered actor gets it in its mailbox (full mailbox → busy
-// NAK), anything else forwards through the uplink to its site. Use this —
-// not Inject — to originate traffic that may target remote actors (e.g. a
-// node publishing a partition-map epoch to its peers).
-func (r *Runtime) Post(env Envelope) {
-	r.mu.Lock()
-	mb := r.actors[env.To]
-	uplink := r.uplink
-	r.mu.Unlock()
-	if mb != nil {
-		if !mb.push(env) {
-			r.nak(env)
-		}
-		return
-	}
-	if uplink != nil {
-		uplink(unpoolEnv(env))
-	}
-}
+// Post routes a locally originated envelope exactly as an actor's Send does.
+// Use this — not Inject — to originate traffic that may target remote actors
+// (e.g. a node publishing a partition-map epoch to its peers).
+func (r *Runtime) Post(env Envelope) { r.route(env) }
 
 // unpoolEnv detaches env from the message pools before it crosses into the
-// transport: the uplink queues envelopes asynchronously (send queues, batch
-// encoding), which outlives the sender's call frame, so a pooled message is
-// copied out to its value form and the original recycled here.
+// transport: the uplink is called synchronously but only queues the envelope
+// for the peer's writer, which outlives the sender's call frame, so a pooled
+// message is copied out to its value form and the original recycled here.
 func unpoolEnv(env Envelope) Envelope {
 	orig := env.Msg
 	env.Msg = model.UnpoolMessage(orig)
@@ -363,43 +299,6 @@ func (r *Runtime) Shutdown() {
 // process-start offset.
 func (r *Runtime) NowMicros() int64 { return r.epoch + time.Since(r.start).Microseconds() }
 
-func (r *Runtime) deliverAfter(env Envelope, delay time.Duration) {
-	// Enforce per-pair FIFO: the pairQueue drains strictly in send order,
-	// and delivery times never regress below the previous send's time.
-	key := pairKey{env.From, env.To}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	at := time.Now().Add(delay)
-	if prev, ok := r.lastSend[key]; ok && at.Before(prev) {
-		at = prev
-	}
-	r.lastSend[key] = at
-	mb := r.actors[env.To]
-	uplink := r.uplink
-	pq := r.pairs[key]
-	if pq == nil {
-		pq = &pairQueue{}
-		r.pairs[key] = pq
-	}
-	r.mu.Unlock()
-
-	fire := func(e Envelope) {
-		if mb != nil {
-			if !mb.push(e) {
-				r.nak(e)
-			}
-			return
-		}
-		if uplink != nil {
-			uplink(unpoolEnv(e))
-		}
-	}
-	pq.push(timedEnv{at: at, env: env, fire: fire})
-}
-
 type rtContext struct {
 	rt   *Runtime
 	self Addr
@@ -411,8 +310,7 @@ func (c *rtContext) Self() Addr       { return c.self }
 func (c *rtContext) Rand() *rand.Rand { return c.rng }
 
 func (c *rtContext) Send(to Addr, msg model.Message) {
-	delay := c.rt.latency.DelayMicros(c.self, to, c.rng)
-	c.rt.deliverAfter(Envelope{From: c.self, To: to, Msg: msg}, time.Duration(delay)*time.Microsecond)
+	c.rt.route(Envelope{From: c.self, To: to, Msg: msg})
 }
 
 func (c *rtContext) SetTimer(delayMicros int64, msg model.Message) {

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,24 +40,131 @@ func (s *sender) OnMessage(ctx Context, from Addr, msg model.Message) {
 	}
 }
 
-func TestRuntimeDeliveryAndFIFO(t *testing.T) {
-	rt := NewRuntime(UniformLatency{MinMicros: 0, MaxMicros: 2_000}, 1)
-	defer rt.Shutdown()
-	recv := &collect{done: make(chan struct{}), want: 100}
-	rt.Register(RIAddr(2), recv)
-	rt.Register(RIAddr(1), &sender{to: RIAddr(2), n: 100})
-	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
-	select {
-	case <-recv.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for deliveries")
+// orderRecv checks, on its own mailbox goroutine, that every sender's tags
+// arrive as 0, 1, 2, …; the fields are read after done is closed.
+type orderRecv struct {
+	next map[Addr]uint64
+	bad  []string
+	left int
+	done chan struct{}
+}
+
+func (r *orderRecv) OnMessage(ctx Context, from Addr, msg model.Message) {
+	tag := msg.(model.TickMsg).Tag
+	if want := r.next[from]; tag != want && len(r.bad) < 8 {
+		r.bad = append(r.bad, fmt.Sprintf("from %v: got tag %d, want %d", from, tag, want))
 	}
+	r.next[from] = tag + 1
+	if r.left--; r.left == 0 {
+		close(r.done)
+	}
+}
+
+func waitFor(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestRuntimeDeliveryAndFIFO: four actors each send 1000 messages into one
+// receiver at once; every sender's messages arrive in the order it sent them.
+func TestRuntimeDeliveryAndFIFO(t *testing.T) {
+	const senders, each = 4, 1000
+	rt := NewRuntime(FixedLatency{}, 1)
+	defer rt.Shutdown()
+	recv := &orderRecv{next: map[Addr]uint64{}, left: senders * each, done: make(chan struct{})}
+	rt.Register(QMAddr(0), recv)
+	for i := 1; i <= senders; i++ {
+		rt.Register(RIAddr(model.SiteID(i)), &sender{to: QMAddr(0), n: each})
+	}
+	for i := 1; i <= senders; i++ {
+		self := RIAddr(model.SiteID(i))
+		rt.Post(Envelope{From: self, To: self, Msg: model.TickMsg{}})
+	}
+	waitFor(t, recv.done, "deliveries")
+	for _, b := range recv.bad {
+		t.Errorf("FIFO violated: %s", b)
+	}
+}
+
+// lockedSender takes the next number of a sequence it shares with another
+// actor and sends it, both under the shared lock.
+type lockedSender struct {
+	mu  *sync.Mutex
+	seq *uint64
+	to  Addr
+}
+
+func (a *lockedSender) OnMessage(ctx Context, from Addr, msg model.Message) {
+	a.mu.Lock()
+	*a.seq++
+	ctx.Send(a.to, model.TickMsg{Tag: *a.seq})
+	a.mu.Unlock()
+}
+
+// TestRuntimeCrossSenderOrderUnderLock: two actors race for a shared lock and
+// each sends, while holding it, the sequence number it drew under it. The
+// receiver must see 1, 2, 3, … — delivery order is the order the lock was
+// held, although the sends come from different addresses. (This is what
+// orders a queue-manager control shard's un-park against the item's own
+// shard: both send under the shard's mutex.)
+func TestRuntimeCrossSenderOrderUnderLock(t *testing.T) {
+	const rounds = 4000
+	rt := NewRuntime(FixedLatency{}, 1)
+	defer rt.Shutdown()
+	recv := &collect{done: make(chan struct{}), want: 2 * rounds}
+	rt.Register(CollectorAddr(), recv)
+	var mu sync.Mutex
+	var seq uint64
+	a, b := QMShardAddr(0, 0), QMShardAddr(0, 1)
+	rt.Register(a, &lockedSender{mu: &mu, seq: &seq, to: CollectorAddr()})
+	rt.Register(b, &lockedSender{mu: &mu, seq: &seq, to: CollectorAddr()})
+	for i := 0; i < rounds; i++ {
+		rt.Post(Envelope{From: a, To: a, Msg: model.TickMsg{}})
+		rt.Post(Envelope{From: b, To: b, Msg: model.TickMsg{}})
+	}
+	waitFor(t, recv.done, "deliveries")
 	recv.mu.Lock()
 	defer recv.mu.Unlock()
 	for i, tag := range recv.tags {
-		if tag != uint64(i) {
-			t.Fatalf("FIFO violated at %d: got %d", i, tag)
+		if tag != uint64(i+1) {
+			t.Fatalf("delivery %d carries sequence number %d: sends under a common lock were reordered", i+1, tag)
 		}
+	}
+}
+
+// handoffProbe sends to an address nobody registered and reports whether the
+// uplink had the envelope by the time Send returned.
+type handoffProbe struct {
+	uplinked *atomic.Int64
+	result   chan bool
+}
+
+func (a *handoffProbe) OnMessage(ctx Context, from Addr, msg model.Message) {
+	ctx.Send(QMAddr(9), model.TickMsg{Tag: 7})
+	a.result <- a.uplinked.Load() == 1
+}
+
+// TestRuntimeSendIsSynchronous: when Send to a remote address returns inside
+// OnMessage, the uplink has already been called with the envelope.
+func TestRuntimeSendIsSynchronous(t *testing.T) {
+	rt := NewRuntime(nil, 1)
+	defer rt.Shutdown()
+	var uplinked atomic.Int64
+	rt.SetUplink(func(Envelope) { uplinked.Add(1) })
+	probe := &handoffProbe{uplinked: &uplinked, result: make(chan bool, 1)}
+	rt.Register(RIAddr(1), probe)
+	rt.Post(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
+	select {
+	case ok := <-probe.result:
+		if !ok {
+			t.Fatal("Send returned before the uplink was handed the envelope")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("probe never ran")
 	}
 }
 
@@ -338,5 +448,161 @@ func TestMailboxNAKReachesRemoteSenderViaUplink(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("NAK never reached the uplink")
+	}
+}
+
+// floodActor sends a burst of requests from inside one OnMessage, then a
+// marker to itself, and records the BusyMsg NAKs that come back to it.
+type floodActor struct {
+	busyCollector
+	to      Addr
+	burst   int
+	drained chan struct{} // closed when the marker sent after the burst arrives
+}
+
+func (a *floodActor) OnMessage(ctx Context, from Addr, msg model.Message) {
+	tick, ok := msg.(model.TickMsg)
+	switch {
+	case !ok:
+		a.busyCollector.OnMessage(ctx, from, msg)
+	case tick.Tag == 0:
+		for i := 1; i <= a.burst; i++ {
+			ctx.Send(a.to, model.RequestMsg{Txn: model.TxnID{Site: ctx.Self().ID, Seq: uint64(i)}})
+		}
+		ctx.Send(ctx.Self(), model.TickMsg{Tag: 1})
+	default:
+		close(a.drained)
+	}
+}
+
+// TestSendToFullMailboxNAKsIntoOwnMailbox: an actor whose Send hits a full
+// bounded mailbox is NAK'd in its own mailbox while it is still inside
+// OnMessage — the refusal neither blocks the sender nor is lost. Each NAK is
+// there before its Send returns, so all of them precede the marker the actor
+// sends itself after the burst.
+func TestSendToFullMailboxNAKsIntoOwnMailbox(t *testing.T) {
+	const depth, overflow = 4, 6
+	rt := NewRuntime(FixedLatency{}, 1)
+	rt.SetMailboxDepth(depth)
+	blocked := &blockingActor{entered: make(chan struct{}), release: make(chan struct{})}
+	flood := &floodActor{to: QMAddr(0), burst: depth + overflow, drained: make(chan struct{})}
+	rt.Register(QMAddr(0), blocked)
+	rt.Register(RIAddr(3), flood)
+	defer func() {
+		close(blocked.release)
+		rt.Shutdown()
+	}()
+
+	// Wedge the consumer so its mailbox only fills.
+	rt.Inject(Envelope{From: RIAddr(3), To: QMAddr(0), Msg: model.ReleaseMsg{}})
+	waitFor(t, blocked.entered, "the consumer to enter OnMessage")
+	rt.Post(Envelope{From: RIAddr(3), To: RIAddr(3), Msg: model.TickMsg{}})
+	waitFor(t, flood.drained, "the burst and its marker (a Send blocked on the full mailbox, or a NAK was lost)")
+	flood.mu.Lock()
+	defer flood.mu.Unlock()
+	if len(flood.busys) != overflow {
+		t.Fatalf("busy NAKs ahead of the marker = %d, want %d", len(flood.busys), overflow)
+	}
+	for i, b := range flood.busys {
+		if want := uint64(depth + 1 + i); b.Txn.Seq != want {
+			t.Fatalf("NAK %d names request %d, want %d", i, b.Txn.Seq, want)
+		}
+	}
+	if ovf, _ := rt.MailboxStats(); ovf != overflow {
+		t.Fatalf("overflow counter = %d, want %d", ovf, overflow)
+	}
+}
+
+// TestNewRuntimeRejectsDelayingModels: the runtime cannot delay a message, so
+// a model that would is refused loudly instead of ignored.
+func TestNewRuntimeRejectsDelayingModels(t *testing.T) {
+	for _, ok := range []LatencyModel{nil, FixedLatency{}} {
+		NewRuntime(ok, 1).Shutdown()
+	}
+	for _, bad := range []LatencyModel{
+		FixedLatency{RemoteMicros: 1},
+		FixedLatency{LocalMicros: 1},
+		UniformLatency{MinMicros: 0, MaxMicros: 2_000},
+		ExpLatency{},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("NewRuntime(%T%+v) did not panic", bad, bad)
+				} else if !strings.Contains(fmt.Sprint(r), "internal/sim") {
+					t.Errorf("panic %q does not point at internal/sim", r)
+				}
+			}()
+			NewRuntime(bad, 1)
+		}()
+	}
+}
+
+// TestSendAfterShutdownIsDropped: a Send on a shut-down runtime reaches
+// neither a mailbox nor the uplink, and does not panic.
+func TestSendAfterShutdownIsDropped(t *testing.T) {
+	rt := NewRuntime(FixedLatency{}, 1)
+	var uplinked atomic.Int64
+	rt.SetUplink(func(Envelope) { uplinked.Add(1) })
+	recv := &collect{done: make(chan struct{}), want: 1}
+	rt.Register(RIAddr(2), recv)
+	ctx := &rtContext{rt: rt, self: RIAddr(1)}
+	rt.Shutdown()
+	ctx.Send(RIAddr(2), model.TickMsg{})
+	ctx.Send(QMAddr(9), model.PooledRequest(model.RequestMsg{}))
+	ctx.SetTimer(0, model.TickMsg{})
+	if n := uplinked.Load(); n != 0 {
+		t.Fatalf("uplink called %d times after Shutdown", n)
+	}
+	recv.mu.Lock()
+	defer recv.mu.Unlock()
+	if len(recv.tags) != 0 {
+		t.Fatal("delivery after Shutdown")
+	}
+}
+
+// bouncer answers every message with reply() to peer until left runs out.
+type bouncer struct {
+	peer  Addr
+	reply func() model.Message
+	left  int
+	done  chan struct{} // closed by the message that finds left at 0; nil on the echo side
+}
+
+func (a *bouncer) OnMessage(ctx Context, _ Addr, _ model.Message) {
+	if a.left == 0 {
+		if a.done != nil {
+			close(a.done)
+		}
+		return
+	}
+	a.left--
+	ctx.Send(a.peer, a.reply())
+}
+
+// TestRuntimeHopAllocs pins the cost of a local hop: a pooled request/grant
+// ping-pong between two actors of one runtime allocates (almost) nothing per
+// hop — the envelope goes from Send straight into the mailbox's reused
+// backing array. The bound leaves room for sync.Pool dropping a quarter of
+// its Puts under the race detector.
+func TestRuntimeHopAllocs(t *testing.T) {
+	const rounds = 20_000
+	rt := NewRuntime(FixedLatency{}, 1)
+	defer rt.Shutdown()
+	ping := &bouncer{peer: QMAddr(0), left: rounds, done: make(chan struct{}),
+		reply: func() model.Message { return model.PooledRequest(model.RequestMsg{}) }}
+	echo := &bouncer{peer: RIAddr(0), left: rounds,
+		reply: func() model.Message { return model.PooledGrant(model.GrantMsg{}) }}
+	rt.Register(RIAddr(0), ping)
+	rt.Register(QMAddr(0), echo)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt.Post(Envelope{From: RIAddr(0), To: RIAddr(0), Msg: model.TickMsg{}})
+	waitFor(t, ping.done, "the ping-pong")
+	runtime.ReadMemStats(&after)
+	perHop := float64(after.Mallocs-before.Mallocs) / (2 * rounds)
+	t.Logf("%.4f allocs per local hop", perHop)
+	if perHop >= 0.5 {
+		t.Fatalf("%.3f allocs per local hop, want < 0.5", perHop)
 	}
 }

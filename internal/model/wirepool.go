@@ -19,7 +19,9 @@ import "sync"
 //     sim.Engine.Step, bench harnesses draining captured envelopes) recycles
 //     after the receiving actor's OnMessage returns. Handlers that must
 //     retain a message past OnMessage copy it out first — UnpoolMessage
-//     returns a value-typed copy safe to hold forever.
+//     returns a value-typed copy safe to hold forever. engine.Runtime
+//     does so itself for a send that leaves the process: Send calls the
+//     transport directly, but the transport queues the envelope.
 //   - Actor type switches match both forms: the qm and ri dispatch switches
 //     carry pointer cases that deref to the existing value handlers, so a
 //     pooled send costs nothing at the receiver.

@@ -3,13 +3,16 @@ package qm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ucc/internal/engine"
 	"ucc/internal/history"
 	"ucc/internal/model"
+	"ucc/internal/repl"
 	"ucc/internal/storage"
+	"ucc/internal/wal"
 )
 
 // walDouble is a recording Durable and storage.Journal with a WAL's
@@ -545,5 +548,140 @@ func TestShardMailboxesFlushConcurrently(t *testing.T) {
 		t.Fatalf("%d syncs for %d writes", s, writes)
 	} else {
 		t.Logf("%d writes in %d syncs (%.1f writes/sync)", writes, s, float64(writes)/float64(s))
+	}
+}
+
+// hookedWAL runs before at the start of every Flush, on the flushing
+// goroutine — which, for a control-plane flush, holds the shard's lock.
+type hookedWAL struct {
+	*walDouble
+	before func()
+}
+
+func (h *hookedWAL) Flush() error {
+	h.before()
+	return h.walDouble.Flush()
+}
+
+// unparkRI is the issuer side of TestControlPlaneUnparkPrecedesShardSends:
+// it runs the scripted transactions of one round on one item and checks the
+// order and the sending address of the two read grants.
+type unparkRI struct {
+	t       *testing.T
+	d       *walDouble
+	shard   engine.Addr
+	item    model.ItemID
+	round   uint64 // transactions of a round are numbered 3·round + {0, 1, 2}
+	granted int    // grants seen this round
+	done    chan struct{}
+}
+
+func (r *unparkRI) txn(k uint64) model.TxnID { return model.TxnID{Site: 1, Seq: 3*r.round + k} }
+
+func (r *unparkRI) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+	if _, start := msg.(model.TickMsg); start {
+		r.granted = 0
+		ctx.Send(r.shard, req(r.txn(0).Seq, model.TwoPL, model.OpWrite, r.item, model.NoTimestamp))
+		return
+	}
+	g, ok := model.UnpoolMessage(msg).(model.GrantMsg)
+	if !ok {
+		r.t.Errorf("unexpected %T", msg)
+		return
+	}
+	if s := r.d.synced(r.item); g.Version > s {
+		r.t.Errorf("grant exposes version %d, synced through %d", g.Version, s)
+	}
+	r.granted++
+	switch r.granted {
+	case 1: // the writer: write, release, and queue a read behind the now-parked item
+		ctx.Send(r.shard, writeRelease(g.Txn.Seq, r.item, int64(r.round), int64(3*r.round+1)))
+		ctx.Send(r.shard, req(r.txn(1).Seq, model.TwoPL, model.OpRead, r.item, model.NoTimestamp))
+	case 2:
+		if g.Txn != r.txn(1) || from != engine.QMAddr(0) {
+			r.t.Errorf("round %d: second grant is %v from %v, want the parked read %v un-parked by the control shard %v",
+				r.round, g.Txn, from, r.txn(1), engine.QMAddr(0))
+		}
+	case 3:
+		if g.Txn != r.txn(2) || from != r.shard {
+			r.t.Errorf("round %d: third grant is %v from %v, want the following read %v granted by its own shard %v",
+				r.round, g.Txn, from, r.txn(2), r.shard)
+		}
+		ctx.Send(r.shard, release(r.txn(1).Seq, r.item, false, 0))
+		ctx.Send(r.shard, release(r.txn(2).Seq, r.item, false, 0))
+		r.round++
+		r.done <- struct{}{}
+	}
+}
+
+// TestControlPlaneUnparkPrecedesShardSends closes the cross-address ordering
+// question on engine.Runtime with Shards > 1. A shipped-record apply
+// (onReplRecords → flushAll) un-parks an item's queue on the CONTROL shard's
+// goroutine, so the grant it releases leaves from the control shard's address
+// while the item's own shard mailbox already holds the next request, whose
+// grant leaves from the shard's address a moment later. Both sends complete
+// under the shard's lock and Runtime sends are synchronous, so the issuer
+// must see the un-park's grant first, every round. The group-commit window
+// is a minute, so no shard-own flush ever un-parks first: each round takes
+// exactly this path, and the grants' sender addresses are asserted too.
+func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
+	const shards, rounds = 4, 300
+	item := model.ItemID(0)
+	for model.ShardOfItem(item, shards) == 0 {
+		item++
+	}
+	shardAddr := engine.QMShardAddr(0, model.ShardOfItem(item, shards))
+	st := storage.NewStore(0)
+	st.Create(item, 100)
+	m := New(0, st, nil, Options{Shards: shards, GroupCommitMicros: 60_000_000})
+	d := newWALDouble(st)
+	d.delay = 50 * time.Microsecond
+	rt := engine.NewRuntime(nil, 1)
+	defer rt.Shutdown()
+	ri := &unparkRI{t: t, d: d, shard: shardAddr, item: item, done: make(chan struct{}, 1)}
+
+	// The control plane's flush is the only one that runs. When it does — on
+	// the control shard's goroutine, holding the item's shard lock — drop the
+	// next read request into that shard's own mailbox.
+	var next atomic.Uint64 // the read to drop in; zero when none is due
+	m.SetDurable(&hookedWAL{walDouble: d, before: func() {
+		if seq := next.Swap(0); seq != 0 {
+			rt.Post(engine.Envelope{From: engine.RIAddr(1), To: shardAddr,
+				Msg: req(seq, model.TwoPL, model.OpRead, item, model.NoTimestamp)})
+		}
+	}})
+	m.SetReplication(repl.NewPuller(repl.Options{Site: 0, Peers: []model.SiteID{2}}), nil)
+	for i := 0; i < shards; i++ {
+		rt.Register(engine.QMShardAddr(0, i), m)
+	}
+	rt.Register(engine.RIAddr(1), ri)
+
+	for round := uint64(0); round < rounds; round++ {
+		rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.RIAddr(1), Msg: model.TickMsg{}})
+		// Wait until the shard has taken the write's release and queued the
+		// read behind the parked item (requests handled: two per round so
+		// far, three per completed round).
+		for deadline := time.Now().Add(30 * time.Second); m.Snapshot().Requests < 3*round+2; time.Sleep(20 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the parked read was never queued (counters %+v)", round, m.Snapshot())
+			}
+		}
+		next.Store(3*round + 2)
+		frames := wal.AppendRecordFrame(nil, wal.Record{
+			Seq: round + 1, Item: item, Txn: model.TxnID{Site: 2, Seq: round}, Value: -int64(round), CommitMicros: int64(3*round + 2),
+		})
+		rt.Post(engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(0),
+			Msg: model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: round + 1}})
+		select {
+		case <-ri.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d stalled (counters %+v)", round, m.Snapshot())
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	if c := m.Snapshot(); c.ReplApplied != rounds {
+		t.Fatalf("applied %d shipped records in %d rounds: the un-park did not come from a shipped-record apply every time", c.ReplApplied, rounds)
 	}
 }

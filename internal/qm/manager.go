@@ -416,7 +416,10 @@ func (m *Manager) unlockAll() {
 
 // flushAll runs every shard's flush in place: the control plane's sync
 // point (catch-up and transfer applies), after which everything it journaled
-// is durable and exposed. Callers hold ctlMu and no shard lock.
+// is durable and exposed. Callers hold ctlMu and no shard lock. The un-park's
+// grants leave from the control shard's address, yet on engine.Runtime reach
+// the issuer before anything the item's shard sends later: both send holding
+// sh.mu, and a Runtime send completes before Send returns (Context.Send).
 func (m *Manager) flushAll(ctx engine.Context) {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -479,6 +482,8 @@ func (m *Manager) onCrash() {
 // the messages that queued up during the outage, shard by shard in arrival
 // order. Per-shard arrival order is the order the protocol needs: messages
 // for one item always route to one shard, so its FIFO is preserved exactly.
+// The replies leave from the control shard's address but under sh.mu, so —
+// as in flushAll — ahead of anything the shard sends once it is up again.
 func (m *Manager) onRecover(ctx engine.Context) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()

@@ -106,18 +106,17 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
 // envelope as a wire-v3 frame into a buffered writer and flushes once per
-// drained batch (or at BatchBytes mid-batch) — one write instead of one
+// drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
 // latency.
 type Node struct {
-	self       string
-	topo       Topology
-	rt         *engine.Runtime
-	batchBytes int
-	// batchDelay, when positive, makes the writer linger once per batch for
-	// this long before flushing, trading latency for bigger coalesced
-	// writes. Zero (the default) flushes as soon as the outbox drains.
+	self string
+	topo Topology
+	rt   *engine.Runtime
+	// batchDelay, when positive, makes the writer linger once per batch before
+	// framing it. Only this package's tests set it: it is their way to hold
+	// the writer so outbox depth is deterministic.
 	batchDelay time.Duration
 
 	mu       sync.Mutex
@@ -193,10 +192,9 @@ func NewNode(rt *engine.Runtime, self, listenAddr string, topo Topology) (*Node,
 	}
 	n := &Node{
 		self: self, topo: topo, rt: rt,
-		batchBytes: defaultBatchBytes,
-		senders:    map[string]*peerSender{},
-		outbound:   map[net.Conn]bool{},
-		inbound:    map[net.Conn]bool{},
+		senders:  map[string]*peerSender{},
+		outbound: map[net.Conn]bool{},
+		inbound:  map[net.Conn]bool{},
 	}
 	rt.SetUplink(n.forward)
 	if listenAddr != "" {
@@ -209,16 +207,6 @@ func NewNode(rt *engine.Runtime, self, listenAddr string, topo Topology) (*Node,
 		go n.acceptLoop()
 	}
 	return n, nil
-}
-
-// SetBatching overrides the outbound batching knobs: flushBytes is the
-// mid-batch flush threshold (≤0 keeps the default), delay an optional linger
-// before each flush. Call before traffic flows.
-func (n *Node) SetBatching(flushBytes int, delay time.Duration) {
-	if flushBytes > 0 {
-		n.batchBytes = flushBytes
-	}
-	n.batchDelay = delay
 }
 
 // BatchStats reports (envelopes sent over the wire, flushes performed). The
@@ -463,7 +451,7 @@ func (ps *peerSender) connect() (*peerConn, error) {
 	// BytesOut is counted per frame on batch success (writeBatch), matching
 	// the receiver's frame-layer count — socket-layer counting would
 	// re-count a batch retried across a reconnect after a mid-batch flush.
-	bw := bufio.NewWriterSize(c, n.batchBytes)
+	bw := bufio.NewWriterSize(c, defaultBatchBytes)
 	n.wireStats.ConnsOut.Add(1)
 	return &peerConn{c: c, bw: bw, fw: wire.NewWriter(bw)}, nil
 }
@@ -585,7 +573,7 @@ func busyNAK(env engine.Envelope) (engine.Envelope, bool) {
 }
 
 // writeBatch encodes one batch through the connection's frame writer and
-// flushes once at the end, plus at BatchBytes boundaries so a huge
+// flushes once at the end, plus at defaultBatchBytes boundaries so a huge
 // backlog cannot buffer unboundedly. Envelopes that arrive while encoding
 // simply form the next batch — the writer loop takes them on its next
 // iteration, so they are never orphaned by a retry of the current batch.
@@ -626,7 +614,7 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 		}
 		frameBytes += uint64(nb)
 		i++
-		if pc.bw.Buffered() >= ps.n.batchBytes {
+		if pc.bw.Buffered() >= defaultBatchBytes {
 			flushes++
 			if err := pc.bw.Flush(); err != nil {
 				return batch, err

@@ -247,7 +247,7 @@ func TestBatchCoalesces(t *testing.T) {
 	defer nodeA.Close()
 	// A small linger guarantees the backlog accumulates before the first
 	// flush even on a fast loopback.
-	nodeA.SetBatching(0, 20*time.Millisecond)
+	nodeA.batchDelay = 20 * time.Millisecond
 
 	const total = 400
 	recv := &recorder{done: make(chan struct{}), want: total}
@@ -318,7 +318,7 @@ func TestSendQueueCapDropsOldest(t *testing.T) {
 	// The writer lingers long enough for the whole burst to hit the outbox
 	// while it sleeps; only the first (taken) envelope and the newest `cap`
 	// can survive.
-	nodeA.SetBatching(0, 300*time.Millisecond)
+	nodeA.batchDelay = 300 * time.Millisecond
 
 	recv := &recorder{done: make(chan struct{}), want: cap + 1}
 	rtB.Register(engine.QMAddr(1), recv)
@@ -399,7 +399,7 @@ func TestSendQueueCapEvictionNAKs(t *testing.T) {
 	const total = 200
 	const evictions = total - 1 - cap // writer holds #0; the newest cap survive
 	nodeA.SetSendQueueCap(cap)
-	nodeA.SetBatching(0, 300*time.Millisecond)
+	nodeA.batchDelay = 300 * time.Millisecond
 
 	rtB.Register(engine.QMAddr(1), &recorder{done: make(chan struct{}), want: 1 << 30})
 	// The sender's actor on A receives the NAKs.
@@ -544,7 +544,7 @@ func TestSendQueueCapSparesCompleters(t *testing.T) {
 	const cap = 8
 	const releases = 40
 	nodeA.SetSendQueueCap(cap)
-	nodeA.SetBatching(0, 300*time.Millisecond)
+	nodeA.batchDelay = 300 * time.Millisecond
 
 	recv := &recorder{done: make(chan struct{}), want: 1 << 30}
 	rtB.Register(engine.QMAddr(1), recv)
