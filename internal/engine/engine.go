@@ -99,6 +99,9 @@ type Context interface {
 	// mailbox, or on the destination peer's outbox — so there sends made by
 	// one goroutine arrive in program order whatever their sender address,
 	// and sends two actors make under a common lock are ordered by that lock.
+	// Send gives msg away: a pooled message (model/wirepool.go) is recycled by
+	// whoever delivers it — or, across processes, by the transport once it
+	// is on the wire — and the sender must not touch it again.
 	Send(to Addr, msg model.Message)
 	// SetTimer delivers msg back to this actor after delayMicros (no network
 	// latency involved).

@@ -28,6 +28,12 @@ type Envelope struct {
 // in program order whatever their From address, and sends made under a common
 // lock in the order the lock was held; the FIFO per (sender, receiver) pair
 // that the queue discipline needs is a corollary.
+//
+// A send also moves ownership of the message (model/wirepool.go): whoever is
+// handed the envelope last recycles a pooled message, exactly once. For a
+// local destination that is the mailbox loop, after OnMessage returns; for a
+// remote one it is the uplink, which gets the envelope as it was sent — the
+// runtime neither copies nor recycles what it forwards.
 type Runtime struct {
 	seed int64
 
@@ -142,8 +148,10 @@ func NewRuntime(latency LatencyModel, seed int64) *Runtime {
 }
 
 // SetUplink installs the forwarding function for envelopes addressed to
-// actors not registered locally (the TCP transport). Must be called before
-// traffic flows.
+// actors not registered locally (the TCP transport). f takes ownership of
+// env.Msg: it is called with the very message the actor sent, may keep it
+// after it returns, and passes it to model.RecycleMessage exactly once when
+// done (or lets it be collected). Must be called before traffic flows.
 func (r *Runtime) SetUplink(f func(Envelope)) {
 	r.mu.Lock()
 	r.uplink = f
@@ -197,7 +205,7 @@ func (r *Runtime) route(env Envelope) {
 			r.nak(env)
 		}
 	case uplink != nil:
-		uplink(unpoolEnv(env))
+		uplink(env)
 	}
 }
 
@@ -248,7 +256,9 @@ func (r *Runtime) Register(addr Addr, a Actor) {
 // Inject delivers an envelope that arrived from a remote node straight into
 // the destination mailbox. It is the local-only arm of route: an envelope
 // addressed to an actor not registered here is dropped — inbound wire traffic
-// for another site must not loop back out.
+// for another site must not loop back out. Like a send it takes ownership of
+// env.Msg: the transport's read loop decodes into the message pools, and the
+// mailbox loop (or the NAK of a refusal) recycles.
 func (r *Runtime) Inject(env Envelope) {
 	r.mu.Lock()
 	mb := r.actors[env.To]
@@ -262,17 +272,6 @@ func (r *Runtime) Inject(env Envelope) {
 // Use this — not Inject — to originate traffic that may target remote actors
 // (e.g. a node publishing a partition-map epoch to its peers).
 func (r *Runtime) Post(env Envelope) { r.route(env) }
-
-// unpoolEnv detaches env from the message pools before it crosses into the
-// transport: the uplink is called synchronously but only queues the envelope
-// for the peer's writer, which outlives the sender's call frame, so a pooled
-// message is copied out to its value form and the original recycled here.
-func unpoolEnv(env Envelope) Envelope {
-	orig := env.Msg
-	env.Msg = model.UnpoolMessage(orig)
-	model.RecycleMessage(orig)
-	return env
-}
 
 // Shutdown stops all actor goroutines. Pending timers fire into closed
 // mailboxes and are dropped.

@@ -136,35 +136,62 @@ func TestRuntimeCrossSenderOrderUnderLock(t *testing.T) {
 	}
 }
 
-// handoffProbe sends to an address nobody registered and reports whether the
-// uplink had the envelope by the time Send returned.
+// keep is what an uplink double does with an envelope it holds on to. The
+// uplink owns the message it is handed (SetUplink), so it copies a pooled one
+// out to its value form and recycles the original, once.
+func keep(e Envelope) Envelope {
+	sent := e.Msg
+	e.Msg = model.UnpoolMessage(sent)
+	model.RecycleMessage(sent)
+	return e
+}
+
+// handoffProbe sends a pooled request to an address nobody registered and
+// reports whether the uplink had that very message by the time Send returned.
+// Its second message only marks that the mailbox loop is done with the first.
 type handoffProbe struct {
-	uplinked *atomic.Int64
+	sent     *model.RequestMsg
+	uplinked *atomic.Pointer[model.RequestMsg]
 	result   chan bool
+	returned chan struct{}
 }
 
 func (a *handoffProbe) OnMessage(ctx Context, from Addr, msg model.Message) {
-	ctx.Send(QMAddr(9), model.TickMsg{Tag: 7})
-	a.result <- a.uplinked.Load() == 1
+	if msg.(model.TickMsg).Tag == 0 {
+		ctx.Send(QMAddr(9), a.sent)
+		a.result <- a.uplinked.Load() == a.sent
+		return
+	}
+	close(a.returned)
 }
 
 // TestRuntimeSendIsSynchronous: when Send to a remote address returns inside
-// OnMessage, the uplink has already been called with the envelope.
+// OnMessage, the uplink has already been called — with the pointer the actor
+// sent, not a copy — and the message is the uplink's from then on: the
+// runtime does not recycle it, not even once the sending handler has
+// returned.
 func TestRuntimeSendIsSynchronous(t *testing.T) {
 	rt := NewRuntime(nil, 1)
 	defer rt.Shutdown()
-	var uplinked atomic.Int64
-	rt.SetUplink(func(Envelope) { uplinked.Add(1) })
-	probe := &handoffProbe{uplinked: &uplinked, result: make(chan bool, 1)}
+	want := model.RequestMsg{Txn: model.TxnID{Site: 1, Seq: 7}, Attempt: 2, Copy: model.CopyID{Item: 3, Site: 9}}
+	var uplinked atomic.Pointer[model.RequestMsg]
+	rt.SetUplink(func(e Envelope) { uplinked.Store(e.Msg.(*model.RequestMsg)) })
+	probe := &handoffProbe{sent: model.PooledRequest(want), uplinked: &uplinked, result: make(chan bool, 1), returned: make(chan struct{})}
 	rt.Register(RIAddr(1), probe)
 	rt.Post(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
+	rt.Post(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{Tag: 1}})
 	select {
 	case ok := <-probe.result:
 		if !ok {
-			t.Fatal("Send returned before the uplink was handed the envelope")
+			t.Fatal("Send returned before the uplink was handed the message the actor sent")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("probe never ran")
+	}
+	waitFor(t, probe.returned, "the handler that sent to return")
+	// RecycleMessage zeroes what it takes back.
+	if got := *uplinked.Load(); got != want {
+		t.Fatalf("the runtime recycled a message it had handed to the uplink: %+v, want %+v", got, want)
 	}
 }
 
@@ -207,7 +234,7 @@ func TestRuntimeUplinkForUnknownActors(t *testing.T) {
 	got := make(chan Envelope, 1)
 	rt.SetUplink(func(e Envelope) {
 		up.n.Add(1)
-		got <- e
+		got <- keep(e)
 	})
 	rt.Register(RIAddr(1), &sender{to: QMAddr(9), n: 1}) // QM 9 not local
 	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
@@ -224,12 +251,19 @@ func TestRuntimeUplinkForUnknownActors(t *testing.T) {
 // TestRuntimePostRoutesRemote: Post delivers to a local mailbox like Inject
 // but forwards a remote destination through the uplink instead of dropping
 // it — the path a node publishing a partition-map epoch to its peers relies
-// on (an Injected MapInstallMsg to a remote QM used to vanish silently).
+// on (an Injected MapInstallMsg to a remote QM used to vanish silently). A
+// pooled message reaches the uplink as the pointer that was posted.
 func TestRuntimePostRoutesRemote(t *testing.T) {
 	rt := NewRuntime(FixedLatency{}, 1)
 	defer rt.Shutdown()
+	want := model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 5}, Copy: model.CopyID{Item: 1, Site: 9}}
+	posted := model.PooledRequest(want)
+	var samePointer atomic.Bool
 	got := make(chan Envelope, 1)
-	rt.SetUplink(func(e Envelope) { got <- e })
+	rt.SetUplink(func(e Envelope) {
+		samePointer.Store(e.Msg == model.Message(posted))
+		got <- keep(e)
+	})
 	recv := &collect{done: make(chan struct{}), want: 1}
 	rt.Register(QMAddr(0), recv)
 
@@ -240,11 +274,14 @@ func TestRuntimePostRoutesRemote(t *testing.T) {
 		t.Fatal("Post never delivered to the local actor")
 	}
 
-	rt.Post(Envelope{From: QMAddr(0), To: QMAddr(9), Msg: model.TickMsg{}})
+	rt.Post(Envelope{From: QMAddr(0), To: QMAddr(9), Msg: posted})
 	select {
 	case e := <-got:
 		if e.To != QMAddr(9) {
 			t.Fatalf("uplinked to %v, want QM 9", e.To)
+		}
+		if !samePointer.Load() || e.Msg != model.Message(want) {
+			t.Fatalf("uplink got %+v (the posted pointer: %v), want the posted message itself", e.Msg, samePointer.Load())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Post to a remote actor never reached the uplink")
@@ -420,7 +457,7 @@ func TestMailboxNAKReachesRemoteSenderViaUplink(t *testing.T) {
 	rt := NewRuntime(FixedLatency{}, 1)
 	rt.SetMailboxDepth(1)
 	naks := make(chan Envelope, 16)
-	rt.SetUplink(func(e Envelope) { naks <- e })
+	rt.SetUplink(func(e Envelope) { naks <- keep(e) })
 	blocked := &blockingActor{entered: make(chan struct{}), release: make(chan struct{})}
 	rt.Register(QMAddr(0), blocked)
 	defer func() {

@@ -19,9 +19,13 @@ import "sync"
 //     sim.Engine.Step, bench harnesses draining captured envelopes) recycles
 //     after the receiving actor's OnMessage returns. Handlers that must
 //     retain a message past OnMessage copy it out first — UnpoolMessage
-//     returns a value-typed copy safe to hold forever. engine.Runtime
-//     does so itself for a send that leaves the process: Send calls the
-//     transport directly, but the transport queues the envelope.
+//     returns a value-typed copy safe to hold forever. A send that leaves
+//     the process hands the same pointer on once more: engine.Runtime
+//     passes it to its uplink untouched, and the transport — the owner
+//     from then on — recycles it when the envelope leaves the peer's
+//     outbox for good (flushed, or dropped and NAK'd). The transport's
+//     read loop decodes with DecodeMessagePooled, so on the receiving
+//     node the message is pooled again, and recycled by the mailbox loop.
 //   - Actor type switches match both forms: the qm and ri dispatch switches
 //     carry pointer cases that deref to the existing value handlers, so a
 //     pooled send costs nothing at the receiver.

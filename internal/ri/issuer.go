@@ -1,8 +1,9 @@
 package ri
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ucc/internal/engine"
@@ -693,7 +694,7 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	}
 	s.expectTS = s.ts
 
-	add := func(item model.ItemID, site model.SiteID, kind model.OpKind) {
+	ri.eachCopy(t, func(item model.ItemID, site model.SiteID, kind model.OpKind) {
 		c := model.CopyID{Item: item, Site: site}
 		r := acquireCopyReq()
 		r.copyID = c
@@ -704,30 +705,12 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 		s.reqs[c] = r
 		//ucclint:allow poolsafe -- same attempt-scoped retention as the map store above
 		s.order = append(s.order, r)
-	}
-	for _, item := range t.ReadSet {
-		if ri.opts.Quorum != nil {
-			// Quorum reads go to every copy and proceed on any R grants: the
-			// read must intersect every write quorum, and any single copy —
-			// the primary included — may be dead or lagging.
-			for _, site := range ri.pmap.Replicas(item) {
-				add(item, site, model.OpRead)
-			}
-			continue
+	})
+	slices.SortFunc(s.order, func(a, b *copyReq) int {
+		if c := cmp.Compare(a.copyID.Item, b.copyID.Item); c != 0 {
+			return c
 		}
-		add(item, ri.pmap.Primary(item), model.OpRead)
-	}
-	for _, item := range t.WriteSet {
-		for _, site := range ri.pmap.Replicas(item) {
-			add(item, site, model.OpWrite)
-		}
-	}
-	sort.Slice(s.order, func(i, j int) bool {
-		a, b := s.order[i].copyID, s.order[j].copyID
-		if a.Item != b.Item {
-			return a.Item < b.Item
-		}
-		return a.Site < b.Site
+		return cmp.Compare(a.copyID.Site, b.copyID.Site)
 	})
 	for _, r := range s.order {
 		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledRequest(model.RequestMsg{
@@ -744,6 +727,29 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	}
 }
 
+// eachCopy calls f for every copy an attempt of t requests under the current
+// map: reads go to the primary copy, writes to every replica
+// (read-one/write-all).
+func (ri *Issuer) eachCopy(t *model.Txn, f func(model.ItemID, model.SiteID, model.OpKind)) {
+	for _, item := range t.ReadSet {
+		if ri.opts.Quorum != nil {
+			// Quorum reads go to every copy and proceed on any R grants: the
+			// read must intersect every write quorum, and any single copy —
+			// the primary included — may be dead or lagging.
+			for _, site := range ri.pmap.Replicas(item) {
+				f(item, site, model.OpRead)
+			}
+			continue
+		}
+		f(item, ri.pmap.Primary(item), model.OpRead)
+	}
+	for _, item := range t.WriteSet {
+		for _, site := range ri.pmap.Replicas(item) {
+			f(item, site, model.OpWrite)
+		}
+	}
+}
+
 func (ri *Issuer) send(ctx engine.Context, s *txnState, to engine.Addr, msg model.Message) {
 	s.messages++
 	ctx.Send(to, msg)
@@ -754,17 +760,22 @@ func (ri *Issuer) send(ctx engine.Context, s *txnState, to engine.Addr, msg mode
 // builds a fresh set), at commit, and at the MaxAttempts drop — the three
 // points after which no stale grant/NAK can resolve to a recycled copyReq
 // (stateFor filters by attempt, and the terminal paths delete ri.active
-// before returning to the delivery loop).
+// before returning to the delivery loop). The first launch creates both,
+// sized for the copies the attempt is about to request, so neither regrows
+// from empty under launch's appends.
 func (ri *Issuer) releaseAttempt(s *txnState) {
+	if s.reqs == nil {
+		copies := 0
+		ri.eachCopy(s.txn, func(model.ItemID, model.SiteID, model.OpKind) { copies++ })
+		s.reqs = make(map[model.CopyID]*copyReq, copies)
+		s.order = make([]*copyReq, 0, copies)
+		return
+	}
 	for _, r := range s.order {
 		recycleCopyReq(r)
 	}
 	s.order = s.order[:0]
-	if s.reqs == nil {
-		s.reqs = map[model.CopyID]*copyReq{}
-	} else {
-		clear(s.reqs)
-	}
+	clear(s.reqs)
 }
 
 // stateFor returns the live state matching (txn, attempt), or nil for stale

@@ -3,8 +3,10 @@
 // (cmd/uccnode + cmd/uccclient).
 //
 // A Node binds one process's runtime to a static Topology (actor address →
-// peer name → TCP address). Outbound envelopes are enqueued per peer and
-// drained by one writer goroutine per peer, which encodes the whole backlog
+// peer name → TCP address); Topology.Assign must be a pure function of the
+// address, because a node resolves each destination once, on the first send
+// to it, and remembers the answer. Outbound envelopes are enqueued per peer
+// and drained by one writer goroutine per peer, which encodes the whole backlog
 // into a buffered writer and flushes once per drained batch (plus at a byte
 // threshold mid-batch) — one framed write instead of one syscall per
 // envelope. Batching is purely load-adaptive: an idle connection flushes
@@ -24,6 +26,15 @@
 // not fatal — a newer peer's appended message types must not sever the
 // stream mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes
 // each way, completed outbound handshakes, skipped frames).
+//
+// Message ownership: the node is the runtime's uplink and owns every message
+// it is handed; nothing is copied on the way through. A pooled message
+// (model/wirepool.go) rides in its envelope on the outbox and is recycled
+// where the envelope leaves the node for good — after the writer's final
+// outcome for its batch (flushed, or dropped and NAK'd; never between a
+// failed write and its retry), or where it is removed from the outbox (cap
+// eviction, unencodable). Read loops decode into the same pools and hand the
+// envelope to Runtime.Inject; the destination's mailbox loop recycles.
 //
 // Failure model: messages are best-effort with one retry. A batch that
 // fails mid-write retires its connection — socket, buffered writer, and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,9 @@ const defaultBatchBytes = 64 << 10
 type Topology struct {
 	// Peers maps peer name → TCP address.
 	Peers map[string]string
-	// Assign returns the peer name hosting an actor address.
+	// Assign returns the peer name hosting an actor address. It must be a pure
+	// function of the address: a Node asks once per destination and remembers
+	// the answer for as long as it lives.
 	Assign func(engine.Addr) string
 }
 
@@ -110,6 +113,15 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
 // latency.
+//
+// Message ownership: the node is the runtime's uplink, so it owns every
+// message it is handed (engine.Runtime.SetUplink) and nothing is copied on
+// the way through. A pooled message stays in its envelope on the outbox and
+// goes back to its pool (model.RecycleMessage) at the point the envelope
+// leaves this node for good: after the writer's final outcome for its batch
+// (flushed, or dropped and NAK'd), or where it is removed from the outbox
+// (cap eviction, unencodable). Inbound, the read loop decodes into the same
+// pools and the runtime's mailbox loop recycles.
 type Node struct {
 	self string
 	topo Topology
@@ -118,6 +130,14 @@ type Node struct {
 	// framing it. Only this package's tests set it: it is their way to hold
 	// the writer so outbox depth is deterministic.
 	batchDelay time.Duration
+
+	// routes remembers what each destination address resolved to: its peer's
+	// sender, or nil for an address this node hosts itself. The map is never
+	// written in place — resolve replaces it under mu — so forward reads it
+	// with one atomic load and the steady-state send takes only the peer's own
+	// lock. Entries appear on the first send to an address and never change
+	// (Topology.Assign is static).
+	routes atomic.Pointer[map[engine.Addr]*peerSender]
 
 	mu       sync.Mutex
 	senders  map[string]*peerSender
@@ -143,8 +163,9 @@ type Node struct {
 	// admitted). The cap counts only the outbox — a batch the writer has
 	// already taken (and may be retrying across a reconnect) is in flight,
 	// not queued, so a reconnect cannot double-shrink the budget or lose
-	// accounting.
-	sendQueueCap int
+	// accounting. Atomic because forward reads it without the node lock while
+	// cmd/uccnode sets it on a node that is already listening.
+	sendQueueCap atomic.Int64
 
 	// Batching observability (tests, diagnostics).
 	sentEnvelopes atomic.Uint64
@@ -166,6 +187,11 @@ type Node struct {
 // replacement gets a fresh socket, a fresh buffered writer, and a fresh
 // frame writer, so no stale bytes can interleave with the new connection's
 // first batch.
+//
+// The outbox is two arrays that trade places: senders append to queue while
+// the writer works through the batch it took, and take swaps the writer's
+// spent batch back in as the next queue, so a steady stream allocates no
+// outbox at all. An envelope on either array still owns its message.
 type peerSender struct {
 	n    *Node
 	peer string
@@ -228,11 +254,7 @@ func (n *Node) Wire() *metrics.WireCounters { return &n.wireStats }
 // will never come. Completion traffic is never evicted and may ride past
 // the cap. Zero (the default) keeps outboxes unbounded. Call before traffic
 // flows.
-func (n *Node) SetSendQueueCap(cap int) {
-	n.mu.Lock()
-	n.sendQueueCap = cap
-	n.mu.Unlock()
-}
+func (n *Node) SetSendQueueCap(cap int) { n.sendQueueCap.Store(int64(cap)) }
 
 // QueueStats reports (envelopes the transport discarded — send-queue-cap
 // evictions plus batches dropped on an unreachable peer — and the deepest
@@ -275,7 +297,9 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop serves one inbound connection: check the version byte, ack it,
-// then decode frames into the runtime until the connection ends.
+// then decode frames into the runtime until the connection ends. Hot
+// fixed-size messages are decoded into the message pools; Inject takes them
+// over and the destination's mailbox loop recycles them.
 func (n *Node) readLoop(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -300,7 +324,7 @@ func (n *Node) readLoop(c net.Conn) {
 		// BytesIn counts decoded frame bytes — the frame layer, matching
 		// BytesOut on the sending side — not raw socket reads, which would
 		// include read-ahead for frames never decoded.
-		env, frameBytes, err := rd.ReadEnvelope()
+		env, frameBytes, err := rd.ReadEnvelopePooled()
 		if errors.Is(err, model.ErrWireUnknownTag) {
 			// A message type appended by a NEWER build: the frame was fully
 			// consumed (length-prefixed for exactly this reason), so skip it
@@ -322,34 +346,69 @@ func (n *Node) readLoop(c net.Conn) {
 	}
 }
 
-// forward routes an envelope produced by the local runtime: local
-// destinations short-circuit into the runtime; remote ones enqueue on the
-// destination peer's outbox for its writer goroutine to batch onto the wire.
+// forward routes an envelope produced by the local runtime and takes
+// ownership of its message: local destinations short-circuit into the
+// runtime; remote ones enqueue on the destination peer's outbox for its
+// writer goroutine to batch onto the wire. Where the destination lives is
+// looked up in routes; only the first send to an address resolves it.
 func (n *Node) forward(env engine.Envelope) {
-	peer := n.topo.Assign(env.To)
-	if peer == n.self {
+	var ps *peerSender
+	known := false
+	if routes := n.routes.Load(); routes != nil {
+		ps, known = (*routes)[env.To]
+	}
+	if !known {
+		if ps, known = n.resolve(env.To); !known {
+			return // the node is closed
+		}
+	}
+	if ps == nil {
 		//ucclint:allow postnotinject -- forward IS Post's routing backend; the local short-circuit must Inject or it would recurse
 		n.rt.Inject(env)
 		return
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	ps := n.senders[peer]
-	if ps == nil {
-		ps = &peerSender{n: n, peer: peer}
-		ps.cond = sync.NewCond(&ps.mu)
-		n.senders[peer] = ps
-		n.wg.Add(1)
-		go ps.run()
-	}
-	cap := n.sendQueueCap
-	n.mu.Unlock()
+	ps.enqueue(env)
+}
 
+// resolve asks the topology where to lives, creates that peer's sender (and
+// its writer goroutine) if this is the first address it hosts, and records
+// the answer in routes: nil for an address assigned to this node itself. ok
+// is false once the node is closed.
+func (n *Node) resolve(to engine.Addr) (ps *peerSender, ok bool) {
+	peer := n.topo.Assign(to)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil, false
+	}
+	if peer != n.self {
+		ps = n.senders[peer]
+		if ps == nil {
+			ps = &peerSender{n: n, peer: peer}
+			ps.cond = sync.NewCond(&ps.mu)
+			n.senders[peer] = ps
+			n.wg.Add(1)
+			go ps.run()
+		}
+	}
+	routes := map[engine.Addr]*peerSender{to: ps}
+	if old := n.routes.Load(); old != nil {
+		for a, s := range *old {
+			routes[a] = s
+		}
+	}
+	n.routes.Store(&routes)
+	return ps, true
+}
+
+// enqueue appends env to the outbox and wakes the writer. At the send-queue
+// cap it first evicts the oldest sheddable envelope, which is NAK'd back to
+// its local sender and then recycled — the envelope has left the node.
+func (ps *peerSender) enqueue(env engine.Envelope) {
+	n := ps.n
+	cap := int(n.sendQueueCap.Load())
 	ps.mu.Lock()
-	var nak engine.Envelope
+	var evicted, nak engine.Envelope
 	haveNak := false
 	if !ps.closed {
 		if cap > 0 && len(ps.queue) >= cap {
@@ -361,7 +420,7 @@ func (n *Node) forward(env engine.Envelope) {
 			// traffic whose loss would wedge the protocol.
 			for i := ps.shedHint; i < len(ps.queue); i++ {
 				if b, ok := busyNAK(ps.queue[i]); ok {
-					nak = b
+					evicted, nak = ps.queue[i], b
 					haveNak = true
 					copy(ps.queue[i:], ps.queue[i+1:])
 					ps.queue = ps.queue[:len(ps.queue)-1]
@@ -391,12 +450,15 @@ func (n *Node) forward(env engine.Envelope) {
 		// The BusyMsg is not itself sheddable, so Inject always delivers it.
 		//ucclint:allow postnotinject -- NAK to the evicted envelope's local sender: busyNAK only produces locally-addressed envelopes
 		n.rt.Inject(nak)
+		model.RecycleMessage(evicted.Msg)
 	}
 }
 
 // take blocks until the outbox is non-empty (or the sender is closed) and
-// returns the whole backlog.
-func (ps *peerSender) take() ([]engine.Envelope, bool) {
+// returns the whole backlog. spent — the writer's previous batch, cleared —
+// becomes the new outbox, so the two arrays alternate instead of a fresh one
+// growing under every batch.
+func (ps *peerSender) take(spent []engine.Envelope) ([]engine.Envelope, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for len(ps.queue) == 0 && !ps.closed {
@@ -406,18 +468,19 @@ func (ps *peerSender) take() ([]engine.Envelope, bool) {
 		return nil, false // closed and drained
 	}
 	batch := ps.queue
-	ps.queue = nil
+	ps.queue = spent[:0]
 	ps.shedHint = 0
 	return batch, true
 }
 
-// tryTake returns any backlog without blocking (batch growth between
-// encoding and flushing).
-func (ps *peerSender) tryTake() []engine.Envelope {
+// takeMore moves any backlog onto the end of batch without blocking (batch
+// growth during the test-only linger); the outbox keeps its array.
+func (ps *peerSender) takeMore(batch []engine.Envelope) []engine.Envelope {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	batch := ps.queue
-	ps.queue = nil
+	batch = append(batch, ps.queue...)
+	clear(ps.queue)
+	ps.queue = ps.queue[:0]
 	ps.shedHint = 0
 	return batch
 }
@@ -490,6 +553,11 @@ func handshake(c net.Conn) error {
 // defensively, and supersede a resident entry when a newer attempt's request
 // arrives — which also retires any entry a NAK'd-but-partially-delivered
 // request left behind once its restart re-requests the copy).
+//
+// The batch owns its messages until that final outcome — flushed, or dropped
+// and NAK'd. Only then are the pooled ones recycled, so a batch waiting for
+// its retry on a fresh dial is still intact, and the NAKs (which read the
+// message they answer) come before the recycle.
 func (ps *peerSender) run() {
 	defer ps.n.wg.Done()
 	var pc *peerConn
@@ -504,16 +572,17 @@ func (ps *peerSender) run() {
 		}
 	}
 	defer retire()
+	var batch []engine.Envelope
 	for {
-		batch, ok := ps.take()
-		if !ok {
+		var ok bool
+		if batch, ok = ps.take(batch); !ok {
 			return
 		}
 		if ps.n.batchDelay > 0 {
 			// Optional linger: let the batch grow before it is framed. The
 			// grown batch is still retried as a unit on a dead connection.
 			time.Sleep(ps.n.batchDelay)
-			batch = append(batch, ps.tryTake()...)
+			batch = ps.takeMore(batch)
 		}
 		sent := false
 		for attempt := 0; attempt < 2; attempt++ {
@@ -537,6 +606,10 @@ func (ps *peerSender) run() {
 			ps.n.droppedSends.Add(uint64(len(batch)))
 			ps.n.nakBatch(batch)
 		}
+		for i := range batch {
+			model.RecycleMessage(batch[i].Msg)
+		}
+		clear(batch) // spent: the next take makes it the outbox
 	}
 }
 
@@ -585,7 +658,8 @@ func busyNAK(env engine.Envelope) (engine.Envelope, bool) {
 // connection, so it is NAK'd/counted exactly once here and excluded from the
 // slice the caller retries (or terminally NAKs via nakBatch) — otherwise a
 // batch retry would double-count the drop and inject duplicate NAKs for the
-// same attempt. An I/O error, by contrast, returns the (possibly compacted)
+// same attempt; its message is recycled here too, the envelope having left
+// the batch. An I/O error, by contrast, returns the (possibly compacted)
 // batch for a whole-batch retry on a fresh connection.
 func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engine.Envelope, error) {
 	flushes := uint64(0)
@@ -607,7 +681,8 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAK only produces locally-addressed envelopes
 					ps.n.rt.Inject(nak)
 				}
-				batch = append(batch[:i], batch[i+1:]...)
+				model.RecycleMessage(env.Msg)
+				batch = slices.Delete(batch, i, i+1) // zeroes the vacated slot
 				continue
 			}
 			return batch, err

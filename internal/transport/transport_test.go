@@ -15,6 +15,10 @@ import (
 	"ucc/internal/wire"
 )
 
+// recorder keeps every message it is delivered. A delivered message belongs
+// to the runtime, which recycles a pooled one as soon as OnMessage returns —
+// and everything the read loop decodes is pooled — so the recorder keeps the
+// value copy, as any actor that retains a message must.
 type recorder struct {
 	mu   sync.Mutex
 	got  []model.Message
@@ -24,7 +28,7 @@ type recorder struct {
 
 func (r *recorder) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
 	r.mu.Lock()
-	r.got = append(r.got, msg)
+	r.got = append(r.got, model.UnpoolMessage(msg))
 	if len(r.got) == r.want {
 		close(r.done)
 	}
@@ -600,10 +604,28 @@ func TestSendQueueCapSparesCompleters(t *testing.T) {
 // intact; losses are allowed (the peer was down), corruption is not. Run
 // under -race this also hammers the writer/dialer/close interleavings.
 //
+// It is the lifetime test of the retry as well. The requests are pooled and
+// every field of one is derived from its (sender, sequence number), so each
+// message is distinct and checkable on its own: a batch recycled before its
+// retry on the fresh dial would arrive zeroed (RecycleMessage clears the
+// struct), or — once the pool has handed the struct to another sender —
+// carrying a later message out of order, or a mix of two.
+//
 // The sender also runs with a send-queue cap: the cap must hold across the
 // bounce — the outage is exactly when an unbounded outbox would balloon —
 // without breaking redelivery to the replacement incarnation.
 func TestSendDuringReconnect(t *testing.T) {
+	// reconnectRequest is sender s's i-th request.
+	reconnectRequest := func(s, i int) model.RequestMsg {
+		return model.RequestMsg{
+			Txn:     model.TxnID{Site: model.SiteID(s), Seq: uint64(i)},
+			Attempt: model.Attempt(i*8 + s),
+			Kind:    model.OpWrite,
+			Copy:    model.CopyID{Item: model.ItemID(i*8 + s), Site: 1},
+			TS:      model.Timestamp(i),
+			Site:    model.SiteID(s),
+		}
+	}
 	const sendCap = 256
 	assign := func(a engine.Addr) string { return fmt.Sprintf("site%d", a.ID) }
 	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -639,7 +661,7 @@ func TestSendDuringReconnect(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 1; ; i++ { // from 1: a zeroed message names no request that was sent
 				select {
 				case <-stop:
 					return
@@ -647,11 +669,7 @@ func TestSendDuringReconnect(t *testing.T) {
 				}
 				nodeA.forward(engine.Envelope{
 					From: engine.RIAddr(0), To: engine.QMAddr(1),
-					Msg: model.RequestMsg{
-						Txn:  model.TxnID{Site: model.SiteID(s), Seq: uint64(i)},
-						TS:   model.Timestamp(i),
-						Copy: model.CopyID{Item: model.ItemID(i % 7), Site: 1},
-					},
+					Msg: model.PooledRequest(reconnectRequest(s, i)),
 				})
 				if i%64 == 0 {
 					time.Sleep(time.Millisecond) // let batches form and the dialer breathe
@@ -716,9 +734,8 @@ func TestSendDuringReconnect(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: message %d has type %T (stream corrupted)", name, i, m)
 			}
-			if req.Copy != (model.CopyID{Item: model.ItemID(req.TS % 7), Site: 1}) ||
-				uint64(req.TS) != req.Txn.Seq {
-				t.Fatalf("%s: envelope corrupted: %+v", name, req)
+			if req != reconnectRequest(int(req.Txn.Site), int(req.Txn.Seq)) || req.Txn.Seq == 0 {
+				t.Fatalf("%s: message %d is not one that was sent: %+v", name, i, req)
 			}
 			// Per-sender FIFO must hold within one incarnation: batching and
 			// reconnection may drop or (across the bounce) duplicate, but

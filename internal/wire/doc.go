@@ -30,12 +30,17 @@
 // buffer, drawn from a package pool at construction and returned by Release
 // when its connection retires; every WriteEnvelope encodes into that scratch
 // and copies it to the underlying buffered writer, so the per-message cost is
-// pure byte appends. A Reader likewise owns one payload buffer that grows to
-// the largest frame seen and is reused for every subsequent frame. Decoded
-// messages are built on the stack by the model decoders; the one residual
-// allocation per message is boxing the struct into the model.Message
-// interface as it enters the runtime (plus the payload-owned slices of the
-// rare control-plane messages that carry them).
+// pure byte appends. A Reader likewise owns one payload buffer that grows (by
+// at least doubling) to the largest frame seen and is reused for every
+// subsequent frame. Decoded messages are built on the stack by the model
+// decoders. ReadEnvelopePooled / DecodeEnvelopePooled — the transport's read
+// path — then copy the hot fixed-size types into pooled structs, which the
+// caller owns until model.RecycleMessage (the runtime's mailbox loop, for
+// what the transport injects); ReadEnvelope / DecodeEnvelope box every
+// message into the model.Message interface instead, one allocation each, and
+// are the reference decoder of the tests, fuzzers and golden-bytes checks.
+// Either way the rare control-plane messages also own the slices and maps
+// they carry.
 //
 // The connection handshake (version byte and ack) lives in
 // internal/transport; the WAL reuses the same model primitives for its

@@ -67,40 +67,29 @@ func AppendEnvelope(b []byte, env engine.Envelope) ([]byte, error) {
 }
 
 // DecodeEnvelope decodes exactly one envelope from payload; anything short,
-// long, or unknown errors.
+// long, or unknown errors. Messages come back as values, safe to keep: this
+// is the reference decoder of the tests, the fuzzers and the golden-bytes
+// checks. The transport reads with the pooled form.
 func DecodeEnvelope(payload []byte) (engine.Envelope, error) {
-	r := model.NewWireReader(payload)
-	var env engine.Envelope
-	env.From.Kind = engine.ActorKind(r.Byte())
-	env.From.ID = model.SiteID(r.Varint32())
-	env.From.Shard = r.Byte()
-	env.To.Kind = engine.ActorKind(r.Byte())
-	env.To.ID = model.SiteID(r.Varint32())
-	env.To.Shard = r.Byte()
-	tag := model.WireTag(r.Byte())
-	if err := r.Err(); err != nil {
-		return engine.Envelope{}, err
-	}
-	msg, err := model.DecodeMessage(tag, &r)
-	if err != nil {
-		return engine.Envelope{}, err
-	}
-	if r.Remaining() != 0 {
-		return engine.Envelope{}, fmt.Errorf("%w: %d", ErrTrailingBytes, r.Remaining())
-	}
-	env.Msg = msg
-	return env, nil
+	return decodeEnvelope(payload, false)
 }
 
 // DecodeEnvelopePooled is DecodeEnvelope with the decode-side struct pool:
 // the hot fixed-size protocol messages come back as pooled pointers
 // (*model.RequestMsg, *model.GrantMsg, ...) instead of boxed values,
 // eliminating the per-message interface allocation. The caller owns the
-// message only until model.RecycleMessage(env.Msg); callers that retain or
-// forward messages must use DecodeEnvelope. Non-pooled message types decode
+// message until it passes it to model.RecycleMessage or hands the envelope
+// on to an owner that will — the transport's read loop injects it into the
+// runtime, whose mailbox loop recycles. Non-pooled message types decode
 // exactly as in DecodeEnvelope and recycle as a no-op, so a mixed stream
 // needs no per-type handling.
 func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
+	return decodeEnvelope(payload, true)
+}
+
+// decodeEnvelope decodes the address header, then the tagged message through
+// model.DecodeMessage or its pooled twin.
+func decodeEnvelope(payload []byte, pooled bool) (engine.Envelope, error) {
 	r := model.NewWireReader(payload)
 	var env engine.Envelope
 	env.From.Kind = engine.ActorKind(r.Byte())
@@ -113,12 +102,19 @@ func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
 	if err := r.Err(); err != nil {
 		return engine.Envelope{}, err
 	}
-	msg, err := model.DecodeMessagePooled(tag, &r)
+	// Two direct calls: through a func value r would escape to the heap.
+	var msg model.Message
+	var err error
+	if pooled {
+		msg, err = model.DecodeMessagePooled(tag, &r)
+	} else {
+		msg, err = model.DecodeMessage(tag, &r)
+	}
 	if err != nil {
 		return engine.Envelope{}, err
 	}
 	if r.Remaining() != 0 {
-		model.RecycleMessage(msg)
+		model.RecycleMessage(msg) // no-op for the value form
 		return engine.Envelope{}, fmt.Errorf("%w: %d", ErrTrailingBytes, r.Remaining())
 	}
 	env.Msg = msg
@@ -222,59 +218,52 @@ func NewReader(br *bufio.Reader) *Reader {
 // so a newer peer's appended message types don't sever mixed-version v3
 // streams.
 func (r *Reader) ReadEnvelope() (engine.Envelope, int, error) {
-	n, err := readFrameLen(r.br)
+	return r.readEnvelope(false)
+}
+
+// ReadEnvelopePooled is ReadEnvelope through the decode-side struct pool:
+// identical framing and error contract, but hot fixed-size messages return
+// as pooled pointers. See DecodeEnvelopePooled for the lifetime rules. This
+// is the transport's read path.
+func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
+	return r.readEnvelope(true)
+}
+
+func (r *Reader) readEnvelope(pooled bool) (engine.Envelope, int, error) {
+	payload, frameBytes, err := r.readFrame()
 	if err != nil {
 		return engine.Envelope{}, 0, err
 	}
+	// Frame fully consumed; a decode error is per-frame, not per-stream.
+	env, err := decodeEnvelope(payload, pooled)
+	return env, frameBytes, err
+}
+
+// readFrame reads one length-prefixed frame into the reader's buffer and
+// returns its payload — valid until the next read — and the frame's size.
+func (r *Reader) readFrame() ([]byte, int, error) {
+	n, err := readFrameLen(r.br)
+	if err != nil {
+		return nil, 0, err
+	}
 	if n > MaxFrameBytes {
-		return engine.Envelope{}, 0, ErrFrameTooLarge
+		return nil, 0, ErrFrameTooLarge
 	}
 	if uint64(cap(r.buf)) < n {
-		putBuf(r.buf) // growth, not a leak: the old buffer goes back
-		r.buf = make([]byte, n)
+		// Growth, not a leak: the old buffer goes back. At least doubling, so
+		// a frame that creeps up a few bytes at a time (the periodic queue
+		// stats) does not buy a new buffer every time it does.
+		putBuf(r.buf)
+		r.buf = make([]byte, min(max(int(n), 2*cap(r.buf)), MaxFrameBytes))
 	}
 	payload := r.buf[:n]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // a frame died mid-payload
 		}
-		return engine.Envelope{}, 0, err
+		return nil, 0, err
 	}
-	env, err := DecodeEnvelope(payload)
-	if err != nil {
-		// Frame fully consumed; the error is per-frame, not per-stream.
-		return engine.Envelope{}, uvarintLen(n) + int(n), err
-	}
-	return env, uvarintLen(n) + int(n), nil
-}
-
-// ReadEnvelopePooled is ReadEnvelope through the decode-side struct pool:
-// identical framing and error contract, but hot fixed-size messages return
-// as pooled pointers. See DecodeEnvelopePooled for the lifetime rules.
-func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
-	n, err := readFrameLen(r.br)
-	if err != nil {
-		return engine.Envelope{}, 0, err
-	}
-	if n > MaxFrameBytes {
-		return engine.Envelope{}, 0, ErrFrameTooLarge
-	}
-	if uint64(cap(r.buf)) < n {
-		putBuf(r.buf)
-		r.buf = make([]byte, n)
-	}
-	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return engine.Envelope{}, 0, err
-	}
-	env, err := DecodeEnvelopePooled(payload)
-	if err != nil {
-		return engine.Envelope{}, uvarintLen(n) + int(n), err
-	}
-	return env, uvarintLen(n) + int(n), nil
+	return payload, uvarintLen(n) + int(n), nil
 }
 
 // Release returns the reader's payload buffer to the pool.

@@ -196,6 +196,56 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 }
 
+// TestReaderBufferGrowsGeometrically: a stream whose frames creep up a few
+// bytes at a time (the periodic queue stats do) must not buy a new payload
+// buffer for every frame that is longer than the last, and both read forms
+// share the one frame reader.
+func TestReaderBufferGrowsGeometrically(t *testing.T) {
+	const frames = 200
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	var cycle []model.TxnID
+	for i := 0; i < 150+frames; i++ {
+		cycle = append(cycle, model.TxnID{Site: 1, Seq: 1<<40 + uint64(i)}) // 7 bytes encoded
+		if i < 150 {
+			continue // past the pooled buffer's 1 KiB from the first frame
+		}
+		if _, err := w.WriteEnvelope(engine.Envelope{Msg: model.VictimMsg{Cycle: cycle}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bufio.NewReader(&sink))
+	defer r.Release()
+	buffers, last := 0, cap(r.buf)
+	for i := 0; i < frames; i++ {
+		read := r.ReadEnvelope
+		if i%2 == 1 {
+			read = r.ReadEnvelopePooled
+		}
+		env, _, err := read()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got := len(env.Msg.(model.VictimMsg).Cycle); got != 151+i {
+			t.Fatalf("frame %d carries %d transactions, want %d", i, got, 151+i)
+		}
+		if i == 0 && cap(r.buf) == last {
+			t.Fatal("the first frame fitted the pooled buffer: the test grows nothing")
+		}
+		if cap(r.buf) != last {
+			buffers, last = buffers+1, cap(r.buf)
+		}
+	}
+	if buffers > 3 {
+		t.Fatalf("%d growing frames bought %d buffers, want at most 3 (doubling)", frames, buffers)
+	}
+}
+
 // TestEncodeUnknownMessageType: an envelope carrying a message outside the
 // wire contract errors instead of emitting a bogus frame.
 func TestEncodeUnknownMessageType(t *testing.T) {
