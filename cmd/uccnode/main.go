@@ -79,7 +79,7 @@ func main() {
 		quorumW      = flag.Int("quorum-w", 0, "quorum replication: write quorum size (W of N grants commit a write)")
 		quorumR      = flag.Int("quorum-r", 0, "quorum replication: read quorum size (R copies answer a read, highest commit stamp wins)")
 		replPeriodMS = flag.Int64("repl-period-ms", 150, "WAL log-shipping catch-up pull period (ms)")
-		replBatch    = flag.Int("repl-batch", 512, "records per catch-up batch (a cut batch re-pulls immediately)")
+		replBatch    = flag.Int("repl-batch", 512, "bound on the records shipped per catch-up reply (records the puller is known to hold are left out and do not count; a cut batch re-pulls immediately)")
 
 		dataDir  = flag.String("data-dir", "", "durability root: write-ahead log + snapshots under <dir>/site<N> (empty = volatile)")
 		gcWindow = flag.Int64("wal-group-commit-us", 0, "group-commit window (µs): how long a queue-manager shard waits after journaling a write before the WAL sync covering it; 0 (default) syncs once the shard has drained its mailbox. A written item's grants are held until that sync at every value, so a wider window only batches more writes per sync at more latency")

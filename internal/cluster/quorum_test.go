@@ -198,3 +198,59 @@ func TestQuorumBusyNAKExcludesNotRestarts(t *testing.T) {
 	}
 	t.Logf("busyNAKs=%d excluded=%d committed=%d", rt.BusyNAKs, rt.QuorumExcluded, rt.Committed)
 }
+
+// requireReplicasAgree fails unless every item's copies hold one value.
+func requireReplicasAgree(t *testing.T, cl *Cluster, what string) {
+	t.Helper()
+	for item := 0; item < cl.Cfg.Items; item++ {
+		vals := cl.ReplicaValues(model.ItemID(item))
+		for _, v := range vals[1:] {
+			if v != vals[0] {
+				t.Fatalf("%s: item %d replicas diverged: %v", what, item, vals)
+			}
+		}
+	}
+}
+
+// TestCatchUpShipsOnlyMissing: under steady quorum traffic a site is shipped
+// what it lacks — the writes whose quorum it sat out — and little else. Each
+// such record is offered by both other holders within one pull period, so
+// about one skip per apply is the floor; shipping every record of every log
+// (each write W-fold, plus the echo of every shipped record) costs ten. And a
+// snapshot, forced here on top of the automatic ones, truncates the segments
+// under the pullers' marks without resetting anyone: the tail still holds
+// the range.
+func TestCatchUpShipsOnlyMissing(t *testing.T) {
+	cl, err := NewSim(quorumCfg(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addMixedDrivers(t, cl, 40, 3_000_000)
+	cl.Start()
+	for _, at := range []int64{1_000_000, 1_700_000, 2_400_000} {
+		cl.Eng.RunUntil(at)
+		for s, w := range cl.WALs {
+			if err := w.Snapshot(); err != nil {
+				t.Fatalf("site %d: forced snapshot: %v", s, err)
+			}
+		}
+	}
+	cl.Eng.RunUntil(3_000_000 + 4_000_000)
+	checkRun(t, "catch-up", cl.Finish(), 200)
+	requireReplicasAgree(t, cl, "catch-up")
+
+	qt := cl.QMTotals()
+	var snaps uint64
+	for _, w := range cl.WALs {
+		snaps += w.Stats().Snapshots
+	}
+	if qt.ReplApplied < 100 || snaps < 9 {
+		t.Fatalf("applied %d shipped records across %d snapshots: the run exercised too little", qt.ReplApplied, snaps)
+	}
+	if qt.ReplResets != 0 {
+		t.Errorf("%d resets in a run where no site crashed: a snapshot between two pulls must not reset the puller", qt.ReplResets)
+	}
+	if 2*qt.ReplSkipped > 3*qt.ReplApplied {
+		t.Errorf("shipped %d records the puller skipped against %d it applied: want at most 1.5 skips per apply", qt.ReplSkipped, qt.ReplApplied)
+	}
+}

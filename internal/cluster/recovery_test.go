@@ -474,3 +474,77 @@ func TestCrashInsideCommitWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestOfUnsyncedWritesDiesWithTheCrash: a pull's digest names writes
+// the puller has journaled, synced or not. Site 1 is crashed in the one
+// window where that matters — its periodic pull, naming writes still inside
+// their group-commit window, has reached both peers, and the replies whose
+// apply would sync them are still on the wire — and the workload is stopped
+// right there, so little can overwrite what the crash destroyed. The peers
+// must then forget what site 1 claimed (its next pull is from sequence zero)
+// and ship those writes again; a peer that kept believing the claim would
+// withhold them for good.
+func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
+	const period, oneWay = 150_000, 2_000 // pull ticks fall on multiples of period
+	for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
+		cfg := quorumCfg(seed)
+		cfg.Durability.GroupCommitMicros = 40_000
+		cfg.ReplPeriodMicros = period
+		cfg.Latency = engine.FixedLatency{RemoteMicros: oneWay, LocalMicros: 50}
+		cl, err := NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addMixedDrivers(t, cl, 40, 10_000_000)
+		cl.Start()
+		cl.Eng.RunUntil(1_000_000)
+		// Step on to the first pull tick that finds site 1 holding unsynced
+		// writes, give its pulls time to land (one way) but not to be
+		// answered (two ways), and crash there if nothing synced meanwhile.
+		prev := cl.WALs[1].Stats()
+		dirtySince := int64(-1) // when the oldest unsynced write was journaled
+		for {
+			if !cl.Eng.Step() {
+				t.Fatalf("seed %d: the workload ended before a pull tick found unsynced writes at site 1", seed)
+			}
+			st := cl.WALs[1].Stats()
+			switch {
+			case st.Syncs != prev.Syncs:
+				dirtySince = -1
+			case st.Appends != prev.Appends && dirtySince < 0:
+				dirtySince = cl.Eng.NowMicros()
+			}
+			prev = st
+			if dirtySince < 0 || cl.Eng.NowMicros() < (dirtySince/period+1)*period {
+				continue
+			}
+			cl.Eng.RunUntil((dirtySince/period+1)*period + oneWay + oneWay/2)
+			if cl.WALs[1].Stats().Syncs == prev.Syncs {
+				break
+			}
+			prev, dirtySince = cl.WALs[1].Stats(), -1
+		}
+		before := cl.Stores[1].Copies()
+		// The outage outlasts the round trip: the replies to the pre-crash
+		// pulls must find the site down, or they would advance its zeroed
+		// marks (internal/repl's documented stale-reply window).
+		cl.CrashSite(1, 0)
+		cl.RecoverSite(1, 4*oneWay)
+		for cl.Managers[1].Snapshot().Recoveries == 0 {
+			if !cl.Eng.Step() {
+				t.Fatalf("seed %d: site 1 never recovered", seed)
+			}
+		}
+		lost := 0
+		for i, c := range cl.Stores[1].Copies() {
+			if c.Version < before[i].Version {
+				lost++
+			}
+		}
+		if lost == 0 {
+			t.Fatalf("seed %d: the crash at %d destroyed no journaled write", seed, cl.Eng.NowMicros())
+		}
+		checkRun(t, "crash-after-digest", cl.Finish(), 50)
+		requireReplicasAgree(t, cl, "crash-after-digest")
+	}
+}

@@ -424,6 +424,12 @@ type ReplPullMsg struct {
 	// AfterSeq is the sender's catch-up watermark for this peer: the highest
 	// peer-log sequence number it has already applied.
 	AfterSeq uint64
+	// Have is the sender's journal digest in internal/repl's codec: the
+	// newest commit stamp per item it journaled since its previous periodic
+	// pull, which lets the peer leave out records the sender would only
+	// skip. Opaque here, like ReplRecordsMsg.Frames; nil (re-pulls, settle
+	// pulls, an idle or overflowed period) means ship everything.
+	Have []byte
 }
 
 // ReplRecordsMsg answers a ReplPullMsg with a batch of WAL record frames.

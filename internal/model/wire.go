@@ -878,12 +878,15 @@ func decodeFlush(r *WireReader) (m FlushMsg) {
 // AppendWire encodes the message body (no tag) onto b.
 func (m ReplPullMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
-	return AppendUvarint(b, m.AfterSeq)
+	b = AppendUvarint(b, m.AfterSeq)
+	b = AppendUvarint(b, uint64(len(m.Have)))
+	return append(b, m.Have...)
 }
 
 func decodeReplPull(r *WireReader) (m ReplPullMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AfterSeq = r.Uvarint()
+	m.Have = r.Bytes()
 	return m
 }
 

@@ -86,8 +86,14 @@ type Counters struct {
 	// is configured).
 	ReplPulls   uint64 // pulls served to peers from this site's durable log
 	ReplApplied uint64 // shipped records this site installed during catch-up
-	ReplSkipped uint64 // shipped records skipped as stale or duplicate (idempotence)
-	ReplResets  uint64 // snapshot-image resets taken because a peer truncated its log
+	// ReplSkipped counts shipped records this site skipped as stale or
+	// duplicate (idempotence). A record a peer withheld because it knew
+	// this site held it never arrives, and is not counted.
+	ReplSkipped uint64
+	// ReplResets counts snapshot-image resets taken: this site's mark lay
+	// below both the peer's in-memory tail and its log (after a crash, a
+	// restart, or falling far behind).
+	ReplResets uint64
 
 	// Versioned placement / online rebalance.
 	WrongEpoch      uint64 // operations NAK'd because the installed map disowns the copy
@@ -143,9 +149,11 @@ type Manager struct {
 	// Log-shipping catch-up plane (internal/repl), set once via
 	// SetReplication before traffic flows; nil puller = no quorum catch-up.
 	// The puller tracks per-peer watermarks, replSrc serves peers' pulls
-	// from this site's durable log. Both are guarded by ctlMu.
+	// from this site's durable log, known is what each pulling peer is
+	// believed to hold already. All are guarded by ctlMu.
 	puller      *repl.Puller
 	replSrc     repl.Source
+	known       repl.Known
 	replStopped bool
 
 	// Versioned placement. pmap is read lock-free on the request fast path
@@ -467,6 +475,7 @@ func (m *Manager) onCrash() {
 		// Reset path). Stamp-gating makes the re-shipment idempotent.
 		m.puller.ResetAll()
 	}
+	m.known.ForgetAll() // volatile like everything else here
 	for _, s := range m.sessions {
 		// Transfer records applied but not yet synced are gone with the rest
 		// of the volatile state; re-pull each incomplete session from the

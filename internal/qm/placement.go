@@ -208,10 +208,13 @@ func (m *Manager) onMapInstall(ctx engine.Context, v model.MapInstallMsg) {
 		}
 	}
 
-	// The catch-up peer set follows the sharing graph of the new map.
+	// The catch-up peer set follows the sharing graph of the new map. What
+	// the peers were known to hold is dropped: a copy that moves away and
+	// back is refilled by transfer, not from the state it once reported.
 	if m.puller != nil {
 		m.puller.SetPeers(replSharing(next, m.site))
 	}
+	m.known.ForgetAll()
 	m.pmap.Store(next)
 }
 
@@ -294,7 +297,7 @@ func (m *Manager) onTransferPull(ctx engine.Context, v model.TransferPullMsg) {
 	if m.puller != nil {
 		max = m.puller.BatchRecords()
 	}
-	batch, err := repl.BuildBatch(m.site, src, v.AfterSeq, max)
+	batch, err := repl.BuildBatch(m.site, src, v.AfterSeq, max, nil)
 	if err != nil {
 		panic(fmt.Sprintf("qm: site %d: transfer pull from site %d after seq %d: %v", m.site, v.From, v.AfterSeq, err))
 	}
@@ -414,12 +417,15 @@ type storeSource struct {
 	store *storage.Store
 }
 
-func (s storeSource) RecordsSince(afterSeq uint64, max int) (frames []byte, next uint64, more, gap bool, err error) {
+func (s storeSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, int64) bool) (frames []byte, next uint64, more, gap bool, err error) {
 	if afterSeq < 1 {
 		return nil, 0, false, true, nil
 	}
 	return nil, afterSeq, false, false, nil
 }
+
+// TakeHave reports nothing: a volatile site journals nothing.
+func (s storeSource) TakeHave(dst []wal.Have) []wal.Have { return dst }
 
 func (s storeSource) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
 	for _, item := range s.store.Items() {

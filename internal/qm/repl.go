@@ -56,8 +56,14 @@ func (m *Manager) onReplTick(ctx engine.Context) {
 	if m.Down() {
 		return
 	}
+	// Only the periodic pulls carry the journal digest: one per period, the
+	// same bytes to every peer.
+	var have []byte
+	if m.replSrc != nil {
+		have = m.puller.TickHave(m.replSrc)
+	}
 	for _, peer := range m.puller.Peers() {
-		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer)})
+		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have})
 	}
 }
 
@@ -75,8 +81,9 @@ func (m *Manager) onReplSettle(ctx engine.Context) {
 	}
 }
 
-// onReplPull serves one peer's pull from the durable log. A down or
-// unconfigured site stays silent — the puller simply retries next period.
+// onReplPull serves one peer's pull from the durable log, less what that
+// peer is known to hold (repl.Known). A down or unconfigured site stays
+// silent — the puller simply retries next period.
 func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
@@ -87,7 +94,7 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	if m.puller != nil {
 		max = m.puller.BatchRecords()
 	}
-	batch, err := repl.BuildBatch(m.site, m.replSrc, v.AfterSeq, max)
+	batch, err := m.known.Serve(m.site, m.replSrc, v, max)
 	if err != nil {
 		// The durable log is unreadable on an up site: the same broken
 		// contract flushNow panics on.
@@ -105,10 +112,13 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 // parks its item like any journaled write, every shard is then flushed in
 // place so catch-up progress is itself durable, and only then does the
 // peer's watermark advance. Only one shard lock is ever held at a time, so
-// there is no cycle against crash/recovery's lockAll. A torn batch applies
-// its intact prefix but does not advance the watermark — the tail re-ships
-// next pull. More (a batch cut at the bound, or a Reset image) re-pulls
-// immediately instead of waiting out a period per batch.
+// there is no cycle against crash/recovery's lockAll. Every decoded record,
+// installed or not, is durable at its sender and is noted as such, so it is
+// never shipped back. A torn batch applies its intact prefix but does not
+// advance the watermark — the tail re-ships next period. More (a batch cut
+// at the bound, or a Reset image) re-pulls immediately instead of waiting
+// out a period per batch, but only when the watermark moved: the same pull
+// again would only fetch the same batch again.
 func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
@@ -116,6 +126,7 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		return // a down site's applies would be wiped anyway; marks re-zero at crash
 	}
 	st := repl.Apply(v.Frames, func(r wal.Record) bool {
+		m.known.Note(v.From, r.Item, r.CommitMicros)
 		sh := m.shardFor(r.Item)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -133,10 +144,8 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		m.shards[0].counters.ReplResets++
 	}
 	m.shards[0].mu.Unlock()
-	if st.Torn == 0 {
-		m.puller.Advance(v.From, v.NextAfterSeq)
-	}
-	if v.More {
+	moved := st.Torn == 0 && m.puller.Advance(v.From, v.NextAfterSeq)
+	if v.More && moved {
 		ctx.Send(engine.QMAddr(v.From), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From)})
 	}
 }

@@ -8,10 +8,18 @@ import (
 	"strconv"
 	"testing"
 
+	"ucc/internal/model"
 	"ucc/internal/wal"
 )
 
-const seedDir = "testdata/fuzz/FuzzReplStream"
+// seedCorpora maps each fuzz target to its committed seeds, under
+// testdata/fuzz/<target>.
+var seedCorpora = map[string]func() map[string][]byte{
+	"FuzzReplStream": seedStreams,
+	"FuzzHaveDigest": seedDigests,
+}
+
+func seedDir(target string) string { return filepath.Join("testdata", "fuzz", target) }
 
 // seedStreams are the committed fuzz seeds: a clean multi-record batch, a
 // batch with duplicate and overlapping ranges (the re-ship case), a
@@ -42,13 +50,15 @@ func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("REPL_WRITE_CORPUS") == "" {
 		t.Skip("set REPL_WRITE_CORPUS=1 to regenerate the seed corpus")
 	}
-	if err := os.MkdirAll(seedDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range seedStreams() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
-		if err := os.WriteFile(filepath.Join(seedDir, name), []byte(body), 0o644); err != nil {
+	for target, seeds := range seedCorpora {
+		if err := os.MkdirAll(seedDir(target), 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for name, data := range seeds() {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
+			if err := os.WriteFile(filepath.Join(seedDir(target), name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -56,12 +66,14 @@ func TestWriteSeedCorpus(t *testing.T) {
 // TestSeedCorpusCommitted fails if the checked-in corpus is missing — the CI
 // fuzz job depends on seeds existing.
 func TestSeedCorpusCommitted(t *testing.T) {
-	entries, err := os.ReadDir(seedDir)
-	if err != nil {
-		t.Fatalf("seed corpus missing (run REPL_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus ./internal/repl): %v", err)
-	}
-	if want := len(seedStreams()); len(entries) < want {
-		t.Fatalf("seed corpus has %d entries, want ≥ %d", len(entries), want)
+	for target, seeds := range seedCorpora {
+		entries, err := os.ReadDir(seedDir(target))
+		if err != nil {
+			t.Fatalf("seed corpus missing (run REPL_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus ./internal/repl): %v", err)
+		}
+		if want := len(seeds()); len(entries) < want {
+			t.Fatalf("%s seed corpus has %d entries, want ≥ %d", target, len(entries), want)
+		}
 	}
 }
 
@@ -130,6 +142,65 @@ func FuzzReplStream(f *testing.F) {
 		wal.DecodeRecordFrames(data, func(r wal.Record) { reenc = wal.AppendRecordFrame(reenc, r) })
 		if !bytes.Equal(reenc, data[:len(data)-torn]) {
 			t.Fatalf("accepted frames are not the canonical encoding:\n in: %x\nout: %x", data[:len(data)-torn], reenc)
+		}
+	})
+}
+
+// seedDigests are FuzzHaveDigest's committed seeds: a typical digest, one
+// spanning the field extremes, a truncation, items out of order, an item
+// beyond the ID range, and raw garbage.
+func seedDigests() map[string][]byte {
+	clean := AppendHave(nil, []wal.Have{{Item: 3, CommitMicros: 1_700_000_000_000_000}, {Item: 4, CommitMicros: 1_700_000_000_000_900}, {Item: 900, CommitMicros: 1_699_999_999_999_000}})
+	extremes := AppendHave(nil, []wal.Have{{Item: -1 << 31, CommitMicros: -1 << 63}, {Item: 0, CommitMicros: 1<<63 - 1}, {Item: 1<<31 - 1, CommitMicros: 0}})
+	unsorted := model.AppendVarint(model.AppendVarint(append([]byte(nil), clean...), -2), 5)
+	return map[string][]byte{
+		"clean":     clean,
+		"extremes":  extremes,
+		"truncated": clean[:len(clean)-1],
+		"unsorted":  unsorted,
+		"wide-item": model.AppendVarint(model.AppendVarint(nil, 1<<31), 7),
+		"garbage":   {0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF},
+		"empty":     {},
+	}
+}
+
+// FuzzHaveDigest hardens the pull digest against arbitrary bytes off the
+// wire. For every input:
+//
+//   - DecodeHave must not panic; what it accepts is strictly item-ascending
+//     and re-encodes to the same bytes (one encoding per digest).
+//   - A digest that does not decode is treated as absent: Known learns
+//     nothing from it, so the pull it rode on is served in full.
+//   - What Known learns from an accepted digest is exactly its entries.
+func FuzzHaveDigest(f *testing.F) {
+	for _, data := range seedDigests() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		have, ok := DecodeHave(data, nil)
+		var k Known
+		k.Learn(1, data)
+		if !ok {
+			if len(have) != 0 || len(k.peers[1]) != 0 {
+				t.Fatalf("rejected digest still yielded %d entries, taught %d", len(have), len(k.peers[1]))
+			}
+			return
+		}
+		for i := 1; i < len(have); i++ {
+			if have[i].Item <= have[i-1].Item {
+				t.Fatalf("accepted digest not strictly ascending at %d: %v", i, have)
+			}
+		}
+		if re := AppendHave(nil, have); !bytes.Equal(re, data) {
+			t.Fatalf("accepted digest is not the canonical encoding:\n in: %x\nout: %x", data, re)
+		}
+		if len(k.peers[1]) != len(have) {
+			t.Fatalf("%d entries taught %d items", len(have), len(k.peers[1]))
+		}
+		for _, h := range have {
+			if got, ok := k.peers[1][h.Item]; !ok || got != h.CommitMicros {
+				t.Fatalf("entry %+v learned as %d (present %v)", h, got, ok)
+			}
 		}
 	})
 }

@@ -70,13 +70,19 @@ func TestConcurrentCatchUpReplayVsLiveWrites(t *testing.T) {
 		}
 	}()
 
-	// Destination site, catch-up: pull from the live source log and replay
-	// through the stamp gate until the source's whole run has shipped.
+	// Destination site, catch-up: pull from the live source log — each pull
+	// carrying the digest drained from the destination's own log while the
+	// writer above appends to it, and served less what that digest and the
+	// earlier ones claimed — and replay through the stamp gate until the
+	// source's whole run has shipped.
 	go func() {
 		defer wg.Done()
 		var mark uint64
+		var known Known
+		puller := NewPuller(Options{Site: 1, Peers: []model.SiteID{0}})
 		for {
-			batch, err := BuildBatch(0, srcLog, mark, 64)
+			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: puller.TickHave(dstLog)}
+			batch, err := known.Serve(0, srcLog, pull, 64)
 			if err != nil {
 				panic(err)
 			}

@@ -2,7 +2,7 @@ package repl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ucc/internal/model"
 	"ucc/internal/wal"
@@ -14,8 +14,8 @@ const (
 	// network's one-way delay (the race envelope documented in the package
 	// comment), short against the failover windows the experiments measure.
 	DefaultPeriodMicros = 150_000
-	// DefaultBatchRecords bounds one ReplRecordsMsg; a cut batch sets More
-	// and the puller re-pulls immediately.
+	// DefaultBatchRecords bounds the records shipped in one ReplRecordsMsg;
+	// a cut batch sets More and the puller re-pulls immediately.
 	DefaultBatchRecords = 512
 )
 
@@ -28,7 +28,8 @@ type Options struct {
 	Peers []model.SiteID
 	// PeriodMicros is the pull period (default DefaultPeriodMicros).
 	PeriodMicros int64
-	// BatchRecords bounds records per reply (default DefaultBatchRecords).
+	// BatchRecords bounds the records shipped per reply (default
+	// DefaultBatchRecords).
 	BatchRecords int
 }
 
@@ -47,16 +48,16 @@ func (o *Options) fill() {
 type Puller struct {
 	opts  Options
 	marks map[model.SiteID]uint64
+	peers []model.SiteID // the keys of marks, ascending
+	have  []wal.Have     // TickHave's scratch
 }
 
 // NewPuller builds a puller with zero watermarks (first pulls stream each
 // peer's log from the start, or hit the Reset path if already truncated).
 func NewPuller(opts Options) *Puller {
 	opts.fill()
-	p := &Puller{opts: opts, marks: make(map[model.SiteID]uint64, len(opts.Peers))}
-	for _, peer := range opts.Peers {
-		p.marks[peer] = 0
-	}
+	p := &Puller{opts: opts}
+	p.SetPeers(opts.Peers)
 	return p
 }
 
@@ -64,15 +65,9 @@ func NewPuller(opts Options) *Puller {
 func (p *Puller) Site() model.SiteID { return p.opts.Site }
 
 // Peers returns the pull targets in ascending order (deterministic send
-// order under the virtual-time simulator).
-func (p *Puller) Peers() []model.SiteID {
-	out := make([]model.SiteID, 0, len(p.marks))
-	for peer := range p.marks {
-		out = append(out, peer)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// order under the virtual-time simulator). The slice is the puller's own:
+// callers must not modify it, and SetPeers replaces it.
+func (p *Puller) Peers() []model.SiteID { return p.peers }
 
 // PeriodMicros returns the pull period.
 func (p *Puller) PeriodMicros() int64 { return p.opts.PeriodMicros }
@@ -86,13 +81,15 @@ func (p *Puller) Mark(peer model.SiteID) uint64 { return p.marks[peer] }
 // Advance raises peer's watermark to seq, monotonically: a stale or
 // reordered reply can never move a watermark backwards. (The Reset path
 // also only ever raises it — Reset fires when mark < snapshot seq, and the
-// reply's watermark is that snapshot seq.) Unknown peers are ignored.
-func (p *Puller) Advance(peer model.SiteID, seq uint64) {
+// reply's watermark is that snapshot seq.) Unknown peers are ignored. It
+// reports whether the watermark moved.
+func (p *Puller) Advance(peer model.SiteID, seq uint64) bool {
 	cur, ok := p.marks[peer]
 	if !ok || seq <= cur {
-		return
+		return false
 	}
 	p.marks[peer] = seq
+	return true
 }
 
 // SetPeers replaces the pull-target set (a rebalance changed which sites
@@ -107,6 +104,24 @@ func (p *Puller) SetPeers(peers []model.SiteID) {
 		next[peer] = p.marks[peer]
 	}
 	p.marks = next
+	p.peers = make([]model.SiteID, 0, len(next))
+	for peer := range next {
+		p.peers = append(p.peers, peer)
+	}
+	slices.Sort(p.peers)
+}
+
+// TickHave drains src's journal digest and encodes it for this period's
+// pulls: what this site journaled since the previous period, so its peers
+// can leave out what it already holds. Nil when nothing was journaled or the
+// digest overflowed. The bytes are fresh each call — the pulls carrying them
+// are still in flight when the next period starts.
+func (p *Puller) TickHave(src Source) []byte {
+	p.have = src.TakeHave(p.have[:0])
+	if len(p.have) == 0 {
+		return nil
+	}
+	return AppendHave(make([]byte, 0, 4*len(p.have)), p.have)
 }
 
 // ResetAll zeroes every watermark. Called on a local crash: shipped records
@@ -128,19 +143,22 @@ func (p *Puller) Watermarks() map[model.SiteID]uint64 {
 	return out
 }
 
-// Source is the durable side a pull is served from (implemented by
-// wal.SiteLog).
+// Source is a site's log as the catch-up plane uses it (implemented by
+// wal.SiteLog): peers' pulls are served from its durable records, and the
+// site's own pulls carry the digest of what it journaled.
 type Source interface {
-	RecordsSince(afterSeq uint64, max int) (frames []byte, next uint64, more, gap bool, err error)
+	RecordsSince(afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool) (frames []byte, next uint64, more, gap bool, err error)
 	SnapshotRecords() (frames []byte, appliedSeq uint64, err error)
+	TakeHave(dst []wal.Have) []wal.Have
 }
 
 // BuildBatch serves one pull against src: the incremental tail past
-// afterSeq, or — when that tail was truncated by a snapshot — the Reset
-// image of the newest snapshot (More set so the puller immediately comes
-// back for the tail above it).
-func BuildBatch(from model.SiteID, src Source, afterSeq uint64, max int) (model.ReplRecordsMsg, error) {
-	frames, next, more, gap, err := src.RecordsSince(afterSeq, max)
+// afterSeq minus the records skip reports the puller already holds (nil
+// ships them all), or — when that tail was truncated by a snapshot — the
+// Reset image of the newest snapshot (More set so the puller immediately
+// comes back for the tail above it).
+func BuildBatch(from model.SiteID, src Source, afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool) (model.ReplRecordsMsg, error) {
+	frames, next, more, gap, err := src.RecordsSince(afterSeq, max, skip)
 	if err != nil {
 		return model.ReplRecordsMsg{}, err
 	}

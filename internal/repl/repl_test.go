@@ -81,16 +81,17 @@ type memSource struct {
 	snapErr error
 }
 
-func (s *memSource) RecordsSince(afterSeq uint64, max int) ([]byte, uint64, bool, bool, error) {
+func (s *memSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, int64) bool) ([]byte, uint64, bool, bool, error) {
 	return s.frames, s.next, s.more, s.gap, s.err
 }
+func (s *memSource) TakeHave(dst []wal.Have) []wal.Have { return dst }
 func (s *memSource) SnapshotRecords() ([]byte, uint64, error) {
 	return s.snap, s.snapSeq, s.snapErr
 }
 
 func TestBuildBatchTail(t *testing.T) {
 	src := &memSource{frames: frames(rec(3, 1, 30, 300)), next: 3, more: true}
-	msg, err := BuildBatch(2, src, 2, 16)
+	msg, err := BuildBatch(2, src, 2, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestBuildBatchTail(t *testing.T) {
 
 func TestBuildBatchGapFallsBackToSnapshot(t *testing.T) {
 	src := &memSource{gap: true, snap: frames(rec(0, 1, 7, 700)), snapSeq: 42}
-	msg, err := BuildBatch(1, src, 5, 16)
+	msg, err := BuildBatch(1, src, 5, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +116,19 @@ func TestBuildBatchGapFallsBackToSnapshot(t *testing.T) {
 
 func TestBuildBatchErrors(t *testing.T) {
 	boom := errors.New("boom")
-	if _, err := BuildBatch(0, &memSource{err: boom}, 0, 16); !errors.Is(err, boom) {
+	if _, err := BuildBatch(0, &memSource{err: boom}, 0, 16, nil); !errors.Is(err, boom) {
 		t.Fatalf("log error not surfaced: %v", err)
 	}
-	if _, err := BuildBatch(0, &memSource{gap: true, snapErr: boom}, 0, 16); !errors.Is(err, boom) {
+	if _, err := BuildBatch(0, &memSource{gap: true, snapErr: boom}, 0, 16, nil); !errors.Is(err, boom) {
 		t.Fatalf("snapshot error not surfaced: %v", err)
 	}
 	// An empty incremental batch (peer has no news, next == afterSeq) is
 	// legitimate steady state — but a Reset image that does not move past
 	// the watermark would re-ship forever, and must be refused.
-	if msg, err := BuildBatch(0, &memSource{next: 3}, 3, 16); err != nil || msg.More {
+	if msg, err := BuildBatch(0, &memSource{next: 3}, 3, 16, nil); err != nil || msg.More {
 		t.Fatalf("steady-state empty batch rejected: %+v %v", msg, err)
 	}
-	if _, err := BuildBatch(0, &memSource{gap: true, snapSeq: 3}, 3, 16); err == nil {
+	if _, err := BuildBatch(0, &memSource{gap: true, snapSeq: 3}, 3, 16, nil); err == nil {
 		t.Fatal("non-advancing snapshot image accepted")
 	}
 }

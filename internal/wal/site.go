@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ucc/internal/model"
@@ -63,6 +65,29 @@ type SiteLog struct {
 	// bytes are synced, and a crash in that window bricks the site.
 	lastSnapSeq uint64
 	stats       Stats
+
+	// tail holds the newest journaled records in sequence order
+	// (tail[i].Seq == tail[0].Seq+i) so catch-up pulls are served without
+	// reading media. It grows by append and is cut back to its newer half at
+	// tailRecords; a crash empties it. Only the prefix up to synced — the
+	// highest sequence number a successful Flush covered — is servable.
+	tail   []Record
+	synced uint64
+	// unreported counts the records at the end of tail that no TakeHave has
+	// reported yet.
+	unreported int
+}
+
+// tailRecords bounds the in-memory tail (56 bytes a record): the newest
+// tailRecords/2 records are always held, several pull periods' worth at any
+// rate this log sustains. A peer further behind is served from media.
+const tailRecords = 1 << 16
+
+// Have is one entry of a site's journal digest: the site journaled a write
+// of Item stamped CommitMicros (see TakeHave).
+type Have struct {
+	Item         model.ItemID
+	CommitMicros int64
 }
 
 // Open attaches durability to a store. On empty media it seeds an initial
@@ -114,9 +139,45 @@ func (s *SiteLog) RecordWrite(item model.ItemID, txn model.TxnID, value int64, v
 	if s.log == nil {
 		panic("wal: RecordWrite on crashed site log")
 	}
-	s.log.Append(Record{Item: item, Txn: txn, Value: value, Version: version, CommitMicros: commitMicros})
+	r := Record{Item: item, Txn: txn, Value: value, Version: version, CommitMicros: commitMicros}
+	r.Seq = s.log.Append(r)
+	if len(s.tail) >= tailRecords {
+		s.tail = s.tail[:copy(s.tail, s.tail[tailRecords/2:])]
+	}
+	s.tail = append(s.tail, r)
+	s.unreported++
 	s.stats.Appends++
 	s.sinceSnap++
+}
+
+// TakeHave appends to dst the digest of what this site journaled — local
+// and shipped writes alike — since the previous call: the newest commit
+// stamp per item, in item order. The entries describe volatile state: a
+// journaled write counts before it is synced, so whoever acts on a digest
+// must forget it when this site crashes (internal/repl's peer-knowledge
+// rule). More records than the tail still holds yield no digest at all,
+// which only makes peers ship more.
+func (s *SiteLog) TakeHave(dst []Have) []Have {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.unreported
+	s.unreported = 0
+	if n > len(s.tail) {
+		return dst
+	}
+	base := len(dst)
+	for _, r := range s.tail[len(s.tail)-n:] {
+		dst = append(dst, Have{Item: r.Item, CommitMicros: r.CommitMicros})
+	}
+	fresh := dst[base:]
+	slices.SortFunc(fresh, func(a, b Have) int {
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.CommitMicros, a.CommitMicros)
+	})
+	fresh = slices.CompactFunc(fresh, func(a, b Have) bool { return a.Item == b.Item })
+	return dst[:base+len(fresh)]
 }
 
 // Flush makes every appended record durable. With GroupCommit enabled,
@@ -138,6 +199,7 @@ func (s *SiteLog) flush() error {
 	if err := s.log.Flush(); err != nil {
 		return err
 	}
+	s.synced = s.log.NextSeq() - 1
 	s.stats.Syncs++
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		return s.snapshotLocked()
@@ -156,6 +218,7 @@ func (s *SiteLog) Snapshot() error {
 	if err := s.log.Flush(); err != nil {
 		return err
 	}
+	s.synced = s.log.NextSeq() - 1
 	s.stats.Syncs++
 	return s.snapshotLocked()
 }
@@ -186,16 +249,25 @@ func (s *SiteLog) snapshotLocked() error {
 	return pruneBefore(s.media, applied, s.log.SegmentName())
 }
 
-// Crash simulates a site power cut at the durability layer: the log buffer
-// and the media's unsynced bytes are lost; the synced prefix survives. The
-// caller (queue manager) wipes the volatile store itself.
+// Crash simulates a site power cut at the durability layer: the log buffer,
+// the in-memory tail with its unreported digest, and the media's unsynced
+// bytes are lost; the synced prefix survives. The caller (queue manager)
+// wipes the volatile store itself.
 func (s *SiteLog) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.log = nil
+	s.dropTail()
 	if c, ok := s.media.(Crasher); ok {
 		c.Crash()
 	}
+}
+
+// dropTail empties the in-memory tail and, with it, the digest TakeHave had
+// yet to report: both describe volatile state.
+func (s *SiteLog) dropTail() {
+	s.tail = s.tail[:0]
+	s.unreported = 0
 }
 
 // Recover rebuilds the store from the newest valid snapshot plus the intact
@@ -223,6 +295,7 @@ func (s *SiteLog) recoverLocked() error {
 	for _, c := range snap.Chains {
 		s.store.RestoreChain(c)
 	}
+	s.dropTail()
 	var replayed uint64
 	lastSeq, err := Replay(s.media, snap.AppliedSeq, func(r Record) error {
 		if !s.store.Has(r.Item) {
@@ -240,6 +313,7 @@ func (s *SiteLog) recoverLocked() error {
 	s.stats.Recoveries++
 	s.sinceSnap = 0
 	s.lastSnapSeq = snap.AppliedSeq
+	s.synced = lastSeq
 	// Reset the media to a clean base: snapshot at lastSeq, fresh segment
 	// at lastSeq+1, torn tails pruned — later replays never hit the
 	// damaged suffix of an old segment. When the log tail was empty the
@@ -264,50 +338,98 @@ func (s *SiteLog) recoverLocked() error {
 	return pruneBefore(s.media, lastSeq, s.log.SegmentName())
 }
 
-// errBatchFull stops a RecordsSince replay once the batch bound is reached
+// errBatchFull stops a media replay once the batch takes no more records
 // (internal flow control, swallowed before returning).
 var errBatchFull = fmt.Errorf("wal: records-since batch full")
 
+// shipBatch accumulates one RecordsSince reply; the tail path and the media
+// path feed it the same records and so build the same bytes.
+type shipBatch struct {
+	frames []byte
+	next   uint64
+	more   bool
+	room   int
+	skip   func(model.ItemID, int64) bool
+}
+
+// add offers the next durable record and reports whether the batch takes
+// further ones. A record the peer is known to hold is passed over but still
+// moves next; the bound counts shipped records only.
+func (b *shipBatch) add(r Record) bool {
+	if b.skip != nil && b.skip(r.Item, r.CommitMicros) {
+		b.next = r.Seq
+		return true
+	}
+	if b.room == 0 {
+		b.more = true
+		return false
+	}
+	b.frames = AppendRecordFrame(b.frames, r)
+	b.next = r.Seq
+	b.room--
+	return true
+}
+
 // RecordsSince serves a log-shipping pull (internal/repl): up to max durable
-// records with Seq > afterSeq, re-framed with the record codec so the batch
-// is byte-identical to the segment bytes they were read from. next is the
-// last sequence number included (afterSeq when none); more reports the batch
-// was cut at the bound. gap reports that afterSeq lies below the newest
-// snapshot's applied sequence — those records were truncated away, and the
-// puller must be reset from SnapshotRecords instead. Only synced records are
-// served: the buffered tail is not yet durable here, so it must not advance a
-// peer's watermark (it ships after its flush).
-func (s *SiteLog) RecordsSince(afterSeq uint64, max int) (frames []byte, next uint64, more, gap bool, err error) {
+// records with Seq > afterSeq, framed with the record codec so the batch is
+// byte-identical to the segment bytes holding them. Records for which skip
+// reports true (nil skips none) are left out; next still moves past them.
+// next is the last sequence number examined (afterSeq when none); more
+// reports the batch was cut at the bound. A mark the in-memory tail covers is
+// served from it; an older one is replayed from media; gap reports that
+// neither holds the range — afterSeq lies below the newest snapshot's
+// applied sequence, those records were truncated away, and the puller must
+// be reset from SnapshotRecords instead. Only synced records are served: the
+// buffered tail is not yet durable here, so it must not advance a peer's
+// watermark (it ships after its flush).
+func (s *SiteLog) RecordsSince(afterSeq uint64, max int, skip func(model.ItemID, int64) bool) (frames []byte, next uint64, more, gap bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
 		return nil, afterSeq, false, false, fmt.Errorf("wal: records-since on crashed site log")
 	}
-	if afterSeq < s.lastSnapSeq {
-		return nil, afterSeq, false, true, nil
-	}
 	if max <= 0 {
 		max = 512
 	}
-	count := 0
-	next = afterSeq
-	_, err = Replay(s.media, afterSeq, func(r Record) error {
-		if count >= max {
-			more = true
+	b := shipBatch{next: afterSeq, room: max, skip: skip}
+	switch {
+	case afterSeq >= s.synced:
+		// Caught up: nothing durable lies past the mark.
+	case len(s.tail) > 0 && afterSeq+1 >= s.tail[0].Seq:
+		s.tailSince(afterSeq, &b)
+	case afterSeq < s.lastSnapSeq:
+		return nil, afterSeq, false, true, nil
+	default:
+		if err := s.mediaSince(afterSeq, &b); err != nil {
+			return nil, afterSeq, false, false, err
+		}
+	}
+	return b.frames, b.next, b.more, false, nil
+}
+
+// tailSince feeds b the synced tail records past afterSeq, which the tail
+// must cover.
+func (s *SiteLog) tailSince(afterSeq uint64, b *shipBatch) {
+	for _, r := range s.tail[afterSeq+1-s.tail[0].Seq:] {
+		if r.Seq > s.synced || !b.add(r) {
+			return
+		}
+	}
+}
+
+// mediaSince feeds b the synced records past afterSeq by replaying the
+// segments.
+func (s *SiteLog) mediaSince(afterSeq uint64, b *shipBatch) error {
+	_, err := Replay(s.media, afterSeq, func(r Record) error {
+		if r.Seq > s.synced || !b.add(r) {
 			return errBatchFull
 		}
-		frames = AppendRecordFrame(frames, r)
-		next = r.Seq
-		count++
 		return nil
 	})
 	if err == errBatchFull {
 		err = nil
 	}
-	if err != nil {
-		return nil, afterSeq, false, false, err
-	}
-	return frames, next, more, false, nil
+	return err
 }
 
 // SnapshotRecords serves the reset path of a log-shipping pull: one

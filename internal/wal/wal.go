@@ -55,16 +55,16 @@ func isSnap(name string) bool { return strings.HasPrefix(name, snapPrefix) }
 // shared wire-v3 varint codec (~15 bytes for a typical record). The crc
 // covers the length word as well as the payload, so a bit flipped in either
 // on media fails the checksum and stops replay; it can never misdecode.
+// The frame is built in place — header reserved, payload appended behind it,
+// length and checksum back-filled — so framing into a buffer with room
+// allocates nothing.
 func appendRecord(buf []byte, r Record) []byte {
-	var scratch [maxRecordPayload]byte
-	p := appendRecordPayload(scratch[:0], r)
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[4:], uint32(len(p))|varintFlag)
-	crc := crc32.Update(0, crcTable, h[4:])
-	crc = crc32.Update(crc, crcTable, p)
-	binary.LittleEndian.PutUint32(h[0:], crc)
-	buf = append(buf, h[:]...)
-	return append(buf, p...)
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = appendRecordPayload(buf, r)
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-frameHeader)|varintFlag)
+	binary.LittleEndian.PutUint32(buf[start:], crc32.Checksum(buf[start+4:], crcTable))
+	return buf
 }
 
 // appendRecordPayload encodes the record fields with the same varint

@@ -62,10 +62,13 @@ func Corpus() []engine.Envelope {
 	add(col, qm, 1, model.RecoverMsg{})
 	add(qm, qm, 1, model.FlushMsg{Shard: 3})
 
-	// Replication catch-up plane: the pull and a small framed record batch
-	// (the frame bytes are opaque to this codec — internal/wal's framing —
-	// so any deterministic byte string exercises the length-prefixed path).
-	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 20})
+	// Replication catch-up plane: the periodic pull with its journal digest
+	// (internal/repl's codec: items 3@10 and 4@5 as varint deltas), the
+	// digest-less re-pull, and a small framed record batch (the frame bytes
+	// are opaque to this codec — internal/wal's framing — so any
+	// deterministic byte string exercises the length-prefixed path).
+	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 20, Have: []byte{0x06, 0x14, 0x02, 0x09}})
+	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1<<20 + 64})
 	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Frames: []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03}, NextAfterSeq: 1<<20 + 64, More: true})
 
 	// Versioned placement / online rebalance plane.
