@@ -16,8 +16,9 @@
 //
 // Backpressure: the real-time runtime's mailboxes can be bounded
 // (Runtime.SetMailboxDepth). A sheddable message (model.Sheddable — the
-// new-work openers, RequestMsg and SnapReadMsg) arriving at a full mailbox
-// is NAK'd back to its sender as a model.BusyMsg instead of enqueued;
+// new-work openers, RequestMsg, RequestBatchMsg and SnapReadMsg) arriving at
+// a full mailbox is NAK'd back to its sender instead of enqueued, one
+// model.BusyMsg per copy it carried (every member of a batch);
 // protocol-completion messages (grants, releases, aborts) always enqueue,
 // even past the bound, because dropping one would strand locks forever.
 // Nothing ever blocks a sender, which is what makes the bound

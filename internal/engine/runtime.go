@@ -209,20 +209,21 @@ func (r *Runtime) route(env Envelope) {
 	}
 }
 
-// nak answers a refused sheddable envelope with its BusyMsg, routed to the
-// sender before the refused send returns. The NAK itself is never sheddable,
-// so this cannot recurse.
+// nak answers a refused sheddable envelope with one BusyMsg per copy it
+// carried (a batch NAKs every member), routed to the sender before the
+// refused send returns. A NAK is never sheddable, so this cannot recurse.
 func (r *Runtime) nak(env Envelope) {
 	r.overflows.Add(1)
 	sh, ok := env.Msg.(model.Sheddable)
 	if !ok {
 		return
 	}
-	back := Envelope{From: env.To, To: env.From, Msg: sh.Busy()}
-	// The refused message dies here: the Busy reply above copied everything
-	// it needs, so a pooled original goes back to its pool now.
+	for i := range sh.Copies() {
+		r.route(Envelope{From: env.To, To: env.From, Msg: sh.Busy(i)})
+	}
+	// The refused message dies here: each Busy reply copied what it needs,
+	// so a pooled original goes back to its pool now.
 	model.RecycleMessage(env.Msg)
-	r.route(back)
 }
 
 // Register adds an actor and starts its mailbox goroutine.

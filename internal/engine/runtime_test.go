@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -448,6 +449,53 @@ func TestMailboxBoundNAKsSheddable(t *testing.T) {
 			t.Fatalf("consumer handled %d messages, want %d", blocked.handled.Load(), want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMailboxRefusalNAKsEveryMember: a request batch refused at a full
+// mailbox is answered with one BusyMsg per member, each naming that member's
+// copy — the NAKs its single requests would have drawn.
+func TestMailboxRefusalNAKsEveryMember(t *testing.T) {
+	rt := NewRuntime(FixedLatency{}, 1)
+	rt.SetMailboxDepth(1)
+	qmAddr, riAddr := QMAddr(2), RIAddr(3)
+	blocked := &blockingActor{entered: make(chan struct{}), release: make(chan struct{})}
+	sender := &busyCollector{}
+	rt.Register(qmAddr, blocked)
+	rt.Register(riAddr, sender)
+	defer rt.Shutdown()
+	defer close(blocked.release)
+
+	rt.Post(Envelope{From: riAddr, To: qmAddr, Msg: model.TickMsg{}})
+	waitFor(t, blocked.entered, "the consumer to wedge")
+	rt.Post(Envelope{From: riAddr, To: qmAddr, Msg: model.TickMsg{}}) // the mailbox is now at its bound
+
+	batch := model.RequestBatchMsg{Txn: model.TxnID{Site: 3, Seq: 7}, Attempt: 2, Site: 3, CopySite: 2,
+		Members: []model.RequestMember{{Item: 4}, {Item: 5, Kind: model.OpWrite}, {Item: 9}}}
+	rt.Post(Envelope{From: riAddr, To: qmAddr, Msg: model.PooledRequestBatch(batch)})
+
+	var want []model.BusyMsg
+	for i := range batch.Members {
+		want = append(want, batch.Busy(i).(model.BusyMsg))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sender.mu.Lock()
+		got := append([]model.BusyMsg(nil), sender.busys...)
+		sender.mu.Unlock()
+		if len(got) >= len(want) {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("NAKs %+v, want one per member %+v", got, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("NAKs %+v after 5 s, want %+v", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if overflows, _ := rt.MailboxStats(); overflows != 1 {
+		t.Fatalf("overflows = %d, want 1 (one refused envelope)", overflows)
 	}
 }
 

@@ -2,9 +2,10 @@
 // (internal/model/wirepool.go and the per-package hot-path pools): a value
 // obtained from a pooled constructor — the decode side
 // (DecodeMessagePooled, DecodeEnvelopePooled, ReadEnvelopePooled), the send
-// side (model.PooledRequest and its ten siblings), or a package-local
-// acquire (qm's acquireEntry, ri's acquireCopyReq) — is valid only until
-// its recycle call (RecycleMessage, recycleEntry, recycleCopyReq), and a
+// side (model.PooledRequest and its thirteen siblings, the three batch
+// constructors among them), or a package-local acquire (qm's acquireEntry,
+// ri's acquireCopyReq) — is valid only until its recycle call
+// (RecycleMessage, recycleEntry, recycleCopyReq), and a
 // recycled value must never be touched again — the pool will hand the same
 // struct to a concurrent caller and the "retained" object silently mutates.
 //
@@ -68,6 +69,9 @@ var pooledConstructors = map[string]bool{
 	"PooledBusy":          true,
 	"PooledSnapRead":      true,
 	"PooledSnapReadReply": true,
+	"PooledRequestBatch":  true,
+	"PooledReleaseBatch":  true,
+	"PooledGrantBatch":    true,
 
 	"acquireEntry":   true,
 	"acquireCopyReq": true,

@@ -148,3 +148,15 @@ func pooledSendUseAfterRecycle() {
 	model.RecycleMessage(m)
 	use(m) // want `used after RecycleMessage`
 }
+
+// okPooledBatchSend: a batch built in caller scratch and boxed at the Send,
+// the issuer's and queue manager's shape.
+func okPooledBatchSend(members []model.GrantMsg) {
+	send(1, model.PooledGrantBatch(model.GrantBatchMsg{Members: members}))
+}
+
+func pooledBatchFieldEscape(s *sink) {
+	b := model.PooledGrantBatch(model.GrantBatchMsg{})
+	s.last = b // want `stored into s\.last`
+	model.RecycleMessage(b)
+}

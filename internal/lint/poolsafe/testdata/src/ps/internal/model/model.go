@@ -18,6 +18,12 @@ type GrantMsg struct{ Item string }
 
 func (*GrantMsg) isMessage() {}
 
+// GrantBatchMsg is a pooled batch: its members array is reused across
+// recycles, so a retained batch is rewritten like any pooled message.
+type GrantBatchMsg struct{ Members []GrantMsg }
+
+func (*GrantBatchMsg) isMessage() {}
+
 // DecodeMessagePooled mirrors the real pool-backed decoder.
 func DecodeMessagePooled(tag WireTag) (Message, error) {
 	return &RequestMsg{}, nil
@@ -28,6 +34,9 @@ func PooledRequest(v RequestMsg) *RequestMsg { return &v }
 
 // PooledGrant mirrors the real send-side boxing constructor.
 func PooledGrant(v GrantMsg) *GrantMsg { return &v }
+
+// PooledGrantBatch mirrors the real batch constructor (members copied in).
+func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg { return &v }
 
 // RecycleMessage mirrors the real pool return.
 func RecycleMessage(m Message) {}

@@ -19,7 +19,9 @@
 //     that message cannot strand protocol state.
 //
 // The two grandfathered openers, RequestMsg and SnapReadMsg, carry the
-// marker in internal/model/messages.go.
+// marker in internal/model/messages.go, and so does the first new one,
+// RequestBatchMsg. A batch of completers (ReleaseBatchMsg, GrantBatchMsg) is
+// completion traffic by name like its members.
 package sheddable
 
 import (

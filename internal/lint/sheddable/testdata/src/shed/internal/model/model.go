@@ -5,10 +5,11 @@ package model
 // Message mirrors the real sealed message interface.
 type Message interface{ isMessage() }
 
-// Sheddable mirrors the real opt-in shedding interface.
+// Sheddable mirrors the real opt-in shedding interface: one NAK per copy.
 type Sheddable interface {
 	Message
-	Busy() Message
+	Copies() int
+	Busy(i int) Message
 }
 
 // BusyMsg is the NAK completers are converted into; it is itself
@@ -23,7 +24,9 @@ type RequestMsg struct{}
 func (RequestMsg) isMessage() {}
 
 // Busy converts the request into a busy NAK.
-func (m RequestMsg) Busy() Message { return BusyMsg{} }
+func (m RequestMsg) Copies() int { return 1 }
+
+func (m RequestMsg) Busy(int) Message { return BusyMsg{} }
 
 // SnapReadMsg is the other grandfathered opener.
 type SnapReadMsg struct{}
@@ -31,14 +34,16 @@ type SnapReadMsg struct{}
 func (SnapReadMsg) isMessage() {}
 
 // Busy converts the snapshot read into a busy NAK.
-func (m SnapReadMsg) Busy() Message { return BusyMsg{} }
+func (m SnapReadMsg) Copies() int { return 1 }
+
+func (m SnapReadMsg) Busy(int) Message { return BusyMsg{} }
 
 // ReleaseMsg is completion traffic: shedding it would strand a lock.
 type ReleaseMsg struct{}
 
 func (ReleaseMsg) isMessage() {}
 
-func (m ReleaseMsg) Busy() Message { return BusyMsg{} } // want `completion traffic`
+func (m ReleaseMsg) Busy(int) Message { return BusyMsg{} } // want `completion traffic`
 
 // WithdrawMsg is also completion traffic, even with a marker: the
 // completer rule is not overridable.
@@ -47,7 +52,7 @@ type WithdrawMsg struct{}
 func (WithdrawMsg) isMessage() {}
 
 //ucclint:sheddable -- markers do not override the completer rule
-func (m WithdrawMsg) Busy() Message { return BusyMsg{} } // want `completion traffic`
+func (m WithdrawMsg) Busy(int) Message { return BusyMsg{} } // want `completion traffic`
 
 // ProbeMsg is a new opener with no marker: flagged until someone writes
 // down the shed-safety argument.
@@ -55,7 +60,7 @@ type ProbeMsg struct{}
 
 func (ProbeMsg) isMessage() {}
 
-func (m ProbeMsg) Busy() Message { return BusyMsg{} } // want `newly implements model\.Sheddable`
+func (m ProbeMsg) Busy(int) Message { return BusyMsg{} } // want `newly implements model\.Sheddable`
 
 // ScanMsg is a new opener whose author stated the argument.
 type ScanMsg struct{}
@@ -65,10 +70,31 @@ func (ScanMsg) isMessage() {}
 // Busy converts the scan into a busy NAK.
 //
 //ucclint:sheddable -- scans are idempotent reads; the client retries from scratch
-func (m ScanMsg) Busy() Message { return BusyMsg{} }
+func (m ScanMsg) Busy(int) Message { return BusyMsg{} }
 
 // notAMessage has a Busy method but does not implement Message, so the
 // analyzer ignores it.
 type notAMessage struct{}
 
-func (n notAMessage) Busy() Message { return BusyMsg{} }
+func (n notAMessage) Busy(int) Message { return BusyMsg{} }
+
+// RequestBatchMsg is an opener carrying several copies; it needs (and has)
+// the marker like any new opener.
+type RequestBatchMsg struct{ Members []RequestMsg }
+
+func (RequestBatchMsg) isMessage() {}
+
+func (m RequestBatchMsg) Copies() int { return len(m.Members) }
+
+// Busy NAKs member i.
+//
+//ucclint:sheddable -- each member NAKs as its own request would
+func (m RequestBatchMsg) Busy(i int) Message { return BusyMsg{} }
+
+// ReleaseBatchMsg is a batch of completers: batching does not make a
+// release sheddable.
+type ReleaseBatchMsg struct{ Members []ReleaseMsg }
+
+func (ReleaseBatchMsg) isMessage() {}
+
+func (m ReleaseBatchMsg) Busy(i int) Message { return BusyMsg{} } // want `completion traffic`

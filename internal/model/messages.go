@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Message is the marker interface for everything exchanged between actors.
 // All concrete messages are plain-data structs so the same protocol runs
@@ -39,6 +42,100 @@ type RequestMsg struct {
 	// A queue manager that no longer owns the copy (or never did) answers
 	// with WrongEpochMsg carrying its current map instead of processing.
 	Epoch uint64
+}
+
+// RequestBatchMsg carries one attempt's requests for every copy it needs at
+// one queue-manager mailbox (site, shard): the issuer groups an attempt's
+// per-copy requests by destination and sends each group as one message, so
+// the envelope and the fields the copies share travel once. A batch is its
+// members — the queue manager handles member i exactly as Request(i), copy
+// by copy — and a batch of one encodes to the very bytes of the RequestMsg
+// it stands for, so the size of a group never forks a send path.
+type RequestBatchMsg struct {
+	Txn      TxnID
+	Attempt  Attempt
+	Protocol Protocol
+	TS       Timestamp
+	Interval Timestamp
+	// Site is the issuing user site (see RequestMsg.Site).
+	Site  SiteID
+	Epoch uint64
+	// CopySite is the site every member's copy lives at: the destination.
+	CopySite SiteID
+	// Members lists the copies in item order.
+	Members []RequestMember
+}
+
+// RequestMember is one copy's part of a RequestBatchMsg.
+type RequestMember struct {
+	Item ItemID
+	Kind OpKind
+}
+
+// Request returns member i as the RequestMsg it stands for.
+func (m RequestBatchMsg) Request(i int) RequestMsg {
+	return RequestMsg{
+		Txn: m.Txn, Attempt: m.Attempt, Protocol: m.Protocol, Kind: m.Members[i].Kind,
+		Copy: CopyID{Item: m.Members[i].Item, Site: m.CopySite},
+		TS:   m.TS, Interval: m.Interval, Site: m.Site, Epoch: m.Epoch,
+	}
+}
+
+// ReleaseBatchMsg is the completer twin of RequestBatchMsg: one release round
+// (ReleaseMsg) for every copy the attempt holds at one queue-manager mailbox.
+// ToSemi and CommitMicros belong to the round, so they travel once; member i
+// is handled exactly as Release(i).
+type ReleaseBatchMsg struct {
+	Txn          TxnID
+	Attempt      Attempt
+	CopySite     SiteID
+	ToSemi       bool
+	CommitMicros int64
+	Members      []ReleaseMember
+}
+
+// ReleaseMember is one copy's part of a ReleaseBatchMsg.
+type ReleaseMember struct {
+	Item     ItemID
+	HasWrite bool
+	Value    int64
+}
+
+// Release returns member i as the ReleaseMsg it stands for.
+func (m ReleaseBatchMsg) Release(i int) ReleaseMsg {
+	return ReleaseMsg{
+		Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: m.Members[i].Item, Site: m.CopySite},
+		ToSemi: m.ToSemi, HasWrite: m.Members[i].HasWrite, Value: m.Members[i].Value,
+		CommitMicros: m.CommitMicros,
+	}
+}
+
+// Len, Item and Sub let a queue manager route a request or release batch by
+// its members' items: Len is the member count, Item(i) member i's item, and
+// Sub(lo, hi) members [lo, hi) as a batch of their own with its own copy of
+// them.
+func (m RequestBatchMsg) Len() int { return len(m.Members) }
+
+// Item returns member i's item (see Len).
+func (m RequestBatchMsg) Item(i int) ItemID { return m.Members[i].Item }
+
+// Sub returns members [lo, hi) as a batch of their own (see Len).
+func (m RequestBatchMsg) Sub(lo, hi int) Message {
+	m.Members = slices.Clone(m.Members[lo:hi])
+	return m
+}
+
+// Len returns the member count (see RequestBatchMsg.Len).
+func (m ReleaseBatchMsg) Len() int { return len(m.Members) }
+
+// Item returns member i's item (see RequestBatchMsg.Len).
+func (m ReleaseBatchMsg) Item(i int) ItemID { return m.Members[i].Item }
+
+// Sub returns members [lo, hi) as a batch of their own (see
+// RequestBatchMsg.Len).
+func (m ReleaseBatchMsg) Sub(lo, hi int) Message {
+	m.Members = slices.Clone(m.Members[lo:hi])
+	return m
 }
 
 // FinalTSMsg is PA step 1(e): after collecting back-offs the RI broadcasts
@@ -123,6 +220,40 @@ type GrantMsg struct {
 	CommitMicros int64
 }
 
+// GrantBatchMsg answers a RequestBatchMsg: the grants the batch's own attempt
+// earned while the queue manager handled it, one GrantMsg per member
+// (Grant(i)), sent together when the handler ends. Any other reply the
+// handler owes the same issuer first sends the grants held so far, so the
+// issuer sees one mailbox's replies in the order they were produced. The
+// issuer applies every member, then advances the attempt once.
+type GrantBatchMsg struct {
+	Txn      TxnID
+	Attempt  Attempt
+	CopySite SiteID
+	Members  []GrantMember
+}
+
+// GrantMember is one copy's part of a GrantBatchMsg (see GrantMsg).
+type GrantMember struct {
+	Item         ItemID
+	Lock         LockKind
+	PreScheduled bool
+	TS           Timestamp
+	Value        int64
+	Version      uint64
+	CommitMicros int64
+}
+
+// Grant returns member i as the GrantMsg it stands for.
+func (m GrantBatchMsg) Grant(i int) GrantMsg {
+	g := m.Members[i]
+	return GrantMsg{
+		Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: g.Item, Site: m.CopySite},
+		Lock: g.Lock, PreScheduled: g.PreScheduled, TS: g.TS,
+		Value: g.Value, Version: g.Version, CommitMicros: g.CommitMicros,
+	}
+}
+
 // NormalGrantMsg tells the RI that a previously pre-scheduled lock has become
 // normal (§4.2 rule 2, case 5: "a normal lock grant will be issued").
 type NormalGrantMsg struct {
@@ -169,33 +300,58 @@ type BusyMsg struct {
 	Copy    CopyID
 }
 
-// Sheddable marks messages a saturated receiver may refuse with a BusyMsg
-// NAK instead of enqueueing. Only new-work openers implement it (RequestMsg,
-// SnapReadMsg): shedding one sheds a transaction attempt cleanly. Messages
-// that complete in-flight protocol work — releases, aborts, grants, final
-// timestamps — are never sheddable, because dropping one would strand locks
-// forever; bounded mailboxes therefore admit them even past the bound (the
-// bound is hard for openers, soft for completers, which is what makes the
-// policy deadlock-free).
+// Sheddable marks messages a saturated receiver may refuse with BusyMsg NAKs
+// instead of enqueueing. Only new-work openers implement it (RequestMsg,
+// RequestBatchMsg, SnapReadMsg): shedding one sheds a transaction attempt
+// cleanly. Messages that complete in-flight protocol work — releases (single
+// or batched), aborts, grants, final timestamps — are never sheddable,
+// because dropping one would strand locks forever; bounded mailboxes
+// therefore admit them even past the bound (the bound is hard for openers,
+// soft for completers, which is what makes the policy deadlock-free).
+//
+// Refusal is per copy: a refused message is answered with one BusyMsg for
+// every copy it carried — Busy(i) for i in [0, Copies()) — so a refused
+// batch NAKs each member exactly as its single requests would have been, and
+// the issuer's per-copy handling (quorum exclusion, the write-all abort, the
+// admission window's feedback) cannot tell the difference.
 type Sheddable interface {
 	Message
-	// Busy returns the NAK to deliver to the sender in place of processing.
-	Busy() Message
+	// Copies returns the number of copies the message opens work at.
+	Copies() int
+	// Busy returns the NAK for copy i to deliver to the sender in place of
+	// processing.
+	Busy(i int) Message
 }
+
+// Copies implements Sheddable: a request opens one copy.
+func (m RequestMsg) Copies() int { return 1 }
 
 // Busy implements Sheddable: a refused request NAKs with its identity so the
 // issuer can abort the attempt.
 //
 //ucclint:sheddable -- opener: the NAK aborts the whole attempt and the issuer re-requests; no protocol state is stranded
-func (m RequestMsg) Busy() Message {
+func (m RequestMsg) Busy(int) Message {
 	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
 }
+
+// Copies implements Sheddable: one NAK per member.
+func (m RequestBatchMsg) Copies() int { return len(m.Members) }
+
+// Busy implements Sheddable: member i NAKs as its own RequestMsg would.
+//
+//ucclint:sheddable -- opener: each member's NAK is the one its single RequestMsg would get; the issuer aborts (or, under quorum, excludes) per copy and re-requests, so no protocol state is stranded
+func (m RequestBatchMsg) Busy(i int) Message {
+	return m.Request(i).Busy(0)
+}
+
+// Copies implements Sheddable: a snapshot read opens one copy.
+func (m SnapReadMsg) Copies() int { return 1 }
 
 // Busy implements Sheddable for snapshot reads (the read-only fast path
 // sheds the whole transaction — it has no retry machinery by design).
 //
 //ucclint:sheddable -- opener: shedding fails the read-only transaction cleanly; it holds no locks or queue entries
-func (m SnapReadMsg) Busy() Message {
+func (m SnapReadMsg) Busy(int) Message {
 	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
 }
 
@@ -537,6 +693,9 @@ type TransferRecordsMsg struct {
 }
 
 func (RequestMsg) isMessage()         {}
+func (RequestBatchMsg) isMessage()    {}
+func (ReleaseBatchMsg) isMessage()    {}
+func (GrantBatchMsg) isMessage()      {}
 func (FinalTSMsg) isMessage()         {}
 func (SnapReadMsg) isMessage()        {}
 func (SnapReadReplyMsg) isMessage()   {}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -61,9 +62,15 @@ const (
 	TagTransferPull    WireTag = 32
 	TagTransferRecords WireTag = 33
 
+	// Batches of two or more copies (a batch of one travels under its single
+	// message's tag, see AppendMessage).
+	TagRequestBatch WireTag = 34
+	TagReleaseBatch WireTag = 35
+	TagGrantBatch   WireTag = 36
+
 	// TagLast is the highest assigned tag (corpus-coverage loops range over
 	// TagRequest..TagLast). Update when appending a tag.
-	TagLast = TagTransferRecords
+	TagLast = TagGrantBatch
 )
 
 // MessageTag returns the wire tag of a message; ok is false for message types
@@ -95,6 +102,9 @@ var ErrWireCorrupt = errors.New("model: wire payload corrupt")
 
 // ErrWireUnknownTag reports a message tag this build does not know.
 var ErrWireUnknownTag = errors.New("model: unknown wire message tag")
+
+// errEmptyBatch reports a batch with no members, which has no encoding.
+var errEmptyBatch = errors.New("model: batch has no members")
 
 // AppendUvarint appends v in unsigned LEB128.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -401,16 +411,39 @@ func appendItems(b []byte, items []ItemID) []byte {
 	return b
 }
 
-func (r *WireReader) items() []ItemID {
+// appendItems decodes a counted item list onto dst.
+func (r *WireReader) appendItems(dst []ItemID) []ItemID {
 	n := r.Count(1)
-	if r.err != nil || n == 0 {
-		return nil
+	for i := 0; i < n; i++ {
+		dst = append(dst, ItemID(r.Varint32()))
 	}
-	out := make([]ItemID, n)
-	for i := range out {
-		out[i] = ItemID(r.Varint32())
+	return dst
+}
+
+// itemSets decodes a transaction's read and write sets into one array. The
+// write set's count sits behind the read set's items, so a copy of the
+// reader looks ahead for it first. Each set is a capped sub-slice — an
+// append to one reallocates instead of writing into the other — and an
+// empty set decodes to nil, as it encodes from.
+func (r *WireReader) itemSets() (reads, writes []ItemID) {
+	ahead := *r
+	nr := ahead.Count(1)
+	for i := 0; i < nr; i++ {
+		ahead.Varint32()
 	}
-	return out
+	nw := ahead.Count(1)
+	if ahead.err != nil || nr+nw == 0 {
+		return r.appendItems(nil), r.appendItems(nil) // latches the same error, or two nil sets
+	}
+	items := r.appendItems(make([]ItemID, 0, nr+nw))
+	items = r.appendItems(items)
+	if nr > 0 {
+		reads = items[:nr:nr]
+	}
+	if nw > 0 {
+		writes = items[nr : nr+nw : nr+nw]
+	}
+	return reads, writes
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +530,171 @@ func decodeGrant(r *WireReader) (m GrantMsg) {
 	m.Value = r.Varint()
 	m.Version = r.Uvarint()
 	m.CommitMicros = r.Varint()
+	return m
+}
+
+// Batches. On the wire a batch carries at least two members: a batch of one
+// is encoded as the single message it stands for (appendTagged), so the
+// decoders reject smaller counts and every message keeps exactly one
+// encoding. The shared fields lead, in the order of the single message's.
+
+// batchCount decodes a batch's member count (at least two; see above).
+func (r *WireReader) batchCount(elemMin int) int {
+	n := r.Count(elemMin)
+	if r.err == nil && n < 2 {
+		r.fail(ErrWireCorrupt)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// appendTagged appends tag + body for a batch of two or more, and for a
+// batch of one the RequestMsg it stands for, tag and bytes.
+func (m RequestBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
+	switch len(m.Members) {
+	case 0:
+		return b, errEmptyBatch
+	case 1:
+		return m.Request(0).AppendWire(append(b, byte(TagRequest))), nil
+	}
+	return m.AppendWire(append(b, byte(tag))), nil
+}
+
+// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+func (m RequestBatchMsg) AppendWire(b []byte) []byte {
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	b = append(b, byte(m.Protocol))
+	b = AppendVarint(b, int64(m.TS))
+	b = AppendVarint(b, int64(m.Interval))
+	b = AppendVarint(b, int64(m.Site))
+	b = AppendUvarint(b, m.Epoch)
+	b = AppendUvarint(b, uint64(len(m.Members)))
+	for _, x := range m.Members {
+		b = AppendVarint(b, int64(x.Item))
+		b = append(b, byte(x.Kind))
+	}
+	return b
+}
+
+// decodeRequestBatch decodes a batch body, appending the members to
+// members[:0] (a pooled message's retained array, or nil).
+func decodeRequestBatch(r *WireReader, members []RequestMember) (m RequestBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	m.Protocol = Protocol(r.Byte())
+	m.TS = Timestamp(r.Varint())
+	m.Interval = Timestamp(r.Varint())
+	m.Site = SiteID(r.Varint32())
+	m.Epoch = r.Uvarint()
+	n := r.batchCount(2)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, RequestMember{Item: ItemID(r.Varint32()), Kind: OpKind(r.Byte())})
+	}
+	m.Members = members
+	return m
+}
+
+// appendTagged appends tag + body for a batch of two or more, and for a
+// batch of one the ReleaseMsg it stands for, tag and bytes.
+func (m ReleaseBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
+	switch len(m.Members) {
+	case 0:
+		return b, errEmptyBatch
+	case 1:
+		return m.Release(0).AppendWire(append(b, byte(TagRelease))), nil
+	}
+	return m.AppendWire(append(b, byte(tag))), nil
+}
+
+// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+func (m ReleaseBatchMsg) AppendWire(b []byte) []byte {
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	b = AppendWireBool(b, m.ToSemi)
+	b = AppendVarint(b, m.CommitMicros)
+	b = AppendUvarint(b, uint64(len(m.Members)))
+	for _, x := range m.Members {
+		b = AppendVarint(b, int64(x.Item))
+		b = AppendWireBool(b, x.HasWrite)
+		b = AppendVarint(b, x.Value)
+	}
+	return b
+}
+
+// decodeReleaseBatch decodes a batch body into members[:0] (see
+// decodeRequestBatch).
+func decodeReleaseBatch(r *WireReader, members []ReleaseMember) (m ReleaseBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	m.ToSemi = r.Bool()
+	m.CommitMicros = r.Varint()
+	n := r.batchCount(3)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, ReleaseMember{Item: ItemID(r.Varint32()), HasWrite: r.Bool(), Value: r.Varint()})
+	}
+	m.Members = members
+	return m
+}
+
+// appendTagged appends tag + body for a batch of two or more, and for a
+// batch of one the GrantMsg it stands for, tag and bytes.
+func (m GrantBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
+	switch len(m.Members) {
+	case 0:
+		return b, errEmptyBatch
+	case 1:
+		return m.Grant(0).AppendWire(append(b, byte(TagGrant))), nil
+	}
+	return m.AppendWire(append(b, byte(tag))), nil
+}
+
+// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+func (m GrantBatchMsg) AppendWire(b []byte) []byte {
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	b = AppendUvarint(b, uint64(len(m.Members)))
+	for _, x := range m.Members {
+		b = AppendVarint(b, int64(x.Item))
+		b = append(b, byte(x.Lock))
+		b = AppendWireBool(b, x.PreScheduled)
+		b = AppendVarint(b, int64(x.TS))
+		b = AppendVarint(b, x.Value)
+		b = AppendUvarint(b, x.Version)
+		b = AppendVarint(b, x.CommitMicros)
+	}
+	return b
+}
+
+// decodeGrantBatch decodes a batch body into members[:0] (see
+// decodeRequestBatch).
+func decodeGrantBatch(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	n := r.batchCount(7)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, GrantMember{
+			Item:         ItemID(r.Varint32()),
+			Lock:         LockKind(r.Byte()),
+			PreScheduled: r.Bool(),
+			TS:           Timestamp(r.Varint()),
+			Value:        r.Varint(),
+			Version:      r.Uvarint(),
+			CommitMicros: r.Varint(),
+		})
+	}
+	m.Members = members
 	return m
 }
 
@@ -682,8 +880,7 @@ func decodeTxn(r *WireReader) *Txn {
 	t := &Txn{}
 	t.ID = r.txnID()
 	t.Protocol = Protocol(r.Byte())
-	t.ReadSet = r.items()
-	t.WriteSet = r.items()
+	t.ReadSet, t.WriteSet = r.itemSets()
 	t.ComputeMicros = r.Varint()
 	t.Class = r.String()
 	n := r.Count(4)
@@ -1022,9 +1219,10 @@ func decodeTransferRecords(r *WireReader) (m TransferRecordsMsg) {
 // AppendMessage appends tag + body. This switch is the single source of the
 // type→tag mapping in the encode direction (MessageTag reads tags back out
 // of it); each arm pairs one tag constant with that type's AppendWire, so a
-// tag without an encoder cannot exist. Message types outside the wire
-// contract return an error (the transport NAKs, counts, and drops them
-// rather than wedging the writer).
+// tag without an encoder cannot exist. A batch arm names its batch tag, and
+// a batch of one leaves under its single message's tag instead. Message
+// types outside the wire contract, and empty batches, return an error (the
+// transport NAKs, counts, and drops them rather than wedging the writer).
 func AppendMessage(b []byte, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case RequestMsg:
@@ -1117,6 +1315,19 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		return v.AppendWire(append(b, byte(TagTransferPull))), nil
 	case TransferRecordsMsg:
 		return v.AppendWire(append(b, byte(TagTransferRecords))), nil
+	// Batches, value and pooled forms alike.
+	case RequestBatchMsg:
+		return v.appendTagged(b, TagRequestBatch)
+	case *RequestBatchMsg:
+		return v.appendTagged(b, TagRequestBatch)
+	case ReleaseBatchMsg:
+		return v.appendTagged(b, TagReleaseBatch)
+	case *ReleaseBatchMsg:
+		return v.appendTagged(b, TagReleaseBatch)
+	case GrantBatchMsg:
+		return v.appendTagged(b, TagGrantBatch)
+	case *GrantBatchMsg:
+		return v.appendTagged(b, TagGrantBatch)
 	default:
 		return b, fmt.Errorf("model: message %T has no wire encoder", m)
 	}
@@ -1195,6 +1406,12 @@ func DecodeMessage(tag WireTag, r *WireReader) (Message, error) {
 		m = decodeTransferPull(r)
 	case TagTransferRecords:
 		m = decodeTransferRecords(r)
+	case TagRequestBatch:
+		m = decodeRequestBatch(r, nil)
+	case TagReleaseBatch:
+		m = decodeReleaseBatch(r, nil)
+	case TagGrantBatch:
+		m = decodeGrantBatch(r, nil)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrWireUnknownTag, tag)
 	}

@@ -2,8 +2,11 @@ package model
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestWireReaderPrimitives: the error-latching reader must reject exactly
@@ -118,6 +121,9 @@ func TestMessageTagsStable(t *testing.T) {
 		31: MapUpdateMsg{},
 		32: TransferPullMsg{},
 		33: TransferRecordsMsg{},
+		34: RequestBatchMsg{Members: make([]RequestMember, 2)},
+		35: ReleaseBatchMsg{Members: make([]ReleaseMember, 2)},
+		36: GrantBatchMsg{Members: make([]GrantMember, 2)},
 	}
 	for tag, msg := range want {
 		got, ok := MessageTag(msg)
@@ -127,5 +133,166 @@ func TestMessageTagsStable(t *testing.T) {
 	}
 	if _, ok := MessageTag(nil); ok {
 		t.Error("nil message must have no tag")
+	}
+}
+
+// goldenBatches are one batch of each type with the bytes it must encode to
+// (tag included). A change to these bytes is a wire-contract break.
+var goldenBatches = []struct {
+	msg Message
+	hex string
+}{
+	{RequestBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, Protocol: PA, TS: 1000, Interval: 250, Site: 1, Epoch: 2, CopySite: 2,
+		Members: []RequestMember{{Item: 7, Kind: OpWrite}, {Item: 19, Kind: OpRead}}},
+		"22022a030402d00ff4030202020e012600"},
+	{ReleaseBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, ToSemi: true, CommitMicros: 5000,
+		Members: []ReleaseMember{{Item: 7, HasWrite: true, Value: -5}, {Item: 19}}},
+		"23022a030401904e020e0109260000"},
+	{GrantBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []GrantMember{
+		{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
+		{Item: 19, Lock: SRL, PreScheduled: true, TS: 1000, Value: 42, Version: 3, CommitMicros: 3000}}},
+		"24022a0304020e0100d00f0511c03e260201d00f5403f02e"},
+}
+
+// TestBatchGoldenBytes pins the batch encodings and their decode back.
+func TestBatchGoldenBytes(t *testing.T) {
+	for _, g := range goldenBatches {
+		b, err := AppendMessage(nil, g.msg)
+		if err != nil {
+			t.Fatalf("%T: %v", g.msg, err)
+		}
+		if got := hex.EncodeToString(b); got != g.hex {
+			t.Errorf("%T encodes to %s, want %s", g.msg, got, g.hex)
+		}
+		r := NewWireReader(b[1:])
+		back, err := DecodeMessage(WireTag(b[0]), &r)
+		if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(back, g.msg) {
+			t.Errorf("%T decodes to %+v (err %v, %d left), want %+v", g.msg, back, err, r.Remaining(), g.msg)
+		}
+	}
+}
+
+// TestBatchOfOneIsItsSingleMessage: a batch of one encodes to exactly the
+// bytes of the single message it stands for — so the issuer and the queue
+// manager need no send path that depends on group size — and an empty batch
+// has no encoding at all.
+func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
+	for _, g := range goldenBatches {
+		var one, single, empty Message
+		switch v := g.msg.(type) {
+		case RequestBatchMsg:
+			v.Members = v.Members[1:]
+			one, single = v, v.Request(0)
+			v.Members = nil
+			empty = v
+		case ReleaseBatchMsg:
+			v.Members = v.Members[1:]
+			one, single = v, v.Release(0)
+			v.Members = nil
+			empty = v
+		case GrantBatchMsg:
+			v.Members = v.Members[1:]
+			one, single = v, v.Grant(0)
+			v.Members = nil
+			empty = v
+		}
+		got, err := AppendMessage(nil, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := AppendMessage(nil, single)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%T of one encodes to %x, want its %T's %x", one, got, single, want)
+		}
+		if _, err := AppendMessage(nil, empty); err == nil {
+			t.Errorf("empty %T encoded", empty)
+		}
+	}
+}
+
+// TestBatchDecodeRejectsFewerThanTwo: a batch frame claiming zero or one
+// member is corrupt — the one-member form would be a second encoding of a
+// single message.
+func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
+	for _, g := range goldenBatches {
+		b, _ := AppendMessage(nil, g.msg)
+		for _, members := range []int{0, 1} {
+			var cut []byte
+			switch v := g.msg.(type) {
+			case RequestBatchMsg:
+				v.Members = v.Members[:members]
+				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
+			case ReleaseBatchMsg:
+				v.Members = v.Members[:members]
+				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
+			case GrantBatchMsg:
+				v.Members = v.Members[:members]
+				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
+			}
+			r := NewWireReader(cut[1:])
+			if _, err := DecodeMessage(WireTag(cut[0]), &r); !errors.Is(err, ErrWireCorrupt) {
+				t.Errorf("%T with %d members decoded: %v", g.msg, members, err)
+			}
+		}
+	}
+}
+
+// TestPooledBatchMembersAreBounded: a recycled batch keeps its members array
+// for reuse only up to maxPooledMembers, and the pooled constructors copy the
+// caller's members rather than adopting the slice.
+func TestPooledBatchMembersAreBounded(t *testing.T) {
+	if s := keptMembers(make([]GrantMember, 3, maxPooledMembers)); len(s) != 0 || cap(s) != maxPooledMembers {
+		t.Fatalf("kept %d/%d of a %d-cap array, want it emptied and kept", len(s), cap(s), maxPooledMembers)
+	}
+	if s := keptMembers(make([]GrantMember, 3, maxPooledMembers+1)); s != nil {
+		t.Fatalf("kept a %d-cap array past the bound", cap(s))
+	}
+	mine := []RequestMember{{Item: 1}, {Item: 2}}
+	p := PooledRequestBatch(RequestBatchMsg{Members: mine})
+	p.Members[0].Item = 9
+	if mine[0].Item != 1 {
+		t.Fatal("PooledRequestBatch adopted the caller's members slice")
+	}
+	RecycleMessage(p)
+}
+
+// TestDecodeTxnSharesOneItemArray: a decoded transaction's read and write
+// sets live in one array, capped so that appending to one cannot write into
+// the other, and empty sets decode to nil as they encode from.
+func TestDecodeTxnSharesOneItemArray(t *testing.T) {
+	in := NewTxn(TxnID{Site: 1, Seq: 2}, PA, []ItemID{1, 2, 3}, []ItemID{4, 5}, 10)
+	b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
+	r := NewWireReader(b[1:])
+	m, err := DecodeMessage(TagSubmitTxn, &r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := m.(SubmitTxnMsg).Txn
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	readEnd := unsafe.Add(unsafe.Pointer(unsafe.SliceData(out.ReadSet)), len(out.ReadSet)*int(unsafe.Sizeof(ItemID(0))))
+	if readEnd != unsafe.Pointer(unsafe.SliceData(out.WriteSet)) || cap(out.ReadSet) != len(out.ReadSet) {
+		t.Fatal("read and write sets are separate arrays")
+	}
+	out.ReadSet = append(out.ReadSet, 99)
+	if out.WriteSet[0] != 4 {
+		t.Fatal("appending to the read set overwrote the write set")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r := NewWireReader(b[1:])
+		DecodeMessage(TagSubmitTxn, &r)
+	})
+	if allocs > 3 { // the Txn, the item array, the boxed message
+		t.Fatalf("SubmitTxnMsg decode allocates %.0f times, want 3", allocs)
+	}
+	for _, sets := range [][2][]ItemID{{nil, {4}}, {{1}, nil}, {nil, nil}} {
+		in := &Txn{ID: TxnID{Site: 1, Seq: 3}, ReadSet: sets[0], WriteSet: sets[1]}
+		b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
+		r := NewWireReader(b[1:])
+		m, err := DecodeMessage(TagSubmitTxn, &r)
+		if err != nil || !reflect.DeepEqual(m.(SubmitTxnMsg).Txn, in) {
+			t.Fatalf("sets %v: decoded %+v (%v)", sets, m, err)
+		}
 	}
 }

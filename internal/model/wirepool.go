@@ -1,16 +1,21 @@
 package model
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Message struct pooling (opt-in).
 //
 // DecodeMessage returns value-typed messages; storing one in the Message
 // interface boxes it — one small heap allocation per message, the last
 // steady-state allocation on both the wire-v3 decode path and the in-process
-// send path. The eleven hot fixed-size protocol types therefore pool in both
-// directions: DecodeMessagePooled decodes into pooled structs returned as
-// pointers, the PooledRequest/PooledGrant/... constructors wrap a value into
-// a pooled pointer for sending, and RecycleMessage puts either back.
+// send path. The fourteen hot protocol types — eleven fixed-size messages
+// and the three batches (RequestBatch, ReleaseBatch, GrantBatch) — therefore
+// pool in both directions: DecodeMessagePooled decodes into pooled structs
+// returned as pointers, the PooledRequest/PooledGrant/... constructors wrap a
+// value into a pooled pointer for sending, and RecycleMessage puts either
+// back.
 //
 // The contract is strict and deliberately opt-in:
 //
@@ -34,7 +39,14 @@ import "sync"
 //   - Variable-size messages (slices, maps, strings: VictimMsg, WFGReport,
 //     SubmitTxn, QueueStats, Estimate, TxnDone, ...) are NOT pooled — their
 //     backing arrays would pin arbitrary memory in the pool. They fall back
-//     to the plain decoder and plain value sends.
+//     to the plain decoder and plain value sends. The batches are the
+//     bounded exception: a pooled batch keeps its members array across
+//     recycles (that reuse is what makes it allocation-free), but only up to
+//     maxPooledMembers — a larger array is dropped at recycle, so one
+//     pathological batch cannot pin its size in the pool. The PooledX batch
+//     constructors copy the members into the pooled message's own array, so
+//     the caller keeps the slice it built them in; UnpoolMessage copies them
+//     out again.
 //
 // AppendMessage accepts both forms (a pooled *RequestMsg encodes byte-for-
 // byte identically to the RequestMsg it holds), so round-trip paths —
@@ -53,11 +65,27 @@ var (
 	busyPool          = sync.Pool{New: func() any { return new(BusyMsg) }}
 	snapReadPool      = sync.Pool{New: func() any { return new(SnapReadMsg) }}
 	snapReadReplyPool = sync.Pool{New: func() any { return new(SnapReadReplyMsg) }}
+	requestBatchPool  = sync.Pool{New: func() any { return new(RequestBatchMsg) }}
+	releaseBatchPool  = sync.Pool{New: func() any { return new(ReleaseBatchMsg) }}
+	grantBatchPool    = sync.Pool{New: func() any { return new(GrantBatchMsg) }}
 )
 
+// maxPooledMembers caps the members array a recycled batch keeps: far above
+// any transaction's copies at one mailbox, far below a size worth pinning.
+const maxPooledMembers = 64
+
+// keptMembers is the members array a recycled batch keeps: s emptied, or
+// nothing when s grew past maxPooledMembers.
+func keptMembers[M any](s []M) []M {
+	if cap(s) > maxPooledMembers {
+		return nil
+	}
+	return s[:0]
+}
+
 // DecodeMessagePooled decodes the body for tag from r like DecodeMessage,
-// but returns the hot fixed-size protocol messages as pooled pointers
-// (*RequestMsg, *GrantMsg, ...). Pass every decoded message to
+// but returns the hot protocol messages as pooled pointers (*RequestMsg,
+// *GrantMsg, *RequestBatchMsg, ...). Pass every decoded message to
 // RecycleMessage when done with it; see the package comment above for the
 // lifetime contract. Tags outside the pooled set defer to DecodeMessage.
 func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
@@ -106,6 +134,18 @@ func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 	case TagSnapReadReply:
 		v := snapReadReplyPool.Get().(*SnapReadReplyMsg)
 		*v = decodeSnapReadReply(r)
+		m = v
+	case TagRequestBatch:
+		v := requestBatchPool.Get().(*RequestBatchMsg)
+		*v = decodeRequestBatch(r, v.Members)
+		m = v
+	case TagReleaseBatch:
+		v := releaseBatchPool.Get().(*ReleaseBatchMsg)
+		*v = decodeReleaseBatch(r, v.Members)
+		m = v
+	case TagGrantBatch:
+		v := grantBatchPool.Get().(*GrantBatchMsg)
+		*v = decodeGrantBatch(r, v.Members)
 		m = v
 	default:
 		return DecodeMessage(tag, r)
@@ -202,8 +242,41 @@ func PooledSnapReadReply(v SnapReadReplyMsg) *SnapReadReplyMsg {
 	return p
 }
 
+// PooledRequestBatch returns v as a pooled *RequestBatchMsg; the members are
+// copied into the pooled message's own array, so v.Members stays the
+// caller's.
+func PooledRequestBatch(v RequestBatchMsg) *RequestBatchMsg {
+	p := requestBatchPool.Get().(*RequestBatchMsg)
+	members := append(p.Members[:0], v.Members...)
+	*p = v
+	p.Members = members
+	return p
+}
+
+// PooledReleaseBatch returns v as a pooled *ReleaseBatchMsg (members copied,
+// see PooledRequestBatch).
+func PooledReleaseBatch(v ReleaseBatchMsg) *ReleaseBatchMsg {
+	p := releaseBatchPool.Get().(*ReleaseBatchMsg)
+	members := append(p.Members[:0], v.Members...)
+	*p = v
+	p.Members = members
+	return p
+}
+
+// PooledGrantBatch returns v as a pooled *GrantBatchMsg (members copied, see
+// PooledRequestBatch).
+func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg {
+	p := grantBatchPool.Get().(*GrantBatchMsg)
+	members := append(p.Members[:0], v.Members...)
+	*p = v
+	p.Members = members
+	return p
+}
+
 // UnpoolMessage returns a retention-safe form of m: pooled pointer types are
-// copied out to their value form, everything else passes through unchanged.
+// copied out to their value form — a batch with its own copy of the members,
+// since the pooled array is reused — and everything else passes through
+// unchanged.
 // It does NOT recycle m — at the points that need this (a handler deferring
 // a message past its own return), the delivery layer still owns the pointer
 // and recycles it when OnMessage returns; recycling here too would double-Put.
@@ -231,6 +304,18 @@ func UnpoolMessage(m Message) Message {
 		return *v
 	case *SnapReadReplyMsg:
 		return *v
+	case *RequestBatchMsg:
+		c := *v
+		c.Members = slices.Clone(v.Members)
+		return c
+	case *ReleaseBatchMsg:
+		c := *v
+		c.Members = slices.Clone(v.Members)
+		return c
+	case *GrantBatchMsg:
+		c := *v
+		c.Members = slices.Clone(v.Members)
+		return c
 	}
 	return m
 }
@@ -274,5 +359,14 @@ func RecycleMessage(m Message) {
 	case *SnapReadReplyMsg:
 		*v = SnapReadReplyMsg{}
 		snapReadReplyPool.Put(v)
+	case *RequestBatchMsg:
+		*v = RequestBatchMsg{Members: keptMembers(v.Members)}
+		requestBatchPool.Put(v)
+	case *ReleaseBatchMsg:
+		*v = ReleaseBatchMsg{Members: keptMembers(v.Members)}
+		releaseBatchPool.Put(v)
+	case *GrantBatchMsg:
+		*v = GrantBatchMsg{Members: keptMembers(v.Members)}
+		grantBatchPool.Put(v)
 	}
 }

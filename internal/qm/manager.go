@@ -352,6 +352,8 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case *model.RequestMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+	case model.RequestBatchMsg, *model.RequestBatchMsg, model.ReleaseBatchMsg, *model.ReleaseBatchMsg:
+		m.routeBatch(ctx, from, msg.(memberBatch))
 	case model.FinalTSMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case *model.FinalTSMsg:
@@ -403,6 +405,36 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		m.onStop()
 	default:
 		panic(fmt.Sprintf("qm: site %d: unexpected message %T", m.site, msg))
+	}
+}
+
+// memberBatch is a request or release batch as the manager routes it: by
+// its members' items (see model.RequestBatchMsg.Len).
+type memberBatch interface {
+	model.Message
+	Len() int
+	Item(i int) model.ItemID
+	Sub(lo, hi int) model.Message
+}
+
+// routeBatch hands a batch to the shards owning its members' items. The
+// issuer addresses one batch per shard mailbox, so the members normally share
+// a shard and the batch passes through whole; otherwise each run of
+// consecutive members that share a shard goes to it as a batch of its own,
+// in member order.
+func (m *Manager) routeBatch(ctx engine.Context, from engine.Addr, b memberBatch) {
+	for lo, n := 0, b.Len(); lo < n; {
+		sh := m.shardFor(b.Item(lo))
+		hi := lo + 1
+		for hi < n && m.shardFor(b.Item(hi)) == sh {
+			hi++
+		}
+		if lo == 0 && hi == n {
+			sh.onMessage(ctx, from, b)
+			return
+		}
+		sh.onMessage(ctx, from, b.Sub(lo, hi))
+		lo = hi
 	}
 }
 

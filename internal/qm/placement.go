@@ -85,7 +85,7 @@ func (sh *shard) wrongEpoch(ctx engine.Context, to model.SiteID, txn model.TxnID
 		// issuer only that the attempt must restart.
 		pm = &model.PartitionMap{}
 	}
-	ctx.Send(engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *pm})
+	sh.send(ctx, engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *pm})
 }
 
 // owns reports whether this site holds item under the installed map (legacy

@@ -48,11 +48,25 @@ type shard struct {
 
 	down     bool // site crashed: messages defer until recovery
 	deferred []pendingMsg
+
+	// gb holds the grants a request batch's own attempt earns while the
+	// shard handles the batch (onRequestBatch).
+	gb grantBatch
 }
 
 type unsyncedWrite struct {
 	copy model.CopyID
 	txn  model.TxnID
+}
+
+// grantBatch is the reply a request batch is building: its attempt's grants,
+// held until the batch handler ends. members is reused across batches.
+type grantBatch struct {
+	open    bool
+	to      engine.Addr
+	txn     model.TxnID
+	attempt model.Attempt
+	members []model.GrantMember
 }
 
 // onMessage handles one delivery for this shard. Crashed shards defer
@@ -87,6 +101,14 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 		sh.onRequest(ctx, v)
 	case *model.RequestMsg:
 		sh.onRequest(ctx, *v)
+	case model.RequestBatchMsg:
+		sh.onRequestBatch(ctx, &v)
+	case *model.RequestBatchMsg:
+		sh.onRequestBatch(ctx, v)
+	case model.ReleaseBatchMsg:
+		sh.onReleaseBatch(ctx, &v)
+	case *model.ReleaseBatchMsg:
+		sh.onReleaseBatch(ctx, v)
 	case model.FinalTSMsg:
 		sh.onFinalTS(ctx, v)
 	case *model.FinalTSMsg:
@@ -172,6 +194,66 @@ func (sh *shard) flush(ctx engine.Context) {
 	sh.snapWait = sh.snapWait[:0]
 }
 
+// onRequestBatch handles every member exactly as the RequestMsg it stands
+// for. The grants the batch's own attempt earns meanwhile are held and leave
+// as one GrantBatchMsg when the last member is done; any other reply to the
+// same issuer sends them first (send), so the issuer sees this shard's
+// replies in the order they were produced.
+func (sh *shard) onRequestBatch(ctx engine.Context, b *model.RequestBatchMsg) {
+	sh.gb = grantBatch{
+		open: true, to: engine.RIAddr(b.Site), txn: b.Txn, attempt: b.Attempt,
+		members: sh.gb.members,
+	}
+	for i := range b.Members {
+		sh.onRequest(ctx, b.Request(i))
+	}
+	sh.sendGrants(ctx)
+	sh.gb.open = false
+}
+
+// onReleaseBatch handles every member exactly as the ReleaseMsg it stands
+// for.
+func (sh *shard) onReleaseBatch(ctx engine.Context, b *model.ReleaseBatchMsg) {
+	for i := range b.Members {
+		sh.onRelease(ctx, b.Release(i))
+	}
+}
+
+// send delivers a reply. A reply to the issuer whose request batch is being
+// handled first sends the grants held for it, which keeps the shard's
+// replies to each issuer in the order they were produced.
+func (sh *shard) send(ctx engine.Context, to engine.Addr, msg model.Message) {
+	if to == sh.gb.to {
+		sh.sendGrants(ctx)
+	}
+	ctx.Send(to, msg)
+}
+
+// sendGrant delivers a grant, or holds it for the request batch being
+// handled when it answers that batch's own attempt.
+func (sh *shard) sendGrant(ctx engine.Context, to engine.Addr, g model.GrantMsg) {
+	if !sh.gb.open || to != sh.gb.to || g.Txn != sh.gb.txn || g.Attempt != sh.gb.attempt {
+		sh.send(ctx, to, model.PooledGrant(g))
+		return
+	}
+	sh.gb.members = append(sh.gb.members, model.GrantMember{
+		Item: g.Copy.Item, Lock: g.Lock, PreScheduled: g.PreScheduled, TS: g.TS,
+		Value: g.Value, Version: g.Version, CommitMicros: g.CommitMicros,
+	})
+}
+
+// sendGrants sends the grants held for the request batch being handled, if
+// any, as one GrantBatchMsg.
+func (sh *shard) sendGrants(ctx engine.Context) {
+	if len(sh.gb.members) == 0 {
+		return
+	}
+	ctx.Send(sh.gb.to, model.PooledGrantBatch(model.GrantBatchMsg{
+		Txn: sh.gb.txn, Attempt: sh.gb.attempt, CopySite: sh.m.site, Members: sh.gb.members,
+	}))
+	sh.gb.members = sh.gb.members[:0]
+}
+
 func (sh *shard) queue(item model.ItemID) *dataQueue {
 	q := sh.queues[item]
 	if q == nil {
@@ -194,7 +276,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// flight from the old owner. Busy is the right refusal — the routing
 		// was correct, the issuer just needs to retry under backoff.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
 	q := sh.queue(v.Copy.Item)
@@ -204,7 +286,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// aborts the attempt and restarts it under backoff — shedding load
 		// at the source instead of diverging here.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy,
 		}))
 		return
@@ -241,12 +323,12 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// Rejected requests are never inserted: the entry goes straight back.
 		recycleEntry(e)
 		sh.counters.Rejects++
-		ctx.Send(issuer, model.PooledReject(model.RejectMsg{
+		sh.send(ctx, issuer, model.PooledReject(model.RejectMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy, Threshold: out.threshold,
 		}))
 	case out.backedOff:
 		sh.counters.Backoffs++
-		ctx.Send(issuer, model.PooledBackoff(model.BackoffMsg{
+		sh.send(ctx, issuer, model.PooledBackoff(model.BackoffMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy, NewTS: out.newTS,
 		}))
 	}
@@ -321,7 +403,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		// initial copy, not the moved history — refuse rather than serve a
 		// stale snapshot.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
 	if q := sh.queues[v.Copy.Item]; q != nil && q.parked {
@@ -338,7 +420,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 	if sh.m.recorder != nil {
 		sh.m.recorder.ImplementedReadAt(model.CopyID{Item: v.Copy.Item, Site: sh.m.site}, v.Txn, ver.Version)
 	}
-	ctx.Send(engine.RIAddr(v.Site), model.PooledSnapReadReply(model.SnapReadReplyMsg{
+	sh.send(ctx, engine.RIAddr(v.Site), model.PooledSnapReadReply(model.SnapReadReplyMsg{
 		Txn:          v.Txn,
 		Attempt:      v.Attempt,
 		Copy:         v.Copy,
@@ -422,7 +504,7 @@ func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 			hd.readRecorded = true
 		}
 		ver := sh.m.store.Latest(q.copyID.Item)
-		ctx.Send(engine.RIAddr(hd.prec.Site), model.PooledGrant(model.GrantMsg{
+		sh.sendGrant(ctx, engine.RIAddr(hd.prec.Site), model.GrantMsg{
 			Txn:          hd.txn,
 			Attempt:      hd.attempt,
 			Copy:         q.copyID,
@@ -432,12 +514,12 @@ func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 			Value:        ver.Value,
 			Version:      ver.Version,
 			CommitMicros: ver.CommitMicros,
-		}))
+		})
 	}
 	for _, e := range q.promotable() {
 		e.normalSent = true
 		sh.counters.Promotions++
-		ctx.Send(engine.RIAddr(e.prec.Site), model.PooledNormalGrant(model.NormalGrantMsg{
+		sh.send(ctx, engine.RIAddr(e.prec.Site), model.PooledNormalGrant(model.NormalGrantMsg{
 			Txn: e.txn, Attempt: e.attempt, Copy: q.copyID,
 		}))
 	}

@@ -5,6 +5,20 @@
 // the PA negotiation of §3.4 — and drives the semi-lock release discipline
 // of §4.2 rule 3/4 for the unified system.
 //
+// The copy is the unit of concurrency control; the queue-manager mailbox
+// (site, shard) is the unit of transmission. An attempt opens with one
+// model.RequestBatchMsg per mailbox its copies route to, members in item
+// order, and releases with one model.ReleaseBatchMsg per mailbox — a batch
+// is its members, handled copy by copy at the queue manager, and a batch of
+// one travels as exactly the single message it stands for, so there is one
+// send path per protocol step. A model.GrantBatchMsg is applied member by
+// member and the attempt then advances once. Everything else stays per
+// copy: aborts (a withdrawn attempt, a quorum exclusion, a straggler outside
+// the commit quorum), PA's final timestamps, and refusals — a refused batch
+// is NAK'd member by member, so quorum exclusion, the write-all abort and
+// the admission feedback see exactly what they saw when every copy travelled
+// alone. TxnDoneMsg.Messages keeps counting per-copy protocol messages.
+//
 // Read-only snapshot transactions (model.ROSnapshot) run a fourth, trivial
 // lifecycle: scatter one SnapReadMsg per item at a snapshot timestamp a
 // configurable staleness margin in the past, gather the replies, compute,

@@ -98,7 +98,9 @@ const (
 
 // copyReq tracks one physical request of the active attempt.
 type copyReq struct {
-	copyID  model.CopyID
+	copyID model.CopyID
+	// to is the queue-manager mailbox serving the copy (qmAddr).
+	to      engine.Addr
 	kind    model.OpKind
 	granted bool
 	// normal is true once a normal (non-pre-scheduled) grant or a
@@ -274,8 +276,10 @@ type Issuer struct {
 	// every terminal transaction event (closed-loop pacing). Only set when
 	// a closed-loop driver is actually registered at this site.
 	notifyDriver bool
-	// finalTS remembers the committed timestamp of T/O and PA transactions
-	// (test oracle for the timestamp-order invariant).
+	// finalTS remembers the committed timestamp of T/O and PA transactions:
+	// the timestamp-order oracle of the history-checking tests, so it is kept
+	// only when a recorder is attached (a node runs without one and would
+	// otherwise grow it by one entry per commit forever).
 	finalTS map[model.TxnID]model.Timestamp
 
 	// adm is the admission controller (nil when Options.Admission is off).
@@ -285,6 +289,12 @@ type Issuer struct {
 	// guarded by mu like the rest of the issuer state.
 	gateNeeds map[model.ItemID]int
 	gateGot   map[model.ItemID]int
+	// mailboxScratch, reqMembers and relMembers are the reusable scratch of
+	// one protocol step's batches (mailboxes, sendRequests, releaseAll);
+	// guarded by mu.
+	mailboxScratch []engine.Addr
+	reqMembers     []model.RequestMember
+	relMembers     []model.ReleaseMember
 
 	// Stats (monotone counters).
 	submitted   uint64
@@ -480,6 +490,10 @@ func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		// Pooled pointer forms deref to stack copies: the pointer stays owned
 		// by the delivery layer, which recycles it after OnMessage returns.
 		ri.onGrant(ctx, *v)
+	case model.GrantBatchMsg:
+		ri.onGrantBatch(ctx, &v)
+	case *model.GrantBatchMsg:
+		ri.onGrantBatch(ctx, v)
 	case model.SnapReadReplyMsg:
 		ri.onSnapReply(ctx, v)
 	case *model.SnapReadReplyMsg:
@@ -698,6 +712,7 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 		c := model.CopyID{Item: item, Site: site}
 		r := acquireCopyReq()
 		r.copyID = c
+		r.to = ri.qmAddr(c)
 		r.kind = kind
 		// The attempt's bookkeeping is the pool lifetime: these two stores are
 		// the only references, both torn down through releaseAttempt.
@@ -712,19 +727,50 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 		}
 		return cmp.Compare(a.copyID.Site, b.copyID.Site)
 	})
-	for _, r := range s.order {
-		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledRequest(model.RequestMsg{
-			Txn:      t.ID,
+	ri.sendRequests(ctx, s)
+}
+
+// sendRequests opens the attempt with one RequestBatchMsg per queue-manager
+// mailbox, carrying that mailbox's copies in item order (s.order is sorted by
+// (item, site)). A mailbox with one copy gets a batch of one, which travels
+// as exactly the RequestMsg it stands for. s.messages counts copies, the
+// unit the per-transaction message tables report.
+func (ri *Issuer) sendRequests(ctx engine.Context, s *txnState) {
+	for _, to := range ri.mailboxes(s) {
+		members := ri.reqMembers[:0]
+		for _, r := range s.order {
+			if r.to == to {
+				members = append(members, model.RequestMember{Item: r.copyID.Item, Kind: r.kind})
+			}
+		}
+		ri.reqMembers = members
+		s.messages += int64(len(members))
+		ctx.Send(to, model.PooledRequestBatch(model.RequestBatchMsg{
+			Txn:      s.txn.ID,
 			Attempt:  s.attempt,
-			Protocol: t.Protocol,
-			Kind:     r.kind,
-			Copy:     r.copyID,
+			Protocol: s.txn.Protocol,
 			TS:       s.ts,
 			Interval: ri.opts.PAIntervalMicros,
 			Site:     ri.site,
 			Epoch:    ri.pmap.Epoch,
+			CopySite: to.ID,
+			Members:  members,
 		}))
 	}
+}
+
+// mailboxes lists the distinct queue-manager mailboxes the attempt's copies
+// route to, in order of first appearance in s.order. The slice is reused
+// scratch, valid until the next call.
+func (ri *Issuer) mailboxes(s *txnState) []engine.Addr {
+	out := ri.mailboxScratch[:0]
+	for _, r := range s.order {
+		if !slices.Contains(out, r.to) {
+			out = append(out, r.to)
+		}
+	}
+	ri.mailboxScratch = out
+	return out
 }
 
 // eachCopy calls f for every copy an attempt of t requests under the current
@@ -789,16 +835,39 @@ func (ri *Issuer) stateFor(id model.TxnID, attempt model.Attempt) *txnState {
 }
 
 func (ri *Issuer) onGrant(ctx engine.Context, v model.GrantMsg) {
-	s := ri.stateFor(v.Txn, v.Attempt)
+	if s := ri.stateFor(v.Txn, v.Attempt); s != nil && ri.applyGrant(ctx, s, v) {
+		ri.advance(ctx, s)
+	}
+}
+
+// onGrantBatch applies every member of a grant batch, then advances the
+// attempt once: the batch is its members, and the attempt's gates see them
+// together.
+func (ri *Issuer) onGrantBatch(ctx engine.Context, b *model.GrantBatchMsg) {
+	s := ri.stateFor(b.Txn, b.Attempt)
 	if s == nil {
 		return
 	}
+	applied := false
+	for i := range b.Members {
+		if ri.applyGrant(ctx, s, b.Grant(i)) {
+			applied = true
+		}
+	}
+	if applied {
+		ri.advance(ctx, s)
+	}
+}
+
+// applyGrant records one copy's grant on the live attempt s, reporting
+// whether it counted (stale, withdrawn and duplicate grants do not).
+func (ri *Issuer) applyGrant(ctx engine.Context, s *txnState, v model.GrantMsg) bool {
 	if s.txn.Protocol == model.PA && s.finalized && v.TS != s.expectTS {
-		return // stale provisional grant, revoked at the QM
+		return false // stale provisional grant, revoked at the QM
 	}
 	r := s.reqs[v.Copy]
 	if r == nil || r.excluded || (r.granted && r.normal) {
-		return
+		return false
 	}
 	if s.firstGrant == 0 {
 		s.firstGrant = ctx.NowMicros()
@@ -812,7 +881,7 @@ func (ri *Issuer) onGrant(ctx engine.Context, v model.GrantMsg) {
 	if v.PreScheduled {
 		s.preSchedAny = true
 	}
-	ri.advance(ctx, s)
+	return true
 }
 
 func (ri *Issuer) onNormalGrant(ctx engine.Context, v model.NormalGrantMsg) {
@@ -870,7 +939,7 @@ func (ri *Issuer) finalizePA(ctx engine.Context, s *txnState) {
 		r.granted = false
 		r.normal = false
 		r.preSched = false
-		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledFinalTS(model.FinalTSMsg{
+		ri.send(ctx, s, r.to, model.PooledFinalTS(model.FinalTSMsg{
 			Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID, TS: final,
 		}))
 	}
@@ -1114,7 +1183,7 @@ func (ri *Issuer) onMapUpdate(v model.MapUpdateMsg) {
 func (ri *Issuer) excludeCopy(ctx engine.Context, s *txnState, r *copyReq) {
 	r.excluded = true
 	ri.quorumExcluded++
-	ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledAbort(model.AbortMsg{
+	ri.send(ctx, s, r.to, model.PooledAbort(model.AbortMsg{
 		Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID,
 	}))
 }
@@ -1130,7 +1199,7 @@ func (ri *Issuer) abortAttempt(ctx engine.Context, s *txnState, skip model.CopyI
 		if r.copyID == skip {
 			continue
 		}
-		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledAbort(model.AbortMsg{
+		ri.send(ctx, s, r.to, model.PooledAbort(model.AbortMsg{
 			Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID,
 		}))
 	}
@@ -1271,7 +1340,8 @@ func (ri *Issuer) writeValue(s *txnState, item model.ItemID) int64 {
 	return pre(item) + 1
 }
 
-// releaseAll sends the write-phase releases. toSemi selects the semi-lock
+// releaseAll sends the write-phase releases, one ReleaseBatchMsg per
+// queue-manager mailbox (see sendRequests). toSemi selects the semi-lock
 // conversion round; the final round (toSemi=false) after a conversion does
 // not resend values (writes were implemented at conversion). Every release
 // of the round carries the same CommitMicros stamp — the transaction's
@@ -1279,34 +1349,46 @@ func (ri *Issuer) writeValue(s *txnState, item model.ItemID) int64 {
 func (ri *Issuer) releaseAll(ctx engine.Context, s *txnState, toSemi bool) {
 	converted := s.phase == phaseAwaitNormal || (s.txn.Protocol == model.TO && s.preSchedAny && !toSemi)
 	commit := ctx.NowMicros()
-	for _, r := range s.order {
-		if ri.opts.Quorum != nil {
-			if s.reqs[r.copyID] != r {
-				continue // superseded by the write request for the same copy
-			}
-			if r.excluded {
-				continue // already withdrawn from the quorum
-			}
-			if !r.granted {
-				// Outside the quorum that carried the commit: withdraw the
-				// pending request instead of releasing a grant that never
-				// came. The copy converges through log shipping, never
-				// through a write it did not accept.
-				ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledAbort(model.AbortMsg{
-					Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID,
-				}))
+	for _, to := range ri.mailboxes(s) {
+		members := ri.relMembers[:0]
+		for _, r := range s.order {
+			if r.to != to {
 				continue
 			}
+			if ri.opts.Quorum != nil {
+				if s.reqs[r.copyID] != r {
+					continue // superseded by the write request for the same copy
+				}
+				if r.excluded {
+					continue // already withdrawn from the quorum
+				}
+				if !r.granted {
+					// Outside the quorum that carried the commit: withdraw the
+					// pending request instead of releasing a grant that never
+					// came. The copy converges through log shipping, never
+					// through a write it did not accept.
+					ri.send(ctx, s, r.to, model.PooledAbort(model.AbortMsg{
+						Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID,
+					}))
+					continue
+				}
+			}
+			m := model.ReleaseMember{Item: r.copyID.Item}
+			if r.kind == model.OpWrite && !converted {
+				m.HasWrite = true
+				m.Value = ri.writeValue(s, r.copyID.Item)
+			}
+			members = append(members, m)
 		}
-		msg := model.ReleaseMsg{
-			Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID, ToSemi: toSemi,
-			CommitMicros: commit,
+		ri.relMembers = members
+		if len(members) == 0 {
+			continue
 		}
-		if r.kind == model.OpWrite && !converted {
-			msg.HasWrite = true
-			msg.Value = ri.writeValue(s, r.copyID.Item)
-		}
-		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledRelease(msg))
+		s.messages += int64(len(members))
+		ctx.Send(to, model.PooledReleaseBatch(model.ReleaseBatchMsg{
+			Txn: s.txn.ID, Attempt: s.attempt, CopySite: to.ID,
+			ToSemi: toSemi, CommitMicros: commit, Members: members,
+		}))
 	}
 }
 
@@ -1320,10 +1402,15 @@ func (ri *Issuer) markExecuted(ctx engine.Context, s *txnState) {
 	if ri.recorder != nil {
 		ri.recorder.Committed(s.txn.ID, s.txn.Protocol)
 	}
-	if s.txn.Protocol != model.TwoPL {
+	ri.recordFinalTS(s)
+	ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
+}
+
+// recordFinalTS feeds the timestamp-order oracle (see finalTS).
+func (ri *Issuer) recordFinalTS(s *txnState) {
+	if ri.recorder != nil && s.txn.Protocol != model.TwoPL {
 		ri.finalTS[s.txn.ID] = s.expectTS
 	}
-	ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
 }
 
 // finish completes a transaction whose releases have all been sent.
@@ -1337,9 +1424,7 @@ func (ri *Issuer) finish(ctx engine.Context, s *txnState) {
 		if ri.recorder != nil {
 			ri.recorder.Committed(s.txn.ID, s.txn.Protocol)
 		}
-		if s.txn.Protocol != model.TwoPL {
-			ri.finalTS[s.txn.ID] = s.expectTS
-		}
+		ri.recordFinalTS(s)
 		ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
 	}
 	delete(ri.active, s.txn.ID)

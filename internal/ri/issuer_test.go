@@ -10,10 +10,14 @@ import (
 	"ucc/internal/placement"
 )
 
-// fakeCtx captures sends and timers so tests can play the QM side.
+// fakeCtx captures sends and timers so tests can play the QM side. sent
+// holds one envelope per copy — a batch expanded into the messages it stands
+// for, which is what the take[M] matchers read — and wire one per envelope
+// actually sent.
 type fakeCtx struct {
 	now    int64
 	sent   []engine.Envelope
+	wire   []engine.Envelope
 	timers []engine.Envelope
 	delays []int64 // SetTimer delays, parallel to timers
 	rng    *rand.Rand
@@ -28,8 +32,35 @@ func (c *fakeCtx) Send(to engine.Addr, msg model.Message) {
 	// The fake context is its own delivery layer: capture a value copy so the
 	// take[M] matchers see value forms, and recycle the pooled pointer right
 	// away (ownership transfers at Send; the issuer never touches it again).
-	c.sent = append(c.sent, engine.Envelope{To: to, Msg: model.UnpoolMessage(msg)})
+	v := model.UnpoolMessage(msg)
+	c.wire = append(c.wire, engine.Envelope{To: to, Msg: v})
+	for _, m := range perCopy(v) {
+		c.sent = append(c.sent, engine.Envelope{To: to, Msg: m})
+	}
 	model.RecycleMessage(msg)
+}
+
+// perCopy expands a batch into the per-copy messages it stands for; any other
+// message stands for itself.
+func perCopy(m model.Message) []model.Message {
+	var out []model.Message
+	switch v := m.(type) {
+	case model.RequestBatchMsg:
+		for i := range v.Members {
+			out = append(out, v.Request(i))
+		}
+	case model.ReleaseBatchMsg:
+		for i := range v.Members {
+			out = append(out, v.Release(i))
+		}
+	case model.GrantBatchMsg:
+		for i := range v.Members {
+			out = append(out, v.Grant(i))
+		}
+	default:
+		out = append(out, m)
+	}
+	return out
 }
 func (c *fakeCtx) SetTimer(d int64, msg model.Message) {
 	c.timers = append(c.timers, engine.Envelope{To: c.Self(), Msg: msg})

@@ -43,7 +43,8 @@
 // fresh dial exactly once. A peer that cannot be dialed or fails the
 // handshake drops traffic (the protocol tolerates that as a crashed site),
 // but a dropped batch's sheddable envelopes are first NAK'd back to their
-// local senders so the issuing attempts abort instead of stranding; a
+// local senders so the issuing attempts abort instead of stranding (a
+// request batch NAKs every member, each with its own BusyMsg); a
 // bounced peer may see duplicates from the retried batch, which the
 // protocol's attempt tagging absorbs. Per-peer FIFO is preserved end to end:
 // one outbox, one writer, retry-before-next-batch.
@@ -51,7 +52,8 @@
 // Backpressure: each peer outbox can be bounded (Node.SetSendQueueCap).
 // When an enqueue would exceed the cap, the OLDEST queued sheddable
 // envelope (model.Sheddable — new-work openers) is dropped to make room,
-// and its BusyMsg NAK is injected back to the local sender — the same
+// and its BusyMsg NAKs — one per copy it carried — are injected back to the
+// local sender — the same
 // refusal a full engine mailbox delivers, so the issuer aborts the attempt
 // (freeing its requests at other sites) instead of waiting forever. Stale
 // requests are regenerated by issuer restarts anyway, and the newest

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,6 +10,10 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/placement"
+	"ucc/internal/qm"
+	"ucc/internal/ri"
+	"ucc/internal/storage"
 )
 
 // Message lifetime across the network plane: the node owns what the runtime
@@ -58,12 +63,38 @@ func (a *ackActor) OnMessage(engine.Context, engine.Addr, model.Message) {
 // (almost) nothing per message once the pools and the two outbox arrays are
 // warm. A count, not a time, so it gates on any runner.
 func TestStreamAllocsPerMessage(t *testing.T) {
+	streamAllocs(t, func(seq uint64) model.Message {
+		return model.PooledRequest(model.RequestMsg{
+			Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, Kind: model.OpWrite,
+			Copy: model.CopyID{Item: 7, Site: 1}, TS: model.Timestamp(seq), Interval: 250,
+		})
+	})
+}
+
+// TestBatchStreamAllocsPerMessage: the same for request batches, whose
+// members array travels with the pooled message in both directions — the
+// send-side constructor copies into the pooled array, the read loop decodes
+// into one — so a steady batch stream allocates (almost) nothing either.
+func TestBatchStreamAllocsPerMessage(t *testing.T) {
+	members := []model.RequestMember{{Item: 7, Kind: model.OpWrite}, {Item: 19}, {Item: 31, Kind: model.OpWrite}}
+	streamAllocs(t, func(seq uint64) model.Message {
+		return model.PooledRequestBatch(model.RequestBatchMsg{
+			Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, TS: model.Timestamp(seq), Interval: 250,
+			CopySite: 1, Members: members,
+		})
+	})
+}
+
+// streamAllocs streams msg(1), msg(2), ... from site0 to site1 and fails if
+// the steady state allocates half an object or more per message.
+func streamAllocs(t *testing.T, msg func(seq uint64) model.Message) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	p := newNodePair(t, siteAssign)
 
-	// A window of requests is in flight at a time, as an issuer's are: the
+	// A window of messages is in flight at a time, as an issuer's are: the
 	// stream is steady, not a backlog growing in the outbox.
 	const window, warm, measured = 32, 50, 500
 	recv := &ackActor{window: window, acks: make(chan struct{}, 1)}
@@ -74,10 +105,7 @@ func TestStreamAllocsPerMessage(t *testing.T) {
 		for w := 0; w < windows; w++ {
 			for i := 0; i < window; i++ {
 				seq++
-				p.rtA.Post(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: model.PooledRequest(model.RequestMsg{
-					Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, Kind: model.OpWrite,
-					Copy: model.CopyID{Item: 7, Site: 1}, TS: model.Timestamp(seq), Interval: 250,
-				})})
+				p.rtA.Post(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: msg(seq)})
 			}
 			select {
 			case <-recv.acks:
@@ -117,7 +145,7 @@ func checkNAKs(t *testing.T, naks []model.Message, sent int) map[uint64]bool {
 	t.Helper()
 	want := map[model.BusyMsg]bool{}
 	for i := 0; i < sent; i++ {
-		want[distinctRequest(i).Busy().(model.BusyMsg)] = true
+		want[distinctRequest(i).Busy(0).(model.BusyMsg)] = true
 	}
 	seen := map[uint64]bool{}
 	for i, m := range naks {
@@ -227,6 +255,120 @@ func TestDroppedPooledRequestsNAKIntact(t *testing.T) {
 	})
 }
 
+// distinctBatch is the i-th request batch of the batch drop tests: three
+// members, and every BusyMsg one of them draws differs from every other's.
+func distinctBatch(i int) model.RequestBatchMsg {
+	return model.RequestBatchMsg{
+		Txn:      model.TxnID{Site: 0, Seq: uint64(1000 + i)},
+		Attempt:  model.Attempt(1 + i%5),
+		CopySite: 1,
+		Members:  []model.RequestMember{{Item: model.ItemID(1 + 9*i)}, {Item: model.ItemID(2 + 9*i), Kind: model.OpWrite}, {Item: model.ItemID(3 + 9*i)}},
+	}
+}
+
+// checkBatchNAKs: the NAKs are exactly one BusyMsg per member of each of the
+// given batches, each carrying that member's own copy.
+func checkBatchNAKs(t *testing.T, naks []model.Message, batches []int) {
+	t.Helper()
+	want := map[model.BusyMsg]bool{}
+	for _, i := range batches {
+		b := distinctBatch(i)
+		for m := range b.Members {
+			want[b.Busy(m).(model.BusyMsg)] = true
+		}
+	}
+	if len(naks) != len(want) {
+		t.Fatalf("%d NAKs for %d members of %d dropped batches", len(naks), len(want), len(batches))
+	}
+	for i, m := range naks {
+		busy, ok := m.(model.BusyMsg)
+		if !ok || !want[busy] {
+			t.Fatalf("NAK %d = %+v answers no member that was dropped (or twice)", i, m)
+		}
+		delete(want, busy)
+	}
+}
+
+// TestDroppedBatchesNAKEveryMember: a request batch that leaves the outbox
+// without reaching the wire — dropped on an unreachable peer, or evicted at
+// the send-queue cap — is refused per copy: its sender gets one BusyMsg for
+// every member, exactly as if each copy had travelled alone.
+func TestDroppedBatchesNAKEveryMember(t *testing.T) {
+	send := func(n *Node, i int) {
+		n.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: model.PooledRequestBatch(distinctBatch(i))})
+	}
+
+	t.Run("unreachable peer", func(t *testing.T) {
+		rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+		defer rtA.Shutdown()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadAddr := ln.Addr().String()
+		ln.Close()
+		nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": deadAddr}, Assign: siteAssign})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nodeA.Close()
+
+		const total = 60
+		naks := &recorder{done: make(chan struct{}), want: 3 * total}
+		rtA.Register(engine.RIAddr(0), naks)
+		var sent []int
+		for i := 0; i < total; i++ {
+			send(nodeA, i)
+			sent = append(sent, i)
+		}
+		waitRecorder(t, naks, "a NAK for every member of every batch dropped on the dead peer")
+		time.Sleep(100 * time.Millisecond) // a duplicate NAK would trail in now
+		naks.mu.Lock()
+		defer naks.mu.Unlock()
+		checkBatchNAKs(t, naks.got, sent)
+	})
+
+	t.Run("cap eviction", func(t *testing.T) {
+		p := newNodePair(t, siteAssign)
+		rtA, rtB, nodeA := p.rtA, p.rtB, p.nodeA
+		const cap, total = 8, 40
+		nodeA.SetSendQueueCap(cap)
+		nodeA.batchDelay = 300 * time.Millisecond // the writer lingers while the burst overflows the outbox
+
+		naks := &recorder{done: make(chan struct{}), want: 3 * (total - cap - 1)}
+		rtA.Register(engine.RIAddr(0), naks)
+		recv := &recorder{done: make(chan struct{}), want: cap + 1}
+		rtB.Register(engine.QMAddr(1), recv)
+		send(nodeA, 0)
+		time.Sleep(50 * time.Millisecond) // the writer takes batch 0 and starts its linger
+		for i := 1; i < total; i++ {
+			send(nodeA, i)
+		}
+		waitRecorder(t, naks, "the eviction NAKs")
+		waitRecorder(t, recv, "the surviving batches")
+		time.Sleep(100 * time.Millisecond) // stragglers
+		naks.mu.Lock()
+		defer naks.mu.Unlock()
+		recv.mu.Lock()
+		defer recv.mu.Unlock()
+		delivered := map[int]bool{}
+		for _, m := range recv.got {
+			b, ok := m.(model.RequestBatchMsg)
+			if !ok || !reflect.DeepEqual(b, distinctBatch(int(b.Txn.Seq)-1000)) {
+				t.Fatalf("delivered %T %+v, not a batch that was sent", m, m)
+			}
+			delivered[int(b.Txn.Seq)-1000] = true
+		}
+		var evicted []int
+		for i := 0; i < total; i++ {
+			if !delivered[i] {
+				evicted = append(evicted, i)
+			}
+		}
+		checkBatchNAKs(t, naks.got, evicted)
+	})
+}
+
 // TestAssignConsultedOncePerAddress: Topology.Assign is static, so the node
 // asks it where a destination lives on the first send and never again,
 // however many envelopes follow; and a destination assigned to the node
@@ -274,5 +416,125 @@ func TestAssignConsultedOncePerAddress(t *testing.T) {
 	eventually(t, "the sender to count its batches", func() bool { return nodeA.Wire().Snapshot().MsgsOut >= 2*each })
 	if s := nodeA.Wire().Snapshot(); s.MsgsOut != 2*each {
 		t.Errorf("MsgsOut=%d: the local destination must not touch the wire (want %d)", s.MsgsOut, 2*each)
+	}
+}
+
+// doneLog keeps the TxnDoneMsgs a collector is sent.
+type doneLog struct {
+	mu    sync.Mutex
+	dones []model.TxnDoneMsg
+}
+
+func (d *doneLog) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
+	if v, ok := msg.(model.TxnDoneMsg); ok {
+		d.mu.Lock()
+		d.dones = append(d.dones, v)
+		d.mu.Unlock()
+	}
+}
+
+func (d *doneLog) count(o model.TxnOutcome) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, v := range d.dones {
+		if v.Outcome == o {
+			n++
+		}
+	}
+	return n
+}
+
+// heldQM is a queue manager that handles nothing until released.
+type heldQM struct {
+	*qm.Manager
+	release chan struct{}
+}
+
+func (h *heldQM) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+	<-h.release
+	h.Manager.OnMessage(ctx, from, msg)
+}
+
+// TestDeadPeerRefusesBatchPerCopy: a real issuer with sites 0 and 1 on its
+// own node and site 2 behind a dead peer. Its request batch to site 2 is
+// dropped whole by the transport, and the NAK of every member reaches the
+// issuer: under quorum (N3/W2) exactly those copies are excluded and the
+// attempt commits through sites 0 and 1; under write-all every attempt is
+// refused and restarts until MaxAttempts drops the transaction. No
+// transaction is left active.
+func TestDeadPeerRefusesBatchPerCopy(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+	for _, mode := range []string{"quorum", "write-all"} {
+		t.Run(mode, func(t *testing.T) {
+			rt := engine.NewRuntime(engine.FixedLatency{}, 1)
+			defer rt.Shutdown()
+			node, err := NewNode(rt, "site0", "", Topology{
+				Peers: map[string]string{"site2": deadAddr},
+				Assign: func(a engine.Addr) string {
+					if a.Kind == engine.KindQM && a.ID == 2 {
+						return "site2"
+					}
+					return "site0"
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			sites := []model.SiteID{0, 1, 2}
+			held := &heldQM{release: make(chan struct{})}
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(held.release) }) }
+			defer release() // before the runtime's Shutdown waits on site 1's goroutine
+			for _, s := range sites[:2] {
+				st := storage.NewStore(s)
+				for i := 0; i < 4; i++ {
+					st.Create(model.ItemID(i), 100)
+				}
+				m := qm.New(s, st, nil, qm.Options{})
+				if s == 1 {
+					held.Manager = m
+					rt.Register(engine.QMAddr(s), held)
+				} else {
+					rt.Register(engine.QMAddr(s), m)
+				}
+			}
+			opts := ri.Options{PAIntervalMicros: 10, RestartDelayMicros: 1000, MaxAttempts: 2}
+			if mode == "quorum" {
+				opts.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
+			}
+			iss := ri.New(0, placement.Build(placement.RoundRobin, 4, sites, 3), nil, opts, nil)
+			rt.Register(engine.RIAddr(0), iss)
+			log := &doneLog{}
+			rt.Register(engine.CollectorAddr(), log)
+
+			tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, nil, []model.ItemID{0, 1}, 0)
+			rt.Post(engine.Envelope{From: engine.DriverAddr(0), To: engine.RIAddr(0), Msg: model.SubmitTxnMsg{Txn: tx}})
+			// Site 1 answers only once both NAKs are in, so the quorum cannot
+			// close before the dead peer's refusal reaches the issuer.
+			eventually(t, "two busy NAKs", func() bool { return iss.Snapshot().BusyNAKs == 2 })
+			release()
+			eventually(t, "the transaction to finish", func() bool {
+				s := iss.Snapshot()
+				return s.Submitted == 1 && s.Active == 0
+			})
+			s := iss.Snapshot()
+			if mode == "quorum" {
+				if s.Committed != 1 || s.BusyNAKs != 2 || s.QuorumExcluded != 2 || log.count(model.OutcomeBusy) != 0 {
+					t.Fatalf("stats %+v: want a commit with site 2's 2 copies NAK'd and excluded, no restart", s)
+				}
+				return
+			}
+			if s.Committed != 0 || s.Dropped != 1 {
+				t.Fatalf("stats %+v: want the write-all transaction restarted and then dropped", s)
+			}
+			eventually(t, "both refused attempts to be reported", func() bool { return log.count(model.OutcomeBusy) == 2 })
+		})
 	}
 }

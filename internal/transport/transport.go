@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net"
 	"slices"
 	"strings"
@@ -408,8 +409,8 @@ func (ps *peerSender) enqueue(env engine.Envelope) {
 	n := ps.n
 	cap := int(n.sendQueueCap.Load())
 	ps.mu.Lock()
-	var evicted, nak engine.Envelope
-	haveNak := false
+	var evicted engine.Envelope
+	haveEvicted := false
 	if !ps.closed {
 		if cap > 0 && len(ps.queue) >= cap {
 			// Evict the oldest SHEDDABLE envelope (in place, so the backing
@@ -419,9 +420,9 @@ func (ps *peerSender) enqueue(env engine.Envelope) {
 			// instead — the bound is hard for openers, soft for completion
 			// traffic whose loss would wedge the protocol.
 			for i := ps.shedHint; i < len(ps.queue); i++ {
-				if b, ok := busyNAK(ps.queue[i]); ok {
-					evicted, nak = ps.queue[i], b
-					haveNak = true
+				if _, ok := ps.queue[i].Msg.(model.Sheddable); ok {
+					evicted = ps.queue[i]
+					haveEvicted = true
 					copy(ps.queue[i:], ps.queue[i+1:])
 					ps.queue = ps.queue[:len(ps.queue)-1]
 					n.droppedSends.Add(1)
@@ -441,15 +442,17 @@ func (ps *peerSender) enqueue(env engine.Envelope) {
 		ps.cond.Signal()
 	}
 	ps.mu.Unlock()
-	if haveNak {
+	if haveEvicted {
 		// NAK the evicted envelope back to its (local) sender, exactly as the
 		// engine NAKs a sheddable refused at a full mailbox (Runtime.nak):
 		// silence here would strand the issuer's attempt in negotiation
 		// forever — its already-admitted requests at other sites would hold
 		// queue entries with no wait-cycle for the deadlock detector to break.
-		// The BusyMsg is not itself sheddable, so Inject always delivers it.
-		//ucclint:allow postnotinject -- NAK to the evicted envelope's local sender: busyNAK only produces locally-addressed envelopes
-		n.rt.Inject(nak)
+		// A BusyMsg is not itself sheddable, so Inject always delivers it.
+		for nak := range busyNAKs(evicted) {
+			//ucclint:allow postnotinject -- NAK to the evicted envelope's local sender: busyNAKs only produces locally-addressed envelopes
+			n.rt.Inject(nak)
+		}
 		model.RecycleMessage(evicted.Msg)
 	}
 }
@@ -626,23 +629,30 @@ func (ps *peerSender) run() {
 // re-request supersedes the resident entry at the queue manager.
 func (n *Node) nakBatch(batch []engine.Envelope) {
 	for _, env := range batch {
-		if nak, ok := busyNAK(env); ok {
-			//ucclint:allow postnotinject -- NAK to the dead batch's local sender: busyNAK only produces locally-addressed envelopes
+		for nak := range busyNAKs(env) {
+			//ucclint:allow postnotinject -- NAK to the dead batch's local sender: busyNAKs only produces locally-addressed envelopes
 			n.rt.Inject(nak)
 		}
 	}
 }
 
-// busyNAK inverts a sheddable envelope into its BusyMsg NAK toward the
-// sender (the same inversion engine.Runtime.nak performs for a refused
-// mailbox push); ok is false for non-sheddable messages, which have no Busy
-// form and are never refused.
-func busyNAK(env engine.Envelope) (engine.Envelope, bool) {
-	sh, ok := env.Msg.(model.Sheddable)
-	if !ok {
-		return engine.Envelope{}, false
+// busyNAKs inverts a sheddable envelope into its BusyMsg NAKs toward the
+// sender, one per copy it carried — every member of a request batch — the
+// same inversion engine.Runtime.nak performs for a refused mailbox push.
+// Non-sheddable messages yield nothing: they have no Busy form and are never
+// refused.
+func busyNAKs(env engine.Envelope) iter.Seq[engine.Envelope] {
+	return func(yield func(engine.Envelope) bool) {
+		sh, ok := env.Msg.(model.Sheddable)
+		if !ok {
+			return
+		}
+		for i := range sh.Copies() {
+			if !yield(engine.Envelope{From: env.To, To: env.From, Msg: sh.Busy(i)}) {
+				return
+			}
+		}
 	}
-	return engine.Envelope{From: env.To, To: env.From, Msg: sh.Busy()}, true
 }
 
 // writeBatch encodes one batch through the connection's frame writer and
@@ -677,8 +687,8 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 				// silence would strand the issuer's attempt in negotiation
 				// forever.
 				ps.n.droppedSends.Add(1)
-				if nak, ok := busyNAK(env); ok {
-					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAK only produces locally-addressed envelopes
+				for nak := range busyNAKs(env) {
+					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAKs only produces locally-addressed envelopes
 					ps.n.rt.Inject(nak)
 				}
 				model.RecycleMessage(env.Msg)

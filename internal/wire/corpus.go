@@ -43,6 +43,18 @@ func Corpus() []engine.Envelope {
 	add(qm, ri, 1, model.BusyMsg{Txn: txn, Attempt: 4, Copy: cp})
 	add(det, ri, 1, model.VictimMsg{Txn: txn, Attempt: 2, Cycle: []model.TxnID{{Site: 1, Seq: 42}, {Site: 2, Seq: 7}, {Site: 3, Seq: 9}}})
 
+	// The same cycle for an attempt with two copies at one mailbox: one
+	// envelope per destination per protocol step (a batch of one travels as
+	// the single message above).
+	add(ri, qm, 3, model.RequestBatchMsg{Txn: txn, Attempt: 3, Protocol: model.PA, TS: 123456789, Interval: 250, Site: 1, CopySite: 2,
+		Members: []model.RequestMember{{Item: 7, Kind: model.OpWrite}, {Item: 19, Kind: model.OpRead}}})
+	add(qm, ri, 3, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
+		{Item: 7, Lock: model.WL, TS: 123456789, Value: -987654321, Version: 17, CommitMicros: 1 << 38},
+		{Item: 19, Lock: model.RL, TS: 123456789, Value: 42, Version: 3, CommitMicros: 1 << 37},
+	}})
+	add(ri, qm, 3, model.ReleaseBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, CommitMicros: 1 << 40,
+		Members: []model.ReleaseMember{{Item: 7, HasWrite: true, Value: 5}, {Item: 19}}})
+
 	// Detection + control planes (rarer, bigger).
 	add(qm, det, 1, model.WFGReportMsg{From: 2, Round: 5, Edges: []model.WaitEdge{
 		{Waiter: txn, Holder: model.TxnID{Site: 2, Seq: 7}, Waiter2PL: true, Holder2PL: false, WaiterSite: 1, WaiterSeq: 3, Copy: cp, WaiterIssuer: 1},

@@ -50,12 +50,15 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// eleven fixed-size protocol types and nothing else. A variable-size type
-// showing up as a pointer here means someone pooled a message whose slices
-// or maps would pin memory; a hot type showing up as a value means the pool
-// silently stopped covering it.
+// eleven fixed-size protocol types, the three bounded batches, and nothing
+// else. Any other variable-size type showing up as a pointer here means
+// someone pooled a message whose slices or maps would pin memory; a hot type
+// showing up as a value means the pool silently stopped covering it.
 func TestPooledTypesAreHotSet(t *testing.T) {
 	pooled := map[reflect.Type]bool{
+		reflect.TypeOf(model.RequestBatchMsg{}):  true,
+		reflect.TypeOf(model.ReleaseBatchMsg{}):  true,
+		reflect.TypeOf(model.GrantBatchMsg{}):    true,
 		reflect.TypeOf(model.RequestMsg{}):       true,
 		reflect.TypeOf(model.FinalTSMsg{}):       true,
 		reflect.TypeOf(model.ReleaseMsg{}):       true,
@@ -136,6 +139,39 @@ func TestPoolReuseSafety(t *testing.T) {
 	model.RecycleMessage(model.RequestMsg{})
 	model.RecycleMessage(model.VictimMsg{Txn: full.Txn})
 	model.RecycleMessage(nil)
+}
+
+// TestPooledBatchReuse: a recycled batch hands its members array to the next
+// decode without leaking the previous message's members into it, and a batch
+// copied out with UnpoolMessage owns its members — the reuse cannot rewrite
+// it.
+func TestPooledBatchReuse(t *testing.T) {
+	three := model.RequestBatchMsg{Txn: model.TxnID{Site: 3, Seq: 99}, Attempt: 7, Protocol: model.TO, TS: 1 << 40, Site: 3, CopySite: 2,
+		Members: []model.RequestMember{{Item: 1, Kind: model.OpWrite}, {Item: 2}, {Item: 3, Kind: model.OpWrite}}}
+	two := model.RequestBatchMsg{Txn: model.TxnID{Site: 1, Seq: 1}, CopySite: 2,
+		Members: []model.RequestMember{{Item: 4}, {Item: 5}}}
+	decode := func(m model.RequestBatchMsg) *model.RequestBatchMsg {
+		payload, err := AppendEnvelope(nil, corpusEnvelopeWith(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := DecodeEnvelopePooled(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Msg.(*model.RequestBatchMsg)
+	}
+	p1 := decode(three)
+	kept := model.UnpoolMessage(p1)
+	model.RecycleMessage(p1)
+	p2 := decode(two)
+	if !reflect.DeepEqual(*p2, two) {
+		t.Fatalf("decode after recycle: got %+v, want %+v", *p2, two)
+	}
+	model.RecycleMessage(p2)
+	if !reflect.DeepEqual(kept, three) {
+		t.Fatalf("unpooled copy changed under the pool's reuse: got %+v, want %+v", kept, three)
+	}
 }
 
 // TestPooledDecodeErrorRecycles: a truncated payload must error on the pooled
