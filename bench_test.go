@@ -41,10 +41,8 @@ func BenchmarkExp5UnifiedMixed(b *testing.B)       { benchExperiment(b, "EXP-5")
 func BenchmarkExp6DynamicSelection(b *testing.B)   { benchExperiment(b, "EXP-6") }
 func BenchmarkExp7STLEvaluation(b *testing.B)      { benchExperiment(b, "EXP-7") }
 func BenchmarkExp8Scenarios(b *testing.B)          { benchExperiment(b, "EXP-8") }
-func BenchmarkExp9CrashRecovery(b *testing.B)      { benchExperiment(b, "EXP-9") }
 func BenchmarkExp10ReadPath(b *testing.B)          { benchExperiment(b, "EXP-10") }
 func BenchmarkExp11ShardScaling(b *testing.B)      { benchExperiment(b, "EXP-11") }
-func BenchmarkExp12Overload(b *testing.B)          { benchExperiment(b, "EXP-12") }
 func BenchmarkAbl1SemiLocks(b *testing.B)          { benchExperiment(b, "ABL-1") }
 func BenchmarkAbl2BackoffInterval(b *testing.B)    { benchExperiment(b, "ABL-2") }
 func BenchmarkAbl3DetectionPeriod(b *testing.B)    { benchExperiment(b, "ABL-3") }

@@ -7,7 +7,7 @@
 //
 //	uccscenario -list                 # list scenarios
 //	uccscenario -run flash-crowd      # run one scenario
-//	uccscenario -smoke                # run the CI smoke pair
+//	uccscenario -smoke                # run the CI smoke set (scenario.Smoke)
 //	uccscenario -all                  # run the whole library
 //	uccscenario -run diurnal -json    # emit the JSON run record on stdout
 //	uccscenario -all -out dir/        # also write one JSON record per run
@@ -32,7 +32,7 @@ func main() {
 		list   = flag.Bool("list", false, "list scenarios and exit")
 		run    = flag.String("run", "", "run a single scenario by name")
 		all    = flag.Bool("all", false, "run every scenario in the library")
-		smoke  = flag.Bool("smoke", false, "run the CI smoke pair (fault-free overload + crash-and-recover)")
+		smoke  = flag.Bool("smoke", false, "run the CI smoke set (overload, crash-and-recover, failover and rebalance scenarios)")
 		asJSON = flag.Bool("json", false, "emit JSON run records on stdout instead of console tables")
 		outDir = flag.String("out", "", "also write one <scenario>.json run record per scenario into this directory")
 		seed   = flag.Int64("seed", 0, "override the scenario seed (0 keeps each scenario's own)")
@@ -41,7 +41,7 @@ func main() {
 
 	if *list {
 		for _, s := range scenario.Library() {
-			fmt.Printf("%-16s %s\n", s.Name, s.Description)
+			fmt.Printf("%-24s %s\n", s.Name, s.Description)
 		}
 		return
 	}

@@ -313,20 +313,6 @@ func (s Summary) TotalCommitted() uint64 {
 	return n
 }
 
-// CommittedWithin counts commits whose system time was ≤ sloMicros across
-// all protocols (histogram-resolution approximate; an sloMicros exactly on
-// a log₂ bucket edge is counted exactly but excludes commits at precisely
-// that edge value — see Histogram.CountAtMost). Goodput under overload is
-// this divided by the arrival window: a commit that took seconds is not
-// good service, however eventually it drained.
-func (s Summary) CommittedWithin(sloMicros int64) uint64 {
-	var n uint64
-	for _, p := range s.Protocols {
-		n += p.SystemTimeH.CountAtMost(float64(sloMicros))
-	}
-	return n
-}
-
 // TotalShed sums admission-refused arrivals across protocols.
 func (s Summary) TotalShed() uint64 {
 	var n uint64

@@ -229,40 +229,6 @@ func TestFFormat(t *testing.T) {
 	}
 }
 
-// TestCountAtMostInterpolates: an SLO cut inside a log₂ bucket must count
-// only the fraction of that bucket below the cut, not the whole bucket —
-// a 400ms SLO must not admit 524ms commits (the bucket's upper edge) as
-// "within budget", which would inflate the EXP-12 goodput gate by ~31%
-// right at the boundary.
-func TestCountAtMostInterpolates(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Add(300_000) // bucket [262144, 524288)
-	}
-	if got := h.CountAtMost(524_288); got != 100 {
-		t.Fatalf("cut above the bucket: got %d, want all 100", got)
-	}
-	// 400ms is 52.6% of the way through [262144, 524288): the interpolated
-	// count is 53, where whole-bucket counting returned 100.
-	if got := h.CountAtMost(400_000); got != 53 {
-		t.Fatalf("cut at 400ms: got %d, want 53 (linear within the bucket)", got)
-	}
-	if got := h.CountAtMost(262_144); got != 0 {
-		t.Fatalf("cut at the bucket's lower edge: got %d, want 0", got)
-	}
-	if got := h.CountAtMost(-1); got != 0 {
-		t.Fatalf("negative cut: got %d, want 0", got)
-	}
-	// Bucket 0 spans [0,1): the cut interpolates there too.
-	var h0 Histogram
-	for i := 0; i < 10; i++ {
-		h0.Add(0.9)
-	}
-	if got := h0.CountAtMost(0.5); got != 5 {
-		t.Fatalf("bucket-0 cut at 0.5: got %d, want 5", got)
-	}
-}
-
 // TestWireCounters: the codec counters snapshot consistently and derive
 // bytes-per-message correctly (including the zero-traffic case).
 func TestWireCounters(t *testing.T) {

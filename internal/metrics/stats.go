@@ -138,40 +138,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// CountAtMost returns (approximately) how many samples were ≤ v: every
-// sample in a bucket whose upper edge is ≤ v, plus the fraction of the
-// bucket containing v below v (linear interpolation within the bucket,
-// assuming samples spread uniformly across it — the same resolution
-// compromise Quantile makes with its midpoint). Counting the containing
-// bucket whole would overshoot by up to one bucket width — e.g. an SLO of
-// 400ms would admit everything up to 524ms, a ~31% overhang. One
-// consequence of the continuous-uniform model: when v sits exactly on a
-// bucket edge (a power of two) the result is the exact count of samples
-// strictly below v — samples exactly equal to v landed in the bucket above
-// the cut and are excluded, so the edge behaves as "< v" rather than "≤ v"
-// for that measure-zero-under-the-model value. Used for SLO accounting —
-// "commits that finished within the latency budget".
-func (h *Histogram) CountAtMost(v float64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	top := bucketOf(v)
-	var n uint64
-	for b := 0; b < top; b++ {
-		n += h.buckets[b]
-	}
-	lo := 0.0
-	if top > 0 {
-		lo = math.Exp2(float64(top - 1))
-	}
-	hi := math.Exp2(float64(top))
-	frac := 1.0
-	if v < hi {
-		frac = (v - lo) / (hi - lo)
-	}
-	return n + uint64(float64(h.buckets[top])*frac+0.5)
-}
-
 // Quantile returns an approximate q-quantile (q in [0,1]) using the
 // geometric midpoint of the containing bucket.
 func (h *Histogram) Quantile(q float64) float64 {

@@ -314,7 +314,7 @@ func (m *Manager) DumpQueue(item model.ItemID) []string {
 
 // DepthHighWater returns the deepest any data queue at this site has ever
 // been. With MaxQueueDepth configured it never exceeds that bound — the
-// assertion EXP-12 makes after an overload run.
+// assertion the overload scenarios' DepthWithinCap check makes.
 func (m *Manager) DepthHighWater() int {
 	high := 0
 	for _, sh := range m.shards {

@@ -70,25 +70,36 @@ func P99Above(micros int64) Check {
 	}
 }
 
-// SLOGoodput asserts that of everything offered during the phase (committed
-// + shed + busy-NAK'd), at least minFrac committed within sloMicros — the
-// overload experiments' goodput measure (metrics.Summary.CommittedWithin)
-// as a checkpoint.
-func SLOGoodput(sloMicros int64, minFrac float64) Check {
+// RetainsRate asserts the phase's committed-per-second rate is at least
+// frac times that of the earlier phase named ref — the bounded-dip claim of
+// a failover, a rebalance, or an overload plateau, stated against the run's
+// own baseline rather than an absolute floor.
+func RetainsRate(ref string, frac float64) Check {
 	return Check{
-		Name: fmt.Sprintf("goodput(SLO %dms)>=%.0f%%", sloMicros/1000, minFrac*100),
+		Name: fmt.Sprintf("rate>=%.0f%%(%s)", frac*100, ref),
 		Eval: func(c *Ctx) error {
-			d, err := c.delta()
-			if err != nil {
-				return err
+			if c.Phase == nil {
+				return fmt.Errorf("phase check evaluated outside a phase")
 			}
-			offered := d.TotalCommitted() + d.TotalShed() + d.TotalBusy()
-			if offered == 0 {
-				return fmt.Errorf("nothing offered in phase")
+			var base *PhaseRecord
+			for i := range c.Run.Phases {
+				p := &c.Run.Phases[i]
+				if p == c.Phase {
+					break
+				}
+				if p.Name == ref {
+					base = p
+				}
 			}
-			good := d.CommittedWithin(sloMicros)
-			if frac := float64(good) / float64(offered); frac < minFrac {
-				return fmt.Errorf("goodput %d/%d = %.1f%% < %.1f%%", good, offered, frac*100, minFrac*100)
+			if base == nil {
+				return fmt.Errorf("no phase %q before phase %q to compare against", ref, c.Phase.Name)
+			}
+			want, got := commitRate(base), commitRate(c.Phase)
+			if want == 0 {
+				return fmt.Errorf("reference phase %q committed nothing", ref)
+			}
+			if got < frac*want {
+				return fmt.Errorf("phase %q %.1f/s < %.2f × phase %q %.1f/s", c.Phase.Name, got, frac, ref, want)
 			}
 			return nil
 		},
@@ -326,6 +337,11 @@ func OfferedAccounted() Check {
 			return nil
 		},
 	}
+}
+
+// commitRate is a phase's committed transactions per second of its duration.
+func commitRate(p *PhaseRecord) float64 {
+	return float64(p.Committed) / (float64(p.EndMicros-p.StartMicros) / 1e6)
 }
 
 // mergedLatency folds every protocol's per-phase system-time histogram into

@@ -23,11 +23,15 @@
 //
 // The library (Library) ships named scenarios modeled on standard shapes:
 // YCSB A/B/C, a TPC-C-like heterogeneous mix, a diurnal curve that crosses
-// the admission-control threshold twice, a flash-crowd hotspot spike, a
-// site crash in mid-spike with recovery, a slow-disk WAL window excursion,
-// an asymmetric degraded link, a quorum failover (N=3/W=2/R=2 loses a site
-// mid-run and keeps committing), and a replica catch-up grind (a long
-// outage under heavy writes that log shipping must converge). cmd/uccscenario
-// is the CLI (-list, -run <name>, -all, -json, -seed); Smoke returns the
-// fast trio CI runs on every PR.
+// the admission-control threshold twice, a flash-crowd hotspot spike, an
+// overload plateau (open-loop arrivals at 4x measured capacity keep 80% of
+// the at-capacity commit rate), a site crash in mid-spike with recovery, a
+// crash inside a group-commit window, a slow-disk WAL window excursion, an
+// asymmetric degraded link, a quorum failover (N=3/W=2/R=2 loses a site
+// mid-run and keeps 30% of the steady rate), a replica catch-up grind (a
+// long outage under heavy writes that log shipping must converge), and a
+// live rebalance (the hot set changes owner mid-run and keeps 50% of the
+// steady rate). RetainsRate states those dips against an earlier phase of
+// the same run. cmd/uccscenario is the CLI (-list, -run <name>, -smoke,
+// -all, -json, -out, -seed); Smoke returns the fast set CI runs on every PR.
 package scenario

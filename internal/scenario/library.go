@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ucc/internal/cluster"
+	"ucc/internal/deadlock"
 	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/ri"
@@ -29,6 +30,7 @@ func Library() []Scenario {
 		tpccMix(),
 		diurnal(),
 		flashCrowd(),
+		overload(),
 		crashMidSpike(),
 		crashInCommitWindow(),
 		slowDiskWAL(),
@@ -51,13 +53,13 @@ func ByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// Smoke returns the fast set CI runs on every PR: one fault-free overload
-// scenario, one write-all crash-and-recover scenario, one crash inside a
-// group-commit window, one quorum failover scenario, and one online-rebalance
-// scenario.
+// Smoke returns the fast set CI runs on every PR: two fault-free overload
+// scenarios (a hotspot spike and a 4x capacity plateau), one write-all
+// crash-and-recover scenario, one crash inside a group-commit window, one
+// quorum failover scenario, and one online-rebalance scenario.
 func Smoke() []Scenario {
 	var out []Scenario
-	for _, name := range []string{"flash-crowd", "crash-mid-spike", "crash-in-commit-window", "quorum-failover", "live-rebalance"} {
+	for _, name := range []string{"flash-crowd", "overload", "crash-mid-spike", "crash-in-commit-window", "quorum-failover", "live-rebalance"} {
 		sc, _ := ByName(name)
 		out = append(out, sc)
 	}
@@ -270,6 +272,58 @@ func flashCrowd() Scenario {
 	}
 }
 
+// overloadPerSite is the overload cluster's per-site capacity in commits per
+// second. Measured once with the scenario's cluster, latency model and
+// transaction shape under a closed loop of 16 in flight per site (seed 1,
+// 2s window): 683 commits/s across the four sites. A closed loop holds the
+// system at saturation without ever overcommitting it, so it measures the
+// plateau an open loop can offer multiples of.
+const overloadPerSite = 170
+
+// overload offers open-loop arrivals at the measured capacity, then at four
+// times it, to a cluster with bounded data queues and admission control. The
+// 4x phase must shed, keep every queue under its cap and the tail under
+// 2^19 µs, and still commit at least 80% of the at-capacity rate: goodput
+// plateaus instead of collapsing. flash-crowd cannot tell this story — its
+// 80/s token cap sheds before any data queue fills, so it never measures the
+// plateau against capacity.
+func overload() Scenario {
+	at := func(multiple float64) func(int) workload.Spec {
+		return flat(workload.Spec{
+			ArrivalPerSec: overloadPerSite * multiple, Items: 24, Size: 3, ReadFrac: 0.5,
+			SharePA: 1, ComputeMicros: 1_000,
+		})
+	}
+	cfg := cluster.Config{
+		Sites: 4, Items: 24, Seed: 1, Latency: baseLatency,
+		RI: ri.Options{
+			PAIntervalMicros:     2_000,
+			RestartDelayMicros:   5_000,
+			DefaultComputeMicros: 1_000,
+			Admission:            ri.AdmissionOptions{Enabled: true},
+		},
+		Detector: deadlock.Options{PeriodMicros: 50_000, PersistRounds: 2},
+	}
+	cfg.QM.MaxQueueDepth = 32
+	return Scenario{
+		Name:        "overload",
+		Description: "open-loop arrivals at 1x then 4x measured capacity against admission + bounded queues; goodput plateaus",
+		Cluster:     cfg,
+		Phases: []Phase{
+			{Name: "at-capacity", DurationMicros: 2_000_000, Workload: at(1)},
+			{Name: "4x", DurationMicros: 2_000_000, Workload: at(4), Checks: []Check{
+				ShedsSome(100),
+				DepthWithinCap(),
+				// 2^19 µs, a log₂ histogram bucket edge, ~25x the unloaded
+				// mean system time.
+				P99Below(524_288),
+				RetainsRate("at-capacity", 0.8),
+			}},
+		},
+		Final: []Check{Serializable(), NoUnfinished(), OfferedAccounted()},
+	}
+}
+
 // crashMidSpike crashes a replicated durable site in the middle of a load
 // spike and recovers it two virtual seconds later: the run must stay
 // serializable, drain clean, and end with every replica pair agreeing.
@@ -367,11 +421,11 @@ func crashInCommitWindow() Scenario {
 	}
 }
 
-// quorumFailover is the tentpole failover story as a declarative scenario: a
-// 3-site, 3-way-replicated quorum cluster (N=3, W=2, R=2) loses a site for a
-// full virtual second in the middle of steady load. The dead-site phase has
-// its own commit floor — the surviving pair forms every quorum, so the dip
-// must stay bounded, not stall — and the finals require serializability,
+// quorumFailover is the failover story as a declarative scenario: a 3-site,
+// 3-way-replicated quorum cluster (N=3, W=2, R=2) loses a site for two
+// virtual seconds in the middle of steady load. The surviving pair forms every
+// quorum, so the dead-site phase must keep at least 30% of the steady rate —
+// a bounded dip, not a stall — and the finals require serializability,
 // full replica convergence (the dead site catches up via WAL log shipping),
 // and the offered-load accounting identity.
 func quorumFailover() Scenario {
@@ -386,7 +440,7 @@ func quorumFailover() Scenario {
 	}
 	return Scenario{
 		Name:        "quorum-failover",
-		Description: "N=3/W=2/R=2 quorum loses a site for 1s mid-run; commits continue on the surviving pair, dead site converges via log shipping",
+		Description: "N=3/W=2/R=2 quorum loses a site for 2s mid-run; commits continue on the surviving pair, dead site converges via log shipping",
 		Cluster:     cfg,
 		// The settle window must cover several 150ms pull periods so the
 		// recovered site's final catch-up batches land before the checks.
@@ -399,6 +453,7 @@ func quorumFailover() Scenario {
 				CrashSite(1, 100_000),
 			}, Checks: []Check{
 				MinCommitted(60),
+				RetainsRate("steady", 0.3),
 			}},
 			{Name: "recovered", DurationMicros: 2_000_000, Workload: flat(spec), Faults: []Fault{
 				RecoverSite(1, 100_000),
@@ -416,11 +471,11 @@ func quorumFailover() Scenario {
 	}
 }
 
-// liveRebalance is the versioned-placement tentpole as a declarative
-// scenario: a replicated cluster under a hotspot workload moves a quarter of
-// its items — the entire hot set included — to one site in the middle of
-// steady load. Commits must keep flowing in the move phase (the refusal
-// window while the transferred state is in flight is the only allowed dip),
+// liveRebalance is online rebalancing as a declarative scenario: a
+// replicated cluster under a hotspot workload moves a quarter of its items —
+// the entire hot set included — to one site in the middle of steady load.
+// The move phase must keep at least half the steady rate (the refusal window
+// while the transferred state is in flight is the only allowed dip),
 // the post-move phase must recover, and the finals require serializability
 // (no transaction committed twice or half-applied across the flip) plus
 // replica agreement resolved against the FINAL map.
@@ -451,6 +506,7 @@ func liveRebalance() Scenario {
 				MoveItems(500_000, moved, 2),
 			}, Checks: []Check{
 				MinCommitted(60),
+				RetainsRate("steady", 0.5),
 			}},
 			{Name: "after", DurationMicros: 2_000_000, Workload: flat(spec), Checks: []Check{
 				MinCommitted(80),

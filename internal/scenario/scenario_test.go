@@ -34,9 +34,9 @@ func tiny() Scenario {
 	}
 }
 
-// TestLibraryShape pins the library contract the CLI and EXP-13 rely on:
-// at least six scenarios, unique names, each validating, each with final
-// checks, ByName round-trips, and the smoke pair is a subset of the library.
+// TestLibraryShape pins the library contract the CLI relies on: at least six
+// scenarios, unique names, each validating, each with final checks, ByName
+// round-trips, and the smoke set is a subset of the library.
 func TestLibraryShape(t *testing.T) {
 	lib := Library()
 	if len(lib) < 6 {
@@ -205,9 +205,9 @@ func TestRunValidationErrors(t *testing.T) {
 	}
 }
 
-// TestSmokeScenariosPass runs the CI smoke pair end to end — the same pair
-// the scenario-smoke CI job runs via cmd/uccscenario. Skipped in -short (the
-// crash scenario simulates ~17s of engine time).
+// TestSmokeScenariosPass runs the CI smoke set end to end — the same set
+// the scenario-smoke CI job runs via `uccscenario -smoke`. Skipped in -short
+// (the crash scenarios simulate ~17s of engine time).
 func TestSmokeScenariosPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke scenarios skipped in -short")
@@ -249,65 +249,170 @@ func TestFaultClamping(t *testing.T) {
 	}
 }
 
+// seeds is the battery the library scenarios must pass on, not just their
+// own default seed.
+var seeds = []int64{1, 2, 3, 7, 42, 1988}
+
+// runSeed runs one library scenario at one seed, fails the test on any
+// failed check, and returns the record for scenario-specific assertions.
+func runSeed(t *testing.T, name string, seed int64) *RunRecord {
+	t.Helper()
+	sc, ok := ByName(name)
+	if !ok {
+		t.Fatalf("scenario %q missing", name)
+	}
+	rec, err := Run(sc, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Passed {
+		t.Fatalf("%s seed %d failed:\n%s", name, seed, strings.Join(rec.Failures, "\n"))
+	}
+	return rec
+}
+
 // TestLiveRebalanceAcrossSeeds runs the online-rebalance scenario across the
-// seed battery: the move of the hot set must preserve serializability,
-// exactly-once commits, and final-map replica agreement under every arrival
-// pattern, not just the library default.
+// seed battery: the move of the hot set must keep half the steady rate and
+// preserve serializability, exactly-once commits, and final-map replica
+// agreement under every arrival pattern, and the transfer plane must
+// actually fill the gained copies.
 func TestLiveRebalanceAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")
 	}
-	sc, ok := ByName("live-rebalance")
-	if !ok {
-		t.Fatal("scenario live-rebalance missing")
-	}
-	for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
-		seed := seed
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rec, err := Run(sc, Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rec.Passed {
-				t.Fatalf("seed %d failed:\n%s", seed, strings.Join(rec.Failures, "\n"))
-			}
-			// The move must actually have exercised the placement plane.
-			var installs, moved uint64
+			rec := runSeed(t, "live-rebalance", seed)
+			var installs uint64
 			for _, p := range rec.Phases {
 				installs += p.QM.MapInstalls
 			}
-			moved = rec.Phases[1].QM.ItemsGained
 			if installs == 0 {
 				t.Error("no map installs recorded — the move fault never published")
 			}
-			_ = moved // gained may be 0 if dst already held every copy; installs is the hard signal
+			if rec.Phases[1].QM.TransferApplied == 0 {
+				t.Error("no transfer records applied in the move phase — the gained copies were never filled")
+			}
 		})
 	}
 }
 
 // TestQuorumScenariosAcrossSeeds runs the quorum scenarios across the seed
 // battery: the failover, catch-up and crash-inside-the-commit-window stories
-// must hold under every arrival pattern, not just the library default.
+// must hold under every arrival pattern, not just the library default, and
+// the failover's recovered site must catch up through log shipping.
 func TestQuorumScenariosAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")
 	}
 	for _, name := range []string{"quorum-failover", "replica-catchup", "crash-in-commit-window"} {
-		sc, ok := ByName(name)
-		if !ok {
-			t.Fatalf("scenario %q missing", name)
-		}
-		for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
-			sc, seed := sc, seed
+		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				rec, err := Run(sc, Options{Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rec.Passed {
-					t.Fatalf("seed %d failed:\n%s", seed, strings.Join(rec.Failures, "\n"))
+				rec := runSeed(t, name, seed)
+				if name == "quorum-failover" && rec.Phases[2].QM.ReplApplied == 0 {
+					t.Error("no shipped records applied in the recovered phase — the catch-up plane never ran")
 				}
 			})
 		}
+	}
+}
+
+// TestOverloadAcrossSeeds runs the overload scenario across the seed
+// battery: at 4x capacity every seed must shed, keep its queues capped and
+// its tail bounded, and hold 80% of the at-capacity commit rate.
+func TestOverloadAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seed sweep skipped in -short")
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runSeed(t, "overload", seed)
+		})
+	}
+}
+
+// TestRetainsRate: the check passes when the later phase keeps the
+// reference phase's rate, fails naming both phases and both rates when it
+// collapses to a tenth, and errors on a reference that is not an earlier
+// phase.
+func TestRetainsRate(t *testing.T) {
+	cases := []struct {
+		name    string
+		rate    float64 // second phase's per-site arrival rate
+		ref     string
+		wantErr string // "" = pass
+	}{
+		{"same rate", 40, "only", ""},
+		{"tenth of the rate", 4, "only", `phase "second"`},
+		{"unknown ref", 40, "nope", `no phase "nope"`},
+		{"ref is current phase", 40, "second", `no phase "second"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tiny()
+			sc.Phases[0].DurationMicros = 1_000_000
+			sc.Phases = append(sc.Phases, Phase{
+				Name:           "second",
+				DurationMicros: 1_000_000,
+				Workload: func(int) workload.Spec {
+					return workload.Spec{ArrivalPerSec: tc.rate, Items: 8, Size: 2, SharePA: 1, ComputeMicros: 500}
+				},
+				Checks: []Check{RetainsRate(tc.ref, 0.5)},
+			})
+			rec, err := Run(sc, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rec.Phases[1].Checks[0]
+			if tc.wantErr == "" {
+				if !got.Passed {
+					t.Fatalf("check failed: %s", got.Detail)
+				}
+				return
+			}
+			if got.Passed {
+				t.Fatal("check passed")
+			}
+			if !strings.Contains(got.Detail, tc.wantErr) {
+				t.Fatalf("detail %q does not contain %q", got.Detail, tc.wantErr)
+			}
+			if tc.ref == "only" && !strings.Contains(got.Detail, `phase "only"`) {
+				t.Fatalf("detail %q does not name the reference phase", got.Detail)
+			}
+		})
+	}
+}
+
+// TestRateGates pins each library rate gate to its phase and threshold: the
+// seed batteries prove the checks pass, this proves they are still there and
+// were not loosened.
+func TestRateGates(t *testing.T) {
+	for _, tc := range []struct {
+		scenario, phase, ref string
+		frac                 float64
+	}{
+		{"quorum-failover", "dead-site", "steady", 0.3},
+		{"live-rebalance", "move", "steady", 0.5},
+		{"overload", "4x", "at-capacity", 0.8},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			sc, ok := ByName(tc.scenario)
+			if !ok {
+				t.Fatalf("scenario %q missing", tc.scenario)
+			}
+			want := RetainsRate(tc.ref, tc.frac).Name
+			for _, p := range sc.Phases {
+				if p.Name != tc.phase {
+					continue
+				}
+				for _, c := range p.Checks {
+					if c.Name == want {
+						return
+					}
+				}
+				t.Fatalf("phase %q has no %s check", tc.phase, want)
+			}
+			t.Fatalf("scenario %q has no phase %q", tc.scenario, tc.phase)
+		})
 	}
 }

@@ -16,12 +16,8 @@
 //     difference between two configurations that both eventually finish.
 //
 // Scenarios name reusable workload shapes (OLTP, transfers, flash-sale,
-// mixed-analytics, read-heavy, hot-shard, overload) so experiments and CLIs
-// share definitions. HotShard is the adversarial one for the sharded queue
+// mixed-analytics, read-heavy, hot-shard) so experiments and CLIs share
+// definitions. HotShard is the adversarial one for the sharded queue
 // manager: every access lands on items hashing to a single shard, the
-// skew that sharding cannot fix. Overload is the adversarial one for the
-// backpressure stack: open-loop arrivals at a multiple of measured
-// capacity, where a closed loop would politely self-throttle but real
-// clients would not — the shape EXP-12 sweeps to show goodput plateauing
-// under admission control instead of diverging.
+// skew that sharding cannot fix.
 package workload

@@ -174,42 +174,10 @@ func HotShard(items int, rate float64, shards int) Scenario {
 	}
 }
 
-// Overload is the saturation shape for EXP-12: open-loop Poisson arrivals at
-// `multiple` times a measured per-site capacity, so the offered load exceeds
-// what the system can commit and something has to give. An open loop is the
-// point — a closed loop self-throttles at its concurrency and can never
-// offer more than the system absorbs, while real clients keep arriving
-// whether or not the system keeps up. Small update-heavy transactions: the
-// overload question is about queueing, not about any single hot item.
-func Overload(items int, capacityPerSite, multiple float64) Scenario {
-	if multiple <= 0 {
-		multiple = 1
-	}
-	if capacityPerSite <= 0 {
-		capacityPerSite = 1
-	}
-	return Scenario{
-		Name: "overload",
-		PerSite: func(int) Spec {
-			return Spec{
-				ArrivalPerSec: capacityPerSite * multiple,
-				Items:         items,
-				Size:          3,
-				ReadFrac:      0.5,
-				SharePA:       1,
-				ComputeMicros: 1_000,
-				Class:         "overload",
-			}
-		},
-	}
-}
-
 // Scenarios lists the named scenarios (CLI discovery). HotShard is
 // deliberately absent: its item set is a function of the cluster's actual
 // shard count, so callers must construct it with that count rather than
 // have a hardcoded split silently disagree with the cluster under test.
-// Overload is absent for the same reason: its rate is a multiple of a
-// capacity the caller must measure first.
 func Scenarios(items int, rate float64) []Scenario {
 	return []Scenario{
 		OLTP(items, rate),

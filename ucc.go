@@ -157,8 +157,8 @@ type Config struct {
 	// Admission enables per-site admission control: a token bucket plus an
 	// AIMD in-flight window gate every new-transaction start, shedding
 	// arrivals beyond capacity (reported per-protocol as Shed) so goodput
-	// plateaus near peak instead of latency and memory diverging. EXP-12
-	// measures the effect.
+	// plateaus near peak instead of latency and memory diverging. The
+	// overload scenario (`uccscenario -run overload`) measures the effect.
 	Admission bool
 	// AdmissionWindow is the initial in-flight window per site (default 64).
 	AdmissionWindow int
