@@ -178,6 +178,42 @@ func TestDrainModeStopsWhenIdle(t *testing.T) {
 	}
 }
 
+// TestPartialRoundBreaksLiveDeadlock: a site that never answers (crashed or
+// partitioned) must not freeze detection. Two of three sites report a 2PL
+// cycle across PersistRounds rounds while the third stays silent; each
+// round is analyzed at the next tick from the reports that did arrive, a
+// victim is chosen, and every round analyzed counts as partial.
+func TestPartialRoundBreaksLiveDeadlock(t *testing.T) {
+	const persist = 2
+	d := New([]model.SiteID{0, 1, 2}, Options{PeriodMicros: 1000, PersistRounds: persist})
+	ctx := &fakeCtx{rng: rand.New(rand.NewSource(1))}
+	var victims []model.VictimMsg
+	for tick := 0; tick <= persist; tick++ {
+		before := len(ctx.sent)
+		d.OnMessage(ctx, engine.DetectorAddr(), model.TickMsg{})
+		for _, e := range ctx.sent[before:] {
+			if v, ok := e.Msg.(model.VictimMsg); ok {
+				victims = append(victims, v)
+			}
+		}
+		if tick == persist {
+			break // this tick analyzed the last round; its own probes go unanswered
+		}
+		// Sites 0 and 1 each hold one edge of the cycle; site 2 is silent.
+		d.OnMessage(ctx, engine.QMAddr(0), model.WFGReportMsg{From: 0, Round: d.round, Edges: []model.WaitEdge{edge(1, 2, true, true)}})
+		d.OnMessage(ctx, engine.QMAddr(1), model.WFGReportMsg{From: 1, Round: d.round, Edges: []model.WaitEdge{edge(2, 1, true, true)}})
+		if len(d.expect) != 1 || !d.expect[2] {
+			t.Fatalf("round %d: waiting on %v, want only the silent site 2", d.round, d.expect)
+		}
+	}
+	if len(victims) != 1 || victims[0].Txn != tid(2) {
+		t.Fatalf("victims = %+v, want one: t1.2, the youngest 2PL member", victims)
+	}
+	if s := d.Snapshot(); s.PartialRounds != persist {
+		t.Fatalf("PartialRounds = %d, want %d (every analyzed round lacked site 2)", s.PartialRounds, persist)
+	}
+}
+
 func TestTarjanFindsNestedSCCs(t *testing.T) {
 	adj := map[model.TxnID]map[model.TxnID]bool{
 		tid(1): {tid(2): true},

@@ -2,11 +2,11 @@
 // (internal/model/wirepool.go and the per-package hot-path pools): a value
 // obtained from a pooled constructor — the decode side
 // (DecodeMessagePooled, DecodeEnvelopePooled, ReadEnvelopePooled), the send
-// side (model.PooledRequest and its thirteen siblings, the three batch
-// constructors among them), or a package-local acquire (qm's acquireEntry,
-// ri's acquireCopyReq) — is valid only until its recycle call
-// (RecycleMessage, recycleEntry, recycleCopyReq), and a
-// recycled value must never be touched again — the pool will hand the same
+// side (model.PooledRequest and its seventeen siblings: the three batch
+// constructors and the four send-only issuer types among them), or a
+// package-local acquire (qm's acquireEntry) — is valid only until its
+// recycle call (RecycleMessage, recycleEntry), and a recycled value must
+// never be touched again — the pool will hand the same
 // struct to a concurrent caller and the "retained" object silently mutates.
 //
 // The analyzer taints the results of the pooled constructors inside each
@@ -42,7 +42,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "poolsafe",
 	Doc: "values from pooled constructors (DecodeMessagePooled/DecodeEnvelopePooled, the send-side " +
-		"model.PooledX family, qm's acquireEntry, ri's acquireCopyReq) must not be retained past " +
+		"model.PooledX family, qm's acquireEntry) must not be retained past " +
 		"their recycle call (no stores through pointers/globals, channel sends, goroutine captures, " +
 		"or appends), and recycled values must not be re-read",
 	Run: run,
@@ -51,8 +51,8 @@ var Analyzer = &lint.Analyzer{
 // pooledConstructors names the taint sources; they must be declared in a
 // package whose import path ends in one of pooledPackages. The decode-side
 // trio returns wire-decoded pooled messages; the PooledX family is the
-// send-side boxing used on the transaction hot path; acquireEntry and
-// acquireCopyReq are the queue-table and attempt-state pools.
+// send-side boxing used on the transaction hot path; acquireEntry is the
+// queue-table pool.
 var pooledConstructors = map[string]bool{
 	"DecodeMessagePooled":  true,
 	"DecodeEnvelopePooled": true,
@@ -72,9 +72,12 @@ var pooledConstructors = map[string]bool{
 	"PooledRequestBatch":  true,
 	"PooledReleaseBatch":  true,
 	"PooledGrantBatch":    true,
+	"PooledComputeDone":   true,
+	"PooledRestart":       true,
+	"PooledTxnDone":       true,
+	"PooledTxnFinished":   true,
 
-	"acquireEntry":   true,
-	"acquireCopyReq": true,
+	"acquireEntry": true,
 }
 
 // recycleFuncs names the calls that return a pooled value to its pool; the
@@ -83,7 +86,6 @@ var pooledConstructors = map[string]bool{
 var recycleFuncs = map[string]bool{
 	"RecycleMessage": true,
 	"recycleEntry":   true,
-	"recycleCopyReq": true,
 }
 
 // pooledPackages are the import-path suffixes that may declare taint sources
@@ -92,7 +94,6 @@ var pooledPackages = []string{
 	"internal/model",
 	"internal/wire",
 	"internal/qm",
-	"internal/ri",
 }
 
 func inPooledPackage(path string) bool {
@@ -157,7 +158,7 @@ func (fn *funcState) isPooledCall(e ast.Expr) bool {
 }
 
 // isRecycleCall matches a recycle call (model.RecycleMessage, qm's
-// recycleEntry, ri's recycleCopyReq) and returns the recycled arg.
+// recycleEntry) and returns the recycled arg.
 func (fn *funcState) isRecycleCall(e ast.Expr) (ast.Expr, bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 1 {

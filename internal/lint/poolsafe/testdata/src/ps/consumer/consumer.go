@@ -160,3 +160,15 @@ func pooledBatchFieldEscape(s *sink) {
 	s.last = b // want `stored into s\.last`
 	model.RecycleMessage(b)
 }
+
+// --- send-only pooled constructors (the issuer's timers and reports) ---
+
+// okPooledReport boxes a completion report at the Send, the issuer's shape.
+func okPooledReport() {
+	send(1, model.PooledTxnDone(model.TxnDoneMsg{Outcome: 1}))
+}
+
+func pooledReportFieldEscape(s *sink) {
+	d := model.PooledTxnDone(model.TxnDoneMsg{})
+	s.last = d // want `stored into s\.last`
+}

@@ -40,3 +40,12 @@ func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg { return &v }
 
 // RecycleMessage mirrors the real pool return.
 func RecycleMessage(m Message) {}
+
+// TxnDoneMsg is a send-only pooled type: pooled when an issuer sends it,
+// decoded as a value.
+type TxnDoneMsg struct{ Outcome int }
+
+func (*TxnDoneMsg) isMessage() {}
+
+// PooledTxnDone mirrors the real send-only constructor.
+func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg { return &v }

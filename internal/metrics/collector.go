@@ -90,6 +90,9 @@ func (c *Collector) OnMessage(ctx engine.Context, from engine.Addr, msg model.Me
 	switch v := msg.(type) {
 	case model.TxnDoneMsg:
 		c.onDone(v)
+	case *model.TxnDoneMsg:
+		// The issuer's pooled send form; the delivery layer recycles it.
+		c.onDone(*v)
 	case model.QueueStatsMsg:
 		c.onQueueStats(v)
 	case model.TickMsg:

@@ -1273,6 +1273,15 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		return v.AppendWire(append(b, byte(TagSnapRead))), nil
 	case *SnapReadReplyMsg:
 		return v.AppendWire(append(b, byte(TagSnapReadReply))), nil
+	// Send-only pooled forms (the issuer's timers and completion reports).
+	case *TxnDoneMsg:
+		return v.AppendWire(append(b, byte(TagTxnDone))), nil
+	case *ComputeDoneMsg:
+		return v.AppendWire(append(b, byte(TagComputeDone))), nil
+	case *RestartMsg:
+		return v.AppendWire(append(b, byte(TagRestart))), nil
+	case *TxnFinishedMsg:
+		return v.AppendWire(append(b, byte(TagTxnFinished))), nil
 	case WFGReportMsg:
 		return v.AppendWire(append(b, byte(TagWFGReport))), nil
 	case ProbeWFGMsg:

@@ -17,6 +17,21 @@ import (
 // value into a pooled pointer for sending, and RecycleMessage puts either
 // back.
 //
+// Four more fixed-size types pool on the send side only: the issuer's two
+// timers (ComputeDone, Restart) and its two completion reports (TxnDone to
+// the collector, TxnFinished to the workload driver); every committed
+// transaction sends all but Restart once. PooledComputeDone,
+// PooledRestart, PooledTxnDone and PooledTxnFinished box them, and
+// RecycleMessage and UnpoolMessage accept the pointers, but
+// DecodeMessagePooled returns them as values. The rule
+// holds because of who receives them. The timers are the issuer's to
+// itself and never leave its process, so it matches only the pointer
+// forms. The completion reports go to metrics.Collector and
+// workload.Driver, which match both forms: in-process they get the
+// pointers, and a client process hands them wire-decoded values. A client
+// may match only the value forms (the benchmark's load generator does), so
+// the decode side must keep handing it values.
+//
 // The contract is strict and deliberately opt-in:
 //
 //   - A pooled message is valid only until RecycleMessage. Ownership
@@ -32,14 +47,17 @@ import (
 //     read loop decodes with DecodeMessagePooled, so on the receiving
 //     node the message is pooled again, and recycled by the mailbox loop.
 //   - Actor type switches match both forms: the qm and ri dispatch switches
-//     carry pointer cases that deref to the existing value handlers, so a
-//     pooled send costs nothing at the receiver.
+//     (and the collector's and the workload driver's, for the send-only
+//     completion reports) carry pointer cases that deref to the existing
+//     value handlers, so a pooled send costs nothing at the receiver. The
+//     issuer's own timers are the exception: they only ever arrive pooled.
 //   - RecycleMessage accepts any Message and ignores everything that is not
 //     a pooled pointer type, so a mixed stream can be recycled blindly.
 //   - Variable-size messages (slices, maps, strings: VictimMsg, WFGReport,
-//     SubmitTxn, QueueStats, Estimate, TxnDone, ...) are NOT pooled — their
-//     backing arrays would pin arbitrary memory in the pool. They fall back
-//     to the plain decoder and plain value sends. The batches are the
+//     QueueStats, Estimate, ...) are NOT pooled — their backing arrays would
+//     pin arbitrary memory in the pool. They fall back to the plain decoder
+//     and plain value sends. SubmitTxn needs no pool: it is one pointer, and
+//     a pointer-shaped struct boxes without allocating. The batches are the
 //     bounded exception: a pooled batch keeps its members array across
 //     recycles (that reuse is what makes it allocation-free), but only up to
 //     maxPooledMembers — a larger array is dropped at recycle, so one
@@ -48,10 +66,10 @@ import (
 //     the caller keeps the slice it built them in; UnpoolMessage copies them
 //     out again.
 //
-// AppendMessage accepts both forms (a pooled *RequestMsg encodes byte-for-
-// byte identically to the RequestMsg it holds), so round-trip paths —
-// decode pooled, re-encode, recycle — need no copies, and pooled sends
-// cross the transport unchanged.
+// AppendMessage accepts both forms of all eighteen (a pooled *RequestMsg
+// encodes byte-for-byte identically to the RequestMsg it holds), so
+// round-trip paths — decode pooled, re-encode, recycle — need no copies, and
+// pooled sends cross the transport unchanged.
 
 var (
 	requestPool       = sync.Pool{New: func() any { return new(RequestMsg) }}
@@ -68,6 +86,12 @@ var (
 	requestBatchPool  = sync.Pool{New: func() any { return new(RequestBatchMsg) }}
 	releaseBatchPool  = sync.Pool{New: func() any { return new(ReleaseBatchMsg) }}
 	grantBatchPool    = sync.Pool{New: func() any { return new(GrantBatchMsg) }}
+
+	// Send-only pools (see the package comment above).
+	computeDonePool = sync.Pool{New: func() any { return new(ComputeDoneMsg) }}
+	restartPool     = sync.Pool{New: func() any { return new(RestartMsg) }}
+	txnDonePool     = sync.Pool{New: func() any { return new(TxnDoneMsg) }}
+	txnFinishedPool = sync.Pool{New: func() any { return new(TxnFinishedMsg) }}
 )
 
 // maxPooledMembers caps the members array a recycled batch keeps: far above
@@ -87,7 +111,8 @@ func keptMembers[M any](s []M) []M {
 // but returns the hot protocol messages as pooled pointers (*RequestMsg,
 // *GrantMsg, *RequestBatchMsg, ...). Pass every decoded message to
 // RecycleMessage when done with it; see the package comment above for the
-// lifetime contract. Tags outside the pooled set defer to DecodeMessage.
+// lifetime contract. Tags outside the pooled set defer to DecodeMessage, and
+// so do the four send-only types, which come back as values.
 func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 	var m Message
 	switch tag {
@@ -273,6 +298,34 @@ func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg {
 	return p
 }
 
+// PooledComputeDone returns v as a pooled *ComputeDoneMsg (send-only).
+func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg {
+	p := computeDonePool.Get().(*ComputeDoneMsg)
+	*p = v
+	return p
+}
+
+// PooledRestart returns v as a pooled *RestartMsg (send-only).
+func PooledRestart(v RestartMsg) *RestartMsg {
+	p := restartPool.Get().(*RestartMsg)
+	*p = v
+	return p
+}
+
+// PooledTxnDone returns v as a pooled *TxnDoneMsg (send-only).
+func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg {
+	p := txnDonePool.Get().(*TxnDoneMsg)
+	*p = v
+	return p
+}
+
+// PooledTxnFinished returns v as a pooled *TxnFinishedMsg (send-only).
+func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg {
+	p := txnFinishedPool.Get().(*TxnFinishedMsg)
+	*p = v
+	return p
+}
+
 // UnpoolMessage returns a retention-safe form of m: pooled pointer types are
 // copied out to their value form — a batch with its own copy of the members,
 // since the pooled array is reused — and everything else passes through
@@ -316,6 +369,14 @@ func UnpoolMessage(m Message) Message {
 		c := *v
 		c.Members = slices.Clone(v.Members)
 		return c
+	case *ComputeDoneMsg:
+		return *v
+	case *RestartMsg:
+		return *v
+	case *TxnDoneMsg:
+		return *v
+	case *TxnFinishedMsg:
+		return *v
 	}
 	return m
 }
@@ -368,5 +429,17 @@ func RecycleMessage(m Message) {
 	case *GrantBatchMsg:
 		*v = GrantBatchMsg{Members: keptMembers(v.Members)}
 		grantBatchPool.Put(v)
+	case *ComputeDoneMsg:
+		*v = ComputeDoneMsg{}
+		computeDonePool.Put(v)
+	case *RestartMsg:
+		*v = RestartMsg{}
+		restartPool.Put(v)
+	case *TxnDoneMsg:
+		*v = TxnDoneMsg{}
+		txnDonePool.Put(v)
+	case *TxnFinishedMsg:
+		*v = TxnFinishedMsg{}
+		txnFinishedPool.Put(v)
 	}
 }

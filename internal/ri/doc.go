@@ -19,6 +19,18 @@
 // the admission feedback see exactly what they saw when every copy travelled
 // alone. TxnDoneMsg.Messages keeps counting per-copy protocol messages.
 //
+// The issuer's per-transaction state is reused. Submit takes a state from a
+// free list; its terminal point puts it back after its last use. For a
+// read-write transaction that is the commit or the MaxAttempts drop, for a
+// read-only one the commit or a shedding NAK. A reused state keeps its maps
+// and its slab of copy requests; a state built for more than maxKeptCopies
+// copies is left to the garbage collector instead, because maps never
+// shrink. Messages find their state by transaction
+// id, so a late grant, NAK or timer for a finished transaction finds nothing,
+// even while its old state serves another transaction. Timers and completion
+// reports go out as pooled messages, so a committed transaction allocates
+// nothing in the issuer (TestIssuerLifecycleAllocatesNothing).
+//
 // Read-only snapshot transactions (model.ROSnapshot) run a fourth, trivial
 // lifecycle: scatter one SnapReadMsg per item at a snapshot timestamp a
 // configurable staleness margin in the past, gather the replies, compute,

@@ -121,26 +121,6 @@ type copyReq struct {
 	excluded bool
 }
 
-// copyReqPool recycles per-copy attempt state: every attempt acquires one
-// copyReq per physical request at launch and releases the set when the
-// attempt's bookkeeping is torn down (re-launch, commit, or drop), so
-// steady-state traffic allocates none. The lifetime is attempt residency —
-// s.reqs/s.order hold the only references — and the poolsafe analyzer tracks
-// acquireCopyReq results like pooled messages.
-var copyReqPool = sync.Pool{New: func() any { return new(copyReq) }}
-
-// acquireCopyReq returns a zeroed copyReq from the pool.
-func acquireCopyReq() *copyReq {
-	return copyReqPool.Get().(*copyReq)
-}
-
-// recycleCopyReq returns r to the pool. The caller must not touch r
-// afterwards and must have dropped it from s.reqs/s.order first.
-func recycleCopyReq(r *copyReq) {
-	*r = copyReq{}
-	copyReqPool.Put(r)
-}
-
 // txnState is the issuer-side state of one in-flight transaction.
 type txnState struct {
 	txn     *model.Txn
@@ -150,11 +130,13 @@ type txnState struct {
 	// count after the agreed timestamp was finalized.
 	expectTS model.Timestamp
 	phase    phase
-	reqs     map[model.CopyID]*copyReq
-	// order lists the requests in deterministic (item, site) order:
-	// iterating the reqs map directly would reorder network sends between
-	// runs and break seed-reproducibility.
-	order []*copyReq
+	// order is the attempt's slab of copy requests, sorted in deterministic
+	// (item, site) order: iterating the reqs map directly would reorder
+	// network sends between runs and break seed-reproducibility. reqs points
+	// into it, one entry per copy. The map points in only after fillRequests
+	// has filled and sorted the slab; nothing appends afterwards.
+	reqs  map[model.CopyID]*copyReq
+	order []copyReq
 
 	firstArrival  int64
 	arrival       int64
@@ -295,6 +277,13 @@ type Issuer struct {
 	mailboxScratch []engine.Addr
 	reqMembers     []model.RequestMember
 	relMembers     []model.ReleaseMember
+	// freeTxns and freeROs hold finished transactions' states for the next
+	// submits to reuse, maps and slab included (reuse, recycleTxn,
+	// recycleRO); guarded by mu. A state goes back at its terminal point,
+	// after its last use, so neither list ever holds more states than the
+	// issuer's peak number of active transactions.
+	freeTxns []*txnState
+	freeROs  []*roState
 
 	// Stats (monotone counters).
 	submitted   uint64
@@ -465,7 +454,7 @@ func (ri *Issuer) qmAddr(c model.CopyID) engine.Addr {
 // finished reports a terminal event to the driver when asked to.
 func (ri *Issuer) finished(ctx engine.Context, id model.TxnID) {
 	if ri.notifyDriver {
-		ctx.Send(engine.DriverAddr(ri.site), model.TxnFinishedMsg{Txn: id})
+		ctx.Send(engine.DriverAddr(ri.site), model.PooledTxnFinished(model.TxnFinishedMsg{Txn: id}))
 	}
 }
 
@@ -520,10 +509,10 @@ func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		ri.onWrongEpoch(ctx, v)
 	case model.MapUpdateMsg:
 		ri.onMapUpdate(v)
-	case model.ComputeDoneMsg:
-		ri.onComputeDone(ctx, v)
-	case model.RestartMsg:
-		ri.onRestart(ctx, v)
+	case *model.ComputeDoneMsg:
+		ri.onComputeDone(ctx, *v)
+	case *model.RestartMsg:
+		ri.onRestart(ctx, *v)
 	case model.EstimateMsg:
 		ri.estimates = v
 	case model.StopMsg:
@@ -566,7 +555,7 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 			// collector records the refusal, and (in closed-loop mode) the
 			// driver slot frees immediately.
 			ri.shed++
-			ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
+			ctx.Send(engine.CollectorAddr(), model.PooledTxnDone(model.TxnDoneMsg{
 				Txn:                t.ID,
 				Protocol:           t.Protocol,
 				Outcome:            model.OutcomeShed,
@@ -576,7 +565,7 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 				Size:               t.Size(),
 				Reads:              t.NumReads(),
 				Writes:             t.NumWrites(),
-			})
+			}))
 			ri.finished(ctx, t.ID)
 			return
 		}
@@ -585,12 +574,55 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 		ri.launchRO(ctx, t)
 		return
 	}
-	s := &txnState{
-		txn:          t,
-		firstArrival: ctx.NowMicros(),
-	}
+	s := reuse(&ri.freeTxns)
+	s.txn = t
+	s.firstArrival = ctx.NowMicros()
 	ri.active[t.ID] = s
 	ri.launch(ctx, s)
+}
+
+// reuse pops a finished transaction's state off a free list, or returns a
+// new zero state when the list is empty.
+func reuse[S any](free *[]*S) *S {
+	n := len(*free)
+	if n == 0 {
+		return new(S)
+	}
+	s := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return s
+}
+
+// maxKeptCopies caps the copies a recycled state was built for: far above
+// any workload transaction's, far below a size worth pinning. Go maps never
+// shrink, so a state that held more is left to the garbage collector rather
+// than kept on a free list for the life of the issuer.
+const maxKeptCopies = 64
+
+// recycleTxn puts the state of a transaction that has left ri.active on the
+// free list, zeroed but for its reqs map and copy slab (fillRequests clears
+// and refills both). The caller must not touch s afterwards: the next submit
+// may hand it to another transaction. Stale messages for the finished one
+// cannot reach it, because they look their state up by transaction id.
+func (ri *Issuer) recycleTxn(s *txnState) {
+	if cap(s.order) > maxKeptCopies {
+		return
+	}
+	*s = txnState{reqs: s.reqs, order: s.order[:0]}
+	ri.freeTxns = append(ri.freeTxns, s)
+}
+
+// recycleRO is recycleTxn for a read-only snapshot transaction that has left
+// ri.roActive; it keeps the pending map, cleared. The map held one entry
+// per item read.
+func (ri *Issuer) recycleRO(s *roState) {
+	if len(s.txn.ReadSet) > maxKeptCopies {
+		return
+	}
+	clear(s.pending)
+	*s = roState{pending: s.pending}
+	ri.freeROs = append(ri.freeROs, s)
 }
 
 // launchRO starts a read-only snapshot transaction: one SnapReadMsg per item
@@ -603,11 +635,12 @@ func (ri *Issuer) launchRO(ctx engine.Context, t *model.Txn) {
 	if snap < 0 {
 		snap = 0
 	}
-	s := &roState{
-		txn:     t,
-		snapTS:  snap,
-		arrival: now,
-		pending: map[model.CopyID]bool{},
+	s := reuse(&ri.freeROs)
+	s.txn = t
+	s.snapTS = snap
+	s.arrival = now
+	if s.pending == nil {
+		s.pending = make(map[model.CopyID]bool, len(t.ReadSet))
 	}
 	ri.roActive[t.ID] = s
 	// ReadSet is sorted, so the send order is deterministic (map iteration
@@ -640,7 +673,7 @@ func (ri *Issuer) startROCompute(ctx engine.Context, s *roState) {
 	if d <= 0 {
 		d = ri.opts.DefaultComputeMicros
 	}
-	ctx.SetTimer(d, model.ComputeDoneMsg{Txn: s.txn.ID})
+	ctx.SetTimer(d, model.PooledComputeDone(model.ComputeDoneMsg{Txn: s.txn.ID}))
 }
 
 func (ri *Issuer) onSnapReply(ctx engine.Context, v model.SnapReadReplyMsg) {
@@ -667,21 +700,29 @@ func (ri *Issuer) finishRO(ctx engine.Context, s *roState) {
 	if ri.recorder != nil {
 		ri.recorder.Committed(s.txn.ID, model.ROSnapshot)
 	}
-	now := ctx.NowMicros()
-	ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
-		Txn:                s.txn.ID,
+	ri.endRO(ctx, s, model.OutcomeCommitted)
+}
+
+// endRO reports a read-only snapshot transaction's terminal outcome — its
+// commit, or a NAK that sheds it (the fast path has no restart machinery) —
+// and recycles its state.
+func (ri *Issuer) endRO(ctx engine.Context, s *roState, outcome model.TxnOutcome) {
+	id := s.txn.ID
+	ctx.Send(engine.CollectorAddr(), model.PooledTxnDone(model.TxnDoneMsg{
+		Txn:                id,
 		Protocol:           model.ROSnapshot,
-		Outcome:            model.OutcomeCommitted,
+		Outcome:            outcome,
 		ArrivalMicros:      s.arrival,
-		DoneMicros:         now,
+		DoneMicros:         ctx.NowMicros(),
 		FirstArrivalMicros: s.arrival,
 		Attempts:           1,
 		Size:               s.txn.Size(),
 		Reads:              s.txn.NumReads(),
 		Messages:           s.messages,
-	})
-	delete(ri.roActive, s.txn.ID)
-	ri.finished(ctx, s.txn.ID)
+	}))
+	delete(ri.roActive, id)
+	ri.finished(ctx, id)
+	ri.recycleRO(s)
 }
 
 // launch sends the attempt's requests to every queue manager involved:
@@ -691,7 +732,6 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	s.attempts++
 	s.arrival = ctx.NowMicros()
 	s.phase = phaseNegotiating
-	ri.releaseAttempt(s)
 	s.firstGrant = 0
 	s.backoffMax = 0
 	s.anyBackoff = false
@@ -708,26 +748,37 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	}
 	s.expectTS = s.ts
 
-	ri.eachCopy(t, func(item model.ItemID, site model.SiteID, kind model.OpKind) {
+	ri.fillRequests(s)
+	ri.sendRequests(ctx, s)
+}
+
+// fillRequests rebuilds the attempt's copy requests under the current map:
+// the previous attempt's are dropped, the slab is filled and sorted by
+// (item, site), and only then does reqs take pointers into it. A copy that
+// is both read and written keeps the write in reqs (the read stays in the
+// slab, so its request and release still go out).
+func (ri *Issuer) fillRequests(s *txnState) {
+	clear(s.reqs)
+	s.order = s.order[:0]
+	ri.eachCopy(s.txn, func(item model.ItemID, site model.SiteID, kind model.OpKind) {
 		c := model.CopyID{Item: item, Site: site}
-		r := acquireCopyReq()
-		r.copyID = c
-		r.to = ri.qmAddr(c)
-		r.kind = kind
-		// The attempt's bookkeeping is the pool lifetime: these two stores are
-		// the only references, both torn down through releaseAttempt.
-		//ucclint:allow poolsafe -- attempt-scoped retention; releaseAttempt recycles every copyReq it stores before the next acquire
-		s.reqs[c] = r
-		//ucclint:allow poolsafe -- same attempt-scoped retention as the map store above
-		s.order = append(s.order, r)
+		s.order = append(s.order, copyReq{copyID: c, to: ri.qmAddr(c), kind: kind})
 	})
-	slices.SortFunc(s.order, func(a, b *copyReq) int {
+	slices.SortFunc(s.order, func(a, b copyReq) int {
 		if c := cmp.Compare(a.copyID.Item, b.copyID.Item); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.copyID.Site, b.copyID.Site)
 	})
-	ri.sendRequests(ctx, s)
+	if s.reqs == nil {
+		s.reqs = make(map[model.CopyID]*copyReq, len(s.order))
+	}
+	for i := range s.order {
+		r := &s.order[i]
+		if s.reqs[r.copyID] == nil || r.kind == model.OpWrite {
+			s.reqs[r.copyID] = r
+		}
+	}
 }
 
 // sendRequests opens the attempt with one RequestBatchMsg per queue-manager
@@ -738,7 +789,8 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 func (ri *Issuer) sendRequests(ctx engine.Context, s *txnState) {
 	for _, to := range ri.mailboxes(s) {
 		members := ri.reqMembers[:0]
-		for _, r := range s.order {
+		for i := range s.order {
+			r := &s.order[i]
 			if r.to == to {
 				members = append(members, model.RequestMember{Item: r.copyID.Item, Kind: r.kind})
 			}
@@ -764,7 +816,8 @@ func (ri *Issuer) sendRequests(ctx engine.Context, s *txnState) {
 // scratch, valid until the next call.
 func (ri *Issuer) mailboxes(s *txnState) []engine.Addr {
 	out := ri.mailboxScratch[:0]
-	for _, r := range s.order {
+	for i := range s.order {
+		r := &s.order[i]
 		if !slices.Contains(out, r.to) {
 			out = append(out, r.to)
 		}
@@ -799,29 +852,6 @@ func (ri *Issuer) eachCopy(t *model.Txn, f func(model.ItemID, model.SiteID, mode
 func (ri *Issuer) send(ctx engine.Context, s *txnState, to engine.Addr, msg model.Message) {
 	s.messages++
 	ctx.Send(to, msg)
-}
-
-// releaseAttempt recycles every copyReq the attempt's bookkeeping holds and
-// resets s.reqs/s.order for reuse. Called at re-launch (the new attempt
-// builds a fresh set), at commit, and at the MaxAttempts drop — the three
-// points after which no stale grant/NAK can resolve to a recycled copyReq
-// (stateFor filters by attempt, and the terminal paths delete ri.active
-// before returning to the delivery loop). The first launch creates both,
-// sized for the copies the attempt is about to request, so neither regrows
-// from empty under launch's appends.
-func (ri *Issuer) releaseAttempt(s *txnState) {
-	if s.reqs == nil {
-		copies := 0
-		ri.eachCopy(s.txn, func(model.ItemID, model.SiteID, model.OpKind) { copies++ })
-		s.reqs = make(map[model.CopyID]*copyReq, copies)
-		s.order = make([]*copyReq, 0, copies)
-		return
-	}
-	for _, r := range s.order {
-		recycleCopyReq(r)
-	}
-	s.order = s.order[:0]
-	clear(s.reqs)
 }
 
 // stateFor returns the live state matching (txn, attempt), or nil for stale
@@ -932,7 +962,8 @@ func (ri *Issuer) finalizePA(ctx engine.Context, s *txnState) {
 	if final > ri.clock {
 		ri.clock = final
 	}
-	for _, r := range s.order {
+	for i := range s.order {
+		r := &s.order[i]
 		if r.excluded {
 			continue // withdrawn from the quorum; its entry is already gone
 		}
@@ -1048,20 +1079,7 @@ func (ri *Issuer) onBusy(ctx engine.Context, v model.BusyMsg) {
 		}
 		ri.busyNAKs++
 		ri.roBusyShed++
-		delete(ri.roActive, v.Txn)
-		ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
-			Txn:                v.Txn,
-			Protocol:           model.ROSnapshot,
-			Outcome:            model.OutcomeBusy,
-			ArrivalMicros:      ro.arrival,
-			DoneMicros:         now,
-			FirstArrivalMicros: ro.arrival,
-			Attempts:           1,
-			Size:               ro.txn.Size(),
-			Reads:              ro.txn.NumReads(),
-			Messages:           ro.messages,
-		})
-		ri.finished(ctx, v.Txn)
+		ri.endRO(ctx, ro, model.OutcomeBusy)
 		return
 	}
 	s := ri.stateFor(v.Txn, v.Attempt)
@@ -1127,23 +1145,9 @@ func (ri *Issuer) installMap(m *model.PartitionMap) {
 // restart machinery, the client retries against the (now corrected) map.
 func (ri *Issuer) onWrongEpoch(ctx engine.Context, v model.WrongEpochMsg) {
 	ri.installMap(&v.Map)
-	now := ctx.NowMicros()
 	if ro := ri.roActive[v.Txn]; ro != nil && ro.pending[v.Copy] {
 		ri.wrongEpochNAKs++
-		delete(ri.roActive, v.Txn)
-		ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
-			Txn:                v.Txn,
-			Protocol:           model.ROSnapshot,
-			Outcome:            model.OutcomeBusy,
-			ArrivalMicros:      ro.arrival,
-			DoneMicros:         now,
-			FirstArrivalMicros: ro.arrival,
-			Attempts:           1,
-			Size:               ro.txn.Size(),
-			Reads:              ro.txn.NumReads(),
-			Messages:           ro.messages,
-		})
-		ri.finished(ctx, v.Txn)
+		ri.endRO(ctx, ro, model.OutcomeBusy)
 		return
 	}
 	s := ri.stateFor(v.Txn, v.Attempt)
@@ -1195,7 +1199,8 @@ var withdrawNone = model.CopyID{Item: -1}
 // abortAttempt withdraws every outstanding request except skip (the copy
 // that rejected us holds no entry); pass withdrawNone to withdraw all.
 func (ri *Issuer) abortAttempt(ctx engine.Context, s *txnState, skip model.CopyID) {
-	for _, r := range s.order {
+	for i := range s.order {
+		r := &s.order[i]
 		if r.copyID == skip {
 			continue
 		}
@@ -1237,9 +1242,7 @@ func (ri *Issuer) rawRestartDelay(attempts int) int64 {
 func (ri *Issuer) scheduleRestart(ctx engine.Context, s *txnState) {
 	if ri.opts.MaxAttempts > 0 && s.attempts >= ri.opts.MaxAttempts {
 		ri.dropped++
-		delete(ri.active, s.txn.ID)
-		ri.releaseAttempt(s)
-		ri.finished(ctx, s.txn.ID)
+		ri.retire(ctx, s)
 		return
 	}
 	s.attempt++
@@ -1247,7 +1250,7 @@ func (ri *Issuer) scheduleRestart(ctx engine.Context, s *txnState) {
 	if delay > 0 {
 		delay = delay/2 + ctx.Rand().Int63n(delay) // ±50% jitter, kept from the flat scheme
 	}
-	ctx.SetTimer(delay, model.RestartMsg{Txn: s.txn.ID, Attempt: s.attempt})
+	ctx.SetTimer(delay, model.PooledRestart(model.RestartMsg{Txn: s.txn.ID, Attempt: s.attempt}))
 }
 
 func (ri *Issuer) onRestart(ctx engine.Context, v model.RestartMsg) {
@@ -1267,7 +1270,7 @@ func (ri *Issuer) startCompute(ctx engine.Context, s *txnState) {
 	if d <= 0 {
 		d = ri.opts.DefaultComputeMicros
 	}
-	ctx.SetTimer(d, model.ComputeDoneMsg{Txn: s.txn.ID, Attempt: s.attempt})
+	ctx.SetTimer(d, model.PooledComputeDone(model.ComputeDoneMsg{Txn: s.txn.ID, Attempt: s.attempt}))
 }
 
 func (ri *Issuer) onComputeDone(ctx engine.Context, v model.ComputeDoneMsg) {
@@ -1307,7 +1310,8 @@ func (ri *Issuer) writeValue(s *txnState, item model.ItemID) int64 {
 			// at least one member of any R- or W-sized grant set carries the
 			// newest committed write, and the commit stamp identifies it.
 			var best *copyReq
-			for _, r := range s.order {
+			for i := range s.order {
+				r := &s.order[i]
 				if r.copyID.Item != it || r.excluded || !r.granted {
 					continue
 				}
@@ -1324,7 +1328,8 @@ func (ri *Issuer) writeValue(s *txnState, item model.ItemID) int64 {
 		if r, ok := s.reqs[model.CopyID{Item: it, Site: ri.pmap.Primary(it)}]; ok {
 			return r.value
 		}
-		for _, r := range s.order {
+		for i := range s.order {
+			r := &s.order[i]
 			if r.copyID.Item == it {
 				return r.value
 			}
@@ -1351,7 +1356,8 @@ func (ri *Issuer) releaseAll(ctx engine.Context, s *txnState, toSemi bool) {
 	commit := ctx.NowMicros()
 	for _, to := range ri.mailboxes(s) {
 		members := ri.relMembers[:0]
-		for _, r := range s.order {
+		for i := range s.order {
+			r := &s.order[i]
 			if r.to != to {
 				continue
 			}
@@ -1427,9 +1433,16 @@ func (ri *Issuer) finish(ctx engine.Context, s *txnState) {
 		ri.recordFinalTS(s)
 		ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
 	}
-	delete(ri.active, s.txn.ID)
-	ri.releaseAttempt(s)
-	ri.finished(ctx, s.txn.ID)
+	ri.retire(ctx, s)
+}
+
+// retire ends a committed or dropped transaction: it leaves ri.active, the
+// driver hears of it, and its state goes on the free list.
+func (ri *Issuer) retire(ctx engine.Context, s *txnState) {
+	id := s.txn.ID
+	delete(ri.active, id)
+	ri.finished(ctx, id)
+	ri.recycleTxn(s)
 }
 
 // reportAttempt emits a TxnDoneMsg for this attempt's terminal event.
@@ -1439,7 +1452,7 @@ func (ri *Issuer) reportAttempt(ctx engine.Context, s *txnState, outcome model.T
 	if s.firstGrant > 0 {
 		locked = now - s.firstGrant
 	}
-	ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
+	ctx.Send(engine.CollectorAddr(), model.PooledTxnDone(model.TxnDoneMsg{
 		Txn:                s.txn.ID,
 		Protocol:           s.txn.Protocol,
 		Outcome:            outcome,
@@ -1455,5 +1468,5 @@ func (ri *Issuer) reportAttempt(ctx engine.Context, s *txnState, outcome model.T
 		BackoffReads:       s.backoffReads,
 		BackoffWrites:      s.backoffWrites,
 		LockedMicros:       locked,
-	})
+	}))
 }

@@ -426,7 +426,7 @@ type doneLog struct {
 }
 
 func (d *doneLog) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
-	if v, ok := msg.(model.TxnDoneMsg); ok {
+	if v, ok := model.UnpoolMessage(msg).(model.TxnDoneMsg); ok { // either form
 		d.mu.Lock()
 		d.dones = append(d.dones, v)
 		d.mu.Unlock()

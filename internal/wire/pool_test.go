@@ -90,6 +90,48 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 	}
 }
 
+// TestSendOnlyPooledTypesDecodeAsValues pins the decode half of the send-only
+// rule (model/wirepool.go): TxnDone (tag 16), ComputeDone (20), Restart (21)
+// and TxnFinished (22) leave an issuer as pooled pointers, encode to exactly
+// their values' bytes, and come back from the pooled decoder as values — the
+// form a client that knows only the value cases matches.
+func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
+	txn := model.TxnID{Site: 2, Seq: 41}
+	for _, tc := range []struct {
+		tag    model.WireTag
+		value  model.Message
+		pooled model.Message
+	}{
+		{16, model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6},
+			model.PooledTxnDone(model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6})},
+		{20, model.ComputeDoneMsg{Txn: txn, Attempt: 2}, model.PooledComputeDone(model.ComputeDoneMsg{Txn: txn, Attempt: 2})},
+		{21, model.RestartMsg{Txn: txn, Attempt: 3}, model.PooledRestart(model.RestartMsg{Txn: txn, Attempt: 3})},
+		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
+	} {
+		want, err := model.AppendMessage(nil, tc.value)
+		if err != nil {
+			t.Fatalf("tag %d: encode value: %v", tc.tag, err)
+		}
+		got, err := model.AppendMessage(nil, tc.pooled)
+		if err != nil {
+			t.Fatalf("tag %d: encode pooled: %v", tc.tag, err)
+		}
+		if !bytes.Equal(got, want) || model.WireTag(got[0]) != tc.tag {
+			t.Fatalf("tag %d: pooled form encodes to % x, value form to % x", tc.tag, got, want)
+		}
+		model.RecycleMessage(tc.pooled)
+		r := model.NewWireReader(want[1:])
+		m, err := model.DecodeMessagePooled(tc.tag, &r)
+		if err != nil {
+			t.Fatalf("tag %d: decode: %v", tc.tag, err)
+		}
+		if !reflect.DeepEqual(m, tc.value) {
+			t.Errorf("tag %d: DecodeMessagePooled returned %T %+v, want the value %T", tc.tag, m, m, tc.value)
+		}
+		model.RecycleMessage(m)
+	}
+}
+
 // TestPoolReuseSafety: recycling must fully reset a struct so a later decode
 // through the same pool slot cannot leak a previous message's fields. Decode
 // a fully-populated request, recycle it, then decode a mostly-zero request —

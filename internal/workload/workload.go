@@ -247,7 +247,7 @@ func (d *Driver) OnMessage(ctx engine.Context, from engine.Addr, msg model.Messa
 		} else {
 			d.arrive(ctx)
 		}
-	case model.TxnFinishedMsg:
+	case model.TxnFinishedMsg, *model.TxnFinishedMsg: // value, or the issuer's pooled send form
 		if d.spec.ClosedLoop > 0 {
 			d.launchOne(ctx)
 		}
