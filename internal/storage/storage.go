@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,12 +99,6 @@ type copyState struct {
 
 func (c *copyState) latest() *Version { return &c.versions[len(c.versions)-1] }
 
-// view renders the comparable latest-version Copy.
-func (c *copyState) view() Copy {
-	v := c.latest()
-	return Copy{ID: c.id, Value: v.Value, Version: v.Version, Writer: v.Writer, CommitMicros: v.CommitMicros}
-}
-
 // Store holds every physical copy resident at one data site as a bounded
 // multi-version chain per copy.
 //
@@ -115,19 +109,23 @@ func (c *copyState) view() Copy {
 // so sharded queue managers may call Read/ReadAt/Write for different items
 // concurrently without a store-wide lock. The two pieces of cross-item
 // mutable state are the pruned counter (atomic) and whole-store snapshots:
-// Chains/Copies must observe no torn chain, so chain mutations share the
-// barrier read-side and snapshots take it exclusively. The journal append
-// deliberately happens OUTSIDE the barrier (holding it across the WAL's
-// lock would deadlock with a snapshot running inside a WAL flush); the
-// resulting snapshot/append race — a snapshot imaging a write whose record
-// is not yet covered by its AppliedSeq — is resolved by Apply's idempotent
-// redo at recovery.
+// EachChain (and Chains/Copies over it) must observe no torn chain, so chain
+// mutations share the barrier read-side and snapshots take it exclusively.
+// The journal append deliberately happens OUTSIDE the barrier (holding it
+// across the WAL's lock would deadlock with a snapshot running inside a WAL
+// flush); the resulting snapshot/append race — a snapshot imaging a write
+// whose record is not yet covered by its AppliedSeq — is resolved by Apply's
+// idempotent redo at recovery.
 type Store struct {
 	site    model.SiteID
 	copies  map[model.ItemID]*copyState
 	policy  ChainPolicy
 	journal Journal
 	barrier sync.RWMutex
+	// order is EachChain's item-order scratch, guarded by the exclusive
+	// barrier. It is refilled on every visit, never trusted across visits:
+	// Create and Wipe change the copies map without the barrier.
+	order []model.ItemID
 	// pruned counts versions dropped by chain GC (observability).
 	pruned atomic.Uint64
 }
@@ -243,7 +241,8 @@ func (s *Store) prune(c *copyState, nowMicros int64) {
 	if base > 0 {
 		s.pruned.Add(uint64(base))
 		// Shift in place rather than reallocating: nothing retains the raw
-		// slice (Chain/Copies hand out copies), and keeping the backing array
+		// slice (Chain/Chains/Copies hand out copies, EachChain lends it only
+		// under the exclusive barrier), and keeping the backing array
 		// lets the next Write append into spare capacity instead of growing a
 		// fresh one — the steady-state write path allocates nothing here.
 		n := copy(c.versions, c.versions[base:])
@@ -271,7 +270,7 @@ func (s *Store) Items() []model.ItemID {
 	for it := range s.copies {
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -281,29 +280,44 @@ func (s *Store) Len() int { return len(s.copies) }
 // Copies returns the latest-version view of every physical copy, ascending
 // by item. Safe against concurrent shard writers (whole-store barrier).
 func (s *Store) Copies() []Copy {
-	s.barrier.Lock()
-	defer s.barrier.Unlock()
 	out := make([]Copy, 0, len(s.copies))
-	for _, item := range s.Items() {
-		out = append(out, s.copies[item].view())
-	}
+	s.EachChain(func(id model.CopyID, vs []Version) {
+		v := vs[len(vs)-1]
+		out = append(out, Copy{ID: id, Value: v.Value, Version: v.Version, Writer: v.Writer, CommitMicros: v.CommitMicros})
+	})
 	return out
 }
 
-// Chains returns the full retained version chain of every physical copy,
-// ascending by item (the input to a durability snapshot). The whole-store
-// barrier excludes concurrent shard writers, so no chain is imaged torn.
+// Chains returns a copy of the full retained version chain of every physical
+// copy, ascending by item (tests compare whole stores with it; a durability
+// snapshot reads the chains in place through EachChain).
 func (s *Store) Chains() []CopyChain {
+	out := make([]CopyChain, 0, len(s.copies))
+	s.EachChain(func(id model.CopyID, vs []Version) {
+		out = append(out, CopyChain{ID: id, Versions: slices.Clone(vs)})
+	})
+	return out
+}
+
+// EachChain calls f with every physical copy's retained version chain,
+// oldest version first, in ascending item order — the durability snapshot's
+// view of the store. It holds the whole-store barrier exclusively throughout,
+// so no chain is seen torn by a concurrent shard writer; f must not keep vs,
+// which is the store's own memory, nor call back into the store. The item
+// order is rebuilt on every call in a slice the store keeps, so a visit
+// allocates nothing once that slice has grown to the store's size.
+func (s *Store) EachChain(f func(id model.CopyID, vs []Version)) {
 	s.barrier.Lock()
 	defer s.barrier.Unlock()
-	out := make([]CopyChain, 0, len(s.copies))
-	for _, item := range s.Items() {
-		c := s.copies[item]
-		vs := make([]Version, len(c.versions))
-		copy(vs, c.versions)
-		out = append(out, CopyChain{ID: c.id, Versions: vs})
+	s.order = s.order[:0]
+	for item := range s.copies {
+		s.order = append(s.order, item)
 	}
-	return out
+	slices.Sort(s.order)
+	for _, item := range s.order {
+		c := s.copies[item]
+		f(c.id, c.versions)
+	}
 }
 
 // Wipe drops every copy: the volatile-state loss of a site crash. The store

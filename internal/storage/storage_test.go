@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"ucc/internal/model"
@@ -171,5 +172,39 @@ func TestStoreItemsSorted(t *testing.T) {
 	}
 	if !s.Has(3) || s.Has(4) {
 		t.Fatal("Has wrong")
+	}
+}
+
+// TestEachChainFollowsTheMap: every visit sees the copies the store holds
+// now, in ascending item order — a Create or a Wipe between two visits is
+// never hidden by the order kept from the previous one.
+func TestEachChainFollowsTheMap(t *testing.T) {
+	s := NewStore(4)
+	visit := func() (items []model.ItemID, lens []int) {
+		s.EachChain(func(id model.CopyID, vs []Version) {
+			if id.Site != 4 {
+				t.Fatalf("copy %v visited as another site's", id)
+			}
+			items = append(items, id.Item)
+			lens = append(lens, len(vs))
+		})
+		return items, lens
+	}
+	for _, it := range []model.ItemID{7, -2, 3} {
+		s.Create(it, 0)
+	}
+	s.Write(3, model.TxnID{Site: 1, Seq: 1}, 30, 10)
+	items, lens := visit()
+	if !slices.Equal(items, []model.ItemID{-2, 3, 7}) || !slices.Equal(lens, []int{1, 2, 1}) {
+		t.Fatalf("first visit: items %v, chain lengths %v", items, lens)
+	}
+	s.Create(5, 0)
+	if items, _ := visit(); !slices.Equal(items, []model.ItemID{-2, 3, 5, 7}) {
+		t.Fatalf("visit after Create: items %v", items)
+	}
+	s.Wipe()
+	s.RestoreChain(CopyChain{ID: model.CopyID{Item: 1, Site: 4}, Versions: []Version{{Value: 1}}})
+	if items, _ := visit(); !slices.Equal(items, []model.ItemID{1}) {
+		t.Fatalf("visit after Wipe and RestoreChain: items %v", items)
 	}
 }

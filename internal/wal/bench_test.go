@@ -74,3 +74,18 @@ func BenchmarkCommitGroup16(b *testing.B) { benchWAL(b, true, 16) }
 
 // BenchmarkCommitGroup64: heavier concurrency amortizes further.
 func BenchmarkCommitGroup64(b *testing.B) { benchWAL(b, true, 64) }
+
+// BenchmarkSiteSnapshot: one snapshot image of a 4 096-copy store with six
+// versions a copy, encoded into the site log's reused buffer — the part of a
+// periodic snapshot that holds the store's barrier.
+func BenchmarkSiteSnapshot(b *testing.B) {
+	sl, err := Open(NewMemMedia(), imageStore(4096, 6), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sl.image(uint64(i))
+	}
+}

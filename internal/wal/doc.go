@@ -17,6 +17,16 @@
 // read-only snapshot fast path, whose reads deferred across an outage carry
 // pre-crash snapshot timestamps and still need their exact versions.
 //
+// An image is taken under the store's barrier (storage.Store.EachChain):
+// every chain is encoded straight from the store's memory, in item order,
+// into one buffer the SiteLog keeps for all its snapshots — the periodic
+// one, Open's seed image and recovery's re-base image — and that buffer is
+// written to media as it is. Nothing is copied out of the store first, so a
+// steady-state image allocates nothing, and the barrier is held only for
+// the encoding. The format is crc32C(body) | body with fixed-width fields
+// (TestSnapshotGoldenBytes pins it); the copy count and the checksum are
+// patched in after the chains.
+//
 // Record payloads use the wire-v3 varint codec (the same model primitives
 // the transport's message encoders use): ~15 bytes for a typical record,
 // ~23 framed. A frame is crc32C(lenWord | payload) | lenWord | payload, the

@@ -25,42 +25,36 @@ type snapshot struct {
 // value | version | writer site | writer seq | commit micros.
 const snapVersionBytes = 8 + 8 + 4 + 8 + 8
 
-// encodeSnapshot renders: crc32C(body) | body, where body is
-// appliedSeq | site | copyCount | copyCount × (item | versionCount |
-// versionCount × version).
-func encodeSnapshot(s snapshot) []byte {
-	size := 8 + 4 + 4
-	for _, c := range s.Chains {
-		size += 4 + 4 + len(c.Versions)*snapVersionBytes
-	}
-	body := make([]byte, 0, size)
-	var u8 [8]byte
-	var u4 [4]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		body = append(body, u8[:]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u4[:], v)
-		body = append(body, u4[:]...)
-	}
-	put64(s.AppliedSeq)
-	put32(uint32(s.Site))
-	put32(uint32(len(s.Chains)))
-	for _, c := range s.Chains {
-		put32(uint32(c.ID.Item))
-		put32(uint32(len(c.Versions)))
-		for _, v := range c.Versions {
-			put64(uint64(v.Value))
-			put64(v.Version)
-			put32(uint32(v.Writer.Site))
-			put64(v.Writer.Seq)
-			put64(uint64(v.CommitMicros))
+// appendSnapshot appends to dst the image of store with the given applied
+// sequence: crc32C(body) | body, where body is appliedSeq | site | copyCount |
+// copyCount × (item | versionCount | versionCount × version), copies in
+// ascending item order. The chains are encoded straight from storage through
+// Store.EachChain, under the store's barrier; the copy count and the
+// checksum are patched in once every chain is written.
+func appendSnapshot(dst []byte, appliedSeq uint64, store *storage.Store) []byte {
+	le := binary.LittleEndian
+	start := len(dst)
+	dst = le.AppendUint32(dst, 0) // checksum, patched below
+	dst = le.AppendUint64(dst, appliedSeq)
+	dst = le.AppendUint32(dst, uint32(store.Site()))
+	countAt := len(dst)
+	dst = le.AppendUint32(dst, 0) // copy count, patched below
+	var copies uint32
+	store.EachChain(func(id model.CopyID, vs []storage.Version) {
+		dst = le.AppendUint32(dst, uint32(id.Item))
+		dst = le.AppendUint32(dst, uint32(len(vs)))
+		for _, v := range vs {
+			dst = le.AppendUint64(dst, uint64(v.Value))
+			dst = le.AppendUint64(dst, v.Version)
+			dst = le.AppendUint32(dst, uint32(v.Writer.Site))
+			dst = le.AppendUint64(dst, v.Writer.Seq)
+			dst = le.AppendUint64(dst, uint64(v.CommitMicros))
 		}
-	}
-	out := make([]byte, 4, 4+len(body))
-	binary.LittleEndian.PutUint32(out, crc32.Checksum(body, crcTable))
-	return append(out, body...)
+		copies++
+	})
+	le.PutUint32(dst[countAt:], copies)
+	le.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], crcTable))
+	return dst
 }
 
 // decodeSnapshot validates the checksum and decodes; a torn or corrupt
@@ -79,7 +73,9 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	s.Site = model.SiteID(binary.LittleEndian.Uint32(body[8:]))
 	copies := int(binary.LittleEndian.Uint32(body[12:]))
 	body = body[16:]
-	s.Chains = make([]storage.CopyChain, 0, copies)
+	// Size by what the body can hold (a copy takes at least one version), not
+	// by the header alone: a damaged count must not allocate gigabytes.
+	s.Chains = make([]storage.CopyChain, 0, min(copies, len(body)/(8+snapVersionBytes)))
 	for i := 0; i < copies; i++ {
 		if len(body) < 8 {
 			return s, fmt.Errorf("wal: snapshot truncated at copy %d", i)
@@ -115,13 +111,14 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	return s, nil
 }
 
-// writeSnapshot persists a snapshot durably (create, write, sync, close).
-func writeSnapshot(media Media, s snapshot) error {
-	w, err := media.Create(snapName(s.AppliedSeq))
+// writeSnapshot persists an encoded snapshot image durably (create, write,
+// sync, close) under the name of its applied sequence.
+func writeSnapshot(media Media, appliedSeq uint64, image []byte) error {
+	w, err := media.Create(snapName(appliedSeq))
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot: %w", err)
 	}
-	if _, err := w.Write(encodeSnapshot(s)); err != nil {
+	if _, err := w.Write(image); err != nil {
 		w.Close()
 		return fmt.Errorf("wal: write snapshot: %w", err)
 	}

@@ -227,12 +227,16 @@ func TestReplayStopsAtSequenceGap(t *testing.T) {
 }
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	s := snapshot{AppliedSeq: 42, Site: 3}
+	st := storage.NewStore(3)
+	var want []storage.CopyChain
 	for i := 0; i < 5; i++ {
 		// Varying chain depth exercises the variable-length encoding.
-		s.Chains = append(s.Chains, chainAt(3, i, i+1))
+		cc := chainAt(3, i, i+1)
+		st.RestoreChain(cc)
+		want = append(want, cc)
 	}
-	got, err := decodeSnapshot(encodeSnapshot(s))
+	enc := appendSnapshot(nil, 42, st)
+	got, err := decodeSnapshot(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +244,16 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	for i, c := range got.Chains {
-		if c.ID != s.Chains[i].ID || len(c.Versions) != len(s.Chains[i].Versions) {
-			t.Fatalf("chain %d: got %+v want %+v", i, c, s.Chains[i])
+		if c.ID != want[i].ID || len(c.Versions) != len(want[i].Versions) {
+			t.Fatalf("chain %d: got %+v want %+v", i, c, want[i])
 		}
 		for j, v := range c.Versions {
-			if v != s.Chains[i].Versions[j] {
-				t.Fatalf("chain %d version %d: got %+v want %+v", i, j, v, s.Chains[i].Versions[j])
+			if v != want[i].Versions[j] {
+				t.Fatalf("chain %d version %d: got %+v want %+v", i, j, v, want[i].Versions[j])
 			}
 		}
 	}
 	// Corruption is detected.
-	enc := encodeSnapshot(s)
 	enc[len(enc)-1] ^= 1
 	if _, err := decodeSnapshot(enc); err == nil {
 		t.Fatal("corrupt snapshot decoded without error")
