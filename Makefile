@@ -15,8 +15,7 @@ test:
 	go test ./...
 
 # The repo's own analyzer suite (internal/lint, driven by cmd/ucclint):
-# wiretag, postnotinject, sheddable, poolsafe, lockorder. Exits nonzero
-# on any finding.
+# poolsafe and lockorder. Exits nonzero on any finding.
 lint:
 	go run ./cmd/ucclint ./...
 

@@ -1,6 +1,5 @@
 // Command ucclint is the multichecker for this repository's domain
-// analyzers (internal/lint): wiretag, postnotinject, sheddable, poolsafe,
-// and lockorder. It runs two ways:
+// analyzers (internal/lint): poolsafe and lockorder. It runs two ways:
 //
 //	ucclint ./...                        # standalone over package patterns
 //	go vet -vettool=$(pwd)/ucclint ./... # as the go command's vet tool
@@ -22,16 +21,10 @@ import (
 	"ucc/internal/lint"
 	"ucc/internal/lint/lockorder"
 	"ucc/internal/lint/poolsafe"
-	"ucc/internal/lint/postnotinject"
-	"ucc/internal/lint/sheddable"
-	"ucc/internal/lint/wiretag"
 )
 
 // analyzers is the full suite, in diagnostic-output order.
 var analyzers = []*lint.Analyzer{
-	wiretag.Analyzer,
-	postnotinject.Analyzer,
-	sheddable.Analyzer,
 	poolsafe.Analyzer,
 	lockorder.Analyzer,
 }

@@ -50,7 +50,7 @@ func TestVetTool(t *testing.T) {
 	if err == nil {
 		t.Fatalf("go vet -vettool over testdata/badmod succeeded, want failure\noutput:\n%s", out)
 	}
-	for _, name := range []string{"postnotinject", "sheddable", "wiretag", "poolsafe", "lockorder"} {
+	for _, name := range []string{"poolsafe", "lockorder"} {
 		if !strings.Contains(string(out), "("+name+")") {
 			t.Errorf("go vet -vettool output missing %s finding\noutput:\n%s", name, out)
 		}

@@ -3,17 +3,9 @@
 // with findings from every analyzer.
 package badmod
 
-import (
-	"badmod/internal/engine"
-	"badmod/internal/model"
-)
+import "badmod/internal/model"
 
 var retained model.Message
-
-// Kick injects an envelope that may be addressed to a remote actor.
-func Kick(rt *engine.Runtime) {
-	rt.Inject(engine.Envelope{To: "remote"})
-}
 
 // Retain stores a pooled message into a package-level variable.
 func Retain() {

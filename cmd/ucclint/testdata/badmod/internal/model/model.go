@@ -1,74 +1,18 @@
-// Package model is badmod's stand-in for ucc/internal/model, with a
-// message type missing from the wire switches (wiretag) and a completer
-// implementing Sheddable (sheddable).
+// Package model is badmod's stand-in for ucc/internal/model's pooled decode
+// surface.
 package model
 
 // Message is the sealed message interface.
 type Message interface{ isMessage() }
 
-// Sheddable is the opt-in shedding interface.
-type Sheddable interface {
-	Message
-	Busy() Message
-}
-
-// WireTag identifies a message type on the wire.
-type WireTag byte
-
-// Wire tags.
-const (
-	TagInvalid WireTag = 0
-	TagPing    WireTag = 1
-	TagLast            = TagPing
-)
-
-// PingMsg has the full wire contract.
+// PingMsg is a pooled message type.
 type PingMsg struct{}
 
-func (PingMsg) isMessage() {}
-
-// BusyMsg is the NAK type.
-type BusyMsg struct{}
-
-func (BusyMsg) isMessage() {}
-
-// LostMsg is missing from both wire switches.
-type LostMsg struct{}
-
-func (LostMsg) isMessage() {}
-
-// ReleaseMsg is completion traffic; its Busy method below violates the
-// sheddable rule.
-type ReleaseMsg struct{}
-
-func (ReleaseMsg) isMessage() {}
-
-// Busy must never exist on a completer.
-func (m ReleaseMsg) Busy() Message { return BusyMsg{} }
-
-// AppendMessage is the encode switch.
-func AppendMessage(b []byte, m Message) ([]byte, error) {
-	switch m.(type) {
-	case PingMsg:
-		return append(b, byte(TagPing)), nil
-	default:
-		return b, nil
-	}
-}
-
-// DecodeMessage is the decode switch.
-func DecodeMessage(tag WireTag) (Message, error) {
-	var m Message
-	switch tag {
-	case TagPing:
-		m = PingMsg{}
-	}
-	return m, nil
-}
+func (*PingMsg) isMessage() {}
 
 // DecodeMessagePooled is the pool-backed decoder.
-func DecodeMessagePooled(tag WireTag) (Message, error) {
-	return DecodeMessage(tag)
+func DecodeMessagePooled(tag byte) (Message, error) {
+	return &PingMsg{}, nil
 }
 
 // RecycleMessage returns a pooled message.

@@ -152,10 +152,16 @@ func NewRuntime(latency LatencyModel, seed int64) *Runtime {
 // env.Msg: it is called with the very message the actor sent, may keep it
 // after it returns, and passes it to model.RecycleMessage exactly once when
 // done (or lets it be collected). Must be called before traffic flows.
-func (r *Runtime) SetUplink(f func(Envelope)) {
+//
+// It returns the uplink's way back in: a func that delivers an envelope to a
+// local actor's mailbox, exactly as a send would, and drops one addressed to
+// an actor not registered here instead of uplinking it — inbound wire
+// traffic for another site must not loop back out.
+func (r *Runtime) SetUplink(f func(Envelope)) (deliver func(Envelope)) {
 	r.mu.Lock()
 	r.uplink = f
 	r.mu.Unlock()
+	return r.deliver
 }
 
 // SetMailboxDepth bounds the mailboxes of actors registered after this call:
@@ -254,13 +260,11 @@ func (r *Runtime) Register(addr Addr, a Actor) {
 	}()
 }
 
-// Inject delivers an envelope that arrived from a remote node straight into
-// the destination mailbox. It is the local-only arm of route: an envelope
-// addressed to an actor not registered here is dropped — inbound wire traffic
-// for another site must not loop back out. Like a send it takes ownership of
-// env.Msg: the transport's read loop decodes into the message pools, and the
-// mailbox loop (or the NAK of a refusal) recycles.
-func (r *Runtime) Inject(env Envelope) {
+// deliver is the local-only arm of route, handed to the uplink by SetUplink:
+// an envelope addressed to an actor not registered here is dropped. Like a
+// send it takes ownership of env.Msg: the transport's read loop decodes into
+// the message pools, and the mailbox loop (or the NAK of a refusal) recycles.
+func (r *Runtime) deliver(env Envelope) {
 	r.mu.Lock()
 	mb := r.actors[env.To]
 	r.mu.Unlock()
@@ -269,8 +273,7 @@ func (r *Runtime) Inject(env Envelope) {
 	}
 }
 
-// Post routes a locally originated envelope exactly as an actor's Send does.
-// Use this — not Inject — to originate traffic that may target remote actors
+// Post routes a locally originated envelope exactly as an actor's Send does
 // (e.g. a node publishing a partition-map epoch to its peers).
 func (r *Runtime) Post(env Envelope) { r.route(env) }
 

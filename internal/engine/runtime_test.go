@@ -215,7 +215,7 @@ func TestRuntimeTimers(t *testing.T) {
 	defer rt.Shutdown()
 	a := &timerActor{fired: make(chan int64, 1)}
 	rt.Register(RIAddr(1), a)
-	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{Tag: 0}})
+	rt.deliver(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{Tag: 0}})
 	select {
 	case elapsed := <-a.fired:
 		if elapsed < 15_000 {
@@ -238,7 +238,7 @@ func TestRuntimeUplinkForUnknownActors(t *testing.T) {
 		got <- keep(e)
 	})
 	rt.Register(RIAddr(1), &sender{to: QMAddr(9), n: 1}) // QM 9 not local
-	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
+	rt.deliver(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
 	select {
 	case e := <-got:
 		if e.To != QMAddr(9) {
@@ -249,11 +249,34 @@ func TestRuntimeUplinkForUnknownActors(t *testing.T) {
 	}
 }
 
-// TestRuntimePostRoutesRemote: Post delivers to a local mailbox like Inject
-// but forwards a remote destination through the uplink instead of dropping
-// it — the path a node publishing a partition-map epoch to its peers relies
-// on (an Injected MapInstallMsg to a remote QM used to vanish silently). A
-// pooled message reaches the uplink as the pointer that was posted.
+// TestUplinkDeliveryStaysLocal: the func SetUplink returns delivers to a
+// local mailbox, and drops an envelope for an actor not registered here
+// instead of handing it back to the uplink — inbound wire traffic for another
+// site must not loop back out.
+func TestUplinkDeliveryStaysLocal(t *testing.T) {
+	rt := NewRuntime(FixedLatency{}, 1)
+	defer rt.Shutdown()
+	var uplinked atomic.Int64
+	deliver := rt.SetUplink(func(e Envelope) {
+		uplinked.Add(1)
+		keep(e)
+	})
+	recv := &collect{done: make(chan struct{}), want: 1}
+	rt.Register(QMAddr(0), recv)
+	deliver(Envelope{From: RIAddr(7), To: QMAddr(9), Msg: model.RequestMsg{Txn: model.TxnID{Site: 7, Seq: 1}}})
+	deliver(Envelope{From: RIAddr(7), To: QMAddr(0), Msg: model.TickMsg{Tag: 1}})
+	waitFor(t, recv.done, "the delivery to the local actor")
+	if n := uplinked.Load(); n != 0 {
+		t.Fatalf("the uplink was handed %d inbound envelope(s) for an actor not registered here", n)
+	}
+}
+
+// TestRuntimePostRoutesRemote: Post delivers to a local mailbox like the
+// uplink's delivery func but forwards a remote destination through the uplink
+// instead of dropping it — the path a node publishing a partition-map epoch
+// to its peers relies on (a MapInstallMsg to a remote QM delivered locally
+// used to vanish silently). A pooled message reaches the uplink as the
+// pointer that was posted.
 func TestRuntimePostRoutesRemote(t *testing.T) {
 	rt := NewRuntime(FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -294,7 +317,7 @@ func TestRuntimeShutdownStopsDelivery(t *testing.T) {
 	recv := &collect{done: make(chan struct{}), want: 1}
 	rt.Register(RIAddr(1), recv)
 	rt.Shutdown()
-	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
+	rt.deliver(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
 	select {
 	case <-recv.done:
 		t.Fatal("delivery after shutdown")
@@ -392,7 +415,7 @@ func TestMailboxBoundNAKsSheddable(t *testing.T) {
 	}
 	// Wedge the consumer: the first request is popped into OnMessage and
 	// blocks there, leaving the mailbox itself empty.
-	rt.Inject(req(0))
+	rt.deliver(req(0))
 	select {
 	case <-blocked.entered:
 	case <-time.After(5 * time.Second):
@@ -401,7 +424,7 @@ func TestMailboxBoundNAKsSheddable(t *testing.T) {
 	// Fill the mailbox to its bound, then overflow it.
 	const overflow = 10
 	for i := 1; i <= depth+overflow; i++ {
-		rt.Inject(req(uint64(i)))
+		rt.deliver(req(uint64(i)))
 	}
 	// Exactly the overflowing requests must be NAK'd (delivered through the
 	// sender's own mailbox goroutine, hence the poll).
@@ -419,7 +442,7 @@ func TestMailboxBoundNAKsSheddable(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A non-sheddable message (a release) must be admitted past the bound.
-	rt.Inject(Envelope{From: riAddr, To: qmAddr, Msg: model.ReleaseMsg{
+	rt.deliver(Envelope{From: riAddr, To: qmAddr, Msg: model.ReleaseMsg{
 		Txn: model.TxnID{Site: 3, Seq: 99},
 	}})
 	overflows, high := rt.MailboxStats()
@@ -505,7 +528,7 @@ func TestMailboxNAKReachesRemoteSenderViaUplink(t *testing.T) {
 	rt := NewRuntime(FixedLatency{}, 1)
 	rt.SetMailboxDepth(1)
 	naks := make(chan Envelope, 16)
-	rt.SetUplink(func(e Envelope) { naks <- keep(e) })
+	deliver := rt.SetUplink(func(e Envelope) { naks <- keep(e) })
 	blocked := &blockingActor{entered: make(chan struct{}), release: make(chan struct{})}
 	rt.Register(QMAddr(0), blocked)
 	defer func() {
@@ -519,10 +542,10 @@ func TestMailboxNAKReachesRemoteSenderViaUplink(t *testing.T) {
 			Txn: model.TxnID{Site: 7, Seq: seq}, Site: 7,
 		}}
 	}
-	rt.Inject(req(0))
+	deliver(req(0))
 	<-blocked.entered
-	rt.Inject(req(1)) // fills the depth-1 mailbox
-	rt.Inject(req(2)) // must NAK via uplink
+	deliver(req(1)) // fills the depth-1 mailbox
+	deliver(req(2)) // must NAK via uplink
 	select {
 	case e := <-naks:
 		if e.To != remote {
@@ -579,7 +602,7 @@ func TestSendToFullMailboxNAKsIntoOwnMailbox(t *testing.T) {
 	}()
 
 	// Wedge the consumer so its mailbox only fills.
-	rt.Inject(Envelope{From: RIAddr(3), To: QMAddr(0), Msg: model.ReleaseMsg{}})
+	rt.deliver(Envelope{From: RIAddr(3), To: QMAddr(0), Msg: model.ReleaseMsg{}})
 	waitFor(t, blocked.entered, "the consumer to enter OnMessage")
 	rt.Post(Envelope{From: RIAddr(3), To: RIAddr(3), Msg: model.TickMsg{}})
 	waitFor(t, flood.drained, "the burst and its marker (a Send blocked on the full mailbox, or a NAK was lost)")

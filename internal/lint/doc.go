@@ -1,34 +1,28 @@
 // Package lint is a self-contained static-analysis framework plus the
 // domain analyzers that machine-check this codebase's cross-cutting
 // invariants. It deliberately mirrors the golang.org/x/tools/go/analysis
-// API surface — Analyzer, Pass, Diagnostic, SuggestedFix — but is built on
-// the standard library alone, because this module carries no third-party
-// dependencies: packages are loaded with `go list -export` and typechecked
-// against gc export data (load.go), and cmd/ucclint speaks the
-// `go vet -vettool` unitchecker protocol by hand (unitchecker.go).
+// API surface — Analyzer, Pass, Diagnostic — but is built on the standard
+// library alone, because this module carries no third-party dependencies:
+// packages are loaded with `go list -export` and typechecked against gc
+// export data (load.go), and cmd/ucclint speaks the `go vet -vettool`
+// unitchecker protocol by hand (unitchecker.go).
 //
 // # The analyzer catalogue
 //
 // Each analyzer lives in its own subpackage and pins one invariant that
-// the type system cannot express:
+// neither the type system nor a test can express:
 //
-//   - wiretag: every model.Message implementation has a pinned WireTag in
-//     the AppendMessage encode switch, a matching DecodeMessage case, and
-//     a committed fuzz-corpus seed file; TagLast tracks the highest tag.
-//   - postnotinject: engine.Runtime.Inject outside internal/engine is
-//     flagged with a suggested fix to Post — Inject silently drops
-//     envelopes for actors not registered locally (the bug class PR 8
-//     caught only during end-to-end TCP verification).
-//   - sheddable: no completer/withdraw/release message type may implement
-//     model.Sheddable; shedding completion traffic strands locks forever
-//     (the PR 4 deadlock-freedom argument). New openers opt in with a
-//     "//ucclint:sheddable" marker stating the shed-safety argument.
-//   - poolsafe: values from DecodeMessagePooled/DecodeEnvelopePooled are
-//     valid only until RecycleMessage — no stores that outlive the frame,
-//     channel sends, goroutine captures, appends, or use-after-recycle.
+//   - poolsafe: values from pooled constructors (DecodeMessagePooled,
+//     DecodeEnvelopePooled, the model.PooledX family) are valid only until
+//     RecycleMessage — no stores that outlive the frame, channel sends,
+//     goroutine captures, appends, or use-after-recycle.
 //   - lockorder: per-item code paths hold at most one shard lock at a
 //     time; the all-shard crash/recovery critical section is allow-listed
 //     in place with its index-order argument.
+//
+// Invariants a declaration can carry are not analyzers: a message type
+// without a wire tag or an encoder does not compile, and internal/model's
+// table tests pin the decode table and the sheddable set.
 //
 // # Running the suite
 //

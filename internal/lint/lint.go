@@ -31,53 +31,26 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Dir is the package's directory on disk ("" when unknown). Analyzers
-	// that check on-disk artifacts next to the source — the wiretag
-	// analyzer's fuzz-corpus seeds — resolve paths relative to it.
-	Dir string
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Report records a fully-formed diagnostic (used when attaching suggested
-// fixes).
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
+	d := Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)}
 	*p.diags = append(*p.diags, d)
 }
 
-// Diagnostic is one finding: a position, a message, and optionally a
-// mechanical fix.
+// Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
-	Analyzer       string
-	Pos            token.Pos
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is a human-described set of edits that would resolve the
-// diagnostic. ucclint prints it; it does not apply it.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Analyzer string
+	Pos      token.Pos
+	Message  string
 }
 
 // Package is one loaded, typechecked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -136,7 +109,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Dir:       pkg.Dir,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -165,12 +137,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // Format renders one diagnostic the way every Go tool does:
 // file:line:col: message (analyzer).
 func Format(fset *token.FileSet, d Diagnostic) string {
-	pos := fset.Position(d.Pos)
-	s := fmt.Sprintf("%s: %s (%s)", pos, d.Message, d.Analyzer)
-	for _, fix := range d.SuggestedFixes {
-		s += fmt.Sprintf("\n\tsuggested fix: %s", fix.Message)
-	}
-	return s
+	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
 }
 
 // PathHasSuffix reports whether the import path is exactly suffix or ends

@@ -3,7 +3,7 @@
 // themselves — the analysistest convention, reimplemented on the standard
 // library:
 //
-//	rt.Inject(env) // want `use Runtime\.Post`
+//	global = m // want `stored into package-level variable global`
 //
 // Each `// want` comment carries one or more backquoted or quoted regular
 // expressions that must each match a diagnostic reported on that line; a
@@ -61,7 +61,7 @@ func loadFixture(fset *token.FileSet, fix *fixtureImporter, path string) (*lint.
 	if err != nil {
 		return nil, err
 	}
-	return lint.CheckFiles(fset, path, dir, files, fix)
+	return lint.CheckFiles(fset, path, files, fix)
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {

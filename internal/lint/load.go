@@ -40,9 +40,9 @@ type listPkg struct {
 // Load lists patterns in dir, typechecks every matched (non-dependency)
 // package from source, and returns them ready for RunPackage. Test files
 // are not loaded: ucclint checks production code, and test harnesses
-// legitimately poke invariants (driving engine.Runtime.Inject directly,
-// holding several shard locks to stage a state) that would drown the
-// signal in allow-comments.
+// legitimately poke invariants (retaining pooled messages, holding several
+// shard locks to stage a state) that would drown the signal in
+// allow-comments.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Err"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -90,7 +90,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		pkg, err := Check(fset, t.ImportPath, t.Dir, files, imp)
+		pkg, err := Check(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,7 @@ func exportImporter(fset *token.FileSet, lookup func(path string) (string, bool)
 }
 
 // Check parses and typechecks one package from source files on disk.
-func Check(fset *token.FileSet, path, dir string, filenames []string, imp types.Importer) (*Package, error) {
+func Check(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -121,13 +121,13 @@ func Check(fset *token.FileSet, path, dir string, filenames []string, imp types.
 		}
 		files = append(files, f)
 	}
-	return CheckFiles(fset, path, dir, files, imp)
+	return CheckFiles(fset, path, files, imp)
 }
 
 // CheckFiles typechecks already-parsed files as one package. It is the
 // shared backend of Load, the unitchecker, and the linttest fixture
 // loader.
-func CheckFiles(fset *token.FileSet, path, dir string, files []*ast.File, imp types.Importer) (*Package, error) {
+func CheckFiles(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -146,7 +146,6 @@ func CheckFiles(fset *token.FileSet, path, dir string, files []*ast.File, imp ty
 	}
 	return &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,

@@ -1,13 +1,13 @@
 // Package poolsafe enforces the message/object-pool lifetime contract
 // (internal/model/wirepool.go and the per-package hot-path pools): a value
-// obtained from a pooled constructor — the decode side
-// (DecodeMessagePooled, DecodeEnvelopePooled, ReadEnvelopePooled), the send
-// side (model.PooledRequest and its seventeen siblings: the three batch
-// constructors and the four send-only issuer types among them), or a
-// package-local acquire (qm's acquireEntry) — is valid only until its
-// recycle call (RecycleMessage, recycleEntry), and a recycled value must
-// never be touched again — the pool will hand the same
-// struct to a concurrent caller and the "retained" object silently mutates.
+// obtained from a pooled constructor — any function of a pooled package whose
+// name starts or ends with Pooled, which covers the decode side
+// (DecodeMessagePooled, DecodeEnvelopePooled, ReadEnvelopePooled) and the
+// send side (model.PooledRequest and its siblings), or a package-local acquire
+// (qm's acquireEntry) — is valid only until its recycle call
+// (RecycleMessage, recycleEntry), and a recycled value must never be touched
+// again — the pool will hand the same struct to a concurrent caller and the
+// "retained" object silently mutates.
 //
 // The analyzer taints the results of the pooled constructors inside each
 // function and flags the retention vectors that outlive the call frame:
@@ -41,43 +41,20 @@ import (
 // Analyzer flags pooled-message lifetime violations.
 var Analyzer = &lint.Analyzer{
 	Name: "poolsafe",
-	Doc: "values from pooled constructors (DecodeMessagePooled/DecodeEnvelopePooled, the send-side " +
-		"model.PooledX family, qm's acquireEntry) must not be retained past " +
+	Doc: "values from pooled constructors (XPooled on the decode side, PooledX on the send side, " +
+		"qm's acquireEntry) must not be retained past " +
 		"their recycle call (no stores through pointers/globals, channel sends, goroutine captures, " +
 		"or appends), and recycled values must not be re-read",
 	Run: run,
 }
 
-// pooledConstructors names the taint sources; they must be declared in a
-// package whose import path ends in one of pooledPackages. The decode-side
-// trio returns wire-decoded pooled messages; the PooledX family is the
-// send-side boxing used on the transaction hot path; acquireEntry is the
-// queue-table pool.
-var pooledConstructors = map[string]bool{
-	"DecodeMessagePooled":  true,
-	"DecodeEnvelopePooled": true,
-	"ReadEnvelopePooled":   true,
-
-	"PooledRequest":       true,
-	"PooledFinalTS":       true,
-	"PooledRelease":       true,
-	"PooledAbort":         true,
-	"PooledGrant":         true,
-	"PooledNormalGrant":   true,
-	"PooledReject":        true,
-	"PooledBackoff":       true,
-	"PooledBusy":          true,
-	"PooledSnapRead":      true,
-	"PooledSnapReadReply": true,
-	"PooledRequestBatch":  true,
-	"PooledReleaseBatch":  true,
-	"PooledGrantBatch":    true,
-	"PooledComputeDone":   true,
-	"PooledRestart":       true,
-	"PooledTxnDone":       true,
-	"PooledTxnFinished":   true,
-
-	"acquireEntry": true,
+// isPooledConstructor reports whether a function named name is a taint
+// source, given that it is declared in a package whose import path ends in
+// one of pooledPackages. The decode side ends in Pooled and returns
+// wire-decoded pooled messages; the send-side boxing used on the transaction
+// hot path starts with it; acquireEntry is the queue-table pool.
+func isPooledConstructor(name string) bool {
+	return strings.HasPrefix(name, "Pooled") || strings.HasSuffix(name, "Pooled") || name == "acquireEntry"
 }
 
 // recycleFuncs names the calls that return a pooled value to its pool; the
@@ -147,7 +124,7 @@ func (fn *funcState) isPooledCall(e ast.Expr) bool {
 	default:
 		return false
 	}
-	if !pooledConstructors[id.Name] {
+	if !isPooledConstructor(id.Name) {
 		return false
 	}
 	obj := fn.pass.TypesInfo.Uses[id]

@@ -172,3 +172,10 @@ func pooledReportFieldEscape(s *sink) {
 	d := model.PooledTxnDone(model.TxnDoneMsg{})
 	s.last = d // want `stored into s\.last`
 }
+
+// --- a new pooled constructor is tainted by its name alone ---
+
+func newPooledFieldEscape(s *sink) {
+	f := model.PooledFoo(model.FooMsg{N: 1})
+	s.last = f // want `stored into s\.last`
+}

@@ -49,3 +49,11 @@ func (*TxnDoneMsg) isMessage() {}
 
 // PooledTxnDone mirrors the real send-only constructor.
 func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg { return &v }
+
+// FooMsg is a pooled type the analyzer was never told about.
+type FooMsg struct{ N int }
+
+func (*FooMsg) isMessage() {}
+
+// PooledFoo is a taint source by its name's shape alone.
+func PooledFoo(v FooMsg) *FooMsg { return &v }

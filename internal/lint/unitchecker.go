@@ -7,7 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -104,11 +103,7 @@ func Unitcheck(cfgFile string, analyzers []*Analyzer) int {
 		f, ok := cfg.PackageFile[path]
 		return f, ok
 	})
-	dir := cfg.Dir
-	if dir == "" && len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
-	}
-	pkg, err := CheckFiles(fset, cfg.ImportPath, dir, files, imp)
+	pkg, err := CheckFiles(fset, cfg.ImportPath, files, imp)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0

@@ -20,4 +20,23 @@
 // renumbered — with explicit varint field encoders and error-latching
 // decoding (WireReader), reused by internal/wire for envelope framing and by
 // internal/wal for record payloads.
+//
+// # Adding a message type
+//
+// A message type is declared once, in these places:
+//
+//   - the struct and its wireTag method (messages.go), returning a new Tag
+//     constant appended after the last one (wire.go);
+//   - its AppendWire encoder and decodeX decoder (wire.go), and one row in
+//     the decode table, codecs, at its tag — TagLast follows the table;
+//   - its tag in TestMessageTagsStable, an entry in internal/wire's Corpus,
+//     and its fuzz seed (WIRE_WRITE_CORPUS=1 go test -run
+//     TestWriteSeedCorpus ./internal/wire).
+//
+// A type missing its tag or its encoder is not a Message and does not
+// compile; one missing its row, its corpus entry or its seed fails
+// TestEveryMessageTypeIsInTheTable, TestCorpusCoversEveryTag or
+// TestSeedCorpusCommitted. A pooled type (wirepool.go) adds its msgPool, its
+// PooledX constructor and its one-line recycle and unpool methods; if it
+// pools on decode too, its row uses pooled instead of plain.
 package model

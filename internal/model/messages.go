@@ -5,12 +5,14 @@ import (
 	"slices"
 )
 
-// Message is the marker interface for everything exchanged between actors.
-// All concrete messages are plain-data structs so the same protocol runs
-// over the in-process engines and the TCP transport; each carries a stable
-// wire tag and explicit binary encoders (wire.go) for the v3 wire format.
+// Message is everything exchanged between actors. All concrete messages are
+// plain-data structs so the same protocol runs over the in-process engines and
+// the TCP transport; each declares its stable wire tag beside its struct and
+// its body encoder in wire.go, so a type missing either is not a Message.
 type Message interface {
-	isMessage()
+	wireTag() WireTag
+	// AppendWire encodes the message body (no tag) onto b.
+	AppendWire(b []byte) []byte
 }
 
 // Attempt distinguishes the restart attempts of one logical transaction.
@@ -302,12 +304,13 @@ type BusyMsg struct {
 
 // Sheddable marks messages a saturated receiver may refuse with BusyMsg NAKs
 // instead of enqueueing. Only new-work openers implement it (RequestMsg,
-// RequestBatchMsg, SnapReadMsg): shedding one sheds a transaction attempt
-// cleanly. Messages that complete in-flight protocol work — releases (single
-// or batched), aborts, grants, final timestamps — are never sheddable,
-// because dropping one would strand locks forever; bounded mailboxes
-// therefore admit them even past the bound (the bound is hard for openers,
-// soft for completers, which is what makes the policy deadlock-free).
+// RequestBatchMsg, SnapReadMsg; TestOnlyOpenersShed pins the set): shedding
+// one sheds a transaction attempt cleanly. Messages that complete in-flight
+// protocol work — releases (single or batched), aborts, grants, final
+// timestamps — are never sheddable, because dropping one would strand locks
+// forever; bounded mailboxes therefore admit them even past the bound (the
+// bound is hard for openers, soft for completers, which is what makes the
+// policy deadlock-free).
 //
 // Refusal is per copy: a refused message is answered with one BusyMsg for
 // every copy it carried — Busy(i) for i in [0, Copies()) — so a refused
@@ -327,9 +330,8 @@ type Sheddable interface {
 func (m RequestMsg) Copies() int { return 1 }
 
 // Busy implements Sheddable: a refused request NAKs with its identity so the
-// issuer can abort the attempt.
-//
-//ucclint:sheddable -- opener: the NAK aborts the whole attempt and the issuer re-requests; no protocol state is stranded
+// issuer can abort the attempt. Opener: the NAK aborts the whole attempt and
+// the issuer re-requests, so no protocol state is stranded.
 func (m RequestMsg) Busy(int) Message {
 	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
 }
@@ -338,8 +340,8 @@ func (m RequestMsg) Busy(int) Message {
 func (m RequestBatchMsg) Copies() int { return len(m.Members) }
 
 // Busy implements Sheddable: member i NAKs as its own RequestMsg would.
-//
-//ucclint:sheddable -- opener: each member's NAK is the one its single RequestMsg would get; the issuer aborts (or, under quorum, excludes) per copy and re-requests, so no protocol state is stranded
+// Opener: the issuer aborts (or, under quorum, excludes) per copy and
+// re-requests, so no protocol state is stranded.
 func (m RequestBatchMsg) Busy(i int) Message {
 	return m.Request(i).Busy(0)
 }
@@ -349,8 +351,8 @@ func (m SnapReadMsg) Copies() int { return 1 }
 
 // Busy implements Sheddable for snapshot reads (the read-only fast path
 // sheds the whole transaction — it has no retry machinery by design).
-//
-//ucclint:sheddable -- opener: shedding fails the read-only transaction cleanly; it holds no locks or queue entries
+// Opener: shedding fails the read-only transaction cleanly; it holds no locks
+// or queue entries.
 func (m SnapReadMsg) Busy(int) Message {
 	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
 }
@@ -692,43 +694,61 @@ type TransferRecordsMsg struct {
 	Done bool
 }
 
-func (RequestMsg) isMessage()         {}
-func (RequestBatchMsg) isMessage()    {}
-func (ReleaseBatchMsg) isMessage()    {}
-func (GrantBatchMsg) isMessage()      {}
-func (FinalTSMsg) isMessage()         {}
-func (SnapReadMsg) isMessage()        {}
-func (SnapReadReplyMsg) isMessage()   {}
-func (ReleaseMsg) isMessage()         {}
-func (AbortMsg) isMessage()           {}
-func (GrantMsg) isMessage()           {}
-func (NormalGrantMsg) isMessage()     {}
-func (RejectMsg) isMessage()          {}
-func (BackoffMsg) isMessage()         {}
-func (VictimMsg) isMessage()          {}
-func (BusyMsg) isMessage()            {}
-func (TxnFinishedMsg) isMessage()     {}
-func (WFGReportMsg) isMessage()       {}
-func (ProbeWFGMsg) isMessage()        {}
-func (SubmitTxnMsg) isMessage()       {}
-func (TxnDoneMsg) isMessage()         {}
-func (TickMsg) isMessage()            {}
-func (ComputeDoneMsg) isMessage()     {}
-func (RestartMsg) isMessage()         {}
-func (StopMsg) isMessage()            {}
-func (CrashMsg) isMessage()           {}
-func (RecoverMsg) isMessage()         {}
-func (FlushMsg) isMessage()           {}
-func (ReplPullMsg) isMessage()        {}
-func (ReplRecordsMsg) isMessage()     {}
-func (WrongEpochMsg) isMessage()      {}
-func (MapInstallMsg) isMessage()      {}
-func (MapUpdateMsg) isMessage()       {}
-func (TransferPullMsg) isMessage()    {}
-func (TransferRecordsMsg) isMessage() {}
+func (RequestMsg) wireTag() WireTag         { return TagRequest }
+func (FinalTSMsg) wireTag() WireTag         { return TagFinalTS }
+func (ReleaseMsg) wireTag() WireTag         { return TagRelease }
+func (AbortMsg) wireTag() WireTag           { return TagAbort }
+func (GrantMsg) wireTag() WireTag           { return TagGrant }
+func (NormalGrantMsg) wireTag() WireTag     { return TagNormalGrant }
+func (RejectMsg) wireTag() WireTag          { return TagReject }
+func (BackoffMsg) wireTag() WireTag         { return TagBackoff }
+func (BusyMsg) wireTag() WireTag            { return TagBusy }
+func (VictimMsg) wireTag() WireTag          { return TagVictim }
+func (SnapReadMsg) wireTag() WireTag        { return TagSnapRead }
+func (SnapReadReplyMsg) wireTag() WireTag   { return TagSnapReadReply }
+func (WFGReportMsg) wireTag() WireTag       { return TagWFGReport }
+func (ProbeWFGMsg) wireTag() WireTag        { return TagProbeWFG }
+func (SubmitTxnMsg) wireTag() WireTag       { return TagSubmitTxn }
+func (TxnDoneMsg) wireTag() WireTag         { return TagTxnDone }
+func (QueueStatsMsg) wireTag() WireTag      { return TagQueueStats }
+func (EstimateMsg) wireTag() WireTag        { return TagEstimate }
+func (TickMsg) wireTag() WireTag            { return TagTick }
+func (ComputeDoneMsg) wireTag() WireTag     { return TagComputeDone }
+func (RestartMsg) wireTag() WireTag         { return TagRestart }
+func (TxnFinishedMsg) wireTag() WireTag     { return TagTxnFinished }
+func (StopMsg) wireTag() WireTag            { return TagStop }
+func (CrashMsg) wireTag() WireTag           { return TagCrash }
+func (RecoverMsg) wireTag() WireTag         { return TagRecover }
+func (FlushMsg) wireTag() WireTag           { return TagFlush }
+func (ReplPullMsg) wireTag() WireTag        { return TagReplPull }
+func (ReplRecordsMsg) wireTag() WireTag     { return TagReplRecords }
+func (WrongEpochMsg) wireTag() WireTag      { return TagWrongEpoch }
+func (MapInstallMsg) wireTag() WireTag      { return TagMapInstall }
+func (MapUpdateMsg) wireTag() WireTag       { return TagMapUpdate }
+func (TransferPullMsg) wireTag() WireTag    { return TagTransferPull }
+func (TransferRecordsMsg) wireTag() WireTag { return TagTransferRecords }
 
-func (QueueStatsMsg) isMessage() {}
-func (EstimateMsg) isMessage()   {}
+// A batch travels under its own tag with two or more members, as the single
+// message it stands for with one, and not at all with none.
+func (m RequestBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagRequest, TagRequestBatch)
+}
+func (m ReleaseBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagRelease, TagReleaseBatch)
+}
+func (m GrantBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagGrant, TagGrantBatch)
+}
+
+func batchTag(members int, single, batch WireTag) WireTag {
+	switch members {
+	case 0:
+		return TagInvalid
+	case 1:
+		return single
+	}
+	return batch
+}
 
 func (m RequestMsg) String() string {
 	return fmt.Sprintf("req{%s %s %s %s ts=%d}", m.Txn, m.Protocol, m.Kind, m.Copy, m.TS)

@@ -63,29 +63,24 @@ const (
 	TagTransferRecords WireTag = 33
 
 	// Batches of two or more copies (a batch of one travels under its single
-	// message's tag, see AppendMessage).
+	// message's tag, see batchTag).
 	TagRequestBatch WireTag = 34
 	TagReleaseBatch WireTag = 35
 	TagGrantBatch   WireTag = 36
-
-	// TagLast is the highest assigned tag (corpus-coverage loops range over
-	// TagRequest..TagLast). Update when appending a tag.
-	TagLast = TagGrantBatch
 )
 
-// MessageTag returns the wire tag of a message; ok is false for message types
-// that are not (yet) part of the wire contract. Implemented on top of
-// AppendMessage — the one type switch in the encode direction — so a message
-// type can never have a tag without an encoder or vice versa. Not for hot
-// paths (it encodes the message to learn the tag); the hot paths only ever
-// need AppendMessage itself.
+// TagLast is the highest assigned tag, the decode table's last row
+// (corpus-coverage loops range over TagRequest..TagLast).
+const TagLast = WireTag(len(codecs) - 1)
+
+// MessageTag returns the tag m travels under; ok is false for nil and for an
+// empty batch, which have no encoding.
 func MessageTag(m Message) (WireTag, bool) {
-	var scratch [1]byte
-	b, err := AppendMessage(scratch[:0], m)
-	if err != nil || len(b) == 0 {
+	if m == nil {
 		return TagInvalid, false
 	}
-	return WireTag(b[0]), true
+	tag := m.wireTag()
+	return tag, tag != TagInvalid
 }
 
 // ---------------------------------------------------------------------------
@@ -103,8 +98,8 @@ var ErrWireCorrupt = errors.New("model: wire payload corrupt")
 // ErrWireUnknownTag reports a message tag this build does not know.
 var ErrWireUnknownTag = errors.New("model: unknown wire message tag")
 
-// errEmptyBatch reports a batch with no members, which has no encoding.
-var errEmptyBatch = errors.New("model: batch has no members")
+// errNoEncoding reports a nil message or a batch with no members.
+var errNoEncoding = errors.New("model: nil message or empty batch has no encoding")
 
 // AppendUvarint appends v in unsigned LEB128.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -534,9 +529,10 @@ func decodeGrant(r *WireReader) (m GrantMsg) {
 }
 
 // Batches. On the wire a batch carries at least two members: a batch of one
-// is encoded as the single message it stands for (appendTagged), so the
-// decoders reject smaller counts and every message keeps exactly one
-// encoding. The shared fields lead, in the order of the single message's.
+// is encoded as the single message it stands for, under that message's tag
+// (batchTag), so the decoders reject smaller counts and every message keeps
+// exactly one encoding. The shared fields lead, in the order of the single
+// message's.
 
 // batchCount decodes a batch's member count (at least two; see above).
 func (r *WireReader) batchCount(elemMin int) int {
@@ -550,20 +546,12 @@ func (r *WireReader) batchCount(elemMin int) int {
 	return n
 }
 
-// appendTagged appends tag + body for a batch of two or more, and for a
-// batch of one the RequestMsg it stands for, tag and bytes.
-func (m RequestBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
-	switch len(m.Members) {
-	case 0:
-		return b, errEmptyBatch
-	case 1:
-		return m.Request(0).AppendWire(append(b, byte(TagRequest))), nil
-	}
-	return m.AppendWire(append(b, byte(tag))), nil
-}
-
-// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// RequestMsg it stands for.
 func (m RequestBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.Request(0).AppendWire(b)
+	}
 	b = appendTxnID(b, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
@@ -600,20 +588,12 @@ func decodeRequestBatch(r *WireReader, members []RequestMember) (m RequestBatchM
 	return m
 }
 
-// appendTagged appends tag + body for a batch of two or more, and for a
-// batch of one the ReleaseMsg it stands for, tag and bytes.
-func (m ReleaseBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
-	switch len(m.Members) {
-	case 0:
-		return b, errEmptyBatch
-	case 1:
-		return m.Release(0).AppendWire(append(b, byte(TagRelease))), nil
-	}
-	return m.AppendWire(append(b, byte(tag))), nil
-}
-
-// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// ReleaseMsg it stands for.
 func (m ReleaseBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.Release(0).AppendWire(b)
+	}
 	b = appendTxnID(b, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
@@ -645,20 +625,12 @@ func decodeReleaseBatch(r *WireReader, members []ReleaseMember) (m ReleaseBatchM
 	return m
 }
 
-// appendTagged appends tag + body for a batch of two or more, and for a
-// batch of one the GrantMsg it stands for, tag and bytes.
-func (m GrantBatchMsg) appendTagged(b []byte, tag WireTag) ([]byte, error) {
-	switch len(m.Members) {
-	case 0:
-		return b, errEmptyBatch
-	case 1:
-		return m.Grant(0).AppendWire(append(b, byte(TagGrant))), nil
-	}
-	return m.AppendWire(append(b, byte(tag))), nil
-}
-
-// AppendWire encodes the body of a batch of two or more (no tag) onto b.
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// GrantMsg it stands for.
 func (m GrantBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.Grant(0).AppendWire(b)
+	}
 	b = appendTxnID(b, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
@@ -1212,134 +1184,110 @@ func decodeTransferRecords(r *WireReader) (m TransferRecordsMsg) {
 	return m
 }
 
+// decodeEmpty decodes a message that has no fields.
+func decodeEmpty[T Message](*WireReader) (m T) { return m }
+
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
-// AppendMessage appends tag + body. This switch is the single source of the
-// type→tag mapping in the encode direction (MessageTag reads tags back out
-// of it); each arm pairs one tag constant with that type's AppendWire, so a
-// tag without an encoder cannot exist. A batch arm names its batch tag, and
-// a batch of one leaves under its single message's tag instead. Message
-// types outside the wire contract, and empty batches, return an error (the
-// transport NAKs, counts, and drops them rather than wedging the writer).
-func AppendMessage(b []byte, m Message) ([]byte, error) {
-	switch v := m.(type) {
-	case RequestMsg:
-		return v.AppendWire(append(b, byte(TagRequest))), nil
-	case FinalTSMsg:
-		return v.AppendWire(append(b, byte(TagFinalTS))), nil
-	case ReleaseMsg:
-		return v.AppendWire(append(b, byte(TagRelease))), nil
-	case AbortMsg:
-		return v.AppendWire(append(b, byte(TagAbort))), nil
-	case GrantMsg:
-		return v.AppendWire(append(b, byte(TagGrant))), nil
-	case NormalGrantMsg:
-		return v.AppendWire(append(b, byte(TagNormalGrant))), nil
-	case RejectMsg:
-		return v.AppendWire(append(b, byte(TagReject))), nil
-	case BackoffMsg:
-		return v.AppendWire(append(b, byte(TagBackoff))), nil
-	case BusyMsg:
-		return v.AppendWire(append(b, byte(TagBusy))), nil
-	case VictimMsg:
-		return v.AppendWire(append(b, byte(TagVictim))), nil
-	case SnapReadMsg:
-		return v.AppendWire(append(b, byte(TagSnapRead))), nil
-	case SnapReadReplyMsg:
-		return v.AppendWire(append(b, byte(TagSnapReadReply))), nil
-	// Pooled pointer forms (DecodeMessagePooled): same bytes as the value
-	// arms above, so a pooled message re-encodes identically.
-	case *RequestMsg:
-		return v.AppendWire(append(b, byte(TagRequest))), nil
-	case *FinalTSMsg:
-		return v.AppendWire(append(b, byte(TagFinalTS))), nil
-	case *ReleaseMsg:
-		return v.AppendWire(append(b, byte(TagRelease))), nil
-	case *AbortMsg:
-		return v.AppendWire(append(b, byte(TagAbort))), nil
-	case *GrantMsg:
-		return v.AppendWire(append(b, byte(TagGrant))), nil
-	case *NormalGrantMsg:
-		return v.AppendWire(append(b, byte(TagNormalGrant))), nil
-	case *RejectMsg:
-		return v.AppendWire(append(b, byte(TagReject))), nil
-	case *BackoffMsg:
-		return v.AppendWire(append(b, byte(TagBackoff))), nil
-	case *BusyMsg:
-		return v.AppendWire(append(b, byte(TagBusy))), nil
-	case *SnapReadMsg:
-		return v.AppendWire(append(b, byte(TagSnapRead))), nil
-	case *SnapReadReplyMsg:
-		return v.AppendWire(append(b, byte(TagSnapReadReply))), nil
-	// Send-only pooled forms (the issuer's timers and completion reports).
-	case *TxnDoneMsg:
-		return v.AppendWire(append(b, byte(TagTxnDone))), nil
-	case *ComputeDoneMsg:
-		return v.AppendWire(append(b, byte(TagComputeDone))), nil
-	case *RestartMsg:
-		return v.AppendWire(append(b, byte(TagRestart))), nil
-	case *TxnFinishedMsg:
-		return v.AppendWire(append(b, byte(TagTxnFinished))), nil
-	case WFGReportMsg:
-		return v.AppendWire(append(b, byte(TagWFGReport))), nil
-	case ProbeWFGMsg:
-		return v.AppendWire(append(b, byte(TagProbeWFG))), nil
-	case SubmitTxnMsg:
-		return v.AppendWire(append(b, byte(TagSubmitTxn))), nil
-	case TxnDoneMsg:
-		return v.AppendWire(append(b, byte(TagTxnDone))), nil
-	case QueueStatsMsg:
-		return v.AppendWire(append(b, byte(TagQueueStats))), nil
-	case EstimateMsg:
-		return v.AppendWire(append(b, byte(TagEstimate))), nil
-	case TickMsg:
-		return v.AppendWire(append(b, byte(TagTick))), nil
-	case ComputeDoneMsg:
-		return v.AppendWire(append(b, byte(TagComputeDone))), nil
-	case RestartMsg:
-		return v.AppendWire(append(b, byte(TagRestart))), nil
-	case TxnFinishedMsg:
-		return v.AppendWire(append(b, byte(TagTxnFinished))), nil
-	case StopMsg:
-		return v.AppendWire(append(b, byte(TagStop))), nil
-	case CrashMsg:
-		return v.AppendWire(append(b, byte(TagCrash))), nil
-	case RecoverMsg:
-		return v.AppendWire(append(b, byte(TagRecover))), nil
-	case FlushMsg:
-		return v.AppendWire(append(b, byte(TagFlush))), nil
-	case ReplPullMsg:
-		return v.AppendWire(append(b, byte(TagReplPull))), nil
-	case ReplRecordsMsg:
-		return v.AppendWire(append(b, byte(TagReplRecords))), nil
-	case WrongEpochMsg:
-		return v.AppendWire(append(b, byte(TagWrongEpoch))), nil
-	case MapInstallMsg:
-		return v.AppendWire(append(b, byte(TagMapInstall))), nil
-	case MapUpdateMsg:
-		return v.AppendWire(append(b, byte(TagMapUpdate))), nil
-	case TransferPullMsg:
-		return v.AppendWire(append(b, byte(TagTransferPull))), nil
-	case TransferRecordsMsg:
-		return v.AppendWire(append(b, byte(TagTransferRecords))), nil
-	// Batches, value and pooled forms alike.
-	case RequestBatchMsg:
-		return v.appendTagged(b, TagRequestBatch)
-	case *RequestBatchMsg:
-		return v.appendTagged(b, TagRequestBatch)
-	case ReleaseBatchMsg:
-		return v.appendTagged(b, TagReleaseBatch)
-	case *ReleaseBatchMsg:
-		return v.appendTagged(b, TagReleaseBatch)
-	case GrantBatchMsg:
-		return v.appendTagged(b, TagGrantBatch)
-	case *GrantBatchMsg:
-		return v.appendTagged(b, TagGrantBatch)
-	default:
-		return b, fmt.Errorf("model: message %T has no wire encoder", m)
+// codec is one tag's row of the decode table: decode returns the message as
+// a value; decodePooled, where set, decodes into the type's pool and returns
+// the pointer (DecodeMessagePooled, wirepool.go).
+type codec struct {
+	decode, decodePooled func(*WireReader) Message
+}
+
+// plain is the row of a type that always decodes to a value.
+func plain[T Message](decode func(*WireReader) T) codec {
+	return codec{decode: func(r *WireReader) Message { return decode(r) }}
+}
+
+// pooled is the row of a type that DecodeMessagePooled decodes into pool.
+func pooled[T Message, P interface {
+	*T
+	Message
+}](pool *msgPool[T], decode func(*WireReader) T) codec {
+	c := plain(decode)
+	c.decodePooled = func(r *WireReader) Message {
+		p := pool.get()
+		*p = decode(r)
+		return P(p)
 	}
+	return c
+}
+
+// codecs is the decode table, indexed by tag; TagInvalid's row is empty. The
+// batches decode into the members array a pooled message kept.
+var codecs = [...]codec{
+	TagRequest:         pooled(&requestPool, decodeRequest),
+	TagFinalTS:         pooled(&finalTSPool, decodeFinalTS),
+	TagRelease:         pooled(&releasePool, decodeRelease),
+	TagAbort:           pooled(&abortPool, decodeAbort),
+	TagGrant:           pooled(&grantPool, decodeGrant),
+	TagNormalGrant:     pooled(&normalGrantPool, decodeNormalGrant),
+	TagReject:          pooled(&rejectPool, decodeReject),
+	TagBackoff:         pooled(&backoffPool, decodeBackoff),
+	TagBusy:            pooled(&busyPool, decodeBusy),
+	TagVictim:          plain(decodeVictim),
+	TagSnapRead:        pooled(&snapReadPool, decodeSnapRead),
+	TagSnapReadReply:   pooled(&snapReadReplyPool, decodeSnapReadReply),
+	TagWFGReport:       plain(decodeWFGReport),
+	TagProbeWFG:        plain(decodeProbeWFG),
+	TagSubmitTxn:       plain(decodeSubmitTxn),
+	TagTxnDone:         plain(decodeTxnDone),
+	TagQueueStats:      plain(decodeQueueStats),
+	TagEstimate:        plain(decodeEstimate),
+	TagTick:            plain(decodeTick),
+	TagComputeDone:     plain(decodeComputeDone),
+	TagRestart:         plain(decodeRestart),
+	TagTxnFinished:     plain(decodeTxnFinished),
+	TagStop:            plain(decodeEmpty[StopMsg]),
+	TagCrash:           plain(decodeEmpty[CrashMsg]),
+	TagRecover:         plain(decodeEmpty[RecoverMsg]),
+	TagFlush:           plain(decodeFlush),
+	TagReplPull:        plain(decodeReplPull),
+	TagReplRecords:     plain(decodeReplRecords),
+	TagWrongEpoch:      plain(decodeWrongEpoch),
+	TagMapInstall:      plain(decodeMapInstall),
+	TagMapUpdate:       plain(decodeMapUpdate),
+	TagTransferPull:    plain(decodeTransferPull),
+	TagTransferRecords: plain(decodeTransferRecords),
+	TagRequestBatch: {
+		decode: func(r *WireReader) Message { return decodeRequestBatch(r, nil) },
+		decodePooled: func(r *WireReader) Message {
+			p := requestBatchPool.get()
+			*p = decodeRequestBatch(r, p.Members)
+			return p
+		},
+	},
+	TagReleaseBatch: {
+		decode: func(r *WireReader) Message { return decodeReleaseBatch(r, nil) },
+		decodePooled: func(r *WireReader) Message {
+			p := releaseBatchPool.get()
+			*p = decodeReleaseBatch(r, p.Members)
+			return p
+		},
+	},
+	TagGrantBatch: {
+		decode: func(r *WireReader) Message { return decodeGrantBatch(r, nil) },
+		decodePooled: func(r *WireReader) Message {
+			p := grantBatchPool.get()
+			*p = decodeGrantBatch(r, p.Members)
+			return p
+		},
+	},
+}
+
+// AppendMessage appends tag + body. A nil message and an empty batch have no
+// encoding and return an error (the transport NAKs, counts, and drops them
+// rather than wedging the writer).
+func AppendMessage(b []byte, m Message) ([]byte, error) {
+	tag, ok := MessageTag(m)
+	if !ok {
+		return b, errNoEncoding
+	}
+	return m.AppendWire(append(b, byte(tag))), nil
 }
 
 // DecodeMessage decodes the body for tag from r. Unknown tags error cleanly
@@ -1347,83 +1295,10 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 // The caller is responsible for checking r.Err() and for rejecting trailing
 // bytes if the payload is supposed to be exactly one message.
 func DecodeMessage(tag WireTag, r *WireReader) (Message, error) {
-	var m Message
-	switch tag {
-	case TagRequest:
-		m = decodeRequest(r)
-	case TagFinalTS:
-		m = decodeFinalTS(r)
-	case TagRelease:
-		m = decodeRelease(r)
-	case TagAbort:
-		m = decodeAbort(r)
-	case TagGrant:
-		m = decodeGrant(r)
-	case TagNormalGrant:
-		m = decodeNormalGrant(r)
-	case TagReject:
-		m = decodeReject(r)
-	case TagBackoff:
-		m = decodeBackoff(r)
-	case TagBusy:
-		m = decodeBusy(r)
-	case TagVictim:
-		m = decodeVictim(r)
-	case TagSnapRead:
-		m = decodeSnapRead(r)
-	case TagSnapReadReply:
-		m = decodeSnapReadReply(r)
-	case TagWFGReport:
-		m = decodeWFGReport(r)
-	case TagProbeWFG:
-		m = decodeProbeWFG(r)
-	case TagSubmitTxn:
-		m = decodeSubmitTxn(r)
-	case TagTxnDone:
-		m = decodeTxnDone(r)
-	case TagQueueStats:
-		m = decodeQueueStats(r)
-	case TagEstimate:
-		m = decodeEstimate(r)
-	case TagTick:
-		m = decodeTick(r)
-	case TagComputeDone:
-		m = decodeComputeDone(r)
-	case TagRestart:
-		m = decodeRestart(r)
-	case TagTxnFinished:
-		m = decodeTxnFinished(r)
-	case TagStop:
-		m = StopMsg{}
-	case TagCrash:
-		m = CrashMsg{}
-	case TagRecover:
-		m = RecoverMsg{}
-	case TagFlush:
-		m = decodeFlush(r)
-	case TagReplPull:
-		m = decodeReplPull(r)
-	case TagReplRecords:
-		m = decodeReplRecords(r)
-	case TagWrongEpoch:
-		m = decodeWrongEpoch(r)
-	case TagMapInstall:
-		m = decodeMapInstall(r)
-	case TagMapUpdate:
-		m = decodeMapUpdate(r)
-	case TagTransferPull:
-		m = decodeTransferPull(r)
-	case TagTransferRecords:
-		m = decodeTransferRecords(r)
-	case TagRequestBatch:
-		m = decodeRequestBatch(r, nil)
-	case TagReleaseBatch:
-		m = decodeReleaseBatch(r, nil)
-	case TagGrantBatch:
-		m = decodeGrantBatch(r, nil)
-	default:
+	if tag > TagLast || codecs[tag].decode == nil {
 		return nil, fmt.Errorf("%w: %d", ErrWireUnknownTag, tag)
 	}
+	m := codecs[tag].decode(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

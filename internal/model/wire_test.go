@@ -215,22 +215,33 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 // single message.
 func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 	for _, g := range goldenBatches {
-		b, _ := AppendMessage(nil, g.msg)
-		for _, members := range []int{0, 1} {
-			var cut []byte
-			switch v := g.msg.(type) {
-			case RequestBatchMsg:
-				v.Members = v.Members[:members]
-				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
-			case ReleaseBatchMsg:
-				v.Members = v.Members[:members]
-				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
-			case GrantBatchMsg:
-				v.Members = v.Members[:members]
-				cut = append([]byte{b[0]}, v.AppendWire(nil)...)
-			}
-			r := NewWireReader(cut[1:])
-			if _, err := DecodeMessage(WireTag(cut[0]), &r); !errors.Is(err, ErrWireCorrupt) {
+		// A batch body ends with its member count and its members, so the
+		// bodies of no members and of two equal members give the body a
+		// batch of one would have had it not travelled as its single message.
+		var none, twins Message
+		switch v := g.msg.(type) {
+		case RequestBatchMsg:
+			v.Members = []RequestMember{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		case ReleaseBatchMsg:
+			v.Members = []ReleaseMember{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		case GrantBatchMsg:
+			v.Members = []GrantMember{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		}
+		body0, body2 := none.AppendWire(nil), twins.AppendWire(nil)
+		member := body2[len(body0) : len(body0)+(len(body2)-len(body0))/2]
+		body1 := append(append(body0[:len(body0)-1:len(body0)-1], 1), member...)
+		for members, body := range [][]byte{body0, body1} {
+			r := NewWireReader(body)
+			if _, err := DecodeMessage(g.msg.wireTag(), &r); !errors.Is(err, ErrWireCorrupt) {
 				t.Errorf("%T with %d members decoded: %v", g.msg, members, err)
 			}
 		}

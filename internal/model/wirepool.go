@@ -13,9 +13,9 @@ import (
 // send path. The fourteen hot protocol types — eleven fixed-size messages
 // and the three batches (RequestBatch, ReleaseBatch, GrantBatch) — therefore
 // pool in both directions: DecodeMessagePooled decodes into pooled structs
-// returned as pointers, the PooledRequest/PooledGrant/... constructors wrap a
-// value into a pooled pointer for sending, and RecycleMessage puts either
-// back.
+// returned as pointers (the decode table's decodePooled rows), the
+// PooledRequest/PooledGrant/... constructors wrap a value into a pooled
+// pointer for sending, and RecycleMessage puts either back.
 //
 // Four more fixed-size types pool on the send side only: the issuer's two
 // timers (ComputeDone, Restart) and its two completion reports (TxnDone to
@@ -66,33 +66,46 @@ import (
 //     the caller keeps the slice it built them in; UnpoolMessage copies them
 //     out again.
 //
-// AppendMessage accepts both forms of all eighteen (a pooled *RequestMsg
-// encodes byte-for-byte identically to the RequestMsg it holds), so
-// round-trip paths — decode pooled, re-encode, recycle — need no copies, and
-// pooled sends cross the transport unchanged.
+// A pooled pointer is a Message through its method set, and encodes
+// byte-for-byte like the value it holds, so round-trip paths — decode
+// pooled, re-encode, recycle — need no copies, and pooled sends cross the
+// transport unchanged.
+//
+// Each pooled type declares, beside its pool, its PooledX constructor and the
+// two pooledMsg methods RecycleMessage and UnpoolMessage dispatch through.
 
-var (
-	requestPool       = sync.Pool{New: func() any { return new(RequestMsg) }}
-	finalTSPool       = sync.Pool{New: func() any { return new(FinalTSMsg) }}
-	releasePool       = sync.Pool{New: func() any { return new(ReleaseMsg) }}
-	abortPool         = sync.Pool{New: func() any { return new(AbortMsg) }}
-	grantPool         = sync.Pool{New: func() any { return new(GrantMsg) }}
-	normalGrantPool   = sync.Pool{New: func() any { return new(NormalGrantMsg) }}
-	rejectPool        = sync.Pool{New: func() any { return new(RejectMsg) }}
-	backoffPool       = sync.Pool{New: func() any { return new(BackoffMsg) }}
-	busyPool          = sync.Pool{New: func() any { return new(BusyMsg) }}
-	snapReadPool      = sync.Pool{New: func() any { return new(SnapReadMsg) }}
-	snapReadReplyPool = sync.Pool{New: func() any { return new(SnapReadReplyMsg) }}
-	requestBatchPool  = sync.Pool{New: func() any { return new(RequestBatchMsg) }}
-	releaseBatchPool  = sync.Pool{New: func() any { return new(ReleaseBatchMsg) }}
-	grantBatchPool    = sync.Pool{New: func() any { return new(GrantBatchMsg) }}
+// msgPool is one message type's pool.
+type msgPool[T any] struct{ sync.Pool }
 
-	// Send-only pools (see the package comment above).
-	computeDonePool = sync.Pool{New: func() any { return new(ComputeDoneMsg) }}
-	restartPool     = sync.Pool{New: func() any { return new(RestartMsg) }}
-	txnDonePool     = sync.Pool{New: func() any { return new(TxnDoneMsg) }}
-	txnFinishedPool = sync.Pool{New: func() any { return new(TxnFinishedMsg) }}
-)
+// get returns a pooled *T, or a new one when the pool is empty.
+func (p *msgPool[T]) get() *T {
+	if v, _ := p.Get().(*T); v != nil {
+		return v
+	}
+	return new(T)
+}
+
+// box returns v in a pooled *T.
+func (p *msgPool[T]) box(v T) *T {
+	q := p.get()
+	*q = v
+	return q
+}
+
+// put zeroes v and returns it to the pool.
+func (p *msgPool[T]) put(v *T) {
+	var zero T
+	*v = zero
+	p.Put(v)
+}
+
+// pooledMsg is implemented by the pooled pointer types, and by nothing else.
+type pooledMsg interface {
+	// recycle returns the message to its pool.
+	recycle()
+	// unpool returns the message as a value that is safe to retain.
+	unpool() Message
+}
 
 // maxPooledMembers caps the members array a recycled batch keeps: far above
 // any transaction's copies at one mailbox, far below a size worth pinning.
@@ -114,67 +127,10 @@ func keptMembers[M any](s []M) []M {
 // lifetime contract. Tags outside the pooled set defer to DecodeMessage, and
 // so do the four send-only types, which come back as values.
 func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
-	var m Message
-	switch tag {
-	case TagRequest:
-		v := requestPool.Get().(*RequestMsg)
-		*v = decodeRequest(r)
-		m = v
-	case TagFinalTS:
-		v := finalTSPool.Get().(*FinalTSMsg)
-		*v = decodeFinalTS(r)
-		m = v
-	case TagRelease:
-		v := releasePool.Get().(*ReleaseMsg)
-		*v = decodeRelease(r)
-		m = v
-	case TagAbort:
-		v := abortPool.Get().(*AbortMsg)
-		*v = decodeAbort(r)
-		m = v
-	case TagGrant:
-		v := grantPool.Get().(*GrantMsg)
-		*v = decodeGrant(r)
-		m = v
-	case TagNormalGrant:
-		v := normalGrantPool.Get().(*NormalGrantMsg)
-		*v = decodeNormalGrant(r)
-		m = v
-	case TagReject:
-		v := rejectPool.Get().(*RejectMsg)
-		*v = decodeReject(r)
-		m = v
-	case TagBackoff:
-		v := backoffPool.Get().(*BackoffMsg)
-		*v = decodeBackoff(r)
-		m = v
-	case TagBusy:
-		v := busyPool.Get().(*BusyMsg)
-		*v = decodeBusy(r)
-		m = v
-	case TagSnapRead:
-		v := snapReadPool.Get().(*SnapReadMsg)
-		*v = decodeSnapRead(r)
-		m = v
-	case TagSnapReadReply:
-		v := snapReadReplyPool.Get().(*SnapReadReplyMsg)
-		*v = decodeSnapReadReply(r)
-		m = v
-	case TagRequestBatch:
-		v := requestBatchPool.Get().(*RequestBatchMsg)
-		*v = decodeRequestBatch(r, v.Members)
-		m = v
-	case TagReleaseBatch:
-		v := releaseBatchPool.Get().(*ReleaseBatchMsg)
-		*v = decodeReleaseBatch(r, v.Members)
-		m = v
-	case TagGrantBatch:
-		v := grantBatchPool.Get().(*GrantBatchMsg)
-		*v = decodeGrantBatch(r, v.Members)
-		m = v
-	default:
+	if tag > TagLast || codecs[tag].decodePooled == nil {
 		return DecodeMessage(tag, r)
 	}
+	m := codecs[tag].decodePooled(r)
 	if err := r.Err(); err != nil {
 		// A failed decode still recycles its struct: the caller gets no
 		// message to return.
@@ -182,148 +138,6 @@ func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// Send-side pooled constructors: each wraps a value into a pooled pointer so
-// storing it in the Message interface costs no allocation. The result obeys
-// the same lifetime contract as DecodeMessagePooled output — ownership
-// transfers to the delivery layer at Send, which recycles it after the
-// receiving actor returns.
-
-// PooledRequest returns v as a pooled *RequestMsg.
-func PooledRequest(v RequestMsg) *RequestMsg {
-	p := requestPool.Get().(*RequestMsg)
-	*p = v
-	return p
-}
-
-// PooledFinalTS returns v as a pooled *FinalTSMsg.
-func PooledFinalTS(v FinalTSMsg) *FinalTSMsg {
-	p := finalTSPool.Get().(*FinalTSMsg)
-	*p = v
-	return p
-}
-
-// PooledRelease returns v as a pooled *ReleaseMsg.
-func PooledRelease(v ReleaseMsg) *ReleaseMsg {
-	p := releasePool.Get().(*ReleaseMsg)
-	*p = v
-	return p
-}
-
-// PooledAbort returns v as a pooled *AbortMsg.
-func PooledAbort(v AbortMsg) *AbortMsg {
-	p := abortPool.Get().(*AbortMsg)
-	*p = v
-	return p
-}
-
-// PooledGrant returns v as a pooled *GrantMsg.
-func PooledGrant(v GrantMsg) *GrantMsg {
-	p := grantPool.Get().(*GrantMsg)
-	*p = v
-	return p
-}
-
-// PooledNormalGrant returns v as a pooled *NormalGrantMsg.
-func PooledNormalGrant(v NormalGrantMsg) *NormalGrantMsg {
-	p := normalGrantPool.Get().(*NormalGrantMsg)
-	*p = v
-	return p
-}
-
-// PooledReject returns v as a pooled *RejectMsg.
-func PooledReject(v RejectMsg) *RejectMsg {
-	p := rejectPool.Get().(*RejectMsg)
-	*p = v
-	return p
-}
-
-// PooledBackoff returns v as a pooled *BackoffMsg.
-func PooledBackoff(v BackoffMsg) *BackoffMsg {
-	p := backoffPool.Get().(*BackoffMsg)
-	*p = v
-	return p
-}
-
-// PooledBusy returns v as a pooled *BusyMsg.
-func PooledBusy(v BusyMsg) *BusyMsg {
-	p := busyPool.Get().(*BusyMsg)
-	*p = v
-	return p
-}
-
-// PooledSnapRead returns v as a pooled *SnapReadMsg.
-func PooledSnapRead(v SnapReadMsg) *SnapReadMsg {
-	p := snapReadPool.Get().(*SnapReadMsg)
-	*p = v
-	return p
-}
-
-// PooledSnapReadReply returns v as a pooled *SnapReadReplyMsg.
-func PooledSnapReadReply(v SnapReadReplyMsg) *SnapReadReplyMsg {
-	p := snapReadReplyPool.Get().(*SnapReadReplyMsg)
-	*p = v
-	return p
-}
-
-// PooledRequestBatch returns v as a pooled *RequestBatchMsg; the members are
-// copied into the pooled message's own array, so v.Members stays the
-// caller's.
-func PooledRequestBatch(v RequestBatchMsg) *RequestBatchMsg {
-	p := requestBatchPool.Get().(*RequestBatchMsg)
-	members := append(p.Members[:0], v.Members...)
-	*p = v
-	p.Members = members
-	return p
-}
-
-// PooledReleaseBatch returns v as a pooled *ReleaseBatchMsg (members copied,
-// see PooledRequestBatch).
-func PooledReleaseBatch(v ReleaseBatchMsg) *ReleaseBatchMsg {
-	p := releaseBatchPool.Get().(*ReleaseBatchMsg)
-	members := append(p.Members[:0], v.Members...)
-	*p = v
-	p.Members = members
-	return p
-}
-
-// PooledGrantBatch returns v as a pooled *GrantBatchMsg (members copied, see
-// PooledRequestBatch).
-func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg {
-	p := grantBatchPool.Get().(*GrantBatchMsg)
-	members := append(p.Members[:0], v.Members...)
-	*p = v
-	p.Members = members
-	return p
-}
-
-// PooledComputeDone returns v as a pooled *ComputeDoneMsg (send-only).
-func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg {
-	p := computeDonePool.Get().(*ComputeDoneMsg)
-	*p = v
-	return p
-}
-
-// PooledRestart returns v as a pooled *RestartMsg (send-only).
-func PooledRestart(v RestartMsg) *RestartMsg {
-	p := restartPool.Get().(*RestartMsg)
-	*p = v
-	return p
-}
-
-// PooledTxnDone returns v as a pooled *TxnDoneMsg (send-only).
-func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg {
-	p := txnDonePool.Get().(*TxnDoneMsg)
-	*p = v
-	return p
-}
-
-// PooledTxnFinished returns v as a pooled *TxnFinishedMsg (send-only).
-func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg {
-	p := txnFinishedPool.Get().(*TxnFinishedMsg)
-	*p = v
-	return p
 }
 
 // UnpoolMessage returns a retention-safe form of m: pooled pointer types are
@@ -334,49 +148,8 @@ func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg {
 // a message past its own return), the delivery layer still owns the pointer
 // and recycles it when OnMessage returns; recycling here too would double-Put.
 func UnpoolMessage(m Message) Message {
-	switch v := m.(type) {
-	case *RequestMsg:
-		return *v
-	case *FinalTSMsg:
-		return *v
-	case *ReleaseMsg:
-		return *v
-	case *AbortMsg:
-		return *v
-	case *GrantMsg:
-		return *v
-	case *NormalGrantMsg:
-		return *v
-	case *RejectMsg:
-		return *v
-	case *BackoffMsg:
-		return *v
-	case *BusyMsg:
-		return *v
-	case *SnapReadMsg:
-		return *v
-	case *SnapReadReplyMsg:
-		return *v
-	case *RequestBatchMsg:
-		c := *v
-		c.Members = slices.Clone(v.Members)
-		return c
-	case *ReleaseBatchMsg:
-		c := *v
-		c.Members = slices.Clone(v.Members)
-		return c
-	case *GrantBatchMsg:
-		c := *v
-		c.Members = slices.Clone(v.Members)
-		return c
-	case *ComputeDoneMsg:
-		return *v
-	case *RestartMsg:
-		return *v
-	case *TxnDoneMsg:
-		return *v
-	case *TxnFinishedMsg:
-		return *v
+	if p, ok := m.(pooledMsg); ok {
+		return p.unpool()
 	}
 	return m
 }
@@ -386,60 +159,187 @@ func UnpoolMessage(m Message) Message {
 // variable-size types, nil) are ignored, so callers can recycle a mixed
 // stream unconditionally. The caller must not touch the message afterwards.
 func RecycleMessage(m Message) {
-	switch v := m.(type) {
-	case *RequestMsg:
-		*v = RequestMsg{}
-		requestPool.Put(v)
-	case *FinalTSMsg:
-		*v = FinalTSMsg{}
-		finalTSPool.Put(v)
-	case *ReleaseMsg:
-		*v = ReleaseMsg{}
-		releasePool.Put(v)
-	case *AbortMsg:
-		*v = AbortMsg{}
-		abortPool.Put(v)
-	case *GrantMsg:
-		*v = GrantMsg{}
-		grantPool.Put(v)
-	case *NormalGrantMsg:
-		*v = NormalGrantMsg{}
-		normalGrantPool.Put(v)
-	case *RejectMsg:
-		*v = RejectMsg{}
-		rejectPool.Put(v)
-	case *BackoffMsg:
-		*v = BackoffMsg{}
-		backoffPool.Put(v)
-	case *BusyMsg:
-		*v = BusyMsg{}
-		busyPool.Put(v)
-	case *SnapReadMsg:
-		*v = SnapReadMsg{}
-		snapReadPool.Put(v)
-	case *SnapReadReplyMsg:
-		*v = SnapReadReplyMsg{}
-		snapReadReplyPool.Put(v)
-	case *RequestBatchMsg:
-		*v = RequestBatchMsg{Members: keptMembers(v.Members)}
-		requestBatchPool.Put(v)
-	case *ReleaseBatchMsg:
-		*v = ReleaseBatchMsg{Members: keptMembers(v.Members)}
-		releaseBatchPool.Put(v)
-	case *GrantBatchMsg:
-		*v = GrantBatchMsg{Members: keptMembers(v.Members)}
-		grantBatchPool.Put(v)
-	case *ComputeDoneMsg:
-		*v = ComputeDoneMsg{}
-		computeDonePool.Put(v)
-	case *RestartMsg:
-		*v = RestartMsg{}
-		restartPool.Put(v)
-	case *TxnDoneMsg:
-		*v = TxnDoneMsg{}
-		txnDonePool.Put(v)
-	case *TxnFinishedMsg:
-		*v = TxnFinishedMsg{}
-		txnFinishedPool.Put(v)
+	if p, ok := m.(pooledMsg); ok {
+		p.recycle()
 	}
 }
+
+// The pooled types. Each PooledX constructor wraps a value into a pooled
+// pointer so storing it in the Message interface costs no allocation. The
+// result obeys the same lifetime contract as DecodeMessagePooled output —
+// ownership transfers to the delivery layer at Send, which recycles it after
+// the receiving actor returns.
+
+var requestPool msgPool[RequestMsg]
+
+// PooledRequest returns v as a pooled *RequestMsg.
+func PooledRequest(v RequestMsg) *RequestMsg { return requestPool.box(v) }
+func (m *RequestMsg) recycle()               { requestPool.put(m) }
+func (m *RequestMsg) unpool() Message        { return *m }
+
+var finalTSPool msgPool[FinalTSMsg]
+
+// PooledFinalTS returns v as a pooled *FinalTSMsg.
+func PooledFinalTS(v FinalTSMsg) *FinalTSMsg { return finalTSPool.box(v) }
+func (m *FinalTSMsg) recycle()               { finalTSPool.put(m) }
+func (m *FinalTSMsg) unpool() Message        { return *m }
+
+var releasePool msgPool[ReleaseMsg]
+
+// PooledRelease returns v as a pooled *ReleaseMsg.
+func PooledRelease(v ReleaseMsg) *ReleaseMsg { return releasePool.box(v) }
+func (m *ReleaseMsg) recycle()               { releasePool.put(m) }
+func (m *ReleaseMsg) unpool() Message        { return *m }
+
+var abortPool msgPool[AbortMsg]
+
+// PooledAbort returns v as a pooled *AbortMsg.
+func PooledAbort(v AbortMsg) *AbortMsg { return abortPool.box(v) }
+func (m *AbortMsg) recycle()           { abortPool.put(m) }
+func (m *AbortMsg) unpool() Message    { return *m }
+
+var grantPool msgPool[GrantMsg]
+
+// PooledGrant returns v as a pooled *GrantMsg.
+func PooledGrant(v GrantMsg) *GrantMsg { return grantPool.box(v) }
+func (m *GrantMsg) recycle()           { grantPool.put(m) }
+func (m *GrantMsg) unpool() Message    { return *m }
+
+var normalGrantPool msgPool[NormalGrantMsg]
+
+// PooledNormalGrant returns v as a pooled *NormalGrantMsg.
+func PooledNormalGrant(v NormalGrantMsg) *NormalGrantMsg { return normalGrantPool.box(v) }
+func (m *NormalGrantMsg) recycle()                       { normalGrantPool.put(m) }
+func (m *NormalGrantMsg) unpool() Message                { return *m }
+
+var rejectPool msgPool[RejectMsg]
+
+// PooledReject returns v as a pooled *RejectMsg.
+func PooledReject(v RejectMsg) *RejectMsg { return rejectPool.box(v) }
+func (m *RejectMsg) recycle()             { rejectPool.put(m) }
+func (m *RejectMsg) unpool() Message      { return *m }
+
+var backoffPool msgPool[BackoffMsg]
+
+// PooledBackoff returns v as a pooled *BackoffMsg.
+func PooledBackoff(v BackoffMsg) *BackoffMsg { return backoffPool.box(v) }
+func (m *BackoffMsg) recycle()               { backoffPool.put(m) }
+func (m *BackoffMsg) unpool() Message        { return *m }
+
+var busyPool msgPool[BusyMsg]
+
+// PooledBusy returns v as a pooled *BusyMsg.
+func PooledBusy(v BusyMsg) *BusyMsg { return busyPool.box(v) }
+func (m *BusyMsg) recycle()         { busyPool.put(m) }
+func (m *BusyMsg) unpool() Message  { return *m }
+
+var snapReadPool msgPool[SnapReadMsg]
+
+// PooledSnapRead returns v as a pooled *SnapReadMsg.
+func PooledSnapRead(v SnapReadMsg) *SnapReadMsg { return snapReadPool.box(v) }
+func (m *SnapReadMsg) recycle()                 { snapReadPool.put(m) }
+func (m *SnapReadMsg) unpool() Message          { return *m }
+
+var snapReadReplyPool msgPool[SnapReadReplyMsg]
+
+// PooledSnapReadReply returns v as a pooled *SnapReadReplyMsg.
+func PooledSnapReadReply(v SnapReadReplyMsg) *SnapReadReplyMsg { return snapReadReplyPool.box(v) }
+func (m *SnapReadReplyMsg) recycle()                           { snapReadReplyPool.put(m) }
+func (m *SnapReadReplyMsg) unpool() Message                    { return *m }
+
+var requestBatchPool msgPool[RequestBatchMsg]
+
+// PooledRequestBatch returns v as a pooled *RequestBatchMsg; the members are
+// copied into the pooled message's own array, so v.Members stays the
+// caller's.
+func PooledRequestBatch(v RequestBatchMsg) *RequestBatchMsg {
+	p := requestBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *RequestBatchMsg) recycle() {
+	*m = RequestBatchMsg{Members: keptMembers(m.Members)}
+	requestBatchPool.Put(m)
+}
+
+func (m *RequestBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+var releaseBatchPool msgPool[ReleaseBatchMsg]
+
+// PooledReleaseBatch returns v as a pooled *ReleaseBatchMsg (members copied,
+// see PooledRequestBatch).
+func PooledReleaseBatch(v ReleaseBatchMsg) *ReleaseBatchMsg {
+	p := releaseBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *ReleaseBatchMsg) recycle() {
+	*m = ReleaseBatchMsg{Members: keptMembers(m.Members)}
+	releaseBatchPool.Put(m)
+}
+
+func (m *ReleaseBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+var grantBatchPool msgPool[GrantBatchMsg]
+
+// PooledGrantBatch returns v as a pooled *GrantBatchMsg (members copied, see
+// PooledRequestBatch).
+func PooledGrantBatch(v GrantBatchMsg) *GrantBatchMsg {
+	p := grantBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *GrantBatchMsg) recycle() {
+	*m = GrantBatchMsg{Members: keptMembers(m.Members)}
+	grantBatchPool.Put(m)
+}
+
+func (m *GrantBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+// Send-only pools (see the package comment above).
+
+var computeDonePool msgPool[ComputeDoneMsg]
+
+// PooledComputeDone returns v as a pooled *ComputeDoneMsg (send-only).
+func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg { return computeDonePool.box(v) }
+func (m *ComputeDoneMsg) recycle()                       { computeDonePool.put(m) }
+func (m *ComputeDoneMsg) unpool() Message                { return *m }
+
+var restartPool msgPool[RestartMsg]
+
+// PooledRestart returns v as a pooled *RestartMsg (send-only).
+func PooledRestart(v RestartMsg) *RestartMsg { return restartPool.box(v) }
+func (m *RestartMsg) recycle()               { restartPool.put(m) }
+func (m *RestartMsg) unpool() Message        { return *m }
+
+var txnDonePool msgPool[TxnDoneMsg]
+
+// PooledTxnDone returns v as a pooled *TxnDoneMsg (send-only).
+func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg { return txnDonePool.box(v) }
+func (m *TxnDoneMsg) recycle()               { txnDonePool.put(m) }
+func (m *TxnDoneMsg) unpool() Message        { return *m }
+
+var txnFinishedPool msgPool[TxnFinishedMsg]
+
+// PooledTxnFinished returns v as a pooled *TxnFinishedMsg (send-only).
+func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg { return txnFinishedPool.box(v) }
+func (m *TxnFinishedMsg) recycle()                       { txnFinishedPool.put(m) }
+func (m *TxnFinishedMsg) unpool() Message                { return *m }

@@ -34,7 +34,8 @@
 // outcome for its batch (flushed, or dropped and NAK'd; never between a
 // failed write and its retry), or where it is removed from the outbox (cap
 // eviction, unencodable). Read loops decode into the same pools and hand the
-// envelope to Runtime.Inject; the destination's mailbox loop recycles.
+// envelope to the local-only delivery func Runtime.SetUplink returned; the
+// destination's mailbox loop recycles.
 //
 // Failure model: messages are best-effort with one retry. A batch that
 // fails mid-write retires its connection — socket, buffered writer, and
@@ -52,7 +53,7 @@
 // Backpressure: each peer outbox can be bounded (Node.SetSendQueueCap).
 // When an enqueue would exceed the cap, the OLDEST queued sheddable
 // envelope (model.Sheddable — new-work openers) is dropped to make room,
-// and its BusyMsg NAKs — one per copy it carried — are injected back to the
+// and its BusyMsg NAKs — one per copy it carried — are delivered back to the
 // local sender — the same
 // refusal a full engine mailbox delivers, so the issuer aborts the attempt
 // (freeing its requests at other sites) instead of waiting forever. Stale

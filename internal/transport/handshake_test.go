@@ -228,15 +228,42 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 	}
 }
 
-// rogueReq embeds RequestMsg (so it is Sheddable via the promoted Busy) but
-// is a distinct type with no wire tag — an unencodable sheddable envelope.
-type rogueReq struct{ model.RequestMsg }
+// memberNAKs checks the BusyMsgs that answer one request batch, member by
+// member, as they arrive on its mailbox goroutine: done closes once every
+// member has had its NAK, and a TickMsg closes marked, after which bad counts
+// the messages that answered no member or one twice. The batch's items are
+// base, base+1, ... so a NAK names its member by its copy's item.
+type memberNAKs struct {
+	batch        model.RequestBatchMsg
+	base         model.ItemID
+	seen         []bool
+	left, bad    int
+	done, marked chan struct{}
+}
 
-// TestEncodeFailureNAKsSheddable: a per-envelope encode failure must
-// behave like every other transport drop — BusyMsg NAK'd back to the local
-// sender (silence would strand the attempt in negotiation forever), counted
-// dropped and NOT counted sent — while the stream stays alive for the rest
-// of the batch.
+func (c *memberNAKs) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
+	if _, ok := msg.(model.TickMsg); ok {
+		close(c.marked)
+		return
+	}
+	busy, ok := model.UnpoolMessage(msg).(model.BusyMsg)
+	i := int(busy.Copy.Item - c.base)
+	if !ok || i < 0 || i >= len(c.seen) || c.seen[i] || model.Message(busy) != c.batch.Busy(i) {
+		c.bad++
+		return
+	}
+	c.seen[i] = true
+	if c.left--; c.left == 0 {
+		close(c.done)
+	}
+}
+
+// TestEncodeFailureNAKsSheddable: a per-envelope encode failure — a request
+// batch whose frame is over MaxFrameBytes — must behave like every other
+// transport drop: one BusyMsg per member NAK'd back to the local sender
+// (silence would strand the attempt in negotiation forever), counted dropped
+// and NOT counted sent, while the stream stays alive for the rest of the
+// batch.
 func TestEncodeFailureNAKsSheddable(t *testing.T) {
 	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
 	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
@@ -254,32 +281,46 @@ func TestEncodeFailureNAKsSheddable(t *testing.T) {
 	}
 	defer nodeA.Close()
 
-	nakRecv := &recorder{done: make(chan struct{}), want: 1}
-	rtA.Register(engine.RIAddr(0), nakRecv)
+	// Each member encodes to six bytes, a five-byte item varint and its kind,
+	// so this many put the frame just past the cap.
+	const base = model.ItemID(1 << 28)
+	huge := model.RequestBatchMsg{Txn: model.TxnID{Site: 0, Seq: 9}, Attempt: 2, CopySite: 1,
+		Members: make([]model.RequestMember, wire.MaxFrameBytes/6+1)}
+	for i := range huge.Members {
+		huge.Members[i].Item = base + model.ItemID(i)
+	}
+	naks := &memberNAKs{batch: huge, base: base, seen: make([]bool, len(huge.Members)),
+		left: len(huge.Members), done: make(chan struct{}), marked: make(chan struct{})}
+	rtA.Register(engine.RIAddr(0), naks)
 	okRecv := &recorder{done: make(chan struct{}), want: 1}
 	rtB.Register(engine.QMAddr(1), okRecv)
 
-	txn := model.TxnID{Site: 0, Seq: 9}
-	nodeA.forward(engine.Envelope{
-		From: engine.RIAddr(0), To: engine.QMAddr(1),
-		Msg: rogueReq{model.RequestMsg{Txn: txn, Attempt: 2, Copy: model.CopyID{Item: 3, Site: 1}}},
-	})
+	nodeA.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: huge})
 	nodeA.forward(engine.Envelope{
 		From: engine.RIAddr(0), To: engine.QMAddr(1),
 		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 10}},
 	})
 
 	waitRecorder(t, okRecv, "good envelope after the encode drop")
-	waitRecorder(t, nakRecv, "NAK for the unencodable envelope")
+	select {
+	case <-naks.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("not every member of the oversized batch was NAK'd")
+	}
 	eventually(t, "the sender to count its batch", func() bool {
 		_, flushes := nodeA.BatchStats()
 		return flushes > 0
 	})
-	nakRecv.mu.Lock()
-	nak, ok := nakRecv.got[0].(model.BusyMsg)
-	nakRecv.mu.Unlock()
-	if !ok || nak.Txn != txn || nak.Attempt != 2 {
-		t.Fatalf("NAK is %T %+v, want the rogue request's BusyMsg", nakRecv.got[0], nakRecv.got[0])
+	// The batch is written, so every NAK it drew is in the sender's mailbox,
+	// ahead of this marker.
+	rtA.Post(engine.Envelope{From: engine.RIAddr(0), To: engine.RIAddr(0), Msg: model.TickMsg{}})
+	select {
+	case <-naks.marked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the marker never reached the sender")
+	}
+	if naks.bad != 0 {
+		t.Fatalf("the sender got %d NAKs that answer no member, or answer one twice", naks.bad)
 	}
 	if dropped, _ := nodeA.QueueStats(); dropped != 1 {
 		t.Fatalf("droppedSends=%d, want 1", dropped)

@@ -126,7 +126,10 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 type Node struct {
 	self string
 	topo Topology
-	rt   *engine.Runtime
+	// deliver hands an inbound envelope, or a NAK to a local sender, to the
+	// runtime's mailboxes (engine.Runtime.SetUplink); it drops an envelope
+	// for an actor not registered there.
+	deliver func(engine.Envelope)
 	// batchDelay, when positive, makes the writer linger once per batch before
 	// framing it. Only this package's tests set it: it is their way to hold
 	// the writer so outbox depth is deterministic.
@@ -150,7 +153,7 @@ type Node struct {
 
 	// sendQueueCap bounds each peer outbox (0 = unbounded): when an enqueue
 	// would exceed it, the OLDEST queued sheddable envelope is dropped to
-	// make room and its BusyMsg NAK is injected back to the local sender —
+	// make room and its BusyMsg NAK is delivered back to the local sender —
 	// the same refusal the engine delivers for a full mailbox, so the
 	// issuer's attempt aborts (releasing its requests elsewhere) instead of
 	// stranding in negotiation. Oldest-first is the right policy for this
@@ -218,12 +221,12 @@ func NewNode(rt *engine.Runtime, self, listenAddr string, topo Topology) (*Node,
 		return nil, fmt.Errorf("transport: topology needs an Assign function")
 	}
 	n := &Node{
-		self: self, topo: topo, rt: rt,
+		self: self, topo: topo,
 		senders:  map[string]*peerSender{},
 		outbound: map[net.Conn]bool{},
 		inbound:  map[net.Conn]bool{},
 	}
-	rt.SetUplink(n.forward)
+	n.deliver = rt.SetUplink(n.forward)
 	if listenAddr != "" {
 		ln, err := net.Listen("tcp", listenAddr)
 		if err != nil {
@@ -299,7 +302,7 @@ func (n *Node) acceptLoop() {
 
 // readLoop serves one inbound connection: check the version byte, ack it,
 // then decode frames into the runtime until the connection ends. Hot
-// fixed-size messages are decoded into the message pools; Inject takes them
+// fixed-size messages are decoded into the message pools; deliver takes them
 // over and the destination's mailbox loop recycles them.
 func (n *Node) readLoop(c net.Conn) {
 	defer n.wg.Done()
@@ -342,8 +345,7 @@ func (n *Node) readLoop(c net.Conn) {
 		}
 		n.wireStats.BytesIn.Add(uint64(frameBytes))
 		n.wireStats.MsgsIn.Add(1)
-		//ucclint:allow postnotinject -- terminal inbound delivery: this node is the envelope's destination; Post would re-route through the topology
-		n.rt.Inject(env)
+		n.deliver(env)
 	}
 }
 
@@ -364,8 +366,7 @@ func (n *Node) forward(env engine.Envelope) {
 		}
 	}
 	if ps == nil {
-		//ucclint:allow postnotinject -- forward IS Post's routing backend; the local short-circuit must Inject or it would recurse
-		n.rt.Inject(env)
+		n.deliver(env) // routing it again would come straight back here
 		return
 	}
 	ps.enqueue(env)
@@ -448,10 +449,9 @@ func (ps *peerSender) enqueue(env engine.Envelope) {
 		// silence here would strand the issuer's attempt in negotiation
 		// forever — its already-admitted requests at other sites would hold
 		// queue entries with no wait-cycle for the deadlock detector to break.
-		// A BusyMsg is not itself sheddable, so Inject always delivers it.
+		// A BusyMsg is not itself sheddable, so a full mailbox still admits it.
 		for nak := range busyNAKs(evicted) {
-			//ucclint:allow postnotinject -- NAK to the evicted envelope's local sender: busyNAKs only produces locally-addressed envelopes
-			n.rt.Inject(nak)
+			n.deliver(nak)
 		}
 		model.RecycleMessage(evicted.Msg)
 	}
@@ -630,8 +630,7 @@ func (ps *peerSender) run() {
 func (n *Node) nakBatch(batch []engine.Envelope) {
 	for _, env := range batch {
 		for nak := range busyNAKs(env) {
-			//ucclint:allow postnotinject -- NAK to the dead batch's local sender: busyNAKs only produces locally-addressed envelopes
-			n.rt.Inject(nak)
+			n.deliver(nak)
 		}
 	}
 }
@@ -680,16 +679,15 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 		if err != nil {
 			var ee *wire.EncodeError
 			if errors.As(err, &ee) {
-				// Unencodable (no wire tag, oversized frame): drop it and keep
-				// the stream alive — a retry would fail identically and melt
-				// the writer into a redial loop. Like every other transport
-				// drop, a sheddable envelope is NAK'd back to its local sender;
-				// silence would strand the issuer's attempt in negotiation
-				// forever.
+				// Unencodable (no message, an empty batch, an oversized
+				// frame): drop it and keep the stream alive — a retry would
+				// fail identically and melt the writer into a redial loop.
+				// Like every other transport drop, a sheddable envelope is
+				// NAK'd back to its local sender; silence would strand the
+				// issuer's attempt in negotiation forever.
 				ps.n.droppedSends.Add(1)
 				for nak := range busyNAKs(env) {
-					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAKs only produces locally-addressed envelopes
-					ps.n.rt.Inject(nak)
+					ps.n.deliver(nak)
 				}
 				model.RecycleMessage(env.Msg)
 				batch = slices.Delete(batch, i, i+1) // zeroes the vacated slot

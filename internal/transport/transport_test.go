@@ -73,7 +73,7 @@ func TestCrossProcessDelivery(t *testing.T) {
 
 	// Drive 50 typed messages from B's actor to A's actor over the wire.
 	for i := 0; i < 50; i++ {
-		rtB.Inject(engine.Envelope{
+		rtB.Post(engine.Envelope{
 			From: engine.RIAddr(1), To: engine.RIAddr(1),
 			Msg: model.RequestMsg{
 				Txn:      model.TxnID{Site: 1, Seq: uint64(i)},
@@ -124,7 +124,7 @@ func TestLocalAssignShortCircuits(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 1}
 	rt.Register(engine.QMAddr(5), recv)
 	rt.Register(engine.RIAddr(1), &relay{to: engine.QMAddr(5)})
-	rt.Inject(engine.Envelope{From: engine.RIAddr(1), To: engine.RIAddr(1), Msg: model.TickMsg{}})
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.RIAddr(1), Msg: model.TickMsg{}})
 	select {
 	case <-recv.done:
 	case <-time.After(5 * time.Second):
@@ -145,7 +145,7 @@ func TestUnknownPeerDropsSilently(t *testing.T) {
 	}
 	defer node.Close()
 	rt.Register(engine.RIAddr(1), &relay{to: engine.QMAddr(5)})
-	rt.Inject(engine.Envelope{From: engine.RIAddr(1), To: engine.RIAddr(1), Msg: model.TickMsg{}})
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.RIAddr(1), Msg: model.TickMsg{}})
 	time.Sleep(50 * time.Millisecond) // must not panic or block
 }
 

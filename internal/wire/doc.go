@@ -36,7 +36,7 @@
 // decoders. ReadEnvelopePooled / DecodeEnvelopePooled — the transport's read
 // path — then copy the hot fixed-size types into pooled structs, which the
 // caller owns until model.RecycleMessage (the runtime's mailbox loop, for
-// what the transport injects); ReadEnvelope / DecodeEnvelope box every
+// what the transport delivers); ReadEnvelope / DecodeEnvelope box every
 // message into the model.Message interface instead, one allocation each, and
 // are the reference decoder of the tests, fuzzers and golden-bytes checks.
 // Either way the rare control-plane messages also own the slices and maps

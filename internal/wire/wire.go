@@ -25,8 +25,8 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameBytes")
 // ErrTrailingBytes reports a frame whose payload did not decode exactly.
 var ErrTrailingBytes = errors.New("wire: trailing bytes after message")
 
-// EncodeError wraps a per-envelope encoding failure (a message type outside
-// the wire contract, or a frame over MaxFrameBytes). Nothing was written, so
+// EncodeError wraps a per-envelope encoding failure (a message with no
+// encoding — nil, or an empty batch — or a frame over MaxFrameBytes). Nothing was written, so
 // the stream is still intact: a writer may skip the envelope and continue,
 // where an I/O error would require retiring the connection.
 type EncodeError struct{ Err error }
@@ -71,7 +71,8 @@ func AppendEnvelope(b []byte, env engine.Envelope) ([]byte, error) {
 // is the reference decoder of the tests, the fuzzers and the golden-bytes
 // checks. The transport reads with the pooled form.
 func DecodeEnvelope(payload []byte) (engine.Envelope, error) {
-	return decodeEnvelope(payload, false)
+	r := model.NewWireReader(payload)
+	return decodeEnvelope(&r, false)
 }
 
 // DecodeEnvelopePooled is DecodeEnvelope with the decode-side struct pool:
@@ -79,18 +80,20 @@ func DecodeEnvelope(payload []byte) (engine.Envelope, error) {
 // (*model.RequestMsg, *model.GrantMsg, ...) instead of boxed values,
 // eliminating the per-message interface allocation. The caller owns the
 // message until it passes it to model.RecycleMessage or hands the envelope
-// on to an owner that will — the transport's read loop injects it into the
+// on to an owner that will — the transport's read loop delivers it to the
 // runtime, whose mailbox loop recycles. Non-pooled message types decode
 // exactly as in DecodeEnvelope and recycle as a no-op, so a mixed stream
 // needs no per-type handling.
 func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
-	return decodeEnvelope(payload, true)
+	r := model.NewWireReader(payload)
+	return decodeEnvelope(&r, true)
 }
 
 // decodeEnvelope decodes the address header, then the tagged message through
-// model.DecodeMessage or its pooled twin.
-func decodeEnvelope(payload []byte, pooled bool) (engine.Envelope, error) {
-	r := model.NewWireReader(payload)
+// model.DecodeMessage or its pooled twin. Both decode through a table of func
+// values, so r escapes to the heap: the one-shot forms above pay that
+// allocation per call, and a Reader decodes through the one it owns.
+func decodeEnvelope(r *model.WireReader, pooled bool) (engine.Envelope, error) {
 	var env engine.Envelope
 	env.From.Kind = engine.ActorKind(r.Byte())
 	env.From.ID = model.SiteID(r.Varint32())
@@ -102,13 +105,12 @@ func decodeEnvelope(payload []byte, pooled bool) (engine.Envelope, error) {
 	if err := r.Err(); err != nil {
 		return engine.Envelope{}, err
 	}
-	// Two direct calls: through a func value r would escape to the heap.
 	var msg model.Message
 	var err error
 	if pooled {
-		msg, err = model.DecodeMessagePooled(tag, &r)
+		msg, err = model.DecodeMessagePooled(tag, r)
 	} else {
-		msg, err = model.DecodeMessage(tag, &r)
+		msg, err = model.DecodeMessage(tag, r)
 	}
 	if err != nil {
 		return engine.Envelope{}, err
@@ -200,6 +202,9 @@ func (w *Writer) Release() {
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
+	// wr decodes each payload; it lives here, already on the heap, because
+	// the decoders it is passed to make it escape.
+	wr model.WireReader
 }
 
 // NewReader wraps br.
@@ -235,7 +240,8 @@ func (r *Reader) readEnvelope(pooled bool) (engine.Envelope, int, error) {
 		return engine.Envelope{}, 0, err
 	}
 	// Frame fully consumed; a decode error is per-frame, not per-stream.
-	env, err := decodeEnvelope(payload, pooled)
+	r.wr = model.NewWireReader(payload)
+	env, err := decodeEnvelope(&r.wr, pooled)
 	return env, frameBytes, err
 }
 

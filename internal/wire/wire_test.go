@@ -246,13 +246,14 @@ func TestReaderBufferGrowsGeometrically(t *testing.T) {
 	}
 }
 
-// TestEncodeUnknownMessageType: an envelope carrying a message outside the
-// wire contract errors instead of emitting a bogus frame.
+// TestEncodeUnknownMessageType: an envelope carrying a message with no
+// encoding — none at all, or a batch with no members — errors instead of
+// emitting a bogus frame.
 func TestEncodeUnknownMessageType(t *testing.T) {
-	type rogueMsg struct{ model.StopMsg }
-	env := engine.Envelope{Msg: rogueMsg{}}
-	if _, err := AppendEnvelope(nil, env); err == nil {
-		t.Fatal("encoding a non-contract message type succeeded")
+	for _, m := range []model.Message{nil, model.RequestBatchMsg{}, &model.GrantBatchMsg{}} {
+		if _, err := AppendEnvelope(nil, engine.Envelope{Msg: m}); err == nil {
+			t.Errorf("encoding %T %+v succeeded", m, m)
+		}
 	}
 }
 
