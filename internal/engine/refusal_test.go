@@ -70,6 +70,85 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// busyCount counts the BusyMsg NAKs an actor receives, either form.
+type busyCount struct {
+	engine.Actor
+	mu sync.Mutex
+	n  int
+}
+
+func (b *busyCount) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+	if _, busy := model.UnpoolMessage(msg).(model.BusyMsg); busy {
+		b.mu.Lock()
+		b.n++
+		b.mu.Unlock()
+	}
+	b.Actor.OnMessage(ctx, from, msg)
+}
+
+func (b *busyCount) count() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// TestRefusedSnapReadBatchShedsOnce: a read-only snapshot transaction reads
+// items 0, 2 and 5 of three sites; the batch carrying items 2 and 5 reaches
+// site 2's full mailbox and is refused whole. The issuer gets one busy NAK
+// per member and sheds the transaction once — one BusyNAK, one ROBusyShed,
+// one busy outcome and one decrease of the admission window — which is what
+// two refused single reads produced.
+func TestRefusedSnapReadBatchShedsOnce(t *testing.T) {
+	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rt.SetMailboxDepth(1)
+	defer rt.Shutdown()
+	sites := []model.SiteID{0, 1, 2}
+	pm := placement.Build(placement.RoundRobin, 6, sites, 1)
+	gate := &gatedQM{entered: make(chan struct{}), release: make(chan struct{})}
+	defer close(gate.release)
+	for _, s := range sites {
+		st := storage.NewStore(s)
+		for i := 0; i < 6; i++ {
+			st.Create(model.ItemID(i), 100)
+		}
+		m := qm.New(s, st, nil, qm.Options{})
+		if s == 2 {
+			gate.Manager = m
+			rt.Register(engine.QMAddr(s), gate)
+		} else {
+			rt.Register(engine.QMAddr(s), m)
+		}
+	}
+	// A 1 µs cooldown lets each NAK the controller hears shrink the window.
+	adm := ri.AdmissionOptions{Enabled: true, InitialWindow: 64, DecreaseFactor: 0.5, CooldownMicros: 1}
+	iss := ri.New(0, pm, nil, ri.Options{Admission: adm}, nil)
+	naks := &busyCount{Actor: iss}
+	rt.Register(engine.RIAddr(0), naks)
+	log := &doneLog{}
+	rt.Register(engine.CollectorAddr(), log)
+
+	rt.Post(engine.Envelope{To: engine.QMAddr(2), Msg: model.TickMsg{}})
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("site 2 never wedged")
+	}
+	rt.Post(engine.Envelope{To: engine.QMAddr(2), Msg: model.TickMsg{}}) // site 2's mailbox is full
+	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.ROSnapshot, []model.ItemID{0, 2, 5}, nil, 0)
+	rt.Post(engine.Envelope{From: engine.DriverAddr(0), To: engine.RIAddr(0), Msg: model.SubmitTxnMsg{Txn: tx}})
+
+	eventually(t, "the refused batch's NAKs", func() bool { return naks.count() == 2 })
+	eventually(t, "the transaction to be shed", func() bool { return log.count(model.OutcomeBusy) == 1 })
+	eventually(t, "the issuer to finish", func() bool { return iss.Snapshot().Active == 0 })
+	s := iss.Snapshot()
+	if s.ROBusyShed != 1 || s.BusyNAKs != 1 || s.Committed != 0 || s.Window != 32 {
+		t.Fatalf("stats %+v: want one shed, one counted NAK, no commit, and the window halved once (32)", s)
+	}
+	if overflows, _ := rt.MailboxStats(); overflows != 1 {
+		t.Fatalf("%d refused envelopes, want the one batch", overflows)
+	}
+}
+
 // TestRefusedBatchIsRefusedPerCopy runs a real issuer and three real queue
 // managers on one runtime with every mailbox bounded at 1, site 2's mailbox
 // full when a two-item transaction opens: its request batch to site 2 is

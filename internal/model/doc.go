@@ -8,7 +8,8 @@
 // defines the ROSnapshot transaction class: pure-read transactions that
 // bypass the queues entirely and read committed versions from the
 // multi-version store at a snapshot timestamp (SnapReadMsg /
-// SnapReadReplyMsg). ROSnapshot is not a member of the precedence space —
+// SnapReadReplyMsg, sent per queue-manager mailbox as SnapReadBatchMsg /
+// SnapReadReplyBatchMsg). ROSnapshot is not a member of the precedence space —
 // it takes no locks and holds no queue position — which is why
 // model.Protocols deliberately excludes it while model.NumProtocols sizes
 // arrays that account for it.

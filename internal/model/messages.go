@@ -304,8 +304,9 @@ type BusyMsg struct {
 
 // Sheddable marks messages a saturated receiver may refuse with BusyMsg NAKs
 // instead of enqueueing. Only new-work openers implement it (RequestMsg,
-// RequestBatchMsg, SnapReadMsg; TestOnlyOpenersShed pins the set): shedding
-// one sheds a transaction attempt cleanly. Messages that complete in-flight
+// RequestBatchMsg, SnapReadMsg, SnapReadBatchMsg; TestOnlyOpenersShed pins
+// the set): shedding one sheds a transaction attempt cleanly. Messages that
+// complete in-flight
 // protocol work — releases (single or batched), aborts, grants, final
 // timestamps — are never sheddable, because dropping one would strand locks
 // forever; bounded mailboxes therefore admit them even past the bound (the
@@ -357,6 +358,16 @@ func (m SnapReadMsg) Busy(int) Message {
 	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
 }
 
+// Copies implements Sheddable: one NAK per member.
+func (m SnapReadBatchMsg) Copies() int { return len(m.Members) }
+
+// Busy implements Sheddable: member i NAKs as its own SnapReadMsg would.
+// Opener: the first NAK sheds the read-only transaction, which holds no locks
+// or queue entries, and the issuer ignores the rest.
+func (m SnapReadBatchMsg) Busy(i int) Message {
+	return m.SnapRead(i).Busy(0)
+}
+
 // VictimMsg tells an RI that its 2PL transaction was chosen as a deadlock
 // victim and must abort and restart.
 type VictimMsg struct {
@@ -406,6 +417,76 @@ type SnapReadReplyMsg struct {
 	// snapshot timestamp and the oldest retained version was served instead
 	// (bounded chains under extreme write rates; counted at the QM).
 	Exact bool
+}
+
+// SnapReadBatchMsg carries a read-only snapshot transaction's reads of every
+// copy it needs at one queue-manager mailbox, in item order: the read-only
+// twin of RequestBatchMsg. The queue manager handles member i exactly as
+// SnapRead(i), and a batch of one encodes to the very bytes of that
+// SnapReadMsg.
+type SnapReadBatchMsg struct {
+	Txn        TxnID
+	Attempt    Attempt
+	SnapMicros int64
+	// Site is the issuing user site (reply address).
+	Site  SiteID
+	Epoch uint64
+	// CopySite is the site every member's copy lives at: the destination.
+	CopySite SiteID
+	// Members lists the items read, in item order.
+	Members []ItemID
+}
+
+// SnapRead returns member i as the SnapReadMsg it stands for.
+func (m SnapReadBatchMsg) SnapRead(i int) SnapReadMsg {
+	return SnapReadMsg{
+		Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: m.Members[i], Site: m.CopySite},
+		SnapMicros: m.SnapMicros, Site: m.Site, Epoch: m.Epoch,
+	}
+}
+
+// Len returns the member count (see RequestBatchMsg.Len).
+func (m SnapReadBatchMsg) Len() int { return len(m.Members) }
+
+// Item returns member i's item (see RequestBatchMsg.Len).
+func (m SnapReadBatchMsg) Item(i int) ItemID { return m.Members[i] }
+
+// Sub returns members [lo, hi) as a batch of their own (see
+// RequestBatchMsg.Len).
+func (m SnapReadBatchMsg) Sub(lo, hi int) Message {
+	m.Members = slices.Clone(m.Members[lo:hi])
+	return m
+}
+
+// SnapReadReplyBatchMsg answers a SnapReadBatchMsg: one SnapReadReplyMsg per
+// member the queue manager served while handling the batch (Reply(i)), sent
+// together when the handler ends, under the same ordering rule as
+// GrantBatchMsg. The issuer applies every member, then checks once whether
+// the transaction's reads are all in.
+type SnapReadReplyBatchMsg struct {
+	Txn      TxnID
+	Attempt  Attempt
+	CopySite SiteID
+	Members  []SnapReadReplyMember
+}
+
+// SnapReadReplyMember is one copy's part of a SnapReadReplyBatchMsg (see
+// SnapReadReplyMsg).
+type SnapReadReplyMember struct {
+	Item         ItemID
+	Value        int64
+	Version      uint64
+	CommitMicros int64
+	Exact        bool
+}
+
+// Reply returns member i as the SnapReadReplyMsg it stands for.
+func (m SnapReadReplyBatchMsg) Reply(i int) SnapReadReplyMsg {
+	r := m.Members[i]
+	return SnapReadReplyMsg{
+		Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: r.Item, Site: m.CopySite},
+		Value: r.Value, Version: r.Version, CommitMicros: r.CommitMicros, Exact: r.Exact,
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -738,6 +819,12 @@ func (m ReleaseBatchMsg) wireTag() WireTag {
 }
 func (m GrantBatchMsg) wireTag() WireTag {
 	return batchTag(len(m.Members), TagGrant, TagGrantBatch)
+}
+func (m SnapReadBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagSnapRead, TagSnapReadBatch)
+}
+func (m SnapReadReplyBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagSnapReadReply, TagSnapReadReplyBatch)
 }
 
 func batchTag(members int, single, batch WireTag) WireTag {

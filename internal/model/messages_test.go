@@ -41,6 +41,12 @@ func rowValue(tag WireTag) Message {
 	case GrantBatchMsg:
 		m.Members = make([]GrantMember, 2)
 		return m
+	case SnapReadBatchMsg:
+		m.Members = make([]ItemID, 2)
+		return m
+	case SnapReadReplyBatchMsg:
+		m.Members = make([]SnapReadReplyMember, 2)
+		return m
 	default:
 		return m
 	}
@@ -48,7 +54,7 @@ func rowValue(tag WireTag) Message {
 
 // TestMessageTable: every tag up to TagLast has a decode-table row, the row's
 // type travels under that tag and decodes back to the same type, and exactly
-// the fourteen hot protocol types come back from DecodeMessagePooled as
+// the sixteen hot protocol types come back from DecodeMessagePooled as
 // pointers.
 func TestMessageTable(t *testing.T) {
 	decodePooled := map[WireTag]bool{
@@ -56,6 +62,7 @@ func TestMessageTable(t *testing.T) {
 		TagNormalGrant: true, TagReject: true, TagBackoff: true, TagBusy: true,
 		TagSnapRead: true, TagSnapReadReply: true,
 		TagRequestBatch: true, TagReleaseBatch: true, TagGrantBatch: true,
+		TagSnapReadBatch: true, TagSnapReadReplyBatch: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)
@@ -140,7 +147,7 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 // new opener joins the set with the argument, written on its Busy method, for
 // why shedding it cannot strand protocol state.
 func TestOnlyOpenersShed(t *testing.T) {
-	want := map[string]bool{"RequestMsg": true, "RequestBatchMsg": true, "SnapReadMsg": true}
+	want := map[string]bool{"RequestMsg": true, "RequestBatchMsg": true, "SnapReadMsg": true, "SnapReadBatchMsg": true}
 	got := map[string]bool{}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)

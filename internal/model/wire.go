@@ -67,6 +67,9 @@ const (
 	TagRequestBatch WireTag = 34
 	TagReleaseBatch WireTag = 35
 	TagGrantBatch   WireTag = 36
+
+	TagSnapReadBatch      WireTag = 37
+	TagSnapReadReplyBatch WireTag = 38
 )
 
 // TagLast is the highest assigned tag, the decode table's last row
@@ -670,6 +673,80 @@ func decodeGrantBatch(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
 	return m
 }
 
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// SnapReadMsg it stands for.
+func (m SnapReadBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.SnapRead(0).AppendWire(b)
+	}
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	b = AppendVarint(b, m.SnapMicros)
+	b = AppendVarint(b, int64(m.Site))
+	b = AppendUvarint(b, m.Epoch)
+	return appendItems(b, m.Members)
+}
+
+// decodeSnapReadBatch decodes a batch body into members[:0] (see
+// decodeRequestBatch).
+func decodeSnapReadBatch(r *WireReader, members []ItemID) (m SnapReadBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	m.SnapMicros = r.Varint()
+	m.Site = SiteID(r.Varint32())
+	m.Epoch = r.Uvarint()
+	n := r.batchCount(1)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, ItemID(r.Varint32()))
+	}
+	m.Members = members
+	return m
+}
+
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// SnapReadReplyMsg it stands for.
+func (m SnapReadReplyBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.Reply(0).AppendWire(b)
+	}
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	b = AppendUvarint(b, uint64(len(m.Members)))
+	for _, x := range m.Members {
+		b = AppendVarint(b, int64(x.Item))
+		b = AppendVarint(b, x.Value)
+		b = AppendUvarint(b, x.Version)
+		b = AppendVarint(b, x.CommitMicros)
+		b = AppendWireBool(b, x.Exact)
+	}
+	return b
+}
+
+// decodeSnapReadReplyBatch decodes a batch body into members[:0] (see
+// decodeRequestBatch).
+func decodeSnapReadReplyBatch(r *WireReader, members []SnapReadReplyMember) (m SnapReadReplyBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	n := r.batchCount(5)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, SnapReadReplyMember{
+			Item:         ItemID(r.Varint32()),
+			Value:        r.Varint(),
+			Version:      r.Uvarint(),
+			CommitMicros: r.Varint(),
+			Exact:        r.Bool(),
+		})
+	}
+	m.Members = members
+	return m
+}
+
 // AppendWire encodes the message body (no tag) onto b.
 func (m NormalGrantMsg) AppendWire(b []byte) []byte {
 	return appendHdr(b, m.Txn, m.Attempt, m.Copy)
@@ -1217,8 +1294,23 @@ func pooled[T Message, P interface {
 	return c
 }
 
-// codecs is the decode table, indexed by tag; TagInvalid's row is empty. The
-// batches decode into the members array a pooled message kept.
+// batch is the row of a batch type: decode appends the members to the array
+// it is given, which on the pooled path is the one the pooled message kept.
+func batch[T Message, P interface {
+	*T
+	Message
+}, M any](pool *msgPool[T], kept func(*T) []M, decode func(*WireReader, []M) T) codec {
+	return codec{
+		decode: func(r *WireReader) Message { return decode(r, nil) },
+		decodePooled: func(r *WireReader) Message {
+			p := pool.get()
+			*p = decode(r, kept(p))
+			return P(p)
+		},
+	}
+}
+
+// codecs is the decode table, indexed by tag; TagInvalid's row is empty.
 var codecs = [...]codec{
 	TagRequest:         pooled(&requestPool, decodeRequest),
 	TagFinalTS:         pooled(&finalTSPool, decodeFinalTS),
@@ -1253,30 +1345,12 @@ var codecs = [...]codec{
 	TagMapUpdate:       plain(decodeMapUpdate),
 	TagTransferPull:    plain(decodeTransferPull),
 	TagTransferRecords: plain(decodeTransferRecords),
-	TagRequestBatch: {
-		decode: func(r *WireReader) Message { return decodeRequestBatch(r, nil) },
-		decodePooled: func(r *WireReader) Message {
-			p := requestBatchPool.get()
-			*p = decodeRequestBatch(r, p.Members)
-			return p
-		},
-	},
-	TagReleaseBatch: {
-		decode: func(r *WireReader) Message { return decodeReleaseBatch(r, nil) },
-		decodePooled: func(r *WireReader) Message {
-			p := releaseBatchPool.get()
-			*p = decodeReleaseBatch(r, p.Members)
-			return p
-		},
-	},
-	TagGrantBatch: {
-		decode: func(r *WireReader) Message { return decodeGrantBatch(r, nil) },
-		decodePooled: func(r *WireReader) Message {
-			p := grantBatchPool.get()
-			*p = decodeGrantBatch(r, p.Members)
-			return p
-		},
-	},
+	TagRequestBatch:    batch(&requestBatchPool, func(p *RequestBatchMsg) []RequestMember { return p.Members }, decodeRequestBatch),
+	TagReleaseBatch:    batch(&releaseBatchPool, func(p *ReleaseBatchMsg) []ReleaseMember { return p.Members }, decodeReleaseBatch),
+	TagGrantBatch:      batch(&grantBatchPool, func(p *GrantBatchMsg) []GrantMember { return p.Members }, decodeGrantBatch),
+	TagSnapReadBatch:   batch(&snapReadBatchPool, func(p *SnapReadBatchMsg) []ItemID { return p.Members }, decodeSnapReadBatch),
+	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, func(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members },
+		decodeSnapReadReplyBatch),
 }
 
 // AppendMessage appends tag + body. A nil message and an empty batch have no

@@ -124,6 +124,8 @@ func TestMessageTagsStable(t *testing.T) {
 		34: RequestBatchMsg{Members: make([]RequestMember, 2)},
 		35: ReleaseBatchMsg{Members: make([]ReleaseMember, 2)},
 		36: GrantBatchMsg{Members: make([]GrantMember, 2)},
+		37: SnapReadBatchMsg{Members: make([]ItemID, 2)},
+		38: SnapReadReplyBatchMsg{Members: make([]SnapReadReplyMember, 2)},
 	}
 	for tag, msg := range want {
 		got, ok := MessageTag(msg)
@@ -152,6 +154,14 @@ var goldenBatches = []struct {
 		{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
 		{Item: 19, Lock: SRL, PreScheduled: true, TS: 1000, Value: 42, Version: 3, CommitMicros: 3000}}},
 		"24022a0304020e0100d00f0511c03e260201d00f5403f02e"},
+	{SnapReadBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 0, SnapMicros: 1_700_000_000_000_000, Site: 1, Epoch: 2, CopySite: 2,
+		Members: []ItemID{7, 19, 300}},
+		"25022a00048080f281838985060202030e26d804"},
+	{SnapReadReplyBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 0, CopySite: 2, Members: []SnapReadReplyMember{
+		{Item: 7, Value: -3, Version: 17, CommitMicros: 1_699_999_999_000_000, Exact: true},
+		{Item: 19, Value: 42, Version: 3, CommitMicros: 1_699_999_998_000_000, Exact: true},
+		{Item: 300, Value: 100, CommitMicros: 0}}},
+		"26022a0004030e051180f7f780838985060126540380eefdff8289850601d804c801000000"},
 }
 
 // TestBatchGoldenBytes pins the batch encodings and their decode back.
@@ -181,18 +191,28 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 		var one, single, empty Message
 		switch v := g.msg.(type) {
 		case RequestBatchMsg:
-			v.Members = v.Members[1:]
+			v.Members = v.Members[len(v.Members)-1:]
 			one, single = v, v.Request(0)
 			v.Members = nil
 			empty = v
 		case ReleaseBatchMsg:
-			v.Members = v.Members[1:]
+			v.Members = v.Members[len(v.Members)-1:]
 			one, single = v, v.Release(0)
 			v.Members = nil
 			empty = v
 		case GrantBatchMsg:
-			v.Members = v.Members[1:]
+			v.Members = v.Members[len(v.Members)-1:]
 			one, single = v, v.Grant(0)
+			v.Members = nil
+			empty = v
+		case SnapReadBatchMsg:
+			v.Members = v.Members[len(v.Members)-1:]
+			one, single = v, v.SnapRead(0)
+			v.Members = nil
+			empty = v
+		case SnapReadReplyBatchMsg:
+			v.Members = v.Members[len(v.Members)-1:]
+			one, single = v, v.Reply(0)
 			v.Members = nil
 			empty = v
 		}
@@ -232,6 +252,16 @@ func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 			none = v
 		case GrantBatchMsg:
 			v.Members = []GrantMember{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		case SnapReadBatchMsg:
+			v.Members = []ItemID{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		case SnapReadReplyBatchMsg:
+			v.Members = []SnapReadReplyMember{v.Members[0], v.Members[0]}
 			twins = v
 			v.Members = nil
 			none = v

@@ -10,10 +10,11 @@ import (
 // DecodeMessage returns value-typed messages; storing one in the Message
 // interface boxes it — one small heap allocation per message, the last
 // steady-state allocation on both the wire-v3 decode path and the in-process
-// send path. The fourteen hot protocol types — eleven fixed-size messages
-// and the three batches (RequestBatch, ReleaseBatch, GrantBatch) — therefore
-// pool in both directions: DecodeMessagePooled decodes into pooled structs
-// returned as pointers (the decode table's decodePooled rows), the
+// send path. The sixteen hot protocol types — eleven fixed-size messages
+// and the five batches (RequestBatch, ReleaseBatch, GrantBatch, SnapReadBatch,
+// SnapReadReplyBatch) — therefore pool in both directions:
+// DecodeMessagePooled decodes into pooled structs returned as pointers (the
+// decode table's decodePooled rows), the
 // PooledRequest/PooledGrant/... constructors wrap a value into a pooled
 // pointer for sending, and RecycleMessage puts either back.
 //
@@ -309,6 +310,50 @@ func (m *GrantBatchMsg) recycle() {
 }
 
 func (m *GrantBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+var snapReadBatchPool msgPool[SnapReadBatchMsg]
+
+// PooledSnapReadBatch returns v as a pooled *SnapReadBatchMsg (members
+// copied, see PooledRequestBatch).
+func PooledSnapReadBatch(v SnapReadBatchMsg) *SnapReadBatchMsg {
+	p := snapReadBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *SnapReadBatchMsg) recycle() {
+	*m = SnapReadBatchMsg{Members: keptMembers(m.Members)}
+	snapReadBatchPool.Put(m)
+}
+
+func (m *SnapReadBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+var snapReadReplyBatchPool msgPool[SnapReadReplyBatchMsg]
+
+// PooledSnapReadReplyBatch returns v as a pooled *SnapReadReplyBatchMsg
+// (members copied, see PooledRequestBatch).
+func PooledSnapReadReplyBatch(v SnapReadReplyBatchMsg) *SnapReadReplyBatchMsg {
+	p := snapReadReplyBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *SnapReadReplyBatchMsg) recycle() {
+	*m = SnapReadReplyBatchMsg{Members: keptMembers(m.Members)}
+	snapReadReplyBatchPool.Put(m)
+}
+
+func (m *SnapReadReplyBatchMsg) unpool() Message {
 	c := *m
 	c.Members = slices.Clone(m.Members)
 	return c

@@ -1,6 +1,7 @@
 package qm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -133,6 +134,150 @@ func TestCrashDefersBatchWithItsOwnMembers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovery granted %v, want %v", got, want)
+	}
+}
+
+// snapBatchOf is a snapshot-read batch from issuer site 1 for items at site 0.
+func snapBatchOf(txn uint64, items ...model.ItemID) model.SnapReadBatchMsg {
+	return model.SnapReadBatchMsg{Txn: model.TxnID{Site: 1, Seq: txn}, SnapMicros: 1 << 40, Site: 1, Members: items}
+}
+
+// deliverSnap hands a pooled copy of b to m, as deliver does.
+func deliverSnap(m *Manager, ctx engine.Context, b model.SnapReadBatchMsg) {
+	p := model.PooledSnapReadBatch(b)
+	m.OnMessage(ctx, engine.RIAddr(b.Site), p)
+	model.RecycleMessage(p)
+}
+
+// repliedItems lists, in send order, the items the snapshot replies sent so
+// far answer, batched or single, and how many envelopes carried them.
+func repliedItems(sent []engine.Envelope) (items []model.ItemID, envelopes int) {
+	for _, env := range sent {
+		switch v := env.Msg.(type) {
+		case model.SnapReadReplyBatchMsg:
+			for _, r := range v.Members {
+				items = append(items, r.Item)
+			}
+		case model.SnapReadReplyMsg:
+			items = append(items, v.Copy.Item)
+		default:
+			continue
+		}
+		envelopes++
+	}
+	return items, envelopes
+}
+
+// TestSnapReadBatchAnsweredOnce: a snapshot-read batch is handled member by
+// member exactly as the SnapReadMsgs it stands for, and the members served
+// while the shard handles it leave as one reply batch.
+func TestSnapReadBatchAnsweredOnce(t *testing.T) {
+	t.Run("one reply batch", func(t *testing.T) {
+		m, _ := testManager(4, true)
+		ctx := newFakeCtx()
+		deliverSnap(m, ctx, snapBatchOf(1, 0, 1, 3))
+		replies := take[model.SnapReadReplyBatchMsg](ctx)
+		if len(replies) != 1 || len(ctx.sent) != 0 {
+			t.Fatalf("replies: %d reply batches + %+v, want exactly one reply batch", len(replies), ctx.sent)
+		}
+		b := replies[0]
+		if b.Txn != (model.TxnID{Site: 1, Seq: 1}) || b.CopySite != 0 || len(b.Members) != 3 {
+			t.Fatalf("reply batch = %+v", b)
+		}
+		for i, want := range []model.ItemID{0, 1, 3} {
+			if r := b.Reply(i); r.Copy.Item != want || r.Value != 100 || !r.Exact {
+				t.Fatalf("member %d = %+v", i, r)
+			}
+		}
+		if c := m.Snapshot(); c.SnapReads != 3 {
+			t.Fatalf("SnapReads = %d, want 3: a batch counts per copy", c.SnapReads)
+		}
+	})
+
+	t.Run("parked member waits for the un-park", func(t *testing.T) {
+		m, ctx, _, _ := exposureSite(t, 1, 0)
+		ri := engine.RIAddr(1)
+		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, 2, model.NoTimestamp))
+		take[model.GrantMsg](ctx.fakeCtx)
+		m.OnMessage(ctx, ri, writeRelease(1, 2, 7, 100)) // parks item 2
+		deliverSnap(m, ctx, snapBatchOf(2, 1, 2, 3))
+		if items, n := repliedItems(ctx.sent); n != 1 || !reflect.DeepEqual(items, []model.ItemID{1, 3}) {
+			t.Fatalf("before the sync: %d envelopes answering %v, want one answering [1 3]", n, items)
+		}
+		ctx.sent = nil
+		ctx.fire()
+		r := take[model.SnapReadReplyMsg](ctx.fakeCtx)
+		if len(r) != 1 || r[0].Copy.Item != 2 || r[0].Value != 7 {
+			t.Fatalf("after the sync: replies %+v, want item 2 with the synced value 7", r)
+		}
+		if c := m.Snapshot(); c.SnapReads != 3 {
+			t.Fatalf("SnapReads = %d, want 3", c.SnapReads)
+		}
+	})
+
+	t.Run("NAKs leave after the held replies", func(t *testing.T) {
+		m, _ := testManager(4, true)
+		m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {0}, {1}, {0}}})
+		m.shardFor(3).pending[3] = true // sealed mid-transfer
+		ctx := newFakeCtx()
+		deliverSnap(m, ctx, snapBatchOf(1, 0, 1, 2, 3))
+		var got []string
+		for _, env := range ctx.sent {
+			switch v := env.Msg.(type) {
+			case model.SnapReadReplyBatchMsg:
+				items, _ := repliedItems([]engine.Envelope{env})
+				got = append(got, fmt.Sprintf("replies%d", items))
+			case model.WrongEpochMsg:
+				got = append(got, fmt.Sprintf("wrong-epoch%d", v.Copy.Item))
+			case model.BusyMsg:
+				got = append(got, fmt.Sprintf("busy%d", v.Copy.Item))
+			default:
+				got = append(got, fmt.Sprintf("%T", v))
+			}
+		}
+		if want := []string{"replies[0 1]", "wrong-epoch2", "busy3"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("sent %v, want %v (items 0 and 1 in one batch, then the NAKs)", got, want)
+		}
+		if c := m.Snapshot(); c.SnapReads != 2 || c.WrongEpoch != 1 || c.Busy != 1 {
+			t.Fatalf("counters %+v, want 2 reads, 1 wrong-epoch NAK, 1 busy NAK", c)
+		}
+	})
+
+	t.Run("batch spanning shards is split in member order", func(t *testing.T) {
+		m, _ := shardedManager(8, 2)
+		ctx := newFakeCtx()
+		all := []model.ItemID{0, 1, 2, 3, 4, 5, 6, 7}
+		deliverSnap(m, ctx, snapBatchOf(1, all...))
+		runs := 1
+		for i := 1; i < len(all); i++ {
+			if model.ShardOfItem(all[i], 2) != model.ShardOfItem(all[i-1], 2) {
+				runs++
+			}
+		}
+		items, n := repliedItems(ctx.sent)
+		if !reflect.DeepEqual(items, all) || n != runs {
+			t.Fatalf("%d envelopes answering %v, want %d (one per run of same-shard members) answering %v", n, items, runs, all)
+		}
+		if runs == 1 {
+			t.Fatal("every item hashed to one shard: the case does not exercise a split")
+		}
+	})
+}
+
+// TestSnapReadBatchAllocatesNothing: a snapshot-read batch and its reply
+// batch cost the queue manager no allocation once the shard's reply scratch
+// and the pools are warm.
+func TestSnapReadBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, _ := testManager(8, true)
+	m.recorder = nil
+	var ctx drainCtx
+	b := snapBatchOf(1, 0, 2, 3, 5, 7)
+	deliverSnap(m, &ctx, b)
+	if got := testing.AllocsPerRun(200, func() { deliverSnap(m, &ctx, b) }); got != 0 {
+		t.Fatalf("one snapshot-read batch allocates %.0f times, want 0", got)
 	}
 }
 

@@ -32,26 +32,30 @@
 //   - Deadlock probes and the stats tick: aggregated across shards into
 //     one per-site report.
 //
-// Batches: a model.RequestBatchMsg or model.ReleaseBatchMsg is its members.
-// The Manager routes it by its members' items — whole to the owning shard
-// when they share one, as the issuer's per-mailbox batches do — and the
-// shard handles member i exactly as the single message it stands for:
-// ownership and epoch checks, MaxQueueDepth, counters and deferral while
+// Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg or
+// model.SnapReadBatchMsg is its members. The Manager routes it by its
+// members' items — whole to the owning shard when they share one, as the
+// issuer's per-mailbox batches do — and the shard handles member i exactly
+// as the single message it stands for: ownership and epoch checks,
+// MaxQueueDepth, the sealed-item busy NAK, counters and deferral while
 // crashed are all per copy. The grants a request batch earns for its own
-// attempt are held while the shard handles it and leave as one
-// model.GrantBatchMsg when it ends. The ordering rule that keeps this safe:
-// any other reply the shard sends the same issuer meanwhile (a reject, a
-// back-off, a busy or wrong-epoch NAK, another transaction's grant) first
-// sends the grants held so far, so each issuer still sees one shard's
-// replies in the order they were produced. Grants that leave later — from an
-// un-park, or while handling a release — go one per message as before.
+// attempt, and the snapshot replies a snapshot-read batch is served, are
+// held while the shard handles it and leave as one model.GrantBatchMsg or
+// model.SnapReadReplyBatchMsg when it ends. The ordering rule that keeps
+// this safe: any other reply the shard sends the same issuer meanwhile (a
+// reject, a back-off, a busy or wrong-epoch NAK, another transaction's
+// grant) first sends the replies held so far, so each issuer still sees one
+// shard's replies in the order they were produced. Replies that leave later
+// — grants and snapshot replies from an un-park, grants while handling a
+// release — go one per message as before.
 //
 // Two paths never touch the queues at all:
 //
-//   - Snapshot reads (SnapReadMsg): read-only transactions are answered
-//     straight from the store's version chain at their snapshot timestamp —
-//     no entry, no lock, no threshold check — and recorded into the history
-//     log at the position of the version they observed.
+//   - Snapshot reads (SnapReadMsg, single or batched): read-only
+//     transactions are answered straight from the store's version chain at
+//     their snapshot timestamp — no entry, no lock, no threshold check — and
+//     recorded into the history log at the position of the version they
+//     observed.
 //   - Durability control (CrashMsg/RecoverMsg): how a crashed site defers
 //     traffic until its store — version chains included — is rebuilt from
 //     snapshot + replay.

@@ -122,6 +122,14 @@ func (c *exposureCtx) Send(to engine.Addr, msg model.Message) {
 		c.check("grant", v.Copy.Item, v.Version)
 	case model.SnapReadReplyMsg:
 		c.check("snapshot reply", v.Copy.Item, v.Version)
+	case model.GrantBatchMsg:
+		for _, g := range v.Members {
+			c.check("grant", g.Item, g.Version)
+		}
+	case model.SnapReadReplyBatchMsg:
+		for _, r := range v.Members {
+			c.check("snapshot reply", r.Item, r.Version)
+		}
 	case model.NormalGrantMsg:
 		c.check("promotion", v.Copy.Item, c.m.store.Latest(v.Copy.Item).Version)
 	}

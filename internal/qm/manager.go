@@ -352,7 +352,8 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case *model.RequestMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case model.RequestBatchMsg, *model.RequestBatchMsg, model.ReleaseBatchMsg, *model.ReleaseBatchMsg:
+	case model.RequestBatchMsg, *model.RequestBatchMsg, model.ReleaseBatchMsg, *model.ReleaseBatchMsg,
+		model.SnapReadBatchMsg, *model.SnapReadBatchMsg:
 		m.routeBatch(ctx, from, msg.(memberBatch))
 	case model.FinalTSMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
@@ -408,8 +409,8 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 	}
 }
 
-// memberBatch is a request or release batch as the manager routes it: by
-// its members' items (see model.RequestBatchMsg.Len).
+// memberBatch is a request, release or snapshot-read batch as the manager
+// routes it: by its members' items (see model.RequestBatchMsg.Len).
 type memberBatch interface {
 	model.Message
 	Len() int

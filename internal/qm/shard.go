@@ -49,9 +49,9 @@ type shard struct {
 	down     bool // site crashed: messages defer until recovery
 	deferred []pendingMsg
 
-	// gb holds the grants a request batch's own attempt earns while the
-	// shard handles the batch (onRequestBatch).
-	gb grantBatch
+	// held is the reply the batch being handled is building
+	// (onRequestBatch, onSnapReadBatch).
+	held heldReplies
 }
 
 type unsyncedWrite struct {
@@ -59,14 +59,22 @@ type unsyncedWrite struct {
 	txn  model.TxnID
 }
 
-// grantBatch is the reply a request batch is building: its attempt's grants,
-// held until the batch handler ends. members is reused across batches.
-type grantBatch struct {
+// heldReplies is the reply a batch builds while the shard handles it: the
+// grants a request batch's own attempt earns, or a snapshot-read batch's
+// replies, held until the batch handler ends. The member arrays are reused
+// across batches.
+type heldReplies struct {
 	open    bool
 	to      engine.Addr
 	txn     model.TxnID
 	attempt model.Attempt
-	members []model.GrantMember
+	grants  []model.GrantMember
+	snaps   []model.SnapReadReplyMember
+}
+
+// holds reports whether a reply to (to, txn, attempt) joins the batch's.
+func (h *heldReplies) holds(to engine.Addr, txn model.TxnID, attempt model.Attempt) bool {
+	return h.open && to == h.to && txn == h.txn && attempt == h.attempt
 }
 
 // onMessage handles one delivery for this shard. Crashed shards defer
@@ -125,6 +133,10 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 		sh.onSnapRead(ctx, v)
 	case *model.SnapReadMsg:
 		sh.onSnapRead(ctx, *v)
+	case model.SnapReadBatchMsg:
+		sh.onSnapReadBatch(ctx, &v)
+	case *model.SnapReadBatchMsg:
+		sh.onSnapReadBatch(ctx, v)
 	case model.FlushMsg:
 		sh.flushArmed = false
 		sh.flush(ctx)
@@ -200,15 +212,31 @@ func (sh *shard) flush(ctx engine.Context) {
 // same issuer sends them first (send), so the issuer sees this shard's
 // replies in the order they were produced.
 func (sh *shard) onRequestBatch(ctx engine.Context, b *model.RequestBatchMsg) {
-	sh.gb = grantBatch{
-		open: true, to: engine.RIAddr(b.Site), txn: b.Txn, attempt: b.Attempt,
-		members: sh.gb.members,
-	}
+	sh.hold(b.Site, b.Txn, b.Attempt)
 	for i := range b.Members {
 		sh.onRequest(ctx, b.Request(i))
 	}
-	sh.sendGrants(ctx)
-	sh.gb.open = false
+	sh.sendHeld(ctx)
+	sh.held.open = false
+}
+
+// onSnapReadBatch handles every member exactly as the SnapReadMsg it stands
+// for, and holds the replies as onRequestBatch holds grants: the members
+// served now leave as one SnapReadReplyBatchMsg, a parked member is answered
+// at the un-park, and a NAK sends the replies held before it first.
+func (sh *shard) onSnapReadBatch(ctx engine.Context, b *model.SnapReadBatchMsg) {
+	sh.hold(b.Site, b.Txn, b.Attempt)
+	for i := range b.Members {
+		sh.onSnapRead(ctx, b.SnapRead(i))
+	}
+	sh.sendHeld(ctx)
+	sh.held.open = false
+}
+
+// hold opens the reply of a batch from site's issuer for (txn, attempt).
+func (sh *shard) hold(site model.SiteID, txn model.TxnID, attempt model.Attempt) {
+	h := &sh.held
+	h.open, h.to, h.txn, h.attempt = true, engine.RIAddr(site), txn, attempt
 }
 
 // onReleaseBatch handles every member exactly as the ReleaseMsg it stands
@@ -219,12 +247,12 @@ func (sh *shard) onReleaseBatch(ctx engine.Context, b *model.ReleaseBatchMsg) {
 	}
 }
 
-// send delivers a reply. A reply to the issuer whose request batch is being
-// handled first sends the grants held for it, which keeps the shard's
-// replies to each issuer in the order they were produced.
+// send delivers a reply. A reply to the issuer whose batch is being handled
+// first sends the replies held for it, which keeps the shard's replies to
+// each issuer in the order they were produced.
 func (sh *shard) send(ctx engine.Context, to engine.Addr, msg model.Message) {
-	if to == sh.gb.to {
-		sh.sendGrants(ctx)
+	if to == sh.held.to {
+		sh.sendHeld(ctx)
 	}
 	ctx.Send(to, msg)
 }
@@ -232,26 +260,44 @@ func (sh *shard) send(ctx engine.Context, to engine.Addr, msg model.Message) {
 // sendGrant delivers a grant, or holds it for the request batch being
 // handled when it answers that batch's own attempt.
 func (sh *shard) sendGrant(ctx engine.Context, to engine.Addr, g model.GrantMsg) {
-	if !sh.gb.open || to != sh.gb.to || g.Txn != sh.gb.txn || g.Attempt != sh.gb.attempt {
+	if !sh.held.holds(to, g.Txn, g.Attempt) {
 		sh.send(ctx, to, model.PooledGrant(g))
 		return
 	}
-	sh.gb.members = append(sh.gb.members, model.GrantMember{
+	sh.held.grants = append(sh.held.grants, model.GrantMember{
 		Item: g.Copy.Item, Lock: g.Lock, PreScheduled: g.PreScheduled, TS: g.TS,
 		Value: g.Value, Version: g.Version, CommitMicros: g.CommitMicros,
 	})
 }
 
-// sendGrants sends the grants held for the request batch being handled, if
-// any, as one GrantBatchMsg.
-func (sh *shard) sendGrants(ctx engine.Context) {
-	if len(sh.gb.members) == 0 {
+// sendSnapReply delivers a snapshot reply, or holds it for the snapshot-read
+// batch being handled when it answers that batch.
+func (sh *shard) sendSnapReply(ctx engine.Context, to engine.Addr, r model.SnapReadReplyMsg) {
+	if !sh.held.holds(to, r.Txn, r.Attempt) {
+		sh.send(ctx, to, model.PooledSnapReadReply(r))
 		return
 	}
-	ctx.Send(sh.gb.to, model.PooledGrantBatch(model.GrantBatchMsg{
-		Txn: sh.gb.txn, Attempt: sh.gb.attempt, CopySite: sh.m.site, Members: sh.gb.members,
-	}))
-	sh.gb.members = sh.gb.members[:0]
+	sh.held.snaps = append(sh.held.snaps, model.SnapReadReplyMember{
+		Item: r.Copy.Item, Value: r.Value, Version: r.Version, CommitMicros: r.CommitMicros, Exact: r.Exact,
+	})
+}
+
+// sendHeld sends the replies held for the batch being handled, if any, as
+// one batch message.
+func (sh *shard) sendHeld(ctx engine.Context) {
+	h := &sh.held
+	if len(h.grants) > 0 {
+		ctx.Send(h.to, model.PooledGrantBatch(model.GrantBatchMsg{
+			Txn: h.txn, Attempt: h.attempt, CopySite: sh.m.site, Members: h.grants,
+		}))
+		h.grants = h.grants[:0]
+	}
+	if len(h.snaps) > 0 {
+		ctx.Send(h.to, model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
+			Txn: h.txn, Attempt: h.attempt, CopySite: sh.m.site, Members: h.snaps,
+		}))
+		h.snaps = h.snaps[:0]
+	}
 }
 
 func (sh *shard) queue(item model.ItemID) *dataQueue {
@@ -420,7 +466,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 	if sh.m.recorder != nil {
 		sh.m.recorder.ImplementedReadAt(model.CopyID{Item: v.Copy.Item, Site: sh.m.site}, v.Txn, ver.Version)
 	}
-	sh.send(ctx, engine.RIAddr(v.Site), model.PooledSnapReadReply(model.SnapReadReplyMsg{
+	sh.sendSnapReply(ctx, engine.RIAddr(v.Site), model.SnapReadReplyMsg{
 		Txn:          v.Txn,
 		Attempt:      v.Attempt,
 		Copy:         v.Copy,
@@ -428,7 +474,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		Version:      ver.Version,
 		CommitMicros: ver.CommitMicros,
 		Exact:        exact,
-	}))
+	})
 }
 
 // implement applies the operation to the store and the history log. A

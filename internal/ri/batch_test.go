@@ -1,6 +1,8 @@
 package ri
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -156,6 +158,86 @@ func TestQuorumBatchesAndOneAdvancePerGrantBatch(t *testing.T) {
 	}
 	if _, rels := wireOf[model.ReleaseBatchMsg](c); len(rels) != 3 {
 		t.Fatalf("%d release envelopes, want 3", len(rels))
+	}
+}
+
+// TestROScatterOneEnvelopePerMailbox: an 8-item read-only snapshot
+// transaction over 3 sites (4, 3 and 1 items) reads with one
+// SnapReadBatchMsg per queue-manager mailbox, members in item order, with
+// one and with two shards per site. The one-item group goes out as a batch
+// of one whose bytes are those of the SnapReadMsg it stands for. The
+// transaction starts computing once, after the last reply batch, and still
+// reports 8 per-copy messages.
+func TestROScatterOneEnvelopePerMailbox(t *testing.T) {
+	reads := []model.ItemID{0, 1, 2, 3, 4, 6, 7, 9}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pm := placement.Build(placement.RoundRobin, 12, []model.SiteID{0, 1, 2}, 1)
+			iss := New(0, pm, nil, Options{DefaultComputeMicros: 50, QMShards: shards}, nil)
+			c := newCtx()
+			tx := model.NewTxn(model.TxnID{Site: 0, Seq: 5}, model.ROSnapshot, reads, nil, 50)
+			iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+
+			to, batches := wireOf[model.SnapReadBatchMsg](c)
+			if len(c.wire) != 0 {
+				t.Fatalf("the scatter sent more than snapshot-read batches: %+v", c.wire)
+			}
+			mailboxes := map[engine.Addr]bool{}
+			for _, item := range reads {
+				mailboxes[engine.QMShardAddr(pm.Primary(item), model.ShardOfItem(item, shards))] = true
+			}
+			if len(to) != len(mailboxes) {
+				t.Fatalf("%d envelopes for %d mailboxes", len(to), len(mailboxes))
+			}
+			var items [][]model.ItemID
+			var sites []model.SiteID
+			ones := 0
+			for i, b := range batches {
+				for _, item := range b.Members {
+					if want := engine.QMShardAddr(pm.Primary(item), model.ShardOfItem(item, shards)); want != to[i] {
+						t.Fatalf("item %d went to %v, its mailbox is %v", item, to[i], want)
+					}
+				}
+				items, sites = append(items, b.Members), append(sites, b.CopySite)
+				if len(b.Members) != 1 {
+					continue
+				}
+				ones++
+				got, _ := model.AppendMessage(nil, b)
+				want, _ := model.AppendMessage(nil, model.SnapReadMsg{
+					Txn: tx.ID, Copy: model.CopyID{Item: b.Members[0], Site: to[i].ID}, SnapMicros: b.SnapMicros, Site: 0,
+				})
+				if !bytes.Equal(got, want) {
+					t.Fatalf("a batch of one encodes to %x, its SnapReadMsg to %x", got, want)
+				}
+			}
+			if ones == 0 {
+				t.Fatal("no one-item group: the case does not exercise a batch of one")
+			}
+			checkOnePerMailbox(t, "snapshot-read batch", to, items, sites, len(reads))
+
+			for i, b := range batches {
+				reply := model.SnapReadReplyBatchMsg{Txn: b.Txn, Attempt: b.Attempt, CopySite: b.CopySite}
+				for _, item := range b.Members {
+					reply.Members = append(reply.Members, model.SnapReadReplyMember{Item: item, Value: 1, Exact: true})
+				}
+				if len(c.timers) != 0 {
+					t.Fatalf("computing before reply batch %d of %d", i, len(batches))
+				}
+				iss.OnMessage(c, to[i], model.PooledSnapReadReplyBatch(reply))
+			}
+			if len(c.timers) != 1 {
+				t.Fatalf("%d compute timers after the last reply batch, want 1", len(c.timers))
+			}
+			fireTimers(iss, c)
+			dones := take[model.TxnDoneMsg](c)
+			if len(dones) != 1 || dones[0].Outcome != model.OutcomeCommitted {
+				t.Fatalf("done = %+v", dones)
+			}
+			if dones[0].Messages != int64(len(reads)) {
+				t.Fatalf("TxnDoneMsg.Messages = %d, want %d (one per copy read)", dones[0].Messages, len(reads))
+			}
+		})
 	}
 }
 

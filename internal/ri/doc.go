@@ -32,15 +32,23 @@
 // nothing in the issuer (TestIssuerLifecycleAllocatesNothing).
 //
 // Read-only snapshot transactions (model.ROSnapshot) run a fourth, trivial
-// lifecycle: scatter one SnapReadMsg per item at a snapshot timestamp a
-// configurable staleness margin in the past, gather the replies, compute,
-// commit. No locks, no negotiation, no restarts. The margin must exceed the
-// maximum network delay: then every release carrying an older commit stamp
-// has already been implemented at every site when the reads arrive, so the
-// snapshot observes a consistent cut of committed transactions. Releases of
-// read-write transactions carry a single CommitMicros stamp per transaction
-// (taken when the release round is sent), which is what the version chains
-// — and therefore the snapshots — are ordered by.
+// lifecycle: scatter the reads at a snapshot timestamp a configurable
+// staleness margin in the past, gather the replies, compute, commit. No
+// locks, no negotiation, no restarts. The scatter follows the read-write
+// rule: one model.SnapReadBatchMsg per mailbox the items' primary copies
+// route to, members in item order (a batch of one travels as the
+// SnapReadMsg it stands for); a model.SnapReadReplyBatchMsg is applied
+// member by member and the transaction then checks once whether every read
+// is in. A refused batch NAKs each member, and the first NAK sheds the
+// transaction. TxnDoneMsg.Messages counts one per item read.
+//
+// The staleness margin must exceed the maximum network delay: then every
+// release carrying an older commit stamp has already been implemented at
+// every site when the reads arrive, so the snapshot observes a consistent
+// cut of committed transactions. Releases of read-write transactions carry
+// a single CommitMicros stamp per transaction (taken when the release round
+// is sent), which is what the version chains — and therefore the snapshots
+// — are ordered by.
 //
 // Overload defense: restarts back off exponentially (RestartDelayMicros
 // doubling per failed attempt up to RestartDelayCapMicros, ±50% jitter —

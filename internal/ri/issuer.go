@@ -271,12 +271,14 @@ type Issuer struct {
 	// guarded by mu like the rest of the issuer state.
 	gateNeeds map[model.ItemID]int
 	gateGot   map[model.ItemID]int
-	// mailboxScratch, reqMembers and relMembers are the reusable scratch of
-	// one protocol step's batches (mailboxes, sendRequests, releaseAll);
-	// guarded by mu.
+	// mailboxScratch, reqMembers, relMembers, roAddrs and snapMembers are the
+	// reusable scratch of one protocol step's batches (mailboxes,
+	// sendRequests, releaseAll, launchRO); guarded by mu.
 	mailboxScratch []engine.Addr
 	reqMembers     []model.RequestMember
 	relMembers     []model.ReleaseMember
+	roAddrs        []engine.Addr
+	snapMembers    []model.ItemID
 	// freeTxns and freeROs hold finished transactions' states for the next
 	// submits to reuse, maps and slab included (reuse, recycleTxn,
 	// recycleRO); guarded by mu. A state goes back at its terminal point,
@@ -487,6 +489,10 @@ func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		ri.onSnapReply(ctx, v)
 	case *model.SnapReadReplyMsg:
 		ri.onSnapReply(ctx, *v)
+	case model.SnapReadReplyBatchMsg:
+		ri.onSnapReplyBatch(ctx, &v)
+	case *model.SnapReadReplyBatchMsg:
+		ri.onSnapReplyBatch(ctx, v)
 	case model.NormalGrantMsg:
 		ri.onNormalGrant(ctx, v)
 	case *model.NormalGrantMsg:
@@ -625,10 +631,12 @@ func (ri *Issuer) recycleRO(s *roState) {
 	ri.freeROs = append(ri.freeROs, s)
 }
 
-// launchRO starts a read-only snapshot transaction: one SnapReadMsg per item
-// to its primary copy, at a snapshot timestamp safely in the past. There is
-// no negotiation and no lock: the transaction cannot be rejected, backed
-// off, victimized, or restarted, and it never re-enters launch.
+// launchRO starts a read-only snapshot transaction: it reads each item's
+// primary copy at a snapshot timestamp safely in the past, with one
+// SnapReadBatchMsg per queue-manager mailbox carrying that mailbox's items in
+// item order (see sendRequests). There is no negotiation and no lock: the
+// transaction cannot be rejected, backed off, victimized, or restarted, and
+// it never re-enters launch.
 func (ri *Issuer) launchRO(ctx engine.Context, t *model.Txn) {
 	now := ctx.NowMicros()
 	snap := now - ri.opts.SnapshotStalenessMicros
@@ -644,17 +652,35 @@ func (ri *Issuer) launchRO(ctx engine.Context, t *model.Txn) {
 	}
 	ri.roActive[t.ID] = s
 	// ReadSet is sorted, so the send order is deterministic (map iteration
-	// would reorder same-timestamp events between runs).
+	// would reorder same-timestamp events between runs). roAddrs[i] is item
+	// i's mailbox.
+	addrs, mailboxes := ri.roAddrs[:0], ri.mailboxScratch[:0]
 	for _, item := range t.ReadSet {
 		c := model.CopyID{Item: item, Site: ri.pmap.Primary(item)}
 		s.pending[c] = true
-		s.messages++
-		ctx.Send(ri.qmAddr(c), model.PooledSnapRead(model.SnapReadMsg{
+		to := ri.qmAddr(c)
+		addrs = append(addrs, to)
+		if !slices.Contains(mailboxes, to) {
+			mailboxes = append(mailboxes, to)
+		}
+	}
+	ri.roAddrs, ri.mailboxScratch = addrs, mailboxes
+	for _, to := range mailboxes {
+		members := ri.snapMembers[:0]
+		for i, item := range t.ReadSet {
+			if addrs[i] == to {
+				members = append(members, item)
+			}
+		}
+		ri.snapMembers = members
+		s.messages += int64(len(members))
+		ctx.Send(to, model.PooledSnapReadBatch(model.SnapReadBatchMsg{
 			Txn:        t.ID,
-			Copy:       c,
 			SnapMicros: snap,
 			Site:       ri.site,
 			Epoch:      ri.pmap.Epoch,
+			CopySite:   to.ID,
+			Members:    members,
 		}))
 	}
 	if len(s.pending) == 0 {
@@ -677,17 +703,42 @@ func (ri *Issuer) startROCompute(ctx engine.Context, s *roState) {
 }
 
 func (ri *Issuer) onSnapReply(ctx engine.Context, v model.SnapReadReplyMsg) {
-	s := ri.roActive[v.Txn]
-	if s == nil || !s.pending[v.Copy] {
+	if s := ri.roActive[v.Txn]; s != nil && ri.applySnapReply(s, v) && len(s.pending) == 0 {
+		ri.startROCompute(ctx, s)
+	}
+}
+
+// onSnapReplyBatch applies every member of a snapshot reply batch, then
+// checks once whether the transaction's reads are all in (see
+// onGrantBatch).
+func (ri *Issuer) onSnapReplyBatch(ctx engine.Context, b *model.SnapReadReplyBatchMsg) {
+	s := ri.roActive[b.Txn]
+	if s == nil {
 		return
+	}
+	applied := false
+	for i := range b.Members {
+		if ri.applySnapReply(s, b.Reply(i)) {
+			applied = true
+		}
+	}
+	if applied && len(s.pending) == 0 {
+		ri.startROCompute(ctx, s)
+	}
+}
+
+// applySnapReply records one copy's snapshot reply on s, reporting whether it
+// counted (a duplicate, or one for a copy the transaction does not read, does
+// not).
+func (ri *Issuer) applySnapReply(s *roState, v model.SnapReadReplyMsg) bool {
+	if !s.pending[v.Copy] {
+		return false
 	}
 	delete(s.pending, v.Copy)
 	if !v.Exact {
 		ri.roStale++
 	}
-	if len(s.pending) == 0 {
-		ri.startROCompute(ctx, s)
-	}
+	return true
 }
 
 // finishRO commits a read-only snapshot transaction.

@@ -57,6 +57,10 @@ func perCopy(m model.Message) []model.Message {
 		for i := range v.Members {
 			out = append(out, v.Grant(i))
 		}
+	case model.SnapReadBatchMsg:
+		for i := range v.Members {
+			out = append(out, v.SnapRead(i))
+		}
 	default:
 		out = append(out, m)
 	}

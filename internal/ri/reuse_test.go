@@ -10,18 +10,19 @@ import (
 )
 
 // loopCtx is a delivery layer for allocation tests. It plays every queue
-// manager with an uncontended answer (one grant batch per request batch, a
-// snapshot reply per snapshot read), queues those answers and the issuer's
-// timers, and delivers them back to the issuer, recycling each message once
-// the issuer has handled it, as the runtime's mailbox loop does. Everything
-// else the issuer sends (releases, completion reports) is recycled on
-// arrival. Nothing is retained, and once its queue and scratch have grown
-// the context itself allocates nothing.
+// manager with an uncontended answer (one grant batch per request batch, one
+// reply batch per snapshot-read batch), queues those answers and the
+// issuer's timers, and delivers them back to the issuer, recycling each
+// message once the issuer has handled it, as the runtime's mailbox loop
+// does. Everything else the issuer sends (releases, completion reports) is
+// recycled on arrival. Nothing is retained, and once its queue and scratch
+// have grown the context itself allocates nothing.
 type loopCtx struct {
 	now     int64
 	rng     *rand.Rand
 	queue   []model.Message
 	members []model.GrantMember
+	replies []model.SnapReadReplyMember
 }
 
 func (c *loopCtx) NowMicros() int64  { return c.now }
@@ -43,9 +44,14 @@ func (c *loopCtx) Send(_ engine.Addr, msg model.Message) {
 		c.queue = append(c.queue, model.PooledGrantBatch(model.GrantBatchMsg{
 			Txn: v.Txn, Attempt: v.Attempt, CopySite: v.CopySite, Members: members,
 		}))
-	case *model.SnapReadMsg:
-		c.queue = append(c.queue, model.PooledSnapReadReply(model.SnapReadReplyMsg{
-			Txn: v.Txn, Copy: v.Copy, Value: 1, Exact: true,
+	case *model.SnapReadBatchMsg:
+		replies := c.replies[:0]
+		for _, item := range v.Members {
+			replies = append(replies, model.SnapReadReplyMember{Item: item, Value: 1, Exact: true})
+		}
+		c.replies = replies
+		c.queue = append(c.queue, model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
+			Txn: v.Txn, Attempt: v.Attempt, CopySite: v.CopySite, Members: replies,
 		}))
 	}
 	model.RecycleMessage(msg)
@@ -69,22 +75,25 @@ func (c *loopCtx) run(iss *Issuer) {
 // the issuer's free list, maps, copy slab and scratch, a committed
 // transaction — submit, request batches, grants, compute timer, releases,
 // completion report and driver notification — allocates nothing in the
-// issuer, for every protocol. The submitted *Txn is built outside the
-// measurement.
+// issuer, for every protocol. The read-only cases read one item per mailbox
+// and three, so both a batch of one and a batch of several are gated. The
+// submitted *Txn is built outside the measurement.
 func TestIssuerLifecycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	pm := placement.Build(placement.RoundRobin, 8, []model.SiteID{0, 1}, 1)
+	pair := []model.ItemID{0, 1}
 	for _, tc := range []struct {
-		name   string
-		p      model.Protocol
-		writes []model.ItemID
+		name          string
+		p             model.Protocol
+		reads, writes []model.ItemID
 	}{
-		{"2PL", model.TwoPL, []model.ItemID{2, 3}},
-		{"TO", model.TO, []model.ItemID{2, 3}},
-		{"PA", model.PA, []model.ItemID{2, 3}},
-		{"ROSnapshot", model.ROSnapshot, nil},
+		{"2PL", model.TwoPL, pair, []model.ItemID{2, 3}},
+		{"TO", model.TO, pair, []model.ItemID{2, 3}},
+		{"PA", model.PA, pair, []model.ItemID{2, 3}},
+		{"ROSnapshot", model.ROSnapshot, pair, nil},
+		{"ROSnapshotBatched", model.ROSnapshot, []model.ItemID{0, 1, 2, 3, 4, 5}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50}, nil)
@@ -93,7 +102,7 @@ func TestIssuerLifecycleAllocatesNothing(t *testing.T) {
 			const runs = 100
 			txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
 			for i := range txns {
-				txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, tc.p, []model.ItemID{0, 1}, tc.writes, 0)
+				txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, tc.p, tc.reads, tc.writes, 0)
 			}
 			next := 0
 			commit := func() {

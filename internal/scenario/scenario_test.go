@@ -317,6 +317,25 @@ func TestQuorumScenariosAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestReadOnlyScenariosAcrossSeeds runs the read-only snapshot scenarios
+// across part of the seed battery: their reads travel in per-mailbox batches,
+// and every check, serializability included, must hold on each seed.
+func TestReadOnlyScenariosAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seed sweep skipped in -short")
+	}
+	for _, name := range []string{"ycsb-b", "ycsb-c", "tpcc-mix"} {
+		for _, seed := range []int64{1, 7, 42, 1988} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				rec := runSeed(t, name, seed)
+				if s := rec.Final.Serializable; s == nil || !*s {
+					t.Fatalf("%s seed %d: serializability not established (%v)", name, seed, s)
+				}
+			})
+		}
+	}
+}
+
 // TestOverloadAcrossSeeds runs the overload scenario across the seed
 // battery: at 4x capacity every seed must shed, keep its queues capped and
 // its tail bounded, and hold 80% of the at-capacity commit rate.

@@ -71,16 +71,39 @@ func TestStreamAllocsPerMessage(t *testing.T) {
 	})
 }
 
-// TestBatchStreamAllocsPerMessage: the same for request batches, whose
-// members array travels with the pooled message in both directions — the
-// send-side constructor copies into the pooled array, the read loop decodes
-// into one — so a steady batch stream allocates (almost) nothing either.
+// TestBatchStreamAllocsPerMessage: the same for request batches and the
+// read-only scatter/gather's two batches, whose members array travels with
+// the pooled message in both directions — the send-side constructor copies
+// into the pooled array, the read loop decodes into one — so a steady batch
+// stream allocates (almost) nothing either.
 func TestBatchStreamAllocsPerMessage(t *testing.T) {
-	members := []model.RequestMember{{Item: 7, Kind: model.OpWrite}, {Item: 19}, {Item: 31, Kind: model.OpWrite}}
-	streamAllocs(t, func(seq uint64) model.Message {
-		return model.PooledRequestBatch(model.RequestBatchMsg{
-			Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, TS: model.Timestamp(seq), Interval: 250,
-			CopySite: 1, Members: members,
+	t.Run("request", func(t *testing.T) {
+		members := []model.RequestMember{{Item: 7, Kind: model.OpWrite}, {Item: 19}, {Item: 31, Kind: model.OpWrite}}
+		streamAllocs(t, func(seq uint64) model.Message {
+			return model.PooledRequestBatch(model.RequestBatchMsg{
+				Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, TS: model.Timestamp(seq), Interval: 250,
+				CopySite: 1, Members: members,
+			})
+		})
+	})
+	t.Run("snapshot-read", func(t *testing.T) {
+		members := []model.ItemID{7, 19, 31}
+		streamAllocs(t, func(seq uint64) model.Message {
+			return model.PooledSnapReadBatch(model.SnapReadBatchMsg{
+				Txn: model.TxnID{Site: 0, Seq: seq}, SnapMicros: int64(seq), CopySite: 1, Members: members,
+			})
+		})
+	})
+	t.Run("snapshot-reply", func(t *testing.T) {
+		members := []model.SnapReadReplyMember{
+			{Item: 7, Value: 11, Version: 9, CommitMicros: 1 << 39, Exact: true},
+			{Item: 19, Value: 42, Version: 3, CommitMicros: 1 << 38, Exact: true},
+			{Item: 31, Value: -8, Version: 12, CommitMicros: 1 << 40, Exact: true},
+		}
+		streamAllocs(t, func(seq uint64) model.Message {
+			return model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
+				Txn: model.TxnID{Site: 0, Seq: seq}, CopySite: 1, Members: members,
+			})
 		})
 	})
 }

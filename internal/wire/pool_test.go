@@ -50,26 +50,28 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// eleven fixed-size protocol types, the three bounded batches, and nothing
+// eleven fixed-size protocol types, the five bounded batches, and nothing
 // else. Any other variable-size type showing up as a pointer here means
 // someone pooled a message whose slices or maps would pin memory; a hot type
 // showing up as a value means the pool silently stopped covering it.
 func TestPooledTypesAreHotSet(t *testing.T) {
 	pooled := map[reflect.Type]bool{
-		reflect.TypeOf(model.RequestBatchMsg{}):  true,
-		reflect.TypeOf(model.ReleaseBatchMsg{}):  true,
-		reflect.TypeOf(model.GrantBatchMsg{}):    true,
-		reflect.TypeOf(model.RequestMsg{}):       true,
-		reflect.TypeOf(model.FinalTSMsg{}):       true,
-		reflect.TypeOf(model.ReleaseMsg{}):       true,
-		reflect.TypeOf(model.AbortMsg{}):         true,
-		reflect.TypeOf(model.GrantMsg{}):         true,
-		reflect.TypeOf(model.NormalGrantMsg{}):   true,
-		reflect.TypeOf(model.RejectMsg{}):        true,
-		reflect.TypeOf(model.BackoffMsg{}):       true,
-		reflect.TypeOf(model.BusyMsg{}):          true,
-		reflect.TypeOf(model.SnapReadMsg{}):      true,
-		reflect.TypeOf(model.SnapReadReplyMsg{}): true,
+		reflect.TypeOf(model.RequestBatchMsg{}):       true,
+		reflect.TypeOf(model.ReleaseBatchMsg{}):       true,
+		reflect.TypeOf(model.GrantBatchMsg{}):         true,
+		reflect.TypeOf(model.SnapReadBatchMsg{}):      true,
+		reflect.TypeOf(model.SnapReadReplyBatchMsg{}): true,
+		reflect.TypeOf(model.RequestMsg{}):            true,
+		reflect.TypeOf(model.FinalTSMsg{}):            true,
+		reflect.TypeOf(model.ReleaseMsg{}):            true,
+		reflect.TypeOf(model.AbortMsg{}):              true,
+		reflect.TypeOf(model.GrantMsg{}):              true,
+		reflect.TypeOf(model.NormalGrantMsg{}):        true,
+		reflect.TypeOf(model.RejectMsg{}):             true,
+		reflect.TypeOf(model.BackoffMsg{}):            true,
+		reflect.TypeOf(model.BusyMsg{}):               true,
+		reflect.TypeOf(model.SnapReadMsg{}):           true,
+		reflect.TypeOf(model.SnapReadReplyMsg{}):      true,
 	}
 	for i, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
