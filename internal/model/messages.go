@@ -522,7 +522,10 @@ type ProbeWFGMsg struct {
 // Control plane (workload driver, metrics)
 // ---------------------------------------------------------------------------
 
-// SubmitTxnMsg hands a new transaction to a Request Issuer.
+// SubmitTxnMsg hands a new transaction to a Request Issuer, which copies Txn
+// into its own state and neither changes nor keeps the sender's (package
+// ri). It stays one pointer, so it boxes into a Message without allocating;
+// the pooled decoder pools the Txn instead (wirepool.go).
 type SubmitTxnMsg struct {
 	Txn *Txn
 }

@@ -47,6 +47,9 @@ func rowValue(tag WireTag) Message {
 	case SnapReadReplyBatchMsg:
 		m.Members = make([]SnapReadReplyMember, 2)
 		return m
+	case SubmitTxnMsg:
+		m.Txn = &Txn{} // a nil Txn decodes to nil, from no pool
+		return m
 	default:
 		return m
 	}
@@ -55,7 +58,7 @@ func rowValue(tag WireTag) Message {
 // TestMessageTable: every tag up to TagLast has a decode-table row, the row's
 // type travels under that tag and decodes back to the same type, and exactly
 // the sixteen hot protocol types come back from DecodeMessagePooled as
-// pointers.
+// pointers, and the submit with a pooled Txn.
 func TestMessageTable(t *testing.T) {
 	decodePooled := map[WireTag]bool{
 		TagRequest: true, TagFinalTS: true, TagRelease: true, TagAbort: true, TagGrant: true,
@@ -63,6 +66,7 @@ func TestMessageTable(t *testing.T) {
 		TagSnapRead: true, TagSnapReadReply: true,
 		TagRequestBatch: true, TagReleaseBatch: true, TagGrantBatch: true,
 		TagSnapReadBatch: true, TagSnapReadReplyBatch: true,
+		TagSubmitTxn: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)
@@ -88,8 +92,12 @@ func TestMessageTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: pooled decode: %v", m, err)
 		}
-		if isPtr := reflect.TypeOf(p).Kind() == reflect.Pointer; isPtr != decodePooled[tag] {
-			t.Errorf("%T: DecodeMessagePooled returned %T, want a pointer: %v", m, p, decodePooled[tag])
+		isPooled := reflect.TypeOf(p).Kind() == reflect.Pointer
+		if s, ok := p.(SubmitTxnMsg); ok {
+			isPooled = s.Txn.pooled
+		}
+		if isPooled != decodePooled[tag] {
+			t.Errorf("%T: DecodeMessagePooled returned %T, want it pooled: %v", m, p, decodePooled[tag])
 		}
 		RecycleMessage(p)
 	}

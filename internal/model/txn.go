@@ -40,6 +40,45 @@ type Txn struct {
 	// without a spec default to pre-image+1 (a counter increment). Specs are
 	// plain data so transactions serialize over the TCP transport.
 	Specs []WriteSpec
+
+	// pooled marks a Txn DecodeMessagePooled drew from its pool, and items
+	// and specs are the arrays it keeps across recycles (ReadSet and
+	// WriteSet share items). All three are zero on every other Txn, so
+	// RecycleMessage never touches a caller's (wirepool.go).
+	pooled bool
+	items  []ItemID
+	specs  []WriteSpec
+}
+
+// CopyInto copies t into dst so that dst shares no memory with t: the read
+// and write sets go into items, emptied and grown as needed, and the specs
+// into dst's own Specs array. It returns the item array, which the caller
+// keeps and passes again, so copying into a reused dst allocates nothing
+// once the arrays have grown. An empty set copies as nil, and so do empty
+// specs when dst has no array yet.
+func (t *Txn) CopyInto(dst *Txn, items []ItemID) []ItemID {
+	nr, n := len(t.ReadSet), t.Size()
+	items = append(append(items[:0], t.ReadSet...), t.WriteSet...)
+	specs := append(dst.Specs[:0], t.Specs...)
+	*dst = Txn{
+		ID:            t.ID,
+		Protocol:      t.Protocol,
+		ReadSet:       subSet(items, 0, nr),
+		WriteSet:      subSet(items, nr, n),
+		ComputeMicros: t.ComputeMicros,
+		Class:         t.Class,
+		Specs:         specs,
+	}
+	return items
+}
+
+// subSet returns items[lo:hi] capped, so that appending to one set cannot
+// write into the next, or nil when it is empty.
+func subSet(items []ItemID, lo, hi int) []ItemID {
+	if lo == hi {
+		return nil
+	}
+	return items[lo:hi:hi]
 }
 
 // WriteSpec describes the value a transaction's write phase installs for one

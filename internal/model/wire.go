@@ -418,12 +418,13 @@ func (r *WireReader) appendItems(dst []ItemID) []ItemID {
 	return dst
 }
 
-// itemSets decodes a transaction's read and write sets into one array. The
-// write set's count sits behind the read set's items, so a copy of the
-// reader looks ahead for it first. Each set is a capped sub-slice — an
-// append to one reallocates instead of writing into the other — and an
+// itemSets decodes a transaction's read and write sets into one array,
+// items emptied and grown as needed, and returns that array with the two
+// sets. The write set's count sits behind the read set's items, so a copy
+// of the reader looks ahead for it first. Each set is a capped sub-slice —
+// an append to one reallocates instead of writing into the other — and an
 // empty set decodes to nil, as it encodes from.
-func (r *WireReader) itemSets() (reads, writes []ItemID) {
+func (r *WireReader) itemSets(items []ItemID) (all, reads, writes []ItemID) {
 	ahead := *r
 	nr := ahead.Count(1)
 	for i := 0; i < nr; i++ {
@@ -431,17 +432,15 @@ func (r *WireReader) itemSets() (reads, writes []ItemID) {
 	}
 	nw := ahead.Count(1)
 	if ahead.err != nil || nr+nw == 0 {
-		return r.appendItems(nil), r.appendItems(nil) // latches the same error, or two nil sets
+		r.appendItems(nil) // latches the same error, or reads two empty counts
+		r.appendItems(nil)
+		return items, nil, nil
 	}
-	items := r.appendItems(make([]ItemID, 0, nr+nw))
-	items = r.appendItems(items)
-	if nr > 0 {
-		reads = items[:nr:nr]
+	if cap(items) < nr+nw {
+		items = make([]ItemID, 0, nr+nw)
 	}
-	if nw > 0 {
-		writes = items[nr : nr+nw : nr+nw]
-	}
-	return reads, writes
+	items = r.appendItems(r.appendItems(items[:0]))
+	return items, subSet(items, 0, nr), subSet(items, nr, nr+nw)
 }
 
 // ---------------------------------------------------------------------------
@@ -925,27 +924,28 @@ func (t *Txn) AppendWire(b []byte) []byte {
 	return b
 }
 
-func decodeTxn(r *WireReader) *Txn {
-	t := &Txn{}
+// txn decodes a transaction body into t, which holds no body yet: its item
+// sets into items and its specs into specs, both emptied and grown as
+// needed. It returns the two arrays.
+func (r *WireReader) txn(t *Txn, items []ItemID, specs []WriteSpec) ([]ItemID, []WriteSpec) {
 	t.ID = r.txnID()
 	t.Protocol = Protocol(r.Byte())
-	t.ReadSet, t.WriteSet = r.itemSets()
+	items, t.ReadSet, t.WriteSet = r.itemSets(items)
 	t.ComputeMicros = r.Varint()
 	t.Class = r.String()
 	n := r.Count(4)
-	if r.err != nil {
-		return t
+	if r.err != nil || n == 0 {
+		return items, specs
 	}
-	if n > 0 {
-		t.Specs = make([]WriteSpec, n)
-		for i := range t.Specs {
-			t.Specs[i].Item = ItemID(r.Varint32())
-			t.Specs[i].UseSource = r.Bool()
-			t.Specs[i].Source = ItemID(r.Varint32())
-			t.Specs[i].AddConst = r.Varint()
-		}
+	specs = slices.Grow(specs[:0], n)[:n]
+	for i := range specs {
+		specs[i].Item = ItemID(r.Varint32())
+		specs[i].UseSource = r.Bool()
+		specs[i].Source = ItemID(r.Varint32())
+		specs[i].AddConst = r.Varint()
 	}
-	return t
+	t.Specs = specs
+	return items, specs
 }
 
 // AppendWire encodes the message body (no tag) onto b. A nil Txn encodes a
@@ -962,7 +962,8 @@ func decodeSubmitTxn(r *WireReader) (m SubmitTxnMsg) {
 	if !r.Bool() || r.err != nil {
 		return m
 	}
-	m.Txn = decodeTxn(r)
+	m.Txn = new(Txn)
+	r.txn(m.Txn, nil, nil)
 	return m
 }
 
@@ -1270,7 +1271,8 @@ func decodeEmpty[T Message](*WireReader) (m T) { return m }
 
 // codec is one tag's row of the decode table: decode returns the message as
 // a value; decodePooled, where set, decodes into the type's pool and returns
-// the pointer (DecodeMessagePooled, wirepool.go).
+// the pointer, or for a submit the value holding a pooled Txn
+// (DecodeMessagePooled, wirepool.go).
 type codec struct {
 	decode, decodePooled func(*WireReader) Message
 }
@@ -1326,7 +1328,7 @@ var codecs = [...]codec{
 	TagSnapReadReply:   pooled(&snapReadReplyPool, decodeSnapReadReply),
 	TagWFGReport:       plain(decodeWFGReport),
 	TagProbeWFG:        plain(decodeProbeWFG),
-	TagSubmitTxn:       plain(decodeSubmitTxn),
+	TagSubmitTxn:       {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
 	TagTxnDone:         plain(decodeTxnDone),
 	TagQueueStats:      plain(decodeQueueStats),
 	TagEstimate:        plain(decodeEstimate),

@@ -33,6 +33,15 @@ import (
 // may match only the value forms (the benchmark's load generator does), so
 // the decode side must keep handing it values.
 //
+// SubmitTxn pools on the decode side only, and not its struct: it is one
+// pointer, which boxes without allocating, so DecodeMessagePooled takes the
+// Txn it points to from a pool instead and returns the message as a value.
+// That Txn keeps its item array and its specs array across recycles, and it
+// is marked as the pool's: RecycleMessage returns it and leaves a caller's
+// Txn alone, and UnpoolMessage copies it out. The issuer copies every
+// submitted transaction into its own state before OnMessage returns (see
+// package ri), so a wire-decoded submit needs nothing more.
+//
 // The contract is strict and deliberately opt-in:
 //
 //   - A pooled message is valid only until RecycleMessage. Ownership
@@ -57,15 +66,14 @@ import (
 //   - Variable-size messages (slices, maps, strings: VictimMsg, WFGReport,
 //     QueueStats, Estimate, ...) are NOT pooled — their backing arrays would
 //     pin arbitrary memory in the pool. They fall back to the plain decoder
-//     and plain value sends. SubmitTxn needs no pool: it is one pointer, and
-//     a pointer-shaped struct boxes without allocating. The batches are the
-//     bounded exception: a pooled batch keeps its members array across
-//     recycles (that reuse is what makes it allocation-free), but only up to
-//     maxPooledMembers — a larger array is dropped at recycle, so one
-//     pathological batch cannot pin its size in the pool. The PooledX batch
-//     constructors copy the members into the pooled message's own array, so
-//     the caller keeps the slice it built them in; UnpoolMessage copies them
-//     out again.
+//     and plain value sends. The batches and the submitted Txn are the
+//     bounded exceptions: a pooled batch keeps its members array across
+//     recycles (that reuse is what makes it allocation-free), and a pooled
+//     Txn its two arrays, but only up to maxPooledMembers — a larger array
+//     is dropped at recycle, so one pathological message cannot pin its
+//     size in the pool. The PooledX batch constructors copy the members
+//     into the pooled message's own array, so the caller keeps the slice it
+//     built them in; UnpoolMessage copies them out again.
 //
 // A pooled pointer is a Message through its method set, and encodes
 // byte-for-byte like the value it holds, so round-trip paths — decode
@@ -108,11 +116,12 @@ type pooledMsg interface {
 	unpool() Message
 }
 
-// maxPooledMembers caps the members array a recycled batch keeps: far above
-// any transaction's copies at one mailbox, far below a size worth pinning.
+// maxPooledMembers caps the members array a recycled batch keeps, and each
+// array a recycled Txn keeps: far above any transaction's copies at one
+// mailbox, far below a size worth pinning.
 const maxPooledMembers = 64
 
-// keptMembers is the members array a recycled batch keeps: s emptied, or
+// keptMembers is the array a recycled batch or Txn keeps: s emptied, or
 // nothing when s grew past maxPooledMembers.
 func keptMembers[M any](s []M) []M {
 	if cap(s) > maxPooledMembers {
@@ -123,10 +132,11 @@ func keptMembers[M any](s []M) []M {
 
 // DecodeMessagePooled decodes the body for tag from r like DecodeMessage,
 // but returns the hot protocol messages as pooled pointers (*RequestMsg,
-// *GrantMsg, *RequestBatchMsg, ...). Pass every decoded message to
-// RecycleMessage when done with it; see the package comment above for the
-// lifetime contract. Tags outside the pooled set defer to DecodeMessage, and
-// so do the four send-only types, which come back as values.
+// *GrantMsg, *RequestBatchMsg, ...) and a SubmitTxnMsg with a pooled Txn.
+// Pass every decoded message to RecycleMessage when done with it; see the
+// package comment above for the lifetime contract. Tags outside the pooled
+// set defer to DecodeMessage, and so do the four send-only types, which come
+// back as values.
 func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 	if tag > TagLast || codecs[tag].decodePooled == nil {
 		return DecodeMessage(tag, r)
@@ -143,8 +153,8 @@ func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 
 // UnpoolMessage returns a retention-safe form of m: pooled pointer types are
 // copied out to their value form — a batch with its own copy of the members,
-// since the pooled array is reused — and everything else passes through
-// unchanged.
+// since the pooled array is reused — a submit with a pooled Txn gets a copy
+// of the Txn, and everything else passes through unchanged.
 // It does NOT recycle m — at the points that need this (a handler deferring
 // a message past its own return), the delivery layer still owns the pointer
 // and recycles it when OnMessage returns; recycling here too would double-Put.
@@ -156,9 +166,10 @@ func UnpoolMessage(m Message) Message {
 }
 
 // RecycleMessage returns a pooled message (from DecodeMessagePooled or a
-// PooledX constructor) to its pool. Non-pooled messages (value types,
-// variable-size types, nil) are ignored, so callers can recycle a mixed
-// stream unconditionally. The caller must not touch the message afterwards.
+// PooledX constructor) to its pool, and a decoded submit's pooled Txn to
+// its. Non-pooled messages (value types, variable-size types, a submit of a
+// caller's Txn, nil) are ignored, so callers can recycle a mixed stream
+// unconditionally. The caller must not touch the message afterwards.
 func RecycleMessage(m Message) {
 	if p, ok := m.(pooledMsg); ok {
 		p.recycle()
@@ -357,6 +368,44 @@ func (m *SnapReadReplyBatchMsg) unpool() Message {
 	c := *m
 	c.Members = slices.Clone(m.Members)
 	return c
+}
+
+// The decode-only pool (see the package comment above): the submitted Txn.
+
+var txnPool msgPool[Txn]
+
+// decodeSubmitTxnPooled is tag 15's pooled decode: the Txn comes from
+// txnPool, marked as the pool's, and decodes into the arrays it kept.
+func decodeSubmitTxnPooled(r *WireReader) Message {
+	if !r.Bool() || r.err != nil {
+		return SubmitTxnMsg{}
+	}
+	t := txnPool.get()
+	t.pooled = true
+	t.items, t.specs = r.txn(t, t.items, t.specs)
+	return SubmitTxnMsg{Txn: t}
+}
+
+// recycle returns a pooled Txn to txnPool with its arrays, and leaves any
+// other Txn alone.
+func (m SubmitTxnMsg) recycle() {
+	t := m.Txn
+	if t == nil || !t.pooled {
+		return
+	}
+	*t = Txn{items: keptMembers(t.items), specs: keptMembers(t.specs)}
+	txnPool.Put(t)
+}
+
+// unpool returns a pooled Txn's message with a copy of the Txn that shares
+// no array with it, and any other message as it is.
+func (m SubmitTxnMsg) unpool() Message {
+	if m.Txn == nil || !m.Txn.pooled {
+		return m
+	}
+	c := new(Txn)
+	m.Txn.CopyInto(c, nil)
+	return SubmitTxnMsg{Txn: c}
 }
 
 // Send-only pools (see the package comment above).

@@ -22,14 +22,28 @@
 // The issuer's per-transaction state is reused. Submit takes a state from a
 // free list; its terminal point puts it back after its last use. For a
 // read-write transaction that is the commit or the MaxAttempts drop, for a
-// read-only one the commit or a shedding NAK. A reused state keeps its maps
-// and its slab of copy requests; a state built for more than maxKeptCopies
-// copies is left to the garbage collector instead, because maps never
-// shrink. Messages find their state by transaction
+// read-only one the commit or a shedding NAK. A reused state keeps its maps,
+// its slab of copy requests and its transaction's arrays; a state built for
+// more than maxKeptCopies copies is left to the garbage collector instead,
+// because maps never shrink. Messages find their state by transaction
 // id, so a late grant, NAK or timer for a finished transaction finds nothing,
 // even while its old state serves another transaction. Timers and completion
 // reports go out as pooled messages, so a committed transaction allocates
 // nothing in the issuer (TestIssuerLifecycleAllocatesNothing).
+//
+// The issuer owns a copy of what it was handed, never the caller's Txn. A
+// submit copies the transaction into the state it takes: the state's own
+// model.Txn value, with the read and write sets in the state's item slab and
+// the specs in that Txn's own array, both kept across reuse. From then on
+// the issuer reads only its copy, and the ChooseFunc's pick, the demotion of
+// a read-only snapshot to PA and SwitchOnRestart's switches land on it. The
+// ChooseFunc is shown the caller's Txn, to read. Nothing keeps the
+// message's Txn after OnMessage returns, so there is one submit path for
+// every sender: a simulator's value submit, an in-process driver's send, and
+// a wire-decoded submit, whose Txn model.DecodeMessagePooled takes from a
+// pool and the delivery layer recycles as soon as OnMessage returns. A
+// caller may rewrite or reuse its Txn once OnMessage has returned
+// (TestSubmitLeavesCallersTxnAlone).
 //
 // Read-only snapshot transactions (model.ROSnapshot) run a fourth, trivial
 // lifecycle: scatter the reads at a snapshot timestamp a configurable

@@ -84,6 +84,7 @@ func DefaultOptions() Options {
 
 // ChooseFunc picks the concurrency control protocol for a new transaction
 // given the latest system-parameter estimates; nil means "use txn.Protocol".
+// t is the submitter's transaction: read it, never change it.
 type ChooseFunc func(t *model.Txn, est model.EstimateMsg) model.Protocol
 
 // phase is the lifecycle stage of one transaction attempt.
@@ -123,7 +124,11 @@ type copyReq struct {
 
 // txnState is the issuer-side state of one in-flight transaction.
 type txnState struct {
-	txn     *model.Txn
+	// txn is the issuer's own copy of the submitted transaction, its read
+	// and write sets in the slab items; both are kept across reuse, so a
+	// submit copies without allocating once they have grown.
+	txn     model.Txn
+	items   []model.ItemID
 	attempt model.Attempt
 	ts      model.Timestamp
 	// expectTS filters stale PA grants: only grants stamped with expectTS
@@ -229,7 +234,8 @@ func (ri *Issuer) quorumSatisfiable(s *txnState) bool {
 // transaction: no locks, no negotiation, no restarts — just a scatter of
 // snapshot reads and a gather of their replies.
 type roState struct {
-	txn      *model.Txn
+	txn      model.Txn // the issuer's own copy, as in txnState
+	items    []model.ItemID
 	snapTS   int64
 	arrival  int64
 	pending  map[model.CopyID]bool
@@ -540,18 +546,22 @@ func (ri *Issuer) nextTS(ctx engine.Context) model.Timestamp {
 	return ri.clock
 }
 
+// onSubmit starts a submitted transaction. t stays the caller's: the issuer
+// reads it, copies it into the transaction's state and never writes it or
+// keeps it past OnMessage.
 func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 	if t.Size() == 0 {
 		return // nothing to do; vacuous transaction
 	}
+	p := t.Protocol
 	if ri.choose != nil {
-		t.Protocol = ri.choose(t, ri.estimates)
+		p = ri.choose(t, ri.estimates)
 	}
-	if t.Protocol == model.ROSnapshot && (t.NumWrites() > 0 || ri.opts.DisableROFastPath) {
+	if p == model.ROSnapshot && (t.NumWrites() > 0 || ri.opts.DisableROFastPath) {
 		// The fast path is read-only by construction; writers (and every
 		// transaction when the path is disabled) fall back to PA, the
 		// restart-free member protocol.
-		t.Protocol = model.PA
+		p = model.PA
 	}
 	ri.submitted++
 	if ri.adm != nil {
@@ -563,7 +573,7 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 			ri.shed++
 			ctx.Send(engine.CollectorAddr(), model.PooledTxnDone(model.TxnDoneMsg{
 				Txn:                t.ID,
-				Protocol:           t.Protocol,
+				Protocol:           p,
 				Outcome:            model.OutcomeShed,
 				ArrivalMicros:      now,
 				DoneMicros:         now,
@@ -576,12 +586,16 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 			return
 		}
 	}
-	if t.Protocol == model.ROSnapshot {
-		ri.launchRO(ctx, t)
+	if p == model.ROSnapshot {
+		s := reuse(&ri.freeROs)
+		s.items = t.CopyInto(&s.txn, s.items)
+		s.txn.Protocol = p
+		ri.launchRO(ctx, s)
 		return
 	}
 	s := reuse(&ri.freeTxns)
-	s.txn = t
+	s.items = t.CopyInto(&s.txn, s.items)
+	s.txn.Protocol = p
 	s.firstArrival = ctx.NowMicros()
 	ri.active[t.ID] = s
 	ri.launch(ctx, s)
@@ -607,28 +621,36 @@ func reuse[S any](free *[]*S) *S {
 const maxKeptCopies = 64
 
 // recycleTxn puts the state of a transaction that has left ri.active on the
-// free list, zeroed but for its reqs map and copy slab (fillRequests clears
-// and refills both). The caller must not touch s afterwards: the next submit
-// may hand it to another transaction. Stale messages for the finished one
-// cannot reach it, because they look their state up by transaction id.
+// free list, zeroed but for its reqs map, its copy slab (fillRequests clears
+// and refills both) and its transaction's item slab and specs array (the
+// next submit copies into them). The caller must not touch s afterwards: the
+// next submit may hand it to another transaction. Stale messages for the
+// finished one cannot reach it, because they look their state up by
+// transaction id.
 func (ri *Issuer) recycleTxn(s *txnState) {
-	if cap(s.order) > maxKeptCopies {
+	if cap(s.order) > maxKeptCopies || oversized(&s.txn, s.items) {
 		return
 	}
-	*s = txnState{reqs: s.reqs, order: s.order[:0]}
+	*s = txnState{reqs: s.reqs, order: s.order[:0], txn: model.Txn{Specs: s.txn.Specs[:0]}, items: s.items[:0]}
 	ri.freeTxns = append(ri.freeTxns, s)
 }
 
 // recycleRO is recycleTxn for a read-only snapshot transaction that has left
 // ri.roActive; it keeps the pending map, cleared. The map held one entry
-// per item read.
+// per item read, as the item slab did.
 func (ri *Issuer) recycleRO(s *roState) {
-	if len(s.txn.ReadSet) > maxKeptCopies {
+	if oversized(&s.txn, s.items) {
 		return
 	}
 	clear(s.pending)
-	*s = roState{pending: s.pending}
+	*s = roState{pending: s.pending, txn: model.Txn{Specs: s.txn.Specs[:0]}, items: s.items[:0]}
 	ri.freeROs = append(ri.freeROs, s)
+}
+
+// oversized reports whether a finished transaction's item slab or specs
+// array grew past maxKeptCopies.
+func oversized(t *model.Txn, items []model.ItemID) bool {
+	return cap(items) > maxKeptCopies || cap(t.Specs) > maxKeptCopies
 }
 
 // launchRO starts a read-only snapshot transaction: it reads each item's
@@ -637,14 +659,13 @@ func (ri *Issuer) recycleRO(s *roState) {
 // item order (see sendRequests). There is no negotiation and no lock: the
 // transaction cannot be rejected, backed off, victimized, or restarted, and
 // it never re-enters launch.
-func (ri *Issuer) launchRO(ctx engine.Context, t *model.Txn) {
+func (ri *Issuer) launchRO(ctx engine.Context, s *roState) {
+	t := &s.txn
 	now := ctx.NowMicros()
 	snap := now - ri.opts.SnapshotStalenessMicros
 	if snap < 0 {
 		snap = 0
 	}
-	s := reuse(&ri.freeROs)
-	s.txn = t
 	s.snapTS = snap
 	s.arrival = now
 	if s.pending == nil {
@@ -779,7 +800,7 @@ func (ri *Issuer) endRO(ctx engine.Context, s *roState, outcome model.TxnOutcome
 // launch sends the attempt's requests to every queue manager involved:
 // reads go to the primary copy, writes to every replica (read-one/write-all).
 func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
-	t := s.txn
+	t := &s.txn
 	s.attempts++
 	s.arrival = ctx.NowMicros()
 	s.phase = phaseNegotiating
@@ -811,7 +832,7 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 func (ri *Issuer) fillRequests(s *txnState) {
 	clear(s.reqs)
 	s.order = s.order[:0]
-	ri.eachCopy(s.txn, func(item model.ItemID, site model.SiteID, kind model.OpKind) {
+	ri.eachCopy(&s.txn, func(item model.ItemID, site model.SiteID, kind model.OpKind) {
 		c := model.CopyID{Item: item, Site: site}
 		s.order = append(s.order, copyReq{copyID: c, to: ri.qmAddr(c), kind: kind})
 	})

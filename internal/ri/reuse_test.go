@@ -2,6 +2,7 @@ package ri
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ucc/internal/engine"
@@ -77,7 +78,11 @@ func (c *loopCtx) run(iss *Issuer) {
 // completion report and driver notification — allocates nothing in the
 // issuer, for every protocol. The read-only cases read one item per mailbox
 // and three, so both a batch of one and a batch of several are gated. The
-// submitted *Txn is built outside the measurement.
+// submitted *Txn is built outside the measurement. Each case runs twice:
+// handed a caller's *Txn, and — the "-wire" cases — as a site receives it
+// from a client, encoded outside the measurement and decoded inside it by
+// DecodeMessagePooled into a pooled Txn, which the delivery loop recycles
+// once the issuer has copied it.
 func TestIssuerLifecycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -95,29 +100,54 @@ func TestIssuerLifecycleAllocatesNothing(t *testing.T) {
 		{"ROSnapshot", model.ROSnapshot, pair, nil},
 		{"ROSnapshotBatched", model.ROSnapshot, []model.ItemID{0, 1, 2, 3, 4, 5}, nil},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50}, nil)
-			iss.SetNotifyDriver(true)
-			c := &loopCtx{rng: rand.New(rand.NewSource(1))}
-			const runs = 100
-			txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
-			for i := range txns {
-				txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, tc.p, tc.reads, tc.writes, 0)
+		for _, wire := range []bool{false, true} {
+			name := tc.name
+			if wire {
+				name += "-wire"
 			}
-			next := 0
-			commit := func() {
-				iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
-				next++
-				c.run(iss)
+			t.Run(name, func(t *testing.T) {
+				testLifecycleAllocs(t, pm, tc.p, tc.reads, tc.writes, wire)
+			})
+		}
+	}
+}
+
+// testLifecycleAllocs is one TestIssuerLifecycleAllocatesNothing case.
+func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol, reads, writes []model.ItemID, wire bool) {
+	iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50}, nil)
+	iss.SetNotifyDriver(true)
+	c := &loopCtx{rng: rand.New(rand.NewSource(1))}
+	const runs = 100
+	txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
+	frames := make([][]byte, len(txns))
+	for i := range txns {
+		txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, p, reads, writes, 0)
+		frames[i], _ = model.AppendMessage(nil, model.SubmitTxnMsg{Txn: txns[i]})
+	}
+	// The decoder takes the reader's address, so it lives on the heap; a
+	// transport's wire.Reader likewise reuses the one it owns.
+	r := new(model.WireReader)
+	next := 0
+	commit := func() {
+		if wire {
+			*r = model.NewWireReader(frames[next][1:])
+			m, err := model.DecodeMessagePooled(model.WireTag(frames[next][0]), r)
+			if err != nil {
+				t.Fatal(err)
 			}
-			commit()
-			if got := testing.AllocsPerRun(runs, commit); got != 0 {
-				t.Errorf("one committed %s transaction allocates %.0f times in the issuer, want 0", tc.name, got)
-			}
-			if s := iss.Snapshot(); s.Committed != uint64(next) || s.Active != 0 {
-				t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
-			}
-		})
+			c.queue = append(c.queue, m) // delivered, then recycled, by run
+		} else {
+			iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+		}
+		next++
+		c.run(iss)
+	}
+	commit()
+	if got := testing.AllocsPerRun(runs, commit); got != 0 {
+		t.Errorf("one committed %v transaction allocates %.0f times in the issuer, want 0", p, got)
+	}
+	if s := iss.Snapshot(); s.Committed != uint64(next) || s.Active != 0 {
+		t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
 	}
 }
 
@@ -231,7 +261,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 		model.BusyMsg{Txn: tx1.ID, Copy: stale},
 		model.SnapReadReplyMsg{Txn: tx1.ID, Copy: stale, Exact: true},
 	)
-	if s.phase != phaseNegotiating || s.txn != tx2 {
+	if s.phase != phaseNegotiating || s.txn.ID != tx2.ID {
 		t.Fatalf("stale messages moved the new transaction to phase %d (txn %v)", s.phase, s.txn.ID)
 	}
 	for _, r := range s.reqs {
@@ -280,7 +310,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 		model.BusyMsg{Txn: ro1.ID, Copy: snaps[0].Copy},
 		model.SnapReadReplyMsg{Txn: ro1.ID, Copy: snaps[0].Copy, Exact: true},
 	)
-	if len(rs.pending) != 2 || rs.txn != ro2 {
+	if len(rs.pending) != 2 || rs.txn.ID != ro2.ID {
 		t.Fatalf("stale messages changed the new read-only transaction: %d reads pending, want 2", len(rs.pending))
 	}
 	if len(c.sent) != 0 || len(c.timers) != 0 {
@@ -288,5 +318,83 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 	}
 	if st := iss.Snapshot(); st.ROBusyShed != 0 || st.ROCommitted != 1 || st.Active != 1 {
 		t.Fatalf("stale messages changed the read-only counters: %+v", st)
+	}
+}
+
+// TestSubmitLeavesCallersTxnAlone: the issuer works on its own copy of a
+// submitted transaction. A protocol picked by the ChooseFunc, the demotion of
+// a read-only snapshot to PA and a SwitchOnRestart switch all land on that
+// copy, not on the caller's Txn; and a caller that rewrites its Txn once
+// OnMessage has returned changes none of the requests the issuer sends.
+func TestSubmitLeavesCallersTxnAlone(t *testing.T) {
+	pm := placement.Build(placement.RoundRobin, 8, []model.SiteID{0, 1}, 1)
+	chooseRO := func(*model.Txn, model.EstimateMsg) model.Protocol { return model.ROSnapshot }
+	iss := New(0, pm, nil, Options{
+		PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50,
+		DisableROFastPath: true,
+		SwitchOnRestart:   func(model.Protocol, int) model.Protocol { return model.TO },
+	}, chooseRO)
+	c := newCtx()
+	mk := func() *model.Txn {
+		return model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, []model.ItemID{0, 1}, []model.ItemID{2}, 50)
+	}
+	tx, want := mk(), mk()
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	reqs := take[model.RequestMsg](c)
+	if len(reqs) != 3 || reqs[0].Protocol != model.PA {
+		t.Fatalf("first attempt sent %+v, want 3 PA requests (chosen ROSnapshot, demoted)", reqs)
+	}
+	// A busy NAK aborts the attempt, and its restart switches to T/O.
+	iss.OnMessage(c, engine.QMAddr(reqs[0].Copy.Site), model.BusyMsg{Txn: tx.ID, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy})
+	fireTimers(iss, c)
+	reqs = take[model.RequestMsg](c)
+	if len(reqs) != 3 || reqs[0].Protocol != model.TO {
+		t.Fatalf("restart sent %+v, want 3 T/O requests", reqs)
+	}
+	for _, r := range reqs {
+		grant(iss, c, r, model.WL, false)
+	}
+	fireTimers(iss, c)
+	if s := iss.Snapshot(); s.Committed != 1 || s.Active != 0 {
+		t.Fatalf("the transaction did not commit: %+v", s)
+	}
+	if !reflect.DeepEqual(tx, want) {
+		t.Fatalf("the issuer changed the caller's Txn: %v, submitted as %v", tx, want)
+	}
+
+	// A caller rewrites its Txn in place while the transaction is in flight;
+	// the restart after a deadlock abort still requests what was submitted,
+	// and the write installs the default pre-image + 1, not the new spec.
+	iss, c = testIssuer(8, 2, 1)
+	tx = model.NewTxn(model.TxnID{Site: 0, Seq: 2}, model.TwoPL, []model.ItemID{0}, []model.ItemID{1}, 50)
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	first := take[model.RequestMsg](c)
+	tx.Protocol = model.TO
+	tx.ReadSet[0], tx.WriteSet[0] = 5, 6
+	tx.Specs = []model.WriteSpec{{Item: 1, AddConst: 99}}
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: first[0].Attempt})
+	fireTimers(iss, c)
+	again := take[model.RequestMsg](c)
+	if len(again) != len(first) {
+		t.Fatalf("restart sent %d requests, want %d", len(again), len(first))
+	}
+	for i, r := range again {
+		if r.Copy != first[i].Copy || r.Kind != first[i].Kind || r.Protocol != model.TwoPL {
+			t.Fatalf("restart request %d is %+v, want the submitted %+v", i, r, first[i])
+		}
+		lock := model.RL
+		if r.Kind == model.OpWrite {
+			lock = model.WL
+		}
+		grant(iss, c, r, lock, false)
+	}
+	fireTimers(iss, c)
+	for _, r := range take[model.ReleaseMsg](c) {
+		if r.HasWrite && (r.Copy.Item != 1 || r.Value != 8) {
+			t.Fatalf("release %+v, want item 1 written with pre-image 7 + 1", r)
+		}
+	}
+	if s := iss.Snapshot(); s.Committed != 1 {
+		t.Fatalf("the rewritten caller's transaction did not commit: %+v", s)
 	}
 }

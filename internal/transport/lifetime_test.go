@@ -108,6 +108,16 @@ func TestBatchStreamAllocsPerMessage(t *testing.T) {
 	})
 }
 
+// TestSubmitStreamAllocsPerMessage: the same for submits, the way a client
+// hands transactions to a site. The sender's Txn is its own and is never
+// recycled; the read loop decodes each submit into a pooled Txn that keeps
+// its item array, and the mailbox loop recycles it, so the stream allocates
+// (almost) nothing either.
+func TestSubmitStreamAllocsPerMessage(t *testing.T) {
+	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.PA, []model.ItemID{7, 19}, []model.ItemID{31, 40}, 0)
+	streamAllocs(t, func(uint64) model.Message { return model.SubmitTxnMsg{Txn: tx} })
+}
+
 // streamAllocs streams msg(1), msg(2), ... from site0 to site1 and fails if
 // the steady state allocates half an object or more per message.
 func streamAllocs(t *testing.T, msg func(seq uint64) model.Message) {

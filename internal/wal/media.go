@@ -225,7 +225,9 @@ func (w *memWriter) Sync() error {
 	w.media.mu.Lock()
 	defer w.media.mu.Unlock()
 	w.obj.synced = append(w.obj.synced, w.obj.pending...)
-	w.obj.pending = nil
+	// The synced bytes are a copy, and nothing else holds pending (ReadAll
+	// copies, Crash drops it), so the next Write reuses its array.
+	w.obj.pending = w.obj.pending[:0]
 	w.media.SyncCount++
 	return nil
 }

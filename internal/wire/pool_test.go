@@ -10,9 +10,9 @@ import (
 )
 
 // TestPooledDecodeEquivalence: over the whole corpus, the pooled decode path
-// must produce messages field-for-field equal to the plain path (pooled
-// pointers dereferenced to compare values), re-encode to the identical bytes,
-// and return non-pooled types exactly as DecodeEnvelope would.
+// must produce messages field-for-field equal to the plain path (compared in
+// the form UnpoolMessage copies out), re-encode to the identical bytes, and
+// return non-pooled types exactly as DecodeEnvelope would.
 func TestPooledDecodeEquivalence(t *testing.T) {
 	for i, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
@@ -30,11 +30,7 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 		if pooled.From != plain.From || pooled.To != plain.To {
 			t.Fatalf("envelope %d (%T): addresses differ: %+v vs %+v", i, env.Msg, pooled, plain)
 		}
-		got := pooled.Msg
-		if rv := reflect.ValueOf(got); rv.Kind() == reflect.Pointer {
-			got = rv.Elem().Interface().(model.Message)
-		}
-		if !reflect.DeepEqual(got, plain.Msg) {
+		if got := model.UnpoolMessage(pooled.Msg); !reflect.DeepEqual(got, plain.Msg) {
 			t.Fatalf("envelope %d (%T): pooled message differs:\n pooled: %+v\n  plain: %+v", i, env.Msg, got, plain.Msg)
 		}
 		// A pooled pointer must re-encode byte-identically to the value form.
@@ -50,12 +46,14 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// eleven fixed-size protocol types, the five bounded batches, and nothing
-// else. Any other variable-size type showing up as a pointer here means
-// someone pooled a message whose slices or maps would pin memory; a hot type
-// showing up as a value means the pool silently stopped covering it.
+// eleven fixed-size protocol types, the five bounded batches, the submit's
+// Txn, and nothing else. Any other variable-size type coming back pooled
+// here means someone pooled a message whose slices or maps would pin memory;
+// a hot type coming back unpooled means the pool silently stopped covering
+// it.
 func TestPooledTypesAreHotSet(t *testing.T) {
 	pooled := map[reflect.Type]bool{
+		reflect.TypeOf(model.SubmitTxnMsg{}):          true,
 		reflect.TypeOf(model.RequestBatchMsg{}):       true,
 		reflect.TypeOf(model.ReleaseBatchMsg{}):       true,
 		reflect.TypeOf(model.GrantBatchMsg{}):         true,
@@ -82,14 +80,21 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("envelope %d: decode: %v", i, err)
 		}
-		rt := reflect.TypeOf(got.Msg)
-		isPtr := rt.Kind() == reflect.Pointer
-		wantPtr := pooled[reflect.TypeOf(env.Msg)]
-		if isPtr != wantPtr {
-			t.Errorf("envelope %d (%T): pooled=%v, want %v", i, env.Msg, isPtr, wantPtr)
+		if isPooled, want := decodedPooled(got.Msg), pooled[reflect.TypeOf(env.Msg)]; isPooled != want {
+			t.Errorf("envelope %d (%T): pooled=%v, want %v", i, env.Msg, isPooled, want)
 		}
 		model.RecycleMessage(got.Msg)
 	}
+}
+
+// decodedPooled reports whether m came out of a pool: a pointer, or a submit
+// whose Txn UnpoolMessage has to copy out. A submit stays one pointer, so its
+// struct is a value either way.
+func decodedPooled(m model.Message) bool {
+	if s, ok := m.(model.SubmitTxnMsg); ok {
+		return model.UnpoolMessage(s).(model.SubmitTxnMsg).Txn != s.Txn
+	}
+	return reflect.TypeOf(m).Kind() == reflect.Pointer
 }
 
 // TestSendOnlyPooledTypesDecodeAsValues pins the decode half of the send-only
