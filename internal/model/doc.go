@@ -16,11 +16,14 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v3
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v4
 // contract (wire.go): a stable one-byte WireTag per message type — never
-// renumbered — with explicit varint field encoders and error-latching
-// decoding (WireReader), reused by internal/wire for envelope framing and by
-// internal/wal for record payloads.
+// renumbered — with explicit varint field encoders, stamps after a message's
+// first encoded as deltas from an earlier stamp of the same message, and
+// error-latching decoding (WireReader). internal/wire frames envelopes over
+// it; internal/wal encodes its record payloads with the same varint
+// primitives, not with message encoders, so the WAL format does not follow
+// the wire version.
 //
 // # Adding a message type
 //

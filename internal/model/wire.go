@@ -9,16 +9,30 @@ import (
 	"sort"
 )
 
-// Wire format v3: every message type carries a stable one-byte tag and an
+// Wire format v4: every message type carries a stable one-byte tag and an
 // explicit, hand-rolled field encoder — varint integers, IEEE-754 bits for
 // floats, length-prefixed strings and slices, sorted map keys so encoding is
 // deterministic. No reflection anywhere on the path, which is what lets the
-// transport and the WAL encode and decode messages with zero steady-state
-// allocations (see internal/wire for framing and buffer pooling).
+// transport encode and decode messages with zero steady-state allocations
+// (see internal/wire for framing and buffer pooling); the WAL frames its
+// records with the same varint primitives.
+//
+// Stamps are wall-clock microseconds, eight varint bytes each, and the
+// stamps of one message mostly lie within milliseconds of each other. So a
+// message's first stamp is encoded whole and each later one as the zig-zag
+// difference from an earlier stamp of the same message: TxnDoneMsg's Done,
+// then Done−Arrival, then Arrival−FirstArrival; a grant's TS (in a grant
+// batch, the difference from the previous member's TS) and then
+// CommitMicros−TS; a snapshot-reply batch member's CommitMicros as the
+// difference from the previous member's. The arithmetic wraps around int64,
+// so every value round-trips and keeps exactly one encoding. The codec holds
+// no state between messages.
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v3 to each other, so tags must NEVER be renumbered or
-// reused — new message types append new tags.
+// builds speak v4 to each other, so tags must NEVER be renumbered or
+// reused — new message types append new tags. Field order is frozen per tag
+// within a version; a change to any tag's bytes is a new wire version, which
+// the transport's handshake refuses to mix.
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -444,7 +458,8 @@ func (r *WireReader) itemSets(items []ItemID) (all, reads, writes []ItemID) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-message encoders (the wire contract; field order is frozen per tag)
+// Per-message encoders (the wire contract; field order is frozen per tag
+// within a version)
 // ---------------------------------------------------------------------------
 
 // AppendWire encodes the message body (no tag) onto b.
@@ -516,7 +531,7 @@ func (m GrantMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.TS))
 	b = AppendVarint(b, m.Value)
 	b = AppendUvarint(b, m.Version)
-	return AppendVarint(b, m.CommitMicros)
+	return AppendVarint(b, m.CommitMicros-int64(m.TS))
 }
 
 func decodeGrant(r *WireReader) (m GrantMsg) {
@@ -526,7 +541,7 @@ func decodeGrant(r *WireReader) (m GrantMsg) {
 	m.TS = Timestamp(r.Varint())
 	m.Value = r.Varint()
 	m.Version = r.Uvarint()
-	m.CommitMicros = r.Varint()
+	m.CommitMicros = r.Varint() + int64(m.TS)
 	return m
 }
 
@@ -637,14 +652,16 @@ func (m GrantBatchMsg) AppendWire(b []byte) []byte {
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = AppendUvarint(b, uint64(len(m.Members)))
+	var prev Timestamp
 	for _, x := range m.Members {
 		b = AppendVarint(b, int64(x.Item))
 		b = append(b, byte(x.Lock))
 		b = AppendWireBool(b, x.PreScheduled)
-		b = AppendVarint(b, int64(x.TS))
+		b = AppendVarint(b, int64(x.TS-prev))
 		b = AppendVarint(b, x.Value)
 		b = AppendUvarint(b, x.Version)
-		b = AppendVarint(b, x.CommitMicros)
+		b = AppendVarint(b, x.CommitMicros-int64(x.TS))
+		prev = x.TS
 	}
 	return b
 }
@@ -657,16 +674,19 @@ func decodeGrantBatch(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
 	m.CopySite = SiteID(r.Varint32())
 	n := r.batchCount(7)
 	members = slices.Grow(members[:0], n)
+	var prev Timestamp
 	for i := 0; i < n; i++ {
-		members = append(members, GrantMember{
+		x := GrantMember{
 			Item:         ItemID(r.Varint32()),
 			Lock:         LockKind(r.Byte()),
 			PreScheduled: r.Bool(),
-			TS:           Timestamp(r.Varint()),
+			TS:           prev + Timestamp(r.Varint()),
 			Value:        r.Varint(),
 			Version:      r.Uvarint(),
-			CommitMicros: r.Varint(),
-		})
+		}
+		x.CommitMicros = r.Varint() + int64(x.TS)
+		members = append(members, x)
+		prev = x.TS
 	}
 	m.Members = members
 	return m
@@ -715,12 +735,14 @@ func (m SnapReadReplyBatchMsg) AppendWire(b []byte) []byte {
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = AppendUvarint(b, uint64(len(m.Members)))
+	var prev int64
 	for _, x := range m.Members {
 		b = AppendVarint(b, int64(x.Item))
 		b = AppendVarint(b, x.Value)
 		b = AppendUvarint(b, x.Version)
-		b = AppendVarint(b, x.CommitMicros)
+		b = AppendVarint(b, x.CommitMicros-prev)
 		b = AppendWireBool(b, x.Exact)
+		prev = x.CommitMicros
 	}
 	return b
 }
@@ -733,14 +755,17 @@ func decodeSnapReadReplyBatch(r *WireReader, members []SnapReadReplyMember) (m S
 	m.CopySite = SiteID(r.Varint32())
 	n := r.batchCount(5)
 	members = slices.Grow(members[:0], n)
+	var prev int64
 	for i := 0; i < n; i++ {
-		members = append(members, SnapReadReplyMember{
+		x := SnapReadReplyMember{
 			Item:         ItemID(r.Varint32()),
 			Value:        r.Varint(),
 			Version:      r.Uvarint(),
-			CommitMicros: r.Varint(),
+			CommitMicros: prev + r.Varint(),
 			Exact:        r.Bool(),
-		})
+		}
+		members = append(members, x)
+		prev = x.CommitMicros
 	}
 	m.Members = members
 	return m
@@ -971,9 +996,9 @@ func decodeSubmitTxn(r *WireReader) (m SubmitTxnMsg) {
 func (m TxnDoneMsg) AppendWire(b []byte) []byte {
 	b = appendTxnID(b, m.Txn)
 	b = append(b, byte(m.Protocol), byte(m.Outcome))
-	b = AppendVarint(b, m.ArrivalMicros)
 	b = AppendVarint(b, m.DoneMicros)
-	b = AppendVarint(b, m.FirstArrivalMicros)
+	b = AppendVarint(b, m.DoneMicros-m.ArrivalMicros)
+	b = AppendVarint(b, m.ArrivalMicros-m.FirstArrivalMicros)
 	b = AppendVarint(b, int64(m.Attempts))
 	b = AppendVarint(b, int64(m.Size))
 	b = AppendVarint(b, int64(m.Reads))
@@ -989,9 +1014,9 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 	m.Txn = r.txnID()
 	m.Protocol = Protocol(r.Byte())
 	m.Outcome = TxnOutcome(r.Byte())
-	m.ArrivalMicros = r.Varint()
 	m.DoneMicros = r.Varint()
-	m.FirstArrivalMicros = r.Varint()
+	m.ArrivalMicros = m.DoneMicros - r.Varint()
+	m.FirstArrivalMicros = m.ArrivalMicros - r.Varint()
 	m.Attempts = int(r.Varint())
 	m.Size = int(r.Varint())
 	m.Reads = int(r.Varint())

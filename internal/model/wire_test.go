@@ -153,7 +153,7 @@ var goldenBatches = []struct {
 	{GrantBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []GrantMember{
 		{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
 		{Item: 19, Lock: SRL, PreScheduled: true, TS: 1000, Value: 42, Version: 3, CommitMicros: 3000}}},
-		"24022a0304020e0100d00f0511c03e260201d00f5403f02e"},
+		"24022a0304020e0100d00f0511f02e260201005403a01f"},
 	{SnapReadBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 0, SnapMicros: 1_700_000_000_000_000, Site: 1, Epoch: 2, CopySite: 2,
 		Members: []ItemID{7, 19, 300}},
 		"25022a00048080f281838985060202030e26d804"},
@@ -161,24 +161,52 @@ var goldenBatches = []struct {
 		{Item: 7, Value: -3, Version: 17, CommitMicros: 1_699_999_999_000_000, Exact: true},
 		{Item: 19, Value: 42, Version: 3, CommitMicros: 1_699_999_998_000_000, Exact: true},
 		{Item: 300, Value: 100, CommitMicros: 0}}},
-		"26022a0004030e051180f7f780838985060126540380eefdff8289850601d804c801000000"},
+		"26022a0004030e051180f7f7808389850601265403ff887a01d804c80100ffedfdff8289850600"},
+}
+
+// goldenStamped are the single messages that carry a stamp as a delta from
+// another stamp of the message, with the bytes they must encode to.
+var goldenStamped = []struct {
+	msg Message
+	hex string
+}{
+	{GrantMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, Copy: CopyID{Item: 7, Site: 2}, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
+		"05022a030e040100d00f0511f02e"},
+	{TxnDoneMsg{Txn: TxnID{Site: 1, Seq: 42}, Protocol: TO, Outcome: OutcomeCommitted,
+		ArrivalMicros: 1_700_000_000_001_000, DoneMicros: 1_700_000_000_009_000, FirstArrivalMicros: 1_700_000_000_000_000,
+		Attempts: 2, Size: 5, Reads: 3, Writes: 2, Messages: 40, BackoffReads: 1, LockedMicros: 4000},
+		"10022a0100d08cf38183898506807dd00f040a060450000200c03e"},
+}
+
+// checkGolden asserts that msg encodes to hexWant and decodes back to msg.
+func checkGolden(t *testing.T, msg Message, hexWant string) {
+	t.Helper()
+	b, err := AppendMessage(nil, msg)
+	if err != nil {
+		t.Fatalf("%T: %v", msg, err)
+	}
+	if got := hex.EncodeToString(b); got != hexWant {
+		t.Errorf("%T encodes to %s, want %s", msg, got, hexWant)
+	}
+	r := NewWireReader(b[1:])
+	back, err := DecodeMessage(WireTag(b[0]), &r)
+	if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(back, msg) {
+		t.Errorf("%T decodes to %+v (err %v, %d left), want %+v", msg, back, err, r.Remaining(), msg)
+	}
 }
 
 // TestBatchGoldenBytes pins the batch encodings and their decode back.
 func TestBatchGoldenBytes(t *testing.T) {
 	for _, g := range goldenBatches {
-		b, err := AppendMessage(nil, g.msg)
-		if err != nil {
-			t.Fatalf("%T: %v", g.msg, err)
-		}
-		if got := hex.EncodeToString(b); got != g.hex {
-			t.Errorf("%T encodes to %s, want %s", g.msg, got, g.hex)
-		}
-		r := NewWireReader(b[1:])
-		back, err := DecodeMessage(WireTag(b[0]), &r)
-		if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(back, g.msg) {
-			t.Errorf("%T decodes to %+v (err %v, %d left), want %+v", g.msg, back, err, r.Remaining(), g.msg)
-		}
+		checkGolden(t, g.msg, g.hex)
+	}
+}
+
+// TestStampedGoldenBytes pins the encodings of the single messages whose
+// stamps travel as deltas, and their decode back.
+func TestStampedGoldenBytes(t *testing.T) {
+	for _, g := range goldenStamped {
+		checkGolden(t, g.msg, g.hex)
 	}
 }
 

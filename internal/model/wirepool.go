@@ -9,7 +9,7 @@ import (
 //
 // DecodeMessage returns value-typed messages; storing one in the Message
 // interface boxes it — one small heap allocation per message, the last
-// steady-state allocation on both the wire-v3 decode path and the in-process
+// steady-state allocation on both the wire decode path and the in-process
 // send path. The sixteen hot protocol types — eleven fixed-size messages
 // and the five batches (RequestBatch, ReleaseBatch, GrantBatch, SnapReadBatch,
 // SnapReadReplyBatch) — therefore pool in both directions:

@@ -191,9 +191,11 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 // TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope encoded at the
 // commit before the WAL's fixed-width decoder was removed (three records
 // spanning the field extremes, framed by wal.AppendRecordFrame) decodes to
-// the same records, and re-encodes to the same bytes, now.
+// the same records, and re-encodes to the same bytes, now. Only its
+// envelope header, QM(2) → QM(1), has changed since, to wire v4's one-byte
+// addresses; the record frames are byte for byte the originals.
 func TestShippedBatchGoldenBytes(t *testing.T) {
-	const golden = "0104000102001c045fb1fd83c310000080010e0429e1a2f3ad070180808080804091a1e306" +
+	const golden = "12111c045fb1fd83c310000080010e0429e1a2f3ad070180808080804091a1e306" +
 		"21000080020000ffffffffffffffffff01feffffffffffffff7fffffffffffffffffff0101" +
 		"921c79bc1600008003feffffff0ffeffffff0f0900038080f28183898506030001"
 	want := []wal.Record{

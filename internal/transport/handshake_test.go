@@ -87,7 +87,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v3 node: it accepts connections
+// stubPeer is a listener that is not a wire-v4 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -140,12 +140,13 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v3 listener — it closes on the version byte,
-// never acks, or acks the wrong byte — fails the dial like an unreachable
-// peer does: connect gives up within handshakeTimeout, the queued request
-// comes back to its local sender as its BusyMsg NAK, QueueStats counts the
-// drop, no handshake is counted. A real node that later takes over the
-// address is picked up by the next send, because every dial starts over.
+// connection but is not a wire-v4 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3 listener does — fails the
+// dial like an unreachable peer does: connect gives up within
+// handshakeTimeout, the queued request comes back to its local sender as its
+// BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
+// node that later takes over the address is picked up by the next send,
+// because every dial starts over.
 func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 	old := handshakeTimeout
 	handshakeTimeout = 100 * time.Millisecond
@@ -157,6 +158,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"closes on the version byte": func(c net.Conn) { c.Close() },
 		"never acks":                 readVersionThen(nil),
 		"acks the wrong byte":        readVersionThen([]byte{2}),
+		"acks as a v3 listener":      readVersionThen([]byte{0xC3}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -361,7 +363,7 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ack [1]byte
-	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV3 {
+	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV4 {
 		t.Fatalf("no ack: %v %x", err, ack)
 	}
 	known := func(seq uint64) []byte {
@@ -375,7 +377,11 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		return frameOf(p)
 	}
 	// The future frame: valid addresses, tag 200, arbitrary body.
-	future := frameOf([]byte{0, 2, 0, 1, 4, 0, 200, 0xde, 0xad, 0xbe, 0xef})
+	hdr, err := wire.AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := frameOf(append(hdr, 200, 0xde, 0xad, 0xbe, 0xef))
 	var stream []byte
 	stream = append(stream, known(1)...)
 	stream = append(stream, future...)

@@ -167,10 +167,15 @@ func TestStandardAssign(t *testing.T) {
 // RI(1)→QM(0) TickMsg{Tag: 7} (captured from the last build that spoke v2).
 const v2TickStream = "02677f0301010c57697265456e76656c6f706501ff80000107010846726f6d4b696e64010600010646726f6d4944010400010946726f6d53686172640106000106546f4b696e640106000104546f49440104000107546f536861726401060001034d736701100000003fff8002020201031a7563632f696e7465726e616c2f6d6f64656c2e5469636b4d7367ff81030101075469636b4d736701ff820001010103546167010600000007ff820301070000"
 
+// v3TickStream is, byte for byte, what a wire-v3 dialer wrote on a fresh
+// connection: version byte 3, then one frame carrying RI(1)→QM(0)
+// TickMsg{Tag: 7} (captured from the last build that spoke v3).
+const v3TickStream = "03080002000100001307"
+
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
-// injected — whether what follows is a well-formed v3 frame or a real v2
-// dialer's whole stream.
+// injected — whether what follows is a well-formed current frame or a real
+// v2 or v3 dialer's whole stream.
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -192,12 +197,19 @@ func TestWireVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v3, err := hex.DecodeString(v3TickStream)
+	if err != nil {
+		t.Fatal(err)
+	}
 	streams := map[string][]byte{
-		"v2 dialer":             v2,
-		"byte 2 then v3 frame":  append([]byte{2}, frame...),
-		"byte 1 then v3 frame":  append([]byte{1}, frame...),
-		"ack byte as version":   append([]byte{wireAckV3}, frame...),
-		"random byte, v3 frame": append([]byte{0x5a}, frame...),
+		"v2 dialer":              v2,
+		"v3 dialer":              v3,
+		"byte 3 then v4 frame":   append([]byte{3}, frame...),
+		"byte 2 then v4 frame":   append([]byte{2}, frame...),
+		"byte 1 then v4 frame":   append([]byte{1}, frame...),
+		"ack byte as version":    append([]byte{wireAckV4}, frame...),
+		"v3 ack byte as version": append([]byte{0xC3}, frame...),
+		"random byte, v4 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

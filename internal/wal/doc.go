@@ -27,8 +27,9 @@
 // (TestSnapshotGoldenBytes pins it); the copy count and the checksum are
 // patched in after the chains.
 //
-// Record payloads use the wire-v3 varint codec (the same model primitives
-// the transport's message encoders use): ~15 bytes for a typical record,
+// Record payloads use internal/model's varint primitives, the ones the
+// transport's message encoders are built from; the record format is its own
+// and did not change with wire v4. That is ~15 bytes for a typical record,
 // ~23 framed. A frame is crc32C(lenWord | payload) | lenWord | payload, the
 // length word always carrying the varint flag in its high bit; a frame that
 // fails the checksum, lacks the flag, or decodes short or long ends the

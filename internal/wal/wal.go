@@ -29,10 +29,11 @@ const (
 
 	// frameHeader is crc32C(lenWord | payload) + uint32 payload length word.
 	frameHeader = 8
-	// varintFlag is set in every frame's length word: the payload is in the
-	// wire-v3 varint codec (the same primitives the transport's message
-	// encoders use, see internal/model's wire encoders). A length word
-	// without it is corruption and stops replay at that frame.
+	// varintFlag is set in every frame's length word: the payload is in
+	// internal/model's varint primitives (the ones the transport's message
+	// encoders are built from; the record format does not change with the
+	// wire version). A length word without it is corruption and stops replay
+	// at that frame.
 	varintFlag = uint32(1) << 31
 	// maxRecordPayload bounds a record payload (7 fields × ≤10 bytes worst
 	// case); anything larger is corruption.
@@ -52,7 +53,7 @@ func isSnap(name string) bool { return strings.HasPrefix(name, snapPrefix) }
 
 // appendRecord frames and appends one record:
 // crc32C(lenWord | payload) | varintFlag|len | payload, payload in the
-// shared wire-v3 varint codec (~15 bytes for a typical record). The crc
+// model package's varint primitives (~15 bytes for a typical record). The crc
 // covers the length word as well as the payload, so a bit flipped in either
 // on media fails the checksum and stops replay; it can never misdecode.
 // The frame is built in place — header reserved, payload appended behind it,

@@ -18,7 +18,7 @@ import (
 func BenchmarkWireCodec(b *testing.B) {
 	corpus := Corpus()
 
-	b.Run("v3", func(b *testing.B) {
+	b.Run("v4", func(b *testing.B) {
 		h := NewV3Harness()
 		defer h.Release()
 		var streamBytes int
@@ -35,12 +35,12 @@ func BenchmarkWireCodec(b *testing.B) {
 		reportCodecMetrics(b, len(corpus), streamBytes)
 	})
 
-	// v3-pooled adds the decode-side message struct pool: hot fixed-size
+	// v4-pooled adds the decode-side message struct pool: hot fixed-size
 	// messages decode into pooled structs recycled right after the read, so
-	// the interface boxing that is v3's last steady-state decode allocation
-	// disappears. Compare allocs/op against plain v3: the delta is one alloc
-	// per pooled message in the corpus.
-	b.Run("v3-pooled", func(b *testing.B) {
+	// the interface boxing that is the codec's last steady-state decode
+	// allocation disappears. Compare allocs/op against plain v4: the delta is
+	// one alloc per pooled message in the corpus.
+	b.Run("v4-pooled", func(b *testing.B) {
 		h := NewV3Harness()
 		defer h.Release()
 		var streamBytes int

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
@@ -96,16 +97,33 @@ func Corpus() []engine.Envelope {
 	add(col, ri, 1, model.MapUpdateMsg{Map: pm})
 	add(qm, qm, 1, model.TransferPullMsg{From: 3, Epoch: 9, AfterSeq: 1 << 18})
 	add(qm, qm, 1, model.TransferRecordsMsg{From: 2, Epoch: 9, Frames: []byte{0x05, 0x06, 0x07}, NextAfterSeq: 1<<18 + 12, More: true, Done: false})
+
+	// Stamp extremes: a stamp encoded as a delta from another stamp of its
+	// message wraps around int64, and every value still round-trips.
+	const minStamp, maxStamp, noStamp = math.MinInt64, math.MaxInt64, int64(model.NoTimestamp)
+	add(qm, ri, 1, model.GrantMsg{Txn: txn, Attempt: 3, Copy: cp, Lock: model.RL, TS: minStamp, CommitMicros: maxStamp})
+	add(qm, ri, 1, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
+		{Item: 7, Lock: model.WL, TS: maxStamp, CommitMicros: minStamp},
+		{Item: 19, Lock: model.RL, TS: minStamp, CommitMicros: 0},
+		{Item: 31, Lock: model.RL, TS: model.NoTimestamp, CommitMicros: maxStamp},
+		{Item: 43, Lock: model.RL, TS: 0, CommitMicros: noStamp},
+	}})
+	add(qm, ri, 1, model.SnapReadReplyBatchMsg{Txn: txn, Attempt: 0, CopySite: 2, Members: []model.SnapReadReplyMember{
+		{Item: 7, CommitMicros: maxStamp}, {Item: 19, CommitMicros: minStamp},
+		{Item: 31, CommitMicros: noStamp}, {Item: 43, CommitMicros: 0},
+	}})
+	add(ri, col, 1, model.TxnDoneMsg{Txn: txn, Protocol: model.TwoPL, Outcome: model.OutcomeCommitted, ArrivalMicros: maxStamp, DoneMicros: minStamp, FirstArrivalMicros: noStamp})
+	add(ri, col, 1, model.TxnDoneMsg{Txn: txn, Protocol: model.PA, Outcome: model.OutcomeRejected, ArrivalMicros: 0, DoneMicros: noStamp, FirstArrivalMicros: minStamp})
 	return out
 }
 
-// V3Harness holds reusable v3 codec state for repeated corpus passes: the
-// writer, reader, and their pooled buffers live across passes exactly as
-// they live across batches on a transport connection, so a measured pass is
-// the codec's steady state. Shared by TestWireCodecGate (the ratio gate
-// against the gob reference), BenchmarkWireCodec (the msgs/KB bench gate)
-// and bench/'s codec drill — one round-trip loop, so they cannot drift
-// apart.
+// V3Harness (named in wire v3's day; bench/ calls it by this name) holds
+// reusable codec state for repeated corpus passes: the writer, reader, and
+// their pooled buffers live across passes exactly as they live across
+// batches on a transport connection, so a measured pass is the codec's
+// steady state. Shared by TestWireCodecGate (the ratio gate against the gob
+// reference), BenchmarkWireCodec (the msgs/KB bench gate) and bench/'s codec
+// drill — one round-trip loop, so they cannot drift apart.
 type V3Harness struct {
 	sink bytes.Buffer
 	bw   *bufio.Writer

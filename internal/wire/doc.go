@@ -1,19 +1,31 @@
-// Package wire is the v3 binary codec for everything the cluster exchanges:
+// Package wire is the v4 binary codec for everything the cluster exchanges:
 // a hand-rolled, length-prefixed framing of engine.Envelope over the
 // per-message field encoders in internal/model (stable one-byte tags, varint
-// integers, no reflection anywhere on the path).
+// integers, stamps as deltas within a message, no reflection anywhere on the
+// path).
 //
 // # Frame layout
 //
-// A v3 stream is a sequence of frames, each:
+// A v4 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
 // where payload is:
 //
-//	fromKind(1) fromID(varint) fromShard(1)
-//	toKind(1)   toID(varint)   toShard(1)
-//	msgTag(1)   msgBody…
+//	from(addr) to(addr) msgTag(1) msgBody…
+//
+// and each addr is one of two forms:
+//
+//	short (1 byte):  kind<<4 | id                       shard 0, kind < 8, 0 ≤ id < 16
+//	long:            0x80|kind(1) shard(1) id(varint)  any other address, kind < 0x80
+//
+// A cluster of up to 16 sites pays one byte per address, except for
+// queue-manager shards past 0. The decoder rejects a long form that would
+// fit the short form, so every envelope has exactly one encoding (the
+// property FuzzWireRoundTrip checks); an address of kind 0x80 or above has
+// none: AppendEnvelope fails on it, and a Writer reports an EncodeError.
+// AppendHeader writes the
+// two addresses alone, for callers that frame a message by hand.
 //
 // payloadLen is capped at MaxFrameBytes; a reader that sees a larger prefix
 // abandons the stream instead of allocating for it, and a payload that
@@ -42,7 +54,8 @@
 // Either way the rare control-plane messages also own the slices and maps
 // they carry.
 //
-// The connection handshake (version byte and ack) lives in
-// internal/transport; the WAL reuses the same model primitives for its
-// record payloads.
+// The connection handshake (version byte 4, ack 0xC4) lives in
+// internal/transport, which refuses a v3 peer there: the two formats are not
+// mixed on one connection. The WAL reuses the model varint primitives for
+// its record payloads, whose format does not follow the wire version.
 package wire

@@ -89,7 +89,7 @@ func timeCodec(t *testing.T, corpusMsgs, rounds int, pass func() (int, error)) c
 }
 
 // TestWireCodecGate is the acceptance floor the CI bench-gate job runs: the
-// v3 codec must beat gob by ≥1.5× msgs/sec and use ≤10% of gob's allocations
+// v4 codec must beat gob by ≥1.5× msgs/sec and use ≤10% of gob's allocations
 // per message over the mixed corpus. Measured numbers are far beyond both
 // bars (typically ≥8× and ≤5%), so the gate trips only on a genuine codec
 // regression, not runner noise.
@@ -108,20 +108,20 @@ func TestWireCodecGate(t *testing.T) {
 
 	h := NewV3Harness()
 	defer h.Release()
-	v3 := timeCodec(t, len(corpus), rounds, func() (int, error) { return h.Pass(corpus) })
+	v4 := timeCodec(t, len(corpus), rounds, func() (int, error) { return h.Pass(corpus) })
 	var sink bytes.Buffer
 	ref := timeCodec(t, len(corpus), rounds, func() (int, error) { return gobPass(&sink, corpus) })
 
-	speedup := v3.msgsPerSec / ref.msgsPerSec
-	allocRatio := v3.allocsPerMsg / ref.allocsPerMsg
-	t.Logf("v3: %.0f msgs/s, %.2f allocs/msg, %.1f B/msg; gob: %.0f msgs/s, %.2f allocs/msg, %.1f B/msg; speedup %.2fx, alloc ratio %.3f",
-		v3.msgsPerSec, v3.allocsPerMsg, v3.bytesPerMsg,
+	speedup := v4.msgsPerSec / ref.msgsPerSec
+	allocRatio := v4.allocsPerMsg / ref.allocsPerMsg
+	t.Logf("v4: %.0f msgs/s, %.2f allocs/msg, %.1f B/msg; gob: %.0f msgs/s, %.2f allocs/msg, %.1f B/msg; speedup %.2fx, alloc ratio %.3f",
+		v4.msgsPerSec, v4.allocsPerMsg, v4.bytesPerMsg,
 		ref.msgsPerSec, ref.allocsPerMsg, ref.bytesPerMsg,
 		speedup, allocRatio)
 	if speedup < 1.5 {
-		t.Errorf("v3 codec speedup over gob is %.2fx, want ≥ 1.5x", speedup)
+		t.Errorf("v4 codec speedup over gob is %.2fx, want ≥ 1.5x", speedup)
 	}
 	if allocRatio > 0.10 {
-		t.Errorf("v3 codec allocates %.1f%% of gob's allocs/msg, want ≤ 10%%", allocRatio*100)
+		t.Errorf("v4 codec allocates %.1f%% of gob's allocs/msg, want ≤ 10%%", allocRatio*100)
 	}
 }

@@ -26,7 +26,8 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameBytes")
 var ErrTrailingBytes = errors.New("wire: trailing bytes after message")
 
 // EncodeError wraps a per-envelope encoding failure (a message with no
-// encoding — nil, or an empty batch — or a frame over MaxFrameBytes). Nothing was written, so
+// encoding — nil, or an empty batch — an address with none, or a frame over
+// MaxFrameBytes). Nothing was written, so
 // the stream is still intact: a writer may skip the envelope and continue,
 // where an I/O error would require retiring the connection.
 type EncodeError struct{ Err error }
@@ -54,15 +55,63 @@ func putBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// AppendEnvelope encodes one envelope payload (addresses + tagged message)
+// errAddrKind reports an address whose actor kind (≥ 0x80) has no
+// encoding: the long form's marker byte holds the kind in seven bits.
+var errAddrKind = errors.New("wire: actor kind has no address encoding")
+
+// errLongAddr reports a long-form address that fits the one-byte form. Each
+// address has exactly one accepted encoding, like every other field.
+var errLongAddr = fmt.Errorf("%w: long-form address fits one byte", model.ErrWireCorrupt)
+
+// shortAddr reports whether a travels as one byte, kind<<4 | id: shard 0,
+// kind < 8 and 0 ≤ id < 16, which is every address of a cluster of up to 16
+// sites except the queue-manager shards past 0.
+func shortAddr(a engine.Addr) bool {
+	return a.Shard == 0 && a.Kind < 8 && a.ID >= 0 && a.ID < 16
+}
+
+// appendAddr encodes a in its one-byte form, or else as the marker byte
+// 0x80|kind, the shard byte and the zig-zag varint id.
+func appendAddr(b []byte, a engine.Addr) ([]byte, error) {
+	if shortAddr(a) {
+		return append(b, byte(a.Kind)<<4|byte(a.ID)), nil
+	}
+	if a.Kind >= 0x80 {
+		return b, errAddrKind
+	}
+	b = append(b, 0x80|byte(a.Kind), a.Shard)
+	return model.AppendVarint(b, int64(a.ID)), nil
+}
+
+// readAddr decodes one address; ok is false for a long form that fits the
+// one-byte form.
+func readAddr(r *model.WireReader) (a engine.Addr, ok bool) {
+	b := r.Byte()
+	if b < 0x80 {
+		return engine.Addr{Kind: engine.ActorKind(b >> 4), ID: model.SiteID(b & 0x0f)}, true
+	}
+	a.Kind = engine.ActorKind(b &^ 0x80)
+	a.Shard = r.Byte()
+	a.ID = model.SiteID(r.Varint32())
+	return a, !shortAddr(a)
+}
+
+// AppendHeader encodes an envelope's header, its two addresses, onto b.
+func AppendHeader(b []byte, from, to engine.Addr) ([]byte, error) {
+	b, err := appendAddr(b, from)
+	if err != nil {
+		return b, err
+	}
+	return appendAddr(b, to)
+}
+
+// AppendEnvelope encodes one envelope payload (header + tagged message)
 // onto b.
 func AppendEnvelope(b []byte, env engine.Envelope) ([]byte, error) {
-	b = append(b, byte(env.From.Kind))
-	b = model.AppendVarint(b, int64(env.From.ID))
-	b = append(b, env.From.Shard)
-	b = append(b, byte(env.To.Kind))
-	b = model.AppendVarint(b, int64(env.To.ID))
-	b = append(b, env.To.Shard)
+	b, err := AppendHeader(b, env.From, env.To)
+	if err != nil {
+		return b, err
+	}
 	return model.AppendMessage(b, env.Msg)
 }
 
@@ -89,21 +138,21 @@ func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
 	return decodeEnvelope(&r, true)
 }
 
-// decodeEnvelope decodes the address header, then the tagged message through
+// decodeEnvelope decodes the header, then the tagged message through
 // model.DecodeMessage or its pooled twin. Both decode through a table of func
 // values, so r escapes to the heap: the one-shot forms above pay that
 // allocation per call, and a Reader decodes through the one it owns.
 func decodeEnvelope(r *model.WireReader, pooled bool) (engine.Envelope, error) {
 	var env engine.Envelope
-	env.From.Kind = engine.ActorKind(r.Byte())
-	env.From.ID = model.SiteID(r.Varint32())
-	env.From.Shard = r.Byte()
-	env.To.Kind = engine.ActorKind(r.Byte())
-	env.To.ID = model.SiteID(r.Varint32())
-	env.To.Shard = r.Byte()
+	var fromOK, toOK bool
+	env.From, fromOK = readAddr(r)
+	env.To, toOK = readAddr(r)
 	tag := model.WireTag(r.Byte())
 	if err := r.Err(); err != nil {
 		return engine.Envelope{}, err
+	}
+	if !fromOK || !toOK {
+		return engine.Envelope{}, errLongAddr
 	}
 	var msg model.Message
 	var err error
@@ -220,8 +269,8 @@ func NewReader(br *bufio.Reader) *Reader {
 // DECODE error does not: the payload was fully consumed before decoding, so
 // the reader is still at a frame boundary and the caller may skip the frame
 // and continue — the transport does exactly that for model.ErrWireUnknownTag,
-// so a newer peer's appended message types don't sever mixed-version v3
-// streams.
+// so a newer peer's appended message types don't sever a stream between
+// builds of one wire version.
 func (r *Reader) ReadEnvelope() (engine.Envelope, int, error) {
 	return r.readEnvelope(false)
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,14 +88,24 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	}
 }
 
+// header returns the header of a hand-built frame, RI(1) → QM(2), followed
+// by tag.
+func header(t *testing.T, tag model.WireTag) []byte {
+	t.Helper()
+	b, err := AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, byte(tag))
+}
+
 // TestDecodeUnknownTag: a tag from a future build errors with
 // ErrWireUnknownTag instead of misparsing.
 func TestDecodeUnknownTag(t *testing.T) {
-	b := []byte{0, 2, 0, 1, 4, 0, 200} // addresses + tag 200
-	if _, err := DecodeEnvelope(b); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := DecodeEnvelope(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("unknown tag: got %v, want ErrWireUnknownTag", err)
 	}
-	if _, err := DecodeEnvelope([]byte{0, 2, 0, 1, 4, 0, 0}); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := DecodeEnvelope(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("tag 0 must be invalid: got %v", err)
 	}
 }
@@ -102,7 +114,7 @@ func TestDecodeUnknownTag(t *testing.T) {
 // the payload could possibly back must error immediately (no giant
 // allocation, no hang). Construct a WFG report whose edge count is huge.
 func TestOversizedElementCounts(t *testing.T) {
-	b := []byte{0, 4, 0, 1, 4, 0, byte(model.TagWFGReport)}
+	b := header(t, model.TagWFGReport)
 	b = model.AppendVarint(b, 2)      // From
 	b = model.AppendUvarint(b, 1)     // Round
 	b = model.AppendUvarint(b, 1<<40) // Edges count: absurd
@@ -111,7 +123,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	}
 
 	// Same for a string length (Txn.Class) far past the payload end.
-	b = []byte{8, 2, 0, 1, 4, 0, byte(model.TagSubmitTxn), 1}
+	b = append(header(t, model.TagSubmitTxn), 1)
 	b = model.AppendVarint(b, 1)      // ID.Site
 	b = model.AppendUvarint(b, 9)     // ID.Seq
 	b = append(b, 0)                  // Protocol
@@ -121,6 +133,72 @@ func TestOversizedElementCounts(t *testing.T) {
 	b = model.AppendUvarint(b, 1<<50) // Class length: absurd
 	if _, err := DecodeEnvelope(b); !errors.Is(err, model.ErrWireCorrupt) {
 		t.Fatalf("oversized string length: got %v, want ErrWireCorrupt", err)
+	}
+}
+
+// TestHeaderGoldenBytes pins both address forms: one byte kind<<4 | id, and
+// the marker 0x80|kind, the shard and the zig-zag id.
+func TestHeaderGoldenBytes(t *testing.T) {
+	for _, g := range []struct {
+		from, to engine.Addr
+		hex      string
+	}{
+		{engine.RIAddr(1), engine.QMAddr(2), "0112"},
+		{engine.QMShardAddr(2, 3), engine.RIAddr(20), "810304800028"},
+	} {
+		b, err := AppendHeader(nil, g.from, g.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != g.hex {
+			t.Errorf("%v → %v encodes to %s, want %s", g.from, g.to, got, g.hex)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonicalAddress: an address that fits one byte is
+// accepted only in that form, so each envelope keeps exactly one encoding;
+// the addresses that do not fit it travel in the long form and round-trip.
+func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
+	body, err := model.AppendMessage(nil, model.TickMsg{Tag: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, _ := AppendHeader(nil, engine.RIAddr(1), engine.RIAddr(1))
+	long := []byte{0x80 | byte(engine.KindRI), 0, 2} // RI(1), shard 0, varint id
+	for name, hdr := range map[string][]byte{
+		"long from": append(append(long[:3:3], short[1]), body...),
+		"long to":   append(append(short[:1:1], long...), body...),
+	} {
+		if _, err := DecodeEnvelope(hdr); !errors.Is(err, model.ErrWireCorrupt) {
+			t.Errorf("%s: got %v, want ErrWireCorrupt", name, err)
+		}
+	}
+
+	for _, a := range []engine.Addr{
+		engine.QMShardAddr(2, 1),
+		engine.RIAddr(16),
+		engine.RIAddr(-1),
+		{Kind: 8, ID: 3},
+		{Kind: 0x7f, ID: math.MaxInt32, Shard: 255},
+		{Kind: engine.KindQM, ID: math.MinInt32},
+	} {
+		env := engine.Envelope{From: a, To: engine.CollectorAddr(), Msg: model.TickMsg{Tag: 3}}
+		b, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		if b[0] < 0x80 {
+			t.Errorf("%v encoded in the one-byte form %#x", a, b[0])
+		}
+		got, err := DecodeEnvelope(b)
+		if err != nil || got != env {
+			t.Errorf("%v decodes to %+v (%v)", a, got, err)
+		}
+	}
+
+	if _, err := AppendEnvelope(nil, engine.Envelope{From: engine.Addr{Kind: 0x80}, Msg: model.TickMsg{}}); !errors.Is(err, errAddrKind) {
+		t.Errorf("kind 0x80 encoded: %v", err)
 	}
 }
 
