@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"ucc/internal/engine"
@@ -61,5 +65,27 @@ func TestClientTopology(t *testing.T) {
 	// Drivers run on the client, their target QM/RI actors on the sites.
 	if got := topo.Peers[topo.Assign(engine.QMAddr(model.SiteID(1)))]; got != ":7701" {
 		t.Errorf("QM 1 at %q", got)
+	}
+}
+
+// TestFlagsUnchanged pins every flag's name, default and usage string to
+// testdata/flags.txt, which is exactly what `uccclient -h` prints below its
+// first line: scripts and operators drive uccclient by these names.
+func TestFlagsUnchanged(t *testing.T) {
+	fs := flag.NewFlagSet("uccclient", flag.ContinueOnError)
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") { // the testing package's own
+			fs.Var(f.Value, f.Name, f.Usage)
+		}
+	})
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	fs.PrintDefaults()
+	want, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("uccclient flags changed; -h now prints:\n%s", got.String())
 	}
 }

@@ -17,19 +17,21 @@ import (
 	"ucc/internal/workload"
 )
 
+// The flags live at package level so TestFlagsUnchanged can read them.
+var (
+	sitesCSV = flag.String("peers", "", "comma-separated site TCP addresses, index = site id")
+	listen   = flag.String("listen", ":7709", "TCP listen address for replies")
+	rate     = flag.Float64("rate", 20, "arrival rate per site (txn/s)")
+	duration = flag.Duration("duration", 5*time.Second, "workload duration")
+	items    = flag.Int("items", 64, "number of logical items (must match uccnode)")
+	size     = flag.Int("size", 4, "items per transaction")
+	readFrac = flag.Float64("read-frac", 0.6, "fraction of accesses that are reads")
+	mix      = flag.String("mix", "1,1,1", "protocol shares 2PL,T/O,PA[,RO-snapshot]")
+	compute  = flag.Int64("compute-us", 1000, "local computing phase (µs)")
+	sendCap  = flag.Int("send-queue-cap", 65536, "per-peer transport send-queue bound, drop-oldest beyond it (0 = unbounded)")
+)
+
 func main() {
-	var (
-		sitesCSV = flag.String("peers", "", "comma-separated site TCP addresses, index = site id")
-		listen   = flag.String("listen", ":7709", "TCP listen address for replies")
-		rate     = flag.Float64("rate", 20, "arrival rate per site (txn/s)")
-		duration = flag.Duration("duration", 5*time.Second, "workload duration")
-		items    = flag.Int("items", 64, "number of logical items (must match uccnode)")
-		size     = flag.Int("size", 4, "items per transaction")
-		readFrac = flag.Float64("read-frac", 0.6, "fraction of accesses that are reads")
-		mix      = flag.String("mix", "1,1,1", "protocol shares 2PL,T/O,PA[,RO-snapshot]")
-		compute  = flag.Int64("compute-us", 1000, "local computing phase (µs)")
-		sendCap  = flag.Int("send-queue-cap", 65536, "per-peer transport send-queue bound, drop-oldest beyond it (0 = unbounded)")
-	)
 	flag.Parse()
 
 	peerList, err := parsePeerList(*sitesCSV)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ucc/internal/model"
-	"ucc/internal/placement"
 	"ucc/internal/transport"
 )
 
@@ -29,36 +28,6 @@ func siteTopology(peers []string, clientAddr string) transport.Topology {
 	return transport.StandardTopology(peers, clientAddr)
 }
 
-// quorumFromFlags validates the -quorum-n/-w/-r triple against the node's
-// replication factor and durability setting. All three zero means quorum
-// mode is off (read-one/write-all); a partial triple is a config error, not
-// a default — every process must agree on the quorum shape, so silence is
-// the only safe fallback.
-func quorumFromFlags(n, w, r, replicas int, durable bool) (*model.Quorum, error) {
-	if n == 0 && w == 0 && r == 0 {
-		return nil, nil
-	}
-	q := &model.Quorum{N: n, W: w, R: r}
-	if err := q.Validate(replicas); err != nil {
-		return nil, err
-	}
-	if !durable {
-		return nil, fmt.Errorf("quorum replication requires -data-dir: a lagging replica catches up by streaming peers' WALs")
-	}
-	return q, nil
-}
-
-// placementFromFlag validates -placement the same way cluster.Config and
-// ucc.Config do — every process must derive the identical epoch-0 map, so an
-// unknown policy is fatal, never silently defaulted.
-func placementFromFlag(s string) (placement.Policy, error) {
-	p, err := placement.ParsePolicy(s)
-	if err != nil {
-		return "", fmt.Errorf("-placement: %w", err)
-	}
-	return p, nil
-}
-
 // parseItems parses a comma-separated item-id list (for -move-items).
 func parseItems(csv string) ([]model.ItemID, error) {
 	if strings.TrimSpace(csv) == "" {
@@ -73,39 +42,4 @@ func parseItems(csv string) ([]model.ItemID, error) {
 		out = append(out, model.ItemID(n))
 	}
 	return out, nil
-}
-
-// replPeersFor returns the sites this one pulls WAL records from: every
-// other site holding a copy of an item this site also holds (ascending, for
-// a deterministic pull order).
-func replPeersFor(pm *model.PartitionMap, self model.SiteID) []model.SiteID {
-	seen := map[model.SiteID]bool{}
-	for item := 0; item < pm.Items(); item++ {
-		reps := pm.Replicas(model.ItemID(item))
-		mine := false
-		for _, s := range reps {
-			if s == self {
-				mine = true
-				break
-			}
-		}
-		if !mine {
-			continue
-		}
-		for _, s := range reps {
-			if s != self {
-				seen[s] = true
-			}
-		}
-	}
-	peers := make([]model.SiteID, 0, len(seen))
-	for s := range seen {
-		peers = append(peers, s)
-	}
-	for i := 1; i < len(peers); i++ {
-		for j := i; j > 0 && peers[j] < peers[j-1]; j-- {
-			peers[j], peers[j-1] = peers[j-1], peers[j]
-		}
-	}
-	return peers
 }

@@ -5,7 +5,6 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
-	"ucc/internal/placement"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -65,76 +64,6 @@ func TestSiteTopologyWithoutClient(t *testing.T) {
 	}
 }
 
-func TestQuorumFromFlags(t *testing.T) {
-	cases := []struct {
-		name       string
-		n, w, r    int
-		replicas   int
-		durable    bool
-		wantQuorum bool
-		wantErr    bool
-	}{
-		{"all zero is off", 0, 0, 0, 3, false, false, false},
-		{"valid 3-2-2", 3, 2, 2, 3, true, true, false},
-		{"partial triple", 3, 0, 0, 3, true, false, true},
-		{"W exceeds N", 3, 4, 2, 3, true, false, true},
-		{"disjoint read-write", 3, 1, 2, 3, true, false, true},
-		{"disjoint write-write", 3, 1, 3, 3, true, false, true},
-		{"N vs replicas", 3, 2, 2, 2, true, false, true},
-		{"no data-dir", 3, 2, 2, 3, false, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			q, err := quorumFromFlags(tc.n, tc.w, tc.r, tc.replicas, tc.durable)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("accepted n=%d w=%d r=%d replicas=%d durable=%v", tc.n, tc.w, tc.r, tc.replicas, tc.durable)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (q != nil) != tc.wantQuorum {
-				t.Fatalf("quorum = %+v, want present=%v", q, tc.wantQuorum)
-			}
-		})
-	}
-}
-
-func TestPlacementFromFlag(t *testing.T) {
-	cases := []struct {
-		name    string
-		flag    string
-		want    placement.Policy
-		wantErr bool
-	}{
-		{"empty defaults to round-robin", "", placement.RoundRobin, false},
-		{"round-robin", "round-robin", placement.RoundRobin, false},
-		{"range", "range", placement.Range, false},
-		{"hash", "hash", placement.Hash, false},
-		{"unknown policy", "zigzag", "", true},
-		{"case sensitive", "Range", "", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := placementFromFlag(tc.flag)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("accepted -placement=%q", tc.flag)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Fatalf("policy = %q, want %q", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestParseItems(t *testing.T) {
 	items, err := parseItems(" 3, 1,8 ")
 	if err != nil {
@@ -149,51 +78,6 @@ func TestParseItems(t *testing.T) {
 	for _, bad := range []string{"a", "-1", "1,,2", "1,x"} {
 		if _, err := parseItems(bad); err == nil {
 			t.Errorf("parseItems(%q) accepted bad input", bad)
-		}
-	}
-}
-
-func TestReplPeersFor(t *testing.T) {
-	sites := []model.SiteID{0, 1, 2, 3}
-	// Full replication: everyone pulls from everyone else.
-	full := placement.Build(placement.RoundRobin, 8, sites, 4)
-	if got := replPeersFor(full, 1); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("full replication peers = %v, want [0 2 3]", got)
-	}
-	// Single copy: no shared items, no peers, quorum pull plane idle.
-	single := placement.Build(placement.RoundRobin, 8, sites, 1)
-	if got := replPeersFor(single, 0); len(got) != 0 {
-		t.Fatalf("unreplicated map has peers: %v", got)
-	}
-	// Partial replication: peers are exactly the sites sharing an item.
-	partial := placement.Build(placement.RoundRobin, 8, sites, 2)
-	for _, self := range sites {
-		peers := replPeersFor(partial, self)
-		seen := map[model.SiteID]bool{}
-		for item := 0; item < partial.Items(); item++ {
-			reps := partial.Replicas(model.ItemID(item))
-			mine := false
-			for _, s := range reps {
-				if s == self {
-					mine = true
-				}
-			}
-			if !mine {
-				continue
-			}
-			for _, s := range reps {
-				if s != self {
-					seen[s] = true
-				}
-			}
-		}
-		if len(peers) != len(seen) {
-			t.Fatalf("site %d peers = %v, want %v", self, peers, seen)
-		}
-		for _, p := range peers {
-			if !seen[p] {
-				t.Fatalf("site %d pulls from %d, which shares no item", self, p)
-			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"ucc/internal/deploy"
 	"ucc/internal/model"
 	"ucc/internal/workload"
 )
@@ -10,11 +11,13 @@ import (
 // base returns a small recording cluster config.
 func base(seed int64) Config {
 	return Config{
-		Sites:    4,
-		Items:    40,
-		Replicas: 1,
-		Seed:     seed,
-		Record:   true,
+		Config: deploy.Config{
+			Sites:    4,
+			Items:    40,
+			Replicas: 1,
+		},
+		Seed:   seed,
+		Record: true,
 	}
 }
 
@@ -155,48 +158,6 @@ func TestShardsOver256Rejected(t *testing.T) {
 	ok.Shards = 256
 	if _, err := NewSim(ok); err != nil {
 		t.Fatalf("Shards=256 must be accepted: %v", err)
-	}
-}
-
-// TestValidatePreservesNonTimingRIOptions: leaving every protocol-timing
-// knob unset fills the timing defaults, but an RI option configured on its
-// own — admission control, a backoff cap, the RO fast-path toggle, an
-// explicit snapshot staleness — must survive the reset (regression: the
-// defaults pass used to replace the whole Options struct and hand-preserve
-// a hardcoded subset of fields).
-func TestValidatePreservesNonTimingRIOptions(t *testing.T) {
-	cfg := base(1)
-	cfg.RI.Admission.Enabled = true
-	cfg.RI.Admission.InitialWindow = 16
-	cfg.RI.RestartDelayCapMicros = 123_000
-	cfg.RI.DisableROFastPath = true
-	cfg.RI.SnapshotStalenessMicros = 77_000
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.RI.Admission.Enabled || cfg.RI.Admission.InitialWindow != 16 {
-		t.Fatalf("Admission clobbered by the timing-defaults reset: %+v", cfg.RI.Admission)
-	}
-	if cfg.RI.RestartDelayCapMicros != 123_000 {
-		t.Fatalf("RestartDelayCapMicros = %d, want 123000", cfg.RI.RestartDelayCapMicros)
-	}
-	if !cfg.RI.DisableROFastPath {
-		t.Fatal("DisableROFastPath clobbered by the timing-defaults reset")
-	}
-	if cfg.RI.SnapshotStalenessMicros != 77_000 {
-		t.Fatalf("SnapshotStalenessMicros = %d, want the explicit 77000", cfg.RI.SnapshotStalenessMicros)
-	}
-	// The timing defaults themselves must still be filled.
-	if cfg.RI.RestartDelayMicros == 0 || cfg.RI.PAIntervalMicros == 0 || cfg.RI.DefaultComputeMicros == 0 {
-		t.Fatalf("timing defaults not filled: %+v", cfg.RI)
-	}
-	// And an unset staleness still gets the default.
-	cfg2 := base(2)
-	if err := cfg2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.RI.SnapshotStalenessMicros == 0 {
-		t.Fatal("default SnapshotStalenessMicros not filled when unset")
 	}
 }
 

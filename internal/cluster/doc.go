@@ -1,16 +1,14 @@
-// Package cluster wires the full distributed system — request issuers, queue
-// managers with their multi-version stores, the deadlock coordinator, the
-// metrics collector, per-site workload drivers, and (optionally) per-site
-// durability pipelines — over the deterministic virtual-time simulator
-// (experiments, tests). The same actors run unchanged on the real-time
-// runtime and TCP transport (cmd/uccnode, cmd/uccclient).
+// Package cluster is the simulator host of the distributed system. Every
+// site is assembled by internal/deploy, as cmd/uccnode assembles its one
+// site over TCP; cluster adds the deterministic virtual-time engine, the
+// metrics collector, per-site workload drivers, history recording, fault
+// injection (CrashSite/RecoverSite, latency and group-commit window
+// changes) and the controller that publishes partition-map epochs.
 //
-// The cluster is where cross-cutting configuration meets: the version-chain
-// bounds every store enforces (Config.Chain), the snapshot staleness margin
-// the issuers read at (Config.RI), the queue-manager shard count both the
-// managers and the issuers must agree on (Config.Shards), the WAL each
-// store journals into (Config.Durability), and the fault-injection schedule
-// (CrashSite/RecoverSite). Run executes the standard experiment schedule
-// and returns a Result with the summary, the event count, and — when
-// recording — the serializability verdict.
+// Config embeds deploy.Config, where the cross-cutting knobs meet (chain
+// bounds, snapshot staleness, shard count, WAL), and adds the latency
+// model, the seed, recording, the collector and a protocol selector. Run
+// executes the standard experiment schedule and returns a Result with the
+// summary, the event count, and — when recording — the serializability
+// verdict.
 package cluster

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/model"
 )
@@ -20,7 +21,7 @@ import (
 func TestPaperSection42Example(t *testing.T) {
 	const x, y, z = model.ItemID(0), model.ItemID(1), model.ItemID(2)
 	for seed := int64(1); seed <= 40; seed++ {
-		cfg := Config{Sites: 3, Items: 3, Seed: seed, Record: true}
+		cfg := Config{Config: deploy.Config{Sites: 3, Items: 3}, Seed: seed, Record: true}
 		cl, err := NewSim(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -3,9 +3,9 @@ package cluster
 import (
 	"testing"
 
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/model"
-	"ucc/internal/placement"
 	"ucc/internal/workload"
 )
 
@@ -17,11 +17,13 @@ import (
 func TestMoveItemsExactlyOnce(t *testing.T) {
 	const n = 40
 	cl, err := NewSim(Config{
-		Sites:    3,
-		Items:    8,
-		Replicas: 1,
-		Seed:     1,
-		Record:   true,
+		Config: deploy.Config{
+			Sites:    3,
+			Items:    8,
+			Replicas: 1,
+		},
+		Seed:   1,
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +132,14 @@ func TestRebalanceUnderLoadReplicaAgreement(t *testing.T) {
 // snapshot transfer, with the run serializable throughout.
 func TestAddSiteJoins(t *testing.T) {
 	cl, err := NewSim(Config{
-		Sites:     3,
-		DataSites: 2,
-		Items:     12,
-		Replicas:  2,
-		Seed:      3,
-		Record:    true,
+		Config: deploy.Config{
+			Sites:     3,
+			DataSites: 2,
+			Items:     12,
+			Replicas:  2,
+		},
+		Seed:   3,
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,37 +284,5 @@ func TestRebalanceHotMovesLoad(t *testing.T) {
 	}
 	if cl.RITotals().Committed != 60 {
 		t.Fatalf("committed=%d want 60", cl.RITotals().Committed)
-	}
-}
-
-// TestPlacementConfigValidation is the cluster entry point of the
-// table-driven policy validation (ucc.New and uccnode have their own).
-func TestPlacementConfigValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*Config)
-		wantErr bool
-	}{
-		{"default", func(c *Config) {}, false},
-		{"round-robin", func(c *Config) { c.Placement = placement.RoundRobin }, false},
-		{"range", func(c *Config) { c.Placement = placement.Range }, false},
-		{"hash", func(c *Config) { c.Placement = placement.Hash }, false},
-		{"unknown policy", func(c *Config) { c.Placement = "zigzag" }, true},
-		{"data sites negative", func(c *Config) { c.DataSites = -1 }, true},
-		{"data sites beyond sites", func(c *Config) { c.DataSites = 5 }, true},
-		{"data sites subset", func(c *Config) { c.DataSites = 2 }, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Sites: 4, Items: 8, Replicas: 2, Seed: 1}
-			tc.mutate(&cfg)
-			_, err := NewSim(cfg)
-			if tc.wantErr && err == nil {
-				t.Fatal("want error, got nil")
-			}
-			if !tc.wantErr && err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-		})
 	}
 }

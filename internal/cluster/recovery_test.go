@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/workload"
@@ -11,7 +12,7 @@ import (
 // durable returns a recording cluster config with in-memory per-site WALs.
 func durable(seed int64) Config {
 	cfg := base(seed)
-	cfg.Durability = &Durability{SnapshotEvery: 200}
+	cfg.Durability = &deploy.Durability{SnapshotEvery: 200}
 	return cfg
 }
 

@@ -1,0 +1,232 @@
+package deploy
+
+import (
+	"fmt"
+
+	"ucc/internal/deadlock"
+	"ucc/internal/model"
+	"ucc/internal/placement"
+	"ucc/internal/qm"
+	"ucc/internal/ri"
+	"ucc/internal/storage"
+)
+
+// Config describes the sites of one deployment; every process of a real
+// deployment must build the same one. User site i and data site i share a
+// site id (each site hosts both an RI and a QM), as in the paper's model
+// where every computer site may hold data and issue transactions.
+type Config struct {
+	// Sites is the number of computer sites (each hosts an RI and a QM).
+	Sites int
+	// Items is the number of logical data items.
+	Items int
+	// Replicas is the number of physical copies per item (read-one/write-all).
+	Replicas int
+	// Shards partitions every site's queue manager into this many
+	// independent shards (hash of item → shard): per-shard queue tables,
+	// lock state, and group-commit batches, each registered at its own
+	// engine address so conflict-free operations at one site execute in
+	// parallel on the real-time runtime. Default 1 (unsharded). The
+	// simulator delivers to one event loop regardless, so Shards changes
+	// no sim outcome except message addressing — which is exactly what the
+	// sharded correctness tests rely on.
+	Shards int
+	// InitialValue seeds every item's copies.
+	InitialValue int64
+	// Placement selects the epoch-0 layout policy (round-robin, range, or
+	// hash; empty = round-robin, the historical layout). See
+	// placement.Build.
+	Placement placement.Policy
+	// DataSites bounds the initial placement to sites 0..DataSites-1; the
+	// remaining sites start empty (standby) and join by a later epoch
+	// (cluster.Cluster.AddSite). Zero places data on every site.
+	DataSites int
+
+	QM       qm.Options
+	RI       ri.Options
+	Detector deadlock.Options
+
+	// Chain bounds each store's per-copy version chain (zero fields select
+	// storage.DefaultChainPolicy: 16 versions, 250ms of history). KeepMicros
+	// must exceed RI.SnapshotStalenessMicros plus the maximum network delay
+	// or snapshot reads can outlive their versions; Validate raises the
+	// window (and scales the version cap) to 2× the configured staleness
+	// when the policy would otherwise undercut it.
+	Chain storage.ChainPolicy
+
+	// Durability attaches a per-site write-ahead log + snapshots (nil =
+	// volatile sites, the paper's failure-free model). Required for the
+	// simulator's CrashSite/RecoverSite fault injection.
+	Durability *Durability
+
+	// Quorum switches replica access from read-one/write-all to quorum mode
+	// (model.Quorum: writes commit on any W of N copies, reads consult R and
+	// take the highest commit stamp) and wires the log-shipping catch-up
+	// plane (internal/repl) that converges lagging copies. Requires
+	// Durability — catch-up streams the WAL — and N must equal Replicas.
+	Quorum *model.Quorum
+	// ReplPeriodMicros is the catch-up pull period (default
+	// repl.DefaultPeriodMicros, 150ms). Only meaningful with Quorum.
+	ReplPeriodMicros int64
+	// ReplBatchRecords bounds records per catch-up reply (default
+	// repl.DefaultBatchRecords). Only meaningful with Quorum.
+	ReplBatchRecords int
+}
+
+// Durability configures the per-site WAL (internal/wal).
+type Durability struct {
+	// Dir, when set, stores each site's log under Dir/site<N> as real files;
+	// empty uses deterministic in-memory media (the simulator's fault
+	// injection, where CrashMsg discards exactly the unsynced bytes).
+	Dir string
+	// SegmentBytes is the log segment roll threshold (default 1 MiB).
+	SegmentBytes int
+	// SnapshotEvery takes a store snapshot and truncates the log after this
+	// many journaled writes (0 disables automatic snapshots).
+	SnapshotEvery uint64
+	// GroupCommitMicros is how long a queue-manager shard waits after
+	// journaling a write before the WAL sync that covers it; zero syncs as
+	// soon as the shard has drained its pending deliveries. See
+	// qm.Options.GroupCommitMicros.
+	//
+	// With a site crash: the write-ahead rule holds at every window — a
+	// journaled write parks its item, and no grant, promotion or snapshot
+	// reply leaves the site past it before its sync returns. A crash inside
+	// the window therefore destroys only writes nobody observed through
+	// that site; the site recovers to a state consistent with everything it
+	// ever exposed, and the history log retracts the destroyed writes'
+	// entries, so recording + crashes + any window is inside the checked
+	// envelope. What a crash cannot do is un-commit the transaction — the
+	// protocol has no release-ack — so the copy that lost the write stays
+	// behind its peers until something re-ships it. Quorum catch-up does
+	// (a recovered site re-pulls every peer's log); write-all replication
+	// has no such plane, and a copy that lost a write this way stays stale
+	// until the item is written again. (Under the simulator a zero window
+	// leaves no instant for a crash to land in: the sync is scheduled at
+	// the release's own virtual time.)
+	GroupCommitMicros int64
+}
+
+// Validate checks the configuration and fills its defaults. Every entry
+// point — the simulator, the ucc facade and uccnode's flags — goes through
+// it, so a shape one of them refuses, all of them refuse.
+func (c *Config) Validate() error {
+	if c.Sites <= 0 {
+		return fmt.Errorf("deploy: Sites must be positive")
+	}
+	if c.Items <= 0 {
+		return fmt.Errorf("deploy: Items must be positive")
+	}
+	if c.Replicas <= 0 {
+		c.Replicas = 1
+	}
+	if c.Replicas > c.Sites {
+		c.Replicas = c.Sites
+	}
+	if err := c.Placement.Validate(); err != nil {
+		return fmt.Errorf("deploy: %w", err)
+	}
+	if c.DataSites < 0 || c.DataSites > c.Sites {
+		return fmt.Errorf("deploy: DataSites=%d out of range [0, Sites=%d]", c.DataSites, c.Sites)
+	}
+	if c.DataSites > 0 && c.Replicas > c.DataSites {
+		c.Replicas = c.DataSites
+	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
+	if c.Shards > 256 {
+		// engine.Addr carries the shard index in a byte and QMShardAddr
+		// truncates with uint8(shard), while model.ShardOfItem returns up to
+		// Shards-1: above 256 the high shards would silently alias low shard
+		// mailboxes and misroute traffic. Refuse loudly rather than clamp —
+		// a clamp here would disagree with the item→shard hash everywhere
+		// else and split one shard's queue table across two mailboxes.
+		return fmt.Errorf("deploy: Shards=%d exceeds 256 (engine addresses carry the shard index in one byte)", c.Shards)
+	}
+	if c.Quorum != nil {
+		if c.Durability == nil {
+			return fmt.Errorf("deploy: Quorum requires Durability — a lagging replica catches up by streaming peers' WALs")
+		}
+		// Replicas is clamped above, so N is checked against the copies
+		// the partition map will really hold.
+		if err := c.Quorum.Validate(c.Replicas); err != nil {
+			return fmt.Errorf("deploy: %w", err)
+		}
+		if c.ReplPeriodMicros < 0 {
+			return fmt.Errorf("deploy: ReplPeriodMicros must be non-negative (zero selects the default)")
+		}
+		if c.ReplBatchRecords < 0 {
+			return fmt.Errorf("deploy: ReplBatchRecords must be non-negative (zero selects the default)")
+		}
+	}
+	if c.RI.PAIntervalMicros == 0 && c.RI.RestartDelayMicros == 0 &&
+		c.RI.DefaultComputeMicros == 0 && c.RI.MaxAttempts == 0 &&
+		c.RI.SwitchOnRestart == nil {
+		// All the protocol-timing knobs are unset: fill their defaults
+		// field by field. Every other Options field — Admission, the backoff
+		// cap, DisableROFastPath, QMShards, an explicitly chosen snapshot
+		// staleness — keeps whatever the caller set: a wholesale Options
+		// replacement here would silently clobber any non-timing knob
+		// configured on its own (and every future Options field would have
+		// to remember to be spared from it).
+		def := ri.DefaultOptions()
+		c.RI.PAIntervalMicros = def.PAIntervalMicros
+		c.RI.RestartDelayMicros = def.RestartDelayMicros
+		c.RI.DefaultComputeMicros = def.DefaultComputeMicros
+		if c.RI.SnapshotStalenessMicros == 0 {
+			c.RI.SnapshotStalenessMicros = def.SnapshotStalenessMicros
+		}
+	}
+	if c.Detector == (deadlock.Options{}) {
+		c.Detector = deadlock.DefaultOptions()
+	}
+	// The chain retention window must cover the snapshot staleness margin
+	// (plus in-flight releases), or ReadAt falls off the chain and serves a
+	// version newer than the snapshot — a serializability violation waiting
+	// to happen. Size the policy up to the staleness the issuers will use,
+	// scaling the hard cap with the window so it does not silently undo the
+	// extension.
+	def := storage.DefaultChainPolicy()
+	staleness := c.RI.SnapshotStalenessMicros
+	if staleness <= 0 {
+		staleness = ri.DefaultOptions().SnapshotStalenessMicros
+	}
+	effective := c.Chain.KeepMicros
+	if effective <= 0 {
+		effective = def.KeepMicros
+	}
+	if needed := 2 * staleness; effective < needed {
+		effective = needed
+		c.Chain.KeepMicros = needed
+	}
+	// Scale the hard cap with the effective window, or the default cap
+	// silently undoes the retention under write pressure. An explicitly
+	// configured MaxVersions is respected as-is: ChainPolicy documents it
+	// as the bound where memory safety wins over retention.
+	if c.Chain.MaxVersions <= 0 {
+		if minVersions := int(int64(def.MaxVersions) * effective / def.KeepMicros); minVersions > def.MaxVersions {
+			c.Chain.MaxVersions = minVersions
+		}
+	}
+	return nil
+}
+
+// SiteIDs returns the site ids 0..Sites-1 in ascending order.
+func (c *Config) SiteIDs() []model.SiteID {
+	out := make([]model.SiteID, c.Sites)
+	for i := range out {
+		out[i] = model.SiteID(i)
+	}
+	return out
+}
+
+// InitialMap builds the epoch-0 partition map: Items spread by Placement
+// over the data sites (all, or the first DataSites), Replicas copies each.
+func (c *Config) InitialMap() *model.PartitionMap {
+	sites := c.SiteIDs()
+	if c.DataSites > 0 {
+		sites = sites[:c.DataSites]
+	}
+	return placement.Build(c.Placement, c.Items, sites, c.Replicas)
+}

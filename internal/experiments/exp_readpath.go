@@ -5,6 +5,7 @@ import (
 
 	"ucc/internal/cluster"
 	"ucc/internal/deadlock"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/metrics"
 	"ucc/internal/model"
@@ -33,18 +34,19 @@ func Exp10(cfg RunConfig) Result {
 
 	run := func(inflight int, fastPath bool) (cluster.Result, *cluster.Cluster) {
 		cl, err := cluster.NewSim(cluster.Config{
-			Sites:   4,
-			Items:   16,
+			Config: deploy.Config{
+				Sites: 4, Items: 16,
+				RI: ri.Options{
+					PAIntervalMicros:     2_000,
+					RestartDelayMicros:   20_000,
+					DefaultComputeMicros: 1_000,
+					DisableROFastPath:    !fastPath,
+				},
+				Detector: deadlock.Options{PeriodMicros: 50_000, PersistRounds: 2},
+			},
 			Seed:    cfg.Seed,
 			Record:  true,
 			Latency: engine.UniformLatency{MinMicros: 1_000, MaxMicros: 5_000, LocalMicros: 50},
-			RI: ri.Options{
-				PAIntervalMicros:     2_000,
-				RestartDelayMicros:   20_000,
-				DefaultComputeMicros: 1_000,
-				DisableROFastPath:    !fastPath,
-			},
-			Detector: deadlock.Options{PeriodMicros: 50_000, PersistRounds: 2},
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))

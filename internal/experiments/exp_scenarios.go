@@ -5,6 +5,7 @@ import (
 
 	"ucc/internal/cluster"
 	"ucc/internal/deadlock"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/metrics"
 	"ucc/internal/model"
@@ -57,17 +58,18 @@ func Exp8(cfg RunConfig) Result {
 
 func runScenario(seed int64, sc workload.Scenario, horizon int64, choose ri.ChooseFunc, estimates bool) runOutcome {
 	cfg := cluster.Config{
-		Sites:   4,
-		Items:   32,
+		Config: deploy.Config{
+			Sites: 4, Items: 32,
+			RI: ri.Options{
+				PAIntervalMicros:     2_000,
+				RestartDelayMicros:   20_000,
+				DefaultComputeMicros: 1_000,
+			},
+			Detector: deadlock.Options{PeriodMicros: 10_000, PersistRounds: 2},
+		},
 		Seed:    seed,
 		Latency: engine.UniformLatency{MinMicros: 1_000, MaxMicros: 5_000, LocalMicros: 50},
-		RI: ri.Options{
-			PAIntervalMicros:     2_000,
-			RestartDelayMicros:   20_000,
-			DefaultComputeMicros: 1_000,
-		},
-		Detector: deadlock.Options{PeriodMicros: 10_000, PersistRounds: 2},
-		Choose:   choose,
+		Choose:  choose,
 	}
 	cfg.QM.StatsPeriodMicros = 100_000
 	if estimates {

@@ -6,6 +6,7 @@ import (
 
 	"ucc/internal/cluster"
 	"ucc/internal/deadlock"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/metrics"
 	"ucc/internal/model"
@@ -142,20 +143,20 @@ type runOutcome struct {
 
 func execute(s runSpec) (runOutcome, error) {
 	cfg := cluster.Config{
-		Sites:    s.sites,
-		Items:    s.items,
-		Replicas: s.replicas,
-		Seed:     s.seed,
-		Record:   s.record,
-		Latency:  engine.UniformLatency{MinMicros: s.latMin, MaxMicros: s.latMax, LocalMicros: 50},
-		QM:       qm.Options{DisableSemiLocks: !s.semiLocks},
-		RI: ri.Options{
-			PAIntervalMicros:     s.paInt,
-			RestartDelayMicros:   s.restartUs,
-			DefaultComputeMicros: s.compute,
+		Config: deploy.Config{
+			Sites: s.sites, Items: s.items, Replicas: s.replicas,
+			QM: qm.Options{DisableSemiLocks: !s.semiLocks},
+			RI: ri.Options{
+				PAIntervalMicros:     s.paInt,
+				RestartDelayMicros:   s.restartUs,
+				DefaultComputeMicros: s.compute,
+			},
+			Detector: deadlock.Options{PeriodMicros: s.detPeriod, PersistRounds: 2},
 		},
-		Detector: deadlock.Options{PeriodMicros: s.detPeriod, PersistRounds: 2},
-		Choose:   s.choose,
+		Seed:    s.seed,
+		Record:  s.record,
+		Latency: engine.UniformLatency{MinMicros: s.latMin, MaxMicros: s.latMax, LocalMicros: 50},
+		Choose:  s.choose,
 	}
 	if s.estimates {
 		cfg.QM.StatsPeriodMicros = 100_000

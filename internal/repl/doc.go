@@ -33,7 +33,7 @@
 // per-copy ordinals diverge under quorum replication (a copy that missed a
 // write assigns latest+1 to the next write it does see), while commit stamps
 // of conflicting writes are strictly ordered because intersecting write
-// quorums (2W > N, enforced by cluster.Validate) serialize their releases
+// quorums (2W > N, enforced by deploy.Config.Validate) serialize their releases
 // through a shared copy. A record applies only when strictly newer than the
 // chain's newest stamp, so duplicate, overlapping, and re-shipped batches —
 // including a full re-ship from sequence zero after the puller crashes and

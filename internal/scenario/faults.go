@@ -14,7 +14,7 @@ import (
 // defers every message). The scenario's cluster must set Durability. Any
 // group-commit window is inside the checked envelope; ReplicasAgree after a
 // crash inside a nonzero window additionally needs quorum catch-up (see
-// cluster.Durability.GroupCommitMicros).
+// deploy.Durability.GroupCommitMicros).
 func CrashSite(site model.SiteID, atMicros int64) Fault {
 	return Fault{
 		Name:     fmt.Sprintf("crash-site-%d", site),

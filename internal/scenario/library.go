@@ -5,6 +5,7 @@ import (
 
 	"ucc/internal/cluster"
 	"ucc/internal/deadlock"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/ri"
@@ -81,7 +82,7 @@ func ycsbA() Scenario {
 	return Scenario{
 		Name:        "ycsb-a",
 		Description: "YCSB-A: 50/50 read/write, Zipf-skewed, 2PL/TO/PA mix",
-		Cluster:     cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency},
+		Cluster:     cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency},
 		Phases: []Phase{
 			{Name: "warm", DurationMicros: 2_000_000, Workload: flat(spec)},
 			{Name: "measure", DurationMicros: 6_000_000, Workload: flat(spec), Checks: []Check{
@@ -109,7 +110,7 @@ func ycsbB() Scenario {
 	return Scenario{
 		Name:        "ycsb-b",
 		Description: "YCSB-B: read-mostly, 30% read-only snapshot scans on the fast path",
-		Cluster:     cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency},
+		Cluster:     cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency},
 		Phases: []Phase{
 			{Name: "warm", DurationMicros: 2_000_000, Workload: flat(spec)},
 			{Name: "measure", DurationMicros: 6_000_000, Workload: flat(spec), Checks: []Check{
@@ -135,7 +136,7 @@ func ycsbC() Scenario {
 	return Scenario{
 		Name:        "ycsb-c",
 		Description: "YCSB-C: pure read-only snapshot traffic (no-lock fast path ceiling)",
-		Cluster:     cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency},
+		Cluster:     cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency},
 		Phases: []Phase{
 			{Name: "warm", DurationMicros: 1_000_000, Workload: flat(spec)},
 			{Name: "measure", DurationMicros: 5_000_000, Workload: flat(spec), Checks: []Check{
@@ -182,7 +183,7 @@ func tpccMix() Scenario {
 	return Scenario{
 		Name:        "tpcc-mix",
 		Description: "TPC-C-shaped heterogeneous mix: new-order/payment/order-status/stock-level, one class per site",
-		Cluster:     cluster.Config{Sites: 4, Items: 512, Seed: 1, Latency: baseLatency},
+		Cluster:     cluster.Config{Config: deploy.Config{Sites: 4, Items: 512}, Seed: 1, Latency: baseLatency},
 		Phases: []Phase{
 			{Name: "warm", DurationMicros: 2_000_000, Workload: perSite},
 			{Name: "steady", DurationMicros: 6_000_000, Workload: perSite, Checks: []Check{
@@ -207,7 +208,7 @@ func diurnal() Scenario {
 			ComputeMicros: 1_000,
 		}
 	}
-	cfg := cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency}
+	cfg := cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency}
 	cfg.RI.Admission = ri.AdmissionOptions{Enabled: true, TokensPerSec: 60}
 	return Scenario{
 		Name:        "diurnal",
@@ -247,7 +248,7 @@ func flashCrowd() Scenario {
 		Share2PL: 1, ShareTO: 1, ComputeMicros: 1_000,
 		Access: workload.AccessHotspot, HotItems: 16, HotFrac: 0.9,
 	}
-	cfg := cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency}
+	cfg := cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency}
 	cfg.QM.MaxQueueDepth = 64
 	cfg.RI.Admission = ri.AdmissionOptions{Enabled: true, TokensPerSec: 80}
 	return Scenario{
@@ -295,14 +296,17 @@ func overload() Scenario {
 		})
 	}
 	cfg := cluster.Config{
-		Sites: 4, Items: 24, Seed: 1, Latency: baseLatency,
-		RI: ri.Options{
-			PAIntervalMicros:     2_000,
-			RestartDelayMicros:   5_000,
-			DefaultComputeMicros: 1_000,
-			Admission:            ri.AdmissionOptions{Enabled: true},
+		Config: deploy.Config{
+			Sites: 4, Items: 24,
+			RI: ri.Options{
+				PAIntervalMicros:     2_000,
+				RestartDelayMicros:   5_000,
+				DefaultComputeMicros: 1_000,
+				Admission:            ri.AdmissionOptions{Enabled: true},
+			},
+			Detector: deadlock.Options{PeriodMicros: 50_000, PersistRounds: 2},
 		},
-		Detector: deadlock.Options{PeriodMicros: 50_000, PersistRounds: 2},
+		Seed: 1, Latency: baseLatency,
 	}
 	cfg.QM.MaxQueueDepth = 32
 	return Scenario{
@@ -337,13 +341,16 @@ func crashMidSpike() Scenario {
 	cooldown := normal
 	cooldown.ArrivalPerSec = 15
 	cfg := cluster.Config{
-		Sites: 4, Items: 24, Replicas: 2, Seed: 1, Latency: baseLatency,
-		// In-memory media, zero group-commit window. Write-all replication has
-		// no catch-up plane, so this scenario keeps the window at zero, where
-		// under the simulator no crash can fall between a write's journaling
-		// and its sync (see cluster.Durability.GroupCommitMicros);
-		// crash-in-commit-window is the nonzero-window counterpart.
-		Durability: &cluster.Durability{},
+		Config: deploy.Config{
+			Sites: 4, Items: 24, Replicas: 2,
+			// In-memory media, zero group-commit window. Write-all replication has
+			// no catch-up plane, so this scenario keeps the window at zero, where
+			// under the simulator no crash can fall between a write's journaling
+			// and its sync (see deploy.Durability.GroupCommitMicros);
+			// crash-in-commit-window is the nonzero-window counterpart.
+			Durability: &deploy.Durability{},
+		},
+		Seed: 1, Latency: baseLatency,
 	}
 	return Scenario{
 		Name:         "crash-mid-spike",
@@ -387,9 +394,11 @@ func crashInCommitWindow() Scenario {
 	cooldown := spec
 	cooldown.ArrivalPerSec = 10
 	cfg := cluster.Config{
-		Sites: 3, Items: 24, Replicas: 3, Seed: 1, Latency: baseLatency,
-		Durability: &cluster.Durability{GroupCommitMicros: 20_000},
-		Quorum:     &model.Quorum{N: 3, W: 2, R: 2},
+		Config: deploy.Config{
+			Sites: 3, Items: 24, Replicas: 3,
+			Durability: &deploy.Durability{GroupCommitMicros: 20_000}, Quorum: &model.Quorum{N: 3, W: 2, R: 2},
+		},
+		Seed: 1, Latency: baseLatency,
 	}
 	return Scenario{
 		Name:         "crash-in-commit-window",
@@ -434,9 +443,11 @@ func quorumFailover() Scenario {
 		Share2PL: 1, ShareTO: 1, SharePA: 1, ComputeMicros: 1_000,
 	}
 	cfg := cluster.Config{
-		Sites: 3, Items: 24, Replicas: 3, Seed: 1, Latency: baseLatency,
-		Durability: &cluster.Durability{},
-		Quorum:     &model.Quorum{N: 3, W: 2, R: 2},
+		Config: deploy.Config{
+			Sites: 3, Items: 24, Replicas: 3,
+			Durability: &deploy.Durability{}, Quorum: &model.Quorum{N: 3, W: 2, R: 2},
+		},
+		Seed: 1, Latency: baseLatency,
 	}
 	return Scenario{
 		Name:        "quorum-failover",
@@ -486,8 +497,8 @@ func liveRebalance() Scenario {
 		Access: workload.AccessHotspot, HotItems: 6, HotFrac: 0.7,
 	}
 	cfg := cluster.Config{
-		Sites: 3, Items: 24, Replicas: 2, Seed: 1, Latency: baseLatency,
-		Durability: &cluster.Durability{},
+		Config: deploy.Config{Sites: 3, Items: 24, Replicas: 2, Durability: &deploy.Durability{}},
+		Seed:   1, Latency: baseLatency,
 	}
 	// A quarter of the items, covering the whole hot set (items 0..5).
 	moved := []model.ItemID{0, 1, 2, 3, 4, 5}
@@ -534,9 +545,11 @@ func replicaCatchup() Scenario {
 	light := heavy
 	light.ArrivalPerSec = 10
 	cfg := cluster.Config{
-		Sites: 3, Items: 16, Replicas: 3, Seed: 1, Latency: baseLatency,
-		Durability: &cluster.Durability{},
-		Quorum:     &model.Quorum{N: 3, W: 2, R: 2},
+		Config: deploy.Config{
+			Sites: 3, Items: 16, Replicas: 3,
+			Durability: &deploy.Durability{}, Quorum: &model.Quorum{N: 3, W: 2, R: 2},
+		},
+		Seed: 1, Latency: baseLatency,
 	}
 	return Scenario{
 		Name:         "replica-catchup",
@@ -576,8 +589,8 @@ func slowDiskWAL() Scenario {
 		Share2PL: 1, ComputeMicros: 1_000,
 	}
 	cfg := cluster.Config{
-		Sites: 4, Items: 128, Seed: 1, Latency: baseLatency,
-		Durability: &cluster.Durability{},
+		Config: deploy.Config{Sites: 4, Items: 128, Durability: &deploy.Durability{}},
+		Seed:   1, Latency: baseLatency,
 	}
 	return Scenario{
 		Name:        "slow-disk-wal",
@@ -611,7 +624,7 @@ func degradedLink() Scenario {
 		ArrivalPerSec: 30, Items: 256, Size: 4, ReadFrac: 0.6,
 		Share2PL: 1, ShareTO: 1, ComputeMicros: 1_000,
 	}
-	cfg := cluster.Config{Sites: 4, Items: 256, Seed: 1, Latency: baseLatency}
+	cfg := cluster.Config{Config: deploy.Config{Sites: 4, Items: 256}, Seed: 1, Latency: baseLatency}
 	return Scenario{
 		Name:        "degraded-link",
 		Description: "one site's link gains +15ms each way mid-run, then heals; p99 must degrade and recover",

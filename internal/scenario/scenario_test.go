@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ucc/internal/cluster"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/workload"
 )
@@ -18,7 +19,8 @@ func tiny() Scenario {
 		Name:        "tiny",
 		Description: "runner-behavior fixture",
 		Cluster: cluster.Config{
-			Sites: 2, Items: 8, Seed: 1,
+			Config:  deploy.Config{Sites: 2, Items: 8},
+			Seed:    1,
 			Latency: engine.UniformLatency{MinMicros: 500, MaxMicros: 1_500, LocalMicros: 50},
 		},
 		SettleMicros: 2_000_000,

@@ -31,6 +31,7 @@ import (
 
 	"ucc/internal/cluster"
 	"ucc/internal/deadlock"
+	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/metrics"
 	"ucc/internal/model"
@@ -196,7 +197,7 @@ type Config struct {
 	// pending deliveries), so a CrashSite inside the window destroys only
 	// writes nobody observed through that site; a copy that lost one is
 	// re-shipped by quorum catch-up (write-all replication has no such
-	// repair path — see cluster.Durability.GroupCommitMicros).
+	// repair path — see deploy.Durability.GroupCommitMicros).
 	GroupCommitWindow time.Duration
 }
 
@@ -286,16 +287,12 @@ type Cluster struct {
 	ran   bool
 }
 
-// New builds a cluster. Shards above 256 are rejected (by the cluster
-// layer's validation, surfaced here): engine addresses carry the shard index
-// in one byte, so a larger count would silently alias shard mailboxes and
-// misroute traffic.
+// New builds a cluster. Shards above 256 are rejected (by deploy.Config's
+// validation, surfaced here): engine addresses carry the shard index in one
+// byte, so a larger count would silently alias shard mailboxes and misroute
+// traffic.
 func New(cfg Config) (*Cluster, error) {
 	cfg.fill()
-	policy, err := placement.ParsePolicy(cfg.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("ucc: %w", err)
-	}
 	var dyn *selector.Dynamic
 	var choose ri.ChooseFunc
 	if cfg.DynamicSelection {
@@ -305,9 +302,9 @@ func New(cfg Config) (*Cluster, error) {
 		})
 		choose = dyn.Choose
 	}
-	var durability *cluster.Durability
+	var durability *deploy.Durability
 	if cfg.Durability {
-		durability = &cluster.Durability{
+		durability = &deploy.Durability{
 			SnapshotEvery:     500,
 			GroupCommitMicros: cfg.GroupCommitWindow.Microseconds(),
 		}
@@ -317,47 +314,49 @@ func New(cfg Config) (*Cluster, error) {
 		quorum = &model.Quorum{N: cfg.QuorumN, W: cfg.QuorumW, R: cfg.QuorumR}
 	}
 	inner, err := cluster.NewSim(cluster.Config{
-		Sites:            cfg.Sites,
-		Items:            cfg.Items,
-		Replicas:         cfg.Replicas,
-		Placement:        policy,
-		DataSites:        cfg.DataSites,
-		Shards:           cfg.Shards,
-		InitialValue:     cfg.InitialValue,
-		Seed:             cfg.Seed,
-		Record:           true,
-		Durability:       durability,
-		Quorum:           quorum,
-		ReplPeriodMicros: cfg.ReplPullPeriod.Microseconds(),
+		Config: deploy.Config{
+			Sites:            cfg.Sites,
+			Items:            cfg.Items,
+			Replicas:         cfg.Replicas,
+			Placement:        placement.Policy(cfg.Placement),
+			DataSites:        cfg.DataSites,
+			Shards:           cfg.Shards,
+			InitialValue:     cfg.InitialValue,
+			Durability:       durability,
+			Quorum:           quorum,
+			ReplPeriodMicros: cfg.ReplPullPeriod.Microseconds(),
+			QM: qm.Options{
+				DisableSemiLocks:  cfg.DisableSemiLocks,
+				StatsPeriodMicros: 100_000,
+				MaxQueueDepth:     cfg.MaxQueueDepth,
+			},
+			RI: ri.Options{
+				PAIntervalMicros:        model.Timestamp(cfg.PAInterval.Microseconds()),
+				RestartDelayMicros:      cfg.RestartDelay.Microseconds(),
+				RestartDelayCapMicros:   cfg.RestartDelayCap.Microseconds(),
+				DefaultComputeMicros:    1000,
+				SwitchOnRestart:         escalation(cfg.EscalateRestartsToPA),
+				SnapshotStalenessMicros: cfg.SnapshotStaleness.Microseconds(),
+				DisableROFastPath:       cfg.DisableReadOnlyFastPath,
+				MaxAttempts:             cfg.MaxAttempts,
+				Admission: ri.AdmissionOptions{
+					Enabled:             cfg.Admission,
+					InitialWindow:       cfg.AdmissionWindow,
+					TokensPerSec:        cfg.AdmissionRate,
+					TargetLatencyMicros: cfg.AdmissionTargetLatency.Microseconds(),
+				},
+			},
+			Detector: deadlock.Options{
+				PeriodMicros:  cfg.DeadlockPeriod.Microseconds(),
+				PersistRounds: 2,
+			},
+		},
+		Seed:   cfg.Seed,
+		Record: true,
 		Latency: engine.UniformLatency{
 			MinMicros:   cfg.NetDelayMin.Microseconds(),
 			MaxMicros:   cfg.NetDelayMax.Microseconds(),
 			LocalMicros: 50,
-		},
-		QM: qm.Options{
-			DisableSemiLocks:  cfg.DisableSemiLocks,
-			StatsPeriodMicros: 100_000,
-			MaxQueueDepth:     cfg.MaxQueueDepth,
-		},
-		RI: ri.Options{
-			PAIntervalMicros:        model.Timestamp(cfg.PAInterval.Microseconds()),
-			RestartDelayMicros:      cfg.RestartDelay.Microseconds(),
-			RestartDelayCapMicros:   cfg.RestartDelayCap.Microseconds(),
-			DefaultComputeMicros:    1000,
-			SwitchOnRestart:         escalation(cfg.EscalateRestartsToPA),
-			SnapshotStalenessMicros: cfg.SnapshotStaleness.Microseconds(),
-			DisableROFastPath:       cfg.DisableReadOnlyFastPath,
-			MaxAttempts:             cfg.MaxAttempts,
-			Admission: ri.AdmissionOptions{
-				Enabled:             cfg.Admission,
-				InitialWindow:       cfg.AdmissionWindow,
-				TokensPerSec:        cfg.AdmissionRate,
-				TargetLatencyMicros: cfg.AdmissionTargetLatency.Microseconds(),
-			},
-		},
-		Detector: deadlock.Options{
-			PeriodMicros:  cfg.DeadlockPeriod.Microseconds(),
-			PersistRounds: 2,
 		},
 		Collector: metrics.CollectorOptions{EstimatePeriodMicros: 100_000},
 		Choose:    choose,
