@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"ucc/internal/deploy"
@@ -18,6 +19,52 @@ func quorumCfg(seed int64) Config {
 	cfg.Durability = &deploy.Durability{SnapshotEvery: 200}
 	cfg.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
 	return cfg
+}
+
+// TestQuorumConfigValidation is the simulator entry point of the quorum
+// rules in deploy.Config.Validate: every degenerate quorum shape is refused
+// by NewSim with a diagnosable error instead of clamped into something that
+// silently loses the overlap properties.
+func TestQuorumConfigValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"valid", func(c *Config) {}, ""},
+		{"zero N", func(c *Config) { c.Quorum.N = 0 }, "must all be positive"},
+		{"zero W", func(c *Config) { c.Quorum.W = 0 }, "must all be positive"},
+		{"zero R", func(c *Config) { c.Quorum.R = 0 }, "must all be positive"},
+		{"negative W", func(c *Config) { c.Quorum.W = -1 }, "must all be positive"},
+		{"W exceeds N", func(c *Config) { c.Quorum.W = 4 }, "exceeds"},
+		{"R exceeds N", func(c *Config) { c.Quorum.R = 4 }, "exceeds"},
+		{"read-write quorums disjoint", func(c *Config) { c.Quorum.W = 1; c.Quorum.R = 2 }, "W+R"},
+		{"write quorums disjoint", func(c *Config) { c.Quorum.N = 3; c.Quorum.W = 1; c.Quorum.R = 3 }, "2W"},
+		{"N exceeds replicas", func(c *Config) { c.Replicas = 2; c.Quorum = &model.Quorum{N: 3, W: 2, R: 2} }, "replication factor"},
+		{"N below replicas", func(c *Config) { c.Quorum = &model.Quorum{N: 2, W: 2, R: 1} }, "replication factor"},
+		{"no durability", func(c *Config) { c.Durability = nil }, "requires Durability"},
+		{"negative pull period", func(c *Config) { c.ReplPeriodMicros = -1 }, "ReplPeriodMicros"},
+		{"negative batch bound", func(c *Config) { c.ReplBatchRecords = -1 }, "ReplBatchRecords"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quorumCfg(1)
+			tc.mutate(&cfg)
+			_, err := NewSim(cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
 }
 
 // TestQuorumHealthyRun: with every site up, quorum mode must behave like a

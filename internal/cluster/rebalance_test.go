@@ -6,6 +6,7 @@ import (
 	"ucc/internal/deploy"
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/placement"
 	"ucc/internal/workload"
 )
 
@@ -284,5 +285,38 @@ func TestRebalanceHotMovesLoad(t *testing.T) {
 	}
 	if cl.RITotals().Committed != 60 {
 		t.Fatalf("committed=%d want 60", cl.RITotals().Committed)
+	}
+}
+
+// TestPlacementConfigValidation is the simulator entry point of the
+// placement rules in deploy.Config.Validate (the ucc facade and uccnode's
+// flags have their own).
+func TestPlacementConfigValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr bool
+	}{
+		{"default", func(c *Config) {}, false},
+		{"round-robin", func(c *Config) { c.Placement = placement.RoundRobin }, false},
+		{"range", func(c *Config) { c.Placement = placement.Range }, false},
+		{"hash", func(c *Config) { c.Placement = placement.Hash }, false},
+		{"unknown policy", func(c *Config) { c.Placement = "zigzag" }, true},
+		{"data sites negative", func(c *Config) { c.DataSites = -1 }, true},
+		{"data sites beyond sites", func(c *Config) { c.DataSites = 5 }, true},
+		{"data sites subset", func(c *Config) { c.DataSites = 2 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Config: deploy.Config{Sites: 4, Items: 8, Replicas: 2}, Seed: 1}
+			tc.mutate(&cfg)
+			_, err := NewSim(cfg)
+			if tc.wantErr && err == nil {
+				t.Fatal("want error, got nil")
+			}
+			if !tc.wantErr && err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
 	}
 }

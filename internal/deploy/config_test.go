@@ -9,39 +9,19 @@ import (
 	"ucc/internal/placement"
 )
 
-// TestValidate is the one table for every entry point's config validation:
-// the simulator (cluster.NewSim), the ucc facade and uccnode's flags all
-// reach Config.Validate, so a shape one refuses, all refuse. Degenerate
-// shapes are refused with a diagnosable error instead of clamped into
-// something that silently loses a property (quorum overlap, shard
-// addressing, one epoch-0 map per deployment).
+// TestValidate covers the Config.Validate rules no entry point's own suite
+// does: the shard bound, the RI timing defaults and the epoch-0 map over a
+// DataSites subset. The quorum and placement rules are tested through the
+// entry points that reach Validate: cluster.NewSim (TestQuorumConfigValidation,
+// TestPlacementConfigValidation) and uccnode's flags (TestQuorumFromFlags,
+// TestPlacementFromFlag), so a shape one refuses, all refuse.
 func TestValidate(t *testing.T) {
-	// quorum is a 3-site N=3/W=2/R=2 quorum deployment over in-memory WALs.
-	quorum := func(mutate func(*Config)) Config {
-		c := Config{Sites: 3, Items: 24, Replicas: 3,
-			Durability: &Durability{SnapshotEvery: 200}, Quorum: &model.Quorum{N: 3, W: 2, R: 2}}
-		mutate(&c)
-		return c
-	}
 	// layout is a 4-site deployment with two copies per item.
 	layout := func(mutate func(*Config)) Config {
 		c := Config{Sites: 4, Items: 8, Replicas: 2}
 		mutate(&c)
 		return c
 	}
-	// flags is the shape uccnode builds from -replicas, -quorum-n/-w/-r (all
-	// zero = no quorum) and -data-dir over 3 sites.
-	flags := func(n, w, r, replicas int, durable bool) Config {
-		c := Config{Sites: 3, Items: 24, Replicas: replicas}
-		if n != 0 || w != 0 || r != 0 {
-			c.Quorum = &model.Quorum{N: n, W: w, R: r}
-		}
-		if durable {
-			c.Durability = &Durability{Dir: "unused"}
-		}
-		return c
-	}
-	policy := func(p placement.Policy) Config { return Config{Sites: 4, Items: 8, Placement: p} }
 	// mapIs checks the epoch-0 map a valid config derives.
 	mapIs := func(p placement.Policy, sites, replicas int) func(*testing.T, Config) {
 		return func(t *testing.T, c Config) {
@@ -60,52 +40,8 @@ func TestValidate(t *testing.T) {
 		wantErr string // empty: valid
 		check   func(*testing.T, Config)
 	}{
-		{"quorum/valid", quorum(func(c *Config) {}), "", nil},
-		{"quorum/zero N", quorum(func(c *Config) { c.Quorum.N = 0 }), "must all be positive", nil},
-		{"quorum/zero W", quorum(func(c *Config) { c.Quorum.W = 0 }), "must all be positive", nil},
-		{"quorum/zero R", quorum(func(c *Config) { c.Quorum.R = 0 }), "must all be positive", nil},
-		{"quorum/negative W", quorum(func(c *Config) { c.Quorum.W = -1 }), "must all be positive", nil},
-		{"quorum/W exceeds N", quorum(func(c *Config) { c.Quorum.W = 4 }), "exceeds", nil},
-		{"quorum/R exceeds N", quorum(func(c *Config) { c.Quorum.R = 4 }), "exceeds", nil},
-		{"quorum/read-write quorums disjoint", quorum(func(c *Config) { c.Quorum.W = 1; c.Quorum.R = 2 }), "W+R", nil},
-		{"quorum/write quorums disjoint", quorum(func(c *Config) { c.Quorum.N = 3; c.Quorum.W = 1; c.Quorum.R = 3 }), "2W", nil},
-		{"quorum/N exceeds replicas", quorum(func(c *Config) { c.Replicas = 2; c.Quorum = &model.Quorum{N: 3, W: 2, R: 2} }), "replication factor", nil},
-		{"quorum/N below replicas", quorum(func(c *Config) { c.Quorum = &model.Quorum{N: 2, W: 2, R: 1} }), "replication factor", nil},
-		{"quorum/no durability", quorum(func(c *Config) { c.Durability = nil }), "requires Durability", nil},
-		{"quorum/negative pull period", quorum(func(c *Config) { c.ReplPeriodMicros = -1 }), "ReplPeriodMicros", nil},
-		{"quorum/negative batch bound", quorum(func(c *Config) { c.ReplBatchRecords = -1 }), "ReplBatchRecords", nil},
-
-		{"quorum flags/all zero is off", flags(0, 0, 0, 3, false), "", func(t *testing.T, c Config) {
-			if c.Quorum != nil {
-				t.Fatalf("quorum = %+v, want none", c.Quorum)
-			}
-		}},
-		{"quorum flags/valid 3-2-2", flags(3, 2, 2, 3, true), "", nil},
-		{"quorum flags/partial triple", flags(3, 0, 0, 3, true), "must all be positive", nil},
-		{"quorum flags/W exceeds N", flags(3, 4, 2, 3, true), "exceeds", nil},
-		{"quorum flags/disjoint read-write", flags(3, 1, 2, 3, true), "W+R", nil},
-		{"quorum flags/disjoint write-write", flags(3, 1, 3, 3, true), "2W", nil},
-		{"quorum flags/N vs replicas", flags(3, 2, 2, 2, true), "replication factor", nil},
-		{"quorum flags/no data-dir", flags(3, 2, 2, 3, false), "requires Durability", nil},
-		// 5 copies over 3 sites clamp to 3: a write quorum of 4 could never
-		// be reached. uccnode once checked N against the unclamped count.
-		{"quorum flags/N vs clamped replicas", flags(5, 4, 2, 5, true), "replication factor 3", nil},
-
-		{"placement/default", layout(func(c *Config) {}), "", mapIs(placement.RoundRobin, 4, 2)},
-		{"placement/round-robin", layout(func(c *Config) { c.Placement = placement.RoundRobin }), "", mapIs(placement.RoundRobin, 4, 2)},
-		{"placement/range", layout(func(c *Config) { c.Placement = placement.Range }), "", mapIs(placement.Range, 4, 2)},
-		{"placement/hash", layout(func(c *Config) { c.Placement = placement.Hash }), "", mapIs(placement.Hash, 4, 2)},
-		{"placement/unknown policy", layout(func(c *Config) { c.Placement = "zigzag" }), "unknown policy", nil},
-		{"placement/data sites negative", layout(func(c *Config) { c.DataSites = -1 }), "DataSites", nil},
-		{"placement/data sites beyond sites", layout(func(c *Config) { c.DataSites = 5 }), "DataSites", nil},
+		// A standby site outside DataSites holds no copy in the epoch-0 map.
 		{"placement/data sites subset", layout(func(c *Config) { c.DataSites = 2 }), "", mapIs(placement.RoundRobin, 2, 2)},
-
-		{"placement flag/empty defaults to round-robin", policy(""), "", mapIs(placement.RoundRobin, 4, 1)},
-		{"placement flag/round-robin", policy("round-robin"), "", mapIs(placement.RoundRobin, 4, 1)},
-		{"placement flag/range", policy("range"), "", mapIs(placement.Range, 4, 1)},
-		{"placement flag/hash", policy("hash"), "", mapIs(placement.Hash, 4, 1)},
-		{"placement flag/unknown policy", policy("zigzag"), "unknown policy", nil},
-		{"placement flag/case sensitive", policy("Range"), "unknown policy", nil},
 
 		// engine.Addr carries the shard index in one byte: 300 shards would
 		// alias shards 256..299 onto mailboxes 0..43.
