@@ -39,3 +39,4 @@ fuzz-seeds:
 	go test ./internal/qm -run '^Fuzz'
 	go test ./internal/wire -run '^Fuzz'
 	go test ./internal/repl -run '^Fuzz'
+	go test ./internal/wal -run '^Fuzz'

@@ -86,7 +86,7 @@ func main() {
 	// The node installs the runtime's uplink, so it is up before any tick is
 	// posted: the detector's first probe round and the first catch-up pull go
 	// to other sites.
-	node, err := transport.NewNode(rt, fmt.Sprintf("site%d", self), f.listen, siteTopology(peerList, f.client))
+	node, err := transport.NewNode(rt, fmt.Sprintf("site%d", self), f.listen, transport.StandardTopology(peerList, f.client))
 	if err != nil {
 		log.Fatalf("uccnode: %v", err)
 	}

@@ -22,12 +22,6 @@ func parsePeers(csv string, sites int) ([]string, error) {
 	return peers, nil
 }
 
-// siteTopology builds the node's topology; clientAddr may be empty until a
-// client connects inbound.
-func siteTopology(peers []string, clientAddr string) transport.Topology {
-	return transport.StandardTopology(peers, clientAddr)
-}
-
 // parseItems parses a comma-separated item-id list (for -move-items).
 func parseItems(csv string) ([]model.ItemID, error) {
 	if strings.TrimSpace(csv) == "" {

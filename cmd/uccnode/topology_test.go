@@ -5,6 +5,7 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/transport"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -38,7 +39,7 @@ func TestParsePeersErrors(t *testing.T) {
 }
 
 func TestSiteTopologyAssignment(t *testing.T) {
-	topo := siteTopology([]string{":7700", ":7701", ":7702"}, ":7709")
+	topo := transport.StandardTopology([]string{":7700", ":7701", ":7702"}, ":7709")
 	for i, addr := range []string{":7700", ":7701", ":7702"} {
 		name := topo.Assign(engine.QMAddr(model.SiteID(i)))
 		if got := topo.Peers[name]; got != addr {
@@ -58,7 +59,7 @@ func TestSiteTopologyAssignment(t *testing.T) {
 }
 
 func TestSiteTopologyWithoutClient(t *testing.T) {
-	topo := siteTopology([]string{":7700"}, "")
+	topo := transport.StandardTopology([]string{":7700"}, "")
 	if _, ok := topo.Peers["client"]; ok {
 		t.Error("client peer registered despite empty address")
 	}

@@ -61,8 +61,6 @@ func Abl1(cfg RunConfig) Result {
 		}
 	}
 	return Result{
-		ID: "ABL-1", Title: "Semi-locks vs lock-everything enforcement",
-		Claim:  "semi-locks preserve T/O concurrency that full locking sacrifices",
 		Tables: []*metrics.Table{table},
 	}
 }
@@ -99,8 +97,6 @@ func Abl2(cfg RunConfig) Result {
 		series.Add(float64(iv), meanS(out, model.PA))
 	}
 	return Result{
-		ID: "ABL-2", Title: "PA back-off interval sensitivity",
-		Claim:  "INT trades re-queue positioning against spurious waiting",
 		Tables: []*metrics.Table{table},
 		Series: []metrics.Series{series},
 	}
@@ -135,8 +131,6 @@ func Abl3(cfg RunConfig) Result {
 		series.Add(float64(per)/1000, meanS(out, model.TwoPL))
 	}
 	return Result{
-		ID: "ABL-3", Title: "Deadlock detection period sensitivity",
-		Claim:  "2PL's contended system time is dominated by detection latency",
 		Tables: []*metrics.Table{table},
 		Series: []metrics.Series{series},
 	}

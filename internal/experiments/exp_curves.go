@@ -47,8 +47,6 @@ func Exp1(cfg RunConfig) Result {
 			winner(s).String())
 	}
 	return Result{
-		ID: "EXP-1", Title: "System time S vs arrival rate λ",
-		Claim:  "2PL best at low λ, collapses at high λ; T/O steady, wins at high λ; PA best at moderate λ",
 		Tables: []*metrics.Table{table},
 		Series: series,
 	}
@@ -114,8 +112,6 @@ func Exp2(cfg RunConfig) Result {
 			metrics.F(restarts), winner(s).String())
 	}
 	return Result{
-		ID: "EXP-2", Title: "System time S vs transaction size st",
-		Claim:  "T/O becomes worse than 2PL and PA as st increases (restart probability grows with st)",
 		Tables: []*metrics.Table{table},
 		Series: series,
 	}
@@ -163,8 +159,6 @@ func Exp3(cfg RunConfig) Result {
 		series.Add(lam, ratio)
 	}
 	return Result{
-		ID: "EXP-3", Title: "Deadlocks vs blocking under 2PL",
-		Claim:  "directly deadlocked transactions stay few while S rises dramatically from blocking",
 		Tables: []*metrics.Table{table},
 		Series: []metrics.Series{series},
 	}
@@ -207,8 +201,6 @@ func Exp4(cfg RunConfig) Result {
 			metrics.F(msgs[0]), metrics.F(msgs[1]), metrics.F(msgs[2]))
 	}
 	return Result{
-		ID: "EXP-4", Title: "Restart/back-off/message costs vs load",
-		Claim:  "PA trades restarts for negotiation messages whose count grows with load; T/O restarts grow with load; 2PL victims grow with load",
 		Tables: []*metrics.Table{table},
 	}
 }

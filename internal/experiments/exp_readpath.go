@@ -101,9 +101,6 @@ func Exp10(cfg RunConfig) Result {
 		"with the fast path off, read-only scans hold read locks across their compute phase, convoying every queue they touch; on, they never enter a queue",
 		"RO 'mean S off' reads the PA row because the demoted scans commit as PA transactions there")
 	return Result{
-		ID:     "EXP-10",
-		Title:  "Read-only snapshot fast path on/off",
-		Claim:  "beyond the paper: on a ≥90%-read mix, serving read-only transactions from bounded version chains at a site-local snapshot timestamp at least doubles committed throughput vs queueing them, with zero restarts and conflict serializability preserved",
 		Tables: []*metrics.Table{table},
 		Notes:  notes,
 	}

@@ -50,8 +50,6 @@ func Exp8(cfg RunConfig) Result {
 			metrics.F(sDyn), mix)
 	}
 	return Result{
-		ID: "EXP-8", Title: "Workload archetypes: static vs dynamic",
-		Claim:  "'the best concurrency control algorithm' is transaction dependent (§1); the mix the selector picks differs per workload shape",
 		Tables: []*metrics.Table{table},
 	}
 }

@@ -263,9 +263,6 @@ func Exp11(cfg RunConfig) Result {
 		"hot-shard: every access hashes to shard 0 — sharding cannot help a skewed key space; spread the keys instead",
 	)
 	return Result{
-		ID:     "EXP-11",
-		Title:  "Queue-manager sharding: throughput scaling",
-		Claim:  "beyond the paper: partitioning a site's queue manager by item hash scales conflict-free read-write throughput with cores (≥1.5x at 4 shards on 4+ cores), while a hot-shard skew defeats it — and every execution stays conflict serializable",
 		Tables: []*metrics.Table{table},
 		Notes:  notes,
 	}

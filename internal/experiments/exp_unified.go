@@ -61,8 +61,6 @@ func Exp5(cfg RunConfig) Result {
 		notes = append(notes, "SERIALIZABILITY VIOLATION — protocol bug")
 	}
 	return Result{
-		ID: "EXP-5", Title: "Unified mixed-protocol execution",
-		Claim:  "mixed executions are conflict serializable; PA never restarts or deadlocks; persistent cycles always contain 2PL",
 		Tables: []*metrics.Table{table},
 		Notes:  notes,
 	}
@@ -131,8 +129,6 @@ func Exp6(cfg RunConfig) Result {
 		bestSeries.Add(lam, best)
 	}
 	return Result{
-		ID: "EXP-6", Title: "Dynamic min-STL selection vs static",
-		Claim:  "dynamic selection tracks the best static protocol across the load range",
 		Tables: []*metrics.Table{table},
 		Series: []metrics.Series{dynSeries, bestSeries},
 	}
@@ -214,8 +210,6 @@ func Exp7(cfg RunConfig) Result {
 		rank.AddRow(metrics.F(lam), meas.String(), pred.String(), ok)
 	}
 	return Result{
-		ID: "EXP-7", Title: "STL' evaluation and ranking accuracy",
-		Claim:  "STL' converges under grid refinement and its protocol ranking tracks measurements",
 		Tables: []*metrics.Table{table, rank},
 		Notes:  []string{fmt.Sprintf("ranking agreement: %d/%d load points", agree, len(lams))},
 	}

@@ -23,7 +23,8 @@ type RunConfig struct {
 	Seed  int64
 }
 
-// Result is one experiment's rendered output.
+// Result is one experiment's rendered output. Experiment.Run sets ID, Title
+// and Claim from the registry.
 type Result struct {
 	ID     string
 	Title  string
@@ -48,30 +49,39 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Experiment is a registered reproduction target.
+// Experiment is a registered reproduction target. The registry (All) is
+// the only place its ID, Title and Claim are declared.
 type Experiment struct {
 	ID    string
 	Title string
 	Claim string
-	Run   func(RunConfig) Result
+	run   func(RunConfig) Result
+}
+
+// Run runs the experiment; the result carries the registry's ID, Title and
+// Claim.
+func (e Experiment) Run(cfg RunConfig) Result {
+	r := e.run(cfg)
+	r.ID, r.Title, r.Claim = e.ID, e.Title, e.Claim
+	return r
 }
 
 // All returns every experiment in index order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "EXP-1", Title: "System time S vs arrival rate λ", Claim: "2PL best at low λ and collapses at high λ (blocking); T/O grows steadily and wins at high λ; PA tracks the better of the two and wins at moderate λ", Run: Exp1},
-		{ID: "EXP-2", Title: "System time S vs transaction size st", Claim: "T/O degrades fastest as st grows (restart probability ≈ 1−(1−p)^st); 2PL and PA handle large transactions better", Run: Exp2},
-		{ID: "EXP-3", Title: "Deadlocks vs blocking under 2PL", Claim: "the number of directly deadlocked transactions grows slowly with λ, but S rises dramatically because other transactions block behind them", Run: Exp3},
-		{ID: "EXP-4", Title: "Restart/back-off/message costs", Claim: "T/O pays restarts, PA pays extra negotiation messages that grow with load, 2PL pays deadlock aborts", Run: Exp4},
-		{ID: "EXP-5", Title: "Unified mixed-protocol execution", Claim: "every mixed execution is conflict serializable (Thm 2); deadlock cycles always contain a 2PL transaction (Cor 2); PA alone never deadlocks or restarts (Cor 1)", Run: Exp5},
-		{ID: "EXP-6", Title: "Dynamic min-STL selection", Claim: "choosing the protocol that minimizes STL per transaction matches or beats the best static choice across the load range", Run: Exp6},
-		{ID: "EXP-7", Title: "STL' evaluation and ranking accuracy", Claim: "STL' is efficiently computable by dynamic programming and its protocol ranking tracks the measured ranking", Run: Exp7},
-		{ID: "EXP-8", Title: "Workload archetypes: static vs dynamic", Claim: "'the best concurrency control algorithm' is transaction dependent (§1); the selector's chosen mix differs per workload shape", Run: Exp8},
-		{ID: "EXP-10", Title: "Read-only snapshot fast path on/off", Claim: "beyond the paper: on a ≥90%-read mix, serving read-only transactions from bounded version chains at a site-local snapshot timestamp at least doubles committed throughput vs queueing them, with zero restarts and conflict serializability preserved", Run: Exp10},
-		{ID: "EXP-11", Title: "Queue-manager sharding: throughput scaling", Claim: "beyond the paper: partitioning a site's queue manager by item hash scales conflict-free read-write throughput with cores (≥1.5x at 4 shards on 4+ cores), while a hot-shard skew defeats it — and every execution stays conflict serializable", Run: Exp11},
-		{ID: "ABL-1", Title: "Semi-locks vs lock-everything", Claim: "the semi-lock protocol preserves T/O's concurrency; the simpler all-locking unification sacrifices it", Run: Abl1},
-		{ID: "ABL-2", Title: "PA back-off interval sensitivity", Claim: "the INT back-off granularity trades spurious waiting against re-negotiation positioning", Run: Abl2},
-		{ID: "ABL-3", Title: "Deadlock detection period sensitivity", Claim: "2PL's system time under contention is dominated by detection latency", Run: Abl3},
+		{ID: "EXP-1", Title: "System time S vs arrival rate λ", Claim: "2PL best at low λ and collapses at high λ (blocking); T/O grows steadily and wins at high λ; PA tracks the better of the two and wins at moderate λ", run: Exp1},
+		{ID: "EXP-2", Title: "System time S vs transaction size st", Claim: "T/O degrades fastest as st grows (restart probability ≈ 1−(1−p)^st); 2PL and PA handle large transactions better", run: Exp2},
+		{ID: "EXP-3", Title: "Deadlocks vs blocking under 2PL", Claim: "the number of directly deadlocked transactions grows slowly with λ, but S rises dramatically because other transactions block behind them", run: Exp3},
+		{ID: "EXP-4", Title: "Restart/back-off/message costs", Claim: "T/O pays restarts, PA pays extra negotiation messages that grow with load, 2PL pays deadlock aborts", run: Exp4},
+		{ID: "EXP-5", Title: "Unified mixed-protocol execution", Claim: "every mixed execution is conflict serializable (Thm 2); deadlock cycles always contain a 2PL transaction (Cor 2); PA alone never deadlocks or restarts (Cor 1)", run: Exp5},
+		{ID: "EXP-6", Title: "Dynamic min-STL selection", Claim: "choosing the protocol that minimizes STL per transaction matches or beats the best static choice across the load range", run: Exp6},
+		{ID: "EXP-7", Title: "STL' evaluation and ranking accuracy", Claim: "STL' is efficiently computable by dynamic programming and its protocol ranking tracks the measured ranking", run: Exp7},
+		{ID: "EXP-8", Title: "Workload archetypes: static vs dynamic", Claim: "'the best concurrency control algorithm' is transaction dependent (§1); the selector's chosen mix differs per workload shape", run: Exp8},
+		{ID: "EXP-10", Title: "Read-only snapshot fast path on/off", Claim: "beyond the paper: on a ≥90%-read mix, serving read-only transactions from bounded version chains at a site-local snapshot timestamp at least doubles committed throughput vs queueing them, with zero restarts and conflict serializability preserved", run: Exp10},
+		{ID: "EXP-11", Title: "Queue-manager sharding: throughput scaling", Claim: "beyond the paper: partitioning a site's queue manager by item hash scales conflict-free read-write throughput with cores (≥1.5x at 4 shards on 4+ cores), while a hot-shard skew defeats it — and every execution stays conflict serializable", run: Exp11},
+		{ID: "ABL-1", Title: "Semi-locks vs lock-everything", Claim: "the semi-lock protocol preserves T/O's concurrency; the simpler all-locking unification sacrifices it", run: Abl1},
+		{ID: "ABL-2", Title: "PA back-off interval sensitivity", Claim: "the INT back-off granularity trades spurious waiting against re-negotiation positioning", run: Abl2},
+		{ID: "ABL-3", Title: "Deadlock detection period sensitivity", Claim: "2PL's system time under contention is dominated by detection latency", run: Abl3},
 	}
 }
 

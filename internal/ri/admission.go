@@ -80,7 +80,8 @@ func (o *AdmissionOptions) fill() {
 }
 
 // admission is the controller state. It is owned by the issuer and accessed
-// only under the issuer's mutex.
+// only under the issuer's mutex. A nil controller is admission disabled: it
+// admits everything and ignores feedback.
 type admission struct {
 	opts         AdmissionOptions
 	window       float64
@@ -102,6 +103,9 @@ func newAdmission(o AdmissionOptions) *admission {
 
 // admit decides one new-transaction start, spending a token when it passes.
 func (a *admission) admit(now int64, inFlight int) bool {
+	if a == nil {
+		return true
+	}
 	if inFlight >= int(a.window) {
 		return false
 	}
@@ -125,6 +129,9 @@ func (a *admission) admit(now int64, inFlight int) bool {
 
 // onCommit feeds one committed transaction's latency into AIMD.
 func (a *admission) onCommit(now, latencyMicros int64) {
+	if a == nil {
+		return
+	}
 	if a.opts.TargetLatencyMicros > 0 && latencyMicros > a.opts.TargetLatencyMicros {
 		a.decrease(now)
 		return
@@ -136,7 +143,19 @@ func (a *admission) onCommit(now, latencyMicros int64) {
 }
 
 // onBusy feeds one BusyMsg NAK into AIMD.
-func (a *admission) onBusy(now int64) { a.decrease(now) }
+func (a *admission) onBusy(now int64) {
+	if a != nil {
+		a.decrease(now)
+	}
+}
+
+// currentWindow is the in-flight window, 0 when admission is disabled.
+func (a *admission) currentWindow() float64 {
+	if a == nil {
+		return 0
+	}
+	return a.window
+}
 
 func (a *admission) decrease(now int64) {
 	// The first congestion signal always counts — engine time may start at

@@ -64,17 +64,20 @@
 // is sent), which is what the version chains — and therefore the snapshots
 // — are ordered by.
 //
-// Overload defense: restarts back off exponentially (RestartDelayMicros
-// doubling per failed attempt up to RestartDelayCapMicros, ±50% jitter —
-// a flat delay re-collides every loser of a conflict round at the same rate
-// forever), and an optional admission controller (Options.Admission) gates
-// every new-transaction start behind a token bucket and an AIMD in-flight
-// window. The window grows additively on in-target commits and shrinks
-// multiplicatively on congestion signals — a commit over the latency
-// target, or a model.BusyMsg NAK from a saturated queue manager. Refused
-// arrivals are shed: reported with OutcomeShed, never launched, and (in
-// closed-loop mode) their driver slot freed immediately. A BusyMsg for a
-// launched read-write attempt aborts and restarts it under the backoff; a
+// Overload defense: restarts back off exponentially
+// (Options.RestartDelayMicros), and an optional admission controller
+// (AdmissionOptions) sheds new transactions at the front door. A BusyMsg for
+// a launched read-write attempt aborts and restarts it under the backoff; a
 // read-only snapshot transaction is shed outright (the fast path has no
 // retry machinery by design).
+//
+// Files, one seam each, all methods of the one Issuer behind OnMessage:
+//
+//   - issuer.go: Options, New, OnMessage's dispatch, submit, stats.
+//   - readwrite.go: the 2PL, T/O and PA lifecycles, semi-lock release.
+//   - readonly.go: the read-only snapshot lifecycle.
+//   - restart.go: NAK handling, restart back-off, the MaxAttempts drop.
+//   - quorum.go: replica access; every write-all-vs-quorum choice.
+//   - freelist.go: the reused transaction states.
+//   - admission.go: the admission controller.
 package ri

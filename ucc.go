@@ -120,8 +120,9 @@ type Config struct {
 	// contention: every loser of a conflict round retries at the same rate
 	// and the round re-collides forever.
 	RestartDelayCap time.Duration
-	// SemiLocks selects the §4.2 semi-lock enforcement; disabling it falls
-	// back to the paper's simpler lock-everything unification (default on).
+	// DisableSemiLocks turns off the §4.2 semi-lock enforcement (on by
+	// default) and falls back to the paper's simpler lock-everything
+	// unification.
 	DisableSemiLocks bool
 
 	// DisableReadOnlyFastPath demotes every ROSnapshot transaction to a PA
