@@ -214,9 +214,12 @@ func requireReplicasAgree(t *testing.T, cl *Cluster, what string) {
 }
 
 // TestCatchUpShipsOnlyMissing: under steady quorum traffic a site is shipped
-// what it lacks — the writes whose quorum it sat out — and little else. Each
-// such record is offered by both other holders within one pull period, so
-// about one skip per apply is the floor; shipping every record of every log
+// what it lacks — the writes whose quorum it sat out — and little else. Such
+// a record is held by both other sites, but a site pulls its peers half a
+// period apart, and the pull to the second holder names what the first one
+// shipped, so the second leaves it out: the few skips left are records a
+// pull could not name yet. Pulling both holders at once, as the puller did
+// before, costs about one skip per apply; shipping every record of every log
 // (each write W-fold, plus the echo of every shipped record) costs ten. And a
 // snapshot, forced here on top of the automatic ones, truncates the segments
 // under the pullers' marks without resetting anyone: the tail still holds
@@ -251,7 +254,8 @@ func TestCatchUpShipsOnlyMissing(t *testing.T) {
 	if qt.ReplResets != 0 {
 		t.Errorf("%d resets in a run where no site crashed: a snapshot between two pulls must not reset the puller", qt.ReplResets)
 	}
-	if 2*qt.ReplSkipped > 3*qt.ReplApplied {
-		t.Errorf("shipped %d records the puller skipped against %d it applied: want at most 1.5 skips per apply", qt.ReplSkipped, qt.ReplApplied)
+	t.Logf("applied %d shipped records, skipped %d", qt.ReplApplied, qt.ReplSkipped)
+	if 4*qt.ReplSkipped > qt.ReplApplied {
+		t.Errorf("shipped %d records the puller skipped against %d it applied: want at most 0.25 skips per apply", qt.ReplSkipped, qt.ReplApplied)
 	}
 }

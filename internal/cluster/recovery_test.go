@@ -479,18 +479,29 @@ func TestCrashInsideCommitWindow(t *testing.T) {
 // TestDigestOfUnsyncedWritesDiesWithTheCrash: a pull's digest names writes
 // the puller has journaled, synced or not. Site 1 is crashed in the one
 // window where that matters — its periodic pull, naming writes still inside
-// their group-commit window, has reached both peers, and the replies whose
-// apply would sync them are still on the wire — and the workload is stopped
-// right there, so little can overwrite what the crash destroyed. The peers
-// must then forget what site 1 claimed (its next pull is from sequence zero)
-// and ship those writes again; a peer that kept believing the claim would
-// withhold them for good.
+// their group-commit window, has reached its peer, and the reply whose apply
+// would sync them is still on the wire — and the workload is stopped right
+// there, so little can overwrite what the crash destroyed. The peer must then
+// forget what site 1 claimed (its next pull is from sequence zero) and ship
+// those writes again; a peer that kept believing the claim would withhold
+// them for good.
+//
+// The cluster has two sites, each the other's only peer. With three, a
+// site's pulls to its two peers are half a period apart, and the reply to
+// the first syncs the claimed writes before the second pull can name them:
+// a crash catches the claim at one peer only, and the other one, or a site
+// that caught up from it, ships the writes back whatever the first believes.
 func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
-	const period, oneWay = 150_000, 2_000 // pull ticks fall on multiples of period
+	const period, oneWay = 150_000, 2_000
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
 		cfg := quorumCfg(seed)
+		cfg.Sites, cfg.Replicas = 2, 2
+		cfg.Quorum = &model.Quorum{N: 2, W: 2, R: 1}
 		cfg.Durability.GroupCommitMicros = 40_000
 		cfg.ReplPeriodMicros = period
+		// Pull ticks fall on multiples of the tick: the period divided among
+		// a site's peers, here the one.
+		tick := int64(period / (cfg.Sites - 1))
 		cfg.Latency = engine.FixedLatency{RemoteMicros: oneWay, LocalMicros: 50}
 		cl, err := NewSim(cfg)
 		if err != nil {
@@ -500,7 +511,7 @@ func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
 		cl.Start()
 		cl.Eng.RunUntil(1_000_000)
 		// Step on to the first pull tick that finds site 1 holding unsynced
-		// writes, give its pulls time to land (one way) but not to be
+		// writes, give its pull time to land (one way) but not to be
 		// answered (two ways), and crash there if nothing synced meanwhile.
 		prev := cl.WALs[1].Stats()
 		dirtySince := int64(-1) // when the oldest unsynced write was journaled
@@ -516,19 +527,19 @@ func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
 				dirtySince = cl.Eng.NowMicros()
 			}
 			prev = st
-			if dirtySince < 0 || cl.Eng.NowMicros() < (dirtySince/period+1)*period {
+			if dirtySince < 0 || cl.Eng.NowMicros() < (dirtySince/tick+1)*tick {
 				continue
 			}
-			cl.Eng.RunUntil((dirtySince/period+1)*period + oneWay + oneWay/2)
+			cl.Eng.RunUntil((dirtySince/tick+1)*tick + oneWay + oneWay/2)
 			if cl.WALs[1].Stats().Syncs == prev.Syncs {
 				break
 			}
 			prev, dirtySince = cl.WALs[1].Stats(), -1
 		}
 		before := cl.Stores[1].Copies()
-		// The outage outlasts the round trip: the replies to the pre-crash
-		// pulls must find the site down, or they would advance its zeroed
-		// marks (internal/repl's documented stale-reply window).
+		// The outage outlasts the round trip: the reply to the pre-crash
+		// pull must find the site down, or it would advance a zeroed mark
+		// (internal/repl's documented stale-reply window).
 		cl.CrashSite(1, 0)
 		cl.RecoverSite(1, 4*oneWay)
 		for cl.Managers[1].Snapshot().Recoveries == 0 {

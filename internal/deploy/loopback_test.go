@@ -20,7 +20,9 @@ import (
 // plus a client runtime hosting the collector and the drivers, the way
 // uccclient does, and drives mixed 2PL/T/O/PA traffic through them. Every
 // protocol must commit, and once the traffic has settled every issuer must
-// be idle with each submitted transaction accounted for.
+// be idle with each submitted transaction accounted for, and every queue
+// manager's queues must drain empty: a release or withdrawal lost on the
+// wire would strand its entry there.
 func TestLoopbackSites(t *testing.T) {
 	base := Config{
 		Sites: 3, Items: 48,
@@ -58,6 +60,7 @@ func runLoopback(t *testing.T, cfg Config) {
 		rts    []*engine.Runtime
 		nodes  []*transport.Node
 		issuer []*ri.Issuer
+		mgrs   []*qm.Manager
 	)
 	defer func() {
 		for _, n := range nodes {
@@ -82,7 +85,7 @@ func runLoopback(t *testing.T, cfg Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		issuer = append(issuer, p.Issuer)
+		issuer, mgrs = append(issuer, p.Issuer), append(mgrs, p.Manager)
 		listen(rt, fmt.Sprintf("site%d", s))
 	}
 	client := engine.NewRuntime(engine.FixedLatency{}, 42)
@@ -134,10 +137,34 @@ func runLoopback(t *testing.T, cfg Config) {
 				i, st.Submitted, st.Committed, st.Shed, st.ROBusyShed, st.Dropped)
 		}
 	}
+	// The last releases and withdrawals may still be on the wire when the
+	// issuers go idle.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		site, item, depth := queuedEntry(mgrs, cfg.Items)
+		if depth == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("site %d: item %d keeps %d queue entries after the issuers settled", site, item, depth)
+		}
+	}
 	sum := collector.Summarize()
 	for _, p := range model.Protocols {
 		if sum.Protocols[p].Committed == 0 {
 			t.Errorf("%v: nothing committed", p)
 		}
 	}
+}
+
+// queuedEntry returns a site, an item and its queue depth there, the depth
+// nonzero when any of the managers still queues an entry for any item.
+func queuedEntry(mgrs []*qm.Manager, items int) (site, item, depth int) {
+	for s, m := range mgrs {
+		for i := 0; i < items; i++ {
+			if d := m.QueueDepth(model.ItemID(i)); d != 0 {
+				return s, i, d
+			}
+		}
+	}
+	return 0, 0, 0
 }

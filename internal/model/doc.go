@@ -14,6 +14,12 @@
 // model.Protocols deliberately excludes it while model.NumProtocols sizes
 // arrays that account for it.
 //
+// An attempt's per-copy messages to one queue-manager mailbox travel as one
+// batch per protocol step: RequestBatchMsg, GrantBatchMsg, ReleaseBatchMsg
+// and AbortBatchMsg stand for that many RequestMsg, GrantMsg, ReleaseMsg and
+// AbortMsg, member by member, and a batch of one encodes to the very bytes
+// of its single message.
+//
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
 // transport, WAL) can share one wire vocabulary. Serialization is the wire-v4

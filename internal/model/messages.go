@@ -189,6 +189,37 @@ type AbortMsg struct {
 	Copy    CopyID
 }
 
+// AbortBatchMsg is the completer twin of RequestBatchMsg for withdrawals: it
+// withdraws one attempt from every copy it names at one queue-manager
+// mailbox. Member i is handled exactly as Abort(i), and a batch of one
+// encodes to the very bytes of the AbortMsg it stands for.
+type AbortBatchMsg struct {
+	Txn     TxnID
+	Attempt Attempt
+	// CopySite is the site every member's copy lives at: the destination.
+	CopySite SiteID
+	// Members lists the items withdrawn, in item order.
+	Members []ItemID
+}
+
+// Abort returns member i as the AbortMsg it stands for.
+func (m AbortBatchMsg) Abort(i int) AbortMsg {
+	return AbortMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: m.Members[i], Site: m.CopySite}}
+}
+
+// Len returns the member count (see RequestBatchMsg.Len).
+func (m AbortBatchMsg) Len() int { return len(m.Members) }
+
+// Item returns member i's item (see RequestBatchMsg.Len).
+func (m AbortBatchMsg) Item(i int) ItemID { return m.Members[i] }
+
+// Sub returns members [lo, hi) as a batch of their own (see
+// RequestBatchMsg.Len).
+func (m AbortBatchMsg) Sub(lo, hi int) Message {
+	m.Members = slices.Clone(m.Members[lo:hi])
+	return m
+}
+
 // ---------------------------------------------------------------------------
 // QM → RI
 // ---------------------------------------------------------------------------
@@ -819,6 +850,9 @@ func (m RequestBatchMsg) wireTag() WireTag {
 }
 func (m ReleaseBatchMsg) wireTag() WireTag {
 	return batchTag(len(m.Members), TagRelease, TagReleaseBatch)
+}
+func (m AbortBatchMsg) wireTag() WireTag {
+	return batchTag(len(m.Members), TagAbort, TagAbortBatch)
 }
 func (m GrantBatchMsg) wireTag() WireTag {
 	return batchTag(len(m.Members), TagGrant, TagGrantBatch)

@@ -38,6 +38,9 @@ func rowValue(tag WireTag) Message {
 	case ReleaseBatchMsg:
 		m.Members = make([]ReleaseMember, 2)
 		return m
+	case AbortBatchMsg:
+		m.Members = make([]ItemID, 2)
+		return m
 	case GrantBatchMsg:
 		m.Members = make([]GrantMember, 2)
 		return m
@@ -57,7 +60,7 @@ func rowValue(tag WireTag) Message {
 
 // TestMessageTable: every tag up to TagLast has a decode-table row, the row's
 // type travels under that tag and decodes back to the same type, and exactly
-// the sixteen hot protocol types come back from DecodeMessagePooled as
+// the seventeen hot protocol types come back from DecodeMessagePooled as
 // pointers, and the submit with a pooled Txn.
 func TestMessageTable(t *testing.T) {
 	decodePooled := map[WireTag]bool{
@@ -65,7 +68,7 @@ func TestMessageTable(t *testing.T) {
 		TagNormalGrant: true, TagReject: true, TagBackoff: true, TagBusy: true,
 		TagSnapRead: true, TagSnapReadReply: true,
 		TagRequestBatch: true, TagReleaseBatch: true, TagGrantBatch: true,
-		TagSnapReadBatch: true, TagSnapReadReplyBatch: true,
+		TagSnapReadBatch: true, TagSnapReadReplyBatch: true, TagAbortBatch: true,
 		TagSubmitTxn: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {

@@ -84,6 +84,8 @@ const (
 
 	TagSnapReadBatch      WireTag = 37
 	TagSnapReadReplyBatch WireTag = 38
+
+	TagAbortBatch WireTag = 39
 )
 
 // TagLast is the highest assigned tag, the decode table's last row
@@ -637,6 +639,33 @@ func decodeReleaseBatch(r *WireReader, members []ReleaseMember) (m ReleaseBatchM
 	members = slices.Grow(members[:0], n)
 	for i := 0; i < n; i++ {
 		members = append(members, ReleaseMember{Item: ItemID(r.Varint32()), HasWrite: r.Bool(), Value: r.Varint()})
+	}
+	m.Members = members
+	return m
+}
+
+// AppendWire encodes the body (no tag) onto b: a batch of one as the
+// AbortMsg it stands for.
+func (m AbortBatchMsg) AppendWire(b []byte) []byte {
+	if len(m.Members) == 1 {
+		return m.Abort(0).AppendWire(b)
+	}
+	b = appendTxnID(b, m.Txn)
+	b = AppendUvarint(b, uint64(m.Attempt))
+	b = AppendVarint(b, int64(m.CopySite))
+	return appendItems(b, m.Members)
+}
+
+// decodeAbortBatch decodes a batch body into members[:0] (see
+// decodeRequestBatch).
+func decodeAbortBatch(r *WireReader, members []ItemID) (m AbortBatchMsg) {
+	m.Txn = r.txnID()
+	m.Attempt = Attempt(r.Uvarint32())
+	m.CopySite = SiteID(r.Varint32())
+	n := r.batchCount(1)
+	members = slices.Grow(members[:0], n)
+	for i := 0; i < n; i++ {
+		members = append(members, ItemID(r.Varint32()))
 	}
 	m.Members = members
 	return m
@@ -1378,6 +1407,7 @@ var codecs = [...]codec{
 	TagSnapReadBatch:   batch(&snapReadBatchPool, func(p *SnapReadBatchMsg) []ItemID { return p.Members }, decodeSnapReadBatch),
 	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, func(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members },
 		decodeSnapReadReplyBatch),
+	TagAbortBatch: batch(&abortBatchPool, func(p *AbortBatchMsg) []ItemID { return p.Members }, decodeAbortBatch),
 }
 
 // AppendMessage appends tag + body. A nil message and an empty batch have no

@@ -126,6 +126,7 @@ func TestMessageTagsStable(t *testing.T) {
 		36: GrantBatchMsg{Members: make([]GrantMember, 2)},
 		37: SnapReadBatchMsg{Members: make([]ItemID, 2)},
 		38: SnapReadReplyBatchMsg{Members: make([]SnapReadReplyMember, 2)},
+		39: AbortBatchMsg{Members: make([]ItemID, 2)},
 	}
 	for tag, msg := range want {
 		got, ok := MessageTag(msg)
@@ -162,6 +163,8 @@ var goldenBatches = []struct {
 		{Item: 19, Value: 42, Version: 3, CommitMicros: 1_699_999_998_000_000, Exact: true},
 		{Item: 300, Value: 100, CommitMicros: 0}}},
 		"26022a0004030e051180f7f7808389850601265403ff887a01d804c80100ffedfdff8289850600"},
+	{AbortBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []ItemID{7, 19, 300}},
+		"27022a0304030e26d804"},
 }
 
 // goldenStamped are the single messages that carry a stamp as a delta from
@@ -195,11 +198,22 @@ func checkGolden(t *testing.T, msg Message, hexWant string) {
 	}
 }
 
-// TestBatchGoldenBytes pins the batch encodings and their decode back.
+// TestBatchGoldenBytes pins the batch encodings and their decode back, and
+// that a withdrawal of one copy is byte for byte the AbortMsg it stands for.
 func TestBatchGoldenBytes(t *testing.T) {
 	for _, g := range goldenBatches {
 		checkGolden(t, g.msg, g.hex)
 	}
+	one := AbortBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []ItemID{300}}
+	b, err := AppendMessage(nil, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const abortHex = "04022a03d80404"
+	if got := hex.EncodeToString(b); got != abortHex {
+		t.Errorf("AbortBatchMsg of one encodes to %s, want the AbortMsg's %s", got, abortHex)
+	}
+	checkGolden(t, one.Abort(0), abortHex)
 }
 
 // TestStampedGoldenBytes pins the encodings of the single messages whose
@@ -241,6 +255,11 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 		case SnapReadReplyBatchMsg:
 			v.Members = v.Members[len(v.Members)-1:]
 			one, single = v, v.Reply(0)
+			v.Members = nil
+			empty = v
+		case AbortBatchMsg:
+			v.Members = v.Members[len(v.Members)-1:]
+			one, single = v, v.Abort(0)
 			v.Members = nil
 			empty = v
 		}
@@ -290,6 +309,11 @@ func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 			none = v
 		case SnapReadReplyBatchMsg:
 			v.Members = []SnapReadReplyMember{v.Members[0], v.Members[0]}
+			twins = v
+			v.Members = nil
+			none = v
+		case AbortBatchMsg:
+			v.Members = []ItemID{v.Members[0], v.Members[0]}
 			twins = v
 			v.Members = nil
 			none = v

@@ -10,9 +10,9 @@ import (
 // DecodeMessage returns value-typed messages; storing one in the Message
 // interface boxes it — one small heap allocation per message, the last
 // steady-state allocation on both the wire decode path and the in-process
-// send path. The sixteen hot protocol types — eleven fixed-size messages
-// and the five batches (RequestBatch, ReleaseBatch, GrantBatch, SnapReadBatch,
-// SnapReadReplyBatch) — therefore pool in both directions:
+// send path. The seventeen hot protocol types — eleven fixed-size messages
+// and the six batches (RequestBatch, ReleaseBatch, AbortBatch, GrantBatch,
+// SnapReadBatch, SnapReadReplyBatch) — therefore pool in both directions:
 // DecodeMessagePooled decodes into pooled structs returned as pointers (the
 // decode table's decodePooled rows), the
 // PooledRequest/PooledGrant/... constructors wrap a value into a pooled
@@ -365,6 +365,28 @@ func (m *SnapReadReplyBatchMsg) recycle() {
 }
 
 func (m *SnapReadReplyBatchMsg) unpool() Message {
+	c := *m
+	c.Members = slices.Clone(m.Members)
+	return c
+}
+
+var abortBatchPool msgPool[AbortBatchMsg]
+
+// PooledAbortBatch returns v as a pooled *AbortBatchMsg (members copied, see
+// PooledRequestBatch).
+func PooledAbortBatch(v AbortBatchMsg) *AbortBatchMsg {
+	p := abortBatchPool.get()
+	v.Members = append(p.Members[:0], v.Members...)
+	*p = v
+	return p
+}
+
+func (m *AbortBatchMsg) recycle() {
+	*m = AbortBatchMsg{Members: keptMembers(m.Members)}
+	abortBatchPool.Put(m)
+}
+
+func (m *AbortBatchMsg) unpool() Message {
 	c := *m
 	c.Members = slices.Clone(m.Members)
 	return c

@@ -281,6 +281,41 @@ func TestSnapReadBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAbortBatchAllocatesNothing: an attempt opened at one mailbox by a
+// request batch and withdrawn there by one pooled AbortBatchMsg — a quorum
+// write's lagging copy, or a NAK'd attempt — costs the queue manager no
+// allocation once the pools are warm, and every member is withdrawn.
+func TestAbortBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, _ := testManager(8, true)
+	m.recorder = nil
+	var ctx drainCtx
+	open := batchOf(1, model.TwoPL, model.OpWrite, model.NoTimestamp, 0, 2, 3, 5)
+	withdraw := model.AbortBatchMsg{Txn: open.Txn, Members: []model.ItemID{0, 2, 3, 5}}
+	cycle := func() {
+		p := model.PooledRequestBatch(open)
+		m.OnMessage(&ctx, engine.RIAddr(1), p)
+		model.RecycleMessage(p)
+		a := model.PooledAbortBatch(withdraw)
+		m.OnMessage(&ctx, engine.RIAddr(1), a)
+		model.RecycleMessage(a)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Fatalf("a request batch and its withdrawal allocate %.0f times, want 0", got)
+	}
+	if c := m.Snapshot(); c.Aborts != 4*202 { // AllocsPerRun warms up with one run of its own
+		t.Fatalf("%d aborts over 202 withdrawals of 4 copies, want %d", c.Aborts, 4*202)
+	}
+	for _, item := range withdraw.Members {
+		if d := m.QueueDepth(item); d != 0 {
+			t.Fatalf("item %d keeps %d entries after the withdrawal", item, d)
+		}
+	}
+}
+
 // TestBatchSpanningShardsIsSplit: a batch whose members hash to different
 // shards (an issuer whose QMShards disagrees with the site's) is still
 // handled member by member, each by the shard owning its item.

@@ -32,13 +32,13 @@
 //   - Deadlock probes and the stats tick: aggregated across shards into
 //     one per-site report.
 //
-// Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg or
-// model.SnapReadBatchMsg is its members. The Manager routes it by its
-// members' items — whole to the owning shard when they share one, as the
-// issuer's per-mailbox batches do — and the shard handles member i exactly
-// as the single message it stands for: ownership and epoch checks,
-// MaxQueueDepth, the sealed-item busy NAK, counters and deferral while
-// crashed are all per copy. The grants a request batch earns for its own
+// Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg,
+// model.AbortBatchMsg or model.SnapReadBatchMsg is its members. The Manager
+// routes it by its members' items — whole to the owning shard when they
+// share one, as the issuer's per-mailbox batches do — and the shard handles
+// member i exactly as the single message it stands for: ownership and epoch
+// checks, MaxQueueDepth, the sealed-item busy NAK, counters and deferral
+// while crashed are all per copy. The grants a request batch earns for its own
 // attempt, and the snapshot replies a snapshot-read batch is served, are
 // held while the shard handles it and leave as one model.GrantBatchMsg or
 // model.SnapReadReplyBatchMsg when it ends. The ordering rule that keeps

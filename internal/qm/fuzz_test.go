@@ -3,6 +3,7 @@ package qm
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,19 +72,20 @@ func checkQueueInvariants(t *testing.T, q *dataQueue) {
 // runQueueScript is the one interpreter behind every queue fuzz input: a
 // byte string decoded as a message script — interleaved requests across
 // protocols and items, request batches, PA final timestamps, releases,
-// semi-lock conversions, aborts, probes, stale releases — driven into two
-// sharded managers, with checkQueueInvariants asserted on every queue after
-// every message. The managers see the same script except for the batches:
-// one gets each batch whole, the other its members as single RequestMsgs in
-// order, and after every step both must agree exactly — queue state,
+// semi-lock conversions, aborts, withdrawals of a whole transaction, probes,
+// stale releases — driven into two sharded managers, with
+// checkQueueInvariants asserted on every queue after every message. The
+// managers see the same script except for the batches: one gets each request
+// or abort batch whole, the other its members as single RequestMsgs or
+// AbortMsgs in order, and after every step both must agree exactly — queue state,
 // counters, and each issuer's replies in order once grant batches are
 // expanded into the grants they carry. At the end every live transaction is
 // aborted and every queue must drain empty.
 //
 // The script grammar is 3 bytes per step:
 //
-//	b0 % 8  → opcode (0-2 request, 3 request batch, 4 finalTS, 5-6 release,
-//	          7 abort/probe/stale)
+//	b0 % 9  → opcode (0-2 request, 3 request batch, 4 finalTS, 5-6 release,
+//	          7 abort/probe/stale, 8 withdraw a transaction)
 //	b1      → protocol/kind/item selector
 //	b2      → timestamp delta / txn selector / batch size
 func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
@@ -96,8 +98,8 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 		}
 		return New(0, st, nil, Options{Shards: shards})
 	}
-	// mB gets request batches whole, mS as their members; everything else
-	// goes to both.
+	// mB gets request and abort batches whole, mS as their members;
+	// everything else goes to both.
 	mB, mS := newManager(), newManager()
 	ctxB, ctxS := newFakeCtx(), newFakeCtx()
 	both := func(from engine.Addr, msg model.Message) {
@@ -198,7 +200,7 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 
 	for at := 0; at+2 < len(script); at += 3 {
 		b0, b1, b2 := script[at], script[at+1], script[at+2]
-		switch b0 % 8 {
+		switch b0 % 9 {
 		case 0, 1, 2: // new request
 			nextSeq++
 			lc := &liveCopy{
@@ -284,6 +286,25 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 			default:
 				both(engine.RIAddr(0), model.ProbeWFGMsg{Round: uint64(at)})
 			}
+		case 8: // withdraw every live copy of one transaction, batched
+			if len(live) == 0 {
+				break
+			}
+			id := live[int(b2)%len(live)].id
+			b := model.AbortBatchMsg{Txn: id}
+			for _, lc := range slices.Clone(live) {
+				if lc.id == id {
+					b.Members = append(b.Members, lc.item)
+					remove(lc)
+				}
+			}
+			slices.Sort(b.Members)
+			pooled := model.PooledAbortBatch(b)
+			mB.OnMessage(ctxB, engine.RIAddr(id.Site), pooled)
+			model.RecycleMessage(pooled)
+			for i := range b.Members {
+				mS.OnMessage(ctxS, engine.RIAddr(id.Site), b.Abort(i))
+			}
 		}
 		drain()
 		checkAll()
@@ -323,8 +344,8 @@ func soupScript(seed int64) (shardsRaw uint8, script []byte) {
 }
 
 // FuzzQueueMessages is the queue manager's fuzz target. Its seed corpus —
-// hand-written scripts per opcode family (the last two lean on request
-// batches) plus 25 seeded soups — runs on
+// hand-written scripts per opcode family (the last three lean on request
+// and abort batches) plus 25 seeded soups — runs on
 // every `go test`; `go test -fuzz FuzzQueueMessages` explores interleavings
 // the seeds cannot.
 func FuzzQueueMessages(f *testing.F) {
@@ -340,6 +361,11 @@ func FuzzQueueMessages(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 0x11, 9, 3, 0x01, 0x1e, 5, 0x00, 0, 3, 0x02, 0x02, 7, 0x00, 0})
 	// PA batches backing off behind each other, final timestamps, releases.
 	f.Add(uint8(2), []byte{3, 0x02, 0x3f, 3, 0x06, 0x3d, 4, 0, 0, 4, 0, 0, 5, 0, 1, 6, 0, 2, 3, 0x0a, 0x21})
+	// A 2PL write batch over items 0-3 and a second one queued behind it on
+	// items 1-3, over two shards: the first is withdrawn whole while it
+	// holds its grants, which grants the second, and then the second is
+	// withdrawn too.
+	f.Add(uint8(1), []byte{3, 0x00, 0x3e, 3, 0x04, 0x1c, 8, 0, 0, 8, 0, 0})
 	for seed := int64(1); seed <= 25; seed++ {
 		shardsRaw, script := soupScript(seed)
 		f.Add(shardsRaw, script)

@@ -353,7 +353,7 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 	case *model.RequestMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case model.RequestBatchMsg, *model.RequestBatchMsg, model.ReleaseBatchMsg, *model.ReleaseBatchMsg,
-		model.SnapReadBatchMsg, *model.SnapReadBatchMsg:
+		model.AbortBatchMsg, *model.AbortBatchMsg, model.SnapReadBatchMsg, *model.SnapReadBatchMsg:
 		m.routeBatch(ctx, from, msg.(memberBatch))
 	case model.FinalTSMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
@@ -409,7 +409,7 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 	}
 }
 
-// memberBatch is a request, release or snapshot-read batch as the manager
+// memberBatch is a request, release, abort or snapshot-read batch as the manager
 // routes it: by its members' items (see model.RequestBatchMsg.Len).
 type memberBatch interface {
 	model.Message

@@ -424,8 +424,10 @@ func (s storeSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID,
 	return nil, afterSeq, false, false, nil
 }
 
-// TakeHave reports nothing: a volatile site journals nothing.
-func (s storeSource) TakeHave(dst []wal.Have) []wal.Have { return dst }
+// HaveSince reports nothing: a volatile site journals nothing.
+func (s storeSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) {
+	return dst, afterSeq
+}
 
 func (s storeSource) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
 	for _, item := range s.store.Items() {

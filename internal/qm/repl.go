@@ -42,27 +42,26 @@ func (m *Manager) ReplWatermarks() map[model.SiteID]uint64 {
 	return m.puller.Watermarks()
 }
 
-// onReplTick sends one pull to every peer and re-arms the timer. The timer
-// chain keeps running through an outage (a down site neither pulls nor
-// serves, but must resume pulling the moment it recovers — catch-up after
-// the crash is the whole point).
+// onReplTick sends one pull to the next peer in the round robin and re-arms
+// the timer for the next, so each peer is pulled once per period and the
+// pulls of one period are spread across it: a write that missed this site
+// ships from the first holder pulled, and the pull to the second already
+// names it. The timer chain keeps running through an outage (a down site
+// neither pulls nor serves, but must resume pulling the moment it recovers
+// — catch-up after the crash is the whole point).
 func (m *Manager) onReplTick(ctx engine.Context) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
 	if m.puller == nil || m.replStopped {
 		return
 	}
-	ctx.SetTimer(m.puller.PeriodMicros(), model.TickMsg{Tag: ReplTickTag})
+	ctx.SetTimer(m.puller.TickMicros(), model.TickMsg{Tag: ReplTickTag})
 	if m.Down() {
 		return
 	}
-	// Only the periodic pulls carry the journal digest: one per period, the
-	// same bytes to every peer.
-	var have []byte
-	if m.replSrc != nil {
-		have = m.puller.TickHave(m.replSrc)
-	}
-	for _, peer := range m.puller.Peers() {
+	// Only the periodic pulls carry the journal digest: what this site
+	// journaled since its previous pull to that peer.
+	if peer, have, ok := m.puller.NextPull(m.replSrc); ok {
 		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have})
 	}
 }

@@ -1,6 +1,7 @@
 package qm
 
 import (
+	"slices"
 	"testing"
 
 	"ucc/internal/engine"
@@ -73,31 +74,62 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 	}
 }
 
-// TestOnlyPeriodicPullsCarryTheDigest: the tick's pulls all carry the one
-// digest of what was journaled since the previous tick; the next tick's
-// carry only what is new; settle pulls carry none.
+// TestOnlyPeriodicPullsCarryTheDigest: each tick pulls one peer, in round
+// robin; each pull's digest names exactly what was journaled since the
+// previous pull to that peer — so the pull to the second peer names what the
+// first pull left behind, and what a shipped batch installed in between —
+// and settle pulls go to every peer and carry none.
 func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	m, st, _ := replSite(t)
 	ctx := newFakeCtx()
+	// pulls drains the pulls sent so far, with the sites they went to.
+	pulls := func() (to []model.SiteID, msgs []model.ReplPullMsg) {
+		for _, e := range ctx.sent {
+			if p, ok := e.Msg.(model.ReplPullMsg); ok {
+				to, msgs = append(to, e.To.ID), append(msgs, p)
+			}
+		}
+		take[model.ReplPullMsg](ctx)
+		return to, msgs
+	}
+	tick := func(want model.SiteID, wantHave ...wal.Have) {
+		t.Helper()
+		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		if ticks := take[model.TickMsg](ctx); len(ticks) != 1 || ticks[0].Tag != ReplTickTag {
+			t.Fatalf("tick re-armed %+v, want one pull tick", ticks)
+		}
+		to, sent := pulls()
+		if len(sent) != 1 || len(ctx.sent) != 0 || to[0] != want {
+			t.Fatalf("tick pulled %v (%+v, and sent %+v), want one pull to site %d", to, sent, ctx.sent, want)
+		}
+		have, ok := repl.DecodeHave(sent[0].Have, nil)
+		if !ok || !slices.Equal(have, wantHave) {
+			t.Fatalf("pull to site %d carries digest %v (ok %v), want %v", want, have, ok, wantHave)
+		}
+	}
 	st.Write(5, model.TxnID{Site: 0, Seq: 1}, 1, 40)
 	st.Write(5, model.TxnID{Site: 0, Seq: 2}, 2, 60)
 	st.Write(3, model.TxnID{Site: 0, Seq: 3}, 3, 50)
-	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
-	pulls := take[model.ReplPullMsg](ctx)
-	if len(pulls) != 2 {
-		t.Fatalf("tick sent %d pulls, want one per peer", len(pulls))
+	tick(1, wal.Have{Item: 3, CommitMicros: 50}, wal.Have{Item: 5, CommitMicros: 60})
+	m.OnMessage(ctx, engine.QMAddr(1), model.ReplRecordsMsg{From: 1, Frames: frameAll(shippedRec(4, 2, 70)), NextAfterSeq: 4})
+	if to, _ := pulls(); len(to) != 0 {
+		t.Fatalf("an uncut batch re-pulled from %v", to)
 	}
-	for _, p := range pulls {
-		have, ok := repl.DecodeHave(p.Have, nil)
-		if !ok || len(have) != 2 || have[0] != (wal.Have{Item: 3, CommitMicros: 50}) || have[1] != (wal.Have{Item: 5, CommitMicros: 60}) {
-			t.Fatalf("pull %+v carries digest %v (ok %v), want items 3@50 and 5@60", p, have, ok)
-		}
-	}
+	tick(2, wal.Have{Item: 2, CommitMicros: 70}, wal.Have{Item: 3, CommitMicros: 50}, wal.Have{Item: 5, CommitMicros: 60})
+	st.Write(6, model.TxnID{Site: 0, Seq: 4}, 4, 80)
+	tick(1, wal.Have{Item: 2, CommitMicros: 70}, wal.Have{Item: 6, CommitMicros: 80})
+	tick(2, wal.Have{Item: 6, CommitMicros: 80})
+	tick(1)
+
+	st.Write(1, model.TxnID{Site: 0, Seq: 5}, 5, 90)
 	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplSettleTickTag})
-	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
-	for _, p := range take[model.ReplPullMsg](ctx) {
+	to, sent := pulls()
+	if !slices.Equal(to, []model.SiteID{1, 2}) {
+		t.Fatalf("settle pulled %v, want each peer once", to)
+	}
+	for _, p := range sent {
 		if p.Have != nil {
-			t.Fatalf("pull %+v carries a digest though nothing was journaled since the last tick", p)
+			t.Fatalf("settle pull %+v carries a digest", p)
 		}
 	}
 }

@@ -129,6 +129,10 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 		sh.onAbort(ctx, v)
 	case *model.AbortMsg:
 		sh.onAbort(ctx, *v)
+	case model.AbortBatchMsg:
+		sh.onAbortBatch(ctx, &v)
+	case *model.AbortBatchMsg:
+		sh.onAbortBatch(ctx, v)
 	case model.SnapReadMsg:
 		sh.onSnapRead(ctx, v)
 	case *model.SnapReadMsg:
@@ -494,6 +498,13 @@ func (sh *shard) implement(q *dataQueue, e *entry, v model.ReleaseMsg) {
 		}
 	} else if sh.m.recorder != nil && !e.readRecorded {
 		sh.m.recorder.Implemented(c, e.txn, model.OpRead)
+	}
+}
+
+// onAbortBatch handles every member exactly as the AbortMsg it stands for.
+func (sh *shard) onAbortBatch(ctx engine.Context, b *model.AbortBatchMsg) {
+	for i := range b.Members {
+		sh.onAbort(ctx, b.Abort(i))
 	}
 }
 

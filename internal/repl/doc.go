@@ -7,13 +7,17 @@
 //
 // Every site in a quorum-replicated cluster runs a Puller that tracks, per
 // peer, a catch-up watermark: the highest sequence number of that peer's WAL
-// it has already examined. On a periodic tick the site sends each peer a
-// model.ReplPullMsg carrying its watermark and its journal digest (Have):
-// the newest commit stamp per item it journaled — local and shipped writes
-// alike — since its previous tick, item-sorted and varint-delta coded
-// (AppendHave/DecodeHave). The peer answers with a model.ReplRecordsMsg
-// holding the synced records past the watermark that the puller is not known
-// to hold already (Peer knowledge, below), batched and framed with the WAL's
+// it has already examined. A periodic tick pulls one peer, the peers taken
+// in turn, and re-arms every PeriodMicros divided by the number of peers, so
+// each peer is still pulled once per period and a site's pulls are spread
+// across the period. The pull is a model.ReplPullMsg carrying the peer's
+// watermark and this site's journal digest (Have): the newest commit stamp
+// per item it journaled — local and shipped writes alike — since its
+// previous pull to that peer, item-sorted and varint-delta coded
+// (AppendHave/DecodeHave; Puller.NextPull keeps a cursor into the journal
+// per peer). The peer answers with a model.ReplRecordsMsg holding the synced
+// records past the watermark that the puller is not known to hold already
+// (Peer knowledge, below), batched and framed with the WAL's
 // own varint record codec (crc32C + flagged length word + varint payload —
 // the batch on the wire is byte-identical to the segment bytes holding those
 // records, so DecodeRecordFrames hardens replay and shipping with one
@@ -44,15 +48,20 @@
 //
 // # Peer knowledge
 //
-// Shipping every record of every log sends each write W-fold, and sends
-// every shipped record back as an echo once the receiver has journaled it;
-// the stamp gate skips all of it on arrival. Known is the serving side's
-// remedy: per pulling peer, the newest stamp per item the peer is believed
-// to hold. It leaves a record out of that peer's batch exactly when the
-// record's stamp is at or below the table's — ApplyShipped's own gate,
-// evaluated one hop earlier — so nothing is withheld that the peer would
-// have installed. With an empty table everything ships, as before; there is
-// no second mode.
+// Shipping every record of every log sends every shipped record back as an
+// echo once the receiver has journaled it, and sends a write a site missed
+// from every peer that holds it; the stamp gate skips all of it on arrival.
+// Known is the serving side's remedy: per pulling peer, the newest stamp per
+// item the peer is believed to hold. It leaves a record out of that peer's
+// batch exactly when the record's stamp is at or below the table's —
+// ApplyShipped's own gate, evaluated one hop earlier — so nothing is
+// withheld that the peer would have installed. With an empty table
+// everything ships, as before; there is no second mode. The pull schedule is
+// what makes the digests count: a write a site missed is held by its other
+// peers, the first one pulled ships it, and the site's next pull to another
+// holder names it — the digest covers what the site journaled since its
+// previous pull to that peer, the shipped record included — so that holder
+// leaves it out.
 //
 // Two things feed a peer's table. The frames the peer itself ships are
 // durable in its log. The digests its pulls carry are not: a digest names
@@ -61,16 +70,16 @@
 // whenever the peer may have lost that state, the whole table goes. A peer
 // that crashed zeroes its watermarks (Puller.ResetAll), so its next pull
 // arrives with AfterSeq 0 — Known.Serve forgets the peer first and then
-// folds in only that pull's own digest, which wal.SiteLog collected after
-// the crash (Crash drops the pending digest with the tail). A Reset reply
+// folds in only that pull's own digest, which names nothing from before the
+// crash: wal.SiteLog reads digests from its in-memory tail, and Crash
+// empties the tail, whatever cursor a digest is read from. A Reset reply
 // re-images the peer and forgets it the same way. Pulls and replies travel
 // per-pair FIFO on both engines, so every pre-crash digest reaches the
-// server before the post-crash pull that voids it. A missing, overflowed or
-// undecodable digest (FuzzHaveDigest) is no digest: that pull teaches
-// nothing. The tables are bounded, dropped on a placement change (a copy
-// that moves away and back is refilled by transfer, not from what it once
-// reported) and on the serving site's own crash; forgetting only ships
-// more.
+// server before the post-crash pull that voids it. A missing or undecodable
+// digest (FuzzHaveDigest) is no digest: that pull teaches nothing. The
+// tables are bounded, dropped on a placement change (a copy that moves away
+// and back is refilled by transfer, not from what it once reported) and on
+// the serving site's own crash; forgetting only ships more.
 //
 // # Reset path
 //
@@ -91,9 +100,12 @@
 // newer version could be followed by an older in-flight local write, which
 // would install it as the newer ordinal. The protocol prevents this in
 // practice the same way the group-commit window documents its loss envelope:
-// the pull period (default 150ms) dwarfs the maximum one-way delay (~3ms),
-// so by the time a record is durable at a peer, pulled, and shipped back,
-// every release of an older conflicting write has long been delivered.
+// a record ships to a site no sooner than that site's next pull to a peer
+// holding it, and the tick interval — the pull period (default 150ms per
+// peer) divided by the site's peers, 75ms with the two peers of a
+// three-site cluster — still dwarfs the maximum one-way delay (~3ms). So by
+// the time a record is durable at a peer, pulled, and shipped back, every
+// release of an older conflicting write has long been delivered.
 // Quorum reads stay sound regardless — W+R > N puts the freshest committed
 // write in every read quorum, and the issuer picks the highest commit stamp.
 //

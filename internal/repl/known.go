@@ -5,7 +5,7 @@ import (
 	"ucc/internal/wal"
 )
 
-// AppendHave encodes a journal digest (wal.SiteLog.TakeHave: one entry per
+// AppendHave encodes a journal digest (wal.SiteLog.HaveSince: one entry per
 // item, ascending) onto b: per entry the item and the commit stamp, each a
 // varint delta against the previous entry. The length is the carrying
 // field's; an empty digest is zero bytes.

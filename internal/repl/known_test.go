@@ -169,7 +169,8 @@ func TestKnownIsBounded(t *testing.T) {
 }
 
 // TestPullerKeepsPeersSorted: Peers is one slice kept in order, rebuilt only
-// when the set changes, and TickHave encodes what the log hands it.
+// when the set changes, and NextPull takes the peers in that order, each
+// digest encoding what the log hands it for that peer.
 func TestPullerKeepsPeersSorted(t *testing.T) {
 	p := NewPuller(Options{Site: 0, Peers: []model.SiteID{3, 1, 2, 1}})
 	if got := p.Peers(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -188,11 +189,14 @@ func TestPullerKeepsPeersSorted(t *testing.T) {
 	}
 
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 2, CommitMicros: 15}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 30})
-	have, ok := DecodeHave(p.TickHave(src), nil)
-	if !ok || !slices.Equal(have, []wal.Have{{Item: 1, CommitMicros: 10}, {Item: 2, CommitMicros: 30}}) {
-		t.Fatalf("tick digest %v ok %v", have, ok)
+	for _, want := range []model.SiteID{3, 4} {
+		peer, b, ok := p.NextPull(src)
+		have, dok := DecodeHave(b, nil)
+		if !ok || peer != want || !dok || !slices.Equal(have, []wal.Have{{Item: 1, CommitMicros: 10}, {Item: 2, CommitMicros: 30}}) {
+			t.Fatalf("pull to %d (ok %v) carries digest %v (ok %v), want one to %d naming items 1@10 and 2@30", peer, ok, have, dok, want)
+		}
 	}
-	if again := p.TickHave(src); again != nil {
-		t.Fatalf("an idle period still carries a digest: %x", again)
+	if peer, again, _ := p.NextPull(src); peer != 3 || again != nil {
+		t.Fatalf("the round robin's second lap pulls %d with digest %x, want 3 with none", peer, again)
 	}
 }

@@ -71,17 +71,18 @@ func TestConcurrentCatchUpReplayVsLiveWrites(t *testing.T) {
 	}()
 
 	// Destination site, catch-up: pull from the live source log — each pull
-	// carrying the digest drained from the destination's own log while the
-	// writer above appends to it, and served less what that digest and the
-	// earlier ones claimed — and replay through the stamp gate until the
-	// source's whole run has shipped.
+	// carrying the digest of what the destination's own log journaled since
+	// the previous pull, read while the writer above appends to it, and
+	// served less what that digest and the earlier ones claimed — and replay
+	// through the stamp gate until the source's whole run has shipped.
 	go func() {
 		defer wg.Done()
 		var mark uint64
 		var known Known
 		puller := NewPuller(Options{Site: 1, Peers: []model.SiteID{0}})
 		for {
-			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: puller.TickHave(dstLog)}
+			_, have, _ := puller.NextPull(dstLog)
+			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: have}
 			batch, err := known.Serve(0, srcLog, pull, 64)
 			if err != nil {
 				panic(err)

@@ -26,7 +26,8 @@ type Options struct {
 	// Peers are the sites this one pulls from — every other site that
 	// shares at least one replicated item with it.
 	Peers []model.SiteID
-	// PeriodMicros is the pull period (default DefaultPeriodMicros).
+	// PeriodMicros is the pull period (default DefaultPeriodMicros): each
+	// peer is pulled once per period.
 	PeriodMicros int64
 	// BatchRecords bounds the records shipped per reply (default
 	// DefaultBatchRecords).
@@ -42,14 +43,19 @@ func (o *Options) fill() {
 	}
 }
 
-// Puller tracks one site's per-peer catch-up watermarks. It has no lock of
-// its own: the owning queue manager serializes every call under its control
-// mutex, the same discipline as the rest of the manager's control plane.
+// Puller tracks one site's per-peer catch-up watermarks and schedules its
+// periodic pulls. It has no lock of its own: the owning queue manager
+// serializes every call under its control mutex, the same discipline as the
+// rest of the manager's control plane.
 type Puller struct {
 	opts  Options
 	marks map[model.SiteID]uint64
 	peers []model.SiteID // the keys of marks, ascending
-	have  []wal.Have     // TickHave's scratch
+	// reported is, per peer, the newest journal sequence the digest of a
+	// pull to that peer covered (NextPull).
+	reported map[model.SiteID]uint64
+	next     int        // the round robin's position in peers
+	have     []wal.Have // NextPull's scratch
 }
 
 // NewPuller builds a puller with zero watermarks (first pulls stream each
@@ -71,6 +77,12 @@ func (p *Puller) Peers() []model.SiteID { return p.peers }
 
 // PeriodMicros returns the pull period.
 func (p *Puller) PeriodMicros() int64 { return p.opts.PeriodMicros }
+
+// TickMicros returns the interval of the periodic pull tick. Each tick pulls
+// one peer, round robin, so every peer is still pulled once per period.
+func (p *Puller) TickMicros() int64 {
+	return max(1, p.opts.PeriodMicros/int64(max(1, len(p.peers))))
+}
 
 // BatchRecords returns the per-reply record bound.
 func (p *Puller) BatchRecords() int { return p.opts.BatchRecords }
@@ -100,10 +112,12 @@ func (p *Puller) Advance(peer model.SiteID, seq uint64) bool {
 // serializes the call under its control mutex.
 func (p *Puller) SetPeers(peers []model.SiteID) {
 	next := make(map[model.SiteID]uint64, len(peers))
+	reported := make(map[model.SiteID]uint64, len(peers))
 	for _, peer := range peers {
 		next[peer] = p.marks[peer]
+		reported[peer] = p.reported[peer]
 	}
-	p.marks = next
+	p.marks, p.reported = next, reported
 	p.peers = make([]model.SiteID, 0, len(next))
 	for peer := range next {
 		p.peers = append(p.peers, peer)
@@ -111,26 +125,39 @@ func (p *Puller) SetPeers(peers []model.SiteID) {
 	slices.Sort(p.peers)
 }
 
-// TickHave drains src's journal digest and encodes it for this period's
-// pulls: what this site journaled since the previous period, so its peers
-// can leave out what it already holds. Nil when nothing was journaled or the
-// digest overflowed. The bytes are fresh each call — the pulls carrying them
-// are still in flight when the next period starts.
-func (p *Puller) TickHave(src Source) []byte {
-	p.have = src.TakeHave(p.have[:0])
-	if len(p.have) == 0 {
-		return nil
+// NextPull picks the peer this tick pulls, the next in the round robin, and
+// encodes the digest its pull carries: what src journaled since this site's
+// previous pull to that peer, so the peer can leave out what this site
+// already holds — among it what another peer shipped here since. Nil when
+// nothing was journaled or src is nil. The bytes are fresh each call — the
+// pull carrying them is still in flight at the next tick. ok is false when
+// there is no peer to pull.
+func (p *Puller) NextPull(src Source) (peer model.SiteID, have []byte, ok bool) {
+	if len(p.peers) == 0 {
+		return 0, nil, false
 	}
-	return AppendHave(make([]byte, 0, 4*len(p.have)), p.have)
+	p.next %= len(p.peers)
+	peer = p.peers[p.next]
+	p.next++
+	if src == nil {
+		return peer, nil, true
+	}
+	p.have, p.reported[peer] = src.HaveSince(p.reported[peer], p.have[:0])
+	if len(p.have) == 0 {
+		return peer, nil, true
+	}
+	return peer, AppendHave(make([]byte, 0, 4*len(p.have)), p.have), true
 }
 
-// ResetAll zeroes every watermark. Called on a local crash: shipped records
-// applied since the last sync are lost with the rest of the volatile tail,
-// so everything must be offered again — stamp-gating makes the re-shipment
-// idempotent.
+// ResetAll zeroes every watermark and digest cursor. Called on a local
+// crash: shipped records applied since the last sync are lost with the rest
+// of the volatile tail, so everything must be offered again — stamp-gating
+// makes the re-shipment idempotent — and the next pull to each peer digests
+// the whole tail journaled since the crash.
 func (p *Puller) ResetAll() {
 	for peer := range p.marks {
 		p.marks[peer] = 0
+		p.reported[peer] = 0
 	}
 }
 
@@ -149,7 +176,7 @@ func (p *Puller) Watermarks() map[model.SiteID]uint64 {
 type Source interface {
 	RecordsSince(afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool) (frames []byte, next uint64, more, gap bool, err error)
 	SnapshotRecords() (frames []byte, appliedSeq uint64, err error)
-	TakeHave(dst []wal.Have) []wal.Have
+	HaveSince(afterSeq uint64, dst []wal.Have) (have []wal.Have, through uint64)
 }
 
 // BuildBatch serves one pull against src: the incremental tail past

@@ -67,6 +67,15 @@ func TestPullerDefaults(t *testing.T) {
 	if p.BatchRecords() != DefaultBatchRecords {
 		t.Fatalf("batch %d, want default %d", p.BatchRecords(), DefaultBatchRecords)
 	}
+	// One peer is pulled per tick, so the tick divides the period among
+	// the peers; with none it stays the period.
+	if p.TickMicros() != DefaultPeriodMicros {
+		t.Fatalf("tick %d with no peers, want the period %d", p.TickMicros(), DefaultPeriodMicros)
+	}
+	p.SetPeers([]model.SiteID{0, 2, 3})
+	if p.TickMicros() != DefaultPeriodMicros/3 {
+		t.Fatalf("tick %d over 3 peers, want %d", p.TickMicros(), DefaultPeriodMicros/3)
+	}
 }
 
 // memSource is a scripted Source for BuildBatch tests.
@@ -84,7 +93,9 @@ type memSource struct {
 func (s *memSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, int64) bool) ([]byte, uint64, bool, bool, error) {
 	return s.frames, s.next, s.more, s.gap, s.err
 }
-func (s *memSource) TakeHave(dst []wal.Have) []wal.Have { return dst }
+func (s *memSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) {
+	return dst, afterSeq
+}
 func (s *memSource) SnapshotRecords() ([]byte, uint64, error) {
 	return s.snap, s.snapSeq, s.snapErr
 }

@@ -274,3 +274,58 @@ func TestIssuerRetainsNothingAfterFinish(t *testing.T) {
 			txns, len(iss.active), len(iss.finalTS))
 	}
 }
+
+// abortMembers lists each withdrawal envelope's items and copy site.
+func abortMembers(aborts []model.AbortBatchMsg) (items [][]model.ItemID, sites []model.SiteID) {
+	for _, b := range aborts {
+		items, sites = append(items, b.Members), append(sites, b.CopySite)
+	}
+	return items, sites
+}
+
+// TestLaggingMailboxIsWithdrawnOnce: a quorum write of four items whose
+// copies at site 2 have not granted by release time withdraws all four with
+// one envelope to site 2's mailbox, beside one release batch per granting
+// mailbox, and still reports one protocol message per copy.
+func TestLaggingMailboxIsWithdrawnOnce(t *testing.T) {
+	iss, c := quorumIssuer()
+	submit(iss, c, model.TwoPL, nil, []model.ItemID{0, 1, 2, 3})
+	var granting []model.RequestMsg
+	for _, r := range take[model.RequestMsg](c) {
+		if r.Copy.Site != 2 {
+			granting = append(granting, r)
+		}
+	}
+	grantAll(iss, c, granting)
+	c.wire = nil
+	fireTimers(iss, c) // compute done: the release round
+	to, aborts := wireOf[model.AbortBatchMsg](c)
+	if len(to) != 1 || to[0].ID != 2 || !slices.Equal(aborts[0].Members, []model.ItemID{0, 1, 2, 3}) {
+		t.Fatalf("withdrawals %+v to %v, want one to site 2 carrying items 0-3", aborts, to)
+	}
+	items, sites := abortMembers(aborts)
+	checkOnePerMailbox(t, "abort batch", to, items, sites, 4)
+	if relTo, _ := wireOf[model.ReleaseBatchMsg](c); len(relTo) != 2 {
+		t.Fatalf("%d release envelopes, want one per granting mailbox (2)", len(relTo))
+	}
+	dones := take[model.TxnDoneMsg](c)
+	if len(dones) != 1 || dones[0].Outcome != model.OutcomeCommitted || dones[0].Messages != 12+8+4 {
+		t.Fatalf("done = %+v, want committed with 24 per-copy messages (12 requests, 8 releases, 4 withdrawals)", dones)
+	}
+}
+
+// TestFailedAttemptWithdrawsOncePerMailbox: a NAK'd attempt (here a deadlock
+// victim) withdraws every copy with one envelope per mailbox, each carrying
+// that mailbox's copies in item order.
+func TestFailedAttemptWithdrawsOncePerMailbox(t *testing.T) {
+	iss, c := testIssuer(8, 3, 2)
+	tx := submit(iss, c, model.TwoPL, []model.ItemID{0, 1}, []model.ItemID{2, 3})
+	c.wire = nil
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	to, aborts := wireOf[model.AbortBatchMsg](c)
+	if len(to) != 3 {
+		t.Fatalf("%d withdrawal envelopes (%+v), want one per mailbox (3)", len(to), aborts)
+	}
+	items, sites := abortMembers(aborts)
+	checkOnePerMailbox(t, "abort batch", to, items, sites, 6)
+}

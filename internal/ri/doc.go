@@ -8,16 +8,19 @@
 // The copy is the unit of concurrency control; the queue-manager mailbox
 // (site, shard) is the unit of transmission. An attempt opens with one
 // model.RequestBatchMsg per mailbox its copies route to, members in item
-// order, and releases with one model.ReleaseBatchMsg per mailbox — a batch
-// is its members, handled copy by copy at the queue manager, and a batch of
-// one travels as exactly the single message it stands for, so there is one
-// send path per protocol step. A model.GrantBatchMsg is applied member by
-// member and the attempt then advances once. Everything else stays per
-// copy: aborts (a withdrawn attempt, a quorum exclusion, a straggler outside
-// the commit quorum), PA's final timestamps, and refusals — a refused batch
-// is NAK'd member by member, so quorum exclusion, the write-all abort and
-// the admission feedback see exactly what they saw when every copy travelled
-// alone. TxnDoneMsg.Messages keeps counting per-copy protocol messages.
+// order, releases with one model.ReleaseBatchMsg per mailbox, and withdraws
+// with one model.AbortBatchMsg per mailbox — a batch is its members, handled
+// copy by copy at the queue manager, and a batch of one travels as exactly
+// the single message it stands for, so there is one send path per protocol
+// step. Every withdrawal leaves through the one withdraw path: a NAK'd
+// attempt withdraws every copy, a quorum exclusion one, and a quorum commit
+// the copies that never granted, which at a lagging site are all of the
+// attempt's copies there. A model.GrantBatchMsg is applied member by member
+// and the attempt then advances once. Everything else stays per copy: PA's
+// final timestamps, and refusals — a refused batch is NAK'd member by
+// member, so quorum exclusion, the write-all abort and the admission
+// feedback see exactly what they saw when every copy travelled alone.
+// TxnDoneMsg.Messages keeps counting per-copy protocol messages.
 //
 // The issuer's per-transaction state is reused. Submit takes a state from a
 // free list; its terminal point puts it back after its last use. For a

@@ -136,12 +136,14 @@ type Issuer struct {
 	// guarded by mu like the rest of the issuer state.
 	gateNeeds map[model.ItemID]int
 	gateGot   map[model.ItemID]int
-	// mailboxScratch, reqMembers, relMembers, roAddrs and snapMembers are the
-	// reusable scratch of one protocol step's batches (mailboxes,
-	// sendRequests, releaseAll, launchRO); guarded by mu.
+	// mailboxScratch, reqMembers, relMembers, abortMembers, roAddrs and
+	// snapMembers are the reusable scratch of one protocol step's batches
+	// (mailboxes, sendRequests, releaseAll, withdraw, launchRO); guarded by
+	// mu.
 	mailboxScratch []engine.Addr
 	reqMembers     []model.RequestMember
 	relMembers     []model.ReleaseMember
+	abortMembers   []model.ItemID
 	roAddrs        []engine.Addr
 	snapMembers    []model.ItemID
 	// freeTxns and freeROs hold finished transactions' states for the next

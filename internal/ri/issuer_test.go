@@ -53,6 +53,10 @@ func perCopy(m model.Message) []model.Message {
 		for i := range v.Members {
 			out = append(out, v.Release(i))
 		}
+	case model.AbortBatchMsg:
+		for i := range v.Members {
+			out = append(out, v.Abort(i))
+		}
 	case model.GrantBatchMsg:
 		for i := range v.Members {
 			out = append(out, v.Grant(i))

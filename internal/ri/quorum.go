@@ -126,23 +126,23 @@ func (ri *Issuer) preImage(s *txnState, item model.ItemID) int64 {
 
 // releases reports whether releaseAll releases request r. Write-all releases
 // every request. Quorum mode releases a copy once (a copy both read and
-// written through its write request) and skips copies withdrawn from the
-// quorum; a copy that never granted lies outside the quorum that carried the
-// commit, so its pending request is withdrawn instead of releasing a grant
-// that never came. The copy converges through log shipping, never through a
-// write it did not accept.
-func (ri *Issuer) releases(ctx engine.Context, s *txnState, r *copyReq) bool {
+// written through its write request), and only a granted copy still in the
+// quorum: the rest are withdrawUngranted's.
+func (ri *Issuer) releases(s *txnState, r *copyReq) bool {
+	return ri.opts.Quorum == nil || (s.reqs[r.copyID] == r && !r.excluded && r.granted)
+}
+
+// withdrawUngranted withdraws, at release time, every quorum request that
+// never granted: the copy lies outside the quorum that carried the commit,
+// so its pending request is withdrawn instead of releasing a grant that
+// never came. The copy converges through log shipping, never through a write
+// it did not accept. A lagging mailbox thus gets one withdrawal envelope for
+// all of the attempt's copies it holds.
+func (ri *Issuer) withdrawUngranted(ctx engine.Context, s *txnState) {
 	if ri.opts.Quorum == nil {
-		return true
+		return
 	}
-	if s.reqs[r.copyID] != r || r.excluded {
-		return false
-	}
-	if !r.granted {
-		ri.withdraw(ctx, s, r)
-		return false
-	}
-	return true
+	ri.withdraw(ctx, s, func(r *copyReq) bool { return s.reqs[r.copyID] == r && !r.excluded && !r.granted })
 }
 
 // excludeCopy drops one copy from the attempt's quorum and withdraws its
@@ -153,7 +153,7 @@ func (ri *Issuer) releases(ctx engine.Context, s *txnState, r *copyReq) bool {
 func (ri *Issuer) excludeCopy(ctx engine.Context, s *txnState, r *copyReq) bool {
 	r.excluded = true
 	ri.stats.QuorumExcluded++
-	ri.withdraw(ctx, s, r)
+	ri.withdraw(ctx, s, func(q *copyReq) bool { return q == r })
 	return ri.gate(s, predAny)
 }
 

@@ -389,11 +389,12 @@ func (ri *Issuer) writeValue(s *txnState, item model.ItemID) int64 {
 func (ri *Issuer) releaseAll(ctx engine.Context, s *txnState, toSemi bool) {
 	converted := s.phase == phaseAwaitNormal || (s.txn.Protocol == model.TO && s.preSchedAny && !toSemi)
 	commit := ctx.NowMicros()
+	ri.withdrawUngranted(ctx, s)
 	for _, to := range ri.mailboxes(s) {
 		members := ri.relMembers[:0]
 		for i := range s.order {
 			r := &s.order[i]
-			if r.to != to || !ri.releases(ctx, s, r) {
+			if r.to != to || !ri.releases(s, r) {
 				continue
 			}
 			m := model.ReleaseMember{Item: r.copyID.Item}

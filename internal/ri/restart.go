@@ -120,19 +120,33 @@ var withdrawNone = model.CopyID{Item: -1}
 // or the MaxAttempts drop.
 func (ri *Issuer) failAttempt(ctx engine.Context, s *txnState, outcome model.TxnOutcome, kind model.OpKind, skip model.CopyID) {
 	ri.reportAttempt(ctx, s, outcome, kind)
-	for i := range s.order {
-		if r := &s.order[i]; r.copyID != skip {
-			ri.withdraw(ctx, s, r)
-		}
-	}
+	ri.withdraw(ctx, s, func(r *copyReq) bool { return r.copyID != skip })
 	ri.scheduleRestart(ctx, s)
 }
 
-// withdraw aborts the attempt's request at one copy.
-func (ri *Issuer) withdraw(ctx engine.Context, s *txnState, r *copyReq) {
-	ri.send(ctx, s, r.to, model.PooledAbort(model.AbortMsg{
-		Txn: s.txn.ID, Attempt: s.attempt, Copy: r.copyID,
-	}))
+// withdraw aborts the attempt's requests at every copy pick selects: one
+// AbortBatchMsg per queue-manager mailbox, carrying that mailbox's selected
+// copies in item order (see sendRequests). It is the issuer's only withdraw
+// path — a NAK'd attempt, a quorum exclusion and the un-granted copies of a
+// quorum commit all leave through it — so a mailbox gets one envelope per
+// withdrawal however many of its copies go.
+func (ri *Issuer) withdraw(ctx engine.Context, s *txnState, pick func(*copyReq) bool) {
+	for _, to := range ri.mailboxes(s) {
+		members := ri.abortMembers[:0]
+		for i := range s.order {
+			if r := &s.order[i]; r.to == to && pick(r) {
+				members = append(members, r.copyID.Item)
+			}
+		}
+		ri.abortMembers = members
+		if len(members) == 0 {
+			continue
+		}
+		s.messages += int64(len(members))
+		ctx.Send(to, model.PooledAbortBatch(model.AbortBatchMsg{
+			Txn: s.txn.ID, Attempt: s.attempt, CopySite: to.ID, Members: members,
+		}))
+	}
 }
 
 // defaultRestartCapFactor sizes the exponential-backoff cap when

@@ -3,6 +3,7 @@ package ri
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ucc/internal/engine"
@@ -15,15 +16,19 @@ import (
 // reply batch per snapshot-read batch), queues those answers and the
 // issuer's timers, and delivers them back to the issuer, recycling each
 // message once the issuer has handled it, as the runtime's mailbox loop
-// does. Everything else the issuer sends (releases, completion reports) is
-// recycled on arrival. Nothing is retained, and once its queue and scratch
-// have grown the context itself allocates nothing.
+// does. The queue managers of the lagging sites never answer. Everything
+// else the issuer sends (releases, withdrawals, completion reports) is
+// recycled on arrival; withdrawn counts the copies the withdrawals carried.
+// Nothing is retained, and once its queue and scratch have grown the
+// context itself allocates nothing.
 type loopCtx struct {
-	now     int64
-	rng     *rand.Rand
-	queue   []model.Message
-	members []model.GrantMember
-	replies []model.SnapReadReplyMember
+	now       int64
+	rng       *rand.Rand
+	lagging   []model.SiteID
+	withdrawn int
+	queue     []model.Message
+	members   []model.GrantMember
+	replies   []model.SnapReadReplyMember
 }
 
 func (c *loopCtx) NowMicros() int64  { return c.now }
@@ -33,6 +38,9 @@ func (c *loopCtx) Rand() *rand.Rand  { return c.rng }
 func (c *loopCtx) Send(_ engine.Addr, msg model.Message) {
 	switch v := msg.(type) {
 	case *model.RequestBatchMsg:
+		if slices.Contains(c.lagging, v.CopySite) {
+			break
+		}
 		members := c.members[:0]
 		for _, m := range v.Members {
 			lock := model.RL
@@ -54,6 +62,8 @@ func (c *loopCtx) Send(_ engine.Addr, msg model.Message) {
 		c.queue = append(c.queue, model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
 			Txn: v.Txn, Attempt: v.Attempt, CopySite: v.CopySite, Members: replies,
 		}))
+	case *model.AbortBatchMsg:
+		c.withdrawn += len(v.Members)
 	}
 	model.RecycleMessage(msg)
 }
@@ -148,6 +158,52 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 	}
 	if s := iss.Snapshot(); s.Committed != uint64(next) || s.Active != 0 {
 		t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
+	}
+}
+
+// TestQuorumLifecycleAllocatesNothing is TestIssuerLifecycleAllocatesNothing
+// for a quorum write whose third copy lags: N=3, W=R=2, and site 2's queue
+// manager never answers. Each committed transaction reads two items and
+// writes two, commits on the grants of sites 0 and 1, and at release
+// withdraws its four copies at site 2 with one abort batch. That allocates
+// nothing in the issuer either, for every protocol.
+func TestQuorumLifecycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	pm := placement.Build(placement.RoundRobin, 8, []model.SiteID{0, 1, 2}, 3)
+	for _, tc := range []struct {
+		name string
+		p    model.Protocol
+	}{{"2PL", model.TwoPL}, {"TO", model.TO}, {"PA", model.PA}} {
+		p := tc.p
+		t.Run(tc.name, func(t *testing.T) {
+			iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50,
+				Quorum: &model.Quorum{N: 3, W: 2, R: 2}}, nil)
+			iss.SetNotifyDriver(true)
+			c := &loopCtx{rng: rand.New(rand.NewSource(1)), lagging: []model.SiteID{2}}
+			const runs = 100
+			txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
+			for i := range txns {
+				txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, p, []model.ItemID{0, 1}, []model.ItemID{2, 3}, 0)
+			}
+			next := 0
+			commit := func() {
+				iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+				next++
+				c.run(iss)
+			}
+			commit()
+			if got := testing.AllocsPerRun(runs, commit); got != 0 {
+				t.Errorf("one committed %v quorum transaction allocates %.0f times in the issuer, want 0", p, got)
+			}
+			if s := iss.Snapshot(); s.Committed != uint64(next) || s.Active != 0 {
+				t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
+			}
+			if c.withdrawn != 4*next {
+				t.Fatalf("%d copies withdrawn over %d transactions, want the 4 lagging ones each", c.withdrawn, next)
+			}
+		})
 	}
 }
 

@@ -71,8 +71,8 @@ func TestStreamAllocsPerMessage(t *testing.T) {
 	})
 }
 
-// TestBatchStreamAllocsPerMessage: the same for request batches and the
-// read-only scatter/gather's two batches, whose members array travels with
+// TestBatchStreamAllocsPerMessage: the same for request and abort batches
+// and the read-only scatter/gather's two batches, whose members array travels with
 // the pooled message in both directions — the send-side constructor copies
 // into the pooled array, the read loop decodes into one — so a steady batch
 // stream allocates (almost) nothing either.
@@ -83,6 +83,14 @@ func TestBatchStreamAllocsPerMessage(t *testing.T) {
 			return model.PooledRequestBatch(model.RequestBatchMsg{
 				Txn: model.TxnID{Site: 0, Seq: seq}, Protocol: model.PA, TS: model.Timestamp(seq), Interval: 250,
 				CopySite: 1, Members: members,
+			})
+		})
+	})
+	t.Run("abort", func(t *testing.T) {
+		members := []model.ItemID{7, 19, 31, 4095}
+		streamAllocs(t, func(seq uint64) model.Message {
+			return model.PooledAbortBatch(model.AbortBatchMsg{
+				Txn: model.TxnID{Site: 0, Seq: seq}, Attempt: 2, CopySite: 1, Members: members,
 			})
 		})
 	})

@@ -72,14 +72,12 @@ type SiteLog struct {
 
 	// tail holds the newest journaled records in sequence order
 	// (tail[i].Seq == tail[0].Seq+i) so catch-up pulls are served without
-	// reading media. It grows by append and is cut back to its newer half at
+	// reading media, and this site's own pulls name what it journaled
+	// (HaveSince). It grows by append and is cut back to its newer half at
 	// tailRecords; a crash empties it. Only the prefix up to synced — the
 	// highest sequence number a successful Flush covered — is servable.
 	tail   []Record
 	synced uint64
-	// unreported counts the records at the end of tail that no TakeHave has
-	// reported yet.
-	unreported int
 }
 
 // tailRecords bounds the in-memory tail (56 bytes a record): the newest
@@ -88,7 +86,7 @@ type SiteLog struct {
 const tailRecords = 1 << 16
 
 // Have is one entry of a site's journal digest: the site journaled a write
-// of Item stamped CommitMicros (see TakeHave).
+// of Item stamped CommitMicros (see HaveSince).
 type Have struct {
 	Item         model.ItemID
 	CommitMicros int64
@@ -145,28 +143,33 @@ func (s *SiteLog) RecordWrite(item model.ItemID, txn model.TxnID, value int64, v
 		s.tail = s.tail[:copy(s.tail, s.tail[tailRecords/2:])]
 	}
 	s.tail = append(s.tail, r)
-	s.unreported++
 	s.stats.Appends++
 	s.sinceSnap++
 }
 
-// TakeHave appends to dst the digest of what this site journaled — local
-// and shipped writes alike — since the previous call: the newest commit
-// stamp per item, in item order. The entries describe volatile state: a
+// HaveSince appends to dst the digest of what this site journaled — local
+// and shipped writes alike — past sequence afterSeq: the newest commit stamp
+// per item over the tail's records with Seq > afterSeq (the whole tail when
+// afterSeq precedes it), in item order. through is the newest sequence the
+// digest covers, the afterSeq of the next call (afterSeq itself when the
+// tail holds nothing newer). The entries describe volatile state: a
 // journaled write counts before it is synced, so whoever acts on a digest
 // must forget it when this site crashes (internal/repl's peer-knowledge
-// rule). More records than the tail still holds yield no digest at all,
-// which only makes peers ship more.
-func (s *SiteLog) TakeHave(dst []Have) []Have {
+// rule). A crash empties the tail, so no digest taken after it names a write
+// from before it, whatever afterSeq says; a write the tail no longer holds
+// is left out, which only makes peers ship more.
+func (s *SiteLog) HaveSince(afterSeq uint64, dst []Have) (have []Have, through uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.unreported
-	s.unreported = 0
-	if n > len(s.tail) {
-		return dst
+	if len(s.tail) == 0 || s.tail[len(s.tail)-1].Seq <= afterSeq {
+		return dst, afterSeq
+	}
+	from := 0
+	if afterSeq >= s.tail[0].Seq {
+		from = int(afterSeq + 1 - s.tail[0].Seq)
 	}
 	base := len(dst)
-	for _, r := range s.tail[len(s.tail)-n:] {
+	for _, r := range s.tail[from:] {
 		dst = append(dst, Have{Item: r.Item, CommitMicros: r.CommitMicros})
 	}
 	fresh := dst[base:]
@@ -177,7 +180,7 @@ func (s *SiteLog) TakeHave(dst []Have) []Have {
 		return cmp.Compare(b.CommitMicros, a.CommitMicros)
 	})
 	fresh = slices.CompactFunc(fresh, func(a, b Have) bool { return a.Item == b.Item })
-	return dst[:base+len(fresh)]
+	return dst[:base+len(fresh)], s.tail[len(s.tail)-1].Seq
 }
 
 // Flush makes every appended record durable. With GroupCommit enabled,
@@ -253,24 +256,17 @@ func (s *SiteLog) image(appliedSeq uint64) []byte {
 }
 
 // Crash simulates a site power cut at the durability layer: the log buffer,
-// the in-memory tail with its unreported digest, and the media's unsynced
-// bytes are lost; the synced prefix survives. The caller (queue manager)
-// wipes the volatile store itself.
+// the in-memory tail, and the media's unsynced bytes are lost; the synced
+// prefix survives. The caller (queue manager) wipes the volatile store
+// itself.
 func (s *SiteLog) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.log = nil
-	s.dropTail()
+	s.tail = s.tail[:0]
 	if c, ok := s.media.(Crasher); ok {
 		c.Crash()
 	}
-}
-
-// dropTail empties the in-memory tail and, with it, the digest TakeHave had
-// yet to report: both describe volatile state.
-func (s *SiteLog) dropTail() {
-	s.tail = s.tail[:0]
-	s.unreported = 0
 }
 
 // Recover rebuilds the store from the newest valid snapshot plus the intact
@@ -298,7 +294,7 @@ func (s *SiteLog) recoverLocked() error {
 	for _, c := range snap.Chains {
 		s.store.RestoreChain(c)
 	}
-	s.dropTail()
+	s.tail = s.tail[:0]
 	var replayed uint64
 	lastSeq, err := Replay(s.media, snap.AppliedSeq, func(r Record) error {
 		if !s.store.Has(r.Item) {

@@ -152,9 +152,10 @@ func TestSnapshotBetweenPullsIsNoGap(t *testing.T) {
 	}
 }
 
-// TestCrashRecoverEmptiesTail: the tail and its unreported digest die with
-// the crash; after recovery the lost record is never served, an old mark
-// gets the Reset answer from what media knows, and new writes ship again.
+// TestCrashRecoverEmptiesTail: the tail and the digest it backs die with the
+// crash, whatever cursor asks; after recovery the lost record is never
+// served, an old mark gets the Reset answer from what media knows, and new
+// writes ship again.
 func TestCrashRecoverEmptiesTail(t *testing.T) {
 	st, sl := openTailLog(t, 4, Options{})
 	write(st, 0, 10)
@@ -169,8 +170,10 @@ func TestCrashRecoverEmptiesTail(t *testing.T) {
 	if len(sl.tail) != 0 {
 		t.Fatalf("tail holds %d records after recovery", len(sl.tail))
 	}
-	if have := sl.TakeHave(nil); len(have) != 0 {
-		t.Fatalf("digest survived the crash: %v", have)
+	for _, cursor := range []uint64{0, 2} {
+		if have, _ := sl.HaveSince(cursor, nil); len(have) != 0 {
+			t.Fatalf("digest since %d survived the crash: %v", cursor, have)
+		}
 	}
 	if _, _, _, gap := pull(t, sl, 0, 16, nil); !gap {
 		t.Fatal("a mark below the recovery snapshot must answer gap")
@@ -215,36 +218,41 @@ func TestMarkOlderThanTailIsServedFromMedia(t *testing.T) {
 	}
 }
 
-// TestTakeHave: the digest is the newest stamp per item journaled since the
-// previous take, in item order; it is drained by the take, and absent when
-// more was journaled than the tail holds.
-func TestTakeHave(t *testing.T) {
+// TestHaveSince: the digest is the newest stamp per item journaled past the
+// cursor, in item order, and through is the cursor of the next call. Two
+// cursors read the same tail independently; one older than the tail gets
+// the whole tail.
+func TestHaveSince(t *testing.T) {
 	st, sl := openTailLog(t, 8, Options{})
 	write(st, 5, 10)
 	write(st, 2, 20)
 	write(st, 5, 30)
 	st.ApplyShipped(7, model.TxnID{Site: 1, Seq: 1}, 1, 25) // shipped writes are journaled too
-	got := sl.TakeHave(nil)
+	got, a := sl.HaveSince(0, nil)
 	want := []Have{{Item: 2, CommitMicros: 20}, {Item: 5, CommitMicros: 30}, {Item: 7, CommitMicros: 25}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("digest %v, want %v", got, want)
+	if !slices.Equal(got, want) || a != 4 {
+		t.Fatalf("digest %v through %d, want %v through 4", got, a, want)
 	}
-	if again := sl.TakeHave(nil); len(again) != 0 {
-		t.Fatalf("second take repeats entries: %v", again)
+	if again, through := sl.HaveSince(a, nil); len(again) != 0 || through != a {
+		t.Fatalf("nothing journaled past %d, yet digest %v through %d", a, again, through)
 	}
 	write(st, 1, 40)
-	if got := sl.TakeHave(got[:0]); len(got) != 1 || got[0] != (Have{Item: 1, CommitMicros: 40}) {
-		t.Fatalf("digest after one write: %v", got)
+	if got, a = sl.HaveSince(a, got[:0]); len(got) != 1 || got[0] != (Have{Item: 1, CommitMicros: 40}) || a != 5 {
+		t.Fatalf("digest after one write: %v through %d", got, a)
+	}
+	if got, b := sl.HaveSince(1, nil); len(got) != 4 || got[0].Item != 1 || got[2] != (Have{Item: 5, CommitMicros: 30}) || b != 5 {
+		t.Fatalf("a second cursor at seq 1 reads %v through %d, want items 1, 2, 5@30 and 7 through 5", got, b)
 	}
 	for i := 0; i <= tailRecords; i++ {
 		write(st, i%8, int64(100+i))
 	}
-	if got := sl.TakeHave(nil); len(got) != 0 {
-		t.Fatalf("overflowed digest has %d entries, want none", len(got))
+	got, a = sl.HaveSince(a, nil)
+	if first := sl.tail[0].Seq; first <= 6 || len(got) != 8 || a != sl.tail[len(sl.tail)-1].Seq {
+		t.Fatalf("a cursor the tail has passed (tail from %d) reads %d items through %d, want the whole tail's 8", first, len(got), a)
 	}
 	write(st, 3, 1_000_000)
-	if got := sl.TakeHave(nil); len(got) != 1 || got[0].Item != 3 {
-		t.Fatalf("digest after the overflow: %v", got)
+	if got, _ := sl.HaveSince(a, nil); len(got) != 1 || got[0] != (Have{Item: 3, CommitMicros: 1_000_000}) {
+		t.Fatalf("digest after the cut: %v", got)
 	}
 }
 

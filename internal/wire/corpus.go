@@ -56,6 +56,10 @@ func Corpus() []engine.Envelope {
 	add(ri, qm, 3, model.ReleaseBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, CommitMicros: 1 << 40,
 		Members: []model.ReleaseMember{{Item: 7, HasWrite: true, Value: 5}, {Item: 19}}})
 	add(ri, qm, 3, model.SnapReadBatchMsg{Txn: txn, Attempt: 0, SnapMicros: 1 << 41, Site: 1, CopySite: 2, Members: []model.ItemID{7, 19, 31}})
+	// A withdrawal from one mailbox: an attempt's two copies there, and the
+	// four a lagging quorum copy holds of a wider write.
+	add(ri, qm, 1, model.AbortBatchMsg{Txn: txn, Attempt: 2, CopySite: 2, Members: []model.ItemID{7, 19}})
+	add(ri, qm, 1, model.AbortBatchMsg{Txn: txn, Attempt: 2, CopySite: 2, Members: []model.ItemID{7, 19, 31, 4095}})
 	add(qm, ri, 3, model.SnapReadReplyBatchMsg{Txn: txn, Attempt: 0, CopySite: 2, Members: []model.SnapReadReplyMember{
 		{Item: 7, Value: 11, Version: 9, CommitMicros: 1 << 39, Exact: true},
 		{Item: 19, Value: 42, Version: 3, CommitMicros: 1 << 38, Exact: true},

@@ -56,6 +56,7 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 		reflect.TypeOf(model.SubmitTxnMsg{}):          true,
 		reflect.TypeOf(model.RequestBatchMsg{}):       true,
 		reflect.TypeOf(model.ReleaseBatchMsg{}):       true,
+		reflect.TypeOf(model.AbortBatchMsg{}):         true,
 		reflect.TypeOf(model.GrantBatchMsg{}):         true,
 		reflect.TypeOf(model.SnapReadBatchMsg{}):      true,
 		reflect.TypeOf(model.SnapReadReplyBatchMsg{}): true,
