@@ -85,9 +85,10 @@ type Durability struct {
 	// many journaled writes (0 disables automatic snapshots).
 	SnapshotEvery uint64
 	// GroupCommitMicros is how long a queue-manager shard waits after
-	// journaling a write before the WAL sync that covers it; zero syncs as
-	// soon as the shard has drained its pending deliveries. See
-	// qm.Options.GroupCommitMicros.
+	// journaling a write before the WAL sync that covers it starts; zero
+	// starts it as soon as the shard has drained its pending deliveries.
+	// The sync runs off the shard's mailbox loop, which keeps serving
+	// items nobody wrote meanwhile. See qm.Options.GroupCommitMicros.
 	//
 	// With a site crash: the write-ahead rule holds at every window — a
 	// journaled write parks its item, and no grant, promotion or snapshot

@@ -14,6 +14,16 @@
 // arrived. The real-time runtime applies no model: a send there is a mailbox
 // push (or a hand-off to the transport) completed before Send returns.
 //
+// Blocking work: an actor never blocks its mailbox loop. Work that must
+// block — the queue manager's WAL sync — goes through Offload, which runs
+// it elsewhere and answers with a message to the actor itself: on the
+// real-time runtime one long-lived worker goroutine per address runs it, in
+// call order, and Shutdown joins the workers; the simulator runs it in line
+// and delivers the answer before any other event of the same instant, so
+// offloading changes no seeded run. A context without the Offloader method
+// (a test fake) runs the work in line, and the caller applies its result at
+// once.
+//
 // Backpressure: the real-time runtime's mailboxes can be bounded
 // (Runtime.SetMailboxDepth). A sheddable message (model.Sheddable — the
 // new-work openers, RequestMsg, RequestBatchMsg, SnapReadMsg and

@@ -110,11 +110,43 @@ type Context interface {
 	Rand() *rand.Rand
 }
 
+// Offloader is the optional Context method that runs blocking work off the
+// actor's mailbox loop: Offload returns at once, work runs elsewhere, and
+// once it has returned done is delivered to the actor itself, from its own
+// address. The actor keeps handling messages meanwhile. work must not touch
+// ctx, and whatever it shares with the handlers it synchronizes itself;
+// done's delivery orders everything work did before the handler that
+// receives it. Call it through Offload, which also covers contexts without
+// the method.
+//
+// engine.Runtime runs work on one long-lived worker goroutine per address,
+// in call order, and pushes done to the actor's mailbox behind whatever is
+// already there. The simulator runs work in line and delivers done right
+// after the handler that called Offload returns, before any other event of
+// the same instant, without consuming an event sequence number or counting
+// as a delivery.
+type Offloader interface {
+	Offload(work func(), done model.Message)
+}
+
+// Offload runs work off ctx's mailbox loop and reports true: done is
+// delivered to the calling actor once work has returned. A context without
+// the Offloader method (a test fake) runs work in line instead and reports
+// false; done is then never delivered, and the caller applies its effect
+// itself, in the same handler.
+func Offload(ctx Context, work func(), done model.Message) bool {
+	if o, ok := ctx.(Offloader); ok {
+		o.Offload(work, done)
+		return true
+	}
+	work()
+	return false
+}
+
 // Actor is a message-driven protocol state machine. OnMessage must not
-// block, spawn goroutines, or retain ctx beyond the call. The one sanctioned
-// block is the queue manager's drain-sync: the WAL sync a shard runs when
-// its FlushMsg arrives, once per mailbox drain (never per write), behind
-// which that shard's parked grants wait by design.
+// block, spawn goroutines, or retain ctx beyond the call. Work that has to
+// block — the queue manager's WAL sync — goes through Offload, and its
+// result comes back as a message.
 type Actor interface {
 	OnMessage(ctx Context, from Addr, msg model.Message)
 }

@@ -54,6 +54,9 @@ type Runtime struct {
 	mailboxDepth int
 	// overflows counts sheddable messages NAK'd at a full mailbox.
 	overflows atomic.Uint64
+	// workers are the Offload workers started so far, one per address that
+	// has offloaded; Shutdown stops and joins them with the mailboxes.
+	workers []*worker
 }
 
 type mailbox struct {
@@ -128,6 +131,88 @@ func (m *mailbox) close() {
 	m.done = true
 	m.mu.Unlock()
 	m.cond.Broadcast()
+}
+
+// worker is the queue of one address's Offload worker (startWorker). It is
+// reused like a mailbox's, so an Offload allocates nothing once the queue
+// has grown.
+type worker struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	jobs []job
+	head int
+	done bool
+}
+
+func (w *worker) push(j job) {
+	w.mu.Lock()
+	if !w.done {
+		w.jobs = append(w.jobs, j)
+	}
+	w.mu.Unlock()
+	w.cond.Signal()
+}
+
+func (w *worker) pop() (job, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.head == len(w.jobs) && !w.done {
+		w.cond.Wait()
+	}
+	if w.done {
+		return job{}, false
+	}
+	j := w.jobs[w.head]
+	w.jobs[w.head] = job{}
+	w.head++
+	if w.head == len(w.jobs) {
+		w.jobs = w.jobs[:0]
+		w.head = 0
+	}
+	return j, true
+}
+
+func (w *worker) close() {
+	w.mu.Lock()
+	w.done = true
+	w.mu.Unlock()
+	w.cond.Broadcast()
+}
+
+// job is one Offload call: work, then done to the caller's mailbox.
+type job struct {
+	work func()
+	done model.Message
+}
+
+// startWorker starts self's Offload worker and returns its queue, or nil
+// once the runtime is shut down (the work is then dropped, like a timer
+// firing into a closed mailbox). The worker runs one job at a time in call
+// order and pushes each job's done message to self's mailbox once the work
+// has returned.
+func (r *Runtime) startWorker(self Addr) *worker {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	mb := r.actors[self]
+	if r.closed || mb == nil {
+		return nil
+	}
+	w := &worker{}
+	w.cond = sync.NewCond(&w.mu)
+	r.workers = append(r.workers, w)
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for {
+			j, ok := w.pop()
+			if !ok {
+				return
+			}
+			j.work()
+			mb.push(Envelope{From: self, To: self, Msg: j.done})
+		}
+	}()
+	return w
 }
 
 // NewRuntime builds a real-time engine; seed derives the per-actor random
@@ -277,8 +362,9 @@ func (r *Runtime) deliver(env Envelope) {
 // (e.g. a node publishing a partition-map epoch to its peers).
 func (r *Runtime) Post(env Envelope) { r.route(env) }
 
-// Shutdown stops all actor goroutines. Pending timers fire into closed
-// mailboxes and are dropped.
+// Shutdown stops all actor goroutines and Offload workers. A worker finishes
+// the job it is running; offloaded work not yet started is dropped, and so
+// are done messages and pending timers, which land in closed mailboxes.
 func (r *Runtime) Shutdown() {
 	r.mu.Lock()
 	r.closed = true
@@ -286,9 +372,13 @@ func (r *Runtime) Shutdown() {
 	for _, mb := range r.actors {
 		boxes = append(boxes, mb)
 	}
+	workers := r.workers
 	r.mu.Unlock()
 	for _, mb := range boxes {
 		mb.close()
+	}
+	for _, w := range workers {
+		w.close()
 	}
 	r.wg.Wait()
 }
@@ -306,6 +396,10 @@ type rtContext struct {
 	rt   *Runtime
 	self Addr
 	rng  *rand.Rand
+	// w is the queue of self's Offload worker, started by the first
+	// Offload. The context is only used on self's mailbox goroutine, so no
+	// lock guards it.
+	w *worker
 }
 
 func (c *rtContext) NowMicros() int64 { return c.rt.NowMicros() }
@@ -333,4 +427,15 @@ func (c *rtContext) SetTimer(delayMicros int64, msg model.Message) {
 		return
 	}
 	time.AfterFunc(time.Duration(delayMicros)*time.Microsecond, func() { mb.push(env) })
+}
+
+// Offload implements Offloader: work runs on self's worker goroutine, and
+// done is pushed to self's mailbox once it returns.
+func (c *rtContext) Offload(work func(), done model.Message) {
+	if c.w == nil {
+		if c.w = c.rt.startWorker(c.self); c.w == nil {
+			return
+		}
+	}
+	c.w.push(job{work: work, done: done})
 }

@@ -682,6 +682,14 @@ type FlushMsg struct {
 	Shard int32
 }
 
+// FlushDoneMsg is a queue-manager-internal sync completion: the WAL sync the
+// shard's FlushMsg started off its mailbox loop (engine.Offload) has
+// returned, and the queues it covered may un-park. Shard routes it back to
+// the shard that started the sync, like FlushMsg.
+type FlushDoneMsg struct {
+	Shard int32
+}
+
 // ---------------------------------------------------------------------------
 // Replication catch-up plane (internal/repl)
 // ---------------------------------------------------------------------------
@@ -835,6 +843,7 @@ func (StopMsg) wireTag() WireTag            { return TagStop }
 func (CrashMsg) wireTag() WireTag           { return TagCrash }
 func (RecoverMsg) wireTag() WireTag         { return TagRecover }
 func (FlushMsg) wireTag() WireTag           { return TagFlush }
+func (FlushDoneMsg) wireTag() WireTag       { return TagFlushDone }
 func (ReplPullMsg) wireTag() WireTag        { return TagReplPull }
 func (ReplRecordsMsg) wireTag() WireTag     { return TagReplRecords }
 func (WrongEpochMsg) wireTag() WireTag      { return TagWrongEpoch }

@@ -86,6 +86,8 @@ const (
 	TagSnapReadReplyBatch WireTag = 38
 
 	TagAbortBatch WireTag = 39
+
+	TagFlushDone WireTag = 40
 )
 
 // TagLast is the highest assigned tag, the decode table's last row
@@ -1177,6 +1179,14 @@ func decodeFlush(r *WireReader) (m FlushMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
+func (m FlushDoneMsg) AppendWire(b []byte) []byte { return AppendVarint(b, int64(m.Shard)) }
+
+func decodeFlushDone(r *WireReader) (m FlushDoneMsg) {
+	m.Shard = r.Varint32()
+	return m
+}
+
+// AppendWire encodes the message body (no tag) onto b.
 func (m ReplPullMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.AfterSeq)
@@ -1408,6 +1418,7 @@ var codecs = [...]codec{
 	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, func(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members },
 		decodeSnapReadReplyBatch),
 	TagAbortBatch: batch(&abortBatchPool, func(p *AbortBatchMsg) []ItemID { return p.Members }, decodeAbortBatch),
+	TagFlushDone:  plain(decodeFlushDone),
 }
 
 // AppendMessage appends tag + body. A nil message and an empty batch have no

@@ -127,6 +127,7 @@ func TestMessageTagsStable(t *testing.T) {
 		37: SnapReadBatchMsg{Members: make([]ItemID, 2)},
 		38: SnapReadReplyBatchMsg{Members: make([]SnapReadReplyMember, 2)},
 		39: AbortBatchMsg{Members: make([]ItemID, 2)},
+		40: FlushDoneMsg{},
 	}
 	for tag, msg := range want {
 		got, ok := MessageTag(msg)

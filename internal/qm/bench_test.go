@@ -2,6 +2,7 @@ package qm
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"ucc/internal/engine"
@@ -84,19 +85,110 @@ func BenchmarkShardCommitBatch(b *testing.B) {
 
 // TestDrainSyncAllocatesNothing keeps the allocs-per-transaction gate
 // honest: arming the FlushMsg, parking, syncing and un-parking reuse the
-// shard's boxed message and slices. AllocsPerRun floors the average, so the
+// shard's boxed messages and slices. AllocsPerRun floors the average, so the
 // store's occasional chain regrowth does not count — a per-flush or
-// per-write allocation would.
+// per-write allocation would. The drain runs twice: with the sync in place
+// (a context that cannot offload), and on engine.Runtime, where the sync
+// goes to the shard's offload worker and un-parks by its completion message.
 func TestDrainSyncAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	cb := newCommitBatch(4)
-	cb.drain()
-	if got := testing.AllocsPerRun(200, cb.drain); got != 0 {
-		t.Fatalf("one drain of 4 write releases + FlushMsg allocates %.0f times, want 0", got)
+	t.Run("in place", func(t *testing.T) {
+		cb := newCommitBatch(4)
+		cb.drain()
+		if got := testing.AllocsPerRun(200, cb.drain); got != 0 {
+			t.Fatalf("one drain of 4 write releases + FlushMsg allocates %.0f times, want 0", got)
+		}
+		if cb.d.syncs != 202 {
+			t.Fatalf("%d syncs for 202 drains, want one each", cb.d.syncs)
+		}
+	})
+	t.Run("offloaded", func(t *testing.T) {
+		rd := newRuntimeDrain(4)
+		defer rd.rt.Shutdown()
+		for i := 0; i < 50; i++ {
+			rd.drain()
+		}
+		if got := testing.AllocsPerRun(200, rd.drain); got != 0 {
+			t.Fatalf("one offloaded drain of 4 write releases allocates %.0f times, want 0", got)
+		}
+		// A drain cannot end without a sync; it may take two when the
+		// mailbox loop reaches the FlushMsg before all the releases are
+		// posted.
+		if s := rd.d.syncs.Load(); s < 251 || s > 2*251 {
+			t.Fatalf("%d syncs for 251 drains, want one or two each", s)
+		}
+	})
+}
+
+// atomicDurable counts syncs made on any goroutine and does nothing else.
+type atomicDurable struct{ syncs atomic.Int64 }
+
+func (d *atomicDurable) Flush() error   { d.syncs.Add(1); return nil }
+func (d *atomicDurable) Crash()         {}
+func (d *atomicDurable) Recover() error { return nil }
+
+// grantSignal signals done at every every-th grant it receives.
+type grantSignal struct {
+	every, n int
+	done     chan struct{}
+}
+
+func (g *grantSignal) OnMessage(engine.Context, engine.Addr, model.Message) {
+	if g.n++; g.n%g.every == 0 {
+		g.done <- struct{}{}
 	}
-	if cb.d.syncs != 202 {
-		t.Fatalf("%d syncs for 202 drains, want one each", cb.d.syncs)
+}
+
+// runtimeDrain is commitBatch's drain on engine.Runtime, where the sync is
+// offloaded: k write requests, their k write releases and k reads queued
+// behind the parked items land in the mailbox; the FlushMsg starts the sync
+// on the shard's offload worker, and its completion un-parks the items.
+// A drain ends when the reads are granted, and the next begins by
+// releasing them.
+type runtimeDrain struct {
+	rt     *engine.Runtime
+	d      *atomicDurable
+	ri     *grantSignal
+	first  []model.Message // write requests, write releases, read requests
+	then   []model.Message // read releases
+	primed bool
+}
+
+func newRuntimeDrain(k int) *runtimeDrain {
+	st := storage.NewStore(0)
+	rd := &runtimeDrain{d: &atomicDurable{}, ri: &grantSignal{every: 2 * k, done: make(chan struct{})}}
+	var releases, reads []model.Message
+	for i := 0; i < k; i++ {
+		st.Create(model.ItemID(i), 100)
+		w := req(uint64(i+1), model.TwoPL, model.OpWrite, model.ItemID(i), model.NoTimestamp)
+		r := req(uint64(k+i+1), model.TwoPL, model.OpRead, model.ItemID(i), model.NoTimestamp)
+		rd.first = append(rd.first, w)
+		releases = append(releases, model.ReleaseMsg{Txn: w.Txn, Copy: w.Copy, HasWrite: true, Value: int64(i)})
+		reads = append(reads, r)
+		rd.then = append(rd.then, model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy})
 	}
+	rd.first = append(append(rd.first, releases...), reads...)
+	m := New(0, st, nil, Options{})
+	m.SetDurable(rd.d)
+	rd.rt = engine.NewRuntime(nil, 1)
+	rd.rt.Register(engine.QMAddr(0), m)
+	rd.rt.Register(engine.RIAddr(1), rd.ri)
+	return rd
+}
+
+func (rd *runtimeDrain) post(msgs []model.Message) {
+	for _, msg := range msgs {
+		rd.rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: msg})
+	}
+}
+
+func (rd *runtimeDrain) drain() {
+	if rd.primed {
+		rd.post(rd.then)
+	}
+	rd.primed = true
+	rd.post(rd.first)
+	<-rd.ri.done
 }

@@ -60,18 +60,26 @@
 //     traffic until its store — version chains included — is rebuilt from
 //     snapshot + replay.
 //
-// Write-ahead exposure (shard.go: park, maybeFlush, flush) is one discipline
-// at every group-commit window: journal → park → drain-sync → un-park. A
-// release that implements a write journals it through the store's hook and
-// parks the item's queue; the shard arms one self-addressed FlushMsg
-// Options.GroupCommitMicros ahead — at zero, the tail of what is already in
-// its mailbox — and keeps handling messages, which update a parked queue but
-// send no grant, promotion or snapshot reply from it. The FlushMsg does one
-// commit-sequencer pass for everything journaled since the last one, then
-// un-parks and dispatches. So no value, and nothing ordered after a value,
-// leaves a shard before the sync covering it has returned; the sync blocks
-// the shard once per mailbox drain instead of once per write; and a crash
-// destroys only writes nobody observed through this site.
+// Write-ahead exposure (shard.go: park, maybeFlush, startSync, onSynced) is
+// one discipline at every group-commit window: journal → park → drain-sync →
+// un-park. A release that implements a write journals it through the store's
+// hook and parks the item's queue; the shard arms one self-addressed
+// FlushMsg Options.GroupCommitMicros ahead — at zero, the tail of what is
+// already in its mailbox — and keeps handling messages, which update a
+// parked queue but send no grant, promotion or snapshot reply from it. The
+// FlushMsg starts one commit-sequencer pass for everything journaled so far,
+// off the mailbox loop (engine.Offload), and the shard keeps serving
+// meanwhile: queues nobody wrote answer as usual. The sync answers with a
+// FlushDoneMsg, which un-parks and dispatches the queues it covered. Each
+// park carries the shard's sync generation, so a queue written while a sync
+// is in flight stays parked for the next one, which the completion arms; at
+// most one sync is in flight per shard. So no value, and nothing ordered
+// after a value, leaves a shard before the sync covering it has returned;
+// there is one sync per mailbox drain instead of one per write, and only
+// the results that depend on it wait for it; and a crash destroys only
+// writes nobody observed through this site. A crash with a sync in flight
+// fails that sync, and its completion — deferred through the outage or
+// arriving after recovery — un-parks nothing.
 //
 // Backpressure: Options.MaxQueueDepth bounds every data queue. A request
 // landing on a full queue — unless its transaction is already resident —

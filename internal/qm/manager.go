@@ -39,16 +39,19 @@ type Options struct {
 	// replacement) are never NAK'd — they do not grow the queue.
 	MaxQueueDepth int
 	// GroupCommitMicros, with a Durable attached, is how long a shard waits
-	// after journaling a write before the WAL sync that covers it. The
-	// write-ahead rule holds at every value: a write parks its item's queue
-	// when journaled, and no grant, promotion or snapshot reply carrying or
-	// ordered after it leaves the shard until the sync has returned — a
-	// crash can only lose writes nobody observed through this site. Zero
-	// (the default) syncs as soon as the shard has drained what is already
-	// in its mailbox, so every release queued behind the first shares that
-	// sync; a positive window holds the exposure longer to batch harder.
-	// Each shard parks and flushes its own queues; the per-site commit
-	// sequencer coalesces the shards' syncs.
+	// after journaling a write before the WAL sync that covers it starts.
+	// The write-ahead rule holds at every value: a write parks its item's
+	// queue when journaled, and no grant, promotion or snapshot reply
+	// carrying or ordered after it leaves the shard until the sync has
+	// returned — a crash can only lose writes nobody observed through this
+	// site. Zero (the default) starts the sync as soon as the shard has
+	// drained what is already in its mailbox, so every release queued
+	// behind the first shares it; a positive window holds the exposure
+	// longer to batch harder. The sync runs off the mailbox loop
+	// (engine.Offload): the shard keeps serving the queues nobody wrote,
+	// writes journaled meanwhile wait for the next sync, and that one starts
+	// when this one returns. Each shard parks and flushes its own queues;
+	// the per-site commit sequencer coalesces the shards' syncs.
 	GroupCommitMicros int64
 	// InitialValue seeds copies this site gains at a map install before
 	// their transfer stream arrives (matching cluster.Config.InitialValue,
@@ -189,14 +192,17 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 	m.groupCommitMicros.Store(opts.GroupCommitMicros)
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
-		m.shards[i] = &shard{
+		sh := &shard{
 			m:        m,
 			idx:      i,
 			flushMsg: model.FlushMsg{Shard: int32(i)},
+			doneMsg:  model.FlushDoneMsg{Shard: int32(i)},
 			queues:   map[model.ItemID]*dataQueue{},
 			pending:  map[model.ItemID]bool{},
 			retiring: map[model.ItemID]bool{},
 		}
+		sh.syncWork = sh.runSync
+		m.shards[i] = sh
 	}
 	for _, item := range store.Items() {
 		sh := m.shards[model.ShardOfItem(item, opts.Shards)]
@@ -375,6 +381,10 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		if int(v.Shard) < len(m.shards) {
 			m.shards[v.Shard].onMessage(ctx, from, msg)
 		}
+	case model.FlushDoneMsg:
+		if int(v.Shard) < len(m.shards) {
+			m.shards[v.Shard].onMessage(ctx, from, msg)
+		}
 	case model.ProbeWFGMsg:
 		m.onProbe(ctx, from, v)
 	case model.TickMsg:
@@ -455,16 +465,16 @@ func (m *Manager) unlockAll() {
 	}
 }
 
-// flushAll runs every shard's flush in place: the control plane's sync
-// point (catch-up and transfer applies), after which everything it journaled
-// is durable and exposed. Callers hold ctlMu and no shard lock. The un-park's
+// flushAll runs every shard's flushNow: the control plane's sync point
+// (catch-up and transfer applies), after which everything it journaled is
+// durable and exposed. Callers hold ctlMu and no shard lock. The un-park's
 // grants leave from the control shard's address, yet on engine.Runtime reach
 // the issuer before anything the item's shard sends later: both send holding
 // sh.mu, and a Runtime send completes before Send returns (Context.Send).
 func (m *Manager) flushAll(ctx engine.Context) {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		sh.flush(ctx)
+		sh.flushNow(ctx)
 		sh.mu.Unlock()
 	}
 }
@@ -490,10 +500,15 @@ func (m *Manager) onCrash() {
 		sh.down = true
 		sh.dirty = false
 		sh.flushArmed = false // a FlushMsg still in flight defers, and is a no-op after recovery
-		// The journaled-but-unsynced writes die with the log tail. Nothing
-		// exposed them, so only their history entries need retracting. The
-		// queues stay parked through the outage: recovery's flush dispatches
-		// them against the recovered store.
+		// A sync in flight fails with the log (the crash may land mid-sync):
+		// its completion, whenever it lands, is stale. It stays the shard's
+		// one sync in flight until then.
+		sh.staleSync = sh.syncing
+		// The journaled writes no returned sync covered die with the log
+		// tail, the in-flight sync's included. Nothing exposed them, so only
+		// their history entries need retracting. The queues stay parked
+		// through the outage: recovery's flush dispatches them against the
+		// recovered store.
 		for _, w := range sh.unsynced {
 			m.recorder.Discard(w.copy, w.txn)
 		}
@@ -543,10 +558,18 @@ func (m *Manager) onRecover(ctx engine.Context) {
 		for len(sh.deferred) > 0 {
 			p := sh.deferred[0]
 			sh.deferred = sh.deferred[1:]
+			if _, timer := p.msg.(model.FlushMsg); timer {
+				// A group-commit timer that fired during the outage syncs in
+				// place, where it stands in the replay: what it un-parks
+				// leaves before the replies to the messages behind it.
+				sh.flushArmed = false
+				sh.flushNow(ctx)
+				continue
+			}
 			sh.handle(ctx, p.from, p.msg)
 		}
 		sh.deferred = nil
-		sh.flush(ctx) // also un-parks the queues the crash caught parked
+		sh.flushNow(ctx) // also un-parks the queues the crash caught parked
 		sh.mu.Unlock()
 	}
 	m.shards[0].mu.Lock()

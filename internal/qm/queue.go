@@ -122,8 +122,12 @@ type dataQueue struct {
 	semiLocksEnabled bool
 	// parked is set while the item holds a journaled write no WAL sync has
 	// covered yet: messages keep updating the queue, but the shard's dispatch
-	// sends nothing from it until the flush that un-parks it (shard.flush).
-	parked bool
+	// sends nothing from it until the sync that un-parks it (shard.unpark).
+	// parkGen is the shard's sync generation its newest write waits for: a
+	// write during an in-flight sync moves it past that sync, so the queue
+	// stays parked for the next one.
+	parked  bool
+	parkGen uint64
 
 	// Cumulative grant counters (inputs to λr(j)/λw(j) estimation).
 	readGrants, writeGrants uint64

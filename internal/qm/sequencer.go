@@ -4,7 +4,8 @@ import "sync"
 
 // commitSequencer is the per-site commit point the shards drain through: a
 // transaction's writes become durable at one atomic site-wide sync no matter
-// how many shards implemented them. Each flushing shard calls commit();
+// how many shards implemented them. Each flushing shard calls commit(), off
+// its mailbox loop (shard.startSync) or, on the control plane, in place;
 // one caller at a time becomes the leader and performs the underlying flush
 // for everyone waiting, so N concurrently flushing shards cost far
 // fewer than N media syncs (the same leader/follower shape as the WAL's

@@ -33,18 +33,34 @@ type shard struct {
 	pending  map[model.ItemID]bool
 	retiring map[model.ItemID]bool
 
-	// Exposure discipline (see flush): a write is journaled when implemented,
-	// its queue is parked, and nothing carrying or ordered after the value
-	// leaves the shard until the sync covering it has returned.
+	// Exposure discipline (see startSync): a write is journaled when
+	// implemented, its queue is parked, and nothing carrying or ordered after
+	// the value leaves the shard until the sync covering it has returned.
 	dirty      bool                // journaled writes await a sync
 	flushArmed bool                // a FlushMsg is pending for this shard
 	flushMsg   model.Message       // this shard's FlushMsg, boxed once so arming allocates nothing
-	parked     []*dataQueue        // queues whose dispatch waits for the next sync (reused)
+	parked     []*dataQueue        // queues whose dispatch waits for a sync (reused)
 	snapWait   []model.SnapReadMsg // snapshot reads of parked items, answered at un-park (reused)
-	// unsynced lists the writes journaled since the last sync, kept only when
-	// a history recorder is attached: a crash destroys those writes, and
-	// their log entries are retracted with them (onCrash).
+	// unsynced lists the writes journaled and not yet covered by a returned
+	// sync, kept only when a history recorder is attached: a crash destroys
+	// those writes, and their log entries are retracted with them (onCrash).
 	unsynced []unsyncedWrite
+
+	// The pipelined sync. gen is the generation of the next sync: a write
+	// parks its queue at gen, and the sync that starts next covers it. At
+	// most one sync is in flight (syncing), covering generation syncGen; it
+	// runs off the mailbox loop (syncWork, via engine.Offload) and answers
+	// with doneMsg, boxed once like flushMsg. syncErr is its result, written
+	// by the sync and read by the completion its delivery orders after it.
+	// staleSync marks a sync in flight that a crash overtook: its completion
+	// un-parks nothing.
+	gen       uint64
+	syncing   bool
+	syncGen   uint64
+	staleSync bool
+	syncErr   error
+	syncWork  func()
+	doneMsg   model.Message
 
 	down     bool // site crashed: messages defer until recovery
 	deferred []pendingMsg
@@ -57,6 +73,7 @@ type shard struct {
 type unsyncedWrite struct {
 	copy model.CopyID
 	txn  model.TxnID
+	gen  uint64 // the sync generation that covers it
 }
 
 // heldReplies is the reply a batch builds while the shard handles it: the
@@ -85,9 +102,11 @@ func (sh *shard) onMessage(ctx engine.Context, from engine.Addr, msg model.Messa
 	defer sh.mu.Unlock()
 	if sh.down {
 		// Deferred counts real protocol traffic held back by the outage; the
-		// shard's own group-commit flush timers are deferred too but are not
-		// traffic.
-		if _, timer := msg.(model.FlushMsg); !timer {
+		// shard's own group-commit flush timers and sync completions are
+		// deferred too but are not traffic.
+		switch msg.(type) {
+		case model.FlushMsg, model.FlushDoneMsg:
+		default:
 			sh.counters.Deferred++
 		}
 		// The deferred list outlives this delivery, but the delivery layer
@@ -143,20 +162,23 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 		sh.onSnapReadBatch(ctx, v)
 	case model.FlushMsg:
 		sh.flushArmed = false
-		sh.flush(ctx)
+		sh.startSync(ctx)
+	case model.FlushDoneMsg:
+		sh.onSynced(ctx)
 	default:
 		panic(fmt.Sprintf("qm: site %d shard %d: unexpected message %T", sh.m.site, sh.idx, msg))
 	}
 }
 
 // maybeFlush arms the shard's drain-sync, run after every handled message:
-// if the delivery journaled a write, one self-addressed FlushMsg is set
-// GroupCommitMicros ahead. A zero window lands it at the tail of what is
-// already in the mailbox (engine.Runtime) or at the current instant (sim),
-// so every release queued behind this one shares the sync; a positive
-// window only delays the same message.
+// if the delivery journaled a write and no sync is in flight, one
+// self-addressed FlushMsg is set GroupCommitMicros ahead. A zero window
+// lands it at the tail of what is already in the mailbox (engine.Runtime)
+// or at the current instant (sim), so every release queued behind this one
+// shares the sync; a positive window only delays the same message. While a
+// sync is in flight the writes wait for its completion, which arms the next.
 func (sh *shard) maybeFlush(ctx engine.Context) {
-	if !sh.dirty || sh.flushArmed {
+	if !sh.dirty || sh.flushArmed || sh.syncing {
 		return
 	}
 	sh.flushArmed = true
@@ -164,50 +186,123 @@ func (sh *shard) maybeFlush(ctx engine.Context) {
 }
 
 // park notes a write to q's item that was journaled but that no sync has
-// covered yet: dispatch refuses q until the next flush. On a volatile site
-// there is no journal to wait for and nothing parks. q may be nil (a shipped
-// record for an item whose queue already retired).
+// covered yet: dispatch refuses q until the sync of the current generation
+// returns — the next one to start, not one already in flight, which may
+// have written the log out before this record. On a volatile site there is
+// no journal to wait for and nothing parks. q may be nil (a shipped record
+// for an item whose queue already retired).
 func (sh *shard) park(q *dataQueue) {
 	if sh.m.dur == nil {
 		return
 	}
 	sh.dirty = true
-	if q != nil && !q.parked {
+	if q == nil {
+		return
+	}
+	q.parkGen = sh.gen
+	if !q.parked {
 		q.parked = true
 		sh.parked = append(sh.parked, q)
 	}
 }
 
-// flush is the one exposure point for journaled writes: a single pass
-// through the site's commit sequencer makes every record this shard
-// journaled before the call durable (concurrently flushing shards coalesce
-// into one media sync), and only then is each parked queue un-parked and
-// dispatched — the grants, promotions and snapshot replies held back while
-// it was parked, including those owed to messages that arrived meanwhile,
-// leave now. The blocking sync is deliberate: it runs once per mailbox
-// drain, not once per write. After a crash the parked writes are gone with
-// the log tail (dirty is clear) and the un-park exposes the recovered state.
-func (sh *shard) flush(ctx engine.Context) {
-	if sh.dirty {
+// startSync is the FlushMsg: one pass through the site's commit sequencer
+// for everything this shard journaled so far (concurrently flushing shards
+// coalesce into one media sync), run off the mailbox loop. The shard keeps
+// handling messages meanwhile — a queue nobody wrote is served as usual, a
+// parked one absorbs traffic and sends nothing — and un-parks when the
+// completion arrives (onSynced). A context that cannot offload runs the
+// sync in place, and the un-park follows at once.
+func (sh *shard) startSync(ctx engine.Context) {
+	if !sh.dirty || sh.syncing {
+		return
+	}
+	sh.dirty = false
+	sh.syncing, sh.syncGen = true, sh.gen
+	sh.gen++
+	if !engine.Offload(ctx, sh.syncWork, sh.doneMsg) {
+		sh.onSynced(ctx)
+	}
+}
+
+// runSync is the offloaded work: it touches no shard state but syncErr,
+// which the completion reads after its delivery.
+func (sh *shard) runSync() { sh.syncErr = sh.m.seq.commit() }
+
+// onSynced is the sync's completion: every queue whose writes it covered
+// un-parks, and a queue written again meanwhile waits for the next sync,
+// which the completion's maybeFlush arms. A completion that predates a
+// crash is stale: the writes it covered died with the log tail, recovery
+// has un-parked their queues against the recovered store, and it un-parks
+// nothing.
+func (sh *shard) onSynced(ctx engine.Context) {
+	sh.syncing = false
+	if sh.staleSync {
+		sh.staleSync = false
+		return
+	}
+	if err := sh.syncErr; err != nil {
+		// Losing the WAL means losing the durability contract; there is no
+		// meaningful way to continue serving writes.
+		panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
+	}
+	sh.unpark(ctx, sh.syncGen)
+}
+
+// flushNow makes everything this shard journaled durable in place and
+// un-parks what that covers — the control plane's sync point (flushAll) and
+// recovery's. With nothing journaled since the last sync started, an
+// in-flight sync's completion un-parks its own queues; with no sync in
+// flight either, whatever is still parked lost its write in a crash and
+// un-parks against the recovered store.
+func (sh *shard) flushNow(ctx engine.Context) {
+	switch {
+	case sh.dirty:
 		if err := sh.m.seq.commit(); err != nil {
-			// Losing the WAL means losing the durability contract; there is no
-			// meaningful way to continue serving writes.
 			panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
 		}
 		sh.dirty = false
-		sh.unsynced = sh.unsynced[:0]
+	case sh.syncing && !sh.staleSync:
+		return
 	}
+	sh.unpark(ctx, sh.gen)
+}
+
+// unpark is the one exposure point for journaled writes: each parked queue
+// whose writes the sync of generation upTo covered is un-parked and
+// dispatched — the grants and promotions held back while it was parked,
+// including those owed to messages that arrived meanwhile, leave now — and
+// then the snapshot reads held for those items are answered. Queues written
+// again since stay parked, in order, for the next sync.
+func (sh *shard) unpark(ctx engine.Context, upTo uint64) {
+	unsynced := sh.unsynced[:0]
+	for _, w := range sh.unsynced {
+		if w.gen > upTo {
+			unsynced = append(unsynced, w)
+		}
+	}
+	sh.unsynced = unsynced
+	parked := sh.parked[:0]
 	for i, q := range sh.parked {
 		sh.parked[i] = nil
+		if q.parkGen > upTo {
+			parked = append(parked, q)
+			continue
+		}
 		q.parked = false
 		sh.dispatch(ctx, q)
 		sh.maybeRetire(q.copyID.Item, q)
 	}
-	sh.parked = sh.parked[:0]
+	sh.parked = parked
+	waiting := sh.snapWait[:0]
 	for _, v := range sh.snapWait {
+		if q := sh.queues[v.Copy.Item]; q != nil && q.parked {
+			waiting = append(waiting, v)
+			continue
+		}
 		sh.onSnapRead(ctx, v)
 	}
-	sh.snapWait = sh.snapWait[:0]
+	sh.snapWait = waiting
 }
 
 // onRequestBatch handles every member exactly as the RequestMsg it stands
@@ -490,7 +585,7 @@ func (sh *shard) implement(q *dataQueue, e *entry, v model.ReleaseMsg) {
 			sh.m.store.Write(v.Copy.Item, e.txn, v.Value, v.CommitMicros) // journaled via the store's hook
 			sh.park(q)
 			if q.parked && sh.m.recorder != nil {
-				sh.unsynced = append(sh.unsynced, unsyncedWrite{c, e.txn}) // the log entry below dies with the write at a crash
+				sh.unsynced = append(sh.unsynced, unsyncedWrite{c, e.txn, sh.gen}) // the log entry below dies with the write at a crash
 			}
 		}
 		if sh.m.recorder != nil {
@@ -532,7 +627,7 @@ func (sh *shard) onAbort(ctx engine.Context, v model.AbortMsg) {
 
 // dispatch grants every grantable head in sequence and then promotes
 // pre-scheduled locks whose earlier conflicts have all been released. A
-// parked queue is left alone: flush dispatches it once its write is durable.
+// parked queue is left alone: unpark dispatches it once its write is durable.
 func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 	if q.parked {
 		return

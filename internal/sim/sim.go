@@ -49,6 +49,9 @@ type Engine struct {
 	// events recycle through a plain slice instead of a sync.Pool — one event
 	// allocation per in-flight high-water mark rather than one per send.
 	free []*event
+	// offloaded holds the done messages of work offloaded (Context Offload)
+	// by the handler running now; Step delivers them as soon as it returns.
+	offloaded []engine.Envelope
 	// Delivered counts delivered envelopes (a cheap progress/cost metric).
 	Delivered uint64
 }
@@ -152,7 +155,24 @@ func (e *Engine) Step() bool {
 	// Ownership transferred at Send: pooled messages recycle once the
 	// receiving actor returns (retainers copy via model.UnpoolMessage).
 	model.RecycleMessage(msg)
+	e.deliverOffloaded()
 	return true
+}
+
+// deliverOffloaded hands each offloaded work's done message to its actor,
+// in Offload order, before any other event: the work already ran in line,
+// so in virtual time it completed at this instant. A done handler that
+// offloads again is served by the same loop. Done messages take no event
+// sequence number and are not counted in Delivered, so a run that offloads
+// schedules exactly the events one that did the work in its handler would.
+func (e *Engine) deliverOffloaded() {
+	for i := 0; i < len(e.offloaded); i++ {
+		env := e.offloaded[i]
+		e.offloaded[i] = engine.Envelope{}
+		e.actors[env.To].OnMessage(e.ctxs[env.To], env.From, env.Msg)
+		model.RecycleMessage(env.Msg)
+	}
+	e.offloaded = e.offloaded[:0]
 }
 
 // RunUntil processes events until the virtual clock would exceed tMicros or
@@ -211,4 +231,11 @@ func (c *simContext) SetTimer(delayMicros int64, msg model.Message) {
 		delayMicros = 0
 	}
 	c.eng.schedule(c.eng.now+delayMicros, engine.Envelope{From: c.self, To: c.self, Msg: msg})
+}
+
+// Offload implements engine.Offloader: work runs in line, and done is
+// delivered as soon as the calling handler returns (deliverOffloaded).
+func (c *simContext) Offload(work func(), done model.Message) {
+	work()
+	c.eng.offloaded = append(c.eng.offloaded, engine.Envelope{From: c.self, To: c.self, Msg: done})
 }

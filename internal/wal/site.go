@@ -21,10 +21,10 @@ type Options struct {
 	// GroupCommit serializes concurrent Flush callers through a
 	// GroupCommitter so one sync covers every record appended by the
 	// concurrently committing transactions. The queue manager already
-	// batches — one sync per shard mailbox drain, shards coalesced by its
-	// commit sequencer — so this matters only to callers that Flush from
-	// several goroutines of their own; under the single-threaded simulator
-	// it changes nothing.
+	// batches — at most one sync in flight per shard, shards coalesced by
+	// its commit sequencer — so this matters only to callers that Flush
+	// from several goroutines of their own; under the single-threaded
+	// simulator it changes nothing.
 	GroupCommit bool
 }
 
@@ -51,12 +51,17 @@ type Stats struct {
 // queue manager's commit boundaries, takes periodic snapshots, and rebuilds
 // the store from snapshot + log tail after a crash.
 type SiteLog struct {
-	mu    sync.Mutex
-	media Media
-	store *storage.Store
-	opts  Options
-	log   *Log // nil while crashed
-	gc    *GroupCommitter
+	// syncMu serializes everything that writes media — flushes, snapshots,
+	// recovery — and is held across a flush's sync. mu guards the in-memory
+	// state and is released for the sync, so RecordWrite, HaveSince and
+	// RecordsSince never wait for the media. Lock order: syncMu, then mu.
+	syncMu sync.Mutex
+	mu     sync.Mutex
+	media  Media
+	store  *storage.Store
+	opts   Options
+	log    *Log // nil while crashed
+	gc     *GroupCommitter
 
 	sinceSnap uint64
 	// lastSnapSeq is the AppliedSeq of the newest snapshot on media. A new
@@ -193,16 +198,36 @@ func (s *SiteLog) Flush() error {
 	return s.flush()
 }
 
+// flush writes the buffered records out under mu, then syncs them with mu
+// released: records journaled meanwhile stay buffered for the next flush,
+// and synced advances only to the last record written before the sync. A
+// Crash during the sync fails the flush — the records it covered may or may
+// not have reached the media, and the log they were appended to is gone.
 func (s *SiteLog) flush() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
+	l := s.log
+	if l == nil {
+		s.mu.Unlock()
 		return fmt.Errorf("wal: flush on crashed site log")
 	}
-	if err := s.log.Flush(); err != nil {
+	w, err := l.write()
+	upTo := l.NextSeq() - 1
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	s.synced = s.log.NextSeq() - 1
+	err = w.Sync()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log != l {
+		return fmt.Errorf("wal: site log crashed during flush")
+	}
+	if err := l.synced(err); err != nil {
+		return err
+	}
+	s.synced = upTo
 	s.stats.Syncs++
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		return s.snapshotLocked()
@@ -213,6 +238,8 @@ func (s *SiteLog) flush() error {
 // Snapshot forces a store snapshot + log truncation now (everything
 // appended must already be flushed or is flushed here first).
 func (s *SiteLog) Snapshot() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
@@ -226,9 +253,18 @@ func (s *SiteLog) Snapshot() error {
 	return s.snapshotLocked()
 }
 
-// snapshotLocked requires every appended record flushed: the store state it
-// images is then exactly seq ≤ log.NextSeq()-1, all durable.
+// snapshotLocked images the store as of every appended record, so it first
+// flushes what was journaled since the last flush (RecordWrite runs during a
+// flush's sync): the store state it images is then exactly
+// seq ≤ log.NextSeq()-1, all durable. Callers hold syncMu and mu.
 func (s *SiteLog) snapshotLocked() error {
+	if s.synced != s.log.NextSeq()-1 {
+		if err := s.log.Flush(); err != nil {
+			return err
+		}
+		s.synced = s.log.NextSeq() - 1
+		s.stats.Syncs++
+	}
 	applied := s.log.NextSeq() - 1
 	if applied <= s.lastSnapSeq {
 		s.sinceSnap = 0
@@ -274,6 +310,8 @@ func (s *SiteLog) Crash() {
 // clean state: a fresh post-recovery snapshot and one empty segment, with
 // every torn suffix discarded.
 func (s *SiteLog) Recover() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recoverLocked()

@@ -200,18 +200,37 @@ func (l *Log) Append(r Record) uint64 {
 // After a successful Flush all appended records are durable. The segment is
 // rolled once it exceeds the size threshold.
 func (l *Log) Flush() error {
+	w, err := l.write()
+	if err != nil {
+		return err
+	}
+	return l.synced(w.Sync())
+}
+
+// write hands every buffered record to the current segment and returns the
+// segment's writer for the caller to sync. Between write and synced the Log
+// may take further Appends (they stay buffered) but no other write, roll or
+// close: SiteLog syncs without its lock, one flush at a time.
+func (l *Log) write() (Writer, error) {
 	if l.poisoned != nil {
-		return l.poisoned
+		return nil, l.poisoned
 	}
 	if len(l.buf) > 0 {
 		if _, err := l.cur.Write(l.buf); err != nil {
 			l.poisoned = fmt.Errorf("wal: segment %s write: %w", l.curName, err)
-			return l.poisoned
+			return nil, l.poisoned
 		}
 		l.curSize += len(l.buf)
 		l.buf = l.buf[:0]
 	}
-	if err := l.cur.Sync(); err != nil {
+	return l.cur, nil
+}
+
+// synced takes the result of syncing what write handed out: a failure
+// poisons the log, a success rolls the segment once it is past the size
+// threshold.
+func (l *Log) synced(err error) error {
+	if err != nil {
 		l.poisoned = fmt.Errorf("wal: segment %s sync: %w", l.curName, err)
 		return l.poisoned
 	}

@@ -84,6 +84,7 @@ func Corpus() []engine.Envelope {
 	add(col, qm, 1, model.CrashMsg{})
 	add(col, qm, 1, model.RecoverMsg{})
 	add(qm, qm, 1, model.FlushMsg{Shard: 3})
+	add(qm, qm, 1, model.FlushDoneMsg{Shard: 3})
 
 	// Replication catch-up plane: the periodic pull with its journal digest
 	// (internal/repl's codec: items 3@10 and 4@5 as varint deltas), the
