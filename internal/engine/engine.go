@@ -121,7 +121,8 @@ type Context interface {
 //
 // engine.Runtime runs work on one long-lived worker goroutine per address,
 // in call order, and pushes done to the actor's mailbox behind whatever is
-// already there. The simulator runs work in line and delivers done right
+// already there; an Offload made while several jobs already wait for that
+// worker waits until it takes one. The simulator runs work in line and delivers done right
 // after the handler that called Offload returns, before any other event of
 // the same instant, without consuming an event sequence number or counting
 // as a delivery.

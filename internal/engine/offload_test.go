@@ -119,7 +119,7 @@ func TestRuntimeShutdownJoinsOffloadWorkers(t *testing.T) {
 	ran := false
 	ctx := &rtContext{rt: rt, self: QMAddr(0)}
 	ctx.Offload(func() { ran = true }, model.TickMsg{Tag: 1})
-	if ran || ctx.w != nil {
+	if ran || ctx.jobs != nil {
 		t.Fatal("Offload after Shutdown ran its work or started a worker")
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {

@@ -54,9 +54,9 @@ type Runtime struct {
 	mailboxDepth int
 	// overflows counts sheddable messages NAK'd at a full mailbox.
 	overflows atomic.Uint64
-	// workers are the Offload workers started so far, one per address that
-	// has offloaded; Shutdown stops and joins them with the mailboxes.
-	workers []*worker
+	// stop is closed by Shutdown: it stops the Offload workers and releases
+	// an Offload waiting for room in a worker's queue.
+	stop chan struct{}
 }
 
 type mailbox struct {
@@ -133,86 +133,48 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
-// worker is the queue of one address's Offload worker (startWorker). It is
-// reused like a mailbox's, so an Offload allocates nothing once the queue
-// has grown.
-type worker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	jobs []job
-	head int
-	done bool
-}
-
-func (w *worker) push(j job) {
-	w.mu.Lock()
-	if !w.done {
-		w.jobs = append(w.jobs, j)
-	}
-	w.mu.Unlock()
-	w.cond.Signal()
-}
-
-func (w *worker) pop() (job, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.head == len(w.jobs) && !w.done {
-		w.cond.Wait()
-	}
-	if w.done {
-		return job{}, false
-	}
-	j := w.jobs[w.head]
-	w.jobs[w.head] = job{}
-	w.head++
-	if w.head == len(w.jobs) {
-		w.jobs = w.jobs[:0]
-		w.head = 0
-	}
-	return j, true
-}
-
-func (w *worker) close() {
-	w.mu.Lock()
-	w.done = true
-	w.mu.Unlock()
-	w.cond.Broadcast()
-}
-
 // job is one Offload call: work, then done to the caller's mailbox.
 type job struct {
 	work func()
 	done model.Message
 }
 
+// offloadQueue is how many Offload jobs may wait behind the one an
+// address's worker is running before Offload waits for the worker.
+const offloadQueue = 4
+
 // startWorker starts self's Offload worker and returns its queue, or nil
 // once the runtime is shut down (the work is then dropped, like a timer
 // firing into a closed mailbox). The worker runs one job at a time in call
 // order and pushes each job's done message to self's mailbox once the work
-// has returned.
-func (r *Runtime) startWorker(self Addr) *worker {
+// has returned; it starts no job after Shutdown.
+func (r *Runtime) startWorker(self Addr) chan<- job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	mb := r.actors[self]
 	if r.closed || mb == nil {
 		return nil
 	}
-	w := &worker{}
-	w.cond = sync.NewCond(&w.mu)
-	r.workers = append(r.workers, w)
+	jobs := make(chan job, offloadQueue)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		for {
-			j, ok := w.pop()
-			if !ok {
+			select {
+			case j := <-jobs:
+				select {
+				case <-r.stop:
+					return
+				default:
+				}
+				j.work()
+				mb.push(Envelope{From: self, To: self, Msg: j.done})
+			case <-r.stop:
 				return
 			}
-			j.work()
-			mb.push(Envelope{From: self, To: self, Msg: j.done})
 		}
 	}()
-	return w
+	return jobs
 }
 
 // NewRuntime builds a real-time engine; seed derives the per-actor random
@@ -229,6 +191,7 @@ func NewRuntime(latency LatencyModel, seed int64) *Runtime {
 		actors: map[Addr]*mailbox{},
 		start:  now,
 		epoch:  now.UnixMicro(),
+		stop:   make(chan struct{}),
 	}
 }
 
@@ -367,18 +330,17 @@ func (r *Runtime) Post(env Envelope) { r.route(env) }
 // are done messages and pending timers, which land in closed mailboxes.
 func (r *Runtime) Shutdown() {
 	r.mu.Lock()
+	if !r.closed {
+		close(r.stop)
+	}
 	r.closed = true
 	boxes := make([]*mailbox, 0, len(r.actors))
 	for _, mb := range r.actors {
 		boxes = append(boxes, mb)
 	}
-	workers := r.workers
 	r.mu.Unlock()
 	for _, mb := range boxes {
 		mb.close()
-	}
-	for _, w := range workers {
-		w.close()
 	}
 	r.wg.Wait()
 }
@@ -396,10 +358,10 @@ type rtContext struct {
 	rt   *Runtime
 	self Addr
 	rng  *rand.Rand
-	// w is the queue of self's Offload worker, started by the first
+	// jobs is the queue of self's Offload worker, started by the first
 	// Offload. The context is only used on self's mailbox goroutine, so no
 	// lock guards it.
-	w *worker
+	jobs chan<- job
 }
 
 func (c *rtContext) NowMicros() int64 { return c.rt.NowMicros() }
@@ -430,12 +392,16 @@ func (c *rtContext) SetTimer(delayMicros int64, msg model.Message) {
 }
 
 // Offload implements Offloader: work runs on self's worker goroutine, and
-// done is pushed to self's mailbox once it returns.
+// done is pushed to self's mailbox once it returns. With offloadQueue jobs
+// already waiting, Offload waits for the worker to take one.
 func (c *rtContext) Offload(work func(), done model.Message) {
-	if c.w == nil {
-		if c.w = c.rt.startWorker(c.self); c.w == nil {
+	if c.jobs == nil {
+		if c.jobs = c.rt.startWorker(c.self); c.jobs == nil {
 			return
 		}
 	}
-	c.w.push(job{work: work, done: done})
+	select {
+	case c.jobs <- job{work: work, done: done}:
+	case <-c.rt.stop:
+	}
 }

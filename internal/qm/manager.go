@@ -508,7 +508,12 @@ func (m *Manager) onCrash() {
 		// tail, the in-flight sync's included. Nothing exposed them, so only
 		// their history entries need retracting. The queues stay parked
 		// through the outage: recovery's flush dispatches them against the
-		// recovered store.
+		// recovered store. On engine.Runtime a crash can land after the
+		// in-flight sync reached the media but before it returned: those
+		// writes are durable and recovery restores them, while the history
+		// has dropped their writers. A history check on the runtime must not
+		// crash a site mid-sync; the simulator runs the sync in line, so
+		// there the window does not exist.
 		for _, w := range sh.unsynced {
 			m.recorder.Discard(w.copy, w.txn)
 		}

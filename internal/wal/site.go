@@ -53,8 +53,10 @@ type Stats struct {
 type SiteLog struct {
 	// syncMu serializes everything that writes media — flushes, snapshots,
 	// recovery — and is held across a flush's sync. mu guards the in-memory
-	// state and is released for the sync, so RecordWrite, HaveSince and
-	// RecordsSince never wait for the media. Lock order: syncMu, then mu.
+	// state and is released for a flush's sync, so RecordWrite, HaveSince
+	// and RecordsSince do not wait for it. They do wait for a snapshot:
+	// snapshotLocked syncs the log, rolls it and writes the image under mu,
+	// once per SnapshotEvery records. Lock order: syncMu, then mu.
 	syncMu sync.Mutex
 	mu     sync.Mutex
 	media  Media

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -10,11 +11,13 @@ import (
 
 // gatedMedia is a MemMedia whose segment syncs block until the test opens
 // the gate; started receives once per sync that reached the gate. Snapshot
-// syncs pass straight through.
+// syncs pass straight through, and once failSnap is set no snapshot can be
+// created.
 type gatedMedia struct {
 	*MemMedia
-	started chan struct{}
-	gate    chan struct{}
+	started  chan struct{}
+	gate     chan struct{}
+	failSnap bool
 }
 
 func newGatedMedia() *gatedMedia {
@@ -22,6 +25,9 @@ func newGatedMedia() *gatedMedia {
 }
 
 func (m *gatedMedia) Create(name string) (Writer, error) {
+	if m.failSnap && isSnap(name) {
+		return nil, errors.New("snapshot media full")
+	}
 	w, err := m.MemMedia.Create(name)
 	if err != nil || !isSeg(name) {
 		return w, err
@@ -167,5 +173,59 @@ func TestCrashDuringSyncFailsTheFlush(t *testing.T) {
 	mustFlush(t, sl)
 	if got := st.Latest(model.ItemID(3)); got.Value != 20 {
 		t.Fatalf("post-recovery write reads %+v", got)
+	}
+}
+
+// TestRollDuringSyncKeepsJournaledRecords: a flush whose segment passes the
+// size threshold rolls after its sync, while a record journaled during that
+// sync is still buffered. The new segment is named after that record, so a
+// later snapshot's roll starts a segment of its own instead of recreating —
+// truncating — the one holding it; a snapshot that then fails to write
+// loses nothing synced.
+func TestRollDuringSyncKeepsJournaledRecords(t *testing.T) {
+	m := newGatedMedia()
+	st := newStore(t, 0, 4, 0)
+	frame := len(AppendRecordFrame(nil, Record{Seq: 1, Txn: model.TxnID{Seq: 10}, Value: 10, Version: 1, CommitMicros: 10}))
+	// Two records pass the threshold, one does not.
+	sl, err := Open(m, st, Options{SegmentBytes: 2*frame - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetJournal(sl)
+	write(st, 0, 10)
+	write(st, 1, 11)
+	res := startFlush(t, sl, m)
+	journaled := make(chan struct{})
+	go func() {
+		write(st, 2, 12) // seq 3, buffered across the roll
+		close(journaled)
+	}()
+	waitUngated(t, journaled, "RecordWrite")
+	close(m.gate)
+	if err := flushResult(t, res); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sl.log.SegmentName(), segName(3); got != want {
+		t.Fatalf("rolled to %s, want %s (the first buffered record)", got, want)
+	}
+
+	m.failSnap = true
+	if err := sl.Snapshot(); err == nil {
+		t.Fatal("a snapshot that could not be written reported success")
+	}
+	if last, err := Replay(m, 0, func(Record) error { return nil }); err != nil || last != 3 {
+		t.Fatalf("media holds records through seq %d (%v), want 3 (all synced)", last, err)
+	}
+	m.failSnap = false
+	st.Wipe()
+	sl.Crash()
+	if err := sl.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if s := sl.Stats(); s.Replayed != 3 {
+		t.Fatalf("replayed %d records, want 3", s.Replayed)
+	}
+	if got := st.Latest(model.ItemID(2)); got.Value != 12 {
+		t.Fatalf("recovered item 2 reads %+v, want the record journaled during the sync", got)
 	}
 }

@@ -159,6 +159,11 @@ type Log struct {
 	curName  string
 	curSize  int
 	buf      []byte
+	// bufRecs counts the records in buf. The first of them carries seq
+	// nextSeq-bufRecs, and a segment rolled now is named after it: a sync
+	// that returns with records journaled meanwhile still rolls, and those
+	// records go into the new segment.
+	bufRecs uint64
 	// poisoned latches the first Flush failure: a partial segment write
 	// leaves torn frames in place, and a retried Flush that "succeeded"
 	// would report records durable that Replay stops before. Once poisoned,
@@ -193,6 +198,7 @@ func (l *Log) Append(r Record) uint64 {
 	r.Seq = l.nextSeq
 	l.nextSeq++
 	l.buf = appendRecord(l.buf, r)
+	l.bufRecs++
 	return r.Seq
 }
 
@@ -222,13 +228,15 @@ func (l *Log) write() (Writer, error) {
 		}
 		l.curSize += len(l.buf)
 		l.buf = l.buf[:0]
+		l.bufRecs = 0
 	}
 	return l.cur, nil
 }
 
 // synced takes the result of syncing what write handed out: a failure
 // poisons the log, a success rolls the segment once it is past the size
-// threshold.
+// threshold. Records appended since write stay buffered for the new segment,
+// which roll names after the first of them.
 func (l *Log) synced(err error) error {
 	if err != nil {
 		l.poisoned = fmt.Errorf("wal: segment %s sync: %w", l.curName, err)
@@ -240,9 +248,11 @@ func (l *Log) synced(err error) error {
 	return nil
 }
 
-// Roll seals the current segment and starts a new one at the next sequence
-// number (used by the snapshot path so every sealed segment is entirely
-// covered by the snapshot).
+// Roll seals the current segment and starts a new one, named after the
+// first buffered record or, with nothing buffered, the next sequence number
+// (used by the snapshot path so every sealed segment is entirely covered by
+// the snapshot). A segment's name is always the seq of its first record, so
+// a roll never recreates — and truncates — a segment that holds records.
 func (l *Log) Roll() error { return l.roll() }
 
 func (l *Log) roll() error {
@@ -251,7 +261,7 @@ func (l *Log) roll() error {
 			return fmt.Errorf("wal: segment %s close: %w", l.curName, err)
 		}
 	}
-	l.curName = segName(l.nextSeq)
+	l.curName = segName(l.nextSeq - l.bufRecs)
 	w, err := l.media.Create(l.curName)
 	if err != nil {
 		return fmt.Errorf("wal: create segment %s: %w", l.curName, err)
