@@ -502,6 +502,7 @@ func (c *Cluster) RITotals() ri.Stats {
 		t.ROBusyShed += s.ROBusyShed
 		t.ReBackoffs += s.ReBackoffs
 		t.QuorumExcluded += s.QuorumExcluded
+		t.QuorumHedged += s.QuorumHedged
 		t.WrongEpochNAKs += s.WrongEpochNAKs
 		t.MapUpdates += s.MapUpdates
 		t.Active += s.Active

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -198,6 +199,42 @@ func TestQuorumBusyNAKExcludesNotRestarts(t *testing.T) {
 		t.Fatal("no copies excluded: busy NAKs all fell through to whole-attempt restarts")
 	}
 	t.Logf("busyNAKs=%d excluded=%d committed=%d", rt.BusyNAKs, rt.QuorumExcluded, rt.Committed)
+}
+
+// TestQuorumSnapshotReadsSerializable: read-only snapshot transactions
+// under quorum stay serializable. The snapshot fast path reads each item's
+// primary copy alone, which a write quorum may have left out, so a snapshot
+// could miss a committed write its own earlier reads depended on; the issuer
+// demotes every snapshot to PA in quorum mode instead. With the fast path
+// taken, 11 of these 12 seeds produced a cycle.
+func TestQuorumSnapshotReadsSerializable(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cl, err := NewSim(quorumCfg(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < cl.Cfg.Sites; s++ {
+				if err := cl.AddDriver(model.SiteID(s), workload.Spec{
+					ArrivalPerSec: 60,
+					HorizonMicros: 2_000_000,
+					Items:         cl.Cfg.Items,
+					Size:          4,
+					ReadFrac:      0.5,
+					Share2PL:      1, ShareTO: 1, SharePA: 1, ShareRO: 1.5,
+					ROSize:        4,
+					ComputeMicros: 500,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := cl.Run(2_000_000, 8_000_000)
+			checkRun(t, "quorum-snapshots", res, 100)
+			if ro := cl.RITotals().ROCommitted; ro != 0 {
+				t.Fatalf("%d snapshots took the primary-copy fast path under quorum", ro)
+			}
+		})
+	}
 }
 
 // requireReplicasAgree fails unless every item's copies hold one value.

@@ -64,6 +64,10 @@ type Config struct {
 	// take the highest commit stamp) and wires the log-shipping catch-up
 	// plane (internal/repl) that converges lagging copies. Requires
 	// Durability — catch-up streams the WAL — and N must equal Replicas.
+	// A first attempt asks only a quorum of copies and hedges to the rest
+	// when it stalls (ri.Options.Quorum). Read-only snapshot transactions
+	// run as PA: the snapshot fast path reads the primary copy alone, which
+	// a write quorum may have left out.
 	Quorum *model.Quorum
 	// ReplPeriodMicros is the catch-up pull period (default
 	// repl.DefaultPeriodMicros, 150ms). Only meaningful with Quorum.

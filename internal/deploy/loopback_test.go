@@ -22,7 +22,10 @@ import (
 // protocol must commit, and once the traffic has settled every issuer must
 // be idle with each submitted transaction accounted for, and every queue
 // manager's queues must drain empty: a release or withdrawal lost on the
-// wire would strand its entry there.
+// wire would strand its entry there. In "durable quorum, dead peer" site
+// 2's node is closed before traffic starts: the transport NAKs every
+// request to it busy, the quorum excludes the dead copy and hedges the
+// spare in, and every transaction of the live sites' drivers commits.
 func TestLoopbackSites(t *testing.T) {
 	base := Config{
 		Sites: 3, Items: 48,
@@ -33,20 +36,30 @@ func TestLoopbackSites(t *testing.T) {
 	t.Run("volatile write-all", func(t *testing.T) {
 		cfg := base
 		cfg.Replicas = 2
-		runLoopback(t, cfg)
+		runLoopback(t, cfg, -1)
 	})
 	t.Run("durable quorum", func(t *testing.T) {
 		cfg := base
 		cfg.Replicas = 3
 		cfg.Durability = &Durability{Dir: t.TempDir()}
 		cfg.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
-		runLoopback(t, cfg)
+		runLoopback(t, cfg, -1)
+	})
+	t.Run("durable quorum, dead peer", func(t *testing.T) {
+		cfg := base
+		cfg.Replicas = 3
+		cfg.Durability = &Durability{Dir: t.TempDir()}
+		cfg.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
+		runLoopback(t, cfg, 2)
 	})
 }
 
 // runLoopback runs perSite transactions from each site's driver through a
-// loopback deployment of cfg and checks the outcome.
-func runLoopback(t *testing.T, cfg Config) {
+// loopback deployment of cfg and checks the outcome. A dead site other than
+// -1 has its node closed and its runtime shut down before traffic starts;
+// it runs no driver, and every transaction of the live sites' drivers must
+// commit.
+func runLoopback(t *testing.T, cfg Config, dead model.SiteID) {
 	const perSite = 100
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -102,8 +115,16 @@ func runLoopback(t *testing.T, cfg Config) {
 		client.Register(engine.DriverAddr(s), d)
 	}
 	listen(client, "client")
+	if dead >= 0 {
+		nodes[dead].Close()
+		rts[dead].Shutdown()
+	}
 
+	live := func(s model.SiteID) bool { return s != dead }
 	for i, s := range cfg.SiteIDs() {
+		if !live(s) {
+			continue
+		}
 		rt := rts[i]
 		Start(cfg, []model.SiteID{s}, func(to engine.Addr, m model.Message) {
 			rt.Post(engine.Envelope{From: to, To: to, Msg: m})
@@ -111,11 +132,19 @@ func runLoopback(t *testing.T, cfg Config) {
 		client.Post(engine.Envelope{From: engine.DriverAddr(s), To: engine.DriverAddr(s), Msg: model.TickMsg{}})
 	}
 
-	want := uint64(perSite * cfg.Sites)
+	want := uint64(0)
+	for _, s := range cfg.SiteIDs() {
+		if live(s) {
+			want += perSite
+		}
+	}
 	var tot ri.Stats
 	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		tot = ri.Stats{}
-		for _, iss := range issuer {
+		for i, iss := range issuer {
+			if !live(model.SiteID(i)) {
+				continue
+			}
 			st := iss.Snapshot()
 			tot.Submitted += st.Submitted
 			tot.Active += st.Active
@@ -127,8 +156,17 @@ func runLoopback(t *testing.T, cfg Config) {
 			t.Fatalf("not settled: %d of %d submitted, %d active", tot.Submitted, want, tot.Active)
 		}
 	}
+	var excluded, hedged uint64
 	for i, iss := range issuer {
+		if !live(model.SiteID(i)) {
+			continue
+		}
 		st := iss.Snapshot()
+		excluded, hedged = excluded+st.QuorumExcluded, hedged+st.QuorumHedged
+		if dead >= 0 && st.Committed != st.Submitted {
+			t.Errorf("site %d: committed %d of %d with site %d dead (shed %d, dropped %d)",
+				i, st.Committed, st.Submitted, dead, st.Shed, st.Dropped)
+		}
 		if st.Active != 0 {
 			t.Errorf("site %d: %d active after settling", i, st.Active)
 		}
@@ -137,10 +175,13 @@ func runLoopback(t *testing.T, cfg Config) {
 				i, st.Submitted, st.Committed, st.Shed, st.ROBusyShed, st.Dropped)
 		}
 	}
+	if dead >= 0 && (excluded == 0 || hedged == 0) {
+		t.Errorf("site %d dead: %d copies excluded and %d attempts hedged, want both nonzero", dead, excluded, hedged)
+	}
 	// The last releases and withdrawals may still be on the wire when the
 	// issuers go idle.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		site, item, depth := queuedEntry(mgrs, cfg.Items)
+		site, item, depth := queuedEntry(mgrs, cfg.Items, dead)
 		if depth == 0 {
 			break
 		}
@@ -157,9 +198,13 @@ func runLoopback(t *testing.T, cfg Config) {
 }
 
 // queuedEntry returns a site, an item and its queue depth there, the depth
-// nonzero when any of the managers still queues an entry for any item.
-func queuedEntry(mgrs []*qm.Manager, items int) (site, item, depth int) {
+// nonzero when any of the managers but the dead site's still queues an
+// entry for any item.
+func queuedEntry(mgrs []*qm.Manager, items int, dead model.SiteID) (site, item, depth int) {
 	for s, m := range mgrs {
+		if model.SiteID(s) == dead {
+			continue
+		}
 		for i := 0; i < items; i++ {
 			if d := m.QueueDepth(model.ItemID(i)); d != 0 {
 				return s, i, d

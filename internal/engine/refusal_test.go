@@ -150,13 +150,15 @@ func TestRefusedSnapReadBatchShedsOnce(t *testing.T) {
 }
 
 // TestRefusedBatchIsRefusedPerCopy runs a real issuer and three real queue
-// managers on one runtime with every mailbox bounded at 1, site 2's mailbox
-// full when a two-item transaction opens: its request batch to site 2 is
+// managers on one runtime with every mailbox bounded at 1, site 1's mailbox
+// full when a two-item transaction opens: its request batch to site 1 is
 // refused whole, and the issuer must see one busy NAK per member. Under
-// quorum (N3/W2) that excludes exactly those two copies and the attempt
-// still commits through sites 0 and 1, without a restart; under write-all
-// the attempt restarts and commits once the site drains. Either way no
-// transaction is left active.
+// quorum (N3/W2) the first attempt asks sites 0 and 1 for both items and
+// holds site 2's copies as spares: the NAKs exclude exactly site 1's two
+// copies, the spares are hedged in once, and the attempt still commits
+// through sites 0 and 2, without a restart. Under write-all the attempt
+// restarts and commits once the site drains. Either way no transaction is
+// left active.
 func TestRefusedBatchIsRefusedPerCopy(t *testing.T) {
 	for _, mode := range []string{"quorum", "write-all"} {
 		t.Run(mode, func(t *testing.T) {
@@ -180,7 +182,7 @@ func TestRefusedBatchIsRefusedPerCopy(t *testing.T) {
 					st.Create(model.ItemID(i), 100)
 				}
 				m := qm.New(s, st, nil, qm.Options{})
-				if s == 2 {
+				if s == 1 {
 					gate.Manager = m
 					rt.Register(engine.QMAddr(s), gate)
 				} else {
@@ -198,21 +200,21 @@ func TestRefusedBatchIsRefusedPerCopy(t *testing.T) {
 			log := &doneLog{}
 			rt.Register(engine.CollectorAddr(), log)
 
-			rt.Post(engine.Envelope{To: engine.QMAddr(2), Msg: model.TickMsg{}})
+			rt.Post(engine.Envelope{To: engine.QMAddr(1), Msg: model.TickMsg{}})
 			select {
 			case <-gate.entered:
 			case <-time.After(10 * time.Second):
-				t.Fatal("site 2 never wedged")
+				t.Fatal("site 1 never wedged")
 			}
-			rt.Post(engine.Envelope{To: engine.QMAddr(2), Msg: model.TickMsg{}}) // site 2's mailbox is full
+			rt.Post(engine.Envelope{To: engine.QMAddr(1), Msg: model.TickMsg{}}) // site 1's mailbox is full
 			tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, nil, []model.ItemID{0, 1}, 0)
 			rt.Post(engine.Envelope{From: engine.DriverAddr(0), To: engine.RIAddr(0), Msg: model.SubmitTxnMsg{Txn: tx}})
 
 			if mode == "quorum" {
-				eventually(t, "the commit through sites 0 and 1", func() bool { return log.count(model.OutcomeCommitted) == 1 })
+				eventually(t, "the commit through sites 0 and 2", func() bool { return log.count(model.OutcomeCommitted) == 1 })
 				s := iss.Snapshot()
-				if s.BusyNAKs != 2 || s.QuorumExcluded != 2 || log.count(model.OutcomeBusy) != 0 {
-					t.Fatalf("stats %+v, %d busy outcomes: want the refused batch's 2 copies NAK'd and excluded, no restart",
+				if s.BusyNAKs != 2 || s.QuorumExcluded != 2 || s.QuorumHedged != 1 || log.count(model.OutcomeBusy) != 0 {
+					t.Fatalf("stats %+v, %d busy outcomes: want the refused batch's 2 copies NAK'd and excluded, the spares hedged once, no restart",
 						s, log.count(model.OutcomeBusy))
 				}
 				release()
@@ -225,7 +227,7 @@ func TestRefusedBatchIsRefusedPerCopy(t *testing.T) {
 				eventually(t, "the retry to commit", func() bool { return log.count(model.OutcomeCommitted) == 1 })
 			}
 			eventually(t, "the issuer to finish", func() bool { return iss.Snapshot().Active == 0 })
-			eventually(t, "site 2's queues to drain", func() bool {
+			eventually(t, "site 1's queues to drain", func() bool {
 				return gate.QueueDepth(0) == 0 && gate.QueueDepth(1) == 0
 			})
 		})

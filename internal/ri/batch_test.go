@@ -111,23 +111,33 @@ func TestWriteAllSendsOneBatchPerMailbox(t *testing.T) {
 }
 
 // TestQuorumBatchesAndOneAdvancePerGrantBatch: under N3/W2/R2 a 4-item
-// transaction's 12 copies go out as 3 request batches (one per site, 4
-// members each), and a GrantBatchMsg moves the attempt forward once, after
-// all of its members are in: the first site's batch leaves every item one
-// grant short, the second completes every quorum and starts exactly one
-// computing phase, and the third changes nothing.
+// transaction's first attempt asks 8 of its 12 copies: site 0's own and
+// those at site 1, the next in partition-map order. They go out as 2
+// request batches, one per site, 4 members each, and a GrantBatchMsg moves
+// the attempt forward once, after all of its members are in: site 0's batch
+// leaves every item one grant short, and site 1's completes every quorum and
+// starts exactly one computing phase. The release round has one batch per
+// site and withdraws nothing: the spares at site 2 were never asked.
 func TestQuorumBatchesAndOneAdvancePerGrantBatch(t *testing.T) {
 	iss, c := quorumIssuer()
 	submit(iss, c, model.PA, []model.ItemID{0, 1}, []model.ItemID{2, 3})
 	to, reqs := wireOf[model.RequestBatchMsg](c)
-	if len(to) != 3 {
-		t.Fatalf("%d request envelopes for 12 copies, want 3", len(to))
+	if len(to) != 2 {
+		t.Fatalf("%d request envelopes for 8 copies, want 2", len(to))
 	}
+	var items [][]model.ItemID
+	var sites []model.SiteID
 	for i, b := range reqs {
-		if len(b.Members) != 4 {
-			t.Fatalf("batch to %v carries %d members, want 4", to[i], len(b.Members))
+		var its []model.ItemID
+		for _, m := range b.Members {
+			its = append(its, m.Item)
 		}
+		if b.CopySite != model.SiteID(i) || !slices.Equal(its, []model.ItemID{0, 1, 2, 3}) {
+			t.Fatalf("request batch %d to site %d carries %v, want items 0-3 to site %d", i, b.CopySite, its, i)
+		}
+		items, sites = append(items, its), append(sites, b.CopySite)
 	}
+	checkOnePerMailbox(t, "request batch", to, items, sites, 8)
 	take[model.RequestMsg](c)
 
 	grantBatch := func(b model.RequestBatchMsg) model.GrantBatchMsg {
@@ -145,19 +155,22 @@ func TestQuorumBatchesAndOneAdvancePerGrantBatch(t *testing.T) {
 		// Pooled, as the transport and the runtime deliver it.
 		iss.OnMessage(c, to[i], model.PooledGrantBatch(grantBatch(b)))
 		want := 0
-		if i >= 1 {
+		if i == len(reqs)-1 {
 			want = 1
 		}
-		if len(c.timers) != want {
-			t.Fatalf("after grant batch %d: %d compute timers, want %d", i, len(c.timers), want)
+		if n := timersOf[*model.ComputeDoneMsg](c); n != want {
+			t.Fatalf("after grant batch %d: %d compute timers, want %d", i, n, want)
 		}
 	}
 	fireTimers(iss, c)
 	if dones := take[model.TxnDoneMsg](c); len(dones) != 1 || dones[0].Outcome != model.OutcomeCommitted {
 		t.Fatalf("done = %+v", dones)
 	}
-	if _, rels := wireOf[model.ReleaseBatchMsg](c); len(rels) != 3 {
-		t.Fatalf("%d release envelopes, want 3", len(rels))
+	if _, rels := wireOf[model.ReleaseBatchMsg](c); len(rels) != 2 {
+		t.Fatalf("%d release envelopes, want 2", len(rels))
+	}
+	if _, aborts := wireOf[model.AbortBatchMsg](c); len(aborts) != 0 {
+		t.Fatalf("withdrawals %+v, want none", aborts)
 	}
 }
 
@@ -284,24 +297,35 @@ func abortMembers(aborts []model.AbortBatchMsg) (items [][]model.ItemID, sites [
 }
 
 // TestLaggingMailboxIsWithdrawnOnce: a quorum write of four items whose
-// copies at site 2 have not granted by release time withdraws all four with
-// one envelope to site 2's mailbox, beside one release batch per granting
-// mailbox, and still reports one protocol message per copy.
+// copies at site 1 never grant. The first attempt asks sites 0 and 1; site
+// 0's grants leave every item one short, so the sweep hedges in the spares
+// at site 2, whose grants complete the attempt. At release site 1 holds four
+// ungranted requests and gets all four withdrawals in one envelope, beside
+// one release batch per granting mailbox, and the transaction still reports
+// one protocol message per copy.
 func TestLaggingMailboxIsWithdrawnOnce(t *testing.T) {
 	iss, c := quorumIssuer()
 	submit(iss, c, model.TwoPL, nil, []model.ItemID{0, 1, 2, 3})
-	var granting []model.RequestMsg
-	for _, r := range take[model.RequestMsg](c) {
-		if r.Copy.Site != 2 {
-			granting = append(granting, r)
+	granting := func() {
+		var reqs []model.RequestMsg
+		for _, r := range take[model.RequestMsg](c) {
+			if r.Copy.Site != 1 {
+				reqs = append(reqs, r)
+			}
 		}
+		grantAll(iss, c, reqs)
 	}
-	grantAll(iss, c, granting)
+	granting()
+	if n := timersOf[*model.ComputeDoneMsg](c); n != 0 {
+		t.Fatal("computing on one grant per item")
+	}
+	sweepAt(iss, c, 100)
+	granting()
 	c.wire = nil
 	fireTimers(iss, c) // compute done: the release round
 	to, aborts := wireOf[model.AbortBatchMsg](c)
-	if len(to) != 1 || to[0].ID != 2 || !slices.Equal(aborts[0].Members, []model.ItemID{0, 1, 2, 3}) {
-		t.Fatalf("withdrawals %+v to %v, want one to site 2 carrying items 0-3", aborts, to)
+	if len(to) != 1 || to[0].ID != 1 || !slices.Equal(aborts[0].Members, []model.ItemID{0, 1, 2, 3}) {
+		t.Fatalf("withdrawals %+v to %v, want one to site 1 carrying items 0-3", aborts, to)
 	}
 	items, sites := abortMembers(aborts)
 	checkOnePerMailbox(t, "abort batch", to, items, sites, 4)
@@ -309,8 +333,8 @@ func TestLaggingMailboxIsWithdrawnOnce(t *testing.T) {
 		t.Fatalf("%d release envelopes, want one per granting mailbox (2)", len(relTo))
 	}
 	dones := take[model.TxnDoneMsg](c)
-	if len(dones) != 1 || dones[0].Outcome != model.OutcomeCommitted || dones[0].Messages != 12+8+4 {
-		t.Fatalf("done = %+v, want committed with 24 per-copy messages (12 requests, 8 releases, 4 withdrawals)", dones)
+	if len(dones) != 1 || dones[0].Outcome != model.OutcomeCommitted || dones[0].Messages != 8+4+8+4 {
+		t.Fatalf("done = %+v, want committed with 24 per-copy messages (8 requests, 4 hedged, 8 releases, 4 withdrawals)", dones)
 	}
 }
 

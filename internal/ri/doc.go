@@ -12,14 +12,21 @@
 // with one model.AbortBatchMsg per mailbox — a batch is its members, handled
 // copy by copy at the queue manager, and a batch of one travels as exactly
 // the single message it stands for, so there is one send path per protocol
-// step. Every withdrawal leaves through the one withdraw path: a NAK'd
-// attempt withdraws every copy, a quorum exclusion one, and a quorum commit
-// the copies that never granted, which at a lagging site are all of the
-// attempt's copies there. A model.GrantBatchMsg is applied member by member
-// and the attempt then advances once. Everything else stays per copy: PA's
-// final timestamps, and refusals — a refused batch is NAK'd member by
-// member, so quorum exclusion, the write-all abort and the admission
-// feedback see exactly what they saw when every copy travelled alone.
+// step. In quorum mode a first attempt asks only a quorum of each item's
+// copies — R for a read, W for a write, the issuer's own first — and holds
+// the rest as spares, which go out later into the same attempt, again one
+// batch per mailbox, only when the quorum stalls: a copy is excluded, or
+// the issuer's one sweep timer finds the attempt still short
+// Options.RestartDelayMicros after it launched. A restart asks every copy.
+// Every withdrawal leaves through the one withdraw path: a NAK'd attempt
+// withdraws every requested copy, a quorum exclusion one, and a quorum
+// commit the requested copies that never granted, which at a lagging site
+// are all of the attempt's copies there; a held spare was never asked. A
+// model.GrantBatchMsg is applied member by member and the attempt then
+// advances once. Everything else stays per copy: PA's final timestamps, and
+// refusals — a refused batch is NAK'd member by member, so quorum
+// exclusion, the write-all abort and the admission feedback see exactly
+// what they saw when every copy travelled alone.
 // TxnDoneMsg.Messages keeps counting per-copy protocol messages.
 //
 // The issuer's per-transaction state is reused. Submit takes a state from a
@@ -57,7 +64,9 @@
 // SnapReadMsg it stands for); a model.SnapReadReplyBatchMsg is applied
 // member by member and the transaction then checks once whether every read
 // is in. A refused batch NAKs each member, and the first NAK sheds the
-// transaction. TxnDoneMsg.Messages counts one per item read.
+// transaction. TxnDoneMsg.Messages counts one per item read. Quorum mode
+// has no fast path: a primary copy may sit outside the write quorum that
+// carried the latest write, so snapshots run as PA there.
 //
 // The staleness margin must exceed the maximum network delay: then every
 // release carrying an older commit stamp has already been implemented at
@@ -80,7 +89,8 @@
 //   - readwrite.go: the 2PL, T/O and PA lifecycles, semi-lock release.
 //   - readonly.go: the read-only snapshot lifecycle.
 //   - restart.go: NAK handling, restart back-off, the MaxAttempts drop.
-//   - quorum.go: replica access; every write-all-vs-quorum choice.
+//   - quorum.go: replica access; every write-all-vs-quorum choice, thrifty
+//     quorum attempts and their hedge sweep.
 //   - freelist.go: the reused transaction states.
 //   - admission.go: the admission controller.
 package ri

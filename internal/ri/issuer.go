@@ -61,12 +61,20 @@ type Options struct {
 	// the pre-sharding behaviour.
 	QMShards int
 	// Quorum switches replica access from the default read-primary/write-all
-	// to quorum mode: reads are requested at every copy and proceed on any R
-	// grants (the issuer keeps the value with the highest commit stamp),
-	// writes proceed on any W of N, and a copy that NAKs busy is excluded
-	// from the attempt's quorum instead of aborting the whole attempt — the
-	// attempt only restarts (as overload, through the admission controller's
-	// backoff) when an item drops below quorum. Nil keeps write-all.
+	// to quorum mode: reads proceed on any R grants (the issuer keeps the
+	// value with the highest commit stamp), writes on any W of N, and a copy
+	// that NAKs busy is excluded from the attempt's quorum instead of
+	// aborting the whole attempt — the attempt only restarts (as overload,
+	// through the admission controller's backoff) when an item drops below
+	// quorum. A first attempt requests only R copies of each read item and W
+	// of each written one, the issuer's own copy first, and holds the rest
+	// as spares; it sends them into the same attempt when a copy is excluded
+	// or when the attempt is still short of its quorum RestartDelayMicros
+	// after it launched. A restart requests every copy, and so does every
+	// attempt when RestartDelayMicros is zero. Read-only snapshot
+	// transactions are demoted to PA, as under DisableROFastPath: the fast
+	// path reads each item's primary copy alone, which a write quorum may
+	// have left out. Nil keeps write-all.
 	Quorum *model.Quorum
 }
 
@@ -132,10 +140,14 @@ type Issuer struct {
 	// Options.Admission is off.
 	adm *admission
 
-	// gateNeeds/gateGot are gateScratch's reusable maps (quorum mode only);
-	// guarded by mu like the rest of the issuer state.
-	gateNeeds map[model.ItemID]int
-	gateGot   map[model.ItemID]int
+	// sweepArmed is true while the hedge sweep's timer is pending, and
+	// sweepScratch is onSweep's reusable list of attempts (quorum mode
+	// only); guarded by mu like the rest of the issuer state.
+	sweepArmed   bool
+	sweepScratch []*txnState
+	// probation lists the sites whose copies thrifty attempts pick last
+	// (probate, heard); quorum mode only, guarded by mu.
+	probation []model.SiteID
 	// mailboxScratch, reqMembers, relMembers, abortMembers, roAddrs and
 	// snapMembers are the reusable scratch of one protocol step's batches
 	// (mailboxes, sendRequests, releaseAll, withdraw, launchRO); guarded by
@@ -205,8 +217,10 @@ type Stats struct {
 	// + active.
 	ROBusyShed uint64
 	// QuorumExcluded counts copies dropped from an attempt's quorum (busy
-	// NAKs and post-finalize stragglers); zero outside quorum mode.
-	QuorumExcluded uint64
+	// NAKs and post-finalize stragglers); QuorumHedged counts attempts whose
+	// held spares were sent (an exclusion or the sweep). Both are zero
+	// outside quorum mode.
+	QuorumExcluded, QuorumHedged uint64
 	// WrongEpochNAKs counts WrongEpochMsg NAKs received for requests that
 	// raced a placement change; MapUpdates counts newer partition maps
 	// installed at this issuer (NAK piggybacks plus MapUpdateMsg pushes).
@@ -233,8 +247,9 @@ type ActiveTxn struct {
 	Protocol model.Protocol
 	Attempt  model.Attempt
 	Phase    string
-	// Waiting lists copies that have not yet granted (or, in the
-	// await-normal phase, not yet normalized).
+	// Waiting lists requested copies that have not yet granted (or, in the
+	// await-normal phase, not yet normalized); a held quorum spare is not
+	// waited on.
 	Waiting []model.CopyID
 }
 
@@ -250,7 +265,7 @@ func (ri *Issuer) ActiveTxns() []ActiveTxn {
 			answered = predNormal
 		}
 		for _, r := range s.reqs {
-			if !answered(r) {
+			if !r.held && !answered(r) {
 				at.Waiting = append(at.Waiting, r.copyID)
 			}
 		}
@@ -349,6 +364,9 @@ func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		ri.onRestart(ctx, *v)
 	case model.EstimateMsg:
 		ri.estimates = v
+	case model.TickMsg:
+		// The issuer's one timer tick: the quorum hedge sweep.
+		ri.onSweep(ctx)
 	case model.StopMsg:
 		// No periodic work to stop; present for symmetry.
 	default:
@@ -379,10 +397,10 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 	if ri.choose != nil {
 		p = ri.choose(t, ri.estimates)
 	}
-	if p == model.ROSnapshot && (t.NumWrites() > 0 || ri.opts.DisableROFastPath) {
+	if p == model.ROSnapshot && (t.NumWrites() > 0 || !ri.snapshotFastPath()) {
 		// The fast path is read-only by construction; writers (and every
-		// transaction when the path is disabled) fall back to PA, the
-		// restart-free member protocol.
+		// transaction when the path is disabled or in quorum mode) fall back
+		// to PA, the restart-free member protocol.
 		p = model.PA
 	}
 	ri.stats.Submitted++

@@ -31,6 +31,11 @@ type copyReq struct {
 	// straggler back-off after PA finalization): its request was withdrawn
 	// and its responses no longer count toward any gate.
 	excluded bool
+	// held marks a spare copy of a thrifty quorum attempt (holdSpares): no
+	// request went to it yet, so it holds no entry anywhere and is neither
+	// withdrawn nor released, but gate(predAny) counts it as reachable.
+	// hedge requests it and clears the mark.
+	held bool
 }
 
 // txnState is the issuer-side state of one in-flight transaction.
@@ -71,6 +76,8 @@ type attemptState struct {
 	backoffReads  int
 	backoffWrites int
 	preSchedAny   bool
+	// spares is true while some copy of the attempt is held.
+	spares bool
 }
 
 // kindAt returns the operation the attempt requested at copy c; a copy both
@@ -83,7 +90,8 @@ func (s *txnState) kindAt(c model.CopyID) model.OpKind {
 }
 
 // launch sends the attempt's requests to every queue manager involved (see
-// eachCopy).
+// eachCopy); a thrifty quorum attempt holds its spares back and arms the
+// hedge sweep (holdSpares).
 func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	s.attempts++
 	s.attemptState = attemptState{phase: phaseNegotiating, arrival: ctx.NowMicros(), ts: model.NoTimestamp}
@@ -92,7 +100,11 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	}
 	s.expectTS = s.ts
 	ri.fillRequests(s)
-	ri.sendRequests(ctx, s)
+	ri.holdSpares(s)
+	ri.sendRequests(ctx, s, false)
+	if s.spares {
+		ri.armSweep(ctx)
+	}
 }
 
 // fillRequests rebuilds the attempt's copy requests under the current map:
@@ -124,21 +136,26 @@ func (ri *Issuer) fillRequests(s *txnState) {
 	}
 }
 
-// sendRequests opens the attempt with one RequestBatchMsg per queue-manager
-// mailbox, carrying that mailbox's copies in item order (s.order is sorted by
-// (item, site)). A mailbox with one copy gets a batch of one, which travels
-// as exactly the RequestMsg it stands for. s.messages counts copies, the
-// unit the per-transaction message tables report.
-func (ri *Issuer) sendRequests(ctx engine.Context, s *txnState) {
+// sendRequests requests the attempt's copies whose held mark equals spares:
+// the unheld ones when the attempt opens, the held ones when it is hedged.
+// It sends one RequestBatchMsg per queue-manager mailbox, carrying that
+// mailbox's copies in item order (s.order is sorted by (item, site)). A
+// mailbox with one copy gets a batch of one, which travels as exactly the
+// RequestMsg it stands for. s.messages counts copies, the unit the
+// per-transaction message tables report.
+func (ri *Issuer) sendRequests(ctx engine.Context, s *txnState, spares bool) {
 	for _, to := range ri.mailboxes(s) {
 		members := ri.reqMembers[:0]
 		for i := range s.order {
 			r := &s.order[i]
-			if r.to == to {
+			if r.to == to && r.held == spares {
 				members = append(members, model.RequestMember{Item: r.copyID.Item, Kind: r.kind})
 			}
 		}
 		ri.reqMembers = members
+		if len(members) == 0 {
+			continue
+		}
 		s.messages += int64(len(members))
 		ctx.Send(to, model.PooledRequestBatch(model.RequestBatchMsg{
 			Txn:      s.txn.ID,
@@ -185,6 +202,7 @@ func (ri *Issuer) stateFor(id model.TxnID, attempt model.Attempt) *txnState {
 }
 
 func (ri *Issuer) onGrant(ctx engine.Context, v model.GrantMsg) {
+	ri.heard(v.Copy.Site)
 	if s := ri.stateFor(v.Txn, v.Attempt); s != nil && ri.applyGrant(ctx, s, v) {
 		ri.advance(ctx, s)
 	}
@@ -194,6 +212,7 @@ func (ri *Issuer) onGrant(ctx engine.Context, v model.GrantMsg) {
 // attempt once: the batch is its members, and the attempt's gates see them
 // together.
 func (ri *Issuer) onGrantBatch(ctx engine.Context, b *model.GrantBatchMsg) {
+	ri.heard(b.CopySite)
 	s := ri.stateFor(b.Txn, b.Attempt)
 	if s == nil {
 		return
@@ -284,8 +303,8 @@ func (ri *Issuer) finalizePA(ctx engine.Context, s *txnState) {
 	}
 	for i := range s.order {
 		r := &s.order[i]
-		if r.excluded {
-			continue // withdrawn from the quorum; its entry is already gone
+		if r.excluded || r.held {
+			continue // withdrawn from the quorum, or never asked: no entry
 		}
 		r.granted = false
 		r.normal = false
@@ -298,6 +317,7 @@ func (ri *Issuer) finalizePA(ctx engine.Context, s *txnState) {
 }
 
 func (ri *Issuer) onBackoff(ctx engine.Context, v model.BackoffMsg) {
+	ri.heard(v.Copy.Site)
 	s := ri.stateFor(v.Txn, v.Attempt)
 	if s == nil {
 		return

@@ -117,10 +117,11 @@ var withdrawNone = model.CopyID{Item: -1}
 // failAttempt ends the attempt s on a NAK: it reports the attempt with the
 // operation kind the NAK'd copy was requested for, withdraws every request
 // but skip's (pass withdrawNone to withdraw all), and schedules the restart
-// or the MaxAttempts drop.
+// or the MaxAttempts drop. The attempt's held spares are never asked.
 func (ri *Issuer) failAttempt(ctx engine.Context, s *txnState, outcome model.TxnOutcome, kind model.OpKind, skip model.CopyID) {
 	ri.reportAttempt(ctx, s, outcome, kind)
 	ri.withdraw(ctx, s, func(r *copyReq) bool { return r.copyID != skip })
+	s.spares = false
 	ri.scheduleRestart(ctx, s)
 }
 
@@ -129,12 +130,13 @@ func (ri *Issuer) failAttempt(ctx engine.Context, s *txnState, outcome model.Txn
 // copies in item order (see sendRequests). It is the issuer's only withdraw
 // path — a NAK'd attempt, a quorum exclusion and the un-granted copies of a
 // quorum commit all leave through it — so a mailbox gets one envelope per
-// withdrawal however many of its copies go.
+// withdrawal however many of its copies go. A held spare was never
+// requested, so there is nothing to withdraw.
 func (ri *Issuer) withdraw(ctx engine.Context, s *txnState, pick func(*copyReq) bool) {
 	for _, to := range ri.mailboxes(s) {
 		members := ri.abortMembers[:0]
 		for i := range s.order {
-			if r := &s.order[i]; r.to == to && pick(r) {
+			if r := &s.order[i]; r.to == to && !r.held && pick(r) {
 				members = append(members, r.copyID.Item)
 			}
 		}

@@ -3,7 +3,6 @@ package ri
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ucc/internal/engine"
@@ -16,15 +15,17 @@ import (
 // reply batch per snapshot-read batch), queues those answers and the
 // issuer's timers, and delivers them back to the issuer, recycling each
 // message once the issuer has handled it, as the runtime's mailbox loop
-// does. The queue managers of the lagging sites never answer. Everything
-// else the issuer sends (releases, withdrawals, completion reports) is
-// recycled on arrival; withdrawn counts the copies the withdrawals carried.
-// Nothing is retained, and once its queue and scratch have grown the
-// context itself allocates nothing.
+// does. For each transaction the lagging site's queue manager never
+// answers, and the busy site's NAKs every member busy (nil: none). A timer
+// moves the clock forward by its delay. Everything else the issuer sends (releases, withdrawals,
+// completion reports) is recycled on arrival; withdrawn counts the copies
+// the withdrawals carried. Nothing is retained, and once its queue and
+// scratch have grown the context itself allocates nothing.
 type loopCtx struct {
 	now       int64
 	rng       *rand.Rand
-	lagging   []model.SiteID
+	lagging   func(model.TxnID) model.SiteID
+	busy      func(model.TxnID) model.SiteID
 	withdrawn int
 	queue     []model.Message
 	members   []model.GrantMember
@@ -38,7 +39,15 @@ func (c *loopCtx) Rand() *rand.Rand  { return c.rng }
 func (c *loopCtx) Send(_ engine.Addr, msg model.Message) {
 	switch v := msg.(type) {
 	case *model.RequestBatchMsg:
-		if slices.Contains(c.lagging, v.CopySite) {
+		if c.lagging != nil && c.lagging(v.Txn) == v.CopySite {
+			break
+		}
+		if c.busy != nil && c.busy(v.Txn) == v.CopySite {
+			for _, m := range v.Members {
+				c.queue = append(c.queue, model.PooledBusy(model.BusyMsg{
+					Txn: v.Txn, Attempt: v.Attempt, Copy: model.CopyID{Item: m.Item, Site: v.CopySite},
+				}))
+			}
 			break
 		}
 		members := c.members[:0]
@@ -68,7 +77,10 @@ func (c *loopCtx) Send(_ engine.Addr, msg model.Message) {
 	model.RecycleMessage(msg)
 }
 
-func (c *loopCtx) SetTimer(_ int64, msg model.Message) { c.queue = append(c.queue, msg) }
+func (c *loopCtx) SetTimer(d int64, msg model.Message) {
+	c.now += d
+	c.queue = append(c.queue, msg)
+}
 
 // run delivers the queue, and whatever the deliveries queue, until the
 // issuer goes quiet.
@@ -162,48 +174,70 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 }
 
 // TestQuorumLifecycleAllocatesNothing is TestIssuerLifecycleAllocatesNothing
-// for a quorum write whose third copy lags: N=3, W=R=2, and site 2's queue
-// manager never answers. Each committed transaction reads two items and
-// writes two, commits on the grants of sites 0 and 1, and at release
-// withdraws its four copies at site 2 with one abort batch. That allocates
-// nothing in the issuer either, for every protocol.
+// for quorum transactions, N=3, W=R=2, issued at site 0. Each reads items 0
+// and 1 and writes 2 and 3; its first attempt asks site 0 and the one other
+// site not on probation, holding the third site's copies as spares. The
+// cases named after a protocol alone are the lagging copy: for odd
+// transactions site 1's queue manager never answers, for even ones site 2's,
+// so every attempt asks the lagging site (the one the previous transaction
+// put on probation answered it and came off), the sweep hedges the spares
+// in, and the attempt commits and, at release, withdraws its four copies at
+// the lagging site with one abort batch. In the "-busy" cases that site
+// NAKs every request busy instead: the first NAK hedges the spares in, and
+// each NAK'd copy is withdrawn. In the "-answering" cases every site
+// answers, and the attempt commits on the copies it asked, hedging and
+// withdrawing nothing. None of that allocates in the issuer, for every
+// protocol.
 func TestQuorumLifecycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	pm := placement.Build(placement.RoundRobin, 8, []model.SiteID{0, 1, 2}, 3)
-	for _, tc := range []struct {
+	for _, proto := range []struct {
 		name string
 		p    model.Protocol
 	}{{"2PL", model.TwoPL}, {"TO", model.TO}, {"PA", model.PA}} {
-		p := tc.p
-		t.Run(tc.name, func(t *testing.T) {
-			iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50,
-				Quorum: &model.Quorum{N: 3, W: 2, R: 2}}, nil)
-			iss.SetNotifyDriver(true)
-			c := &loopCtx{rng: rand.New(rand.NewSource(1)), lagging: []model.SiteID{2}}
-			const runs = 100
-			txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
-			for i := range txns {
-				txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, p, []model.ItemID{0, 1}, []model.ItemID{2, 3}, 0)
-			}
-			next := 0
-			commit := func() {
-				iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
-				next++
-				c.run(iss)
-			}
-			commit()
-			if got := testing.AllocsPerRun(runs, commit); got != 0 {
-				t.Errorf("one committed %v quorum transaction allocates %.0f times in the issuer, want 0", p, got)
-			}
-			if s := iss.Snapshot(); s.Committed != uint64(next) || s.Active != 0 {
-				t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
-			}
-			if c.withdrawn != 4*next {
-				t.Fatalf("%d copies withdrawn over %d transactions, want the 4 lagging ones each", c.withdrawn, next)
-			}
-		})
+		p := proto.p
+		alternate := func(id model.TxnID) model.SiteID { return model.SiteID(2 - id.Seq%2) }
+		for _, tc := range []struct {
+			suffix            string
+			lagging, busy     func(model.TxnID) model.SiteID
+			withdrawn, hedged int
+		}{
+			{"", alternate, nil, 4, 1},
+			{"-busy", nil, alternate, 4, 1},
+			{"-answering", nil, nil, 0, 0},
+		} {
+			t.Run(proto.name+tc.suffix, func(t *testing.T) {
+				iss := New(0, pm, nil, Options{PAIntervalMicros: 10, RestartDelayMicros: 100, DefaultComputeMicros: 50,
+					Quorum: &model.Quorum{N: 3, W: 2, R: 2}}, nil)
+				iss.SetNotifyDriver(true)
+				c := &loopCtx{rng: rand.New(rand.NewSource(1)), lagging: tc.lagging, busy: tc.busy}
+				const runs = 100
+				txns := make([]*model.Txn, runs+2) // the sizing commit, AllocsPerRun's warm-up, the runs
+				for i := range txns {
+					txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, p, []model.ItemID{0, 1}, []model.ItemID{2, 3}, 0)
+				}
+				next := 0
+				commit := func() {
+					iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+					next++
+					c.run(iss)
+				}
+				commit()
+				if got := testing.AllocsPerRun(runs, commit); got != 0 {
+					t.Errorf("one committed %v quorum transaction allocates %.0f times in the issuer, want 0", p, got)
+				}
+				s := iss.Snapshot()
+				if s.Committed != uint64(next) || s.Active != 0 {
+					t.Fatalf("%d of %d transactions committed, %d still active", s.Committed, next, s.Active)
+				}
+				if c.withdrawn != tc.withdrawn*next || s.QuorumHedged != uint64(tc.hedged*next) {
+					t.Fatalf("%d copies withdrawn and %d attempts hedged over %d transactions, want %d and %d each",
+						c.withdrawn, s.QuorumHedged, next, tc.withdrawn, tc.hedged)
+				}
+			})
+		}
 	}
 }
 

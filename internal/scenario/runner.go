@@ -199,6 +199,7 @@ func subRI(cur, prev ri.Stats) ri.Stats {
 		ROBusyShed:     cur.ROBusyShed - prev.ROBusyShed,
 		ReBackoffs:     cur.ReBackoffs - prev.ReBackoffs,
 		QuorumExcluded: cur.QuorumExcluded - prev.QuorumExcluded,
+		QuorumHedged:   cur.QuorumHedged - prev.QuorumHedged,
 		WrongEpochNAKs: cur.WrongEpochNAKs - prev.WrongEpochNAKs,
 		MapUpdates:     cur.MapUpdates - prev.MapUpdates,
 		Active:         cur.Active,

@@ -500,8 +500,10 @@ func (h *heldQM) OnMessage(ctx engine.Context, from engine.Addr, msg model.Messa
 // TestDeadPeerRefusesBatchPerCopy: a real issuer with sites 0 and 1 on its
 // own node and site 2 behind a dead peer. Its request batch to site 2 is
 // dropped whole by the transport, and the NAK of every member reaches the
-// issuer: under quorum (N3/W2) exactly those copies are excluded and the
-// attempt commits through sites 0 and 1; under write-all every attempt is
+// issuer: under quorum (N3/W2) the first attempt asks only sites 0 and 1,
+// site 1 holds its answer, so the hedge sweep sends the spares to site 2
+// after RestartDelayMicros; exactly those copies are excluded and the
+// attempt commits through sites 0 and 1. Under write-all every attempt is
 // refused and restarts until MaxAttempts drops the transaction. No
 // transaction is left active.
 func TestDeadPeerRefusesBatchPerCopy(t *testing.T) {
@@ -567,8 +569,8 @@ func TestDeadPeerRefusesBatchPerCopy(t *testing.T) {
 			})
 			s := iss.Snapshot()
 			if mode == "quorum" {
-				if s.Committed != 1 || s.BusyNAKs != 2 || s.QuorumExcluded != 2 || log.count(model.OutcomeBusy) != 0 {
-					t.Fatalf("stats %+v: want a commit with site 2's 2 copies NAK'd and excluded, no restart", s)
+				if s.Committed != 1 || s.BusyNAKs != 2 || s.QuorumExcluded != 2 || s.QuorumHedged != 1 || log.count(model.OutcomeBusy) != 0 {
+					t.Fatalf("stats %+v: want a commit with site 2's 2 copies hedged, NAK'd and excluded, no restart", s)
 				}
 				return
 			}
