@@ -491,18 +491,44 @@ func TestCrashInsideCommitWindow(t *testing.T) {
 // the first syncs the claimed writes before the second pull can name them:
 // a crash catches the claim at one peer only, and the other one, or a site
 // that caught up from it, ships the writes back whatever the first believes.
+//
+// Here the outage outlasts the round trip, so the reply to the pre-crash
+// pull finds the site down; TestReplyFromBeforeAShortCrashIsDropped recovers
+// the site before that reply lands.
 func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
-	const period, oneWay = 150_000, 2_000
+	crashAfterDigest(t, 4*digestOneWay)
+}
+
+// TestReplyFromBeforeAShortCrashIsDropped is the crash of
+// TestDigestOfUnsyncedWritesDiesWithTheCrash with an outage shorter than the
+// round trip: the reply to the pull site 1 sent before its crash lands after
+// it recovered. Applied, it would advance a watermark the crash zeroed past
+// the records the crash destroyed, and the peer would keep what the pre-crash
+// digest claimed, so those writes would never ship again. It belongs to an
+// older incarnation of site 1's puller, and is dropped.
+func TestReplyFromBeforeAShortCrashIsDropped(t *testing.T) {
+	crashAfterDigest(t, digestOneWay/4)
+}
+
+// digestPeriod and digestOneWay are crashAfterDigest's pull period and
+// one-way network delay.
+const digestPeriod, digestOneWay = 150_000, 2_000
+
+// crashAfterDigest runs the crash-after-digest scenario over several seeds,
+// site 1 recovering outageMicros after the crash, and requires every replica
+// to agree at the end.
+func crashAfterDigest(t *testing.T, outageMicros int64) {
+	t.Helper()
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1988} {
 		cfg := quorumCfg(seed)
 		cfg.Sites, cfg.Replicas = 2, 2
 		cfg.Quorum = &model.Quorum{N: 2, W: 2, R: 1}
 		cfg.Durability.GroupCommitMicros = 40_000
-		cfg.ReplPeriodMicros = period
+		cfg.ReplPeriodMicros = digestPeriod
 		// Pull ticks fall on multiples of the tick: the period divided among
 		// a site's peers, here the one.
-		tick := int64(period / (cfg.Sites - 1))
-		cfg.Latency = engine.FixedLatency{RemoteMicros: oneWay, LocalMicros: 50}
+		tick := int64(digestPeriod / (cfg.Sites - 1))
+		cfg.Latency = engine.FixedLatency{RemoteMicros: digestOneWay, LocalMicros: 50}
 		cl, err := NewSim(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -530,18 +556,15 @@ func TestDigestOfUnsyncedWritesDiesWithTheCrash(t *testing.T) {
 			if dirtySince < 0 || cl.Eng.NowMicros() < (dirtySince/tick+1)*tick {
 				continue
 			}
-			cl.Eng.RunUntil((dirtySince/tick+1)*tick + oneWay + oneWay/2)
+			cl.Eng.RunUntil((dirtySince/tick+1)*tick + digestOneWay + digestOneWay/2)
 			if cl.WALs[1].Stats().Syncs == prev.Syncs {
 				break
 			}
 			prev, dirtySince = cl.WALs[1].Stats(), -1
 		}
 		before := cl.Stores[1].Copies()
-		// The outage outlasts the round trip: the reply to the pre-crash
-		// pull must find the site down, or it would advance a zeroed mark
-		// (internal/repl's documented stale-reply window).
 		cl.CrashSite(1, 0)
-		cl.RecoverSite(1, 4*oneWay)
+		cl.RecoverSite(1, outageMicros)
 		for cl.Managers[1].Snapshot().Recoveries == 0 {
 			if !cl.Eng.Step() {
 				t.Fatalf("seed %d: site 1 never recovered", seed)

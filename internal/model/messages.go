@@ -711,19 +711,23 @@ type ReplPullMsg struct {
 	// skip. Opaque here, like ReplRecordsMsg.Frames; nil (re-pulls, settle
 	// pulls, an idle or overflowed period) means ship everything.
 	Have []byte
+	// Incarnation is the sender's puller incarnation, bumped by every crash
+	// of the sender; the reply echoes it, and a reply from another
+	// incarnation is dropped unapplied.
+	Incarnation uint64
 }
 
-// ReplRecordsMsg answers a ReplPullMsg with a batch of WAL record frames.
-// Frames carries the records in the WAL's own framed varint codec (crc32C +
-// flagged length word + varint payload, see internal/wal) — the stream a
-// peer ships is byte-identical to what it would replay from its own media,
-// so one decoder hardens both paths. The receiver replays each record
-// through its store's stamp-gated apply, which makes duplicate, overlapping,
-// and out-of-order shipments idempotent.
+// ReplRecordsMsg answers a ReplPullMsg with a batch of WAL records. Frames
+// carries them in internal/wal's shipped batch codec (wal.AppendShipped):
+// per record only the fields the receiver's apply reads, the commit stamp as
+// a delta against the previous record's, with no per-record header or
+// checksum. The receiver replays each record through its store's
+// stamp-gated apply, which makes duplicate, overlapping, and out-of-order
+// shipments idempotent.
 type ReplRecordsMsg struct {
 	// From is the serving site.
 	From SiteID
-	// Frames is the framed record batch (possibly empty: the puller is
+	// Frames is the shipped record batch (possibly empty: the puller is
 	// already caught up).
 	Frames []byte
 	// NextAfterSeq is the watermark the puller should advance to after
@@ -739,6 +743,8 @@ type ReplRecordsMsg struct {
 	// More reports that the batch was cut at the size bound and the puller
 	// should pull again immediately rather than wait for its next tick.
 	More bool
+	// Incarnation echoes the pull's (see ReplPullMsg.Incarnation).
+	Incarnation uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -790,17 +796,21 @@ type TransferPullMsg struct {
 	Epoch uint64
 	// AfterSeq is the puller's watermark into the serving site's log.
 	AfterSeq uint64
+	// Incarnation is the transfer session's incarnation, bumped by every
+	// crash of the puller (which zeroes AfterSeq); the reply echoes it, and
+	// a reply from another incarnation is dropped unapplied.
+	Incarnation uint64
 }
 
-// TransferRecordsMsg answers a TransferPullMsg with a batch of WAL record
-// frames (same framed codec as ReplRecordsMsg — the snapshot-transfer plane
-// is the catch-up plane pointed at a rebalance).
+// TransferRecordsMsg answers a TransferPullMsg with a batch of WAL records
+// (the same shipped batch codec as ReplRecordsMsg — the snapshot-transfer
+// plane is the catch-up plane pointed at a rebalance).
 type TransferRecordsMsg struct {
 	// From is the serving site.
 	From SiteID
 	// Epoch echoes the pull's epoch.
 	Epoch uint64
-	// Frames is the framed record batch.
+	// Frames is the shipped record batch.
 	Frames []byte
 	// NextAfterSeq is the watermark to advance to after applying the batch.
 	NextAfterSeq uint64
@@ -815,6 +825,8 @@ type TransferRecordsMsg struct {
 	// Done reports the server's log had nothing further: the transfer is
 	// complete and the puller may open the items for traffic.
 	Done bool
+	// Incarnation echoes the pull's (see TransferPullMsg.Incarnation).
+	Incarnation uint64
 }
 
 func (RequestMsg) wireTag() WireTag         { return TagRequest }

@@ -29,7 +29,7 @@ import (
 // no state between messages.
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v4 to each other, so tags must NEVER be renumbered or
+// builds speak v5 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix.
@@ -1191,26 +1191,29 @@ func (m ReplPullMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.AfterSeq)
 	b = AppendUvarint(b, uint64(len(m.Have)))
-	return append(b, m.Have...)
+	b = append(b, m.Have...)
+	return AppendUvarint(b, m.Incarnation)
 }
 
 func decodeReplPull(r *WireReader) (m ReplPullMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AfterSeq = r.Uvarint()
 	m.Have = r.Bytes()
+	m.Incarnation = r.Uvarint()
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b. Frames is opaque here:
-// the record framing (and its own per-record checksums) is internal/wal's
-// codec, carried length-prefixed like any byte string.
+// the batch is internal/wal's shipped record codec, carried length-prefixed
+// like any byte string — the prefix is what delimits the batch.
 func (m ReplRecordsMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, uint64(len(m.Frames)))
 	b = append(b, m.Frames...)
 	b = AppendUvarint(b, m.NextAfterSeq)
 	b = AppendWireBool(b, m.Reset)
-	return AppendWireBool(b, m.More)
+	b = AppendWireBool(b, m.More)
+	return AppendUvarint(b, m.Incarnation)
 }
 
 func decodeReplRecords(r *WireReader) (m ReplRecordsMsg) {
@@ -1219,6 +1222,7 @@ func decodeReplRecords(r *WireReader) (m ReplRecordsMsg) {
 	m.NextAfterSeq = r.Uvarint()
 	m.Reset = r.Bool()
 	m.More = r.Bool()
+	m.Incarnation = r.Uvarint()
 	return m
 }
 
@@ -1290,18 +1294,20 @@ func decodeMapUpdate(r *WireReader) (m MapUpdateMsg) {
 func (m TransferPullMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.Epoch)
-	return AppendUvarint(b, m.AfterSeq)
+	b = AppendUvarint(b, m.AfterSeq)
+	return AppendUvarint(b, m.Incarnation)
 }
 
 func decodeTransferPull(r *WireReader) (m TransferPullMsg) {
 	m.From = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
 	m.AfterSeq = r.Uvarint()
+	m.Incarnation = r.Uvarint()
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b (Frames is the WAL's
-// framed codec, opaque here — see ReplRecordsMsg).
+// shipped record codec, opaque here — see ReplRecordsMsg).
 func (m TransferRecordsMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.Epoch)
@@ -1311,7 +1317,8 @@ func (m TransferRecordsMsg) AppendWire(b []byte) []byte {
 	b = AppendWireBool(b, m.Reset)
 	b = AppendWireBool(b, m.More)
 	b = AppendWireBool(b, m.NotReady)
-	return AppendWireBool(b, m.Done)
+	b = AppendWireBool(b, m.Done)
+	return AppendUvarint(b, m.Incarnation)
 }
 
 func decodeTransferRecords(r *WireReader) (m TransferRecordsMsg) {
@@ -1323,6 +1330,7 @@ func decodeTransferRecords(r *WireReader) (m TransferRecordsMsg) {
 	m.More = r.Bool()
 	m.NotReady = r.Bool()
 	m.Done = r.Bool()
+	m.Incarnation = r.Uvarint()
 	return m
 }
 

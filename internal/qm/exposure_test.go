@@ -675,8 +675,8 @@ func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
 			}
 		}
 		next.Store(3*round + 2)
-		frames := wal.AppendRecordFrame(nil, wal.Record{
-			Seq: round + 1, Item: item, Txn: model.TxnID{Site: 2, Seq: round}, Value: -int64(round), CommitMicros: int64(3*round + 2),
+		frames := wal.AppendShipped(nil, 0, wal.Record{
+			Item: item, Txn: model.TxnID{Site: 2, Seq: round}, Value: -int64(round), CommitMicros: int64(3*round + 2),
 		})
 		rt.Post(engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(0),
 			Msg: model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: round + 1}})

@@ -104,7 +104,7 @@ type Counters struct {
 	ItemsGained     uint64 // copies created at map installs (awaiting or skipping transfer)
 	TransferPulls   uint64 // transfer pulls served to new owners
 	TransferApplied uint64 // transfer records installed (stamp-gated, like ReplApplied)
-	TransferBytes   uint64 // transfer frame bytes received
+	TransferBytes   uint64 // transfer batch bytes received
 }
 
 // Durable is the durability subsystem a manager drives (internal/wal's
@@ -532,9 +532,11 @@ func (m *Manager) onCrash() {
 	for _, s := range m.sessions {
 		// Transfer records applied but not yet synced are gone with the rest
 		// of the volatile state; re-pull each incomplete session from the
-		// start after recovery (stamp-gating absorbs the overlap).
+		// start after recovery (stamp-gating absorbs the overlap), in a new
+		// incarnation so no reply to a pre-crash pull advances the mark.
 		if !s.done {
 			s.afterSeq = 0
+			s.incarnation++
 		}
 	}
 	m.shards[0].counters.Crashes++

@@ -30,8 +30,12 @@ type transferSession struct {
 	peer     model.SiteID
 	epoch    uint64
 	afterSeq uint64
-	items    []model.ItemID
-	done     bool
+	// incarnation counts the crashes that zeroed afterSeq; pulls carry it
+	// and replies echo it, so a reply to a pull sent before the last crash
+	// cannot advance the zeroed mark.
+	incarnation uint64
+	items       []model.ItemID
+	done        bool
 }
 
 // SetPartitionMap installs the initial partition map before the engine starts
@@ -286,7 +290,7 @@ func (m *Manager) onTransferPull(ctx engine.Context, v model.TransferPullMsg) {
 	}
 	cur := m.pmap.Load()
 	if cur == nil || cur.Epoch < v.Epoch || m.retiringAny() {
-		ctx.Send(engine.QMAddr(v.From), model.TransferRecordsMsg{From: m.site, Epoch: v.Epoch, NotReady: true})
+		ctx.Send(engine.QMAddr(v.From), model.TransferRecordsMsg{From: m.site, Epoch: v.Epoch, NotReady: true, Incarnation: v.Incarnation})
 		return
 	}
 	src := m.replSrc
@@ -312,6 +316,7 @@ func (m *Manager) onTransferPull(ctx engine.Context, v model.TransferPullMsg) {
 		Reset:        batch.Reset,
 		More:         batch.More,
 		Done:         !batch.More,
+		Incarnation:  v.Incarnation,
 	})
 }
 
@@ -332,8 +337,8 @@ func (m *Manager) onTransferRecords(ctx engine.Context, v model.TransferRecordsM
 			break
 		}
 	}
-	if sess == nil {
-		return // stale reply for a completed or unknown session
+	if sess == nil || v.Incarnation != sess.incarnation {
+		return // stale reply: a completed or unknown session, or a pull from before a crash
 	}
 	if v.NotReady {
 		return // the retry tick re-pulls
@@ -362,7 +367,7 @@ func (m *Manager) onTransferRecords(ctx engine.Context, v model.TransferRecordsM
 	}
 	switch {
 	case v.More:
-		ctx.Send(engine.QMAddr(sess.peer), model.TransferPullMsg{From: m.site, Epoch: sess.epoch, AfterSeq: sess.afterSeq})
+		ctx.Send(engine.QMAddr(sess.peer), model.TransferPullMsg{From: m.site, Epoch: sess.epoch, AfterSeq: sess.afterSeq, Incarnation: sess.incarnation})
 	case v.Done:
 		sess.done = true
 		m.clearPending(sess.items)
@@ -405,7 +410,7 @@ func (m *Manager) onTransferTick(ctx engine.Context) {
 		return
 	}
 	for _, s := range m.sessions {
-		ctx.Send(engine.QMAddr(s.peer), model.TransferPullMsg{From: m.site, Epoch: s.epoch, AfterSeq: s.afterSeq})
+		ctx.Send(engine.QMAddr(s.peer), model.TransferPullMsg{From: m.site, Epoch: s.epoch, AfterSeq: s.afterSeq, Incarnation: s.incarnation})
 	}
 }
 
@@ -430,15 +435,11 @@ func (s storeSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uin
 }
 
 func (s storeSource) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
+	var prev int64
 	for _, item := range s.store.Items() {
 		ver := s.store.Latest(item)
-		frames = wal.AppendRecordFrame(frames, wal.Record{
-			Item:         item,
-			Txn:          ver.Writer,
-			Value:        ver.Value,
-			Version:      ver.Version,
-			CommitMicros: ver.CommitMicros,
-		})
+		frames = wal.AppendShipped(frames, prev, wal.Record{Item: item, Txn: ver.Writer, Value: ver.Value, CommitMicros: ver.CommitMicros})
+		prev = ver.CommitMicros
 	}
 	return frames, 1, nil
 }

@@ -154,8 +154,8 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	}
 
 	// The old owner's answer: one record for item 1 at commit stamp 5, done.
-	frames := wal.AppendRecordFrame(nil, wal.Record{
-		Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, Version: 1, CommitMicros: 5,
+	frames := wal.AppendShipped(nil, 0, wal.Record{
+		Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5,
 	})
 	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{
 		From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true,
@@ -228,5 +228,46 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	}
 	if c := m.Snapshot(); c.TransferPulls != 2 {
 		t.Fatalf("TransferPulls = %d want 2", c.TransferPulls)
+	}
+}
+
+// TestTransferReplyFromBeforeTheCrashIsDropped: a crash zeroes each
+// incomplete transfer session's mark and starts a new incarnation of it. A
+// reply to a pull sent before the crash would advance the zeroed mark — or
+// finish the session — over records the crash destroyed; it is dropped, and
+// the retry tick pulls again in the new incarnation, whose reply completes
+// the session.
+func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
+	st := storage.NewStore(0)
+	st.Create(0, 100)
+	sl, err := wal.Open(wal.NewMemMedia(), st, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetJournal(sl)
+	m := New(0, st, nil, Options{InitialValue: 100})
+	m.SetDurable(sl)
+	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {1}}})
+	ctx := newFakeCtx()
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
+	before := take[model.TransferPullMsg](ctx)
+	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
+	frames := wal.AppendShipped(nil, 0, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
+	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true, Incarnation: before[0].Incarnation})
+	if !m.TransfersPending() {
+		t.Fatal("a pre-crash reply completed the transfer")
+	}
+	if c := m.Snapshot(); c.TransferApplied != 0 {
+		t.Fatalf("a pre-crash reply applied %d records", c.TransferApplied)
+	}
+	m.OnMessage(ctx, ctx.self, model.TickMsg{Tag: TransferTickTag})
+	after := take[model.TransferPullMsg](ctx)
+	if len(before) != 1 || len(after) != 1 || after[0].AfterSeq != 0 || after[0].Incarnation == before[0].Incarnation {
+		t.Fatalf("pulls before %+v and after %+v the crash, want one each from seq 0 in distinct incarnations", before, after)
+	}
+	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true, Incarnation: after[0].Incarnation})
+	if m.TransfersPending() {
+		t.Fatal("the current reply did not complete the transfer")
 	}
 }

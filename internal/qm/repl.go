@@ -62,7 +62,7 @@ func (m *Manager) onReplTick(ctx engine.Context) {
 	// Only the periodic pulls carry the journal digest: what this site
 	// journaled since its previous pull to that peer.
 	if peer, have, ok := m.puller.NextPull(m.replSrc); ok {
-		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have})
+		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have, Incarnation: m.puller.Incarnation()})
 	}
 }
 
@@ -76,7 +76,7 @@ func (m *Manager) onReplSettle(ctx engine.Context) {
 		return
 	}
 	for _, peer := range m.puller.Peers() {
-		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer)})
+		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Incarnation: m.puller.Incarnation()})
 	}
 }
 
@@ -117,12 +117,16 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 // advance the watermark — the tail re-ships next period. More (a batch cut
 // at the bound, or a Reset image) re-pulls immediately instead of waiting
 // out a period per batch, but only when the watermark moved: the same pull
-// again would only fetch the same batch again.
+// again would only fetch the same batch again. A reply to a pull sent before
+// this site's last crash is dropped whole (repl.Puller.Incarnation).
 func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
 	if m.puller == nil || m.Down() {
 		return // a down site's applies would be wiped anyway; marks re-zero at crash
+	}
+	if v.Incarnation != m.puller.Incarnation() {
+		return
 	}
 	st := repl.Apply(v.Frames, func(r wal.Record) bool {
 		m.known.Note(v.From, r.Item, r.CommitMicros)
@@ -145,6 +149,6 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	m.shards[0].mu.Unlock()
 	moved := st.Torn == 0 && m.puller.Advance(v.From, v.NextAfterSeq)
 	if v.More && moved {
-		ctx.Send(engine.QMAddr(v.From), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From)})
+		ctx.Send(engine.QMAddr(v.From), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From), Incarnation: m.puller.Incarnation()})
 	}
 }

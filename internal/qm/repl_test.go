@@ -36,13 +36,15 @@ func shippedRec(seq uint64, item model.ItemID, stamp int64) wal.Record {
 
 func frameAll(recs ...wal.Record) []byte {
 	var b []byte
+	var prev int64
 	for _, r := range recs {
-		b = wal.AppendRecordFrame(b, r)
+		b = wal.AppendShipped(b, prev, r)
+		prev = r.CommitMicros
 	}
 	return b
 }
 
-// TestTornBatchWithMoreWaitsForTheTick: a batch whose last frame is damaged
+// TestTornBatchWithMoreWaitsForTheTick: a batch whose last record is damaged
 // applies its intact prefix and leaves the watermark alone. With More set,
 // re-pulling at once would send the same watermark and fetch the same batch
 // again, for as long as the damage repeats; the periodic tick re-pulls
@@ -51,7 +53,7 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 	m, st, _ := replSite(t)
 	ctx := newFakeCtx()
 	frames := frameAll(shippedRec(1, 1, 10), shippedRec(2, 2, 20), shippedRec(3, 3, 30))
-	frames[len(frames)-1] ^= 0x01
+	frames[len(frames)-1] ^= 0x80
 	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
 	if pulls := take[model.ReplPullMsg](ctx); len(pulls) != 0 {
 		t.Fatalf("torn batch re-pulled at once: %+v", pulls)
@@ -66,11 +68,50 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 		t.Fatalf("watermark moved to %d past a torn batch", mark)
 	}
 	// The same batch intact: the mark moves, so More re-pulls from it.
-	frames[len(frames)-1] ^= 0x01
+	frames[len(frames)-1] ^= 0x80
 	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
 	pulls := take[model.ReplPullMsg](ctx)
 	if len(pulls) != 1 || pulls[0].AfterSeq != 3 || pulls[0].Have != nil {
 		t.Fatalf("intact batch with More: pulls %+v, want one from seq 3 with no digest", pulls)
+	}
+}
+
+// TestReplyFromBeforeTheCrashIsDropped: a crash starts a new puller
+// incarnation. The reply to a pull sent before it, landing after recovery,
+// would advance a zeroed watermark past records the crash destroyed; it is
+// dropped whole — nothing applied, no mark moved, no re-pull — while the
+// same batch answering a pull of the new incarnation applies.
+func TestReplyFromBeforeTheCrashIsDropped(t *testing.T) {
+	m, st, _ := replSite(t)
+	ctx := newFakeCtx()
+	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	before := take[model.ReplPullMsg](ctx)
+	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
+	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	after := take[model.ReplPullMsg](ctx)
+	if len(before) != 1 || len(after) != 1 || after[0].Incarnation == before[0].Incarnation {
+		t.Fatalf("pulls before %+v and after %+v the crash, want one each in distinct incarnations", before, after)
+	}
+	stale := model.ReplRecordsMsg{From: 1, Frames: frameAll(shippedRec(4, 2, 70)), NextAfterSeq: 4, More: true, Incarnation: before[0].Incarnation}
+	m.OnMessage(ctx, engine.QMAddr(1), stale)
+	if v, _ := st.Read(2); v != 100 {
+		t.Fatalf("a pre-crash reply installed %d at item 2", v)
+	}
+	if mark := m.ReplWatermarks()[1]; mark != 0 {
+		t.Fatalf("a pre-crash reply moved the watermark to %d", mark)
+	}
+	if pulls := take[model.ReplPullMsg](ctx); len(pulls) != 0 {
+		t.Fatalf("a pre-crash reply re-pulled: %+v", pulls)
+	}
+	current := stale
+	current.Incarnation = after[0].Incarnation
+	m.OnMessage(ctx, engine.QMAddr(1), current)
+	if v, _ := st.Read(2); v != 70 || m.ReplWatermarks()[1] != 4 {
+		t.Fatalf("the current reply left item 2 at %d, mark %d; want 70, 4", v, m.ReplWatermarks()[1])
+	}
+	if pulls := take[model.ReplPullMsg](ctx); len(pulls) != 1 || pulls[0].Incarnation != after[0].Incarnation {
+		t.Fatalf("More re-pulled %+v, want one pull in the current incarnation", pulls)
 	}
 }
 

@@ -17,19 +17,27 @@
 // (AppendHave/DecodeHave; Puller.NextPull keeps a cursor into the journal
 // per peer). The peer answers with a model.ReplRecordsMsg holding the synced
 // records past the watermark that the puller is not known to hold already
-// (Peer knowledge, below), batched and framed with the WAL's
-// own varint record codec (crc32C + flagged length word + varint payload —
-// the batch on the wire is byte-identical to the segment bytes holding those
-// records, so DecodeRecordFrames hardens replay and shipping with one
-// decoder). The peer serves from wal.SiteLog's in-memory tail of recent
-// records; only a mark older than the tail makes it read its segments. The
-// receiver replays each record through storage.ApplyShipped behind the
+// (Peer knowledge, below), in the WAL's shipped batch codec
+// (wal.AppendShipped): per record only what the puller's apply reads — item,
+// writer, value, and the commit stamp as a delta against the previous
+// record's — with no per-record header or checksum, the message's length
+// prefix delimiting the batch. The peer serves from wal.SiteLog's in-memory
+// tail of recent records; only a mark older than the tail makes it read its
+// segments. The receiver replays each record through storage.ApplyShipped behind the
 // owning queue-manager shard's lock and the store's writer/snapshot barrier,
 // then advances the watermark to the reply's NextAfterSeq, which also
 // covers the records that were left out. A batch cut at its bound (More)
 // triggers an immediate re-pull, without a digest, provided the watermark
-// moved; a torn frame ends the batch early without advancing past it, and
-// the next tick re-pulls.
+// moved; a record that does not decode ends the batch early without
+// advancing past it, and the next tick re-pulls.
+//
+// Every pull carries the puller's incarnation, which each crash bumps
+// (Puller.ResetAll), and the reply echoes it. A reply from another
+// incarnation — the answer to a pull sent before a crash the site has
+// since recovered from — is dropped whole: applied, it would advance a
+// watermark the crash zeroed past the records the crash destroyed, and
+// those would not be offered again until something newer overwrote them.
+// Rebalance transfer sessions carry the same echo for the same reason.
 //
 // # Idempotence
 //
@@ -63,7 +71,7 @@
 // previous pull to that peer, the shipped record included — so that holder
 // leaves it out.
 //
-// Two things feed a peer's table. The frames the peer itself ships are
+// Two things feed a peer's table. The records the peer itself ships are
 // durable in its log. The digests its pulls carry are not: a digest names
 // journaled writes, synced or not, so it is a claim about the peer's
 // volatile state, and a crash can make it false. Soundness is one rule:
@@ -108,15 +116,4 @@
 // release of an older conflicting write has long been delivered.
 // Quorum reads stay sound regardless — W+R > N puts the freshest committed
 // write in every read quorum, and the issuer picks the highest commit stamp.
-//
-// One window is open, and predates peer knowledge: a reply is not tied to the
-// incarnation of the puller that asked for it. If a site crashes and
-// recovers within one round trip, the reply to a pull it sent before the
-// crash arrives after ResetAll and advances a zeroed watermark, so the
-// records below that mark which the crash destroyed are not offered again
-// until something newer overwrites them; its next pull then carries a
-// non-zero AfterSeq, so a peer also keeps — and acts on — what the pre-crash
-// digests claimed. An outage longer than a round trip closes it (a down site
-// ignores replies), which is every crash the simulator's scenarios and a
-// real process restart produce. It is documented, not fixed here.
 package repl

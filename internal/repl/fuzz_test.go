@@ -23,14 +23,14 @@ func seedDir(target string) string { return filepath.Join("testdata", "fuzz", ta
 
 // seedStreams are the committed fuzz seeds: a clean multi-record batch, a
 // batch with duplicate and overlapping ranges (the re-ship case), a
-// mid-frame truncation, a corrupted checksum, and raw garbage. One seed per
-// shape, so the first fuzz iteration already walks every decode branch.
+// mid-record truncation, an unterminated varint, and raw garbage. One seed
+// per shape, so the first fuzz iteration already walks every decode branch.
 func seedStreams() map[string][]byte {
 	clean := frames(rec(1, 1, 10, 100), rec(2, 2, 20, 200), rec(3, 3, 30, 300))
 	dup := frames(rec(1, 1, 10, 100), rec(1, 1, 10, 100), rec(2, 1, 11, 90), rec(3, 2, 20, 200), rec(2, 1, 11, 90))
 	torn := append([]byte(nil), clean[:len(clean)-5]...)
 	corrupt := append([]byte(nil), clean...)
-	corrupt[len(corrupt)-1] ^= 0xFF
+	corrupt[len(corrupt)-1] |= 0x80 // the last varint never ends
 	return map[string][]byte{
 		"clean":    clean,
 		"dup":      dup,
@@ -92,7 +92,7 @@ func FuzzReplStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var decoded int
-		torn := wal.DecodeRecordFrames(data, func(wal.Record) { decoded++ })
+		torn := wal.DecodeShipped(data, func(wal.Record) { decoded++ })
 
 		m := applyModel{}
 		st := Apply(data, m.apply)
@@ -136,12 +136,16 @@ func FuzzReplStream(f *testing.F) {
 			}
 		}
 
-		// Round-trip: one record, one frame encoding — re-encoding every
-		// decoded record reproduces the intact prefix byte for byte.
+		// Round-trip: one batch, one encoding — re-encoding every decoded
+		// record reproduces the intact prefix byte for byte.
 		var reenc []byte
-		wal.DecodeRecordFrames(data, func(r wal.Record) { reenc = wal.AppendRecordFrame(reenc, r) })
+		var prev int64
+		wal.DecodeShipped(data, func(r wal.Record) {
+			reenc = wal.AppendShipped(reenc, prev, r)
+			prev = r.CommitMicros
+		})
 		if !bytes.Equal(reenc, data[:len(data)-torn]) {
-			t.Fatalf("accepted frames are not the canonical encoding:\n in: %x\nout: %x", data[:len(data)-torn], reenc)
+			t.Fatalf("accepted records are not the canonical encoding:\n in: %x\nout: %x", data[:len(data)-torn], reenc)
 		}
 	})
 }

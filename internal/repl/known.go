@@ -44,7 +44,7 @@ const maxKnownItems = 1 << 16
 
 // Known is what a serving site believes each pulling peer already holds: per
 // peer, the newest commit stamp per item. Two things feed it — the digests
-// the peer's pulls carry, and the frames the peer itself ships (durable
+// the peer's pulls carry, and the records the peer itself ships (durable
 // there) — and it exists to leave those records out of the peer's batches. A
 // record is withheld only when its stamp is at or below the peer's, the
 // exact mirror of storage.ApplyShipped's gate, so nothing is withheld the
@@ -108,6 +108,7 @@ func (k *Known) Holds(peer model.SiteID, item model.ItemID, stamp int64) bool {
 // its volatile state (Puller.ResetAll), and a Reset reply re-images it from
 // the snapshot: either way what was believed about it is dropped first, and
 // only this pull's own digest — collected after any such crash — is kept.
+// The reply echoes the pull's incarnation.
 func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, max int) (model.ReplRecordsMsg, error) {
 	if pull.AfterSeq == 0 {
 		k.Forget(pull.From)
@@ -120,5 +121,6 @@ func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, max
 		k.Forget(pull.From)
 		k.Learn(pull.From, pull.Have)
 	}
+	batch.Incarnation = pull.Incarnation
 	return batch, err
 }

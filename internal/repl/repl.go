@@ -56,6 +56,10 @@ type Puller struct {
 	reported map[model.SiteID]uint64
 	next     int        // the round robin's position in peers
 	have     []wal.Have // NextPull's scratch
+	// incarnation counts ResetAll calls. Every pull carries it and every
+	// reply echoes it, so a reply to a pull sent before a crash is told
+	// from one sent after.
+	incarnation uint64
 }
 
 // NewPuller builds a puller with zero watermarks (first pulls stream each
@@ -149,17 +153,26 @@ func (p *Puller) NextPull(src Source) (peer model.SiteID, have []byte, ok bool) 
 	return peer, AppendHave(make([]byte, 0, 4*len(p.have)), p.have), true
 }
 
-// ResetAll zeroes every watermark and digest cursor. Called on a local
-// crash: shipped records applied since the last sync are lost with the rest
-// of the volatile tail, so everything must be offered again — stamp-gating
-// makes the re-shipment idempotent — and the next pull to each peer digests
-// the whole tail journaled since the crash.
+// ResetAll zeroes every watermark and digest cursor and starts a new
+// incarnation. Called on a local crash: shipped records applied since the
+// last sync are lost with the rest of the volatile tail, so everything must
+// be offered again — stamp-gating makes the re-shipment idempotent — and the
+// next pull to each peer digests the whole tail journaled since the crash.
 func (p *Puller) ResetAll() {
 	for peer := range p.marks {
 		p.marks[peer] = 0
 		p.reported[peer] = 0
 	}
+	p.incarnation++
 }
+
+// Incarnation returns the incarnation every pull carries
+// (model.ReplPullMsg.Incarnation). A reply echoing another one answers a
+// pull sent before the last ResetAll and must be dropped whole — nothing
+// applied, no mark moved, no re-pull: it was built against a watermark and
+// a digest the crash voided, and would advance a zeroed mark past records
+// the crash destroyed.
+func (p *Puller) Incarnation() uint64 { return p.incarnation }
 
 // Watermarks returns a copy of the per-peer watermark map.
 func (p *Puller) Watermarks() map[model.SiteID]uint64 {
@@ -211,19 +224,18 @@ type ApplyStats struct {
 	// Skipped counts records the callback rejected as stale or duplicate
 	// (stamp-gated idempotence) or as unknown items.
 	Skipped int
-	// Torn counts undecodable trailing bytes (a cut or corrupted frame);
+	// Torn counts undecodable trailing bytes (a cut or corrupted record);
 	// everything before the tear still applied.
 	Torn int
 }
 
-// Apply decodes a shipped frame batch with the WAL record codec and feeds
-// each record to apply, which reports whether it installed the record. The
-// decode is the same one recovery replay uses, so a batch that survives the
-// wire replays exactly like local log bytes; torn or garbage tails are
-// counted, never applied.
+// Apply decodes a shipped batch (wal.DecodeShipped) and feeds each record to
+// apply, which reports whether it installed the record. Catch-up and
+// rebalance transfer ship alike; a batch that stops decoding part way
+// applies its intact prefix, and the rest is counted as torn, never applied.
 func Apply(frames []byte, apply func(r wal.Record) bool) ApplyStats {
 	var st ApplyStats
-	st.Torn = wal.DecodeRecordFrames(frames, func(r wal.Record) {
+	st.Torn = wal.DecodeShipped(frames, func(r wal.Record) {
 		if apply(r) {
 			st.Applied++
 		} else {

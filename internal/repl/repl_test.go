@@ -23,10 +23,13 @@ func rec(seq uint64, item int, value int64, commit int64) wal.Record {
 	}
 }
 
+// frames encodes rs as one shipped batch.
 func frames(rs ...wal.Record) []byte {
 	var buf []byte
+	var prev int64
 	for _, r := range rs {
-		buf = wal.AppendRecordFrame(buf, r)
+		buf = wal.AppendShipped(buf, prev, r)
+		prev = r.CommitMicros
 	}
 	return buf
 }
@@ -53,9 +56,13 @@ func TestPullerWatermarks(t *testing.T) {
 	if p.Mark(1) != 10 {
 		t.Fatal("Watermarks leaked internal state")
 	}
+	inc := p.Incarnation()
 	p.ResetAll()
 	if p.Mark(1) != 0 || p.Mark(2) != 0 {
 		t.Fatal("ResetAll must zero every watermark (crash wipes the store)")
+	}
+	if p.Incarnation() == inc {
+		t.Fatal("ResetAll must start a new incarnation (replies to older pulls are dropped)")
 	}
 }
 
@@ -180,7 +187,14 @@ func TestApplyCountsAndIdempotence(t *testing.T) {
 // as torn, and nothing panics. This is the deterministic core of
 // FuzzReplStream.
 func TestApplyTruncationEveryByte(t *testing.T) {
-	full := frames(rec(1, 1, 10, 100), rec(2, 2, 20, 200), rec(3, 3, 30, 300))
+	recs := []wal.Record{rec(1, 1, 10, 100), rec(2, 2, 20, 200), rec(3, 3, 30, 300)}
+	full := frames(recs...)
+	// ends[i] is where record i's encoding ends: a cut there is a shorter
+	// batch, a cut anywhere else tears the record it falls in.
+	var ends []int
+	for i := range recs {
+		ends = append(ends, len(frames(recs[:i+1]...)))
+	}
 	for cut := 0; cut <= len(full); cut++ {
 		m := applyModel{}
 		st := Apply(full[:cut], m.apply)
@@ -196,23 +210,29 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 		if st.Applied > 3 {
 			t.Fatalf("cut=%d: invented records: %+v", cut, st)
 		}
+		whole, intact := 0, 0
+		for _, end := range ends {
+			if end <= cut {
+				whole, intact = whole+1, end
+			}
+		}
+		if st.Applied != whole || st.Torn != cut-intact {
+			t.Fatalf("cut=%d: %+v, want %d applied and the %d bytes after them torn", cut, st, whole, cut-intact)
+		}
 	}
 }
 
-// TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope encoded at the
-// commit before the WAL's fixed-width decoder was removed (three records
-// spanning the field extremes, framed by wal.AppendRecordFrame) decodes to
-// the same records, and re-encodes to the same bytes, now. Only its
-// envelope header, QM(2) → QM(1), has changed since, to wire v4's one-byte
-// addresses; the record frames are byte for byte the originals.
+// TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope, QM(2) → QM(1),
+// shipping three records that span the field extremes in the shipped batch
+// codec, decodes to the same records and re-encodes to the same bytes. The
+// records carry no Seq or Version: neither is shipped.
 func TestShippedBatchGoldenBytes(t *testing.T) {
-	const golden = "12111c045fb1fd83c310000080010e0429e1a2f3ad070180808080804091a1e306" +
-		"21000080020000ffffffffffffffffff01feffffffffffffff7fffffffffffffffffff0101" +
-		"921c79bc1600008003feffffff0ffeffffff0f0900038080f28183898506030001"
+	const golden = "12111c043d070229e1a2f3ad078080808080400000ffffffffffffffffff01" +
+		"feffffffffffffff7f818080808040ffffffff07ffffffff0709008280f2818389850603000101"
 	want := []wal.Record{
-		{Seq: 1, Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, Version: 1, CommitMicros: 1 << 40},
-		{Seq: 2, Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, Version: 1<<64 - 1, CommitMicros: -1},
-		{Seq: 3, Item: 1<<31 - 1, Txn: model.TxnID{Site: 1<<31 - 1, Seq: 9}, Value: 0, Version: 3, CommitMicros: 1700000000000000},
+		{Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, CommitMicros: 1 << 40},
+		{Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, CommitMicros: -1},
+		{Item: 1<<31 - 1, Txn: model.TxnID{Site: 1<<31 - 1, Seq: 9}, Value: 0, CommitMicros: 1700000000000000},
 	}
 	raw, err := hex.DecodeString(golden)
 	if err != nil {
@@ -223,7 +243,7 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, ok := env.Msg.(model.ReplRecordsMsg)
-	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More {
+	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More || msg.Incarnation != 1 {
 		t.Fatalf("decoded %T %+v", env.Msg, env.Msg)
 	}
 	var got []wal.Record

@@ -87,7 +87,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v4 node: it accepts connections
+// stubPeer is a listener that is not a wire-v5 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -140,8 +140,8 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v4 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3 listener does — fails the
+// connection but is not a wire-v5 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3 or v4 listener does — fails the
 // dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
@@ -159,6 +159,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"never acks":                 readVersionThen(nil),
 		"acks the wrong byte":        readVersionThen([]byte{2}),
 		"acks as a v3 listener":      readVersionThen([]byte{0xC3}),
+		"acks as a v4 listener":      readVersionThen([]byte{0xC4}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -363,7 +364,7 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ack [1]byte
-	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV4 {
+	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV5 {
 		t.Fatalf("no ack: %v %x", err, ack)
 	}
 	known := func(seq uint64) []byte {

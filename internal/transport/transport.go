@@ -20,18 +20,22 @@ import (
 )
 
 // WireVersion is the first byte a dialer writes on a fresh connection:
-// version 4, the hand-rolled binary codec (internal/wire) — length-prefixed
+// version 5, the hand-rolled binary codec (internal/wire) — length-prefixed
 // frames of explicitly-encoded envelopes, one-byte actor addresses, stamps
-// as deltas within a message, no reflection, pooled buffers. A reader that
-// sees any other version byte — a v3 dialer's included — closes the
-// connection instead of feeding misframed bytes to a decoder.
-const WireVersion byte = 4
+// as deltas within a message, no reflection, pooled buffers. Version 5 kept
+// version 4's envelope layout but changed what shipped catch-up and transfer
+// records are: a compact batch (internal/wal's AppendShipped) instead of WAL
+// segment frames, which each side would misread from the other — and pulls
+// and their replies carry the puller's incarnation. A reader that sees any
+// other version byte — a v4 dialer's included — closes the connection
+// instead of feeding misframed bytes to a decoder.
+const WireVersion byte = 5
 
-// wireAckV4 is the single byte a listener writes back after reading the
+// wireAckV5 is the single byte a listener writes back after reading the
 // version byte. A dialer sends nothing until it has read it: a peer that
-// closes, stalls, or answers anything else — a v3 listener's 0xC3 included —
-// is not a wire-v4 node, and the dial fails.
-const wireAckV4 byte = 0xC4
+// closes, stalls, or answers anything else — a v4 listener's 0xC4 included —
+// is not a wire-v5 node, and the dial fails.
+const wireAckV5 byte = 0xC5
 
 // handshakeTimeout bounds the dialer's wait for the ack. A live peer acks in
 // one RTT, so this only fires against something that accepted the connection
@@ -110,7 +114,7 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope as a wire-v4 frame into a buffered writer and flushes once per
+// envelope as a wire-v5 frame into a buffered writer and flushes once per
 // drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
@@ -318,9 +322,9 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	if vb[0] != WireVersion {
-		return // not a wire-v4 dialer (or a port scanner); drop the conn
+		return // not a wire-v5 dialer (or a port scanner); drop the conn
 	}
-	if _, err := c.Write([]byte{wireAckV4}); err != nil {
+	if _, err := c.Write([]byte{wireAckV5}); err != nil {
 		return
 	}
 	rd := wire.NewReader(bufio.NewReader(c))
@@ -536,8 +540,8 @@ func handshake(c net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if ack[0] != wireAckV4 {
-		return fmt.Errorf("ack byte %#x, want %#x", ack[0], wireAckV4)
+	if ack[0] != wireAckV5 {
+		return fmt.Errorf("ack byte %#x, want %#x", ack[0], wireAckV5)
 	}
 	return nil
 }

@@ -175,7 +175,8 @@ const v3TickStream = "03080002000100001307"
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2 or v3 dialer's whole stream.
+// v2, v3 or v4 dialer's whole stream. (A v4 dialer's TickMsg frame is byte
+// for byte the current one: v5 changed only the catch-up records.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -204,12 +205,14 @@ func TestWireVersionRejected(t *testing.T) {
 	streams := map[string][]byte{
 		"v2 dialer":              v2,
 		"v3 dialer":              v3,
-		"byte 3 then v4 frame":   append([]byte{3}, frame...),
-		"byte 2 then v4 frame":   append([]byte{2}, frame...),
-		"byte 1 then v4 frame":   append([]byte{1}, frame...),
-		"ack byte as version":    append([]byte{wireAckV4}, frame...),
+		"v4 dialer":              append([]byte{4}, frame...),
+		"byte 3 then v5 frame":   append([]byte{3}, frame...),
+		"byte 2 then v5 frame":   append([]byte{2}, frame...),
+		"byte 1 then v5 frame":   append([]byte{1}, frame...),
+		"ack byte as version":    append([]byte{wireAckV5}, frame...),
 		"v3 ack byte as version": append([]byte{0xC3}, frame...),
-		"random byte, v4 frame":  append([]byte{0x5a}, frame...),
+		"v4 ack byte as version": append([]byte{0xC4}, frame...),
+		"random byte, v5 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

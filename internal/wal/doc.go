@@ -28,10 +28,16 @@
 // patched in after the chains.
 //
 // Record payloads use internal/model's varint primitives, the ones the
-// transport's message encoders are built from; the record format is its own
-// and did not change with wire v4. That is ~15 bytes for a typical record,
-// ~23 framed. A frame is crc32C(lenWord | payload) | lenWord | payload, the
-// length word always carrying the varint flag in its high bit; a frame that
-// fails the checksum, lacks the flag, or decodes short or long ends the
-// durable history there — replay stops, it never misreads.
+// transport's message encoders are built from; the segment format is its
+// own and does not follow the wire version. That is ~15 bytes for a typical
+// record, ~23 framed. A frame is crc32C(lenWord | payload) | lenWord |
+// payload, the length word always carrying the varint flag in its high bit;
+// a frame that fails the checksum, lacks the flag, or decodes short or long
+// ends the durable history there — replay stops, it never misreads.
+//
+// Records leave a site for catch-up and transfer in a codec of their own
+// (AppendShipped, DecodeShipped): only the fields a replica's apply reads,
+// the commit stamp as a delta against the previous record's, no header and
+// no checksum — the carrying message's length prefix delimits the batch.
+// That format is part of the wire contract, not of the media's.
 package wal

@@ -71,7 +71,7 @@ func TestSegmentSeedCorpusCommitted(t *testing.T) {
 // repaired, so the fuzzer reaches the payload decoder and the replay's
 // sequence and item checks. Open must never panic or hang; when it
 // succeeds, the store holds the base plus exactly the records
-// DecodeRecordFrames accepts before the first tear, as far as their
+// decodeRecords accepts before the first tear, as far as their
 // sequence runs on unbroken; and opening the media Open left behind again
 // gives the same store.
 func FuzzOpenSegments(f *testing.F) {
@@ -122,7 +122,7 @@ func checkOpenSegment(t *testing.T, seg []byte) {
 	want := newStore(t, 0, segmentItems, 100)
 	var replayed uint64
 	stopped, unknown := false, false
-	DecodeRecordFrames(seg, func(r Record) {
+	decodeRecords(seg, func(r Record) {
 		switch {
 		case stopped || r.Seq == 0:
 		case r.Seq != replayed+1:

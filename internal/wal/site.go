@@ -381,6 +381,7 @@ var errBatchFull = fmt.Errorf("wal: records-since batch full")
 // path feed it the same records and so build the same bytes.
 type shipBatch struct {
 	frames []byte
+	prev   int64 // the commit stamp of the last record shipped
 	next   uint64
 	more   bool
 	room   int
@@ -399,15 +400,16 @@ func (b *shipBatch) add(r Record) bool {
 		b.more = true
 		return false
 	}
-	b.frames = AppendRecordFrame(b.frames, r)
+	b.frames = AppendShipped(b.frames, b.prev, r)
+	b.prev = r.CommitMicros
 	b.next = r.Seq
 	b.room--
 	return true
 }
 
 // RecordsSince serves a log-shipping pull (internal/repl): up to max durable
-// records with Seq > afterSeq, framed with the record codec so the batch is
-// byte-identical to the segment bytes holding them. Records for which skip
+// records with Seq > afterSeq, in the shipped batch codec (AppendShipped).
+// Records for which skip
 // reports true (nil skips none) are left out; next still moves past them.
 // next is the last sequence number examined (afterSeq when none); more
 // reports the batch was cut at the bound. A mark the in-memory tail covers is
@@ -469,11 +471,10 @@ func (s *SiteLog) mediaSince(afterSeq uint64, b *shipBatch) error {
 
 // SnapshotRecords serves the reset path of a log-shipping pull: one
 // synthetic record per copy imaging the newest durable snapshot's latest
-// versions (framed like RecordsSince), plus the snapshot's applied sequence
-// — the watermark from which the incremental tail continues. Synthetic
-// records carry Seq 0: the receiver's apply is stamp-gated, not
-// sequence-gated, so the only sequence that matters is the returned
-// watermark.
+// versions (in the shipped batch codec, like RecordsSince), plus the
+// snapshot's applied sequence — the watermark from which the incremental
+// tail continues. The receiver's apply is stamp-gated, not sequence-gated,
+// so the only sequence that matters is the returned watermark.
 func (s *SiteLog) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -487,12 +488,11 @@ func (s *SiteLog) SnapshotRecords() (frames []byte, appliedSeq uint64, err error
 	if !ok {
 		return nil, 0, fmt.Errorf("wal: no valid snapshot on media at site %d", s.store.Site())
 	}
+	var prev int64
 	for _, cc := range snap.Chains {
 		v := cc.Versions[len(cc.Versions)-1]
-		frames = AppendRecordFrame(frames, Record{
-			Item: cc.ID.Item, Txn: v.Writer, Value: v.Value,
-			Version: v.Version, CommitMicros: v.CommitMicros,
-		})
+		frames = AppendShipped(frames, prev, Record{Item: cc.ID.Item, Txn: v.Writer, Value: v.Value, CommitMicros: v.CommitMicros})
+		prev = v.CommitMicros
 	}
 	return frames, snap.AppliedSeq, nil
 }

@@ -185,7 +185,7 @@ func TestCrashDuringSyncFailsTheFlush(t *testing.T) {
 func TestRollDuringSyncKeepsJournaledRecords(t *testing.T) {
 	m := newGatedMedia()
 	st := newStore(t, 0, 4, 0)
-	frame := len(AppendRecordFrame(nil, Record{Seq: 1, Txn: model.TxnID{Seq: 10}, Value: 10, Version: 1, CommitMicros: 10}))
+	frame := len(appendRecord(nil, Record{Seq: 1, Txn: model.TxnID{Seq: 10}, Value: 10, Version: 1, CommitMicros: 10}))
 	// Two records pass the threshold, one does not.
 	sl, err := Open(m, st, Options{SegmentBytes: 2*frame - 1})
 	if err != nil {

@@ -35,14 +35,15 @@ func mustFlush(t *testing.T, sl *SiteLog) {
 	}
 }
 
-// pull is RecordsSince with the frames decoded.
+// pull is RecordsSince with the batch decoded. A shipped record carries no
+// Seq; where the tests below journal seq i stamped i, CommitMicros names it.
 func pull(t *testing.T, sl *SiteLog, afterSeq uint64, max int, skip func(model.ItemID, int64) bool) (recs []Record, next uint64, more, gap bool) {
 	t.Helper()
 	frames, next, more, gap, err := sl.RecordsSince(afterSeq, max, skip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if torn := DecodeRecordFrames(frames, func(r Record) { recs = append(recs, r) }); torn != 0 {
+	if torn := DecodeShipped(frames, func(r Record) { recs = append(recs, r) }); torn != 0 {
 		t.Fatalf("served batch has %d torn bytes", torn)
 	}
 	return recs, next, more, gap
@@ -101,8 +102,8 @@ func TestTailAndMediaServeTheSameBatches(t *testing.T) {
 		t.Fatalf("full pull: %d records, next %d, more %v; want %d, %d, false", len(recs), next, more, synced, synced)
 	}
 	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
+		if r.CommitMicros != int64(i+1) {
+			t.Fatalf("record %d is seq %d's", i, r.CommitMicros)
 		}
 	}
 }
@@ -147,7 +148,7 @@ func TestSnapshotBetweenPullsIsNoGap(t *testing.T) {
 		t.Fatal("snapshot left records on media: the pull below proves nothing")
 	}
 	recs, next, more, gap := pull(t, sl, mark, 64, nil)
-	if gap || more || next != 15 || len(recs) != 5 || recs[0].Seq != 11 {
+	if gap || more || next != 15 || len(recs) != 5 || recs[0].CommitMicros != 11 {
 		t.Fatalf("pull across a snapshot: gap %v more %v next %d, %d records; want records 11..15", gap, more, next, len(recs))
 	}
 }
@@ -184,7 +185,7 @@ func TestCrashRecoverEmptiesTail(t *testing.T) {
 	write(st, 3, 40)
 	mustFlush(t, sl)
 	recs, next, _, gap := pull(t, sl, 2, 16, nil)
-	if gap || next != 3 || len(recs) != 1 || recs[0].Item != 3 || recs[0].Seq != 3 {
+	if gap || next != 3 || len(recs) != 1 || recs[0].Item != 3 || recs[0].CommitMicros != 40 {
 		t.Fatalf("pull after recovery: gap %v next %d %v; want item 3 as seq 3 (seq 3 was item 2's lost record)", gap, next, recs)
 	}
 }
@@ -203,7 +204,7 @@ func TestMarkOlderThanTailIsServedFromMedia(t *testing.T) {
 		t.Fatalf("tail holds %d records from seq %d: not bounded", len(sl.tail), first)
 	}
 	recs, next, more, gap := pull(t, sl, 5, 10, nil)
-	if gap || !more || next != 15 || len(recs) != 10 || recs[0].Seq != 6 {
+	if gap || !more || next != 15 || len(recs) != 10 || recs[0].CommitMicros != 6 {
 		t.Fatalf("old mark: gap %v more %v next %d, %d records; want 6..15 from media", gap, more, next, len(recs))
 	}
 	inTail := sl.tail[0].Seq + 10
@@ -213,7 +214,7 @@ func TestMarkOlderThanTailIsServedFromMedia(t *testing.T) {
 	if _, _, _, gap := pull(t, sl, 5, 10, nil); !gap {
 		t.Fatal("neither tail nor media holds seq 6: want gap")
 	}
-	if recs, _, _, gap := pull(t, sl, inTail, 10, nil); gap || len(recs) != 10 || recs[0].Seq != inTail+1 {
+	if recs, _, _, gap := pull(t, sl, inTail, 10, nil); gap || len(recs) != 10 || recs[0].CommitMicros != int64(inTail+1) {
 		t.Fatalf("mark inside the tail after the snapshot: gap %v, %d records", gap, len(recs))
 	}
 }
@@ -257,14 +258,47 @@ func TestHaveSince(t *testing.T) {
 }
 
 // TestAppendRecordAllocatesNothing: framing into a buffer with room is done
-// in place.
+// in place, and so is appending to a shipped batch.
 func TestAppendRecordAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	buf := make([]byte, 0, 4096)
 	r := Record{Seq: 1 << 40, Item: 4095, Txn: model.TxnID{Site: 2, Seq: 1 << 33}, Value: -7, Version: 9, CommitMicros: 1_700_000_000_000_000}
-	if n := testing.AllocsPerRun(100, func() { buf = AppendRecordFrame(buf[:0], r) }); n != 0 {
-		t.Fatalf("AppendRecordFrame allocates %v times per record", n)
+	if n := testing.AllocsPerRun(100, func() { buf = appendRecord(buf[:0], r) }); n != 0 {
+		t.Fatalf("appendRecord allocates %v times per record", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendShipped(buf[:0], r.CommitMicros-90, r) }); n != 0 {
+		t.Fatalf("AppendShipped allocates %v times per record", n)
+	}
+}
+
+// TestDecodeShippedStopsAtAnUndecodableRecord: a shipped batch decodes up to
+// the first record that is truncated, carries an overlong or overflowing
+// varint, or names an item or writer site outside int32; that record comes
+// back as the torn suffix.
+func TestDecodeShippedStopsAtAnUndecodableRecord(t *testing.T) {
+	first := Record{Item: 4095, Txn: model.TxnID{Site: 2, Seq: 1_000_003}, Value: -7, CommitMicros: 1_760_000_000_000_000}
+	intact := AppendShipped(nil, 0, first)
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = model.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":        AppendShipped(nil, first.CommitMicros, first)[:3],
+		"item past int32":  uv(1<<31, 2, 9, 0, 0),
+		"site past int32":  uv(1, 1<<31, 9, 0, 0),
+		"overlong varint":  append([]byte{0x81, 0x00}, uv(2, 9, 0, 0)...),
+		"overflowing seq":  append(uv(1, 2), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0),
+		"unterminated end": append(uv(1, 2, 9, 0), 0x80),
+	} {
+		var got []Record
+		torn := DecodeShipped(append(slices.Clone(intact), bad...), func(r Record) { got = append(got, r) })
+		if len(got) != 1 || got[0] != first || torn != len(bad) {
+			t.Errorf("%s: decoded %+v with %d torn bytes, want the first record and %d torn", name, got, torn, len(bad))
+		}
 	}
 }

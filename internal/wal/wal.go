@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strings"
 
 	"ucc/internal/model"
@@ -132,19 +133,47 @@ func decodeRecords(data []byte, fn func(Record)) (torn int) {
 	return 0
 }
 
-// AppendRecordFrame frames one record onto buf in the segment frame format
-// — exported for log shipping (internal/repl): a catch-up batch on
-// the wire is byte-identical to the segment bytes it came from, so one
-// decoder (DecodeRecordFrames) hardens both the local-replay and the
-// shipped-stream paths.
-func AppendRecordFrame(buf []byte, r Record) []byte { return appendRecord(buf, r) }
+// AppendShipped appends r to a shipped batch: the record codec of the
+// catch-up and transfer planes (internal/repl). A shipped record carries
+// only what the receiver's apply reads, one record after another — uvarint
+// item, uvarint writer site, uvarint writer seq, zig-zag value, and the
+// zig-zag delta of its commit stamp against prevMicros, the stamp of the
+// batch's previous record (0 for the first). Seq and Version stay home.
+// There is no per-record header or checksum: the carrying message's length
+// prefix delimits the batch, as it does every other wire field. Item and
+// writer site are non-negative, as every ID this system assigns is.
+func AppendShipped(batch []byte, prevMicros int64, r Record) []byte {
+	batch = model.AppendUvarint(batch, uint64(r.Item))
+	batch = model.AppendUvarint(batch, uint64(r.Txn.Site))
+	batch = model.AppendUvarint(batch, r.Txn.Seq)
+	batch = model.AppendVarint(batch, r.Value)
+	return model.AppendVarint(batch, r.CommitMicros-prevMicros)
+}
 
-// DecodeRecordFrames yields every intact record at the front of data and
-// returns the number of trailing bytes dropped at the first torn or corrupt
-// frame — the log-shipping counterpart of replaying a segment (same framing,
-// same stop-at-damage contract). Exported for internal/repl.
-func DecodeRecordFrames(data []byte, fn func(Record)) (torn int) {
-	return decodeRecords(data, fn)
+// DecodeShipped yields, in order, every record at the front of a batch built
+// by AppendShipped, with Seq and Version zero. It stops at the first record
+// that does not decode — truncated, a varint overflowing or overlong, an
+// item or writer site outside int32 — and returns the length of the
+// undecoded suffix from that record on (0 when the whole batch decoded).
+// Each batch has exactly one accepted encoding: re-encoding what was yielded
+// reproduces the decoded prefix byte for byte.
+func DecodeShipped(batch []byte, fn func(Record)) (torn int) {
+	rd := model.NewWireReader(batch)
+	var prev int64
+	for rd.Remaining() > 0 {
+		left := rd.Remaining()
+		item := rd.Uvarint()
+		site := rd.Uvarint()
+		seq := rd.Uvarint()
+		value := rd.Varint()
+		delta := rd.Varint()
+		if rd.Err() != nil || item > math.MaxInt32 || site > math.MaxInt32 {
+			return left
+		}
+		prev += delta
+		fn(Record{Item: model.ItemID(item), Txn: model.TxnID{Site: model.SiteID(site), Seq: seq}, Value: value, CommitMicros: prev})
+	}
+	return 0
 }
 
 // Log is the append side of a segmented write-ahead log. Append buffers

@@ -335,10 +335,10 @@ func TestRecordRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// goldenRecords and goldenFrames pin the frame bytes: the hex string is
-// AppendRecordFrame's output for these records at the commit before the
-// fixed-width decoder was removed. Segments and log-shipping batches written
-// then must decode identically now.
+// goldenRecords and goldenFrames pin the segment frame bytes: the hex string
+// is appendRecord's output for these records at the commit before the
+// fixed-width decoder was removed. Segments written then must replay
+// identically now.
 var goldenRecords = []Record{
 	{Seq: 1, Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, Version: 1, CommitMicros: 1 << 40},
 	{Seq: 2, Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, Version: 1<<64 - 1, CommitMicros: -1},
@@ -373,7 +373,7 @@ func TestRecordFrameGoldenBytes(t *testing.T) {
 	}
 	var got []byte
 	for _, r := range goldenRecords {
-		got = AppendRecordFrame(got, r)
+		got = appendRecord(got, r)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("frame bytes changed:\n got %x\nwant %x", got, want)

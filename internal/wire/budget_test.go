@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"math/rand"
 	"testing"
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/storage"
+	"ucc/internal/wal"
 )
 
 // txnWireBudget is the most wire bytes, frames included, that one
@@ -77,5 +80,53 @@ func TestTxnWireBudget(t *testing.T) {
 	t.Logf("%d messages, %d wire bytes (budget %d)", len(envs), total, txnWireBudget)
 	if total > txnWireBudget {
 		t.Errorf("one transaction's messages take %d wire bytes, over the budget of %d", total, txnWireBudget)
+	}
+}
+
+// shippedRecordBudget is the most wire bytes one shipped catch-up record may
+// cost, its share of the carrying ReplRecordsMsg frame included (see
+// TestShippedRecordBudget). The compact batch codec takes about 11; the WAL
+// segment frame it replaced took about 29.
+const shippedRecordBudget = 12
+
+// TestShippedRecordBudget serves a full catch-up batch of 512 records from a
+// site log shaped like a real tail — items below 4096, writer sequence
+// numbers near 10⁶, values near 10³, wall-clock commit stamps spread over
+// 150 ms — and sends it as one ReplRecordsMsg. Its frame must fit
+// shippedRecordBudget bytes per record.
+func TestShippedRecordBudget(t *testing.T) {
+	const (
+		records = 512
+		t0      = 1_760_000_000_000_000 // µs since the Unix epoch
+	)
+	sl, err := wal.Open(wal.NewMemMedia(), storage.NewStore(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < records; i++ {
+		txn := model.TxnID{Site: model.SiteID(rng.Intn(3)), Seq: 1_000_000 + uint64(rng.Intn(50_000))}
+		sl.RecordWrite(model.ItemID(rng.Intn(4096)), txn, 500+rng.Int63n(1_000), uint64(1+rng.Intn(400)), t0+rng.Int63n(150_000))
+	}
+	if err := sl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	frames, next, more, gap, err := sl.RecordsSince(0, records, nil)
+	if err != nil || next != records || more || gap {
+		t.Fatalf("served through %d (more %v, gap %v, err %v), want all %d records", next, more, gap, err, records)
+	}
+	// Framed by hand rather than with EncodeEnvelope: a frame this size
+	// released to the frame pool would hand a later test's reader a
+	// pre-grown buffer.
+	payload, err := AppendEnvelope(nil, engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(1),
+		Msg: model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: next}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(model.AppendUvarint(nil, uint64(len(payload)))) + len(payload)
+	perRecord := float64(frame) / records
+	t.Logf("%d records in a %d-byte frame: %.2f B per record (budget %d)", records, frame, perRecord, shippedRecordBudget)
+	if perRecord > shippedRecordBudget {
+		t.Errorf("a shipped record takes %.2f wire bytes, over the budget of %d", perRecord, shippedRecordBudget)
 	}
 }

@@ -1,4 +1,4 @@
-// Package wire is the v4 binary codec for everything the cluster exchanges:
+// Package wire is the v5 binary codec for everything the cluster exchanges:
 // a hand-rolled, length-prefixed framing of engine.Envelope over the
 // per-message field encoders in internal/model (stable one-byte tags, varint
 // integers, stamps as deltas within a message, no reflection anywhere on the
@@ -6,7 +6,7 @@
 //
 // # Frame layout
 //
-// A v4 stream is a sequence of frames, each:
+// A v5 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
@@ -54,8 +54,10 @@
 // Either way the rare control-plane messages also own the slices and maps
 // they carry.
 //
-// The connection handshake (version byte 4, ack 0xC4) lives in
-// internal/transport, which refuses a v3 peer there: the two formats are not
+// The connection handshake (version byte 5, ack 0xC5) lives in
+// internal/transport, which refuses a v4 peer there: the two formats are not
 // mixed on one connection. The WAL reuses the model varint primitives for
-// its record payloads, whose format does not follow the wire version.
+// its segment record payloads, whose format does not follow the wire
+// version; the catch-up batches a ReplRecordsMsg carries are internal/wal's
+// shipped codec, whose format does.
 package wire

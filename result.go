@@ -202,7 +202,7 @@ type PlacementStats struct {
 	MapUpdates uint64
 	// TransferPulls / TransferApplied / TransferBytes measure the snapshot
 	// transfer plane that seeded new owners: pull requests served, records
-	// installed, and frame bytes shipped.
+	// installed, and record-batch bytes shipped.
 	TransferPulls   uint64
 	TransferApplied uint64
 	TransferBytes   uint64
