@@ -263,7 +263,8 @@ func Exp11(cfg RunConfig) Result {
 		"hot-shard: every access hashes to shard 0 — sharding cannot help a skewed key space; spread the keys instead",
 	)
 	return Result{
-		Tables: []*metrics.Table{table},
-		Notes:  notes,
+		Tables:    []*metrics.Table{table},
+		Notes:     notes,
+		WallClock: true,
 	}
 }

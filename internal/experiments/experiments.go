@@ -32,6 +32,10 @@ type Result struct {
 	Tables []*metrics.Table
 	Series []metrics.Series
 	Notes  []string
+	// WallClock marks a result whose tables and notes measure this host in
+	// wall time: they differ from run to run, so a seeded-output comparison
+	// renders only the header of such a result.
+	WallClock bool
 }
 
 // String renders the result for the bench harness / CLI.

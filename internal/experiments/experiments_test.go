@@ -1,21 +1,32 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsQuick smoke-runs every registered experiment in Quick
-// mode: each must complete, produce at least one non-empty table, and
-// render.
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+const goldenPath = "testdata/quick.golden"
+
+// TestAllExperimentsQuick runs every registered experiment in Quick mode on
+// seed 1: each must complete, produce at least one non-empty table, and
+// render. The rendered output of the whole sweep must then equal
+// testdata/quick.golden byte for byte, so a change that moves seeded output
+// shows up as a diff of that file; -update rewrites it. A wall-clock
+// result contributes only its header.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	for _, e := range All() {
-		e := e
+	all := All()
+	rendered := make([]string, len(all))
+	for i, e := range all {
 		t.Run(e.ID, func(t *testing.T) {
 			res := e.Run(RunConfig{Quick: true, Seed: 1})
 			if res.ID != e.ID {
@@ -33,8 +44,62 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(s, e.ID) || !strings.Contains(s, "paper claim") {
 				t.Fatalf("rendering broken:\n%s", s)
 			}
+			if res.WallClock {
+				s = fmt.Sprintf("== %s — %s ==\n(wall-clock tables and notes left out)\n", res.ID, res.Title)
+			}
+			rendered[i] = s
 		})
 	}
+	if t.Failed() || slices.Contains(rendered, "") {
+		return // a failed or filtered-out experiment: nothing whole to compare
+	}
+	got := strings.Join(rendered, "\n")
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record it)", err)
+	}
+	if d := lineDiff(string(want), got, 20); d != "" {
+		t.Errorf("seeded output differs from %s (-want +got; -update rewrites it):\n%s", goldenPath, d)
+	}
+}
+
+// lineDiff lists the lines where want and got differ, at most max of them,
+// or returns "" when they are equal.
+func lineDiff(want, got string, max int) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	shown := 0
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl == gl {
+			continue
+		}
+		if shown == max {
+			b.WriteString("...\n")
+			break
+		}
+		fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
+		shown++
+	}
+	if len(w) != len(g) {
+		fmt.Fprintf(&b, "(%d lines want, %d got)\n", len(w), len(g))
+	}
+	return b.String()
 }
 
 func TestByID(t *testing.T) {
