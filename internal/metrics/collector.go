@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"ucc/internal/engine"
@@ -55,10 +57,9 @@ type Collector struct {
 	protos [model.NumProtocols]*ProtoStats
 	sizeW  Welford // K estimator: requests per committed transaction
 
-	// Per-site last cumulative queue stats, for rate differencing.
-	lastStats map[model.SiteID]model.QueueStatsMsg
-	lambdaR   map[model.ItemID]float64
-	lambdaW   map[model.ItemID]float64
+	// Per-item read/write grant throughputs, EWMA over the sites' reports.
+	lambdaR map[model.ItemID]float64
+	lambdaW map[model.ItemID]float64
 
 	startMicros int64
 	lastMicros  int64
@@ -71,10 +72,9 @@ func NewCollector(opts CollectorOptions) *Collector {
 		opts.EWMAAlpha = 0.4
 	}
 	c := &Collector{
-		opts:      opts,
-		lastStats: map[model.SiteID]model.QueueStatsMsg{},
-		lambdaR:   map[model.ItemID]float64{},
-		lambdaW:   map[model.ItemID]float64{},
+		opts:    opts,
+		lambdaR: map[model.ItemID]float64{},
+		lambdaW: map[model.ItemID]float64{},
 	}
 	for i := range c.protos {
 		c.protos[i] = &ProtoStats{}
@@ -151,21 +151,21 @@ func (c *Collector) onDone(v model.TxnDoneMsg) {
 	}
 }
 
+// onQueueStats blends one site's per-copy grants of a period into λr(j),
+// λw(j). A report that covers no period — a site's first — is ignored. A
+// copy whose count fell over the period (a PA revocation took back an
+// earlier grant) counts as idle.
 func (c *Collector) onQueueStats(v model.QueueStatsMsg) {
-	prev, ok := c.lastStats[v.From]
-	c.lastStats[v.From] = v
-	if !ok || v.AtMicros <= prev.AtMicros {
+	if v.AtMicros <= v.SinceMicros {
 		return
 	}
-	window := float64(v.AtMicros-prev.AtMicros) / 1e6 // seconds
+	window := float64(v.AtMicros-v.SinceMicros) / 1e6 // seconds
 	a := c.opts.EWMAAlpha
-	for item, cum := range v.ReadGrants {
-		rate := float64(cum-prev.ReadGrants[item]) / window
-		c.lambdaR[item] = a*rate + (1-a)*c.lambdaR[item]
-	}
-	for item, cum := range v.WriteGrants {
-		rate := float64(cum-prev.WriteGrants[item]) / window
-		c.lambdaW[item] = a*rate + (1-a)*c.lambdaW[item]
+	for _, g := range v.Grants {
+		rate := float64(max(g.Reads, 0)) / window
+		c.lambdaR[g.Item] = a*rate + (1-a)*c.lambdaR[g.Item]
+		rate = float64(max(g.Writes, 0)) / window
+		c.lambdaW[g.Item] = a*rate + (1-a)*c.lambdaW[g.Item]
 	}
 }
 
@@ -183,13 +183,14 @@ func (c *Collector) estimatesLocked(nowMicros int64) model.EstimateMsg {
 		LambdaR:  map[model.ItemID]float64{},
 		LambdaW:  map[model.ItemID]float64{},
 	}
-	for k, v := range c.lambdaR {
-		est.LambdaR[k] = v
-		est.LambdaA += v
+	// λA sums in item order, so one run always rounds it the same way.
+	for _, k := range slices.Sorted(maps.Keys(c.lambdaR)) {
+		est.LambdaR[k] = c.lambdaR[k]
+		est.LambdaA += c.lambdaR[k]
 	}
-	for k, v := range c.lambdaW {
-		est.LambdaW[k] = v
-		est.LambdaA += v
+	for _, k := range slices.Sorted(maps.Keys(c.lambdaW)) {
+		est.LambdaW[k] = c.lambdaW[k]
+		est.LambdaA += c.lambdaW[k]
 	}
 	// Estimates describe the queued (lock-taking) traffic the STL model is
 	// about, so the ROSnapshot class is excluded throughout.

@@ -154,15 +154,14 @@ func TestCollectorAggregation(t *testing.T) {
 func TestCollectorRateEstimation(t *testing.T) {
 	c := NewCollector(CollectorOptions{EWMAAlpha: 1}) // no smoothing
 	ctx := &colCtx{rng: rand.New(rand.NewSource(1))}
+	// A site's first report covers no period, so its counts are ignored.
 	c.OnMessage(ctx, engine.CollectorAddr(), model.QueueStatsMsg{
-		From: 0, AtMicros: 0,
-		ReadGrants:  map[model.ItemID]uint64{1: 0},
-		WriteGrants: map[model.ItemID]uint64{1: 0},
+		From: 0, AtMicros: 0, SinceMicros: 0,
+		Grants: []model.QueueGrants{{Item: 1, Reads: 7, Writes: 3}},
 	})
 	c.OnMessage(ctx, engine.CollectorAddr(), model.QueueStatsMsg{
-		From: 0, AtMicros: 1_000_000, // 1s window
-		ReadGrants:  map[model.ItemID]uint64{1: 50},
-		WriteGrants: map[model.ItemID]uint64{1: 20},
+		From: 0, AtMicros: 1_000_000, SinceMicros: 0, // 1s window
+		Grants: []model.QueueGrants{{Item: 1, Reads: 50, Writes: 20}},
 	})
 	est := c.Estimates(1_000_000)
 	if math.Abs(est.LambdaR[1]-50) > 1e-9 || math.Abs(est.LambdaW[1]-20) > 1e-9 {

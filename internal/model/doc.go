@@ -22,7 +22,7 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v5
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v6
 // contract (wire.go): a stable one-byte WireTag per message type — never
 // renumbered — with explicit varint field encoders, stamps after a message's
 // first encoded as deltas from an earlier stamp of the same message, and

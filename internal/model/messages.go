@@ -591,16 +591,26 @@ type TxnDoneMsg struct {
 	LockedMicros int64
 }
 
-// QueueStatsMsg carries one QM site's cumulative per-item grant counters to
-// the metrics collector, which differences successive reports into the
+// QueueStatsMsg carries one QM site's per-copy grant counts for the period
+// (SinceMicros, AtMicros] to the metrics collector, which turns them into the
 // per-queue read/write throughputs λ_r(j), λ_w(j) of §5.1.
 type QueueStatsMsg struct {
 	From     SiteID
 	AtMicros int64
-	// ReadGrants and WriteGrants are cumulative per logical item at this
-	// site.
-	ReadGrants  map[ItemID]uint64
-	WriteGrants map[ItemID]uint64
+	// SinceMicros is when the site's previous report was taken. A manager's
+	// first report has SinceMicros == AtMicros: it covers no period.
+	SinceMicros int64
+	// Grants has one entry per copy the site holds, in strictly ascending
+	// item order.
+	Grants []QueueGrants
+}
+
+// QueueGrants is one copy's grants over a QueueStatsMsg's period. The
+// counts are signed: a PA revocation takes back a grant an earlier period
+// counted.
+type QueueGrants struct {
+	Item          ItemID
+	Reads, Writes int64
 }
 
 // EstimateMsg broadcasts the collector's current system-parameter estimates

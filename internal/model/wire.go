@@ -29,7 +29,7 @@ import (
 // no state between messages.
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v5 to each other, so tags must NEVER be renumbered or
+// builds speak v6 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix.
@@ -350,42 +350,6 @@ func (r *WireReader) hdr() (TxnID, Attempt, CopyID) {
 	return txn, at, r.copyID()
 }
 
-func appendItemU64Map(b []byte, m map[ItemID]uint64) []byte {
-	keys := make([]ItemID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = AppendVarint(b, int64(k))
-		b = AppendUvarint(b, m[k])
-	}
-	return b
-}
-
-func (r *WireReader) itemU64Map() map[ItemID]uint64 {
-	n := r.Count(2)
-	if r.err != nil {
-		return nil
-	}
-	m := make(map[ItemID]uint64, n)
-	var prev ItemID
-	for i := 0; i < n; i++ {
-		k := ItemID(r.Varint32())
-		if i > 0 && k <= prev {
-			// Keys must be strictly ascending — the order the encoder emits.
-			// Accepting any other order (or duplicates) would give one map
-			// two byte encodings, breaking decode injectivity.
-			r.fail(ErrWireCorrupt)
-			return nil
-		}
-		prev = k
-		m[k] = r.Uvarint()
-	}
-	return m
-}
-
 func appendItemF64Map(b []byte, m map[ItemID]float64) []byte {
 	keys := make([]ItemID, 0, len(m))
 	for k := range m {
@@ -410,7 +374,10 @@ func (r *WireReader) itemF64Map() map[ItemID]float64 {
 	for i := 0; i < n; i++ {
 		k := ItemID(r.Varint32())
 		if i > 0 && k <= prev {
-			r.fail(ErrWireCorrupt) // see itemU64Map: canonical key order only
+			// Keys must be strictly ascending — the order the encoder emits.
+			// Accepting any other order (or duplicates) would give one map
+			// two byte encodings, breaking decode injectivity.
+			r.fail(ErrWireCorrupt)
 			return nil
 		}
 		prev = k
@@ -1060,21 +1027,49 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 	return m
 }
 
-// AppendWire encodes the message body (no tag) onto b. Map entries are
-// emitted in sorted key order so the encoding is canonical (re-encoding a
-// decoded message reproduces the bytes exactly).
+// AppendWire encodes the message body (no tag) onto b: the period as
+// AtMicros − SinceMicros, then per entry the gap from the previous entry's
+// item (the first counts from −1), the reads and the writes. The entries
+// must be in strictly ascending item order, so every gap is at least 1 and
+// one message has one encoding.
 func (m QueueStatsMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendVarint(b, m.AtMicros)
-	b = appendItemU64Map(b, m.ReadGrants)
-	return appendItemU64Map(b, m.WriteGrants)
+	b = AppendUvarint(b, uint64(m.AtMicros-m.SinceMicros))
+	b = AppendUvarint(b, uint64(len(m.Grants)))
+	prev := int64(-1)
+	for _, g := range m.Grants {
+		b = AppendUvarint(b, uint64(int64(g.Item)-prev))
+		b = AppendVarint(b, g.Reads)
+		b = AppendVarint(b, g.Writes)
+		prev = int64(g.Item)
+	}
+	return b
 }
 
 func decodeQueueStats(r *WireReader) (m QueueStatsMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AtMicros = r.Varint()
-	m.ReadGrants = r.itemU64Map()
-	m.WriteGrants = r.itemU64Map()
+	m.SinceMicros = m.AtMicros - int64(r.Uvarint())
+	n := r.Count(3)
+	if r.err != nil || n == 0 {
+		return m
+	}
+	m.Grants = make([]QueueGrants, n)
+	prev := int64(-1)
+	for i := range m.Grants {
+		gap := r.Uvarint()
+		if r.err == nil && (gap == 0 || gap > uint64(math.MaxInt32-prev)) {
+			// A zero gap would repeat an item; any other order would give
+			// one message two encodings.
+			r.fail(ErrWireCorrupt)
+		}
+		if r.err != nil {
+			return m
+		}
+		prev += int64(gap)
+		m.Grants[i] = QueueGrants{Item: ItemID(prev), Reads: r.Varint(), Writes: r.Varint()}
+	}
 	return m
 }
 

@@ -30,7 +30,9 @@
 //     per-shard arrival order after the store is rebuilt once from
 //     snapshot + replay.
 //   - Deadlock probes and the stats tick: aggregated across shards into
-//     one per-site report.
+//     one per-site report. A stats report lists every copy's grants since
+//     the previous report, in item order; each queue keeps the counts it
+//     last reported.
 //
 // Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg,
 // model.AbortBatchMsg or model.SnapReadBatchMsg is its members. The Manager

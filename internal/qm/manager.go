@@ -1,7 +1,9 @@
 package qm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,8 +29,8 @@ type Options struct {
 	// everything" unified enforcement (ablation ABL-1). Inverted so the
 	// zero value of Options selects the paper's protocol.
 	DisableSemiLocks bool
-	// StatsPeriodMicros, when positive, makes the manager push cumulative
-	// per-item grant counters to the collector on this period.
+	// StatsPeriodMicros, when positive, makes the manager send the
+	// collector each copy's grants of the last period on this period.
 	StatsPeriodMicros int64
 	// MaxQueueDepth bounds every per-item data queue: a RequestMsg arriving
 	// when the item's queue already holds this many entries is NAK'd with
@@ -148,6 +150,11 @@ type Manager struct {
 	ctlMu        sync.Mutex
 	statsStopped bool
 	pendingTick  bool // a stats tick arrived during an outage
+	// statsAt is when the last stats report was taken (valid once
+	// statsSent); statsCopies is how many copies it listed.
+	statsAt     int64
+	statsSent   bool
+	statsCopies int
 
 	// Log-shipping catch-up plane (internal/repl), set once via
 	// SetReplication before traffic flows; nil puller = no quorum catch-up.
@@ -588,9 +595,9 @@ func (m *Manager) onRecover(ctx engine.Context) {
 	}
 }
 
-// onStatsTick pushes the cumulative per-item grant counters to the metrics
-// collector and re-arms the timer. The cluster posts the first TickMsg. A
-// tick that lands during an outage is parked and re-fired at recovery so the
+// onStatsTick sends the metrics collector each copy's grants since the last
+// report and re-arms the timer. The cluster posts the first TickMsg. A tick
+// that lands during an outage is parked and re-fired at recovery so the
 // timer chain survives the crash.
 func (m *Manager) onStatsTick(ctx engine.Context) {
 	m.ctlMu.Lock()
@@ -606,21 +613,33 @@ func (m *Manager) statsTickLocked(ctx engine.Context) {
 	if m.statsStopped || m.opts.StatsPeriodMicros <= 0 {
 		return
 	}
-	read := map[model.ItemID]uint64{}
-	write := map[model.ItemID]uint64{}
+	now := ctx.NowMicros()
+	since := now
+	if m.statsSent {
+		since = m.statsAt
+	}
+	// A fresh slice per report: the message is delivered after this
+	// returns, in the simulator only later in virtual time.
+	grants := make([]model.QueueGrants, 0, m.statsCopies)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for item, q := range sh.queues {
-			read[item] = q.readGrants
-			write[item] = q.writeGrants
+			grants = append(grants, model.QueueGrants{
+				Item:   item,
+				Reads:  int64(q.readGrants - q.reportedReads),
+				Writes: int64(q.writeGrants - q.reportedWrites),
+			})
+			q.reportedReads, q.reportedWrites = q.readGrants, q.writeGrants
 		}
 		sh.mu.Unlock()
 	}
+	slices.SortFunc(grants, func(a, b model.QueueGrants) int { return cmp.Compare(a.Item, b.Item) })
+	m.statsAt, m.statsSent, m.statsCopies = now, true, len(grants)
 	ctx.Send(engine.CollectorAddr(), model.QueueStatsMsg{
 		From:        m.site,
-		AtMicros:    ctx.NowMicros(),
-		ReadGrants:  read,
-		WriteGrants: write,
+		AtMicros:    now,
+		SinceMicros: since,
+		Grants:      grants,
 	})
 	ctx.SetTimer(m.opts.StatsPeriodMicros, model.TickMsg{})
 }

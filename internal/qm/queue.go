@@ -129,8 +129,10 @@ type dataQueue struct {
 	parked  bool
 	parkGen uint64
 
-	// Cumulative grant counters (inputs to λr(j)/λw(j) estimation).
-	readGrants, writeGrants uint64
+	// Cumulative grant counters (inputs to λr(j)/λw(j) estimation), and
+	// their values at the last stats report, which sent the difference.
+	readGrants, writeGrants       uint64
+	reportedReads, reportedWrites uint64
 
 	// promo is promotable's reused scratch: dispatch calls it after every
 	// handled message, and the common empty result must not allocate.

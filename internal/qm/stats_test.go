@@ -1,0 +1,115 @@
+package qm
+
+import (
+	"math"
+	"testing"
+
+	"ucc/internal/engine"
+	"ucc/internal/metrics"
+	"ucc/internal/model"
+	"ucc/internal/storage"
+)
+
+const statsPeriod = 200_000 // µs
+
+// statsTick advances ctx by one stats period, fires the manager's stats
+// tick and returns the report it sent the collector.
+func statsTick(t *testing.T, m *Manager, ctx *fakeCtx) model.QueueStatsMsg {
+	t.Helper()
+	ctx.now += statsPeriod
+	m.OnMessage(ctx, ctx.self, model.TickMsg{})
+	reports := take[model.QueueStatsMsg](ctx)
+	if len(reports) != 1 {
+		t.Fatalf("stats tick sent %d reports, want 1", len(reports))
+	}
+	take[model.TickMsg](ctx) // the re-armed timer
+	return reports[0]
+}
+
+// estimateFrom feeds the reports, in order, to a fresh collector and
+// returns its estimate.
+func estimateFrom(ctx *fakeCtx, reports ...model.QueueStatsMsg) model.EstimateMsg {
+	c := metrics.NewCollector(metrics.CollectorOptions{})
+	for _, r := range reports {
+		c.OnMessage(ctx, engine.QMAddr(0), r)
+	}
+	return c.Estimates(ctx.now)
+}
+
+func checkRate(t *testing.T, what string, got, max float64) {
+	t.Helper()
+	if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 || got > max {
+		t.Errorf("%s = %g, want a rate in [0, %g]", what, got, max)
+	}
+}
+
+// TestStatsRatesSurviveCopyChurn pins the per-item throughputs λr(j),
+// λw(j) the collector derives from a site's grant reports when a copy's
+// count goes down between two reports. A copy that leaves the site and
+// comes back within one period starts counting again from zero, and a PA
+// revocation takes back a grant already reported; neither may read as a
+// huge or negative rate.
+func TestStatsRatesSurviveCopyChurn(t *testing.T) {
+	t.Run("copy moves away and back", func(t *testing.T) {
+		st := storage.NewStore(0)
+		st.Create(0, 100)
+		m := New(0, st, nil, Options{StatsPeriodMicros: statsPeriod, InitialValue: 100})
+		m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}}})
+		ctx := newFakeCtx()
+		for txn := uint64(1); txn <= 5; txn++ {
+			m.OnMessage(ctx, engine.RIAddr(1), req(txn, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
+			m.OnMessage(ctx, engine.RIAddr(1), release(txn, 0, false, 0))
+		}
+		if g := take[model.GrantMsg](ctx); len(g) != 5 {
+			t.Fatalf("grants = %d, want 5", len(g))
+		}
+		first := statsTick(t, m, ctx)
+
+		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{1}}}})
+		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 3, Assignments: [][]model.SiteID{{0}}}})
+		if c := m.Snapshot(); c.MapInstalls != 2 || c.ItemsGained != 1 {
+			t.Fatalf("map installs %d, items gained %d: want 2 and 1", c.MapInstalls, c.ItemsGained)
+		}
+		second := statsTick(t, m, ctx)
+
+		est := estimateFrom(ctx, first, second)
+		checkRate(t, "LambdaR[0]", est.LambdaR[0], 5/(statsPeriod/1e6))
+		checkRate(t, "LambdaW[0]", est.LambdaW[0], 0)
+		checkRate(t, "LambdaA", est.LambdaA, 5/(statsPeriod/1e6))
+	})
+
+	t.Run("PA revocation with a blocked re-grant", func(t *testing.T) {
+		m, _ := testManager(1, true)
+		m.opts.StatsPeriodMicros = statsPeriod
+		ctx := newFakeCtx()
+		first := statsTick(t, m, ctx)
+
+		// A PA write is granted provisionally at TS 5, and a T/O read at
+		// TS 30 queues behind it.
+		m.OnMessage(ctx, engine.RIAddr(1), req(1, model.PA, model.OpWrite, 0, 5))
+		m.OnMessage(ctx, engine.RIAddr(1), req(2, model.TO, model.OpRead, 0, 30))
+		if g := take[model.GrantMsg](ctx); len(g) != 1 || g[0].Txn.Seq != 1 {
+			t.Fatalf("grants = %+v, want the PA write's alone", g)
+		}
+		second := statsTick(t, m, ctx)
+
+		// The write's agreed TS 50 revokes its grant; it re-queues behind
+		// the read, which is granted and holds it off.
+		m.OnMessage(ctx, engine.RIAddr(1), model.FinalTSMsg{
+			Txn: model.TxnID{Site: 1, Seq: 1}, Copy: model.CopyID{Item: 0, Site: 0}, TS: 50,
+		})
+		if got := m.Snapshot().Revokes; got != 1 {
+			t.Fatalf("revokes = %d, want 1", got)
+		}
+		if g := take[model.GrantMsg](ctx); len(g) != 1 || g[0].Txn.Seq != 2 {
+			t.Fatalf("grants after the revocation = %+v, want the T/O read's alone", g)
+		}
+		third := statsTick(t, m, ctx)
+
+		est := estimateFrom(ctx, first, second, third)
+		perTick := 1 / (statsPeriod / 1e6)
+		checkRate(t, "LambdaW[0]", est.LambdaW[0], perTick)
+		checkRate(t, "LambdaR[0]", est.LambdaR[0], perTick)
+		checkRate(t, "LambdaA", est.LambdaA, 2*perTick)
+	})
+}

@@ -130,3 +130,40 @@ func TestShippedRecordBudget(t *testing.T) {
 		t.Errorf("a shipped record takes %.2f wire bytes, over the budget of %d", perRecord, shippedRecordBudget)
 	}
 }
+
+// queueStatsPerCopy and queueStatsHeader bound a QueueStatsMsg frame (see
+// TestQueueStatsBudget): each copy's entry is an item gap, the reads and
+// the writes, one byte each while they stay small, and the header holds the
+// addresses, the tag, the site, a wall-clock stamp, the period and the
+// count. The two cumulative maps the per-period entries replaced took 6.7 B
+// per copy at these counts, and 8.6 B at the counts a 20 s run reaches.
+const (
+	queueStatsPerCopy = 3.1
+	queueStatsHeader  = 24
+)
+
+// TestQueueStatsBudget encodes one site's report for 4 096 copies, every
+// third item, each with fewer than 64 reads and writes in the period. Its
+// frame must fit queueStatsHeader bytes plus queueStatsPerCopy per copy.
+func TestQueueStatsBudget(t *testing.T) {
+	const (
+		copies = 4096
+		at     = 1_760_000_000_000_000 // µs since the Unix epoch
+	)
+	rng := rand.New(rand.NewSource(1))
+	grants := make([]model.QueueGrants, copies)
+	for i := range grants {
+		grants[i] = model.QueueGrants{Item: model.ItemID(3*i + 1), Reads: rng.Int63n(64), Writes: rng.Int63n(64)}
+	}
+	payload, err := AppendEnvelope(nil, engine.Envelope{From: engine.QMAddr(2), To: engine.CollectorAddr(),
+		Msg: model.QueueStatsMsg{From: 2, AtMicros: at, SinceMicros: at - 200_000, Grants: grants}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(model.AppendUvarint(nil, uint64(len(payload)))) + len(payload)
+	budget := queueStatsHeader + queueStatsPerCopy*copies
+	t.Logf("%d copies in a %d-byte frame: %.2f B per copy (budget %.0f)", copies, frame, float64(frame)/copies, budget)
+	if float64(frame) > budget {
+		t.Errorf("a %d-copy stats report takes %d wire bytes, over the budget of %.0f", copies, frame, budget)
+	}
+}

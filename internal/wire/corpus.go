@@ -74,7 +74,9 @@ func Corpus() []engine.Envelope {
 	add(det, qm, 1, model.ProbeWFGMsg{Round: 5})
 	add(col, ri, 1, model.SubmitTxnMsg{Txn: model.NewTxn(txn, model.TwoPL, []model.ItemID{1, 2, 3}, []model.ItemID{4, 5}, 1500)})
 	add(ri, col, 2, model.TxnDoneMsg{Txn: txn, Protocol: model.TO, Outcome: model.OutcomeCommitted, ArrivalMicros: 10, DoneMicros: 9000, FirstArrivalMicros: 10, Attempts: 2, Size: 5, Reads: 3, Writes: 2, Messages: 40, BackoffReads: 1, LockedMicros: 4000})
-	add(qm, col, 1, model.QueueStatsMsg{From: 2, AtMicros: 1 << 42, ReadGrants: map[model.ItemID]uint64{1: 10, 2: 20, 3: 30}, WriteGrants: map[model.ItemID]uint64{1: 5, 4: 9}})
+	add(qm, col, 1, model.QueueStatsMsg{From: 2, AtMicros: 1 << 42, SinceMicros: 1<<42 - 200_000, Grants: []model.QueueGrants{
+		{Item: 1, Reads: 10, Writes: 5}, {Item: 2, Reads: 20}, {Item: 3, Reads: 30, Writes: -1}, {Item: 4, Writes: 9},
+	}})
 	add(col, ri, 1, model.EstimateMsg{AtMicros: 1 << 42, LambdaR: map[model.ItemID]float64{1: 1.5, 2: 2.25}, LambdaW: map[model.ItemID]float64{1: 0.5}, LambdaA: 4.25, Qr: 0.6, K: 4, U: [3]float64{0.01, 0.02, 0.03}, UPrime: [3]float64{0.005, 0.01, 0.015}, PAbort: 0.02, Pr: 0.1, PwR: 0.12, PB: 0.05, PBW: 0.06})
 	add(ri, ri, 1, model.TickMsg{Tag: 3})
 	add(ri, ri, 1, model.ComputeDoneMsg{Txn: txn, Attempt: 3})

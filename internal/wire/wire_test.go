@@ -136,6 +136,40 @@ func TestOversizedElementCounts(t *testing.T) {
 	}
 }
 
+// TestQueueStatsDecodeRejects: a stats report whose entries repeat an item
+// (a zero gap), stop mid-entry, or number more than the bytes could hold
+// is corrupt or truncated, never a shorter report.
+func TestQueueStatsDecodeRejects(t *testing.T) {
+	report := func(count uint64, entries ...uint64) []byte {
+		b := header(t, model.TagQueueStats)
+		b = model.AppendVarint(b, 2)         // From
+		b = model.AppendVarint(b, 1_000_000) // AtMicros
+		b = model.AppendUvarint(b, 200_000)  // AtMicros − SinceMicros
+		b = model.AppendUvarint(b, count)    // entries
+		for _, v := range entries {
+			b = model.AppendUvarint(b, v) // gap, zig-zag reads, zig-zag writes
+		}
+		return b
+	}
+	if _, err := DecodeEnvelope(report(2, 1, 10, 4, 3, 2, 0)); err != nil {
+		t.Fatalf("well-formed report: %v", err)
+	}
+	for name, c := range map[string]struct {
+		b    []byte
+		want error
+	}{
+		"zero gap":        {report(2, 1, 10, 4, 0, 2, 0), model.ErrWireCorrupt},
+		"zero first gap":  {report(1, 0, 10, 4), model.ErrWireCorrupt},
+		"item past int32": {report(2, 1, 10, 4, 1<<31, 2, 0), model.ErrWireCorrupt},
+		"truncated entry": {report(2, 1, 20_000, 4, 3, 2), model.ErrWireTruncated},
+		"oversized count": {report(1<<40, 1, 10, 4), model.ErrWireCorrupt},
+	} {
+		if _, err := DecodeEnvelope(c.b); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", name, err, c.want)
+		}
+	}
+}
+
 // TestHeaderGoldenBytes pins both address forms: one byte kind<<4 | id, and
 // the marker 0x80|kind, the shard and the zig-zag id.
 func TestHeaderGoldenBytes(t *testing.T) {
