@@ -1073,8 +1073,9 @@ func decodeQueueStats(r *WireReader) (m QueueStatsMsg) {
 	return m
 }
 
-// AppendWire encodes the message body (no tag) onto b (sorted map keys, see
-// QueueStatsMsg).
+// AppendWire encodes the message body (no tag) onto b. Map entries are
+// emitted in sorted key order so the encoding is canonical (re-encoding a
+// decoded message reproduces the bytes exactly).
 func (m EstimateMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, m.AtMicros)
 	b = appendItemF64Map(b, m.LambdaR)

@@ -192,3 +192,21 @@ func (rd *runtimeDrain) drain() {
 	rd.post(rd.first)
 	<-rd.ri.done
 }
+
+// BenchmarkStatsTick times one stats tick of a site holding 4 096 copies:
+// the work the tick does on the control shard's mailbox loop, where every
+// message queued behind it waits.
+func BenchmarkStatsTick(b *testing.B) {
+	const items = 4096
+	st := storage.NewStore(0)
+	for i := 0; i < items; i++ {
+		st.Create(model.ItemID(i), 100)
+	}
+	m := New(0, st, nil, Options{StatsPeriodMicros: 200_000})
+	var ctx drainCtx
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.OnMessage(&ctx, engine.QMAddr(0), model.TickMsg{})
+	}
+}
