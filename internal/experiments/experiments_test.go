@@ -3,11 +3,12 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"ucc/internal/golden"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
@@ -54,52 +55,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		return // a failed or filtered-out experiment: nothing whole to compare
 	}
 	got := strings.Join(rendered, "\n")
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record it)", err)
-	}
-	if d := lineDiff(string(want), got, 20); d != "" {
-		t.Errorf("seeded output differs from %s (-want +got; -update rewrites it):\n%s", goldenPath, d)
-	}
-}
-
-// lineDiff lists the lines where want and got differ, at most max of them,
-// or returns "" when they are equal.
-func lineDiff(want, got string, max int) string {
-	if want == got {
-		return ""
-	}
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var b strings.Builder
-	shown := 0
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl == gl {
-			continue
-		}
-		if shown == max {
-			b.WriteString("...\n")
-			break
-		}
-		fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
-		shown++
-	}
-	if len(w) != len(g) {
-		fmt.Fprintf(&b, "(%d lines want, %d got)\n", len(w), len(g))
-	}
-	return b.String()
+	golden.Check(t, goldenPath, got, *update)
 }
 
 func TestByID(t *testing.T) {

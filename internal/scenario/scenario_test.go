@@ -2,13 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"ucc/internal/cluster"
 	"ucc/internal/deploy"
 	"ucc/internal/engine"
+	"ucc/internal/golden"
 	"ucc/internal/workload"
 )
 
@@ -207,14 +210,23 @@ func TestRunValidationErrors(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/smoke.golden.json from this run")
+
+const smokeGolden = "testdata/smoke.golden.json"
+
 // TestSmokeScenariosPass runs the CI smoke set end to end — the same set
 // the scenario-smoke CI job runs via `uccscenario -smoke`. Skipped in -short
-// (the crash scenarios simulate ~17s of engine time).
+// (the crash scenarios simulate ~17s of engine time). The JSON records,
+// exactly as `uccscenario -smoke -json` prints them, must then equal
+// testdata/smoke.golden.json byte for byte, so a change that moves seeded
+// output shows up as a diff of that file; -update rewrites it.
 func TestSmokeScenariosPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke scenarios skipped in -short")
 	}
-	for _, sc := range Smoke() {
+	smoke := Smoke()
+	records := make([]string, len(smoke))
+	for i, sc := range smoke {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			rec, err := Run(sc, Options{})
@@ -224,8 +236,18 @@ func TestSmokeScenariosPass(t *testing.T) {
 			if !rec.Passed {
 				t.Fatalf("smoke scenario %s failed:\n%s", sc.Name, strings.Join(rec.Failures, "\n"))
 			}
+			b, err := rec.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			records[i] = string(b) + "\n"
 		})
 	}
+	if t.Failed() || slices.Contains(records, "") {
+		return // a failed or filtered-out scenario: nothing whole to compare
+	}
+	got := strings.Join(records, "")
+	golden.Check(t, smokeGolden, got, *update)
 }
 
 // TestFaultClamping: fault offsets beyond the phase end are clamped into the
