@@ -236,7 +236,7 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 // reply to a pull sent before the crash would advance the zeroed mark — or
 // finish the session — over records the crash destroyed; it is dropped, and
 // the retry tick pulls again in the new incarnation, whose reply completes
-// the session.
+// the session and fills the gained copy, which the crash must not lose.
 func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	st := storage.NewStore(0)
 	st.Create(0, 100)
@@ -269,5 +269,13 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true, Incarnation: after[0].Incarnation})
 	if m.TransfersPending() {
 		t.Fatal("the current reply did not complete the transfer")
+	}
+	// The gained copy was created with nothing journaled since the last
+	// snapshot; it must still survive the crash and take the transfer.
+	if !st.Has(1) {
+		t.Fatal("the copy gained at the map install did not survive the crash")
+	}
+	if v, _ := st.Read(1); v != 777 {
+		t.Fatalf("gained copy holds %d after the transfer, want 777", v)
 	}
 }

@@ -66,11 +66,17 @@ type SiteLog struct {
 	gc     *GroupCommitter
 
 	sinceSnap uint64
-	// lastSnapSeq is the AppliedSeq of the newest snapshot on media. A new
-	// snapshot is only written for a strictly larger seq: rewriting the
-	// same name would truncate the only valid snapshot before the new
-	// bytes are synced, and a crash in that window bricks the site.
+	// lastSnapSeq and lastSnapGen name the newest snapshot on media
+	// (snapName), and snapCopies counts the copies it images. A snapshot is
+	// only written when the store changed since: a record was journaled
+	// (a larger seq) or a copy was created (a larger count; copies are
+	// never removed), the second under the next generation. It never reuses
+	// a name: rewriting the newest snapshot would truncate the only valid
+	// one before the new bytes are synced, and a crash in that window
+	// bricks the site.
 	lastSnapSeq uint64
+	lastSnapGen uint64
+	snapCopies  int
 	stats       Stats
 	// snapBuf holds the last snapshot image encoded (see image). It is
 	// reused by every snapshot, so it stays at the size of the largest image
@@ -121,7 +127,7 @@ func Open(media Media, store *storage.Store, opts Options) (*SiteLog, error) {
 	}
 	if len(names) == 0 {
 		// Fresh site: seed the base image.
-		if err := writeSnapshot(media, 0, s.image(0)); err != nil {
+		if err := writeSnapshot(media, 0, 0, s.image(0)); err != nil {
 			return nil, err
 		}
 		s.log, err = NewLog(media, opts.SegmentBytes, 1)
@@ -238,7 +244,9 @@ func (s *SiteLog) flush() error {
 }
 
 // Snapshot forces a store snapshot + log truncation now (everything
-// appended must already be flushed or is flushed here first).
+// appended must already be flushed or is flushed here first). A copy created
+// since the last snapshot (one gained at a map install) is imaged even when
+// nothing was journaled, so it survives a crash.
 func (s *SiteLog) Snapshot() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
@@ -258,7 +266,8 @@ func (s *SiteLog) Snapshot() error {
 // snapshotLocked images the store as of every appended record, so it first
 // flushes what was journaled since the last flush (RecordWrite runs during a
 // flush's sync): the store state it images is then exactly
-// seq ≤ log.NextSeq()-1, all durable. Callers hold syncMu and mu.
+// seq ≤ log.NextSeq()-1, all durable. It writes nothing when the store has
+// not changed since the newest snapshot. Callers hold syncMu and mu.
 func (s *SiteLog) snapshotLocked() error {
 	if s.synced != s.log.NextSeq()-1 {
 		if err := s.log.Flush(); err != nil {
@@ -268,27 +277,32 @@ func (s *SiteLog) snapshotLocked() error {
 		s.stats.Syncs++
 	}
 	applied := s.log.NextSeq() - 1
+	var gen uint64
 	if applied <= s.lastSnapSeq {
-		s.sinceSnap = 0
-		return nil // the existing snapshot already covers everything durable
+		if s.store.Len() == s.snapCopies {
+			s.sinceSnap = 0
+			return nil // the existing snapshot already images the store
+		}
+		gen = s.lastSnapGen + 1
 	}
 	// Roll first so every other segment is sealed and fully covered by the
 	// snapshot, then image, then prune.
 	if err := s.log.Roll(); err != nil {
 		return err
 	}
-	if err := writeSnapshot(s.media, applied, s.image(applied)); err != nil {
+	if err := writeSnapshot(s.media, applied, gen, s.image(applied)); err != nil {
 		return err
 	}
-	s.lastSnapSeq = applied
+	s.lastSnapSeq, s.lastSnapGen = applied, gen
 	s.stats.Snapshots++
 	s.sinceSnap = 0
-	return pruneBefore(s.media, applied, s.log.SegmentName())
+	return pruneBefore(s.media, applied, gen, s.log.SegmentName())
 }
 
 // image encodes the store, as of appliedSeq, into the site log's reused
 // snapshot buffer and returns it; the bytes are valid until the next image.
 func (s *SiteLog) image(appliedSeq uint64) []byte {
+	s.snapCopies = s.store.Len()
 	s.snapBuf = appendSnapshot(s.snapBuf[:0], appliedSeq, s.store)
 	return s.snapBuf
 }
@@ -351,7 +365,7 @@ func (s *SiteLog) recoverLocked() error {
 	s.stats.RecoveredCopies = len(snap.Chains)
 	s.stats.Recoveries++
 	s.sinceSnap = 0
-	s.lastSnapSeq = snap.AppliedSeq
+	s.lastSnapSeq, s.lastSnapGen, s.snapCopies = snap.AppliedSeq, snap.gen, len(snap.Chains)
 	s.synced = lastSeq
 	// Reset the media to a clean base: snapshot at lastSeq, fresh segment
 	// at lastSeq+1, torn tails pruned — later replays never hit the
@@ -360,17 +374,17 @@ func (s *SiteLog) recoverLocked() error {
 	// would truncate the only valid snapshot first, and a crash mid-write
 	// would leave the site unrecoverable.
 	if lastSeq > snap.AppliedSeq {
-		if err := writeSnapshot(s.media, lastSeq, s.image(lastSeq)); err != nil {
+		if err := writeSnapshot(s.media, lastSeq, 0, s.image(lastSeq)); err != nil {
 			return err
 		}
-		s.lastSnapSeq = lastSeq
+		s.lastSnapSeq, s.lastSnapGen = lastSeq, 0
 		s.stats.Snapshots++
 	}
 	s.log, err = NewLog(s.media, s.opts.SegmentBytes, lastSeq+1)
 	if err != nil {
 		return err
 	}
-	return pruneBefore(s.media, lastSeq, s.log.SegmentName())
+	return pruneBefore(s.media, s.lastSnapSeq, s.lastSnapGen, s.log.SegmentName())
 }
 
 // errBatchFull stops a media replay once the batch takes no more records

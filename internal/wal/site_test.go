@@ -310,6 +310,51 @@ func TestRecoverWithEmptyTailKeepsSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotImagesCreatedCopies: a copy created with nothing journaled
+// since the newest snapshot (a copy gained at a map install) is imaged by the
+// next Snapshot under a new name at the same applied seq, so it survives a
+// crash, and recovery keeps exactly that snapshot.
+func TestSnapshotImagesCreatedCopies(t *testing.T) {
+	media := NewMemMedia()
+	st := newStore(t, 0, 1, 5)
+	sl, err := Open(media, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetJournal(sl)
+	for _, item := range []model.ItemID{1, 2} {
+		st.Create(item, 7)
+		if err := sl.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		st.Wipe()
+		sl.Crash()
+		if err := sl.Recover(); err != nil {
+			t.Fatalf("recovery %d: %v", i, err)
+		}
+		for _, item := range []model.ItemID{0, 1, 2} {
+			if !st.Has(item) {
+				t.Fatalf("recovery %d lost item %d", i, item)
+			}
+		}
+	}
+	names, _ := media.List()
+	var snaps []string
+	for _, n := range names {
+		if isSnap(n) {
+			snaps = append(snaps, n)
+		}
+	}
+	if want := snapName(0, 2); len(snaps) != 1 || snaps[0] != want {
+		t.Fatalf("snapshots on media %v, want only %s", snaps, want)
+	}
+	if got := sl.Stats().Snapshots; got != 2 {
+		t.Fatalf("Snapshots = %d, want 2 (one per created copy, none at recovery)", got)
+	}
+}
+
 // TestSiteLogConcurrentShardTraffic models the sharded queue manager's
 // durability shape: several goroutines (shards) journal writes to disjoint
 // items and flush concurrently through the group committer, racing a

@@ -19,6 +19,9 @@ type snapshot struct {
 	AppliedSeq uint64
 	Site       model.SiteID
 	Chains     []storage.CopyChain
+	// gen is the generation in the snapshot's name (snapName); set by
+	// newestSnapshot.
+	gen uint64
 }
 
 // snapVersionBytes encodes one storage.Version:
@@ -112,9 +115,9 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 }
 
 // writeSnapshot persists an encoded snapshot image durably (create, write,
-// sync, close) under the name of its applied sequence.
-func writeSnapshot(media Media, appliedSeq uint64, image []byte) error {
-	w, err := media.Create(snapName(appliedSeq))
+// sync, close) under snapName(appliedSeq, gen).
+func writeSnapshot(media Media, appliedSeq, gen uint64, image []byte) error {
+	w, err := media.Create(snapName(appliedSeq, gen))
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot: %w", err)
 	}
@@ -148,21 +151,22 @@ func newestSnapshot(media Media) (snapshot, bool, error) {
 		if err != nil {
 			continue // torn snapshot: fall back to an older one
 		}
+		s.gen = snapGen(names[i])
 		return s, true, nil
 	}
 	return snapshot{}, false, nil
 }
 
 // pruneBefore removes every snapshot and sealed segment made obsolete by a
-// new snapshot: snapshots other than snapName(appliedSeq) and segments whose
-// name (first seq) precedes the current open segment — the snapshot covers
-// all of them because it was taken after a roll.
-func pruneBefore(media Media, appliedSeq uint64, keepSegment string) error {
+// new snapshot: snapshots other than snapName(appliedSeq, gen) and segments
+// whose name (first seq) precedes the current open segment — the snapshot
+// covers all of them because it was taken after a roll.
+func pruneBefore(media Media, appliedSeq, gen uint64, keepSegment string) error {
 	names, err := media.List()
 	if err != nil {
 		return err
 	}
-	keepSnap := snapName(appliedSeq)
+	keepSnap := snapName(appliedSeq, gen)
 	for _, n := range names {
 		switch {
 		case isSnap(n) && n != keepSnap:

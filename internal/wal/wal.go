@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 	"strings"
 
 	"ucc/internal/model"
@@ -47,7 +48,27 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // lexicographic order chronological.
 func segName(firstSeq uint64) string { return fmt.Sprintf("%s%016x", segPrefix, firstSeq) }
 
-func snapName(appliedSeq uint64) string { return fmt.Sprintf("%s%016x", snapPrefix, appliedSeq) }
+// snapName names the snapshot imaging the store as of appliedSeq. gen tells
+// apart images taken at one applied sequence (a forced Snapshot after the
+// store's copy set changed with nothing journaled): each sorts after the one
+// before it, and generation 0 is the plain name.
+func snapName(appliedSeq, gen uint64) string {
+	if gen == 0 {
+		return fmt.Sprintf("%s%016x", snapPrefix, appliedSeq)
+	}
+	return fmt.Sprintf("%s%016x.%x", snapPrefix, appliedSeq, gen)
+}
+
+// snapGen returns the generation snapName gave name (0 for a plain name or
+// one it cannot parse).
+func snapGen(name string) uint64 {
+	_, g, ok := strings.Cut(name, ".")
+	if !ok {
+		return 0
+	}
+	n, _ := strconv.ParseUint(g, 16, 64)
+	return n
+}
 
 func isSeg(name string) bool  { return strings.HasPrefix(name, segPrefix) }
 func isSnap(name string) bool { return strings.HasPrefix(name, snapPrefix) }
