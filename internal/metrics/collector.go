@@ -95,6 +95,9 @@ func (c *Collector) OnMessage(ctx engine.Context, from engine.Addr, msg model.Me
 		c.onDone(*v)
 	case model.QueueStatsMsg:
 		c.onQueueStats(v)
+	case *model.QueueStatsMsg:
+		// A queue manager's pooled send form; the delivery layer recycles it.
+		c.onQueueStats(*v)
 	case model.TickMsg:
 		c.broadcast(ctx)
 	case model.StopMsg:

@@ -33,6 +33,14 @@ import (
 // may match only the value forms (the benchmark's load generator does), so
 // the decode side must keep handing it values.
 //
+// QueueStats pools on the send side only too, and is the one variable-size
+// message that does: a queue manager sends one per stats period, with an
+// entry per copy its site holds. PooledQueueStats copies the entries into
+// the pooled message's own Grants array, kept across recycles, so a
+// steady-state report allocates nothing. The array is bounded by the copies
+// a site holds, not by anything read off the wire: decoding returns values,
+// like the other send-only types.
+//
 // SubmitTxn pools on the decode side only, and not its struct: it is one
 // pointer, which boxes without allocating, so DecodeMessagePooled takes the
 // Txn it points to from a pool instead and returns the message as a value.
@@ -64,7 +72,7 @@ import (
 //   - RecycleMessage accepts any Message and ignores everything that is not
 //     a pooled pointer type, so a mixed stream can be recycled blindly.
 //   - Variable-size messages (slices, maps, strings: VictimMsg, WFGReport,
-//     QueueStats, Estimate, ...) are NOT pooled — their backing arrays would
+//     Estimate, ...) are NOT pooled — their backing arrays would
 //     pin arbitrary memory in the pool. They fall back to the plain decoder
 //     and plain value sends. The batches and the submitted Txn are the
 //     bounded exceptions: a pooled batch keeps its members array across
@@ -73,7 +81,8 @@ import (
 //     is dropped at recycle, so one pathological message cannot pin its
 //     size in the pool. The PooledX batch constructors copy the members
 //     into the pooled message's own array, so the caller keeps the slice it
-//     built them in; UnpoolMessage copies them out again.
+//     built them in; UnpoolMessage copies them out again. QueueStats, sent
+//     only by a queue manager, keeps its array at any size (see above).
 //
 // A pooled pointer is a Message through its method set, and encodes
 // byte-for-byte like the value it holds, so round-trip paths — decode
@@ -459,3 +468,25 @@ var txnFinishedPool msgPool[TxnFinishedMsg]
 func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg { return txnFinishedPool.box(v) }
 func (m *TxnFinishedMsg) recycle()                       { txnFinishedPool.put(m) }
 func (m *TxnFinishedMsg) unpool() Message                { return *m }
+
+var queueStatsPool msgPool[QueueStatsMsg]
+
+// PooledQueueStats returns v as a pooled *QueueStatsMsg (send-only; grants
+// copied, see PooledRequestBatch).
+func PooledQueueStats(v QueueStatsMsg) *QueueStatsMsg {
+	p := queueStatsPool.get()
+	v.Grants = append(p.Grants[:0], v.Grants...)
+	*p = v
+	return p
+}
+
+func (m *QueueStatsMsg) recycle() {
+	*m = QueueStatsMsg{Grants: m.Grants[:0]}
+	queueStatsPool.Put(m)
+}
+
+func (m *QueueStatsMsg) unpool() Message {
+	c := *m
+	c.Grants = slices.Clone(m.Grants)
+	return c
+}

@@ -1,9 +1,7 @@
 package qm
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -151,10 +149,16 @@ type Manager struct {
 	statsStopped bool
 	pendingTick  bool // a stats tick arrived during an outage
 	// statsAt is when the last stats report was taken (valid once
-	// statsSent); statsCopies is how many copies it listed.
-	statsAt     int64
-	statsSent   bool
-	statsCopies int
+	// statsSent).
+	statsAt   int64
+	statsSent bool
+	// byItem holds each item's data queue, indexed by item (nil where this
+	// site holds no copy), so the stats tick reports in item order without
+	// sorting. It grows only with every shard locked (New, map install); a
+	// retiring queue's slot is cleared under its shard's lock.
+	byItem []*dataQueue
+	// statsGrants is the stats tick's scratch.
+	statsGrants []model.QueueGrants
 
 	// Log-shipping catch-up plane (internal/repl), set once via
 	// SetReplication before traffic flows; nil puller = no quorum catch-up.
@@ -212,10 +216,20 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 		m.shards[i] = sh
 	}
 	for _, item := range store.Items() {
-		sh := m.shards[model.ShardOfItem(item, opts.Shards)]
-		sh.queues[item] = newDataQueue(model.CopyID{Item: item, Site: site}, !opts.DisableSemiLocks)
+		m.addQueue(item)
 	}
 	return m
+}
+
+// addQueue creates item's data queue in the shard it hashes to. Callers
+// hold every shard's lock, or own the manager outright (New).
+func (m *Manager) addQueue(item model.ItemID) {
+	q := newDataQueue(model.CopyID{Item: item, Site: m.site}, !m.opts.DisableSemiLocks)
+	m.shardFor(item).queues[item] = q
+	if int(item) >= len(m.byItem) {
+		m.byItem = append(m.byItem, make([]*dataQueue, int(item)+1-len(m.byItem))...)
+	}
+	m.byItem[item] = q
 }
 
 // Site returns the manager's site id.
@@ -618,29 +632,29 @@ func (m *Manager) statsTickLocked(ctx engine.Context) {
 	if m.statsSent {
 		since = m.statsAt
 	}
-	// A fresh slice per report: the message is delivered after this
-	// returns, in the simulator only later in virtual time.
-	grants := make([]model.QueueGrants, 0, m.statsCopies)
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for item, q := range sh.queues {
-			grants = append(grants, model.QueueGrants{
-				Item:   item,
-				Reads:  int64(q.readGrants - q.reportedReads),
-				Writes: int64(q.writeGrants - q.reportedWrites),
-			})
-			q.reportedReads, q.reportedWrites = q.readGrants, q.writeGrants
+	m.statsGrants = m.statsGrants[:0]
+	m.lockAll()
+	for _, q := range m.byItem {
+		if q == nil {
+			continue
 		}
-		sh.mu.Unlock()
+		m.statsGrants = append(m.statsGrants, model.QueueGrants{
+			Item:   q.copyID.Item,
+			Reads:  int64(q.readGrants - q.reportedReads),
+			Writes: int64(q.writeGrants - q.reportedWrites),
+		})
+		q.reportedReads, q.reportedWrites = q.readGrants, q.writeGrants
 	}
-	slices.SortFunc(grants, func(a, b model.QueueGrants) int { return cmp.Compare(a.Item, b.Item) })
-	m.statsAt, m.statsSent, m.statsCopies = now, true, len(grants)
-	ctx.Send(engine.CollectorAddr(), model.QueueStatsMsg{
+	m.unlockAll()
+	m.statsAt, m.statsSent = now, true
+	// Pooled, so the report owns a copy of the entries: it is delivered
+	// after this returns, in the simulator only later in virtual time.
+	ctx.Send(engine.CollectorAddr(), model.PooledQueueStats(model.QueueStatsMsg{
 		From:        m.site,
 		AtMicros:    now,
 		SinceMicros: since,
-		Grants:      grants,
-	})
+		Grants:      m.statsGrants,
+	}))
 	ctx.SetTimer(m.opts.StatsPeriodMicros, model.TickMsg{})
 }
 

@@ -112,6 +112,7 @@ func (sh *shard) owns(item model.ItemID) bool {
 func (sh *shard) maybeRetire(item model.ItemID, q *dataQueue) {
 	if sh.retiring[item] && len(q.entries) == 0 && !q.parked {
 		delete(sh.queues, item)
+		sh.m.byItem[item] = nil
 		delete(sh.retiring, item)
 	}
 }
@@ -161,7 +162,7 @@ func (m *Manager) onMapInstall(ctx engine.Context, v model.MapInstallMsg) {
 			// the values are identical by construction.
 			m.store.Create(item, m.opts.InitialValue)
 		}
-		sh.queues[item] = newDataQueue(model.CopyID{Item: item, Site: m.site}, !m.opts.DisableSemiLocks)
+		m.addQueue(item)
 		if cur != nil {
 			sh.pending[item] = true
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,5 +88,26 @@ func BenchmarkSiteSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sl.image(uint64(i))
+	}
+}
+
+// BenchmarkHaveSince: one pull digest over a 6 600-record tail — about
+// 150 ms of one site's journal at 15 k txn/s — of writes spread over 4 096
+// copies, the digest a catch-up pull tick builds.
+func BenchmarkHaveSince(b *testing.B) {
+	const items, records = 4096, 6600
+	sl, err := Open(NewMemMedia(), benchStore(items), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i <= records; i++ {
+		sl.RecordWrite(model.ItemID(rng.Intn(items)), model.TxnID{Site: 0, Seq: uint64(i)}, int64(i), 1, int64(i))
+	}
+	dst, _ := sl.HaveSince(0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = sl.HaveSince(0, dst[:0])
 	}
 }

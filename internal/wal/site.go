@@ -1,9 +1,8 @@
 package wal
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"ucc/internal/model"
@@ -91,6 +90,18 @@ type SiteLog struct {
 	// highest sequence number a successful Flush covered — is servable.
 	tail   []Record
 	synced uint64
+
+	// newest is HaveSince's scratch, indexed by item: the newest commit
+	// stamp of the item among the records one call walks, valid where its
+	// call equals haveCalls. Walking it in index order yields the digest in
+	// item order without sorting.
+	newest    []haveSlot
+	haveCalls uint64
+}
+
+type haveSlot struct {
+	call  uint64
+	stamp int64
 }
 
 // tailRecords bounds the in-memory tail (56 bytes a record): the newest
@@ -181,19 +192,28 @@ func (s *SiteLog) HaveSince(afterSeq uint64, dst []Have) (have []Have, through u
 	if afterSeq >= s.tail[0].Seq {
 		from = int(afterSeq + 1 - s.tail[0].Seq)
 	}
-	base := len(dst)
+	// Items index the placement, so they are never negative.
+	s.haveCalls++
+	call := s.haveCalls
+	lo, hi := model.ItemID(math.MaxInt32), model.ItemID(-1)
 	for _, r := range s.tail[from:] {
-		dst = append(dst, Have{Item: r.Item, CommitMicros: r.CommitMicros})
-	}
-	fresh := dst[base:]
-	slices.SortFunc(fresh, func(a, b Have) int {
-		if c := cmp.Compare(a.Item, b.Item); c != 0 {
-			return c
+		if int(r.Item) >= len(s.newest) {
+			s.newest = append(s.newest, make([]haveSlot, int(r.Item)+1-len(s.newest))...)
 		}
-		return cmp.Compare(b.CommitMicros, a.CommitMicros)
-	})
-	fresh = slices.CompactFunc(fresh, func(a, b Have) bool { return a.Item == b.Item })
-	return dst[:base+len(fresh)], s.tail[len(s.tail)-1].Seq
+		slot := &s.newest[r.Item]
+		if slot.call != call {
+			*slot = haveSlot{call: call, stamp: r.CommitMicros}
+		} else if r.CommitMicros > slot.stamp {
+			slot.stamp = r.CommitMicros
+		}
+		lo, hi = min(lo, r.Item), max(hi, r.Item)
+	}
+	for item := lo; item <= hi; item++ {
+		if slot := s.newest[item]; slot.call == call {
+			dst = append(dst, Have{Item: item, CommitMicros: slot.stamp})
+		}
+	}
+	return dst, s.tail[len(s.tail)-1].Seq
 }
 
 // Flush makes every appended record durable. With GroupCommit enabled,

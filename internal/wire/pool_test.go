@@ -100,11 +100,13 @@ func decodedPooled(m model.Message) bool {
 
 // TestSendOnlyPooledTypesDecodeAsValues pins the decode half of the send-only
 // rule (model/wirepool.go): TxnDone (tag 16), ComputeDone (20), Restart (21)
-// and TxnFinished (22) leave an issuer as pooled pointers, encode to exactly
-// their values' bytes, and come back from the pooled decoder as values — the
-// form a client that knows only the value cases matches.
+// and TxnFinished (22) leave an issuer, and QueueStats (17) a queue manager,
+// as pooled pointers, encode to exactly their values' bytes, and come back
+// from the pooled decoder as values — the form a client that knows only the
+// value cases matches.
 func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 	txn := model.TxnID{Site: 2, Seq: 41}
+	stats := model.QueueStatsMsg{From: 2, AtMicros: 900, SinceMicros: 400, Grants: []model.QueueGrants{{Item: 3, Reads: 1, Writes: -1}, {Item: 7, Writes: 2}}}
 	for _, tc := range []struct {
 		tag    model.WireTag
 		value  model.Message
@@ -115,6 +117,7 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 		{20, model.ComputeDoneMsg{Txn: txn, Attempt: 2}, model.PooledComputeDone(model.ComputeDoneMsg{Txn: txn, Attempt: 2})},
 		{21, model.RestartMsg{Txn: txn, Attempt: 3}, model.PooledRestart(model.RestartMsg{Txn: txn, Attempt: 3})},
 		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
+		{17, stats, model.PooledQueueStats(stats)},
 	} {
 		want, err := model.AppendMessage(nil, tc.value)
 		if err != nil {
