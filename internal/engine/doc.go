@@ -24,6 +24,15 @@
 // (a test fake) runs the work in line, and the caller applies its result at
 // once.
 //
+// Timers: Context.SetTimer with a positive delay sends the message to the
+// actor itself that much later; with none it goes straight to the mailbox.
+// The simulator schedules a timer as one more event. The real-time runtime
+// keeps every pending timer of every actor in one heap ordered by due time,
+// then by arming order, fired by one time.Timer set to the earliest due: so
+// timers fire in due order, equal dues in the order they were armed, arming
+// one allocates nothing once the heap has grown, and Shutdown drops every
+// timer still pending.
+//
 // Backpressure: the real-time runtime's mailboxes can be bounded
 // (Runtime.SetMailboxDepth). A sheddable message (model.Sheddable — the
 // new-work openers, RequestMsg, RequestBatchMsg, SnapReadMsg and

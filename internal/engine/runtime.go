@@ -57,6 +57,8 @@ type Runtime struct {
 	// stop is closed by Shutdown: it stops the Offload workers and releases
 	// an Offload waiting for room in a worker's queue.
 	stop chan struct{}
+	// timers holds every actor's pending delayed SetTimer messages.
+	timers timerQueue
 }
 
 type mailbox struct {
@@ -192,6 +194,7 @@ func NewRuntime(latency LatencyModel, seed int64) *Runtime {
 		start:  now,
 		epoch:  now.UnixMicro(),
 		stop:   make(chan struct{}),
+		timers: timerQueue{start: now},
 	}
 }
 
@@ -327,8 +330,9 @@ func (r *Runtime) Post(env Envelope) { r.route(env) }
 
 // Shutdown stops all actor goroutines and Offload workers. A worker finishes
 // the job it is running; offloaded work not yet started is dropped, and so
-// are done messages and pending timers, which land in closed mailboxes.
+// are pending timers and done messages, which land in closed mailboxes.
 func (r *Runtime) Shutdown() {
+	r.timers.close()
 	r.mu.Lock()
 	if !r.closed {
 		close(r.stop)
@@ -388,7 +392,7 @@ func (c *rtContext) SetTimer(delayMicros int64, msg model.Message) {
 		mb.push(env)
 		return
 	}
-	time.AfterFunc(time.Duration(delayMicros)*time.Microsecond, func() { mb.push(env) })
+	c.rt.timers.add(time.Duration(delayMicros)*time.Microsecond, mb, env)
 }
 
 // Offload implements Offloader: work runs on self's worker goroutine, and

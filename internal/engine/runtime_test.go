@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -223,6 +224,57 @@ func TestRuntimeTimers(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
+	}
+}
+
+// TestRuntimeTimersFireDueThenFIFO: delayed timers armed out of due order
+// arrive earliest due first, and timers armed with one delay in the order
+// they were armed; a timer pending at Shutdown is dropped.
+func TestRuntimeTimersFireDueThenFIFO(t *testing.T) {
+	rt := NewRuntime(FixedLatency{}, 1)
+	recv := &collect{done: make(chan struct{}), want: 6}
+	rt.Register(RIAddr(1), recv)
+	ctx := &rtContext{rt: rt, self: RIAddr(1)}
+	for _, tm := range []struct {
+		delay int64
+		tag   uint64
+	}{{30_000, 5}, {10_000, 1}, {20_000, 4}, {10_000, 2}, {0, 0}, {10_000, 3}} {
+		ctx.SetTimer(tm.delay, model.TickMsg{Tag: tm.tag})
+	}
+	ctx.SetTimer(60_000_000, model.TickMsg{Tag: 99})
+	waitFor(t, recv.done, "six timers")
+	recv.mu.Lock()
+	got := slices.Clone(recv.tags)
+	recv.mu.Unlock()
+	if want := []uint64{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("timers fired in order %v, want %v", got, want)
+	}
+	rt.Shutdown()
+	if n := len(rt.timers.heap); n != 0 {
+		t.Fatalf("%d timers still pending after Shutdown", n)
+	}
+}
+
+// tickSink hands every message's tag to a channel.
+type tickSink chan uint64
+
+func (c tickSink) OnMessage(_ Context, _ Addr, msg model.Message) { c <- msg.(model.TickMsg).Tag }
+
+// TestDelayedSetTimerAllocatesNothing: once the runtime's timer heap has
+// grown, arming a delayed timer and having it fire allocates nothing.
+func TestDelayedSetTimerAllocatesNothing(t *testing.T) {
+	rt := NewRuntime(FixedLatency{}, 1)
+	defer rt.Shutdown()
+	fired := make(tickSink, 1)
+	rt.Register(RIAddr(1), fired)
+	ctx := &rtContext{rt: rt, self: RIAddr(1)}
+	arm := func() {
+		ctx.SetTimer(1, model.TickMsg{Tag: 7})
+		<-fired
+	}
+	arm() // grow the heap and start the runtime's timer
+	if n := testing.AllocsPerRun(200, arm); n != 0 {
+		t.Fatalf("%v allocations per delayed timer, want 0", n)
 	}
 }
 
