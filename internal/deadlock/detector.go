@@ -2,6 +2,7 @@ package deadlock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,6 +76,12 @@ type Detector struct {
 	drainMode bool
 	idle      bool
 
+	// Per-round scratch, kept so a round allocates nothing once it has
+	// grown: the graph, and the cycles seen and attempts still waiting.
+	graph wfg
+	seen  map[string]bool
+	live  map[victimKey]bool
+
 	stats Stats
 }
 
@@ -91,8 +98,12 @@ func New(qmSites []model.SiteID, opts Options) *Detector {
 	return &Detector{
 		opts:     opts,
 		qmSites:  qmSites,
+		expect:   map[model.SiteID]bool{},
 		lastSeen: map[string]int{},
 		victims:  map[victimKey]bool{},
+		graph:    wfg{index: map[model.TxnID]int32{}},
+		seen:     map[string]bool{},
+		live:     map[victimKey]bool{},
 	}
 }
 
@@ -112,6 +123,10 @@ func (d *Detector) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mes
 		d.probe(ctx)
 	case model.WFGReportMsg:
 		d.onReport(ctx, v)
+	case *model.WFGReportMsg:
+		// The queue manager's pooled send form; the delivery layer
+		// recycles it.
+		d.onReport(ctx, *v)
 	case model.StopMsg:
 		d.drainMode = true
 	default:
@@ -137,11 +152,11 @@ func (d *Detector) probe(ctx engine.Context) {
 	}
 	d.round++
 	d.stats.Rounds++
-	d.expect = map[model.SiteID]bool{}
+	clear(d.expect)
 	d.edges = d.edges[:0]
 	for _, s := range d.qmSites {
 		d.expect[s] = true
-		ctx.Send(engine.QMAddr(s), model.ProbeWFGMsg{Round: d.round})
+		ctx.Send(engine.QMAddr(s), model.PooledProbeWFG(model.ProbeWFGMsg{Round: d.round}))
 	}
 	ctx.SetTimer(d.opts.PeriodMicros, model.TickMsg{})
 }
@@ -161,69 +176,51 @@ func (d *Detector) onReport(ctx engine.Context, v model.WFGReportMsg) {
 // victimizes cycles that persisted for PersistRounds rounds.
 func (d *Detector) analyze(ctx engine.Context) {
 	d.idle = len(d.edges) == 0
-	adj := map[model.TxnID]map[model.TxnID]bool{}
-	info := map[model.TxnID]model.WaitEdge{} // waiter-side info per txn
-	is2PL := map[model.TxnID]bool{}
-	for _, e := range d.edges {
-		if adj[e.Waiter] == nil {
-			adj[e.Waiter] = map[model.TxnID]bool{}
-		}
-		adj[e.Waiter][e.Holder] = true
-		if _, ok := info[e.Waiter]; !ok {
-			info[e.Waiter] = e
-		}
-		is2PL[e.Waiter] = e.Waiter2PL
-		if e.Holder2PL {
-			is2PL[e.Holder] = true
-		}
-	}
-
-	sccs := tarjanSCC(adj)
-	seen := map[string]bool{}
-	for _, scc := range sccs {
+	g := &d.graph
+	g.build(d.edges)
+	g.findSCCs()
+	clear(d.seen)
+	for i, start := range g.sccStart {
+		scc := g.sccs[start:g.sccEnd(i)]
 		if len(scc) < 2 {
 			continue
 		}
 		d.stats.CyclesSeen++
-		fp := fingerprint(scc)
-		seen[fp] = true
+		members := make([]model.TxnID, len(scc))
+		has2PL := false
+		for i, v := range scc {
+			members[i] = g.nodes[v]
+			has2PL = has2PL || g.is2PL[v]
+		}
+		fp := fingerprint(members)
+		d.seen[fp] = true
 		d.lastSeen[fp]++
 		if d.lastSeen[fp] < d.opts.PersistRounds {
 			continue
 		}
 		// Persistent cycle: pick the youngest 2PL member as victim.
-		var members []model.TxnID
-		has2PL := false
-		for _, t := range scc {
-			members = append(members, t)
-			if is2PL[t] {
-				has2PL = true
-			}
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i].Compare(members[j]) < 0 })
+		slices.SortFunc(members, model.TxnID.Compare)
 		if !has2PL {
 			// Corollary 2 says this cannot be a genuine deadlock; it must
 			// resolve on its own. Count and keep watching.
 			d.stats.No2PLCycles++
 			continue
 		}
-		victim := model.TxnID{}
-		var victimAttempt model.Attempt
-		idx := func(i int) int { return len(members) - 1 - i } // youngest first
-		if d.opts.Policy == VictimOldest {
-			idx = func(i int) int { return i }
-		}
+		victim, victimAttempt, issuer := model.TxnID{}, model.Attempt(0), model.SiteID(0)
 		for i := range members {
-			m := members[idx(i)]
-			e, waits := info[m]
-			if !is2PL[m] || !waits {
+			m := members[len(members)-1-i] // youngest first
+			if d.opts.Policy == VictimOldest {
+				m = members[i]
+			}
+			v := g.index[m]
+			if !g.is2PL[v] || g.waits[v] < 0 {
 				continue // can only abort a 2PL member seen waiting
 			}
+			e := d.edges[g.waits[v]]
 			if d.victims[victimKey{txn: m, attempt: e.WaiterSeq}] {
 				continue // this attempt was already told to abort
 			}
-			victim = m
-			victimAttempt = e.WaiterSeq
+			victim, victimAttempt, issuer = m, e.WaiterSeq, e.WaiterIssuer
 			break
 		}
 		if victim.IsZero() {
@@ -231,26 +228,26 @@ func (d *Detector) analyze(ctx engine.Context) {
 		}
 		d.victims[victimKey{txn: victim, attempt: victimAttempt}] = true
 		d.stats.Victims++
-		ctx.Send(engine.RIAddr(info[victim].WaiterIssuer), model.VictimMsg{
+		ctx.Send(engine.RIAddr(issuer), model.VictimMsg{
 			Txn: victim, Attempt: victimAttempt, Cycle: members,
 		})
 		delete(d.lastSeen, fp)
 	}
 	// Cycles that vanished were transient; forget them.
 	for fp := range d.lastSeen {
-		if !seen[fp] {
+		if !d.seen[fp] {
 			d.stats.TransientCycles++
 			delete(d.lastSeen, fp)
 		}
 	}
 	// Forget victim attempts that no longer appear as waiters (their aborts
 	// landed, or the attempt was superseded by a restart).
-	live := map[victimKey]bool{}
+	clear(d.live)
 	for _, e := range d.edges {
-		live[victimKey{txn: e.Waiter, attempt: e.WaiterSeq}] = true
+		d.live[victimKey{txn: e.Waiter, attempt: e.WaiterSeq}] = true
 	}
 	for k := range d.victims {
-		if !live[k] {
+		if !d.live[k] {
 			delete(d.victims, k)
 		}
 	}
@@ -265,73 +262,141 @@ func fingerprint(scc []model.TxnID) string {
 	return strings.Join(ids, ",")
 }
 
-// tarjanSCC returns the strongly connected components of the wait-for graph
-// (iterative Tarjan, deterministic order).
-func tarjanSCC(adj map[model.TxnID]map[model.TxnID]bool) [][]model.TxnID {
-	nodes := make([]model.TxnID, 0, len(adj))
-	nodeSet := map[model.TxnID]bool{}
-	for n, succs := range adj {
-		if !nodeSet[n] {
-			nodeSet[n] = true
-			nodes = append(nodes, n)
-		}
-		for s := range succs {
-			if !nodeSet[s] {
-				nodeSet[s] = true
-				nodes = append(nodes, s)
+// wfg is one round's global wait-for graph, in arrays the detector keeps
+// across rounds. Nodes are the transactions on any edge, numbered in
+// ascending TxnID order, and each node's arcs are in ascending order of the
+// node they lead to, so the SCCs come out in the same order every run.
+type wfg struct {
+	nodes []model.TxnID
+	index map[model.TxnID]int32
+	// arcs holds every distinct (waiter, holder) pair, sorted; a node's arcs
+	// are arcs[first[v]:first[v+1]].
+	arcs  []arc
+	first []int32
+	// waits is the index in the round's edges of the first edge with the
+	// node as its waiter (-1 for none); is2PL is whether the node is a 2PL
+	// transaction, as the round's edges said last.
+	waits []int32
+	is2PL []bool
+
+	// Tarjan's state, and its output: the SCCs' members concatenated in
+	// the order found, SCC i starting at sccs[sccStart[i]].
+	order, low []int32 // order -1: not visited yet
+	onStack    []bool
+	stack      []int32
+	visited    int32
+	sccs       []int32
+	sccStart   []int32
+}
+
+type arc struct{ from, to int32 }
+
+// sccEnd returns where SCC i ends in g.sccs.
+func (g *wfg) sccEnd(i int) int32 {
+	if i+1 < len(g.sccStart) {
+		return g.sccStart[i+1]
+	}
+	return int32(len(g.sccs))
+}
+
+// build makes g the graph of edges.
+func (g *wfg) build(edges []model.WaitEdge) {
+	clear(g.index)
+	g.nodes = g.nodes[:0]
+	for _, e := range edges {
+		for _, t := range [2]model.TxnID{e.Waiter, e.Holder} {
+			if _, ok := g.index[t]; !ok {
+				g.index[t] = 0
+				g.nodes = append(g.nodes, t)
 			}
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Compare(nodes[j]) < 0 })
-
-	index := map[model.TxnID]int{}
-	lowlink := map[model.TxnID]int{}
-	onStack := map[model.TxnID]bool{}
-	var stack []model.TxnID
-	var out [][]model.TxnID
-	next := 0
-
-	var strongconnect func(v model.TxnID)
-	strongconnect = func(v model.TxnID) {
-		index[v] = next
-		lowlink[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-
-		succs := make([]model.TxnID, 0, len(adj[v]))
-		for s := range adj[v] {
-			succs = append(succs, s)
+	slices.SortFunc(g.nodes, model.TxnID.Compare)
+	for i, t := range g.nodes {
+		g.index[t] = int32(i)
+	}
+	n := len(g.nodes)
+	g.waits = resize(g.waits, n, -1)
+	g.is2PL = resize(g.is2PL, n, false)
+	g.arcs = g.arcs[:0]
+	for i, e := range edges {
+		w, h := g.index[e.Waiter], g.index[e.Holder]
+		g.arcs = append(g.arcs, arc{w, h})
+		if g.waits[w] < 0 {
+			g.waits[w] = int32(i)
 		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i].Compare(succs[j]) < 0 })
-		for _, w := range succs {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
-				}
-			} else if onStack[w] && index[w] < lowlink[v] {
-				lowlink[v] = index[w]
-			}
-		}
-		if lowlink[v] == index[v] {
-			var scc []model.TxnID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			out = append(out, scc)
+		g.is2PL[w] = e.Waiter2PL
+		if e.Holder2PL {
+			g.is2PL[h] = true
 		}
 	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	slices.SortFunc(g.arcs, func(a, b arc) int {
+		if a.from != b.from {
+			return int(a.from - b.from)
+		}
+		return int(a.to - b.to)
+	})
+	g.arcs = slices.Compact(g.arcs)
+	g.first = resize(g.first, n+1, 0)
+	for _, a := range g.arcs {
+		g.first[a.from+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.first[v+1] += g.first[v]
+	}
+}
+
+// findSCCs runs Tarjan's algorithm over g, visiting nodes and arcs in
+// ascending order.
+func (g *wfg) findSCCs() {
+	n := len(g.nodes)
+	g.order = resize(g.order, n, -1)
+	g.low = resize(g.low, n, 0)
+	g.onStack = resize(g.onStack, n, false)
+	g.stack, g.sccs, g.sccStart = g.stack[:0], g.sccs[:0], g.sccStart[:0]
+	g.visited = 0
+	for v := int32(0); v < int32(n); v++ {
+		if g.order[v] < 0 {
+			g.strongConnect(v)
 		}
 	}
-	return out
+}
+
+func (g *wfg) strongConnect(v int32) {
+	g.order[v], g.low[v] = g.visited, g.visited
+	g.visited++
+	g.stack = append(g.stack, v)
+	g.onStack[v] = true
+	for _, a := range g.arcs[g.first[v]:g.first[v+1]] {
+		w := a.to
+		if g.order[w] < 0 {
+			g.strongConnect(w)
+			g.low[v] = min(g.low[v], g.low[w])
+		} else if g.onStack[w] {
+			g.low[v] = min(g.low[v], g.order[w])
+		}
+	}
+	if g.low[v] != g.order[v] {
+		return
+	}
+	g.sccStart = append(g.sccStart, int32(len(g.sccs)))
+	for {
+		w := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		g.onStack[w] = false
+		g.sccs = append(g.sccs, w)
+		if w == v {
+			return
+		}
+	}
+}
+
+// resize returns s with length n, every element set to fill, reusing its
+// array when it has room.
+func resize[E any](s []E, n int, fill E) []E {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = fill
+	}
+	return s
 }

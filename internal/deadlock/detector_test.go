@@ -215,23 +215,58 @@ func TestPartialRoundBreaksLiveDeadlock(t *testing.T) {
 }
 
 func TestTarjanFindsNestedSCCs(t *testing.T) {
-	adj := map[model.TxnID]map[model.TxnID]bool{
-		tid(1): {tid(2): true},
-		tid(2): {tid(3): true},
-		tid(3): {tid(1): true, tid(4): true},
-		tid(4): {tid(5): true},
-		tid(5): {tid(4): true},
-		tid(6): {tid(1): true},
-	}
-	sccs := tarjanSCC(adj)
+	g := wfg{index: map[model.TxnID]int32{}}
+	g.build([]model.WaitEdge{
+		edge(1, 2, true, true),
+		edge(2, 3, true, true),
+		edge(3, 1, true, true), edge(3, 4, true, true),
+		edge(4, 5, true, true),
+		edge(5, 4, true, true),
+		edge(6, 1, true, true),
+	})
+	g.findSCCs()
 	sizes := map[int]int{}
-	for _, s := range sccs {
-		sizes[len(s)]++
+	for i, start := range g.sccStart {
+		sizes[int(g.sccEnd(i)-start)]++
 	}
 	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 1 {
 		t.Fatalf("scc sizes = %v want one 3-cycle, one 2-cycle, one singleton", sizes)
 	}
 }
+
+// TestDetectorRoundAllocatesNothing: once its scratch has grown, a detector
+// round — probes out, reports in, the graph built and searched — allocates
+// nothing when the wait-for graph holds no cycle.
+func TestDetectorRoundAllocatesNothing(t *testing.T) {
+	d := New([]model.SiteID{0, 1}, Options{PeriodMicros: 1000, PersistRounds: 2})
+	var ctx recycleCtx
+	edges := []model.WaitEdge{edge(1, 2, true, true), edge(2, 3, false, true), edge(4, 3, true, false), edge(5, 1, true, true)}
+	var tick model.Message = model.TickMsg{}
+	round := func() {
+		d.OnMessage(&ctx, engine.DetectorAddr(), tick)
+		for site, es := range [][]model.WaitEdge{edges, nil} {
+			r := model.PooledWFGReport(model.WFGReportMsg{From: model.SiteID(site), Round: d.round, Edges: es})
+			d.OnMessage(&ctx, engine.QMAddr(model.SiteID(site)), r)
+			model.RecycleMessage(r)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 && !raceEnabled {
+		t.Fatalf("%v allocations per detector round, want 0", n)
+	}
+	if s := d.Snapshot(); s.Rounds != 102 || s.CyclesSeen != 0 {
+		t.Fatalf("stats %+v, want 102 rounds and no cycle", s)
+	}
+}
+
+// recycleCtx is a delivery layer that recycles every send on the spot.
+type recycleCtx struct{}
+
+func (recycleCtx) NowMicros() int64                    { return 0 }
+func (recycleCtx) Self() engine.Addr                   { return engine.DetectorAddr() }
+func (recycleCtx) Rand() *rand.Rand                    { return nil }
+func (recycleCtx) Send(_ engine.Addr, m model.Message) { model.RecycleMessage(m) }
+func (recycleCtx) SetTimer(_ int64, _ model.Message)   {}
 
 func TestVictimPolicyOldest(t *testing.T) {
 	d := New([]model.SiteID{0, 1}, Options{

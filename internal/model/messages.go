@@ -542,6 +542,10 @@ type WFGReportMsg struct {
 	From  SiteID
 	Round uint64
 	Edges []WaitEdge
+
+	// buf is the array a pooled report keeps across recycles
+	// (wirepool.go); Edges lies in it. Nil in every value form.
+	buf []WaitEdge
 }
 
 // ProbeWFGMsg asks a QM site to report its current wait-for edges.
@@ -725,6 +729,10 @@ type ReplPullMsg struct {
 	// of the sender; the reply echoes it, and a reply from another
 	// incarnation is dropped unapplied.
 	Incarnation uint64
+
+	// buf is the array a pooled pull keeps across recycles (wirepool.go);
+	// Have lies in it. Nil in every value form.
+	buf []byte
 }
 
 // ReplRecordsMsg answers a ReplPullMsg with a batch of WAL records. Frames
@@ -755,6 +763,10 @@ type ReplRecordsMsg struct {
 	More bool
 	// Incarnation echoes the pull's (see ReplPullMsg.Incarnation).
 	Incarnation uint64
+
+	// buf is the array a pooled reply keeps across recycles (wirepool.go);
+	// Frames lies in it. Nil in every value form.
+	buf []byte
 }
 
 // ---------------------------------------------------------------------------

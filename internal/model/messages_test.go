@@ -60,8 +60,9 @@ func rowValue(tag WireTag) Message {
 
 // TestMessageTable: every tag up to TagLast has a decode-table row, the row's
 // type travels under that tag and decodes back to the same type, and exactly
-// the seventeen hot protocol types come back from DecodeMessagePooled as
-// pointers, and the submit with a pooled Txn.
+// the seventeen hot protocol types, the catch-up pull and reply and the
+// wait-for report come back from DecodeMessagePooled as pointers, and the
+// submit with a pooled Txn.
 func TestMessageTable(t *testing.T) {
 	decodePooled := map[WireTag]bool{
 		TagRequest: true, TagFinalTS: true, TagRelease: true, TagAbort: true, TagGrant: true,
@@ -70,6 +71,7 @@ func TestMessageTable(t *testing.T) {
 		TagRequestBatch: true, TagReleaseBatch: true, TagGrantBatch: true,
 		TagSnapReadBatch: true, TagSnapReadReplyBatch: true, TagAbortBatch: true,
 		TagSubmitTxn: true,
+		TagReplPull:  true, TagReplRecords: true, TagWFGReport: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)

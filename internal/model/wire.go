@@ -284,13 +284,16 @@ func (r *WireReader) String() string {
 
 // Bytes decodes a length-prefixed byte slice (zero length decodes to nil, the
 // same value a nil slice encodes from, so the encoding stays canonical).
-func (r *WireReader) Bytes() []byte {
+func (r *WireReader) Bytes() []byte { return r.BytesInto(nil) }
+
+// BytesInto is Bytes copying into buf's array, which it reuses when it has
+// room: the pooled decoders keep that array across recycles.
+func (r *WireReader) BytesInto(buf []byte) []byte {
 	n := r.Count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[:n])
+	out := append(buf[:0], r.b[:n]...)
 	r.b = r.b[n:]
 	return out
 }
@@ -906,14 +909,16 @@ func (m WFGReportMsg) AppendWire(b []byte) []byte {
 	return b
 }
 
-func decodeWFGReport(r *WireReader) (m WFGReportMsg) {
+// decodeWFGReport decodes a report, its edges into buf's array when it has
+// room (nil when there are none).
+func decodeWFGReport(r *WireReader, buf []WaitEdge) (m WFGReportMsg) {
 	m.From = SiteID(r.Varint32())
 	m.Round = r.Uvarint()
 	n := r.Count(10)
 	if r.err != nil || n == 0 {
 		return m
 	}
-	m.Edges = make([]WaitEdge, n)
+	m.Edges = slices.Grow(buf[:0], n)[:n]
 	for i := range m.Edges {
 		m.Edges[i] = r.waitEdge()
 	}
@@ -1191,10 +1196,12 @@ func (m ReplPullMsg) AppendWire(b []byte) []byte {
 	return AppendUvarint(b, m.Incarnation)
 }
 
-func decodeReplPull(r *WireReader) (m ReplPullMsg) {
+// decodeReplPull decodes a pull, copying Have into buf's array when it has
+// room (see BytesInto).
+func decodeReplPull(r *WireReader, buf []byte) (m ReplPullMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AfterSeq = r.Uvarint()
-	m.Have = r.Bytes()
+	m.Have = r.BytesInto(buf)
 	m.Incarnation = r.Uvarint()
 	return m
 }
@@ -1212,9 +1219,11 @@ func (m ReplRecordsMsg) AppendWire(b []byte) []byte {
 	return AppendUvarint(b, m.Incarnation)
 }
 
-func decodeReplRecords(r *WireReader) (m ReplRecordsMsg) {
+// decodeReplRecords decodes a reply, copying Frames into buf's array when it
+// has room (see BytesInto).
+func decodeReplRecords(r *WireReader, buf []byte) (m ReplRecordsMsg) {
 	m.From = SiteID(r.Varint32())
-	m.Frames = r.Bytes()
+	m.Frames = r.BytesInto(buf)
 	m.NextAfterSeq = r.Uvarint()
 	m.Reset = r.Bool()
 	m.More = r.Bool()
@@ -1380,6 +1389,13 @@ func batch[T Message, P interface {
 	}
 }
 
+// decodeWith is the plain decode of a type whose decoder fills a given
+// array (its pooled decode passes the one the pooled message kept): a fresh
+// one.
+func decodeWith[T Message, E any](decode func(*WireReader, []E) T) func(*WireReader) T {
+	return func(r *WireReader) T { return decode(r, nil) }
+}
+
 // codecs is the decode table, indexed by tag; TagInvalid's row is empty.
 var codecs = [...]codec{
 	TagRequest:         pooled(&requestPool, decodeRequest),
@@ -1394,7 +1410,7 @@ var codecs = [...]codec{
 	TagVictim:          plain(decodeVictim),
 	TagSnapRead:        pooled(&snapReadPool, decodeSnapRead),
 	TagSnapReadReply:   pooled(&snapReadReplyPool, decodeSnapReadReply),
-	TagWFGReport:       plain(decodeWFGReport),
+	TagWFGReport:       {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
 	TagProbeWFG:        plain(decodeProbeWFG),
 	TagSubmitTxn:       {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
 	TagTxnDone:         plain(decodeTxnDone),
@@ -1408,8 +1424,8 @@ var codecs = [...]codec{
 	TagCrash:           plain(decodeEmpty[CrashMsg]),
 	TagRecover:         plain(decodeEmpty[RecoverMsg]),
 	TagFlush:           plain(decodeFlush),
-	TagReplPull:        plain(decodeReplPull),
-	TagReplRecords:     plain(decodeReplRecords),
+	TagReplPull:        {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
+	TagReplRecords:     {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
 	TagWrongEpoch:      plain(decodeWrongEpoch),
 	TagMapInstall:      plain(decodeMapInstall),
 	TagMapUpdate:       plain(decodeMapUpdate),

@@ -392,6 +392,49 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	}
 }
 
+// TestPooledReplAllocs: a catch-up pull and reply sent pooled, encoded,
+// decoded pooled and recycled allocate nothing once warm: both ends reuse
+// the byte array their pooled message kept. A copy taken out with
+// UnpoolMessage owns its bytes, and an empty byte string decodes to nil.
+func TestPooledReplAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	have := []byte{2, 40, 2, 6}
+	frames := bytes.Repeat([]byte{1, 2, 3, 4, 5}, 1024)
+	var wire []byte
+	r := new(WireReader) // the decoder takes its address: keep it off the measured path
+	roundTrip := func(m Message) Message {
+		wire, _ = AppendMessage(wire[:0], m)
+		RecycleMessage(m)
+		*r = NewWireReader(wire[1:])
+		got, err := DecodeMessagePooled(WireTag(wire[0]), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	both := func() {
+		RecycleMessage(roundTrip(PooledReplPull(ReplPullMsg{From: 1, AfterSeq: 9, Have: have, Incarnation: 2})))
+		RecycleMessage(roundTrip(PooledReplRecords(ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 512, More: true})))
+	}
+	both()
+	if n := testing.AllocsPerRun(100, both); n != 0 {
+		t.Fatalf("%v allocations per pooled pull and reply round trip, want 0", n)
+	}
+	m := roundTrip(PooledReplRecords(ReplRecordsMsg{From: 2, Frames: frames}))
+	kept := UnpoolMessage(m).(ReplRecordsMsg)
+	if !bytes.Equal(kept.Frames, frames) || &kept.Frames[0] == &m.(*ReplRecordsMsg).Frames[0] || kept.buf != nil {
+		t.Fatal("UnpoolMessage's copy shares the pooled reply's array")
+	}
+	RecycleMessage(m)
+	if p := roundTrip(PooledReplPull(ReplPullMsg{From: 1})).(*ReplPullMsg); p.Have != nil {
+		t.Fatalf("an empty digest decoded to %v, want nil", p.Have)
+	} else {
+		RecycleMessage(p)
+	}
+}
+
 // TestPooledSubmitTxnAllocs: DecodeMessagePooled decodes a submit into a
 // pooled Txn that keeps its item and specs arrays, so a warm decode and
 // recycle allocates nothing. A recycled Txn carries nothing of its last

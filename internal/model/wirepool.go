@@ -41,6 +41,17 @@ import (
 // a site holds, not by anything read off the wire: decoding returns values,
 // like the other send-only types.
 //
+// The catch-up plane's pull and reply (ReplPull, ReplRecords) and the
+// deadlock detector's wait-for report (WFGReport) pool in both directions
+// like the batches, but carry a byte string — the pull digest, the shipped
+// records — or a site's wait-for edges, often none, where a batch carries at
+// least one member. The pooled message keeps that array, up to
+// maxPooledBytes or maxPooledEdges, in a field of its own, so an empty
+// string or edge list still decodes to nil; PooledReplPull,
+// PooledReplRecords and PooledWFGReport copy the caller's into it. The
+// detector's probe (ProbeWFG) pools on the send side only, like the
+// completion reports: the queue manager matches both forms.
+//
 // SubmitTxn pools on the decode side only, and not its struct: it is one
 // pointer, which boxes without allocating, so DecodeMessagePooled takes the
 // Txn it points to from a pool instead and returns the message as a value.
@@ -64,23 +75,24 @@ import (
 //     outbox for good (flushed, or dropped and NAK'd). The transport's
 //     read loop decodes with DecodeMessagePooled, so on the receiving
 //     node the message is pooled again, and recycled by the mailbox loop.
-//   - Actor type switches match both forms: the qm and ri dispatch switches
-//     (and the collector's and the workload driver's, for the send-only
-//     completion reports) carry pointer cases that deref to the existing
+//   - Actor type switches match both forms: the qm, ri and deadlock
+//     dispatch switches (and the collector's and the workload driver's, for
+//     the send-only reports) carry pointer cases that deref to the existing
 //     value handlers, so a pooled send costs nothing at the receiver. The
 //     issuer's own timers are the exception: they only ever arrive pooled.
 //   - RecycleMessage accepts any Message and ignores everything that is not
 //     a pooled pointer type, so a mixed stream can be recycled blindly.
-//   - Variable-size messages (slices, maps, strings: VictimMsg, WFGReport,
-//     Estimate, ...) are NOT pooled — their backing arrays would
-//     pin arbitrary memory in the pool. They fall back to the plain decoder
-//     and plain value sends. The batches and the submitted Txn are the
-//     bounded exceptions: a pooled batch keeps its members array across
-//     recycles (that reuse is what makes it allocation-free), and a pooled
-//     Txn its two arrays, but only up to maxPooledMembers — a larger array
-//     is dropped at recycle, so one pathological message cannot pin its
-//     size in the pool. The PooledX batch constructors copy the members
-//     into the pooled message's own array, so the caller keeps the slice it
+//   - Variable-size messages (slices, maps, strings: VictimMsg, Estimate,
+//     MapInstall, ...) are NOT pooled — their backing arrays would pin
+//     arbitrary memory in the pool. They fall back to the plain decoder
+//     and plain value sends. The batches, the submitted Txn and the three
+//     array-carrying messages above are the bounded exceptions: a pooled
+//     batch keeps its members array across recycles (that reuse is what
+//     makes it allocation-free), and a pooled Txn its two arrays, but only
+//     up to maxPooledMembers (maxPooledBytes, maxPooledEdges) — a larger
+//     array is dropped at recycle, so one pathological message cannot pin
+//     its size in the pool. The PooledX constructors copy the members into
+//     the pooled message's own array, so the caller keeps the slice it
 //     built them in; UnpoolMessage copies them out again. QueueStats, sent
 //     only by a queue manager, keeps its array at any size (see above).
 //
@@ -132,12 +144,7 @@ const maxPooledMembers = 64
 
 // keptMembers is the array a recycled batch or Txn keeps: s emptied, or
 // nothing when s grew past maxPooledMembers.
-func keptMembers[M any](s []M) []M {
-	if cap(s) > maxPooledMembers {
-		return nil
-	}
-	return s[:0]
-}
+func keptMembers[M any](s []M) []M { return keptArray(s, maxPooledMembers) }
 
 // DecodeMessagePooled decodes the body for tag from r like DecodeMessage,
 // but returns the hot protocol messages as pooled pointers (*RequestMsg,
@@ -400,6 +407,154 @@ func (m *AbortBatchMsg) unpool() Message {
 	c.Members = slices.Clone(m.Members)
 	return c
 }
+
+// maxPooledBytes caps the byte array a recycled pull or reply keeps: room
+// for a snapshot reset image of a few thousand copies, and no more.
+const maxPooledBytes = 1 << 16
+
+// maxPooledEdges caps the edge array a recycled wait-for report keeps.
+const maxPooledEdges = 1 << 10
+
+// keptArray is the array a recycled message keeps: s emptied, or nothing
+// when it grew past max.
+func keptArray[E any](s []E, max int) []E {
+	if cap(s) > max {
+		return nil
+	}
+	return s[:0]
+}
+
+// ownArray copies src into buf's array and returns the copy and the array
+// to keep, the copy's own when src outgrew buf. An empty src is returned as
+// it is, and buf kept.
+func ownArray[E any](buf, src []E) (s, kept []E) {
+	if len(src) == 0 {
+		return src, buf
+	}
+	s = append(buf[:0], src...)
+	return s, s
+}
+
+// decodedArray is the array to keep after a decode into buf produced s:
+// s's own when the decode filled one (it may have outgrown buf), else buf.
+func decodedArray[E any](buf, s []E) []E {
+	if s != nil {
+		return s
+	}
+	return buf
+}
+
+// cloneArray copies s into an array of its own; empty is nil, as a decode
+// makes it.
+func cloneArray[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
+
+var replPullPool msgPool[ReplPullMsg]
+
+// PooledReplPull returns v as a pooled *ReplPullMsg; Have is copied into the
+// pooled message's own array, so v.Have stays the caller's.
+func PooledReplPull(v ReplPullMsg) *ReplPullMsg {
+	p := replPullPool.get()
+	v.Have, v.buf = ownArray(p.buf, v.Have)
+	*p = v
+	return p
+}
+
+// decodeReplPullPooled is tag 27's pooled decode: Have lands in the array
+// the pooled pull kept.
+func decodeReplPullPooled(r *WireReader) Message {
+	p := replPullPool.get()
+	buf := p.buf
+	*p = decodeReplPull(r, buf)
+	p.buf = decodedArray(buf, p.Have)
+	return p
+}
+
+func (m *ReplPullMsg) recycle() {
+	*m = ReplPullMsg{buf: keptArray(m.buf, maxPooledBytes)}
+	replPullPool.Put(m)
+}
+
+func (m *ReplPullMsg) unpool() Message {
+	c := *m
+	c.Have, c.buf = cloneArray(m.Have), nil
+	return c
+}
+
+var replRecordsPool msgPool[ReplRecordsMsg]
+
+// PooledReplRecords returns v as a pooled *ReplRecordsMsg; Frames is copied
+// into the pooled message's own array, so v.Frames stays the caller's.
+func PooledReplRecords(v ReplRecordsMsg) *ReplRecordsMsg {
+	p := replRecordsPool.get()
+	v.Frames, v.buf = ownArray(p.buf, v.Frames)
+	*p = v
+	return p
+}
+
+// decodeReplRecordsPooled is tag 28's pooled decode: Frames lands in the
+// array the pooled reply kept.
+func decodeReplRecordsPooled(r *WireReader) Message {
+	p := replRecordsPool.get()
+	buf := p.buf
+	*p = decodeReplRecords(r, buf)
+	p.buf = decodedArray(buf, p.Frames)
+	return p
+}
+
+func (m *ReplRecordsMsg) recycle() {
+	*m = ReplRecordsMsg{buf: keptArray(m.buf, maxPooledBytes)}
+	replRecordsPool.Put(m)
+}
+
+func (m *ReplRecordsMsg) unpool() Message {
+	c := *m
+	c.Frames, c.buf = cloneArray(m.Frames), nil
+	return c
+}
+
+var wfgReportPool msgPool[WFGReportMsg]
+
+// PooledWFGReport returns v as a pooled *WFGReportMsg; the edges are copied
+// into the pooled report's own array, so v.Edges stays the caller's.
+func PooledWFGReport(v WFGReportMsg) *WFGReportMsg {
+	p := wfgReportPool.get()
+	v.Edges, v.buf = ownArray(p.buf, v.Edges)
+	*p = v
+	return p
+}
+
+// decodeWFGReportPooled is tag 13's pooled decode: the edges land in the
+// array the pooled report kept.
+func decodeWFGReportPooled(r *WireReader) Message {
+	p := wfgReportPool.get()
+	buf := p.buf
+	*p = decodeWFGReport(r, buf)
+	p.buf = decodedArray(buf, p.Edges)
+	return p
+}
+
+func (m *WFGReportMsg) recycle() {
+	*m = WFGReportMsg{buf: keptArray(m.buf, maxPooledEdges)}
+	wfgReportPool.Put(m)
+}
+
+func (m *WFGReportMsg) unpool() Message {
+	c := *m
+	c.Edges, c.buf = cloneArray(m.Edges), nil
+	return c
+}
+
+var probeWFGPool msgPool[ProbeWFGMsg]
+
+// PooledProbeWFG returns v as a pooled *ProbeWFGMsg (send-only).
+func PooledProbeWFG(v ProbeWFGMsg) *ProbeWFGMsg { return probeWFGPool.box(v) }
+func (m *ProbeWFGMsg) recycle()                 { probeWFGPool.put(m) }
+func (m *ProbeWFGMsg) unpool() Message          { return *m }
 
 // The decode-only pool (see the package comment above): the submitted Txn.
 

@@ -169,6 +169,10 @@ type Manager struct {
 	replSrc     repl.Source
 	known       repl.Known
 	replStopped bool
+	// serveFrames is the scratch a served pull's reply is built in.
+	serveFrames []byte
+	// probeEdges is the scratch a deadlock probe's report is built in.
+	probeEdges []model.WaitEdge
 
 	// Versioned placement. pmap is read lock-free on the request fast path
 	// (atomic pointer; nil = legacy mode, ownership is queue existence) and
@@ -408,6 +412,8 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		}
 	case model.ProbeWFGMsg:
 		m.onProbe(ctx, from, v)
+	case *model.ProbeWFGMsg:
+		m.onProbe(ctx, from, *v)
 	case model.TickMsg:
 		switch v.Tag {
 		case ReplTickTag:
@@ -421,8 +427,12 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		}
 	case model.ReplPullMsg:
 		m.onReplPull(ctx, v)
+	case *model.ReplPullMsg:
+		m.onReplPull(ctx, *v)
 	case model.ReplRecordsMsg:
 		m.onReplRecords(ctx, v)
+	case *model.ReplRecordsMsg:
+		m.onReplRecords(ctx, *v)
 	case model.MapInstallMsg:
 		m.onMapInstall(ctx, v)
 	case model.TransferPullMsg:
@@ -674,12 +684,12 @@ func (m *Manager) onProbe(ctx engine.Context, from engine.Addr, v model.ProbeWFG
 	if m.Down() {
 		return
 	}
-	var edges []model.WaitEdge
+	m.probeEdges = m.probeEdges[:0]
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for _, q := range sh.queues {
 			q.waitEdges(func(e, b *entry) {
-				edges = append(edges, model.WaitEdge{
+				m.probeEdges = append(m.probeEdges, model.WaitEdge{
 					Waiter:       e.txn,
 					Holder:       b.txn,
 					Waiter2PL:    e.protocol == model.TwoPL,
@@ -693,5 +703,6 @@ func (m *Manager) onProbe(ctx engine.Context, from engine.Addr, v model.ProbeWFG
 		}
 		sh.mu.Unlock()
 	}
-	ctx.Send(from, model.WFGReportMsg{From: m.site, Round: v.Round, Edges: edges})
+	// The pooled report copies the edges out of the scratch.
+	ctx.Send(from, model.PooledWFGReport(model.WFGReportMsg{From: m.site, Round: v.Round, Edges: m.probeEdges}))
 }

@@ -302,7 +302,7 @@ func (m *Manager) onTransferPull(ctx engine.Context, v model.TransferPullMsg) {
 	if m.puller != nil {
 		max = m.puller.BatchRecords()
 	}
-	batch, err := repl.BuildBatch(m.site, src, v.AfterSeq, max, nil)
+	batch, err := repl.BuildBatch(m.site, src, v.AfterSeq, max, nil, nil)
 	if err != nil {
 		panic(fmt.Sprintf("qm: site %d: transfer pull from site %d after seq %d: %v", m.site, v.From, v.AfterSeq, err))
 	}
@@ -423,11 +423,11 @@ type storeSource struct {
 	store *storage.Store
 }
 
-func (s storeSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, int64) bool) (frames []byte, next uint64, more, gap bool, err error) {
+func (s storeSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, int64) bool, dst []byte) (frames []byte, next uint64, more, gap bool, err error) {
 	if afterSeq < 1 {
-		return nil, 0, false, true, nil
+		return dst, 0, false, true, nil
 	}
-	return nil, afterSeq, false, false, nil
+	return dst, afterSeq, false, false, nil
 }
 
 // HaveSince reports nothing: a volatile site journals nothing.
@@ -435,7 +435,8 @@ func (s storeSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uin
 	return dst, afterSeq
 }
 
-func (s storeSource) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
+func (s storeSource) SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64, err error) {
+	frames = dst
 	var prev int64
 	for _, item := range s.store.Items() {
 		ver := s.store.Latest(item)

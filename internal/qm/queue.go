@@ -152,12 +152,27 @@ func (q *dataQueue) find(txn model.TxnID) *entry {
 	return q.byTxn[txn]
 }
 
+// minQueueCap is the capacity a queue's entry lists take when they first
+// grow: deeper than almost every queue ever gets, so a list grows once, not
+// at every new depth, and nothing is sized before a queue is first used.
+const minQueueCap = 8
+
+// appendEntry appends e to s, growing s to at least minQueueCap.
+func appendEntry(s []*entry, e *entry) []*entry {
+	if len(s) == cap(s) {
+		grown := make([]*entry, len(s), max(minQueueCap, 2*cap(s)))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, e)
+}
+
 // insert places e into precedence order.
 func (q *dataQueue) insert(e *entry) {
 	i := sort.Search(len(q.entries), func(i int) bool {
 		return e.prec.Less(q.entries[i].prec)
 	})
-	q.entries = append(q.entries, nil)
+	q.entries = appendEntry(q.entries, nil)
 	copy(q.entries[i+1:], q.entries[i:])
 	q.entries[i] = e
 	q.byTxn[e.txn] = e
@@ -417,7 +432,7 @@ func (q *dataQueue) grant(hd *entry, d grantDecision) {
 	hd.preSched = d.preSched
 	hd.normalSent = !d.preSched
 	hd.grantSeq = q.grantSeq
-	q.granted = append(q.granted, hd)
+	q.granted = appendEntry(q.granted, hd)
 	q.lockCounts[d.lock]++
 	q.noteGrantTS(hd.kind, hd.prec.TS)
 	if hd.kind == model.OpRead {
@@ -447,7 +462,7 @@ func (q *dataQueue) promotable() []*entry {
 			}
 		}
 		if !conflict {
-			out = append(out, e)
+			out = appendEntry(out, e)
 		}
 	}
 	q.promo = out

@@ -62,7 +62,7 @@ func (m *Manager) onReplTick(ctx engine.Context) {
 	// Only the periodic pulls carry the journal digest: what this site
 	// journaled since its previous pull to that peer.
 	if peer, have, ok := m.puller.NextPull(m.replSrc); ok {
-		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have, Incarnation: m.puller.Incarnation()})
+		ctx.Send(engine.QMAddr(peer), model.PooledReplPull(model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Have: have, Incarnation: m.puller.Incarnation()}))
 	}
 }
 
@@ -76,7 +76,7 @@ func (m *Manager) onReplSettle(ctx engine.Context) {
 		return
 	}
 	for _, peer := range m.puller.Peers() {
-		ctx.Send(engine.QMAddr(peer), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Incarnation: m.puller.Incarnation()})
+		ctx.Send(engine.QMAddr(peer), model.PooledReplPull(model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(peer), Incarnation: m.puller.Incarnation()}))
 	}
 }
 
@@ -93,16 +93,18 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	if m.puller != nil {
 		max = m.puller.BatchRecords()
 	}
-	batch, err := m.known.Serve(m.site, m.replSrc, v, max)
+	batch, err := m.known.Serve(m.site, m.replSrc, v, max, m.serveFrames[:0])
 	if err != nil {
 		// The durable log is unreadable on an up site: the same broken
 		// contract flushNow panics on.
 		panic(fmt.Sprintf("qm: site %d: repl pull from site %d after seq %d: %v", m.site, v.From, v.AfterSeq, err))
 	}
+	m.serveFrames = batch.Frames
 	m.shards[0].mu.Lock()
 	m.shards[0].counters.ReplPulls++
 	m.shards[0].mu.Unlock()
-	ctx.Send(engine.QMAddr(v.From), batch)
+	// The pooled reply copies the frames out of the scratch they were built in.
+	ctx.Send(engine.QMAddr(v.From), model.PooledReplRecords(batch))
 }
 
 // onReplRecords replays one shipped batch: each record is applied under the
@@ -149,6 +151,6 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	m.shards[0].mu.Unlock()
 	moved := st.Torn == 0 && m.puller.Advance(v.From, v.NextAfterSeq)
 	if v.More && moved {
-		ctx.Send(engine.QMAddr(v.From), model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From), Incarnation: m.puller.Incarnation()})
+		ctx.Send(engine.QMAddr(v.From), model.PooledReplPull(model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From), Incarnation: m.puller.Incarnation()}))
 	}
 }

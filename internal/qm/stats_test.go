@@ -113,3 +113,24 @@ func TestStatsRatesSurviveCopyChurn(t *testing.T) {
 		checkRate(t, "LambdaA", est.LambdaA, 2*perTick)
 	})
 }
+
+// TestStatsTickAllocatesNothing: once warm, a stats tick walks the site's
+// copies in item order into its scratch and sends them in a pooled report,
+// so it allocates nothing.
+func TestStatsTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	st := storage.NewStore(0)
+	for i := 0; i < 512; i++ {
+		st.Create(model.ItemID(i), 100)
+	}
+	m := New(0, st, nil, Options{StatsPeriodMicros: statsPeriod, Shards: 4})
+	var ctx drainCtx
+	var tick model.Message = model.TickMsg{}
+	fire := func() { m.OnMessage(&ctx, engine.QMAddr(0), tick) }
+	fire()
+	if n := testing.AllocsPerRun(50, fire); n != 0 {
+		t.Fatalf("%v allocations per stats tick, want 0", n)
+	}
+}

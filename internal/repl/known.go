@@ -55,6 +55,10 @@ const maxKnownItems = 1 << 16
 type Known struct {
 	peers   map[model.SiteID]map[model.ItemID]int64
 	scratch []wal.Have
+	// serving is the peer Serve is building a batch for; holds, made once,
+	// is the batch's skip predicate over it.
+	serving model.SiteID
+	holds   func(model.ItemID, int64) bool
 }
 
 // Note records that peer holds item at commit stamp or newer.
@@ -108,15 +112,17 @@ func (k *Known) Holds(peer model.SiteID, item model.ItemID, stamp int64) bool {
 // its volatile state (Puller.ResetAll), and a Reset reply re-images it from
 // the snapshot: either way what was believed about it is dropped first, and
 // only this pull's own digest — collected after any such crash — is kept.
-// The reply echoes the pull's incarnation.
-func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, max int) (model.ReplRecordsMsg, error) {
+// The reply echoes the pull's incarnation; its Frames are appended to dst.
+func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, max int, dst []byte) (model.ReplRecordsMsg, error) {
 	if pull.AfterSeq == 0 {
 		k.Forget(pull.From)
 	}
 	k.Learn(pull.From, pull.Have)
-	batch, err := BuildBatch(from, src, pull.AfterSeq, max, func(item model.ItemID, stamp int64) bool {
-		return k.Holds(pull.From, item, stamp)
-	})
+	if k.holds == nil {
+		k.holds = func(item model.ItemID, stamp int64) bool { return k.Holds(k.serving, item, stamp) }
+	}
+	k.serving = pull.From
+	batch, err := BuildBatch(from, src, pull.AfterSeq, max, k.holds, dst)
 	if err == nil && batch.Reset {
 		k.Forget(pull.From)
 		k.Learn(pull.From, pull.Have)

@@ -56,7 +56,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
 		wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25}, wal.Have{Item: 1, CommitMicros: 30})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, 16)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 	}
 	// The claim is stored: a later pull without a digest is still spared the
 	// same records — and still gets the one newer than the claim.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, 16)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("stored claim: shipped %v next %d; want %v next 5", got, msg.NextAfterSeq, want[1:])
 	}
 	// Another peer claimed nothing and is withheld nothing.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, 16)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("peer 2 claimed nothing but was shipped %v", got)
 	}
 	// The bound counts shipped records: withheld ones do not use it up.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, 1)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestServeForgetsOnPullFromZero(t *testing.T) {
 	var k Known
 	k.Learn(1, digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}))
 	k.Note(1, 3, 99)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestServeForgetsOnReset(t *testing.T) {
 	}
 	var k Known
 	k.Note(1, 1, 10)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	good := digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, 16)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +198,44 @@ func TestPullerKeepsPeersSorted(t *testing.T) {
 	}
 	if peer, again, _ := p.NextPull(src); peer != 3 || again != nil {
 		t.Fatalf("the round robin's second lap pulls %d with digest %x, want 3 with none", peer, again)
+	}
+}
+
+// TestServeAndApplyAllocatesNothing: once warm, serving a 512-record
+// catch-up batch — digest learnt, records skipped and shipped into a reused
+// buffer — and applying it through a store's stamp-gated apply allocate
+// nothing.
+func TestServeAndApplyAllocatesNothing(t *testing.T) {
+	const records = 2048
+	writes := make([]wal.Have, records)
+	for i := range writes {
+		writes[i] = wal.Have{Item: model.ItemID(i % 8), CommitMicros: int64(i + 1)}
+	}
+	src := serverLog(t, wal.Options{}, writes...)
+	dst := storage.NewStore(1)
+	for i := 0; i < 8; i++ {
+		dst.Create(model.ItemID(i), 0)
+	}
+	pull := model.ReplPullMsg{From: 1, AfterSeq: 100, Have: digest(wal.Have{Item: 3, CommitMicros: 2000})}
+	var k Known
+	var frames []byte
+	var shippedN int
+	serveApply := func() {
+		batch, err := k.Serve(0, src, pull, 512, frames[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = batch.Frames
+		st := Apply(batch.Frames, func(r wal.Record) bool {
+			return dst.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros)
+		})
+		shippedN = st.Applied + st.Skipped
+	}
+	serveApply()
+	if shippedN != 512 {
+		t.Fatalf("served %d records, want a full batch of 512", shippedN)
+	}
+	if n := testing.AllocsPerRun(50, serveApply); n != 0 {
+		t.Fatalf("%v allocations per served and applied batch, want 0", n)
 	}
 }

@@ -83,7 +83,7 @@ func TestConcurrentCatchUpReplayVsLiveWrites(t *testing.T) {
 		for {
 			_, have, _ := puller.NextPull(dstLog)
 			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: have}
-			batch, err := known.Serve(0, srcLog, pull, 64)
+			batch, err := known.Serve(0, srcLog, pull, 64, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -56,6 +56,7 @@ type Puller struct {
 	reported map[model.SiteID]uint64
 	next     int        // the round robin's position in peers
 	have     []wal.Have // NextPull's scratch
+	digest   []byte     // NextPull's encoded digest, reused by the next call
 	// incarnation counts ResetAll calls. Every pull carries it and every
 	// reply echoes it, so a reply to a pull sent before a crash is told
 	// from one sent after.
@@ -133,9 +134,9 @@ func (p *Puller) SetPeers(peers []model.SiteID) {
 // encodes the digest its pull carries: what src journaled since this site's
 // previous pull to that peer, so the peer can leave out what this site
 // already holds — among it what another peer shipped here since. Nil when
-// nothing was journaled or src is nil. The bytes are fresh each call — the
-// pull carrying them is still in flight at the next tick. ok is false when
-// there is no peer to pull.
+// nothing was journaled or src is nil. The bytes are the puller's own and
+// valid until the next call, so the pull carrying them must copy them
+// (model.PooledReplPull does). ok is false when there is no peer to pull.
 func (p *Puller) NextPull(src Source) (peer model.SiteID, have []byte, ok bool) {
 	if len(p.peers) == 0 {
 		return 0, nil, false
@@ -150,7 +151,8 @@ func (p *Puller) NextPull(src Source) (peer model.SiteID, have []byte, ok bool) 
 	if len(p.have) == 0 {
 		return peer, nil, true
 	}
-	return peer, AppendHave(make([]byte, 0, 4*len(p.have)), p.have), true
+	p.digest = AppendHave(p.digest[:0], p.have)
+	return peer, p.digest, true
 }
 
 // ResetAll zeroes every watermark and digest cursor and starts a new
@@ -187,8 +189,8 @@ func (p *Puller) Watermarks() map[model.SiteID]uint64 {
 // wal.SiteLog): peers' pulls are served from its durable records, and the
 // site's own pulls carry the digest of what it journaled.
 type Source interface {
-	RecordsSince(afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool) (frames []byte, next uint64, more, gap bool, err error)
-	SnapshotRecords() (frames []byte, appliedSeq uint64, err error)
+	RecordsSince(afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool, dst []byte) (frames []byte, next uint64, more, gap bool, err error)
+	SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64, err error)
 	HaveSince(afterSeq uint64, dst []wal.Have) (have []wal.Have, through uint64)
 }
 
@@ -196,14 +198,14 @@ type Source interface {
 // afterSeq minus the records skip reports the puller already holds (nil
 // ships them all), or — when that tail was truncated by a snapshot — the
 // Reset image of the newest snapshot (More set so the puller immediately
-// comes back for the tail above it).
-func BuildBatch(from model.SiteID, src Source, afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool) (model.ReplRecordsMsg, error) {
-	frames, next, more, gap, err := src.RecordsSince(afterSeq, max, skip)
+// comes back for the tail above it). The batch's Frames are appended to dst.
+func BuildBatch(from model.SiteID, src Source, afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool, dst []byte) (model.ReplRecordsMsg, error) {
+	frames, next, more, gap, err := src.RecordsSince(afterSeq, max, skip, dst)
 	if err != nil {
 		return model.ReplRecordsMsg{}, err
 	}
 	if gap {
-		frames, next, err = src.SnapshotRecords()
+		frames, next, err = src.SnapshotRecords(dst)
 		if err != nil {
 			return model.ReplRecordsMsg{}, err
 		}

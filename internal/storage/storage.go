@@ -99,6 +99,19 @@ type copyState struct {
 
 func (c *copyState) latest() *Version { return &c.versions[len(c.versions)-1] }
 
+// push appends v to the chain. A chain with no spare capacity grows at once
+// to the longest it gets before a prune — maxVersions retained plus the one
+// being added — so a copy's chain reallocates once, at its second version,
+// instead of at every new longest length; prune shifts in place.
+func (c *copyState) push(v Version, maxVersions int) {
+	if len(c.versions) == cap(c.versions) {
+		grown := make([]Version, len(c.versions), max(maxVersions, len(c.versions))+1)
+		copy(grown, c.versions)
+		c.versions = grown
+	}
+	c.versions = append(c.versions, v)
+}
+
 // Store holds every physical copy resident at one data site as a bounded
 // multi-version chain per copy.
 //
@@ -211,7 +224,7 @@ func (s *Store) Write(item model.ItemID, txn model.TxnID, value int64, commitMic
 		Writer:       txn,
 		CommitMicros: commitMicros,
 	}
-	c.versions = append(c.versions, next)
+	c.push(next, s.policy.MaxVersions)
 	s.prune(c, commitMicros)
 	s.barrier.RUnlock()
 	// Outside the barrier — see the Store comment for the lock-order and
@@ -363,9 +376,9 @@ func (s *Store) Apply(item model.ItemID, txn model.TxnID, value int64, version u
 	if version <= c.latest().Version {
 		return // already reflected by the snapshot this replay started from
 	}
-	c.versions = append(c.versions, Version{
+	c.push(Version{
 		Value: value, Version: version, Writer: txn, CommitMicros: commitMicros,
-	})
+	}, s.policy.MaxVersions)
 	s.prune(c, commitMicros)
 }
 
@@ -399,7 +412,7 @@ func (s *Store) ApplyShipped(item model.ItemID, txn model.TxnID, value int64, co
 		return false
 	}
 	next := Version{Value: value, Version: latest.Version + 1, Writer: txn, CommitMicros: commitMicros}
-	c.versions = append(c.versions, next)
+	c.push(next, s.policy.MaxVersions)
 	s.prune(c, commitMicros)
 	s.barrier.RUnlock()
 	// Outside the barrier — see the Store comment (same ordering as Write).

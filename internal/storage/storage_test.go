@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -206,5 +207,46 @@ func TestEachChainFollowsTheMap(t *testing.T) {
 	s.RestoreChain(CopyChain{ID: model.CopyID{Item: 1, Site: 4}, Versions: []Version{{Value: 1}}})
 	if items, _ := visit(); !slices.Equal(items, []model.ItemID{1}) {
 		t.Fatalf("visit after Wipe and RestoreChain: items %v", items)
+	}
+}
+
+// TestChainWriteAllocatesNothing: after a copy's first write, writes that
+// take its chain to its longest length and keep it there — appended, then
+// pruned by the hard cap — allocate nothing, shipped and replayed ones too.
+func TestChainWriteAllocatesNothing(t *testing.T) {
+	const copies = 64
+	s := NewStore(0)
+	s.SetChainPolicy(ChainPolicy{MaxVersions: 16, KeepMicros: 1 << 40})
+	for i := 0; i < copies; i++ {
+		s.Create(model.ItemID(i), 0)
+	}
+	txn := model.TxnID{Site: 0, Seq: 1}
+	stamp := int64(1)
+	for i := 0; i < copies; i++ {
+		s.Write(model.ItemID(i), txn, 1, stamp)
+		stamp++
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for round := 0; round < 20; round++ {
+		for i := 0; i < copies; i++ {
+			item := model.ItemID(i)
+			switch round % 3 {
+			case 0:
+				s.Write(item, txn, int64(round), stamp)
+			case 1:
+				s.ApplyShipped(item, txn, int64(round), stamp)
+			default:
+				s.Apply(item, txn, int64(round), s.Latest(item).Version+1, stamp)
+			}
+			stamp++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations writing %d chains to their longest length, want 0", n, copies)
+	}
+	if got := s.ChainLen(0); got != 16 {
+		t.Fatalf("chain length %d, want the cap 16", got)
 	}
 }

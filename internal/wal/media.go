@@ -123,9 +123,20 @@ func (m *DirMedia) syncDir() error {
 // MemMedia keeps objects in memory and distinguishes synced from unsynced
 // bytes, so a simulated crash (Crash) loses exactly what a power cut would:
 // every write since the last Sync.
+//
+// Each object is one array: the synced bytes, then the unsynced ones. A
+// Sync only moves the boundary, so no byte is copied twice, and an object
+// Remove drops keeps its array (and itself) for the next Create, so a log
+// that rolls and snapshots at a steady size allocates nothing for its media.
+// The Writer Create returns is the object itself, so it must not be used
+// after the object is removed: its memory belongs to a later Create. The
+// site log never does — it removes only sealed segments and closed
+// snapshots, under the lock its flushes hold.
 type MemMedia struct {
 	mu   sync.Mutex
 	objs map[string]*memObj
+	// free holds up to maxFreeObjs removed objects for Create to reuse.
+	free []*memObj
 	// SyncCount counts Sync calls across all objects (test/benchmark
 	// visibility into how well group commit batches).
 	SyncCount uint64
@@ -135,9 +146,16 @@ type MemMedia struct {
 	SyncDelay time.Duration
 }
 
+// maxFreeObjs bounds MemMedia's free objects: a site log removes a few
+// objects per snapshot and creates as many.
+const maxFreeObjs = 4
+
+// memObj is one object and its Writer: data[:synced] has been synced,
+// data[synced:] is written but not yet synced.
 type memObj struct {
-	synced  []byte
-	pending []byte
+	media  *MemMedia
+	data   []byte
+	synced int
 }
 
 // NewMemMedia builds an empty in-memory medium.
@@ -167,25 +185,38 @@ func (m *MemMedia) ReadAll(name string) ([]byte, error) {
 	if o == nil {
 		return nil, fmt.Errorf("wal: mem object %q does not exist", name)
 	}
-	out := make([]byte, 0, len(o.synced)+len(o.pending))
-	out = append(out, o.synced...)
-	return append(out, o.pending...), nil
+	out := make([]byte, len(o.data))
+	copy(out, o.data)
+	return out, nil
 }
 
-// Create implements Media.
+// Create implements Media. Creating a name that exists replaces its object.
 func (m *MemMedia) Create(name string) (Writer, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o := &memObj{}
+	var o *memObj
+	if n := len(m.free); n > 0 {
+		o, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		o = &memObj{media: m}
+	}
 	m.objs[name] = o
-	return &memWriter{media: m, obj: o}, nil
+	return o, nil
 }
 
 // Remove implements Media.
 func (m *MemMedia) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	o := m.objs[name]
+	if o == nil {
+		return nil
+	}
 	delete(m.objs, name)
+	if len(m.free) < maxFreeObjs {
+		o.data, o.synced = o.data[:0], 0
+		m.free = append(m.free, o)
+	}
 	return nil
 }
 
@@ -195,7 +226,7 @@ func (m *MemMedia) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, o := range m.objs {
-		o.pending = nil
+		o.data = o.data[:o.synced]
 	}
 }
 
@@ -206,30 +237,22 @@ func (m *MemMedia) Syncs() uint64 {
 	return m.SyncCount
 }
 
-type memWriter struct {
-	media *MemMedia
-	obj   *memObj
-}
-
-func (w *memWriter) Write(p []byte) (int, error) {
-	w.media.mu.Lock()
-	defer w.media.mu.Unlock()
-	w.obj.pending = append(w.obj.pending, p...)
+func (o *memObj) Write(p []byte) (int, error) {
+	o.media.mu.Lock()
+	defer o.media.mu.Unlock()
+	o.data = append(o.data, p...)
 	return len(p), nil
 }
 
-func (w *memWriter) Sync() error {
-	if d := w.media.SyncDelay; d > 0 {
+func (o *memObj) Sync() error {
+	if d := o.media.SyncDelay; d > 0 {
 		time.Sleep(d)
 	}
-	w.media.mu.Lock()
-	defer w.media.mu.Unlock()
-	w.obj.synced = append(w.obj.synced, w.obj.pending...)
-	// The synced bytes are a copy, and nothing else holds pending (ReadAll
-	// copies, Crash drops it), so the next Write reuses its array.
-	w.obj.pending = w.obj.pending[:0]
-	w.media.SyncCount++
+	o.media.mu.Lock()
+	defer o.media.mu.Unlock()
+	o.synced = len(o.data)
+	o.media.SyncCount++
 	return nil
 }
 
-func (w *memWriter) Close() error { return nil }
+func (o *memObj) Close() error { return nil }

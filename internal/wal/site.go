@@ -442,8 +442,8 @@ func (b *shipBatch) add(r Record) bool {
 }
 
 // RecordsSince serves a log-shipping pull (internal/repl): up to max durable
-// records with Seq > afterSeq, in the shipped batch codec (AppendShipped).
-// Records for which skip
+// records with Seq > afterSeq, in the shipped batch codec (AppendShipped),
+// appended to dst. Records for which skip
 // reports true (nil skips none) are left out; next still moves past them.
 // next is the last sequence number examined (afterSeq when none); more
 // reports the batch was cut at the bound. A mark the in-memory tail covers is
@@ -453,26 +453,26 @@ func (b *shipBatch) add(r Record) bool {
 // be reset from SnapshotRecords instead. Only synced records are served: the
 // buffered tail is not yet durable here, so it must not advance a peer's
 // watermark (it ships after its flush).
-func (s *SiteLog) RecordsSince(afterSeq uint64, max int, skip func(model.ItemID, int64) bool) (frames []byte, next uint64, more, gap bool, err error) {
+func (s *SiteLog) RecordsSince(afterSeq uint64, max int, skip func(model.ItemID, int64) bool, dst []byte) (frames []byte, next uint64, more, gap bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
-		return nil, afterSeq, false, false, fmt.Errorf("wal: records-since on crashed site log")
+		return dst, afterSeq, false, false, fmt.Errorf("wal: records-since on crashed site log")
 	}
 	if max <= 0 {
 		max = 512
 	}
-	b := shipBatch{next: afterSeq, room: max, skip: skip}
+	b := shipBatch{frames: dst, next: afterSeq, room: max, skip: skip}
 	switch {
 	case afterSeq >= s.synced:
 		// Caught up: nothing durable lies past the mark.
 	case len(s.tail) > 0 && afterSeq+1 >= s.tail[0].Seq:
 		s.tailSince(afterSeq, &b)
 	case afterSeq < s.lastSnapSeq:
-		return nil, afterSeq, false, true, nil
+		return dst, afterSeq, false, true, nil
 	default:
 		if err := s.mediaSince(afterSeq, &b); err != nil {
-			return nil, afterSeq, false, false, err
+			return dst, afterSeq, false, false, err
 		}
 	}
 	return b.frames, b.next, b.more, false, nil
@@ -505,23 +505,25 @@ func (s *SiteLog) mediaSince(afterSeq uint64, b *shipBatch) error {
 
 // SnapshotRecords serves the reset path of a log-shipping pull: one
 // synthetic record per copy imaging the newest durable snapshot's latest
-// versions (in the shipped batch codec, like RecordsSince), plus the
-// snapshot's applied sequence — the watermark from which the incremental
-// tail continues. The receiver's apply is stamp-gated, not sequence-gated,
-// so the only sequence that matters is the returned watermark.
-func (s *SiteLog) SnapshotRecords() (frames []byte, appliedSeq uint64, err error) {
+// versions (in the shipped batch codec, like RecordsSince) appended to dst,
+// plus the snapshot's applied sequence — the watermark from which the
+// incremental tail continues. The receiver's apply is stamp-gated, not
+// sequence-gated, so the only sequence that matters is the returned
+// watermark.
+func (s *SiteLog) SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
-		return nil, 0, fmt.Errorf("wal: snapshot-records on crashed site log")
+		return dst, 0, fmt.Errorf("wal: snapshot-records on crashed site log")
 	}
 	snap, ok, err := newestSnapshot(s.media)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	if !ok {
-		return nil, 0, fmt.Errorf("wal: no valid snapshot on media at site %d", s.store.Site())
+		return dst, 0, fmt.Errorf("wal: no valid snapshot on media at site %d", s.store.Site())
 	}
+	frames = dst
 	var prev int64
 	for _, cc := range snap.Chains {
 		v := cc.Versions[len(cc.Versions)-1]

@@ -101,7 +101,7 @@ func TestJournalingDoesNotWaitForTheSync(t *testing.T) {
 	journaled := make(chan struct{})
 	go func() {
 		write(st, 2, 12) // must not wait for the gate
-		if frames, _, _, _, err := sl.RecordsSince(0, 0, nil); err != nil || len(frames) != 0 {
+		if frames, _, _, _, err := sl.RecordsSince(0, 0, nil, nil); err != nil || len(frames) != 0 {
 			t.Errorf("served %d bytes (%v) while their sync was in flight", len(frames), err)
 		}
 		close(journaled)

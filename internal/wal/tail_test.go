@@ -39,7 +39,7 @@ func mustFlush(t *testing.T, sl *SiteLog) {
 // Seq; where the tests below journal seq i stamped i, CommitMicros names it.
 func pull(t *testing.T, sl *SiteLog, afterSeq uint64, max int, skip func(model.ItemID, int64) bool) (recs []Record, next uint64, more, gap bool) {
 	t.Helper()
-	frames, next, more, gap, err := sl.RecordsSince(afterSeq, max, skip)
+	frames, next, more, gap, err := sl.RecordsSince(afterSeq, max, skip, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTailAndMediaServeTheSameBatches(t *testing.T) {
 		for try := 0; try < 200; try++ {
 			after := uint64(rng.Intn(synced + unsynced + 3))
 			max := 1 + rng.Intn(64)
-			frames, next, more, gap, err := sl.RecordsSince(after, max, skip)
+			frames, next, more, gap, err := sl.RecordsSince(after, max, skip, nil)
 			if err != nil || gap {
 				t.Fatalf("skip %s after %d max %d: gap=%v err=%v", name, after, max, gap, err)
 			}

@@ -89,10 +89,10 @@ func TestLogUnflushedRecordsAreVolatile(t *testing.T) {
 	}
 }
 
-// TestMemMediaWriteSyncAllocatesNothing: once an object's buffers have grown,
-// a write and its sync allocate nothing — the unsynced buffer is reused
-// after every sync — and a crash still keeps exactly the synced bytes, even
-// after the reused buffer has taken newer, unsynced ones.
+// TestMemMediaWriteSyncAllocatesNothing: once an object's array has grown,
+// a write and its sync allocate nothing — a sync copies nothing — and a
+// crash still keeps exactly the synced bytes, even after newer, unsynced
+// ones were written behind them.
 func TestMemMediaWriteSyncAllocatesNothing(t *testing.T) {
 	media := NewMemMedia()
 	w, err := media.Create("seg")
@@ -132,6 +132,48 @@ func TestMemMediaWriteSyncAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, appendSync); n != 0 {
 		t.Fatalf("a MemMedia write and sync allocate %v times, want 0", n)
+	}
+}
+
+// TestMemMediaRollAllocatesNothing: after warm-up, rolling to a new segment
+// or writing a new snapshot object — create, write and sync, close, remove
+// the object it replaces — allocates nothing: the new object takes a
+// removed one's array. A reused object holds only what was written to it.
+func TestMemMediaRollAllocatesNothing(t *testing.T) {
+	media := NewMemMedia()
+	segs := [2]string{segName(1), segName(2)}
+	snaps := [2]string{snapName(1, 0), snapName(2, 0)}
+	chunk := bytes.Repeat([]byte{7}, 4096)
+	turn := 0
+	roll := func() {
+		cur, old := turn%2, (turn+1)%2
+		turn++
+		for _, pair := range [][2]string{segs, snaps} {
+			w, err := media.Create(pair[cur])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ {
+				w.Write(chunk)
+				if i%8 == 7 {
+					w.Sync()
+				}
+			}
+			w.Close()
+			media.Remove(pair[old])
+		}
+	}
+	for i := 0; i < 4; i++ {
+		roll()
+	}
+	if got, _ := media.ReadAll(segs[(turn-1)%2]); len(got) != 64*len(chunk) {
+		t.Fatalf("a reused object holds %d bytes, want the %d written to it", len(got), 64*len(chunk))
+	}
+	if raceEnabled {
+		return // allocation counts mean nothing under the race detector
+	}
+	if n := testing.AllocsPerRun(20, roll); n != 0 {
+		t.Fatalf("a segment roll and a snapshot object allocate %v times, want 0", n)
 	}
 }
 

@@ -111,7 +111,7 @@ func TestShippedRecordBudget(t *testing.T) {
 	if err := sl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	frames, next, more, gap, err := sl.RecordsSince(0, records, nil)
+	frames, next, more, gap, err := sl.RecordsSince(0, records, nil, nil)
 	if err != nil || next != records || more || gap {
 		t.Fatalf("served through %d (more %v, gap %v, err %v), want all %d records", next, more, gap, err, records)
 	}

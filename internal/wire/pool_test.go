@@ -46,14 +46,18 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// eleven fixed-size protocol types, the five bounded batches, the submit's
-// Txn, and nothing else. Any other variable-size type coming back pooled
+// eleven fixed-size protocol types, the six bounded batches, the catch-up
+// pull and reply and the wait-for report with their bounded arrays, the
+// submit's Txn, and nothing else. Any other variable-size type coming back pooled
 // here means someone pooled a message whose slices or maps would pin memory;
 // a hot type coming back unpooled means the pool silently stopped covering
 // it.
 func TestPooledTypesAreHotSet(t *testing.T) {
 	pooled := map[reflect.Type]bool{
 		reflect.TypeOf(model.SubmitTxnMsg{}):          true,
+		reflect.TypeOf(model.ReplPullMsg{}):           true,
+		reflect.TypeOf(model.ReplRecordsMsg{}):        true,
+		reflect.TypeOf(model.WFGReportMsg{}):          true,
 		reflect.TypeOf(model.RequestBatchMsg{}):       true,
 		reflect.TypeOf(model.ReleaseBatchMsg{}):       true,
 		reflect.TypeOf(model.AbortBatchMsg{}):         true,
@@ -100,8 +104,8 @@ func decodedPooled(m model.Message) bool {
 
 // TestSendOnlyPooledTypesDecodeAsValues pins the decode half of the send-only
 // rule (model/wirepool.go): TxnDone (tag 16), ComputeDone (20), Restart (21)
-// and TxnFinished (22) leave an issuer, and QueueStats (17) a queue manager,
-// as pooled pointers, encode to exactly their values' bytes, and come back
+// and TxnFinished (22) leave an issuer, QueueStats (17) a queue manager and
+// ProbeWFG (14) the deadlock detector as pooled pointers, encode to exactly their values' bytes, and come back
 // from the pooled decoder as values — the form a client that knows only the
 // value cases matches.
 func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
@@ -118,6 +122,7 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 		{21, model.RestartMsg{Txn: txn, Attempt: 3}, model.PooledRestart(model.RestartMsg{Txn: txn, Attempt: 3})},
 		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
 		{17, stats, model.PooledQueueStats(stats)},
+		{14, model.ProbeWFGMsg{Round: 300}, model.PooledProbeWFG(model.ProbeWFGMsg{Round: 300})},
 	} {
 		want, err := model.AppendMessage(nil, tc.value)
 		if err != nil {
