@@ -58,7 +58,7 @@ func defineFlags(fs *flag.FlagSet) *nodeFlags {
 	fs.Float64Var(&c.RI.Admission.TokensPerSec, "admission-rate", 0, "token-bucket cap on new-transaction starts per second (0 = no rate gate)")
 	fs.Int64Var(&f.admTargetMS, "admission-target-ms", 0, "commit-latency target (ms); commits slower than this shrink the window (0 = busy-NAK signal only)")
 
-	fs.IntVar(&q.N, "quorum-n", 0, "quorum replication: copies per item (0 with -quorum-w/-r = read-one/write-all; all processes must agree)")
+	fs.IntVar(&q.N, "quorum-n", 0, "quorum replication: copies per item (0 with -quorum-w/-r = read-one/write-all, which is N = W = -replicas and R = 1; all processes must agree)")
 	fs.IntVar(&q.W, "quorum-w", 0, "quorum replication: write quorum size (W of N grants commit a write)")
 	fs.IntVar(&q.R, "quorum-r", 0, "quorum replication: read quorum size (R copies answer a read, highest commit stamp wins)")
 	fs.Int64Var(&f.replMS, "repl-period-ms", 150, "WAL log-shipping catch-up pull period (ms)")
@@ -88,7 +88,7 @@ func (f *nodeFlags) config() (deploy.Config, error) {
 	if d := f.durability; d.Dir != "" {
 		cfg.Durability = &d
 	}
-	// All three zero means quorum mode is off (read-one/write-all).
+	// All three zero means read-one/write-all: Quorum{N, N, 1}.
 	if q := f.quorum; q != (model.Quorum{}) {
 		cfg.Quorum = &q
 	}

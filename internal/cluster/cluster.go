@@ -376,12 +376,12 @@ func (c *Cluster) Finish() Result {
 		c.Eng.Drain(0)
 	}
 
-	// Quorum settle: the periodic pull chain stopped with the StopMsgs
+	// Catch-up settle: the periodic pull chain stopped with the StopMsgs
 	// above, so writes that committed during the drain never shipped. Run
 	// one-shot pull rounds to a fixpoint (applies stop changing) so the
 	// final store state reflects full convergence — bounded, because each
 	// round can only move watermarks forward and the logs are now quiet.
-	if c.Cfg.Quorum != nil {
+	if c.Cfg.CatchUp() {
 		for round := 0; round < 8; round++ {
 			before := c.QMTotals().ReplApplied
 			for _, s := range c.Cfg.SiteIDs() {
@@ -456,9 +456,10 @@ func (c *Cluster) QMTotals() qm.Counters {
 }
 
 // ReplWatermarks returns each site's per-peer catch-up watermarks (site →
-// peer → highest applied WAL sequence); empty when quorum replication is
-// off. The convergence probe: after a settle window, a recovered site's
-// watermark for every peer must have caught up to that peer's durable log.
+// peer → highest applied WAL sequence); empty when the catch-up plane does
+// not run (deploy.Config.CatchUp). The convergence probe: after a settle
+// window, a recovered site's watermark for every peer must have caught up
+// to that peer's durable log.
 func (c *Cluster) ReplWatermarks() map[model.SiteID]map[model.SiteID]uint64 {
 	out := map[model.SiteID]map[model.SiteID]uint64{}
 	for s, m := range c.Managers {

@@ -237,6 +237,42 @@ func TestQuorumSnapshotReadsSerializable(t *testing.T) {
 	}
 }
 
+// TestWriteAllQuorumKeepsSnapshotFastPath: under W = N every committed write
+// reached every copy, the primary included, so read-only snapshots keep the
+// primary-copy fast path — here with an explicit Quorum{3, 3, 1}, the shape
+// a nil Quorum stands for — and the history stays serializable.
+func TestWriteAllQuorumKeepsSnapshotFastPath(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := quorumCfg(seed)
+			cfg.Quorum = &model.Quorum{N: 3, W: 3, R: 1}
+			cl, err := NewSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < cl.Cfg.Sites; s++ {
+				if err := cl.AddDriver(model.SiteID(s), workload.Spec{
+					ArrivalPerSec: 60,
+					HorizonMicros: 2_000_000,
+					Items:         cl.Cfg.Items,
+					Size:          4,
+					ReadFrac:      0.5,
+					Share2PL:      1, ShareTO: 1, SharePA: 1, ShareRO: 1.5,
+					ROSize:        4,
+					ComputeMicros: 500,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := cl.Run(2_000_000, 8_000_000)
+			checkRun(t, "write-all-snapshots", res, 100)
+			if reads, ro := cl.QMTotals().SnapReads, cl.RITotals().ROCommitted; reads == 0 || ro == 0 {
+				t.Fatalf("%d snapshot reads served, %d snapshots committed on the fast path; want both > 0 under W = N", reads, ro)
+			}
+		})
+	}
+}
+
 // requireReplicasAgree fails unless every item's copies hold one value.
 func requireReplicasAgree(t *testing.T, cl *Cluster, what string) {
 	t.Helper()

@@ -20,7 +20,7 @@ type Config struct {
 	Sites int
 	// Items is the number of logical data items.
 	Items int
-	// Replicas is the number of physical copies per item (read-one/write-all).
+	// Replicas is the number of physical copies per item.
 	Replicas int
 	// Shards partitions every site's queue manager into this many
 	// independent shards (hash of item → shard): per-shard queue tables,
@@ -59,21 +59,22 @@ type Config struct {
 	// simulator's CrashSite/RecoverSite fault injection.
 	Durability *Durability
 
-	// Quorum switches replica access from read-one/write-all to quorum mode
-	// (model.Quorum: writes commit on any W of N copies, reads consult R and
-	// take the highest commit stamp) and wires the log-shipping catch-up
-	// plane (internal/repl) that converges lagging copies. Requires
-	// Durability — catch-up streams the WAL — and N must equal Replicas.
-	// A first attempt asks only a quorum of copies and hedges to the rest
-	// when it stalls (ri.Options.Quorum). Read-only snapshot transactions
-	// run as PA: the snapshot fast path reads the primary copy alone, which
-	// a write quorum may have left out.
+	// Quorum is the replica-access discipline (model.Quorum: writes commit
+	// on any W of N copies, reads consult R and take the highest commit
+	// stamp); nil is read-one/write-all, Quorum{N, N, 1}. N must equal
+	// Replicas. A first attempt asks only a quorum of copies and hedges to
+	// the rest when it stalls (ri.Options.Quorum). W < N requires
+	// Durability: a copy a write quorum left out converges only through
+	// the log-shipping catch-up plane (CatchUp), which streams the WAL.
+	// Under W < N read-only snapshot transactions run as PA: the snapshot
+	// fast path reads the primary copy alone, which a write quorum may have
+	// left out.
 	Quorum *model.Quorum
 	// ReplPeriodMicros is the catch-up pull period (default
-	// repl.DefaultPeriodMicros, 150ms). Only meaningful with Quorum.
+	// repl.DefaultPeriodMicros, 150ms). Only meaningful when CatchUp runs.
 	ReplPeriodMicros int64
 	// ReplBatchRecords bounds records per catch-up reply (default
-	// repl.DefaultBatchRecords). Only meaningful with Quorum.
+	// repl.DefaultBatchRecords). Only meaningful when CatchUp runs.
 	ReplBatchRecords int
 }
 
@@ -103,12 +104,10 @@ type Durability struct {
 	// entries, so recording + crashes + any window is inside the checked
 	// envelope. What a crash cannot do is un-commit the transaction — the
 	// protocol has no release-ack — so the copy that lost the write stays
-	// behind its peers until something re-ships it. Quorum catch-up does
-	// (a recovered site re-pulls every peer's log); write-all replication
-	// has no such plane, and a copy that lost a write this way stays stale
-	// until the item is written again. (Under the simulator a zero window
-	// leaves no instant for a crash to land in: the sync is scheduled at
-	// the release's own virtual time.)
+	// behind its peers until the catch-up plane re-ships it: a recovered
+	// site re-pulls every peer's log (Config.CatchUp). (Under the simulator
+	// a zero window leaves no instant for a crash to land in: the sync is
+	// scheduled at the release's own virtual time.)
 	GroupCommitMicros int64
 }
 
@@ -150,20 +149,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("deploy: Shards=%d exceeds 256 (engine addresses carry the shard index in one byte)", c.Shards)
 	}
 	if c.Quorum != nil {
-		if c.Durability == nil {
-			return fmt.Errorf("deploy: Quorum requires Durability — a lagging replica catches up by streaming peers' WALs")
+		if c.Quorum.W < c.Quorum.N && c.Durability == nil {
+			return fmt.Errorf("deploy: a Quorum with W < N requires Durability — a replica a write left out catches up by streaming peers' WALs")
 		}
 		// Replicas is clamped above, so N is checked against the copies
 		// the partition map will really hold.
 		if err := c.Quorum.Validate(c.Replicas); err != nil {
 			return fmt.Errorf("deploy: %w", err)
 		}
-		if c.ReplPeriodMicros < 0 {
-			return fmt.Errorf("deploy: ReplPeriodMicros must be non-negative (zero selects the default)")
-		}
-		if c.ReplBatchRecords < 0 {
-			return fmt.Errorf("deploy: ReplBatchRecords must be non-negative (zero selects the default)")
-		}
+	}
+	if c.ReplPeriodMicros < 0 {
+		return fmt.Errorf("deploy: ReplPeriodMicros must be non-negative (zero selects the default)")
+	}
+	if c.ReplBatchRecords < 0 {
+		return fmt.Errorf("deploy: ReplBatchRecords must be non-negative (zero selects the default)")
 	}
 	if c.RI.PAIntervalMicros == 0 && c.RI.RestartDelayMicros == 0 &&
 		c.RI.DefaultComputeMicros == 0 && c.RI.MaxAttempts == 0 &&
@@ -215,6 +214,14 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// CatchUp reports whether the sites run the log-shipping catch-up plane
+// (internal/repl): whenever a copy can miss a write that its peers keep —
+// a quorum's W < N leaves one out, and a crash inside the group-commit
+// window loses one under any quorum — and a peer's WAL can re-ship it.
+func (c *Config) CatchUp() bool {
+	return c.Durability != nil && c.Replicas > 1
 }
 
 // SiteIDs returns the site ids 0..Sites-1 in ascending order.

@@ -10,9 +10,10 @@ import (
 )
 
 // TestValidate covers the Config.Validate rules no entry point's own suite
-// does: the shard bound, the RI timing defaults and the epoch-0 map over a
-// DataSites subset. The quorum and placement rules are tested through the
-// entry points that reach Validate: cluster.NewSim (TestQuorumConfigValidation,
+// does: the shard bound, the RI timing defaults, the epoch-0 map over a
+// DataSites subset and the quorum shapes Durability decides. The other
+// quorum and placement rules are tested through the entry points that reach
+// Validate: cluster.NewSim (TestQuorumConfigValidation,
 // TestPlacementConfigValidation) and uccnode's flags (TestQuorumFromFlags,
 // TestPlacementFromFlag), so a shape one refuses, all refuse.
 func TestValidate(t *testing.T) {
@@ -52,6 +53,22 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Shards = %d, want 1", c.Shards)
 			}
 		}},
+
+		// Write-all is Quorum{N, N, 1}: every write reaches every copy, so a
+		// volatile cluster may name it. W < N leaves copies behind that only
+		// WAL log shipping can converge.
+		{"quorum/volatile write-all accepted", layout(func(c *Config) {
+			c.Replicas = 3
+			c.Quorum = &model.Quorum{N: 3, W: 3, R: 1}
+		}), "", func(t *testing.T, c Config) {
+			if c.CatchUp() {
+				t.Fatal("a volatile cluster runs the catch-up plane")
+			}
+		}},
+		{"quorum/volatile W < N refused", layout(func(c *Config) {
+			c.Replicas = 3
+			c.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
+		}), "requires Durability", nil},
 
 		// Leaving every protocol-timing knob unset fills the timing
 		// defaults, but an RI option configured on its own must survive

@@ -7,10 +7,11 @@
 // multi-version store with the site's copies; with Durability, a
 // write-ahead log (files under Dir/site<N>, or in-memory media for the
 // simulator's crash injection); a queue manager, registered once per
-// shard; with Quorum, the catch-up puller; and a request issuer. Site 0
-// also hosts the one deadlock detector. The metrics collector and the
-// workload drivers belong to the host: the simulator runs them beside the
-// sites, and over TCP they live in cmd/uccclient.
+// shard; with Durability and more than one copy per item, the catch-up
+// puller (Config.CatchUp); and a request issuer. Site 0 also hosts the one
+// deadlock detector. The metrics collector and the workload drivers belong
+// to the host: the simulator runs them beside the sites, and over TCP they
+// live in cmd/uccclient.
 //
 // Config.Validate is the one place the configuration rules live. Site
 // builds one site and hands its actors to the host's register function;

@@ -22,10 +22,11 @@ import (
 // protocol must commit, and once the traffic has settled every issuer must
 // be idle with each submitted transaction accounted for, and every queue
 // manager's queues must drain empty: a release or withdrawal lost on the
-// wire would strand its entry there. In "durable quorum, dead peer" site
-// 2's node is closed before traffic starts: the transport NAKs every
-// request to it busy, the quorum excludes the dead copy and hedges the
-// spare in, and every transaction of the live sites' drivers commits.
+// wire would strand its entry there. "durable write-all" runs the catch-up
+// plane beside write-all replication (no Quorum). In "durable quorum, dead
+// peer" site 2's node is closed before traffic starts: the transport NAKs
+// every request to it busy, the quorum excludes the dead copy and hedges
+// the spare in, and every transaction of the live sites' drivers commits.
 func TestLoopbackSites(t *testing.T) {
 	base := Config{
 		Sites: 3, Items: 48,
@@ -36,6 +37,12 @@ func TestLoopbackSites(t *testing.T) {
 	t.Run("volatile write-all", func(t *testing.T) {
 		cfg := base
 		cfg.Replicas = 2
+		runLoopback(t, cfg, -1)
+	})
+	t.Run("durable write-all", func(t *testing.T) {
+		cfg := base
+		cfg.Replicas = 3
+		cfg.Durability = &Durability{Dir: t.TempDir()}
 		runLoopback(t, cfg, -1)
 	})
 	t.Run("durable quorum", func(t *testing.T) {

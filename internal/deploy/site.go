@@ -65,7 +65,7 @@ func Site(cfg Config, self model.SiteID, pmap *model.PartitionMap, rec *history.
 		p.Manager.SetDurable(p.WAL)
 	}
 	p.Manager.SetPartitionMap(pmap)
-	if cfg.Quorum != nil {
+	if cfg.CatchUp() {
 		p.Manager.SetReplication(repl.NewPuller(repl.Options{
 			Site:         self,
 			Peers:        ReplPeers(pmap, self),
@@ -120,10 +120,10 @@ func ReplPeers(pm *model.PartitionMap, self model.SiteID) []model.SiteID {
 // a fixed order: the detector's probe rounds (when site 0 is among sites and
 // detection is on), then one plain tick to each of hosted (the host's own
 // periodic actors, such as the simulator's metrics collector), then each
-// site's queue-manager stats push, then each site's catch-up pull chain under
-// quorum replication. Ticks posted at one instant run in posting order, and
-// seeded simulator runs depend on this one. post delivers a message to a
-// local actor.
+// site's queue-manager stats push, then each site's catch-up pull chain when
+// it runs (Config.CatchUp). Ticks posted at one instant run in posting
+// order, and seeded simulator runs depend on this one. post delivers a
+// message to a local actor.
 func Start(cfg Config, sites []model.SiteID, post func(engine.Addr, model.Message), hosted ...engine.Addr) {
 	if cfg.Detector.PeriodMicros > 0 && slices.Contains(sites, 0) {
 		post(engine.DetectorAddr(), model.TickMsg{})
@@ -136,7 +136,7 @@ func Start(cfg Config, sites []model.SiteID, post func(engine.Addr, model.Messag
 			post(engine.QMAddr(s), model.TickMsg{})
 		}
 	}
-	if cfg.Quorum != nil {
+	if cfg.CatchUp() {
 		for _, s := range sites {
 			post(engine.QMAddr(s), model.TickMsg{Tag: qm.ReplTickTag})
 		}

@@ -347,7 +347,7 @@ type BusyMsg struct {
 // Refusal is per copy: a refused message is answered with one BusyMsg for
 // every copy it carried — Busy(i) for i in [0, Copies()) — so a refused
 // batch NAKs each member exactly as its single requests would have been, and
-// the issuer's per-copy handling (quorum exclusion, the write-all abort, the
+// the issuer's per-copy handling (quorum exclusion, the attempt's abort, the
 // admission window's feedback) cannot tell the difference.
 type Sheddable interface {
 	Message

@@ -110,7 +110,10 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 // onReplRecords replays one shipped batch: each record is applied under the
 // owning shard's lock through the store's stamp-gated ApplyShipped (stale
 // and duplicate records skip — the idempotence the protocol leans on) and
-// parks its item like any journaled write, every shard is then flushed in
+// parks its item like any journaled write. A record whose writer still holds
+// an entry in the copy's queue skips too: that writer's own release is on
+// its way and installs the write in its place in the queue's order (see the
+// race envelope in package repl). Every shard is then flushed in
 // place so catch-up progress is itself durable, and only then does the
 // peer's watermark advance. Only one shard lock is ever held at a time, so
 // there is no cycle against crash/recovery's lockAll. Every decoded record,
@@ -135,10 +138,14 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		sh := m.shardFor(r.Item)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
+		q := sh.queues[r.Item]
+		if q != nil && q.find(r.Txn) != nil {
+			return false
+		}
 		if !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
 			return false
 		}
-		sh.park(sh.queues[r.Item])
+		sh.park(q)
 		return true
 	})
 	m.flushAll(ctx)

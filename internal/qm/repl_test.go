@@ -205,3 +205,32 @@ func TestShippedRecordsAreNotEchoed(t *testing.T) {
 		}
 	}
 }
+
+// TestShippedRecordOfALiveWriterWaitsForItsRelease: a writer's record can
+// ship here from a peer that got its release first, while this copy's queue
+// still holds the writer's entry. The record skips — installing it would put
+// the write ahead of the writer's own place in the queue's order — and the
+// writer's release, still on its way, installs it once.
+func TestShippedRecordOfALiveWriterWaitsForItsRelease(t *testing.T) {
+	m, st, _ := replSite(t)
+	ctx := newFakeCtx()
+	w := req(5, model.TwoPL, model.OpWrite, 3, model.NoTimestamp)
+	m.OnMessage(ctx, engine.RIAddr(1), w)
+	if grants := take[model.GrantMsg](ctx); len(grants) != 1 {
+		t.Fatalf("write request drew %d grants, want 1", len(grants))
+	}
+	rec := wal.Record{Seq: 7, Item: 3, Txn: w.Txn, Value: 40, Version: 7, CommitMicros: 40}
+	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frameAll(rec), NextAfterSeq: 7})
+	if v, _ := st.Read(3); v != 100 {
+		t.Fatalf("item 3 holds %d while its writer's entry is live, want the untouched 100", v)
+	}
+	if c := m.Snapshot(); c.ReplApplied != 0 || c.ReplSkipped != 1 {
+		t.Fatalf("applied %d, skipped %d shipped records, want 0 and 1", c.ReplApplied, c.ReplSkipped)
+	}
+	rel := release(5, 3, true, 40)
+	rel.CommitMicros = 40
+	m.OnMessage(ctx, engine.RIAddr(1), rel)
+	if v, _ := st.Read(3); v != 40 || st.ChainLen(3) != 2 {
+		t.Fatalf("after the release item 3 holds %d in %d versions, want 40 in 2", v, st.ChainLen(3))
+	}
+}

@@ -104,16 +104,32 @@
 //
 // # Race envelope
 //
-// A live local Write is not stamp-gated: in principle a freshly shipped
-// newer version could be followed by an older in-flight local write, which
-// would install it as the newer ordinal. The protocol prevents this in
-// practice the same way the group-commit window documents its loss envelope:
-// a record ships to a site no sooner than that site's next pull to a peer
-// holding it, and the tick interval — the pull period (default 150ms per
-// peer) divided by the site's peers, 75ms with the two peers of a
-// three-site cluster — still dwarfs the maximum one-way delay (~3ms). So by
-// the time a record is durable at a peer, pulled, and shipped back, every
-// release of an older conflicting write has long been delivered.
+// A record can ship to a copy whose own release of the same write is still
+// on its way: the writer's release reached a peer first, the peer journaled
+// it, and this copy pulled it. The copy's queue then still holds the
+// writer's entry — under W = N every written copy does, since the writer
+// committed only once each of them granted. The shipped record is skipped
+// and counted as skipped: the writer's release installs the write at its
+// place in the queue's order, after the grants and reads that queue
+// serialized before it. Installing it early would expose the write to
+// readers the queue orders ahead of the writer, and the history would no
+// longer be serializable. That peer does not ship a skipped record again
+// (the watermark moves past it), so the skip leans on the release. Under
+// W < N a requested copy that never granted gets a withdrawal instead of a
+// release; it leaves the issuer at the same instant as the releases that put
+// the record in the peer's log, so, by the tick-interval argument below, it
+// retires the entry long before the record can ship back.
+//
+// Past that, a live local Write is not stamp-gated: in principle a freshly
+// shipped newer version of another writer could be followed by an older
+// in-flight local write, which would install it as the newer ordinal. The
+// protocol prevents this in practice the same way the group-commit window
+// documents its loss envelope: a record ships to a site no sooner than that
+// site's next pull to a peer holding it, and the tick interval — the pull
+// period (default 150ms per peer) divided by the site's peers, 75ms with the
+// two peers of a three-site cluster — still dwarfs the maximum one-way delay
+// (~3ms). So by the time a record is durable at a peer, pulled, and shipped
+// back, every release of an older conflicting write has long been delivered.
 // Quorum reads stay sound regardless — W+R > N puts the freshest committed
 // write in every read quorum, and the issuer picks the highest commit stamp.
 package repl

@@ -12,7 +12,8 @@
 // with one model.AbortBatchMsg per mailbox — a batch is its members, handled
 // copy by copy at the queue manager, and a batch of one travels as exactly
 // the single message it stands for, so there is one send path per protocol
-// step. In quorum mode a first attempt asks only a quorum of each item's
+// step. Replica access is quorum access (read-one/write-all is
+// Quorum{N, N, 1}): a first attempt asks only a quorum of each item's
 // copies — R for a read, W for a write, the issuer's own first — and holds
 // the rest as spares, which go out later into the same attempt, again one
 // batch per mailbox, only when the quorum stalls: a copy is excluded, or
@@ -25,7 +26,7 @@
 // model.GrantBatchMsg is applied member by member and the attempt then
 // advances once. Everything else stays per copy: PA's final timestamps, and
 // refusals — a refused batch is NAK'd member by member, so quorum
-// exclusion, the write-all abort and the admission feedback see exactly
+// exclusion, the attempt's abort and the admission feedback see exactly
 // what they saw when every copy travelled alone.
 // TxnDoneMsg.Messages keeps counting per-copy protocol messages.
 //
@@ -64,9 +65,9 @@
 // SnapReadMsg it stands for); a model.SnapReadReplyBatchMsg is applied
 // member by member and the transaction then checks once whether every read
 // is in. A refused batch NAKs each member, and the first NAK sheds the
-// transaction. TxnDoneMsg.Messages counts one per item read. Quorum mode
-// has no fast path: a primary copy may sit outside the write quorum that
-// carried the latest write, so snapshots run as PA there.
+// transaction. TxnDoneMsg.Messages counts one per item read. A quorum with
+// W < N has no fast path: a primary copy may sit outside the write quorum
+// that carried the latest write, so snapshots run as PA there.
 //
 // The staleness margin must exceed the maximum network delay: then every
 // release carrying an older commit stamp has already been implemented at
@@ -89,8 +90,8 @@
 //   - readwrite.go: the 2PL, T/O and PA lifecycles, semi-lock release.
 //   - readonly.go: the read-only snapshot lifecycle.
 //   - restart.go: NAK handling, restart back-off, the MaxAttempts drop.
-//   - quorum.go: replica access; every write-all-vs-quorum choice, thrifty
-//     quorum attempts and their hedge sweep.
+//   - quorum.go: replica access (read-one/write-all is Quorum{N, N, 1}),
+//     thrifty quorum attempts and their hedge sweep.
 //   - freelist.go: the reused transaction states.
 //   - admission.go: the admission controller.
 package ri

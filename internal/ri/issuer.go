@@ -60,21 +60,21 @@ type Options struct {
 	// cluster-wide. Zero or one addresses the site's single shard-0 mailbox,
 	// the pre-sharding behaviour.
 	QMShards int
-	// Quorum switches replica access from the default read-primary/write-all
-	// to quorum mode: reads proceed on any R grants (the issuer keeps the
-	// value with the highest commit stamp), writes on any W of N, and a copy
-	// that NAKs busy is excluded from the attempt's quorum instead of
-	// aborting the whole attempt — the attempt only restarts (as overload,
-	// through the admission controller's backoff) when an item drops below
-	// quorum. A first attempt requests only R copies of each read item and W
-	// of each written one, the issuer's own copy first, and holds the rest
-	// as spares; it sends them into the same attempt when a copy is excluded
-	// or when the attempt is still short of its quorum RestartDelayMicros
-	// after it launched. A restart requests every copy, and so does every
-	// attempt when RestartDelayMicros is zero. Read-only snapshot
-	// transactions are demoted to PA, as under DisableROFastPath: the fast
-	// path reads each item's primary copy alone, which a write quorum may
-	// have left out. Nil keeps write-all.
+	// Quorum is the replica-access discipline: reads proceed on any R grants
+	// (the issuer keeps the value with the highest commit stamp), writes on
+	// any W of N, and a copy that NAKs busy is excluded from the attempt's
+	// quorum instead of aborting the whole attempt — the attempt only
+	// restarts (as overload, through the admission controller's backoff)
+	// when an item drops below quorum. A first attempt requests only R
+	// copies of each read item and W of each written one, the issuer's own
+	// copy first, and holds the rest as spares; it sends them into the same
+	// attempt when a copy is excluded or when the attempt is still short of
+	// its quorum RestartDelayMicros after it launched. A restart requests
+	// every copy, and so does every attempt when RestartDelayMicros is zero.
+	// Under W < N read-only snapshot transactions are demoted to PA, as
+	// under DisableROFastPath: the fast path reads each item's primary copy
+	// alone, which a write quorum may have left out. Nil is read-one/
+	// write-all, Quorum{N, N, 1} with N the partition map's copies per item.
 	Quorum *model.Quorum
 }
 
@@ -141,12 +141,12 @@ type Issuer struct {
 	adm *admission
 
 	// sweepArmed is true while the hedge sweep's timer is pending, and
-	// sweepScratch is onSweep's reusable list of attempts (quorum mode
-	// only); guarded by mu like the rest of the issuer state.
+	// sweepScratch is onSweep's reusable list of attempts; guarded by mu
+	// like the rest of the issuer state.
 	sweepArmed   bool
 	sweepScratch []*txnState
 	// probation lists the sites whose copies thrifty attempts pick last
-	// (probate, heard); quorum mode only, guarded by mu.
+	// (probate, heard); guarded by mu.
 	probation []model.SiteID
 	// mailboxScratch, reqMembers, relMembers, abortMembers, roAddrs and
 	// snapMembers are the reusable scratch of one protocol step's batches
@@ -184,6 +184,12 @@ func New(site model.SiteID, pm *model.PartitionMap, recorder *history.Recorder, 
 	if opts.SnapshotStalenessMicros <= 0 {
 		opts.SnapshotStalenessMicros = DefaultOptions().SnapshotStalenessMicros
 	}
+	if opts.Quorum == nil {
+		// Read-one/write-all is the quorum system with W = N and R = 1
+		// (Gifford). Placement keeps every item's copy count on every move.
+		n := len(pm.Replicas(0))
+		opts.Quorum = &model.Quorum{N: n, W: n, R: 1}
+	}
 	iss := &Issuer{
 		site:     site,
 		pmap:     pm.Clone(),
@@ -218,8 +224,7 @@ type Stats struct {
 	ROBusyShed uint64
 	// QuorumExcluded counts copies dropped from an attempt's quorum (busy
 	// NAKs and post-finalize stragglers); QuorumHedged counts attempts whose
-	// held spares were sent (an exclusion or the sweep). Both are zero
-	// outside quorum mode.
+	// held spares were sent (an exclusion or the sweep).
 	QuorumExcluded, QuorumHedged uint64
 	// WrongEpochNAKs counts WrongEpochMsg NAKs received for requests that
 	// raced a placement change; MapUpdates counts newer partition maps
@@ -399,8 +404,8 @@ func (ri *Issuer) onSubmit(ctx engine.Context, t *model.Txn) {
 	}
 	if p == model.ROSnapshot && (t.NumWrites() > 0 || !ri.snapshotFastPath()) {
 		// The fast path is read-only by construction; writers (and every
-		// transaction when the path is disabled or in quorum mode) fall back
-		// to PA, the restart-free member protocol.
+		// transaction when the path is disabled or W < N) fall back to PA,
+		// the restart-free member protocol.
 		p = model.PA
 	}
 	ri.stats.Submitted++

@@ -7,40 +7,29 @@ import (
 	"ucc/internal/model"
 )
 
-// Replica access. By default reads go to the primary copy, writes to every
-// replica (read-one/write-all), and an attempt advances once every request
-// satisfies its phase's predicate. Options.Quorum switches to quorum mode: an
-// item advances on any R (reads) or W (writes) of its copies, and a copy can
-// be excluded from the attempt. A first attempt is thrifty: it requests only
-// a quorum of each item's copies, the issuer's own first, and holds the rest
-// as spares that are sent — hedged — only when the quorum stalls: on an
-// exclusion, or when the sweep finds the attempt still short
-// Options.RestartDelayMicros after it launched. A restart requests every
-// copy. Every choice between the two modes is made in this file.
+// Replica access is quorum access (Options.Quorum; read-one/write-all is
+// Quorum{N, N, 1}): an item advances on any R (reads) or W (writes) of its
+// copies, and a copy can be excluded from the attempt. A first attempt is
+// thrifty: it requests only a quorum of each item's copies, the issuer's own
+// first, and holds the rest as spares that are sent — hedged — only when the
+// quorum stalls: on an exclusion, or when the sweep finds the attempt still
+// short Options.RestartDelayMicros after it launched. A restart requests
+// every copy.
 
 func predGranted(r *copyReq) bool   { return r.granted }
 func predResponded(r *copyReq) bool { return r.responded }
 func predNormal(r *copyReq) bool    { return r.normal }
 func predAny(*copyReq) bool         { return true }
 
-// gate evaluates an attempt-progress condition. In write-all mode every
-// request must satisfy pred. In quorum mode each item needs pred on at least
-// its quorum — W of the item's copies for writes, R for reads — among the
-// copies not excluded from the attempt, a copy both read and written
+// gate evaluates an attempt-progress condition: each item needs pred on at
+// least its quorum — W of the item's copies for writes, R for reads — among
+// the copies not excluded from the attempt, a copy both read and written
 // counting once, through its reqs entry. s.order is sorted by item, so one
 // pass counts each item's run; an item whose copies are all excluded still
 // has its run, so it can never pass vacuously. A held copy is not excluded,
 // so gate(s, predAny) reports whether every item can still reach its quorum,
 // spares included.
 func (ri *Issuer) gate(s *txnState, pred func(*copyReq) bool) bool {
-	if ri.opts.Quorum == nil {
-		for _, r := range s.reqs {
-			if !pred(r) {
-				return false
-			}
-		}
-		return true
-	}
 	for i := 0; i < len(s.order); {
 		end, need := ri.itemRun(s, i)
 		got := 0
@@ -70,21 +59,15 @@ func (ri *Issuer) itemRun(s *txnState, i int) (end, need int) {
 }
 
 // eachCopy calls f for every copy an attempt of t may request under the
-// current map: reads go to the primary copy (every copy in quorum mode),
-// writes to every replica. In quorum mode holdSpares then holds back what a
-// thrifty attempt does not request yet.
+// current map: every replica, read or written. Any R copies answer a read:
+// it must intersect every write quorum, and any single copy — the primary
+// included — may be dead or lagging, so every copy is a candidate.
+// holdSpares then holds back what a thrifty attempt does not request yet.
 func (ri *Issuer) eachCopy(t *model.Txn, f func(model.ItemID, model.SiteID, model.OpKind)) {
 	for _, item := range t.ReadSet {
-		if ri.opts.Quorum != nil {
-			// Any R copies answer a quorum read: it must intersect every
-			// write quorum, and any single copy — the primary included —
-			// may be dead or lagging, so every copy is a candidate.
-			for _, site := range ri.pmap.Replicas(item) {
-				f(item, site, model.OpRead)
-			}
-			continue
+		for _, site := range ri.pmap.Replicas(item) {
+			f(item, site, model.OpRead)
 		}
-		f(item, ri.pmap.Primary(item), model.OpRead)
 	}
 	for _, item := range t.WriteSet {
 		for _, site := range ri.pmap.Replicas(item) {
@@ -93,45 +76,34 @@ func (ri *Issuer) eachCopy(t *model.Txn, f func(model.ItemID, model.SiteID, mode
 	}
 }
 
-// preImage returns the value the attempt read for item. The freshest granted
-// copy wins in quorum mode: quorum intersection guarantees at least one
-// member of any R- or W-sized grant set carries the newest committed write,
-// and the commit stamp identifies it. Write-all prefers the primary copy.
+// preImage returns the value the attempt read for item: the freshest granted
+// copy's. Quorum intersection guarantees at least one member of any R- or
+// W-sized grant set carries the newest committed write, and the commit stamp
+// identifies it.
 func (ri *Issuer) preImage(s *txnState, item model.ItemID) int64 {
-	if ri.opts.Quorum != nil {
-		var best *copyReq
-		for i := range s.order {
-			r := &s.order[i]
-			if r.copyID.Item != item || r.excluded || !r.granted {
-				continue
-			}
-			if best == nil || r.commitMicros > best.commitMicros {
-				best = r
-			}
-		}
-		if best != nil {
-			return best.value
-		}
-		return 0
-	}
-	if r, ok := s.reqs[model.CopyID{Item: item, Site: ri.pmap.Primary(item)}]; ok {
-		return r.value
-	}
+	var best *copyReq
 	for i := range s.order {
-		if r := &s.order[i]; r.copyID.Item == item {
-			return r.value
+		r := &s.order[i]
+		if r.copyID.Item != item || r.excluded || !r.granted {
+			continue
 		}
+		if best == nil || r.commitMicros > best.commitMicros {
+			best = r
+		}
+	}
+	if best != nil {
+		return best.value
 	}
 	return 0
 }
 
-// holdSpares makes a thrifty attempt of s: in quorum mode, on a first
-// attempt, each item requests only its quorum — W copies if it is written, R
-// if it is only read — picked in copyRank order, and every other copy is
-// held. A restart requests every copy, and so does every attempt when
+// holdSpares makes a thrifty attempt of s: on a first attempt, each item
+// requests only its quorum — W copies if it is written, R if it is only
+// read — picked in copyRank order, and every other copy is held. A restart
+// requests every copy, and so does every attempt when
 // Options.RestartDelayMicros is zero, which leaves no hedge window.
 func (ri *Issuer) holdSpares(s *txnState) {
-	if ri.opts.Quorum == nil || ri.opts.RestartDelayMicros <= 0 || s.attempts > 1 {
+	if ri.opts.RestartDelayMicros <= 0 || s.attempts > 1 {
 		return
 	}
 	for i := 0; i < len(s.order); {
@@ -257,32 +229,29 @@ func (ri *Issuer) onSweep(ctx engine.Context) {
 }
 
 // snapshotFastPath reports whether a read-only snapshot may take the fast
-// path. Quorum mode has none: the fast path reads each item's primary copy
-// alone, and a write quorum may have left that copy out, so a snapshot could
-// miss a committed write that its other reads depend on.
+// path, which reads each item's primary copy alone. Only W = N has one: every
+// committed write reached every copy, the primary included, while a smaller
+// write quorum may have left the primary out, so a snapshot could miss a
+// committed write that its other reads depend on.
 func (ri *Issuer) snapshotFastPath() bool {
-	return ri.opts.Quorum == nil && !ri.opts.DisableROFastPath
+	return ri.opts.Quorum.W == ri.opts.Quorum.N && !ri.opts.DisableROFastPath
 }
 
-// releases reports whether releaseAll releases request r. Write-all releases
-// every request. Quorum mode releases a copy once (a copy both read and
-// written through its write request), and only a granted copy still in the
-// quorum: the rest are withdrawUngranted's.
+// releases reports whether releaseAll releases request r: a copy once (a
+// copy both read and written through its write request), and only a granted
+// copy still in the quorum: the rest are withdrawUngranted's.
 func (ri *Issuer) releases(s *txnState, r *copyReq) bool {
-	return ri.opts.Quorum == nil || (s.reqs[r.copyID] == r && !r.excluded && r.granted)
+	return s.reqs[r.copyID] == r && !r.excluded && r.granted
 }
 
-// withdrawUngranted withdraws, at release time, every quorum request that
-// never granted: a hedged spare, or a chosen copy that lagged, lies outside
-// the quorum that carried the commit, so its pending request is withdrawn
+// withdrawUngranted withdraws, at release time, every request that never
+// granted: a hedged spare, or a chosen copy that lagged, lies outside the
+// quorum that carried the commit, so its pending request is withdrawn
 // instead of releasing a grant that never came. A held spare was never
 // asked and needs nothing. The copy converges through log shipping, never
 // through a write it did not accept. A lagging mailbox gets one withdrawal
 // envelope for all of the attempt's copies it holds.
 func (ri *Issuer) withdrawUngranted(ctx engine.Context, s *txnState) {
-	if ri.opts.Quorum == nil {
-		return
-	}
 	ri.withdraw(ctx, s, func(r *copyReq) bool { return s.reqs[r.copyID] == r && !r.excluded && !r.granted })
 }
 
@@ -293,9 +262,14 @@ func (ri *Issuer) withdrawUngranted(ctx engine.Context, s *txnState) {
 // are hedged in to take its place — unless a PA attempt has already
 // broadcast its final timestamp: a spare asked now could only answer as a
 // straggler, so the attempt fails and restarts on every copy. It reports
-// whether every item can still reach its quorum.
+// whether every item can still reach its quorum. When the copy's item cannot
+// (under W = N, any written copy), it sends nothing: the caller fails the
+// attempt, and that withdrawal is the copy's only one.
 func (ri *Issuer) excludeCopy(ctx engine.Context, s *txnState, r *copyReq) bool {
 	r.excluded = true
+	if !ri.gate(s, predAny) {
+		return false
+	}
 	ri.stats.QuorumExcluded++
 	ri.withdraw(ctx, s, func(q *copyReq) bool { return q == r })
 	if s.spares {
@@ -304,18 +278,14 @@ func (ri *Issuer) excludeCopy(ctx engine.Context, s *txnState, r *copyReq) bool 
 		}
 		ri.hedge(ctx, s)
 	}
-	return ri.gate(s, predAny)
+	return true
 }
 
 // absorbBusy reports whether the live attempt s survives a busy NAK for copy
-// c, which it does only in quorum mode: the copy leaves the attempt's quorum,
-// its site goes on probation, and the attempt keeps waiting on the remaining
-// members unless an item dropped below quorum. A duplicate NAK for a copy
-// already withdrawn is absorbed too.
+// c: the copy leaves the attempt's quorum, its site goes on probation, and
+// the attempt keeps waiting on the remaining members unless an item dropped
+// below quorum. A duplicate NAK for a copy already withdrawn is absorbed too.
 func (ri *Issuer) absorbBusy(ctx engine.Context, s *txnState, c model.CopyID) bool {
-	if ri.opts.Quorum == nil {
-		return false
-	}
 	r := s.reqs[c]
 	if r == nil || r.excluded {
 		return true
@@ -325,17 +295,13 @@ func (ri *Issuer) absorbBusy(ctx engine.Context, s *txnState, c model.CopyID) bo
 }
 
 // dropStraggler handles a PA back-off from copy r after the agreed timestamp
-// was broadcast, reporting whether quorum mode took it. Quorum finalization
-// waits for W responses, not N, so such a straggler is expected, not a
-// Lemma 1 violation: it leaves the quorum, and only dropping an item below
-// quorum restarts the attempt (overload semantics, like a busy NAK).
-func (ri *Issuer) dropStraggler(ctx engine.Context, s *txnState, r *copyReq) bool {
-	if ri.opts.Quorum == nil {
-		return false
-	}
+// was broadcast. Finalization waits for a quorum of responses, not every
+// copy's, so such a straggler is expected, not a Lemma 1 violation: it
+// leaves the quorum, and only dropping an item below quorum restarts the
+// attempt (overload semantics, like a busy NAK).
+func (ri *Issuer) dropStraggler(ctx engine.Context, s *txnState, r *copyReq) {
 	if !ri.excludeCopy(ctx, s, r) {
 		ri.adm.onBusy(ctx.NowMicros())
 		ri.failAttempt(ctx, s, model.OutcomeBusy, r.kind, withdrawNone)
 	}
-	return true
 }

@@ -219,7 +219,8 @@ func TestQuorumGrantNAKRaceEitherOrder(t *testing.T) {
 // TestQuorumBelowQuorumRestarts: losing enough copies that W is out of reach
 // is overload, not progress — the attempt aborts everywhere, reports Busy,
 // and schedules a backed-off restart. The first NAK hedges the spare in; the
-// second leaves one reachable copy of three.
+// second leaves one reachable copy of three, so it excludes nothing: the
+// attempt's own withdrawal is the only one its copy gets.
 func TestQuorumBelowQuorumRestarts(t *testing.T) {
 	iss, c := quorumIssuer()
 	submit(iss, c, model.TwoPL, nil, []model.ItemID{3})
@@ -231,7 +232,17 @@ func TestQuorumBelowQuorumRestarts(t *testing.T) {
 	if spare := take[model.RequestMsg](c); len(spare) != 1 {
 		t.Fatalf("first NAK hedged %+v, want the one spare", spare)
 	}
+	take[model.AbortMsg](c)
 	nakBusy(iss, c, reqs[1]) // two down: W unreachable — overload path
+	withdrawn := 0
+	for _, a := range take[model.AbortMsg](c) {
+		if a.Copy == reqs[1].Copy {
+			withdrawn++
+		}
+	}
+	if withdrawn != 1 {
+		t.Fatalf("the NAK'd copy %+v was withdrawn %d times, want once", reqs[1].Copy, withdrawn)
+	}
 	dones := take[model.TxnDoneMsg](c)
 	if len(dones) != 1 || dones[0].Outcome != model.OutcomeBusy {
 		t.Fatalf("done = %+v, want Busy", dones)
@@ -240,7 +251,7 @@ func TestQuorumBelowQuorumRestarts(t *testing.T) {
 		t.Fatalf("restart timers = %d, want 1", n)
 	}
 	s := iss.Snapshot()
-	if s.BusyNAKs != 2 || s.QuorumExcluded < 1 || s.QuorumHedged != 1 {
+	if s.BusyNAKs != 2 || s.QuorumExcluded != 1 || s.QuorumHedged != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// The retry relaunches against all three copies with a bumped attempt.

@@ -23,7 +23,7 @@ type copyReq struct {
 	// responded is true once this copy sent grant/backoff (PA negotiation).
 	responded bool
 	value     int64
-	// commitMicros is the commit stamp of the granted value. Quorum mode
+	// commitMicros is the commit stamp of the granted value. preImage
 	// compares grants from different copies of an item by stamp — per-copy
 	// version ordinals diverge under quorum writes, stamps do not.
 	commitMicros int64
@@ -327,7 +327,9 @@ func (ri *Issuer) onBackoff(ctx engine.Context, v model.BackoffMsg) {
 		return
 	}
 	if s.finalized {
-		if ri.dropStraggler(ctx, s, r) {
+		if !r.responded {
+			// Finalization did not wait for this copy: a straggler.
+			ri.dropStraggler(ctx, s, r)
 			return
 		}
 		// Lemma 1 guarantees at most one back-off per transaction; count

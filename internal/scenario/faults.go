@@ -13,7 +13,8 @@ import (
 // phase (the store and unsynced WAL tail are lost; until recovery the site
 // defers every message). The scenario's cluster must set Durability. Any
 // group-commit window is inside the checked envelope; ReplicasAgree after a
-// crash inside a nonzero window additionally needs quorum catch-up (see
+// crash inside a nonzero window relies on the catch-up plane, which runs
+// whenever items have more than one copy (see
 // deploy.Durability.GroupCommitMicros).
 func CrashSite(site model.SiteID, atMicros int64) Fault {
 	return Fault{

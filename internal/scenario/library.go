@@ -343,10 +343,8 @@ func crashMidSpike() Scenario {
 	cfg := cluster.Config{
 		Config: deploy.Config{
 			Sites: 4, Items: 24, Replicas: 2,
-			// In-memory media, zero group-commit window. Write-all replication has
-			// no catch-up plane, so this scenario keeps the window at zero, where
-			// under the simulator no crash can fall between a write's journaling
-			// and its sync (see deploy.Durability.GroupCommitMicros);
+			// In-memory media, zero group-commit window: under the simulator
+			// no crash can fall between a write's journaling and its sync;
 			// crash-in-commit-window is the nonzero-window counterpart.
 			Durability: &deploy.Durability{},
 		},

@@ -341,6 +341,46 @@ func TestQuorumScenariosAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestWriteAllCrashInCommitWindowConverges is crash-in-commit-window under
+// read-one/write-all: 4 sites, two copies per item, no Quorum. Site 1
+// crashes at one of 31 instants 13 ms apart, under three seeds, and the
+// crash may land inside its 20 ms group-commit window, losing writes its
+// peer copy kept. The crash phase ends just after the recovery and the
+// cooldown only reads, so no later write repairs a copy that lost one: the
+// catch-up plane must, without letting a shipped record overtake its
+// writer's own release (the history must stay serializable).
+func TestWriteAllCrashInCommitWindowConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep skipped in -short")
+	}
+	base := crashInCommitWindow()
+	spec := base.Phases[0].Workload(0)
+	readOnly := spec
+	readOnly.ReadFrac = 1
+	for seed := int64(1); seed <= 3; seed++ {
+		for at := int64(300_000); at <= 690_000; at += 13_000 {
+			sc := base
+			sc.Cluster.Sites, sc.Cluster.Replicas, sc.Cluster.Quorum = 4, 2, nil
+			sc.Phases = []Phase{
+				{Name: "crash", DurationMicros: 750_000, Workload: flat(spec), Faults: []Fault{
+					CrashSite(1, at),
+					RecoverSite(1, 720_000),
+				}},
+				{Name: "cooldown", DurationMicros: 300_000, Workload: flat(readOnly)},
+			}
+			sc.SettleMicros = 2_000_000
+			sc.Final = []Check{ReplicasAgree(), Serializable()}
+			rec, err := Run(sc, Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Passed {
+				t.Errorf("seed %d, crash at %d µs:\n%s", seed, at, strings.Join(rec.Failures, "\n"))
+			}
+		}
+	}
+}
+
 // TestReadOnlyScenariosAcrossSeeds runs the read-only snapshot scenarios
 // across part of the seed battery: their reads travel in per-mailbox batches,
 // and every check, serializability included, must hold on each seed.

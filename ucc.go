@@ -72,7 +72,7 @@ type Config struct {
 	// Items is the number of logical data items (default 64).
 	Items int
 	// Replicas is the number of physical copies per item, accessed
-	// read-one/write-all (default 1).
+	// read-one/write-all unless QuorumN/W/R say otherwise (default 1).
 	Replicas int
 	// Placement selects the epoch-0 layout policy: "round-robin" (the
 	// default, the historical layout), "range" (contiguous balanced
@@ -179,14 +179,16 @@ type Config struct {
 	// (deterministic in-memory media) and enables CrashSite/RecoverSite
 	// fault injection. Default off — the paper's failure-free model.
 	Durability bool
-	// QuorumN/W/R, when all set, switch replicated items from
-	// read-one/write-all to quorum replication: writes commit on any W of N
-	// grants, reads consult R copies and adopt the highest commit stamp, and
-	// copies outside a write's quorum converge through WAL log shipping from
-	// their peers. Requires Durability (the catch-up plane streams the WAL)
-	// and N == Replicas; W+R > N and 2W > N are enforced. A single dead
-	// site of a 3-way quorum is masked: commits continue on the surviving
-	// pair and the dead site catches up after recovery.
+	// QuorumN/W/R, when all set, choose the replica quorum: writes commit
+	// on any W of N grants, reads consult R copies and adopt the highest
+	// commit stamp. Unset is read-one/write-all, which is N = W = Replicas
+	// and R = 1. With Durability and more than one copy per item, copies
+	// that miss a write — outside a write's quorum, or crashed inside the
+	// group-commit window — converge through WAL log shipping from their
+	// peers. W < N requires Durability (the catch-up plane streams the
+	// WAL); N == Replicas, W+R > N and 2W > N are enforced. A single dead
+	// site of a 3-way quorum with W = 2 is masked: commits continue on the
+	// surviving pair and the dead site catches up after recovery.
 	QuorumN, QuorumW, QuorumR int
 	// ReplPullPeriod is the catch-up pull period (default 150ms).
 	ReplPullPeriod time.Duration
@@ -197,8 +199,7 @@ type Config struct {
 	// value (0, the default, syncs as soon as the site has drained its
 	// pending deliveries), so a CrashSite inside the window destroys only
 	// writes nobody observed through that site; a copy that lost one is
-	// re-shipped by quorum catch-up (write-all replication has no such
-	// repair path — see deploy.Durability.GroupCommitMicros).
+	// re-shipped by the catch-up plane from a peer's WAL.
 	GroupCommitWindow time.Duration
 }
 
