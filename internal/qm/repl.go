@@ -81,8 +81,9 @@ func (m *Manager) onReplSettle(ctx engine.Context) {
 }
 
 // onReplPull serves one peer's pull from the durable log, less what that
-// peer is known to hold (repl.Known). A down or unconfigured site stays
-// silent — the puller simply retries next period.
+// peer is known to hold (repl.Known) and the items the installed map gives
+// it no copy of. A down or unconfigured site stays silent — the puller
+// simply retries next period.
 func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
@@ -93,7 +94,7 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	if m.puller != nil {
 		max = m.puller.BatchRecords()
 	}
-	batch, err := m.known.Serve(m.site, m.replSrc, v, max, m.serveFrames[:0])
+	batch, err := m.known.Serve(m.site, m.replSrc, v, m.pmap.Load(), max, m.serveFrames[:0])
 	if err != nil {
 		// The durable log is unreadable on an up site: the same broken
 		// contract flushNow panics on.
@@ -111,9 +112,11 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 // owning shard's lock through the store's stamp-gated ApplyShipped (stale
 // and duplicate records skip — the idempotence the protocol leans on) and
 // parks its item like any journaled write. A record whose writer still holds
-// an entry in the copy's queue skips too: that writer's own release is on
-// its way and installs the write in its place in the queue's order (see the
-// race envelope in package repl). Every shard is then flushed in
+// an entry in the copy's queue ends the batch like a tear: it and the rest
+// skip, and the watermark stays, so the next pull ships them again. By then
+// the writer's release has installed the write at its place in the queue's
+// order, or a withdrawal has retired the entry and the record applies (see
+// the race envelope in package repl). Every shard is then flushed in
 // place so catch-up progress is itself durable, and only then does the
 // peer's watermark advance. Only one shard lock is ever held at a time, so
 // there is no cycle against crash/recovery's lockAll. Every decoded record,
@@ -133,13 +136,18 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 	if v.Incarnation != m.puller.Incarnation() {
 		return
 	}
+	live := false
 	st := repl.Apply(v.Frames, func(r wal.Record) bool {
 		m.known.Note(v.From, r.Item, r.CommitMicros)
+		if live {
+			return false
+		}
 		sh := m.shardFor(r.Item)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		q := sh.queues[r.Item]
 		if q != nil && q.find(r.Txn) != nil {
+			live = true
 			return false
 		}
 		if !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
@@ -156,7 +164,7 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		m.shards[0].counters.ReplResets++
 	}
 	m.shards[0].mu.Unlock()
-	moved := st.Torn == 0 && m.puller.Advance(v.From, v.NextAfterSeq)
+	moved := st.Torn == 0 && !live && m.puller.Advance(v.From, v.NextAfterSeq)
 	if v.More && moved {
 		ctx.Send(engine.QMAddr(v.From), model.PooledReplPull(model.ReplPullMsg{From: m.site, AfterSeq: m.puller.Mark(v.From), Incarnation: m.puller.Incarnation()}))
 	}

@@ -209,28 +209,56 @@ func TestShippedRecordsAreNotEchoed(t *testing.T) {
 // TestShippedRecordOfALiveWriterWaitsForItsRelease: a writer's record can
 // ship here from a peer that got its release first, while this copy's queue
 // still holds the writer's entry. The record skips — installing it would put
-// the write ahead of the writer's own place in the queue's order — and the
-// writer's release, still on its way, installs it once.
+// the write ahead of the writer's own place in the queue's order — and ends
+// the batch: the records after it skip too, and the watermark stays, so the
+// next pull ships them again. By then the writer's release has installed the
+// write once, and the re-shipped record skips as a duplicate; or, under
+// W < N, a withdrawal retired the entry instead, and the re-shipped record
+// is what installs the write.
 func TestShippedRecordOfALiveWriterWaitsForItsRelease(t *testing.T) {
-	m, st, _ := replSite(t)
-	ctx := newFakeCtx()
-	w := req(5, model.TwoPL, model.OpWrite, 3, model.NoTimestamp)
-	m.OnMessage(ctx, engine.RIAddr(1), w)
-	if grants := take[model.GrantMsg](ctx); len(grants) != 1 {
-		t.Fatalf("write request drew %d grants, want 1", len(grants))
-	}
-	rec := wal.Record{Seq: 7, Item: 3, Txn: w.Txn, Value: 40, Version: 7, CommitMicros: 40}
-	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frameAll(rec), NextAfterSeq: 7})
-	if v, _ := st.Read(3); v != 100 {
-		t.Fatalf("item 3 holds %d while its writer's entry is live, want the untouched 100", v)
-	}
-	if c := m.Snapshot(); c.ReplApplied != 0 || c.ReplSkipped != 1 {
-		t.Fatalf("applied %d, skipped %d shipped records, want 0 and 1", c.ReplApplied, c.ReplSkipped)
-	}
-	rel := release(5, 3, true, 40)
-	rel.CommitMicros = 40
-	m.OnMessage(ctx, engine.RIAddr(1), rel)
-	if v, _ := st.Read(3); v != 40 || st.ChainLen(3) != 2 {
-		t.Fatalf("after the release item 3 holds %d in %d versions, want 40 in 2", v, st.ChainLen(3))
+	for _, end := range []string{"release", "withdrawal"} {
+		t.Run(end, func(t *testing.T) {
+			m, st, _ := replSite(t)
+			ctx := newFakeCtx()
+			w := req(5, model.TwoPL, model.OpWrite, 3, model.NoTimestamp)
+			m.OnMessage(ctx, engine.RIAddr(1), w)
+			if grants := take[model.GrantMsg](ctx); len(grants) != 1 {
+				t.Fatalf("write request drew %d grants, want 1", len(grants))
+			}
+			batch := model.ReplRecordsMsg{From: 2, NextAfterSeq: 8, Frames: frameAll(
+				wal.Record{Seq: 7, Item: 3, Txn: w.Txn, Value: 40, Version: 7, CommitMicros: 40},
+				shippedRec(8, 4, 50),
+			)}
+			m.OnMessage(ctx, engine.QMAddr(2), batch)
+			if v, _ := st.Read(3); v != 100 {
+				t.Fatalf("item 3 holds %d while its writer's entry is live, want the untouched 100", v)
+			}
+			if v, _ := st.Read(4); v != 100 {
+				t.Fatalf("item 4 holds %d, want the record past the live writer's held back", v)
+			}
+			if mark := m.ReplWatermarks()[2]; mark != 0 {
+				t.Fatalf("watermark moved to %d past a live writer's record", mark)
+			}
+			if c := m.Snapshot(); c.ReplApplied != 0 || c.ReplSkipped != 2 {
+				t.Fatalf("applied %d, skipped %d shipped records, want 0 and 2", c.ReplApplied, c.ReplSkipped)
+			}
+			if end == "release" {
+				rel := release(5, 3, true, 40)
+				rel.CommitMicros = 40
+				m.OnMessage(ctx, engine.RIAddr(1), rel)
+			} else {
+				m.OnMessage(ctx, engine.RIAddr(1), model.AbortMsg{Txn: w.Txn, Copy: w.Copy})
+			}
+			m.OnMessage(ctx, engine.QMAddr(2), batch)
+			if v, _ := st.Read(3); v != 40 || st.ChainLen(3) != 2 {
+				t.Fatalf("item 3 holds %d in %d versions, want 40 in 2", v, st.ChainLen(3))
+			}
+			if v, _ := st.Read(4); v != 50 {
+				t.Fatalf("item 4 holds %d, want the re-shipped 50", v)
+			}
+			if mark := m.ReplWatermarks()[2]; mark != 8 {
+				t.Fatalf("watermark at %d after the re-shipped batch applied, want 8", mark)
+			}
+		})
 	}
 }

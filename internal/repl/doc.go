@@ -16,8 +16,9 @@
 // previous pull to that peer, item-sorted and varint-delta coded
 // (AppendHave/DecodeHave; Puller.NextPull keeps a cursor into the journal
 // per peer). The peer answers with a model.ReplRecordsMsg holding the synced
-// records past the watermark that the puller is not known to hold already
-// (Peer knowledge, below), in the WAL's shipped batch codec
+// records past the watermark of the items its map gives the puller a copy
+// of, less what the puller is known to hold already (Peer knowledge,
+// below), in the WAL's shipped batch codec
 // (wal.AppendShipped): per record only what the puller's apply reads — item,
 // writer, value, and the commit stamp as a delta against the previous
 // record's — with no per-record header or checksum, the message's length
@@ -71,6 +72,14 @@
 // previous pull to that peer, the shipped record included — so that holder
 // leaves it out.
 //
+// Placement is Serve's other filter, ApplyShipped's unknown-item skip
+// evaluated one hop earlier. Under partial replication most of a log is
+// items the puller holds no copy of; Serve leaves them out by the serving
+// site's installed map. A copy a site gains in a rebalance is filled by its
+// transfer session, not by catch-up, so it never needs a record from before
+// it owned the item. Only a write under a map the serving site has not
+// installed yet can be withheld from a puller that needs it.
+//
 // Two things feed a peer's table. The records the peer itself ships are
 // durable in its log. The digests its pulls carry are not: a digest names
 // journaled writes, synced or not, so it is a claim about the peer's
@@ -108,17 +117,16 @@
 // on its way: the writer's release reached a peer first, the peer journaled
 // it, and this copy pulled it. The copy's queue then still holds the
 // writer's entry — under W = N every written copy does, since the writer
-// committed only once each of them granted. The shipped record is skipped
-// and counted as skipped: the writer's release installs the write at its
-// place in the queue's order, after the grants and reads that queue
-// serialized before it. Installing it early would expose the write to
-// readers the queue orders ahead of the writer, and the history would no
-// longer be serializable. That peer does not ship a skipped record again
-// (the watermark moves past it), so the skip leans on the release. Under
-// W < N a requested copy that never granted gets a withdrawal instead of a
-// release; it leaves the issuer at the same instant as the releases that put
-// the record in the peer's log, so, by the tick-interval argument below, it
-// retires the entry long before the record can ship back.
+// committed only once each of them granted. Installing the record early
+// would expose the write to readers the queue orders ahead of the writer,
+// and the history would no longer be serializable. So the record ends the
+// batch like a tear: it and the records after it are skipped, counted as
+// skipped, and the watermark stays where it was, so the pulls that follow
+// ship them again until the entry is gone. Either the writer's release
+// installed the write at its place in the queue's order, and the record
+// skips as a duplicate, or — under W < N, where a requested copy that never
+// granted gets a withdrawal instead — the withdrawal retired the entry, and
+// the record applies. Neither rests on timing.
 //
 // Past that, a live local Write is not stamp-gated: in principle a freshly
 // shipped newer version of another writer could be followed by an older

@@ -46,19 +46,23 @@ const maxKnownItems = 1 << 16
 // peer, the newest commit stamp per item. Two things feed it — the digests
 // the peer's pulls carry, and the records the peer itself ships (durable
 // there) — and it exists to leave those records out of the peer's batches. A
-// record is withheld only when its stamp is at or below the peer's, the
-// exact mirror of storage.ApplyShipped's gate, so nothing is withheld the
-// peer would have installed. A digest describes the peer's volatile state:
+// record is withheld only when its stamp is at or below the peer's, or when
+// the serving site's map gives the peer no copy of its item: the mirror of
+// storage.ApplyShipped's two skips, stale stamp and unknown item, so nothing
+// is withheld the peer would have installed under that map. A digest
+// describes the peer's volatile state:
 // Serve drops the table whenever the peer may have lost that state (see the
 // package comment's Peer knowledge section). Like the Puller, it has no lock
 // of its own; the owning queue manager serializes every call.
 type Known struct {
 	peers   map[model.SiteID]map[model.ItemID]int64
 	scratch []wal.Have
-	// serving is the peer Serve is building a batch for; holds, made once,
-	// is the batch's skip predicate over it.
-	serving model.SiteID
-	holds   func(model.ItemID, int64) bool
+	// serving is the peer Serve is building a batch for, and placement the
+	// map it was called with; holds, made once, is the batch's skip
+	// predicate over them.
+	serving   model.SiteID
+	placement *model.PartitionMap
+	holds     func(model.ItemID, int64) bool
 }
 
 // Note records that peer holds item at commit stamp or newer.
@@ -108,20 +112,24 @@ func (k *Known) Holds(peer model.SiteID, item model.ItemID, stamp int64) bool {
 }
 
 // Serve answers one pull from src, leaving out what the puller is known to
-// hold. A pull from sequence zero is what a puller sends after a crash wiped
-// its volatile state (Puller.ResetAll), and a Reset reply re-images it from
-// the snapshot: either way what was believed about it is dropped first, and
-// only this pull's own digest — collected after any such crash — is kept.
-// The reply echoes the pull's incarnation; its Frames are appended to dst.
-func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, max int, dst []byte) (model.ReplRecordsMsg, error) {
+// hold, and, when pm is not nil, the records of items pm gives the puller no
+// copy of: its store would skip them as unknown items. A pull from sequence
+// zero is what a puller sends after a crash wiped its volatile state
+// (Puller.ResetAll), and a Reset reply re-images it from the snapshot:
+// either way what was believed about it is dropped first, and only this
+// pull's own digest — collected after any such crash — is kept. The reply
+// echoes the pull's incarnation; its Frames are appended to dst.
+func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, pm *model.PartitionMap, max int, dst []byte) (model.ReplRecordsMsg, error) {
 	if pull.AfterSeq == 0 {
 		k.Forget(pull.From)
 	}
 	k.Learn(pull.From, pull.Have)
 	if k.holds == nil {
-		k.holds = func(item model.ItemID, stamp int64) bool { return k.Holds(k.serving, item, stamp) }
+		k.holds = func(item model.ItemID, stamp int64) bool {
+			return (k.placement != nil && !k.placement.Owns(item, k.serving)) || k.Holds(k.serving, item, stamp)
+		}
 	}
-	k.serving = pull.From
+	k.serving, k.placement = pull.From, pm
 	batch, err := BuildBatch(from, src, pull.AfterSeq, max, k.holds, dst)
 	if err == nil && batch.Reset {
 		k.Forget(pull.From)

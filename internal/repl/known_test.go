@@ -56,7 +56,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
 		wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25}, wal.Have{Item: 1, CommitMicros: 30})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, 16, nil)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 	}
 	// The claim is stored: a later pull without a digest is still spared the
 	// same records — and still gets the one newer than the claim.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, 16, nil)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("stored claim: shipped %v next %d; want %v next 5", got, msg.NextAfterSeq, want[1:])
 	}
 	// Another peer claimed nothing and is withheld nothing.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, 16, nil)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,38 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("peer 2 claimed nothing but was shipped %v", got)
 	}
 	// The bound counts shipped records: withheld ones do not use it up.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, 1, nil)
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := shipped(t, msg); !slices.Equal(got, want[:1]) || !msg.More || msg.NextAfterSeq != 4 {
 		t.Fatalf("bound 1: shipped %v more %v next %d; want %v, more, next 4 (past the withheld 3 and 4)", got, msg.More, msg.NextAfterSeq, want[:1])
+	}
+}
+
+// TestServeWithholdsItemsThePeerHoldsNoCopyOf: with a map, a record of an
+// item the map gives the puller no copy of is left out like one it already
+// holds, and next moves past it. Without a map every item ships.
+func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
+	src := serverLog(t, wal.Options{},
+		wal.Have{Item: 0, CommitMicros: 10}, wal.Have{Item: 1, CommitMicros: 15},
+		wal.Have{Item: 2, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})
+	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0, 1}, {0, 2}, {1, 0}, {2, 0}}}
+	var k Known
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1}, pm, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wal.Have{{Item: 0, CommitMicros: 10}, {Item: 2, CommitMicros: 20}}
+	if got := shipped(t, msg); !slices.Equal(got, want) || msg.NextAfterSeq != 4 {
+		t.Fatalf("shipped %v next %d; want %v next 4", got, msg.NextAfterSeq, want)
+	}
+	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2}, nil, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shipped(t, msg); len(got) != 4 {
+		t.Fatalf("without a map shipped %v, want all 4 records", got)
 	}
 }
 
@@ -100,7 +126,7 @@ func TestServeForgetsOnPullFromZero(t *testing.T) {
 	var k Known
 	k.Learn(1, digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}))
 	k.Note(1, 3, 99)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16, nil)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +148,7 @@ func TestServeForgetsOnReset(t *testing.T) {
 	}
 	var k Known
 	k.Note(1, 1, 10)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, 16, nil)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +168,7 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	good := digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, 16, nil)
+	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +247,7 @@ func TestServeAndApplyAllocatesNothing(t *testing.T) {
 	var frames []byte
 	var shippedN int
 	serveApply := func() {
-		batch, err := k.Serve(0, src, pull, 512, frames[:0])
+		batch, err := k.Serve(0, src, pull, nil, 512, frames[:0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,7 +224,8 @@ type ApplyStats struct {
 	// Applied counts records the callback installed.
 	Applied int
 	// Skipped counts records the callback rejected as stale or duplicate
-	// (stamp-gated idempotence) or as unknown items.
+	// (stamp-gated idempotence), as unknown items, or as held back for a
+	// later pull.
 	Skipped int
 	// Torn counts undecodable trailing bytes (a cut or corrupted record);
 	// everything before the tear still applied.

@@ -16,9 +16,10 @@
 // Quorum{N, N, 1}): a first attempt asks only a quorum of each item's
 // copies — R for a read, W for a write, the issuer's own first — and holds
 // the rest as spares, which go out later into the same attempt, again one
-// batch per mailbox, only when the quorum stalls: a copy is excluded, or
-// the issuer's one sweep timer finds the attempt still short
-// Options.RestartDelayMicros after it launched. A restart asks every copy.
+// batch per mailbox, only when the quorum stalls: a copy is excluded, or,
+// under W < N, the issuer's one sweep timer finds the attempt still short
+// Options.RestartDelayMicros after it launched. Under W < N a restart asks
+// every copy.
 // Every withdrawal leaves through the one withdraw path: a NAK'd attempt
 // withdraws every requested copy, a quorum exclusion one, and a quorum
 // commit the requested copies that never granted, which at a lagging site

@@ -68,13 +68,14 @@ type Options struct {
 	// when an item drops below quorum. A first attempt requests only R
 	// copies of each read item and W of each written one, the issuer's own
 	// copy first, and holds the rest as spares; it sends them into the same
-	// attempt when a copy is excluded or when the attempt is still short of
-	// its quorum RestartDelayMicros after it launched. A restart requests
-	// every copy, and so does every attempt when RestartDelayMicros is zero.
-	// Under W < N read-only snapshot transactions are demoted to PA, as
-	// under DisableROFastPath: the fast path reads each item's primary copy
-	// alone, which a write quorum may have left out. Nil is read-one/
-	// write-all, Quorum{N, N, 1} with N the partition map's copies per item.
+	// attempt when a copy is excluded or, under W < N, when the attempt is
+	// still short of its quorum RestartDelayMicros after it launched. Under
+	// W < N a restart requests every copy, and so does every attempt when
+	// RestartDelayMicros is zero. Under W < N read-only snapshot
+	// transactions are demoted to PA, as under DisableROFastPath: the fast
+	// path reads each item's primary copy alone, which a write quorum may
+	// have left out. Nil is read-one/write-all, Quorum{N, N, 1} with N the
+	// partition map's copies per item.
 	Quorum *model.Quorum
 }
 

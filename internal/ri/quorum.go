@@ -12,9 +12,9 @@ import (
 // copies, and a copy can be excluded from the attempt. A first attempt is
 // thrifty: it requests only a quorum of each item's copies, the issuer's own
 // first, and holds the rest as spares that are sent — hedged — only when the
-// quorum stalls: on an exclusion, or when the sweep finds the attempt still
-// short Options.RestartDelayMicros after it launched. A restart requests
-// every copy.
+// quorum stalls: on an exclusion, or, under W < N, when the sweep finds the
+// attempt still short Options.RestartDelayMicros after it launched. Under
+// W < N a restart requests every copy.
 
 func predGranted(r *copyReq) bool   { return r.granted }
 func predResponded(r *copyReq) bool { return r.responded }
@@ -97,13 +97,17 @@ func (ri *Issuer) preImage(s *txnState, item model.ItemID) int64 {
 	return 0
 }
 
-// holdSpares makes a thrifty attempt of s: on a first attempt, each item
-// requests only its quorum — W copies if it is written, R if it is only
-// read — picked in copyRank order, and every other copy is held. A restart
-// requests every copy, and so does every attempt when
-// Options.RestartDelayMicros is zero, which leaves no hedge window.
+// holdSpares makes a thrifty attempt of s: each item requests only its
+// quorum — W copies if it is written, R if it is only read — picked in
+// copyRank order, and every other copy is held. Under W < N only a first
+// attempt is thrifty: a restart requests every copy, and so does every
+// attempt when Options.RestartDelayMicros is zero, which leaves no hedge
+// window. Under W = N every attempt is: only a read holds spares, and
+// asking all its copies would queue a lock request at each where read-one
+// queues one, so a request at a copy the read does not need could close a
+// deadlock cycle.
 func (ri *Issuer) holdSpares(s *txnState) {
-	if ri.opts.RestartDelayMicros <= 0 || s.attempts > 1 {
+	if !ri.writeAll() && (ri.opts.RestartDelayMicros <= 0 || s.attempts > 1) {
 		return
 	}
 	for i := 0; i < len(s.order); {
@@ -183,9 +187,14 @@ func (ri *Issuer) hedge(ctx engine.Context, s *txnState) {
 // armSweep arms the issuer's one hedge sweep timer unless it is armed
 // already. A timer per attempt would cost the runtime an allocation per
 // transaction; one per issuer costs one per Options.RestartDelayMicros, and
-// only while some attempt holds spares.
+// only while some attempt holds spares. Under W = N there is no sweep: the
+// only spares are a read's other copies, and a chosen copy that has not
+// granted yet is nearly always a round trip or a lock wait, not a dead
+// site — hedging it would only put live sites on probation and add lock
+// holders. Such spares go out on an exclusion alone, and a copy that never
+// answers stalls a read as it stalls every write of its item.
 func (ri *Issuer) armSweep(ctx engine.Context) {
-	if !ri.sweepArmed {
+	if !ri.sweepArmed && !ri.writeAll() {
 		ri.sweepArmed = true
 		ctx.SetTimer(ri.opts.RestartDelayMicros, model.TickMsg{})
 	}
@@ -234,8 +243,12 @@ func (ri *Issuer) onSweep(ctx engine.Context) {
 // write quorum may have left the primary out, so a snapshot could miss a
 // committed write that its other reads depend on.
 func (ri *Issuer) snapshotFastPath() bool {
-	return ri.opts.Quorum.W == ri.opts.Quorum.N && !ri.opts.DisableROFastPath
+	return ri.writeAll() && !ri.opts.DisableROFastPath
 }
+
+// writeAll reports whether the quorum is read-one/write-all's: W = N, so
+// every committed write reached every copy of its item.
+func (ri *Issuer) writeAll() bool { return ri.opts.Quorum.W == ri.opts.Quorum.N }
 
 // releases reports whether releaseAll releases request r: a copy once (a
 // copy both read and written through its write request), and only a granted

@@ -309,9 +309,10 @@ func TestQuorumWritePicksHighestStampPreImage(t *testing.T) {
 // TestQuorumFirstAttemptAsksAQuorumLocalFirst: a first attempt requests
 // exactly R copies of each read item and W of each written one — the
 // issuer's own copy first when it holds one, then the copies after it in
-// partition-map order, wrapping around — and a restart requests every copy.
-// Replicas of item i sit at sites i, i+1, i+2 (mod 3), so site 1 picks
-// itself and site 2 for every item, primary or not.
+// partition-map order, wrapping around. A restart requests every copy under
+// W < N and the same copies again under W = N. Replicas of item i sit at
+// sites i, i+1, i+2 (mod 3), so site 1 picks itself and site 2 for every
+// item, primary or not.
 func TestQuorumFirstAttemptAsksAQuorumLocalFirst(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -340,9 +341,12 @@ func TestQuorumFirstAttemptAsksAQuorumLocalFirst(t *testing.T) {
 			iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 			fireTimers(iss, c) // the restart (and the idle sweep)
 			retry := copiesByItem(take[model.RequestMsg](c))
-			for item := range tc.want {
-				if !slices.Equal(retry[item], []model.SiteID{0, 1, 2}) {
-					t.Fatalf("restart asked item %d at %v, want every copy", item, retry[item])
+			for item, sites := range tc.want {
+				if tc.q.W < tc.q.N {
+					sites = []model.SiteID{0, 1, 2}
+				}
+				if !slices.Equal(retry[item], sites) {
+					t.Fatalf("restart asked item %d at %v, want %v", item, retry[item], sites)
 				}
 			}
 			if n := timersOf[model.TickMsg](c); n != 0 {
@@ -438,6 +442,36 @@ func TestQuorumSweepHedgesSilentCopy(t *testing.T) {
 	}
 	if s := iss.Snapshot(); s.Committed != 3 || s.QuorumHedged != 3 || s.Active != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestWriteAllReadHedgesOnlyOnExclusion: under W = N no sweep is armed, so
+// a read's chosen copy that has not granted by RestartDelayMicros is left
+// to answer, and its site stays off probation. A busy NAK from it still
+// sends the held spares into the same attempt.
+func TestWriteAllReadHedgesOnlyOnExclusion(t *testing.T) {
+	iss, c := quorumIssuerAt(0, model.Quorum{N: 3, W: 3, R: 1})
+	submit(iss, c, model.TwoPL, []model.ItemID{3}, nil)
+	reqs := take[model.RequestMsg](c)
+	if len(reqs) != 1 || reqs[0].Copy.Site != 0 {
+		t.Fatalf("requests = %+v, want the own copy alone", reqs)
+	}
+	if n := timersOf[model.TickMsg](c); n != 0 {
+		t.Fatalf("%d sweep timers armed under W = N, want none", n)
+	}
+	sweepAt(iss, c, 1_000)
+	if hedged := take[model.RequestMsg](c); len(hedged) != 0 {
+		t.Fatalf("hedged %+v without an exclusion", hedged)
+	}
+	if len(iss.probation) != 0 {
+		t.Fatalf("probation = %v, want none", iss.probation)
+	}
+	nakBusy(iss, c, reqs[0])
+	if got := copiesByItem(take[model.RequestMsg](c))[3]; !slices.Equal(got, []model.SiteID{1, 2}) {
+		t.Fatalf("the NAK hedged %v, want the spares at [1 2]", got)
+	}
+	if s := iss.Snapshot(); s.QuorumHedged != 1 || s.QuorumExcluded != 1 {
+		t.Fatalf("stats = %+v, want 1 hedge / 1 excluded", s)
 	}
 }
 
