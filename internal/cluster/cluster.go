@@ -221,7 +221,7 @@ func (c *Cluster) publish(atMicros int64, next *model.PartitionMap) {
 }
 
 // MoveItems publishes an epoch that makes dst the primary for items
-// (snapshot-transferring their state from the old owners); items already
+// (filling dst's new copies from the old owners' logs); items already
 // primaried at dst are left alone. Like CrashSite, call between engine
 // steps — atMicros is relative to current virtual time.
 func (c *Cluster) MoveItems(atMicros int64, items []model.ItemID, dst model.SiteID) error {
@@ -234,7 +234,7 @@ func (c *Cluster) MoveItems(atMicros int64, items []model.ItemID, dst model.Site
 }
 
 // AddSite publishes an epoch that brings site into the active set, seeding
-// it with its share of items via snapshot transfer. The site must already
+// it with its share of items by fills. The site must already
 // exist in the cluster (Config.Sites covers it; use Config.DataSites to
 // start it empty).
 func (c *Cluster) AddSite(atMicros int64, site model.SiteID) error {
@@ -251,7 +251,7 @@ func (c *Cluster) AddSite(atMicros int64, site model.SiteID) error {
 
 // DrainSite publishes an epoch with site removed from every assignment:
 // surviving copies are promoted and replacement copies are seeded on other
-// active sites via snapshot transfer. The site's actors stay registered —
+// active sites by fills. The site's actors stay registered —
 // they just stop owning data.
 func (c *Cluster) DrainSite(atMicros int64, site model.SiteID) error {
 	next, err := placement.PlanDrain(c.pmap, site)
@@ -364,33 +364,23 @@ func (c *Cluster) Finish() Result {
 	}
 	c.Eng.Drain(0)
 
-	// Transfer settle: the transfer retry tick chain stopped with the
-	// StopMsgs above, so a rebalance published late in the run may still
-	// have sessions mid-stream. Pump one-shot transfer ticks until no
-	// manager reports pending sessions (bounded — each round either
-	// completes pulls or hits a drained old owner whose next round serves).
-	for round := 0; round < 32 && c.transfersPending(); round++ {
+	// Settle: the periodic pull chain stopped with the StopMsgs above, so
+	// writes that committed during the drain never shipped, and a rebalance
+	// published late in the run may still have fills open. Run one-shot
+	// pull rounds until no fill is open and applies stop changing, so the
+	// final store state reflects full convergence — bounded, because each
+	// round can only move watermarks forward, the logs are now quiet, and
+	// each fill either completes or meets an old owner whose next round
+	// serves it.
+	applied := func() uint64 { t := c.QMTotals(); return t.ReplApplied + t.TransferApplied }
+	for round := 0; round < 32 && (c.Cfg.CatchUp() || c.fillsOpen()); round++ {
+		before := applied()
 		for _, s := range c.Cfg.SiteIDs() {
-			c.Eng.Post(engine.QMAddr(s), model.TickMsg{Tag: qm.TransferTickTag})
+			c.Eng.Post(engine.QMAddr(s), model.TickMsg{Tag: qm.ReplSettleTickTag})
 		}
 		c.Eng.Drain(0)
-	}
-
-	// Catch-up settle: the periodic pull chain stopped with the StopMsgs
-	// above, so writes that committed during the drain never shipped. Run
-	// one-shot pull rounds to a fixpoint (applies stop changing) so the
-	// final store state reflects full convergence — bounded, because each
-	// round can only move watermarks forward and the logs are now quiet.
-	if c.Cfg.CatchUp() {
-		for round := 0; round < 8; round++ {
-			before := c.QMTotals().ReplApplied
-			for _, s := range c.Cfg.SiteIDs() {
-				c.Eng.Post(engine.QMAddr(s), model.TickMsg{Tag: qm.ReplSettleTickTag})
-			}
-			c.Eng.Drain(0)
-			if c.QMTotals().ReplApplied == before {
-				break
-			}
+		if !c.fillsOpen() && applied() == before {
+			break
 		}
 	}
 
@@ -407,11 +397,11 @@ func (c *Cluster) Finish() Result {
 	return res
 }
 
-// transfersPending reports whether any queue manager still has an open
-// snapshot-transfer session.
-func (c *Cluster) transfersPending() bool {
+// fillsOpen reports whether any queue manager is still filling a copy it
+// gained.
+func (c *Cluster) fillsOpen() bool {
 	for _, s := range c.Cfg.SiteIDs() {
-		if c.Managers[s].TransfersPending() {
+		if c.Managers[s].FillsOpen() {
 			return true
 		}
 	}

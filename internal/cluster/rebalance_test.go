@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"ucc/internal/deploy"
@@ -319,4 +320,99 @@ func TestPlacementConfigValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFillBytesDoNotGrowWithTheStore: a fill ships the records of the items
+// it gained and nothing else, so moving 8 items costs the same whether the
+// serving sites hold 21 copies or 1 365 — volatile, and durable with one
+// copy per item, where fills are served from an image of the store.
+func TestFillBytesDoNotGrowWithTheStore(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		moved := func(items int) uint64 {
+			cfg := Config{Config: deploy.Config{Sites: 3, Items: items, Replicas: 1}, Seed: 1}
+			if durable {
+				cfg.Durability = &deploy.Durability{}
+			}
+			cl, err := NewSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.MoveItems(1_000_000, []model.ItemID{0, 1, 2, 3, 4, 5, 6, 7}, 2); err != nil {
+				t.Fatal(err)
+			}
+			cl.Run(2_000_000, 1_000_000)
+			return cl.QMTotals().TransferBytes
+		}
+		small, large := moved(64), moved(4096)
+		if small == 0 || large > 2*small {
+			t.Errorf("durable %v: moving 8 items shipped %d B from a 64-item store and %d B from a 4096-item store, want at most twice", durable, small, large)
+		}
+	}
+}
+
+// TestFillCrashSweep crashes the site gaining a moved item, and then the
+// site serving it, for 30 ms at each of 40 instants 250 µs apart from 1 ms
+// before the map install — the fill completes 5 to 9 ms after the install
+// when no crash intervenes — under a stream of increments on that item (the
+// shape of TestMoveItemsExactlyOnce), with one and with two copies per
+// item. Every run must end with the item equal to the number of commits at
+// every copy, the replicas in agreement, the history serializable and no
+// copy still being filled.
+func TestFillCrashSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep skipped in -short")
+	}
+	const n, move, offsets = 30, 600_000, 40
+	runs := 0
+	for _, replicas := range []int{1, 2} {
+		for _, crashed := range []model.SiteID{2, 0} { // the gaining site, then the serving one
+			for i := 0; i < offsets; i++ {
+				at := int64(move - 1_000 + i*250)
+				cl, err := NewSim(Config{
+					Config: deploy.Config{Sites: 3, Items: 6, Replicas: replicas, Durability: &deploy.Durability{}},
+					Seed:   1,
+					Record: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					txn := model.NewTxn(model.TxnID{Site: model.SiteID(j % 3), Seq: uint64(j + 1)},
+						model.TwoPL, nil, []model.ItemID{0}, 500)
+					cl.Eng.PostAfter(int64(j)*40_000, engine.RIAddr(txn.ID.Site), model.SubmitTxnMsg{Txn: txn})
+				}
+				if err := cl.MoveItems(move, []model.ItemID{0}, 2); err != nil {
+					t.Fatal(err)
+				}
+				cl.CrashSite(crashed, at)
+				cl.RecoverSite(crashed, at+30_000)
+				res := cl.Run(1_500_000, 10_000_000)
+				runs++
+				name := fmt.Sprintf("replicas %d, site %d crashed at %dµs", replicas, crashed, at)
+				committed := cl.RITotals().Committed
+				for _, v := range cl.ReplicaValues(0) {
+					if v != int64(committed) {
+						t.Fatalf("%s: item 0 copies %v, want %d at each: an increment was lost or doubled", name, cl.ReplicaValues(0), committed)
+					}
+				}
+				for item := 0; item < 6; item++ {
+					vals := cl.ReplicaValues(model.ItemID(item))
+					for k := 1; k < len(vals); k++ {
+						if vals[k] != vals[0] {
+							t.Fatalf("%s: item %d replicas diverged: %v", name, item, vals)
+						}
+					}
+				}
+				if !res.Serializability.Serializable {
+					t.Fatalf("%s: NOT serializable; cycle=%v", name, res.Serializability.Cycle)
+				}
+				for _, s := range cl.Cfg.SiteIDs() {
+					if cl.Managers[s].FillsOpen() {
+						t.Fatalf("%s: site %d still fills a copy after the drain", name, s)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d crash runs", runs)
 }

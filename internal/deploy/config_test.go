@@ -121,44 +121,3 @@ func TestValidate(t *testing.T) {
 		})
 	}
 }
-
-func TestReplPeers(t *testing.T) {
-	sites := []model.SiteID{0, 1, 2, 3}
-	// Full replication: everyone pulls from everyone else.
-	full := placement.Build(placement.RoundRobin, 8, sites, 4)
-	if got := ReplPeers(full, 1); !slices.Equal(got, []model.SiteID{0, 2, 3}) {
-		t.Fatalf("full replication peers = %v, want [0 2 3]", got)
-	}
-	// Single copy: no shared items, no peers, quorum pull plane idle.
-	single := placement.Build(placement.RoundRobin, 8, sites, 1)
-	for _, self := range sites {
-		if got := ReplPeers(single, self); len(got) != 0 {
-			t.Fatalf("site %d of an unreplicated map has peers: %v", self, got)
-		}
-	}
-	// A standby site (outside DataSites) holds no copy, so it shares nothing.
-	standby := (&Config{Sites: 4, Items: 8, Replicas: 2, DataSites: 3}).InitialMap()
-	if got := ReplPeers(standby, 3); len(got) != 0 {
-		t.Fatalf("standby site has peers: %v", got)
-	}
-	// Partial replication: peers are exactly the sites sharing an item.
-	partial := placement.Build(placement.RoundRobin, 8, sites, 2)
-	for _, self := range sites {
-		var want []model.SiteID
-		for item := 0; item < partial.Items(); item++ {
-			reps := partial.Replicas(model.ItemID(item))
-			if !slices.Contains(reps, self) {
-				continue
-			}
-			for _, s := range reps {
-				if s != self && !slices.Contains(want, s) {
-					want = append(want, s)
-				}
-			}
-		}
-		slices.Sort(want)
-		if got := ReplPeers(partial, self); !slices.Equal(got, want) {
-			t.Fatalf("site %d peers = %v, want %v", self, got, want)
-		}
-	}
-}

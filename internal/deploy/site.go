@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"fmt"
-	"maps"
 	"path/filepath"
 	"slices"
 
@@ -65,14 +64,19 @@ func Site(cfg Config, self model.SiteID, pmap *model.PartitionMap, rec *history.
 		p.Manager.SetDurable(p.WAL)
 	}
 	p.Manager.SetPartitionMap(pmap)
+	// Every site pulls the copies it gains at a map install; only catch-up
+	// (Config.CatchUp) pulls from peers, and serves from the log.
+	var peers []model.SiteID
+	var src repl.Source
 	if cfg.CatchUp() {
-		p.Manager.SetReplication(repl.NewPuller(repl.Options{
-			Site:         self,
-			Peers:        ReplPeers(pmap, self),
-			PeriodMicros: cfg.ReplPeriodMicros,
-			BatchRecords: cfg.ReplBatchRecords,
-		}), p.WAL)
+		peers, src = pmap.Sharing(self), p.WAL
 	}
+	p.Manager.SetReplication(repl.NewPuller(repl.Options{
+		Site:         self,
+		Peers:        peers,
+		PeriodMicros: cfg.ReplPeriodMicros,
+		BatchRecords: cfg.ReplBatchRecords,
+	}), src)
 	// One registration per shard: issuers address per-item traffic to the
 	// shard mailbox its item hashes to (QMShardAddr), and the manager routes
 	// by content, so this works unchanged whether the engine gives each
@@ -94,26 +98,6 @@ func Site(cfg Config, self model.SiteID, pmap *model.PartitionMap, rec *history.
 		register(engine.DetectorAddr(), p.Detector)
 	}
 	return p, nil
-}
-
-// ReplPeers returns the sites self pulls WAL records from: every other site
-// holding a copy of an item self also holds, ascending. Managers re-derive
-// the set themselves whenever a later epoch is installed; this is the
-// epoch-0 set.
-func ReplPeers(pm *model.PartitionMap, self model.SiteID) []model.SiteID {
-	shared := map[model.SiteID]bool{}
-	for item := 0; item < pm.Items(); item++ {
-		reps := pm.Replicas(model.ItemID(item))
-		if !slices.Contains(reps, self) {
-			continue
-		}
-		for _, s := range reps {
-			if s != self {
-				shared[s] = true
-			}
-		}
-	}
-	return slices.Sorted(maps.Keys(shared))
 }
 
 // Start posts the first tick of every periodic chain the given sites run, in
@@ -145,7 +129,7 @@ func Start(cfg Config, sites []model.SiteID, post func(engine.Addr, model.Messag
 
 // Publish broadcasts next as the new partition-map epoch: a MapInstallMsg to
 // every queue manager (shard-0 control address) first, so owners flip and
-// start their transfers, then a MapUpdateMsg to every issuer, so routers
+// open their fills, then a MapUpdateMsg to every issuer, so routers
 // re-aim — in ascending site order. post must reach remote sites too (on
 // the runtime, Runtime.Post: local mailbox or transport uplink).
 func Publish(cfg Config, next *model.PartitionMap, post func(engine.Addr, model.Message)) {

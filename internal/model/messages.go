@@ -710,25 +710,38 @@ type FlushDoneMsg struct {
 
 // ReplPullMsg asks a peer queue manager for the WAL records the sender has
 // not yet applied: every durable record with Seq > AfterSeq from the peer's
-// own log. Sent periodically by every site in a quorum-replicated cluster —
-// the anti-entropy loop that lets a recovering or lagging replica catch up
-// on writes it missed while down or excluded from a write quorum.
+// own log. A catch-up pull (Epoch 0) is sent periodically by every site of a
+// durable replicated cluster — the anti-entropy loop that lets a recovering
+// or lagging replica catch up on writes it missed while down or excluded
+// from a write quorum. A fill pull (Epoch > 0) brings the copies a site
+// gained at a map install up from the old primary's log, restricted to
+// Scope.
 type ReplPullMsg struct {
 	// From is the pulling site (reply address).
 	From SiteID
-	// AfterSeq is the sender's catch-up watermark for this peer: the highest
-	// peer-log sequence number it has already applied.
+	// AfterSeq is the sender's watermark for this peer's log (for a fill,
+	// the fill's own): the highest peer-log sequence number it has already
+	// applied.
 	AfterSeq uint64
 	// Have is the sender's journal digest in internal/repl's codec: the
 	// newest commit stamp per item it journaled since its previous periodic
-	// pull, which lets the peer leave out records the sender would only
-	// skip. Opaque here, like ReplRecordsMsg.Frames; nil (re-pulls, settle
-	// pulls, an idle or overflowed period) means ship everything.
+	// pull, of the items the peer holds a copy of, which lets the peer leave
+	// out records the sender would only skip. Opaque here, like
+	// ReplRecordsMsg.Frames; nil (re-pulls, settle pulls, fills, an idle
+	// period) means ship everything.
 	Have []byte
 	// Incarnation is the sender's puller incarnation, bumped by every crash
 	// of the sender; the reply echoes it, and a reply from another
 	// incarnation is dropped unapplied.
 	Incarnation uint64
+	// Epoch is the map epoch whose install opened the fill, 0 on a catch-up
+	// pull. The server answers a fill NotReady until it has installed that
+	// epoch and drained every item it lost.
+	Epoch uint64
+	// Scope is a fill's gained items in internal/repl's codec (ascending,
+	// delta-coded); the server ships only their records. Opaque here; empty
+	// on a catch-up pull.
+	Scope []byte
 
 	// buf is the array a pooled pull keeps across recycles (wirepool.go);
 	// Have lies in it. Nil in every value form.
@@ -755,14 +768,21 @@ type ReplRecordsMsg struct {
 	// Reset reports that the puller's watermark pointed below the serving
 	// site's oldest retained log record (truncated by a snapshot): Frames
 	// instead carries one synthetic record per copy imaging the snapshot's
-	// latest versions, and the puller must re-pull from NextAfterSeq for the
-	// incremental tail.
+	// latest versions, of the copies the puller can install, and the puller
+	// must re-pull from NextAfterSeq for the incremental tail.
 	Reset bool
 	// More reports that the batch was cut at the size bound and the puller
 	// should pull again immediately rather than wait for its next tick.
 	More bool
 	// Incarnation echoes the pull's (see ReplPullMsg.Incarnation).
 	Incarnation uint64
+	// Epoch echoes the pull's: nonzero answers a fill.
+	Epoch uint64
+	// NotReady refuses a fill the server cannot serve yet (see
+	// ReplPullMsg.Epoch); Frames is empty and the puller re-pulls on its
+	// tick. A fill is done at its first reply with neither More nor
+	// NotReady set.
+	NotReady bool
 
 	// buf is the array a pooled reply keeps across recycles (wirepool.go);
 	// Frames lies in it. Nil in every value form.
@@ -791,8 +811,8 @@ type WrongEpochMsg struct {
 // MapInstallMsg installs a new partition map at a queue manager. The manager
 // ignores maps at or below its installed epoch; a newer map triggers the
 // ownership transition — lost items stop admitting new work and drain,
-// gained items are created pending and filled by snapshot transfer from the
-// old owner.
+// gained items are created pending and filled from the old owner's log by a
+// fill pull (ReplPullMsg with Epoch set).
 type MapInstallMsg struct {
 	Map PartitionMap
 }
@@ -805,86 +825,38 @@ type MapUpdateMsg struct {
 	Map PartitionMap
 }
 
-// TransferPullMsg asks the old owner of a set of items for their state after
-// an ownership flip: the new owner pulls a snapshot image plus WAL tail,
-// reusing the catch-up record stream (internal/repl). AfterSeq is the
-// puller's watermark into the serving site's log, exactly as in ReplPullMsg.
-type TransferPullMsg struct {
-	// From is the pulling site (reply address).
-	From SiteID
-	// Epoch is the map epoch that created this transfer; the server answers
-	// NotReady until it has installed that epoch and drained the items it
-	// lost under it.
-	Epoch uint64
-	// AfterSeq is the puller's watermark into the serving site's log.
-	AfterSeq uint64
-	// Incarnation is the transfer session's incarnation, bumped by every
-	// crash of the puller (which zeroes AfterSeq); the reply echoes it, and
-	// a reply from another incarnation is dropped unapplied.
-	Incarnation uint64
-}
-
-// TransferRecordsMsg answers a TransferPullMsg with a batch of WAL records
-// (the same shipped batch codec as ReplRecordsMsg — the snapshot-transfer
-// plane is the catch-up plane pointed at a rebalance).
-type TransferRecordsMsg struct {
-	// From is the serving site.
-	From SiteID
-	// Epoch echoes the pull's epoch.
-	Epoch uint64
-	// Frames is the shipped record batch.
-	Frames []byte
-	// NextAfterSeq is the watermark to advance to after applying the batch.
-	NextAfterSeq uint64
-	// Reset reports a snapshot image (see ReplRecordsMsg.Reset).
-	Reset bool
-	// More reports the batch was cut at the size bound; pull again now.
-	More bool
-	// NotReady reports the server has not yet installed Epoch or still has
-	// in-flight transactions draining on the items it lost; the puller
-	// retries on its transfer tick.
-	NotReady bool
-	// Done reports the server's log had nothing further: the transfer is
-	// complete and the puller may open the items for traffic.
-	Done bool
-	// Incarnation echoes the pull's (see TransferPullMsg.Incarnation).
-	Incarnation uint64
-}
-
-func (RequestMsg) wireTag() WireTag         { return TagRequest }
-func (FinalTSMsg) wireTag() WireTag         { return TagFinalTS }
-func (ReleaseMsg) wireTag() WireTag         { return TagRelease }
-func (AbortMsg) wireTag() WireTag           { return TagAbort }
-func (GrantMsg) wireTag() WireTag           { return TagGrant }
-func (NormalGrantMsg) wireTag() WireTag     { return TagNormalGrant }
-func (RejectMsg) wireTag() WireTag          { return TagReject }
-func (BackoffMsg) wireTag() WireTag         { return TagBackoff }
-func (BusyMsg) wireTag() WireTag            { return TagBusy }
-func (VictimMsg) wireTag() WireTag          { return TagVictim }
-func (SnapReadMsg) wireTag() WireTag        { return TagSnapRead }
-func (SnapReadReplyMsg) wireTag() WireTag   { return TagSnapReadReply }
-func (WFGReportMsg) wireTag() WireTag       { return TagWFGReport }
-func (ProbeWFGMsg) wireTag() WireTag        { return TagProbeWFG }
-func (SubmitTxnMsg) wireTag() WireTag       { return TagSubmitTxn }
-func (TxnDoneMsg) wireTag() WireTag         { return TagTxnDone }
-func (QueueStatsMsg) wireTag() WireTag      { return TagQueueStats }
-func (EstimateMsg) wireTag() WireTag        { return TagEstimate }
-func (TickMsg) wireTag() WireTag            { return TagTick }
-func (ComputeDoneMsg) wireTag() WireTag     { return TagComputeDone }
-func (RestartMsg) wireTag() WireTag         { return TagRestart }
-func (TxnFinishedMsg) wireTag() WireTag     { return TagTxnFinished }
-func (StopMsg) wireTag() WireTag            { return TagStop }
-func (CrashMsg) wireTag() WireTag           { return TagCrash }
-func (RecoverMsg) wireTag() WireTag         { return TagRecover }
-func (FlushMsg) wireTag() WireTag           { return TagFlush }
-func (FlushDoneMsg) wireTag() WireTag       { return TagFlushDone }
-func (ReplPullMsg) wireTag() WireTag        { return TagReplPull }
-func (ReplRecordsMsg) wireTag() WireTag     { return TagReplRecords }
-func (WrongEpochMsg) wireTag() WireTag      { return TagWrongEpoch }
-func (MapInstallMsg) wireTag() WireTag      { return TagMapInstall }
-func (MapUpdateMsg) wireTag() WireTag       { return TagMapUpdate }
-func (TransferPullMsg) wireTag() WireTag    { return TagTransferPull }
-func (TransferRecordsMsg) wireTag() WireTag { return TagTransferRecords }
+func (RequestMsg) wireTag() WireTag       { return TagRequest }
+func (FinalTSMsg) wireTag() WireTag       { return TagFinalTS }
+func (ReleaseMsg) wireTag() WireTag       { return TagRelease }
+func (AbortMsg) wireTag() WireTag         { return TagAbort }
+func (GrantMsg) wireTag() WireTag         { return TagGrant }
+func (NormalGrantMsg) wireTag() WireTag   { return TagNormalGrant }
+func (RejectMsg) wireTag() WireTag        { return TagReject }
+func (BackoffMsg) wireTag() WireTag       { return TagBackoff }
+func (BusyMsg) wireTag() WireTag          { return TagBusy }
+func (VictimMsg) wireTag() WireTag        { return TagVictim }
+func (SnapReadMsg) wireTag() WireTag      { return TagSnapRead }
+func (SnapReadReplyMsg) wireTag() WireTag { return TagSnapReadReply }
+func (WFGReportMsg) wireTag() WireTag     { return TagWFGReport }
+func (ProbeWFGMsg) wireTag() WireTag      { return TagProbeWFG }
+func (SubmitTxnMsg) wireTag() WireTag     { return TagSubmitTxn }
+func (TxnDoneMsg) wireTag() WireTag       { return TagTxnDone }
+func (QueueStatsMsg) wireTag() WireTag    { return TagQueueStats }
+func (EstimateMsg) wireTag() WireTag      { return TagEstimate }
+func (TickMsg) wireTag() WireTag          { return TagTick }
+func (ComputeDoneMsg) wireTag() WireTag   { return TagComputeDone }
+func (RestartMsg) wireTag() WireTag       { return TagRestart }
+func (TxnFinishedMsg) wireTag() WireTag   { return TagTxnFinished }
+func (StopMsg) wireTag() WireTag          { return TagStop }
+func (CrashMsg) wireTag() WireTag         { return TagCrash }
+func (RecoverMsg) wireTag() WireTag       { return TagRecover }
+func (FlushMsg) wireTag() WireTag         { return TagFlush }
+func (FlushDoneMsg) wireTag() WireTag     { return TagFlushDone }
+func (ReplPullMsg) wireTag() WireTag      { return TagReplPull }
+func (ReplRecordsMsg) wireTag() WireTag   { return TagReplRecords }
+func (WrongEpochMsg) wireTag() WireTag    { return TagWrongEpoch }
+func (MapInstallMsg) wireTag() WireTag    { return TagMapInstall }
+func (MapUpdateMsg) wireTag() WireTag     { return TagMapUpdate }
 
 // A batch travels under its own tag with two or more members, as the single
 // message it stands for with one, and not at all with none.

@@ -58,7 +58,8 @@ func rowValue(tag WireTag) Message {
 	}
 }
 
-// TestMessageTable: every tag up to TagLast has a decode-table row, the row's
+// TestMessageTable: every tag up to TagLast but the retired ones has a
+// decode-table row (a retired tag has none), the row's
 // type travels under that tag and decodes back to the same type, and exactly
 // the seventeen hot protocol types, the catch-up pull and reply and the
 // wait-for report come back from DecodeMessagePooled as pointers, and the
@@ -75,8 +76,10 @@ func TestMessageTable(t *testing.T) {
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)
-		if m == nil {
-			t.Errorf("tag %d has no decode-table row", tag)
+		if TagRetired(tag) || m == nil {
+			if TagRetired(tag) != (m == nil) {
+				t.Errorf("tag %d: retired %v, decode-table row %T", tag, TagRetired(tag), m)
+			}
 			continue
 		}
 		if got := m.wireTag(); got != tag {

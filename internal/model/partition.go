@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PartitionMap is the versioned item→copies placement: the single source of
 // truth for which sites hold which items, replacing the static startup
@@ -55,6 +58,24 @@ func (pm *PartitionMap) CopiesAt(site SiteID) []ItemID {
 			out = append(out, ItemID(i))
 		}
 	}
+	return out
+}
+
+// Sharing returns the ascending list of the other sites holding a copy of
+// an item site also holds: the peers a durable replicated site pulls from.
+func (pm *PartitionMap) Sharing(site SiteID) []SiteID {
+	var out []SiteID
+	for _, reps := range pm.Assignments {
+		if !slices.Contains(reps, site) {
+			continue
+		}
+		for _, s := range reps {
+			if s != site && !slices.Contains(out, s) {
+				out = append(out, s)
+			}
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

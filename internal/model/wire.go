@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// Wire format v4: every message type carries a stable one-byte tag and an
+// Wire format v7: every message type carries a stable one-byte tag and an
 // explicit, hand-rolled field encoder — varint integers, IEEE-754 bits for
 // floats, length-prefixed strings and slices, sorted map keys so encoding is
 // deterministic. No reflection anywhere on the path, which is what lets the
@@ -29,7 +29,7 @@ import (
 // no state between messages.
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v6 to each other, so tags must NEVER be renumbered or
+// builds speak v7 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix.
@@ -70,11 +70,12 @@ const (
 	TagReplPull      WireTag = 27
 	TagReplRecords   WireTag = 28
 
-	TagWrongEpoch      WireTag = 29
-	TagMapInstall      WireTag = 30
-	TagMapUpdate       WireTag = 31
-	TagTransferPull    WireTag = 32
-	TagTransferRecords WireTag = 33
+	TagWrongEpoch WireTag = 29
+	TagMapInstall WireTag = 30
+	TagMapUpdate  WireTag = 31
+	// Tags 32 and 33 carried the rebalance transfer's pull and reply until
+	// wire v7, when a fill became a ReplPullMsg; they are retired and never
+	// reused (TagRetired).
 
 	// Batches of two or more copies (a batch of one travels under its single
 	// message's tag, see batchTag).
@@ -91,8 +92,12 @@ const (
 )
 
 // TagLast is the highest assigned tag, the decode table's last row
-// (corpus-coverage loops range over TagRequest..TagLast).
+// (corpus-coverage loops range over TagRequest..TagLast, less TagRetired).
 const TagLast = WireTag(len(codecs) - 1)
+
+// TagRetired reports whether tag belonged to a deleted message type. Its
+// decode-table row stays empty, so it decodes as an unknown tag.
+func TagRetired(tag WireTag) bool { return tag == 32 || tag == 33 }
 
 // MessageTag returns the tag m travels under; ok is false for nil and for an
 // empty batch, which have no encoding.
@@ -1187,22 +1192,28 @@ func decodeFlushDone(r *WireReader) (m FlushDoneMsg) {
 	return m
 }
 
-// AppendWire encodes the message body (no tag) onto b.
+// AppendWire encodes the message body (no tag) onto b. Have and Scope are
+// opaque here (internal/repl's codecs), carried length-prefixed.
 func (m ReplPullMsg) AppendWire(b []byte) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.AfterSeq)
 	b = AppendUvarint(b, uint64(len(m.Have)))
 	b = append(b, m.Have...)
-	return AppendUvarint(b, m.Incarnation)
+	b = AppendUvarint(b, m.Incarnation)
+	b = AppendUvarint(b, m.Epoch)
+	b = AppendUvarint(b, uint64(len(m.Scope)))
+	return append(b, m.Scope...)
 }
 
 // decodeReplPull decodes a pull, copying Have into buf's array when it has
-// room (see BytesInto).
+// room (see BytesInto). A fill's Scope gets an array of its own.
 func decodeReplPull(r *WireReader, buf []byte) (m ReplPullMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AfterSeq = r.Uvarint()
 	m.Have = r.BytesInto(buf)
 	m.Incarnation = r.Uvarint()
+	m.Epoch = r.Uvarint()
+	m.Scope = r.Bytes()
 	return m
 }
 
@@ -1216,7 +1227,9 @@ func (m ReplRecordsMsg) AppendWire(b []byte) []byte {
 	b = AppendUvarint(b, m.NextAfterSeq)
 	b = AppendWireBool(b, m.Reset)
 	b = AppendWireBool(b, m.More)
-	return AppendUvarint(b, m.Incarnation)
+	b = AppendUvarint(b, m.Incarnation)
+	b = AppendUvarint(b, m.Epoch)
+	return AppendWireBool(b, m.NotReady)
 }
 
 // decodeReplRecords decodes a reply, copying Frames into buf's array when it
@@ -1228,6 +1241,8 @@ func decodeReplRecords(r *WireReader, buf []byte) (m ReplRecordsMsg) {
 	m.Reset = r.Bool()
 	m.More = r.Bool()
 	m.Incarnation = r.Uvarint()
+	m.Epoch = r.Uvarint()
+	m.NotReady = r.Bool()
 	return m
 }
 
@@ -1295,50 +1310,6 @@ func decodeMapUpdate(r *WireReader) (m MapUpdateMsg) {
 	return m
 }
 
-// AppendWire encodes the message body (no tag) onto b.
-func (m TransferPullMsg) AppendWire(b []byte) []byte {
-	b = AppendVarint(b, int64(m.From))
-	b = AppendUvarint(b, m.Epoch)
-	b = AppendUvarint(b, m.AfterSeq)
-	return AppendUvarint(b, m.Incarnation)
-}
-
-func decodeTransferPull(r *WireReader) (m TransferPullMsg) {
-	m.From = SiteID(r.Varint32())
-	m.Epoch = r.Uvarint()
-	m.AfterSeq = r.Uvarint()
-	m.Incarnation = r.Uvarint()
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b (Frames is the WAL's
-// shipped record codec, opaque here — see ReplRecordsMsg).
-func (m TransferRecordsMsg) AppendWire(b []byte) []byte {
-	b = AppendVarint(b, int64(m.From))
-	b = AppendUvarint(b, m.Epoch)
-	b = AppendUvarint(b, uint64(len(m.Frames)))
-	b = append(b, m.Frames...)
-	b = AppendUvarint(b, m.NextAfterSeq)
-	b = AppendWireBool(b, m.Reset)
-	b = AppendWireBool(b, m.More)
-	b = AppendWireBool(b, m.NotReady)
-	b = AppendWireBool(b, m.Done)
-	return AppendUvarint(b, m.Incarnation)
-}
-
-func decodeTransferRecords(r *WireReader) (m TransferRecordsMsg) {
-	m.From = SiteID(r.Varint32())
-	m.Epoch = r.Uvarint()
-	m.Frames = r.Bytes()
-	m.NextAfterSeq = r.Uvarint()
-	m.Reset = r.Bool()
-	m.More = r.Bool()
-	m.NotReady = r.Bool()
-	m.Done = r.Bool()
-	m.Incarnation = r.Uvarint()
-	return m
-}
-
 // decodeEmpty decodes a message that has no fields.
 func decodeEmpty[T Message](*WireReader) (m T) { return m }
 
@@ -1398,43 +1369,41 @@ func decodeWith[T Message, E any](decode func(*WireReader, []E) T) func(*WireRea
 
 // codecs is the decode table, indexed by tag; TagInvalid's row is empty.
 var codecs = [...]codec{
-	TagRequest:         pooled(&requestPool, decodeRequest),
-	TagFinalTS:         pooled(&finalTSPool, decodeFinalTS),
-	TagRelease:         pooled(&releasePool, decodeRelease),
-	TagAbort:           pooled(&abortPool, decodeAbort),
-	TagGrant:           pooled(&grantPool, decodeGrant),
-	TagNormalGrant:     pooled(&normalGrantPool, decodeNormalGrant),
-	TagReject:          pooled(&rejectPool, decodeReject),
-	TagBackoff:         pooled(&backoffPool, decodeBackoff),
-	TagBusy:            pooled(&busyPool, decodeBusy),
-	TagVictim:          plain(decodeVictim),
-	TagSnapRead:        pooled(&snapReadPool, decodeSnapRead),
-	TagSnapReadReply:   pooled(&snapReadReplyPool, decodeSnapReadReply),
-	TagWFGReport:       {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
-	TagProbeWFG:        plain(decodeProbeWFG),
-	TagSubmitTxn:       {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
-	TagTxnDone:         plain(decodeTxnDone),
-	TagQueueStats:      plain(decodeQueueStats),
-	TagEstimate:        plain(decodeEstimate),
-	TagTick:            plain(decodeTick),
-	TagComputeDone:     plain(decodeComputeDone),
-	TagRestart:         plain(decodeRestart),
-	TagTxnFinished:     plain(decodeTxnFinished),
-	TagStop:            plain(decodeEmpty[StopMsg]),
-	TagCrash:           plain(decodeEmpty[CrashMsg]),
-	TagRecover:         plain(decodeEmpty[RecoverMsg]),
-	TagFlush:           plain(decodeFlush),
-	TagReplPull:        {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
-	TagReplRecords:     {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
-	TagWrongEpoch:      plain(decodeWrongEpoch),
-	TagMapInstall:      plain(decodeMapInstall),
-	TagMapUpdate:       plain(decodeMapUpdate),
-	TagTransferPull:    plain(decodeTransferPull),
-	TagTransferRecords: plain(decodeTransferRecords),
-	TagRequestBatch:    batch(&requestBatchPool, func(p *RequestBatchMsg) []RequestMember { return p.Members }, decodeRequestBatch),
-	TagReleaseBatch:    batch(&releaseBatchPool, func(p *ReleaseBatchMsg) []ReleaseMember { return p.Members }, decodeReleaseBatch),
-	TagGrantBatch:      batch(&grantBatchPool, func(p *GrantBatchMsg) []GrantMember { return p.Members }, decodeGrantBatch),
-	TagSnapReadBatch:   batch(&snapReadBatchPool, func(p *SnapReadBatchMsg) []ItemID { return p.Members }, decodeSnapReadBatch),
+	TagRequest:       pooled(&requestPool, decodeRequest),
+	TagFinalTS:       pooled(&finalTSPool, decodeFinalTS),
+	TagRelease:       pooled(&releasePool, decodeRelease),
+	TagAbort:         pooled(&abortPool, decodeAbort),
+	TagGrant:         pooled(&grantPool, decodeGrant),
+	TagNormalGrant:   pooled(&normalGrantPool, decodeNormalGrant),
+	TagReject:        pooled(&rejectPool, decodeReject),
+	TagBackoff:       pooled(&backoffPool, decodeBackoff),
+	TagBusy:          pooled(&busyPool, decodeBusy),
+	TagVictim:        plain(decodeVictim),
+	TagSnapRead:      pooled(&snapReadPool, decodeSnapRead),
+	TagSnapReadReply: pooled(&snapReadReplyPool, decodeSnapReadReply),
+	TagWFGReport:     {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
+	TagProbeWFG:      plain(decodeProbeWFG),
+	TagSubmitTxn:     {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
+	TagTxnDone:       plain(decodeTxnDone),
+	TagQueueStats:    plain(decodeQueueStats),
+	TagEstimate:      plain(decodeEstimate),
+	TagTick:          plain(decodeTick),
+	TagComputeDone:   plain(decodeComputeDone),
+	TagRestart:       plain(decodeRestart),
+	TagTxnFinished:   plain(decodeTxnFinished),
+	TagStop:          plain(decodeEmpty[StopMsg]),
+	TagCrash:         plain(decodeEmpty[CrashMsg]),
+	TagRecover:       plain(decodeEmpty[RecoverMsg]),
+	TagFlush:         plain(decodeFlush),
+	TagReplPull:      {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
+	TagReplRecords:   {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
+	TagWrongEpoch:    plain(decodeWrongEpoch),
+	TagMapInstall:    plain(decodeMapInstall),
+	TagMapUpdate:     plain(decodeMapUpdate),
+	TagRequestBatch:  batch(&requestBatchPool, func(p *RequestBatchMsg) []RequestMember { return p.Members }, decodeRequestBatch),
+	TagReleaseBatch:  batch(&releaseBatchPool, func(p *ReleaseBatchMsg) []ReleaseMember { return p.Members }, decodeReleaseBatch),
+	TagGrantBatch:    batch(&grantBatchPool, func(p *GrantBatchMsg) []GrantMember { return p.Members }, decodeGrantBatch),
+	TagSnapReadBatch: batch(&snapReadBatchPool, func(p *SnapReadBatchMsg) []ItemID { return p.Members }, decodeSnapReadBatch),
 	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, func(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members },
 		decodeSnapReadReplyBatch),
 	TagAbortBatch: batch(&abortBatchPool, func(p *AbortBatchMsg) []ItemID { return p.Members }, decodeAbortBatch),

@@ -119,8 +119,6 @@ func TestMessageTagsStable(t *testing.T) {
 		29: WrongEpochMsg{},
 		30: MapInstallMsg{},
 		31: MapUpdateMsg{},
-		32: TransferPullMsg{},
-		33: TransferRecordsMsg{},
 		34: RequestBatchMsg{Members: make([]RequestMember, 2)},
 		35: ReleaseBatchMsg{Members: make([]ReleaseMember, 2)},
 		36: GrantBatchMsg{Members: make([]GrantMember, 2)},
@@ -137,6 +135,19 @@ func TestMessageTagsStable(t *testing.T) {
 	}
 	if _, ok := MessageTag(nil); ok {
 		t.Error("nil message must have no tag")
+	}
+	// Tags 32 and 33 (the rebalance transfer's pull and reply) are retired:
+	// no type travels under them and they decode as unknown.
+	for tag := TagRequest; tag <= TagLast; tag++ {
+		if _, pinned := want[tag]; pinned == TagRetired(tag) {
+			t.Errorf("tag %d: pinned to a type %v, retired %v; want exactly one", tag, pinned, TagRetired(tag))
+		}
+	}
+	for _, tag := range []WireTag{32, 33} {
+		r := NewWireReader(nil)
+		if _, err := DecodeMessage(tag, &r); !errors.Is(err, ErrWireUnknownTag) || !TagRetired(tag) {
+			t.Errorf("retired tag %d decodes with %v", tag, err)
+		}
 	}
 }
 

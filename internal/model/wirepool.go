@@ -456,10 +456,12 @@ func cloneArray[E any](s []E) []E {
 var replPullPool msgPool[ReplPullMsg]
 
 // PooledReplPull returns v as a pooled *ReplPullMsg; Have is copied into the
-// pooled message's own array, so v.Have stays the caller's.
+// pooled message's own array, so v.Have stays the caller's. A fill's Scope
+// is copied into an array of its own, which the pool does not keep.
 func PooledReplPull(v ReplPullMsg) *ReplPullMsg {
 	p := replPullPool.get()
 	v.Have, v.buf = ownArray(p.buf, v.Have)
+	v.Scope = cloneArray(v.Scope)
 	*p = v
 	return p
 }

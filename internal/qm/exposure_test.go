@@ -448,9 +448,9 @@ func TestRetireWhileParked(t *testing.T) {
 		if m.queueOf(item) == nil {
 			t.Fatal("map install deleted a parked queue")
 		}
-		pull := model.TransferPullMsg{From: 1, Epoch: 2}
+		pull := model.ReplPullMsg{From: 1, Epoch: 2, Scope: repl.AppendScope(nil, []model.ItemID{item})}
 		m.OnMessage(ctx, engine.QMAddr(1), pull)
-		if r := take[model.TransferRecordsMsg](ctx.fakeCtx); len(r) != 1 || !r[0].NotReady {
+		if r := take[model.ReplRecordsMsg](ctx.fakeCtx); len(r) != 1 || !r[0].NotReady {
 			t.Fatalf("transfer served before the handed-off write was durable: %+v", r)
 		}
 
@@ -459,7 +459,7 @@ func TestRetireWhileParked(t *testing.T) {
 			t.Fatal("drained retiring queue survived its un-park")
 		}
 		m.OnMessage(ctx, engine.QMAddr(1), pull)
-		if r := take[model.TransferRecordsMsg](ctx.fakeCtx); len(r) != 1 || r[0].NotReady || len(r[0].Frames) == 0 {
+		if r := take[model.ReplRecordsMsg](ctx.fakeCtx); len(r) != 1 || r[0].NotReady || len(r[0].Frames) == 0 {
 			t.Fatalf("transfer after the flush: %+v, want the store image", r)
 		}
 	})

@@ -54,8 +54,8 @@ type Options struct {
 	// the per-site commit sequencer coalesces the shards' syncs.
 	GroupCommitMicros int64
 	// InitialValue seeds copies this site gains at a map install before
-	// their transfer stream arrives (matching cluster.Config.InitialValue,
-	// so an item the old owner never wrote transfers as a no-op).
+	// their fill arrives (matching cluster.Config.InitialValue, so an item
+	// the old owner never wrote fills as a no-op).
 	InitialValue int64
 }
 
@@ -85,8 +85,8 @@ type Counters struct {
 	Recoveries uint64 // completed crash recoveries
 	Deferred   uint64 // messages queued while the site was down
 
-	// Log-shipping catch-up (internal/repl; zero unless quorum replication
-	// is configured).
+	// Log-shipping catch-up (internal/repl; zero unless a durable cluster
+	// keeps more than one copy of an item).
 	ReplPulls   uint64 // pulls served to peers from this site's durable log
 	ReplApplied uint64 // shipped records this site installed during catch-up
 	// ReplSkipped counts shipped records this site skipped as stale or
@@ -101,10 +101,10 @@ type Counters struct {
 	// Versioned placement / online rebalance.
 	WrongEpoch      uint64 // operations NAK'd because the installed map disowns the copy
 	MapInstalls     uint64 // newer partition maps installed
-	ItemsGained     uint64 // copies created at map installs (awaiting or skipping transfer)
-	TransferPulls   uint64 // transfer pulls served to new owners
-	TransferApplied uint64 // transfer records installed (stamp-gated, like ReplApplied)
-	TransferBytes   uint64 // transfer batch bytes received
+	ItemsGained     uint64 // copies created at map installs (awaiting or skipping a fill)
+	TransferPulls   uint64 // fill pulls served to new owners (NotReady answers not counted)
+	TransferApplied uint64 // fill records installed (stamp-gated, like ReplApplied)
+	TransferBytes   uint64 // fill batch bytes received
 }
 
 // Durable is the durability subsystem a manager drives (internal/wal's
@@ -160,15 +160,17 @@ type Manager struct {
 	// statsGrants is the stats tick's scratch.
 	statsGrants []model.QueueGrants
 
-	// Log-shipping catch-up plane (internal/repl), set once via
-	// SetReplication before traffic flows; nil puller = no quorum catch-up.
-	// The puller tracks per-peer watermarks, replSrc serves peers' pulls
-	// from this site's durable log, known is what each pulling peer is
-	// believed to hold already. All are guarded by ctlMu.
-	puller      *repl.Puller
-	replSrc     repl.Source
-	known       repl.Known
-	replStopped bool
+	// Log-shipping plane (internal/repl), replaced once via SetReplication
+	// before traffic flows. The puller tracks the catch-up watermark per
+	// peer and the open fills; replSrc serves peers' pulls from this site's
+	// durable log (nil = no catch-up: fills are served from the store);
+	// known is what each pulling peer is believed to hold already. All are
+	// guarded by ctlMu, like the pull tick's state.
+	puller        *repl.Puller
+	replSrc       repl.Source
+	known         repl.Known
+	replStopped   bool
+	replTickArmed bool
 	// serveFrames is the scratch a served pull's reply is built in.
 	serveFrames []byte
 	// probeEdges is the scratch a deadlock probe's report is built in.
@@ -176,12 +178,10 @@ type Manager struct {
 
 	// Versioned placement. pmap is read lock-free on the request fast path
 	// (atomic pointer; nil = legacy mode, ownership is queue existence) and
-	// replaced only inside onMapInstall's site-wide critical section. The
-	// transfer sessions and their retry timer are control-plane state under
-	// ctlMu like the puller.
-	pmap              atomic.Pointer[model.PartitionMap]
-	sessions          []*transferSession
-	transferTickArmed bool
+	// replaced only inside installMap's site-wide critical section. downMap
+	// is the newest install that arrived during an outage (under ctlMu).
+	pmap    atomic.Pointer[model.PartitionMap]
+	downMap *model.MapInstallMsg
 }
 
 // pendingMsg is a message that arrived at a shard while the site was down;
@@ -203,6 +203,7 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 		store:    store,
 		recorder: recorder,
 		opts:     opts,
+		puller:   repl.NewPuller(repl.Options{Site: site}),
 	}
 	m.groupCommitMicros.Store(opts.GroupCommitMicros)
 	m.shards = make([]*shard, opts.Shards)
@@ -420,8 +421,6 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 			m.onReplTick(ctx)
 		case ReplSettleTickTag:
 			m.onReplSettle(ctx)
-		case TransferTickTag:
-			m.onTransferTick(ctx)
 		default:
 			m.onStatsTick(ctx)
 		}
@@ -435,10 +434,6 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		m.onReplRecords(ctx, *v)
 	case model.MapInstallMsg:
 		m.onMapInstall(ctx, v)
-	case model.TransferPullMsg:
-		m.onTransferPull(ctx, v)
-	case model.TransferRecordsMsg:
-		m.onTransferRecords(ctx, v)
 	case model.CrashMsg:
 		m.onCrash()
 	case model.RecoverMsg:
@@ -497,7 +492,7 @@ func (m *Manager) unlockAll() {
 }
 
 // flushAll runs every shard's flushNow: the control plane's sync point
-// (catch-up and transfer applies), after which everything it journaled is
+// (shipped records' applies), after which everything it journaled is
 // durable and exposed. Callers hold ctlMu and no shard lock. The un-park's
 // grants leave from the control shard's address, yet on engine.Runtime reach
 // the issuer before anything the item's shard sends later: both send holding
@@ -552,24 +547,14 @@ func (m *Manager) onCrash() {
 	}
 	m.store.Wipe()
 	m.dur.Crash()
-	if m.puller != nil {
-		// Shipped records applied since the last sync are lost with the rest
-		// of the volatile tail: zero the watermarks so every peer's log is
-		// offered again from the start (or from its snapshot image, via the
-		// Reset path). Stamp-gating makes the re-shipment idempotent.
-		m.puller.ResetAll()
-	}
+	// Shipped records applied since the last sync are lost with the rest of
+	// the volatile tail: zero the watermarks, the fills' included, so every
+	// peer's log is offered again from the start (or from its snapshot
+	// image, via the Reset path), in a new incarnation so no reply to a
+	// pre-crash pull advances a mark. Stamp-gating makes the re-shipment
+	// idempotent.
+	m.puller.ResetAll()
 	m.known.ForgetAll() // volatile like everything else here
-	for _, s := range m.sessions {
-		// Transfer records applied but not yet synced are gone with the rest
-		// of the volatile state; re-pull each incomplete session from the
-		// start after recovery (stamp-gating absorbs the overlap), in a new
-		// incarnation so no reply to a pre-crash pull advances the mark.
-		if !s.done {
-			s.afterSeq = 0
-			s.incarnation++
-		}
-	}
 	m.shards[0].counters.Crashes++
 }
 
@@ -589,6 +574,10 @@ func (m *Manager) onRecover(ctx engine.Context) {
 	// recovery rebuilds it (down shards only append to their deferred list).
 	if err := m.dur.Recover(); err != nil {
 		panic(fmt.Sprintf("qm: site %d: recovery failed: %v", m.site, err))
+	}
+	if v := m.downMap; v != nil {
+		m.downMap = nil
+		m.installMap(ctx, *v)
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()

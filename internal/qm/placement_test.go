@@ -5,6 +5,7 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/repl"
 	"ucc/internal/storage"
 	"ucc/internal/wal"
 )
@@ -133,15 +134,15 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{0}, {0}},
 	}})
-	pulls := take[model.TransferPullMsg](ctx)
+	pulls := take[model.ReplPullMsg](ctx)
 	if len(pulls) != 1 || pulls[0].Epoch != 2 || pulls[0].From != 0 {
 		t.Fatalf("pulls=%+v want one for epoch 2 from site 0", pulls)
 	}
 	if c := m.Snapshot(); c.ItemsGained != 1 {
 		t.Fatalf("ItemsGained = %d want 1", c.ItemsGained)
 	}
-	if !m.TransfersPending() {
-		t.Fatal("TransfersPending() = false during transfer")
+	if !m.FillsOpen() {
+		t.Fatal("FillsOpen() = false during transfer")
 	}
 
 	// Sealed: correct routing, so Busy rather than WrongEpoch.
@@ -157,11 +158,11 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	frames := wal.AppendShipped(nil, 0, wal.Record{
 		Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5,
 	})
-	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{
-		From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true,
+	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{
+		From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4,
 	})
-	if m.TransfersPending() {
-		t.Fatal("TransfersPending() = true after Done")
+	if m.FillsOpen() {
+		t.Fatal("FillsOpen() = true after Done")
 	}
 	if c := m.Snapshot(); c.TransferApplied != 1 || c.TransferBytes == 0 {
 		t.Fatalf("transfer counters = %+v want 1 applied, >0 bytes", c)
@@ -197,8 +198,9 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{1}},
 	}})
-	m.OnMessage(ctx, ctx.self, model.TransferPullMsg{From: 1, Epoch: 2})
-	recs := take[model.TransferRecordsMsg](ctx)
+	pull := model.ReplPullMsg{From: 1, Epoch: 2, Scope: repl.AppendScope(nil, []model.ItemID{0})}
+	m.OnMessage(ctx, ctx.self, pull)
+	recs := take[model.ReplRecordsMsg](ctx)
 	if len(recs) != 1 || !recs[0].NotReady {
 		t.Fatalf("recs=%+v want one NotReady while draining", recs)
 	}
@@ -211,8 +213,8 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 
 	// The resident releases; the queue drains and retires.
 	m.OnMessage(ctx, engine.RIAddr(1), release(1, 0, true, 555))
-	m.OnMessage(ctx, ctx.self, model.TransferPullMsg{From: 1, Epoch: 2})
-	recs = take[model.TransferRecordsMsg](ctx)
+	m.OnMessage(ctx, ctx.self, pull)
+	recs = take[model.ReplRecordsMsg](ctx)
 	if len(recs) != 1 || recs[0].NotReady {
 		t.Fatalf("recs=%+v want a served batch after drain", recs)
 	}
@@ -221,9 +223,10 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	}
 
 	// The follow-up pull for the tail: volatile sites have none, so Done.
-	m.OnMessage(ctx, ctx.self, model.TransferPullMsg{From: 1, Epoch: 2, AfterSeq: recs[0].NextAfterSeq})
-	recs = take[model.TransferRecordsMsg](ctx)
-	if len(recs) != 1 || !recs[0].Done {
+	pull.AfterSeq = recs[0].NextAfterSeq
+	m.OnMessage(ctx, ctx.self, pull)
+	recs = take[model.ReplRecordsMsg](ctx)
+	if len(recs) != 1 || recs[0].More || recs[0].NotReady {
 		t.Fatalf("recs=%+v want a Done tail batch", recs)
 	}
 	if c := m.Snapshot(); c.TransferPulls != 2 {
@@ -250,24 +253,24 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {1}}})
 	ctx := newFakeCtx()
 	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
-	before := take[model.TransferPullMsg](ctx)
+	before := take[model.ReplPullMsg](ctx)
 	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
 	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
 	frames := wal.AppendShipped(nil, 0, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
-	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true, Incarnation: before[0].Incarnation})
-	if !m.TransfersPending() {
+	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: before[0].Incarnation})
+	if !m.FillsOpen() {
 		t.Fatal("a pre-crash reply completed the transfer")
 	}
 	if c := m.Snapshot(); c.TransferApplied != 0 {
 		t.Fatalf("a pre-crash reply applied %d records", c.TransferApplied)
 	}
-	m.OnMessage(ctx, ctx.self, model.TickMsg{Tag: TransferTickTag})
-	after := take[model.TransferPullMsg](ctx)
+	m.OnMessage(ctx, ctx.self, model.TickMsg{Tag: ReplTickTag})
+	after := take[model.ReplPullMsg](ctx)
 	if len(before) != 1 || len(after) != 1 || after[0].AfterSeq != 0 || after[0].Incarnation == before[0].Incarnation {
 		t.Fatalf("pulls before %+v and after %+v the crash, want one each from seq 0 in distinct incarnations", before, after)
 	}
-	m.OnMessage(ctx, ctx.self, model.TransferRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Done: true, Incarnation: after[0].Incarnation})
-	if m.TransfersPending() {
+	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: after[0].Incarnation})
+	if m.FillsOpen() {
 		t.Fatal("the current reply did not complete the transfer")
 	}
 	// The gained copy was created with nothing journaled since the last

@@ -262,3 +262,63 @@ func TestShippedRecordOfALiveWriterWaitsForItsRelease(t *testing.T) {
 		})
 	}
 }
+
+// TestPullDigestNamesOnlyThePeersItems: under partial replication each
+// pull's digest names only the items the installed map gives the pulled peer
+// a copy of. The peer serves no other item, so naming one is waste.
+func TestPullDigestNamesOnlyThePeersItems(t *testing.T) {
+	m, st, _ := replSite(t)
+	// Site 0 shares items 0–3 with site 1 and items 4–7 with site 2.
+	as := make([][]model.SiteID, 8)
+	for i := range as {
+		as[i] = []model.SiteID{0, model.SiteID(1 + i/4)}
+	}
+	pm := &model.PartitionMap{Epoch: 1, Assignments: as}
+	m.SetPartitionMap(pm)
+	ctx := newFakeCtx()
+	for i := 0; i < 8; i++ {
+		st.Write(model.ItemID(i), model.TxnID{Site: 0, Seq: uint64(i + 1)}, int64(i), int64(10*(i+1)))
+	}
+	for _, peer := range []model.SiteID{1, 2} {
+		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		var have []wal.Have
+		for _, e := range ctx.sent {
+			if p, ok := e.Msg.(model.ReplPullMsg); ok && e.To.ID == peer {
+				have, _ = repl.DecodeHave(p.Have, nil)
+			}
+		}
+		ctx.sent = nil
+		if len(have) != 4 || slices.ContainsFunc(have, func(h wal.Have) bool { return !pm.Owns(h.Item, peer) }) {
+			t.Fatalf("pull to site %d names %v, want exactly its 4 items", peer, have)
+		}
+	}
+}
+
+// TestCatchUpTickAllocatesNothing: once warm, a catch-up tick — a pull with
+// a digest filtered by the installed map, in a pooled message, and the
+// re-pulls of no open fill — allocates nothing.
+func TestCatchUpTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	m, st, _ := replSite(t)
+	as := make([][]model.SiteID, 8)
+	for i := range as {
+		as[i] = []model.SiteID{0, model.SiteID(1 + i%2)}
+	}
+	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: as})
+	for i := 0; i < 8; i++ {
+		st.Write(model.ItemID(i), model.TxnID{Site: 0, Seq: uint64(i + 1)}, int64(i), int64(10*(i+1)))
+	}
+	var ctx drainCtx
+	var tick model.Message = model.TickMsg{Tag: ReplTickTag}
+	fire := func() {
+		m.puller.ResetAll() // every pull digests the whole tail again
+		m.OnMessage(&ctx, engine.QMAddr(0), tick)
+	}
+	fire()
+	fire()
+	if n := testing.AllocsPerRun(50, fire); n != 0 {
+		t.Fatalf("%v allocations per catch-up tick, want 0", n)
+	}
+}

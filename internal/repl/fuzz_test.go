@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -152,7 +153,7 @@ func FuzzReplStream(f *testing.F) {
 
 // seedDigests are FuzzHaveDigest's committed seeds: a typical digest, one
 // spanning the field extremes, a truncation, items out of order, an item
-// beyond the ID range, and raw garbage.
+// beyond the ID range, a fill's scope, and raw garbage.
 func seedDigests() map[string][]byte {
 	clean := AppendHave(nil, []wal.Have{{Item: 3, CommitMicros: 1_700_000_000_000_000}, {Item: 4, CommitMicros: 1_700_000_000_000_900}, {Item: 900, CommitMicros: 1_699_999_999_999_000}})
 	extremes := AppendHave(nil, []wal.Have{{Item: -1 << 31, CommitMicros: -1 << 63}, {Item: 0, CommitMicros: 1<<63 - 1}, {Item: 1<<31 - 1, CommitMicros: 0}})
@@ -163,24 +164,43 @@ func seedDigests() map[string][]byte {
 		"truncated": clean[:len(clean)-1],
 		"unsorted":  unsorted,
 		"wide-item": model.AppendVarint(model.AppendVarint(nil, 1<<31), 7),
+		"scope":     AppendScope(nil, []model.ItemID{0, 1, 3, 900, 1<<31 - 1}),
 		"garbage":   {0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF},
 		"empty":     {},
 	}
 }
 
-// FuzzHaveDigest hardens the pull digest against arbitrary bytes off the
-// wire. For every input:
+// FuzzHaveDigest hardens the pull's digest, and a fill's scope, which
+// shares its item coding, against arbitrary bytes off the wire. For every
+// input:
 //
 //   - DecodeHave must not panic; what it accepts is strictly item-ascending
 //     and re-encodes to the same bytes (one encoding per digest).
 //   - A digest that does not decode is treated as absent: Known learns
 //     nothing from it, so the pull it rode on is served in full.
 //   - What Known learns from an accepted digest is exactly its entries.
+//   - DecodeScope holds to the same: no panic, an accepted scope strictly
+//     ascending and canonical, and a rejected one yields no item — and is
+//     not served (Known.Serve), never widened to every item.
 func FuzzHaveDigest(f *testing.F) {
 	for _, data := range seedDigests() {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		scope, ok := DecodeScope(data, nil)
+		switch {
+		case !ok && len(scope) != 0:
+			t.Fatalf("rejected scope still yielded %v", scope)
+		case ok && (!slices.IsSorted(scope) || len(slices.Compact(slices.Clone(scope))) != len(scope)):
+			t.Fatalf("accepted scope not strictly ascending: %v", scope)
+		case ok && !bytes.Equal(AppendScope(nil, scope), data):
+			t.Fatalf("accepted scope is not the canonical encoding:\n in: %x\nout: %x", data, AppendScope(nil, scope))
+		}
+		var sk Known
+		if _, served, _ := sk.Serve(0, &emptyLog{}, model.ReplPullMsg{From: 1, Epoch: 1, Scope: data}, nil, 16, nil); served != ok {
+			t.Fatalf("scope decoded %v but the fill was served %v", ok, served)
+		}
+
 		have, ok := DecodeHave(data, nil)
 		var k Known
 		k.Learn(1, data)
@@ -208,3 +228,15 @@ func FuzzHaveDigest(f *testing.F) {
 		}
 	})
 }
+
+// emptyLog is a Source holding nothing: what a fill over it is served does
+// not matter, only whether it is served.
+type emptyLog struct{}
+
+func (*emptyLog) RecordsSince(afterSeq uint64, _ int, _ func(model.ItemID, int64) bool, dst []byte) ([]byte, uint64, bool, bool, error) {
+	return dst, afterSeq, false, false, nil
+}
+func (*emptyLog) SnapshotRecords(_ func(model.ItemID, int64) bool, dst []byte) ([]byte, uint64, error) {
+	return dst, 0, nil
+}
+func (*emptyLog) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) { return dst, afterSeq }

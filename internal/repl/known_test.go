@@ -56,7 +56,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
 		wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25}, wal.Have{Item: 1, CommitMicros: 30})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 	}
 	// The claim is stored: a later pull without a digest is still spared the
 	// same records — and still gets the one newer than the claim.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("stored claim: shipped %v next %d; want %v next 5", got, msg.NextAfterSeq, want[1:])
 	}
 	// Another peer claimed nothing and is withheld nothing.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("peer 2 claimed nothing but was shipped %v", got)
 	}
 	// The bound counts shipped records: withheld ones do not use it up.
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, nil, 1, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
 		wal.Have{Item: 2, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})
 	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0, 1}, {0, 2}, {1, 0}, {2, 0}}}
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1}, pm, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
 	if got := shipped(t, msg); !slices.Equal(got, want) || msg.NextAfterSeq != 4 {
 		t.Fatalf("shipped %v next %d; want %v next 4", got, msg.NextAfterSeq, want)
 	}
-	msg, err = k.Serve(0, src, model.ReplPullMsg{From: 2}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestServeForgetsOnPullFromZero(t *testing.T) {
 	var k Known
 	k.Learn(1, digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}))
 	k.Note(1, 3, 99)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,8 @@ func TestServeForgetsOnPullFromZero(t *testing.T) {
 }
 
 // TestServeForgetsOnReset: a peer behind both tail and log is re-imaged from
-// the snapshot, and what was believed about it goes with its old state.
+// the snapshot, less the copies it holds at the image's stamps already, and
+// what was believed about it goes with its old state.
 func TestServeForgetsOnReset(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	src.Crash()
@@ -148,15 +149,15 @@ func TestServeForgetsOnReset(t *testing.T) {
 	}
 	var k Known
 	k.Note(1, 1, 10)
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !msg.Reset || !msg.More || msg.NextAfterSeq != 2 {
 		t.Fatalf("want the Reset image at seq 2, got %+v", msg)
 	}
-	if got := shipped(t, msg); len(got) != 8 {
-		t.Fatalf("the Reset image ships every copy, got %v", got)
+	if got := shipped(t, msg); len(got) != 6 || slices.ContainsFunc(got, func(h wal.Have) bool { return h.Item == 1 || h.Item == 2 }) {
+		t.Fatalf("the Reset image ships every copy but items 1 and 2, which the peer holds at the image's stamps, got %v", got)
 	}
 	if k.Holds(1, 1, 10) || !k.Holds(1, 2, 15) {
 		t.Fatal("a Reset must leave exactly the pull's own digest in the table")
@@ -168,7 +169,7 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	good := digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	var k Known
-	msg, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, nil, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,25 +206,25 @@ func TestPullerKeepsPeersSorted(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { _ = p.Peers() }); n != 0 {
 		t.Fatalf("Peers allocates %v times per call", n)
 	}
-	p.Advance(3, 7)
+	p.Advance(3, 0, 7)
 	p.SetPeers([]model.SiteID{4, 3})
 	if got := p.Peers(); len(got) != 2 || got[0] != 3 || got[1] != 4 || p.Mark(3) != 7 || p.Mark(4) != 0 {
 		t.Fatalf("after SetPeers: peers %v marks %v", got, p.Watermarks())
 	}
-	if !p.Advance(4, 2) || p.Advance(4, 2) || p.Advance(9, 1) {
+	if !p.Advance(4, 0, 2) || p.Advance(4, 0, 2) || p.Advance(9, 0, 1) {
 		t.Fatal("Advance must report exactly the calls that moved a watermark")
 	}
 
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 2, CommitMicros: 15}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 30})
 	for _, want := range []model.SiteID{3, 4} {
-		peer, b, ok := p.NextPull(src)
-		have, dok := DecodeHave(b, nil)
+		peer, pull, ok := p.NextPull(src, nil)
+		have, dok := DecodeHave(pull.Have, nil)
 		if !ok || peer != want || !dok || !slices.Equal(have, []wal.Have{{Item: 1, CommitMicros: 10}, {Item: 2, CommitMicros: 30}}) {
 			t.Fatalf("pull to %d (ok %v) carries digest %v (ok %v), want one to %d naming items 1@10 and 2@30", peer, ok, have, dok, want)
 		}
 	}
-	if peer, again, _ := p.NextPull(src); peer != 3 || again != nil {
-		t.Fatalf("the round robin's second lap pulls %d with digest %x, want 3 with none", peer, again)
+	if peer, again, _ := p.NextPull(src, nil); peer != 3 || again.Have != nil {
+		t.Fatalf("the round robin's second lap pulls %d with digest %x, want 3 with none", peer, again.Have)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestServeAndApplyAllocatesNothing(t *testing.T) {
 	var frames []byte
 	var shippedN int
 	serveApply := func() {
-		batch, err := k.Serve(0, src, pull, nil, 512, frames[:0])
+		batch, _, err := k.Serve(0, src, pull, nil, 512, frames[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,5 +264,65 @@ func TestServeAndApplyAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, serveApply); n != 0 {
 		t.Fatalf("%v allocations per served and applied batch, want 0", n)
+	}
+}
+
+// TestServeFillShipsOnlyItsScope: a fill is served the records of its
+// scope's items and no others, from the tail and from a Reset image alike,
+// and echoes its epoch. It neither reads nor changes what is known about the
+// puller: a claim withholds nothing from it, and a fill from zero forgets
+// nothing. A scope that does not decode is not served at all.
+func TestServeFillShipsOnlyItsScope(t *testing.T) {
+	src := serverLog(t, wal.Options{},
+		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
+		wal.Have{Item: 3, CommitMicros: 20}, wal.Have{Item: 2, CommitMicros: 25})
+	var k Known
+	k.Note(1, 2, 99)
+	fill := model.ReplPullMsg{From: 1, Epoch: 4, Incarnation: 2, Scope: AppendScope(nil, []model.ItemID{2, 3})}
+	msg, ok, err := k.Serve(0, src, fill, nil, 16, nil)
+	if err != nil || !ok {
+		t.Fatalf("fill served ok %v, err %v", ok, err)
+	}
+	want := []wal.Have{{Item: 2, CommitMicros: 15}, {Item: 3, CommitMicros: 20}, {Item: 2, CommitMicros: 25}}
+	if got := shipped(t, msg); !slices.Equal(got, want) || msg.NextAfterSeq != 4 || msg.Epoch != 4 || msg.Incarnation != 2 || msg.More || msg.NotReady {
+		t.Fatalf("fill shipped %v in %+v, want %v to next 4, epoch 4, incarnation 2", got, msg, want)
+	}
+	if !k.Holds(1, 2, 99) {
+		t.Fatal("a fill from zero forgot what was known about the puller")
+	}
+
+	src.Crash()
+	if err := src.Recover(); err != nil { // empties the tail, snapshots at seq 4
+		t.Fatal(err)
+	}
+	msg, ok, err = k.Serve(0, src, fill, nil, 16, nil)
+	if err != nil || !ok || !msg.Reset || !msg.More {
+		t.Fatalf("fill from 0 after the log was truncated: %+v (ok %v, err %v), want a Reset image", msg, ok, err)
+	}
+	if got := shipped(t, msg); !slices.Equal(got, []wal.Have{{Item: 2, CommitMicros: 25}, {Item: 3, CommitMicros: 20}}) {
+		t.Fatalf("the Reset image shipped %v, want items 2 and 3 alone", got)
+	}
+
+	fill.Scope = []byte{0x80} // an unterminated varint
+	if _, ok, err := k.Serve(0, src, fill, nil, 16, nil); ok || err != nil {
+		t.Fatalf("a scope that does not decode was served (ok %v, err %v)", ok, err)
+	}
+}
+
+// TestNextPullAllocatesNothing: a catch-up pull's digest, filtered by the
+// installed map, is built in the puller's own scratch.
+func TestNextPullAllocatesNothing(t *testing.T) {
+	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}, wal.Have{Item: 5, CommitMicros: 20})
+	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0}, {0, 1}, {0}, {0}, {0}, {0, 1}, {0}, {0}}}
+	p := NewPuller(Options{Site: 0, Peers: []model.SiteID{1}})
+	pull := func() {
+		p.ResetAll() // the pull digests the whole tail again
+		if _, pull, _ := p.NextPull(src, pm); len(pull.Have) == 0 {
+			t.Fatal("empty digest")
+		}
+	}
+	pull()
+	if n := testing.AllocsPerRun(50, pull); n != 0 {
+		t.Fatalf("%v allocations per pull, want 0", n)
 	}
 }

@@ -81,9 +81,9 @@ func TestConcurrentCatchUpReplayVsLiveWrites(t *testing.T) {
 		var known Known
 		puller := NewPuller(Options{Site: 1, Peers: []model.SiteID{0}})
 		for {
-			_, have, _ := puller.NextPull(dstLog)
-			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: have}
-			batch, err := known.Serve(0, srcLog, pull, nil, 64, nil)
+			_, next, _ := puller.NextPull(dstLog, nil)
+			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: next.Have}
+			batch, _, err := known.Serve(0, srcLog, pull, nil, 64, nil)
 			if err != nil {
 				panic(err)
 			}

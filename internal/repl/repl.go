@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"ucc/internal/model"
@@ -43,10 +44,12 @@ func (o *Options) fill() {
 	}
 }
 
-// Puller tracks one site's per-peer catch-up watermarks and schedules its
-// periodic pulls. It has no lock of its own: the owning queue manager
-// serializes every call under its control mutex, the same discipline as the
-// rest of the manager's control plane.
+// Puller tracks one site's pull relationships and schedules its pulls:
+// per catch-up peer a watermark into that peer's log, and per open fill the
+// same for the copies this site gained from one old primary at a map
+// install. It has no lock of its own: the owning queue manager serializes
+// every call under its control mutex, the same discipline as the rest of
+// the manager's control plane.
 type Puller struct {
 	opts  Options
 	marks map[model.SiteID]uint64
@@ -57,10 +60,23 @@ type Puller struct {
 	next     int        // the round robin's position in peers
 	have     []wal.Have // NextPull's scratch
 	digest   []byte     // NextPull's encoded digest, reused by the next call
+	// fills are the open fills, in opening order.
+	fills []fill
 	// incarnation counts ResetAll calls. Every pull carries it and every
 	// reply echoes it, so a reply to a pull sent before a crash is told
 	// from one sent after.
 	incarnation uint64
+}
+
+// fill is one open fill: the copies this site gained from peer when it
+// installed the map of epoch, pulled from peer's log from mark on. scope is
+// the items' encoding (AppendScope), which every pull of the fill carries.
+type fill struct {
+	peer  model.SiteID
+	epoch uint64
+	mark  uint64
+	items []model.ItemID
+	scope []byte
 }
 
 // NewPuller builds a puller with zero watermarks (first pulls stream each
@@ -75,9 +91,9 @@ func NewPuller(opts Options) *Puller {
 // Site returns the local site.
 func (p *Puller) Site() model.SiteID { return p.opts.Site }
 
-// Peers returns the pull targets in ascending order (deterministic send
-// order under the virtual-time simulator). The slice is the puller's own:
-// callers must not modify it, and SetPeers replaces it.
+// Peers returns the catch-up pull targets in ascending order (deterministic
+// send order under the virtual-time simulator). The slice is the puller's
+// own: callers must not modify it, and SetPeers replaces it.
 func (p *Puller) Peers() []model.SiteID { return p.peers }
 
 // PeriodMicros returns the pull period.
@@ -92,15 +108,24 @@ func (p *Puller) TickMicros() int64 {
 // BatchRecords returns the per-reply record bound.
 func (p *Puller) BatchRecords() int { return p.opts.BatchRecords }
 
-// Mark returns the watermark for peer (zero for unknown peers).
+// Mark returns the catch-up watermark for peer (zero for unknown peers).
 func (p *Puller) Mark(peer model.SiteID) uint64 { return p.marks[peer] }
 
-// Advance raises peer's watermark to seq, monotonically: a stale or
-// reordered reply can never move a watermark backwards. (The Reset path
-// also only ever raises it — Reset fires when mark < snapshot seq, and the
-// reply's watermark is that snapshot seq.) Unknown peers are ignored. It
+// Advance raises the watermark of peer's catch-up (epoch 0) or of the open
+// fill from peer at epoch to seq, monotonically: a stale or reordered reply
+// can never move a watermark backwards. (The Reset path also only ever
+// raises it — Reset fires when mark < snapshot seq, and the reply's
+// watermark is that snapshot seq.) Unknown peers and fills are ignored. It
 // reports whether the watermark moved.
-func (p *Puller) Advance(peer model.SiteID, seq uint64) bool {
+func (p *Puller) Advance(peer model.SiteID, epoch, seq uint64) bool {
+	if epoch != 0 {
+		f := p.fill(peer, epoch)
+		if f == nil || seq <= f.mark {
+			return false
+		}
+		f.mark = seq
+		return true
+	}
 	cur, ok := p.marks[peer]
 	if !ok || seq <= cur {
 		return false
@@ -109,12 +134,23 @@ func (p *Puller) Advance(peer model.SiteID, seq uint64) bool {
 	return true
 }
 
-// SetPeers replaces the pull-target set (a rebalance changed which sites
-// this one shares items with). Watermarks of kept peers are preserved — the
-// records already applied from them stay applied — and new peers start from
-// zero, streaming from the start or hitting the Reset path like any fresh
-// peer. Same locking discipline as everything else here: the owning manager
-// serializes the call under its control mutex.
+// Pull returns the pull of peer's catch-up (epoch 0) or of the open fill
+// from peer at epoch from its watermark, without a digest: the re-pull after
+// a batch cut at its bound, and a settle round's pull.
+func (p *Puller) Pull(peer model.SiteID, epoch uint64) model.ReplPullMsg {
+	pull := model.ReplPullMsg{From: p.opts.Site, AfterSeq: p.marks[peer], Incarnation: p.incarnation}
+	if f := p.fill(peer, epoch); f != nil {
+		pull.AfterSeq, pull.Epoch, pull.Scope = f.mark, f.epoch, f.scope
+	}
+	return pull
+}
+
+// SetPeers replaces the catch-up pull-target set (a rebalance changed which
+// sites this one shares items with). Watermarks of kept peers are preserved
+// — the records already applied from them stay applied — and new peers start
+// from zero, streaming from the start or hitting the Reset path like any
+// fresh peer. Same locking discipline as everything else here: the owning
+// manager serializes the call under its control mutex.
 func (p *Puller) SetPeers(peers []model.SiteID) {
 	next := make(map[model.SiteID]uint64, len(peers))
 	reported := make(map[model.SiteID]uint64, len(peers))
@@ -131,39 +167,99 @@ func (p *Puller) SetPeers(peers []model.SiteID) {
 }
 
 // NextPull picks the peer this tick pulls, the next in the round robin, and
-// encodes the digest its pull carries: what src journaled since this site's
-// previous pull to that peer, so the peer can leave out what this site
-// already holds — among it what another peer shipped here since. Nil when
-// nothing was journaled or src is nil. The bytes are the puller's own and
-// valid until the next call, so the pull carrying them must copy them
+// builds its pull. The pull carries the digest of what src journaled since
+// this site's previous pull to that peer, of the items pm gives the peer a
+// copy of (every item when pm is nil), so the peer can leave out what this
+// site already holds — among it what another peer shipped here since; the
+// peer serves no other item (Known.Serve). Have is nil when nothing was
+// journaled or src is nil. Its bytes are the puller's own and valid until
+// the next call, so the pull must be copied before it is sent
 // (model.PooledReplPull does). ok is false when there is no peer to pull.
-func (p *Puller) NextPull(src Source) (peer model.SiteID, have []byte, ok bool) {
+func (p *Puller) NextPull(src Source, pm *model.PartitionMap) (peer model.SiteID, pull model.ReplPullMsg, ok bool) {
 	if len(p.peers) == 0 {
-		return 0, nil, false
+		return 0, pull, false
 	}
 	p.next %= len(p.peers)
 	peer = p.peers[p.next]
 	p.next++
+	pull = p.Pull(peer, 0)
 	if src == nil {
-		return peer, nil, true
+		return peer, pull, true
 	}
 	p.have, p.reported[peer] = src.HaveSince(p.reported[peer], p.have[:0])
-	if len(p.have) == 0 {
-		return peer, nil, true
+	kept := p.have[:0]
+	for _, h := range p.have {
+		if pm == nil || pm.Owns(h.Item, peer) {
+			kept = append(kept, h)
+		}
 	}
-	p.digest = AppendHave(p.digest[:0], p.have)
-	return peer, p.digest, true
+	if len(kept) > 0 {
+		p.digest = AppendHave(p.digest[:0], kept)
+		pull.Have = p.digest
+	}
+	return peer, pull, true
 }
 
-// ResetAll zeroes every watermark and digest cursor and starts a new
-// incarnation. Called on a local crash: shipped records applied since the
-// last sync are lost with the rest of the volatile tail, so everything must
-// be offered again — stamp-gating makes the re-shipment idempotent — and the
-// next pull to each peer digests the whole tail journaled since the crash.
+// OpenFill opens a fill of items, which this site gained from peer when it
+// installed the map of epoch, at watermark 0, and returns its first pull.
+// items must be ascending and stay unchanged.
+func (p *Puller) OpenFill(peer model.SiteID, epoch uint64, items []model.ItemID) model.ReplPullMsg {
+	p.fills = append(p.fills, fill{peer: peer, epoch: epoch, items: items, scope: AppendScope(nil, items)})
+	return p.Pull(peer, epoch)
+}
+
+// FillOpen reports whether the fill from peer at epoch is open; a reply to
+// any other fill is stale.
+func (p *Puller) FillOpen(peer model.SiteID, epoch uint64) bool { return p.fill(peer, epoch) != nil }
+
+// FillsOpen reports whether any fill is open.
+func (p *Puller) FillsOpen() bool { return len(p.fills) > 0 }
+
+// CloseFill closes the fill from peer at epoch and returns its items.
+func (p *Puller) CloseFill(peer model.SiteID, epoch uint64) []model.ItemID {
+	for i, f := range p.fills {
+		if f.peer == peer && f.epoch == epoch {
+			p.fills = slices.Delete(p.fills, i, i+1)
+			return f.items
+		}
+	}
+	return nil
+}
+
+// FillPulls yields the peer and the pull of every open fill: what the tick
+// and a settle round re-send until each fill is done.
+func (p *Puller) FillPulls() iter.Seq2[model.SiteID, model.ReplPullMsg] {
+	return func(yield func(model.SiteID, model.ReplPullMsg) bool) {
+		for _, f := range p.fills {
+			if !yield(f.peer, p.Pull(f.peer, f.epoch)) {
+				return
+			}
+		}
+	}
+}
+
+func (p *Puller) fill(peer model.SiteID, epoch uint64) *fill {
+	for i := range p.fills {
+		if f := &p.fills[i]; f.peer == peer && f.epoch == epoch {
+			return f
+		}
+	}
+	return nil
+}
+
+// ResetAll zeroes every watermark — catch-up and fill alike — and every
+// digest cursor, and starts a new incarnation. Called on a local crash:
+// shipped records applied since the last sync are lost with the rest of the
+// volatile tail, so everything must be offered again — stamp-gating makes
+// the re-shipment idempotent — and the next pull to each peer digests the
+// whole tail journaled since the crash.
 func (p *Puller) ResetAll() {
 	for peer := range p.marks {
 		p.marks[peer] = 0
 		p.reported[peer] = 0
+	}
+	for i := range p.fills {
+		p.fills[i].mark = 0
 	}
 	p.incarnation++
 }
@@ -176,7 +272,7 @@ func (p *Puller) ResetAll() {
 // the crash destroyed.
 func (p *Puller) Incarnation() uint64 { return p.incarnation }
 
-// Watermarks returns a copy of the per-peer watermark map.
+// Watermarks returns a copy of the per-peer catch-up watermark map.
 func (p *Puller) Watermarks() map[model.SiteID]uint64 {
 	out := make(map[model.SiteID]uint64, len(p.marks))
 	for peer, seq := range p.marks {
@@ -186,26 +282,28 @@ func (p *Puller) Watermarks() map[model.SiteID]uint64 {
 }
 
 // Source is a site's log as the catch-up plane uses it (implemented by
-// wal.SiteLog): peers' pulls are served from its durable records, and the
-// site's own pulls carry the digest of what it journaled.
+// wal.SiteLog, and by the queue manager's image of a volatile store): peers'
+// pulls are served from its durable records, and the site's own pulls carry
+// the digest of what it journaled.
 type Source interface {
 	RecordsSince(afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool, dst []byte) (frames []byte, next uint64, more, gap bool, err error)
-	SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64, err error)
+	SnapshotRecords(skip func(item model.ItemID, commitMicros int64) bool, dst []byte) (frames []byte, appliedSeq uint64, err error)
 	HaveSince(afterSeq uint64, dst []wal.Have) (have []wal.Have, through uint64)
 }
 
 // BuildBatch serves one pull against src: the incremental tail past
-// afterSeq minus the records skip reports the puller already holds (nil
+// afterSeq minus the records skip reports the puller does not need (nil
 // ships them all), or — when that tail was truncated by a snapshot — the
-// Reset image of the newest snapshot (More set so the puller immediately
-// comes back for the tail above it). The batch's Frames are appended to dst.
+// Reset image of the newest snapshot less the same records (More set so the
+// puller immediately comes back for the tail above it). The batch's Frames
+// are appended to dst.
 func BuildBatch(from model.SiteID, src Source, afterSeq uint64, max int, skip func(item model.ItemID, commitMicros int64) bool, dst []byte) (model.ReplRecordsMsg, error) {
 	frames, next, more, gap, err := src.RecordsSince(afterSeq, max, skip, dst)
 	if err != nil {
 		return model.ReplRecordsMsg{}, err
 	}
 	if gap {
-		frames, next, err = src.SnapshotRecords(dst)
+		frames, next, err = src.SnapshotRecords(skip, dst)
 		if err != nil {
 			return model.ReplRecordsMsg{}, err
 		}
@@ -233,8 +331,8 @@ type ApplyStats struct {
 }
 
 // Apply decodes a shipped batch (wal.DecodeShipped) and feeds each record to
-// apply, which reports whether it installed the record. Catch-up and
-// rebalance transfer ship alike; a batch that stops decoding part way
+// apply, which reports whether it installed the record. Catch-up and fills
+// ship alike; a batch that stops decoding part way
 // applies its intact prefix, and the rest is counted as torn, never applied.
 func Apply(frames []byte, apply func(r wal.Record) bool) ApplyStats {
 	var st ApplyStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"ucc/internal/engine"
@@ -42,12 +43,12 @@ func TestPullerWatermarks(t *testing.T) {
 	if p.Mark(1) != 0 || p.Mark(2) != 0 {
 		t.Fatal("fresh puller must start at watermark zero")
 	}
-	p.Advance(1, 10)
-	p.Advance(1, 5) // regression attempt: must be ignored
+	p.Advance(1, 0, 10)
+	p.Advance(1, 0, 5) // regression attempt: must be ignored
 	if p.Mark(1) != 10 {
 		t.Fatalf("watermark regressed: %d", p.Mark(1))
 	}
-	p.Advance(3, 99) // unknown peer: ignored, not adopted
+	p.Advance(3, 0, 99) // unknown peer: ignored, not adopted
 	if _, ok := p.Watermarks()[3]; ok {
 		t.Fatal("advance for an unknown peer created a watermark")
 	}
@@ -103,7 +104,7 @@ func (s *memSource) RecordsSince(afterSeq uint64, max int, _ func(model.ItemID, 
 func (s *memSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) {
 	return dst, afterSeq
 }
-func (s *memSource) SnapshotRecords(dst []byte) ([]byte, uint64, error) {
+func (s *memSource) SnapshotRecords(_ func(model.ItemID, int64) bool, dst []byte) ([]byte, uint64, error) {
 	return append(dst, s.snap...), s.snapSeq, s.snapErr
 }
 
@@ -225,10 +226,11 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 // TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope, QM(2) → QM(1),
 // shipping three records that span the field extremes in the shipped batch
 // codec, decodes to the same records and re-encodes to the same bytes. The
-// records carry no Seq or Version: neither is shipped.
+// records carry no Seq or Version: neither is shipped. A catch-up reply ends
+// in a zero epoch and a clear NotReady flag (wire v7).
 func TestShippedBatchGoldenBytes(t *testing.T) {
 	const golden = "12111c043d070229e1a2f3ad078080808080400000ffffffffffffffffff01" +
-		"feffffffffffffff7f818080808040ffffffff07ffffffff0709008280f2818389850603000101"
+		"feffffffffffffff7f818080808040ffffffff07ffffffff0709008280f28183898506030001010000"
 	want := []wal.Record{
 		{Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, CommitMicros: 1 << 40},
 		{Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, CommitMicros: -1},
@@ -243,7 +245,7 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, ok := env.Msg.(model.ReplRecordsMsg)
-	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More || msg.Incarnation != 1 {
+	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More || msg.Incarnation != 1 || msg.Epoch != 0 || msg.NotReady {
 		t.Fatalf("decoded %T %+v", env.Msg, env.Msg)
 	}
 	var got []wal.Record
@@ -263,5 +265,43 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(re, raw) {
 		t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", re, raw)
+	}
+}
+
+// TestPullerFills: a fill starts at watermark 0 and every pull of it carries
+// its epoch and scope; its mark moves apart from the peer's catch-up mark; a
+// crash zeroes it with every other mark; it closes once, returning its
+// items.
+func TestPullerFills(t *testing.T) {
+	p := NewPuller(Options{Site: 2, Peers: []model.SiteID{0}})
+	pull := p.OpenFill(0, 5, []model.ItemID{3, 9})
+	scope, ok := DecodeScope(pull.Scope, nil)
+	if pull.From != 2 || pull.AfterSeq != 0 || pull.Epoch != 5 || pull.Have != nil || !ok || !slices.Equal(scope, []model.ItemID{3, 9}) {
+		t.Fatalf("first fill pull %+v (scope %v, ok %v), want one from site 2 at 0 for epoch 5 over items 3 and 9", pull, scope, ok)
+	}
+	if !p.FillsOpen() || !p.FillOpen(0, 5) || p.FillOpen(0, 4) || p.FillOpen(1, 5) {
+		t.Fatal("FillOpen must know exactly the fill from site 0 at epoch 5")
+	}
+	if !p.Advance(0, 5, 7) || p.Advance(0, 5, 6) || p.Mark(0) != 0 {
+		t.Fatal("a fill's mark must rise monotonically and apart from the catch-up mark")
+	}
+	p.Advance(0, 0, 3)
+	n := 0
+	for peer, pull := range p.FillPulls() {
+		n++
+		if peer != 0 || pull.AfterSeq != 7 || pull.Epoch != 5 || !bytes.Equal(pull.Scope, AppendScope(nil, []model.ItemID{3, 9})) {
+			t.Fatalf("re-pull to %d: %+v, want the fill's from 7", peer, pull)
+		}
+	}
+	if n != 1 || p.Pull(0, 0).AfterSeq != 3 || p.Pull(0, 0).Epoch != 0 {
+		t.Fatalf("%d fill re-pulls and catch-up pull %+v, want one and a catch-up pull from 3", n, p.Pull(0, 0))
+	}
+	inc := p.Incarnation()
+	p.ResetAll()
+	if got := p.Pull(0, 5); got.AfterSeq != 0 || got.Incarnation == inc || p.Mark(0) != 0 {
+		t.Fatalf("after ResetAll the fill pulls %+v, catch-up from %d; want both from 0 in a new incarnation", got, p.Mark(0))
+	}
+	if items := p.CloseFill(0, 5); !slices.Equal(items, []model.ItemID{3, 9}) || p.FillsOpen() || p.CloseFill(0, 5) != nil || p.Advance(0, 5, 9) {
+		t.Fatalf("CloseFill returned %v; a closed fill must be gone", items)
 	}
 }

@@ -13,7 +13,7 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 6): a dialer opens every connection with a single
+// Wire format (version 7): a dialer opens every connection with a single
 // version byte and sends nothing more until it has read the listener's
 // one-byte ack; then a stream of length-prefixed binary frames follows
 // (internal/wire: stable per-message tags, one-byte actor addresses,
@@ -23,7 +23,7 @@
 // first byte is not the version rather than decode a misframed stream; a
 // dialer whose peer closes, stalls past handshakeTimeout, or answers a
 // different byte has failed to connect — the same outcome as a refused
-// dial. So a v5 node and a v6 node refuse each other in both directions.
+// dial. So a v6 node and a v7 node refuse each other in both directions.
 // Frames carrying a message tag this build doesn't know are skipped, not
 // fatal — a newer peer's appended message types must not sever the stream
 // mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes

@@ -87,7 +87,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v6 node: it accepts connections
+// stubPeer is a listener that is not a wire-v7 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -140,9 +140,9 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v6 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3, v4 or v5 listener does —
-// fails the dial like an unreachable peer does: connect gives up within
+// connection but is not a wire-v7 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3, v4, v5 or v6 listener
+// does — fails the dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
 // node that later takes over the address is picked up by the next send,
@@ -161,6 +161,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"acks as a v3 listener":      readVersionThen([]byte{0xC3}),
 		"acks as a v4 listener":      readVersionThen([]byte{0xC4}),
 		"acks as a v5 listener":      readVersionThen([]byte{0xC5}),
+		"acks as a v6 listener":      readVersionThen([]byte{0xC6}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -365,7 +366,7 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ack [1]byte
-	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV6 {
+	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAck {
 		t.Fatalf("no ack: %v %x", err, ack)
 	}
 	known := func(seq uint64) []byte {

@@ -20,23 +20,23 @@ import (
 )
 
 // WireVersion is the first byte a dialer writes on a fresh connection:
-// version 6, the hand-rolled binary codec (internal/wire) — length-prefixed
+// version 7, the hand-rolled binary codec (internal/wire) — length-prefixed
 // frames of explicitly-encoded envelopes, one-byte actor addresses, stamps
-// as deltas within a message, no reflection, pooled buffers. Version 6 kept
-// version 5's envelope layout but changed one message's bytes: a
-// QueueStatsMsg carries each copy's grants of the last period, gap-coded by
-// item, instead of two maps of cumulative counters, which each side would
-// misread from the other. (Version 5 changed what shipped catch-up and
-// transfer records are.) A reader that sees any other version byte — a v5
-// dialer's included — closes the connection instead of feeding misframed
+// as deltas within a message, no reflection, pooled buffers. Version 7 kept
+// version 6's envelope layout but changed two messages' bytes: the
+// log-shipping pull carries a fill's epoch and scope, and its reply the
+// epoch and a NotReady flag, while tags 32 and 33 (the rebalance transfer's
+// pull and reply) are retired. (Version 6 changed the queue stats, version 5
+// what shipped records are.) A reader that sees any other version byte — a
+// v6 dialer's included — closes the connection instead of feeding misframed
 // bytes to a decoder.
-const WireVersion byte = 6
+const WireVersion byte = 7
 
-// wireAckV6 is the single byte a listener writes back after reading the
+// wireAck is the single byte a listener writes back after reading the
 // version byte. A dialer sends nothing until it has read it: a peer that
-// closes, stalls, or answers anything else — a v5 listener's 0xC5 included —
-// is not a wire-v6 node, and the dial fails.
-const wireAckV6 byte = 0xC6
+// closes, stalls, or answers anything else — a v6 listener's 0xC6 included —
+// is not a wire-v7 node, and the dial fails.
+const wireAck byte = 0xC7
 
 // handshakeTimeout bounds the dialer's wait for the ack. A live peer acks in
 // one RTT, so this only fires against something that accepted the connection
@@ -115,7 +115,7 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope as a wire-v6 frame into a buffered writer and flushes once per
+// envelope as a wire-v7 frame into a buffered writer and flushes once per
 // drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
@@ -323,9 +323,9 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	if vb[0] != WireVersion {
-		return // not a wire-v6 dialer (or a port scanner); drop the conn
+		return // not a wire-v7 dialer (or a port scanner); drop the conn
 	}
-	if _, err := c.Write([]byte{wireAckV6}); err != nil {
+	if _, err := c.Write([]byte{wireAck}); err != nil {
 		return
 	}
 	rd := wire.NewReader(bufio.NewReader(c))
@@ -541,8 +541,8 @@ func handshake(c net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if ack[0] != wireAckV6 {
-		return fmt.Errorf("ack byte %#x, want %#x", ack[0], wireAckV6)
+	if ack[0] != wireAck {
+		return fmt.Errorf("ack byte %#x, want %#x", ack[0], wireAck)
 	}
 	return nil
 }

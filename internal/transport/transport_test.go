@@ -175,9 +175,10 @@ const v3TickStream = "03080002000100001307"
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2, v3, v4 or v5 dialer's whole stream. (A v4 or v5 dialer's TickMsg
-// frame is byte for byte the current one: v5 changed only the catch-up
-// records, v6 only the queue stats.)
+// v2, v3, v4, v5 or v6 dialer's whole stream. (A v4, v5 or v6 dialer's
+// TickMsg frame is byte for byte the current one: v5 changed only the
+// catch-up records, v6 only the queue stats, v7 only the log-shipping pull
+// and reply.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -208,14 +209,16 @@ func TestWireVersionRejected(t *testing.T) {
 		"v3 dialer":              v3,
 		"v4 dialer":              append([]byte{4}, frame...),
 		"v5 dialer":              append([]byte{5}, frame...),
-		"byte 3 then v6 frame":   append([]byte{3}, frame...),
-		"byte 2 then v6 frame":   append([]byte{2}, frame...),
-		"byte 1 then v6 frame":   append([]byte{1}, frame...),
-		"ack byte as version":    append([]byte{wireAckV6}, frame...),
+		"v6 dialer":              append([]byte{6}, frame...),
+		"byte 3 then v7 frame":   append([]byte{3}, frame...),
+		"byte 2 then v7 frame":   append([]byte{2}, frame...),
+		"byte 1 then v7 frame":   append([]byte{1}, frame...),
+		"ack byte as version":    append([]byte{wireAck}, frame...),
 		"v3 ack byte as version": append([]byte{0xC3}, frame...),
 		"v4 ack byte as version": append([]byte{0xC4}, frame...),
 		"v5 ack byte as version": append([]byte{0xC5}, frame...),
-		"random byte, v6 frame":  append([]byte{0x5a}, frame...),
+		"v6 ack byte as version": append([]byte{0xC6}, frame...),
+		"random byte, v7 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

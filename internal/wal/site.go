@@ -506,11 +506,11 @@ func (s *SiteLog) mediaSince(afterSeq uint64, b *shipBatch) error {
 // SnapshotRecords serves the reset path of a log-shipping pull: one
 // synthetic record per copy imaging the newest durable snapshot's latest
 // versions (in the shipped batch codec, like RecordsSince) appended to dst,
-// plus the snapshot's applied sequence — the watermark from which the
-// incremental tail continues. The receiver's apply is stamp-gated, not
-// sequence-gated, so the only sequence that matters is the returned
-// watermark.
-func (s *SiteLog) SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64, err error) {
+// less those skip reports true for (nil skips none), plus the snapshot's
+// applied sequence — the watermark from which the incremental tail
+// continues. The receiver's apply is stamp-gated, not sequence-gated, so the
+// only sequence that matters is the returned watermark.
+func (s *SiteLog) SnapshotRecords(skip func(model.ItemID, int64) bool, dst []byte) (frames []byte, appliedSeq uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
@@ -527,6 +527,9 @@ func (s *SiteLog) SnapshotRecords(dst []byte) (frames []byte, appliedSeq uint64,
 	var prev int64
 	for _, cc := range snap.Chains {
 		v := cc.Versions[len(cc.Versions)-1]
+		if skip != nil && skip(cc.ID.Item, v.CommitMicros) {
+			continue
+		}
 		frames = AppendShipped(frames, prev, Record{Item: cc.ID.Item, Txn: v.Writer, Value: v.Value, CommitMicros: v.CommitMicros})
 		prev = v.CommitMicros
 	}

@@ -88,22 +88,25 @@ func Corpus() []engine.Envelope {
 	add(qm, qm, 1, model.FlushMsg{Shard: 3})
 	add(qm, qm, 1, model.FlushDoneMsg{Shard: 3})
 
-	// Replication catch-up plane: the periodic pull with its journal digest
+	// Log-shipping plane: the periodic catch-up pull with its journal digest
 	// (internal/repl's codec: items 3@10 and 4@5 as varint deltas), the
 	// digest-less re-pull, and a small framed record batch (the frame bytes
 	// are opaque to this codec — internal/wal's framing — so any
-	// deterministic byte string exercises the length-prefixed path).
+	// deterministic byte string exercises the length-prefixed path). Then a
+	// fill's pull (epoch 9, scoped to items 0, 1 and 3 as varint deltas),
+	// its NotReady answer and its closing batch.
 	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 20, Have: []byte{0x06, 0x14, 0x02, 0x09}})
 	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1<<20 + 64})
 	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Frames: []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03}, NextAfterSeq: 1<<20 + 64, More: true})
+	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 18, Incarnation: 1, Epoch: 9, Scope: []byte{0x00, 0x02, 0x04}})
+	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Incarnation: 1, Epoch: 9, NotReady: true})
+	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Frames: []byte{0x05, 0x06, 0x07}, NextAfterSeq: 1<<18 + 12, Incarnation: 1, Epoch: 9})
 
 	// Versioned placement / online rebalance plane.
 	pm := model.PartitionMap{Epoch: 9, Assignments: [][]model.SiteID{{2, 0}, {1, 2}, {0, 1}, {2}}}
 	add(qm, ri, 1, model.WrongEpochMsg{Txn: txn, Attempt: 2, Copy: cp, Map: pm})
 	add(col, qm, 1, model.MapInstallMsg{Map: pm})
 	add(col, ri, 1, model.MapUpdateMsg{Map: pm})
-	add(qm, qm, 1, model.TransferPullMsg{From: 3, Epoch: 9, AfterSeq: 1 << 18})
-	add(qm, qm, 1, model.TransferRecordsMsg{From: 2, Epoch: 9, Frames: []byte{0x05, 0x06, 0x07}, NextAfterSeq: 1<<18 + 12, More: true, Done: false})
 
 	// Stamp extremes: a stamp encoded as a delta from another stamp of its
 	// message wraps around int64, and every value still round-trips.
