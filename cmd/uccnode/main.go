@@ -135,7 +135,7 @@ func main() {
 		log.Printf("uccnode: site %d repl: pulls served=%d, applied=%d, dup-skipped=%d, snapshot resets=%d, watermarks=%v",
 			self, qc.ReplPulls, qc.ReplApplied, qc.ReplSkipped, qc.ReplResets, mgr.ReplWatermarks())
 	}
-	log.Printf("uccnode: site %d placement: epoch=%d, map installs=%d, items gained=%d, wrong-epoch NAKs sent=%d, transfer pulls=%d applied=%d bytes=%d; issuer wrong-epoch NAKs=%d, map updates=%d",
+	log.Printf("uccnode: site %d placement: epoch=%d, map installs=%d, items gained=%d, wrong-epoch NAKs sent=%d, fill pulls served=%d, fill records applied=%d, fill bytes received=%d; issuer wrong-epoch NAKs=%d, map updates=%d",
 		self, mgr.CurrentMap().Epoch, qc.MapInstalls, qc.ItemsGained, qc.WrongEpoch,
 		qc.TransferPulls, qc.TransferApplied, qc.TransferBytes, st.WrongEpochNAKs, st.MapUpdates)
 	node.Close()

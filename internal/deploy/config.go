@@ -71,10 +71,11 @@ type Config struct {
 	// left out.
 	Quorum *model.Quorum
 	// ReplPeriodMicros is the catch-up pull period (default
-	// repl.DefaultPeriodMicros, 150ms). Only meaningful when CatchUp runs.
+	// repl.DefaultPeriodMicros, 150ms); without catch-up peers it is also
+	// how often an open fill is pulled again.
 	ReplPeriodMicros int64
-	// ReplBatchRecords bounds records per catch-up reply (default
-	// repl.DefaultBatchRecords). Only meaningful when CatchUp runs.
+	// ReplBatchRecords bounds records per catch-up or fill reply (default
+	// repl.DefaultBatchRecords).
 	ReplBatchRecords int
 }
 

@@ -20,9 +20,14 @@
 // AbortMsg, member by member, and a batch of one encodes to the very bytes
 // of its single message.
 //
+// The log-shipping plane has one pull and one reply: ReplPullMsg and
+// ReplRecordsMsg carry catch-up (Epoch 0) and the fills that bring a
+// rebalance's gained copies up from their old primary (Epoch set, the
+// gained items as Scope) alike.
+//
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v6
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v7
 // contract (wire.go): a stable one-byte WireTag per message type — never
 // renumbered — with explicit varint field encoders, stamps after a message's
 // first encoded as deltas from an earlier stamp of the same message, and
@@ -49,4 +54,10 @@
 // TestSeedCorpusCommitted. A pooled type (wirepool.go) adds its msgPool, its
 // PooledX constructor and its one-line recycle and unpool methods; if it
 // pools on decode too, its row uses pooled instead of plain.
+//
+// A deleted message type's tag is retired, not freed: TagRetired names it,
+// its decode-table row stays empty (it decodes as an unknown tag),
+// TestMessageTagsStable holds it apart from every live tag, and it is never
+// reused. Tags 32 and 33, the rebalance transfer's pull and reply, retired
+// with wire v7.
 package model

@@ -14,7 +14,7 @@
 //     survivors, and PlanHotMoves picks the hottest items from observed grant
 //     counts. Planners are pure — they clone, edit, bump the epoch, and
 //     return; distributing the result (MapInstallMsg/MapUpdateMsg) and
-//     driving the snapshot transfer is the cluster/qm layer's job.
+//     driving the fills of gained copies is the cluster/qm layer's job.
 //
 // Every function here is deterministic: same inputs, same map, which is what
 // keeps rebalance scenarios seed-stable in the virtual-time simulator.

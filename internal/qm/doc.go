@@ -33,6 +33,17 @@
 //     one per-site report. A stats report lists every copy's grants since
 //     the previous report, in item order; each queue keeps the counts it
 //     last reported.
+//   - Placement and log shipping (placement.go, repl.go): a map install is
+//     a site-wide transition. Lost items drain and retire; gained items are
+//     created sealed (requests get a busy NAK) and filled from their old
+//     primary's log by one fill per old primary, a pull relationship of
+//     the site's repl.Puller, and open for traffic when their fill is done.
+//     The same puller runs catch-up in a durable replicated cluster, and
+//     the same handlers serve both: one pull message, one reply, one pull
+//     tick (ReplTickTag), one crash reset. A fill is answered NotReady
+//     until the server has installed the fill's epoch and drained every
+//     item it lost, and is served only the records of its scope. A site
+//     that is down when a map arrives installs it at recovery.
 //
 // Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg,
 // model.AbortBatchMsg or model.SnapReadBatchMsg is its members. The Manager

@@ -25,7 +25,7 @@ type shard struct {
 	depthHigh int
 
 	// Versioned-placement transition state. pending seals items this site
-	// gained at a map install until their snapshot transfer completes (new
+	// gained at a map install until their fill is done (new
 	// openers get a busy NAK — the state is not here yet); retiring marks
 	// items it lost whose queues still hold in-flight transactions (new
 	// openers get the wrong-epoch NAK, residents drain to completion, and
@@ -417,7 +417,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		return
 	}
 	if sh.pending[v.Copy.Item] {
-		// Gained but not yet transferred: the authoritative state is still in
+		// Gained but not yet filled: the authoritative state is still in
 		// flight from the old owner. Busy is the right refusal — the routing
 		// was correct, the issuer just needs to retry under backoff.
 		sh.counters.Busy++
@@ -544,7 +544,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		return
 	}
 	if sh.pending[v.Copy.Item] {
-		// Sealed mid-transfer: the version chain here is still the fresh
+		// Sealed mid-fill: the version chain here is still the fresh
 		// initial copy, not the moved history — refuse rather than serve a
 		// stale snapshot.
 		sh.counters.Busy++

@@ -1,13 +1,19 @@
-// Package repl implements WAL log-shipping catch-up for quorum-replicated
-// partitions: the anti-entropy loop that lets a recovering or lagging
-// replica converge on writes it missed while crashed or excluded from a
-// write quorum.
+// Package repl implements WAL log shipping, the one way a site brings a copy
+// up to date from another site's log. Catch-up is the anti-entropy loop that
+// lets a recovering or lagging replica of a durable replicated cluster
+// converge on writes it missed while crashed or excluded from a write
+// quorum. A fill brings the copies a site gained at a map install up from
+// their old primary's log. Both are one session type, a pull relationship
+// with a watermark, in the manner of Bayou's anti-entropy (Petersen et al.,
+// "Flexible Update Propagation for Weakly Consistent Replication", SOSP
+// 1997): one session brings a replica up from any earlier state, and falls
+// back to a full-state image only when the log was truncated past it.
 //
 // # Protocol
 //
-// Every site in a quorum-replicated cluster runs a Puller that tracks, per
-// peer, a catch-up watermark: the highest sequence number of that peer's WAL
-// it has already examined. A periodic tick pulls one peer, the peers taken
+// Every site of a durable cluster with more than one copy per item runs
+// catch-up. Its Puller tracks, per peer, a catch-up watermark: the highest
+// sequence number of that peer's WAL it has already examined. A periodic tick pulls one peer, the peers taken
 // in turn, and re-arms every PeriodMicros divided by the number of peers, so
 // each peer is still pulled once per period and a site's pulls are spread
 // across the period. The pull is a model.ReplPullMsg carrying the peer's
@@ -32,13 +38,32 @@
 // moved; a record that does not decode ends the batch early without
 // advancing past it, and the next tick re-pulls.
 //
+// Every site has a Puller, and every site fills. When a site installs a map
+// that gives it copies it did not hold, it opens one fill per old primary
+// of those items (Puller.OpenFill): a pull relationship of its own for that
+// map's epoch, scoped to the items gained from that peer, that starts at
+// watermark 0. Its pulls are model.ReplPullMsg with Epoch set and Scope the
+// gained items, ascending and delta-coded in the digest's item coding
+// (AppendScope/DecodeScope). The server answers NotReady until it has
+// installed that epoch and drained every item it lost, so the last write
+// of a transaction granted under the old map is in what it serves; then it
+// serves the fill like a catch-up pull, from its log — or, without
+// catch-up, from an image of its store — less every record outside the
+// scope, and without reading or changing what it knows about the puller
+// (Peer knowledge, below). A scope that does not decode leaves the pull
+// unanswered; it never widens the fill to the whole log. A fill is done at
+// its first reply with neither More nor NotReady set: the gained items open
+// for traffic. The pull tick re-pulls every open fill, so a NotReady answer
+// or a lost pull costs one tick; the tick is armed while catch-up runs or a
+// fill is open.
+//
 // Every pull carries the puller's incarnation, which each crash bumps
-// (Puller.ResetAll), and the reply echoes it. A reply from another
-// incarnation — the answer to a pull sent before a crash the site has
-// since recovered from — is dropped whole: applied, it would advance a
-// watermark the crash zeroed past the records the crash destroyed, and
-// those would not be offered again until something newer overwrote them.
-// Rebalance transfer sessions carry the same echo for the same reason.
+// (Puller.ResetAll, which zeroes every watermark, the fills' included), and
+// the reply echoes it. A reply from another incarnation — the answer to a
+// pull sent before a crash the site has since recovered from — is dropped
+// whole: applied, it would advance a watermark the crash zeroed past the
+// records the crash destroyed, and those would not be offered again until
+// something newer overwrote them.
 //
 // # Idempotence
 //
@@ -75,10 +100,11 @@
 // Placement is Serve's other filter, ApplyShipped's unknown-item skip
 // evaluated one hop earlier. Under partial replication most of a log is
 // items the puller holds no copy of; Serve leaves them out by the serving
-// site's installed map. A copy a site gains in a rebalance is filled by its
-// transfer session, not by catch-up, so it never needs a record from before
-// it owned the item. Only a write under a map the serving site has not
-// installed yet can be withheld from a puller that needs it.
+// site's installed map. Only a write under a map the serving site has not
+// installed yet can be withheld from a puller that needs it. The digest
+// follows the same map from the other side: a pull names only the items the
+// puller's map gives the pulled peer a copy of, since the peer serves no
+// other.
 //
 // Two things feed a peer's table. The records the peer itself ships are
 // durable in its log. The digests its pulls carry are not: a digest names
@@ -94,9 +120,8 @@
 // per-pair FIFO on both engines, so every pre-crash digest reaches the
 // server before the post-crash pull that voids it. A missing or undecodable
 // digest (FuzzHaveDigest) is no digest: that pull teaches nothing. The
-// tables are bounded, dropped on a placement change (a copy that moves away
-// and back is refilled by transfer, not from what it once reported) and on
-// the serving site's own crash; forgetting only ships more.
+// tables are bounded, dropped on a placement change and on the serving
+// site's own crash; forgetting only ships more.
 //
 // # Reset path
 //
@@ -107,9 +132,11 @@
 // a puller further behind than both tail and log; a snapshot taken between
 // two pulls of a live puller is not one of them, because the tail still
 // covers its mark. The peer then answers with Reset: the batch images the
-// newest durable snapshot's latest versions as synthetic records,
-// NextAfterSeq is the snapshot's applied sequence, and the incremental tail
-// follows on the next pull.
+// newest durable snapshot's latest versions as synthetic records, less the
+// same records a batch from the log would leave out — the ones the puller
+// cannot install, or for a fill those outside its scope —, NextAfterSeq is
+// the snapshot's applied sequence, and the incremental tail follows on the
+// next pull.
 //
 // # Race envelope
 //

@@ -239,4 +239,6 @@ func (*emptyLog) RecordsSince(afterSeq uint64, _ int, _ func(model.ItemID, int64
 func (*emptyLog) SnapshotRecords(_ func(model.ItemID, int64) bool, dst []byte) ([]byte, uint64, error) {
 	return dst, 0, nil
 }
-func (*emptyLog) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) { return dst, afterSeq }
+func (*emptyLog) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) {
+	return dst, afterSeq
+}

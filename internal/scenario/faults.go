@@ -79,7 +79,7 @@ func SlowWALAll(atMicros, windowMicros int64) Fault {
 // MoveItems is a fault that publishes a new partition-map epoch atMicros into
 // the phase, re-homing items so dst is their primary: the online-rebalance
 // intervention. In-flight transactions drain at the old owners while the new
-// owner fills by snapshot transfer; traffic routed by the stale map gets the
+// owner fills its copies from the old owners' logs; traffic routed by the stale map gets the
 // wrong-epoch NAK and restarts against the new one.
 func MoveItems(atMicros int64, items []model.ItemID, dst model.SiteID) Fault {
 	return Fault{

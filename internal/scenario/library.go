@@ -484,7 +484,7 @@ func quorumFailover() Scenario {
 // replicated cluster under a hotspot workload moves a quarter of its items —
 // the entire hot set included — to one site in the middle of steady load.
 // The move phase must keep at least half the steady rate (the refusal window
-// while the transferred state is in flight is the only allowed dip),
+// while the gained copies are being filled is the only allowed dip),
 // the post-move phase must recover, and the finals require serializability
 // (no transaction committed twice or half-applied across the flip) plus
 // replica agreement resolved against the FINAL map.
@@ -504,8 +504,8 @@ func liveRebalance() Scenario {
 		Name:        "live-rebalance",
 		Description: "25% of items (incl. the hot set) move to one site mid-run; commits continue, serializability and replica agreement survive the flip",
 		Cluster:     cfg,
-		// The settle window covers the transfer retry period several times
-		// over, so late sessions finish before the finals.
+		// The settle window covers the pull period several times over, so
+		// late fills finish before the finals.
 		SettleMicros: 10_000_000,
 		Phases: []Phase{
 			{Name: "steady", DurationMicros: 2_000_000, Workload: flat(spec), Checks: []Check{

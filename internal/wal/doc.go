@@ -35,7 +35,7 @@
 // a frame that fails the checksum, lacks the flag, or decodes short or long
 // ends the durable history there — replay stops, it never misreads.
 //
-// Records leave a site for catch-up and transfer in a codec of their own
+// Records leave a site for catch-up and fills in a codec of their own
 // (AppendShipped, DecodeShipped): only the fields a replica's apply reads,
 // the commit stamp as a delta against the previous record's, no header and
 // no checksum — the carrying message's length prefix delimits the batch.

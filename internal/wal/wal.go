@@ -155,7 +155,7 @@ func decodeRecords(data []byte, fn func(Record)) (torn int) {
 }
 
 // AppendShipped appends r to a shipped batch: the record codec of the
-// catch-up and transfer planes (internal/repl). A shipped record carries
+// log-shipping plane, catch-up and fills alike (internal/repl). A shipped record carries
 // only what the receiver's apply reads, one record after another — uvarint
 // item, uvarint writer site, uvarint writer seq, zig-zag value, and the
 // zig-zag delta of its commit stamp against prevMicros, the stamp of the

@@ -1,4 +1,4 @@
-// Package wire is the v6 binary codec for everything the cluster exchanges:
+// Package wire is the v7 binary codec for everything the cluster exchanges:
 // a hand-rolled, length-prefixed framing of engine.Envelope over the
 // per-message field encoders in internal/model (stable one-byte tags, varint
 // integers, stamps as deltas within a message, no reflection anywhere on the
@@ -6,7 +6,7 @@
 //
 // # Frame layout
 //
-// A v6 stream is a sequence of frames, each:
+// A v7 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
@@ -54,8 +54,8 @@
 // Either way the rare control-plane messages also own the slices and maps
 // they carry.
 //
-// The connection handshake (version byte 6, ack 0xC6) lives in
-// internal/transport, which refuses a v5 peer there: the two formats are not
+// The connection handshake (version byte 7, ack 0xC7) lives in
+// internal/transport, which refuses a v6 peer there: the two formats are not
 // mixed on one connection. The WAL reuses the model varint primitives for
 // its segment record payloads, whose format does not follow the wire
 // version; the catch-up batches a ReplRecordsMsg carries are internal/wal's

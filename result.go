@@ -200,9 +200,10 @@ type PlacementStats struct {
 	// MapUpdates counts newer partition maps installed at issuers (pushes
 	// plus NAK piggybacks).
 	MapUpdates uint64
-	// TransferPulls / TransferApplied / TransferBytes measure the snapshot
-	// transfer plane that seeded new owners: pull requests served, records
-	// installed, and record-batch bytes shipped.
+	// TransferPulls / TransferApplied / TransferBytes measure the fills that
+	// seeded new owners' copies from the old owners' logs: fill pulls served
+	// (NotReady answers not counted), fill records installed, and fill bytes
+	// received.
 	TransferPulls   uint64
 	TransferApplied uint64
 	TransferBytes   uint64

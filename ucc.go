@@ -445,16 +445,16 @@ func (c *Cluster) RecoverSite(site int, at time.Duration) {
 
 // MoveItems schedules an online rebalance `at` into the simulated run: a new
 // partition-map epoch making `to` the primary owner of items is published to
-// every site, the old owners drain their in-flight transactions and
-// snapshot-transfer the item state, and stale routers are corrected by
+// every site, the old owners drain their in-flight transactions and serve
+// the item state to the new owner's fill, and stale routers are corrected by
 // wrong-epoch NAKs carrying the new map. Call before Run.
 func (c *Cluster) MoveItems(items []ItemID, to int, at time.Duration) error {
 	return c.inner.MoveItems(at.Microseconds(), items, model.SiteID(to))
 }
 
 // AddSite schedules site's entry into the active placement `at` into the
-// simulated run: a new epoch assigns it a share of items, seeded by snapshot
-// transfer from the current owners. Pair with Config.DataSites to start the
+// simulated run: a new epoch assigns it a share of items, seeded by fills
+// from the current owners. Pair with Config.DataSites to start the
 // site empty. Call before Run.
 func (c *Cluster) AddSite(site int, at time.Duration) error {
 	return c.inner.AddSite(at.Microseconds(), model.SiteID(site))
