@@ -416,3 +416,55 @@ func TestFillCrashSweep(t *testing.T) {
 	}
 	t.Logf("%d crash runs", runs)
 }
+
+// TestBackToBackMovesKeepEveryWrite moves an item that holds increments
+// twice in quick succession — on to a third site, or back to where it came
+// from — with one copy per item. The second move reaches the first new
+// owner before its fill is done, so that site may serve the next fill only
+// once its own has arrived, and two fills must not wait on each other. The
+// item must end equal to the number of commits, with no copy still being
+// filled.
+func TestBackToBackMovesKeepEveryWrite(t *testing.T) {
+	const n = 10
+	for _, durable := range []bool{false, true} {
+		for _, second := range []model.SiteID{2, 0} {
+			for gap := int64(0); gap <= 4_000; gap += 500 {
+				cfg := Config{Config: deploy.Config{Sites: 3, Items: 6, Replicas: 1}, Seed: 1, Record: true}
+				if durable {
+					cfg.Durability = &deploy.Durability{}
+				}
+				cl, err := NewSim(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					txn := model.NewTxn(model.TxnID{Site: model.SiteID(j % 3), Seq: uint64(j + 1)},
+						model.TwoPL, nil, []model.ItemID{0}, 500)
+					cl.Eng.PostAfter(int64(j)*40_000, engine.RIAddr(txn.ID.Site), model.SubmitTxnMsg{Txn: txn})
+				}
+				if err := cl.MoveItems(1_000_000, []model.ItemID{0}, 1); err != nil {
+					t.Fatal(err)
+				}
+				cl.Start()
+				cl.Eng.RunUntil(1_000_000 + gap)
+				if err := cl.MoveItems(0, []model.ItemID{0}, second); err != nil {
+					t.Fatal(err)
+				}
+				cl.Eng.RunUntil(2_000_000)
+				res := cl.Finish()
+				name := fmt.Sprintf("durable %v, second move to site %d %dµs after the first", durable, second, gap)
+				if committed, vals := cl.RITotals().Committed, cl.ReplicaValues(0); committed != n || len(vals) != 1 || vals[0] != n {
+					t.Fatalf("%s: %d commits, item 0 holds %v, want %d: increments were lost", name, committed, vals, n)
+				}
+				if !res.Serializability.Serializable {
+					t.Fatalf("%s: NOT serializable; cycle=%v", name, res.Serializability.Cycle)
+				}
+				for _, s := range cl.Cfg.SiteIDs() {
+					if cl.Managers[s].FillsOpen() {
+						t.Fatalf("%s: site %d still fills a copy after the drain", name, s)
+					}
+				}
+			}
+		}
+	}
+}

@@ -41,9 +41,10 @@
 //     The same puller runs catch-up in a durable replicated cluster, and
 //     the same handlers serve both: one pull message, one reply, one pull
 //     tick (ReplTickTag), one crash reset. A fill is answered NotReady
-//     until the server has installed the fill's epoch and drained every
-//     item it lost, and is served only the records of its scope. A site
-//     that is down when a map arrives installs it at recovery.
+//     until the server has installed the fill's epoch, drained every item
+//     it lost and finished its own earlier fills of the scope's items, and
+//     is served only the records of its scope. A site that is down when a
+//     map arrives installs it at recovery.
 //
 // Batches: a model.RequestBatchMsg, model.ReleaseBatchMsg,
 // model.AbortBatchMsg or model.SnapReadBatchMsg is its members. The Manager

@@ -178,10 +178,10 @@ type Manager struct {
 
 	// Versioned placement. pmap is read lock-free on the request fast path
 	// (atomic pointer; nil = legacy mode, ownership is queue existence) and
-	// replaced only inside installMap's site-wide critical section. downMap
-	// is the newest install that arrived during an outage (under ctlMu).
-	pmap    atomic.Pointer[model.PartitionMap]
-	downMap *model.MapInstallMsg
+	// replaced only inside installMap's site-wide critical section.
+	// downMaps are the installs that arrived during an outage (under ctlMu).
+	pmap     atomic.Pointer[model.PartitionMap]
+	downMaps []model.MapInstallMsg
 }
 
 // pendingMsg is a message that arrived at a shard while the site was down;
@@ -575,10 +575,10 @@ func (m *Manager) onRecover(ctx engine.Context) {
 	if err := m.dur.Recover(); err != nil {
 		panic(fmt.Sprintf("qm: site %d: recovery failed: %v", m.site, err))
 	}
-	if v := m.downMap; v != nil {
-		m.downMap = nil
-		m.installMap(ctx, *v)
+	for _, v := range m.downMaps {
+		m.installMap(ctx, v)
 	}
+	m.downMaps = nil
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		sh.down = false

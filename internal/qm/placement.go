@@ -81,17 +81,15 @@ func (sh *shard) maybeRetire(item model.ItemID, q *dataQueue) {
 // it gained are created sealed ("pending") and filled from their old
 // primary's log, one fill per old primary; the catch-up puller's peer set
 // follows the new sharing graph. Site-wide critical section, same discipline
-// as crash. A down site keeps the newest map it is sent and installs it at
-// recovery, before it replays what it deferred: the store it would seed the
-// gained copies in, and the log it would snapshot them to, are gone until
-// then.
+// as crash. A down site keeps the maps it is sent and installs them in
+// order at recovery, before it replays what it deferred: the store it would
+// seed the gained copies in, and the log it would snapshot them to, are
+// gone until then.
 func (m *Manager) onMapInstall(ctx engine.Context, v model.MapInstallMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
 	if m.Down() {
-		if m.downMap == nil || v.Map.Epoch > m.downMap.Map.Epoch {
-			m.downMap = &v
-		}
+		m.downMaps = append(m.downMaps, v)
 		return
 	}
 	m.installMap(ctx, v)

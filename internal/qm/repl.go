@@ -113,11 +113,13 @@ func (m *Manager) sendFillPulls(ctx engine.Context) {
 // catch-up serves fills from an image of its store). A catch-up pull is
 // served less what that peer is known to hold (repl.Known) and the items
 // the installed map gives it no copy of; a fill, only the items of its
-// scope, and only once this site has installed the fill's epoch and drained
-// every item it lost under it — until then the answer is NotReady. That
-// handoff discipline makes the flip atomic per item: an item's state is
-// served only after the last in-flight transaction's writes are in it. A
-// down site stays silent — the puller simply retries on its tick.
+// scope, and only once this site has installed the fill's epoch, drained
+// every item it lost under it, and filled the scope's items it gained under
+// an earlier map — until then the answer is NotReady. That handoff
+// discipline makes the flip atomic per item: an item's state is served only
+// after the last in-flight transaction's writes are in it, even when the
+// item moves again before it has arrived. A down site stays silent — the
+// puller simply retries on its tick.
 func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
@@ -125,7 +127,7 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 		return
 	}
 	if v.Epoch != 0 {
-		if cur := m.pmap.Load(); cur == nil || cur.Epoch < v.Epoch || m.retiringAny() {
+		if cur := m.pmap.Load(); cur == nil || cur.Epoch < v.Epoch || m.retiringAny() || m.puller.Filling(v.Epoch, v.Scope) {
 			ctx.Send(engine.QMAddr(v.From), model.PooledReplRecords(model.ReplRecordsMsg{From: m.site, Epoch: v.Epoch, NotReady: true, Incarnation: v.Incarnation}))
 			return
 		}

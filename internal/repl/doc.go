@@ -45,8 +45,10 @@
 // watermark 0. Its pulls are model.ReplPullMsg with Epoch set and Scope the
 // gained items, ascending and delta-coded in the digest's item coding
 // (AppendScope/DecodeScope). The server answers NotReady until it has
-// installed that epoch and drained every item it lost, so the last write
-// of a transaction granted under the old map is in what it serves; then it
+// installed that epoch, drained every item it lost, and finished its own
+// fills of earlier epochs that cover the scope (Puller.Filling), so the
+// last write of a transaction granted under the old map is in what it
+// serves even when an item moves on before it has arrived; then it
 // serves the fill like a catch-up pull, from its log — or, without
 // catch-up, from an image of its store — less every record outside the
 // scope, and without reading or changing what it knows about the puller

@@ -215,6 +215,24 @@ func (p *Puller) FillOpen(peer model.SiteID, epoch uint64) bool { return p.fill(
 // FillsOpen reports whether any fill is open.
 func (p *Puller) FillsOpen() bool { return len(p.fills) > 0 }
 
+// Filling reports whether an open fill of an epoch before epoch covers an
+// item of scope (AppendScope's encoding): this site gained the item under
+// an earlier map and does not hold its records yet, so it cannot serve a
+// fill of it for epoch. Fills wait only on fills of earlier epochs, so no
+// two wait on each other.
+func (p *Puller) Filling(epoch uint64, scope []byte) bool {
+	items, _ := DecodeScope(scope, nil)
+	for _, f := range p.fills {
+		if f.epoch < epoch && slices.ContainsFunc(items, func(item model.ItemID) bool {
+			_, found := slices.BinarySearch(f.items, item)
+			return found
+		}) {
+			return true
+		}
+	}
+	return false
+}
+
 // CloseFill closes the fill from peer at epoch and returns its items.
 func (p *Puller) CloseFill(peer model.SiteID, epoch uint64) []model.ItemID {
 	for i, f := range p.fills {

@@ -269,9 +269,9 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 }
 
 // TestPullerFills: a fill starts at watermark 0 and every pull of it carries
-// its epoch and scope; its mark moves apart from the peer's catch-up mark; a
-// crash zeroes it with every other mark; it closes once, returning its
-// items.
+// its epoch and scope; it holds back a later epoch's fill of its items; its
+// mark moves apart from the peer's catch-up mark; a crash zeroes it with
+// every other mark; it closes once, returning its items.
 func TestPullerFills(t *testing.T) {
 	p := NewPuller(Options{Site: 2, Peers: []model.SiteID{0}})
 	pull := p.OpenFill(0, 5, []model.ItemID{3, 9})
@@ -281,6 +281,9 @@ func TestPullerFills(t *testing.T) {
 	}
 	if !p.FillsOpen() || !p.FillOpen(0, 5) || p.FillOpen(0, 4) || p.FillOpen(1, 5) {
 		t.Fatal("FillOpen must know exactly the fill from site 0 at epoch 5")
+	}
+	if !p.Filling(6, AppendScope(nil, []model.ItemID{1, 9})) || p.Filling(5, AppendScope(nil, []model.ItemID{9})) || p.Filling(6, AppendScope(nil, []model.ItemID{4})) {
+		t.Fatal("Filling must hold back exactly a later epoch's fill of an item still being filled")
 	}
 	if !p.Advance(0, 5, 7) || p.Advance(0, 5, 6) || p.Mark(0) != 0 {
 		t.Fatal("a fill's mark must rise monotonically and apart from the catch-up mark")
