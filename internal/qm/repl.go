@@ -212,7 +212,8 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		sh.park(q)
 		return true
 	})
-	m.flushAll(ctx)
+	// Counted before the flush whose un-park exposes the applies, so a
+	// reader who saw a grant the flush sent sees them counted.
 	m.shards[0].mu.Lock()
 	if c := &m.shards[0].counters; fill {
 		c.TransferApplied += uint64(st.Applied)
@@ -225,6 +226,7 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		}
 	}
 	m.shards[0].mu.Unlock()
+	m.flushAll(ctx)
 	if st.Torn > 0 || live {
 		return
 	}
