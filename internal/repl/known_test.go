@@ -208,7 +208,7 @@ func TestPullerKeepsPeersSorted(t *testing.T) {
 	}
 	p.Advance(3, 0, 7)
 	p.SetPeers([]model.SiteID{4, 3})
-	if got := p.Peers(); len(got) != 2 || got[0] != 3 || got[1] != 4 || p.Mark(3) != 7 || p.Mark(4) != 0 {
+	if got := p.Peers(); len(got) != 2 || got[0] != 3 || got[1] != 4 || p.Pull(3, 0).AfterSeq != 7 || p.Pull(4, 0).AfterSeq != 0 {
 		t.Fatalf("after SetPeers: peers %v marks %v", got, p.Watermarks())
 	}
 	if !p.Advance(4, 0, 2) || p.Advance(4, 0, 2) || p.Advance(9, 0, 1) {

@@ -108,9 +108,6 @@ func (p *Puller) TickMicros() int64 {
 // BatchRecords returns the per-reply record bound.
 func (p *Puller) BatchRecords() int { return p.opts.BatchRecords }
 
-// Mark returns the catch-up watermark for peer (zero for unknown peers).
-func (p *Puller) Mark(peer model.SiteID) uint64 { return p.marks[peer] }
-
 // Advance raises the watermark of peer's catch-up (epoch 0) or of the open
 // fill from peer at epoch to seq, monotonically: a stale or reordered reply
 // can never move a watermark backwards. (The Reset path also only ever

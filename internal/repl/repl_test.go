@@ -40,13 +40,13 @@ func TestPullerWatermarks(t *testing.T) {
 	if got := p.Peers(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("peers not sorted ascending: %v", got)
 	}
-	if p.Mark(1) != 0 || p.Mark(2) != 0 {
+	if p.Pull(1, 0).AfterSeq != 0 || p.Pull(2, 0).AfterSeq != 0 {
 		t.Fatal("fresh puller must start at watermark zero")
 	}
 	p.Advance(1, 0, 10)
 	p.Advance(1, 0, 5) // regression attempt: must be ignored
-	if p.Mark(1) != 10 {
-		t.Fatalf("watermark regressed: %d", p.Mark(1))
+	if p.Pull(1, 0).AfterSeq != 10 {
+		t.Fatalf("watermark regressed: %d", p.Pull(1, 0).AfterSeq)
 	}
 	p.Advance(3, 0, 99) // unknown peer: ignored, not adopted
 	if _, ok := p.Watermarks()[3]; ok {
@@ -54,12 +54,12 @@ func TestPullerWatermarks(t *testing.T) {
 	}
 	w := p.Watermarks()
 	w[1] = 999 // returned map must be a copy
-	if p.Mark(1) != 10 {
+	if p.Pull(1, 0).AfterSeq != 10 {
 		t.Fatal("Watermarks leaked internal state")
 	}
 	inc := p.Incarnation()
 	p.ResetAll()
-	if p.Mark(1) != 0 || p.Mark(2) != 0 {
+	if p.Pull(1, 0).AfterSeq != 0 || p.Pull(2, 0).AfterSeq != 0 {
 		t.Fatal("ResetAll must zero every watermark (crash wipes the store)")
 	}
 	if p.Incarnation() == inc {
@@ -285,7 +285,7 @@ func TestPullerFills(t *testing.T) {
 	if !p.Filling(6, AppendScope(nil, []model.ItemID{1, 9})) || p.Filling(5, AppendScope(nil, []model.ItemID{9})) || p.Filling(6, AppendScope(nil, []model.ItemID{4})) {
 		t.Fatal("Filling must hold back exactly a later epoch's fill of an item still being filled")
 	}
-	if !p.Advance(0, 5, 7) || p.Advance(0, 5, 6) || p.Mark(0) != 0 {
+	if !p.Advance(0, 5, 7) || p.Advance(0, 5, 6) || p.Pull(0, 0).AfterSeq != 0 {
 		t.Fatal("a fill's mark must rise monotonically and apart from the catch-up mark")
 	}
 	p.Advance(0, 0, 3)
@@ -301,8 +301,8 @@ func TestPullerFills(t *testing.T) {
 	}
 	inc := p.Incarnation()
 	p.ResetAll()
-	if got := p.Pull(0, 5); got.AfterSeq != 0 || got.Incarnation == inc || p.Mark(0) != 0 {
-		t.Fatalf("after ResetAll the fill pulls %+v, catch-up from %d; want both from 0 in a new incarnation", got, p.Mark(0))
+	if got := p.Pull(0, 5); got.AfterSeq != 0 || got.Incarnation == inc || p.Pull(0, 0).AfterSeq != 0 {
+		t.Fatalf("after ResetAll the fill pulls %+v, catch-up from %d; want both from 0 in a new incarnation", got, p.Pull(0, 0).AfterSeq)
 	}
 	if items := p.CloseFill(0, 5); !slices.Equal(items, []model.ItemID{3, 9}) || p.FillsOpen() || p.CloseFill(0, 5) != nil || p.Advance(0, 5, 9) {
 		t.Fatalf("CloseFill returned %v; a closed fill must be gone", items)
