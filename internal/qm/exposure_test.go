@@ -424,8 +424,8 @@ func crashWithQueuesParked(flushDuringOutage bool) func(t *testing.T, shards int
 
 // TestRetireWhileParked: an item that moves away while its last write is
 // still unsynced keeps its queue — and the site keeps answering NotReady to
-// the new owner's transfer pull — until the flush; only then does the queue
-// retire and the transfer serve the write.
+// the new owner's fill pull — until the flush; only then does the queue
+// retire and the fill serve the write.
 func TestRetireWhileParked(t *testing.T) {
 	exposureMatrix(t, func(t *testing.T, shards int, window int64) {
 		m, ctx, _, _ := exposureSite(t, shards, window)

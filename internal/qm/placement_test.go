@@ -119,9 +119,9 @@ func TestCompleterWrongEpochNAK(t *testing.T) {
 
 // TestMapInstallGainSealsUntilTransfer walks the gaining side of a flip: the
 // gained item is created sealed (requests get Busy, not a grant and not a
-// NAK — the routing is correct, the state is in flight), a transfer pull goes
-// to the old primary, and the item opens with the transferred value once the
-// session completes.
+// NAK — the routing is correct, the state is in flight), a fill pull goes to
+// the old primary, and the item opens with the filled value once the fill is
+// done.
 func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	m := pmapManager(0)
 	m.SetPartitionMap(&model.PartitionMap{
@@ -176,9 +176,9 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 }
 
 // TestTransferPullNotReadyWhileDraining pins the handoff discipline that
-// makes the flip atomic per item: the losing site refuses to serve transfer
-// state while a transaction granted under the old epoch is still resident,
-// and serves it once the item drains.
+// makes the flip atomic per item: the losing site refuses to serve a fill
+// while a transaction granted under the old epoch is still resident, and
+// serves it once the item drains.
 func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	m := pmapManager(0)
 	m.SetPartitionMap(&model.PartitionMap{
@@ -234,12 +234,12 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	}
 }
 
-// TestTransferReplyFromBeforeTheCrashIsDropped: a crash zeroes each
-// incomplete transfer session's mark and starts a new incarnation of it. A
-// reply to a pull sent before the crash would advance the zeroed mark — or
-// finish the session — over records the crash destroyed; it is dropped, and
-// the retry tick pulls again in the new incarnation, whose reply completes
-// the session and fills the gained copy, which the crash must not lose.
+// TestTransferReplyFromBeforeTheCrashIsDropped: a crash zeroes each open
+// fill's mark and starts a new incarnation. A reply to a pull sent before the
+// crash would advance the zeroed mark — or finish the fill — over records the
+// crash destroyed; it is dropped, and the pull tick pulls again in the new
+// incarnation, whose reply completes the fill of the gained copy, which the
+// crash must not lose.
 func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	st := storage.NewStore(0)
 	st.Create(0, 100)
