@@ -121,11 +121,8 @@ func (d *Detector) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mes
 	switch v := msg.(type) {
 	case model.TickMsg:
 		d.probe(ctx)
-	case model.WFGReportMsg:
-		d.onReport(ctx, v)
 	case *model.WFGReportMsg:
-		// The queue manager's pooled send form; the delivery layer
-		// recycles it.
+		// Pooled; the delivery layer recycles it.
 		d.onReport(ctx, *v)
 	case model.StopMsg:
 		d.drainMode = true

@@ -39,8 +39,8 @@ func runRound(d *Detector, ctx *fakeCtx, edges []model.WaitEdge) []model.VictimM
 	d.OnMessage(ctx, engine.DetectorAddr(), model.TickMsg{})
 	// Answer the probes: site 0 reports the edges, site 1 reports none.
 	round := d.round
-	d.OnMessage(ctx, engine.QMAddr(0), model.WFGReportMsg{From: 0, Round: round, Edges: edges})
-	d.OnMessage(ctx, engine.QMAddr(1), model.WFGReportMsg{From: 1, Round: round})
+	d.OnMessage(ctx, engine.QMAddr(0), model.PooledWFGReport(model.WFGReportMsg{From: 0, Round: round, Edges: edges}))
+	d.OnMessage(ctx, engine.QMAddr(1), model.PooledWFGReport(model.WFGReportMsg{From: 1, Round: round}))
 	var victims []model.VictimMsg
 	for _, e := range ctx.sent[before:] {
 		if v, ok := e.Msg.(model.VictimMsg); ok {
@@ -148,12 +148,12 @@ func TestLateReportsIgnored(t *testing.T) {
 	d.OnMessage(ctx, engine.DetectorAddr(), model.TickMsg{})
 	round := d.round
 	// A stale report from a previous round must not complete this round.
-	d.OnMessage(ctx, engine.QMAddr(0), model.WFGReportMsg{From: 0, Round: round - 1})
+	d.OnMessage(ctx, engine.QMAddr(0), model.PooledWFGReport(model.WFGReportMsg{From: 0, Round: round - 1}))
 	if len(d.expect) != 2 {
 		t.Fatal("stale report consumed")
 	}
-	d.OnMessage(ctx, engine.QMAddr(0), model.WFGReportMsg{From: 0, Round: round})
-	d.OnMessage(ctx, engine.QMAddr(1), model.WFGReportMsg{From: 1, Round: round})
+	d.OnMessage(ctx, engine.QMAddr(0), model.PooledWFGReport(model.WFGReportMsg{From: 0, Round: round}))
+	d.OnMessage(ctx, engine.QMAddr(1), model.PooledWFGReport(model.WFGReportMsg{From: 1, Round: round}))
 	if len(d.expect) != 0 {
 		t.Fatal("round did not complete")
 	}
@@ -200,8 +200,8 @@ func TestPartialRoundBreaksLiveDeadlock(t *testing.T) {
 			break // this tick analyzed the last round; its own probes go unanswered
 		}
 		// Sites 0 and 1 each hold one edge of the cycle; site 2 is silent.
-		d.OnMessage(ctx, engine.QMAddr(0), model.WFGReportMsg{From: 0, Round: d.round, Edges: []model.WaitEdge{edge(1, 2, true, true)}})
-		d.OnMessage(ctx, engine.QMAddr(1), model.WFGReportMsg{From: 1, Round: d.round, Edges: []model.WaitEdge{edge(2, 1, true, true)}})
+		d.OnMessage(ctx, engine.QMAddr(0), model.PooledWFGReport(model.WFGReportMsg{From: 0, Round: d.round, Edges: []model.WaitEdge{edge(1, 2, true, true)}}))
+		d.OnMessage(ctx, engine.QMAddr(1), model.PooledWFGReport(model.WFGReportMsg{From: 1, Round: d.round, Edges: []model.WaitEdge{edge(2, 1, true, true)}}))
 		if len(d.expect) != 1 || !d.expect[2] {
 			t.Fatalf("round %d: waiting on %v, want only the silent site 2", d.round, d.expect)
 		}

@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,45 +30,130 @@ import (
 // every request to it busy, the quorum excludes the dead copy and hedges
 // the spare in, and every transaction of the live sites' drivers commits.
 func TestLoopbackSites(t *testing.T) {
+	for _, c := range loopbackCases() {
+		t.Run(c.name, func(t *testing.T) { runLoopback(t, c.cfg(t), c.dead, nil) })
+	}
+}
+
+// TestLoopbackDeliveryForms runs TestLoopbackSites' deployments with every
+// issuer and queue manager wrapped: over TCP as in the simulator, each must
+// receive every message in its one delivery form — never a single per-copy
+// message (a batch of one decodes as the batch), never the value of a type
+// that travels pooled — and each run must still pass its checks.
+func TestLoopbackDeliveryForms(t *testing.T) {
+	for _, c := range loopbackCases() {
+		t.Run(c.name, func(t *testing.T) {
+			forms := &formCheck{off: map[string]int{}}
+			runLoopback(t, c.cfg(t), c.dead, forms)
+			forms.mu.Lock()
+			defer forms.mu.Unlock()
+			if len(forms.off) != 0 {
+				t.Fatalf("issuers and queue managers received messages in another form: %v", forms.off)
+			}
+		})
+	}
+}
+
+// loopbackCase is one deployment the loopback tests run: cfg builds its
+// configuration (a durable one in the test's own directory), and dead is
+// the site whose node is closed before traffic starts, or -1.
+type loopbackCase struct {
+	name string
+	cfg  func(t *testing.T) Config
+	dead model.SiteID
+}
+
+func loopbackCases() []loopbackCase {
 	base := Config{
 		Sites: 3, Items: 48,
 		QM:       qm.Options{StatsPeriodMicros: 50_000},
 		RI:       ri.Options{PAIntervalMicros: 1_000, RestartDelayMicros: 2_000, DefaultComputeMicros: 200},
 		Detector: deadlock.Options{PeriodMicros: 20_000, PersistRounds: 2},
 	}
-	t.Run("volatile write-all", func(t *testing.T) {
-		cfg := base
-		cfg.Replicas = 2
-		runLoopback(t, cfg, -1)
-	})
-	t.Run("durable write-all", func(t *testing.T) {
-		cfg := base
-		cfg.Replicas = 3
-		cfg.Durability = &Durability{Dir: t.TempDir()}
-		runLoopback(t, cfg, -1)
-	})
-	t.Run("durable quorum", func(t *testing.T) {
-		cfg := base
-		cfg.Replicas = 3
-		cfg.Durability = &Durability{Dir: t.TempDir()}
-		cfg.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
-		runLoopback(t, cfg, -1)
-	})
-	t.Run("durable quorum, dead peer", func(t *testing.T) {
-		cfg := base
-		cfg.Replicas = 3
-		cfg.Durability = &Durability{Dir: t.TempDir()}
-		cfg.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
-		runLoopback(t, cfg, 2)
-	})
+	durable := func(q *model.Quorum) func(t *testing.T) Config {
+		return func(t *testing.T) Config {
+			cfg := base
+			cfg.Replicas = 3
+			cfg.Durability = &Durability{Dir: t.TempDir()}
+			cfg.Quorum = q
+			return cfg
+		}
+	}
+	quorum := &model.Quorum{N: 3, W: 2, R: 2}
+	return []loopbackCase{
+		{"volatile write-all", func(*testing.T) Config {
+			cfg := base
+			cfg.Replicas = 2
+			return cfg
+		}, -1},
+		{"durable write-all", durable(nil), -1},
+		{"durable quorum", durable(quorum), -1},
+		{"durable quorum, dead peer", durable(quorum), 2},
+	}
+}
+
+// formCheck wraps the actors registered with it and counts, by type, the
+// messages an issuer or a queue manager receives in a form other than the
+// one delivery form.
+type formCheck struct {
+	mu  sync.Mutex
+	off map[string]int
+}
+
+// wrap registers a through register, wrapped when it is an issuer or a
+// queue manager.
+func (f *formCheck) wrap(register func(engine.Addr, engine.Actor)) func(engine.Addr, engine.Actor) {
+	return func(addr engine.Addr, a engine.Actor) {
+		if addr.Kind == engine.KindRI || addr.Kind == engine.KindQM {
+			a = checkedActor{Actor: a, f: f}
+		}
+		register(addr, a)
+	}
+}
+
+type checkedActor struct {
+	engine.Actor
+	f *formCheck
+}
+
+func (c checkedActor) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+	if offForm(msg) {
+		c.f.mu.Lock()
+		c.f.off[fmt.Sprintf("%T", msg)]++
+		c.f.mu.Unlock()
+	}
+	c.Actor.OnMessage(ctx, from, msg)
+}
+
+// offForm reports whether msg is a single per-copy message, in either form,
+// or the value of a type that travels pooled: one whose pointer
+// model.RetainMessage copies. A submit is a value by design (it pools its
+// Txn, not its struct).
+func offForm(msg model.Message) bool {
+	switch msg.(type) {
+	case model.RequestMsg, *model.RequestMsg, model.ReleaseMsg, *model.ReleaseMsg,
+		model.AbortMsg, *model.AbortMsg, model.GrantMsg, *model.GrantMsg,
+		model.SnapReadMsg, *model.SnapReadMsg, model.SnapReadReplyMsg, *model.SnapReadReplyMsg:
+		return true
+	case model.SubmitTxnMsg:
+		return false
+	}
+	t := reflect.TypeOf(msg)
+	if t.Kind() == reflect.Pointer {
+		return false
+	}
+	p := reflect.New(t).Interface().(model.Message)
+	kept := model.RetainMessage(p)
+	model.RecycleMessage(kept)
+	return kept != p
 }
 
 // runLoopback runs perSite transactions from each site's driver through a
 // loopback deployment of cfg and checks the outcome. A dead site other than
 // -1 has its node closed and its runtime shut down before traffic starts;
 // it runs no driver, and every transaction of the live sites' drivers must
-// commit.
-func runLoopback(t *testing.T, cfg Config, dead model.SiteID) {
+// commit. A non-nil forms wraps the sites' actors.
+func runLoopback(t *testing.T, cfg Config, dead model.SiteID, forms *formCheck) {
 	const perSite = 100
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -101,7 +188,11 @@ func runLoopback(t *testing.T, cfg Config, dead model.SiteID) {
 	}
 	for _, s := range cfg.SiteIDs() {
 		rt := engine.NewRuntime(engine.FixedLatency{}, int64(s)+1)
-		p, err := Site(cfg, s, pmap, nil, nil, rt.Register)
+		register := rt.Register
+		if forms != nil {
+			register = forms.wrap(register)
+		}
+		p, err := Site(cfg, s, pmap, nil, nil, register)
 		if err != nil {
 			t.Fatal(err)
 		}

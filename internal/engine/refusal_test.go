@@ -40,9 +40,9 @@ type doneLog struct {
 }
 
 func (d *doneLog) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
-	if v, ok := model.UnpoolMessage(msg).(model.TxnDoneMsg); ok { // either form
+	if v, ok := msg.(*model.TxnDoneMsg); ok {
 		d.mu.Lock()
-		d.dones = append(d.dones, v)
+		d.dones = append(d.dones, *v)
 		d.mu.Unlock()
 	}
 }
@@ -70,7 +70,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// busyCount counts the BusyMsg NAKs an actor receives, either form.
+// busyCount counts the BusyMsg NAKs an actor receives.
 type busyCount struct {
 	engine.Actor
 	mu sync.Mutex
@@ -78,7 +78,7 @@ type busyCount struct {
 }
 
 func (b *busyCount) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
-	if _, busy := model.UnpoolMessage(msg).(model.BusyMsg); busy {
+	if _, busy := msg.(*model.BusyMsg); busy {
 		b.mu.Lock()
 		b.n++
 		b.mu.Unlock()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -266,21 +267,36 @@ func (r *Runtime) route(env Envelope) {
 	}
 }
 
-// nak answers a refused sheddable envelope with one BusyMsg per copy it
-// carried (a batch NAKs every member), routed to the sender before the
-// refused send returns. A NAK is never sheddable, so this cannot recurse.
+// nak answers a refused sheddable envelope with its BusyNAKs, routed to the
+// sender before the refused send returns. A NAK is never sheddable, so this
+// cannot recurse.
 func (r *Runtime) nak(env Envelope) {
 	r.overflows.Add(1)
-	sh, ok := env.Msg.(model.Sheddable)
-	if !ok {
-		return
+	for nak := range BusyNAKs(env) {
+		r.route(nak)
 	}
-	for i := range sh.Copies() {
-		r.route(Envelope{From: env.To, To: env.From, Msg: sh.Busy(i)})
-	}
-	// The refused message dies here: each Busy reply copied what it needs,
-	// so a pooled original goes back to its pool now.
+	// The refused message dies here: each NAK copied what it needs, so the
+	// original goes back to its pool now.
 	model.RecycleMessage(env.Msg)
+}
+
+// BusyNAKs inverts a refused sheddable envelope into its pooled BusyMsg
+// NAKs toward the sender, one per copy it carried (every member of a
+// batch): the one inversion behind a full mailbox's refusal and the
+// transport's drops. Non-sheddable messages yield nothing: they have no
+// Busy form and are never refused.
+func BusyNAKs(env Envelope) iter.Seq[Envelope] {
+	return func(yield func(Envelope) bool) {
+		sh, ok := env.Msg.(model.Sheddable)
+		if !ok {
+			return
+		}
+		for i := range sh.Copies() {
+			if !yield(Envelope{From: env.To, To: env.From, Msg: sh.Busy(i)}) {
+				return
+			}
+		}
+	}
 }
 
 // Register adds an actor and starts its mailbox goroutine.
@@ -304,8 +320,8 @@ func (r *Runtime) Register(addr Addr, a Actor) {
 			}
 			a.OnMessage(ctx, env.From, env.Msg)
 			// Ownership transferred at Send: the delivery layer recycles
-			// pooled messages once the handler returns (handlers that defer
-			// a message past their return copy it via model.UnpoolMessage).
+			// pooled messages once the handler returns (a handler that defers
+			// a message past its return keeps a model.RetainMessage copy).
 			model.RecycleMessage(env.Msg)
 		}
 	}()

@@ -143,9 +143,21 @@ func TestRuntimeCrossSenderOrderUnderLock(t *testing.T) {
 // out to its value form and recycles the original, once.
 func keep(e Envelope) Envelope {
 	sent := e.Msg
-	e.Msg = model.UnpoolMessage(sent)
+	if v := reflect.ValueOf(sent); v.Kind() == reflect.Pointer {
+		// The retained copy owns its arrays, and nothing recycles it.
+		e.Msg = reflect.ValueOf(model.RetainMessage(sent)).Elem().Interface().(model.Message)
+	}
 	model.RecycleMessage(sent)
 	return e
+}
+
+// pooledRequest is v as the pooled batch of one it travels as.
+func pooledRequest(v model.RequestMsg) *model.RequestBatchMsg {
+	return model.PooledRequestBatch(model.RequestBatchMsg{
+		Txn: v.Txn, Attempt: v.Attempt, Protocol: v.Protocol, TS: v.TS, Interval: v.Interval,
+		Site: v.Site, Epoch: v.Epoch, CopySite: v.Copy.Site,
+		Members: []model.RequestMember{{Item: v.Copy.Item, Kind: v.Kind}},
+	})
 }
 
 // handoffProbe sends a pooled request to an address nobody registered and
@@ -430,9 +442,9 @@ type busyCollector struct {
 }
 
 func (c *busyCollector) OnMessage(ctx Context, from Addr, msg model.Message) {
-	if b, ok := msg.(model.BusyMsg); ok {
+	if b, ok := msg.(*model.BusyMsg); ok {
 		c.mu.Lock()
-		c.busys = append(c.busys, b)
+		c.busys = append(c.busys, *b)
 		c.mu.Unlock()
 	}
 }
@@ -459,11 +471,11 @@ func TestMailboxBoundNAKsSheddable(t *testing.T) {
 	}()
 
 	req := func(seq uint64) Envelope {
-		return Envelope{From: riAddr, To: qmAddr, Msg: model.RequestMsg{
+		return Envelope{From: riAddr, To: qmAddr, Msg: pooledRequest(model.RequestMsg{
 			Txn:  model.TxnID{Site: 3, Seq: seq},
 			Copy: model.CopyID{Item: model.ItemID(seq), Site: 0},
 			Site: 3,
-		}}
+		})}
 	}
 	// Wedge the consumer: the first request is popped into OnMessage and
 	// blocks there, leaving the mailbox itself empty.
@@ -551,7 +563,7 @@ func TestMailboxRefusalNAKsEveryMember(t *testing.T) {
 
 	var want []model.BusyMsg
 	for i := range batch.Members {
-		want = append(want, batch.Busy(i).(model.BusyMsg))
+		want = append(want, *batch.Busy(i).(*model.BusyMsg))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -590,9 +602,9 @@ func TestMailboxNAKReachesRemoteSenderViaUplink(t *testing.T) {
 
 	remote := RIAddr(7) // not registered locally
 	req := func(seq uint64) Envelope {
-		return Envelope{From: remote, To: QMAddr(0), Msg: model.RequestMsg{
+		return Envelope{From: remote, To: QMAddr(0), Msg: pooledRequest(model.RequestMsg{
 			Txn: model.TxnID{Site: 7, Seq: seq}, Site: 7,
-		}}
+		})}
 	}
 	deliver(req(0))
 	<-blocked.entered
@@ -627,7 +639,7 @@ func (a *floodActor) OnMessage(ctx Context, from Addr, msg model.Message) {
 		a.busyCollector.OnMessage(ctx, from, msg)
 	case tick.Tag == 0:
 		for i := 1; i <= a.burst; i++ {
-			ctx.Send(a.to, model.RequestMsg{Txn: model.TxnID{Site: ctx.Self().ID, Seq: uint64(i)}})
+			ctx.Send(a.to, pooledRequest(model.RequestMsg{Txn: model.TxnID{Site: ctx.Self().ID, Seq: uint64(i)}}))
 		}
 		ctx.Send(ctx.Self(), model.TickMsg{Tag: 1})
 	default:

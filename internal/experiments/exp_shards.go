@@ -138,6 +138,8 @@ func ShardThroughput(shards, workers, txnsPerWorker int, hotShard bool, seed int
 			ts := model.Timestamp(1)
 			chosen := make([]model.ItemID, 0, txnSize)
 			kinds := make([]model.OpKind, 0, txnSize)
+			reqOne := make([]model.RequestMember, 1)
+			relOne := make([]model.ReleaseMember, 1)
 			for n := 0; n < txnsPerWorker; n++ {
 				txn := model.TxnID{Site: site, Seq: uint64(n + 1)}
 				ts++
@@ -163,21 +165,22 @@ func ShardThroughput(shards, workers, txnsPerWorker int, hotShard bool, seed int
 					kinds = append(kinds, kind)
 				}
 				for i, it := range chosen {
-					// Pooled request, recycled once OnMessage returns: the
-					// worker is issuer and delivery layer in one, so it owns
-					// both ends of the Send contract.
-					req := model.PooledRequest(model.RequestMsg{
-						Txn: txn, Protocol: model.PA, Kind: kinds[i],
-						Copy: model.CopyID{Item: it, Site: 0},
-						TS:   ts, Interval: 1, Site: site,
+					// One pooled batch of one per copy, recycled once
+					// OnMessage returns: the worker is issuer and delivery
+					// layer in one, so it owns both ends of the Send
+					// contract.
+					reqOne[0] = model.RequestMember{Item: it, Kind: kinds[i]}
+					req := model.PooledRequestBatch(model.RequestBatchMsg{
+						Txn: txn, Protocol: model.PA, TS: ts, Interval: 1, Site: site,
+						CopySite: 0, Members: reqOne,
 					})
 					m.OnMessage(ctx, ctx.self, req)
 					model.RecycleMessage(req)
 				}
 				grants := 0
 				for _, env := range ctx.sent {
-					if _, ok := env.Msg.(*model.GrantMsg); ok {
-						grants++
+					if g, ok := env.Msg.(*model.GrantBatchMsg); ok {
+						grants += len(g.Members)
 					}
 				}
 				if grants != txnSize {
@@ -187,10 +190,9 @@ func ShardThroughput(shards, workers, txnsPerWorker int, hotShard bool, seed int
 				ctx.recycleSent()
 				commit := time.Now().UnixMicro()
 				for i, it := range chosen {
-					rel := model.PooledRelease(model.ReleaseMsg{
-						Txn: txn, Copy: model.CopyID{Item: it, Site: 0},
-						HasWrite: kinds[i] == model.OpWrite, Value: int64(n),
-						CommitMicros: commit,
+					relOne[0] = model.ReleaseMember{Item: it, HasWrite: kinds[i] == model.OpWrite, Value: int64(n)}
+					rel := model.PooledReleaseBatch(model.ReleaseBatchMsg{
+						Txn: txn, CopySite: 0, CommitMicros: commit, Members: relOne,
 					})
 					m.OnMessage(ctx, ctx.self, rel)
 					model.RecycleMessage(rel)

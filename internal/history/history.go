@@ -128,13 +128,6 @@ func (r *Recorder) Committed(txn model.TxnID, p model.Protocol) {
 	r.committed[txn] = p
 }
 
-// NumCommitted returns the number of committed transactions.
-func (r *Recorder) NumCommitted() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.committed)
-}
-
 // Log returns a copy of one physical item's log.
 func (r *Recorder) Log(c model.CopyID) []Entry {
 	r.mu.Lock()

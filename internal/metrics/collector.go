@@ -89,14 +89,14 @@ func (c *Collector) OnMessage(ctx engine.Context, from engine.Addr, msg model.Me
 	defer c.mu.Unlock()
 	switch v := msg.(type) {
 	case model.TxnDoneMsg:
+		// A client decodes the issuer's report as a value (package model's
+		// wirepool.go).
 		c.onDone(v)
 	case *model.TxnDoneMsg:
 		// The issuer's pooled send form; the delivery layer recycles it.
 		c.onDone(*v)
-	case model.QueueStatsMsg:
-		c.onQueueStats(v)
 	case *model.QueueStatsMsg:
-		// A queue manager's pooled send form; the delivery layer recycles it.
+		// Pooled; the delivery layer recycles it.
 		c.onQueueStats(*v)
 	case model.TickMsg:
 		c.broadcast(ctx)

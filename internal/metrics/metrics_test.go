@@ -155,14 +155,14 @@ func TestCollectorRateEstimation(t *testing.T) {
 	c := NewCollector(CollectorOptions{EWMAAlpha: 1}) // no smoothing
 	ctx := &colCtx{rng: rand.New(rand.NewSource(1))}
 	// A site's first report covers no period, so its counts are ignored.
-	c.OnMessage(ctx, engine.CollectorAddr(), model.QueueStatsMsg{
+	c.OnMessage(ctx, engine.CollectorAddr(), model.PooledQueueStats(model.QueueStatsMsg{
 		From: 0, AtMicros: 0, SinceMicros: 0,
 		Grants: []model.QueueGrants{{Item: 1, Reads: 7, Writes: 3}},
-	})
-	c.OnMessage(ctx, engine.CollectorAddr(), model.QueueStatsMsg{
+	}))
+	c.OnMessage(ctx, engine.CollectorAddr(), model.PooledQueueStats(model.QueueStatsMsg{
 		From: 0, AtMicros: 1_000_000, SinceMicros: 0, // 1s window
 		Grants: []model.QueueGrants{{Item: 1, Reads: 50, Writes: 20}},
-	})
+	}))
 	est := c.Estimates(1_000_000)
 	if math.Abs(est.LambdaR[1]-50) > 1e-9 || math.Abs(est.LambdaW[1]-20) > 1e-9 {
 		t.Fatalf("rates: r=%v w=%v", est.LambdaR[1], est.LambdaW[1])

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford is a numerically stable streaming mean/variance accumulator.
@@ -236,15 +235,4 @@ func F(v float64) string {
 	default:
 		return fmt.Sprintf("%.3f", v)
 	}
-}
-
-// SortedKeys returns map keys in ascending order (generic helper for
-// deterministic iteration in reports).
-func SortedKeys[K ~int32 | ~int | ~int64, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

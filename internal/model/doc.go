@@ -17,8 +17,9 @@
 // An attempt's per-copy messages to one queue-manager mailbox travel as one
 // batch per protocol step: RequestBatchMsg, GrantBatchMsg, ReleaseBatchMsg
 // and AbortBatchMsg stand for that many RequestMsg, GrantMsg, ReleaseMsg and
-// AbortMsg, member by member, and a batch of one encodes to the very bytes
-// of its single message.
+// AbortMsg, member by member. A batch of one encodes to the very bytes of
+// its single message, and those bytes decode back to the batch of one, so
+// actors receive only batches; the single structs are the members' views.
 //
 // The log-shipping plane has one pull and one reply: ReplPullMsg and
 // ReplRecordsMsg carry catch-up (Epoch 0) and the fills that bring a
@@ -51,9 +52,11 @@
 // A type missing its tag or its encoder is not a Message and does not
 // compile; one missing its row, its corpus entry or its seed fails
 // TestEveryMessageTypeIsInTheTable, TestCorpusCoversEveryTag or
-// TestSeedCorpusCommitted. A pooled type (wirepool.go) adds its msgPool, its
-// PooledX constructor and its one-line recycle and unpool methods; if it
-// pools on decode too, its row uses pooled instead of plain.
+// TestSeedCorpusCommitted. A pooled type (wirepool.go) adds its msgPool,
+// its PooledX constructor, its one-line recycle and its retain (a pooled
+// copy, RetainMessage), and its row uses pooled instead of plain, so it
+// reaches its actor as the pooled pointer however it travelled. No receiver
+// carries a value case for it.
 //
 // A deleted message type's tag is retired, not freed: TagRetired names it,
 // its decode-table row stays empty (it decodes as an unknown tag),

@@ -176,9 +176,6 @@ func (k LockKind) String() string {
 // IsWrite reports whether the lock kind protects a write (WL or SWL).
 func (k LockKind) IsWrite() bool { return k == WL || k == SWL }
 
-// IsSemi reports whether the lock kind is a semi-lock (SRL or SWL).
-func (k LockKind) IsSemi() bool { return k == SRL || k == SWL }
-
 // LocksConflict implements §4.2's rule: two locks conflict if they lock the
 // same data item and at least one is a WL or SWL. (Callers have already
 // established the same-item condition.)

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 )
 
 // Message is everything exchanged between actors. All concrete messages are
@@ -114,8 +113,8 @@ func (m ReleaseBatchMsg) Release(i int) ReleaseMsg {
 
 // Len, Item and Sub let a queue manager route a request or release batch by
 // its members' items: Len is the member count, Item(i) member i's item, and
-// Sub(lo, hi) members [lo, hi) as a batch of their own with its own copy of
-// them.
+// Sub(lo, hi) members [lo, hi) as a pooled batch of their own with its own
+// copy of them.
 func (m RequestBatchMsg) Len() int { return len(m.Members) }
 
 // Item returns member i's item (see Len).
@@ -123,8 +122,8 @@ func (m RequestBatchMsg) Item(i int) ItemID { return m.Members[i].Item }
 
 // Sub returns members [lo, hi) as a batch of their own (see Len).
 func (m RequestBatchMsg) Sub(lo, hi int) Message {
-	m.Members = slices.Clone(m.Members[lo:hi])
-	return m
+	m.Members = m.Members[lo:hi]
+	return PooledRequestBatch(m)
 }
 
 // Len returns the member count (see RequestBatchMsg.Len).
@@ -136,8 +135,8 @@ func (m ReleaseBatchMsg) Item(i int) ItemID { return m.Members[i].Item }
 // Sub returns members [lo, hi) as a batch of their own (see
 // RequestBatchMsg.Len).
 func (m ReleaseBatchMsg) Sub(lo, hi int) Message {
-	m.Members = slices.Clone(m.Members[lo:hi])
-	return m
+	m.Members = m.Members[lo:hi]
+	return PooledReleaseBatch(m)
 }
 
 // FinalTSMsg is PA step 1(e): after collecting back-offs the RI broadcasts
@@ -216,8 +215,8 @@ func (m AbortBatchMsg) Item(i int) ItemID { return m.Members[i] }
 // Sub returns members [lo, hi) as a batch of their own (see
 // RequestBatchMsg.Len).
 func (m AbortBatchMsg) Sub(lo, hi int) Message {
-	m.Members = slices.Clone(m.Members[lo:hi])
-	return m
+	m.Members = m.Members[lo:hi]
+	return PooledAbortBatch(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -334,21 +333,19 @@ type BusyMsg struct {
 }
 
 // Sheddable marks messages a saturated receiver may refuse with BusyMsg NAKs
-// instead of enqueueing. Only new-work openers implement it (RequestMsg,
-// RequestBatchMsg, SnapReadMsg, SnapReadBatchMsg; TestOnlyOpenersShed pins
-// the set): shedding one sheds a transaction attempt cleanly. Messages that
-// complete in-flight
-// protocol work — releases (single or batched), aborts, grants, final
-// timestamps — are never sheddable, because dropping one would strand locks
+// instead of enqueueing. Only new-work openers implement it (RequestBatchMsg
+// and SnapReadBatchMsg; TestOnlyOpenersShed pins the set): shedding one
+// sheds a transaction attempt cleanly. Messages that complete in-flight
+// protocol work — releases, aborts, grants, final timestamps — are never
+// sheddable, because dropping one would strand locks
 // forever; bounded mailboxes therefore admit them even past the bound (the
 // bound is hard for openers, soft for completers, which is what makes the
 // policy deadlock-free).
 //
-// Refusal is per copy: a refused message is answered with one BusyMsg for
-// every copy it carried — Busy(i) for i in [0, Copies()) — so a refused
-// batch NAKs each member exactly as its single requests would have been, and
-// the issuer's per-copy handling (quorum exclusion, the attempt's abort, the
-// admission window's feedback) cannot tell the difference.
+// Refusal is per copy: a refused batch is answered with one pooled BusyMsg
+// for every member — Busy(i) for i in [0, Copies()) — so the issuer's
+// per-copy handling (quorum exclusion, the attempt's abort, the admission
+// window's feedback) sees each copy refused on its own.
 type Sheddable interface {
 	Message
 	// Copies returns the number of copies the message opens work at.
@@ -358,45 +355,25 @@ type Sheddable interface {
 	Busy(i int) Message
 }
 
-// Copies implements Sheddable: a request opens one copy.
-func (m RequestMsg) Copies() int { return 1 }
-
-// Busy implements Sheddable: a refused request NAKs with its identity so the
-// issuer can abort the attempt. Opener: the NAK aborts the whole attempt and
-// the issuer re-requests, so no protocol state is stranded.
-func (m RequestMsg) Busy(int) Message {
-	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
-}
-
 // Copies implements Sheddable: one NAK per member.
 func (m RequestBatchMsg) Copies() int { return len(m.Members) }
 
-// Busy implements Sheddable: member i NAKs as its own RequestMsg would.
-// Opener: the issuer aborts (or, under quorum, excludes) per copy and
-// re-requests, so no protocol state is stranded.
+// Busy implements Sheddable: member i's NAK. Opener: the issuer aborts (or,
+// under quorum, excludes) per copy and re-requests, so no protocol state is
+// stranded.
 func (m RequestBatchMsg) Busy(i int) Message {
-	return m.Request(i).Busy(0)
-}
-
-// Copies implements Sheddable: a snapshot read opens one copy.
-func (m SnapReadMsg) Copies() int { return 1 }
-
-// Busy implements Sheddable for snapshot reads (the read-only fast path
-// sheds the whole transaction — it has no retry machinery by design).
-// Opener: shedding fails the read-only transaction cleanly; it holds no locks
-// or queue entries.
-func (m SnapReadMsg) Busy(int) Message {
-	return BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: m.Copy}
+	return PooledBusy(BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: m.Members[i].Item, Site: m.CopySite}})
 }
 
 // Copies implements Sheddable: one NAK per member.
 func (m SnapReadBatchMsg) Copies() int { return len(m.Members) }
 
-// Busy implements Sheddable: member i NAKs as its own SnapReadMsg would.
-// Opener: the first NAK sheds the read-only transaction, which holds no locks
-// or queue entries, and the issuer ignores the rest.
+// Busy implements Sheddable: member i's NAK. Opener: the first NAK sheds
+// the read-only transaction (the fast path has no retry machinery by
+// design), which holds no locks or queue entries, and the issuer ignores the
+// rest.
 func (m SnapReadBatchMsg) Busy(i int) Message {
-	return m.SnapRead(i).Busy(0)
+	return PooledBusy(BusyMsg{Txn: m.Txn, Attempt: m.Attempt, Copy: CopyID{Item: m.Members[i], Site: m.CopySite}})
 }
 
 // VictimMsg tells an RI that its 2PL transaction was chosen as a deadlock
@@ -485,8 +462,8 @@ func (m SnapReadBatchMsg) Item(i int) ItemID { return m.Members[i] }
 // Sub returns members [lo, hi) as a batch of their own (see
 // RequestBatchMsg.Len).
 func (m SnapReadBatchMsg) Sub(lo, hi int) Message {
-	m.Members = slices.Clone(m.Members[lo:hi])
-	return m
+	m.Members = m.Members[lo:hi]
+	return PooledSnapReadBatch(m)
 }
 
 // SnapReadReplyBatchMsg answers a SnapReadBatchMsg: one SnapReadReplyMsg per
@@ -607,6 +584,10 @@ type QueueStatsMsg struct {
 	// Grants has one entry per copy the site holds, in strictly ascending
 	// item order.
 	Grants []QueueGrants
+
+	// buf is the array a pooled report keeps across recycles
+	// (wirepool.go); Grants lies in it. Nil in every value form.
+	buf []QueueGrants
 }
 
 // QueueGrants is one copy's grants over a QueueStatsMsg's period. The

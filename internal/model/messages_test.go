@@ -23,9 +23,11 @@ func TestMessageStringer(t *testing.T) {
 }
 
 // rowValue is a value of the type tag's decode-table row decodes to: the zero
-// value, except that a batch has two members so it travels under its own tag.
-// Every decoder returns its type's zero value for an empty payload. It is nil
-// for a tag without a row.
+// value, except that a batch has two members so it travels under its own tag
+// and a single per-copy tag's batch of one keeps its one member. Every
+// decoder returns its type's zero value for an empty payload, and a single
+// per-copy tag's decoder a batch of one zero member. It is nil for a tag
+// without a row.
 func rowValue(tag WireTag) Message {
 	if codecs[tag].decode == nil {
 		return nil
@@ -33,22 +35,34 @@ func rowValue(tag WireTag) Message {
 	var empty WireReader
 	switch m := codecs[tag].decode(&empty).(type) {
 	case RequestBatchMsg:
-		m.Members = make([]RequestMember, 2)
+		if m.Members == nil {
+			m.Members = make([]RequestMember, 2)
+		}
 		return m
 	case ReleaseBatchMsg:
-		m.Members = make([]ReleaseMember, 2)
+		if m.Members == nil {
+			m.Members = make([]ReleaseMember, 2)
+		}
 		return m
 	case AbortBatchMsg:
-		m.Members = make([]ItemID, 2)
+		if m.Members == nil {
+			m.Members = make([]ItemID, 2)
+		}
 		return m
 	case GrantBatchMsg:
-		m.Members = make([]GrantMember, 2)
+		if m.Members == nil {
+			m.Members = make([]GrantMember, 2)
+		}
 		return m
 	case SnapReadBatchMsg:
-		m.Members = make([]ItemID, 2)
+		if m.Members == nil {
+			m.Members = make([]ItemID, 2)
+		}
 		return m
 	case SnapReadReplyBatchMsg:
-		m.Members = make([]SnapReadReplyMember, 2)
+		if m.Members == nil {
+			m.Members = make([]SnapReadReplyMember, 2)
+		}
 		return m
 	case SubmitTxnMsg:
 		m.Txn = &Txn{} // a nil Txn decodes to nil, from no pool
@@ -61,9 +75,8 @@ func rowValue(tag WireTag) Message {
 // TestMessageTable: every tag up to TagLast but the retired ones has a
 // decode-table row (a retired tag has none), the row's
 // type travels under that tag and decodes back to the same type, and exactly
-// the seventeen hot protocol types, the catch-up pull and reply and the
-// wait-for report come back from DecodeMessagePooled as pointers, and the
-// submit with a pooled Txn.
+// the pooled types come back from DecodeMessagePooled as pointers (a single
+// per-copy tag as its batch of one), and the submit with a pooled Txn.
 func TestMessageTable(t *testing.T) {
 	decodePooled := map[WireTag]bool{
 		TagRequest: true, TagFinalTS: true, TagRelease: true, TagAbort: true, TagGrant: true,
@@ -73,6 +86,7 @@ func TestMessageTable(t *testing.T) {
 		TagSnapReadBatch: true, TagSnapReadReplyBatch: true, TagAbortBatch: true,
 		TagSubmitTxn: true,
 		TagReplPull:  true, TagReplRecords: true, TagWFGReport: true,
+		TagProbeWFG: true, TagQueueStats: true, TagComputeDone: true, TagRestart: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)
@@ -112,8 +126,9 @@ func TestMessageTable(t *testing.T) {
 }
 
 // TestEveryMessageTypeIsInTheTable: the types that declare a wire tag in this
-// package's sources are exactly the decode table's types, so no message type
-// can encode without a decoder.
+// package's sources are exactly the decode table's types and the six single
+// per-copy types, whose tags decode as their batch of one, so no message
+// type can encode without a decoder.
 func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -141,7 +156,10 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 			declared[recv.(*ast.Ident).Name] = true
 		}
 	}
-	table := map[string]bool{}
+	table := map[string]bool{
+		"RequestMsg": true, "ReleaseMsg": true, "AbortMsg": true,
+		"GrantMsg": true, "SnapReadMsg": true, "SnapReadReplyMsg": true,
+	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		if m := rowValue(tag); m != nil {
 			table[reflect.TypeOf(m).Name()] = true
@@ -163,7 +181,7 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 // new opener joins the set with the argument, written on its Busy method, for
 // why shedding it cannot strand protocol state.
 func TestOnlyOpenersShed(t *testing.T) {
-	want := map[string]bool{"RequestMsg": true, "RequestBatchMsg": true, "SnapReadMsg": true, "SnapReadBatchMsg": true}
+	want := map[string]bool{"RequestBatchMsg": true, "SnapReadBatchMsg": true}
 	got := map[string]bool{}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)

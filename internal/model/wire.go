@@ -451,10 +451,14 @@ func (m RequestMsg) AppendWire(b []byte) []byte {
 	return AppendUvarint(b, m.Epoch)
 }
 
-func decodeRequest(r *WireReader) (m RequestMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
+// decodeRequest decodes a RequestMsg body as the batch of one it stands
+// for, its member into members[:0] (see decodeRequestBatch).
+func decodeRequest(r *WireReader, members []RequestMember) (m RequestBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite = c.Site
 	m.Protocol = Protocol(r.Byte())
-	m.Kind = OpKind(r.Byte())
+	m.Members = append(members[:0], RequestMember{Item: c.Item, Kind: OpKind(r.Byte())})
 	m.TS = Timestamp(r.Varint())
 	m.Interval = Timestamp(r.Varint())
 	m.Site = SiteID(r.Varint32())
@@ -483,11 +487,14 @@ func (m ReleaseMsg) AppendWire(b []byte) []byte {
 	return AppendVarint(b, m.CommitMicros)
 }
 
-func decodeRelease(r *WireReader) (m ReleaseMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
+// decodeRelease decodes a ReleaseMsg body as the batch of one it stands
+// for (see decodeRequest).
+func decodeRelease(r *WireReader, members []ReleaseMember) (m ReleaseBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite = c.Site
 	m.ToSemi = r.Bool()
-	m.HasWrite = r.Bool()
-	m.Value = r.Varint()
+	m.Members = append(members[:0], ReleaseMember{Item: c.Item, HasWrite: r.Bool(), Value: r.Varint()})
 	m.CommitMicros = r.Varint()
 	return m
 }
@@ -497,8 +504,12 @@ func (m AbortMsg) AppendWire(b []byte) []byte {
 	return appendHdr(b, m.Txn, m.Attempt, m.Copy)
 }
 
-func decodeAbort(r *WireReader) (m AbortMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
+// decodeAbort decodes an AbortMsg body as the batch of one it stands for
+// (see decodeRequest).
+func decodeAbort(r *WireReader, members []ItemID) (m AbortBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite, m.Members = c.Site, append(members[:0], c.Item)
 	return m
 }
 
@@ -513,20 +524,29 @@ func (m GrantMsg) AppendWire(b []byte) []byte {
 	return AppendVarint(b, m.CommitMicros-int64(m.TS))
 }
 
-func decodeGrant(r *WireReader) (m GrantMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.Lock = LockKind(r.Byte())
-	m.PreScheduled = r.Bool()
-	m.TS = Timestamp(r.Varint())
-	m.Value = r.Varint()
-	m.Version = r.Uvarint()
-	m.CommitMicros = r.Varint() + int64(m.TS)
+// decodeGrant decodes a GrantMsg body as the batch of one it stands for
+// (see decodeRequest).
+func decodeGrant(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite = c.Site
+	x := GrantMember{
+		Item:         c.Item,
+		Lock:         LockKind(r.Byte()),
+		PreScheduled: r.Bool(),
+		TS:           Timestamp(r.Varint()),
+		Value:        r.Varint(),
+		Version:      r.Uvarint(),
+	}
+	x.CommitMicros = r.Varint() + int64(x.TS)
+	m.Members = append(members[:0], x)
 	return m
 }
 
 // Batches. On the wire a batch carries at least two members: a batch of one
 // is encoded as the single message it stands for, under that message's tag
-// (batchTag), so the decoders reject smaller counts and every message keeps
+// (batchTag), and that tag decodes back to the batch of one (decodeRequest,
+// ...), so the batch decoders reject smaller counts and every message keeps
 // exactly one encoding. The shared fields lead, in the order of the single
 // message's.
 
@@ -854,8 +874,12 @@ func (m SnapReadMsg) AppendWire(b []byte) []byte {
 	return AppendUvarint(b, m.Epoch)
 }
 
-func decodeSnapRead(r *WireReader) (m SnapReadMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
+// decodeSnapRead decodes a SnapReadMsg body as the batch of one it stands
+// for (see decodeRequest).
+func decodeSnapRead(r *WireReader, members []ItemID) (m SnapReadBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite, m.Members = c.Site, append(members[:0], c.Item)
 	m.SnapMicros = r.Varint()
 	m.Site = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
@@ -871,12 +895,15 @@ func (m SnapReadReplyMsg) AppendWire(b []byte) []byte {
 	return AppendWireBool(b, m.Exact)
 }
 
-func decodeSnapReadReply(r *WireReader) (m SnapReadReplyMsg) {
-	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.Value = r.Varint()
-	m.Version = r.Uvarint()
-	m.CommitMicros = r.Varint()
-	m.Exact = r.Bool()
+// decodeSnapReadReply decodes a SnapReadReplyMsg body as the batch of one it
+// stands for (see decodeRequest).
+func decodeSnapReadReply(r *WireReader, members []SnapReadReplyMember) (m SnapReadReplyBatchMsg) {
+	var c CopyID
+	m.Txn, m.Attempt, c = r.hdr()
+	m.CopySite = c.Site
+	m.Members = append(members[:0], SnapReadReplyMember{
+		Item: c.Item, Value: r.Varint(), Version: r.Uvarint(), CommitMicros: r.Varint(), Exact: r.Bool(),
+	})
 	return m
 }
 
@@ -1057,7 +1084,9 @@ func (m QueueStatsMsg) AppendWire(b []byte) []byte {
 	return b
 }
 
-func decodeQueueStats(r *WireReader) (m QueueStatsMsg) {
+// decodeQueueStats decodes a report, its entries into buf's array when it
+// has room (nil when there are none).
+func decodeQueueStats(r *WireReader, buf []QueueGrants) (m QueueStatsMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AtMicros = r.Varint()
 	m.SinceMicros = m.AtMicros - int64(r.Uvarint())
@@ -1065,7 +1094,7 @@ func decodeQueueStats(r *WireReader) (m QueueStatsMsg) {
 	if r.err != nil || n == 0 {
 		return m
 	}
-	m.Grants = make([]QueueGrants, n)
+	m.Grants = slices.Grow(buf[:0], n)[:n]
 	prev := int64(-1)
 	for i := range m.Grants {
 		gap := r.Uvarint()
@@ -1369,46 +1398,54 @@ func decodeWith[T Message, E any](decode func(*WireReader, []E) T) func(*WireRea
 
 // codecs is the decode table, indexed by tag; TagInvalid's row is empty.
 var codecs = [...]codec{
-	TagRequest:       pooled(&requestPool, decodeRequest),
-	TagFinalTS:       pooled(&finalTSPool, decodeFinalTS),
-	TagRelease:       pooled(&releasePool, decodeRelease),
-	TagAbort:         pooled(&abortPool, decodeAbort),
-	TagGrant:         pooled(&grantPool, decodeGrant),
-	TagNormalGrant:   pooled(&normalGrantPool, decodeNormalGrant),
-	TagReject:        pooled(&rejectPool, decodeReject),
-	TagBackoff:       pooled(&backoffPool, decodeBackoff),
-	TagBusy:          pooled(&busyPool, decodeBusy),
-	TagVictim:        plain(decodeVictim),
-	TagSnapRead:      pooled(&snapReadPool, decodeSnapRead),
-	TagSnapReadReply: pooled(&snapReadReplyPool, decodeSnapReadReply),
-	TagWFGReport:     {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
-	TagProbeWFG:      plain(decodeProbeWFG),
-	TagSubmitTxn:     {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
-	TagTxnDone:       plain(decodeTxnDone),
-	TagQueueStats:    plain(decodeQueueStats),
-	TagEstimate:      plain(decodeEstimate),
-	TagTick:          plain(decodeTick),
-	TagComputeDone:   plain(decodeComputeDone),
-	TagRestart:       plain(decodeRestart),
-	TagTxnFinished:   plain(decodeTxnFinished),
-	TagStop:          plain(decodeEmpty[StopMsg]),
-	TagCrash:         plain(decodeEmpty[CrashMsg]),
-	TagRecover:       plain(decodeEmpty[RecoverMsg]),
-	TagFlush:         plain(decodeFlush),
-	TagReplPull:      {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
-	TagReplRecords:   {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
-	TagWrongEpoch:    plain(decodeWrongEpoch),
-	TagMapInstall:    plain(decodeMapInstall),
-	TagMapUpdate:     plain(decodeMapUpdate),
-	TagRequestBatch:  batch(&requestBatchPool, func(p *RequestBatchMsg) []RequestMember { return p.Members }, decodeRequestBatch),
-	TagReleaseBatch:  batch(&releaseBatchPool, func(p *ReleaseBatchMsg) []ReleaseMember { return p.Members }, decodeReleaseBatch),
-	TagGrantBatch:    batch(&grantBatchPool, func(p *GrantBatchMsg) []GrantMember { return p.Members }, decodeGrantBatch),
-	TagSnapReadBatch: batch(&snapReadBatchPool, func(p *SnapReadBatchMsg) []ItemID { return p.Members }, decodeSnapReadBatch),
-	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, func(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members },
-		decodeSnapReadReplyBatch),
-	TagAbortBatch: batch(&abortBatchPool, func(p *AbortBatchMsg) []ItemID { return p.Members }, decodeAbortBatch),
-	TagFlushDone:  plain(decodeFlushDone),
+	TagRequest:            batch(&requestBatchPool, requestMembers, decodeRequest),
+	TagFinalTS:            pooled(&finalTSPool, decodeFinalTS),
+	TagRelease:            batch(&releaseBatchPool, releaseMembers, decodeRelease),
+	TagAbort:              batch(&abortBatchPool, abortMembers, decodeAbort),
+	TagGrant:              batch(&grantBatchPool, grantMembers, decodeGrant),
+	TagNormalGrant:        pooled(&normalGrantPool, decodeNormalGrant),
+	TagReject:             pooled(&rejectPool, decodeReject),
+	TagBackoff:            pooled(&backoffPool, decodeBackoff),
+	TagBusy:               pooled(&busyPool, decodeBusy),
+	TagVictim:             plain(decodeVictim),
+	TagSnapRead:           batch(&snapReadBatchPool, snapReadMembers, decodeSnapRead),
+	TagSnapReadReply:      batch(&snapReadReplyBatchPool, snapReadReplyMembers, decodeSnapReadReply),
+	TagWFGReport:          {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
+	TagProbeWFG:           pooled(&probeWFGPool, decodeProbeWFG),
+	TagSubmitTxn:          {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
+	TagTxnDone:            plain(decodeTxnDone),
+	TagQueueStats:         {decode: plain(decodeWith(decodeQueueStats)).decode, decodePooled: decodeQueueStatsPooled},
+	TagEstimate:           plain(decodeEstimate),
+	TagTick:               plain(decodeTick),
+	TagComputeDone:        pooled(&computeDonePool, decodeComputeDone),
+	TagRestart:            pooled(&restartPool, decodeRestart),
+	TagTxnFinished:        plain(decodeTxnFinished),
+	TagStop:               plain(decodeEmpty[StopMsg]),
+	TagCrash:              plain(decodeEmpty[CrashMsg]),
+	TagRecover:            plain(decodeEmpty[RecoverMsg]),
+	TagFlush:              plain(decodeFlush),
+	TagReplPull:           {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
+	TagReplRecords:        {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
+	TagWrongEpoch:         plain(decodeWrongEpoch),
+	TagMapInstall:         plain(decodeMapInstall),
+	TagMapUpdate:          plain(decodeMapUpdate),
+	TagRequestBatch:       batch(&requestBatchPool, requestMembers, decodeRequestBatch),
+	TagReleaseBatch:       batch(&releaseBatchPool, releaseMembers, decodeReleaseBatch),
+	TagGrantBatch:         batch(&grantBatchPool, grantMembers, decodeGrantBatch),
+	TagSnapReadBatch:      batch(&snapReadBatchPool, snapReadMembers, decodeSnapReadBatch),
+	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, snapReadReplyMembers, decodeSnapReadReplyBatch),
+	TagAbortBatch:         batch(&abortBatchPool, abortMembers, decodeAbortBatch),
+	TagFlushDone:          plain(decodeFlushDone),
 }
+
+// The members array each pooled batch keeps, for the batch rows above (a
+// single tag's row decodes into the same pool as its batch's).
+func requestMembers(p *RequestBatchMsg) []RequestMember                   { return p.Members }
+func releaseMembers(p *ReleaseBatchMsg) []ReleaseMember                   { return p.Members }
+func abortMembers(p *AbortBatchMsg) []ItemID                              { return p.Members }
+func grantMembers(p *GrantBatchMsg) []GrantMember                         { return p.Members }
+func snapReadMembers(p *SnapReadBatchMsg) []ItemID                        { return p.Members }
+func snapReadReplyMembers(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members }
 
 // AppendMessage appends tag + body. A nil message and an empty batch have no
 // encoding and return an error (the transport NAKs, counts, and drops them

@@ -185,7 +185,8 @@ var goldenStamped = []struct {
 	msg Message
 	hex string
 }{
-	{GrantMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, Copy: CopyID{Item: 7, Site: 2}, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
+	{GrantBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2,
+		Members: []GrantMember{{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000}}},
 		"05022a030e040100d00f0511f02e"},
 	{TxnDoneMsg{Txn: TxnID{Site: 1, Seq: 42}, Protocol: TO, Outcome: OutcomeCommitted,
 		ArrivalMicros: 1_700_000_000_001_000, DoneMicros: 1_700_000_000_009_000, FirstArrivalMicros: 1_700_000_000_000_000,
@@ -225,7 +226,7 @@ func TestBatchGoldenBytes(t *testing.T) {
 	if got := hex.EncodeToString(b); got != abortHex {
 		t.Errorf("AbortBatchMsg of one encodes to %s, want the AbortMsg's %s", got, abortHex)
 	}
-	checkGolden(t, one.Abort(0), abortHex)
+	checkGolden(t, one, abortHex)
 }
 
 // TestStampedGoldenBytes pins the encodings of the single messages whose
@@ -238,8 +239,9 @@ func TestStampedGoldenBytes(t *testing.T) {
 
 // TestBatchOfOneIsItsSingleMessage: a batch of one encodes to exactly the
 // bytes of the single message it stands for — so the issuer and the queue
-// manager need no send path that depends on group size — and an empty batch
-// has no encoding at all.
+// manager need no send path that depends on group size — those bytes decode,
+// through both decoders, as the batch of one again, and an empty batch has
+// no encoding at all.
 func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 	for _, g := range goldenBatches {
 		var one, single, empty Message
@@ -282,6 +284,23 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 		want, _ := AppendMessage(nil, single)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%T of one encodes to %x, want its %T's %x", one, got, single, want)
+		}
+		for _, decode := range []func(WireTag, *WireReader) (Message, error){DecodeMessage, DecodeMessagePooled} {
+			r := NewWireReader(want[1:])
+			back, err := decode(WireTag(want[0]), &r)
+			if err != nil || r.Remaining() != 0 {
+				t.Fatalf("%T's bytes: %v, %d left", single, err, r.Remaining())
+			}
+			again, _ := AppendMessage(nil, back)
+			v := reflect.ValueOf(back)
+			if v.Kind() == reflect.Pointer {
+				v = v.Elem()
+			}
+			if !reflect.DeepEqual(v.Interface(), one) || !bytes.Equal(again, want) {
+				t.Errorf("%T's bytes decode to %T %+v, which encodes to %x; want the batch of one %+v, %x",
+					single, back, back, again, one, want)
+			}
+			RecycleMessage(back)
 		}
 		if _, err := AppendMessage(nil, empty); err == nil {
 			t.Errorf("empty %T encoded", empty)
@@ -405,8 +424,8 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 
 // TestPooledReplAllocs: a catch-up pull and reply sent pooled, encoded,
 // decoded pooled and recycled allocate nothing once warm: both ends reuse
-// the byte array their pooled message kept. A copy taken out with
-// UnpoolMessage owns its bytes, and an empty byte string decodes to nil.
+// the byte array their pooled message kept. A copy taken with RetainMessage
+// owns its bytes, and an empty byte string decodes to nil.
 func TestPooledReplAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -434,11 +453,12 @@ func TestPooledReplAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per pooled pull and reply round trip, want 0", n)
 	}
 	m := roundTrip(PooledReplRecords(ReplRecordsMsg{From: 2, Frames: frames}))
-	kept := UnpoolMessage(m).(ReplRecordsMsg)
-	if !bytes.Equal(kept.Frames, frames) || &kept.Frames[0] == &m.(*ReplRecordsMsg).Frames[0] || kept.buf != nil {
-		t.Fatal("UnpoolMessage's copy shares the pooled reply's array")
+	kept := RetainMessage(m).(*ReplRecordsMsg)
+	if !bytes.Equal(kept.Frames, frames) || &kept.Frames[0] == &m.(*ReplRecordsMsg).Frames[0] {
+		t.Fatal("RetainMessage's copy shares the pooled reply's array")
 	}
 	RecycleMessage(m)
+	RecycleMessage(kept)
 	if p := roundTrip(PooledReplPull(ReplPullMsg{From: 1})).(*ReplPullMsg); p.Have != nil {
 		t.Fatalf("an empty digest decoded to %v, want nil", p.Have)
 	} else {
@@ -446,11 +466,48 @@ func TestPooledReplAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledQueueStatsAllocs: a site's stats report, one entry per copy,
+// decodes pooled into the entry array the pooled report kept, so a client
+// decoding every site's report each period allocates nothing once warm. The
+// decode returns the report it was sent, and a report whose array outgrew
+// maxPooledBytes entries is not kept.
+func TestPooledQueueStatsAllocs(t *testing.T) {
+	sent := QueueStatsMsg{From: 2, AtMicros: 1 << 42, SinceMicros: 1<<42 - 200_000}
+	for i := 0; i < 4096; i++ {
+		sent.Grants = append(sent.Grants, QueueGrants{Item: ItemID(i), Reads: int64(i % 7), Writes: int64(i % 3)})
+	}
+	b, _ := AppendMessage(nil, sent)
+	r := new(WireReader) // the decoder takes its address: keep it off the measured path
+	decode := func() *QueueStatsMsg {
+		*r = NewWireReader(b[1:])
+		m, err := DecodeMessagePooled(TagQueueStats, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*QueueStatsMsg)
+	}
+	got := decode()
+	if !reflect.DeepEqual(got.Grants, sent.Grants) || got.From != sent.From || got.SinceMicros != sent.SinceMicros {
+		t.Fatalf("decoded %d entries from site %d, want the %d sent", len(got.Grants), got.From, len(sent.Grants))
+	}
+	RecycleMessage(got)
+	if !raceEnabled { // sync.Pool drops items at random under -race
+		if n := testing.AllocsPerRun(50, func() { RecycleMessage(decode()) }); n != 0 {
+			t.Fatalf("a warm pooled stats decode and recycle allocates %.0f times, want 0", n)
+		}
+	}
+	big := &QueueStatsMsg{buf: make([]QueueGrants, 0, maxPooledBytes+1)}
+	big.recycle()
+	if big.buf != nil {
+		t.Fatalf("a recycled report kept a %d-entry array past the bound", maxPooledBytes+1)
+	}
+}
+
 // TestPooledSubmitTxnAllocs: DecodeMessagePooled decodes a submit into a
 // pooled Txn that keeps its item and specs arrays, so a warm decode and
 // recycle allocates nothing. A recycled Txn carries nothing of its last
 // transaction into the next, an array past maxPooledMembers is not kept, a
-// caller's Txn passes through RecycleMessage untouched, and UnpoolMessage
+// caller's Txn passes through RecycleMessage untouched, and RetainMessage
 // copies a pooled Txn out whole.
 func TestPooledSubmitTxnAllocs(t *testing.T) {
 	long := NewTxn(TxnID{Site: 1, Seq: 2}, PA, []ItemID{1, 2, 3}, []ItemID{4, 5}, 10)
@@ -481,12 +538,12 @@ func TestPooledSubmitTxnAllocs(t *testing.T) {
 	if !m.Txn.pooled {
 		t.Fatal("DecodeMessagePooled returned a Txn that is not the pool's")
 	}
-	kept := UnpoolMessage(m).(SubmitTxnMsg).Txn
+	kept := RetainMessage(m).(SubmitTxnMsg).Txn
 	if !reflect.DeepEqual(kept, &classed) {
-		t.Fatalf("UnpoolMessage copied out %+v, want %+v", kept, &classed)
+		t.Fatalf("RetainMessage copied out %+v, want %+v", kept, &classed)
 	}
 	if &kept.ReadSet[0] == &m.Txn.ReadSet[0] || &kept.Specs[0] == &m.Txn.Specs[0] {
-		t.Fatal("UnpoolMessage's copy shares an array with the pooled Txn")
+		t.Fatal("RetainMessage's copy shares an array with the pooled Txn")
 	}
 	RecycleMessage(m)
 	m = decode(frame(short))
@@ -499,8 +556,8 @@ func TestPooledSubmitTxnAllocs(t *testing.T) {
 	}
 
 	mine, want := NewTxn(TxnID{Site: 1, Seq: 4}, TwoPL, []ItemID{1}, []ItemID{2}, 0), NewTxn(TxnID{Site: 1, Seq: 4}, TwoPL, []ItemID{1}, []ItemID{2}, 0)
-	if UnpoolMessage(SubmitTxnMsg{Txn: mine}).(SubmitTxnMsg).Txn != mine {
-		t.Fatal("UnpoolMessage copied a caller's Txn")
+	if RetainMessage(SubmitTxnMsg{Txn: mine}).(SubmitTxnMsg).Txn != mine {
+		t.Fatal("RetainMessage copied a caller's Txn")
 	}
 	RecycleMessage(SubmitTxnMsg{Txn: mine})
 	if !reflect.DeepEqual(mine, want) {

@@ -5,104 +5,74 @@ import (
 	"sync"
 )
 
-// Message struct pooling (opt-in).
+// Message struct pooling.
 //
-// DecodeMessage returns value-typed messages; storing one in the Message
-// interface boxes it — one small heap allocation per message, the last
-// steady-state allocation on both the wire decode path and the in-process
-// send path. The seventeen hot protocol types — eleven fixed-size messages
-// and the six batches (RequestBatch, ReleaseBatch, AbortBatch, GrantBatch,
-// SnapReadBatch, SnapReadReplyBatch) — therefore pool in both directions:
-// DecodeMessagePooled decodes into pooled structs returned as pointers (the
-// decode table's decodePooled rows), the
-// PooledRequest/PooledGrant/... constructors wrap a value into a pooled
-// pointer for sending, and RecycleMessage puts either back.
+// Storing a value-typed message in the Message interface boxes it: one small
+// heap allocation per message, on the wire decode path and on the
+// in-process send path alike. The protocol messages therefore travel as
+// pooled pointers, and each reaches its actor in exactly one form: the
+// pointer to what the sender sent, or to what DecodeMessagePooled decoded.
+// So the qm, ri and deadlock type switches carry one pointer case per
+// message and no value case. RecycleMessage returns a pointer to its pool.
 //
-// Four more fixed-size types pool on the send side only: the issuer's two
-// timers (ComputeDone, Restart) and its two completion reports (TxnDone to
-// the collector, TxnFinished to the workload driver); every committed
-// transaction sends all but Restart once. PooledComputeDone,
-// PooledRestart, PooledTxnDone and PooledTxnFinished box them, and
-// RecycleMessage and UnpoolMessage accept the pointers, but
-// DecodeMessagePooled returns them as values. The rule
-// holds because of who receives them. The timers are the issuer's to
-// itself and never leave its process, so it matches only the pointer
-// forms. The completion reports go to metrics.Collector and
-// workload.Driver, which match both forms: in-process they get the
-// pointers, and a client process hands them wire-decoded values. A client
-// may match only the value forms (the benchmark's load generator does), so
-// the decode side must keep handing it values.
+// The pooled types are the fixed-size protocol messages (FinalTS,
+// NormalGrant, Reject, Backoff, Busy, ProbeWFG), the issuer's two timers
+// (ComputeDone, Restart), the six per-copy batches (RequestBatch,
+// ReleaseBatch, AbortBatch, GrantBatch, SnapReadBatch, SnapReadReplyBatch)
+// and four messages that carry an array (ReplPull, ReplRecords, WFGReport,
+// QueueStats). A per-copy step always travels as a batch: a batch of one is
+// encoded under its single message's tag (RequestMsg, GrantMsg, ...), and
+// both decoders return that tag as the batch of one it stands for. The
+// single structs are the members' views (RequestBatchMsg.Request(i)) and the
+// encoding of a batch of one, not messages any actor receives.
+// PooledRequest and PooledGrant remain as senders of those encodings.
 //
-// QueueStats pools on the send side only too, and is the one variable-size
-// message that does: a queue manager sends one per stats period, with an
-// entry per copy its site holds. PooledQueueStats copies the entries into
-// the pooled message's own Grants array, kept across recycles, so a
-// steady-state report allocates nothing. The array is bounded by the copies
-// a site holds, not by anything read off the wire: decoding returns values,
-// like the other send-only types.
+// Two types pool on the send side only: the issuer's completion reports,
+// TxnDone to metrics.Collector and TxnFinished to workload.Driver. In
+// process those receivers get the pooled pointer; a client process decodes
+// them as values, because a client may match only the value forms (the
+// benchmark's load generator does). So the collector keeps a value case for
+// TxnDone and the driver one for TxnFinished, the only value cases of a
+// pooled type.
 //
-// The catch-up plane's pull and reply (ReplPull, ReplRecords) and the
-// deadlock detector's wait-for report (WFGReport) pool in both directions
-// like the batches, but carry a byte string — the pull digest, the shipped
-// records — or a site's wait-for edges, often none, where a batch carries at
-// least one member. The pooled message keeps that array, up to
-// maxPooledBytes or maxPooledEdges, in a field of its own, so an empty
-// string or edge list still decodes to nil; PooledReplPull,
-// PooledReplRecords and PooledWFGReport copy the caller's into it. The
-// detector's probe (ProbeWFG) pools on the send side only, like the
-// completion reports: the queue manager matches both forms.
+// A batch keeps its members array across recycles, up to maxPooledMembers;
+// the array-carrying messages keep theirs up to maxPooledBytes (pull digest,
+// shipped records, stats entries) or maxPooledEdges (wait-for edges), and an
+// empty array still decodes to nil. A larger array is dropped at recycle, so
+// one pathological message cannot pin its size in the pool. The PooledX
+// constructors copy the caller's array into the pooled message's own, so the
+// caller keeps the slice it built them in.
 //
-// SubmitTxn pools on the decode side only, and not its struct: it is one
-// pointer, which boxes without allocating, so DecodeMessagePooled takes the
-// Txn it points to from a pool instead and returns the message as a value.
-// That Txn keeps its item array and its specs array across recycles, and it
-// is marked as the pool's: RecycleMessage returns it and leaves a caller's
-// Txn alone, and UnpoolMessage copies it out. The issuer copies every
-// submitted transaction into its own state before OnMessage returns (see
-// package ri), so a wire-decoded submit needs nothing more.
+// SubmitTxn pools on the decode side, and not its struct: it is one pointer,
+// which boxes without allocating, so DecodeMessagePooled takes the Txn it
+// points to from a pool instead. That Txn keeps its item and spec arrays
+// across recycles, and it is marked as the pool's: RecycleMessage returns it
+// and leaves a caller's Txn alone. The issuer copies every submitted
+// transaction into its own state before OnMessage returns (see package ri).
 //
-// The contract is strict and deliberately opt-in:
+// The lifetime contract:
 //
 //   - A pooled message is valid only until RecycleMessage. Ownership
 //     transfers at Send: the delivery layer (engine.Runtime's mailbox loop,
 //     sim.Engine.Step, bench harnesses draining captured envelopes) recycles
-//     after the receiving actor's OnMessage returns. Handlers that must
-//     retain a message past OnMessage copy it out first — UnpoolMessage
-//     returns a value-typed copy safe to hold forever. A send that leaves
-//     the process hands the same pointer on once more: engine.Runtime
-//     passes it to its uplink untouched, and the transport — the owner
-//     from then on — recycles it when the envelope leaves the peer's
-//     outbox for good (flushed, or dropped and NAK'd). The transport's
-//     read loop decodes with DecodeMessagePooled, so on the receiving
-//     node the message is pooled again, and recycled by the mailbox loop.
-//   - Actor type switches match both forms: the qm, ri and deadlock
-//     dispatch switches (and the collector's and the workload driver's, for
-//     the send-only reports) carry pointer cases that deref to the existing
-//     value handlers, so a pooled send costs nothing at the receiver. The
-//     issuer's own timers are the exception: they only ever arrive pooled.
+//     after the receiving actor's OnMessage returns. A send that leaves the
+//     process hands the same pointer to the transport, which recycles it
+//     when the envelope leaves the peer's outbox for good (flushed, or
+//     dropped and NAK'd); the receiving node's read loop decodes with
+//     DecodeMessagePooled, so the message is pooled again there.
+//   - A handler that keeps a message past OnMessage retains it:
+//     RetainMessage returns a pooled copy, with its own array, that the
+//     retainer recycles when done (a down queue-manager shard's deferral).
 //   - RecycleMessage accepts any Message and ignores everything that is not
-//     a pooled pointer type, so a mixed stream can be recycled blindly.
-//   - Variable-size messages (slices, maps, strings: VictimMsg, Estimate,
-//     MapInstall, ...) are NOT pooled — their backing arrays would pin
-//     arbitrary memory in the pool. They fall back to the plain decoder
-//     and plain value sends. The batches, the submitted Txn and the three
-//     array-carrying messages above are the bounded exceptions: a pooled
-//     batch keeps its members array across recycles (that reuse is what
-//     makes it allocation-free), and a pooled Txn its two arrays, but only
-//     up to maxPooledMembers (maxPooledBytes, maxPooledEdges) — a larger
-//     array is dropped at recycle, so one pathological message cannot pin
-//     its size in the pool. The PooledX constructors copy the members into
-//     the pooled message's own array, so the caller keeps the slice it
-//     built them in; UnpoolMessage copies them out again. QueueStats, sent
-//     only by a queue manager, keeps its array at any size (see above).
+//     pooled, so a mixed stream can be recycled blindly.
+//   - Variable-size messages outside the bounded set above (VictimMsg,
+//     Estimate, MapInstall, ...) are not pooled: their arrays would pin
+//     arbitrary memory in the pool. They travel as values.
 //
-// A pooled pointer is a Message through its method set, and encodes
-// byte-for-byte like the value it holds, so round-trip paths — decode
-// pooled, re-encode, recycle — need no copies, and pooled sends cross the
-// transport unchanged.
-//
-// Each pooled type declares, beside its pool, its PooledX constructor and the
-// two pooledMsg methods RecycleMessage and UnpoolMessage dispatch through.
+// A pooled pointer encodes byte-for-byte like the value it holds, so pooled
+// sends cross the transport unchanged. Each pooled type declares, beside its
+// pool, its PooledX constructor and the two pooledMsg methods RecycleMessage
+// and RetainMessage dispatch through.
 
 // msgPool is one message type's pool.
 type msgPool[T any] struct{ sync.Pool }
@@ -133,8 +103,8 @@ func (p *msgPool[T]) put(v *T) {
 type pooledMsg interface {
 	// recycle returns the message to its pool.
 	recycle()
-	// unpool returns the message as a value that is safe to retain.
-	unpool() Message
+	// retain returns a pooled copy that shares no array with the message.
+	retain() Message
 }
 
 // maxPooledMembers caps the members array a recycled batch keeps, and each
@@ -147,12 +117,12 @@ const maxPooledMembers = 64
 func keptMembers[M any](s []M) []M { return keptArray(s, maxPooledMembers) }
 
 // DecodeMessagePooled decodes the body for tag from r like DecodeMessage,
-// but returns the hot protocol messages as pooled pointers (*RequestMsg,
-// *GrantMsg, *RequestBatchMsg, ...) and a SubmitTxnMsg with a pooled Txn.
-// Pass every decoded message to RecycleMessage when done with it; see the
-// package comment above for the lifetime contract. Tags outside the pooled
-// set defer to DecodeMessage, and so do the four send-only types, which come
-// back as values.
+// but returns the pooled types as pooled pointers (a single per-copy tag as
+// the pooled batch of one it stands for) and a SubmitTxnMsg with a pooled
+// Txn. Pass every decoded message to RecycleMessage when done with it; see
+// the package comment above for the lifetime contract. Tags outside the
+// pooled set defer to DecodeMessage, and so do the two send-only reports,
+// which come back as values.
 func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 	if tag > TagLast || codecs[tag].decodePooled == nil {
 		return DecodeMessage(tag, r)
@@ -167,25 +137,24 @@ func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
 	return m, nil
 }
 
-// UnpoolMessage returns a retention-safe form of m: pooled pointer types are
-// copied out to their value form — a batch with its own copy of the members,
-// since the pooled array is reused — a submit with a pooled Txn gets a copy
-// of the Txn, and everything else passes through unchanged.
-// It does NOT recycle m — at the points that need this (a handler deferring
-// a message past its own return), the delivery layer still owns the pointer
-// and recycles it when OnMessage returns; recycling here too would double-Put.
-func UnpoolMessage(m Message) Message {
+// RetainMessage returns a form of m that outlives the delivery of m: a
+// pooled message's pooled copy, with its own array (a submit's pooled Txn
+// is copied into a pooled Txn of its own), and any other message as it is.
+// The caller passes the copy to RecycleMessage when done with it. It does
+// not recycle m, which the delivery layer still owns.
+func RetainMessage(m Message) Message {
 	if p, ok := m.(pooledMsg); ok {
-		return p.unpool()
+		return p.retain()
 	}
 	return m
 }
 
-// RecycleMessage returns a pooled message (from DecodeMessagePooled or a
-// PooledX constructor) to its pool, and a decoded submit's pooled Txn to
-// its. Non-pooled messages (value types, variable-size types, a submit of a
-// caller's Txn, nil) are ignored, so callers can recycle a mixed stream
-// unconditionally. The caller must not touch the message afterwards.
+// RecycleMessage returns a pooled message (from DecodeMessagePooled, a
+// PooledX constructor or RetainMessage) to its pool, and a decoded submit's
+// pooled Txn to its. Non-pooled messages (value types, variable-size types,
+// a submit of a caller's Txn, nil) are ignored, so callers can recycle a
+// mixed stream unconditionally. The caller must not touch the message
+// afterwards.
 func RecycleMessage(m Message) {
 	if p, ok := m.(pooledMsg); ok {
 		p.recycle()
@@ -200,80 +169,75 @@ func RecycleMessage(m Message) {
 
 var requestPool msgPool[RequestMsg]
 
-// PooledRequest returns v as a pooled *RequestMsg.
+// PooledRequest returns v as a pooled *RequestMsg (send-only: it arrives as
+// the batch of one it encodes).
 func PooledRequest(v RequestMsg) *RequestMsg { return requestPool.box(v) }
 func (m *RequestMsg) recycle()               { requestPool.put(m) }
-func (m *RequestMsg) unpool() Message        { return *m }
+func (m *RequestMsg) retain() Message        { return requestPool.box(*m) }
+
+var grantPool msgPool[GrantMsg]
+
+// PooledGrant returns v as a pooled *GrantMsg (send-only: it arrives as the
+// batch of one it encodes).
+func PooledGrant(v GrantMsg) *GrantMsg { return grantPool.box(v) }
+func (m *GrantMsg) recycle()           { grantPool.put(m) }
+func (m *GrantMsg) retain() Message    { return grantPool.box(*m) }
 
 var finalTSPool msgPool[FinalTSMsg]
 
 // PooledFinalTS returns v as a pooled *FinalTSMsg.
 func PooledFinalTS(v FinalTSMsg) *FinalTSMsg { return finalTSPool.box(v) }
 func (m *FinalTSMsg) recycle()               { finalTSPool.put(m) }
-func (m *FinalTSMsg) unpool() Message        { return *m }
-
-var releasePool msgPool[ReleaseMsg]
-
-// PooledRelease returns v as a pooled *ReleaseMsg.
-func PooledRelease(v ReleaseMsg) *ReleaseMsg { return releasePool.box(v) }
-func (m *ReleaseMsg) recycle()               { releasePool.put(m) }
-func (m *ReleaseMsg) unpool() Message        { return *m }
-
-var abortPool msgPool[AbortMsg]
-
-// PooledAbort returns v as a pooled *AbortMsg.
-func PooledAbort(v AbortMsg) *AbortMsg { return abortPool.box(v) }
-func (m *AbortMsg) recycle()           { abortPool.put(m) }
-func (m *AbortMsg) unpool() Message    { return *m }
-
-var grantPool msgPool[GrantMsg]
-
-// PooledGrant returns v as a pooled *GrantMsg.
-func PooledGrant(v GrantMsg) *GrantMsg { return grantPool.box(v) }
-func (m *GrantMsg) recycle()           { grantPool.put(m) }
-func (m *GrantMsg) unpool() Message    { return *m }
+func (m *FinalTSMsg) retain() Message        { return finalTSPool.box(*m) }
 
 var normalGrantPool msgPool[NormalGrantMsg]
 
 // PooledNormalGrant returns v as a pooled *NormalGrantMsg.
 func PooledNormalGrant(v NormalGrantMsg) *NormalGrantMsg { return normalGrantPool.box(v) }
 func (m *NormalGrantMsg) recycle()                       { normalGrantPool.put(m) }
-func (m *NormalGrantMsg) unpool() Message                { return *m }
+func (m *NormalGrantMsg) retain() Message                { return normalGrantPool.box(*m) }
 
 var rejectPool msgPool[RejectMsg]
 
 // PooledReject returns v as a pooled *RejectMsg.
 func PooledReject(v RejectMsg) *RejectMsg { return rejectPool.box(v) }
 func (m *RejectMsg) recycle()             { rejectPool.put(m) }
-func (m *RejectMsg) unpool() Message      { return *m }
+func (m *RejectMsg) retain() Message      { return rejectPool.box(*m) }
 
 var backoffPool msgPool[BackoffMsg]
 
 // PooledBackoff returns v as a pooled *BackoffMsg.
 func PooledBackoff(v BackoffMsg) *BackoffMsg { return backoffPool.box(v) }
 func (m *BackoffMsg) recycle()               { backoffPool.put(m) }
-func (m *BackoffMsg) unpool() Message        { return *m }
+func (m *BackoffMsg) retain() Message        { return backoffPool.box(*m) }
 
 var busyPool msgPool[BusyMsg]
 
 // PooledBusy returns v as a pooled *BusyMsg.
 func PooledBusy(v BusyMsg) *BusyMsg { return busyPool.box(v) }
 func (m *BusyMsg) recycle()         { busyPool.put(m) }
-func (m *BusyMsg) unpool() Message  { return *m }
+func (m *BusyMsg) retain() Message  { return busyPool.box(*m) }
 
-var snapReadPool msgPool[SnapReadMsg]
+var probeWFGPool msgPool[ProbeWFGMsg]
 
-// PooledSnapRead returns v as a pooled *SnapReadMsg.
-func PooledSnapRead(v SnapReadMsg) *SnapReadMsg { return snapReadPool.box(v) }
-func (m *SnapReadMsg) recycle()                 { snapReadPool.put(m) }
-func (m *SnapReadMsg) unpool() Message          { return *m }
+// PooledProbeWFG returns v as a pooled *ProbeWFGMsg.
+func PooledProbeWFG(v ProbeWFGMsg) *ProbeWFGMsg { return probeWFGPool.box(v) }
+func (m *ProbeWFGMsg) recycle()                 { probeWFGPool.put(m) }
+func (m *ProbeWFGMsg) retain() Message          { return probeWFGPool.box(*m) }
 
-var snapReadReplyPool msgPool[SnapReadReplyMsg]
+var computeDonePool msgPool[ComputeDoneMsg]
 
-// PooledSnapReadReply returns v as a pooled *SnapReadReplyMsg.
-func PooledSnapReadReply(v SnapReadReplyMsg) *SnapReadReplyMsg { return snapReadReplyPool.box(v) }
-func (m *SnapReadReplyMsg) recycle()                           { snapReadReplyPool.put(m) }
-func (m *SnapReadReplyMsg) unpool() Message                    { return *m }
+// PooledComputeDone returns v as a pooled *ComputeDoneMsg.
+func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg { return computeDonePool.box(v) }
+func (m *ComputeDoneMsg) recycle()                       { computeDonePool.put(m) }
+func (m *ComputeDoneMsg) retain() Message                { return computeDonePool.box(*m) }
+
+var restartPool msgPool[RestartMsg]
+
+// PooledRestart returns v as a pooled *RestartMsg.
+func PooledRestart(v RestartMsg) *RestartMsg { return restartPool.box(v) }
+func (m *RestartMsg) recycle()               { restartPool.put(m) }
+func (m *RestartMsg) retain() Message        { return restartPool.box(*m) }
 
 var requestBatchPool msgPool[RequestBatchMsg]
 
@@ -292,11 +256,7 @@ func (m *RequestBatchMsg) recycle() {
 	requestBatchPool.Put(m)
 }
 
-func (m *RequestBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *RequestBatchMsg) retain() Message { return PooledRequestBatch(*m) }
 
 var releaseBatchPool msgPool[ReleaseBatchMsg]
 
@@ -314,11 +274,7 @@ func (m *ReleaseBatchMsg) recycle() {
 	releaseBatchPool.Put(m)
 }
 
-func (m *ReleaseBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *ReleaseBatchMsg) retain() Message { return PooledReleaseBatch(*m) }
 
 var grantBatchPool msgPool[GrantBatchMsg]
 
@@ -336,11 +292,7 @@ func (m *GrantBatchMsg) recycle() {
 	grantBatchPool.Put(m)
 }
 
-func (m *GrantBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *GrantBatchMsg) retain() Message { return PooledGrantBatch(*m) }
 
 var snapReadBatchPool msgPool[SnapReadBatchMsg]
 
@@ -358,11 +310,7 @@ func (m *SnapReadBatchMsg) recycle() {
 	snapReadBatchPool.Put(m)
 }
 
-func (m *SnapReadBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *SnapReadBatchMsg) retain() Message { return PooledSnapReadBatch(*m) }
 
 var snapReadReplyBatchPool msgPool[SnapReadReplyBatchMsg]
 
@@ -380,11 +328,7 @@ func (m *SnapReadReplyBatchMsg) recycle() {
 	snapReadReplyBatchPool.Put(m)
 }
 
-func (m *SnapReadReplyBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *SnapReadReplyBatchMsg) retain() Message { return PooledSnapReadReplyBatch(*m) }
 
 var abortBatchPool msgPool[AbortBatchMsg]
 
@@ -402,14 +346,11 @@ func (m *AbortBatchMsg) recycle() {
 	abortBatchPool.Put(m)
 }
 
-func (m *AbortBatchMsg) unpool() Message {
-	c := *m
-	c.Members = slices.Clone(m.Members)
-	return c
-}
+func (m *AbortBatchMsg) retain() Message { return PooledAbortBatch(*m) }
 
 // maxPooledBytes caps the byte array a recycled pull or reply keeps: room
-// for a snapshot reset image of a few thousand copies, and no more.
+// for a snapshot reset image of a few thousand copies, and no more. It caps
+// a recycled stats report's entries too, one per copy a site holds.
 const maxPooledBytes = 1 << 16
 
 // maxPooledEdges caps the edge array a recycled wait-for report keeps.
@@ -481,11 +422,7 @@ func (m *ReplPullMsg) recycle() {
 	replPullPool.Put(m)
 }
 
-func (m *ReplPullMsg) unpool() Message {
-	c := *m
-	c.Have, c.buf = cloneArray(m.Have), nil
-	return c
-}
+func (m *ReplPullMsg) retain() Message { return PooledReplPull(*m) }
 
 var replRecordsPool msgPool[ReplRecordsMsg]
 
@@ -513,11 +450,7 @@ func (m *ReplRecordsMsg) recycle() {
 	replRecordsPool.Put(m)
 }
 
-func (m *ReplRecordsMsg) unpool() Message {
-	c := *m
-	c.Frames, c.buf = cloneArray(m.Frames), nil
-	return c
-}
+func (m *ReplRecordsMsg) retain() Message { return PooledReplRecords(*m) }
 
 var wfgReportPool msgPool[WFGReportMsg]
 
@@ -545,18 +478,36 @@ func (m *WFGReportMsg) recycle() {
 	wfgReportPool.Put(m)
 }
 
-func (m *WFGReportMsg) unpool() Message {
-	c := *m
-	c.Edges, c.buf = cloneArray(m.Edges), nil
-	return c
+func (m *WFGReportMsg) retain() Message { return PooledWFGReport(*m) }
+
+var queueStatsPool msgPool[QueueStatsMsg]
+
+// PooledQueueStats returns v as a pooled *QueueStatsMsg; the entries are
+// copied into the pooled report's own array, so v.Grants stays the
+// caller's.
+func PooledQueueStats(v QueueStatsMsg) *QueueStatsMsg {
+	p := queueStatsPool.get()
+	v.Grants, v.buf = ownArray(p.buf, v.Grants)
+	*p = v
+	return p
 }
 
-var probeWFGPool msgPool[ProbeWFGMsg]
+// decodeQueueStatsPooled is tag 17's pooled decode: the entries land in the
+// array the pooled report kept.
+func decodeQueueStatsPooled(r *WireReader) Message {
+	p := queueStatsPool.get()
+	buf := p.buf
+	*p = decodeQueueStats(r, buf)
+	p.buf = decodedArray(buf, p.Grants)
+	return p
+}
 
-// PooledProbeWFG returns v as a pooled *ProbeWFGMsg (send-only).
-func PooledProbeWFG(v ProbeWFGMsg) *ProbeWFGMsg { return probeWFGPool.box(v) }
-func (m *ProbeWFGMsg) recycle()                 { probeWFGPool.put(m) }
-func (m *ProbeWFGMsg) unpool() Message          { return *m }
+func (m *QueueStatsMsg) recycle() {
+	*m = QueueStatsMsg{buf: keptArray(m.buf, maxPooledBytes)}
+	queueStatsPool.Put(m)
+}
+
+func (m *QueueStatsMsg) retain() Message { return PooledQueueStats(*m) }
 
 // The decode-only pool (see the package comment above): the submitted Txn.
 
@@ -585,9 +536,10 @@ func (m SubmitTxnMsg) recycle() {
 	txnPool.Put(t)
 }
 
-// unpool returns a pooled Txn's message with a copy of the Txn that shares
-// no array with it, and any other message as it is.
-func (m SubmitTxnMsg) unpool() Message {
+// retain returns a pooled Txn's message with a copy of the Txn that shares
+// no array with it and is the caller's (RecycleMessage leaves it alone), and
+// any other message as it is.
+func (m SubmitTxnMsg) retain() Message {
 	if m.Txn == nil || !m.Txn.pooled {
 		return m
 	}
@@ -598,52 +550,16 @@ func (m SubmitTxnMsg) unpool() Message {
 
 // Send-only pools (see the package comment above).
 
-var computeDonePool msgPool[ComputeDoneMsg]
-
-// PooledComputeDone returns v as a pooled *ComputeDoneMsg (send-only).
-func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg { return computeDonePool.box(v) }
-func (m *ComputeDoneMsg) recycle()                       { computeDonePool.put(m) }
-func (m *ComputeDoneMsg) unpool() Message                { return *m }
-
-var restartPool msgPool[RestartMsg]
-
-// PooledRestart returns v as a pooled *RestartMsg (send-only).
-func PooledRestart(v RestartMsg) *RestartMsg { return restartPool.box(v) }
-func (m *RestartMsg) recycle()               { restartPool.put(m) }
-func (m *RestartMsg) unpool() Message        { return *m }
-
 var txnDonePool msgPool[TxnDoneMsg]
 
 // PooledTxnDone returns v as a pooled *TxnDoneMsg (send-only).
 func PooledTxnDone(v TxnDoneMsg) *TxnDoneMsg { return txnDonePool.box(v) }
 func (m *TxnDoneMsg) recycle()               { txnDonePool.put(m) }
-func (m *TxnDoneMsg) unpool() Message        { return *m }
+func (m *TxnDoneMsg) retain() Message        { return txnDonePool.box(*m) }
 
 var txnFinishedPool msgPool[TxnFinishedMsg]
 
 // PooledTxnFinished returns v as a pooled *TxnFinishedMsg (send-only).
 func PooledTxnFinished(v TxnFinishedMsg) *TxnFinishedMsg { return txnFinishedPool.box(v) }
 func (m *TxnFinishedMsg) recycle()                       { txnFinishedPool.put(m) }
-func (m *TxnFinishedMsg) unpool() Message                { return *m }
-
-var queueStatsPool msgPool[QueueStatsMsg]
-
-// PooledQueueStats returns v as a pooled *QueueStatsMsg (send-only; grants
-// copied, see PooledRequestBatch).
-func PooledQueueStats(v QueueStatsMsg) *QueueStatsMsg {
-	p := queueStatsPool.get()
-	v.Grants = append(p.Grants[:0], v.Grants...)
-	*p = v
-	return p
-}
-
-func (m *QueueStatsMsg) recycle() {
-	*m = QueueStatsMsg{Grants: m.Grants[:0]}
-	queueStatsPool.Put(m)
-}
-
-func (m *QueueStatsMsg) unpool() Message {
-	c := *m
-	c.Grants = slices.Clone(m.Grants)
-	return c
-}
+func (m *TxnFinishedMsg) retain() Message                { return txnFinishedPool.box(*m) }

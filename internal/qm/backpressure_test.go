@@ -27,7 +27,7 @@ func TestQueueBoundNAKsBusy(t *testing.T) {
 	// 2PL writers conflict, so entries 2..bound stay queued behind the first
 	// grant and the queue fills to exactly the bound.
 	for i := uint64(1); i <= bound; i++ {
-		m.OnMessage(ctx, ctx.self, req(i, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+		deliver(m, ctx, ctx.self, req(i, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
 	}
 	if got := m.QueueDepth(0); got != bound {
 		t.Fatalf("depth = %d, want %d", got, bound)
@@ -37,7 +37,7 @@ func TestQueueBoundNAKsBusy(t *testing.T) {
 	}
 
 	// One past the bound: refused, not admitted, counted.
-	m.OnMessage(ctx, ctx.self, req(99, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	deliver(m, ctx, ctx.self, req(99, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
 	busys := take[model.BusyMsg](ctx)
 	if len(busys) != 1 {
 		t.Fatalf("busy NAKs = %d, want 1", len(busys))
@@ -56,14 +56,14 @@ func TestQueueBoundNAKsBusy(t *testing.T) {
 	}
 
 	// Another item's queue is empty: no NAK there.
-	m.OnMessage(ctx, ctx.self, req(100, model.TwoPL, model.OpWrite, 1, model.NoTimestamp))
+	deliver(m, ctx, ctx.self, req(100, model.TwoPL, model.OpWrite, 1, model.NoTimestamp))
 	if busys := take[model.BusyMsg](ctx); len(busys) != 0 {
 		t.Fatalf("NAK on an empty queue: %+v", busys)
 	}
 
 	// Release the head: the queue reopens and the retry is admitted.
-	m.OnMessage(ctx, ctx.self, release(1, 0, true, 7))
-	m.OnMessage(ctx, ctx.self, req(99, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	deliver(m, ctx, ctx.self, release(1, 0, true, 7))
+	deliver(m, ctx, ctx.self, req(99, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
 	if busys := take[model.BusyMsg](ctx); len(busys) != 0 {
 		t.Fatalf("retry after release still NAK'd: %+v", busys)
 	}
@@ -81,15 +81,15 @@ func TestQueueBoundSparesResidentTxns(t *testing.T) {
 	m := boundedManager(2, bound)
 	ctx := newFakeCtx()
 
-	m.OnMessage(ctx, ctx.self, req(1, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
-	m.OnMessage(ctx, ctx.self, req(2, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	deliver(m, ctx, ctx.self, req(1, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	deliver(m, ctx, ctx.self, req(2, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
 	take[model.BusyMsg](ctx)
 
 	// Txn 2 re-requests with a higher attempt: resident, so admitted even at
 	// the bound.
 	r := req(2, model.TwoPL, model.OpWrite, 0, model.NoTimestamp)
 	r.Attempt = 1
-	m.OnMessage(ctx, ctx.self, r)
+	deliver(m, ctx, ctx.self, r)
 	if busys := take[model.BusyMsg](ctx); len(busys) != 0 {
 		t.Fatalf("resident re-request NAK'd: %+v", busys)
 	}

@@ -20,14 +20,6 @@ func batchOf(txn uint64, p model.Protocol, kind model.OpKind, ts model.Timestamp
 	return b
 }
 
-// deliver hands a pooled copy of msg to m and recycles it once OnMessage
-// returns, as the runtime's mailbox loop does.
-func deliver(m *Manager, ctx *fakeCtx, msg model.RequestBatchMsg) {
-	p := model.PooledRequestBatch(msg)
-	m.OnMessage(ctx, engine.RIAddr(msg.Site), p)
-	model.RecycleMessage(p)
-}
-
 // grantedItems expands the grant batches (and single grants) sent to the
 // issuer into the items they grant, per transaction.
 func grantedItems(ctx *fakeCtx) map[model.TxnID][]model.ItemID {
@@ -37,7 +29,7 @@ func grantedItems(ctx *fakeCtx) map[model.TxnID][]model.ItemID {
 			out[b.Txn] = append(out[b.Txn], g.Item)
 		}
 	}
-	for _, g := range take[model.GrantMsg](ctx) {
+	for _, g := range takeGrants(ctx) {
 		out[g.Txn] = append(out[g.Txn], g.Copy.Item)
 	}
 	return out
@@ -48,7 +40,7 @@ func grantedItems(ctx *fakeCtx) map[model.TxnID][]model.ItemID {
 func TestRequestBatchAnsweredByOneGrantBatch(t *testing.T) {
 	m, _ := testManager(4, true)
 	ctx := newFakeCtx()
-	deliver(m, ctx, batchOf(1, model.PA, model.OpWrite, 5, 0, 1, 3))
+	deliver(m, ctx, engine.RIAddr(1), batchOf(1, model.PA, model.OpWrite, 5, 0, 1, 3))
 	batches := take[model.GrantBatchMsg](ctx)
 	if len(batches) != 1 || len(ctx.sent) != 0 {
 		t.Fatalf("replies: %d grant batches + %+v, want exactly one grant batch", len(batches), ctx.sent)
@@ -75,14 +67,14 @@ func TestGrantBatchKeepsReplyOrder(t *testing.T) {
 	m, _ := testManager(3, true)
 	ctx := newFakeCtx()
 	// A T/O write at item 1 with timestamp 50 raises W-TS there.
-	m.OnMessage(ctx, engine.RIAddr(2), model.RequestMsg{
+	deliver(m, ctx, engine.RIAddr(2), model.RequestMsg{
 		Txn: model.TxnID{Site: 2, Seq: 9}, Protocol: model.TO, Kind: model.OpWrite,
 		Copy: model.CopyID{Item: 1}, TS: 50, Site: 2,
 	})
 	ctx.sent = nil
 	// An older T/O batch over items 0, 1, 2: item 0 grants, item 1 rejects,
 	// item 2 grants.
-	deliver(m, ctx, batchOf(1, model.TO, model.OpWrite, 10, 0, 1, 2))
+	deliver(m, ctx, engine.RIAddr(1), batchOf(1, model.TO, model.OpWrite, 10, 0, 1, 2))
 	var kinds []string
 	for _, env := range ctx.sent {
 		switch v := env.Msg.(type) {
@@ -90,8 +82,6 @@ func TestGrantBatchKeepsReplyOrder(t *testing.T) {
 			for _, g := range v.Members {
 				kinds = append(kinds, "grant", string(rune('0'+g.Item)))
 			}
-		case model.GrantMsg:
-			kinds = append(kinds, "single-grant", string(rune('0'+v.Copy.Item)))
 		case model.RejectMsg:
 			kinds = append(kinds, "reject", string(rune('0'+v.Copy.Item)))
 		}
@@ -115,10 +105,10 @@ func TestCrashDefersBatchWithItsOwnMembers(t *testing.T) {
 	m, _ := testManager(4, true)
 	m.SetDurable(&fakeDurable{st: m.store, saved: m.store.Chains()})
 	ctx := newFakeCtx()
-	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
+	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
 
-	deliver(m, ctx, batchOf(1, model.PA, model.OpWrite, 5, 0, 1))
-	deliver(m, ctx, batchOf(2, model.PA, model.OpRead, 6, 2, 3))
+	deliver(m, ctx, engine.RIAddr(1), batchOf(1, model.PA, model.OpWrite, 5, 0, 1))
+	deliver(m, ctx, engine.RIAddr(1), batchOf(2, model.PA, model.OpRead, 6, 2, 3))
 	if len(ctx.sent) != 0 {
 		t.Fatalf("replies while down: %+v", ctx.sent)
 	}
@@ -126,7 +116,7 @@ func TestCrashDefersBatchWithItsOwnMembers(t *testing.T) {
 		t.Fatalf("deferred %d messages, want the 2 batches", d)
 	}
 
-	m.OnMessage(ctx, engine.RIAddr(1), model.RecoverMsg{})
+	deliver(m, ctx, engine.RIAddr(1), model.RecoverMsg{})
 	got := grantedItems(ctx)
 	want := map[model.TxnID][]model.ItemID{
 		{Site: 1, Seq: 1}: {0, 1},
@@ -150,7 +140,7 @@ func deliverSnap(m *Manager, ctx engine.Context, b model.SnapReadBatchMsg) {
 }
 
 // repliedItems lists, in send order, the items the snapshot replies sent so
-// far answer, batched or single, and how many envelopes carried them.
+// far answer, and how many envelopes carried them.
 func repliedItems(sent []engine.Envelope) (items []model.ItemID, envelopes int) {
 	for _, env := range sent {
 		switch v := env.Msg.(type) {
@@ -158,8 +148,6 @@ func repliedItems(sent []engine.Envelope) (items []model.ItemID, envelopes int) 
 			for _, r := range v.Members {
 				items = append(items, r.Item)
 			}
-		case model.SnapReadReplyMsg:
-			items = append(items, v.Copy.Item)
 		default:
 			continue
 		}
@@ -197,16 +185,16 @@ func TestSnapReadBatchAnsweredOnce(t *testing.T) {
 	t.Run("parked member waits for the un-park", func(t *testing.T) {
 		m, ctx, _, _ := exposureSite(t, 1, 0)
 		ri := engine.RIAddr(1)
-		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, 2, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(1, 2, 7, 100)) // parks item 2
+		deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, 2, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(1, 2, 7, 100)) // parks item 2
 		deliverSnap(m, ctx, snapBatchOf(2, 1, 2, 3))
 		if items, n := repliedItems(ctx.sent); n != 1 || !reflect.DeepEqual(items, []model.ItemID{1, 3}) {
 			t.Fatalf("before the sync: %d envelopes answering %v, want one answering [1 3]", n, items)
 		}
 		ctx.sent = nil
 		ctx.fire()
-		r := take[model.SnapReadReplyMsg](ctx.fakeCtx)
+		r := takeSnapReplies(ctx.fakeCtx)
 		if len(r) != 1 || r[0].Copy.Item != 2 || r[0].Value != 7 {
 			t.Fatalf("after the sync: replies %+v, want item 2 with the synced value 7", r)
 		}
@@ -296,10 +284,10 @@ func TestAbortBatchAllocatesNothing(t *testing.T) {
 	withdraw := model.AbortBatchMsg{Txn: open.Txn, Members: []model.ItemID{0, 2, 3, 5}}
 	cycle := func() {
 		p := model.PooledRequestBatch(open)
-		m.OnMessage(&ctx, engine.RIAddr(1), p)
+		deliver(m, &ctx, engine.RIAddr(1), p)
 		model.RecycleMessage(p)
 		a := model.PooledAbortBatch(withdraw)
-		m.OnMessage(&ctx, engine.RIAddr(1), a)
+		deliver(m, &ctx, engine.RIAddr(1), a)
 		model.RecycleMessage(a)
 	}
 	cycle()
@@ -322,7 +310,7 @@ func TestAbortBatchAllocatesNothing(t *testing.T) {
 func TestBatchSpanningShardsIsSplit(t *testing.T) {
 	m, _ := shardedManager(8, 4)
 	ctx := newFakeCtx()
-	deliver(m, ctx, batchOf(1, model.PA, model.OpWrite, 5, 0, 1, 2, 3, 4, 5, 6, 7))
+	deliver(m, ctx, engine.RIAddr(1), batchOf(1, model.PA, model.OpWrite, 5, 0, 1, 2, 3, 4, 5, 6, 7))
 	got := grantedItems(ctx)[model.TxnID{Site: 1, Seq: 1}]
 	if len(got) != 8 {
 		t.Fatalf("granted items %v, want all 8", got)

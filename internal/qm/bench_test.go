@@ -47,8 +47,8 @@ func newCommitBatch(k int) *commitBatch {
 	for i := 0; i < k; i++ {
 		st.Create(model.ItemID(i), 100)
 		r := req(uint64(i+1), model.TwoPL, model.OpWrite, model.ItemID(i), model.NoTimestamp)
-		cb.requests = append(cb.requests, r)
-		cb.releases = append(cb.releases, model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy, HasWrite: true, Value: int64(i)})
+		cb.requests = append(cb.requests, asBatch(r))
+		cb.releases = append(cb.releases, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy, HasWrite: true, Value: int64(i)}))
 	}
 	cb.m = New(0, st, nil, Options{})
 	cb.m.SetDurable(cb.d)
@@ -58,12 +58,12 @@ func newCommitBatch(k int) *commitBatch {
 func (cb *commitBatch) drain() {
 	ri := engine.RIAddr(1)
 	for _, r := range cb.requests {
-		cb.m.OnMessage(&cb.ctx, ri, r)
+		deliver(cb.m, &cb.ctx, ri, r)
 	}
 	for _, r := range cb.releases {
-		cb.m.OnMessage(&cb.ctx, ri, r)
+		deliver(cb.m, &cb.ctx, ri, r)
 	}
-	cb.m.OnMessage(&cb.ctx, cb.ctx.Self(), cb.ctx.timer)
+	deliver(cb.m, &cb.ctx, cb.ctx.Self(), cb.ctx.timer)
 }
 
 // BenchmarkShardCommitBatch gates the drain-sync by count, not by time: k
@@ -164,10 +164,10 @@ func newRuntimeDrain(k int) *runtimeDrain {
 		st.Create(model.ItemID(i), 100)
 		w := req(uint64(i+1), model.TwoPL, model.OpWrite, model.ItemID(i), model.NoTimestamp)
 		r := req(uint64(k+i+1), model.TwoPL, model.OpRead, model.ItemID(i), model.NoTimestamp)
-		rd.first = append(rd.first, w)
-		releases = append(releases, model.ReleaseMsg{Txn: w.Txn, Copy: w.Copy, HasWrite: true, Value: int64(i)})
-		reads = append(reads, r)
-		rd.then = append(rd.then, model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy})
+		rd.first = append(rd.first, asBatch(w))
+		releases = append(releases, asBatch(model.ReleaseMsg{Txn: w.Txn, Copy: w.Copy, HasWrite: true, Value: int64(i)}))
+		reads = append(reads, asBatch(r))
+		rd.then = append(rd.then, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy}))
 	}
 	rd.first = append(append(rd.first, releases...), reads...)
 	m := New(0, st, nil, Options{})
@@ -180,7 +180,8 @@ func newRuntimeDrain(k int) *runtimeDrain {
 
 func (rd *runtimeDrain) post(msgs []model.Message) {
 	for _, msg := range msgs {
-		rd.rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: msg})
+		p, _ := pooledForm(msg)
+		rd.rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: p})
 	}
 }
 
@@ -207,6 +208,6 @@ func BenchmarkStatsTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.OnMessage(&ctx, engine.QMAddr(0), model.TickMsg{})
+		deliver(m, &ctx, engine.QMAddr(0), model.TickMsg{})
 	}
 }

@@ -19,12 +19,13 @@
 //
 // Site-wide concerns deliberately stay un-sharded at the Manager:
 //
-//   - The commit sequencer (sequencer.go): a transaction's writes may span
-//     shards, but its commit point is one atomic site-wide WAL sync. Shards
-//     drain their dirty batches through a per-site leader/follower
-//     sequencer, so concurrently flushing shards coalesce into one media
-//     sync (cross-shard group commit) while each shard's write-ahead
-//     guarantee — sync before the grant exposing the write — is preserved.
+//   - The group committer (a wal.GroupCommitter over Durable.Flush): a
+//     transaction's writes may span shards, but its commit point is one
+//     atomic site-wide WAL sync. Shards drain their dirty batches through
+//     the site's one leader/follower committer, so concurrently flushing
+//     shards coalesce into one media sync (cross-shard group commit) while
+//     each shard's write-ahead guarantee — sync before the grant exposing
+//     the write — is preserved.
 //   - Crash and recovery (CrashMsg/RecoverMsg): a site fails as a unit;
 //     every shard goes down together, defers its traffic, and drains in
 //     per-shard arrival order after the store is rebuilt once from
@@ -61,11 +62,20 @@
 // grant) first sends the replies held so far, so each issuer still sees one
 // shard's replies in the order they were produced. Replies that leave later
 // — grants and snapshot replies from an un-park, grants while handling a
-// release — go one per message as before.
+// release — go one per message, as batches of one built in the shard's
+// one-member arrays.
+//
+// One delivery form: every message reaches the Manager as the pooled
+// pointer to what was sent or decoded (package model's wirepool.go), and the
+// per-copy steps only as batches — a single request's bytes decode as the
+// batch of one they encode — so OnMessage and the shard's handler carry one
+// case per message and no value case. A down shard keeps a
+// model.RetainMessage copy of what it defers and recycles it after the
+// replay.
 //
 // Two paths never touch the queues at all:
 //
-//   - Snapshot reads (SnapReadMsg, single or batched): read-only
+//   - Snapshot reads (SnapReadBatchMsg): read-only
 //     transactions are answered straight from the store's version chain at
 //     their snapshot timestamp — no entry, no lock, no threshold check — and
 //     recorded into the history log at the position of the version they
@@ -81,7 +91,7 @@
 // FlushMsg Options.GroupCommitMicros ahead — at zero, the tail of what is
 // already in its mailbox — and keeps handling messages, which update a
 // parked queue but send no grant, promotion or snapshot reply from it. The
-// FlushMsg starts one commit-sequencer pass for everything journaled so far,
+// FlushMsg starts one group-commit pass for everything journaled so far,
 // off the mailbox loop (engine.Offload), and the shard keeps serving
 // meanwhile: queues nobody wrote answer as usual. The sync answers with a
 // FlushDoneMsg, which un-parks and dispatches the queues it covered. Each

@@ -117,11 +117,7 @@ type armedTimer struct {
 }
 
 func (c *exposureCtx) Send(to engine.Addr, msg model.Message) {
-	switch v := model.UnpoolMessage(msg).(type) {
-	case model.GrantMsg:
-		c.check("grant", v.Copy.Item, v.Version)
-	case model.SnapReadReplyMsg:
-		c.check("snapshot reply", v.Copy.Item, v.Version)
+	switch v := valueForm(msg).(type) {
 	case model.GrantBatchMsg:
 		for _, g := range v.Members {
 			c.check("grant", g.Item, g.Version)
@@ -152,7 +148,7 @@ func (c *exposureCtx) fire() {
 	ts := c.timers
 	c.timers = nil
 	for _, tm := range ts {
-		c.m.OnMessage(c, c.self, tm.msg)
+		deliver(c.m, c, c.self, tm.msg)
 	}
 }
 
@@ -202,15 +198,15 @@ func TestExposureWaitsForSync(t *testing.T) {
 		ri := engine.RIAddr(1)
 		a, b := twoItems(shards)
 		for i, item := range []model.ItemID{a, b} {
-			m.OnMessage(ctx, ri, req(uint64(10+i), model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-			m.OnMessage(ctx, ri, req(uint64(20+i), model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+			deliver(m, ctx, ri, req(uint64(10+i), model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+			deliver(m, ctx, ri, req(uint64(20+i), model.TwoPL, model.OpWrite, item, model.NoTimestamp))
 		}
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 2 {
+		if g := takeGrants(ctx.fakeCtx); len(g) != 2 {
 			t.Fatalf("setup grants=%d want 2", len(g))
 		}
-		m.OnMessage(ctx, ri, writeRelease(10, a, 7, 50))
-		m.OnMessage(ctx, ri, writeRelease(11, b, 8, 51))
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 0 {
+		deliver(m, ctx, ri, writeRelease(10, a, 7, 50))
+		deliver(m, ctx, ri, writeRelease(11, b, 8, 51))
+		if g := takeGrants(ctx.fakeCtx); len(g) != 0 {
 			t.Fatalf("%d grants left before the sync", len(g))
 		}
 		if d.syncs() != 0 {
@@ -233,9 +229,9 @@ func TestExposureWaitsForSync(t *testing.T) {
 		// only; the other shard's queue stays parked until its own arrives.
 		first, rest := ctx.timers[0], ctx.timers[1:]
 		ctx.timers = nil
-		m.OnMessage(ctx, ctx.self, first.msg)
+		deliver(m, ctx, ctx.self, first.msg)
 		wantGrants := 3 - wantTimers // both items when they share the shard
-		g := take[model.GrantMsg](ctx.fakeCtx)
+		g := takeGrants(ctx.fakeCtx)
 		if len(g) != wantGrants || d.syncs() != 1 {
 			t.Fatalf("first flush: %d grants %d syncs, want %d and 1", len(g), d.syncs(), wantGrants)
 		}
@@ -243,15 +239,15 @@ func TestExposureWaitsForSync(t *testing.T) {
 			t.Fatalf("un-parked grant = %+v, want item %v version 1 value 7", g[0], a)
 		}
 		for _, tm := range rest {
-			m.OnMessage(ctx, ctx.self, tm.msg)
+			deliver(m, ctx, ctx.self, tm.msg)
 		}
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 2-wantGrants {
+		if g := takeGrants(ctx.fakeCtx); len(g) != 2-wantGrants {
 			t.Fatalf("second flush released %d grants, want %d", len(g), 2-wantGrants)
 		}
 
 		// The window is read live: a slow-disk fault applies to the next arm.
 		m.SetGroupCommitMicros(9_000)
-		m.OnMessage(ctx, ri, writeRelease(20, a, 9, 60))
+		deliver(m, ctx, ri, writeRelease(20, a, 9, 60))
 		if len(ctx.timers) != 1 || ctx.timers[0].delay != 9_000 {
 			t.Fatalf("after SetGroupCommitMicros(9000): timers %+v", ctx.timers)
 		}
@@ -273,26 +269,26 @@ func TestParkedQueueAbsorbsTraffic(t *testing.T) {
 
 		// T/O writer 1 holds the lock, converts to a semi-lock (its write is
 		// implemented, §4.2 rule 4): the queue parks.
-		m.OnMessage(ctx, ri, req(1, model.TO, model.OpWrite, item, 10))
-		take[model.GrantMsg](ctx.fakeCtx)
+		deliver(m, ctx, ri, req(1, model.TO, model.OpWrite, item, 10))
+		takeGrants(ctx.fakeCtx)
 		semi := writeRelease(1, item, 11, 100)
 		semi.ToSemi = true
-		m.OnMessage(ctx, ri, semi)
+		deliver(m, ctx, ri, semi)
 
 		// Request on the parked queue: T/O writer 2 would be granted a
 		// pre-scheduled lock right away.
-		m.OnMessage(ctx, ri, req(2, model.TO, model.OpWrite, item, 20))
+		deliver(m, ctx, ri, req(2, model.TO, model.OpWrite, item, 20))
 		// A PA request behind the write threshold backs off (the back-off is
 		// not an exposure and leaves at once); its final timestamp arrives
 		// while still parked.
-		m.OnMessage(ctx, ri, req(3, model.PA, model.OpWrite, item, 5))
+		deliver(m, ctx, ri, req(3, model.PA, model.OpWrite, item, 5))
 		if b := take[model.BackoffMsg](ctx.fakeCtx); len(b) != 1 {
 			t.Fatalf("backoffs=%d want 1 (a parked queue still answers admission)", len(b))
 		}
-		m.OnMessage(ctx, ri, model.FinalTSMsg{Txn: model.TxnID{Site: 1, Seq: 3}, Copy: model.CopyID{Item: item}, TS: 40})
+		deliver(m, ctx, ri, model.FinalTSMsg{Txn: model.TxnID{Site: 1, Seq: 3}, Copy: model.CopyID{Item: item}, TS: 40})
 		// A request that is then aborted, both while parked.
-		m.OnMessage(ctx, ri, req(4, model.TO, model.OpWrite, item, 30))
-		m.OnMessage(ctx, ri, model.AbortMsg{Txn: model.TxnID{Site: 1, Seq: 4}, Copy: model.CopyID{Item: item}})
+		deliver(m, ctx, ri, req(4, model.TO, model.OpWrite, item, 30))
+		deliver(m, ctx, ri, model.AbortMsg{Txn: model.TxnID{Site: 1, Seq: 4}, Copy: model.CopyID{Item: item}})
 		if len(ctx.sent) != 0 {
 			t.Fatalf("a parked queue sent %+v", ctx.sent)
 		}
@@ -301,7 +297,7 @@ func TestParkedQueueAbsorbsTraffic(t *testing.T) {
 		}
 
 		ctx.fire()
-		g := take[model.GrantMsg](ctx.fakeCtx)
+		g := takeGrants(ctx.fakeCtx)
 		if len(g) != 1 || g[0].Txn.Seq != 2 || !g[0].PreScheduled || g[0].Version != 1 {
 			t.Fatalf("un-park grants = %+v, want writer 2 pre-scheduled at version 1", g)
 		}
@@ -312,8 +308,8 @@ func TestParkedQueueAbsorbsTraffic(t *testing.T) {
 		// must wait for the flush.
 		semi2 := writeRelease(2, item, 22, 200)
 		semi2.ToSemi = true
-		m.OnMessage(ctx, ri, semi2)
-		m.OnMessage(ctx, ri, release(1, item, false, 0))
+		deliver(m, ctx, ri, semi2)
+		deliver(m, ctx, ri, release(1, item, false, 0))
 		if len(ctx.sent) != 0 {
 			t.Fatalf("a parked queue sent %+v", ctx.sent)
 		}
@@ -336,21 +332,21 @@ func TestSnapshotReadOfParkedItemWaits(t *testing.T) {
 		m, ctx, _, _ := exposureSite(t, shards, window)
 		ri := engine.RIAddr(1)
 		a, b := twoItems(shards)
-		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, a, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(1, a, 7, 100))
+		deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, a, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(1, a, 7, 100))
 
 		snap := func(seq uint64, item model.ItemID) model.SnapReadMsg {
 			return model.SnapReadMsg{Txn: model.TxnID{Site: 1, Seq: seq}, Copy: model.CopyID{Item: item}, SnapMicros: 150, Site: 1}
 		}
-		m.OnMessage(ctx, ri, snap(2, a))
-		m.OnMessage(ctx, ri, snap(3, b))
-		r := take[model.SnapReadReplyMsg](ctx.fakeCtx)
+		deliver(m, ctx, ri, snap(2, a))
+		deliver(m, ctx, ri, snap(3, b))
+		r := takeSnapReplies(ctx.fakeCtx)
 		if len(r) != 1 || r[0].Copy.Item != b {
 			t.Fatalf("before the sync: replies %+v, want only item %v", r, b)
 		}
 		ctx.fire()
-		r = take[model.SnapReadReplyMsg](ctx.fakeCtx)
+		r = takeSnapReplies(ctx.fakeCtx)
 		if len(r) != 1 || r[0].Copy.Item != a || r[0].Version != 1 || r[0].Value != 7 {
 			t.Fatalf("after the sync: replies %+v, want item %v at version 1", r, a)
 		}
@@ -379,20 +375,20 @@ func crashWithQueuesParked(flushDuringOutage bool) func(t *testing.T, shards int
 		m, ctx, d, rec := exposureSite(t, shards, window)
 		ri := engine.RIAddr(1)
 		const item = 0
-		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-		m.OnMessage(ctx, ri, req(2, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(1, item, 7, 100))
+		deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+		deliver(m, ctx, ri, req(2, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 
-		m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+		deliver(m, ctx, ctx.self, model.CrashMsg{})
 		if flushDuringOutage {
 			ctx.fire() // defers with the rest of the outage's traffic
 		}
 		if c := m.Snapshot(); c.Deferred != 0 {
 			t.Fatalf("Deferred=%d: the shard's own FlushMsg is not traffic", c.Deferred)
 		}
-		m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
-		g := take[model.GrantMsg](ctx.fakeCtx)
+		deliver(m, ctx, ctx.self, model.RecoverMsg{})
+		g := takeGrants(ctx.fakeCtx)
 		if len(g) != 1 || g[0].Txn.Seq != 2 || g[0].Version != 0 || g[0].Value != 100 {
 			t.Fatalf("recovery grants = %+v, want txn 2 at the recovered version 0", g)
 		}
@@ -409,13 +405,13 @@ func crashWithQueuesParked(flushDuringOutage bool) func(t *testing.T, shards int
 			t.Fatalf("stale FlushMsg sent %+v, synced %d times", ctx.sent, d.syncs())
 		}
 
-		m.OnMessage(ctx, ri, req(3, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-		m.OnMessage(ctx, ri, writeRelease(2, item, 8, 200))
+		deliver(m, ctx, ri, req(3, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+		deliver(m, ctx, ri, writeRelease(2, item, 8, 200))
 		if len(ctx.timers) != 1 {
 			t.Fatalf("post-recovery write armed %d FlushMsgs, want 1", len(ctx.timers))
 		}
 		ctx.fire()
-		g = take[model.GrantMsg](ctx.fakeCtx)
+		g = takeGrants(ctx.fakeCtx)
 		if len(g) != 1 || g[0].Txn.Seq != 3 || g[0].Version != 1 || g[0].Value != 8 {
 			t.Fatalf("post-recovery grants = %+v, want txn 3 at version 1 value 8", g)
 		}
@@ -440,16 +436,16 @@ func TestRetireWhileParked(t *testing.T) {
 			return as
 		}
 		m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: owners(0)})
-		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(1, item, 7, 100))
+		deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 
-		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: owners(1)}})
+		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: owners(1)}})
 		if m.queueOf(item) == nil {
 			t.Fatal("map install deleted a parked queue")
 		}
 		pull := model.ReplPullMsg{From: 1, Epoch: 2, Scope: repl.AppendScope(nil, []model.ItemID{item})}
-		m.OnMessage(ctx, engine.QMAddr(1), pull)
+		deliver(m, ctx, engine.QMAddr(1), pull)
 		if r := take[model.ReplRecordsMsg](ctx.fakeCtx); len(r) != 1 || !r[0].NotReady {
 			t.Fatalf("transfer served before the handed-off write was durable: %+v", r)
 		}
@@ -458,7 +454,7 @@ func TestRetireWhileParked(t *testing.T) {
 		if m.queueOf(item) != nil {
 			t.Fatal("drained retiring queue survived its un-park")
 		}
-		m.OnMessage(ctx, engine.QMAddr(1), pull)
+		deliver(m, ctx, engine.QMAddr(1), pull)
 		if r := take[model.ReplRecordsMsg](ctx.fakeCtx); len(r) != 1 || r[0].NotReady || len(r[0].Frames) == 0 {
 			t.Fatalf("transfer after the flush: %+v, want the store image", r)
 		}
@@ -481,10 +477,10 @@ type chainRI struct {
 }
 
 func (r *chainRI) request(ctx engine.Context, item model.ItemID, seq uint64) {
-	ctx.Send(engine.QMShardAddr(0, model.ShardOfItem(item, r.shards)), model.RequestMsg{
+	ctx.Send(engine.QMShardAddr(0, model.ShardOfItem(item, r.shards)), pooled(model.RequestMsg{
 		Txn: model.TxnID{Site: model.SiteID(item) + 1, Seq: seq}, Protocol: model.TwoPL, Kind: model.OpWrite,
 		Copy: model.CopyID{Item: item}, Site: 1,
-	})
+	}))
 }
 
 func (r *chainRI) OnMessage(ctx engine.Context, _ engine.Addr, msg model.Message) {
@@ -494,7 +490,7 @@ func (r *chainRI) OnMessage(ctx engine.Context, _ engine.Addr, msg model.Message
 		}
 		return
 	}
-	g, ok := model.UnpoolMessage(msg).(model.GrantMsg)
+	g, ok := grantOf(msg)
 	if !ok {
 		r.t.Errorf("unexpected %T", msg)
 		return
@@ -506,9 +502,9 @@ func (r *chainRI) OnMessage(ctx engine.Context, _ engine.Addr, msg model.Message
 	if g.Version != g.Txn.Seq-1 {
 		r.t.Errorf("%v: txn %d granted at version %d: a write was lost or repeated", item, g.Txn.Seq, g.Version)
 	}
-	ctx.Send(engine.QMShardAddr(0, model.ShardOfItem(item, r.shards)), model.ReleaseMsg{
+	ctx.Send(engine.QMShardAddr(0, model.ShardOfItem(item, r.shards)), pooled(model.ReleaseMsg{
 		Txn: g.Txn, Copy: g.Copy, HasWrite: g.Txn.Seq <= r.rounds, Value: int64(g.Txn.Seq), CommitMicros: ctx.NowMicros(),
-	})
+	}))
 	if g.Txn.Seq <= r.rounds {
 		r.request(ctx, item, g.Txn.Seq+1)
 		return
@@ -589,10 +585,10 @@ func (r *unparkRI) txn(k uint64) model.TxnID { return model.TxnID{Site: 1, Seq: 
 func (r *unparkRI) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
 	if _, start := msg.(model.TickMsg); start {
 		r.granted = 0
-		ctx.Send(r.shard, req(r.txn(0).Seq, model.TwoPL, model.OpWrite, r.item, model.NoTimestamp))
+		ctx.Send(r.shard, pooled(req(r.txn(0).Seq, model.TwoPL, model.OpWrite, r.item, model.NoTimestamp)))
 		return
 	}
-	g, ok := model.UnpoolMessage(msg).(model.GrantMsg)
+	g, ok := grantOf(msg)
 	if !ok {
 		r.t.Errorf("unexpected %T", msg)
 		return
@@ -603,8 +599,8 @@ func (r *unparkRI) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mes
 	r.granted++
 	switch r.granted {
 	case 1: // the writer: write, release, and queue a read behind the now-parked item
-		ctx.Send(r.shard, writeRelease(g.Txn.Seq, r.item, int64(r.round), int64(3*r.round+1)))
-		ctx.Send(r.shard, req(r.txn(1).Seq, model.TwoPL, model.OpRead, r.item, model.NoTimestamp))
+		ctx.Send(r.shard, pooled(writeRelease(g.Txn.Seq, r.item, int64(r.round), int64(3*r.round+1))))
+		ctx.Send(r.shard, pooled(req(r.txn(1).Seq, model.TwoPL, model.OpRead, r.item, model.NoTimestamp)))
 	case 2:
 		if g.Txn != r.txn(1) || from != engine.QMAddr(0) {
 			r.t.Errorf("round %d: second grant is %v from %v, want the parked read %v un-parked by the control shard %v",
@@ -615,8 +611,8 @@ func (r *unparkRI) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mes
 			r.t.Errorf("round %d: third grant is %v from %v, want the following read %v granted by its own shard %v",
 				r.round, g.Txn, from, r.txn(2), r.shard)
 		}
-		ctx.Send(r.shard, release(r.txn(1).Seq, r.item, false, 0))
-		ctx.Send(r.shard, release(r.txn(2).Seq, r.item, false, 0))
+		ctx.Send(r.shard, pooled(release(r.txn(1).Seq, r.item, false, 0)))
+		ctx.Send(r.shard, pooled(release(r.txn(2).Seq, r.item, false, 0)))
 		r.round++
 		r.done <- struct{}{}
 	}
@@ -655,7 +651,7 @@ func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
 	m.SetDurable(&hookedWAL{walDouble: d, before: func() {
 		if seq := next.Swap(0); seq != 0 {
 			rt.Post(engine.Envelope{From: engine.RIAddr(1), To: shardAddr,
-				Msg: req(seq, model.TwoPL, model.OpRead, item, model.NoTimestamp)})
+				Msg: pooled(req(seq, model.TwoPL, model.OpRead, item, model.NoTimestamp))})
 		}
 	}})
 	m.SetReplication(repl.NewPuller(repl.Options{Site: 0, Peers: []model.SiteID{2}}), nil)
@@ -679,7 +675,7 @@ func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
 			Item: item, Txn: model.TxnID{Site: 2, Seq: round}, Value: -int64(round), CommitMicros: int64(3*round + 2),
 		})
 		rt.Post(engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(0),
-			Msg: model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: round + 1}})
+			Msg: pooled(model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: round + 1})})
 		select {
 		case <-ri.done:
 		case <-time.After(30 * time.Second):

@@ -76,8 +76,8 @@ func checkQueueInvariants(t *testing.T, q *dataQueue) {
 // stale releases — driven into two sharded managers, with
 // checkQueueInvariants asserted on every queue after every message. The
 // managers see the same script except for the batches: one gets each request
-// or abort batch whole, the other its members as single RequestMsgs or
-// AbortMsgs in order, and after every step both must agree exactly — queue state,
+// or abort batch whole, the other its members as batches of one in order,
+// and after every step both must agree exactly — queue state,
 // counters, and each issuer's replies in order once grant batches are
 // expanded into the grants they carry. At the end every live transaction is
 // aborted and every queue must drain empty.
@@ -98,13 +98,13 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 		}
 		return New(0, st, nil, Options{Shards: shards})
 	}
-	// mB gets request and abort batches whole, mS as their members;
+	// mB gets request and abort batches whole, mS as batches of one;
 	// everything else goes to both.
 	mB, mS := newManager(), newManager()
 	ctxB, ctxS := newFakeCtx(), newFakeCtx()
 	both := func(from engine.Addr, msg model.Message) {
-		mB.OnMessage(ctxB, from, msg)
-		mS.OnMessage(ctxS, from, msg)
+		deliver(mB, ctxB, from, msg)
+		deliver(mS, ctxS, from, msg)
 	}
 
 	// liveCopy is one request of a live transaction (a batch's transaction
@@ -163,14 +163,17 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 	drain := func() {
 		got, want := perIssuer(ctxB.sent), perIssuer(ctxS.sent)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replies differ between batched and single delivery:\nbatched: %+v\n single: %+v", got, want)
+			t.Fatalf("replies differ between whole and one-member batches:\nbatched: %+v\n single: %+v", got, want)
 		}
 		for _, env := range ctxS.sent {
 			switch v := env.Msg.(type) {
-			case model.GrantMsg:
-				if lc := find(v.Txn, v.Copy.Item); lc != nil {
-					lc.granted = true
-					lc.preSched = v.PreScheduled
+			case model.GrantBatchMsg:
+				for i := range v.Members {
+					g := v.Grant(i)
+					if lc := find(g.Txn, g.Copy.Item); lc != nil {
+						lc.granted = true
+						lc.preSched = g.PreScheduled
+					}
 				}
 			case model.BackoffMsg:
 				if lc := find(v.Txn, v.Copy.Item); lc != nil {
@@ -186,14 +189,14 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 	}
 	checkAll := func() {
 		if cb, cs := mB.Snapshot(), mS.Snapshot(); cb != cs {
-			t.Fatalf("counters differ between batched and single delivery:\nbatched: %+v\n single: %+v", cb, cs)
+			t.Fatalf("counters differ between whole and one-member batches:\nbatched: %+v\n single: %+v", cb, cs)
 		}
 		for i := 0; i < items; i++ {
 			item := model.ItemID(i)
 			checkQueueInvariants(t, mB.queueOf(item))
 			checkQueueInvariants(t, mS.queueOf(item))
 			if qb, qs := mB.DumpQueue(item), mS.DumpQueue(item); !reflect.DeepEqual(qb, qs) {
-				t.Fatalf("item %d queue differs between batched and single delivery:\nbatched: %v\n single: %v", i, qb, qs)
+				t.Fatalf("item %d queue differs between whole and one-member batches:\nbatched: %v\n single: %v", i, qb, qs)
 			}
 		}
 	}
@@ -233,10 +236,10 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 			}
 			// Pooled, as it arrives off the wire; the test is the delivery layer.
 			pooled := model.PooledRequestBatch(b)
-			mB.OnMessage(ctxB, engine.RIAddr(b.Site), pooled)
+			deliver(mB, ctxB, engine.RIAddr(b.Site), pooled)
 			model.RecycleMessage(pooled)
 			for i := range b.Members {
-				mS.OnMessage(ctxS, engine.RIAddr(b.Site), b.Request(i))
+				deliver(mS, ctxS, engine.RIAddr(b.Site), b.Request(i))
 			}
 		case 4: // final timestamp for a backed-off PA request
 			for _, lc := range live {
@@ -300,10 +303,10 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 			}
 			slices.Sort(b.Members)
 			pooled := model.PooledAbortBatch(b)
-			mB.OnMessage(ctxB, engine.RIAddr(id.Site), pooled)
+			deliver(mB, ctxB, engine.RIAddr(id.Site), pooled)
 			model.RecycleMessage(pooled)
 			for i := range b.Members {
-				mS.OnMessage(ctxS, engine.RIAddr(id.Site), b.Abort(i))
+				deliver(mS, ctxS, engine.RIAddr(id.Site), b.Abort(i))
 			}
 		}
 		drain()

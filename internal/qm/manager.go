@@ -10,6 +10,7 @@ import (
 	"ucc/internal/model"
 	"ucc/internal/repl"
 	"ucc/internal/storage"
+	"ucc/internal/wal"
 )
 
 // Options configure a queue-manager site.
@@ -51,7 +52,7 @@ type Options struct {
 	// (engine.Offload): the shard keeps serving the queues nobody wrote,
 	// writes journaled meanwhile wait for the next sync, and that one starts
 	// when this one returns. Each shard parks and flushes its own queues;
-	// the per-site commit sequencer coalesces the shards' syncs.
+	// the per-site group committer coalesces the shards' syncs.
 	GroupCommitMicros int64
 	// InitialValue seeds copies this site gains at a map install before
 	// their fill arrives (matching cluster.Config.InitialValue, so an item
@@ -80,7 +81,7 @@ type Counters struct {
 	SnapStale  uint64 // snapshot reads served inexactly (chain GC'd past ts)
 	Busy       uint64 // requests NAK'd because the item's queue was at MaxQueueDepth
 	WALSyncs   uint64 // durable flushes of the site's write-ahead log
-	Commits    uint64 // commit-sequencer passes (≥ WALSyncs; the gap is batching)
+	Commits    uint64 // group-commit passes (≥ WALSyncs; the gap is batching)
 	Crashes    uint64 // injected site crashes
 	Recoveries uint64 // completed crash recoveries
 	Deferred   uint64 // messages queued while the site was down
@@ -125,7 +126,7 @@ type Durable interface {
 // engine address (engine.QMShardAddr) for a private mailbox.
 //
 // The manager itself holds only the site-wide concerns the shards must not
-// split: the commit sequencer (one atomic site-wide sync point), crash and
+// split: the group committer (one atomic site-wide sync point), crash and
 // recovery (a site fails as a unit), deadlock probes (the detector wants one
 // report per site), and the stats tick.
 type Manager struct {
@@ -138,7 +139,7 @@ type Manager struct {
 	// Durability state (nil dur = volatile site, the pre-WAL behaviour).
 	// Set once via SetDurable before traffic flows.
 	dur Durable
-	seq *commitSequencer
+	seq *wal.GroupCommitter
 	// groupCommitMicros is the live value of Options.GroupCommitMicros
 	// (SetGroupCommitMicros changes it while shards read it).
 	groupCommitMicros atomic.Int64
@@ -247,13 +248,14 @@ func (m *Manager) Site() model.SiteID { return m.site }
 func (m *Manager) NumShards() int { return len(m.shards) }
 
 // SetDurable attaches the durability subsystem and builds the per-site
-// commit sequencer the shards drain through. Call before the engine starts
+// group committer (a wal.GroupCommitter over d.Flush) the shards drain
+// through. Call before the engine starts
 // delivering messages. The store's Journal hook must be attached separately
 // (storage.Store.SetJournal) — the manager only schedules syncs and drives
 // crash/recovery.
 func (m *Manager) SetDurable(d Durable) {
 	m.dur = d
-	m.seq = newCommitSequencer(d.Flush)
+	m.seq = wal.NewGroupCommitter(d.Flush)
 }
 
 // SetGroupCommitMicros changes the group-commit window at runtime — the
@@ -312,7 +314,7 @@ func (m *Manager) Snapshot() Counters {
 		t.TransferBytes += c.TransferBytes
 	}
 	if m.seq != nil {
-		t.Commits, t.WALSyncs = m.seq.stats()
+		t.Commits, t.WALSyncs = m.seq.Stats()
 	}
 	return t
 }
@@ -380,28 +382,9 @@ func (m *Manager) QueueDepth(item model.ItemID) int {
 // the site runs one mailbox (simulator) or one per shard (runtime).
 func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
 	switch v := msg.(type) {
-	case model.RequestMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case *model.RequestMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case model.RequestBatchMsg, *model.RequestBatchMsg, model.ReleaseBatchMsg, *model.ReleaseBatchMsg,
-		model.AbortBatchMsg, *model.AbortBatchMsg, model.SnapReadBatchMsg, *model.SnapReadBatchMsg:
+	case *model.RequestBatchMsg, *model.ReleaseBatchMsg, *model.AbortBatchMsg, *model.SnapReadBatchMsg:
 		m.routeBatch(ctx, from, msg.(memberBatch))
-	case model.FinalTSMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case *model.FinalTSMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case model.ReleaseMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case *model.ReleaseMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case model.AbortMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case *model.AbortMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case model.SnapReadMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
-	case *model.SnapReadMsg:
 		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
 	case model.FlushMsg:
 		if int(v.Shard) < len(m.shards) {
@@ -411,8 +394,6 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		if int(v.Shard) < len(m.shards) {
 			m.shards[v.Shard].onMessage(ctx, from, msg)
 		}
-	case model.ProbeWFGMsg:
-		m.onProbe(ctx, from, v)
 	case *model.ProbeWFGMsg:
 		m.onProbe(ctx, from, *v)
 	case model.TickMsg:
@@ -424,12 +405,8 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 		default:
 			m.onStatsTick(ctx)
 		}
-	case model.ReplPullMsg:
-		m.onReplPull(ctx, v)
 	case *model.ReplPullMsg:
 		m.onReplPull(ctx, *v)
-	case model.ReplRecordsMsg:
-		m.onReplRecords(ctx, v)
 	case *model.ReplRecordsMsg:
 		m.onReplRecords(ctx, *v)
 	case model.MapInstallMsg:
@@ -458,7 +435,7 @@ type memberBatch interface {
 // issuer addresses one batch per shard mailbox, so the members normally share
 // a shard and the batch passes through whole; otherwise each run of
 // consecutive members that share a shard goes to it as a batch of its own,
-// in member order.
+// in member order, and is recycled when the shard has handled it.
 func (m *Manager) routeBatch(ctx engine.Context, from engine.Addr, b memberBatch) {
 	for lo, n := 0, b.Len(); lo < n; {
 		sh := m.shardFor(b.Item(lo))
@@ -470,7 +447,9 @@ func (m *Manager) routeBatch(ctx engine.Context, from engine.Addr, b memberBatch
 			sh.onMessage(ctx, from, b)
 			return
 		}
-		sh.onMessage(ctx, from, b.Sub(lo, hi))
+		sub := b.Sub(lo, hi)
+		sh.onMessage(ctx, from, sub)
+		model.RecycleMessage(sub)
 		lo = hi
 	}
 }
@@ -594,6 +573,7 @@ func (m *Manager) onRecover(ctx engine.Context) {
 				continue
 			}
 			sh.handle(ctx, p.from, p.msg)
+			model.RecycleMessage(p.msg)
 		}
 		sh.deferred = nil
 		sh.flushNow(ctx) // also un-parks the queues the crash caught parked

@@ -22,14 +22,15 @@ type received struct {
 	syncs uint64
 }
 
-// recordingRI forwards every message it receives, as a value, to got.
+// recordingRI forwards every message it receives, as a value, to got: a
+// reply batch of one as the single reply it stands for.
 type recordingRI struct {
 	media *wal.MemMedia
 	got   chan received
 }
 
 func (r *recordingRI) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
-	r.got <- received{msg: model.UnpoolMessage(msg), syncs: r.media.Syncs()}
+	r.got <- received{msg: asSingle(valueForm(msg)), syncs: r.media.Syncs()}
 }
 
 // runtimeSite is one durable single-shard site on engine.Runtime: a
@@ -68,7 +69,7 @@ func newRuntimeSite(t *testing.T) *runtimeSite {
 }
 
 func (s *runtimeSite) post(msg model.Message) {
-	s.rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: msg})
+	s.rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: pooled(msg)})
 }
 
 // next waits for the issuer's next message.

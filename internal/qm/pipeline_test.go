@@ -30,7 +30,7 @@ func (c *offloadCtx) complete(t *testing.T) {
 	}
 	done := c.dones[0]
 	c.dones = c.dones[1:]
-	c.m.OnMessage(c, c.self, done)
+	deliver(c.m, c, c.self, done)
 }
 
 // fire delivers every armed timer through this context, in arming order.
@@ -38,7 +38,7 @@ func (c *offloadCtx) fire() {
 	ts := c.timers
 	c.timers = nil
 	for _, tm := range ts {
-		c.m.OnMessage(c, c.self, tm.msg)
+		deliver(c.m, c, c.self, tm.msg)
 	}
 }
 
@@ -68,20 +68,20 @@ func TestShardServesDuringSync(t *testing.T) {
 		for model.ShardOfItem(b, shards) != model.ShardOfItem(a, shards) {
 			b++
 		}
-		m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, a, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(1, a, 7, 100))
+		deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, a, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(1, a, 7, 100))
 		ctx.fire()
 		if len(ctx.dones) != 1 || d.syncs() != 1 {
 			t.Fatalf("%d syncs in flight after %d syncs, want the FlushMsg's one", len(ctx.dones), d.syncs())
 		}
-		m.OnMessage(ctx, ri, req(2, model.TwoPL, model.OpRead, a, model.NoTimestamp))
-		m.OnMessage(ctx, ri, req(3, model.TwoPL, model.OpRead, b, model.NoTimestamp))
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 1 || g[0].Copy.Item != b {
+		deliver(m, ctx, ri, req(2, model.TwoPL, model.OpRead, a, model.NoTimestamp))
+		deliver(m, ctx, ri, req(3, model.TwoPL, model.OpRead, b, model.NoTimestamp))
+		if g := takeGrants(ctx.fakeCtx); len(g) != 1 || g[0].Copy.Item != b {
 			t.Fatalf("during the sync: grants %+v, want only item %v's", g, b)
 		}
 		ctx.complete(t)
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 1 || g[0].Copy.Item != a || g[0].Version != 1 {
+		if g := takeGrants(ctx.fakeCtx); len(g) != 1 || g[0].Copy.Item != a || g[0].Version != 1 {
 			t.Fatalf("at the completion: grants %+v, want item %v's at version 1", g, a)
 		}
 		if len(ctx.timers) != 0 || len(ctx.dones) != 0 {
@@ -107,37 +107,37 @@ func TestWriteDuringSyncWaitsForItsOwnSync(t *testing.T) {
 		}
 		// On y, T/O writer 1 converts to a semi-lock and writer 2 holds the
 		// pre-scheduled lock that conversion earns; a 2PL read waits behind.
-		m.OnMessage(ctx, ri, req(1, model.TO, model.OpWrite, y, 10))
+		deliver(m, ctx, ri, req(1, model.TO, model.OpWrite, y, 10))
 		semi := writeRelease(1, y, 11, 100)
 		semi.ToSemi = true
-		m.OnMessage(ctx, ri, semi)
-		m.OnMessage(ctx, ri, req(2, model.TO, model.OpWrite, y, 20))
-		m.OnMessage(ctx, ri, req(3, model.TwoPL, model.OpRead, y, model.NoTimestamp))
+		deliver(m, ctx, ri, semi)
+		deliver(m, ctx, ri, req(2, model.TO, model.OpWrite, y, 20))
+		deliver(m, ctx, ri, req(3, model.TwoPL, model.OpRead, y, model.NoTimestamp))
 		ctx.fire()
 		ctx.complete(t)
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 2 || g[1].Txn.Seq != 2 || !g[1].PreScheduled {
+		if g := takeGrants(ctx.fakeCtx); len(g) != 2 || g[1].Txn.Seq != 2 || !g[1].PreScheduled {
 			t.Fatalf("setup grants %+v, want writer 1's and writer 2's pre-scheduled one", g)
 		}
 
 		// x is written, and its sync starts.
-		m.OnMessage(ctx, ri, req(4, model.TwoPL, model.OpWrite, x, model.NoTimestamp))
-		m.OnMessage(ctx, ri, req(5, model.TwoPL, model.OpRead, x, model.NoTimestamp))
-		take[model.GrantMsg](ctx.fakeCtx)
-		m.OnMessage(ctx, ri, writeRelease(4, x, 44, 150))
+		deliver(m, ctx, ri, req(4, model.TwoPL, model.OpWrite, x, model.NoTimestamp))
+		deliver(m, ctx, ri, req(5, model.TwoPL, model.OpRead, x, model.NoTimestamp))
+		takeGrants(ctx.fakeCtx)
+		deliver(m, ctx, ri, writeRelease(4, x, 44, 150))
 		ctx.fire()
 
 		// In flight: writer 2 converts (y's second write), writer 1 leaves
 		// (writer 2's promotion is due), and a snapshot read of y arrives.
 		semi2 := writeRelease(2, y, 22, 200)
 		semi2.ToSemi = true
-		m.OnMessage(ctx, ri, semi2)
-		m.OnMessage(ctx, ri, release(1, y, false, 0))
-		m.OnMessage(ctx, ri, model.SnapReadMsg{Txn: model.TxnID{Site: 1, Seq: 6}, Copy: model.CopyID{Item: y}, SnapMicros: 300, Site: 1})
+		deliver(m, ctx, ri, semi2)
+		deliver(m, ctx, ri, release(1, y, false, 0))
+		deliver(m, ctx, ri, model.SnapReadMsg{Txn: model.TxnID{Site: 1, Seq: 6}, Copy: model.CopyID{Item: y}, SnapMicros: 300, Site: 1})
 		if len(ctx.sent) != 0 || len(ctx.timers) != 0 {
 			t.Fatalf("during the sync: sent %+v and armed %d FlushMsgs, want nothing", ctx.sent, len(ctx.timers))
 		}
 		ctx.complete(t)
-		if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 1 || g[0].Txn.Seq != 5 || g[0].Version != 1 {
+		if g := takeGrants(ctx.fakeCtx); len(g) != 1 || g[0].Txn.Seq != 5 || g[0].Version != 1 {
 			t.Fatalf("x's completion: grants %+v, want txn 5's read of x at version 1", g)
 		}
 		if len(ctx.sent) != 0 {
@@ -151,7 +151,7 @@ func TestWriteDuringSyncWaitsForItsOwnSync(t *testing.T) {
 		if p := take[model.NormalGrantMsg](ctx.fakeCtx); len(p) != 1 || p[0].Txn.Seq != 2 {
 			t.Fatalf("y's completion: promotions %+v, want writer 2's", p)
 		}
-		if r := take[model.SnapReadReplyMsg](ctx.fakeCtx); len(r) != 1 || r[0].Version != 2 || r[0].Value != 22 {
+		if r := takeSnapReplies(ctx.fakeCtx); len(r) != 1 || r[0].Version != 2 || r[0].Value != 22 {
 			t.Fatalf("y's completion: snapshot replies %+v, want version 2 value 22", r)
 		}
 		if d.syncs() != 3 {
@@ -174,26 +174,26 @@ func TestStaleCompletionUnparksNothing(t *testing.T) {
 				m, ctx, d := offloadSite(t, shards, 0)
 				ri := engine.RIAddr(1)
 				const item = 0
-				m.OnMessage(ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-				m.OnMessage(ctx, ri, req(2, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-				take[model.GrantMsg](ctx.fakeCtx)
-				m.OnMessage(ctx, ri, writeRelease(1, item, 7, 100))
+				deliver(m, ctx, ri, req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+				deliver(m, ctx, ri, req(2, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+				takeGrants(ctx.fakeCtx)
+				deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 				ctx.fire()
 
-				m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+				deliver(m, ctx, ctx.self, model.CrashMsg{})
 				if duringOutage {
 					ctx.complete(t)
 				}
 				if c := m.Snapshot(); c.Deferred != 0 {
 					t.Fatalf("Deferred=%d: a sync completion is not traffic", c.Deferred)
 				}
-				m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
-				if g := take[model.GrantMsg](ctx.fakeCtx); len(g) != 1 || g[0].Txn.Seq != 2 {
+				deliver(m, ctx, ctx.self, model.RecoverMsg{})
+				if g := takeGrants(ctx.fakeCtx); len(g) != 1 || g[0].Txn.Seq != 2 {
 					t.Fatalf("recovery grants %+v, want txn 2's", g)
 				}
 
-				m.OnMessage(ctx, ri, req(3, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
-				m.OnMessage(ctx, ri, writeRelease(2, item, 8, 200))
+				deliver(m, ctx, ri, req(3, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+				deliver(m, ctx, ri, writeRelease(2, item, 8, 200))
 				if !duringOutage {
 					if len(ctx.timers) != 0 {
 						t.Fatalf("armed %d FlushMsgs while the stale sync is in flight, want 0", len(ctx.timers))
@@ -209,7 +209,7 @@ func TestStaleCompletionUnparksNothing(t *testing.T) {
 				synced := d.syncs()
 				ctx.fire()
 				ctx.complete(t)
-				g := take[model.GrantMsg](ctx.fakeCtx)
+				g := takeGrants(ctx.fakeCtx)
 				if len(g) != 1 || g[0].Txn.Seq != 3 || g[0].Value != 8 || d.syncs() != synced+1 {
 					t.Fatalf("after its own sync: grants %+v (%d syncs), want txn 3's with value 8 after one more", g, d.syncs()-synced)
 				}

@@ -160,7 +160,7 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 			byPeer[cur.Primary(item)] = append(byPeer[cur.Primary(item)], item)
 		}
 		for _, p := range slices.Sorted(maps.Keys(byPeer)) {
-			ctx.Send(engine.QMAddr(p), m.puller.OpenFill(p, next.Epoch, byPeer[p]))
+			ctx.Send(engine.QMAddr(p), model.PooledReplPull(m.puller.OpenFill(p, next.Epoch, byPeer[p])))
 		}
 	}
 

@@ -34,13 +34,13 @@ func TestRequestWrongEpochNAK(t *testing.T) {
 	ctx := newFakeCtx()
 
 	// Owned item: normal grant, no NAK.
-	m.OnMessage(ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
-	if g := take[model.GrantMsg](ctx); len(g) != 1 {
+	deliver(m, ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
+	if g := takeGrants(ctx); len(g) != 1 {
 		t.Fatalf("owned item: grants=%d want 1", len(g))
 	}
 
 	// Disowned item: NAK with the installed map attached, nothing granted.
-	m.OnMessage(ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpWrite, 2, model.NoTimestamp))
+	deliver(m, ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpWrite, 2, model.NoTimestamp))
 	naks := take[model.WrongEpochMsg](ctx)
 	if len(naks) != 1 {
 		t.Fatalf("naks=%d want 1", len(naks))
@@ -48,7 +48,7 @@ func TestRequestWrongEpochNAK(t *testing.T) {
 	if naks[0].Map.Epoch != 1 || naks[0].Map.Primary(2) != 1 {
 		t.Fatalf("NAK map = %+v, want the installed epoch-1 map", naks[0].Map)
 	}
-	if g := take[model.GrantMsg](ctx); len(g) != 0 {
+	if g := takeGrants(ctx); len(g) != 0 {
 		t.Fatalf("disowned item granted: %+v", g)
 	}
 	if c := m.Snapshot(); c.WrongEpoch != 1 {
@@ -65,7 +65,7 @@ func TestSnapReadWrongEpochNAK(t *testing.T) {
 		Assignments: [][]model.SiteID{{0}, {1}},
 	})
 	ctx := newFakeCtx()
-	m.OnMessage(ctx, engine.RIAddr(1), model.SnapReadMsg{
+	deliver(m, ctx, engine.RIAddr(1), model.SnapReadMsg{
 		Txn:  model.TxnID{Site: 1, Seq: 7},
 		Copy: model.CopyID{Item: 1, Site: 0},
 		Site: 1,
@@ -90,7 +90,7 @@ func TestCompleterWrongEpochNAK(t *testing.T) {
 
 	// Epoch 2 moves item 1 to site 1; its queue is empty, so it deletes
 	// immediately.
-	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{0}, {1}},
 	}})
@@ -98,13 +98,13 @@ func TestCompleterWrongEpochNAK(t *testing.T) {
 		t.Fatalf("MapInstalls = %d want 1", c.MapInstalls)
 	}
 
-	m.OnMessage(ctx, engine.RIAddr(1), release(9, 1, true, 42))
+	deliver(m, ctx, engine.RIAddr(1), release(9, 1, true, 42))
 	naks := take[model.WrongEpochMsg](ctx)
 	if len(naks) != 1 || naks[0].Map.Epoch != 2 {
 		t.Fatalf("release naks=%+v want one with the epoch-2 map", naks)
 	}
 
-	m.OnMessage(ctx, engine.RIAddr(1), model.AbortMsg{
+	deliver(m, ctx, engine.RIAddr(1), model.AbortMsg{
 		Txn:  model.TxnID{Site: 1, Seq: 10},
 		Copy: model.CopyID{Item: 1, Site: 0},
 	})
@@ -130,7 +130,7 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	})
 	ctx := newFakeCtx()
 
-	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{0}, {0}},
 	}})
@@ -146,7 +146,7 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	}
 
 	// Sealed: correct routing, so Busy rather than WrongEpoch.
-	m.OnMessage(ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
+	deliver(m, ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
 	if b := take[model.BusyMsg](ctx); len(b) != 1 {
 		t.Fatalf("busy=%d want 1 while transfer pending", len(b))
 	}
@@ -158,7 +158,7 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	frames := wal.AppendShipped(nil, 0, wal.Record{
 		Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5,
 	})
-	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{
+	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{
 		From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4,
 	})
 	if m.FillsOpen() {
@@ -168,8 +168,8 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 		t.Fatalf("transfer counters = %+v want 1 applied, >0 bytes", c)
 	}
 
-	m.OnMessage(ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
-	grants := take[model.GrantMsg](ctx)
+	deliver(m, ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
+	grants := takeGrants(ctx)
 	if len(grants) != 1 || grants[0].Value != 777 {
 		t.Fatalf("grants=%+v want one with the transferred value 777", grants)
 	}
@@ -188,32 +188,32 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	ctx := newFakeCtx()
 
 	// Resident transaction under epoch 1.
-	m.OnMessage(ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
-	if g := take[model.GrantMsg](ctx); len(g) != 1 {
+	deliver(m, ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	if g := takeGrants(ctx); len(g) != 1 {
 		t.Fatalf("setup grant missing")
 	}
 
 	// Epoch 2 moves item 0 away; the resident keeps it retiring.
-	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{1}},
 	}})
 	pull := model.ReplPullMsg{From: 1, Epoch: 2, Scope: repl.AppendScope(nil, []model.ItemID{0})}
-	m.OnMessage(ctx, ctx.self, pull)
+	deliver(m, ctx, ctx.self, pull)
 	recs := take[model.ReplRecordsMsg](ctx)
 	if len(recs) != 1 || !recs[0].NotReady {
 		t.Fatalf("recs=%+v want one NotReady while draining", recs)
 	}
 
 	// New openers are refused with the NAK even mid-retirement.
-	m.OnMessage(ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
+	deliver(m, ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
 	if n := take[model.WrongEpochMsg](ctx); len(n) != 1 {
 		t.Fatalf("naks=%d want 1 for a new opener on a retiring item", len(n))
 	}
 
 	// The resident releases; the queue drains and retires.
-	m.OnMessage(ctx, engine.RIAddr(1), release(1, 0, true, 555))
-	m.OnMessage(ctx, ctx.self, pull)
+	deliver(m, ctx, engine.RIAddr(1), release(1, 0, true, 555))
+	deliver(m, ctx, ctx.self, pull)
 	recs = take[model.ReplRecordsMsg](ctx)
 	if len(recs) != 1 || recs[0].NotReady {
 		t.Fatalf("recs=%+v want a served batch after drain", recs)
@@ -224,7 +224,7 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 
 	// The follow-up pull for the tail: volatile sites have none, so Done.
 	pull.AfterSeq = recs[0].NextAfterSeq
-	m.OnMessage(ctx, ctx.self, pull)
+	deliver(m, ctx, ctx.self, pull)
 	recs = take[model.ReplRecordsMsg](ctx)
 	if len(recs) != 1 || recs[0].More || recs[0].NotReady {
 		t.Fatalf("recs=%+v want a Done tail batch", recs)
@@ -252,24 +252,24 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m.SetDurable(sl)
 	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {1}}})
 	ctx := newFakeCtx()
-	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
+	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
 	before := take[model.ReplPullMsg](ctx)
-	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
-	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
+	deliver(m, ctx, ctx.self, model.CrashMsg{})
+	deliver(m, ctx, ctx.self, model.RecoverMsg{})
 	frames := wal.AppendShipped(nil, 0, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
-	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: before[0].Incarnation})
+	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: before[0].Incarnation})
 	if !m.FillsOpen() {
 		t.Fatal("a pre-crash reply completed the transfer")
 	}
 	if c := m.Snapshot(); c.TransferApplied != 0 {
 		t.Fatalf("a pre-crash reply applied %d records", c.TransferApplied)
 	}
-	m.OnMessage(ctx, ctx.self, model.TickMsg{Tag: ReplTickTag})
+	deliver(m, ctx, ctx.self, model.TickMsg{Tag: ReplTickTag})
 	after := take[model.ReplPullMsg](ctx)
 	if len(before) != 1 || len(after) != 1 || after[0].AfterSeq != 0 || after[0].Incarnation == before[0].Incarnation {
 		t.Fatalf("pulls before %+v and after %+v the crash, want one each from seq 0 in distinct incarnations", before, after)
 	}
-	m.OnMessage(ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: after[0].Incarnation})
+	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: after[0].Incarnation})
 	if m.FillsOpen() {
 		t.Fatal("the current reply did not complete the transfer")
 	}

@@ -41,7 +41,8 @@ func (c *raceCtx) recycleSent() {
 // TestConcurrentPooledLifecycleRecycling mirrors the repl package's
 // concurrent-replay race test for the zero-alloc txn path: W goroutines
 // drive a sharded manager through full request→grant→release lifecycles
-// using pooled messages end to end — pooled requests in, pooled grants out,
+// using pooled messages end to end — pooled request batches of one in,
+// pooled grant batches out,
 // queue entries cycling through the entry pool on every admit/remove — with
 // each goroutine owning a disjoint half of the item space so every request
 // grants synchronously and the only shared state is the pools and the shard
@@ -85,7 +86,7 @@ func TestConcurrentPooledLifecycleRecycling(t *testing.T) {
 					chosen = append(chosen, it)
 				}
 				for i, it := range chosen {
-					req := model.PooledRequest(model.RequestMsg{
+					req := pooled(model.RequestMsg{
 						Txn: txn, Protocol: model.PA, Kind: kindFor(i),
 						Copy: model.CopyID{Item: it, Site: 0},
 						TS:   ts, Interval: 1, Site: site,
@@ -95,8 +96,8 @@ func TestConcurrentPooledLifecycleRecycling(t *testing.T) {
 				}
 				grants := 0
 				for _, env := range ctx.sent {
-					if _, ok := env.Msg.(*model.GrantMsg); ok {
-						grants++
+					if b, ok := env.Msg.(*model.GrantBatchMsg); ok {
+						grants += len(b.Members)
 					}
 				}
 				if grants != size {
@@ -104,7 +105,7 @@ func TestConcurrentPooledLifecycleRecycling(t *testing.T) {
 				}
 				ctx.recycleSent()
 				for i, it := range chosen {
-					rel := model.PooledRelease(model.ReleaseMsg{
+					rel := pooled(model.ReleaseMsg{
 						Txn: txn, Copy: model.CopyID{Item: it, Site: 0},
 						HasWrite: kindFor(i) == model.OpWrite, Value: int64(n),
 						CommitMicros: int64(n + 1),

@@ -105,7 +105,7 @@ func (m *Manager) onReplSettle(ctx engine.Context) {
 // sendFillPulls re-pulls every open fill. Caller holds ctlMu.
 func (m *Manager) sendFillPulls(ctx engine.Context) {
 	for peer, pull := range m.puller.FillPulls() {
-		ctx.Send(engine.QMAddr(peer), pull)
+		ctx.Send(engine.QMAddr(peer), model.PooledReplPull(pull))
 	}
 }
 

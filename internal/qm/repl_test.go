@@ -54,7 +54,7 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 	ctx := newFakeCtx()
 	frames := frameAll(shippedRec(1, 1, 10), shippedRec(2, 2, 20), shippedRec(3, 3, 30))
 	frames[len(frames)-1] ^= 0x80
-	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
+	deliver(m, ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
 	if pulls := take[model.ReplPullMsg](ctx); len(pulls) != 0 {
 		t.Fatalf("torn batch re-pulled at once: %+v", pulls)
 	}
@@ -69,7 +69,7 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 	}
 	// The same batch intact: the mark moves, so More re-pulls from it.
 	frames[len(frames)-1] ^= 0x80
-	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
+	deliver(m, ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frames, NextAfterSeq: 3, More: true})
 	pulls := take[model.ReplPullMsg](ctx)
 	if len(pulls) != 1 || pulls[0].AfterSeq != 3 || pulls[0].Have != nil {
 		t.Fatalf("intact batch with More: pulls %+v, want one from seq 3 with no digest", pulls)
@@ -84,17 +84,17 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 func TestReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m, st, _ := replSite(t)
 	ctx := newFakeCtx()
-	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 	before := take[model.ReplPullMsg](ctx)
-	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
-	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
-	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	deliver(m, ctx, ctx.self, model.CrashMsg{})
+	deliver(m, ctx, ctx.self, model.RecoverMsg{})
+	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 	after := take[model.ReplPullMsg](ctx)
 	if len(before) != 1 || len(after) != 1 || after[0].Incarnation == before[0].Incarnation {
 		t.Fatalf("pulls before %+v and after %+v the crash, want one each in distinct incarnations", before, after)
 	}
 	stale := model.ReplRecordsMsg{From: 1, Frames: frameAll(shippedRec(4, 2, 70)), NextAfterSeq: 4, More: true, Incarnation: before[0].Incarnation}
-	m.OnMessage(ctx, engine.QMAddr(1), stale)
+	deliver(m, ctx, engine.QMAddr(1), stale)
 	if v, _ := st.Read(2); v != 100 {
 		t.Fatalf("a pre-crash reply installed %d at item 2", v)
 	}
@@ -106,7 +106,7 @@ func TestReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	}
 	current := stale
 	current.Incarnation = after[0].Incarnation
-	m.OnMessage(ctx, engine.QMAddr(1), current)
+	deliver(m, ctx, engine.QMAddr(1), current)
 	if v, _ := st.Read(2); v != 70 || m.ReplWatermarks()[1] != 4 {
 		t.Fatalf("the current reply left item 2 at %d, mark %d; want 70, 4", v, m.ReplWatermarks()[1])
 	}
@@ -135,7 +135,7 @@ func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	}
 	tick := func(want model.SiteID, wantHave ...wal.Have) {
 		t.Helper()
-		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 		if ticks := take[model.TickMsg](ctx); len(ticks) != 1 || ticks[0].Tag != ReplTickTag {
 			t.Fatalf("tick re-armed %+v, want one pull tick", ticks)
 		}
@@ -152,7 +152,7 @@ func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	st.Write(5, model.TxnID{Site: 0, Seq: 2}, 2, 60)
 	st.Write(3, model.TxnID{Site: 0, Seq: 3}, 3, 50)
 	tick(1, wal.Have{Item: 3, CommitMicros: 50}, wal.Have{Item: 5, CommitMicros: 60})
-	m.OnMessage(ctx, engine.QMAddr(1), model.ReplRecordsMsg{From: 1, Frames: frameAll(shippedRec(4, 2, 70)), NextAfterSeq: 4})
+	deliver(m, ctx, engine.QMAddr(1), model.ReplRecordsMsg{From: 1, Frames: frameAll(shippedRec(4, 2, 70)), NextAfterSeq: 4})
 	if to, _ := pulls(); len(to) != 0 {
 		t.Fatalf("an uncut batch re-pulled from %v", to)
 	}
@@ -163,7 +163,7 @@ func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	tick(1)
 
 	st.Write(1, model.TxnID{Site: 0, Seq: 5}, 5, 90)
-	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplSettleTickTag})
+	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplSettleTickTag})
 	to, sent := pulls()
 	if !slices.Equal(to, []model.SiteID{1, 2}) {
 		t.Fatalf("settle pulled %v, want each peer once", to)
@@ -186,12 +186,12 @@ func TestShippedRecordsAreNotEchoed(t *testing.T) {
 	if err := sl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	m.OnMessage(ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frameAll(shippedRec(9, 3, 50)), NextAfterSeq: 9})
+	deliver(m, ctx, engine.QMAddr(2), model.ReplRecordsMsg{From: 2, Frames: frameAll(shippedRec(9, 3, 50)), NextAfterSeq: 9})
 	if v, _ := st.Read(3); v != 50 {
 		t.Fatalf("item 3 holds %d, want the shipped 50", v)
 	}
 	for _, peer := range []model.SiteID{1, 2} {
-		m.OnMessage(ctx, engine.QMAddr(peer), model.ReplPullMsg{From: peer, AfterSeq: 1})
+		deliver(m, ctx, engine.QMAddr(peer), model.ReplPullMsg{From: peer, AfterSeq: 1})
 	}
 	replies := take[model.ReplRecordsMsg](ctx)
 	if len(replies) != 2 {
@@ -221,15 +221,15 @@ func TestShippedRecordOfALiveWriterWaitsForItsRelease(t *testing.T) {
 			m, st, _ := replSite(t)
 			ctx := newFakeCtx()
 			w := req(5, model.TwoPL, model.OpWrite, 3, model.NoTimestamp)
-			m.OnMessage(ctx, engine.RIAddr(1), w)
-			if grants := take[model.GrantMsg](ctx); len(grants) != 1 {
+			deliver(m, ctx, engine.RIAddr(1), w)
+			if grants := takeGrants(ctx); len(grants) != 1 {
 				t.Fatalf("write request drew %d grants, want 1", len(grants))
 			}
 			batch := model.ReplRecordsMsg{From: 2, NextAfterSeq: 8, Frames: frameAll(
 				wal.Record{Seq: 7, Item: 3, Txn: w.Txn, Value: 40, Version: 7, CommitMicros: 40},
 				shippedRec(8, 4, 50),
 			)}
-			m.OnMessage(ctx, engine.QMAddr(2), batch)
+			deliver(m, ctx, engine.QMAddr(2), batch)
 			if v, _ := st.Read(3); v != 100 {
 				t.Fatalf("item 3 holds %d while its writer's entry is live, want the untouched 100", v)
 			}
@@ -245,11 +245,11 @@ func TestShippedRecordOfALiveWriterWaitsForItsRelease(t *testing.T) {
 			if end == "release" {
 				rel := release(5, 3, true, 40)
 				rel.CommitMicros = 40
-				m.OnMessage(ctx, engine.RIAddr(1), rel)
+				deliver(m, ctx, engine.RIAddr(1), rel)
 			} else {
-				m.OnMessage(ctx, engine.RIAddr(1), model.AbortMsg{Txn: w.Txn, Copy: w.Copy})
+				deliver(m, ctx, engine.RIAddr(1), model.AbortMsg{Txn: w.Txn, Copy: w.Copy})
 			}
-			m.OnMessage(ctx, engine.QMAddr(2), batch)
+			deliver(m, ctx, engine.QMAddr(2), batch)
 			if v, _ := st.Read(3); v != 40 || st.ChainLen(3) != 2 {
 				t.Fatalf("item 3 holds %d in %d versions, want 40 in 2", v, st.ChainLen(3))
 			}
@@ -280,7 +280,7 @@ func TestPullDigestNamesOnlyThePeersItems(t *testing.T) {
 		st.Write(model.ItemID(i), model.TxnID{Site: 0, Seq: uint64(i + 1)}, int64(i), int64(10*(i+1)))
 	}
 	for _, peer := range []model.SiteID{1, 2} {
-		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 		var have []wal.Have
 		for _, e := range ctx.sent {
 			if p, ok := e.Msg.(model.ReplPullMsg); ok && e.To.ID == peer {
@@ -314,7 +314,7 @@ func TestCatchUpTickAllocatesNothing(t *testing.T) {
 	var tick model.Message = model.TickMsg{Tag: ReplTickTag}
 	fire := func() {
 		m.puller.ResetAll() // every pull digests the whole tail again
-		m.OnMessage(&ctx, engine.QMAddr(0), tick)
+		deliver(m, &ctx, engine.QMAddr(0), tick)
 	}
 	fire()
 	fire()

@@ -66,8 +66,11 @@ type shard struct {
 	deferred []pendingMsg
 
 	// held is the reply the batch being handled is building
-	// (onRequestBatch, onSnapReadBatch).
-	held heldReplies
+	// (onRequestBatch, onSnapReadBatch). oneGrant and oneSnap are the
+	// one-member arrays a reply it does not hold is sent from.
+	held     heldReplies
+	oneGrant [1]model.GrantMember
+	oneSnap  [1]model.SnapReadReplyMember
 }
 
 type unsyncedWrite struct {
@@ -110,56 +113,29 @@ func (sh *shard) onMessage(ctx engine.Context, from engine.Addr, msg model.Messa
 			sh.counters.Deferred++
 		}
 		// The deferred list outlives this delivery, but the delivery layer
-		// recycles pooled messages when OnMessage returns — hold a value copy.
-		sh.deferred = append(sh.deferred, pendingMsg{from: from, msg: model.UnpoolMessage(msg)})
+		// recycles the message when OnMessage returns: keep a pooled copy,
+		// which recovery recycles after the replay.
+		sh.deferred = append(sh.deferred, pendingMsg{from: from, msg: model.RetainMessage(msg)})
 		return
 	}
 	sh.handle(ctx, from, msg)
 	sh.maybeFlush(ctx)
 }
 
-// handle dispatches one message. Callers hold sh.mu. Pooled pointer forms
-// deref to the value handlers — the pointer stays owned by the delivery
-// layer, which recycles it after OnMessage returns, so handlers only ever
-// see a stack copy.
+// handle dispatches one message. Callers hold sh.mu. A pooled message stays
+// owned by the delivery layer, which recycles it after OnMessage returns.
 func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message) {
 	switch v := msg.(type) {
-	case model.RequestMsg:
-		sh.onRequest(ctx, v)
-	case *model.RequestMsg:
-		sh.onRequest(ctx, *v)
-	case model.RequestBatchMsg:
-		sh.onRequestBatch(ctx, &v)
 	case *model.RequestBatchMsg:
 		sh.onRequestBatch(ctx, v)
-	case model.ReleaseBatchMsg:
-		sh.onReleaseBatch(ctx, &v)
 	case *model.ReleaseBatchMsg:
 		sh.onReleaseBatch(ctx, v)
-	case model.FinalTSMsg:
-		sh.onFinalTS(ctx, v)
-	case *model.FinalTSMsg:
-		sh.onFinalTS(ctx, *v)
-	case model.ReleaseMsg:
-		sh.onRelease(ctx, v)
-	case *model.ReleaseMsg:
-		sh.onRelease(ctx, *v)
-	case model.AbortMsg:
-		sh.onAbort(ctx, v)
-	case *model.AbortMsg:
-		sh.onAbort(ctx, *v)
-	case model.AbortBatchMsg:
-		sh.onAbortBatch(ctx, &v)
 	case *model.AbortBatchMsg:
 		sh.onAbortBatch(ctx, v)
-	case model.SnapReadMsg:
-		sh.onSnapRead(ctx, v)
-	case *model.SnapReadMsg:
-		sh.onSnapRead(ctx, *v)
-	case model.SnapReadBatchMsg:
-		sh.onSnapReadBatch(ctx, &v)
 	case *model.SnapReadBatchMsg:
 		sh.onSnapReadBatch(ctx, v)
+	case *model.FinalTSMsg:
+		sh.onFinalTS(ctx, *v)
 	case model.FlushMsg:
 		sh.flushArmed = false
 		sh.startSync(ctx)
@@ -206,7 +182,7 @@ func (sh *shard) park(q *dataQueue) {
 	}
 }
 
-// startSync is the FlushMsg: one pass through the site's commit sequencer
+// startSync is the FlushMsg: one pass through the site's group committer
 // for everything this shard journaled so far (concurrently flushing shards
 // coalesce into one media sync), run off the mailbox loop. The shard keeps
 // handling messages meanwhile — a queue nobody wrote is served as usual, a
@@ -227,7 +203,7 @@ func (sh *shard) startSync(ctx engine.Context) {
 
 // runSync is the offloaded work: it touches no shard state but syncErr,
 // which the completion reads after its delivery.
-func (sh *shard) runSync() { sh.syncErr = sh.m.seq.commit() }
+func (sh *shard) runSync() { sh.syncErr = sh.m.seq.Commit() }
 
 // onSynced is the sync's completion: every queue whose writes it covered
 // un-parks, and a queue written again meanwhile waits for the next sync,
@@ -258,7 +234,7 @@ func (sh *shard) onSynced(ctx engine.Context) {
 func (sh *shard) flushNow(ctx engine.Context) {
 	switch {
 	case sh.dirty:
-		if err := sh.m.seq.commit(); err != nil {
+		if err := sh.m.seq.Commit(); err != nil {
 			panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
 		}
 		sh.dirty = false
@@ -356,29 +332,33 @@ func (sh *shard) send(ctx engine.Context, to engine.Addr, msg model.Message) {
 	ctx.Send(to, msg)
 }
 
-// sendGrant delivers a grant, or holds it for the request batch being
-// handled when it answers that batch's own attempt.
-func (sh *shard) sendGrant(ctx engine.Context, to engine.Addr, g model.GrantMsg) {
-	if !sh.held.holds(to, g.Txn, g.Attempt) {
-		sh.send(ctx, to, model.PooledGrant(g))
+// sendGrant delivers txn's grant of one copy at this site, or holds it for
+// the request batch being handled when it answers that batch's own attempt.
+// A grant it does not hold leaves as a batch of one, built in the shard's
+// one-member array.
+func (sh *shard) sendGrant(ctx engine.Context, to engine.Addr, txn model.TxnID, attempt model.Attempt, g model.GrantMember) {
+	if sh.held.holds(to, txn, attempt) {
+		sh.held.grants = append(sh.held.grants, g)
 		return
 	}
-	sh.held.grants = append(sh.held.grants, model.GrantMember{
-		Item: g.Copy.Item, Lock: g.Lock, PreScheduled: g.PreScheduled, TS: g.TS,
-		Value: g.Value, Version: g.Version, CommitMicros: g.CommitMicros,
-	})
+	sh.oneGrant[0] = g
+	sh.send(ctx, to, model.PooledGrantBatch(model.GrantBatchMsg{
+		Txn: txn, Attempt: attempt, CopySite: sh.m.site, Members: sh.oneGrant[:],
+	}))
 }
 
 // sendSnapReply delivers a snapshot reply, or holds it for the snapshot-read
-// batch being handled when it answers that batch.
-func (sh *shard) sendSnapReply(ctx engine.Context, to engine.Addr, r model.SnapReadReplyMsg) {
-	if !sh.held.holds(to, r.Txn, r.Attempt) {
-		sh.send(ctx, to, model.PooledSnapReadReply(r))
+// batch being handled when it answers that batch; one it does not hold
+// leaves as a batch of one (see sendGrant).
+func (sh *shard) sendSnapReply(ctx engine.Context, to engine.Addr, txn model.TxnID, attempt model.Attempt, r model.SnapReadReplyMember) {
+	if sh.held.holds(to, txn, attempt) {
+		sh.held.snaps = append(sh.held.snaps, r)
 		return
 	}
-	sh.held.snaps = append(sh.held.snaps, model.SnapReadReplyMember{
-		Item: r.Copy.Item, Value: r.Value, Version: r.Version, CommitMicros: r.CommitMicros, Exact: r.Exact,
-	})
+	sh.oneSnap[0] = r
+	sh.send(ctx, to, model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
+		Txn: txn, Attempt: attempt, CopySite: sh.m.site, Members: sh.oneSnap[:],
+	}))
 }
 
 // sendHeld sends the replies held for the batch being handled, if any, as
@@ -565,10 +545,8 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 	if sh.m.recorder != nil {
 		sh.m.recorder.ImplementedReadAt(model.CopyID{Item: v.Copy.Item, Site: sh.m.site}, v.Txn, ver.Version)
 	}
-	sh.sendSnapReply(ctx, engine.RIAddr(v.Site), model.SnapReadReplyMsg{
-		Txn:          v.Txn,
-		Attempt:      v.Attempt,
-		Copy:         v.Copy,
+	sh.sendSnapReply(ctx, engine.RIAddr(v.Site), v.Txn, v.Attempt, model.SnapReadReplyMember{
+		Item:         v.Copy.Item,
 		Value:        ver.Value,
 		Version:      ver.Version,
 		CommitMicros: ver.CommitMicros,
@@ -656,10 +634,8 @@ func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 			hd.readRecorded = true
 		}
 		ver := sh.m.store.Latest(q.copyID.Item)
-		sh.sendGrant(ctx, engine.RIAddr(hd.prec.Site), model.GrantMsg{
-			Txn:          hd.txn,
-			Attempt:      hd.attempt,
-			Copy:         q.copyID,
+		sh.sendGrant(ctx, engine.RIAddr(hd.prec.Site), hd.txn, hd.attempt, model.GrantMember{
+			Item:         q.copyID.Item,
 			Lock:         d.lock,
 			PreScheduled: d.preSched,
 			TS:           hd.prec.TS,

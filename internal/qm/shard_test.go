@@ -80,9 +80,9 @@ func TestShardedManagerRoutesByItem(t *testing.T) {
 
 	ctx := newFakeCtx()
 	for i := 0; i < items; i++ {
-		m.OnMessage(ctx, engine.RIAddr(1), req(uint64(i+1), model.PA, model.OpWrite, model.ItemID(i), model.Timestamp(i+1)))
+		deliver(m, ctx, engine.RIAddr(1), req(uint64(i+1), model.PA, model.OpWrite, model.ItemID(i), model.Timestamp(i+1)))
 	}
-	if g := take[model.GrantMsg](ctx); len(g) != items {
+	if g := takeGrants(ctx); len(g) != items {
 		t.Fatalf("granted %d of %d uncontended requests", len(g), items)
 	}
 	c := m.Snapshot()
@@ -116,15 +116,15 @@ func TestShardedManagerParallelTraffic(t *testing.T) {
 			for n := 0; n < txnsPer; n++ {
 				txn := model.TxnID{Site: site, Seq: uint64(n + 1)}
 				item := mine[n%len(mine)]
-				m.OnMessage(ctx, engine.RIAddr(site), model.RequestMsg{
+				deliver(m, ctx, engine.RIAddr(site), model.RequestMsg{
 					Txn: txn, Protocol: model.PA, Kind: model.OpWrite,
 					Copy: model.CopyID{Item: item, Site: 0},
 					TS:   model.Timestamp(n + 1), Interval: 1, Site: site,
 				})
-				if g := take[model.GrantMsg](ctx); len(g) != 1 {
+				if g := takeGrants(ctx); len(g) != 1 {
 					panic(fmt.Sprintf("shard %d txn %d: %d grants", s, n, len(g)))
 				}
-				m.OnMessage(ctx, engine.RIAddr(site), model.ReleaseMsg{
+				deliver(m, ctx, engine.RIAddr(site), model.ReleaseMsg{
 					Txn: txn, Copy: model.CopyID{Item: item, Site: 0},
 					HasWrite: true, Value: int64(n), CommitMicros: int64(n + 1),
 				})
@@ -151,31 +151,31 @@ func TestShardedCrashTakesDownAllShards(t *testing.T) {
 	m.SetDurable(&fakeDurable{st: m.store, saved: m.store.Chains()})
 	ctx := newFakeCtx()
 
-	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
+	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
 	if !m.Down() {
 		t.Fatal("site not down after CrashMsg")
 	}
 	// One request per item: they hit every shard and must all defer.
 	for i := 0; i < items; i++ {
-		m.OnMessage(ctx, engine.RIAddr(1), req(uint64(i+1), model.PA, model.OpWrite, model.ItemID(i), model.Timestamp(i+1)))
+		deliver(m, ctx, engine.RIAddr(1), req(uint64(i+1), model.PA, model.OpWrite, model.ItemID(i), model.Timestamp(i+1)))
 	}
-	if g := take[model.GrantMsg](ctx); len(g) != 0 {
+	if g := takeGrants(ctx); len(g) != 0 {
 		t.Fatalf("%d grants issued while down", len(g))
 	}
 	if d := m.Snapshot().Deferred; d != uint64(items) {
 		t.Fatalf("deferred=%d want %d", d, items)
 	}
 	// Crashing a down site is a no-op, not a second crash.
-	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
+	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
 	if c := m.Snapshot().Crashes; c != 1 {
 		t.Fatalf("crashes=%d want 1", c)
 	}
 
-	m.OnMessage(ctx, engine.RIAddr(1), model.RecoverMsg{})
+	deliver(m, ctx, engine.RIAddr(1), model.RecoverMsg{})
 	if m.Down() {
 		t.Fatal("site still down after RecoverMsg")
 	}
-	if g := take[model.GrantMsg](ctx); len(g) != items {
+	if g := takeGrants(ctx); len(g) != items {
 		t.Fatalf("recovery drained %d grants, want %d", len(g), items)
 	}
 	if r := m.Snapshot().Recoveries; r != 1 {
@@ -199,42 +199,4 @@ func (d *fakeDurable) Recover() error {
 		d.st.RestoreChain(c)
 	}
 	return nil
-}
-
-// TestCommitSequencerCoalesces: concurrent committers must share syncs (the
-// leader/follower batching) while every commit still waits for a sync that
-// started after its call.
-func TestCommitSequencerCoalesces(t *testing.T) {
-	var mu sync.Mutex
-	syncs := 0
-	seq := newCommitSequencer(func() error {
-		mu.Lock()
-		syncs++
-		mu.Unlock()
-		return nil
-	})
-	const committers = 16
-	var wg sync.WaitGroup
-	for i := 0; i < committers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 50; n++ {
-				if err := seq.commit(); err != nil {
-					panic(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	commits, got := seq.stats()
-	if commits != committers*50 {
-		t.Fatalf("commits=%d want %d", commits, committers*50)
-	}
-	if got != uint64(syncs) {
-		t.Fatalf("stats syncs=%d, actual %d", got, syncs)
-	}
-	if got > commits {
-		t.Fatalf("more syncs (%d) than commits (%d)", got, commits)
-	}
 }

@@ -17,7 +17,7 @@ const statsPeriod = 200_000 // µs
 func statsTick(t *testing.T, m *Manager, ctx *fakeCtx) model.QueueStatsMsg {
 	t.Helper()
 	ctx.now += statsPeriod
-	m.OnMessage(ctx, ctx.self, model.TickMsg{})
+	deliver(m, ctx, ctx.self, model.TickMsg{})
 	reports := take[model.QueueStatsMsg](ctx)
 	if len(reports) != 1 {
 		t.Fatalf("stats tick sent %d reports, want 1", len(reports))
@@ -31,7 +31,7 @@ func statsTick(t *testing.T, m *Manager, ctx *fakeCtx) model.QueueStatsMsg {
 func estimateFrom(ctx *fakeCtx, reports ...model.QueueStatsMsg) model.EstimateMsg {
 	c := metrics.NewCollector(metrics.CollectorOptions{})
 	for _, r := range reports {
-		c.OnMessage(ctx, engine.QMAddr(0), r)
+		deliver(c, ctx, engine.QMAddr(0), r)
 	}
 	return c.Estimates(ctx.now)
 }
@@ -57,16 +57,16 @@ func TestStatsRatesSurviveCopyChurn(t *testing.T) {
 		m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}}})
 		ctx := newFakeCtx()
 		for txn := uint64(1); txn <= 5; txn++ {
-			m.OnMessage(ctx, engine.RIAddr(1), req(txn, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
-			m.OnMessage(ctx, engine.RIAddr(1), release(txn, 0, false, 0))
+			deliver(m, ctx, engine.RIAddr(1), req(txn, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
+			deliver(m, ctx, engine.RIAddr(1), release(txn, 0, false, 0))
 		}
-		if g := take[model.GrantMsg](ctx); len(g) != 5 {
+		if g := takeGrants(ctx); len(g) != 5 {
 			t.Fatalf("grants = %d, want 5", len(g))
 		}
 		first := statsTick(t, m, ctx)
 
-		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{1}}}})
-		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 3, Assignments: [][]model.SiteID{{0}}}})
+		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{1}}}})
+		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 3, Assignments: [][]model.SiteID{{0}}}})
 		if c := m.Snapshot(); c.MapInstalls != 2 || c.ItemsGained != 1 {
 			t.Fatalf("map installs %d, items gained %d: want 2 and 1", c.MapInstalls, c.ItemsGained)
 		}
@@ -86,22 +86,22 @@ func TestStatsRatesSurviveCopyChurn(t *testing.T) {
 
 		// A PA write is granted provisionally at TS 5, and a T/O read at
 		// TS 30 queues behind it.
-		m.OnMessage(ctx, engine.RIAddr(1), req(1, model.PA, model.OpWrite, 0, 5))
-		m.OnMessage(ctx, engine.RIAddr(1), req(2, model.TO, model.OpRead, 0, 30))
-		if g := take[model.GrantMsg](ctx); len(g) != 1 || g[0].Txn.Seq != 1 {
+		deliver(m, ctx, engine.RIAddr(1), req(1, model.PA, model.OpWrite, 0, 5))
+		deliver(m, ctx, engine.RIAddr(1), req(2, model.TO, model.OpRead, 0, 30))
+		if g := takeGrants(ctx); len(g) != 1 || g[0].Txn.Seq != 1 {
 			t.Fatalf("grants = %+v, want the PA write's alone", g)
 		}
 		second := statsTick(t, m, ctx)
 
 		// The write's agreed TS 50 revokes its grant; it re-queues behind
 		// the read, which is granted and holds it off.
-		m.OnMessage(ctx, engine.RIAddr(1), model.FinalTSMsg{
+		deliver(m, ctx, engine.RIAddr(1), model.FinalTSMsg{
 			Txn: model.TxnID{Site: 1, Seq: 1}, Copy: model.CopyID{Item: 0, Site: 0}, TS: 50,
 		})
 		if got := m.Snapshot().Revokes; got != 1 {
 			t.Fatalf("revokes = %d, want 1", got)
 		}
-		if g := take[model.GrantMsg](ctx); len(g) != 1 || g[0].Txn.Seq != 2 {
+		if g := takeGrants(ctx); len(g) != 1 || g[0].Txn.Seq != 2 {
 			t.Fatalf("grants after the revocation = %+v, want the T/O read's alone", g)
 		}
 		third := statsTick(t, m, ctx)

@@ -71,13 +71,13 @@ func TestActiveTxnsPhasesAndWaiting(t *testing.T) {
 		tx := submit(iss, c, model.PA, nil, []model.ItemID{0, 1})
 		reqs := take[model.RequestMsg](c)
 		grant(iss, c, reqs[0], model.WL, false)
-		iss.OnMessage(c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
+		deliver(iss, c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
 			Txn: tx.ID, Copy: reqs[1].Copy, NewTS: reqs[1].TS + 40,
 		})
 		// Finalization discards the provisional grant: every copy is waited on.
 		wantActive(t, onlyActive(t, iss), "await-grants", copiesOf(reqs)...)
 		final := take[model.FinalTSMsg](c)[0].TS
-		iss.OnMessage(c, engine.QMAddr(reqs[0].Copy.Site), model.GrantMsg{
+		deliver(iss, c, engine.QMAddr(reqs[0].Copy.Site), model.GrantMsg{
 			Txn: tx.ID, Copy: reqs[0].Copy, Lock: model.WL, TS: final,
 		})
 		wantActive(t, onlyActive(t, iss), "await-grants", reqs[1].Copy)
@@ -108,7 +108,7 @@ func TestActiveTxnsPhasesAndWaiting(t *testing.T) {
 			t.Fatalf("active = %+v", at)
 		}
 		wantActive(t, at, "snapshot-read", snaps[0].Copy, snaps[1].Copy)
-		iss.OnMessage(c, engine.QMAddr(snaps[0].Copy.Site), model.SnapReadReplyMsg{
+		deliver(iss, c, engine.QMAddr(snaps[0].Copy.Site), model.SnapReadReplyMsg{
 			Txn: tx.ID, Copy: snaps[0].Copy, Exact: true,
 		})
 		wantActive(t, onlyActive(t, iss), "snapshot-read", snaps[1].Copy)

@@ -25,7 +25,7 @@ func admissionIssuer(opts Options) (*Issuer, *fakeCtx) {
 
 func submitSeq(iss *Issuer, c *fakeCtx, seq uint64, items ...model.ItemID) {
 	t := model.NewTxn(model.TxnID{Site: 0, Seq: seq}, model.TO, nil, items, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
 }
 
 // TestRestartBackoffExponentialUntilCap is the restart-storm regression
@@ -68,7 +68,7 @@ func TestRestartBackoffJitteredTimerGrows(t *testing.T) {
 			t.Fatalf("attempt %d: requests = %d", attempt, len(reqs))
 		}
 		c.timers, c.delays = nil, nil
-		iss.OnMessage(c, engine.QMAddr(0), model.RejectMsg{
+		deliver(iss, c, engine.QMAddr(0), model.RejectMsg{
 			Txn: reqs[0].Txn, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy,
 			Threshold: reqs[0].TS + 10,
 		})
@@ -163,7 +163,7 @@ func TestBusyNAKAbortsRestartsAndShrinksWindow(t *testing.T) {
 	}
 	before := iss.Snapshot().Window
 	c.now = 1_000_000 // past any cooldown ambiguity at t=0
-	iss.OnMessage(c, engine.QMAddr(0), model.BusyMsg{
+	deliver(iss, c, engine.QMAddr(0), model.BusyMsg{
 		Txn: reqs[0].Txn, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy,
 	})
 	if aborts := take[model.AbortMsg](c); len(aborts) != 2 {
@@ -198,7 +198,7 @@ func TestBusyNAKAbortsRestartsAndShrinksWindow(t *testing.T) {
 	// for an attempt that no longer exists.
 	c.now = 2_000_000
 	windowBefore := iss.Snapshot().Window
-	iss.OnMessage(c, engine.QMAddr(0), model.BusyMsg{
+	deliver(iss, c, engine.QMAddr(0), model.BusyMsg{
 		Txn: reqs[0].Txn, Attempt: 0, Copy: reqs[0].Copy,
 	})
 	if aborts := take[model.AbortMsg](c); len(aborts) != 0 {
@@ -215,12 +215,12 @@ func TestBusyNAKShedsReadOnlySnapshot(t *testing.T) {
 	iss, c := admissionIssuer(Options{})
 	iss.SetNotifyDriver(true)
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.ROSnapshot, []model.ItemID{0, 1}, nil, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	snaps := take[model.SnapReadMsg](c)
 	if len(snaps) != 2 {
 		t.Fatalf("snap reads = %d", len(snaps))
 	}
-	iss.OnMessage(c, engine.QMAddr(0), model.BusyMsg{
+	deliver(iss, c, engine.QMAddr(0), model.BusyMsg{
 		Txn: tx.ID, Copy: snaps[0].Copy,
 	})
 	dones := take[model.TxnDoneMsg](c)
@@ -234,7 +234,7 @@ func TestBusyNAKShedsReadOnlySnapshot(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// The straggler reply for the shed transaction is dropped silently.
-	iss.OnMessage(c, engine.QMAddr(1), model.SnapReadReplyMsg{
+	deliver(iss, c, engine.QMAddr(1), model.SnapReadReplyMsg{
 		Txn: tx.ID, Copy: snaps[1].Copy, Exact: true,
 	})
 	if s := iss.Snapshot(); s.Committed != 0 {

@@ -25,7 +25,11 @@
 // commit the requested copies that never granted, which at a lagging site
 // are all of the attempt's copies there; a held spare was never asked. A
 // model.GrantBatchMsg is applied member by member and the attempt then
-// advances once. Everything else stays per copy: PA's final timestamps, and
+// advances once. Grants arrive only as batches: a queue manager sends a
+// grant outside a held batch as a batch of one, and a single grant's bytes
+// decode as one. Every message reaches the issuer as the pooled pointer to
+// what was sent or decoded, so OnMessage has one case per message and no
+// value case. Everything else stays per copy: PA's final timestamps, and
 // refusals — a refused batch is NAK'd member by member, so quorum
 // exclusion, the attempt's abort and the admission feedback see exactly
 // what they saw when every copy travelled alone.
@@ -63,9 +67,9 @@
 // locks, no negotiation, no restarts. The scatter follows the read-write
 // rule: one model.SnapReadBatchMsg per mailbox the items' primary copies
 // route to, members in item order (a batch of one travels as the
-// SnapReadMsg it stands for); a model.SnapReadReplyBatchMsg is applied
-// member by member and the transaction then checks once whether every read
-// is in. A refused batch NAKs each member, and the first NAK sheds the
+// SnapReadMsg it stands for); a model.SnapReadReplyBatchMsg, the only form
+// a snapshot reply arrives in, is applied member by member and the
+// transaction then checks once whether every read is in. A refused batch NAKs each member, and the first NAK sheds the
 // transaction. TxnDoneMsg.Messages counts one per item read. A quorum with
 // W < N has no fast path: a primary copy may sit outside the write quorum
 // that carried the latest write, so snapshots run as PA there.

@@ -317,47 +317,27 @@ func (ri *Issuer) FinalTimestamp(id model.TxnID) (model.Timestamp, bool) {
 	return ts, ok
 }
 
-// OnMessage implements engine.Actor.
+// OnMessage implements engine.Actor. A pooled message arrives as its pooled
+// pointer, which the delivery layer recycles after OnMessage returns, and a
+// per-copy reply as a batch (package model's wirepool.go).
 func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
 	switch v := msg.(type) {
 	case model.SubmitTxnMsg:
 		ri.onSubmit(ctx, v.Txn)
-	case model.GrantMsg:
-		ri.onGrant(ctx, v)
-	case *model.GrantMsg:
-		// Pooled pointer forms deref to stack copies: the pointer stays owned
-		// by the delivery layer, which recycles it after OnMessage returns.
-		ri.onGrant(ctx, *v)
-	case model.GrantBatchMsg:
-		ri.onGrantBatch(ctx, &v)
 	case *model.GrantBatchMsg:
 		ri.onGrantBatch(ctx, v)
-	case model.SnapReadReplyMsg:
-		ri.onSnapReply(ctx, v)
-	case *model.SnapReadReplyMsg:
-		ri.onSnapReply(ctx, *v)
-	case model.SnapReadReplyBatchMsg:
-		ri.onSnapReplyBatch(ctx, &v)
 	case *model.SnapReadReplyBatchMsg:
 		ri.onSnapReplyBatch(ctx, v)
-	case model.NormalGrantMsg:
-		ri.onNormalGrant(ctx, v)
 	case *model.NormalGrantMsg:
 		ri.onNormalGrant(ctx, *v)
-	case model.RejectMsg:
-		ri.onReject(ctx, v)
 	case *model.RejectMsg:
 		ri.onReject(ctx, *v)
-	case model.BackoffMsg:
-		ri.onBackoff(ctx, v)
 	case *model.BackoffMsg:
 		ri.onBackoff(ctx, *v)
 	case model.VictimMsg:
 		ri.onVictim(ctx, v)
-	case model.BusyMsg:
-		ri.onBusy(ctx, v)
 	case *model.BusyMsg:
 		ri.onBusy(ctx, *v)
 	case model.WrongEpochMsg:

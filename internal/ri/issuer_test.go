@@ -2,6 +2,7 @@ package ri
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ucc/internal/engine"
@@ -32,12 +33,70 @@ func (c *fakeCtx) Send(to engine.Addr, msg model.Message) {
 	// The fake context is its own delivery layer: capture a value copy so the
 	// take[M] matchers see value forms, and recycle the pooled pointer right
 	// away (ownership transfers at Send; the issuer never touches it again).
-	v := model.UnpoolMessage(msg)
+	v := valueForm(msg)
 	c.wire = append(c.wire, engine.Envelope{To: to, Msg: v})
 	for _, m := range perCopy(v) {
 		c.sent = append(c.sent, engine.Envelope{To: to, Msg: m})
 	}
 	model.RecycleMessage(msg)
+}
+
+// valueForm is a value copy of a pooled message, which owns its arrays (it
+// derefs a retained copy that nothing recycles), and any other message as it
+// is.
+func valueForm(msg model.Message) model.Message {
+	if v := reflect.ValueOf(msg); v.Kind() == reflect.Pointer {
+		return reflect.ValueOf(model.RetainMessage(msg)).Elem().Interface().(model.Message)
+	}
+	return msg
+}
+
+// deliver hands msg to iss in the one form a delivery layer hands it over:
+// a grant or snapshot reply as the pooled batch of one it travels as, any
+// other value of a pooled type as its pooled pointer, recycled when iss
+// returns. Anything else, pooled pointers included, passes as it is.
+func deliver(iss *Issuer, ctx engine.Context, from engine.Addr, msg model.Message) {
+	p, made := pooledForm(msg)
+	iss.OnMessage(ctx, from, p)
+	if made {
+		model.RecycleMessage(p)
+	}
+}
+
+// pooledForm is deliver's conversion; made reports that it built p.
+func pooledForm(msg model.Message) (p model.Message, made bool) {
+	switch v := msg.(type) {
+	case model.GrantMsg:
+		return model.PooledGrantBatch(model.GrantBatchMsg{
+			Txn: v.Txn, Attempt: v.Attempt, CopySite: v.Copy.Site, Members: []model.GrantMember{{
+				Item: v.Copy.Item, Lock: v.Lock, PreScheduled: v.PreScheduled, TS: v.TS,
+				Value: v.Value, Version: v.Version, CommitMicros: v.CommitMicros,
+			}},
+		}), true
+	case model.SnapReadReplyMsg:
+		return model.PooledSnapReadReplyBatch(model.SnapReadReplyBatchMsg{
+			Txn: v.Txn, Attempt: v.Attempt, CopySite: v.Copy.Site, Members: []model.SnapReadReplyMember{{
+				Item: v.Copy.Item, Value: v.Value, Version: v.Version, CommitMicros: v.CommitMicros, Exact: v.Exact,
+			}},
+		}), true
+	case model.GrantBatchMsg:
+		return model.PooledGrantBatch(v), true
+	case model.SnapReadReplyBatchMsg:
+		return model.PooledSnapReadReplyBatch(v), true
+	case model.NormalGrantMsg:
+		return model.PooledNormalGrant(v), true
+	case model.RejectMsg:
+		return model.PooledReject(v), true
+	case model.BackoffMsg:
+		return model.PooledBackoff(v), true
+	case model.BusyMsg:
+		return model.PooledBusy(v), true
+	case model.ComputeDoneMsg:
+		return model.PooledComputeDone(v), true
+	case model.RestartMsg:
+		return model.PooledRestart(v), true
+	}
+	return msg, false
 }
 
 // perCopy expands a batch into the per-copy messages it stands for; any other
@@ -95,7 +154,7 @@ func fireTimers(ri *Issuer, c *fakeCtx) {
 	c.timers = nil
 	c.delays = nil
 	for _, e := range timers {
-		ri.OnMessage(c, e.To, e.Msg)
+		deliver(ri, c, e.To, e.Msg)
 	}
 }
 
@@ -116,12 +175,12 @@ func testIssuer(items, sites, replicas int) (*Issuer, *fakeCtx) {
 
 func submit(iss *Issuer, c *fakeCtx, p model.Protocol, reads, writes []model.ItemID) *model.Txn {
 	t := model.NewTxn(model.TxnID{Site: 0, Seq: 99}, p, reads, writes, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
 	return t
 }
 
 func grant(iss *Issuer, c *fakeCtx, req model.RequestMsg, lock model.LockKind, pre bool) {
-	iss.OnMessage(c, engine.QMAddr(req.Copy.Site), model.GrantMsg{
+	deliver(iss, c, engine.QMAddr(req.Copy.Site), model.GrantMsg{
 		Txn: req.Txn, Attempt: req.Attempt, Copy: req.Copy,
 		Lock: lock, PreScheduled: pre, TS: req.TS, Value: 7,
 	})
@@ -189,7 +248,7 @@ func TestWriteValueSpecs(t *testing.T) {
 		{Item: 2, UseSource: true, Source: 2, AddConst: -5}, // pre-image − 5
 		{Item: 3, AddConst: 42},                             // constant
 	}
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	for _, r := range take[model.RequestMsg](c) {
 		grant(iss, c, r, model.WL, false) // pre-image value 7
 	}
@@ -214,7 +273,7 @@ func TestTORejectRestartsWithBiggerTS(t *testing.T) {
 	reqs := take[model.RequestMsg](c)
 	origTS := reqs[0].TS
 	// One queue rejects with a big threshold.
-	iss.OnMessage(c, engine.QMAddr(reqs[0].Copy.Site), model.RejectMsg{
+	deliver(iss, c, engine.QMAddr(reqs[0].Copy.Site), model.RejectMsg{
 		Txn: reqs[0].Txn, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy, Threshold: origTS + 1000,
 	})
 	aborts := take[model.AbortMsg](c)
@@ -275,7 +334,7 @@ func TestTOSemiLockLifecycle(t *testing.T) {
 			readCopy = r.Copy
 		}
 	}
-	iss.OnMessage(c, engine.QMAddr(readCopy.Site), model.NormalGrantMsg{
+	deliver(iss, c, engine.QMAddr(readCopy.Site), model.NormalGrantMsg{
 		Txn: tx.ID, Attempt: 0, Copy: readCopy,
 	})
 	final := take[model.ReleaseMsg](c)
@@ -301,7 +360,7 @@ func TestPANegotiation(t *testing.T) {
 	}
 	// Copy 0 grants provisionally; copy 1 backs off to TS+40.
 	grant(iss, c, reqs[0], model.WL, false)
-	iss.OnMessage(c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
+	deliver(iss, c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
 		Txn: tx.ID, Attempt: 0, Copy: reqs[1].Copy, NewTS: reqs[1].TS + 40,
 	})
 	// All queues responded → FinalTS broadcast to both copies.
@@ -320,7 +379,7 @@ func TestPANegotiation(t *testing.T) {
 	}
 	// Fresh grants stamped with the final timestamp complete the txn.
 	for _, f := range finals {
-		iss.OnMessage(c, engine.QMAddr(f.Copy.Site), model.GrantMsg{
+		deliver(iss, c, engine.QMAddr(f.Copy.Site), model.GrantMsg{
 			Txn: tx.ID, Attempt: 0, Copy: f.Copy, Lock: model.WL, TS: final, Value: 1,
 		})
 	}
@@ -343,7 +402,7 @@ func TestVictimAbortsAndRestarts(t *testing.T) {
 	tx := submit(iss, c, model.TwoPL, nil, []model.ItemID{0, 1})
 	reqs := take[model.RequestMsg](c)
 	grant(iss, c, reqs[0], model.WL, false) // one lock held
-	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 	aborts := take[model.AbortMsg](c)
 	if len(aborts) != 2 {
 		t.Fatalf("aborts = %d want 2 (all copies withdrawn)", len(aborts))
@@ -364,7 +423,7 @@ func TestVictimIgnoredDuringCompute(t *testing.T) {
 	reqs := take[model.RequestMsg](c)
 	grant(iss, c, reqs[0], model.WL, false)
 	// Transaction is computing; a stale victim message must not abort it.
-	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 	if aborts := take[model.AbortMsg](c); len(aborts) != 0 {
 		t.Fatal("aborted while computing")
 	}
@@ -383,9 +442,9 @@ func TestMaxAttemptsDrops(t *testing.T) {
 	}, nil)
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TO, nil, []model.ItemID{0}, 10)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
-	iss.OnMessage(c, engine.QMAddr(req.Copy.Site), model.RejectMsg{
+	deliver(iss, c, engine.QMAddr(req.Copy.Site), model.RejectMsg{
 		Txn: req.Txn, Attempt: 0, Copy: req.Copy, Threshold: 10,
 	})
 	if s := iss.Snapshot(); s.Dropped != 1 || s.Active != 0 {
@@ -401,7 +460,7 @@ func TestChooseFuncOverridesProtocol(t *testing.T) {
 	})
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, nil, []model.ItemID{0}, 10)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
 	if req.Protocol != model.PA {
 		t.Fatalf("selector not applied: %v", req.Protocol)
@@ -413,14 +472,14 @@ func TestStaleMessagesIgnored(t *testing.T) {
 	tx := submit(iss, c, model.TO, nil, []model.ItemID{0})
 	req := take[model.RequestMsg](c)[0]
 	// A grant for a wrong attempt is dropped.
-	iss.OnMessage(c, engine.QMAddr(req.Copy.Site), model.GrantMsg{
+	deliver(iss, c, engine.QMAddr(req.Copy.Site), model.GrantMsg{
 		Txn: tx.ID, Attempt: 7, Copy: req.Copy, Lock: model.WL, TS: req.TS,
 	})
 	if iss.Snapshot().Committed != 0 {
 		t.Fatal("stale grant advanced the transaction")
 	}
 	// A grant for an unknown transaction is dropped.
-	iss.OnMessage(c, engine.QMAddr(0), model.GrantMsg{
+	deliver(iss, c, engine.QMAddr(0), model.GrantMsg{
 		Txn: model.TxnID{Site: 0, Seq: 12345}, Copy: req.Copy, Lock: model.WL,
 	})
 }
@@ -441,12 +500,12 @@ func TestSwitchOnRestart(t *testing.T) {
 	}, nil)
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TO, nil, []model.ItemID{0}, 10)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
 	if req.Protocol != model.TO {
 		t.Fatalf("first attempt protocol = %v", req.Protocol)
 	}
-	iss.OnMessage(c, engine.QMAddr(req.Copy.Site), model.RejectMsg{
+	deliver(iss, c, engine.QMAddr(req.Copy.Site), model.RejectMsg{
 		Txn: req.Txn, Attempt: 0, Copy: req.Copy, Threshold: 100,
 	})
 	fireTimers(iss, c) // restart

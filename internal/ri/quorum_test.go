@@ -69,7 +69,7 @@ func copiesByItem(reqs []model.RequestMsg) map[model.ItemID][]model.SiteID {
 
 // nakBusy delivers a busy NAK for request r.
 func nakBusy(iss *Issuer, c *fakeCtx, r model.RequestMsg) {
-	iss.OnMessage(c, engine.QMAddr(r.Copy.Site), model.BusyMsg{Txn: r.Txn, Attempt: r.Attempt, Copy: r.Copy})
+	deliver(iss, c, engine.QMAddr(r.Copy.Site), model.BusyMsg{Txn: r.Txn, Attempt: r.Attempt, Copy: r.Copy})
 }
 
 // TestQuorumReadFansToAllReplicas: a quorum read is not a primary read. A
@@ -271,7 +271,7 @@ func TestQuorumWritePicksHighestStampPreImage(t *testing.T) {
 	iss, c := quorumIssuer()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 5}, model.TwoPL, nil, []model.ItemID{5}, 50)
 	tx.Specs = []model.WriteSpec{{Item: 5, UseSource: true, Source: 5, AddConst: 1}}
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 2 {
 		t.Fatalf("fanout %d, want W=2", len(reqs))
@@ -283,7 +283,7 @@ func TestQuorumWritePicksHighestStampPreImage(t *testing.T) {
 		at    int64
 	}{{11, 100}, {77, 900}}
 	for i, r := range reqs {
-		iss.OnMessage(c, engine.QMAddr(r.Copy.Site), model.GrantMsg{
+		deliver(iss, c, engine.QMAddr(r.Copy.Site), model.GrantMsg{
 			Txn: r.Txn, Attempt: r.Attempt, Copy: r.Copy,
 			Lock: model.WL, TS: r.TS,
 			Value: stamps[i].value, CommitMicros: stamps[i].at,
@@ -331,14 +331,14 @@ func TestQuorumFirstAttemptAsksAQuorumLocalFirst(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			iss, c := quorumIssuerAt(tc.site, tc.q)
 			tx := model.NewTxn(model.TxnID{Site: tc.site, Seq: 1}, model.TwoPL, tc.reads, tc.writes, 50)
-			iss.OnMessage(c, engine.DriverAddr(tc.site), model.SubmitTxnMsg{Txn: tx})
+			deliver(iss, c, engine.DriverAddr(tc.site), model.SubmitTxnMsg{Txn: tx})
 			got := copiesByItem(take[model.RequestMsg](c))
 			for item, sites := range tc.want {
 				if !slices.Equal(got[item], sites) {
 					t.Fatalf("item %d asked at %v, want %v", item, got[item], sites)
 				}
 			}
-			iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+			deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 			fireTimers(iss, c) // the restart (and the idle sweep)
 			retry := copiesByItem(take[model.RequestMsg](c))
 			for item, sites := range tc.want {
@@ -399,7 +399,7 @@ func TestQuorumSweepHedgesSilentCopy(t *testing.T) {
 	ids := []model.TxnID{{Site: 0, Seq: 9}, {Site: 0, Seq: 3}, {Site: 0, Seq: 6}}
 	var first []model.RequestMsg
 	for _, id := range ids {
-		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
+		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
 		first = append(first, take[model.RequestMsg](c)...)
 	}
 	if n := timersOf[model.TickMsg](c); n != 1 {
@@ -490,7 +490,7 @@ func TestQuorumFinalizedPARestartsOnEveryCopy(t *testing.T) {
 				t.Fatalf("requests = %+v, want W=2", reqs)
 			}
 			grantAll(iss, c, reqs[:1])
-			iss.OnMessage(c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
+			deliver(iss, c, engine.QMAddr(reqs[1].Copy.Site), model.BackoffMsg{
 				Txn: tx.ID, Attempt: 0, Copy: reqs[1].Copy, NewTS: reqs[1].TS + 40,
 			})
 			if finals := take[model.FinalTSMsg](c); len(finals) != 2 {
@@ -532,7 +532,7 @@ func TestQuorumProbationRanksStalledSitesLast(t *testing.T) {
 		t.Helper()
 		next++
 		id := model.TxnID{Site: 0, Seq: next}
-		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
+		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
 		return take[model.RequestMsg](c)
 	}
 	sitesOf := func(reqs []model.RequestMsg) []model.SiteID { return copiesByItem(reqs)[3] }

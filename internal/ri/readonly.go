@@ -85,12 +85,6 @@ func (ri *Issuer) startROCompute(ctx engine.Context, s *roState) {
 	ctx.SetTimer(ri.computeMicros(&s.txn), model.PooledComputeDone(model.ComputeDoneMsg{Txn: s.txn.ID}))
 }
 
-func (ri *Issuer) onSnapReply(ctx engine.Context, v model.SnapReadReplyMsg) {
-	if s := ri.roActive[v.Txn]; s != nil && ri.applySnapReply(s, v) && len(s.pending) == 0 {
-		ri.startROCompute(ctx, s)
-	}
-}
-
 // onSnapReplyBatch applies every member of a snapshot reply batch, then
 // checks once whether the transaction's reads are all in (see
 // onGrantBatch).

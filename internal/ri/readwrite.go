@@ -201,13 +201,6 @@ func (ri *Issuer) stateFor(id model.TxnID, attempt model.Attempt) *txnState {
 	return s
 }
 
-func (ri *Issuer) onGrant(ctx engine.Context, v model.GrantMsg) {
-	ri.heard(v.Copy.Site)
-	if s := ri.stateFor(v.Txn, v.Attempt); s != nil && ri.applyGrant(ctx, s, v) {
-		ri.advance(ctx, s)
-	}
-}
-
 // onGrantBatch applies every member of a grant batch, then advances the
 // attempt once: the batch is its members, and the attempt's gates see them
 // together.

@@ -87,7 +87,7 @@ func (c *loopCtx) SetTimer(d int64, msg model.Message) {
 func (c *loopCtx) run(iss *Issuer) {
 	for i := 0; i < len(c.queue); i++ {
 		c.now++
-		iss.OnMessage(c, engine.QMAddr(0), c.queue[i])
+		deliver(iss, c, engine.QMAddr(0), c.queue[i])
 		model.RecycleMessage(c.queue[i])
 	}
 	clear(c.queue)
@@ -159,7 +159,7 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 			}
 			c.queue = append(c.queue, m) // delivered, then recycled, by run
 		} else {
-			iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+			deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
 		}
 		next++
 		c.run(iss)
@@ -220,7 +220,7 @@ func TestQuorumLifecycleAllocatesNothing(t *testing.T) {
 				}
 				next := 0
 				commit := func() {
-					iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+					deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
 					next++
 					c.run(iss)
 				}
@@ -256,7 +256,7 @@ func TestOversizedStateIsNotKept(t *testing.T) {
 	seq := uint64(0)
 	commit := func(p model.Protocol, reads []model.ItemID) {
 		seq++
-		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(model.TxnID{Site: 0, Seq: seq}, p, reads, nil, 0)})
+		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(model.TxnID{Site: 0, Seq: seq}, p, reads, nil, 0)})
 		c.run(iss)
 	}
 	for _, p := range []model.Protocol{model.TwoPL, model.ROSnapshot} {
@@ -283,7 +283,7 @@ func TestCopyReadAndWrittenKeepsTheWrite(t *testing.T) {
 	iss, c := testIssuer(8, 2, 1)
 	tx := &model.Txn{ID: model.TxnID{Site: 0, Seq: 7}, Protocol: model.TwoPL,
 		ReadSet: []model.ItemID{0, 1}, WriteSet: []model.ItemID{1}, ComputeMicros: 50}
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 3 {
 		t.Fatalf("%d requests, want 3 (item 1 read and written)", len(reqs))
@@ -303,7 +303,7 @@ func TestCopyReadAndWrittenKeepsTheWrite(t *testing.T) {
 // mailbox loop would.
 func deliverStale(iss *Issuer, c *fakeCtx, msgs ...model.Message) {
 	for _, m := range msgs {
-		iss.OnMessage(c, engine.QMAddr(0), m)
+		deliver(iss, c, engine.QMAddr(0), m)
 		model.RecycleMessage(m)
 	}
 }
@@ -334,7 +334,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 		t.Fatalf("first transaction did not commit: %+v", s)
 	}
 	tx2 := model.NewTxn(model.TxnID{Site: 0, Seq: 100}, model.TO, reads, writes, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx2})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx2})
 	reqs2 := take[model.RequestMsg](c)
 	s := iss.active[tx2.ID]
 	if s == nil || s != old {
@@ -379,15 +379,15 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 
 	// Read-only snapshot: a committed one's state goes to the next.
 	ro1 := model.NewTxn(model.TxnID{Site: 0, Seq: 101}, model.ROSnapshot, []model.ItemID{2, 3}, nil, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro1})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro1})
 	snaps := take[model.SnapReadMsg](c)
 	oldRO := iss.roActive[ro1.ID]
 	for _, r := range snaps {
-		iss.OnMessage(c, engine.QMAddr(r.Copy.Site), model.SnapReadReplyMsg{Txn: ro1.ID, Copy: r.Copy, Exact: true})
+		deliver(iss, c, engine.QMAddr(r.Copy.Site), model.SnapReadReplyMsg{Txn: ro1.ID, Copy: r.Copy, Exact: true})
 	}
 	fireTimers(iss, c)
 	ro2 := model.NewTxn(model.TxnID{Site: 0, Seq: 102}, model.ROSnapshot, []model.ItemID{2, 3}, nil, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro2})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro2})
 	rs := iss.roActive[ro2.ID]
 	if rs == nil || rs != oldRO {
 		t.Fatal("the second read-only transaction did not reuse the first one's state")
@@ -429,13 +429,13 @@ func TestSubmitLeavesCallersTxnAlone(t *testing.T) {
 		return model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, []model.ItemID{0, 1}, []model.ItemID{2}, 50)
 	}
 	tx, want := mk(), mk()
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 3 || reqs[0].Protocol != model.PA {
 		t.Fatalf("first attempt sent %+v, want 3 PA requests (chosen ROSnapshot, demoted)", reqs)
 	}
 	// A busy NAK aborts the attempt, and its restart switches to T/O.
-	iss.OnMessage(c, engine.QMAddr(reqs[0].Copy.Site), model.BusyMsg{Txn: tx.ID, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy})
+	deliver(iss, c, engine.QMAddr(reqs[0].Copy.Site), model.BusyMsg{Txn: tx.ID, Attempt: reqs[0].Attempt, Copy: reqs[0].Copy})
 	fireTimers(iss, c)
 	reqs = take[model.RequestMsg](c)
 	if len(reqs) != 3 || reqs[0].Protocol != model.TO {
@@ -457,12 +457,12 @@ func TestSubmitLeavesCallersTxnAlone(t *testing.T) {
 	// and the write installs the default pre-image + 1, not the new spec.
 	iss, c = testIssuer(8, 2, 1)
 	tx = model.NewTxn(model.TxnID{Site: 0, Seq: 2}, model.TwoPL, []model.ItemID{0}, []model.ItemID{1}, 50)
-	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	first := take[model.RequestMsg](c)
 	tx.Protocol = model.TO
 	tx.ReadSet[0], tx.WriteSet[0] = 5, 6
 	tx.Specs = []model.WriteSpec{{Item: 1, AddConst: 99}}
-	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: first[0].Attempt})
+	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: first[0].Attempt})
 	fireTimers(iss, c)
 	again := take[model.RequestMsg](c)
 	if len(again) != len(first) {

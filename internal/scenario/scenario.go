@@ -152,13 +152,3 @@ func (s *Scenario) sitePhases(site int) []workload.Phase {
 	}
 	return out
 }
-
-// TotalMicros is the scheduled scenario length (sum of phase durations,
-// excluding the settle window).
-func (s *Scenario) TotalMicros() int64 {
-	var t int64
-	for i := range s.Phases {
-		t += s.Phases[i].DurationMicros
-	}
-	return t
-}

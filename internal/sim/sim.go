@@ -153,7 +153,7 @@ func (e *Engine) Step() bool {
 	e.Delivered++
 	a.OnMessage(e.ctxs[to], from, msg)
 	// Ownership transferred at Send: pooled messages recycle once the
-	// receiving actor returns (retainers copy via model.UnpoolMessage).
+	// receiving actor returns (retainers copy via model.RetainMessage).
 	model.RecycleMessage(msg)
 	e.deliverOffloaded()
 	return true

@@ -70,7 +70,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	for i := 0; i < total; i++ {
 		nodeA.forward(engine.Envelope{
 			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)},
+			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)}),
 		})
 	}
 	waitRecorder(t, recv, "framed traffic")
@@ -182,7 +182,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 			start := time.Now()
 			nodeA.forward(engine.Envelope{
 				From: engine.RIAddr(0), To: engine.QMAddr(1),
-				Msg: model.RequestMsg{Txn: txn, Attempt: 3},
+				Msg: request(model.RequestMsg{Txn: txn, Attempt: 3}),
 			})
 			// Well under the 3 s production timeout: the shortened
 			// handshakeTimeout is what bounds the stalled cases.
@@ -223,7 +223,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 			rtB.Register(engine.QMAddr(1), recv)
 			nodeA.forward(engine.Envelope{
 				From: engine.RIAddr(0), To: engine.QMAddr(1),
-				Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 8}},
+				Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 8}}),
 			})
 			waitRecorder(t, recv, "first send after a real peer took the address")
 			if s := nodeA.Wire().Snapshot(); s.ConnsOut != 1 {
@@ -251,9 +251,13 @@ func (c *memberNAKs) OnMessage(_ engine.Context, _ engine.Addr, msg model.Messag
 		close(c.marked)
 		return
 	}
-	busy, ok := model.UnpoolMessage(msg).(model.BusyMsg)
+	busy, ok := msg.(*model.BusyMsg)
+	if !ok {
+		c.bad++
+		return
+	}
 	i := int(busy.Copy.Item - c.base)
-	if !ok || i < 0 || i >= len(c.seen) || c.seen[i] || model.Message(busy) != c.batch.Busy(i) {
+	if i < 0 || i >= len(c.seen) || c.seen[i] || *busy != *c.batch.Busy(i).(*model.BusyMsg) {
 		c.bad++
 		return
 	}
@@ -303,7 +307,7 @@ func TestEncodeFailureNAKsSheddable(t *testing.T) {
 	nodeA.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: huge})
 	nodeA.forward(engine.Envelope{
 		From: engine.RIAddr(0), To: engine.QMAddr(1),
-		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 10}},
+		Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 10}}),
 	})
 
 	waitRecorder(t, okRecv, "good envelope after the encode drop")
@@ -372,7 +376,7 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 	known := func(seq uint64) []byte {
 		p, err := wire.AppendEnvelope(nil, engine.Envelope{
 			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: seq}},
+			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: seq}}),
 		})
 		if err != nil {
 			t.Fatal(err)

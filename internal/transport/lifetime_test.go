@@ -186,7 +186,7 @@ func checkNAKs(t *testing.T, naks []model.Message, sent int) map[uint64]bool {
 	t.Helper()
 	want := map[model.BusyMsg]bool{}
 	for i := 0; i < sent; i++ {
-		want[distinctRequest(i).Busy(0).(model.BusyMsg)] = true
+		want[busyOf(distinctRequest(i))] = true
 	}
 	seen := map[uint64]bool{}
 	for i, m := range naks {
@@ -211,7 +211,7 @@ func checkNAKs(t *testing.T, naks []model.Message, sent int) map[uint64]bool {
 // BusyMsg for it, carrying the request's own identity.
 func TestDroppedPooledRequestsNAKIntact(t *testing.T) {
 	send := func(n *Node, i int) {
-		n.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: model.PooledRequest(distinctRequest(i))})
+		n.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: request(distinctRequest(i))})
 	}
 
 	t.Run("unreachable peer", func(t *testing.T) {
@@ -315,7 +315,7 @@ func checkBatchNAKs(t *testing.T, naks []model.Message, batches []int) {
 	for _, i := range batches {
 		b := distinctBatch(i)
 		for m := range b.Members {
-			want[b.Busy(m).(model.BusyMsg)] = true
+			want[*b.Busy(m).(*model.BusyMsg)] = true
 		}
 	}
 	if len(naks) != len(want) {
@@ -438,7 +438,7 @@ func TestAssignConsultedOncePerAddress(t *testing.T) {
 	rtA.Register(engine.QMAddr(0), local)
 	for i := 0; i < each; i++ {
 		for _, to := range []engine.Addr{engine.QMAddr(1), engine.RIAddr(1), engine.QMAddr(0)} {
-			nodeA.forward(engine.Envelope{From: engine.RIAddr(0), To: to, Msg: model.PooledRequest(distinctRequest(i))})
+			nodeA.forward(engine.Envelope{From: engine.RIAddr(0), To: to, Msg: request(distinctRequest(i))})
 		}
 	}
 	waitRecorder(t, remote, "the remote destinations")
@@ -467,7 +467,7 @@ type doneLog struct {
 }
 
 func (d *doneLog) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
-	if v, ok := model.UnpoolMessage(msg).(model.TxnDoneMsg); ok { // either form
+	if v, ok := valueForm(msg).(model.TxnDoneMsg); ok { // either form
 		d.mu.Lock()
 		d.dones = append(d.dones, v)
 		d.mu.Unlock()

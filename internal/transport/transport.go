@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"net"
 	"slices"
 	"strings"
@@ -456,7 +455,7 @@ func (ps *peerSender) enqueue(env engine.Envelope) {
 		// forever — its already-admitted requests at other sites would hold
 		// queue entries with no wait-cycle for the deadlock detector to break.
 		// A BusyMsg is not itself sheddable, so a full mailbox still admits it.
-		for nak := range busyNAKs(evicted) {
+		for nak := range engine.BusyNAKs(evicted) {
 			n.deliver(nak)
 		}
 		model.RecycleMessage(evicted.Msg)
@@ -635,27 +634,8 @@ func (ps *peerSender) run() {
 // re-request supersedes the resident entry at the queue manager.
 func (n *Node) nakBatch(batch []engine.Envelope) {
 	for _, env := range batch {
-		for nak := range busyNAKs(env) {
+		for nak := range engine.BusyNAKs(env) {
 			n.deliver(nak)
-		}
-	}
-}
-
-// busyNAKs inverts a sheddable envelope into its BusyMsg NAKs toward the
-// sender, one per copy it carried — every member of a request batch — the
-// same inversion engine.Runtime.nak performs for a refused mailbox push.
-// Non-sheddable messages yield nothing: they have no Busy form and are never
-// refused.
-func busyNAKs(env engine.Envelope) iter.Seq[engine.Envelope] {
-	return func(yield func(engine.Envelope) bool) {
-		sh, ok := env.Msg.(model.Sheddable)
-		if !ok {
-			return
-		}
-		for i := range sh.Copies() {
-			if !yield(engine.Envelope{From: env.To, To: env.From, Msg: sh.Busy(i)}) {
-				return
-			}
 		}
 	}
 }
@@ -692,7 +672,7 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 				// NAK'd back to its local sender; silence would strand the
 				// issuer's attempt in negotiation forever.
 				ps.n.droppedSends.Add(1)
-				for nak := range busyNAKs(env) {
+				for nak := range engine.BusyNAKs(env) {
 					ps.n.deliver(nak)
 				}
 				model.RecycleMessage(env.Msg)

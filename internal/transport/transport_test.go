@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,11 +29,56 @@ type recorder struct {
 
 func (r *recorder) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
 	r.mu.Lock()
-	r.got = append(r.got, model.UnpoolMessage(msg))
+	r.got = append(r.got, asSingle(valueForm(msg)))
 	if len(r.got) == r.want {
 		close(r.done)
 	}
 	r.mu.Unlock()
+}
+
+// valueForm is a value copy of a pooled message, which owns its arrays (it
+// derefs a retained copy that nothing recycles), and any other message as it
+// is.
+func valueForm(msg model.Message) model.Message {
+	if v := reflect.ValueOf(msg); v.Kind() == reflect.Pointer {
+		return reflect.ValueOf(model.RetainMessage(msg)).Elem().Interface().(model.Message)
+	}
+	return msg
+}
+
+// asSingle is a batch of one as the single message it stands for, and any
+// other message as it is.
+func asSingle(msg model.Message) model.Message {
+	switch v := msg.(type) {
+	case model.RequestBatchMsg:
+		if len(v.Members) == 1 {
+			return v.Request(0)
+		}
+	case model.ReleaseBatchMsg:
+		if len(v.Members) == 1 {
+			return v.Release(0)
+		}
+	case model.GrantBatchMsg:
+		if len(v.Members) == 1 {
+			return v.Grant(0)
+		}
+	}
+	return msg
+}
+
+// request is v as the pooled batch of one it travels as: a sheddable
+// opener.
+func request(v model.RequestMsg) model.Message {
+	return model.PooledRequestBatch(model.RequestBatchMsg{
+		Txn: v.Txn, Attempt: v.Attempt, Protocol: v.Protocol, TS: v.TS, Interval: v.Interval,
+		Site: v.Site, Epoch: v.Epoch, CopySite: v.Copy.Site,
+		Members: []model.RequestMember{{Item: v.Copy.Item, Kind: v.Kind}},
+	})
+}
+
+// busyOf is the NAK a refused request draws.
+func busyOf(v model.RequestMsg) model.BusyMsg {
+	return model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}
 }
 
 type relay struct{ to engine.Addr }
@@ -281,7 +327,7 @@ func TestBatchCoalesces(t *testing.T) {
 	for i := 0; i < total; i++ {
 		nodeA.forward(engine.Envelope{
 			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)},
+			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)}),
 		})
 	}
 	select {
@@ -350,7 +396,7 @@ func TestSendQueueCapDropsOldest(t *testing.T) {
 	send := func(i int) {
 		nodeA.forward(engine.Envelope{
 			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)},
+			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)}),
 		})
 	}
 	// First envelope alone, and a beat for the writer to take it and enter
@@ -434,7 +480,7 @@ func TestSendQueueCapEvictionNAKs(t *testing.T) {
 	send := func(i int) {
 		nodeA.forward(engine.Envelope{
 			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)},
+			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)}),
 		})
 	}
 	send(0)
@@ -513,7 +559,7 @@ func TestUnreachablePeerNAKsSheddables(t *testing.T) {
 
 	nodeA.forward(engine.Envelope{
 		From: engine.RIAddr(0), To: engine.QMAddr(1),
-		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 7}},
+		Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 7}}),
 	})
 	nodeA.forward(engine.Envelope{
 		From: engine.RIAddr(0), To: engine.QMAddr(1),
@@ -578,7 +624,7 @@ func TestSendQueueCapSparesCompleters(t *testing.T) {
 	// never evicted) interleaved with twice as many requests (sheddable).
 	nodeA.forward(engine.Envelope{
 		From: engine.RIAddr(0), To: engine.QMAddr(1),
-		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 9999}},
+		Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 9999}}),
 	})
 	time.Sleep(50 * time.Millisecond)
 	for i := 0; i < releases; i++ {
@@ -589,7 +635,7 @@ func TestSendQueueCapSparesCompleters(t *testing.T) {
 		for j := 0; j < 2; j++ {
 			nodeA.forward(engine.Envelope{
 				From: engine.RIAddr(0), To: engine.QMAddr(1),
-				Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(1000 + i*2 + j)}},
+				Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(1000 + i*2 + j)}}),
 			})
 		}
 	}
@@ -690,7 +736,7 @@ func TestSendDuringReconnect(t *testing.T) {
 				}
 				nodeA.forward(engine.Envelope{
 					From: engine.RIAddr(0), To: engine.QMAddr(1),
-					Msg: model.PooledRequest(reconnectRequest(s, i)),
+					Msg: request(reconnectRequest(s, i)),
 				})
 				if i%64 == 0 {
 					time.Sleep(time.Millisecond) // let batches form and the dialer breathe

@@ -20,7 +20,8 @@ type GroupCommitter struct {
 	syncs   uint64
 }
 
-// NewGroupCommitter wraps a sync function (typically SiteLog.flush).
+// NewGroupCommitter wraps a sync function (SiteLog.flush, or a queue
+// manager's Durable.Flush, which its shards drain through).
 func NewGroupCommitter(syncFn func() error) *GroupCommitter {
 	g := &GroupCommitter{sync: syncFn}
 	g.cond = sync.NewCond(&g.mu)

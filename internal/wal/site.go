@@ -21,9 +21,9 @@ type Options struct {
 	// GroupCommitter so one sync covers every record appended by the
 	// concurrently committing transactions. The queue manager already
 	// batches — at most one sync in flight per shard, shards coalesced by
-	// its commit sequencer — so this matters only to callers that Flush
-	// from several goroutines of their own; under the single-threaded
-	// simulator it changes nothing.
+	// its own GroupCommitter over Flush — so this matters only to callers
+	// that Flush from several goroutines of their own; under the
+	// single-threaded simulator it changes nothing.
 	GroupCommit bool
 }
 

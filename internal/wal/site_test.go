@@ -265,6 +265,44 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitterCoalesces: concurrent committers must share syncs (the
+// leader/follower batching) while every commit still waits for a sync that
+// started after its call.
+func TestGroupCommitterCoalesces(t *testing.T) {
+	var mu sync.Mutex
+	syncs := 0
+	g := NewGroupCommitter(func() error {
+		mu.Lock()
+		syncs++
+		mu.Unlock()
+		return nil
+	})
+	const committers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < committers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				if err := g.Commit(); err != nil {
+					panic(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	commits, got := g.Stats()
+	if commits != committers*50 {
+		t.Fatalf("commits=%d want %d", commits, committers*50)
+	}
+	if got != uint64(syncs) {
+		t.Fatalf("stats syncs=%d, actual %d", got, syncs)
+	}
+	if got > commits {
+		t.Fatalf("more syncs (%d) than commits (%d)", got, commits)
+	}
+}
+
 // TestRecoverWithEmptyTailKeepsSnapshot: recovery with nothing to replay
 // must not rewrite the snapshot in place — truncating the only valid
 // snapshot before resyncing it would brick the site if that write tore.

@@ -30,14 +30,20 @@ func Corpus() []engine.Envelope {
 		}
 	}
 
-	// Hot path: the request→grant→release cycle dominates wire traffic.
-	add(ri, qm, 8, model.RequestMsg{Txn: txn, Attempt: 3, Protocol: model.PA, Kind: model.OpWrite, Copy: cp, TS: 123456789, Interval: 250, Site: 1})
-	add(qm, ri, 8, model.GrantMsg{Txn: txn, Attempt: 3, Copy: cp, Lock: model.WL, TS: 123456789, Value: -987654321, Version: 17, CommitMicros: 1 << 38})
-	add(ri, qm, 8, model.ReleaseMsg{Txn: txn, Attempt: 3, Copy: cp, HasWrite: true, Value: 5, CommitMicros: 1 << 40})
-	add(ri, qm, 3, model.SnapReadMsg{Txn: txn, Attempt: 0, Copy: cp, SnapMicros: 1 << 41, Site: 1})
-	add(qm, ri, 3, model.SnapReadReplyMsg{Txn: txn, Attempt: 0, Copy: cp, Value: 11, Version: 9, CommitMicros: 1 << 39, Exact: true})
+	// Hot path: the request→grant→release cycle dominates wire traffic. A
+	// per-copy step to one copy at a mailbox is a batch of one, which
+	// travels under its single message's tag.
+	add(ri, qm, 8, model.RequestBatchMsg{Txn: txn, Attempt: 3, Protocol: model.PA, TS: 123456789, Interval: 250, Site: 1, CopySite: 2,
+		Members: []model.RequestMember{{Item: 7, Kind: model.OpWrite}}})
+	add(qm, ri, 8, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
+		{Item: 7, Lock: model.WL, TS: 123456789, Value: -987654321, Version: 17, CommitMicros: 1 << 38}}})
+	add(ri, qm, 8, model.ReleaseBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, CommitMicros: 1 << 40,
+		Members: []model.ReleaseMember{{Item: 7, HasWrite: true, Value: 5}}})
+	add(ri, qm, 3, model.SnapReadBatchMsg{Txn: txn, Attempt: 0, SnapMicros: 1 << 41, Site: 1, CopySite: 2, Members: []model.ItemID{7}})
+	add(qm, ri, 3, model.SnapReadReplyBatchMsg{Txn: txn, Attempt: 0, CopySite: 2, Members: []model.SnapReadReplyMember{
+		{Item: 7, Value: 11, Version: 9, CommitMicros: 1 << 39, Exact: true}}})
 	add(ri, qm, 2, model.FinalTSMsg{Txn: txn, Attempt: 1, Copy: cp, TS: 4242})
-	add(ri, qm, 2, model.AbortMsg{Txn: txn, Attempt: 2, Copy: cp})
+	add(ri, qm, 2, model.AbortBatchMsg{Txn: txn, Attempt: 2, CopySite: 2, Members: []model.ItemID{7}})
 	add(qm, ri, 1, model.NormalGrantMsg{Txn: txn, Attempt: 3, Copy: cp})
 	add(qm, ri, 1, model.RejectMsg{Txn: txn, Attempt: 1, Copy: cp, Threshold: 999})
 	add(qm, ri, 1, model.BackoffMsg{Txn: txn, Attempt: 1, Copy: cp, NewTS: 777})
@@ -46,7 +52,7 @@ func Corpus() []engine.Envelope {
 
 	// The same cycle for an attempt with two copies at one mailbox, and a
 	// read-only scatter/gather with three: one envelope per destination per
-	// protocol step (a batch of one travels as the single message above).
+	// protocol step.
 	add(ri, qm, 3, model.RequestBatchMsg{Txn: txn, Attempt: 3, Protocol: model.PA, TS: 123456789, Interval: 250, Site: 1, CopySite: 2,
 		Members: []model.RequestMember{{Item: 7, Kind: model.OpWrite}, {Item: 19, Kind: model.OpRead}}})
 	add(qm, ri, 3, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
@@ -111,7 +117,8 @@ func Corpus() []engine.Envelope {
 	// Stamp extremes: a stamp encoded as a delta from another stamp of its
 	// message wraps around int64, and every value still round-trips.
 	const minStamp, maxStamp, noStamp = math.MinInt64, math.MaxInt64, int64(model.NoTimestamp)
-	add(qm, ri, 1, model.GrantMsg{Txn: txn, Attempt: 3, Copy: cp, Lock: model.RL, TS: minStamp, CommitMicros: maxStamp})
+	add(qm, ri, 1, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
+		{Item: 7, Lock: model.RL, TS: minStamp, CommitMicros: maxStamp}}})
 	add(qm, ri, 1, model.GrantBatchMsg{Txn: txn, Attempt: 3, CopySite: 2, Members: []model.GrantMember{
 		{Item: 7, Lock: model.WL, TS: maxStamp, CommitMicros: minStamp},
 		{Item: 19, Lock: model.RL, TS: minStamp, CommitMicros: 0},

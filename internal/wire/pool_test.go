@@ -11,8 +11,8 @@ import (
 
 // TestPooledDecodeEquivalence: over the whole corpus, the pooled decode path
 // must produce messages field-for-field equal to the plain path (compared in
-// the form UnpoolMessage copies out), re-encode to the identical bytes, and
-// return non-pooled types exactly as DecodeEnvelope would.
+// plainForm), re-encode to the identical bytes, and return non-pooled types
+// exactly as DecodeEnvelope would.
 func TestPooledDecodeEquivalence(t *testing.T) {
 	for i, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
@@ -30,7 +30,7 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 		if pooled.From != plain.From || pooled.To != plain.To {
 			t.Fatalf("envelope %d (%T): addresses differ: %+v vs %+v", i, env.Msg, pooled, plain)
 		}
-		if got := model.UnpoolMessage(pooled.Msg); !reflect.DeepEqual(got, plain.Msg) {
+		if got := plainForm(pooled.Msg); !reflect.DeepEqual(got, plain.Msg) {
 			t.Fatalf("envelope %d (%T): pooled message differs:\n pooled: %+v\n  plain: %+v", i, env.Msg, got, plain.Msg)
 		}
 		// A pooled pointer must re-encode byte-identically to the value form.
@@ -46,9 +46,10 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// eleven fixed-size protocol types, the six bounded batches, the catch-up
-// pull and reply and the wait-for report with their bounded arrays, the
-// submit's Txn, and nothing else. Any other variable-size type coming back pooled
+// fixed-size protocol types and timers, the six bounded batches (of one
+// member, too), the catch-up pull and
+// reply, the wait-for report and the stats report with their bounded arrays,
+// the submit's Txn, and nothing else. Any other variable-size type coming back pooled
 // here means someone pooled a message whose slices or maps would pin memory;
 // a hot type coming back unpooled means the pool silently stopped covering
 // it.
@@ -64,17 +65,15 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 		reflect.TypeOf(model.GrantBatchMsg{}):         true,
 		reflect.TypeOf(model.SnapReadBatchMsg{}):      true,
 		reflect.TypeOf(model.SnapReadReplyBatchMsg{}): true,
-		reflect.TypeOf(model.RequestMsg{}):            true,
 		reflect.TypeOf(model.FinalTSMsg{}):            true,
-		reflect.TypeOf(model.ReleaseMsg{}):            true,
-		reflect.TypeOf(model.AbortMsg{}):              true,
-		reflect.TypeOf(model.GrantMsg{}):              true,
 		reflect.TypeOf(model.NormalGrantMsg{}):        true,
 		reflect.TypeOf(model.RejectMsg{}):             true,
 		reflect.TypeOf(model.BackoffMsg{}):            true,
 		reflect.TypeOf(model.BusyMsg{}):               true,
-		reflect.TypeOf(model.SnapReadMsg{}):           true,
-		reflect.TypeOf(model.SnapReadReplyMsg{}):      true,
+		reflect.TypeOf(model.ProbeWFGMsg{}):           true,
+		reflect.TypeOf(model.QueueStatsMsg{}):         true,
+		reflect.TypeOf(model.ComputeDoneMsg{}):        true,
+		reflect.TypeOf(model.RestartMsg{}):            true,
 	}
 	for i, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
@@ -93,24 +92,43 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 }
 
 // decodedPooled reports whether m came out of a pool: a pointer, or a submit
-// whose Txn UnpoolMessage has to copy out. A submit stays one pointer, so its
+// whose Txn RetainMessage has to copy out. A submit stays one pointer, so its
 // struct is a value either way.
 func decodedPooled(m model.Message) bool {
 	if s, ok := m.(model.SubmitTxnMsg); ok {
-		return model.UnpoolMessage(s).(model.SubmitTxnMsg).Txn != s.Txn
+		return model.RetainMessage(s).(model.SubmitTxnMsg).Txn != s.Txn
 	}
 	return reflect.TypeOf(m).Kind() == reflect.Pointer
 }
 
+// plainForm is m in the form the plain decoder returns it: a pooled
+// pointer's value with its exported fields only (the array a pooled message
+// keeps is unexported), and a submit with its pooled Txn copied out.
+func plainForm(m model.Message) any {
+	if s, ok := m.(model.SubmitTxnMsg); ok {
+		return model.RetainMessage(s)
+	}
+	v := reflect.ValueOf(m)
+	if v.Kind() != reflect.Pointer {
+		return m
+	}
+	v = v.Elem()
+	out := reflect.New(v.Type()).Elem()
+	for i := range v.NumField() {
+		if v.Type().Field(i).IsExported() {
+			out.Field(i).Set(v.Field(i))
+		}
+	}
+	return out.Interface()
+}
+
 // TestSendOnlyPooledTypesDecodeAsValues pins the decode half of the send-only
-// rule (model/wirepool.go): TxnDone (tag 16), ComputeDone (20), Restart (21)
-// and TxnFinished (22) leave an issuer, QueueStats (17) a queue manager and
-// ProbeWFG (14) the deadlock detector as pooled pointers, encode to exactly their values' bytes, and come back
-// from the pooled decoder as values — the form a client that knows only the
-// value cases matches.
+// rule (model/wirepool.go): TxnDone (tag 16) and TxnFinished (22) leave an
+// issuer as pooled pointers, encode to exactly their values' bytes, and come
+// back from the pooled decoder as values — the form a client that knows only
+// the value cases matches.
 func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 	txn := model.TxnID{Site: 2, Seq: 41}
-	stats := model.QueueStatsMsg{From: 2, AtMicros: 900, SinceMicros: 400, Grants: []model.QueueGrants{{Item: 3, Reads: 1, Writes: -1}, {Item: 7, Writes: 2}}}
 	for _, tc := range []struct {
 		tag    model.WireTag
 		value  model.Message
@@ -118,11 +136,7 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 	}{
 		{16, model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6},
 			model.PooledTxnDone(model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6})},
-		{20, model.ComputeDoneMsg{Txn: txn, Attempt: 2}, model.PooledComputeDone(model.ComputeDoneMsg{Txn: txn, Attempt: 2})},
-		{21, model.RestartMsg{Txn: txn, Attempt: 3}, model.PooledRestart(model.RestartMsg{Txn: txn, Attempt: 3})},
 		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
-		{17, stats, model.PooledQueueStats(stats)},
-		{14, model.ProbeWFGMsg{Round: 300}, model.PooledProbeWFG(model.ProbeWFGMsg{Round: 300})},
 	} {
 		want, err := model.AppendMessage(nil, tc.value)
 		if err != nil {
@@ -152,7 +166,8 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 // through the same pool slot cannot leak a previous message's fields. Decode
 // a fully-populated request, recycle it, then decode a mostly-zero request —
 // single-threaded, so the pool hands back the same struct — and every field
-// must match the second message, not the first.
+// must match the second message, not the first. A request decodes as the
+// batch of one it stands for.
 func TestPoolReuseSafety(t *testing.T) {
 	full := model.RequestMsg{
 		Txn: model.TxnID{Site: 3, Seq: 99}, Attempt: 7, Protocol: model.PA,
@@ -173,11 +188,11 @@ func TestPoolReuseSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, ok := env1.Msg.(*model.RequestMsg)
+	p1, ok := env1.Msg.(*model.RequestBatchMsg)
 	if !ok {
-		t.Fatalf("decoded %T, want *model.RequestMsg", env1.Msg)
+		t.Fatalf("decoded %T, want *model.RequestBatchMsg", env1.Msg)
 	}
-	if *p1 != full {
+	if len(p1.Members) != 1 || p1.Request(0) != full {
 		t.Fatalf("first decode: got %+v, want %+v", *p1, full)
 	}
 	model.RecycleMessage(p1)
@@ -186,8 +201,8 @@ func TestPoolReuseSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := env2.Msg.(*model.RequestMsg)
-	if *p2 != sparse {
+	p2 := env2.Msg.(*model.RequestBatchMsg)
+	if len(p2.Members) != 1 || p2.Request(0) != sparse {
 		t.Fatalf("decode after recycle leaked prior fields: got %+v, want %+v", *p2, sparse)
 	}
 	model.RecycleMessage(p2)
@@ -201,8 +216,7 @@ func TestPoolReuseSafety(t *testing.T) {
 
 // TestPooledBatchReuse: a recycled batch hands its members array to the next
 // decode without leaking the previous message's members into it, and a batch
-// copied out with UnpoolMessage owns its members — the reuse cannot rewrite
-// it.
+// copied with RetainMessage owns its members — the reuse cannot rewrite it.
 func TestPooledBatchReuse(t *testing.T) {
 	three := model.RequestBatchMsg{Txn: model.TxnID{Site: 3, Seq: 99}, Attempt: 7, Protocol: model.TO, TS: 1 << 40, Site: 3, CopySite: 2,
 		Members: []model.RequestMember{{Item: 1, Kind: model.OpWrite}, {Item: 2}, {Item: 3, Kind: model.OpWrite}}}
@@ -220,15 +234,15 @@ func TestPooledBatchReuse(t *testing.T) {
 		return env.Msg.(*model.RequestBatchMsg)
 	}
 	p1 := decode(three)
-	kept := model.UnpoolMessage(p1)
+	kept := model.RetainMessage(p1).(*model.RequestBatchMsg)
 	model.RecycleMessage(p1)
 	p2 := decode(two)
 	if !reflect.DeepEqual(*p2, two) {
 		t.Fatalf("decode after recycle: got %+v, want %+v", *p2, two)
 	}
 	model.RecycleMessage(p2)
-	if !reflect.DeepEqual(kept, three) {
-		t.Fatalf("unpooled copy changed under the pool's reuse: got %+v, want %+v", kept, three)
+	if !reflect.DeepEqual(*kept, three) {
+		t.Fatalf("retained copy changed under the pool's reuse: got %+v, want %+v", *kept, three)
 	}
 }
 
