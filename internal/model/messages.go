@@ -1,8 +1,6 @@
 package model
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Message is everything exchanged between actors. All concrete messages are
 // plain-data structs so the same protocol runs over the in-process engines and
@@ -24,8 +22,9 @@ type Attempt uint32
 // ---------------------------------------------------------------------------
 
 // RequestMsg asks the queue manager of one physical copy for access
-// (PAM's "request", §3.1). One RequestMsg is sent per physical copy per
-// logical operation.
+// (PAM's "request", §3.1): one per physical copy per logical operation. It
+// travels as a member of a RequestBatchMsg (Request(i) is member i's view),
+// and is the encoding of a batch of one; its tag decodes as that batch.
 type RequestMsg struct {
 	Txn      TxnID
 	Attempt  Attempt
@@ -337,10 +336,10 @@ type BusyMsg struct {
 // and SnapReadBatchMsg; TestOnlyOpenersShed pins the set): shedding one
 // sheds a transaction attempt cleanly. Messages that complete in-flight
 // protocol work — releases, aborts, grants, final timestamps — are never
-// sheddable, because dropping one would strand locks
-// forever; bounded mailboxes therefore admit them even past the bound (the
-// bound is hard for openers, soft for completers, which is what makes the
-// policy deadlock-free).
+// sheddable, because dropping one would strand locks forever; bounded
+// mailboxes therefore admit them even past the bound (the bound is hard for
+// openers, soft for completers, which is what makes the policy
+// deadlock-free).
 //
 // Refusal is per copy: a refused batch is answered with one pooled BusyMsg
 // for every member — Busy(i) for i in [0, Copies()) — so the issuer's

@@ -105,7 +105,7 @@ func TestCrashDefersBatchWithItsOwnMembers(t *testing.T) {
 	m, _ := testManager(4, true)
 	m.SetDurable(&fakeDurable{st: m.store, saved: m.store.Chains()})
 	ctx := newFakeCtx()
-	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
+	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
 
 	deliver(m, ctx, engine.RIAddr(1), batchOf(1, model.PA, model.OpWrite, 5, 0, 1))
 	deliver(m, ctx, engine.RIAddr(1), batchOf(2, model.PA, model.OpRead, 6, 2, 3))
@@ -116,7 +116,7 @@ func TestCrashDefersBatchWithItsOwnMembers(t *testing.T) {
 		t.Fatalf("deferred %d messages, want the 2 batches", d)
 	}
 
-	deliver(m, ctx, engine.RIAddr(1), model.RecoverMsg{})
+	m.OnMessage(ctx, engine.RIAddr(1), model.RecoverMsg{})
 	got := grantedItems(ctx)
 	want := map[model.TxnID][]model.ItemID{
 		{Site: 1, Seq: 1}: {0, 1},

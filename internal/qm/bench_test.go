@@ -32,7 +32,8 @@ func (d *countDurable) Recover() error { return nil }
 // commitBatch is one mailbox drain of a durable single-shard site: k
 // transactions take a write lock each, their k write releases are delivered
 // back to back, then the one FlushMsg those releases armed. The messages are
-// boxed once, so a cycle's allocations are the queue manager's own.
+// built once as batches of one, and each delivery takes a warm pooled copy,
+// so a cycle's allocations are the queue manager's own.
 type commitBatch struct {
 	m        *Manager
 	d        *countDurable
@@ -208,6 +209,6 @@ func BenchmarkStatsTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deliver(m, &ctx, engine.QMAddr(0), model.TickMsg{})
+		m.OnMessage(&ctx, engine.QMAddr(0), model.TickMsg{})
 	}
 }

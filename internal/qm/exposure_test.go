@@ -380,14 +380,14 @@ func crashWithQueuesParked(flushDuringOutage bool) func(t *testing.T, shards int
 		takeGrants(ctx.fakeCtx)
 		deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 
-		deliver(m, ctx, ctx.self, model.CrashMsg{})
+		m.OnMessage(ctx, ctx.self, model.CrashMsg{})
 		if flushDuringOutage {
 			ctx.fire() // defers with the rest of the outage's traffic
 		}
 		if c := m.Snapshot(); c.Deferred != 0 {
 			t.Fatalf("Deferred=%d: the shard's own FlushMsg is not traffic", c.Deferred)
 		}
-		deliver(m, ctx, ctx.self, model.RecoverMsg{})
+		m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
 		g := takeGrants(ctx.fakeCtx)
 		if len(g) != 1 || g[0].Txn.Seq != 2 || g[0].Version != 0 || g[0].Value != 100 {
 			t.Fatalf("recovery grants = %+v, want txn 2 at the recovered version 0", g)
@@ -440,7 +440,7 @@ func TestRetireWhileParked(t *testing.T) {
 		takeGrants(ctx.fakeCtx)
 		deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 
-		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: owners(1)}})
+		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: owners(1)}})
 		if m.queueOf(item) == nil {
 			t.Fatal("map install deleted a parked queue")
 		}

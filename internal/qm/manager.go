@@ -249,10 +249,9 @@ func (m *Manager) NumShards() int { return len(m.shards) }
 
 // SetDurable attaches the durability subsystem and builds the per-site
 // group committer (a wal.GroupCommitter over d.Flush) the shards drain
-// through. Call before the engine starts
-// delivering messages. The store's Journal hook must be attached separately
-// (storage.Store.SetJournal) — the manager only schedules syncs and drives
-// crash/recovery.
+// through. Call before the engine starts delivering messages. The store's
+// Journal hook must be attached separately (storage.Store.SetJournal) — the
+// manager only schedules syncs and drives crash/recovery.
 func (m *Manager) SetDurable(d Durable) {
 	m.dur = d
 	m.seq = wal.NewGroupCommitter(d.Flush)

@@ -180,14 +180,14 @@ func TestStaleCompletionUnparksNothing(t *testing.T) {
 				deliver(m, ctx, ri, writeRelease(1, item, 7, 100))
 				ctx.fire()
 
-				deliver(m, ctx, ctx.self, model.CrashMsg{})
+				m.OnMessage(ctx, ctx.self, model.CrashMsg{})
 				if duringOutage {
 					ctx.complete(t)
 				}
 				if c := m.Snapshot(); c.Deferred != 0 {
 					t.Fatalf("Deferred=%d: a sync completion is not traffic", c.Deferred)
 				}
-				deliver(m, ctx, ctx.self, model.RecoverMsg{})
+				m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
 				if g := takeGrants(ctx.fakeCtx); len(g) != 1 || g[0].Txn.Seq != 2 {
 					t.Fatalf("recovery grants %+v, want txn 2's", g)
 				}

@@ -90,7 +90,7 @@ func TestCompleterWrongEpochNAK(t *testing.T) {
 
 	// Epoch 2 moves item 1 to site 1; its queue is empty, so it deletes
 	// immediately.
-	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{0}, {1}},
 	}})
@@ -130,7 +130,7 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	})
 	ctx := newFakeCtx()
 
-	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{0}, {0}},
 	}})
@@ -194,7 +194,7 @@ func TestTransferPullNotReadyWhileDraining(t *testing.T) {
 	}
 
 	// Epoch 2 moves item 0 away; the resident keeps it retiring.
-	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
 		Epoch:       2,
 		Assignments: [][]model.SiteID{{1}},
 	}})
@@ -252,10 +252,10 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m.SetDurable(sl)
 	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {1}}})
 	ctx := newFakeCtx()
-	deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{0}, {0}}}})
 	before := take[model.ReplPullMsg](ctx)
-	deliver(m, ctx, ctx.self, model.CrashMsg{})
-	deliver(m, ctx, ctx.self, model.RecoverMsg{})
+	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
 	frames := wal.AppendShipped(nil, 0, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
 	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: before[0].Incarnation})
 	if !m.FillsOpen() {
@@ -264,7 +264,7 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	if c := m.Snapshot(); c.TransferApplied != 0 {
 		t.Fatalf("a pre-crash reply applied %d records", c.TransferApplied)
 	}
-	deliver(m, ctx, ctx.self, model.TickMsg{Tag: ReplTickTag})
+	m.OnMessage(ctx, ctx.self, model.TickMsg{Tag: ReplTickTag})
 	after := take[model.ReplPullMsg](ctx)
 	if len(before) != 1 || len(after) != 1 || after[0].AfterSeq != 0 || after[0].Incarnation == before[0].Incarnation {
 		t.Fatalf("pulls before %+v and after %+v the crash, want one each from seq 0 in distinct incarnations", before, after)

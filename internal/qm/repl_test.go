@@ -84,11 +84,11 @@ func TestTornBatchWithMoreWaitsForTheTick(t *testing.T) {
 func TestReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	m, st, _ := replSite(t)
 	ctx := newFakeCtx()
-	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 	before := take[model.ReplPullMsg](ctx)
-	deliver(m, ctx, ctx.self, model.CrashMsg{})
-	deliver(m, ctx, ctx.self, model.RecoverMsg{})
-	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
+	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
+	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 	after := take[model.ReplPullMsg](ctx)
 	if len(before) != 1 || len(after) != 1 || after[0].Incarnation == before[0].Incarnation {
 		t.Fatalf("pulls before %+v and after %+v the crash, want one each in distinct incarnations", before, after)
@@ -135,7 +135,7 @@ func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	}
 	tick := func(want model.SiteID, wantHave ...wal.Have) {
 		t.Helper()
-		deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 		if ticks := take[model.TickMsg](ctx); len(ticks) != 1 || ticks[0].Tag != ReplTickTag {
 			t.Fatalf("tick re-armed %+v, want one pull tick", ticks)
 		}
@@ -163,7 +163,7 @@ func TestOnlyPeriodicPullsCarryTheDigest(t *testing.T) {
 	tick(1)
 
 	st.Write(1, model.TxnID{Site: 0, Seq: 5}, 5, 90)
-	deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplSettleTickTag})
+	m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplSettleTickTag})
 	to, sent := pulls()
 	if !slices.Equal(to, []model.SiteID{1, 2}) {
 		t.Fatalf("settle pulled %v, want each peer once", to)
@@ -280,7 +280,7 @@ func TestPullDigestNamesOnlyThePeersItems(t *testing.T) {
 		st.Write(model.ItemID(i), model.TxnID{Site: 0, Seq: uint64(i + 1)}, int64(i), int64(10*(i+1)))
 	}
 	for _, peer := range []model.SiteID{1, 2} {
-		deliver(m, ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
+		m.OnMessage(ctx, engine.QMAddr(0), model.TickMsg{Tag: ReplTickTag})
 		var have []wal.Have
 		for _, e := range ctx.sent {
 			if p, ok := e.Msg.(model.ReplPullMsg); ok && e.To.ID == peer {

@@ -151,7 +151,7 @@ func TestShardedCrashTakesDownAllShards(t *testing.T) {
 	m.SetDurable(&fakeDurable{st: m.store, saved: m.store.Chains()})
 	ctx := newFakeCtx()
 
-	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
+	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
 	if !m.Down() {
 		t.Fatal("site not down after CrashMsg")
 	}
@@ -166,12 +166,12 @@ func TestShardedCrashTakesDownAllShards(t *testing.T) {
 		t.Fatalf("deferred=%d want %d", d, items)
 	}
 	// Crashing a down site is a no-op, not a second crash.
-	deliver(m, ctx, engine.RIAddr(1), model.CrashMsg{})
+	m.OnMessage(ctx, engine.RIAddr(1), model.CrashMsg{})
 	if c := m.Snapshot().Crashes; c != 1 {
 		t.Fatalf("crashes=%d want 1", c)
 	}
 
-	deliver(m, ctx, engine.RIAddr(1), model.RecoverMsg{})
+	m.OnMessage(ctx, engine.RIAddr(1), model.RecoverMsg{})
 	if m.Down() {
 		t.Fatal("site still down after RecoverMsg")
 	}

@@ -17,7 +17,7 @@ const statsPeriod = 200_000 // µs
 func statsTick(t *testing.T, m *Manager, ctx *fakeCtx) model.QueueStatsMsg {
 	t.Helper()
 	ctx.now += statsPeriod
-	deliver(m, ctx, ctx.self, model.TickMsg{})
+	m.OnMessage(ctx, ctx.self, model.TickMsg{})
 	reports := take[model.QueueStatsMsg](ctx)
 	if len(reports) != 1 {
 		t.Fatalf("stats tick sent %d reports, want 1", len(reports))
@@ -65,8 +65,8 @@ func TestStatsRatesSurviveCopyChurn(t *testing.T) {
 		}
 		first := statsTick(t, m, ctx)
 
-		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{1}}}})
-		deliver(m, ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 3, Assignments: [][]model.SiteID{{0}}}})
+		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 2, Assignments: [][]model.SiteID{{1}}}})
+		m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{Epoch: 3, Assignments: [][]model.SiteID{{0}}}})
 		if c := m.Snapshot(); c.MapInstalls != 2 || c.ItemsGained != 1 {
 			t.Fatalf("map installs %d, items gained %d: want 2 and 1", c.MapInstalls, c.ItemsGained)
 		}

@@ -25,7 +25,7 @@ func admissionIssuer(opts Options) (*Issuer, *fakeCtx) {
 
 func submitSeq(iss *Issuer, c *fakeCtx, seq uint64, items ...model.ItemID) {
 	t := model.NewTxn(model.TxnID{Site: 0, Seq: seq}, model.TO, nil, items, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
 }
 
 // TestRestartBackoffExponentialUntilCap is the restart-storm regression
@@ -215,7 +215,7 @@ func TestBusyNAKShedsReadOnlySnapshot(t *testing.T) {
 	iss, c := admissionIssuer(Options{})
 	iss.SetNotifyDriver(true)
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.ROSnapshot, []model.ItemID{0, 1}, nil, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	snaps := take[model.SnapReadMsg](c)
 	if len(snaps) != 2 {
 		t.Fatalf("snap reads = %d", len(snaps))

@@ -153,7 +153,7 @@ func TestQuorumBatchesAndOneAdvancePerGrantBatch(t *testing.T) {
 	}
 	for i, b := range reqs {
 		// Pooled, as the transport and the runtime deliver it.
-		deliver(iss, c, to[i], model.PooledGrantBatch(grantBatch(b)))
+		iss.OnMessage(c, to[i], model.PooledGrantBatch(grantBatch(b)))
 		want := 0
 		if i == len(reqs)-1 {
 			want = 1
@@ -189,7 +189,7 @@ func TestROScatterOneEnvelopePerMailbox(t *testing.T) {
 			iss := New(0, pm, nil, Options{DefaultComputeMicros: 50, QMShards: shards}, nil)
 			c := newCtx()
 			tx := model.NewTxn(model.TxnID{Site: 0, Seq: 5}, model.ROSnapshot, reads, nil, 50)
-			deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+			iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 
 			to, batches := wireOf[model.SnapReadBatchMsg](c)
 			if len(c.wire) != 0 {
@@ -237,7 +237,7 @@ func TestROScatterOneEnvelopePerMailbox(t *testing.T) {
 				if len(c.timers) != 0 {
 					t.Fatalf("computing before reply batch %d of %d", i, len(batches))
 				}
-				deliver(iss, c, to[i], model.PooledSnapReadReplyBatch(reply))
+				iss.OnMessage(c, to[i], model.PooledSnapReadReplyBatch(reply))
 			}
 			if len(c.timers) != 1 {
 				t.Fatalf("%d compute timers after the last reply batch, want 1", len(c.timers))
@@ -268,7 +268,7 @@ func TestIssuerRetainsNothingAfterFinish(t *testing.T) {
 	for i := 0; i < txns; i++ {
 		tx := model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, protocols[i%3],
 			[]model.ItemID{model.ItemID(i % 8)}, []model.ItemID{model.ItemID((i + 3) % 8)}, 50)
-		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 		for _, r := range take[model.RequestMsg](c) {
 			lock := model.RL
 			if r.Kind == model.OpWrite {
@@ -345,7 +345,7 @@ func TestFailedAttemptWithdrawsOncePerMailbox(t *testing.T) {
 	iss, c := testIssuer(8, 3, 2)
 	tx := submit(iss, c, model.TwoPL, []model.ItemID{0, 1}, []model.ItemID{2, 3})
 	c.wire = nil
-	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 	to, aborts := wireOf[model.AbortBatchMsg](c)
 	if len(to) != 3 {
 		t.Fatalf("%d withdrawal envelopes (%+v), want one per mailbox (3)", len(to), aborts)

@@ -175,7 +175,7 @@ func testIssuer(items, sites, replicas int) (*Issuer, *fakeCtx) {
 
 func submit(iss *Issuer, c *fakeCtx, p model.Protocol, reads, writes []model.ItemID) *model.Txn {
 	t := model.NewTxn(model.TxnID{Site: 0, Seq: 99}, p, reads, writes, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: t})
 	return t
 }
 
@@ -248,7 +248,7 @@ func TestWriteValueSpecs(t *testing.T) {
 		{Item: 2, UseSource: true, Source: 2, AddConst: -5}, // pre-image − 5
 		{Item: 3, AddConst: 42},                             // constant
 	}
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	for _, r := range take[model.RequestMsg](c) {
 		grant(iss, c, r, model.WL, false) // pre-image value 7
 	}
@@ -402,7 +402,7 @@ func TestVictimAbortsAndRestarts(t *testing.T) {
 	tx := submit(iss, c, model.TwoPL, nil, []model.ItemID{0, 1})
 	reqs := take[model.RequestMsg](c)
 	grant(iss, c, reqs[0], model.WL, false) // one lock held
-	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 	aborts := take[model.AbortMsg](c)
 	if len(aborts) != 2 {
 		t.Fatalf("aborts = %d want 2 (all copies withdrawn)", len(aborts))
@@ -423,7 +423,7 @@ func TestVictimIgnoredDuringCompute(t *testing.T) {
 	reqs := take[model.RequestMsg](c)
 	grant(iss, c, reqs[0], model.WL, false)
 	// Transaction is computing; a stale victim message must not abort it.
-	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 	if aborts := take[model.AbortMsg](c); len(aborts) != 0 {
 		t.Fatal("aborted while computing")
 	}
@@ -442,7 +442,7 @@ func TestMaxAttemptsDrops(t *testing.T) {
 	}, nil)
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TO, nil, []model.ItemID{0}, 10)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
 	deliver(iss, c, engine.QMAddr(req.Copy.Site), model.RejectMsg{
 		Txn: req.Txn, Attempt: 0, Copy: req.Copy, Threshold: 10,
@@ -460,7 +460,7 @@ func TestChooseFuncOverridesProtocol(t *testing.T) {
 	})
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, nil, []model.ItemID{0}, 10)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
 	if req.Protocol != model.PA {
 		t.Fatalf("selector not applied: %v", req.Protocol)
@@ -500,7 +500,7 @@ func TestSwitchOnRestart(t *testing.T) {
 	}, nil)
 	c := newCtx()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TO, nil, []model.ItemID{0}, 10)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	req := take[model.RequestMsg](c)[0]
 	if req.Protocol != model.TO {
 		t.Fatalf("first attempt protocol = %v", req.Protocol)

@@ -271,7 +271,7 @@ func TestQuorumWritePicksHighestStampPreImage(t *testing.T) {
 	iss, c := quorumIssuer()
 	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 5}, model.TwoPL, nil, []model.ItemID{5}, 50)
 	tx.Specs = []model.WriteSpec{{Item: 5, UseSource: true, Source: 5, AddConst: 1}}
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 2 {
 		t.Fatalf("fanout %d, want W=2", len(reqs))
@@ -331,14 +331,14 @@ func TestQuorumFirstAttemptAsksAQuorumLocalFirst(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			iss, c := quorumIssuerAt(tc.site, tc.q)
 			tx := model.NewTxn(model.TxnID{Site: tc.site, Seq: 1}, model.TwoPL, tc.reads, tc.writes, 50)
-			deliver(iss, c, engine.DriverAddr(tc.site), model.SubmitTxnMsg{Txn: tx})
+			iss.OnMessage(c, engine.DriverAddr(tc.site), model.SubmitTxnMsg{Txn: tx})
 			got := copiesByItem(take[model.RequestMsg](c))
 			for item, sites := range tc.want {
 				if !slices.Equal(got[item], sites) {
 					t.Fatalf("item %d asked at %v, want %v", item, got[item], sites)
 				}
 			}
-			deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
+			iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: 0})
 			fireTimers(iss, c) // the restart (and the idle sweep)
 			retry := copiesByItem(take[model.RequestMsg](c))
 			for item, sites := range tc.want {
@@ -399,7 +399,7 @@ func TestQuorumSweepHedgesSilentCopy(t *testing.T) {
 	ids := []model.TxnID{{Site: 0, Seq: 9}, {Site: 0, Seq: 3}, {Site: 0, Seq: 6}}
 	var first []model.RequestMsg
 	for _, id := range ids {
-		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
+		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
 		first = append(first, take[model.RequestMsg](c)...)
 	}
 	if n := timersOf[model.TickMsg](c); n != 1 {
@@ -532,7 +532,7 @@ func TestQuorumProbationRanksStalledSitesLast(t *testing.T) {
 		t.Helper()
 		next++
 		id := model.TxnID{Site: 0, Seq: next}
-		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
+		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(id, model.TwoPL, nil, []model.ItemID{3}, 50)})
 		return take[model.RequestMsg](c)
 	}
 	sitesOf := func(reqs []model.RequestMsg) []model.SiteID { return copiesByItem(reqs)[3] }

@@ -159,7 +159,7 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 			}
 			c.queue = append(c.queue, m) // delivered, then recycled, by run
 		} else {
-			deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+			iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
 		}
 		next++
 		c.run(iss)
@@ -220,7 +220,7 @@ func TestQuorumLifecycleAllocatesNothing(t *testing.T) {
 				}
 				next := 0
 				commit := func() {
-					deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
+					iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: txns[next]})
 					next++
 					c.run(iss)
 				}
@@ -256,7 +256,7 @@ func TestOversizedStateIsNotKept(t *testing.T) {
 	seq := uint64(0)
 	commit := func(p model.Protocol, reads []model.ItemID) {
 		seq++
-		deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(model.TxnID{Site: 0, Seq: seq}, p, reads, nil, 0)})
+		iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: model.NewTxn(model.TxnID{Site: 0, Seq: seq}, p, reads, nil, 0)})
 		c.run(iss)
 	}
 	for _, p := range []model.Protocol{model.TwoPL, model.ROSnapshot} {
@@ -283,7 +283,7 @@ func TestCopyReadAndWrittenKeepsTheWrite(t *testing.T) {
 	iss, c := testIssuer(8, 2, 1)
 	tx := &model.Txn{ID: model.TxnID{Site: 0, Seq: 7}, Protocol: model.TwoPL,
 		ReadSet: []model.ItemID{0, 1}, WriteSet: []model.ItemID{1}, ComputeMicros: 50}
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 3 {
 		t.Fatalf("%d requests, want 3 (item 1 read and written)", len(reqs))
@@ -334,7 +334,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 		t.Fatalf("first transaction did not commit: %+v", s)
 	}
 	tx2 := model.NewTxn(model.TxnID{Site: 0, Seq: 100}, model.TO, reads, writes, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx2})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx2})
 	reqs2 := take[model.RequestMsg](c)
 	s := iss.active[tx2.ID]
 	if s == nil || s != old {
@@ -379,7 +379,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 
 	// Read-only snapshot: a committed one's state goes to the next.
 	ro1 := model.NewTxn(model.TxnID{Site: 0, Seq: 101}, model.ROSnapshot, []model.ItemID{2, 3}, nil, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro1})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro1})
 	snaps := take[model.SnapReadMsg](c)
 	oldRO := iss.roActive[ro1.ID]
 	for _, r := range snaps {
@@ -387,7 +387,7 @@ func TestRecycledStateIgnoresStaleMessages(t *testing.T) {
 	}
 	fireTimers(iss, c)
 	ro2 := model.NewTxn(model.TxnID{Site: 0, Seq: 102}, model.ROSnapshot, []model.ItemID{2, 3}, nil, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro2})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: ro2})
 	rs := iss.roActive[ro2.ID]
 	if rs == nil || rs != oldRO {
 		t.Fatal("the second read-only transaction did not reuse the first one's state")
@@ -429,7 +429,7 @@ func TestSubmitLeavesCallersTxnAlone(t *testing.T) {
 		return model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, []model.ItemID{0, 1}, []model.ItemID{2}, 50)
 	}
 	tx, want := mk(), mk()
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	reqs := take[model.RequestMsg](c)
 	if len(reqs) != 3 || reqs[0].Protocol != model.PA {
 		t.Fatalf("first attempt sent %+v, want 3 PA requests (chosen ROSnapshot, demoted)", reqs)
@@ -457,12 +457,12 @@ func TestSubmitLeavesCallersTxnAlone(t *testing.T) {
 	// and the write installs the default pre-image + 1, not the new spec.
 	iss, c = testIssuer(8, 2, 1)
 	tx = model.NewTxn(model.TxnID{Site: 0, Seq: 2}, model.TwoPL, []model.ItemID{0}, []model.ItemID{1}, 50)
-	deliver(iss, c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	iss.OnMessage(c, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
 	first := take[model.RequestMsg](c)
 	tx.Protocol = model.TO
 	tx.ReadSet[0], tx.WriteSet[0] = 5, 6
 	tx.Specs = []model.WriteSpec{{Item: 1, AddConst: 99}}
-	deliver(iss, c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: first[0].Attempt})
+	iss.OnMessage(c, engine.DetectorAddr(), model.VictimMsg{Txn: tx.ID, Attempt: first[0].Attempt})
 	fireTimers(iss, c)
 	again := take[model.RequestMsg](c)
 	if len(again) != len(first) {
