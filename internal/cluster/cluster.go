@@ -412,35 +412,7 @@ func (c *Cluster) fillsOpen() bool {
 func (c *Cluster) QMTotals() qm.Counters {
 	var t qm.Counters
 	for _, m := range c.Managers {
-		s := m.Snapshot()
-		t.Requests += s.Requests
-		t.Grants += s.Grants
-		t.PreGrants += s.PreGrants
-		t.Promotions += s.Promotions
-		t.Rejects += s.Rejects
-		t.Backoffs += s.Backoffs
-		t.Revokes += s.Revokes
-		t.Releases += s.Releases
-		t.Conversion += s.Conversion
-		t.Aborts += s.Aborts
-		t.SnapReads += s.SnapReads
-		t.SnapStale += s.SnapStale
-		t.Busy += s.Busy
-		t.WALSyncs += s.WALSyncs
-		t.Commits += s.Commits
-		t.Crashes += s.Crashes
-		t.Recoveries += s.Recoveries
-		t.Deferred += s.Deferred
-		t.ReplPulls += s.ReplPulls
-		t.ReplApplied += s.ReplApplied
-		t.ReplSkipped += s.ReplSkipped
-		t.ReplResets += s.ReplResets
-		t.WrongEpoch += s.WrongEpoch
-		t.MapInstalls += s.MapInstalls
-		t.ItemsGained += s.ItemsGained
-		t.TransferPulls += s.TransferPulls
-		t.TransferApplied += s.TransferApplied
-		t.TransferBytes += s.TransferBytes
+		t.Add(m.Snapshot())
 	}
 	return t
 }
@@ -465,13 +437,7 @@ func (c *Cluster) ReplWatermarks() map[model.SiteID]map[model.SiteID]uint64 {
 func (c *Cluster) WALTotals() wal.Stats {
 	var t wal.Stats
 	for _, sl := range c.WALs {
-		s := sl.Stats()
-		t.Appends += s.Appends
-		t.Syncs += s.Syncs
-		t.Snapshots += s.Snapshots
-		t.Replayed += s.Replayed
-		t.RecoveredCopies += s.RecoveredCopies
-		t.Recoveries += s.Recoveries
+		t.Add(sl.Stats())
 	}
 	return t
 }

@@ -11,19 +11,6 @@ import (
 	"ucc/internal/model"
 )
 
-// VictimPolicy selects which eligible 2PL member of a persistent cycle to
-// abort.
-type VictimPolicy uint8
-
-const (
-	// VictimYoungest aborts the member with the largest transaction id
-	// (least work lost on average; the default).
-	VictimYoungest VictimPolicy = iota
-	// VictimOldest aborts the smallest transaction id (starvation-free for
-	// young transactions at the price of wasting more work).
-	VictimOldest
-)
-
 // Options configure the detector.
 type Options struct {
 	// PeriodMicros is the probe period; <=0 disables detection.
@@ -31,8 +18,6 @@ type Options struct {
 	// PersistRounds is how many consecutive rounds a cycle must appear in
 	// before a victim is chosen (default 2).
 	PersistRounds int
-	// Policy selects the victim among a cycle's eligible 2PL members.
-	Policy VictimPolicy
 }
 
 // DefaultOptions returns the standard configuration.
@@ -206,9 +191,6 @@ func (d *Detector) analyze(ctx engine.Context) {
 		victim, victimAttempt, issuer := model.TxnID{}, model.Attempt(0), model.SiteID(0)
 		for i := range members {
 			m := members[len(members)-1-i] // youngest first
-			if d.opts.Policy == VictimOldest {
-				m = members[i]
-			}
 			v := g.index[m]
 			if !g.is2PL[v] || g.waits[v] < 0 {
 				continue // can only abort a 2PL member seen waiting

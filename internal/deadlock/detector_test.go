@@ -267,16 +267,3 @@ func (recycleCtx) Self() engine.Addr                   { return engine.DetectorA
 func (recycleCtx) Rand() *rand.Rand                    { return nil }
 func (recycleCtx) Send(_ engine.Addr, m model.Message) { model.RecycleMessage(m) }
 func (recycleCtx) SetTimer(_ int64, _ model.Message)   {}
-
-func TestVictimPolicyOldest(t *testing.T) {
-	d := New([]model.SiteID{0, 1}, Options{
-		PeriodMicros: 1000, PersistRounds: 2, Policy: VictimOldest,
-	})
-	ctx := &fakeCtx{rng: rand.New(rand.NewSource(1))}
-	cycle := []model.WaitEdge{edge(1, 2, true, true), edge(2, 1, true, true)}
-	runRound(d, ctx, cycle)
-	v := runRound(d, ctx, cycle)
-	if len(v) != 1 || v[0].Txn != tid(1) {
-		t.Fatalf("victim = %+v want t1.1 (oldest)", v)
-	}
-}

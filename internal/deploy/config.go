@@ -46,14 +46,6 @@ type Config struct {
 	RI       ri.Options
 	Detector deadlock.Options
 
-	// Chain bounds each store's per-copy version chain (zero fields select
-	// storage.DefaultChainPolicy: 16 versions, 250ms of history). KeepMicros
-	// must exceed RI.SnapshotStalenessMicros plus the maximum network delay
-	// or snapshot reads can outlive their versions; Validate raises the
-	// window (and scales the version cap) to 2× the configured staleness
-	// when the policy would otherwise undercut it.
-	Chain storage.ChainPolicy
-
 	// Durability attaches a per-site write-ahead log + snapshots (nil =
 	// volatile sites, the paper's failure-free model). Required for the
 	// simulator's CrashSite/RecoverSite fault injection.
@@ -186,35 +178,26 @@ func (c *Config) Validate() error {
 	if c.Detector == (deadlock.Options{}) {
 		c.Detector = deadlock.DefaultOptions()
 	}
-	// The chain retention window must cover the snapshot staleness margin
-	// (plus in-flight releases), or ReadAt falls off the chain and serves a
-	// version newer than the snapshot — a serializability violation waiting
-	// to happen. Size the policy up to the staleness the issuers will use,
-	// scaling the hard cap with the window so it does not silently undo the
-	// extension.
+	return nil
+}
+
+// chainPolicy bounds each store's per-copy version chain for issuers whose
+// snapshot reads may be staleness µs old. The retention window must cover
+// the staleness margin plus in-flight releases, or ReadAt falls off the
+// chain and serves a version newer than the snapshot: it is
+// storage.DefaultChainPolicy's 250ms, raised to 2× the staleness where that
+// is longer. The version cap scales with the window, or under write
+// pressure the default 16 versions would undo the retention.
+func chainPolicy(staleness int64) storage.ChainPolicy {
 	def := storage.DefaultChainPolicy()
-	staleness := c.RI.SnapshotStalenessMicros
 	if staleness <= 0 {
 		staleness = ri.DefaultOptions().SnapshotStalenessMicros
 	}
-	effective := c.Chain.KeepMicros
-	if effective <= 0 {
-		effective = def.KeepMicros
+	keep := max(def.KeepMicros, 2*staleness)
+	return storage.ChainPolicy{
+		KeepMicros:  keep,
+		MaxVersions: max(def.MaxVersions, int(int64(def.MaxVersions)*keep/def.KeepMicros)),
 	}
-	if needed := 2 * staleness; effective < needed {
-		effective = needed
-		c.Chain.KeepMicros = needed
-	}
-	// Scale the hard cap with the effective window, or the default cap
-	// silently undoes the retention under write pressure. An explicitly
-	// configured MaxVersions is respected as-is: ChainPolicy documents it
-	// as the bound where memory safety wins over retention.
-	if c.Chain.MaxVersions <= 0 {
-		if minVersions := int(int64(def.MaxVersions) * effective / def.KeepMicros); minVersions > def.MaxVersions {
-			c.Chain.MaxVersions = minVersions
-		}
-	}
-	return nil
 }
 
 // CatchUp reports whether the sites run the log-shipping catch-up plane

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/placement"
+	"ucc/internal/storage"
 )
 
 // TestValidate covers the Config.Validate rules no entry point's own suite
@@ -119,5 +121,32 @@ func TestValidate(t *testing.T) {
 				tc.check(t, cfg)
 			}
 		})
+	}
+}
+
+// TestSiteChainPolicy pins the version-chain bounds a site's store takes
+// from the issuers' snapshot staleness: 250ms and 16 versions while twice
+// the staleness fits in 250ms, else twice the staleness with the version
+// cap scaled by the same factor.
+func TestSiteChainPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		staleness int64 // zero: Validate's default, 15ms
+		want      storage.ChainPolicy
+	}{
+		{0, storage.ChainPolicy{KeepMicros: 250_000, MaxVersions: 16}},
+		{400_000, storage.ChainPolicy{KeepMicros: 800_000, MaxVersions: 51}},
+	} {
+		cfg := Config{Sites: 1, Items: 2}
+		cfg.RI.SnapshotStalenessMicros = tc.staleness
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Site(cfg, 0, cfg.InitialMap(), nil, nil, func(engine.Addr, engine.Actor) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Store.ChainPolicy(); got != tc.want {
+			t.Errorf("staleness %dµs: chain policy %+v, want %+v", cfg.RI.SnapshotStalenessMicros, got, tc.want)
+		}
 	}
 }

@@ -34,7 +34,7 @@ type Parts struct {
 func Site(cfg Config, self model.SiteID, pmap *model.PartitionMap, rec *history.Recorder,
 	choose ri.ChooseFunc, register func(engine.Addr, engine.Actor)) (*Parts, error) {
 	p := &Parts{Store: storage.NewStore(self)}
-	p.Store.SetChainPolicy(cfg.Chain)
+	p.Store.SetChainPolicy(chainPolicy(cfg.RI.SnapshotStalenessMicros))
 	for _, item := range pmap.CopiesAt(self) {
 		p.Store.Create(item, cfg.InitialValue)
 	}

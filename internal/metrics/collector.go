@@ -18,9 +18,11 @@ type CollectorOptions struct {
 	EstimatePeriodMicros int64
 	// RISites is the broadcast audience.
 	RISites []model.SiteID
-	// EWMAAlpha blends windowed queue rates into the running estimates.
-	EWMAAlpha float64
 }
+
+// ewmaAlpha is the weight a period's queue rates carry when blended into
+// the running estimates.
+const ewmaAlpha = 0.4
 
 // ProtoStats aggregates per-protocol measurements.
 type ProtoStats struct {
@@ -68,9 +70,6 @@ type Collector struct {
 
 // NewCollector creates a collector.
 func NewCollector(opts CollectorOptions) *Collector {
-	if opts.EWMAAlpha <= 0 || opts.EWMAAlpha > 1 {
-		opts.EWMAAlpha = 0.4
-	}
 	c := &Collector{
 		opts:    opts,
 		lambdaR: map[model.ItemID]float64{},
@@ -163,7 +162,7 @@ func (c *Collector) onQueueStats(v model.QueueStatsMsg) {
 		return
 	}
 	window := float64(v.AtMicros-v.SinceMicros) / 1e6 // seconds
-	a := c.opts.EWMAAlpha
+	const a = ewmaAlpha
 	for _, g := range v.Grants {
 		rate := float64(max(g.Reads, 0)) / window
 		c.lambdaR[g.Item] = a*rate + (1-a)*c.lambdaR[g.Item]

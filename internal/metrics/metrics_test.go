@@ -152,7 +152,7 @@ func TestCollectorAggregation(t *testing.T) {
 }
 
 func TestCollectorRateEstimation(t *testing.T) {
-	c := NewCollector(CollectorOptions{EWMAAlpha: 1}) // no smoothing
+	c := NewCollector(CollectorOptions{})
 	ctx := &colCtx{rng: rand.New(rand.NewSource(1))}
 	// A site's first report covers no period, so its counts are ignored.
 	c.OnMessage(ctx, engine.CollectorAddr(), model.PooledQueueStats(model.QueueStatsMsg{
@@ -163,12 +163,23 @@ func TestCollectorRateEstimation(t *testing.T) {
 		From: 0, AtMicros: 1_000_000, SinceMicros: 0, // 1s window
 		Grants: []model.QueueGrants{{Item: 1, Reads: 50, Writes: 20}},
 	}))
+	// Each period's rate carries weight 0.4 against the running estimate
+	// (zero before the first period): r = 0.4×50, w = 0.4×20.
 	est := c.Estimates(1_000_000)
-	if math.Abs(est.LambdaR[1]-50) > 1e-9 || math.Abs(est.LambdaW[1]-20) > 1e-9 {
+	if math.Abs(est.LambdaR[1]-20) > 1e-9 || math.Abs(est.LambdaW[1]-8) > 1e-9 {
 		t.Fatalf("rates: r=%v w=%v", est.LambdaR[1], est.LambdaW[1])
 	}
-	if math.Abs(est.LambdaA-70) > 1e-9 {
+	if math.Abs(est.LambdaA-28) > 1e-9 {
 		t.Fatalf("λA = %v", est.LambdaA)
+	}
+	c.OnMessage(ctx, engine.CollectorAddr(), model.PooledQueueStats(model.QueueStatsMsg{
+		From: 0, AtMicros: 1_500_000, SinceMicros: 1_000_000, // 0.5s window
+		Grants: []model.QueueGrants{{Item: 1, Reads: 50, Writes: 0}},
+	}))
+	// r = 0.4×100 + 0.6×20, w = 0.4×0 + 0.6×8.
+	est = c.Estimates(1_500_000)
+	if math.Abs(est.LambdaR[1]-52) > 1e-9 || math.Abs(est.LambdaW[1]-4.8) > 1e-9 {
+		t.Fatalf("blended rates: r=%v w=%v", est.LambdaR[1], est.LambdaW[1])
 	}
 }
 

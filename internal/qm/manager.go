@@ -60,11 +60,6 @@ type Options struct {
 	InitialValue int64
 }
 
-// DefaultOptions returns the production configuration.
-func DefaultOptions() Options {
-	return Options{}
-}
-
 // Counters aggregate one site's protocol events (monotone).
 type Counters struct {
 	Requests   uint64
@@ -106,6 +101,38 @@ type Counters struct {
 	TransferPulls   uint64 // fill pulls served to new owners (NotReady answers not counted)
 	TransferApplied uint64 // fill records installed (stamp-gated, like ReplApplied)
 	TransferBytes   uint64 // fill batch bytes received
+}
+
+// Add adds every counter of o to c.
+func (c *Counters) Add(o Counters) {
+	c.Requests += o.Requests
+	c.Grants += o.Grants
+	c.PreGrants += o.PreGrants
+	c.Promotions += o.Promotions
+	c.Rejects += o.Rejects
+	c.Backoffs += o.Backoffs
+	c.Revokes += o.Revokes
+	c.Releases += o.Releases
+	c.Conversion += o.Conversion
+	c.Aborts += o.Aborts
+	c.SnapReads += o.SnapReads
+	c.SnapStale += o.SnapStale
+	c.Busy += o.Busy
+	c.WALSyncs += o.WALSyncs
+	c.Commits += o.Commits
+	c.Crashes += o.Crashes
+	c.Recoveries += o.Recoveries
+	c.Deferred += o.Deferred
+	c.ReplPulls += o.ReplPulls
+	c.ReplApplied += o.ReplApplied
+	c.ReplSkipped += o.ReplSkipped
+	c.ReplResets += o.ReplResets
+	c.WrongEpoch += o.WrongEpoch
+	c.MapInstalls += o.MapInstalls
+	c.ItemsGained += o.ItemsGained
+	c.TransferPulls += o.TransferPulls
+	c.TransferApplied += o.TransferApplied
+	c.TransferBytes += o.TransferBytes
 }
 
 // Durable is the durability subsystem a manager drives (internal/wal's
@@ -283,34 +310,8 @@ func (m *Manager) Snapshot() Counters {
 	var t Counters
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		c := sh.counters
+		t.Add(sh.counters)
 		sh.mu.Unlock()
-		t.Requests += c.Requests
-		t.Grants += c.Grants
-		t.PreGrants += c.PreGrants
-		t.Promotions += c.Promotions
-		t.Rejects += c.Rejects
-		t.Backoffs += c.Backoffs
-		t.Revokes += c.Revokes
-		t.Releases += c.Releases
-		t.Conversion += c.Conversion
-		t.Aborts += c.Aborts
-		t.SnapReads += c.SnapReads
-		t.SnapStale += c.SnapStale
-		t.Busy += c.Busy
-		t.Crashes += c.Crashes
-		t.Recoveries += c.Recoveries
-		t.Deferred += c.Deferred
-		t.ReplPulls += c.ReplPulls
-		t.ReplApplied += c.ReplApplied
-		t.ReplSkipped += c.ReplSkipped
-		t.ReplResets += c.ReplResets
-		t.WrongEpoch += c.WrongEpoch
-		t.MapInstalls += c.MapInstalls
-		t.ItemsGained += c.ItemsGained
-		t.TransferPulls += c.TransferPulls
-		t.TransferApplied += c.TransferApplied
-		t.TransferBytes += c.TransferBytes
 	}
 	if m.seq != nil {
 		t.Commits, t.WALSyncs = m.seq.Stats()

@@ -2,6 +2,7 @@ package qm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ucc/internal/engine"
@@ -132,5 +133,25 @@ func TestStatsTickAllocatesNothing(t *testing.T) {
 	fire()
 	if n := testing.AllocsPerRun(50, fire); n != 0 {
 		t.Fatalf("%v allocations per stats tick, want 0", n)
+	}
+}
+
+// TestCountersAddEveryField: Add sums every counter, so a counter added to
+// Counters without a line in Add fails here instead of reading zero in
+// every cross-shard and cross-site total.
+func TestCountersAddEveryField(t *testing.T) {
+	var one Counters
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum Counters
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got := s.Field(i).Uint(); got != 2*uint64(i+1) {
+			t.Errorf("%s = %d after adding %d twice", s.Type().Field(i).Name, got, i+1)
+		}
 	}
 }

@@ -13,12 +13,14 @@ package ri
 //     (+1/W per commit, one window per "RTT" of commits), every congestion
 //     signal (a BusyMsg NAK from a saturated queue manager, or a commit
 //     slower than TargetLatencyMicros) shrinks it multiplicatively, at most
-//     once per CooldownMicros so one burst of NAKs is one decrease.
+//     once per CooldownMicros so one burst of NAKs is one decrease. The
+//     window stays within [minWindow, maxWindow].
 //   - A token bucket on starts: TokensPerSec tokens refill continuously up
-//     to Burst; each admitted transaction spends one. This caps the start
-//     RATE independently of the window (a window only caps concurrency — a
-//     stream of instantly-shed-or-failing transactions would still churn).
-//     Zero disables the bucket.
+//     to a depth of max(16, TokensPerSec/4) — a quarter second of rate, so
+//     short arrival bursts ride through; each admitted transaction spends
+//     one. This caps the start RATE independently of the window (a window
+//     only caps concurrency — a stream of instantly-shed-or-failing
+//     transactions would still churn). Zero disables the bucket.
 //
 // A shed transaction is reported to the collector with OutcomeShed and, in
 // closed-loop mode, immediately frees its driver slot. It never issues a
@@ -29,12 +31,6 @@ type AdmissionOptions struct {
 	Enabled bool
 	// InitialWindow is the starting in-flight window (default 64).
 	InitialWindow int
-	// MinWindow floors the multiplicative decrease (default 4): even a
-	// saturated site keeps probing with a few transactions, or it could
-	// never discover recovery.
-	MinWindow int
-	// MaxWindow caps the additive increase (default 4096).
-	MaxWindow int
 	// TargetLatencyMicros, when positive, treats a commit slower than this
 	// as a congestion signal (multiplicative decrease). Zero means only
 	// BusyMsg NAKs shrink the window.
@@ -42,9 +38,6 @@ type AdmissionOptions struct {
 	// TokensPerSec is the token-bucket refill rate for new-transaction
 	// starts; zero disables the rate gate.
 	TokensPerSec float64
-	// Burst is the bucket depth (default: max(16, TokensPerSec/4) — a
-	// quarter second of rate, so short arrival bursts ride through).
-	Burst int
 	// DecreaseFactor is the multiplicative decrease (default 0.7).
 	DecreaseFactor float64
 	// CooldownMicros rate-limits decreases (default 10_000): every NAK of
@@ -52,24 +45,18 @@ type AdmissionOptions struct {
 	CooldownMicros int64
 }
 
+const (
+	// minWindow floors the multiplicative decrease: even a saturated site
+	// keeps probing with a few transactions, or it could never discover
+	// recovery.
+	minWindow = 4
+	// maxWindow caps the additive increase.
+	maxWindow = 4096
+)
+
 func (o *AdmissionOptions) fill() {
 	if o.InitialWindow <= 0 {
 		o.InitialWindow = 64
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 4
-	}
-	if o.MaxWindow <= 0 {
-		o.MaxWindow = 4096
-	}
-	if o.MaxWindow < o.MinWindow {
-		o.MaxWindow = o.MinWindow
-	}
-	if o.Burst <= 0 {
-		o.Burst = 16
-		if b := int(o.TokensPerSec / 4); b > o.Burst {
-			o.Burst = b
-		}
 	}
 	if o.DecreaseFactor <= 0 || o.DecreaseFactor >= 1 {
 		o.DecreaseFactor = 0.7
@@ -85,6 +72,7 @@ func (o *AdmissionOptions) fill() {
 type admission struct {
 	opts         AdmissionOptions
 	window       float64
+	burst        float64 // token-bucket depth
 	tokens       float64
 	refillInit   bool // lastRefill is meaningful (engine time may start at 0)
 	lastRefill   int64
@@ -94,10 +82,12 @@ type admission struct {
 
 func newAdmission(o AdmissionOptions) *admission {
 	o.fill()
+	burst := float64(max(16, int(o.TokensPerSec/4)))
 	return &admission{
 		opts:   o,
 		window: float64(o.InitialWindow),
-		tokens: float64(o.Burst),
+		burst:  burst,
+		tokens: burst,
 	}
 }
 
@@ -116,9 +106,7 @@ func (a *admission) admit(now int64, inFlight int) bool {
 		}
 		a.tokens += float64(now-a.lastRefill) / 1e6 * a.opts.TokensPerSec
 		a.lastRefill = now
-		if max := float64(a.opts.Burst); a.tokens > max {
-			a.tokens = max
-		}
+		a.tokens = min(a.tokens, a.burst)
 		if a.tokens < 1 {
 			return false
 		}
@@ -136,10 +124,7 @@ func (a *admission) onCommit(now, latencyMicros int64) {
 		a.decrease(now)
 		return
 	}
-	a.window += 1 / a.window
-	if max := float64(a.opts.MaxWindow); a.window > max {
-		a.window = max
-	}
+	a.window = min(a.window+1/a.window, maxWindow)
 }
 
 // onBusy feeds one BusyMsg NAK into AIMD.
@@ -165,8 +150,5 @@ func (a *admission) decrease(now int64) {
 	}
 	a.decreaseInit = true
 	a.lastDecrease = now
-	a.window *= a.opts.DecreaseFactor
-	if min := float64(a.opts.MinWindow); a.window < min {
-		a.window = min
-	}
+	a.window = max(a.window*a.opts.DecreaseFactor, minWindow)
 }

@@ -122,28 +122,28 @@ func TestAdmissionWindowSheds(t *testing.T) {
 }
 
 // TestAdmissionTokenBucket: with a rate gate, starts beyond the bucket are
-// shed even while the window has room; refill readmits.
+// shed even while the window has room; refill readmits. At 10 tokens/s the
+// bucket is 16 deep, its floor (a quarter second of rate is only 2.5).
 func TestAdmissionTokenBucket(t *testing.T) {
 	iss, c := admissionIssuer(Options{
 		Admission: AdmissionOptions{
 			Enabled:       true,
 			InitialWindow: 100,
 			TokensPerSec:  10,
-			Burst:         2,
 		},
 	})
-	for seq := uint64(1); seq <= 4; seq++ {
+	for seq := uint64(1); seq <= 18; seq++ {
 		submitSeq(iss, c, seq, model.ItemID(seq%8))
 	}
-	if reqs := take[model.RequestMsg](c); len(reqs) != 2 {
-		t.Fatalf("requests = %d, want 2 (burst)", len(reqs))
+	if reqs := take[model.RequestMsg](c); len(reqs) != 16 {
+		t.Fatalf("requests = %d, want 16 (burst)", len(reqs))
 	}
 	if s := iss.Snapshot(); s.Shed != 2 {
 		t.Fatalf("shed = %d, want 2", s.Shed)
 	}
 	// 100ms refills one token at 10/s.
 	c.now += 100_000
-	submitSeq(iss, c, 5, 3)
+	submitSeq(iss, c, 19, 3)
 	if reqs := take[model.RequestMsg](c); len(reqs) != 1 {
 		t.Fatalf("post-refill requests = %d, want 1", len(reqs))
 	}
@@ -245,11 +245,11 @@ func TestBusyNAKShedsReadOnlySnapshot(t *testing.T) {
 // TestAdmissionAIMDRecovers: after a decrease, in-target commits grow the
 // window back additively.
 func TestAdmissionAIMDRecovers(t *testing.T) {
-	a := newAdmission(AdmissionOptions{Enabled: true, InitialWindow: 10, MinWindow: 2})
+	a := newAdmission(AdmissionOptions{Enabled: true, InitialWindow: 10})
 	a.onBusy(1_000_000)
 	shrunk := a.window
-	if shrunk >= 10 {
-		t.Fatalf("window did not shrink: %v", shrunk)
+	if shrunk >= 10 || shrunk < 4 {
+		t.Fatalf("window did not shrink to within [4, 10): %v", shrunk)
 	}
 	for i := 0; i < 100; i++ {
 		a.onCommit(2_000_000+int64(i), 1_000)
@@ -282,5 +282,13 @@ func TestAdmissionAIMDRecovers(t *testing.T) {
 	d.onCommit(5_000_000, 50_000)
 	if d.window >= 50 {
 		t.Fatalf("slow commit did not shrink the window: %v", d.window)
+	}
+	// Floor: episodes past the cooldown stop shrinking the window at 4.
+	f := newAdmission(AdmissionOptions{Enabled: true, InitialWindow: 10})
+	for i := int64(1); i <= 10; i++ {
+		f.onBusy(i * 1_000_000)
+	}
+	if f.window != 4 {
+		t.Fatalf("window after ten episodes = %v, want the floor 4", f.window)
 	}
 }

@@ -28,15 +28,19 @@ type Options struct {
 	// min-STL decision over analytically derived parameters (§5.2's
 	// "estimated through analytical methods"; see stl.Analytic).
 	ColdStart *stl.SystemShape
-	// Grid is the STL' evaluator resolution (0 → 32: selection needs
-	// ranking, not precision).
-	Grid int
-	// MinLambdaA gates selection: below this measured system throughput the
-	// estimates are noise and Fallback/ColdStart is used.
-	MinLambdaA float64
-	// CacheTTLMicros ages per-class cache entries (0 = 200ms).
-	CacheTTLMicros int64
 }
+
+const (
+	// grid is the STL' evaluator resolution: selection needs ranking, not
+	// precision.
+	grid = 32
+	// minLambdaA gates selection: below this measured system throughput
+	// (requests per second) the estimates are noise and Fallback/ColdStart
+	// is used.
+	minLambdaA = 1
+	// cacheTTLMicros ages per-class cache entries.
+	cacheTTLMicros = 200_000
+)
 
 // Dynamic is the min-STL selector. One instance is shared by all issuers
 // (its cache is protected by a mutex); the per-call cost is one STL'
@@ -65,15 +69,6 @@ type cacheEntry struct {
 
 // NewDynamic builds a dynamic selector.
 func NewDynamic(opts Options) *Dynamic {
-	if opts.Grid <= 0 {
-		opts.Grid = 32
-	}
-	if opts.CacheTTLMicros <= 0 {
-		opts.CacheTTLMicros = 200_000
-	}
-	if opts.MinLambdaA <= 0 {
-		opts.MinLambdaA = 1
-	}
 	return &Dynamic{opts: opts, cache: map[classKey]cacheEntry{}}
 }
 
@@ -88,7 +83,7 @@ func (d *Dynamic) Choose(t *model.Txn, est model.EstimateMsg) model.Protocol {
 	// A preset ROSnapshot tag the fast path will not take (path disabled
 	// here) simply falls through to normal min-STL selection, whose return
 	// value replaces the tag at the issuer.
-	if est.LambdaA < d.opts.MinLambdaA {
+	if est.LambdaA < minLambdaA {
 		p := d.opts.Fallback
 		if d.opts.ColdStart != nil {
 			p = d.coldChoose(t)
@@ -97,7 +92,7 @@ func (d *Dynamic) Choose(t *model.Txn, est model.EstimateMsg) model.Protocol {
 		return p
 	}
 	key := classKey{class: t.Class, m: t.NumReads(), n: t.NumWrites()}
-	if c, ok := d.cache[key]; ok && est.AtMicros-c.atMicros < d.opts.CacheTTLMicros {
+	if c, ok := d.cache[key]; ok && est.AtMicros-c.atMicros < cacheTTLMicros {
 		d.Decisions[c.protocol]++
 		return c.protocol
 	}
@@ -120,7 +115,7 @@ func (d *Dynamic) Evaluate(t *model.Txn, est model.EstimateMsg) [3]float64 {
 // measurements yet).
 func (d *Dynamic) coldChoose(t *model.Txn) model.Protocol {
 	params, pp := stl.Analytic(*d.opts.ColdStart)
-	ev, err := stl.NewEvaluator(params, d.opts.Grid)
+	ev, err := stl.NewEvaluator(params, grid)
 	if err != nil {
 		return d.opts.Fallback
 	}
@@ -137,7 +132,7 @@ func (d *Dynamic) coldChoose(t *model.Txn) model.Protocol {
 
 func (d *Dynamic) evaluate(t *model.Txn, est model.EstimateMsg) ([3]float64, model.Protocol) {
 	params := ParamsFromEstimates(est)
-	ev, err := stl.NewEvaluator(params, d.opts.Grid)
+	ev, err := stl.NewEvaluator(params, grid)
 	if err != nil {
 		return [3]float64{}, d.opts.Fallback
 	}

@@ -85,22 +85,32 @@ func TestDynamicPrefersCleanProtocol(t *testing.T) {
 }
 
 func TestDynamicClassCache(t *testing.T) {
-	d := NewDynamic(Options{Fallback: model.PA, CacheTTLMicros: 1_000_000})
+	d := NewDynamic(Options{Fallback: model.PA})
 	est := estimate()
 	tx := probeTxn()
 	tx.Class = "hot"
+	key := classKey{class: tx.Class, m: tx.NumReads(), n: tx.NumWrites()}
 	first := d.Choose(tx, est)
-	// Same class+shape within TTL → cached (same answer, one evaluation).
-	for i := 0; i < 5; i++ {
-		if got := d.Choose(tx, est); got != first {
+	// Same class+shape within the 200ms TTL → cached (same answer, the
+	// entry keeps its evaluation time).
+	for _, dt := range []int64{0, 1, 199_999} {
+		later := est
+		later.AtMicros = est.AtMicros + dt
+		if got := d.Choose(tx, later); got != first {
 			t.Fatal("cached choice changed")
+		}
+		if at := d.cache[key].atMicros; at != est.AtMicros {
+			t.Fatalf("entry re-evaluated %dµs after it was cached (at %d)", dt, at)
 		}
 	}
 	// TTL expiry forces re-evaluation (observable via the time bump).
 	est2 := est
-	est2.AtMicros = est.AtMicros + 2_000_000
+	est2.AtMicros = est.AtMicros + 200_000
 	if got := d.Choose(tx, est2); got != first {
 		t.Fatal("re-evaluation with identical estimates changed the answer")
+	}
+	if at := d.cache[key].atMicros; at != est2.AtMicros {
+		t.Fatalf("entry not re-evaluated 200ms after it was cached (at %d)", at)
 	}
 }
 

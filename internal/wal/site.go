@@ -45,6 +45,16 @@ type Stats struct {
 	Recoveries uint64
 }
 
+// Add adds every count of o to s.
+func (s *Stats) Add(o Stats) {
+	s.Appends += o.Appends
+	s.Syncs += o.Syncs
+	s.Snapshots += o.Snapshots
+	s.Replayed += o.Replayed
+	s.RecoveredCopies += o.RecoveredCopies
+	s.Recoveries += o.Recoveries
+}
+
 // SiteLog ties one site's store to its write-ahead log: it implements
 // storage.Journal (every implemented write is appended), flushes on the
 // queue manager's commit boundaries, takes periodic snapshots, and rebuilds

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -455,6 +456,26 @@ func TestSiteLogConcurrentShardTraffic(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("copy %d: recovered %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStatsAddEveryField: Add sums every count, so a count added to Stats
+// without a line in Add fails here instead of reading zero in every
+// cross-site total.
+func TestStatsAddEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).Set(reflect.ValueOf(i + 1).Convert(v.Field(i).Type()))
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got := s.Field(i).Convert(reflect.TypeOf(0)).Interface(); got != 2*(i+1) {
+			t.Errorf("%s = %d after adding %d twice", s.Type().Field(i).Name, got, i+1)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -12,23 +15,33 @@ import (
 
 const seedDir = "testdata/fuzz/FuzzWireRoundTrip"
 
-// TestWriteSeedCorpus regenerates the committed fuzz seed corpus (one file
-// per wire tag, first corpus envelope carrying it, plus the first fill form
-// of the log-shipping pull and reply) when WIRE_WRITE_CORPUS=1. Run after
-// adding a message type:
-//
-//	WIRE_WRITE_CORPUS=1 go test ./internal/wire -run TestWriteSeedCorpus
-func TestWriteSeedCorpus(t *testing.T) {
-	if os.Getenv("WIRE_WRITE_CORPUS") == "" {
-		t.Skip("set WIRE_WRITE_CORPUS=1 to regenerate the seed corpus")
-	}
-	if err := os.MkdirAll(seedDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	written := map[string]bool{}
+// batchOfOneTypes are the message types that declare the six tags whose
+// corpus messages are batches of one: a per-copy step travels as a batch of
+// one under its single message's tag.
+var batchOfOneTypes = map[model.WireTag]model.Message{
+	model.TagRequest:       model.RequestMsg{},
+	model.TagRelease:       model.ReleaseMsg{},
+	model.TagAbort:         model.AbortMsg{},
+	model.TagGrant:         model.GrantMsg{},
+	model.TagSnapRead:      model.SnapReadMsg{},
+	model.TagSnapReadReply: model.SnapReadReplyMsg{},
+}
+
+// seedFiles returns the seed corpus, file name to contents: one file per
+// wire tag, the first corpus envelope carrying it, plus the first fill form
+// of the log-shipping pull and reply. A seed is named after its tag and the
+// message type that declares the tag, so every form sent under one tag
+// names the same file.
+func seedFiles(t *testing.T) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
 	for _, env := range Corpus() {
 		tag, _ := model.MessageTag(env.Msg)
-		name := fmt.Sprintf("tag-%02d-%T", tag, env.Msg)
+		declaring := env.Msg
+		if m, ok := batchOfOneTypes[tag]; ok {
+			declaring = m
+		}
+		name := fmt.Sprintf("tag-%02d-%T", tag, declaring)
 		switch m := env.Msg.(type) {
 		case model.ReplPullMsg:
 			if m.Epoch != 0 {
@@ -39,20 +52,36 @@ func TestWriteSeedCorpus(t *testing.T) {
 				name += "-fill"
 			}
 		}
-		if written[name] {
+		if _, ok := files[name]; ok {
 			continue
 		}
-		written[name] = true
 		payload, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
-		if err := os.WriteFile(filepath.Join(seedDir, name), []byte(body), 0o644); err != nil {
+		files[name] = fmt.Appendf(nil, "go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
+	}
+	return files
+}
+
+// TestWriteSeedCorpus regenerates the committed fuzz seed corpus
+// (seedFiles) when WIRE_WRITE_CORPUS=1. Run after adding a message type:
+//
+//	WIRE_WRITE_CORPUS=1 go test ./internal/wire -run TestWriteSeedCorpus
+func TestWriteSeedCorpus(t *testing.T) {
+	if os.Getenv("WIRE_WRITE_CORPUS") == "" {
+		t.Skip("set WIRE_WRITE_CORPUS=1 to regenerate the seed corpus")
+	}
+	if err := os.MkdirAll(seedDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := seedFiles(t)
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(seedDir, name), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("wrote %d seed inputs to %s", len(written), seedDir)
+	t.Logf("wrote %d seed inputs to %s", len(files), seedDir)
 }
 
 // TestSeedCorpusCommitted fails if the checked-in corpus lacks a tag-NN-*
@@ -65,5 +94,34 @@ func TestSeedCorpusCommitted(t *testing.T) {
 		if (len(seeds) == 0) != model.TagRetired(tag) {
 			t.Errorf("tag %d (retired %v) has seeds %v (run WIRE_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus ./internal/wire)", tag, model.TagRetired(tag), seeds)
 		}
+	}
+}
+
+// TestSeedCorpusRegeneratesUnchanged fails if regenerating the corpus would
+// change the committed tag-NN-* seeds: a seed missing, stale or extra (a
+// second name for one tag would be committed beside the first and fuzzed
+// twice).
+func TestSeedCorpusRegeneratesUnchanged(t *testing.T) {
+	want := seedFiles(t)
+	committed, err := filepath.Glob(filepath.Join(seedDir, "tag-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		name := filepath.Base(path)
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch w, ok := want[name]; {
+		case !ok:
+			t.Errorf("committed seed %s is not one the corpus writes", name)
+		case !bytes.Equal(body, w):
+			t.Errorf("committed seed %s differs from the corpus's", name)
+		}
+		delete(want, name)
+	}
+	for _, name := range slices.Sorted(maps.Keys(want)) {
+		t.Errorf("seed %s is not committed (run WIRE_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus ./internal/wire)", name)
 	}
 }

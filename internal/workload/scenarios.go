@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"ucc/internal/model"
-)
+import "ucc/internal/model"
 
 // Scenario names a reusable workload shape: a per-site Spec generator, so
 // heterogeneous sites (e.g. a reporting site among OLTP sites) are
@@ -186,21 +182,4 @@ func Scenarios(items int, rate float64) []Scenario {
 		MixedAnalytics(items, rate, rate/5),
 		ReadHeavy(items, rate, 0.9, 6),
 	}
-}
-
-// ByName finds a named scenario.
-func ByName(name string, items int, rate float64) (Scenario, error) {
-	for _, s := range Scenarios(items, rate) {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Scenario{}, fmt.Errorf("workload: unknown scenario %q", name)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

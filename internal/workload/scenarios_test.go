@@ -70,12 +70,3 @@ func TestHotShardConcentratesOnOneShard(t *testing.T) {
 		t.Fatal("scenario generated no accesses")
 	}
 }
-
-func TestByName(t *testing.T) {
-	if _, err := ByName("flash-sale", 64, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("nope", 64, 10); err == nil {
-		t.Fatal("phantom scenario")
-	}
-}
