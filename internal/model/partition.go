@@ -27,7 +27,7 @@ func (pm *PartitionMap) Items() int { return len(pm.Assignments) }
 // Replicas returns the sites holding copies of item, primary first. The
 // returned slice is the map's own backing array — callers must not mutate it.
 func (pm *PartitionMap) Replicas(item ItemID) []SiteID {
-	if int(item) >= len(pm.Assignments) || len(pm.Assignments[item]) == 0 {
+	if uint(item) >= uint(len(pm.Assignments)) || len(pm.Assignments[item]) == 0 {
 		panic(fmt.Sprintf("partition map epoch %d: no copies for item %d", pm.Epoch, item))
 	}
 	return pm.Assignments[item]
@@ -37,9 +37,10 @@ func (pm *PartitionMap) Replicas(item ItemID) []SiteID {
 func (pm *PartitionMap) Primary(item ItemID) SiteID { return pm.Replicas(item)[0] }
 
 // Owns reports whether site holds a copy of item. False for items outside the
-// map (a router built against a larger map than this one must not panic).
+// map, negative ones included (a router built against a larger map than this
+// one, or a frame naming an item no map places, must not panic).
 func (pm *PartitionMap) Owns(item ItemID, site SiteID) bool {
-	if int(item) >= len(pm.Assignments) {
+	if uint(item) >= uint(len(pm.Assignments)) {
 		return false
 	}
 	for _, s := range pm.Assignments[item] {

@@ -58,3 +58,19 @@ func TestPartitionMapSharing(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnsOutsideTheMap: an item the map does not place — negative, or at or
+// past its item count — is owned by no site, and asking does not panic.
+func TestOwnsOutsideTheMap(t *testing.T) {
+	pm := roundRobin(4, 2, 0, 1)
+	for _, item := range []ItemID{-1, -1 << 31, ItemID(pm.Items()), 1<<31 - 1} {
+		for _, site := range []SiteID{0, 1} {
+			if pm.Owns(item, site) {
+				t.Fatalf("site %d owns item %d outside a %d-item map", site, item, pm.Items())
+			}
+		}
+	}
+	if !pm.Owns(0, 0) || !pm.Owns(ItemID(pm.Items()-1), 1) {
+		t.Fatal("items inside the map lost their owners")
+	}
+}

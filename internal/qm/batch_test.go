@@ -206,7 +206,7 @@ func TestSnapReadBatchAnsweredOnce(t *testing.T) {
 	t.Run("NAKs leave after the held replies", func(t *testing.T) {
 		m, _ := testManager(4, true)
 		m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {0}, {1}, {0}}})
-		m.shardFor(3).pending[3] = true // sealed mid-transfer
+		m.queueOf(3).pending = true // sealed mid-transfer
 		ctx := newFakeCtx()
 		deliverSnap(m, ctx, snapBatchOf(1, 0, 1, 2, 3))
 		var got []string

@@ -212,3 +212,92 @@ func BenchmarkStatsTick(b *testing.B) {
 		m.OnMessage(&ctx, engine.QMAddr(0), model.TickMsg{})
 	}
 }
+
+// requestRelease is one shard of a volatile site holding items copies, and a
+// transaction's write request and write release per item, built once as
+// batches of one. A cycle takes warm pooled copies of one item's pair — the
+// form a decoded frame arrives in — and delivers them: the request is
+// granted at once, the release installs the write and empties the queue.
+type requestRelease struct {
+	m        *Manager
+	ctx      drainCtx
+	requests []model.RequestBatchMsg
+	releases []model.ReleaseBatchMsg
+	// draws is a fixed sequence of uniformly drawn items, and next the
+	// position of the next cycle's item in it.
+	draws []model.ItemID
+	next  int
+}
+
+func newRequestRelease(items int) *requestRelease {
+	st := storage.NewStore(0)
+	rr := &requestRelease{}
+	for i := 0; i < items; i++ {
+		st.Create(model.ItemID(i), 100)
+		r := req(uint64(i+1), model.TwoPL, model.OpWrite, model.ItemID(i), model.NoTimestamp)
+		rr.requests = append(rr.requests, asBatch(r).(model.RequestBatchMsg))
+		rr.releases = append(rr.releases, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy, HasWrite: true, Value: int64(i)}).(model.ReleaseBatchMsg))
+	}
+	rr.m = New(0, st, nil, Options{})
+	rng := rand.New(rand.NewSource(1))
+	for range 1 << 16 {
+		rr.draws = append(rr.draws, model.ItemID(rng.Intn(items)))
+	}
+	// Two writes to every copy grow each chain to the length it keeps, so
+	// the cycles that follow measure the steady state.
+	for range 2 {
+		for i := range items {
+			rr.cycleOn(model.ItemID(i))
+		}
+	}
+	return rr
+}
+
+func (rr *requestRelease) cycleOn(item model.ItemID) {
+	ri := engine.RIAddr(1)
+	p := model.PooledRequestBatch(rr.requests[item])
+	rr.m.OnMessage(&rr.ctx, ri, p)
+	model.RecycleMessage(p)
+	r := model.PooledReleaseBatch(rr.releases[item])
+	rr.m.OnMessage(&rr.ctx, ri, r)
+	model.RecycleMessage(r)
+}
+
+func (rr *requestRelease) cycle() {
+	rr.cycleOn(rr.draws[rr.next])
+	rr.next = (rr.next + 1) % len(rr.draws)
+}
+
+// BenchmarkShardRequestRelease times the queue manager's grant path, layer
+// by layer's "qm shard queue → storage" row: one shard of a 4 096-copy
+// site, one request → grant → release cycle per op on a uniformly drawn
+// item. The copy's queue, its transaction's entry and its newest version
+// are each found per cycle, so the cost of finding them shows here.
+func BenchmarkShardRequestRelease(b *testing.B) {
+	rr := newRequestRelease(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rr.cycle()
+	}
+	b.StopTimer()
+	if c := rr.m.Snapshot(); c.Grants != c.Releases || c.Grants != c.Requests {
+		b.Fatalf("requests %d, grants %d, releases %d: every cycle must be granted and released", c.Requests, c.Grants, c.Releases)
+	}
+}
+
+// TestRequestReleaseCycleAllocatesNothing: once the pools and the chains are
+// warm, a request → grant → release cycle on a uniformly drawn item costs
+// the queue manager no allocation.
+func TestRequestReleaseCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rr := newRequestRelease(4096)
+	if got := testing.AllocsPerRun(1000, rr.cycle); got != 0 {
+		t.Fatalf("one request → grant → release cycle allocates %.2f times, want 0", got)
+	}
+	if c := rr.m.Snapshot(); c.Grants != c.Releases {
+		t.Fatalf("%d grants, %d releases: every cycle must be released", c.Grants, c.Releases)
+	}
+}

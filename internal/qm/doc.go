@@ -11,7 +11,9 @@
 // private mailbox goroutine on the real-time runtime. Conflict-free
 // operations at one site therefore execute in parallel; operations on one
 // item are always serialized by its owning shard, which is all the protocol
-// requires. Each dataQueue keeps its entries sorted by unified precedence,
+// requires. The queues live in the manager's one table, indexed by the
+// map's dense item numbers (Manager.byItem); a shard's mutex guards the
+// slots of its items. Each dataQueue keeps its entries sorted by unified precedence,
 // tracks the R-TS/W-TS thresholds, assigns 2PL precedences from the biggest
 // timestamp ever seen, rejects out-of-order T/O requests, computes PA
 // back-off timestamps, and grants locks to HD(j) according to the semi-lock

@@ -16,7 +16,7 @@ import (
 // queue after an arbitrary message:
 //
 //  1. entries sorted strictly ascending by unified precedence;
-//  2. the byTxn index matches the entries slice exactly;
+//  2. each transaction holds at most one entry, and find returns it;
 //  3. lockCounts matches the granted entries' lock kinds;
 //  4. the granted list contains exactly the granted entries in grant order;
 //  5. no two granted entries hold WL/WL (mutual exclusion of full write
@@ -35,15 +35,12 @@ func checkQueueInvariants(t *testing.T, q *dataQueue) {
 				i, q.entries[i-1].prec, q.entries[i].prec)
 		}
 	}
-	if len(q.byTxn) != len(q.entries) {
-		t.Fatalf("index size %d != entries %d", len(q.byTxn), len(q.entries))
-	}
 	var counts [4]int
 	var nGranted int
 	var fullWL int
 	for _, e := range q.entries {
-		if q.byTxn[e.txn] != e {
-			t.Fatalf("index mismatch for %v", e.txn)
+		if q.find(e.txn) != e {
+			t.Fatalf("transaction %v holds more than one entry", e.txn)
 		}
 		if e.granted {
 			nGranted++

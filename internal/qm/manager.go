@@ -135,6 +135,38 @@ func (c *Counters) Add(o Counters) {
 	c.TransferBytes += o.TransferBytes
 }
 
+// Sub takes every counter of o from c: the events since o was taken.
+func (c *Counters) Sub(o Counters) {
+	c.Requests -= o.Requests
+	c.Grants -= o.Grants
+	c.PreGrants -= o.PreGrants
+	c.Promotions -= o.Promotions
+	c.Rejects -= o.Rejects
+	c.Backoffs -= o.Backoffs
+	c.Revokes -= o.Revokes
+	c.Releases -= o.Releases
+	c.Conversion -= o.Conversion
+	c.Aborts -= o.Aborts
+	c.SnapReads -= o.SnapReads
+	c.SnapStale -= o.SnapStale
+	c.Busy -= o.Busy
+	c.WALSyncs -= o.WALSyncs
+	c.Commits -= o.Commits
+	c.Crashes -= o.Crashes
+	c.Recoveries -= o.Recoveries
+	c.Deferred -= o.Deferred
+	c.ReplPulls -= o.ReplPulls
+	c.ReplApplied -= o.ReplApplied
+	c.ReplSkipped -= o.ReplSkipped
+	c.ReplResets -= o.ReplResets
+	c.WrongEpoch -= o.WrongEpoch
+	c.MapInstalls -= o.MapInstalls
+	c.ItemsGained -= o.ItemsGained
+	c.TransferPulls -= o.TransferPulls
+	c.TransferApplied -= o.TransferApplied
+	c.TransferBytes -= o.TransferBytes
+}
+
 // Durable is the durability subsystem a manager drives (internal/wal's
 // SiteLog): Flush makes every journaled write durable; Crash and Recover
 // implement simulated fault injection. The manager journals nothing itself —
@@ -180,10 +212,13 @@ type Manager struct {
 	// statsSent).
 	statsAt   int64
 	statsSent bool
-	// byItem holds each item's data queue, indexed by item (nil where this
-	// site holds no copy), so the stats tick reports in item order without
-	// sorting. It grows only with every shard locked (New, map install); a
-	// retiring queue's slot is cleared under its shard's lock.
+	// byItem is the site's one queue table: each item's data queue, indexed
+	// by item (nil where this site holds no copy). Items are the partition
+	// map's dense numbers, so a lookup is a bounds check and a load, and the
+	// stats tick reports in item order without sorting. The table grows only
+	// with every shard locked (New, map install); a slot is filled or
+	// cleared under the lock of the shard its item hashes to, which is the
+	// lock a reader of that slot holds.
 	byItem []*dataQueue
 	// statsGrants is the stats tick's scratch.
 	statsGrants []model.QueueGrants
@@ -241,9 +276,6 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 			idx:      i,
 			flushMsg: model.FlushMsg{Shard: int32(i)},
 			doneMsg:  model.FlushDoneMsg{Shard: int32(i)},
-			queues:   map[model.ItemID]*dataQueue{},
-			pending:  map[model.ItemID]bool{},
-			retiring: map[model.ItemID]bool{},
 		}
 		sh.syncWork = sh.runSync
 		m.shards[i] = sh
@@ -254,15 +286,37 @@ func New(site model.SiteID, store *storage.Store, recorder *history.Recorder, op
 	return m
 }
 
-// addQueue creates item's data queue in the shard it hashes to. Callers
+// addQueue creates item's data queue in the table and returns it. Callers
 // hold every shard's lock, or own the manager outright (New).
-func (m *Manager) addQueue(item model.ItemID) {
+func (m *Manager) addQueue(item model.ItemID) *dataQueue {
 	q := newDataQueue(model.CopyID{Item: item, Site: m.site}, !m.opts.DisableSemiLocks)
-	m.shardFor(item).queues[item] = q
 	if int(item) >= len(m.byItem) {
 		m.byItem = append(m.byItem, make([]*dataQueue, int(item)+1-len(m.byItem))...)
 	}
 	m.byItem[item] = q
+	return q
+}
+
+// queue returns item's data queue, or nil when this site holds no copy of
+// it — every item outside the table included, so a frame naming an item no
+// map places finds no queue rather than an index panic. Callers hold the
+// lock of the shard item hashes to (or every shard's).
+func (m *Manager) queue(item model.ItemID) *dataQueue {
+	if uint(item) < uint(len(m.byItem)) {
+		return m.byItem[item]
+	}
+	return nil
+}
+
+// eachQueue calls f with every data queue of sh's items, in item order.
+// Caller holds sh.mu.
+func (sh *shard) eachQueue(f func(q *dataQueue)) {
+	n := len(sh.m.shards)
+	for i, q := range sh.m.byItem {
+		if q != nil && model.ShardOfItem(model.ItemID(i), n) == sh.idx {
+			f(q)
+		}
+	}
 }
 
 // Site returns the manager's site id.
@@ -326,7 +380,7 @@ func (m *Manager) shardFor(item model.ItemID) *shard {
 
 // queueOf returns item's data queue (tests).
 func (m *Manager) queueOf(item model.ItemID) *dataQueue {
-	return m.shardFor(item).queues[item]
+	return m.queue(item)
 }
 
 // DumpQueue renders item's queue for debugging: one line per entry in
@@ -335,7 +389,7 @@ func (m *Manager) DumpQueue(item model.ItemID) []string {
 	sh := m.shardFor(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	q := sh.queues[item]
+	q := m.queue(item)
 	if q == nil {
 		return nil
 	}
@@ -366,7 +420,7 @@ func (m *Manager) QueueDepth(item model.ItemID) int {
 	sh := m.shardFor(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	q := sh.queues[item]
+	q := m.queue(item)
 	if q == nil {
 		return 0
 	}
@@ -656,7 +710,7 @@ func (m *Manager) onProbe(ctx engine.Context, from engine.Addr, v model.ProbeWFG
 	m.probeEdges = m.probeEdges[:0]
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, q := range sh.queues {
+		sh.eachQueue(func(q *dataQueue) {
 			q.waitEdges(func(e, b *entry) {
 				m.probeEdges = append(m.probeEdges, model.WaitEdge{
 					Waiter:       e.txn,
@@ -669,7 +723,7 @@ func (m *Manager) onProbe(ctx engine.Context, from engine.Addr, v model.ProbeWFG
 					WaiterIssuer: e.prec.Site,
 				})
 			})
-		}
+		})
 		sh.mu.Unlock()
 	}
 	// The pooled report copies the edges out of the scratch.

@@ -238,3 +238,98 @@ func TestRuntimeCrashMidSync(t *testing.T) {
 		})
 	}
 }
+
+// forwardingRI forwards every message it receives, as a value, to got. It
+// touches nothing else, so it adds no synchronization between the site's
+// goroutines that a race report could hide behind.
+type forwardingRI struct{ got chan model.Message }
+
+func (r *forwardingRI) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
+	r.got <- asSingle(valueForm(msg))
+}
+
+// TestMapInstallDuringSnapshottingSync: on engine.Runtime, with two shards
+// and a durable site that snapshots at every sync, a map install that gains
+// copies lands while a shard's sync is in flight — the sync worker images
+// the store through EachChain while the install creates the gained copies.
+// The store's table writes take its barrier exclusively, which orders the
+// two (under -race an unordered pair fails the test). The gained copies
+// serve traffic at once (no previous map, so nothing to fill), and the
+// install's own snapshot images them.
+func TestMapInstallDuringSnapshottingSync(t *testing.T) {
+	const held, total = 8, 16
+	st := storage.NewStore(0)
+	for i := 0; i < held; i++ {
+		st.Create(model.ItemID(i), 100)
+	}
+	media := wal.NewMemMedia()
+	media.SyncDelay = slowSync
+	sl, err := wal.Open(media, st, wal.Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetJournal(sl)
+	m := New(0, st, nil, Options{Shards: 2, InitialValue: 100})
+	m.SetDurable(sl)
+	rt := engine.NewRuntime(nil, 1)
+	t.Cleanup(rt.Shutdown)
+	for i := 0; i < m.NumShards(); i++ {
+		rt.Register(engine.QMShardAddr(0, i), m)
+	}
+	ri := &forwardingRI{got: make(chan model.Message, 64)}
+	rt.Register(engine.RIAddr(1), ri)
+	post := func(item model.ItemID, msg model.Message) {
+		rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMShardAddr(0, model.ShardOfItem(item, m.NumShards())), Msg: pooled(msg)})
+	}
+	grant := func(txn uint64) model.GrantMsg {
+		t.Helper()
+		select {
+		case msg := <-ri.got:
+			g, ok := msg.(model.GrantMsg)
+			if !ok || g.Txn.Seq != txn {
+				t.Fatalf("got %T %+v, want txn %d's grant", msg, msg, txn)
+			}
+			return g
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no grant for txn %d (counters %+v)", txn, m.Snapshot())
+			return model.GrantMsg{}
+		}
+	}
+	s := &runtimeSite{t: t, m: m}
+
+	post(0, req(1, model.TwoPL, model.OpWrite, 0, model.NoTimestamp))
+	grant(1)
+	snaps := sl.Stats().Snapshots
+	post(0, release(1, 0, true, 7))
+	s.syncStarted(1)
+	all := make([][]model.SiteID, total)
+	for i := range all {
+		all[i] = []model.SiteID{0}
+	}
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.MapInstallMsg{Map: model.PartitionMap{Epoch: 1, Assignments: all}}})
+	s.await("the map install", func() bool { return m.Snapshot().MapInstalls == 1 })
+	for item := model.ItemID(held); item < total; item++ {
+		post(item, req(uint64(item)+1, model.TwoPL, model.OpRead, item, model.NoTimestamp))
+		if g := grant(uint64(item) + 1); g.Copy.Item != item || g.Value != 100 {
+			t.Fatalf("gained item %d: grant %+v, want its initial value 100", item, g)
+		}
+	}
+	c := m.Snapshot()
+	if c.MapInstalls != 1 || c.ItemsGained != total-held {
+		t.Fatalf("MapInstalls = %d, ItemsGained = %d; want 1 and %d", c.MapInstalls, c.ItemsGained, total-held)
+	}
+	if sl.Stats().Snapshots <= snaps {
+		t.Fatal("no snapshot since the write")
+	}
+	// Whichever snapshot imaged the gained copies, a crash keeps them.
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.CrashMsg{}})
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.RecoverMsg{}})
+	s.await("the recovery", func() bool { return m.Snapshot().Recoveries == 1 })
+	if st.Len() != total {
+		t.Fatalf("store holds %d copies after a crash, want %d", st.Len(), total)
+	}
+	post(total-1, req(100, model.TwoPL, model.OpRead, total-1, model.NoTimestamp))
+	if g := grant(100); g.Value != 100 {
+		t.Fatalf("gained item after recovery: grant %+v, want its initial value 100", g)
+	}
+}

@@ -15,6 +15,7 @@ import (
 // delivering messages (the store and queues were seeded to match it, so no
 // transition runs). Later maps arrive as MapInstallMsg.
 func (m *Manager) SetPartitionMap(pm *model.PartitionMap) {
+	m.known.Reset(pm.Items())
 	m.pmap.Store(pm)
 }
 
@@ -30,9 +31,9 @@ func (m *Manager) GrantCounts() map[model.ItemID]uint64 {
 	out := map[model.ItemID]uint64{}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for item, q := range sh.queues {
-			out[item] += q.readGrants + q.writeGrants
-		}
+		sh.eachQueue(func(q *dataQueue) {
+			out[q.copyID.Item] += q.readGrants + q.writeGrants
+		})
 		sh.mu.Unlock()
 	}
 	return out
@@ -56,7 +57,7 @@ func (sh *shard) wrongEpoch(ctx engine.Context, to model.SiteID, txn model.TxnID
 func (sh *shard) owns(item model.ItemID) bool {
 	pm := sh.m.pmap.Load()
 	if pm == nil {
-		return sh.queues[item] != nil
+		return sh.m.queue(item) != nil
 	}
 	return pm.Owns(item, sh.m.site)
 }
@@ -68,11 +69,24 @@ func (sh *shard) owns(item model.ItemID) bool {
 // that hands the item off is served from the durable log (onReplPull answers
 // a fill NotReady while anything is retiring) — so it retires at its un-park
 // instead. Callers hold sh.mu and pass the queue already looked up.
-func (sh *shard) maybeRetire(item model.ItemID, q *dataQueue) {
-	if sh.retiring[item] && len(q.entries) == 0 && !q.parked {
-		delete(sh.queues, item)
-		sh.m.byItem[item] = nil
-		delete(sh.retiring, item)
+func (sh *shard) maybeRetire(q *dataQueue) {
+	if q.retiring && len(q.entries) == 0 && !q.parked {
+		sh.setRetiring(q, false)
+		sh.m.byItem[q.copyID.Item] = nil
+	}
+}
+
+// setRetiring flags q retiring or not, keeping the shard's count. Callers
+// hold sh.mu.
+func (sh *shard) setRetiring(q *dataQueue, on bool) {
+	if q.retiring == on {
+		return
+	}
+	q.retiring = on
+	if on {
+		sh.retiring++
+	} else {
+		sh.retiring--
 	}
 }
 
@@ -110,23 +124,22 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 	for i := 0; i < next.Items(); i++ {
 		item := model.ItemID(i)
 		sh := m.shardFor(item)
-		hasQueue := sh.queues[item] != nil
+		q := m.queue(item)
 		ownsNow := next.Owns(item, m.site)
 		switch {
-		case ownsNow && !hasQueue:
+		case ownsNow && q == nil:
 			gained = append(gained, item)
-		case !ownsNow && hasQueue:
-			sh.retiring[item] = true
-			delete(sh.pending, item)
-			sh.maybeRetire(item, sh.queues[item])
-		case ownsNow && hasQueue:
+		case !ownsNow && q != nil:
+			sh.setRetiring(q, true)
+			q.pending = false
+			sh.maybeRetire(q)
+		case ownsNow && q != nil:
 			// Still owned; if it was mid-retirement under a previous epoch
 			// that has now been superseded, keep it.
-			delete(sh.retiring, item)
+			sh.setRetiring(q, false)
 		}
 	}
 	for _, item := range gained {
-		sh := m.shardFor(item)
 		if !m.store.Has(item) {
 			// Fresh copy at the initial value, stamp 0: every shipped record
 			// with a real commit stamp supersedes it, and if the old owner
@@ -134,10 +147,8 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 			// the values are identical by construction.
 			m.store.Create(item, m.opts.InitialValue)
 		}
-		m.addQueue(item)
-		if cur != nil {
-			sh.pending[item] = true
-		}
+		q := m.addQueue(item)
+		q.pending = cur != nil
 	}
 	m.shards[0].counters.MapInstalls++
 	m.shards[0].counters.ItemsGained += uint64(len(gained))
@@ -170,7 +181,7 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 	if m.replSrc != nil {
 		m.puller.SetPeers(next.Sharing(m.site))
 	}
-	m.known.ForgetAll()
+	m.known.Reset(next.Items())
 	m.pmap.Store(next)
 	m.armReplTick(ctx)
 }
@@ -192,7 +203,9 @@ func (m *Manager) clearPending(items []model.ItemID) {
 	for _, item := range items {
 		sh := m.shardFor(item)
 		sh.mu.Lock()
-		delete(sh.pending, item)
+		if q := m.queue(item); q != nil {
+			q.pending = false
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -202,7 +215,7 @@ func (m *Manager) clearPending(items []model.ItemID) {
 func (m *Manager) retiringAny() bool {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		n := len(sh.retiring)
+		n := sh.retiring
 		sh.mu.Unlock()
 		if n > 0 {
 			return true

@@ -117,6 +117,47 @@ func TestCompleterWrongEpochNAK(t *testing.T) {
 	}
 }
 
+// TestOutOfMapItemGetsWrongEpoch: a frame naming an item outside the map —
+// negative, or at the map's item count — is refused like any disowned item,
+// on every path and on a site with or without a map, and never indexes a
+// table out of bounds: the opener and the completers get the wrong-epoch
+// NAK, and a shipped record for it is skipped.
+func TestOutOfMapItemGetsWrongEpoch(t *testing.T) {
+	const items = 4
+	for _, withMap := range []bool{true, false} {
+		m, _ := testManager(items, true)
+		if withMap {
+			m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: [][]model.SiteID{{0}, {0}, {0}, {0}}})
+		}
+		ctx := newFakeCtx()
+		for _, item := range []model.ItemID{-1, items, -1 << 31} {
+			deliver(m, ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpWrite, item, model.NoTimestamp))
+			deliver(m, ctx, engine.RIAddr(1), model.SnapReadMsg{Txn: model.TxnID{Site: 1, Seq: 2}, Copy: model.CopyID{Item: item, Site: 0}, Site: 1})
+			deliver(m, ctx, engine.RIAddr(1), release(3, item, true, 42))
+			deliver(m, ctx, engine.RIAddr(1), model.AbortMsg{Txn: model.TxnID{Site: 1, Seq: 4}, Copy: model.CopyID{Item: item, Site: 0}})
+			deliver(m, ctx, engine.RIAddr(1), model.FinalTSMsg{Txn: model.TxnID{Site: 1, Seq: 5}, Copy: model.CopyID{Item: item, Site: 0}, TS: 9})
+			if naks := take[model.WrongEpochMsg](ctx); len(naks) != 5 {
+				t.Fatalf("map %v, item %d: %d wrong-epoch NAKs, want one per path (5)", withMap, item, len(naks))
+			}
+			if len(ctx.sent) != 0 {
+				t.Fatalf("map %v, item %d: sent %v besides the NAKs", withMap, item, ctx.sent)
+			}
+			frames := wal.AppendShipped(nil, 0, wal.Record{Item: item, Txn: model.TxnID{Site: 1, Seq: 6}, Value: 7, CommitMicros: 10})
+			m.OnMessage(ctx, engine.QMAddr(1), &model.ReplRecordsMsg{From: 1, Frames: frames, Incarnation: m.puller.Incarnation()})
+			// A negative item does not even decode (items ship unsigned): the
+			// batch is torn there, and nothing applies either way.
+			wantSkipped := uint64(0)
+			if item >= 0 {
+				wantSkipped = 1
+			}
+			if c := m.Snapshot(); c.ReplApplied != 0 || c.ReplSkipped != wantSkipped {
+				t.Fatalf("map %v, item %d: shipped record applied %d, skipped %d; want 0 and %d", withMap, item, c.ReplApplied, c.ReplSkipped, wantSkipped)
+			}
+			m.shards[0].counters.ReplSkipped = 0
+		}
+	}
+}
+
 // TestMapInstallGainSealsUntilTransfer walks the gaining side of a flip: the
 // gained item is created sealed (requests get Busy, not a grant and not a
 // NAK — the routing is correct, the state is in flight), a fill pull goes to

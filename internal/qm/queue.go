@@ -95,10 +95,9 @@ type grantDecision struct {
 // dataQueue is the per-copy queue + lock state (QUEUE(j), R-TS(j), W-TS(j)).
 type dataQueue struct {
 	copyID model.CopyID
-	// entries sorted ascending by unified precedence.
+	// entries sorted ascending by unified precedence, at most one per
+	// transaction (one request per txn per copy).
 	entries []*entry
-	// byTxn indexes entries by transaction (one request per txn per copy).
-	byTxn map[model.TxnID]*entry
 	// granted lists live granted entries in grant order; lockCounts tracks
 	// live granted locks by kind. Both exist so the semi-lock grant rules
 	// are O(1) instead of O(queue depth) per decision.
@@ -128,6 +127,12 @@ type dataQueue struct {
 	// stays parked for the next one.
 	parked  bool
 	parkGen uint64
+	// pending seals a copy this site gained at a map install until its fill
+	// is done: new openers get a busy NAK, the state is not here yet.
+	// retiring marks a copy it lost whose queue still holds in-flight
+	// transactions: new openers get the wrong-epoch NAK, residents drain to
+	// completion, and the emptied queue leaves the table (shard.maybeRetire).
+	pending, retiring bool
 
 	// Cumulative grant counters (inputs to λr(j)/λw(j) estimation), and
 	// their values at the last stats report, which sent the difference.
@@ -140,16 +145,19 @@ type dataQueue struct {
 }
 
 func newDataQueue(c model.CopyID, semiLocks bool) *dataQueue {
-	return &dataQueue{
-		copyID: c, rTS: -1, wTS: -1,
-		semiLocksEnabled: semiLocks,
-		byTxn:            map[model.TxnID]*entry{},
-	}
+	return &dataQueue{copyID: c, rTS: -1, wTS: -1, semiLocksEnabled: semiLocks}
 }
 
-// find returns the entry for txn, or nil.
+// find returns the entry for txn, or nil. It scans the entries, as remove
+// does: a queue is a handful of entries deep, and a scan of them costs less
+// than hashing into an index that every insert and remove would also pay.
 func (q *dataQueue) find(txn model.TxnID) *entry {
-	return q.byTxn[txn]
+	for _, e := range q.entries {
+		if e.txn == txn {
+			return e
+		}
+	}
+	return nil
 }
 
 // minQueueCap is the capacity a queue's entry lists take when they first
@@ -175,7 +183,6 @@ func (q *dataQueue) insert(e *entry) {
 	q.entries = appendEntry(q.entries, nil)
 	copy(q.entries[i+1:], q.entries[i:])
 	q.entries[i] = e
-	q.byTxn[e.txn] = e
 	if e.prec.TS > q.maxSeenTS {
 		q.maxSeenTS = e.prec.TS
 	}
@@ -189,7 +196,6 @@ func (q *dataQueue) remove(e *entry) {
 			break
 		}
 	}
-	delete(q.byTxn, e.txn)
 	if e.granted {
 		q.dropLock(e)
 	}

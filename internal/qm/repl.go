@@ -201,7 +201,7 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		sh := m.shardFor(r.Item)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		q := sh.queues[r.Item]
+		q := m.queue(r.Item)
 		if q != nil && q.find(r.Txn) != nil {
 			live = true
 			return false

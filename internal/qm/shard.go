@@ -13,25 +13,18 @@ import (
 // (model.ShardOfItem). Each shard is independently lockable — operations on
 // items in different shards never contend — which is what lets one site's
 // conflict-free traffic execute in parallel when the shards run on separate
-// mailbox goroutines.
+// mailbox goroutines. The queues themselves live in the manager's one
+// table (Manager.byItem); mu guards the slots of this shard's items.
 type shard struct {
 	m   *Manager
 	idx int
 
 	mu       sync.Mutex
-	queues   map[model.ItemID]*dataQueue
 	counters Counters
 	// depthHigh is the deepest any of this shard's queues has ever been.
 	depthHigh int
-
-	// Versioned-placement transition state. pending seals items this site
-	// gained at a map install until their fill is done (new
-	// openers get a busy NAK — the state is not here yet); retiring marks
-	// items it lost whose queues still hold in-flight transactions (new
-	// openers get the wrong-epoch NAK, residents drain to completion, and
-	// the emptied queue deletes).
-	pending  map[model.ItemID]bool
-	retiring map[model.ItemID]bool
+	// retiring counts this shard's queues flagged retiring (dataQueue.retiring).
+	retiring int
 
 	// Exposure discipline (see startSync): a write is journaled when
 	// implemented, its queue is parked, and nothing carrying or ordered after
@@ -267,12 +260,12 @@ func (sh *shard) unpark(ctx engine.Context, upTo uint64) {
 		}
 		q.parked = false
 		sh.dispatch(ctx, q)
-		sh.maybeRetire(q.copyID.Item, q)
+		sh.maybeRetire(q)
 	}
 	sh.parked = parked
 	waiting := sh.snapWait[:0]
 	for _, v := range sh.snapWait {
-		if q := sh.queues[v.Copy.Item]; q != nil && q.parked {
+		if q := sh.m.queue(v.Copy.Item); q != nil && q.parked {
 			waiting = append(waiting, v)
 			continue
 		}
@@ -379,8 +372,9 @@ func (sh *shard) sendHeld(ctx engine.Context) {
 	}
 }
 
+// queue returns item's data queue, which must exist.
 func (sh *shard) queue(item model.ItemID) *dataQueue {
-	q := sh.queues[item]
+	q := sh.m.queue(item)
 	if q == nil {
 		panic(fmt.Sprintf("qm: site %d shard %d has no queue for %v", sh.m.site, sh.idx, item))
 	}
@@ -396,7 +390,8 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		sh.wrongEpoch(ctx, v.Site, v.Txn, v.Attempt, v.Copy)
 		return
 	}
-	if sh.pending[v.Copy.Item] {
+	q := sh.queue(v.Copy.Item)
+	if q.pending {
 		// Gained but not yet filled: the authoritative state is still in
 		// flight from the old owner. Busy is the right refusal — the routing
 		// was correct, the issuer just needs to retry under backoff.
@@ -404,8 +399,8 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
-	q := sh.queue(v.Copy.Item)
-	if bound := sh.m.opts.MaxQueueDepth; bound > 0 && len(q.entries) >= bound && q.find(v.Txn) == nil {
+	old := q.find(v.Txn)
+	if bound := sh.m.opts.MaxQueueDepth; bound > 0 && len(q.entries) >= bound && old == nil {
 		// The queue is full and this transaction is not already resident:
 		// refuse the request rather than queue without bound. The issuer
 		// aborts the attempt and restarts it under backoff — shedding load
@@ -416,7 +411,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		}))
 		return
 	}
-	if old := q.find(v.Txn); old != nil {
+	if old != nil {
 		// A stale entry from a previous attempt whose abort raced ahead of
 		// us cannot exist under FIFO delivery, but drop defensively.
 		if old.attempt >= v.Attempt {
@@ -461,7 +456,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 }
 
 func (sh *shard) onFinalTS(ctx engine.Context, v model.FinalTSMsg) {
-	q := sh.queues[v.Copy.Item]
+	q := sh.m.queue(v.Copy.Item)
 	if q == nil {
 		// The item moved away and its queue drained (or never lived here):
 		// the completer path's wrong-epoch NAK, so a transaction straddling
@@ -480,7 +475,7 @@ func (sh *shard) onFinalTS(ctx engine.Context, v model.FinalTSMsg) {
 }
 
 func (sh *shard) onRelease(ctx engine.Context, v model.ReleaseMsg) {
-	q := sh.queues[v.Copy.Item]
+	q := sh.m.queue(v.Copy.Item)
 	if q == nil {
 		sh.wrongEpoch(ctx, v.Txn.Site, v.Txn, v.Attempt, v.Copy) // see onFinalTS
 		return
@@ -510,7 +505,7 @@ func (sh *shard) onRelease(ctx engine.Context, v model.ReleaseMsg) {
 	recycleEntry(e)
 	sh.counters.Releases++
 	sh.dispatch(ctx, q) // a no-op if the write just parked q
-	sh.maybeRetire(v.Copy.Item, q)
+	sh.maybeRetire(q)
 }
 
 // onSnapRead serves a read-only snapshot read directly from the store's
@@ -523,7 +518,8 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		sh.wrongEpoch(ctx, v.Site, v.Txn, v.Attempt, v.Copy) // see onRequest
 		return
 	}
-	if sh.pending[v.Copy.Item] {
+	q := sh.m.queue(v.Copy.Item)
+	if q != nil && q.pending {
 		// Sealed mid-fill: the version chain here is still the fresh
 		// initial copy, not the moved history — refuse rather than serve a
 		// stale snapshot.
@@ -531,7 +527,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
-	if q := sh.queues[v.Copy.Item]; q != nil && q.parked {
+	if q != nil && q.parked {
 		// The chain's head is journaled but not yet synced, and the reply
 		// must not carry it: answer at the un-park.
 		sh.snapWait = append(sh.snapWait, v)
@@ -582,7 +578,7 @@ func (sh *shard) onAbortBatch(ctx engine.Context, b *model.AbortBatchMsg) {
 }
 
 func (sh *shard) onAbort(ctx engine.Context, v model.AbortMsg) {
-	q := sh.queues[v.Copy.Item]
+	q := sh.m.queue(v.Copy.Item)
 	if q == nil {
 		sh.wrongEpoch(ctx, v.Txn.Site, v.Txn, v.Attempt, v.Copy) // see onFinalTS
 		return
@@ -600,7 +596,7 @@ func (sh *shard) onAbort(ctx engine.Context, v model.AbortMsg) {
 	recycleEntry(e)
 	sh.counters.Aborts++
 	sh.dispatch(ctx, q)
-	sh.maybeRetire(v.Copy.Item, q)
+	sh.maybeRetire(q)
 }
 
 // dispatch grants every grantable head in sequence and then promotes

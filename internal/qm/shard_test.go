@@ -52,8 +52,8 @@ func TestShardOfItemPartition(t *testing.T) {
 	}
 }
 
-// TestShardedManagerRoutesByItem: every queue lives in exactly the shard its
-// item hashes to, and item traffic reaches it regardless of which shard
+// TestShardedManagerRoutesByItem: every queue belongs to exactly the shard
+// its item hashes to, and item traffic reaches it regardless of which shard
 // address delivered the message.
 func TestShardedManagerRoutesByItem(t *testing.T) {
 	const items, shards = 32, 4
@@ -61,12 +61,16 @@ func TestShardedManagerRoutesByItem(t *testing.T) {
 	if m.NumShards() != shards {
 		t.Fatalf("NumShards=%d want %d", m.NumShards(), shards)
 	}
+	visited := make([]map[model.ItemID]bool, shards)
+	for s, sh := range m.shards {
+		visited[s] = map[model.ItemID]bool{}
+		sh.eachQueue(func(q *dataQueue) { visited[s][q.copyID.Item] = true })
+	}
 	perShard := make([]int, shards)
 	for i := 0; i < items; i++ {
 		want := model.ShardOfItem(model.ItemID(i), shards)
-		for s, sh := range m.shards {
-			_, has := sh.queues[model.ItemID(i)]
-			if has != (s == want) {
+		for s := range m.shards {
+			if has := visited[s][model.ItemID(i)]; has != (s == want) {
 				t.Fatalf("item %d queue in shard %d, want only shard %d", i, s, want)
 			}
 		}

@@ -136,9 +136,10 @@ func TestStatsTickAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCountersAddEveryField: Add sums every counter, so a counter added to
-// Counters without a line in Add fails here instead of reading zero in
-// every cross-shard and cross-site total.
+// TestCountersAddEveryField: Add sums every counter and Sub takes every
+// counter away, so a counter added to Counters without a line in both fails
+// here instead of reading zero in every cross-shard and cross-site total or
+// in every scenario phase's deltas.
 func TestCountersAddEveryField(t *testing.T) {
 	var one Counters
 	v := reflect.ValueOf(&one).Elem()
@@ -153,5 +154,13 @@ func TestCountersAddEveryField(t *testing.T) {
 		if got := s.Field(i).Uint(); got != 2*uint64(i+1) {
 			t.Errorf("%s = %d after adding %d twice", s.Type().Field(i).Name, got, i+1)
 		}
+	}
+	sum.Sub(one)
+	if sum != one {
+		t.Errorf("twice %+v less once is %+v", one, sum)
+	}
+	sum.Sub(one)
+	if sum != (Counters{}) {
+		t.Errorf("a sum less its parts left %+v", sum)
 	}
 }

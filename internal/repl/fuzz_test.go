@@ -218,13 +218,29 @@ func FuzzHaveDigest(f *testing.F) {
 		if re := AppendHave(nil, have); !bytes.Equal(re, data) {
 			t.Fatalf("accepted digest is not the canonical encoding:\n in: %x\nout: %x", data, re)
 		}
-		if len(k.peers[1]) != len(have) {
-			t.Fatalf("%d entries taught %d items", len(have), len(k.peers[1]))
-		}
+		// The table holds exactly the entries inside its bound: an item
+		// outside [0, maxKnownItems) is not remembered.
+		inside := 0
 		for _, h := range have {
-			if got, ok := k.peers[1][h.Item]; !ok || got != h.CommitMicros {
-				t.Fatalf("entry %+v learned as %d (present %v)", h, got, ok)
+			if h.Item < 0 || h.Item >= maxKnownItems {
+				if k.Holds(1, h.Item, h.CommitMicros) {
+					t.Fatalf("entry %+v outside the bound was learned", h)
+				}
+				continue
 			}
+			inside++
+			if slot := k.peers[1][h.Item]; !slot.held || slot.stamp != h.CommitMicros {
+				t.Fatalf("entry %+v learned as %+v", h, slot)
+			}
+		}
+		held := 0
+		for _, slot := range k.peers[1] {
+			if slot.held {
+				held++
+			}
+		}
+		if held != inside {
+			t.Fatalf("%d entries inside the bound taught %d items", inside, held)
 		}
 	})
 }

@@ -79,8 +79,8 @@ func readItem(rd *model.WireReader, prev model.ItemID, first bool) (model.ItemID
 	return model.ItemID(item), true
 }
 
-// maxKnownItems bounds one peer's table in Known. Past it the table is
-// cleared outright: forgetting only ships more.
+// maxKnownItems bounds one peer's table in Known on a site without a
+// partition map; with one, the map's item count does (Known.Reset).
 const maxKnownItems = 1 << 16
 
 // Known is the serving side of the plane. For catch-up it is what a serving
@@ -96,8 +96,13 @@ const maxKnownItems = 1 << 16
 // state (see the package comment's Peer knowledge section). A fill is served
 // by its scope alone. Like the Puller, it has no lock of its own; the owning
 // queue manager serializes every call.
+//
+// A peer's table is a slice indexed by item — items are the map's dense
+// numbers — bounded by the item count Reset set (maxKnownItems until then):
+// an item outside [0, bound) is not remembered, which only ships more.
 type Known struct {
-	peers   map[model.SiteID]map[model.ItemID]int64
+	peers   map[model.SiteID][]knownStamp
+	items   int
 	scratch []wal.Have
 	// serving is the peer Serve is building a batch for, and placement the
 	// map it was called with; holds, made once, is the batch's skip
@@ -111,24 +116,45 @@ type Known struct {
 	outOfScope func(model.ItemID, int64) bool
 }
 
+// knownStamp is one slot of a peer's table: the newest stamp the peer is
+// known to hold the item at, if held.
+type knownStamp struct {
+	stamp int64
+	held  bool
+}
+
+// Reset drops everything believed about every peer and bounds the tables to
+// items [0, items): the installed map's item count.
+func (k *Known) Reset(items int) {
+	k.items = items
+	for peer, t := range k.peers {
+		k.peers[peer] = t[:min(len(t), items)]
+	}
+	k.ForgetAll()
+}
+
 // Note records that peer holds item at commit stamp or newer.
 func (k *Known) Note(peer model.SiteID, item model.ItemID, stamp int64) {
-	t := k.peers[peer]
-	if t == nil {
-		if k.peers == nil {
-			k.peers = make(map[model.SiteID]map[model.ItemID]int64)
-		}
-		t = make(map[model.ItemID]int64)
-		k.peers[peer] = t
+	bound := k.items
+	if bound == 0 {
+		bound = maxKnownItems
 	}
-	cur, seen := t[item]
-	if seen && stamp <= cur {
+	if uint(item) >= uint(bound) {
 		return
 	}
-	if !seen && len(t) >= maxKnownItems {
-		clear(t)
+	t := k.peers[peer]
+	if int(item) >= len(t) {
+		if k.peers == nil {
+			k.peers = make(map[model.SiteID][]knownStamp)
+		}
+		n := len(t)
+		t = slices.Grow(t, int(item)+1-n)[:item+1]
+		clear(t[n:]) // slots past the old length may hold what a Reset cut off
+		k.peers[peer] = t
 	}
-	t[item] = stamp
+	if slot := &t[item]; !slot.held || stamp > slot.stamp {
+		*slot = knownStamp{stamp: stamp, held: true}
+	}
 }
 
 // Learn folds a pull's digest into peer's table. A digest that does not
@@ -148,13 +174,20 @@ func (k *Known) Learn(peer model.SiteID, have []byte) {
 func (k *Known) Forget(peer model.SiteID) { clear(k.peers[peer]) }
 
 // ForgetAll drops every table.
-func (k *Known) ForgetAll() { clear(k.peers) }
+func (k *Known) ForgetAll() {
+	for _, t := range k.peers {
+		clear(t)
+	}
+}
 
 // Holds reports whether peer is known to hold item at stamp or newer — the
 // skip predicate of a batch built for that peer.
 func (k *Known) Holds(peer model.SiteID, item model.ItemID, stamp int64) bool {
-	cur, ok := k.peers[peer][item]
-	return ok && stamp <= cur
+	t := k.peers[peer]
+	if uint(item) >= uint(len(t)) {
+		return false
+	}
+	return t[item].held && stamp <= t[item].stamp
 }
 
 // Serve answers one pull from src. A catch-up pull is served less what the

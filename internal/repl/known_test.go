@@ -178,8 +178,11 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 	}
 }
 
-// TestKnownIsBounded: past maxKnownItems a peer's table is cleared, never
-// grown; forgetting only ships more.
+// TestKnownIsBounded: a peer's table is indexed by item and bounded by the
+// installed map's item count (maxKnownItems before any Reset): an item at or
+// past the bound, or a negative one, is not remembered and does not grow the
+// table; forgetting only ships more. Reset to a smaller map cuts the tables
+// and forgets them, and a slot cut off and grown back holds nothing.
 func TestKnownIsBounded(t *testing.T) {
 	var k Known
 	for i := 0; i < maxKnownItems; i++ {
@@ -190,8 +193,27 @@ func TestKnownIsBounded(t *testing.T) {
 		t.Fatalf("table has %d entries before the bound is crossed", len(k.peers[1]))
 	}
 	k.Note(1, maxKnownItems, 7)
-	if len(k.peers[1]) != 1 || k.Holds(1, 0, 7) {
-		t.Fatalf("table has %d entries after crossing the bound, want 1", len(k.peers[1]))
+	k.Note(1, -1, 7)
+	if len(k.peers[1]) != maxKnownItems || k.Holds(1, maxKnownItems, 7) || k.Holds(1, -1, 7) || !k.Holds(1, 0, 9) {
+		t.Fatalf("table has %d entries after notes outside the bound, want %d and item 0 kept", len(k.peers[1]), maxKnownItems)
+	}
+	k.Reset(8)
+	if len(k.peers[1]) > 8 || k.Holds(1, 0, 0) {
+		t.Fatalf("Reset(8) kept %d entries, item 0 held %v", len(k.peers[1]), k.Holds(1, 0, 0))
+	}
+	k.Note(1, 8, 7)
+	k.Note(1, 7, 5)
+	if k.Holds(1, 8, 7) || !k.Holds(1, 7, 5) || k.Holds(1, 7, 6) || k.Holds(1, 6, 0) {
+		t.Fatal("after Reset(8): item 8 is outside the bound, item 7 held at 5, item 6 never noted")
+	}
+	k.Reset(4)
+	k.Note(1, 2, 1)
+	k.Reset(8)
+	k.Note(1, 7, 1)
+	for item := model.ItemID(0); item < 7; item++ {
+		if k.Holds(1, item, -1<<63) {
+			t.Fatalf("item %d held after the table was cut and grown back", item)
+		}
 	}
 }
 

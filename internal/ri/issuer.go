@@ -237,6 +237,26 @@ type Stats struct {
 	Window float64
 }
 
+// Sub takes every counter of o from s: the events since o was taken. The
+// gauges, Active and Window, keep s's current value.
+func (s *Stats) Sub(o Stats) {
+	s.Submitted -= o.Submitted
+	s.Committed -= o.Committed
+	s.ROCommitted -= o.ROCommitted
+	s.ROStale -= o.ROStale
+	s.Rejects -= o.Rejects
+	s.Victims -= o.Victims
+	s.Dropped -= o.Dropped
+	s.ReBackoffs -= o.ReBackoffs
+	s.Shed -= o.Shed
+	s.BusyNAKs -= o.BusyNAKs
+	s.ROBusyShed -= o.ROBusyShed
+	s.QuorumExcluded -= o.QuorumExcluded
+	s.QuorumHedged -= o.QuorumHedged
+	s.WrongEpochNAKs -= o.WrongEpochNAKs
+	s.MapUpdates -= o.MapUpdates
+}
+
 // Snapshot returns current counters; safe for concurrent use.
 func (ri *Issuer) Snapshot() Stats {
 	ri.mu.Lock()

@@ -514,3 +514,29 @@ func TestSwitchOnRestart(t *testing.T) {
 		t.Fatalf("retry did not switch to PA: %+v", retry)
 	}
 }
+
+// TestStatsSubEveryField: Sub takes every counter away and keeps the gauges
+// (Active, Window) at the current value, so a counter added to Stats without
+// a line in Sub fails here instead of reading as a running total in every
+// scenario phase's deltas.
+func TestStatsSubEveryField(t *testing.T) {
+	var cur, prev Stats
+	c, p := reflect.ValueOf(&cur).Elem(), reflect.ValueOf(&prev).Elem()
+	for i := 0; i < c.NumField(); i++ {
+		c.Field(i).Set(reflect.ValueOf(3 * (i + 1)).Convert(c.Field(i).Type()))
+		p.Field(i).Set(reflect.ValueOf(i + 1).Convert(p.Field(i).Type()))
+	}
+	d := cur
+	d.Sub(prev)
+	v := reflect.ValueOf(d)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		want := 2 * (i + 1)
+		if name == "Active" || name == "Window" {
+			want = 3 * (i + 1)
+		}
+		if got := v.Field(i).Convert(reflect.TypeOf(0)).Interface(); got != want {
+			t.Errorf("%s = %v after Sub, want %d", name, got, want)
+		}
+	}
+}

@@ -97,14 +97,18 @@ func Run(sc Scenario, opt Options) (*RunRecord, error) {
 		// Throughput over the phase wall-clock, not the collector's
 		// first-arrival span.
 		delta.SpanMicros = p.DurationMicros
+		dRI, dQM, dWAL := curRI, curQM, curWAL
+		dRI.Sub(prevRI)
+		dQM.Sub(prevQM)
+		dWAL.Sub(prevWAL)
 		pr := PhaseRecord{
 			Name:           p.Name,
 			StartMicros:    start,
 			EndMicros:      end,
 			DepthHighWater: cl.DepthHighWater(),
-			RI:             subRI(curRI, prevRI),
-			QM:             subQM(curQM, prevQM),
-			WAL:            subWAL(curWAL, prevWAL),
+			RI:             dRI,
+			QM:             dQM,
+			WAL:            dWAL,
 			Faults:         applied,
 			delta:          delta,
 		}
@@ -181,73 +185,5 @@ func fillPhaseScalars(p *PhaseRecord) {
 	if h.Count() > 0 {
 		p.P50Micros = h.Quantile(0.50)
 		p.P99Micros = h.Quantile(0.99)
-	}
-}
-
-// subRI returns cur-prev field-wise (Active is instantaneous, kept as-is).
-func subRI(cur, prev ri.Stats) ri.Stats {
-	return ri.Stats{
-		Submitted:      cur.Submitted - prev.Submitted,
-		Committed:      cur.Committed - prev.Committed,
-		ROCommitted:    cur.ROCommitted - prev.ROCommitted,
-		ROStale:        cur.ROStale - prev.ROStale,
-		Rejects:        cur.Rejects - prev.Rejects,
-		Victims:        cur.Victims - prev.Victims,
-		Dropped:        cur.Dropped - prev.Dropped,
-		Shed:           cur.Shed - prev.Shed,
-		BusyNAKs:       cur.BusyNAKs - prev.BusyNAKs,
-		ROBusyShed:     cur.ROBusyShed - prev.ROBusyShed,
-		ReBackoffs:     cur.ReBackoffs - prev.ReBackoffs,
-		QuorumExcluded: cur.QuorumExcluded - prev.QuorumExcluded,
-		QuorumHedged:   cur.QuorumHedged - prev.QuorumHedged,
-		WrongEpochNAKs: cur.WrongEpochNAKs - prev.WrongEpochNAKs,
-		MapUpdates:     cur.MapUpdates - prev.MapUpdates,
-		Active:         cur.Active,
-	}
-}
-
-// subQM returns cur-prev field-wise.
-func subQM(cur, prev qm.Counters) qm.Counters {
-	return qm.Counters{
-		Requests:        cur.Requests - prev.Requests,
-		Grants:          cur.Grants - prev.Grants,
-		PreGrants:       cur.PreGrants - prev.PreGrants,
-		Promotions:      cur.Promotions - prev.Promotions,
-		Rejects:         cur.Rejects - prev.Rejects,
-		Backoffs:        cur.Backoffs - prev.Backoffs,
-		Revokes:         cur.Revokes - prev.Revokes,
-		Releases:        cur.Releases - prev.Releases,
-		Conversion:      cur.Conversion - prev.Conversion,
-		Aborts:          cur.Aborts - prev.Aborts,
-		SnapReads:       cur.SnapReads - prev.SnapReads,
-		SnapStale:       cur.SnapStale - prev.SnapStale,
-		Busy:            cur.Busy - prev.Busy,
-		WALSyncs:        cur.WALSyncs - prev.WALSyncs,
-		Commits:         cur.Commits - prev.Commits,
-		Crashes:         cur.Crashes - prev.Crashes,
-		Recoveries:      cur.Recoveries - prev.Recoveries,
-		Deferred:        cur.Deferred - prev.Deferred,
-		ReplPulls:       cur.ReplPulls - prev.ReplPulls,
-		ReplApplied:     cur.ReplApplied - prev.ReplApplied,
-		ReplSkipped:     cur.ReplSkipped - prev.ReplSkipped,
-		ReplResets:      cur.ReplResets - prev.ReplResets,
-		WrongEpoch:      cur.WrongEpoch - prev.WrongEpoch,
-		MapInstalls:     cur.MapInstalls - prev.MapInstalls,
-		ItemsGained:     cur.ItemsGained - prev.ItemsGained,
-		TransferPulls:   cur.TransferPulls - prev.TransferPulls,
-		TransferApplied: cur.TransferApplied - prev.TransferApplied,
-		TransferBytes:   cur.TransferBytes - prev.TransferBytes,
-	}
-}
-
-// subWAL returns cur-prev field-wise.
-func subWAL(cur, prev wal.Stats) wal.Stats {
-	return wal.Stats{
-		Appends:         cur.Appends - prev.Appends,
-		Syncs:           cur.Syncs - prev.Syncs,
-		Snapshots:       cur.Snapshots - prev.Snapshots,
-		Replayed:        cur.Replayed - prev.Replayed,
-		RecoveredCopies: cur.RecoveredCopies - prev.RecoveredCopies,
-		Recoveries:      cur.Recoveries - prev.Recoveries,
 	}
 }

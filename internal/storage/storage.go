@@ -115,37 +115,46 @@ func (c *copyState) push(v Version, maxVersions int) {
 // Store holds every physical copy resident at one data site as a bounded
 // multi-version chain per copy.
 //
-// Concurrency: the copies map is structurally immutable while traffic flows
-// (Create seeds it before the engine starts; Wipe/Restore* run only during
-// crash recovery, when every queue-manager shard is quiesced), and each
-// copy's chain is only ever touched by the one shard its item hashes to —
-// so sharded queue managers may call Read/ReadAt/Write for different items
-// concurrently without a store-wide lock. The two pieces of cross-item
-// mutable state are the pruned counter (atomic) and whole-store snapshots:
-// EachChain (and Chains/Copies over it) must observe no torn chain, so chain
-// mutations share the barrier read-side and snapshots take it exclusively.
-// The journal append deliberately happens OUTSIDE the barrier (holding it
-// across the WAL's lock would deadlock with a snapshot running inside a WAL
-// flush); the resulting snapshot/append race — a snapshot imaging a write
-// whose record is not yet covered by its AppliedSeq — is resolved by Apply's
-// idempotent redo at recovery.
+// Item domain: items are the partition map's dense item numbers, [0, Items)
+// (model.PartitionMap.Assignments is indexed by them), so the copies table is
+// a slice indexed by item, not a hash map: a copy is found by one bounds
+// check and one load. A negative item has no slot — Create refuses it — and
+// every lookup of an item outside the table finds no copy.
+//
+// Concurrency: only Create, Wipe and Restore/RestoreChain write the table
+// (grow it, fill or clear a slot), and each takes the whole-store barrier
+// exclusively. They run before traffic, with every queue-manager shard
+// locked (a map install) or with every shard down (crash recovery), so no
+// shard handler reads the table meanwhile; the barrier orders them against
+// the one reader that holds no shard lock, a durability snapshot built
+// through EachChain on the sync worker. Each copy's chain is only ever
+// touched by the one shard its item hashes to, so sharded queue managers may
+// call Read/ReadAt/Write for different items concurrently without a
+// store-wide lock. The two pieces of cross-item mutable state are the pruned
+// counter (atomic) and whole-store snapshots: EachChain (and Chains/Copies
+// over it) must observe no torn chain, so chain mutations share the barrier
+// read-side and snapshots take it exclusively. The journal append
+// deliberately happens OUTSIDE the barrier (holding it across the WAL's lock
+// would deadlock with a snapshot running inside a WAL flush); the resulting
+// snapshot/append race — a snapshot imaging a write whose record is not yet
+// covered by its AppliedSeq — is resolved by Apply's idempotent redo at
+// recovery.
 type Store struct {
-	site    model.SiteID
-	copies  map[model.ItemID]*copyState
+	site model.SiteID
+	// copies is the table of copy states indexed by item; a slot whose
+	// chain is nil holds no copy. n counts the slots that do.
+	copies  []copyState
+	n       int
 	policy  ChainPolicy
 	journal Journal
 	barrier sync.RWMutex
-	// order is EachChain's item-order scratch, guarded by the exclusive
-	// barrier. It is refilled on every visit, never trusted across visits:
-	// Create and Wipe change the copies map without the barrier.
-	order []model.ItemID
 	// pruned counts versions dropped by chain GC (observability).
 	pruned atomic.Uint64
 }
 
 // NewStore creates an empty store for a site with the default chain policy.
 func NewStore(site model.SiteID) *Store {
-	return &Store{site: site, copies: map[model.ItemID]*copyState{}, policy: DefaultChainPolicy()}
+	return &Store{site: site, policy: DefaultChainPolicy()}
 }
 
 // Site returns the owning site.
@@ -166,21 +175,37 @@ func (s *Store) SetChainPolicy(p ChainPolicy) {
 func (s *Store) ChainPolicy() ChainPolicy { return s.policy }
 
 // Create places a physical copy of item at this site with an initial value.
+// item must lie in the item domain (not negative).
 func (s *Store) Create(item model.ItemID, initial int64) {
-	if _, dup := s.copies[item]; dup {
+	s.barrier.Lock()
+	defer s.barrier.Unlock()
+	if s.lookup(item) != nil {
 		panic(fmt.Sprintf("storage: duplicate copy of %v at site %d", item, s.site))
 	}
-	s.copies[item] = &copyState{
+	s.install(copyState{
 		id:       model.CopyID{Item: item, Site: s.site},
 		versions: []Version{{Value: initial}},
+	})
+}
+
+// install puts c in its item's slot, growing the table to reach it; a
+// negative item has no slot. Caller holds the barrier exclusively.
+func (s *Store) install(c copyState) {
+	if c.id.Item < 0 {
+		panic(fmt.Sprintf("storage: item %v outside the item domain at site %d", c.id.Item, s.site))
 	}
+	item := int(c.id.Item)
+	if item >= len(s.copies) {
+		s.copies = append(s.copies, make([]copyState, item+1-len(s.copies))...)
+	}
+	if s.copies[item].versions == nil {
+		s.n++
+	}
+	s.copies[item] = c
 }
 
 // Has reports whether this site stores a copy of item.
-func (s *Store) Has(item model.ItemID) bool {
-	_, ok := s.copies[item]
-	return ok
-}
+func (s *Store) Has(item model.ItemID) bool { return s.lookup(item) != nil }
 
 // Read returns the current (newest committed) value and version of item's
 // copy — the lock-protected read path.
@@ -279,21 +304,30 @@ func (s *Store) Pruned() uint64 { return s.pruned.Load() }
 
 // Items returns the item ids stored here in ascending order.
 func (s *Store) Items() []model.ItemID {
-	out := make([]model.ItemID, 0, len(s.copies))
-	for it := range s.copies {
-		out = append(out, it)
+	s.barrier.RLock()
+	defer s.barrier.RUnlock()
+	out := make([]model.ItemID, 0, s.n)
+	for i := range s.copies {
+		if s.copies[i].versions != nil {
+			out = append(out, model.ItemID(i))
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
-// Len returns the number of copies stored here.
-func (s *Store) Len() int { return len(s.copies) }
+// Len returns the number of copies stored here. It shares the barrier
+// read-side: a durability snapshot reads it off the shards' goroutines,
+// where a map install may be creating copies.
+func (s *Store) Len() int {
+	s.barrier.RLock()
+	defer s.barrier.RUnlock()
+	return s.n
+}
 
 // Copies returns the latest-version view of every physical copy, ascending
 // by item. Safe against concurrent shard writers (whole-store barrier).
 func (s *Store) Copies() []Copy {
-	out := make([]Copy, 0, len(s.copies))
+	out := make([]Copy, 0, s.n)
 	s.EachChain(func(id model.CopyID, vs []Version) {
 		v := vs[len(vs)-1]
 		out = append(out, Copy{ID: id, Value: v.Value, Version: v.Version, Writer: v.Writer, CommitMicros: v.CommitMicros})
@@ -305,7 +339,7 @@ func (s *Store) Copies() []Copy {
 // copy, ascending by item (tests compare whole stores with it; a durability
 // snapshot reads the chains in place through EachChain).
 func (s *Store) Chains() []CopyChain {
-	out := make([]CopyChain, 0, len(s.copies))
+	out := make([]CopyChain, 0, s.n)
 	s.EachChain(func(id model.CopyID, vs []Version) {
 		out = append(out, CopyChain{ID: id, Versions: slices.Clone(vs)})
 	})
@@ -315,21 +349,17 @@ func (s *Store) Chains() []CopyChain {
 // EachChain calls f with every physical copy's retained version chain,
 // oldest version first, in ascending item order — the durability snapshot's
 // view of the store. It holds the whole-store barrier exclusively throughout,
-// so no chain is seen torn by a concurrent shard writer; f must not keep vs,
-// which is the store's own memory, nor call back into the store. The item
-// order is rebuilt on every call in a slice the store keeps, so a visit
-// allocates nothing once that slice has grown to the store's size.
+// so no chain is seen torn by a concurrent shard writer, and no table write
+// (Create, Wipe, Restore*) lands mid-visit; f must not keep vs, which is the
+// store's own memory, nor call back into the store. The table is in item
+// order already, so a visit allocates nothing.
 func (s *Store) EachChain(f func(id model.CopyID, vs []Version)) {
 	s.barrier.Lock()
 	defer s.barrier.Unlock()
-	s.order = s.order[:0]
-	for item := range s.copies {
-		s.order = append(s.order, item)
-	}
-	slices.Sort(s.order)
-	for _, item := range s.order {
-		c := s.copies[item]
-		f(c.id, c.versions)
+	for i := range s.copies {
+		if c := &s.copies[i]; c.versions != nil {
+			f(c.id, c.versions)
+		}
 	}
 }
 
@@ -337,18 +367,21 @@ func (s *Store) EachChain(f func(id model.CopyID, vs []Version)) {
 // keeps its identity (queue managers hold a pointer) and is rebuilt through
 // RestoreChain/Apply during recovery.
 func (s *Store) Wipe() {
-	s.copies = map[model.ItemID]*copyState{}
+	s.barrier.Lock()
+	defer s.barrier.Unlock()
+	clear(s.copies)
+	s.n = 0
 }
 
 // Restore installs a copy as a single-version chain, bypassing the journal
 // (seeding and tests; durability recovery uses RestoreChain).
 func (s *Store) Restore(c Copy) {
-	s.copies[c.ID.Item] = &copyState{
+	s.restore(copyState{
 		id: c.ID,
 		versions: []Version{{
 			Value: c.Value, Version: c.Version, Writer: c.Writer, CommitMicros: c.CommitMicros,
 		}},
-	}
+	})
 }
 
 // RestoreChain installs a copy's full version chain verbatim from a
@@ -359,7 +392,15 @@ func (s *Store) RestoreChain(cc CopyChain) {
 	}
 	vs := make([]Version, len(cc.Versions))
 	copy(vs, cc.Versions)
-	s.copies[cc.ID.Item] = &copyState{id: cc.ID, versions: vs}
+	s.restore(copyState{id: cc.ID, versions: vs})
+}
+
+// restore installs c verbatim, replacing any copy of its item, under the
+// exclusive barrier.
+func (s *Store) restore(c copyState) {
+	s.barrier.Lock()
+	defer s.barrier.Unlock()
+	s.install(c)
 }
 
 // Apply re-installs one replayed journaled write verbatim (exact version and
@@ -398,10 +439,10 @@ func (s *Store) Apply(item model.ItemID, txn model.TxnID, value int64, version u
 // is shared read-side exactly as in Write.
 //
 // Returns false when the record was skipped: unknown item (the peer ships
-// its whole log; unshared items are filtered here) or a stale/duplicate
-// stamp.
+// its whole log; unshared items, and items outside the table, are filtered
+// here) or a stale/duplicate stamp.
 func (s *Store) ApplyShipped(item model.ItemID, txn model.TxnID, value int64, commitMicros int64) bool {
-	c := s.copies[item]
+	c := s.lookup(item)
 	if c == nil {
 		return false
 	}
@@ -422,8 +463,20 @@ func (s *Store) ApplyShipped(item model.ItemID, txn model.TxnID, value int64, co
 	return true
 }
 
+// lookup returns item's copy state, or nil when the site holds no copy of
+// it — item outside the table included.
+func (s *Store) lookup(item model.ItemID) *copyState {
+	if uint(item) >= uint(len(s.copies)) {
+		return nil
+	}
+	if c := &s.copies[item]; c.versions != nil {
+		return c
+	}
+	return nil
+}
+
 func (s *Store) mustGet(item model.ItemID) *copyState {
-	c := s.copies[item]
+	c := s.lookup(item)
 	if c == nil {
 		panic(fmt.Sprintf("storage: site %d has no copy of %v", s.site, item))
 	}

@@ -178,7 +178,8 @@ func TestStoreItemsSorted(t *testing.T) {
 
 // TestEachChainFollowsTheMap: every visit sees the copies the store holds
 // now, in ascending item order — a Create or a Wipe between two visits is
-// never hidden by the order kept from the previous one.
+// never hidden by the order kept from the previous one. The item domain is
+// the map's, [0, Items): a negative item has no slot, and Create refuses it.
 func TestEachChainFollowsTheMap(t *testing.T) {
 	s := NewStore(4)
 	visit := func() (items []model.ItemID, lens []int) {
@@ -191,16 +192,24 @@ func TestEachChainFollowsTheMap(t *testing.T) {
 		})
 		return items, lens
 	}
-	for _, it := range []model.ItemID{7, -2, 3} {
+	for _, it := range []model.ItemID{7, 3} {
 		s.Create(it, 0)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Create(-2) must panic: the item is outside the item domain")
+			}
+		}()
+		s.Create(-2, 0)
+	}()
 	s.Write(3, model.TxnID{Site: 1, Seq: 1}, 30, 10)
 	items, lens := visit()
-	if !slices.Equal(items, []model.ItemID{-2, 3, 7}) || !slices.Equal(lens, []int{1, 2, 1}) {
+	if !slices.Equal(items, []model.ItemID{3, 7}) || !slices.Equal(lens, []int{2, 1}) {
 		t.Fatalf("first visit: items %v, chain lengths %v", items, lens)
 	}
 	s.Create(5, 0)
-	if items, _ := visit(); !slices.Equal(items, []model.ItemID{-2, 3, 5, 7}) {
+	if items, _ := visit(); !slices.Equal(items, []model.ItemID{3, 5, 7}) {
 		t.Fatalf("visit after Create: items %v", items)
 	}
 	s.Wipe()

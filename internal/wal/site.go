@@ -55,6 +55,16 @@ func (s *Stats) Add(o Stats) {
 	s.Recoveries += o.Recoveries
 }
 
+// Sub takes every count of o from s: the events since o was taken.
+func (s *Stats) Sub(o Stats) {
+	s.Appends -= o.Appends
+	s.Syncs -= o.Syncs
+	s.Snapshots -= o.Snapshots
+	s.Replayed -= o.Replayed
+	s.RecoveredCopies -= o.RecoveredCopies
+	s.Recoveries -= o.Recoveries
+}
+
 // SiteLog ties one site's store to its write-ahead log: it implements
 // storage.Journal (every implemented write is appended), flushes on the
 // queue manager's commit boundaries, takes periodic snapshots, and rebuilds
@@ -85,8 +95,11 @@ type SiteLog struct {
 	// bricks the site.
 	lastSnapSeq uint64
 	lastSnapGen uint64
-	snapCopies  int
-	stats       Stats
+	// lastSnapName is snapName(lastSnapSeq, lastSnapGen), kept so the
+	// snapshot after it removes it by name.
+	lastSnapName string
+	snapCopies   int
+	stats        Stats
 	// snapBuf holds the last snapshot image encoded (see image). It is
 	// reused by every snapshot, so it stays at the size of the largest image
 	// taken: copies × MaxVersions × 36 B at most, ≈ 2.4 MB for 4 096 copies.
@@ -148,7 +161,8 @@ func Open(media Media, store *storage.Store, opts Options) (*SiteLog, error) {
 	}
 	if len(names) == 0 {
 		// Fresh site: seed the base image.
-		if err := writeSnapshot(media, 0, 0, s.image(0)); err != nil {
+		s.lastSnapName = snapName(0, 0)
+		if err := writeSnapshot(media, s.lastSnapName, s.image(0)); err != nil {
 			return nil, err
 		}
 		s.log, err = NewLog(media, opts.SegmentBytes, 1)
@@ -320,13 +334,35 @@ func (s *SiteLog) snapshotLocked() error {
 	if err := s.log.Roll(); err != nil {
 		return err
 	}
-	if err := writeSnapshot(s.media, applied, gen, s.image(applied)); err != nil {
+	name := snapName(applied, gen)
+	if err := writeSnapshot(s.media, name, s.image(applied)); err != nil {
 		return err
 	}
-	s.lastSnapSeq, s.lastSnapGen = applied, gen
+	prev := s.lastSnapName
+	s.lastSnapSeq, s.lastSnapGen, s.lastSnapName = applied, gen, name
 	s.stats.Snapshots++
 	s.sinceSnap = 0
-	return pruneBefore(s.media, applied, gen, s.log.SegmentName())
+	return s.pruneCovered(prev)
+}
+
+// pruneCovered removes what the snapshot just written made obsolete: the
+// snapshot before it, prev, and the segments sealed since that one, all of
+// which it covers because it was taken after a roll. The log names those
+// segments, so nothing lists the media; recovery's pruneBefore, which does,
+// sweeps anything a failed removal left behind. Callers hold syncMu and mu.
+func (s *SiteLog) pruneCovered(prev string) error {
+	if err := s.media.Remove(prev); err != nil {
+		return err
+	}
+	for i, n := range s.log.sealed {
+		if err := s.media.Remove(n); err != nil {
+			s.log.sealed = s.log.sealed[:copy(s.log.sealed, s.log.sealed[i:])]
+			return err
+		}
+	}
+	clear(s.log.sealed)
+	s.log.sealed = s.log.sealed[:0]
+	return nil
 }
 
 // image encodes the store, as of appliedSeq, into the site log's reused
@@ -396,6 +432,7 @@ func (s *SiteLog) recoverLocked() error {
 	s.stats.Recoveries++
 	s.sinceSnap = 0
 	s.lastSnapSeq, s.lastSnapGen, s.snapCopies = snap.AppliedSeq, snap.gen, len(snap.Chains)
+	s.lastSnapName = snapName(snap.AppliedSeq, snap.gen)
 	s.synced = lastSeq
 	// Reset the media to a clean base: snapshot at lastSeq, fresh segment
 	// at lastSeq+1, torn tails pruned — later replays never hit the
@@ -404,17 +441,18 @@ func (s *SiteLog) recoverLocked() error {
 	// would truncate the only valid snapshot first, and a crash mid-write
 	// would leave the site unrecoverable.
 	if lastSeq > snap.AppliedSeq {
-		if err := writeSnapshot(s.media, lastSeq, 0, s.image(lastSeq)); err != nil {
+		name := snapName(lastSeq, 0)
+		if err := writeSnapshot(s.media, name, s.image(lastSeq)); err != nil {
 			return err
 		}
-		s.lastSnapSeq, s.lastSnapGen = lastSeq, 0
+		s.lastSnapSeq, s.lastSnapGen, s.lastSnapName = lastSeq, 0, name
 		s.stats.Snapshots++
 	}
 	s.log, err = NewLog(s.media, s.opts.SegmentBytes, lastSeq+1)
 	if err != nil {
 		return err
 	}
-	return pruneBefore(s.media, s.lastSnapSeq, s.lastSnapGen, s.log.SegmentName())
+	return pruneBefore(s.media, s.lastSnapName, s.log.SegmentName())
 }
 
 // errBatchFull stops a media replay once the batch takes no more records

@@ -460,9 +460,9 @@ func TestSiteLogConcurrentShardTraffic(t *testing.T) {
 	}
 }
 
-// TestStatsAddEveryField: Add sums every count, so a count added to Stats
-// without a line in Add fails here instead of reading zero in every
-// cross-site total.
+// TestStatsAddEveryField: Add sums every count and Sub takes every count
+// away, so a count added to Stats without a line in both fails here instead
+// of reading zero in every cross-site total or scenario phase's deltas.
 func TestStatsAddEveryField(t *testing.T) {
 	var one Stats
 	v := reflect.ValueOf(&one).Elem()
@@ -477,5 +477,13 @@ func TestStatsAddEveryField(t *testing.T) {
 		if got := s.Field(i).Convert(reflect.TypeOf(0)).Interface(); got != 2*(i+1) {
 			t.Errorf("%s = %d after adding %d twice", s.Type().Field(i).Name, got, i+1)
 		}
+	}
+	sum.Sub(one)
+	if sum != one {
+		t.Errorf("twice %+v less once is %+v", one, sum)
+	}
+	sum.Sub(one)
+	if sum != (Stats{}) {
+		t.Errorf("a sum less its parts left %+v", sum)
 	}
 }

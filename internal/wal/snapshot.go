@@ -115,9 +115,9 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 }
 
 // writeSnapshot persists an encoded snapshot image durably (create, write,
-// sync, close) under snapName(appliedSeq, gen).
-func writeSnapshot(media Media, appliedSeq, gen uint64, image []byte) error {
-	w, err := media.Create(snapName(appliedSeq, gen))
+// sync, close) under name, its snapName.
+func writeSnapshot(media Media, name string, image []byte) error {
+	w, err := media.Create(name)
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot: %w", err)
 	}
@@ -157,16 +157,17 @@ func newestSnapshot(media Media) (snapshot, bool, error) {
 	return snapshot{}, false, nil
 }
 
-// pruneBefore removes every snapshot and sealed segment made obsolete by a
-// new snapshot: snapshots other than snapName(appliedSeq, gen) and segments
-// whose name (first seq) precedes the current open segment — the snapshot
-// covers all of them because it was taken after a roll.
-func pruneBefore(media Media, appliedSeq, gen uint64, keepSegment string) error {
+// pruneBefore removes every snapshot and sealed segment on media made
+// obsolete by the snapshot keepSnap: other snapshots and segments whose name
+// (first seq) precedes the current open segment — the snapshot covers all of
+// them because it was taken after a roll. Recovery runs it, and it lists the
+// media to sweep whatever an earlier life left there; a running site prunes
+// by name (SiteLog.pruneCovered).
+func pruneBefore(media Media, keepSnap, keepSegment string) error {
 	names, err := media.List()
 	if err != nil {
 		return err
 	}
-	keepSnap := snapName(appliedSeq, gen)
 	for _, n := range names {
 		switch {
 		case isSnap(n) && n != keepSnap:

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -282,5 +283,67 @@ func checkSnapshotDecode(t *testing.T, data []byte) {
 	}
 	if re := appendSnapshot(nil, s.AppliedSeq, st); !bytes.Equal(re, data) {
 		t.Fatalf("accepted image is not canonical:\n in: %x\nout: %x", data, re)
+	}
+}
+
+// TestSnapshotNamesUnchanged: segment and snapshot names are built without
+// fmt, byte for byte the names fmt's "%016x" and "%016x.%x" gave — the names
+// on every existing media, which recovery reads back.
+func TestSnapshotNamesUnchanged(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 0xa, 0x1f, 1 << 32, 0xfedcba9876543210, math.MaxUint64} {
+		if got, want := segName(seq), fmt.Sprintf("%s%016x", segPrefix, seq); got != want {
+			t.Errorf("segName(%#x) = %q, want %q", seq, got, want)
+		}
+		for _, gen := range []uint64{0, 1, 0xabc, math.MaxUint64} {
+			want := fmt.Sprintf("%s%016x", snapPrefix, seq)
+			if gen != 0 {
+				want = fmt.Sprintf("%s%016x.%x", snapPrefix, seq, gen)
+			}
+			if got := snapName(seq, gen); got != want {
+				t.Errorf("snapName(%#x, %#x) = %q, want %q", seq, gen, got, want)
+			}
+			if g := snapGen(snapName(seq, gen)); g != gen {
+				t.Errorf("snapGen(snapName(%#x, %#x)) = %#x", seq, gen, g)
+			}
+		}
+	}
+}
+
+// TestSnapshotAllocatesLittle: a periodic snapshot — a journaled write, the
+// flush that syncs it, the roll, the image and the prune of what it covers —
+// allocates only the two names it makes, the new segment's and the new
+// snapshot's, and leaves the media holding one snapshot and one segment.
+func TestSnapshotAllocatesLittle(t *testing.T) {
+	media := NewMemMedia()
+	st := imageStore(64, 2)
+	sl, err := Open(media, st, Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetJournal(sl)
+	var stamp int64
+	snapshot := func() {
+		stamp++
+		st.Write(model.ItemID(stamp%64), model.TxnID{Site: 0, Seq: uint64(stamp)}, stamp, stamp)
+		if err := sl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		snapshot() // every copy's chain grows once, to the length it keeps
+	}
+	before := sl.Stats().Snapshots
+	n := testing.AllocsPerRun(50, snapshot)
+	if taken := sl.Stats().Snapshots - before; taken != 51 {
+		t.Fatalf("%d snapshots over 51 flushes, want one each", taken)
+	}
+	if names, _ := media.List(); len(names) != 2 || !isSnap(names[0]) || !isSeg(names[1]) {
+		t.Fatalf("media holds %v, want one segment and one snapshot", names)
+	}
+	if raceEnabled {
+		return // allocation counts mean nothing under the race detector
+	}
+	if n > 2 {
+		t.Fatalf("a snapshot allocates %v times, want at most 2 (its two names)", n)
 	}
 }

@@ -45,18 +45,33 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // segName names the segment whose first record is seq. Zero-padded hex keeps
-// lexicographic order chronological.
-func segName(firstSeq uint64) string { return fmt.Sprintf("%s%016x", segPrefix, firstSeq) }
+// lexicographic order chronological. The name is built in a stack buffer, so
+// the string is its one allocation.
+func segName(firstSeq uint64) string {
+	var b [len(segPrefix) + 16]byte
+	return string(appendHex16(append(b[:0], segPrefix...), firstSeq))
+}
 
 // snapName names the snapshot imaging the store as of appliedSeq. gen tells
 // apart images taken at one applied sequence (a forced Snapshot after the
 // store's copy set changed with nothing journaled): each sorts after the one
-// before it, and generation 0 is the plain name.
+// before it, and generation 0 is the plain name. Built like segName.
 func snapName(appliedSeq, gen uint64) string {
-	if gen == 0 {
-		return fmt.Sprintf("%s%016x", snapPrefix, appliedSeq)
+	var b [len(snapPrefix) + 16 + 1 + 16]byte
+	name := appendHex16(append(b[:0], snapPrefix...), appliedSeq)
+	if gen != 0 {
+		name = strconv.AppendUint(append(name, '.'), gen, 16)
 	}
-	return fmt.Sprintf("%s%016x.%x", snapPrefix, appliedSeq, gen)
+	return string(name)
+}
+
+// appendHex16 appends v as sixteen lowercase hex digits, zero-padded.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // snapGen returns the generation snapName gave name (0 for a plain name or
@@ -220,6 +235,10 @@ type Log struct {
 	// every Flush fails; recovery (which rebuilds the Log) is the only way
 	// forward.
 	poisoned error
+	// sealed names the segments rolled away since the owner last took them
+	// (takeSealed): the SiteLog prunes exactly these once a snapshot covers
+	// them, without listing the media.
+	sealed []string
 }
 
 // NewLog opens an appender whose next record will carry seq nextSeq, on a
@@ -311,7 +330,13 @@ func (l *Log) roll() error {
 			return fmt.Errorf("wal: segment %s close: %w", l.curName, err)
 		}
 	}
+	old := l.curName
 	l.curName = segName(l.nextSeq - l.bufRecs)
+	if l.cur != nil && old != l.curName {
+		// An empty segment rolls onto its own name: it is recreated, not
+		// sealed.
+		l.sealed = append(l.sealed, old)
+	}
 	w, err := l.media.Create(l.curName)
 	if err != nil {
 		return fmt.Errorf("wal: create segment %s: %w", l.curName, err)
