@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: build test lint vet-lint staticcheck govulncheck fuzz-seeds
+.PHONY: build test lint staticcheck govulncheck fuzz-seeds
 
 build:
 	go build ./...
@@ -15,13 +15,9 @@ test:
 	go test ./...
 
 # The repo's own analyzer suite (internal/lint, driven by cmd/ucclint):
-# poolsafe and lockorder. Exits nonzero on any finding.
+# poolsafe and lockorder, run through the go command's vet driver, which
+# caches per package. Exits nonzero on any finding.
 lint:
-	go run ./cmd/ucclint ./...
-
-# The same suite through the go command's vet driver: incremental, cached
-# per package, and proves the unitchecker protocol stays intact.
-vet-lint:
 	mkdir -p $(GOBIN)
 	go build -o $(GOBIN)/ucclint ./cmd/ucclint
 	go vet -vettool=$(GOBIN)/ucclint ./...

@@ -1,13 +1,14 @@
 // Command ucclint is the multichecker for this repository's domain
-// analyzers (internal/lint): poolsafe and lockorder. It runs two ways:
+// analyzers (internal/lint): poolsafe and lockorder. The go command drives
+// it as its vet tool:
 //
-//	ucclint ./...                        # standalone over package patterns
-//	go vet -vettool=$(pwd)/ucclint ./... # as the go command's vet tool
+//	go build -o bin/ucclint ./cmd/ucclint
+//	go vet -vettool=$(pwd)/bin/ucclint ./...
 //
-// The vettool mode speaks the unitchecker protocol (-V=full for the
-// build-cache version stamp, a single *.cfg argument per package unit),
-// so vet runs are incremental. Exit status: 0 clean, 1 internal error,
-// 2 diagnostics found.
+// It speaks the unitchecker protocol (-V=full for the build-cache version
+// stamp, a single *.cfg argument per package unit), so vet runs are
+// incremental. Exit status of one unit: 0 clean, 1 internal error, 2
+// diagnostics found.
 package main
 
 import (
@@ -44,10 +45,9 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ucclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	vFlag := fs.String("V", "", "if 'full', print the tool version for the go command's build cache")
-	dirFlag := fs.String("dir", "", "directory to resolve package patterns in (default: current directory)")
 	listFlag := fs.Bool("list", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ucclint [packages]\n       go vet -vettool=ucclint [packages]\n")
+		fmt.Fprintf(stderr, "usage: go vet -vettool=$(pwd)/ucclint [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -68,39 +68,12 @@ func run(args []string, stderr io.Writer) int {
 		return 0
 	}
 
-	rest := fs.Args()
-
-	// Unitchecker mode: the go command hands over one cfg file per unit.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+	// The go command hands over one cfg file per unit.
+	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return lint.Unitcheck(rest[0], analyzers)
 	}
-
-	// Standalone mode.
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(*dirFlag, patterns)
-	if err != nil {
-		fmt.Fprintf(stderr, "ucclint: %v\n", err)
-		return 1
-	}
-	found := 0
-	for _, pkg := range pkgs {
-		diags, err := lint.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "ucclint: %v\n", err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Fprintln(stderr, lint.Format(pkg.Fset, d))
-		}
-		found += len(diags)
-	}
-	if found > 0 {
-		return 2
-	}
-	return 0
+	fs.Usage()
+	return 1
 }
 
 // printVersion emits the -V=full line the go command hashes into its

@@ -7,18 +7,32 @@ import (
 	"testing"
 )
 
-// TestBadModule runs the multichecker in-process over the known-bad
-// fixture module and asserts a nonzero exit with at least one finding
-// from every analyzer in the suite.
+// vet builds the tool and runs `go vet -vettool` with it over ./... in dir,
+// the way `make lint` does, returning the combined output and whether vet
+// succeeded.
+func vet(t *testing.T, dir string) (string, bool) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "ucclint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ucclint: %v\n%s", err, out)
+	}
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	return string(out), err == nil
+}
+
+// TestBadModule runs the suite through the go vet -vettool protocol over
+// the known-bad fixture module and asserts a failing run with at least one
+// finding from every analyzer in the suite.
 func TestBadModule(t *testing.T) {
-	var buf strings.Builder
-	code := run([]string{"-dir", filepath.Join("testdata", "badmod"), "./..."}, &buf)
-	if code != 2 {
-		t.Fatalf("ucclint over testdata/badmod: exit %d, want 2\noutput:\n%s", code, buf.String())
+	out, ok := vet(t, filepath.Join("testdata", "badmod"))
+	if ok {
+		t.Fatalf("go vet -vettool over testdata/badmod succeeded, want failure\noutput:\n%s", out)
 	}
 	for _, a := range analyzers {
-		if !strings.Contains(buf.String(), "("+a.Name+")") {
-			t.Errorf("no %s finding over testdata/badmod\noutput:\n%s", a.Name, buf.String())
+		if !strings.Contains(out, "("+a.Name+")") {
+			t.Errorf("no %s finding over testdata/badmod\noutput:\n%s", a.Name, out)
 		}
 	}
 }
@@ -27,32 +41,7 @@ func TestBadModule(t *testing.T) {
 // must stay free of findings (violations are either fixed or carry an
 // //ucclint:allow comment stating the argument).
 func TestRepoClean(t *testing.T) {
-	var buf strings.Builder
-	code := run([]string{"-dir", filepath.Join("..", ".."), "./..."}, &buf)
-	if code != 0 {
-		t.Fatalf("ucclint over the repository: exit %d, want 0\noutput:\n%s", code, buf.String())
-	}
-}
-
-// TestVetTool builds the binary and exercises the go vet -vettool
-// protocol end to end against the bad module.
-func TestVetTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "ucclint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building ucclint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = filepath.Join("testdata", "badmod")
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool over testdata/badmod succeeded, want failure\noutput:\n%s", out)
-	}
-	for _, name := range []string{"poolsafe", "lockorder"} {
-		if !strings.Contains(string(out), "("+name+")") {
-			t.Errorf("go vet -vettool output missing %s finding\noutput:\n%s", name, out)
-		}
+	if out, ok := vet(t, filepath.Join("..", "..")); !ok {
+		t.Fatalf("go vet -vettool over the repository failed\noutput:\n%s", out)
 	}
 }

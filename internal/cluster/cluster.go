@@ -446,23 +446,7 @@ func (c *Cluster) WALTotals() wal.Stats {
 func (c *Cluster) RITotals() ri.Stats {
 	var t ri.Stats
 	for _, iss := range c.Issuers {
-		s := iss.Snapshot()
-		t.Submitted += s.Submitted
-		t.Committed += s.Committed
-		t.ROCommitted += s.ROCommitted
-		t.ROStale += s.ROStale
-		t.Rejects += s.Rejects
-		t.Victims += s.Victims
-		t.Dropped += s.Dropped
-		t.Shed += s.Shed
-		t.BusyNAKs += s.BusyNAKs
-		t.ROBusyShed += s.ROBusyShed
-		t.ReBackoffs += s.ReBackoffs
-		t.QuorumExcluded += s.QuorumExcluded
-		t.QuorumHedged += s.QuorumHedged
-		t.WrongEpochNAKs += s.WrongEpochNAKs
-		t.MapUpdates += s.MapUpdates
-		t.Active += s.Active
+		t.Add(iss.Snapshot())
 	}
 	return t
 }

@@ -162,18 +162,19 @@ func (c *Config) Validate() error {
 		c.RI.SwitchOnRestart == nil {
 		// All the protocol-timing knobs are unset: fill their defaults
 		// field by field. Every other Options field — Admission, the backoff
-		// cap, DisableROFastPath, QMShards, an explicitly chosen snapshot
-		// staleness — keeps whatever the caller set: a wholesale Options
-		// replacement here would silently clobber any non-timing knob
-		// configured on its own (and every future Options field would have
-		// to remember to be spared from it).
+		// cap, DisableROFastPath, QMShards — keeps whatever the caller set:
+		// a wholesale Options replacement here would silently clobber any
+		// non-timing knob configured on its own (and every future Options
+		// field would have to remember to be spared from it).
 		def := ri.DefaultOptions()
 		c.RI.PAIntervalMicros = def.PAIntervalMicros
 		c.RI.RestartDelayMicros = def.RestartDelayMicros
 		c.RI.DefaultComputeMicros = def.DefaultComputeMicros
-		if c.RI.SnapshotStalenessMicros == 0 {
-			c.RI.SnapshotStalenessMicros = def.SnapshotStalenessMicros
-		}
+	}
+	if c.RI.SnapshotStalenessMicros == 0 {
+		// Unset staleness takes the default whatever else is set: the chain
+		// policy (chainPolicy) is sized for the staleness the issuers use.
+		c.RI.SnapshotStalenessMicros = ri.DefaultOptions().SnapshotStalenessMicros
 	}
 	if c.Detector == (deadlock.Options{}) {
 		c.Detector = deadlock.DefaultOptions()
@@ -190,9 +191,6 @@ func (c *Config) Validate() error {
 // pressure the default 16 versions would undo the retention.
 func chainPolicy(staleness int64) storage.ChainPolicy {
 	def := storage.DefaultChainPolicy()
-	if staleness <= 0 {
-		staleness = ri.DefaultOptions().SnapshotStalenessMicros
-	}
 	keep := max(def.KeepMicros, 2*staleness)
 	return storage.ChainPolicy{
 		KeepMicros:  keep,

@@ -8,6 +8,7 @@ import (
 	"ucc/internal/engine"
 	"ucc/internal/model"
 	"ucc/internal/placement"
+	"ucc/internal/ri"
 	"ucc/internal/storage"
 )
 
@@ -101,6 +102,18 @@ func TestValidate(t *testing.T) {
 		{"ri/unset staleness defaulted", layout(func(c *Config) {}), "", func(t *testing.T, c Config) {
 			if c.RI.SnapshotStalenessMicros == 0 {
 				t.Fatal("default SnapshotStalenessMicros not filled when unset")
+			}
+		}},
+		// The staleness is filled on its own: a config that sets one timing
+		// knob still sizes the chains for the staleness its issuers use.
+		{"ri/unset staleness defaulted beside a timing knob", layout(func(c *Config) {
+			c.RI.PAIntervalMicros = 7
+		}), "", func(t *testing.T, c Config) {
+			if want := ri.DefaultOptions().SnapshotStalenessMicros; c.RI.SnapshotStalenessMicros != want {
+				t.Fatalf("SnapshotStalenessMicros = %d, want the default %d", c.RI.SnapshotStalenessMicros, want)
+			}
+			if c.RI.PAIntervalMicros != 7 {
+				t.Fatalf("PAIntervalMicros = %d, want the explicit 7", c.RI.PAIntervalMicros)
 			}
 		}},
 	}

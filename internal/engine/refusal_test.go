@@ -108,10 +108,11 @@ func TestRefusedSnapReadBatchShedsOnce(t *testing.T) {
 	defer close(gate.release)
 	for _, s := range sites {
 		st := storage.NewStore(s)
-		for i := 0; i < 6; i++ {
-			st.Create(model.ItemID(i), 100)
+		for _, item := range pm.CopiesAt(s) {
+			st.Create(item, 100)
 		}
 		m := qm.New(s, st, nil, qm.Options{})
+		m.SetPartitionMap(pm)
 		if s == 2 {
 			gate.Manager = m
 			rt.Register(engine.QMAddr(s), gate)
@@ -182,6 +183,7 @@ func TestRefusedBatchIsRefusedPerCopy(t *testing.T) {
 					st.Create(model.ItemID(i), 100)
 				}
 				m := qm.New(s, st, nil, qm.Options{})
+				m.SetPartitionMap(pm)
 				if s == 1 {
 					gate.Manager = m
 					rt.Register(engine.QMAddr(s), gate)

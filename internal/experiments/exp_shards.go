@@ -11,6 +11,7 @@ import (
 	"ucc/internal/history"
 	"ucc/internal/metrics"
 	"ucc/internal/model"
+	"ucc/internal/placement"
 	"ucc/internal/qm"
 	"ucc/internal/storage"
 )
@@ -100,6 +101,7 @@ func ShardThroughput(shards, workers, txnsPerWorker int, hotShard bool, seed int
 	}
 	rec := history.NewRecorder()
 	m := qm.New(0, st, rec, qm.Options{Shards: shards})
+	m.SetPartitionMap(placement.Build(placement.RoundRobin, items, []model.SiteID{0}, 1))
 
 	// Disjoint per-worker item universes: the admissible items (all of them,
 	// or just the hot shard's) are dealt round-robin across workers.

@@ -3,9 +3,10 @@
 // invariants. It deliberately mirrors the golang.org/x/tools/go/analysis
 // API surface — Analyzer, Pass, Diagnostic — but is built on the standard
 // library alone, because this module carries no third-party dependencies:
-// packages are loaded with `go list -export` and typechecked against gc
-// export data (load.go), and cmd/ucclint speaks the `go vet -vettool`
-// unitchecker protocol by hand (unitchecker.go).
+// cmd/ucclint speaks the `go vet -vettool` unitchecker protocol by hand
+// (unitchecker.go), so the go command lists and builds the packages, and
+// each one is typechecked against its dependencies' gc export data
+// (check.go).
 //
 // # The analyzer catalogue
 //
@@ -27,8 +28,7 @@
 // # Running the suite
 //
 //	make lint                                   # build + run over ./...
-//	go run ./cmd/ucclint ./...                  # the same, directly
-//	go vet -vettool=$(pwd)/bin/ucclint ./...    # incremental, via the go command
+//	go vet -vettool=$(pwd)/bin/ucclint ./...    # the same, once bin/ucclint is built
 //
 // # Suppressions
 //

@@ -13,7 +13,7 @@ func boundedManager(items, bound int) *Manager {
 	for i := 0; i < items; i++ {
 		st.Create(model.ItemID(i), 100)
 	}
-	return New(0, st, nil, Options{MaxQueueDepth: bound})
+	return owning(New(0, st, nil, Options{MaxQueueDepth: bound}))
 }
 
 // TestQueueBoundNAKsBusy: a request landing on a full data queue must be

@@ -51,7 +51,7 @@ func newCommitBatch(k int) *commitBatch {
 		cb.requests = append(cb.requests, asBatch(r))
 		cb.releases = append(cb.releases, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy, HasWrite: true, Value: int64(i)}))
 	}
-	cb.m = New(0, st, nil, Options{})
+	cb.m = owning(New(0, st, nil, Options{}))
 	cb.m.SetDurable(cb.d)
 	return cb
 }
@@ -171,7 +171,7 @@ func newRuntimeDrain(k int) *runtimeDrain {
 		rd.then = append(rd.then, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy}))
 	}
 	rd.first = append(append(rd.first, releases...), reads...)
-	m := New(0, st, nil, Options{})
+	m := owning(New(0, st, nil, Options{}))
 	m.SetDurable(rd.d)
 	rd.rt = engine.NewRuntime(nil, 1)
 	rd.rt.Register(engine.QMAddr(0), m)
@@ -204,7 +204,7 @@ func BenchmarkStatsTick(b *testing.B) {
 	for i := 0; i < items; i++ {
 		st.Create(model.ItemID(i), 100)
 	}
-	m := New(0, st, nil, Options{StatsPeriodMicros: 200_000})
+	m := owning(New(0, st, nil, Options{StatsPeriodMicros: 200_000}))
 	var ctx drainCtx
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -238,7 +238,7 @@ func newRequestRelease(items int) *requestRelease {
 		rr.requests = append(rr.requests, asBatch(r).(model.RequestBatchMsg))
 		rr.releases = append(rr.releases, asBatch(model.ReleaseMsg{Txn: r.Txn, Copy: r.Copy, HasWrite: true, Value: int64(i)}).(model.ReleaseBatchMsg))
 	}
-	rr.m = New(0, st, nil, Options{})
+	rr.m = owning(New(0, st, nil, Options{}))
 	rng := rand.New(rand.NewSource(1))
 	for range 1 << 16 {
 		rr.draws = append(rr.draws, model.ItemID(rng.Intn(items)))

@@ -159,7 +159,7 @@ func exposureSite(t *testing.T, shards int, window int64) (*Manager, *exposureCt
 		st.Create(model.ItemID(i), 100)
 	}
 	rec := history.NewRecorder()
-	m := New(0, st, rec, Options{Shards: shards, GroupCommitMicros: window, InitialValue: 100})
+	m := owning(New(0, st, rec, Options{Shards: shards, GroupCommitMicros: window, InitialValue: 100}))
 	d := newWALDouble(st)
 	m.SetDurable(d)
 	return m, &exposureCtx{fakeCtx: newFakeCtx(), t: t, m: m, d: d}, d, rec
@@ -528,7 +528,7 @@ func TestShardMailboxesFlushConcurrently(t *testing.T) {
 	for i := 0; i < items; i++ {
 		st.Create(model.ItemID(i), 100)
 	}
-	m := New(0, st, nil, Options{Shards: shards})
+	m := owning(New(0, st, nil, Options{Shards: shards}))
 	d := newWALDouble(st)
 	d.delay = 50 * time.Microsecond
 	m.SetDurable(d)
@@ -637,7 +637,7 @@ func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
 	shardAddr := engine.QMShardAddr(0, model.ShardOfItem(item, shards))
 	st := storage.NewStore(0)
 	st.Create(item, 100)
-	m := New(0, st, nil, Options{Shards: shards, GroupCommitMicros: 60_000_000})
+	m := owning(New(0, st, nil, Options{Shards: shards, GroupCommitMicros: 60_000_000}))
 	d := newWALDouble(st)
 	d.delay = 50 * time.Microsecond
 	rt := engine.NewRuntime(nil, 1)

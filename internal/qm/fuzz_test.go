@@ -93,7 +93,7 @@ func runQueueScript(t *testing.T, shardsRaw uint8, script []byte) {
 		for i := 0; i < items; i++ {
 			st.Create(model.ItemID(i), 0)
 		}
-		return New(0, st, nil, Options{Shards: shards})
+		return owning(New(0, st, nil, Options{Shards: shards}))
 	}
 	// mB gets request and abort batches whole, mS as batches of one;
 	// everything else goes to both.

@@ -240,7 +240,7 @@ type Manager struct {
 	probeEdges []model.WaitEdge
 
 	// Versioned placement. pmap is read lock-free on the request fast path
-	// (atomic pointer; nil = legacy mode, ownership is queue existence) and
+	// (atomic pointer; set before delivery starts, SetPartitionMap) and
 	// replaced only inside installMap's site-wide critical section.
 	// downMaps are the installs that arrived during an outage (under ctlMu).
 	pmap     atomic.Pointer[model.PartitionMap]

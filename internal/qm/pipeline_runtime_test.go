@@ -1,11 +1,13 @@
 package qm
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/repl"
 	"ucc/internal/storage"
 	"ucc/internal/wal"
 )
@@ -15,34 +17,86 @@ import (
 // before the sync returns.
 const slowSync = 20 * time.Millisecond
 
-// received is one message the recording issuer got, with the number of
-// media syncs that had returned when it arrived.
+// received is one message the recording issuer got, with its arrival on
+// the monotonic clock.
 type received struct {
-	msg   model.Message
-	syncs uint64
+	msg model.Message
+	at  time.Time
 }
 
-// recordingRI forwards every message it receives, as a value, to got: a
-// reply batch of one as the single reply it stands for.
-type recordingRI struct {
-	media *wal.MemMedia
-	got   chan received
-}
+// recordingRI forwards every message it receives, as a value and stamped
+// with its arrival, to got: a reply batch of one as the single reply it
+// stands for. It reads the clock and touches nothing a sync touches, so it
+// adds no synchronization between a shard and its sync worker that a race
+// report could hide behind.
+type recordingRI struct{ got chan received }
 
 func (r *recordingRI) OnMessage(_ engine.Context, _ engine.Addr, msg model.Message) {
-	r.got <- received{msg: asSingle(valueForm(msg)), syncs: r.media.Syncs()}
+	r.got <- received{msg: asSingle(valueForm(msg)), at: time.Now()}
+}
+
+// syncClock is a MemMedia whose every sync takes slowSync and stamps its
+// return on the monotonic clock. Comparing a stamp with an arrival orders a
+// reply against the syncs without the issuer touching the media.
+type syncClock struct {
+	*wal.MemMedia
+	mu      sync.Mutex
+	returns []time.Time
+}
+
+func newSyncClock() *syncClock {
+	c := &syncClock{MemMedia: wal.NewMemMedia()}
+	c.SyncDelay = slowSync
+	return c
+}
+
+func (c *syncClock) Create(name string) (wal.Writer, error) {
+	w, err := c.MemMedia.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return stampedWriter{Writer: w, c: c}, nil
+}
+
+// returnedBetween counts the syncs that returned after from and before to.
+// It takes the lock each sync's return takes, so a test calls it only once
+// the syncs it asks about have returned: taken while one is in flight, it
+// would order the shard's work before that sync's return.
+func (c *syncClock) returnedBetween(from, to time.Time) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, at := range c.returns {
+		if at.After(from) && at.Before(to) {
+			n++
+		}
+	}
+	return n
+}
+
+type stampedWriter struct {
+	wal.Writer
+	c *syncClock
+}
+
+func (w stampedWriter) Sync() error {
+	err := w.Writer.Sync()
+	w.c.mu.Lock()
+	w.c.returns = append(w.c.returns, time.Now())
+	w.c.mu.Unlock()
+	return err
 }
 
 // runtimeSite is one durable single-shard site on engine.Runtime: a
-// SiteLog over MemMedia whose every sync takes slowSync, and a recording
-// issuer at RIAddr(1). base is the media's sync count once the site is up.
+// SiteLog over a syncClock, and a recording issuer at RIAddr(1). up is when
+// the site was up: the syncs of its start are before it.
 type runtimeSite struct {
 	t     *testing.T
 	m     *Manager
 	rt    *engine.Runtime
-	media *wal.MemMedia
+	media *syncClock
 	ri    *recordingRI
-	base  uint64
+	up    time.Time
 }
 
 func newRuntimeSite(t *testing.T) *runtimeSite {
@@ -51,20 +105,19 @@ func newRuntimeSite(t *testing.T) *runtimeSite {
 	for i := 0; i < 8; i++ {
 		st.Create(model.ItemID(i), 100)
 	}
-	media := wal.NewMemMedia()
-	media.SyncDelay = slowSync
+	media := newSyncClock()
 	sl, err := wal.Open(media, st, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.SetJournal(sl)
-	s := &runtimeSite{t: t, m: New(0, st, nil, Options{}), rt: engine.NewRuntime(nil, 1), media: media}
+	s := &runtimeSite{t: t, m: owning(New(0, st, nil, Options{})), rt: engine.NewRuntime(nil, 1), media: media}
 	s.m.SetDurable(sl)
-	s.ri = &recordingRI{media: media, got: make(chan received, 64)}
+	s.ri = &recordingRI{got: make(chan received, 64)}
 	s.rt.Register(engine.QMAddr(0), s.m)
 	s.rt.Register(engine.RIAddr(1), s.ri)
 	t.Cleanup(s.rt.Shutdown)
-	s.base = media.Syncs()
+	s.up = time.Now()
 	return s
 }
 
@@ -84,16 +137,21 @@ func (s *runtimeSite) next() received {
 	}
 }
 
-// grant waits for the next message and requires it to be txn's grant.
-func (s *runtimeSite) grant(txn uint64) (model.GrantMsg, uint64) {
+// grant waits for the next message, requires it to be txn's grant, and
+// returns it with its arrival.
+func (s *runtimeSite) grant(txn uint64) (model.GrantMsg, time.Time) {
 	s.t.Helper()
 	r := s.next()
 	g, ok := r.msg.(model.GrantMsg)
 	if !ok || g.Txn.Seq != txn {
 		s.t.Fatalf("got %T %+v, want txn %d's grant", r.msg, r.msg, txn)
 	}
-	return g, r.syncs
+	return g, r.at
 }
+
+// synced counts the syncs that returned after the site was up and before
+// at; see syncClock.returnedBetween for when a test may call it.
+func (s *runtimeSite) synced(at time.Time) int { return s.media.returnedBetween(s.up, at) }
 
 // await polls until cond holds.
 func (s *runtimeSite) await(what string, cond func() bool) {
@@ -124,12 +182,16 @@ func TestRuntimeServesDuringSync(t *testing.T) {
 	s.syncStarted(1)
 	s.post(req(2, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
 	s.post(req(3, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
-	if _, syncs := s.grant(3); syncs != s.base {
-		t.Fatalf("the unrelated item's grant waited for the sync (%d syncs returned when it arrived, want %d)", syncs, s.base)
+	_, at3 := s.grant(3)
+	g, at2 := s.grant(2)
+	if g.Version != 1 || g.Value != 7 {
+		t.Fatalf("the parked read's grant %+v, want version 1 value 7", g)
 	}
-	g, syncs := s.grant(2)
-	if syncs != s.base+1 || g.Version != 1 || g.Value != 7 {
-		t.Fatalf("the parked read's grant %+v arrived after %d syncs, want version 1 after %d", g, syncs-s.base, 1)
+	if n := s.synced(at3); n != 0 {
+		t.Fatalf("the unrelated item's grant waited for the sync (%d syncs returned when it arrived, want 0)", n)
+	}
+	if n := s.synced(at2); n != 1 {
+		t.Fatalf("the parked read's grant arrived after %d syncs, want 1", n)
 	}
 }
 
@@ -157,7 +219,7 @@ func TestRuntimeWriteDuringSyncWaitsForItsOwnSync(t *testing.T) {
 	before := s.m.Snapshot().Commits
 	s.post(writeRelease(4, x, 44, 150))
 	s.syncStarted(before + 1)
-	synced := s.media.Syncs()
+	started := time.Now()
 
 	semi2 := writeRelease(2, y, 22, 200)
 	semi2.ToSemi = true
@@ -165,18 +227,16 @@ func TestRuntimeWriteDuringSyncWaitsForItsOwnSync(t *testing.T) {
 	s.post(release(1, y, false, 0))
 	s.post(model.SnapReadMsg{Txn: model.TxnID{Site: 1, Seq: 6}, Copy: model.CopyID{Item: y}, SnapMicros: 1 << 62, Site: 1})
 	s.await("writer 2's conversion", func() bool { return s.m.Snapshot().Conversion == 2 })
-	if s.media.Syncs() != synced {
-		t.Fatal("x's sync returned before y's second write was journaled; the case did not run")
-	}
+	converted := time.Now()
 
-	if g, syncs := s.grant(5); syncs != synced+1 || g.Version != 1 {
-		t.Fatalf("x's parked read: grant %+v after %d syncs, want version 1 after %d", g, syncs-synced, 1)
+	g, at5 := s.grant(5)
+	if g.Version != 1 {
+		t.Fatalf("x's parked read: grant %+v, want version 1", g)
 	}
-	for i := 0; i < 2; i++ {
+	var ys [2]received
+	for i := range ys {
 		r := s.next()
-		if r.syncs < synced+2 {
-			t.Fatalf("%T %+v left y before y's own sync returned (%d syncs since x's started)", r.msg, r.msg, r.syncs-synced)
-		}
+		ys[i] = r
 		switch v := r.msg.(type) {
 		case model.NormalGrantMsg:
 			if v.Txn.Seq != 2 {
@@ -188,6 +248,18 @@ func TestRuntimeWriteDuringSyncWaitsForItsOwnSync(t *testing.T) {
 			}
 		default:
 			t.Fatalf("got %T %+v, want writer 2's promotion and the snapshot reply", r.msg, r.msg)
+		}
+	}
+	synced := s.synced(started)
+	if s.synced(converted) != synced {
+		t.Fatal("x's sync returned before y's second write was journaled; the case did not run")
+	}
+	if n := s.synced(at5) - synced; n != 1 {
+		t.Fatalf("x's parked read's grant arrived after %d syncs, want 1", n)
+	}
+	for _, r := range ys {
+		if n := s.synced(r.at) - synced; n < 2 {
+			t.Fatalf("%T %+v left y before y's own sync returned (%d syncs since x's started)", r.msg, r.msg, n)
 		}
 	}
 }
@@ -248,13 +320,24 @@ func (r *forwardingRI) OnMessage(_ engine.Context, _ engine.Addr, msg model.Mess
 	r.got <- asSingle(valueForm(msg))
 }
 
+// emptyFillServer is an old primary whose log holds no record of the items
+// it hands off: it answers every fill pull with an empty final batch, so the
+// gained copies open at their initial value.
+type emptyFillServer struct{ site model.SiteID }
+
+func (f emptyFillServer) OnMessage(ctx engine.Context, _ engine.Addr, msg model.Message) {
+	if p, ok := msg.(*model.ReplPullMsg); ok && p.Epoch != 0 {
+		ctx.Send(engine.QMAddr(p.From), model.PooledReplRecords(model.ReplRecordsMsg{From: f.site, Epoch: p.Epoch, Incarnation: p.Incarnation}))
+	}
+}
+
 // TestMapInstallDuringSnapshottingSync: on engine.Runtime, with two shards
 // and a durable site that snapshots at every sync, a map install that gains
 // copies lands while a shard's sync is in flight — the sync worker images
 // the store through EachChain while the install creates the gained copies.
 // The store's table writes take its barrier exclusively, which orders the
 // two (under -race an unordered pair fails the test). The gained copies
-// serve traffic at once (no previous map, so nothing to fill), and the
+// serve traffic once their fill from the old primary is done, and the
 // install's own snapshot images them.
 func TestMapInstallDuringSnapshottingSync(t *testing.T) {
 	const held, total = 8, 16
@@ -271,11 +354,18 @@ func TestMapInstallDuringSnapshottingSync(t *testing.T) {
 	st.SetJournal(sl)
 	m := New(0, st, nil, Options{Shards: 2, InitialValue: 100})
 	m.SetDurable(sl)
+	// Site 0 holds the first half, site 1 the rest, until the install.
+	initial := make([][]model.SiteID, total)
+	for i := range initial {
+		initial[i] = []model.SiteID{model.SiteID(i / held)}
+	}
+	m.SetPartitionMap(&model.PartitionMap{Assignments: initial})
 	rt := engine.NewRuntime(nil, 1)
 	t.Cleanup(rt.Shutdown)
 	for i := 0; i < m.NumShards(); i++ {
 		rt.Register(engine.QMShardAddr(0, i), m)
 	}
+	rt.Register(engine.QMAddr(1), emptyFillServer{site: 1})
 	ri := &forwardingRI{got: make(chan model.Message, 64)}
 	rt.Register(engine.RIAddr(1), ri)
 	post := func(item model.ItemID, msg model.Message) {
@@ -307,7 +397,7 @@ func TestMapInstallDuringSnapshottingSync(t *testing.T) {
 		all[i] = []model.SiteID{0}
 	}
 	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.MapInstallMsg{Map: model.PartitionMap{Epoch: 1, Assignments: all}}})
-	s.await("the map install", func() bool { return m.Snapshot().MapInstalls == 1 })
+	s.await("the map install and its fill", func() bool { return m.CurrentMap().Epoch == 1 && !m.FillsOpen() })
 	for item := model.ItemID(held); item < total; item++ {
 		post(item, req(uint64(item)+1, model.TwoPL, model.OpRead, item, model.NoTimestamp))
 		if g := grant(uint64(item) + 1); g.Copy.Item != item || g.Value != 100 {
@@ -331,5 +421,89 @@ func TestMapInstallDuringSnapshottingSync(t *testing.T) {
 	post(total-1, req(100, model.TwoPL, model.OpRead, total-1, model.NoTimestamp))
 	if g := grant(100); g.Value != 100 {
 		t.Fatalf("gained item after recovery: grant %+v, want its initial value 100", g)
+	}
+}
+
+// TestFillImageDuringShardWrites: on engine.Runtime, a volatile site with two
+// shards serves fills from an image of its store on shard 0's goroutine while
+// shard 1's goroutine writes its items, which lie outside every fill's
+// scope. The image is taken under the store's barrier, as a durability
+// snapshot is, so the chains being pushed and pruned are never read
+// meanwhile (under -race an unordered read fails the test), and each fill is
+// answered with its scope's copy alone.
+func TestFillImageDuringShardWrites(t *testing.T) {
+	const items, rounds = 8, 200
+	st := storage.NewStore(0)
+	assign := make([][]model.SiteID, items)
+	for i := range assign {
+		st.Create(model.ItemID(i), 100)
+		assign[i] = []model.SiteID{0}
+	}
+	m := New(0, st, nil, Options{Shards: 2, InitialValue: 100})
+	m.SetPartitionMap(&model.PartitionMap{Epoch: 1, Assignments: assign})
+	var inScope, written model.ItemID = -1, -1
+	for i := model.ItemID(0); i < items; i++ {
+		if model.ShardOfItem(i, m.NumShards()) == 0 && inScope < 0 {
+			inScope = i
+		}
+		if model.ShardOfItem(i, m.NumShards()) == 1 && written < 0 {
+			written = i
+		}
+	}
+	rt := engine.NewRuntime(nil, 1)
+	t.Cleanup(rt.Shutdown)
+	for i := 0; i < m.NumShards(); i++ {
+		rt.Register(engine.QMShardAddr(0, i), m)
+	}
+	fills := &forwardingRI{got: make(chan model.Message, rounds)}
+	rt.Register(engine.QMAddr(1), fills)
+	grants := &forwardingRI{got: make(chan model.Message, rounds+1)}
+	rt.Register(engine.RIAddr(1), grants)
+
+	fill := model.ReplPullMsg{From: 1, Epoch: 1, Scope: repl.AppendScope(nil, []model.ItemID{inScope})}
+	shard1 := engine.QMShardAddr(0, 1)
+	for k := uint64(1); k <= rounds; k++ {
+		rt.Post(engine.Envelope{From: engine.QMAddr(1), To: engine.QMAddr(0), Msg: pooled(fill)})
+		rt.Post(engine.Envelope{From: engine.RIAddr(1), To: shard1, Msg: pooled(req(k, model.TwoPL, model.OpWrite, written, model.NoTimestamp))})
+		rt.Post(engine.Envelope{From: engine.RIAddr(1), To: shard1, Msg: pooled(writeRelease(k, written, int64(k), int64(k)))})
+	}
+	for k := uint64(1); k <= rounds; k++ {
+		select {
+		case msg := <-grants.got:
+			if g, ok := msg.(model.GrantMsg); !ok || g.Txn.Seq != k {
+				t.Fatalf("got %T %+v, want txn %d's grant", msg, msg, k)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no grant for txn %d", k)
+		}
+	}
+	for k := 0; k < rounds; k++ {
+		select {
+		case msg := <-fills.got:
+			r, ok := msg.(model.ReplRecordsMsg)
+			if !ok || r.NotReady || r.More && !r.Reset {
+				t.Fatalf("fill %d answered %T %+v, want a served image", k, msg, msg)
+			}
+			var got []model.ItemID
+			repl.Apply(r.Frames, func(rec wal.Record) bool {
+				got = append(got, rec.Item)
+				return true
+			})
+			if len(got) != 1 || got[0] != inScope {
+				t.Fatalf("fill %d shipped items %v, want its scope's %d alone", k, got, inScope)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no answer to fill %d", k)
+		}
+	}
+	// A read queued behind the last release sees every write.
+	rt.Post(engine.Envelope{From: engine.RIAddr(1), To: shard1, Msg: pooled(req(rounds+1, model.TwoPL, model.OpRead, written, model.NoTimestamp))})
+	select {
+	case msg := <-grants.got:
+		if g, ok := msg.(model.GrantMsg); !ok || g.Value != rounds {
+			t.Fatalf("read after the writes got %T %+v, want a grant of value %d", msg, msg, rounds)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no grant for the read after the writes")
 	}
 }

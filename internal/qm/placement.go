@@ -11,16 +11,16 @@ import (
 	"ucc/internal/wal"
 )
 
-// SetPartitionMap installs the initial partition map before the engine starts
-// delivering messages (the store and queues were seeded to match it, so no
-// transition runs). Later maps arrive as MapInstallMsg.
+// SetPartitionMap installs the initial partition map, which a manager
+// requires: call it before the engine starts delivering messages, with the
+// store seeded to match it (every item the map gives this site has a copy
+// there, so no transition runs). Later maps arrive as MapInstallMsg.
 func (m *Manager) SetPartitionMap(pm *model.PartitionMap) {
 	m.known.Reset(pm.Items())
 	m.pmap.Store(pm)
 }
 
-// CurrentMap returns the installed partition map (nil when the manager runs
-// in legacy mode and owns exactly the items its store was seeded with).
+// CurrentMap returns the installed partition map.
 func (m *Manager) CurrentMap() *model.PartitionMap {
 	return m.pmap.Load()
 }
@@ -43,23 +43,12 @@ func (m *Manager) GrantCounts() map[model.ItemID]uint64 {
 // map, attaching that map so the sender repairs itself. Callers hold sh.mu.
 func (sh *shard) wrongEpoch(ctx engine.Context, to model.SiteID, txn model.TxnID, at model.Attempt, copy model.CopyID) {
 	sh.counters.WrongEpoch++
-	pm := sh.m.pmap.Load()
-	if pm == nil {
-		// Legacy mode has no map to attach; an empty map (epoch 0) tells the
-		// issuer only that the attempt must restart.
-		pm = &model.PartitionMap{}
-	}
-	sh.send(ctx, engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *pm})
+	sh.send(ctx, engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *sh.m.pmap.Load()})
 }
 
-// owns reports whether this site holds item under the installed map (legacy
-// nil map: ownership is queue existence, the pre-placement behaviour).
+// owns reports whether this site holds item under the installed map.
 func (sh *shard) owns(item model.ItemID) bool {
-	pm := sh.m.pmap.Load()
-	if pm == nil {
-		return sh.m.queue(item) != nil
-	}
-	return pm.Owns(item, sh.m.site)
+	return sh.m.pmap.Load().Owns(item, sh.m.site)
 }
 
 // maybeRetire deletes a drained retiring queue: the item moved away at a map
@@ -112,7 +101,7 @@ func (m *Manager) onMapInstall(ctx engine.Context, v model.MapInstallMsg) {
 // installMap is onMapInstall on an up site. Caller holds ctlMu.
 func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 	cur := m.pmap.Load()
-	if cur != nil && v.Map.Epoch <= cur.Epoch {
+	if v.Map.Epoch <= cur.Epoch {
 		return // stale or duplicate publish
 	}
 	// Clone: under the simulator one message value (and its backing arrays)
@@ -147,8 +136,7 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 			// the values are identical by construction.
 			m.store.Create(item, m.opts.InitialValue)
 		}
-		q := m.addQueue(item)
-		q.pending = cur != nil
+		m.addQueue(item).pending = true
 	}
 	m.shards[0].counters.MapInstalls++
 	m.shards[0].counters.ItemsGained += uint64(len(gained))
@@ -162,17 +150,13 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 		m.snapshot("map install")
 	}
 
-	// One fill per old primary of the gained items. No previous map means no
-	// old owner to pull from — the items open immediately (fresh copies, the
-	// bootstrap path).
-	if cur != nil {
-		byPeer := map[model.SiteID][]model.ItemID{}
-		for _, item := range gained {
-			byPeer[cur.Primary(item)] = append(byPeer[cur.Primary(item)], item)
-		}
-		for _, p := range slices.Sorted(maps.Keys(byPeer)) {
-			ctx.Send(engine.QMAddr(p), model.PooledReplPull(m.puller.OpenFill(p, next.Epoch, byPeer[p])))
-		}
+	// One fill per old primary of the gained items.
+	byPeer := map[model.SiteID][]model.ItemID{}
+	for _, item := range gained {
+		byPeer[cur.Primary(item)] = append(byPeer[cur.Primary(item)], item)
+	}
+	for _, p := range slices.Sorted(maps.Keys(byPeer)) {
+		ctx.Send(engine.QMAddr(p), model.PooledReplPull(m.puller.OpenFill(p, next.Epoch, byPeer[p])))
 	}
 
 	// The catch-up peer set follows the sharing graph of the new map. What
@@ -245,16 +229,20 @@ func (s storeSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uin
 	return dst, afterSeq
 }
 
+// SnapshotRecords builds the image inside Store.EachChain, under the store's
+// barrier, as a durability snapshot does: the shards keep writing the
+// copies outside the fill's scope meanwhile, and no chain may be read while
+// one of them pushes or prunes it.
 func (s storeSource) SnapshotRecords(skip func(model.ItemID, int64) bool, dst []byte) (frames []byte, appliedSeq uint64, err error) {
 	frames = dst
 	var prev int64
-	for _, item := range s.store.Items() {
-		ver := s.store.Latest(item)
-		if skip != nil && skip(item, ver.CommitMicros) {
-			continue
+	s.store.EachChain(func(id model.CopyID, vs []storage.Version) {
+		ver := vs[len(vs)-1]
+		if skip != nil && skip(id.Item, ver.CommitMicros) {
+			return
 		}
-		frames = wal.AppendShipped(frames, prev, wal.Record{Item: item, Txn: ver.Writer, Value: ver.Value, CommitMicros: ver.CommitMicros})
+		frames = wal.AppendShipped(frames, prev, wal.Record{Item: id.Item, Txn: ver.Writer, Value: ver.Value, CommitMicros: ver.CommitMicros})
 		prev = ver.CommitMicros
-	}
+	})
 	return frames, 1, nil
 }

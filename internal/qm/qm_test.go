@@ -190,7 +190,28 @@ func testManager(items int, semi bool) (*Manager, *history.Recorder) {
 		st.Create(model.ItemID(i), 100)
 	}
 	rec := history.NewRecorder()
-	return New(0, st, rec, Options{DisableSemiLocks: !semi}), rec
+	return owning(New(0, st, rec, Options{DisableSemiLocks: !semi})), rec
+}
+
+// owning installs on m the initial map a manager requires, with m's site
+// owning exactly the items its store was seeded with: the invariant a map
+// install keeps, a site that owns an item has its queue. Each of those items
+// has a copy at every one of peers too; every other item below the highest
+// seeded one is placed at the next site alone. Returns m.
+func owning(m *Manager, peers ...model.SiteID) *Manager {
+	items := m.store.Items()
+	pm := &model.PartitionMap{}
+	if len(items) > 0 {
+		pm.Assignments = make([][]model.SiteID, items[len(items)-1]+1)
+	}
+	for i := range pm.Assignments {
+		pm.Assignments[i] = []model.SiteID{m.site + 1}
+	}
+	for _, item := range items {
+		pm.Assignments[item] = append([]model.SiteID{m.site}, peers...)
+	}
+	m.SetPartitionMap(pm)
+	return m
 }
 
 func req(txn uint64, p model.Protocol, kind model.OpKind, item model.ItemID, ts model.Timestamp) model.RequestMsg {

@@ -127,7 +127,7 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 		return
 	}
 	if v.Epoch != 0 {
-		if cur := m.pmap.Load(); cur == nil || cur.Epoch < v.Epoch || m.retiringAny() || m.puller.Filling(v.Epoch, v.Scope) {
+		if m.pmap.Load().Epoch < v.Epoch || m.retiringAny() || m.puller.Filling(v.Epoch, v.Scope) {
 			ctx.Send(engine.QMAddr(v.From), model.PooledReplRecords(model.ReplRecordsMsg{From: m.site, Epoch: v.Epoch, NotReady: true, Incarnation: v.Incarnation}))
 			return
 		}

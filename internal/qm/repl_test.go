@@ -24,7 +24,7 @@ func replSite(t *testing.T) (*Manager, *storage.Store, *wal.SiteLog) {
 		t.Fatal(err)
 	}
 	st.SetJournal(sl)
-	m := New(0, st, nil, Options{})
+	m := owning(New(0, st, nil, Options{}), 1, 2)
 	m.SetDurable(sl)
 	m.SetReplication(repl.NewPuller(repl.Options{Site: 0, Peers: []model.SiteID{1, 2}}), sl)
 	return m, st, sl

@@ -19,7 +19,7 @@ func shardedManager(items, shards int) (*Manager, *history.Recorder) {
 		st.Create(model.ItemID(i), 100)
 	}
 	rec := history.NewRecorder()
-	return New(0, st, rec, Options{Shards: shards}), rec
+	return owning(New(0, st, rec, Options{Shards: shards})), rec
 }
 
 // TestShardOfItemPartition: the hash must be total (every item lands in a

@@ -126,7 +126,7 @@ func TestStatsTickAllocatesNothing(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		st.Create(model.ItemID(i), 100)
 	}
-	m := New(0, st, nil, Options{StatsPeriodMicros: statsPeriod, Shards: 4})
+	m := owning(New(0, st, nil, Options{StatsPeriodMicros: statsPeriod, Shards: 4}))
 	var ctx drainCtx
 	var tick model.Message = model.TickMsg{}
 	fire := func() { m.OnMessage(&ctx, engine.QMAddr(0), tick) }

@@ -122,8 +122,9 @@
 // per-pair FIFO on both engines, so every pre-crash digest reaches the
 // server before the post-crash pull that voids it. A missing or undecodable
 // digest (FuzzHaveDigest) is no digest: that pull teaches nothing. The
-// tables are bounded, dropped on a placement change and on the serving
-// site's own crash; forgetting only ships more.
+// tables are bounded by the installed map's item count, dropped on a
+// placement change and on the serving site's own crash; forgetting only
+// ships more.
 //
 // # Reset path
 //

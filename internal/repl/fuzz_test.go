@@ -170,6 +170,10 @@ func seedDigests() map[string][]byte {
 	}
 }
 
+// fuzzKnownItems is the item count of the map FuzzHaveDigest's Known is
+// reset to: the bound a learned digest is held to.
+const fuzzKnownItems = 1 << 16
+
 // FuzzHaveDigest hardens the pull's digest, and a fill's scope, which
 // shares its item coding, against arbitrary bytes off the wire. For every
 // input:
@@ -186,6 +190,7 @@ func FuzzHaveDigest(f *testing.F) {
 	for _, data := range seedDigests() {
 		f.Add(data)
 	}
+	pm := installMap(nil, 8, 0, 1) // a fill is served by its scope alone
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scope, ok := DecodeScope(data, nil)
 		switch {
@@ -197,12 +202,13 @@ func FuzzHaveDigest(f *testing.F) {
 			t.Fatalf("accepted scope is not the canonical encoding:\n in: %x\nout: %x", data, AppendScope(nil, scope))
 		}
 		var sk Known
-		if _, served, _ := sk.Serve(0, &emptyLog{}, model.ReplPullMsg{From: 1, Epoch: 1, Scope: data}, nil, 16, nil); served != ok {
+		if _, served, _ := sk.Serve(0, &emptyLog{}, model.ReplPullMsg{From: 1, Epoch: 1, Scope: data}, pm, 16, nil); served != ok {
 			t.Fatalf("scope decoded %v but the fill was served %v", ok, served)
 		}
 
 		have, ok := DecodeHave(data, nil)
 		var k Known
+		k.Reset(fuzzKnownItems)
 		k.Learn(1, data)
 		if !ok {
 			if len(have) != 0 || len(k.peers[1]) != 0 {
@@ -219,10 +225,10 @@ func FuzzHaveDigest(f *testing.F) {
 			t.Fatalf("accepted digest is not the canonical encoding:\n in: %x\nout: %x", data, re)
 		}
 		// The table holds exactly the entries inside its bound: an item
-		// outside [0, maxKnownItems) is not remembered.
+		// outside [0, fuzzKnownItems) is not remembered.
 		inside := 0
 		for _, h := range have {
-			if h.Item < 0 || h.Item >= maxKnownItems {
+			if h.Item < 0 || h.Item >= fuzzKnownItems {
 				if k.Holds(1, h.Item, h.CommitMicros) {
 					t.Fatalf("entry %+v outside the bound was learned", h)
 				}

@@ -79,10 +79,6 @@ func readItem(rd *model.WireReader, prev model.ItemID, first bool) (model.ItemID
 	return model.ItemID(item), true
 }
 
-// maxKnownItems bounds one peer's table in Known on a site without a
-// partition map; with one, the map's item count does (Known.Reset).
-const maxKnownItems = 1 << 16
-
 // Known is the serving side of the plane. For catch-up it is what a serving
 // site believes each pulling peer already holds: per peer, the newest commit
 // stamp per item. Two things feed it — the digests the peer's pulls carry,
@@ -98,8 +94,9 @@ const maxKnownItems = 1 << 16
 // queue manager serializes every call.
 //
 // A peer's table is a slice indexed by item — items are the map's dense
-// numbers — bounded by the item count Reset set (maxKnownItems until then):
-// an item outside [0, bound) is not remembered, which only ships more.
+// numbers — bounded by the item count Reset set, which the owning manager
+// calls with every map it installs: an item outside [0, bound) is not
+// remembered, which only ships more.
 type Known struct {
 	peers   map[model.SiteID][]knownStamp
 	items   int
@@ -135,11 +132,7 @@ func (k *Known) Reset(items int) {
 
 // Note records that peer holds item at commit stamp or newer.
 func (k *Known) Note(peer model.SiteID, item model.ItemID, stamp int64) {
-	bound := k.items
-	if bound == 0 {
-		bound = maxKnownItems
-	}
-	if uint(item) >= uint(bound) {
+	if uint(item) >= uint(k.items) {
 		return
 	}
 	t := k.peers[peer]
@@ -191,17 +184,17 @@ func (k *Known) Holds(peer model.SiteID, item model.ItemID, stamp int64) bool {
 }
 
 // Serve answers one pull from src. A catch-up pull is served less what the
-// puller is known to hold, and, when pm is not nil, less the records of
-// items pm gives the puller no copy of: its store would skip them as unknown
-// items. A catch-up pull from sequence zero is what a puller sends after a
-// crash wiped its volatile state (Puller.ResetAll), and a Reset reply
-// re-images it from the snapshot: either way what was believed about it is
-// dropped first, and only this pull's own digest — collected after any such
-// crash — is kept. A fill pull is served the records of its scope's items
-// and nothing else, and neither reads nor changes what is known about the
-// puller; ok is false when its scope does not decode, and the pull must go
-// unanswered. The reply echoes the pull's epoch and incarnation; its Frames
-// are appended to dst.
+// puller is known to hold, and less the records of items pm, the serving
+// site's installed map, gives the puller no copy of: its store would skip
+// them as unknown items. A catch-up pull from sequence zero is what a
+// puller sends after a crash wiped its volatile state (Puller.ResetAll),
+// and a Reset reply re-images it from the snapshot: either way what was
+// believed about it is dropped first, and only this pull's own digest —
+// collected after any such crash — is kept. A fill pull is served the
+// records of its scope's items and nothing else, and neither reads nor
+// changes what is known about the puller; ok is false when its scope does
+// not decode, and the pull must go unanswered. The reply echoes the pull's
+// epoch and incarnation; its Frames are appended to dst.
 func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, pm *model.PartitionMap, max int, dst []byte) (batch model.ReplRecordsMsg, ok bool, err error) {
 	if pull.Epoch != 0 {
 		if k.scope, ok = DecodeScope(pull.Scope, k.scope[:0]); !ok {
@@ -221,7 +214,7 @@ func (k *Known) Serve(from model.SiteID, src Source, pull model.ReplPullMsg, pm 
 		k.Learn(pull.From, pull.Have)
 		if k.holds == nil {
 			k.holds = func(item model.ItemID, stamp int64) bool {
-				return (k.placement != nil && !k.placement.Owns(item, k.serving)) || k.Holds(k.serving, item, stamp)
+				return !k.placement.Owns(item, k.serving) || k.Holds(k.serving, item, stamp)
 			}
 		}
 		k.serving, k.placement = pull.From, pm

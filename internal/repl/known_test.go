@@ -47,6 +47,21 @@ func shipped(t *testing.T, msg model.ReplRecordsMsg) []wal.Have {
 
 func digest(have ...wal.Have) []byte { return AppendHave(nil, have) }
 
+// installMap is the map of items 0..items-1 with a copy of each at every one
+// of sites, the stores these tests seed (serverLog seeds eight items); k,
+// when not nil, is reset to it, as a queue manager resets its Known at
+// every map install.
+func installMap(k *Known, items int, sites ...model.SiteID) *model.PartitionMap {
+	pm := &model.PartitionMap{Assignments: make([][]model.SiteID, items)}
+	for i := range pm.Assignments {
+		pm.Assignments[i] = sites
+	}
+	if k != nil {
+		k.Reset(items)
+	}
+	return pm
+}
+
 // TestServeWithholdsOnlyWhatThePeerHolds: a record is left out exactly when
 // its stamp is at or below the peer's claim for its item — the mirror of
 // ApplyShipped's gate — and next moves past it all the same. A newer record
@@ -56,7 +71,8 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
 		wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25}, wal.Have{Item: 1, CommitMicros: 30})
 	var k Known
-	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, nil, 16, nil)
+	pm := installMap(&k, 8, 0, 1, 2)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 1, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +82,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 	}
 	// The claim is stored: a later pull without a digest is still spared the
 	// same records — and still gets the one newer than the claim.
-	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 2}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +90,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("stored claim: shipped %v next %d; want %v next 5", got, msg.NextAfterSeq, want[1:])
 	}
 	// Another peer claimed nothing and is withheld nothing.
-	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2, AfterSeq: 1}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +98,7 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 		t.Fatalf("peer 2 claimed nothing but was shipped %v", got)
 	}
 	// The bound counts shipped records: withheld ones do not use it up.
-	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, nil, 1, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1}, pm, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +107,16 @@ func TestServeWithholdsOnlyWhatThePeerHolds(t *testing.T) {
 	}
 }
 
-// TestServeWithholdsItemsThePeerHoldsNoCopyOf: with a map, a record of an
-// item the map gives the puller no copy of is left out like one it already
-// holds, and next moves past it. Without a map every item ships.
+// TestServeWithholdsItemsThePeerHoldsNoCopyOf: a record of an item the map
+// gives the puller no copy of is left out like one it already holds, and
+// next moves past it; each puller is served its own copies.
 func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
 	src := serverLog(t, wal.Options{},
 		wal.Have{Item: 0, CommitMicros: 10}, wal.Have{Item: 1, CommitMicros: 15},
 		wal.Have{Item: 2, CommitMicros: 20}, wal.Have{Item: 3, CommitMicros: 25})
 	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0, 1}, {0, 2}, {1, 0}, {2, 0}}}
 	var k Known
+	k.Reset(pm.Items())
 	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +125,13 @@ func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
 	if got := shipped(t, msg); !slices.Equal(got, want) || msg.NextAfterSeq != 4 {
 		t.Fatalf("shipped %v next %d; want %v next 4", got, msg.NextAfterSeq, want)
 	}
-	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2}, nil, 16, nil)
+	msg, _, err = k.Serve(0, src, model.ReplPullMsg{From: 2}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shipped(t, msg); len(got) != 4 {
-		t.Fatalf("without a map shipped %v, want all 4 records", got)
+	want = []wal.Have{{Item: 1, CommitMicros: 15}, {Item: 3, CommitMicros: 25}}
+	if got := shipped(t, msg); !slices.Equal(got, want) || msg.NextAfterSeq != 4 {
+		t.Fatalf("to site 2 shipped %v next %d; want %v next 4", got, msg.NextAfterSeq, want)
 	}
 }
 
@@ -124,9 +142,10 @@ func TestServeWithholdsItemsThePeerHoldsNoCopyOf(t *testing.T) {
 func TestServeForgetsOnPullFromZero(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	var k Known
+	pm := installMap(&k, 8, 0, 1)
 	k.Learn(1, digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}))
 	k.Note(1, 3, 99)
-	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +167,9 @@ func TestServeForgetsOnReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var k Known
+	pm := installMap(&k, 8, 0, 1)
 	k.Note(1, 1, 10)
-	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, nil, 16, nil)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 1, Have: digest(wal.Have{Item: 2, CommitMicros: 15})}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +189,8 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	good := digest(wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15})
 	var k Known
-	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, nil, 16, nil)
+	pm := installMap(&k, 8, 0, 1)
+	msg, _, err := k.Serve(0, src, model.ReplPullMsg{From: 1, AfterSeq: 0, Have: good[:len(good)-1]}, pm, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,23 +200,30 @@ func TestMalformedDigestShipsEverything(t *testing.T) {
 }
 
 // TestKnownIsBounded: a peer's table is indexed by item and bounded by the
-// installed map's item count (maxKnownItems before any Reset): an item at or
-// past the bound, or a negative one, is not remembered and does not grow the
-// table; forgetting only ships more. Reset to a smaller map cuts the tables
-// and forgets them, and a slot cut off and grown back holds nothing.
+// installed map's item count, which Reset sets and nothing else: before any
+// Reset nothing is remembered, and an item at or past the bound, or a
+// negative one, is not remembered and does not grow the table; forgetting
+// only ships more. Reset to a smaller map cuts the tables and forgets them,
+// and a slot cut off and grown back holds nothing.
 func TestKnownIsBounded(t *testing.T) {
+	const bound = 1 << 16
 	var k Known
-	for i := 0; i < maxKnownItems; i++ {
+	k.Note(1, 0, 7)
+	if k.Holds(1, 0, 7) || len(k.peers[1]) != 0 {
+		t.Fatalf("a Known with no map remembered item 0 in a table of %d entries", len(k.peers[1]))
+	}
+	k.Reset(bound)
+	for i := 0; i < bound; i++ {
 		k.Note(1, model.ItemID(i), 7)
 	}
 	k.Note(1, 0, 9) // raising a held item is not growth
-	if len(k.peers[1]) != maxKnownItems || !k.Holds(1, 0, 9) {
+	if len(k.peers[1]) != bound || !k.Holds(1, 0, 9) {
 		t.Fatalf("table has %d entries before the bound is crossed", len(k.peers[1]))
 	}
-	k.Note(1, maxKnownItems, 7)
+	k.Note(1, bound, 7)
 	k.Note(1, -1, 7)
-	if len(k.peers[1]) != maxKnownItems || k.Holds(1, maxKnownItems, 7) || k.Holds(1, -1, 7) || !k.Holds(1, 0, 9) {
-		t.Fatalf("table has %d entries after notes outside the bound, want %d and item 0 kept", len(k.peers[1]), maxKnownItems)
+	if len(k.peers[1]) != bound || k.Holds(1, bound, 7) || k.Holds(1, -1, 7) || !k.Holds(1, 0, 9) {
+		t.Fatalf("table has %d entries after notes outside the bound, want %d and item 0 kept", len(k.peers[1]), bound)
 	}
 	k.Reset(8)
 	if len(k.peers[1]) > 8 || k.Holds(1, 0, 0) {
@@ -238,14 +266,15 @@ func TestPullerKeepsPeersSorted(t *testing.T) {
 	}
 
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 2, CommitMicros: 15}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 30})
+	pm := installMap(nil, 8, 0, 3, 4)
 	for _, want := range []model.SiteID{3, 4} {
-		peer, pull, ok := p.NextPull(src, nil)
+		peer, pull, ok := p.NextPull(src, pm)
 		have, dok := DecodeHave(pull.Have, nil)
 		if !ok || peer != want || !dok || !slices.Equal(have, []wal.Have{{Item: 1, CommitMicros: 10}, {Item: 2, CommitMicros: 30}}) {
 			t.Fatalf("pull to %d (ok %v) carries digest %v (ok %v), want one to %d naming items 1@10 and 2@30", peer, ok, have, dok, want)
 		}
 	}
-	if peer, again, _ := p.NextPull(src, nil); peer != 3 || again.Have != nil {
+	if peer, again, _ := p.NextPull(src, pm); peer != 3 || again.Have != nil {
 		t.Fatalf("the round robin's second lap pulls %d with digest %x, want 3 with none", peer, again.Have)
 	}
 }
@@ -267,10 +296,11 @@ func TestServeAndApplyAllocatesNothing(t *testing.T) {
 	}
 	pull := model.ReplPullMsg{From: 1, AfterSeq: 100, Have: digest(wal.Have{Item: 3, CommitMicros: 2000})}
 	var k Known
+	pm := installMap(&k, 8, 0, 1)
 	var frames []byte
 	var shippedN int
 	serveApply := func() {
-		batch, _, err := k.Serve(0, src, pull, nil, 512, frames[:0])
+		batch, _, err := k.Serve(0, src, pull, pm, 512, frames[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,9 +329,10 @@ func TestServeFillShipsOnlyItsScope(t *testing.T) {
 		wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15},
 		wal.Have{Item: 3, CommitMicros: 20}, wal.Have{Item: 2, CommitMicros: 25})
 	var k Known
+	pm := installMap(&k, 8, 0, 1)
 	k.Note(1, 2, 99)
 	fill := model.ReplPullMsg{From: 1, Epoch: 4, Incarnation: 2, Scope: AppendScope(nil, []model.ItemID{2, 3})}
-	msg, ok, err := k.Serve(0, src, fill, nil, 16, nil)
+	msg, ok, err := k.Serve(0, src, fill, pm, 16, nil)
 	if err != nil || !ok {
 		t.Fatalf("fill served ok %v, err %v", ok, err)
 	}
@@ -317,7 +348,7 @@ func TestServeFillShipsOnlyItsScope(t *testing.T) {
 	if err := src.Recover(); err != nil { // empties the tail, snapshots at seq 4
 		t.Fatal(err)
 	}
-	msg, ok, err = k.Serve(0, src, fill, nil, 16, nil)
+	msg, ok, err = k.Serve(0, src, fill, pm, 16, nil)
 	if err != nil || !ok || !msg.Reset || !msg.More {
 		t.Fatalf("fill from 0 after the log was truncated: %+v (ok %v, err %v), want a Reset image", msg, ok, err)
 	}
@@ -326,7 +357,7 @@ func TestServeFillShipsOnlyItsScope(t *testing.T) {
 	}
 
 	fill.Scope = []byte{0x80} // an unterminated varint
-	if _, ok, err := k.Serve(0, src, fill, nil, 16, nil); ok || err != nil {
+	if _, ok, err := k.Serve(0, src, fill, pm, 16, nil); ok || err != nil {
 		t.Fatalf("a scope that does not decode was served (ok %v, err %v)", ok, err)
 	}
 }

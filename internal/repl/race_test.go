@@ -79,11 +79,12 @@ func TestConcurrentCatchUpReplayVsLiveWrites(t *testing.T) {
 		defer wg.Done()
 		var mark uint64
 		var known Known
+		pm := installMap(&known, items, 0, 1)
 		puller := NewPuller(Options{Site: 1, Peers: []model.SiteID{0}})
 		for {
-			_, next, _ := puller.NextPull(dstLog, nil)
+			_, next, _ := puller.NextPull(dstLog, pm)
 			pull := model.ReplPullMsg{From: 1, AfterSeq: mark, Have: next.Have}
-			batch, _, err := known.Serve(0, srcLog, pull, nil, 64, nil)
+			batch, _, err := known.Serve(0, srcLog, pull, pm, 64, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -164,13 +164,13 @@ func (p *Puller) SetPeers(peers []model.SiteID) {
 }
 
 // NextPull picks the peer this tick pulls, the next in the round robin, and
-// builds its pull. The pull carries the digest of what src journaled since
-// this site's previous pull to that peer, of the items pm gives the peer a
-// copy of (every item when pm is nil), so the peer can leave out what this
-// site already holds — among it what another peer shipped here since; the
-// peer serves no other item (Known.Serve). Have is nil when nothing was
-// journaled or src is nil. Its bytes are the puller's own and valid until
-// the next call, so the pull must be copied before it is sent
+// builds its pull. The pull carries the digest of what src, the log that
+// serves the catch-up peers, journaled since this site's previous pull to
+// that peer, of the items pm gives the peer a copy of, so the peer can
+// leave out what this site already holds — among it what another peer
+// shipped here since; the peer serves no other item (Known.Serve). Have is
+// nil when nothing was journaled. Its bytes are the puller's own and valid
+// until the next call, so the pull must be copied before it is sent
 // (model.PooledReplPull does). ok is false when there is no peer to pull.
 func (p *Puller) NextPull(src Source, pm *model.PartitionMap) (peer model.SiteID, pull model.ReplPullMsg, ok bool) {
 	if len(p.peers) == 0 {
@@ -180,13 +180,10 @@ func (p *Puller) NextPull(src Source, pm *model.PartitionMap) (peer model.SiteID
 	peer = p.peers[p.next]
 	p.next++
 	pull = p.Pull(peer, 0)
-	if src == nil {
-		return peer, pull, true
-	}
 	p.have, p.reported[peer] = src.HaveSince(p.reported[peer], p.have[:0])
 	kept := p.have[:0]
 	for _, h := range p.have {
-		if pm == nil || pm.Owns(h.Item, peer) {
+		if pm.Owns(h.Item, peer) {
 			kept = append(kept, h)
 		}
 	}

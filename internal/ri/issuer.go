@@ -257,6 +257,27 @@ func (s *Stats) Sub(o Stats) {
 	s.MapUpdates -= o.MapUpdates
 }
 
+// Add adds every counter of o, and its Active, to s: the totals over
+// issuers. Window, one controller's gauge, keeps s's value.
+func (s *Stats) Add(o Stats) {
+	s.Submitted += o.Submitted
+	s.Committed += o.Committed
+	s.ROCommitted += o.ROCommitted
+	s.ROStale += o.ROStale
+	s.Rejects += o.Rejects
+	s.Victims += o.Victims
+	s.Dropped += o.Dropped
+	s.ReBackoffs += o.ReBackoffs
+	s.Shed += o.Shed
+	s.BusyNAKs += o.BusyNAKs
+	s.ROBusyShed += o.ROBusyShed
+	s.QuorumExcluded += o.QuorumExcluded
+	s.QuorumHedged += o.QuorumHedged
+	s.WrongEpochNAKs += o.WrongEpochNAKs
+	s.MapUpdates += o.MapUpdates
+	s.Active += o.Active
+}
+
 // Snapshot returns current counters; safe for concurrent use.
 func (ri *Issuer) Snapshot() Stats {
 	ri.mu.Lock()

@@ -516,9 +516,10 @@ func TestSwitchOnRestart(t *testing.T) {
 }
 
 // TestStatsSubEveryField: Sub takes every counter away and keeps the gauges
-// (Active, Window) at the current value, so a counter added to Stats without
-// a line in Sub fails here instead of reading as a running total in every
-// scenario phase's deltas.
+// (Active, Window) at the current value, and Add sums every counter and
+// Active, so a counter added to Stats without a line in both fails here
+// instead of reading as a running total in every scenario phase's deltas or
+// as zero in the cluster's totals.
 func TestStatsSubEveryField(t *testing.T) {
 	var cur, prev Stats
 	c, p := reflect.ValueOf(&cur).Elem(), reflect.ValueOf(&prev).Elem()
@@ -537,6 +538,21 @@ func TestStatsSubEveryField(t *testing.T) {
 		}
 		if got := v.Field(i).Convert(reflect.TypeOf(0)).Interface(); got != want {
 			t.Errorf("%s = %v after Sub, want %d", name, got, want)
+		}
+	}
+	// Add sums every counter and Active, and keeps Window: the totals
+	// over issuers, one controller's gauge aside.
+	sum := cur
+	sum.Add(prev)
+	v = reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		want := 4 * (i + 1)
+		if name == "Window" {
+			want = 3 * (i + 1)
+		}
+		if got := v.Field(i).Convert(reflect.TypeOf(0)).Interface(); got != want {
+			t.Errorf("%s = %v after Add, want %d", name, got, want)
 		}
 	}
 }

@@ -250,6 +250,27 @@ func TestSmokeScenariosPass(t *testing.T) {
 	golden.Check(t, smokeGolden, got, *update)
 }
 
+// TestLibraryScenariosPass runs every library scenario at its own seed, as
+// `uccscenario -all` does, and requires each to pass: the scenarios outside
+// the smoke set are the only ones that apply the slow-disk, degraded-link
+// and latency-restore faults. Skipped in -short, like the smoke set.
+func TestLibraryScenariosPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("library scenarios skipped in -short")
+	}
+	for _, sc := range Library() {
+		t.Run(sc.Name, func(t *testing.T) {
+			rec, err := Run(sc, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Passed {
+				t.Fatalf("library scenario %s failed:\n%s", sc.Name, strings.Join(rec.Failures, "\n"))
+			}
+		})
+	}
+}
+
 // TestFaultClamping: fault offsets beyond the phase end are clamped into the
 // phase, recorded at their actual fire time, and still applied.
 func TestFaultClamping(t *testing.T) {

@@ -535,12 +535,14 @@ func TestDeadPeerRefusesBatchPerCopy(t *testing.T) {
 			var releaseOnce sync.Once
 			release := func() { releaseOnce.Do(func() { close(held.release) }) }
 			defer release() // before the runtime's Shutdown waits on site 1's goroutine
+			pm := placement.Build(placement.RoundRobin, 4, sites, 3)
 			for _, s := range sites[:2] {
 				st := storage.NewStore(s)
 				for i := 0; i < 4; i++ {
 					st.Create(model.ItemID(i), 100)
 				}
 				m := qm.New(s, st, nil, qm.Options{})
+				m.SetPartitionMap(pm)
 				if s == 1 {
 					held.Manager = m
 					rt.Register(engine.QMAddr(s), held)
@@ -552,7 +554,7 @@ func TestDeadPeerRefusesBatchPerCopy(t *testing.T) {
 			if mode == "quorum" {
 				opts.Quorum = &model.Quorum{N: 3, W: 2, R: 2}
 			}
-			iss := ri.New(0, placement.Build(placement.RoundRobin, 4, sites, 3), nil, opts, nil)
+			iss := ri.New(0, pm, nil, opts, nil)
 			rt.Register(engine.RIAddr(0), iss)
 			log := &doneLog{}
 			rt.Register(engine.CollectorAddr(), log)
