@@ -12,14 +12,20 @@ import (
 // succeeded.
 func vet(t *testing.T, dir string) (string, bool) {
 	t.Helper()
+	cmd := exec.Command("go", "vet", "-vettool="+build(t), "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	return string(out), err == nil
+}
+
+// build compiles the tool into a temporary directory and returns its path.
+func build(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "ucclint")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building ucclint: %v\n%s", err, out)
 	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	return string(out), err == nil
+	return bin
 }
 
 // TestBadModule runs the suite through the go vet -vettool protocol over
@@ -43,5 +49,23 @@ func TestBadModule(t *testing.T) {
 func TestRepoClean(t *testing.T) {
 	if out, ok := vet(t, filepath.Join("..", "..")); !ok {
 		t.Fatalf("go vet -vettool over the repository failed\noutput:\n%s", out)
+	}
+}
+
+// TestVetTool checks the built binary's side of the go vet -vettool
+// handshake: the -flags probe, the -V=full build-cache stamp, and a usage
+// failure when no *.cfg unit is handed over.
+func TestVetTool(t *testing.T) {
+	bin := build(t)
+	out, err := exec.Command(bin, "-flags").Output()
+	if err != nil || strings.TrimSpace(string(out)) != "[]" {
+		t.Errorf("ucclint -flags: %q, %v; want \"[]\", exit 0", out, err)
+	}
+	out, err = exec.Command(bin, "-V=full").Output()
+	if err != nil || !strings.HasPrefix(string(out), "ucclint version devel ") || !strings.Contains(string(out), "buildID=") {
+		t.Errorf("ucclint -V=full: %q, %v; want a version line with a buildID", out, err)
+	}
+	if out, err := exec.Command(bin, "./...").CombinedOutput(); err == nil || !strings.Contains(string(out), "usage:") {
+		t.Errorf("ucclint ./...: %q, %v; want usage and a nonzero exit", out, err)
 	}
 }
