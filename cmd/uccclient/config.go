@@ -44,10 +44,3 @@ func parseMix(s string) ([4]float64, error) {
 	}
 	return shares, nil
 }
-
-// clientTopology builds the driving client's view of the cluster: the
-// client itself (collector + drivers) on "client" at listenAddr, site i on
-// peer "site<i>".
-func clientTopology(peers []string, listenAddr string) transport.Topology {
-	return transport.StandardTopology(peers, listenAddr)
-}

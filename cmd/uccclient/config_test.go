@@ -9,6 +9,7 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/transport"
 )
 
 func TestParsePeerList(t *testing.T) {
@@ -58,7 +59,7 @@ func TestParseMix(t *testing.T) {
 }
 
 func TestClientTopology(t *testing.T) {
-	topo := clientTopology([]string{":7700", ":7701"}, ":7709")
+	topo := transport.StandardTopology([]string{":7700", ":7701"}, ":7709")
 	if got := topo.Peers[topo.Assign(engine.CollectorAddr())]; got != ":7709" {
 		t.Errorf("collector at %q, want the client listen address", got)
 	}

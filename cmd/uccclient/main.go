@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("uccclient: %v", err)
 	}
-	topo := clientTopology(peerList, *listen)
+	topo := transport.StandardTopology(peerList, *listen)
 
 	rt := engine.NewRuntime(engine.FixedLatency{}, 42)
 	collector := metrics.NewCollector(metrics.CollectorOptions{})

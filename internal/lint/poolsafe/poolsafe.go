@@ -228,21 +228,21 @@ func (fn *funcState) flagEscapes(body *ast.BlockStmt) {
 				if base, escapes := fn.escapingStore(lhs); escapes {
 					fn.pass.Reportf(v.Pos(),
 						"pooled message stored into %s, which outlives the call frame: the value is "+
-							"only valid until RecycleMessage (use DecodeMessage/DecodeEnvelope for "+
-							"messages that are retained)", base)
+							"only valid until RecycleMessage (retain a copy with model.RetainMessage "+
+							"instead)", base)
 				}
 			}
 		case *ast.SendStmt:
 			if fn.exprTainted(v.Value) {
 				fn.pass.Reportf(v.Pos(),
 					"pooled message sent on a channel: the receiver may read it after RecycleMessage "+
-						"returns it to the pool (use DecodeMessage/DecodeEnvelope instead)")
+						"returns it to the pool (retain a copy with model.RetainMessage instead)")
 			}
 		case *ast.GoStmt:
 			if fn.goTainted(v) {
 				fn.pass.Reportf(v.Pos(),
 					"pooled message captured by a goroutine: it may run after RecycleMessage returns "+
-						"the struct to the pool (use DecodeMessage/DecodeEnvelope instead)")
+						"the struct to the pool (retain a copy with model.RetainMessage instead)")
 			}
 		case *ast.CallExpr:
 			id, isIdent := v.Fun.(*ast.Ident)
@@ -254,7 +254,7 @@ func (fn *funcState) flagEscapes(body *ast.BlockStmt) {
 					if fn.exprTainted(arg) {
 						fn.pass.Reportf(v.Pos(),
 							"pooled message appended to a slice: the slice retains it past RecycleMessage "+
-								"(use DecodeMessage/DecodeEnvelope instead)")
+								"(retain a copy with model.RetainMessage instead)")
 						break
 					}
 				}

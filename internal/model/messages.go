@@ -536,7 +536,7 @@ type ProbeWFGMsg struct {
 // SubmitTxnMsg hands a new transaction to a Request Issuer, which copies Txn
 // into its own state and neither changes nor keeps the sender's (package
 // ri). It stays one pointer, so it boxes into a Message without allocating;
-// the pooled decoder pools the Txn instead (wirepool.go).
+// its decode pools the Txn instead (wirepool.go).
 type SubmitTxnMsg struct {
 	Txn *Txn
 }

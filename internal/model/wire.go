@@ -1018,15 +1018,6 @@ func (m SubmitTxnMsg) AppendWire(b []byte) []byte {
 	return m.Txn.AppendWire(b)
 }
 
-func decodeSubmitTxn(r *WireReader) (m SubmitTxnMsg) {
-	if !r.Bool() || r.err != nil {
-		return m
-	}
-	m.Txn = new(Txn)
-	r.txn(m.Txn, nil, nil)
-	return m
-}
-
 // AppendWire encodes the message body (no tag) onto b.
 func (m TxnDoneMsg) AppendWire(b []byte) []byte {
 	b = appendTxnID(b, m.Txn)
@@ -1346,54 +1337,41 @@ func decodeEmpty[T Message](*WireReader) (m T) { return m }
 // Dispatch
 // ---------------------------------------------------------------------------
 
-// codec is one tag's row of the decode table: decode returns the message as
-// a value; decodePooled, where set, decodes into the type's pool and returns
-// the pointer, or for a submit the value holding a pooled Txn
-// (DecodeMessagePooled, wirepool.go).
-type codec struct {
-	decode, decodePooled func(*WireReader) Message
-}
+// codec is one tag's row of the decode table: it decodes the message in the
+// one form its receiver matches. A pooled type decodes into its pool and
+// comes back as the pointer (a single per-copy tag as the pooled batch of
+// one it stands for), a submit as the value holding a pooled Txn, and every
+// other type as a value (see DecodeMessagePooled).
+type codec func(*WireReader) Message
 
-// plain is the row of a type that always decodes to a value.
+// plain is the row of a type that decodes to a value.
 func plain[T Message](decode func(*WireReader) T) codec {
-	return codec{decode: func(r *WireReader) Message { return decode(r) }}
+	return func(r *WireReader) Message { return decode(r) }
 }
 
-// pooled is the row of a type that DecodeMessagePooled decodes into pool.
+// pooled is the row of a type that decodes into pool.
 func pooled[T Message, P interface {
 	*T
 	Message
 }](pool *msgPool[T], decode func(*WireReader) T) codec {
-	c := plain(decode)
-	c.decodePooled = func(r *WireReader) Message {
+	return func(r *WireReader) Message {
 		p := pool.get()
 		*p = decode(r)
 		return P(p)
 	}
-	return c
 }
 
 // batch is the row of a batch type: decode appends the members to the array
-// it is given, which on the pooled path is the one the pooled message kept.
+// the pooled message kept.
 func batch[T Message, P interface {
 	*T
 	Message
 }, M any](pool *msgPool[T], kept func(*T) []M, decode func(*WireReader, []M) T) codec {
-	return codec{
-		decode: func(r *WireReader) Message { return decode(r, nil) },
-		decodePooled: func(r *WireReader) Message {
-			p := pool.get()
-			*p = decode(r, kept(p))
-			return P(p)
-		},
+	return func(r *WireReader) Message {
+		p := pool.get()
+		*p = decode(r, kept(p))
+		return P(p)
 	}
-}
-
-// decodeWith is the plain decode of a type whose decoder fills a given
-// array (its pooled decode passes the one the pooled message kept): a fresh
-// one.
-func decodeWith[T Message, E any](decode func(*WireReader, []E) T) func(*WireReader) T {
-	return func(r *WireReader) T { return decode(r, nil) }
 }
 
 // codecs is the decode table, indexed by tag; TagInvalid's row is empty.
@@ -1410,11 +1388,11 @@ var codecs = [...]codec{
 	TagVictim:             plain(decodeVictim),
 	TagSnapRead:           batch(&snapReadBatchPool, snapReadMembers, decodeSnapRead),
 	TagSnapReadReply:      batch(&snapReadReplyBatchPool, snapReadReplyMembers, decodeSnapReadReply),
-	TagWFGReport:          {decode: plain(decodeWith(decodeWFGReport)).decode, decodePooled: decodeWFGReportPooled},
+	TagWFGReport:          decodeWFGReportPooled,
 	TagProbeWFG:           pooled(&probeWFGPool, decodeProbeWFG),
-	TagSubmitTxn:          {decode: plain(decodeSubmitTxn).decode, decodePooled: decodeSubmitTxnPooled},
+	TagSubmitTxn:          decodeSubmitTxnPooled,
 	TagTxnDone:            plain(decodeTxnDone),
-	TagQueueStats:         {decode: plain(decodeWith(decodeQueueStats)).decode, decodePooled: decodeQueueStatsPooled},
+	TagQueueStats:         decodeQueueStatsPooled,
 	TagEstimate:           plain(decodeEstimate),
 	TagTick:               plain(decodeTick),
 	TagComputeDone:        pooled(&computeDonePool, decodeComputeDone),
@@ -1424,8 +1402,8 @@ var codecs = [...]codec{
 	TagCrash:              plain(decodeEmpty[CrashMsg]),
 	TagRecover:            plain(decodeEmpty[RecoverMsg]),
 	TagFlush:              plain(decodeFlush),
-	TagReplPull:           {decode: plain(decodeWith(decodeReplPull)).decode, decodePooled: decodeReplPullPooled},
-	TagReplRecords:        {decode: plain(decodeWith(decodeReplRecords)).decode, decodePooled: decodeReplRecordsPooled},
+	TagReplPull:           decodeReplPullPooled,
+	TagReplRecords:        decodeReplRecordsPooled,
 	TagWrongEpoch:         plain(decodeWrongEpoch),
 	TagMapInstall:         plain(decodeMapInstall),
 	TagMapUpdate:          plain(decodeMapUpdate),
@@ -1458,16 +1436,24 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	return m.AppendWire(append(b, byte(tag))), nil
 }
 
-// DecodeMessage decodes the body for tag from r. Unknown tags error cleanly
-// (ErrWireUnknownTag) so a newer peer's message cannot misparse as garbage.
-// The caller is responsible for checking r.Err() and for rejecting trailing
+// DecodeMessagePooled decodes the body for tag from r through its
+// decode-table row: the pooled types come back as pooled pointers (a single
+// per-copy tag as the pooled batch of one it stands for), a SubmitTxnMsg
+// with a pooled Txn, and every other type, the two send-only reports
+// included, as a value. Pass every decoded message to RecycleMessage when
+// done with it; see wirepool.go for the lifetime contract. Unknown tags
+// error cleanly (ErrWireUnknownTag) so a newer peer's message cannot
+// misparse as garbage. The caller is responsible for rejecting trailing
 // bytes if the payload is supposed to be exactly one message.
-func DecodeMessage(tag WireTag, r *WireReader) (Message, error) {
-	if tag > TagLast || codecs[tag].decode == nil {
+func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
+	if tag > TagLast || codecs[tag] == nil {
 		return nil, fmt.Errorf("%w: %d", ErrWireUnknownTag, tag)
 	}
-	m := codecs[tag].decode(r)
+	m := codecs[tag](r)
 	if err := r.Err(); err != nil {
+		// A failed decode still recycles its struct: the caller gets no
+		// message to return.
+		RecycleMessage(m)
 		return nil, err
 	}
 	return m, nil

@@ -145,7 +145,7 @@ func TestMessageTagsStable(t *testing.T) {
 	}
 	for _, tag := range []WireTag{32, 33} {
 		r := NewWireReader(nil)
-		if _, err := DecodeMessage(tag, &r); !errors.Is(err, ErrWireUnknownTag) || !TagRetired(tag) {
+		if _, err := DecodeMessagePooled(tag, &r); !errors.Is(err, ErrWireUnknownTag) || !TagRetired(tag) {
 			t.Errorf("retired tag %d decodes with %v", tag, err)
 		}
 	}
@@ -194,7 +194,8 @@ var goldenStamped = []struct {
 		"10022a0100d08cf38183898506807dd00f040a060450000200c03e"},
 }
 
-// checkGolden asserts that msg encodes to hexWant and decodes back to msg.
+// checkGolden asserts that msg encodes to hexWant and decodes back to msg
+// (a pooled batch to the pointer to it).
 func checkGolden(t *testing.T, msg Message, hexWant string) {
 	t.Helper()
 	b, err := AppendMessage(nil, msg)
@@ -205,10 +206,20 @@ func checkGolden(t *testing.T, msg Message, hexWant string) {
 		t.Errorf("%T encodes to %s, want %s", msg, got, hexWant)
 	}
 	r := NewWireReader(b[1:])
-	back, err := DecodeMessage(WireTag(b[0]), &r)
-	if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(back, msg) {
+	back, err := DecodeMessagePooled(WireTag(b[0]), &r)
+	if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(deref(back), msg) {
 		t.Errorf("%T decodes to %+v (err %v, %d left), want %+v", msg, back, err, r.Remaining(), msg)
 	}
+	RecycleMessage(back)
+}
+
+// deref is the value a decoded pooled pointer points to, and any other
+// decoded message as it is. Read it before the message is recycled.
+func deref(m Message) any {
+	if v := reflect.ValueOf(m); v.Kind() == reflect.Pointer {
+		return v.Elem().Interface()
+	}
+	return m
 }
 
 // TestBatchGoldenBytes pins the batch encodings and their decode back, and
@@ -239,9 +250,9 @@ func TestStampedGoldenBytes(t *testing.T) {
 
 // TestBatchOfOneIsItsSingleMessage: a batch of one encodes to exactly the
 // bytes of the single message it stands for — so the issuer and the queue
-// manager need no send path that depends on group size — those bytes decode,
-// through both decoders, as the batch of one again, and an empty batch has
-// no encoding at all.
+// manager need no send path that depends on group size — those bytes decode
+// as the pooled batch of one again, and an empty batch has no encoding at
+// all.
 func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 	for _, g := range goldenBatches {
 		var one, single, empty Message
@@ -285,23 +296,17 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%T of one encodes to %x, want its %T's %x", one, got, single, want)
 		}
-		for _, decode := range []func(WireTag, *WireReader) (Message, error){DecodeMessage, DecodeMessagePooled} {
-			r := NewWireReader(want[1:])
-			back, err := decode(WireTag(want[0]), &r)
-			if err != nil || r.Remaining() != 0 {
-				t.Fatalf("%T's bytes: %v, %d left", single, err, r.Remaining())
-			}
-			again, _ := AppendMessage(nil, back)
-			v := reflect.ValueOf(back)
-			if v.Kind() == reflect.Pointer {
-				v = v.Elem()
-			}
-			if !reflect.DeepEqual(v.Interface(), one) || !bytes.Equal(again, want) {
-				t.Errorf("%T's bytes decode to %T %+v, which encodes to %x; want the batch of one %+v, %x",
-					single, back, back, again, one, want)
-			}
-			RecycleMessage(back)
+		r := NewWireReader(want[1:])
+		back, err := DecodeMessagePooled(WireTag(want[0]), &r)
+		if err != nil || r.Remaining() != 0 {
+			t.Fatalf("%T's bytes: %v, %d left", single, err, r.Remaining())
 		}
+		again, _ := AppendMessage(nil, back)
+		if reflect.ValueOf(back).Kind() != reflect.Pointer || !reflect.DeepEqual(deref(back), one) || !bytes.Equal(again, want) {
+			t.Errorf("%T's bytes decode to %T %+v, which encodes to %x; want the pooled batch of one %+v, %x",
+				single, back, back, again, one, want)
+		}
+		RecycleMessage(back)
 		if _, err := AppendMessage(nil, empty); err == nil {
 			t.Errorf("empty %T encoded", empty)
 		}
@@ -354,7 +359,7 @@ func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 		body1 := append(append(body0[:len(body0)-1:len(body0)-1], 1), member...)
 		for members, body := range [][]byte{body0, body1} {
 			r := NewWireReader(body)
-			if _, err := DecodeMessage(g.msg.wireTag(), &r); !errors.Is(err, ErrWireCorrupt) {
+			if _, err := DecodeMessagePooled(g.msg.wireTag(), &r); !errors.Is(err, ErrWireCorrupt) {
 				t.Errorf("%T with %d members decoded: %v", g.msg, members, err)
 			}
 		}
@@ -387,14 +392,14 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	in := NewTxn(TxnID{Site: 1, Seq: 2}, PA, []ItemID{1, 2, 3}, []ItemID{4, 5}, 10)
 	b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
 	r := NewWireReader(b[1:])
-	m, err := DecodeMessage(TagSubmitTxn, &r)
+	m, err := DecodeMessagePooled(TagSubmitTxn, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := m.(SubmitTxnMsg).Txn
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("decoded %+v, want %+v", out, in)
+	if kept := RetainMessage(m).(SubmitTxnMsg).Txn; !reflect.DeepEqual(kept, in) {
+		t.Fatalf("decoded %+v, want %+v", kept, in)
 	}
+	out := m.(SubmitTxnMsg).Txn
 	readEnd := unsafe.Add(unsafe.Pointer(unsafe.SliceData(out.ReadSet)), len(out.ReadSet)*int(unsafe.Sizeof(ItemID(0))))
 	if readEnd != unsafe.Pointer(unsafe.SliceData(out.WriteSet)) || cap(out.ReadSet) != len(out.ReadSet) {
 		t.Fatal("read and write sets are separate arrays")
@@ -403,10 +408,11 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	if out.WriteSet[0] != 4 {
 		t.Fatal("appending to the read set overwrote the write set")
 	}
+	RecycleMessage(m)
 	rd := new(WireReader) // the decoder takes its address: keep it off the measured path
 	allocs := testing.AllocsPerRun(100, func() {
 		*rd = NewWireReader(b[1:])
-		DecodeMessage(TagSubmitTxn, rd)
+		DecodeMessagePooled(TagSubmitTxn, rd) // not recycled: an empty pool
 	})
 	if allocs > 2 { // the Txn and the item array: a one-pointer message boxes for free
 		t.Fatalf("SubmitTxnMsg decode allocates %.0f times, want 2", allocs)
@@ -415,10 +421,11 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 		in := &Txn{ID: TxnID{Site: 1, Seq: 3}, ReadSet: sets[0], WriteSet: sets[1]}
 		b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
 		r := NewWireReader(b[1:])
-		m, err := DecodeMessage(TagSubmitTxn, &r)
-		if err != nil || !reflect.DeepEqual(m.(SubmitTxnMsg).Txn, in) {
+		m, err := DecodeMessagePooled(TagSubmitTxn, &r)
+		if err != nil || !reflect.DeepEqual(RetainMessage(m).(SubmitTxnMsg).Txn, in) {
 			t.Fatalf("sets %v: decoded %+v (%v)", sets, m, err)
 		}
+		RecycleMessage(m)
 	}
 }
 

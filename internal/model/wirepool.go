@@ -14,6 +14,9 @@ import (
 // pointer to what the sender sent, or to what DecodeMessagePooled decoded.
 // So the qm, ri and deadlock type switches carry one pointer case per
 // message and no value case. RecycleMessage returns a pointer to its pool.
+// DecodeMessagePooled is the codec's only decoder: a caller that keeps what
+// it decoded, a test comparing it with what was encoded included, takes a
+// copy with RetainMessage.
 //
 // The pooled types are the fixed-size protocol messages (FinalTS,
 // NormalGrant, Reject, Backoff, Busy, ProbeWFG), the issuer's two timers
@@ -22,7 +25,7 @@ import (
 // and four messages that carry an array (ReplPull, ReplRecords, WFGReport,
 // QueueStats). A per-copy step always travels as a batch: a batch of one is
 // encoded under its single message's tag (RequestMsg, GrantMsg, ...), and
-// both decoders return that tag as the batch of one it stands for. The
+// the decoder returns that tag as the pooled batch of one it stands for. The
 // single structs are the members' views (RequestBatchMsg.Request(i)) and the
 // encoding of a batch of one, not messages any actor receives.
 // PooledRequest and PooledGrant remain as senders of those encodings.
@@ -115,27 +118,6 @@ const maxPooledMembers = 64
 // keptMembers is the array a recycled batch or Txn keeps: s emptied, or
 // nothing when s grew past maxPooledMembers.
 func keptMembers[M any](s []M) []M { return keptArray(s, maxPooledMembers) }
-
-// DecodeMessagePooled decodes the body for tag from r like DecodeMessage,
-// but returns the pooled types as pooled pointers (a single per-copy tag as
-// the pooled batch of one it stands for) and a SubmitTxnMsg with a pooled
-// Txn. Pass every decoded message to RecycleMessage when done with it; see
-// the package comment above for the lifetime contract. Tags outside the
-// pooled set defer to DecodeMessage, and so do the two send-only reports,
-// which come back as values.
-func DecodeMessagePooled(tag WireTag, r *WireReader) (Message, error) {
-	if tag > TagLast || codecs[tag].decodePooled == nil {
-		return DecodeMessage(tag, r)
-	}
-	m := codecs[tag].decodePooled(r)
-	if err := r.Err(); err != nil {
-		// A failed decode still recycles its struct: the caller gets no
-		// message to return.
-		RecycleMessage(m)
-		return nil, err
-	}
-	return m, nil
-}
 
 // RetainMessage returns a form of m that outlives the delivery of m: a
 // pooled message's pooled copy, with its own array (a submit's pooled Txn

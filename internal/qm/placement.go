@@ -140,6 +140,11 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 	}
 	m.shards[0].counters.MapInstalls++
 	m.shards[0].counters.ItemsGained += uint64(len(gained))
+	// Publish the map before any shard runs again: the shards read it
+	// without a lock, and one that judged ownership by the old map would
+	// queue work for a retired copy or refuse a gained one with the
+	// superseded map.
+	m.pmap.Store(next)
 	m.unlockAll()
 
 	if len(gained) > 0 && m.dur != nil {
@@ -166,7 +171,6 @@ func (m *Manager) installMap(ctx engine.Context, v model.MapInstallMsg) {
 		m.puller.SetPeers(next.Sharing(m.site))
 	}
 	m.known.Reset(next.Items())
-	m.pmap.Store(next)
 	m.armReplTick(ctx)
 }
 

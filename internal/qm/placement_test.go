@@ -212,6 +212,66 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	}
 }
 
+// fillHookCtx is a fakeCtx that runs onFill once, from inside the Send of
+// the first fill pull: the moment of an install when the shard locks are
+// released, the fills go out, and a shard on its own mailbox goroutine may
+// already be handling requests.
+type fillHookCtx struct {
+	*fakeCtx
+	onFill func()
+}
+
+func (c *fillHookCtx) Send(to engine.Addr, msg model.Message) {
+	_, fill := msg.(*model.ReplPullMsg)
+	c.fakeCtx.Send(to, msg)
+	if f := c.onFill; fill && f != nil {
+		c.onFill = nil
+		f()
+	}
+}
+
+// TestRequestDuringMapInstallSeesTheNewMap: a request a shard handles while
+// an install is still sending its fills is judged by the new map. The item
+// the site just lost, whose empty queue retired, gets the wrong-epoch NAK
+// with the new map (not a lookup of the deleted queue), and the item it
+// gained gets Busy (not a NAK carrying the superseded map).
+func TestRequestDuringMapInstallSeesTheNewMap(t *testing.T) {
+	m := pmapManager(0, 2)
+	m.SetPartitionMap(&model.PartitionMap{
+		Epoch:       1,
+		Assignments: [][]model.SiteID{{0}, {1}, {0}},
+	})
+	ctx := &fillHookCtx{fakeCtx: newFakeCtx()}
+	ctx.onFill = func() {
+		deliver(m, ctx, engine.RIAddr(1), req(1, model.TwoPL, model.OpRead, 1, model.NoTimestamp))
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("request for the lost item during the install: %v", r)
+			}
+		}()
+		deliver(m, ctx, engine.RIAddr(1), req(2, model.TwoPL, model.OpRead, 0, model.NoTimestamp))
+	}
+	m.OnMessage(ctx, ctx.self, model.MapInstallMsg{Map: model.PartitionMap{
+		Epoch:       2,
+		Assignments: [][]model.SiteID{{1}, {0}, {0}},
+	}})
+	if ctx.onFill != nil {
+		t.Fatal("the install sent no fill pull")
+	}
+	if b := take[model.BusyMsg](ctx.fakeCtx); len(b) != 1 || b[0].Copy.Item != 1 {
+		t.Errorf("busy=%+v, want one for the gained item 1", b)
+	}
+	naks := take[model.WrongEpochMsg](ctx.fakeCtx)
+	for _, n := range naks {
+		if n.Copy.Item != 0 || n.Map.Epoch != 2 {
+			t.Errorf("NAK for item %d with the epoch-%d map, want only item 0's with the epoch-2 map", n.Copy.Item, n.Map.Epoch)
+		}
+	}
+	if len(naks) != 1 {
+		t.Errorf("%d wrong-epoch NAKs, want one, for the lost item 0", len(naks))
+	}
+}
+
 // TestTransferPullNotReadyWhileDraining pins the handoff discipline that
 // makes the flip atomic per item: the losing site refuses to serve a fill
 // while a transaction granted under the old epoch is still resident, and

@@ -240,14 +240,16 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.DecodeEnvelope(raw)
+	env, err := wire.DecodeEnvelopePooled(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, ok := env.Msg.(model.ReplRecordsMsg)
-	if !ok || msg.From != 2 || msg.NextAfterSeq != 3 || !msg.More || msg.Incarnation != 1 || msg.Epoch != 0 || msg.NotReady {
+	defer model.RecycleMessage(env.Msg)
+	p, ok := env.Msg.(*model.ReplRecordsMsg)
+	if !ok || p.From != 2 || p.NextAfterSeq != 3 || !p.More || p.Incarnation != 1 || p.Epoch != 0 || p.NotReady {
 		t.Fatalf("decoded %T %+v", env.Msg, env.Msg)
 	}
+	msg := *p
 	var got []wal.Record
 	st := Apply(msg.Frames, func(r wal.Record) bool { got = append(got, r); return true })
 	if st.Torn != 0 || st.Applied != len(want) {

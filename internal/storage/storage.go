@@ -288,14 +288,6 @@ func (s *Store) prune(c *copyState, nowMicros int64) {
 	}
 }
 
-// Chain returns a copy of item's retained version chain, oldest first.
-func (s *Store) Chain(item model.ItemID) []Version {
-	c := s.mustGet(item)
-	out := make([]Version, len(c.versions))
-	copy(out, c.versions)
-	return out
-}
-
 // ChainLen returns the number of retained versions of item's copy.
 func (s *Store) ChainLen(item model.ItemID) int { return len(s.mustGet(item).versions) }
 

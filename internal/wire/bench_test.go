@@ -25,28 +25,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n, err := h.Pass(corpus)
-			if err != nil {
-				b.Fatal(err)
-			}
-			streamBytes = n
-		}
-		b.StopTimer()
-		reportCodecMetrics(b, len(corpus), streamBytes)
-	})
-
-	// v4-pooled adds the decode-side message struct pool: hot fixed-size
-	// messages decode into pooled structs recycled right after the read, so
-	// the interface boxing that is the codec's last steady-state decode
-	// allocation disappears. Compare allocs/op against plain v4: the delta is
-	// one alloc per pooled message in the corpus.
-	b.Run("v4-pooled", func(b *testing.B) {
-		h := NewV3Harness()
-		defer h.Release()
-		var streamBytes int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
 			n, err := h.PassPooled(corpus)
 			if err != nil {
 				b.Fatal(err)

@@ -137,10 +137,11 @@ func Corpus() []engine.Envelope {
 // V3Harness (named in wire v3's day; bench/ calls it by this name) holds
 // reusable codec state for repeated corpus passes: the writer, reader, and
 // their pooled buffers live across passes exactly as they live across
-// batches on a transport connection, so a measured pass is the codec's
-// steady state. Shared by TestWireCodecGate (the ratio gate against the gob
-// reference), BenchmarkWireCodec (the msgs/KB bench gate) and bench/'s codec
-// drill — one round-trip loop, so they cannot drift apart.
+// batches on a transport connection, and the decode goes through the
+// message pools the transport's read path uses, so a measured pass is the
+// codec's steady state. Shared by TestWireCodecGate (the ratio gate against
+// the gob reference), BenchmarkWireCodec (the msgs/KB bench gate) and
+// bench/'s codec drill — one round-trip loop, so they cannot drift apart.
 type V3Harness struct {
 	sink bytes.Buffer
 	bw   *bufio.Writer
@@ -160,37 +161,10 @@ func NewV3Harness() *V3Harness {
 	return h
 }
 
-// Pass encodes the whole corpus into an in-memory stream and decodes it
-// back — one full round trip per envelope — returning the stream size.
-func (h *V3Harness) Pass(corpus []engine.Envelope) (streamBytes int, err error) {
-	h.sink.Reset()
-	h.bw.Reset(&h.sink)
-	for _, env := range corpus {
-		if _, err := h.w.WriteEnvelope(env); err != nil {
-			return 0, err
-		}
-	}
-	if err := h.bw.Flush(); err != nil {
-		return 0, err
-	}
-	streamBytes = h.sink.Len()
-	h.src.Reset(h.sink.Bytes())
-	h.br.Reset(&h.src)
-	for {
-		if _, _, err := h.r.ReadEnvelope(); err != nil {
-			if err == io.EOF {
-				return streamBytes, nil
-			}
-			return 0, err
-		}
-	}
-}
-
-// PassPooled is Pass with the decode side going through the message struct
-// pool: each decoded envelope's message is recycled immediately after the
-// read, the dispatch-and-drop lifetime the pool is built for. The difference
-// between Pass and PassPooled in BenchmarkWireCodec is exactly the per-
-// message interface-boxing allocation.
+// PassPooled encodes the whole corpus into an in-memory stream and decodes
+// it back — one full round trip per envelope — returning the stream size.
+// Each decoded envelope's message is recycled right after the read, the
+// dispatch-and-drop lifetime the message pools are built for.
 func (h *V3Harness) PassPooled(corpus []engine.Envelope) (streamBytes int, err error) {
 	h.sink.Reset()
 	h.bw.Reset(&h.sink)

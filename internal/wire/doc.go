@@ -45,16 +45,15 @@
 // pure byte appends. A Reader likewise owns one payload buffer that grows (by
 // at least doubling) to the largest frame seen and is reused for every
 // subsequent frame. ReadEnvelopePooled / DecodeEnvelopePooled — the
-// transport's read path — decode the pooled types into pooled structs,
-// each in the one form its actor matches: a single per-copy tag (a batch of
-// one on the wire) as its pooled batch, every other pooled type as its
-// pooled pointer. The caller owns them until model.RecycleMessage (the
-// runtime's mailbox loop, for what the transport delivers). ReadEnvelope /
-// DecodeEnvelope box every message into the model.Message interface as a
-// value instead (a single per-copy tag as its value batch), one allocation
-// each, and are the reference decoder of the tests, fuzzers and
-// golden-bytes checks. Either way the rare control-plane messages own the
-// slices and maps they carry.
+// transport's read path and the codec's only decoders — decode the pooled
+// types into pooled structs, each in the one form its actor matches: a
+// single per-copy tag (a batch of one on the wire) as its pooled batch,
+// every other pooled type as its pooled pointer. The caller owns them until
+// model.RecycleMessage (the runtime's mailbox loop, for what the transport
+// delivers); one that keeps a message, as the round-trip, golden-bytes and
+// fuzz tests do to compare it with what was encoded, takes
+// model.RetainMessage's copy. The rare control-plane messages decode as
+// values and own the slices and maps they carry.
 //
 // The connection handshake (version byte 7, ack 0xC7) lives in
 // internal/transport, which refuses a v6 peer there: the two formats are not

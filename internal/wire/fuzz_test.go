@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"ucc/internal/model"
 )
 
 // FuzzWireRoundTrip feeds arbitrary bytes to the envelope decoder. The
@@ -28,10 +30,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeEnvelope(data)
+		env, err := DecodeEnvelopePooled(data)
 		if err != nil {
 			return // malformed input rejected cleanly: that's a pass
 		}
+		defer model.RecycleMessage(env.Msg)
 		e1, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v\nenvelope: %+v", err, env)
@@ -39,8 +42,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if !bytes.Equal(data, e1) {
 			t.Fatalf("accepted input is not the canonical encoding (decode not injective):\n in: %x\nout: %x\nenvelope: %+v", data, e1, env)
 		}
-		if _, err := DecodeEnvelope(e1); err != nil {
+		again, err := DecodeEnvelopePooled(e1)
+		if err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v\nbytes: %x", err, e1)
 		}
+		model.RecycleMessage(again.Msg)
 	})
 }

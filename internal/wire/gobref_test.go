@@ -89,8 +89,9 @@ func timeCodec(t *testing.T, corpusMsgs, rounds int, pass func() (int, error)) c
 }
 
 // TestWireCodecGate is the acceptance floor the CI bench-gate job runs: the
-// v4 codec must beat gob by ≥1.5× msgs/sec and use ≤10% of gob's allocations
-// per message over the mixed corpus. Measured numbers are far beyond both
+// v4 codec, decoding through the message pools as the transport does
+// (PassPooled), must beat gob by ≥1.5× msgs/sec and use ≤10% of gob's
+// allocations per message over the mixed corpus. Measured numbers are far beyond both
 // bars (typically ≥8× and ≤5%), so the gate trips only on a genuine codec
 // regression, not runner noise.
 func TestWireCodecGate(t *testing.T) {
@@ -108,7 +109,7 @@ func TestWireCodecGate(t *testing.T) {
 
 	h := NewV3Harness()
 	defer h.Release()
-	v4 := timeCodec(t, len(corpus), rounds, func() (int, error) { return h.Pass(corpus) })
+	v4 := timeCodec(t, len(corpus), rounds, func() (int, error) { return h.PassPooled(corpus) })
 	var sink bytes.Buffer
 	ref := timeCodec(t, len(corpus), rounds, func() (int, error) { return gobPass(&sink, corpus) })
 

@@ -115,34 +115,27 @@ func AppendEnvelope(b []byte, env engine.Envelope) ([]byte, error) {
 	return model.AppendMessage(b, env.Msg)
 }
 
-// DecodeEnvelope decodes exactly one envelope from payload; anything short,
-// long, or unknown errors. Messages come back as values, safe to keep: this
-// is the reference decoder of the tests, the fuzzers and the golden-bytes
-// checks. The transport reads with the pooled form.
-func DecodeEnvelope(payload []byte) (engine.Envelope, error) {
-	r := model.NewWireReader(payload)
-	return decodeEnvelope(&r, false)
-}
-
-// DecodeEnvelopePooled is DecodeEnvelope with the decode-side struct pool:
-// the hot fixed-size protocol messages come back as pooled pointers
-// (*model.RequestMsg, *model.GrantMsg, ...) instead of boxed values,
-// eliminating the per-message interface allocation. The caller owns the
-// message until it passes it to model.RecycleMessage or hands the envelope
-// on to an owner that will — the transport's read loop delivers it to the
-// runtime, whose mailbox loop recycles. Non-pooled message types decode
-// exactly as in DecodeEnvelope and recycle as a no-op, so a mixed stream
-// needs no per-type handling.
+// DecodeEnvelopePooled decodes exactly one envelope from payload; anything
+// short, long, or unknown errors. Messages come back as
+// model.DecodeMessagePooled returns them: the pooled types as pooled
+// pointers (*model.RequestBatchMsg, *model.GrantBatchMsg, ...), so storing
+// one in the Message interface costs no allocation, and the other types as
+// values. The caller owns the message until it passes it to
+// model.RecycleMessage or hands the envelope on to an owner that will — the
+// transport's read loop delivers it to the runtime, whose mailbox loop
+// recycles. Recycling a non-pooled message is a no-op, so a mixed stream
+// needs no per-type handling; a caller that keeps a message takes
+// model.RetainMessage's copy.
 func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
 	r := model.NewWireReader(payload)
-	return decodeEnvelope(&r, true)
+	return decodeEnvelope(&r)
 }
 
 // decodeEnvelope decodes the header, then the tagged message through
-// model.DecodeMessage or its pooled twin. Both decode through a table of func
-// values, so r escapes to the heap: the one-shot forms above pay that
-// allocation per call, and a Reader decodes through the one it owns.
-func decodeEnvelope(r *model.WireReader, pooled bool) (engine.Envelope, error) {
+// model.DecodeMessagePooled. That decodes through a table of func values, so
+// r escapes to the heap: the one-shot form above pays that allocation per
+// call, and a Reader decodes through the one it owns.
+func decodeEnvelope(r *model.WireReader) (engine.Envelope, error) {
 	var env engine.Envelope
 	var fromOK, toOK bool
 	env.From, fromOK = readAddr(r)
@@ -154,18 +147,12 @@ func decodeEnvelope(r *model.WireReader, pooled bool) (engine.Envelope, error) {
 	if !fromOK || !toOK {
 		return engine.Envelope{}, errLongAddr
 	}
-	var msg model.Message
-	var err error
-	if pooled {
-		msg, err = model.DecodeMessagePooled(tag, r)
-	} else {
-		msg, err = model.DecodeMessage(tag, r)
-	}
+	msg, err := model.DecodeMessagePooled(tag, r)
 	if err != nil {
 		return engine.Envelope{}, err
 	}
 	if r.Remaining() != 0 {
-		model.RecycleMessage(msg) // no-op for the value form
+		model.RecycleMessage(msg)
 		return engine.Envelope{}, fmt.Errorf("%w: %d", ErrTrailingBytes, r.Remaining())
 	}
 	env.Msg = msg
@@ -261,36 +248,26 @@ func NewReader(br *bufio.Reader) *Reader {
 	return &Reader{br: br, buf: getBuf()}
 }
 
-// ReadEnvelope reads and decodes one frame, returning the envelope and the
-// frame's size in bytes. io.EOF is returned ONLY at a frame boundary (a
-// clean stream end); a stream that dies inside the length prefix or the
-// payload returns io.ErrUnexpectedEOF, and a malformed payload a decode
-// error. I/O errors lose framing and the stream must be abandoned, but a
-// DECODE error does not: the payload was fully consumed before decoding, so
-// the reader is still at a frame boundary and the caller may skip the frame
-// and continue — the transport does exactly that for model.ErrWireUnknownTag,
-// so a newer peer's appended message types don't sever a stream between
-// builds of one wire version.
-func (r *Reader) ReadEnvelope() (engine.Envelope, int, error) {
-	return r.readEnvelope(false)
-}
-
-// ReadEnvelopePooled is ReadEnvelope through the decode-side struct pool:
-// identical framing and error contract, but hot fixed-size messages return
-// as pooled pointers. See DecodeEnvelopePooled for the lifetime rules. This
-// is the transport's read path.
+// ReadEnvelopePooled reads and decodes one frame, returning the envelope
+// and the frame's size in bytes; see DecodeEnvelopePooled for the forms the
+// messages come back in and their lifetime. This is the transport's read
+// path. io.EOF is returned ONLY at a frame boundary (a clean stream end); a
+// stream that dies inside the length prefix or the payload returns
+// io.ErrUnexpectedEOF, and a malformed payload a decode error. I/O errors
+// lose framing and the stream must be abandoned, but a DECODE error does
+// not: the payload was fully consumed before decoding, so the reader is
+// still at a frame boundary and the caller may skip the frame and continue —
+// the transport does exactly that for model.ErrWireUnknownTag, so a newer
+// peer's appended message types don't sever a stream between builds of one
+// wire version.
 func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
-	return r.readEnvelope(true)
-}
-
-func (r *Reader) readEnvelope(pooled bool) (engine.Envelope, int, error) {
 	payload, frameBytes, err := r.readFrame()
 	if err != nil {
 		return engine.Envelope{}, 0, err
 	}
 	// Frame fully consumed; a decode error is per-frame, not per-stream.
 	r.wr = model.NewWireReader(payload)
-	env, err := decodeEnvelope(&r.wr, pooled)
+	env, err := decodeEnvelope(&r.wr)
 	return env, frameBytes, err
 }
 

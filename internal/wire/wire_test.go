@@ -16,20 +16,21 @@ import (
 )
 
 // TestRoundTripCorpus: every corpus envelope (which covers every wire-
-// contract message type) must decode back exactly equal, and re-encoding the
-// decoded envelope must reproduce the identical bytes (canonical encoding).
+// contract message type) must decode back exactly equal (a pooled message
+// in valueForm), and re-encoding the decoded envelope, pooled pointer and
+// all, must reproduce the identical bytes (canonical encoding).
 func TestRoundTripCorpus(t *testing.T) {
 	for i, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): encode: %v", i, env.Msg, err)
 		}
-		got, err := DecodeEnvelope(payload)
+		got, err := DecodeEnvelopePooled(payload)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): decode: %v", i, env.Msg, err)
 		}
-		if !reflect.DeepEqual(env, got) {
-			t.Fatalf("envelope %d (%T): round trip mismatch:\n in: %+v\nout: %+v", i, env.Msg, env, got)
+		if kept := valueEnvelope(got); !reflect.DeepEqual(env, kept) {
+			t.Fatalf("envelope %d (%T): round trip mismatch:\n in: %+v\nout: %+v", i, env.Msg, env, kept)
 		}
 		re, err := AppendEnvelope(nil, got)
 		if err != nil {
@@ -38,6 +39,7 @@ func TestRoundTripCorpus(t *testing.T) {
 		if !bytes.Equal(payload, re) {
 			t.Fatalf("envelope %d (%T): re-encode differs from original bytes", i, env.Msg)
 		}
+		model.RecycleMessage(got.Msg)
 	}
 }
 
@@ -69,7 +71,7 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(payload); cut++ {
-			if _, err := DecodeEnvelope(payload[:cut]); err == nil {
+			if _, err := DecodeEnvelopePooled(payload[:cut]); err == nil {
 				t.Fatalf("envelope %d (%T): decode of %d/%d-byte prefix succeeded", i, env.Msg, cut, len(payload))
 			}
 		}
@@ -83,7 +85,7 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(append(payload, 0)); !errors.Is(err, ErrTrailingBytes) {
+	if _, err := DecodeEnvelopePooled(append(payload, 0)); !errors.Is(err, ErrTrailingBytes) {
 		t.Fatalf("trailing byte: got %v, want ErrTrailingBytes", err)
 	}
 }
@@ -102,10 +104,10 @@ func header(t *testing.T, tag model.WireTag) []byte {
 // TestDecodeUnknownTag: a tag from a future build errors with
 // ErrWireUnknownTag instead of misparsing.
 func TestDecodeUnknownTag(t *testing.T) {
-	if _, err := DecodeEnvelope(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := DecodeEnvelopePooled(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("unknown tag: got %v, want ErrWireUnknownTag", err)
 	}
-	if _, err := DecodeEnvelope(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := DecodeEnvelopePooled(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("tag 0 must be invalid: got %v", err)
 	}
 }
@@ -118,7 +120,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	b = model.AppendVarint(b, 2)      // From
 	b = model.AppendUvarint(b, 1)     // Round
 	b = model.AppendUvarint(b, 1<<40) // Edges count: absurd
-	if _, err := DecodeEnvelope(b); !errors.Is(err, model.ErrWireCorrupt) {
+	if _, err := DecodeEnvelopePooled(b); !errors.Is(err, model.ErrWireCorrupt) {
 		t.Fatalf("oversized edge count: got %v, want ErrWireCorrupt", err)
 	}
 
@@ -131,7 +133,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	b = model.AppendUvarint(b, 0)     // WriteSet
 	b = model.AppendVarint(b, 100)    // ComputeMicros
 	b = model.AppendUvarint(b, 1<<50) // Class length: absurd
-	if _, err := DecodeEnvelope(b); !errors.Is(err, model.ErrWireCorrupt) {
+	if _, err := DecodeEnvelopePooled(b); !errors.Is(err, model.ErrWireCorrupt) {
 		t.Fatalf("oversized string length: got %v, want ErrWireCorrupt", err)
 	}
 }
@@ -151,9 +153,11 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 		}
 		return b
 	}
-	if _, err := DecodeEnvelope(report(2, 1, 10, 4, 3, 2, 0)); err != nil {
+	env, err := DecodeEnvelopePooled(report(2, 1, 10, 4, 3, 2, 0))
+	if err != nil {
 		t.Fatalf("well-formed report: %v", err)
 	}
+	model.RecycleMessage(env.Msg)
 	for name, c := range map[string]struct {
 		b    []byte
 		want error
@@ -164,7 +168,7 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 		"truncated entry": {report(2, 1, 20_000, 4, 3, 2), model.ErrWireTruncated},
 		"oversized count": {report(1<<40, 1, 10, 4), model.ErrWireCorrupt},
 	} {
-		if _, err := DecodeEnvelope(c.b); !errors.Is(err, c.want) {
+		if _, err := DecodeEnvelopePooled(c.b); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", name, err, c.want)
 		}
 	}
@@ -204,7 +208,7 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		"long from": append(append(long[:3:3], short[1]), body...),
 		"long to":   append(append(short[:1:1], long...), body...),
 	} {
-		if _, err := DecodeEnvelope(hdr); !errors.Is(err, model.ErrWireCorrupt) {
+		if _, err := DecodeEnvelopePooled(hdr); !errors.Is(err, model.ErrWireCorrupt) {
 			t.Errorf("%s: got %v, want ErrWireCorrupt", name, err)
 		}
 	}
@@ -225,7 +229,7 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		if b[0] < 0x80 {
 			t.Errorf("%v encoded in the one-byte form %#x", a, b[0])
 		}
-		got, err := DecodeEnvelope(b)
+		got, err := DecodeEnvelopePooled(b)
 		if err != nil || got != env {
 			t.Errorf("%v decodes to %+v (%v)", a, got, err)
 		}
@@ -243,7 +247,7 @@ func TestFrameTooLarge(t *testing.T) {
 	b = binary.AppendUvarint(b, MaxFrameBytes+1)
 	r := NewReader(bufio.NewReader(bytes.NewReader(b)))
 	defer r.Release()
-	if _, _, err := r.ReadEnvelope(); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := r.ReadEnvelopePooled(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -259,7 +263,7 @@ func TestFrameTornMidPayload(t *testing.T) {
 	defer ReleaseFrame(frame)
 	for cut := 1; cut < len(frame); cut++ {
 		r := NewReader(bufio.NewReader(bytes.NewReader(frame[:cut])))
-		_, _, err := r.ReadEnvelope()
+		_, _, err := r.ReadEnvelopePooled()
 		r.Release()
 		if err == nil {
 			t.Fatalf("torn frame at %d/%d bytes decoded successfully", cut, len(frame))
@@ -271,7 +275,7 @@ func TestFrameTornMidPayload(t *testing.T) {
 	// A stream that dies inside a multi-byte length prefix is torn too.
 	r := NewReader(bufio.NewReader(bytes.NewReader([]byte{0x80})))
 	defer r.Release()
-	if _, _, err := r.ReadEnvelope(); err != io.ErrUnexpectedEOF {
+	if _, _, err := r.ReadEnvelopePooled(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn length prefix: got %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -295,23 +299,23 @@ func TestWriterReaderStream(t *testing.T) {
 	r := NewReader(bufio.NewReader(&sink))
 	defer r.Release()
 	for i, want := range corpus {
-		got, _, err := r.ReadEnvelope()
+		got, _, err := r.ReadEnvelopePooled()
 		if err != nil {
 			t.Fatalf("envelope %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("envelope %d mismatch:\n in: %+v\nout: %+v", i, want, got)
+		if kept := valueEnvelope(got); !reflect.DeepEqual(want, kept) {
+			t.Fatalf("envelope %d mismatch:\n in: %+v\nout: %+v", i, want, kept)
 		}
+		model.RecycleMessage(got.Msg)
 	}
-	if _, _, err := r.ReadEnvelope(); err != io.EOF {
+	if _, _, err := r.ReadEnvelopePooled(); err != io.EOF {
 		t.Fatalf("stream end: got %v, want io.EOF", err)
 	}
 }
 
 // TestReaderBufferGrowsGeometrically: a stream whose frames creep up a few
 // bytes at a time (the periodic queue stats do) must not buy a new payload
-// buffer for every frame that is longer than the last, and both read forms
-// share the one frame reader.
+// buffer for every frame that is longer than the last.
 func TestReaderBufferGrowsGeometrically(t *testing.T) {
 	const frames = 200
 	var sink bytes.Buffer
@@ -335,11 +339,7 @@ func TestReaderBufferGrowsGeometrically(t *testing.T) {
 	defer r.Release()
 	buffers, last := 0, cap(r.buf)
 	for i := 0; i < frames; i++ {
-		read := r.ReadEnvelope
-		if i%2 == 1 {
-			read = r.ReadEnvelopePooled
-		}
-		env, _, err := read()
+		env, _, err := r.ReadEnvelopePooled()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
