@@ -9,6 +9,52 @@ import (
 	"ucc/internal/model"
 )
 
+// TestPooledDecodeEquivalence: over the whole corpus, a decode into structs
+// the pools hand back dirty must equal the decode of a cold pass, field for
+// field, and re-encode to the identical bytes. The cold pass holds every
+// decoded message at once and then recycles them all, so the warm pass
+// decodes into structs that last held other corpus messages of the type.
+func TestPooledDecodeEquivalence(t *testing.T) {
+	corpus := Corpus()
+	payloads := make([][]byte, len(corpus))
+	cold := make([]engine.Envelope, len(corpus))
+	kept := make([]model.Message, len(corpus))
+	for i, env := range corpus {
+		payload, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("envelope %d (%T): encode: %v", i, env.Msg, err)
+		}
+		payloads[i] = payload
+		if cold[i], err = DecodeEnvelopePooled(payload); err != nil {
+			t.Fatalf("envelope %d (%T): cold decode: %v", i, env.Msg, err)
+		}
+		kept[i] = valueForm(model.RetainMessage(cold[i].Msg))
+	}
+	for _, env := range cold {
+		model.RecycleMessage(env.Msg)
+	}
+	for i, env := range corpus {
+		warm, err := DecodeEnvelopePooled(payloads[i])
+		if err != nil {
+			t.Fatalf("envelope %d (%T): warm decode: %v", i, env.Msg, err)
+		}
+		if warm.From != env.From || warm.To != env.To {
+			t.Fatalf("envelope %d (%T): addresses differ: %+v vs %+v", i, env.Msg, warm, env)
+		}
+		if got := valueForm(warm.Msg); !reflect.DeepEqual(got, kept[i]) || !reflect.DeepEqual(got, env.Msg) {
+			t.Fatalf("envelope %d (%T): warm decode differs:\n warm: %+v\n cold: %+v\n   in: %+v", i, env.Msg, got, kept[i], env.Msg)
+		}
+		re, err := AppendEnvelope(nil, warm)
+		if err != nil {
+			t.Fatalf("envelope %d (%T): re-encode: %v", i, env.Msg, err)
+		}
+		if !bytes.Equal(payloads[i], re) {
+			t.Fatalf("envelope %d (%T): warm re-encode differs from original bytes", i, env.Msg)
+		}
+		model.RecycleMessage(warm.Msg)
+	}
+}
+
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
 // fixed-size protocol types and timers, the six bounded batches (of one
 // member, too), the catch-up pull and
