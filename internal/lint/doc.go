@@ -14,7 +14,7 @@
 // neither the type system nor a test can express:
 //
 //   - poolsafe: values from pooled constructors (DecodeMessagePooled,
-//     DecodeEnvelopePooled, the model.PooledX family) are valid only until
+//     ReadEnvelopePooled, the model.PooledX family) are valid only until
 //     RecycleMessage — no stores that outlive the frame, channel sends,
 //     goroutine captures, appends, or use-after-recycle.
 //   - lockorder: per-item code paths hold at most one shard lock at a

@@ -2,7 +2,7 @@
 // (internal/model/wirepool.go and the per-package hot-path pools): a value
 // obtained from a pooled constructor — any function of a pooled package whose
 // name starts or ends with Pooled, which covers the decode side
-// (DecodeMessagePooled, DecodeEnvelopePooled, ReadEnvelopePooled) and the
+// (DecodeMessagePooled, ReadEnvelopePooled) and the
 // send side (model.PooledRequest and its siblings), or a package-local acquire
 // (qm's acquireEntry) — is valid only until its recycle call
 // (RecycleMessage, recycleEntry), and a recycled value must never be touched

@@ -28,14 +28,15 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v7
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v8
 // contract (wire.go): a stable one-byte WireTag per message type — never
 // renumbered — with explicit varint field encoders, stamps after a message's
-// first encoded as deltas from an earlier stamp of the same message, and
-// error-latching decoding (WireReader). internal/wire frames envelopes over
-// it; internal/wal encodes its record payloads with the same varint
-// primitives, not with message encoders, so the WAL format does not follow
-// the wire version.
+// anchor encoded as deltas from an earlier stamp of the same message, the
+// anchor and every transaction Seq as deltas from the previous ones on the
+// connection (WireStream), and error-latching decoding (WireReader).
+// internal/wire frames envelopes over it; internal/wal encodes its record
+// payloads with the same varint primitives, not with message encoders, so
+// the WAL format does not follow the wire version.
 //
 // # Adding a message type
 //
@@ -48,6 +49,12 @@
 //   - its tag in TestMessageTagsStable, an entry in internal/wire's Corpus,
 //     and its fuzz seed (WIRE_WRITE_CORPUS=1 go test -run
 //     TestWriteSeedCorpus ./internal/wire).
+//
+// A tag added without a wire version bump must not touch the stream state
+// (code no transaction id and no anchor): a reader of the same version
+// that predates the tag skips its frame undecoded, so the state would
+// advance at the writer and not at the reader. TestStreamTagsPinned lists
+// the tags that touch it at the current WireVersion.
 //
 // A type missing its tag or its encoder is not a Message and does not
 // compile; one missing its row, its corpus entry or its seed fails

@@ -8,8 +8,9 @@ import "fmt"
 // its body encoder in wire.go, so a type missing either is not a Message.
 type Message interface {
 	wireTag() WireTag
-	// AppendWire encodes the message body (no tag) onto b.
-	AppendWire(b []byte) []byte
+	// AppendWire encodes the message body (no tag) onto b against the
+	// connection's stream state s, which it advances past the message.
+	AppendWire(b []byte, s *WireStream) []byte
 }
 
 // Attempt distinguishes the restart attempts of one logical transaction.

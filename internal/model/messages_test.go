@@ -94,7 +94,7 @@ func TestMessageTable(t *testing.T) {
 			t.Errorf("tag %d's row decodes a %T, which travels under tag %d", tag, m, got)
 			continue
 		}
-		b, err := AppendMessage(nil, m)
+		b, err := AppendMessage(nil, new(WireStream), m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}

@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// Wire format v7: every message type carries a stable one-byte tag and an
+// Wire format v8: every message type carries a stable one-byte tag and an
 // explicit, hand-rolled field encoder — varint integers, IEEE-754 bits for
 // floats, length-prefixed strings and slices, sorted map keys so encoding is
 // deterministic. No reflection anywhere on the path, which is what lets the
@@ -19,20 +19,35 @@ import (
 //
 // Stamps are wall-clock microseconds, eight varint bytes each, and the
 // stamps of one message mostly lie within milliseconds of each other. So a
-// message's first stamp is encoded whole and each later one as the zig-zag
-// difference from an earlier stamp of the same message: TxnDoneMsg's Done,
-// then Done−Arrival, then Arrival−FirstArrival; a grant's TS (in a grant
-// batch, the difference from the previous member's TS) and then
-// CommitMicros−TS; a snapshot-reply batch member's CommitMicros as the
-// difference from the previous member's. The arithmetic wraps around int64,
-// so every value round-trips and keeps exactly one encoding. The codec holds
-// no state between messages.
+// message's anchor, its one stamp that is not coded against another of its
+// stamps, is coded against the connection (below), and each later stamp as
+// the zig-zag difference from an earlier stamp of the same message:
+// TxnDoneMsg's Done is the anchor, then Done−Arrival, then
+// Arrival−FirstArrival; a grant's TS is the anchor (in a grant batch, the
+// first member's; a later member's is the difference from the previous
+// member's) and then CommitMicros−TS; a snapshot-reply batch member's
+// CommitMicros is the anchor for the first member and the difference from
+// the previous member's after it. The arithmetic wraps around int64, so
+// every value round-trips and keeps exactly one encoding.
+//
+// Consecutive frames on one connection are microseconds and a few
+// transactions apart, so the codec holds state between the messages of a
+// connection, as header compression does between the packets of a TCP
+// connection (RFC 1144): a WireStream, the last transaction Seq and the
+// last anchor. Every transaction id codes its Seq as the difference from
+// the last one, and every anchor as the difference from the last anchor
+// (appendTxnID, appendAnchor). The tags whose codec touches the stream are
+// pinned per version (TestStreamTagsPinned).
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v7 to each other, so tags must NEVER be renumbered or
+// builds speak v8 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix.
+
+// WireVersion is the format these encoders speak; internal/transport opens
+// every connection with it.
+const WireVersion = 8
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -161,10 +176,18 @@ func AppendWireString(b []byte, s string) []byte {
 type WireReader struct {
 	b   []byte
 	err error
+	s   WireStream
 }
 
-// NewWireReader wraps a payload for decoding.
+// NewWireReader wraps a payload for decoding, against the zero WireStream.
 func NewWireReader(b []byte) WireReader { return WireReader{b: b} }
+
+// NewStreamReader wraps a frame's payload for decoding against s, the state
+// the connection's earlier frames left.
+func NewStreamReader(b []byte, s WireStream) WireReader { return WireReader{b: b, s: s} }
+
+// Stream returns the stream state as the decode so far has advanced it.
+func (r *WireReader) Stream() WireStream { return r.s }
 
 // Err returns the first decode failure, or nil.
 func (r *WireReader) Err() error { return r.err }
@@ -326,13 +349,94 @@ func (r *WireReader) Count(elemMin int) int {
 // Shared sub-encoders
 // ---------------------------------------------------------------------------
 
-func appendTxnID(b []byte, id TxnID) []byte {
+// WireStream is the state one direction of a connection carries from frame
+// to frame: the Seq of the last transaction id coded and the last anchor
+// stamp (see appendAnchor). A connection's writer and its reader each start
+// from the zero WireStream, which is a fresh connection's, and advance theirs
+// in frame order — the writer only for a frame it sends, the reader only for
+// one it decodes — so the two are equal at every frame boundary.
+type WireStream struct {
+	seq    uint64
+	anchor int64
+}
+
+// zigzag maps v onto the unsigned integers, small magnitudes to small
+// values, as AppendVarint does.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
+
+// appendTxnID encodes id: its site, then its Seq as the zig-zag difference
+// from the stream's last Seq, which it becomes. Consecutive frames on one
+// connection name transactions a few sequence numbers apart, so the
+// difference takes a byte or two where a Seq near 10⁶ takes three. The
+// difference wraps around uint64, so every Seq round-trips.
+func appendTxnID(b []byte, s *WireStream, id TxnID) []byte {
 	b = AppendVarint(b, int64(id.Site))
-	return AppendUvarint(b, id.Seq)
+	b = AppendVarint(b, int64(id.Seq-s.seq))
+	s.seq = id.Seq
+	return b
 }
 
 func (r *WireReader) txnID() TxnID {
-	return TxnID{Site: SiteID(r.Varint32()), Seq: r.Uvarint()}
+	site := SiteID(r.Varint32())
+	r.s.seq += uint64(r.Varint())
+	return TxnID{Site: site, Seq: r.s.seq}
+}
+
+// appendAnchor encodes v, a message's anchor — the one stamp it does not
+// code as a delta from another of its stamps — against the stream. The
+// stamps 0 and NoTimestamp (a 2PL request's) are the one-byte codes 0 and
+// 1 and leave the stream's anchor alone. Any other stamp becomes the
+// stream's anchor, coded as the zig-zag difference z from the previous
+// one: z+2, less one for each of the two stamps with codes of their own
+// that z passes over, so every stamp has exactly one code. The difference
+// wraps around int64. A stamp microseconds after the previous frame's takes
+// a byte or two where a wall-clock stamp takes eight, and on a fresh
+// connection (anchor 0) every stamp takes exactly its AppendVarint bytes.
+func appendAnchor(b []byte, s *WireStream, v int64) []byte {
+	if v == 0 || v == int64(NoTimestamp) {
+		return append(b, byte(-v))
+	}
+	z := zigzag(v - s.anchor)
+	lo, hi := anchorSkips(s.anchor)
+	code := z + 2 // wraps when z is near 2⁶⁴, and the decrements unwrap it
+	if z > lo {
+		code--
+	}
+	if z > hi {
+		code--
+	}
+	s.anchor = v
+	return AppendUvarint(b, code)
+}
+
+func (r *WireReader) anchor() int64 {
+	code := r.Uvarint()
+	if code < 2 {
+		return -int64(code)
+	}
+	z := code - 2
+	lo, hi := anchorSkips(r.s.anchor)
+	if z >= lo {
+		z++
+	}
+	if z >= hi {
+		z++
+	}
+	r.s.anchor += unzigzag(z)
+	return r.s.anchor
+}
+
+// anchorSkips are the zig-zag differences from anchor of the stamps 0 and
+// NoTimestamp, which have codes of their own, in ascending order.
+func anchorSkips(anchor int64) (lo, hi uint64) {
+	lo, hi = zigzag(-anchor), zigzag(int64(NoTimestamp)-anchor)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
 }
 
 func appendCopyID(b []byte, c CopyID) []byte {
@@ -346,8 +450,8 @@ func (r *WireReader) copyID() CopyID {
 
 // appendHdr encodes the (Txn, Attempt, Copy) triple most protocol messages
 // open with.
-func appendHdr(b []byte, txn TxnID, at Attempt, c CopyID) []byte {
-	b = appendTxnID(b, txn)
+func appendHdr(b []byte, s *WireStream, txn TxnID, at Attempt, c CopyID) []byte {
+	b = appendTxnID(b, s, txn)
 	b = AppendUvarint(b, uint64(at))
 	return appendCopyID(b, c)
 }
@@ -442,10 +546,10 @@ func (r *WireReader) itemSets(items []ItemID) (all, reads, writes []ItemID) {
 // ---------------------------------------------------------------------------
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m RequestMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m RequestMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 	b = append(b, byte(m.Protocol), byte(m.Kind))
-	b = AppendVarint(b, int64(m.TS))
+	b = appendAnchor(b, s, int64(m.TS))
 	b = AppendVarint(b, int64(m.Interval))
 	b = AppendVarint(b, int64(m.Site))
 	return AppendUvarint(b, m.Epoch)
@@ -459,7 +563,7 @@ func decodeRequest(r *WireReader, members []RequestMember) (m RequestBatchMsg) {
 	m.CopySite = c.Site
 	m.Protocol = Protocol(r.Byte())
 	m.Members = append(members[:0], RequestMember{Item: c.Item, Kind: OpKind(r.Byte())})
-	m.TS = Timestamp(r.Varint())
+	m.TS = Timestamp(r.anchor())
 	m.Interval = Timestamp(r.Varint())
 	m.Site = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
@@ -467,24 +571,24 @@ func decodeRequest(r *WireReader, members []RequestMember) (m RequestBatchMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m FinalTSMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
-	return AppendVarint(b, int64(m.TS))
+func (m FinalTSMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
+	return appendAnchor(b, s, int64(m.TS))
 }
 
 func decodeFinalTS(r *WireReader) (m FinalTSMsg) {
 	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.TS = Timestamp(r.Varint())
+	m.TS = Timestamp(r.anchor())
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m ReleaseMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m ReleaseMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 	b = AppendWireBool(b, m.ToSemi)
 	b = AppendWireBool(b, m.HasWrite)
 	b = AppendVarint(b, m.Value)
-	return AppendVarint(b, m.CommitMicros)
+	return appendAnchor(b, s, m.CommitMicros)
 }
 
 // decodeRelease decodes a ReleaseMsg body as the batch of one it stands
@@ -495,13 +599,13 @@ func decodeRelease(r *WireReader, members []ReleaseMember) (m ReleaseBatchMsg) {
 	m.CopySite = c.Site
 	m.ToSemi = r.Bool()
 	m.Members = append(members[:0], ReleaseMember{Item: c.Item, HasWrite: r.Bool(), Value: r.Varint()})
-	m.CommitMicros = r.Varint()
+	m.CommitMicros = r.anchor()
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m AbortMsg) AppendWire(b []byte) []byte {
-	return appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m AbortMsg) AppendWire(b []byte, s *WireStream) []byte {
+	return appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 }
 
 // decodeAbort decodes an AbortMsg body as the batch of one it stands for
@@ -514,11 +618,11 @@ func decodeAbort(r *WireReader, members []ItemID) (m AbortBatchMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m GrantMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m GrantMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 	b = append(b, byte(m.Lock))
 	b = AppendWireBool(b, m.PreScheduled)
-	b = AppendVarint(b, int64(m.TS))
+	b = appendAnchor(b, s, int64(m.TS))
 	b = AppendVarint(b, m.Value)
 	b = AppendUvarint(b, m.Version)
 	return AppendVarint(b, m.CommitMicros-int64(m.TS))
@@ -534,7 +638,7 @@ func decodeGrant(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
 		Item:         c.Item,
 		Lock:         LockKind(r.Byte()),
 		PreScheduled: r.Bool(),
-		TS:           Timestamp(r.Varint()),
+		TS:           Timestamp(r.anchor()),
 		Value:        r.Varint(),
 		Version:      r.Uvarint(),
 	}
@@ -564,15 +668,15 @@ func (r *WireReader) batchCount(elemMin int) int {
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // RequestMsg it stands for.
-func (m RequestBatchMsg) AppendWire(b []byte) []byte {
+func (m RequestBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.Request(0).AppendWire(b)
+		return m.Request(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = append(b, byte(m.Protocol))
-	b = AppendVarint(b, int64(m.TS))
+	b = appendAnchor(b, s, int64(m.TS))
 	b = AppendVarint(b, int64(m.Interval))
 	b = AppendVarint(b, int64(m.Site))
 	b = AppendUvarint(b, m.Epoch)
@@ -591,7 +695,7 @@ func decodeRequestBatch(r *WireReader, members []RequestMember) (m RequestBatchM
 	m.Attempt = Attempt(r.Uvarint32())
 	m.CopySite = SiteID(r.Varint32())
 	m.Protocol = Protocol(r.Byte())
-	m.TS = Timestamp(r.Varint())
+	m.TS = Timestamp(r.anchor())
 	m.Interval = Timestamp(r.Varint())
 	m.Site = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
@@ -606,15 +710,15 @@ func decodeRequestBatch(r *WireReader, members []RequestMember) (m RequestBatchM
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // ReleaseMsg it stands for.
-func (m ReleaseBatchMsg) AppendWire(b []byte) []byte {
+func (m ReleaseBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.Release(0).AppendWire(b)
+		return m.Release(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = AppendWireBool(b, m.ToSemi)
-	b = AppendVarint(b, m.CommitMicros)
+	b = appendAnchor(b, s, m.CommitMicros)
 	b = AppendUvarint(b, uint64(len(m.Members)))
 	for _, x := range m.Members {
 		b = AppendVarint(b, int64(x.Item))
@@ -631,7 +735,7 @@ func decodeReleaseBatch(r *WireReader, members []ReleaseMember) (m ReleaseBatchM
 	m.Attempt = Attempt(r.Uvarint32())
 	m.CopySite = SiteID(r.Varint32())
 	m.ToSemi = r.Bool()
-	m.CommitMicros = r.Varint()
+	m.CommitMicros = r.anchor()
 	n := r.batchCount(3)
 	members = slices.Grow(members[:0], n)
 	for i := 0; i < n; i++ {
@@ -643,11 +747,11 @@ func decodeReleaseBatch(r *WireReader, members []ReleaseMember) (m ReleaseBatchM
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // AbortMsg it stands for.
-func (m AbortBatchMsg) AppendWire(b []byte) []byte {
+func (m AbortBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.Abort(0).AppendWire(b)
+		return m.Abort(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	return appendItems(b, m.Members)
@@ -670,24 +774,26 @@ func decodeAbortBatch(r *WireReader, members []ItemID) (m AbortBatchMsg) {
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // GrantMsg it stands for.
-func (m GrantBatchMsg) AppendWire(b []byte) []byte {
+func (m GrantBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.Grant(0).AppendWire(b)
+		return m.Grant(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = AppendUvarint(b, uint64(len(m.Members)))
-	var prev Timestamp
-	for _, x := range m.Members {
+	for i, x := range m.Members {
 		b = AppendVarint(b, int64(x.Item))
 		b = append(b, byte(x.Lock))
 		b = AppendWireBool(b, x.PreScheduled)
-		b = AppendVarint(b, int64(x.TS-prev))
+		if i == 0 {
+			b = appendAnchor(b, s, int64(x.TS))
+		} else {
+			b = AppendVarint(b, int64(x.TS-m.Members[i-1].TS))
+		}
 		b = AppendVarint(b, x.Value)
 		b = AppendUvarint(b, x.Version)
 		b = AppendVarint(b, x.CommitMicros-int64(x.TS))
-		prev = x.TS
 	}
 	return b
 }
@@ -700,19 +806,21 @@ func decodeGrantBatch(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
 	m.CopySite = SiteID(r.Varint32())
 	n := r.batchCount(7)
 	members = slices.Grow(members[:0], n)
-	var prev Timestamp
 	for i := 0; i < n; i++ {
 		x := GrantMember{
 			Item:         ItemID(r.Varint32()),
 			Lock:         LockKind(r.Byte()),
 			PreScheduled: r.Bool(),
-			TS:           prev + Timestamp(r.Varint()),
-			Value:        r.Varint(),
-			Version:      r.Uvarint(),
 		}
+		if i == 0 {
+			x.TS = Timestamp(r.anchor())
+		} else {
+			x.TS = members[i-1].TS + Timestamp(r.Varint())
+		}
+		x.Value = r.Varint()
+		x.Version = r.Uvarint()
 		x.CommitMicros = r.Varint() + int64(x.TS)
 		members = append(members, x)
-		prev = x.TS
 	}
 	m.Members = members
 	return m
@@ -720,14 +828,14 @@ func decodeGrantBatch(r *WireReader, members []GrantMember) (m GrantBatchMsg) {
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // SnapReadMsg it stands for.
-func (m SnapReadBatchMsg) AppendWire(b []byte) []byte {
+func (m SnapReadBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.SnapRead(0).AppendWire(b)
+		return m.SnapRead(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
-	b = AppendVarint(b, m.SnapMicros)
+	b = appendAnchor(b, s, m.SnapMicros)
 	b = AppendVarint(b, int64(m.Site))
 	b = AppendUvarint(b, m.Epoch)
 	return appendItems(b, m.Members)
@@ -739,7 +847,7 @@ func decodeSnapReadBatch(r *WireReader, members []ItemID) (m SnapReadBatchMsg) {
 	m.Txn = r.txnID()
 	m.Attempt = Attempt(r.Uvarint32())
 	m.CopySite = SiteID(r.Varint32())
-	m.SnapMicros = r.Varint()
+	m.SnapMicros = r.anchor()
 	m.Site = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
 	n := r.batchCount(1)
@@ -753,22 +861,24 @@ func decodeSnapReadBatch(r *WireReader, members []ItemID) (m SnapReadBatchMsg) {
 
 // AppendWire encodes the body (no tag) onto b: a batch of one as the
 // SnapReadReplyMsg it stands for.
-func (m SnapReadReplyBatchMsg) AppendWire(b []byte) []byte {
+func (m SnapReadReplyBatchMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if len(m.Members) == 1 {
-		return m.Reply(0).AppendWire(b)
+		return m.Reply(0).AppendWire(b, s)
 	}
-	b = appendTxnID(b, m.Txn)
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendVarint(b, int64(m.CopySite))
 	b = AppendUvarint(b, uint64(len(m.Members)))
-	var prev int64
-	for _, x := range m.Members {
+	for i, x := range m.Members {
 		b = AppendVarint(b, int64(x.Item))
 		b = AppendVarint(b, x.Value)
 		b = AppendUvarint(b, x.Version)
-		b = AppendVarint(b, x.CommitMicros-prev)
+		if i == 0 {
+			b = appendAnchor(b, s, x.CommitMicros)
+		} else {
+			b = AppendVarint(b, x.CommitMicros-m.Members[i-1].CommitMicros)
+		}
 		b = AppendWireBool(b, x.Exact)
-		prev = x.CommitMicros
 	}
 	return b
 }
@@ -781,25 +891,23 @@ func decodeSnapReadReplyBatch(r *WireReader, members []SnapReadReplyMember) (m S
 	m.CopySite = SiteID(r.Varint32())
 	n := r.batchCount(5)
 	members = slices.Grow(members[:0], n)
-	var prev int64
 	for i := 0; i < n; i++ {
-		x := SnapReadReplyMember{
-			Item:         ItemID(r.Varint32()),
-			Value:        r.Varint(),
-			Version:      r.Uvarint(),
-			CommitMicros: prev + r.Varint(),
-			Exact:        r.Bool(),
+		x := SnapReadReplyMember{Item: ItemID(r.Varint32()), Value: r.Varint(), Version: r.Uvarint()}
+		if i == 0 {
+			x.CommitMicros = r.anchor()
+		} else {
+			x.CommitMicros = members[i-1].CommitMicros + r.Varint()
 		}
+		x.Exact = r.Bool()
 		members = append(members, x)
-		prev = x.CommitMicros
 	}
 	m.Members = members
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m NormalGrantMsg) AppendWire(b []byte) []byte {
-	return appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m NormalGrantMsg) AppendWire(b []byte, s *WireStream) []byte {
+	return appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 }
 
 func decodeNormalGrant(r *WireReader) (m NormalGrantMsg) {
@@ -808,32 +916,32 @@ func decodeNormalGrant(r *WireReader) (m NormalGrantMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m RejectMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
-	return AppendVarint(b, int64(m.Threshold))
+func (m RejectMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
+	return appendAnchor(b, s, int64(m.Threshold))
 }
 
 func decodeReject(r *WireReader) (m RejectMsg) {
 	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.Threshold = Timestamp(r.Varint())
+	m.Threshold = Timestamp(r.anchor())
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m BackoffMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
-	return AppendVarint(b, int64(m.NewTS))
+func (m BackoffMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
+	return appendAnchor(b, s, int64(m.NewTS))
 }
 
 func decodeBackoff(r *WireReader) (m BackoffMsg) {
 	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.NewTS = Timestamp(r.Varint())
+	m.NewTS = Timestamp(r.anchor())
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m BusyMsg) AppendWire(b []byte) []byte {
-	return appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m BusyMsg) AppendWire(b []byte, s *WireStream) []byte {
+	return appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 }
 
 func decodeBusy(r *WireReader) (m BusyMsg) {
@@ -842,12 +950,12 @@ func decodeBusy(r *WireReader) (m BusyMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m VictimMsg) AppendWire(b []byte) []byte {
-	b = appendTxnID(b, m.Txn)
+func (m VictimMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendTxnID(b, s, m.Txn)
 	b = AppendUvarint(b, uint64(m.Attempt))
 	b = AppendUvarint(b, uint64(len(m.Cycle)))
 	for _, t := range m.Cycle {
-		b = appendTxnID(b, t)
+		b = appendTxnID(b, s, t)
 	}
 	return b
 }
@@ -867,9 +975,9 @@ func decodeVictim(r *WireReader) (m VictimMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m SnapReadMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
-	b = AppendVarint(b, m.SnapMicros)
+func (m SnapReadMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
+	b = appendAnchor(b, s, m.SnapMicros)
 	b = AppendVarint(b, int64(m.Site))
 	return AppendUvarint(b, m.Epoch)
 }
@@ -880,18 +988,18 @@ func decodeSnapRead(r *WireReader, members []ItemID) (m SnapReadBatchMsg) {
 	var c CopyID
 	m.Txn, m.Attempt, c = r.hdr()
 	m.CopySite, m.Members = c.Site, append(members[:0], c.Item)
-	m.SnapMicros = r.Varint()
+	m.SnapMicros = r.anchor()
 	m.Site = SiteID(r.Varint32())
 	m.Epoch = r.Uvarint()
 	return m
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m SnapReadReplyMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m SnapReadReplyMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 	b = AppendVarint(b, m.Value)
 	b = AppendUvarint(b, m.Version)
-	b = AppendVarint(b, m.CommitMicros)
+	b = appendAnchor(b, s, m.CommitMicros)
 	return AppendWireBool(b, m.Exact)
 }
 
@@ -902,14 +1010,14 @@ func decodeSnapReadReply(r *WireReader, members []SnapReadReplyMember) (m SnapRe
 	m.Txn, m.Attempt, c = r.hdr()
 	m.CopySite = c.Site
 	m.Members = append(members[:0], SnapReadReplyMember{
-		Item: c.Item, Value: r.Varint(), Version: r.Uvarint(), CommitMicros: r.Varint(), Exact: r.Bool(),
+		Item: c.Item, Value: r.Varint(), Version: r.Uvarint(), CommitMicros: r.anchor(), Exact: r.Bool(),
 	})
 	return m
 }
 
-func appendWaitEdge(b []byte, e WaitEdge) []byte {
-	b = appendTxnID(b, e.Waiter)
-	b = appendTxnID(b, e.Holder)
+func appendWaitEdge(b []byte, s *WireStream, e WaitEdge) []byte {
+	b = appendTxnID(b, s, e.Waiter)
+	b = appendTxnID(b, s, e.Holder)
 	b = AppendWireBool(b, e.Waiter2PL)
 	b = AppendWireBool(b, e.Holder2PL)
 	b = AppendVarint(b, int64(e.WaiterSite))
@@ -931,12 +1039,12 @@ func (r *WireReader) waitEdge() (e WaitEdge) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m WFGReportMsg) AppendWire(b []byte) []byte {
+func (m WFGReportMsg) AppendWire(b []byte, s *WireStream) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.Round)
 	b = AppendUvarint(b, uint64(len(m.Edges)))
 	for _, e := range m.Edges {
-		b = appendWaitEdge(b, e)
+		b = appendWaitEdge(b, s, e)
 	}
 	return b
 }
@@ -958,7 +1066,7 @@ func decodeWFGReport(r *WireReader, buf []WaitEdge) (m WFGReportMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m ProbeWFGMsg) AppendWire(b []byte) []byte { return AppendUvarint(b, m.Round) }
+func (m ProbeWFGMsg) AppendWire(b []byte, _ *WireStream) []byte { return AppendUvarint(b, m.Round) }
 
 func decodeProbeWFG(r *WireReader) (m ProbeWFGMsg) {
 	m.Round = r.Uvarint()
@@ -967,19 +1075,19 @@ func decodeProbeWFG(r *WireReader) (m ProbeWFGMsg) {
 
 // AppendWire encodes the transaction body: identity, protocol, item sets,
 // compute time, class label, and write specs.
-func (t *Txn) AppendWire(b []byte) []byte {
-	b = appendTxnID(b, t.ID)
+func (t *Txn) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendTxnID(b, s, t.ID)
 	b = append(b, byte(t.Protocol))
 	b = appendItems(b, t.ReadSet)
 	b = appendItems(b, t.WriteSet)
 	b = AppendVarint(b, t.ComputeMicros)
 	b = AppendWireString(b, t.Class)
 	b = AppendUvarint(b, uint64(len(t.Specs)))
-	for _, s := range t.Specs {
-		b = AppendVarint(b, int64(s.Item))
-		b = AppendWireBool(b, s.UseSource)
-		b = AppendVarint(b, int64(s.Source))
-		b = AppendVarint(b, s.AddConst)
+	for _, sp := range t.Specs {
+		b = AppendVarint(b, int64(sp.Item))
+		b = AppendWireBool(b, sp.UseSource)
+		b = AppendVarint(b, int64(sp.Source))
+		b = AppendVarint(b, sp.AddConst)
 	}
 	return b
 }
@@ -1010,19 +1118,19 @@ func (r *WireReader) txn(t *Txn, items []ItemID, specs []WriteSpec) ([]ItemID, [
 
 // AppendWire encodes the message body (no tag) onto b. A nil Txn encodes a
 // presence bit of 0 and decodes back to nil.
-func (m SubmitTxnMsg) AppendWire(b []byte) []byte {
+func (m SubmitTxnMsg) AppendWire(b []byte, s *WireStream) []byte {
 	if m.Txn == nil {
 		return AppendWireBool(b, false)
 	}
 	b = AppendWireBool(b, true)
-	return m.Txn.AppendWire(b)
+	return m.Txn.AppendWire(b, s)
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m TxnDoneMsg) AppendWire(b []byte) []byte {
-	b = appendTxnID(b, m.Txn)
+func (m TxnDoneMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendTxnID(b, s, m.Txn)
 	b = append(b, byte(m.Protocol), byte(m.Outcome))
-	b = AppendVarint(b, m.DoneMicros)
+	b = appendAnchor(b, s, m.DoneMicros)
 	b = AppendVarint(b, m.DoneMicros-m.ArrivalMicros)
 	b = AppendVarint(b, m.ArrivalMicros-m.FirstArrivalMicros)
 	b = AppendVarint(b, int64(m.Attempts))
@@ -1040,7 +1148,7 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 	m.Txn = r.txnID()
 	m.Protocol = Protocol(r.Byte())
 	m.Outcome = TxnOutcome(r.Byte())
-	m.DoneMicros = r.Varint()
+	m.DoneMicros = r.anchor()
 	m.ArrivalMicros = m.DoneMicros - r.Varint()
 	m.FirstArrivalMicros = m.ArrivalMicros - r.Varint()
 	m.Attempts = int(r.Varint())
@@ -1060,9 +1168,9 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 // item (the first counts from −1), the reads and the writes. The entries
 // must be in strictly ascending item order, so every gap is at least 1 and
 // one message has one encoding.
-func (m QueueStatsMsg) AppendWire(b []byte) []byte {
+func (m QueueStatsMsg) AppendWire(b []byte, s *WireStream) []byte {
 	b = AppendVarint(b, int64(m.From))
-	b = AppendVarint(b, m.AtMicros)
+	b = appendAnchor(b, s, m.AtMicros)
 	b = AppendUvarint(b, uint64(m.AtMicros-m.SinceMicros))
 	b = AppendUvarint(b, uint64(len(m.Grants)))
 	prev := int64(-1)
@@ -1079,7 +1187,7 @@ func (m QueueStatsMsg) AppendWire(b []byte) []byte {
 // has room (nil when there are none).
 func decodeQueueStats(r *WireReader, buf []QueueGrants) (m QueueStatsMsg) {
 	m.From = SiteID(r.Varint32())
-	m.AtMicros = r.Varint()
+	m.AtMicros = r.anchor()
 	m.SinceMicros = m.AtMicros - int64(r.Uvarint())
 	n := r.Count(3)
 	if r.err != nil || n == 0 {
@@ -1106,7 +1214,7 @@ func decodeQueueStats(r *WireReader, buf []QueueGrants) (m QueueStatsMsg) {
 // AppendWire encodes the message body (no tag) onto b. Map entries are
 // emitted in sorted key order so the encoding is canonical (re-encoding a
 // decoded message reproduces the bytes exactly).
-func (m EstimateMsg) AppendWire(b []byte) []byte {
+func (m EstimateMsg) AppendWire(b []byte, _ *WireStream) []byte {
 	b = AppendVarint(b, m.AtMicros)
 	b = appendItemF64Map(b, m.LambdaR)
 	b = appendItemF64Map(b, m.LambdaW)
@@ -1148,7 +1256,7 @@ func decodeEstimate(r *WireReader) (m EstimateMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m TickMsg) AppendWire(b []byte) []byte { return AppendUvarint(b, m.Tag) }
+func (m TickMsg) AppendWire(b []byte, _ *WireStream) []byte { return AppendUvarint(b, m.Tag) }
 
 func decodeTick(r *WireReader) (m TickMsg) {
 	m.Tag = r.Uvarint()
@@ -1156,8 +1264,8 @@ func decodeTick(r *WireReader) (m TickMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m ComputeDoneMsg) AppendWire(b []byte) []byte {
-	b = appendTxnID(b, m.Txn)
+func (m ComputeDoneMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendTxnID(b, s, m.Txn)
 	return AppendUvarint(b, uint64(m.Attempt))
 }
 
@@ -1168,8 +1276,8 @@ func decodeComputeDone(r *WireReader) (m ComputeDoneMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m RestartMsg) AppendWire(b []byte) []byte {
-	b = appendTxnID(b, m.Txn)
+func (m RestartMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendTxnID(b, s, m.Txn)
 	return AppendUvarint(b, uint64(m.Attempt))
 }
 
@@ -1180,7 +1288,7 @@ func decodeRestart(r *WireReader) (m RestartMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m TxnFinishedMsg) AppendWire(b []byte) []byte { return appendTxnID(b, m.Txn) }
+func (m TxnFinishedMsg) AppendWire(b []byte, s *WireStream) []byte { return appendTxnID(b, s, m.Txn) }
 
 func decodeTxnFinished(r *WireReader) (m TxnFinishedMsg) {
 	m.Txn = r.txnID()
@@ -1188,16 +1296,16 @@ func decodeTxnFinished(r *WireReader) (m TxnFinishedMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m StopMsg) AppendWire(b []byte) []byte { return b }
+func (m StopMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m CrashMsg) AppendWire(b []byte) []byte { return b }
+func (m CrashMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m RecoverMsg) AppendWire(b []byte) []byte { return b }
+func (m RecoverMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m FlushMsg) AppendWire(b []byte) []byte { return AppendVarint(b, int64(m.Shard)) }
+func (m FlushMsg) AppendWire(b []byte, _ *WireStream) []byte { return AppendVarint(b, int64(m.Shard)) }
 
 func decodeFlush(r *WireReader) (m FlushMsg) {
 	m.Shard = r.Varint32()
@@ -1205,7 +1313,9 @@ func decodeFlush(r *WireReader) (m FlushMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m FlushDoneMsg) AppendWire(b []byte) []byte { return AppendVarint(b, int64(m.Shard)) }
+func (m FlushDoneMsg) AppendWire(b []byte, _ *WireStream) []byte {
+	return AppendVarint(b, int64(m.Shard))
+}
 
 func decodeFlushDone(r *WireReader) (m FlushDoneMsg) {
 	m.Shard = r.Varint32()
@@ -1214,7 +1324,7 @@ func decodeFlushDone(r *WireReader) (m FlushDoneMsg) {
 
 // AppendWire encodes the message body (no tag) onto b. Have and Scope are
 // opaque here (internal/repl's codecs), carried length-prefixed.
-func (m ReplPullMsg) AppendWire(b []byte) []byte {
+func (m ReplPullMsg) AppendWire(b []byte, _ *WireStream) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, m.AfterSeq)
 	b = AppendUvarint(b, uint64(len(m.Have)))
@@ -1240,7 +1350,7 @@ func decodeReplPull(r *WireReader, buf []byte) (m ReplPullMsg) {
 // AppendWire encodes the message body (no tag) onto b. Frames is opaque here:
 // the batch is internal/wal's shipped record codec, carried length-prefixed
 // like any byte string — the prefix is what delimits the batch.
-func (m ReplRecordsMsg) AppendWire(b []byte) []byte {
+func (m ReplRecordsMsg) AppendWire(b []byte, _ *WireStream) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = AppendUvarint(b, uint64(len(m.Frames)))
 	b = append(b, m.Frames...)
@@ -1303,8 +1413,8 @@ func (r *WireReader) partitionMap() (pm PartitionMap) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m WrongEpochMsg) AppendWire(b []byte) []byte {
-	b = appendHdr(b, m.Txn, m.Attempt, m.Copy)
+func (m WrongEpochMsg) AppendWire(b []byte, s *WireStream) []byte {
+	b = appendHdr(b, s, m.Txn, m.Attempt, m.Copy)
 	return appendPartitionMap(b, m.Map)
 }
 
@@ -1315,7 +1425,9 @@ func decodeWrongEpoch(r *WireReader) (m WrongEpochMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m MapInstallMsg) AppendWire(b []byte) []byte { return appendPartitionMap(b, m.Map) }
+func (m MapInstallMsg) AppendWire(b []byte, _ *WireStream) []byte {
+	return appendPartitionMap(b, m.Map)
+}
 
 func decodeMapInstall(r *WireReader) (m MapInstallMsg) {
 	m.Map = r.partitionMap()
@@ -1323,7 +1435,7 @@ func decodeMapInstall(r *WireReader) (m MapInstallMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m MapUpdateMsg) AppendWire(b []byte) []byte { return appendPartitionMap(b, m.Map) }
+func (m MapUpdateMsg) AppendWire(b []byte, _ *WireStream) []byte { return appendPartitionMap(b, m.Map) }
 
 func decodeMapUpdate(r *WireReader) (m MapUpdateMsg) {
 	m.Map = r.partitionMap()
@@ -1428,12 +1540,12 @@ func snapReadReplyMembers(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { retu
 // AppendMessage appends tag + body. A nil message and an empty batch have no
 // encoding and return an error (the transport NAKs, counts, and drops them
 // rather than wedging the writer).
-func AppendMessage(b []byte, m Message) ([]byte, error) {
+func AppendMessage(b []byte, s *WireStream, m Message) ([]byte, error) {
 	tag, ok := MessageTag(m)
 	if !ok {
 		return b, errNoEncoding
 	}
-	return m.AppendWire(append(b, byte(tag))), nil
+	return m.AppendWire(append(b, byte(tag)), s), nil
 }
 
 // DecodeMessagePooled decodes the body for tag from r through its

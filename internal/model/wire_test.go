@@ -159,24 +159,24 @@ var goldenBatches = []struct {
 }{
 	{RequestBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, Protocol: PA, TS: 1000, Interval: 250, Site: 1, Epoch: 2, CopySite: 2,
 		Members: []RequestMember{{Item: 7, Kind: OpWrite}, {Item: 19, Kind: OpRead}}},
-		"22022a030402d00ff4030202020e012600"},
+		"220254030402d00ff4030202020e012600"},
 	{ReleaseBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, ToSemi: true, CommitMicros: 5000,
 		Members: []ReleaseMember{{Item: 7, HasWrite: true, Value: -5}, {Item: 19}}},
-		"23022a030401904e020e0109260000"},
+		"230254030401904e020e0109260000"},
 	{GrantBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []GrantMember{
 		{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000},
 		{Item: 19, Lock: SRL, PreScheduled: true, TS: 1000, Value: 42, Version: 3, CommitMicros: 3000}}},
-		"24022a0304020e0100d00f0511f02e260201005403a01f"},
+		"2402540304020e0100d00f0511f02e260201005403a01f"},
 	{SnapReadBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 0, SnapMicros: 1_700_000_000_000_000, Site: 1, Epoch: 2, CopySite: 2,
 		Members: []ItemID{7, 19, 300}},
-		"25022a00048080f281838985060202030e26d804"},
+		"25025400048080f281838985060202030e26d804"},
 	{SnapReadReplyBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 0, CopySite: 2, Members: []SnapReadReplyMember{
 		{Item: 7, Value: -3, Version: 17, CommitMicros: 1_699_999_999_000_000, Exact: true},
 		{Item: 19, Value: 42, Version: 3, CommitMicros: 1_699_999_998_000_000, Exact: true},
 		{Item: 300, Value: 100, CommitMicros: 0}}},
-		"26022a0004030e051180f7f7808389850601265403ff887a01d804c80100ffedfdff8289850600"},
+		"2602540004030e051180f7f7808389850601265403ff887a01d804c80100ffedfdff8289850600"},
 	{AbortBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []ItemID{7, 19, 300}},
-		"27022a0304030e26d804"},
+		"2702540304030e26d804"},
 }
 
 // goldenStamped are the single messages that carry a stamp as a delta from
@@ -187,18 +187,18 @@ var goldenStamped = []struct {
 }{
 	{GrantBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2,
 		Members: []GrantMember{{Item: 7, Lock: WL, TS: 1000, Value: -3, Version: 17, CommitMicros: 4000}}},
-		"05022a030e040100d00f0511f02e"},
+		"050254030e040100d00f0511f02e"},
 	{TxnDoneMsg{Txn: TxnID{Site: 1, Seq: 42}, Protocol: TO, Outcome: OutcomeCommitted,
 		ArrivalMicros: 1_700_000_000_001_000, DoneMicros: 1_700_000_000_009_000, FirstArrivalMicros: 1_700_000_000_000_000,
 		Attempts: 2, Size: 5, Reads: 3, Writes: 2, Messages: 40, BackoffReads: 1, LockedMicros: 4000},
-		"10022a0100d08cf38183898506807dd00f040a060450000200c03e"},
+		"1002540100d08cf38183898506807dd00f040a060450000200c03e"},
 }
 
 // checkGolden asserts that msg encodes to hexWant and decodes back to msg
 // (a pooled batch to the pointer to it).
 func checkGolden(t *testing.T, msg Message, hexWant string) {
 	t.Helper()
-	b, err := AppendMessage(nil, msg)
+	b, err := AppendMessage(nil, new(WireStream), msg)
 	if err != nil {
 		t.Fatalf("%T: %v", msg, err)
 	}
@@ -229,11 +229,11 @@ func TestBatchGoldenBytes(t *testing.T) {
 		checkGolden(t, g.msg, g.hex)
 	}
 	one := AbortBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []ItemID{300}}
-	b, err := AppendMessage(nil, one)
+	b, err := AppendMessage(nil, new(WireStream), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const abortHex = "04022a03d80404"
+	const abortHex = "04025403d80404"
 	if got := hex.EncodeToString(b); got != abortHex {
 		t.Errorf("AbortBatchMsg of one encodes to %s, want the AbortMsg's %s", got, abortHex)
 	}
@@ -288,11 +288,11 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 			v.Members = nil
 			empty = v
 		}
-		got, err := AppendMessage(nil, one)
+		got, err := AppendMessage(nil, new(WireStream), one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := AppendMessage(nil, single)
+		want, _ := AppendMessage(nil, new(WireStream), single)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%T of one encodes to %x, want its %T's %x", one, got, single, want)
 		}
@@ -301,13 +301,13 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 		if err != nil || r.Remaining() != 0 {
 			t.Fatalf("%T's bytes: %v, %d left", single, err, r.Remaining())
 		}
-		again, _ := AppendMessage(nil, back)
+		again, _ := AppendMessage(nil, new(WireStream), back)
 		if reflect.ValueOf(back).Kind() != reflect.Pointer || !reflect.DeepEqual(deref(back), one) || !bytes.Equal(again, want) {
 			t.Errorf("%T's bytes decode to %T %+v, which encodes to %x; want the pooled batch of one %+v, %x",
 				single, back, back, again, one, want)
 		}
 		RecycleMessage(back)
-		if _, err := AppendMessage(nil, empty); err == nil {
+		if _, err := AppendMessage(nil, new(WireStream), empty); err == nil {
 			t.Errorf("empty %T encoded", empty)
 		}
 	}
@@ -354,7 +354,7 @@ func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 			v.Members = nil
 			none = v
 		}
-		body0, body2 := none.AppendWire(nil), twins.AppendWire(nil)
+		body0, body2 := none.AppendWire(nil, new(WireStream)), twins.AppendWire(nil, new(WireStream))
 		member := body2[len(body0) : len(body0)+(len(body2)-len(body0))/2]
 		body1 := append(append(body0[:len(body0)-1:len(body0)-1], 1), member...)
 		for members, body := range [][]byte{body0, body1} {
@@ -390,7 +390,7 @@ func TestPooledBatchMembersAreBounded(t *testing.T) {
 // the other, and empty sets decode to nil as they encode from.
 func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	in := NewTxn(TxnID{Site: 1, Seq: 2}, PA, []ItemID{1, 2, 3}, []ItemID{4, 5}, 10)
-	b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
+	b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: in})
 	r := NewWireReader(b[1:])
 	m, err := DecodeMessagePooled(TagSubmitTxn, &r)
 	if err != nil {
@@ -419,7 +419,7 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	}
 	for _, sets := range [][2][]ItemID{{nil, {4}}, {{1}, nil}, {nil, nil}} {
 		in := &Txn{ID: TxnID{Site: 1, Seq: 3}, ReadSet: sets[0], WriteSet: sets[1]}
-		b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: in})
+		b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: in})
 		r := NewWireReader(b[1:])
 		m, err := DecodeMessagePooled(TagSubmitTxn, &r)
 		if err != nil || !reflect.DeepEqual(RetainMessage(m).(SubmitTxnMsg).Txn, in) {
@@ -441,8 +441,9 @@ func TestPooledReplAllocs(t *testing.T) {
 	frames := bytes.Repeat([]byte{1, 2, 3, 4, 5}, 1024)
 	var wire []byte
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path
+	s := new(WireStream) // and the encoder the stream's
 	roundTrip := func(m Message) Message {
-		wire, _ = AppendMessage(wire[:0], m)
+		wire, _ = AppendMessage(wire[:0], s, m)
 		RecycleMessage(m)
 		*r = NewWireReader(wire[1:])
 		got, err := DecodeMessagePooled(WireTag(wire[0]), r)
@@ -483,7 +484,7 @@ func TestPooledQueueStatsAllocs(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		sent.Grants = append(sent.Grants, QueueGrants{Item: ItemID(i), Reads: int64(i % 7), Writes: int64(i % 3)})
 	}
-	b, _ := AppendMessage(nil, sent)
+	b, _ := AppendMessage(nil, new(WireStream), sent)
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path
 	decode := func() *QueueStatsMsg {
 		*r = NewWireReader(b[1:])
@@ -523,7 +524,7 @@ func TestPooledSubmitTxnAllocs(t *testing.T) {
 	classed.Class = "batch"
 	short := NewTxn(TxnID{Site: 1, Seq: 3}, TO, nil, []ItemID{9}, 0)
 	frame := func(t *Txn) []byte {
-		b, _ := AppendMessage(nil, SubmitTxnMsg{Txn: t})
+		b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: t})
 		return b[1:]
 	}
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path

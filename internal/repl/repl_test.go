@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -240,7 +241,11 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.DecodeEnvelopePooled(raw)
+	// The golden payload is a fresh connection's first frame.
+	frame := append(model.AppendUvarint(nil, uint64(len(raw))), raw...)
+	r := wire.NewReader(bufio.NewReader(bytes.NewReader(frame)))
+	defer r.Release()
+	env, _, err := r.ReadEnvelopePooled()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +266,16 @@ func TestShippedBatchGoldenBytes(t *testing.T) {
 		}
 	}
 	msg.Frames = frames(want...)
-	re, err := wire.AppendEnvelope(nil, engine.Envelope{From: env.From, To: env.To, Msg: msg})
-	if err != nil {
+	var re bytes.Buffer
+	bw := bufio.NewWriter(&re)
+	w := wire.NewWriter(bw)
+	defer w.Release()
+	if _, err := w.WriteEnvelope(engine.Envelope{From: env.From, To: env.To, Msg: msg}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(re, raw) {
-		t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", re, raw)
+	bw.Flush()
+	if !bytes.Equal(re.Bytes(), frame) {
+		t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", re.Bytes(), frame)
 	}
 }
 

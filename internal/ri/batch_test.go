@@ -216,8 +216,8 @@ func TestROScatterOneEnvelopePerMailbox(t *testing.T) {
 					continue
 				}
 				ones++
-				got, _ := model.AppendMessage(nil, b)
-				want, _ := model.AppendMessage(nil, model.SnapReadMsg{
+				got, _ := model.AppendMessage(nil, new(model.WireStream), b)
+				want, _ := model.AppendMessage(nil, new(model.WireStream), model.SnapReadMsg{
 					Txn: tx.ID, Copy: model.CopyID{Item: b.Members[0], Site: to[i].ID}, SnapMicros: b.SnapMicros, Site: 0,
 				})
 				if !bytes.Equal(got, want) {

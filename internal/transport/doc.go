@@ -13,19 +13,23 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 7): a dialer opens every connection with a single
+// Wire format (version 8): a dialer opens every connection with a single
 // version byte and sends nothing more until it has read the listener's
 // one-byte ack; then a stream of length-prefixed binary frames follows
 // (internal/wire: stable per-message tags, one-byte actor addresses,
 // explicit varint field encoders with stamps as deltas within a message,
 // pooled buffers, no reflection; zero steady-state encode allocations for
-// the fixed-shape hot-path messages). A listener closes any connection whose
-// first byte is not the version rather than decode a misframed stream; a
-// dialer whose peer closes, stalls past handshakeTimeout, or answers a
-// different byte has failed to connect — the same outcome as a refused
-// dial. So a v6 node and a v7 node refuse each other in both directions.
-// Frames carrying a message tag this build doesn't know are skipped, not
-// fatal — a newer peer's appended message types must not sever the stream
+// the fixed-shape hot-path messages). Each frame codes its transaction Seq
+// and its anchor stamp against the previous frame's on the connection, so
+// the frame writer and reader of a connection carry that state from frame
+// to frame; both are built new with every connection. A listener closes any
+// connection whose first byte is not the version rather than decode a
+// misframed stream; a dialer whose peer closes, stalls past
+// handshakeTimeout, or answers a different byte has failed to connect — the
+// same outcome as a refused dial. So a v7 node and a v8 node refuse each
+// other in both directions. Frames carrying a message tag this build
+// doesn't know are skipped, not fatal, and leave the stream state alone — a
+// newer peer's appended message types must not sever the stream
 // mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes
 // each way, completed outbound handshakes, skipped frames).
 //
@@ -42,8 +46,9 @@
 // Failure model: messages are best-effort with one retry. A batch that
 // fails mid-write retires its connection — socket, buffered writer, and
 // frame writer are all discarded together, so a half-written frame cannot
-// leak into a replacement connection's stream — and is re-sent whole on a
-// fresh dial exactly once. A peer that cannot be dialed or fails the
+// leak into a replacement connection's stream and the replacement's frames
+// are coded from a fresh stream state, as its reader expects — and is
+// re-sent whole on a fresh dial exactly once. A peer that cannot be dialed or fails the
 // handshake drops traffic (the protocol tolerates that as a crashed site),
 // but a dropped batch's sheddable envelopes are first NAK'd back to their
 // local senders so the issuing attempts abort instead of stranding (a

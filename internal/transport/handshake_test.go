@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -30,6 +33,25 @@ func waitRecorder(t *testing.T, r *recorder, what string) {
 // frameOf length-prefixes an encoded envelope payload, as wire.Writer does.
 func frameOf(payload []byte) []byte {
 	return append(model.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// framesOf is envs framed through one wire.Writer, as the start of a fresh
+// connection carries them.
+func framesOf(t *testing.T, envs ...engine.Envelope) []byte {
+	t.Helper()
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := wire.NewWriter(bw)
+	defer w.Release()
+	for _, env := range envs {
+		if _, err := w.WriteEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Bytes()
 }
 
 // eventually polls cond for up to 10 s. Sender-side counters need it: the
@@ -87,7 +109,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v7 node: it accepts connections
+// stubPeer is a listener that is not a wire-v8 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -140,9 +162,9 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v7 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3, v4, v5 or v6 listener
-// does — fails the dial like an unreachable peer does: connect gives up within
+// connection but is not a wire-v8 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6 or v7
+// listener does — fails the dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
 // node that later takes over the address is picked up by the next send,
@@ -162,6 +184,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"acks as a v4 listener":      readVersionThen([]byte{0xC4}),
 		"acks as a v5 listener":      readVersionThen([]byte{0xC5}),
 		"acks as a v6 listener":      readVersionThen([]byte{0xC6}),
+		"acks as a v7 listener":      readVersionThen([]byte{0xC7}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -342,6 +365,62 @@ func TestEncodeFailureNAKsSheddable(t *testing.T) {
 	}
 }
 
+// TestEncodeFailureLeavesNoStreamTrace: the envelope after an unencodable
+// one decodes exactly as sent. The unencodable release batch — its frame
+// over MaxFrameBytes, a completer, so nothing is NAK'd — carries a Seq and
+// a commit stamp far from its neighbours', which its encode got as far as
+// coding before the size check refused it. A writer that kept that stream
+// state would code the next envelope against a state its reader never saw.
+func TestEncodeFailureLeavesNoStreamTrace(t *testing.T) {
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	recv := &recorder{done: make(chan struct{}), want: 2}
+	rtB.Register(engine.QMAddr(1), recv)
+
+	const wall = 1_760_000_000_000_000
+	sent := []model.RequestMsg{
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_000}, Protocol: model.TO, Copy: model.CopyID{Item: 4, Site: 1}, TS: wall},
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_003}, Protocol: model.TO, Copy: model.CopyID{Item: 5, Site: 1}, TS: wall + 180},
+	}
+	// Each member encodes to seven bytes, a five-byte item varint, its flag
+	// and its value, so this many put the frame just past the cap.
+	huge := model.ReleaseBatchMsg{Txn: model.TxnID{Site: 0, Seq: 7_000_000}, CopySite: 1, CommitMicros: wall + 90_000_000,
+		Members: make([]model.ReleaseMember, wire.MaxFrameBytes/7+1)}
+	for i := range huge.Members {
+		huge.Members[i].Item = 1<<28 + model.ItemID(i)
+	}
+	to := func(m model.Message) engine.Envelope {
+		return engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: m}
+	}
+	nodeA.forward(to(request(sent[0])))
+	nodeA.forward(to(huge))
+	nodeA.forward(to(request(sent[1])))
+
+	waitRecorder(t, recv, "the envelopes around the encode drop")
+	recv.mu.Lock()
+	defer recv.mu.Unlock()
+	for i, m := range recv.got {
+		if req, ok := m.(model.RequestMsg); !ok || req != sent[i] {
+			t.Fatalf("message %d: %T %+v, want %+v", i, m, m, sent[i])
+		}
+	}
+	if dropped, _ := nodeA.QueueStats(); dropped != 1 {
+		t.Fatalf("droppedSends=%d, want the one unencodable envelope", dropped)
+	}
+}
+
 // TestUnknownTagFrameSkipped: a frame carrying a message tag from a NEWER
 // build must be skipped — frames are length-prefixed precisely so the stream
 // survives — with the surrounding known frames delivered in order. Severing
@@ -373,16 +452,20 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAck {
 		t.Fatalf("no ack: %v %x", err, ack)
 	}
-	known := func(seq uint64) []byte {
-		p, err := wire.AppendEnvelope(nil, engine.Envelope{
-			From: engine.RIAddr(0), To: engine.QMAddr(1),
-			Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: seq}}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frameOf(p)
+	// The known frames carry Seqs and stamps of their own, the second coded
+	// against the first: skipping the future frame must leave the reader's
+	// stream state where the first left it.
+	sent := []model.RequestMsg{
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_000}, Protocol: model.TO, Kind: model.OpWrite,
+			Copy: model.CopyID{Item: 4, Site: 1}, TS: 1_760_000_000_000_000},
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_007}, Protocol: model.TO,
+			Copy: model.CopyID{Item: 5, Site: 1}, TS: 1_760_000_000_000_250},
 	}
+	known := framesOf(t,
+		engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: request(sent[0])},
+		engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: request(sent[1])})
+	n, k := binary.Uvarint(known)
+	first := k + int(n)
 	// The future frame: valid addresses, tag 200, arbitrary body.
 	hdr, err := wire.AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
 	if err != nil {
@@ -390,9 +473,9 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 	}
 	future := frameOf(append(hdr, 200, 0xde, 0xad, 0xbe, 0xef))
 	var stream []byte
-	stream = append(stream, known(1)...)
+	stream = append(stream, known[:first]...)
 	stream = append(stream, future...)
-	stream = append(stream, known(2)...)
+	stream = append(stream, known[first:]...)
 	if _, err := c.Write(stream); err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +483,8 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 	recv.mu.Lock()
 	defer recv.mu.Unlock()
 	for i, m := range recv.got {
-		if req, ok := m.(model.RequestMsg); !ok || req.Txn.Seq != uint64(i+1) {
-			t.Fatalf("message %d: %T %+v, want ordered RequestMsg", i, m, m)
+		if req, ok := m.(model.RequestMsg); !ok || req != sent[i] {
+			t.Fatalf("message %d: %T %+v, want %+v", i, m, m, sent[i])
 		}
 	}
 	s := nodeB.Wire().Snapshot()

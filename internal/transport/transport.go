@@ -19,23 +19,24 @@ import (
 )
 
 // WireVersion is the first byte a dialer writes on a fresh connection:
-// version 7, the hand-rolled binary codec (internal/wire) — length-prefixed
+// version 8, the hand-rolled binary codec (internal/wire) — length-prefixed
 // frames of explicitly-encoded envelopes, one-byte actor addresses, stamps
-// as deltas within a message, no reflection, pooled buffers. Version 7 kept
-// version 6's envelope layout but changed two messages' bytes: the
-// log-shipping pull carries a fill's epoch and scope, and its reply the
-// epoch and a NotReady flag, while tags 32 and 33 (the rebalance transfer's
-// pull and reply) are retired. (Version 6 changed the queue stats, version 5
-// what shipped records are.) A reader that sees any other version byte — a
-// v6 dialer's included — closes the connection instead of feeding misframed
+// as deltas within a message, no reflection, pooled buffers. Version 8 kept
+// version 7's envelope layout but codes every transaction Seq and every
+// message's anchor stamp as the difference from the previous one on the
+// connection, so each connection's frame writer and reader carry that state
+// (model.WireStream) from frame to frame. (Version 7 changed the
+// log-shipping pull and reply, version 6 the queue stats, version 5 what
+// shipped records are.) A reader that sees any other version byte — a v7
+// dialer's included — closes the connection instead of feeding misframed
 // bytes to a decoder.
-const WireVersion byte = 7
+const WireVersion byte = model.WireVersion
 
 // wireAck is the single byte a listener writes back after reading the
 // version byte. A dialer sends nothing until it has read it: a peer that
-// closes, stalls, or answers anything else — a v6 listener's 0xC6 included —
-// is not a wire-v7 node, and the dial fails.
-const wireAck byte = 0xC7
+// closes, stalls, or answers anything else — a v7 listener's 0xC7 included —
+// is not a wire-v8 node, and the dial fails.
+const wireAck byte = 0xC8
 
 // handshakeTimeout bounds the dialer's wait for the ack. A live peer acks in
 // one RTT, so this only fires against something that accepted the connection
@@ -114,7 +115,7 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope as a wire-v7 frame into a buffered writer and flushes once per
+// envelope as a wire-v8 frame into a buffered writer and flushes once per
 // drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
@@ -322,7 +323,7 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	if vb[0] != WireVersion {
-		return // not a wire-v7 dialer (or a port scanner); drop the conn
+		return // not a wire-v8 dialer (or a port scanner); drop the conn
 	}
 	if _, err := c.Write([]byte{wireAck}); err != nil {
 		return
@@ -494,8 +495,10 @@ func (ps *peerSender) takeMore(batch []engine.Envelope) []engine.Envelope {
 }
 
 // peerConn bundles the per-connection encoding state. It is rebuilt from
-// scratch on every (re)dial — see peerSender for why reuse would corrupt the
-// stream.
+// scratch on every (re)dial: a half-written frame must not leak into the new
+// connection, and the frame writer's stream state must start fresh, as the
+// new connection's reader does — a batch retried on the fresh dial is coded
+// against that fresh state.
 type peerConn struct {
 	c  net.Conn
 	bw *bufio.Writer

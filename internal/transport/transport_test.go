@@ -13,7 +13,6 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
-	"ucc/internal/wire"
 )
 
 // recorder keeps every message it is delivered. A delivered message belongs
@@ -221,10 +220,11 @@ const v3TickStream = "03080002000100001307"
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2, v3, v4, v5 or v6 dialer's whole stream. (A v4, v5 or v6 dialer's
+// v2, v3, v4, v5, v6 or v7 dialer's whole stream. (A v4 to v7 dialer's
 // TickMsg frame is byte for byte the current one: v5 changed only the
 // catch-up records, v6 only the queue stats, v7 only the log-shipping pull
-// and reply.)
+// and reply, and v8 only the transaction Seqs and anchor stamps, which a
+// TickMsg does not carry.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -237,11 +237,7 @@ func TestWireVersionRejected(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 1}
 	rt.Register(engine.QMAddr(0), recv)
 
-	payload, err := wire.AppendEnvelope(nil, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := frameOf(payload)
+	frame := framesOf(t, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}})
 	v2, err := hex.DecodeString(v2TickStream)
 	if err != nil {
 		t.Fatal(err)
@@ -256,15 +252,17 @@ func TestWireVersionRejected(t *testing.T) {
 		"v4 dialer":              append([]byte{4}, frame...),
 		"v5 dialer":              append([]byte{5}, frame...),
 		"v6 dialer":              append([]byte{6}, frame...),
-		"byte 3 then v7 frame":   append([]byte{3}, frame...),
-		"byte 2 then v7 frame":   append([]byte{2}, frame...),
-		"byte 1 then v7 frame":   append([]byte{1}, frame...),
+		"v7 dialer":              append([]byte{7}, frame...),
+		"byte 3 then v8 frame":   append([]byte{3}, frame...),
+		"byte 2 then v8 frame":   append([]byte{2}, frame...),
+		"byte 1 then v8 frame":   append([]byte{1}, frame...),
 		"ack byte as version":    append([]byte{wireAck}, frame...),
 		"v3 ack byte as version": append([]byte{0xC3}, frame...),
 		"v4 ack byte as version": append([]byte{0xC4}, frame...),
 		"v5 ack byte as version": append([]byte{0xC5}, frame...),
 		"v6 ack byte as version": append([]byte{0xC6}, frame...),
-		"random byte, v7 frame":  append([]byte{0x5a}, frame...),
+		"v7 ack byte as version": append([]byte{0xC7}, frame...),
+		"random byte, v8 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())
@@ -828,4 +826,75 @@ func TestSendDuringReconnect(t *testing.T) {
 	}
 	t.Logf("reconnect hammer: %d envelopes before bounce, %d after, %d dropped at the cap (high %d)",
 		n1, n2, dropped, high)
+}
+
+// TestReconnectStartsFreshStream: a batch retried on a fresh dial delivers
+// every Seq and stamp exactly. The first connection's frames leave both
+// ends' stream state far from a fresh one's. The receiver then drops that
+// connection; once the sender has seen it close, the next batch fails on it
+// and is re-sent whole on a fresh dial, whose frame writer and reader both
+// start from a fresh stream state.
+func TestReconnectStartsFreshStream(t *testing.T) {
+	const (
+		per  = 16
+		wall = 1_760_000_000_000_000
+	)
+	req := func(i int) model.RequestMsg {
+		return model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 1_000_000 + 3*uint64(i)}, Attempt: 1, Protocol: model.TO,
+			Kind: model.OpWrite, Copy: model.CopyID{Item: model.ItemID(i), Site: 1}, TS: model.Timestamp(wall + 150*i)}
+	}
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	recv := &recorder{done: make(chan struct{}), want: 2 * per}
+	rtB.Register(engine.QMAddr(1), recv)
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			nodeA.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: request(req(i))})
+		}
+	}
+
+	send(0, per)
+	eventually(t, "the first connection's envelopes", func() bool {
+		recv.mu.Lock()
+		defer recv.mu.Unlock()
+		return len(recv.got) == per
+	})
+	nodeB.mu.Lock()
+	for c := range nodeB.inbound {
+		c.Close()
+	}
+	nodeB.mu.Unlock()
+	eventually(t, "the sender to see its connection close", func() bool {
+		nodeA.mu.Lock()
+		defer nodeA.mu.Unlock()
+		return len(nodeA.outbound) == 0
+	})
+	send(per, 2*per)
+	waitRecorder(t, recv, "the batch retried on a fresh dial")
+
+	recv.mu.Lock()
+	defer recv.mu.Unlock()
+	for i, m := range recv.got {
+		if got, ok := m.(model.RequestMsg); !ok || got != req(i) {
+			t.Fatalf("message %d: %T %+v, want %+v", i, m, m, req(i))
+		}
+	}
+	if s := nodeA.Wire().Snapshot(); s.ConnsOut != 2 {
+		t.Fatalf("ConnsOut=%d, want the second batch on a second connection", s.ConnsOut)
+	}
+	if dropped, _ := nodeA.QueueStats(); dropped != 0 {
+		t.Fatalf("droppedSends=%d, want the batch retried, not dropped", dropped)
+	}
 }

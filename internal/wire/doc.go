@@ -1,12 +1,13 @@
-// Package wire is the v7 binary codec for everything the cluster exchanges:
+// Package wire is the v8 binary codec for everything the cluster exchanges:
 // a hand-rolled, length-prefixed framing of engine.Envelope over the
 // per-message field encoders in internal/model (stable one-byte tags, varint
-// integers, stamps as deltas within a message, no reflection anywhere on the
+// integers, stamps as deltas within a message, transaction Seqs and anchor
+// stamps as deltas from the previous frame's, no reflection anywhere on the
 // path).
 //
 // # Frame layout
 //
-// A v7 stream is a sequence of frames, each:
+// A v8 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
@@ -23,8 +24,7 @@
 // queue-manager shards past 0. The decoder rejects a long form that would
 // fit the short form, so every envelope has exactly one encoding (the
 // property FuzzWireRoundTrip checks); an address of kind 0x80 or above has
-// none: AppendEnvelope fails on it, and a Writer reports an EncodeError.
-// AppendHeader writes the
+// none, and a Writer reports an EncodeError for it. AppendHeader writes the
 // two addresses alone, for callers that frame a message by hand.
 //
 // payloadLen is capped at MaxFrameBytes; a reader that sees a larger prefix
@@ -32,6 +32,24 @@
 // decodes short, long, or to an unknown tag errors cleanly — truncated or
 // hostile input can never panic or hang the read loop (see the hardening and
 // fuzz tests).
+//
+// # Stream state
+//
+// A stream is coded against itself: each transaction Seq as the difference
+// from the one before it on the stream, and each message's anchor stamp as
+// the difference from the anchor before it (model.WireStream). So a Writer
+// and a Reader each hold their stream's state, and a stream has no frame
+// that decodes on its own but its first. Both start from the zero state, and
+// the transport builds a new pair for every connection, so a batch retried
+// on a fresh dial is coded from zero at both ends. Both advance their state
+// in frame order and only for a frame that completed: a Writer only once
+// the frame has encoded — an envelope refused with an EncodeError leaves no
+// trace — and a Reader only once the frame has decoded, so a frame it skips
+// for an unknown tag, whose body it never reads, leaves none either. The
+// newer build that sent such a frame advanced its Writer all the same, so a
+// tag added within a version must not touch the state (model's "Adding a
+// message type"). FuzzWireStream runs envelopes with fuzzed Seqs and anchors
+// through one Writer and one Reader.
 //
 // # Pooling lifecycle
 //
@@ -44,10 +62,10 @@
 // and copies it to the underlying buffered writer, so the per-message cost is
 // pure byte appends. A Reader likewise owns one payload buffer that grows (by
 // at least doubling) to the largest frame seen and is reused for every
-// subsequent frame. ReadEnvelopePooled / DecodeEnvelopePooled — the
-// transport's read path and the codec's only decoders — decode the pooled
-// types into pooled structs, each in the one form its actor matches: a
-// single per-copy tag (a batch of one on the wire) as its pooled batch,
+// subsequent frame. ReadEnvelopePooled — the transport's read path and the
+// codec's only decoder — decodes the pooled types into pooled structs, each
+// in the one form its actor matches: a single per-copy tag (a batch of one
+// on the wire) as its pooled batch,
 // every other pooled type as its pooled pointer. The caller owns them until
 // model.RecycleMessage (the runtime's mailbox loop, for what the transport
 // delivers); one that keeps a message, as the round-trip, golden-bytes and
@@ -55,8 +73,8 @@
 // model.RetainMessage's copy. The rare control-plane messages decode as
 // values and own the slices and maps they carry.
 //
-// The connection handshake (version byte 7, ack 0xC7) lives in
-// internal/transport, which refuses a v6 peer there: the two formats are not
+// The connection handshake (version byte 8, ack 0xC8) lives in
+// internal/transport, which refuses a v7 peer there: the two formats are not
 // mixed on one connection. The WAL reuses the model varint primitives for
 // its segment record payloads, whose format does not follow the wire
 // version; the catch-up batches a ReplRecordsMsg carries are internal/wal's

@@ -1,14 +1,21 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"ucc/internal/engine"
 	"ucc/internal/model"
 )
 
-// FuzzWireRoundTrip feeds arbitrary bytes to the envelope decoder. The
-// invariants:
+// FuzzWireRoundTrip feeds arbitrary bytes to the envelope decoder as a
+// fresh connection's first frame. The invariants:
 //
 //  1. Decode never panics or hangs, whatever the input (hardening).
 //  2. Decode is INJECTIVE: an input that decodes IS the canonical encoding,
@@ -23,29 +30,232 @@ import (
 // TestWriteSeedCorpus in seed_test.go).
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, env := range Corpus() {
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeEnvelopePooled(data)
+		env, err := decodePayload(data)
 		if err != nil {
 			return // malformed input rejected cleanly: that's a pass
 		}
 		defer model.RecycleMessage(env.Msg)
-		e1, err := AppendEnvelope(nil, env)
+		e1, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v\nenvelope: %+v", err, env)
 		}
 		if !bytes.Equal(data, e1) {
 			t.Fatalf("accepted input is not the canonical encoding (decode not injective):\n in: %x\nout: %x\nenvelope: %+v", data, e1, env)
 		}
-		again, err := DecodeEnvelopePooled(e1)
+		again, err := decodePayload(e1)
 		if err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v\nbytes: %x", err, e1)
 		}
 		model.RecycleMessage(again.Msg)
 	})
+}
+
+// streamStep is the length of one step of a FuzzWireStream script: a corpus
+// pick, then the Seq and the anchor stamp to give it, little-endian.
+const streamStep = 1 + 8 + 8
+
+// FuzzWireStream sends a run of corpus envelopes through one Writer and
+// reads them back through one Reader, as one connection carries them. The
+// script gives each envelope its corpus pick and the transaction Seq and
+// anchor stamp it carries (restamp), so the run puts every value — 0,
+// NoTimestamp, the int64 extremes, backward jumps — against the stream state
+// the frames before it left. The invariants:
+//
+//  1. Every envelope decodes exactly as sent, and the stream ends at a frame
+//     boundary.
+//  2. The decoder never panics on tail, an arbitrary frame payload read
+//     against the state the run left; what decodes re-encodes to tail
+//     through the run's Writer.
+//
+// The seed corpus under testdata/fuzz/FuzzWireStream is streamSeeds.
+func FuzzWireStream(f *testing.F) {
+	for _, s := range streamSeeds() {
+		f.Add(s.script, s.tail)
+	}
+	corpus := Corpus()
+	f.Fuzz(func(t *testing.T, script, tail []byte) {
+		var sink bytes.Buffer
+		bw := bufio.NewWriter(&sink)
+		w := NewWriter(bw)
+		defer w.Release()
+		var sent []engine.Envelope
+		for ; len(script) >= streamStep; script = script[streamStep:] {
+			env := corpus[int(script[0])%len(corpus)]
+			env.Msg = restamp(env.Msg, binary.LittleEndian.Uint64(script[1:]), int64(binary.LittleEndian.Uint64(script[9:])))
+			if _, err := w.WriteEnvelope(env); err != nil {
+				t.Fatalf("%T: %v", env.Msg, err)
+			}
+			sent = append(sent, env)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(bufio.NewReader(io.MultiReader(&sink, bytes.NewReader(frameOf(tail)))))
+		defer r.Release()
+		for i, want := range sent {
+			got, _, err := r.ReadEnvelopePooled()
+			if err != nil {
+				t.Fatalf("envelope %d (%T): %v", i, want.Msg, err)
+			}
+			if kept := valueEnvelope(got); !reflect.DeepEqual(want, kept) {
+				t.Fatalf("envelope %d mismatch:\n in: %+v\nout: %+v", i, want, kept)
+			}
+			model.RecycleMessage(got.Msg)
+		}
+		got, _, err := r.ReadEnvelopePooled()
+		if err != nil {
+			return // the tail rejected cleanly
+		}
+		defer model.RecycleMessage(got.Msg)
+		sink.Reset()
+		bw.Reset(&sink)
+		if _, err := w.WriteEnvelope(got); err != nil {
+			t.Fatalf("decoded tail failed to re-encode: %v\nenvelope: %+v", err, got)
+		}
+		bw.Flush()
+		if re := sink.Bytes(); !bytes.Equal(re, frameOf(tail)) {
+			t.Fatalf("accepted tail is not the canonical encoding against the stream:\n in: %x\nout: %x", frameOf(tail), re)
+		}
+	})
+}
+
+// restamp is m carrying transaction Seq seq and anchor stamp anchor where it
+// has them (see model's appendAnchor for which stamp is a message's anchor),
+// sharing no array with m; a message with neither is m.
+func restamp(m model.Message, seq uint64, anchor int64) model.Message {
+	switch v := m.(type) {
+	case model.RequestBatchMsg:
+		v.Txn.Seq, v.TS = seq, model.Timestamp(anchor)
+		return v
+	case model.GrantBatchMsg:
+		v.Txn.Seq, v.Members = seq, slices.Clone(v.Members)
+		v.Members[0].TS = model.Timestamp(anchor)
+		return v
+	case model.ReleaseBatchMsg:
+		v.Txn.Seq, v.CommitMicros = seq, anchor
+		return v
+	case model.AbortBatchMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.SnapReadBatchMsg:
+		v.Txn.Seq, v.SnapMicros = seq, anchor
+		return v
+	case model.SnapReadReplyBatchMsg:
+		v.Txn.Seq, v.Members = seq, slices.Clone(v.Members)
+		v.Members[0].CommitMicros = anchor
+		return v
+	case model.FinalTSMsg:
+		v.Txn.Seq, v.TS = seq, model.Timestamp(anchor)
+		return v
+	case model.RejectMsg:
+		v.Txn.Seq, v.Threshold = seq, model.Timestamp(anchor)
+		return v
+	case model.BackoffMsg:
+		v.Txn.Seq, v.NewTS = seq, model.Timestamp(anchor)
+		return v
+	case model.NormalGrantMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.BusyMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.VictimMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.WrongEpochMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.ComputeDoneMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.RestartMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.TxnFinishedMsg:
+		v.Txn.Seq = seq
+		return v
+	case model.TxnDoneMsg:
+		v.Txn.Seq, v.DoneMicros = seq, anchor
+		return v
+	case model.QueueStatsMsg:
+		v.AtMicros = anchor
+		return v
+	case model.SubmitTxnMsg:
+		txn := *v.Txn
+		txn.ID.Seq = seq
+		return model.SubmitTxnMsg{Txn: &txn}
+	}
+	return m
+}
+
+// streamSeed is one FuzzWireStream input.
+type streamSeed struct {
+	name         string
+	script, tail []byte
+}
+
+// streamSeeds are FuzzWireStream's seeds: a hot-path run a few
+// transactions and microseconds apart, the stamps with codes of their own
+// and the int64 extremes against a wall-clock anchor, and Seqs and stamps
+// jumping backwards; each with a tail that decodes, a request frame.
+func streamSeeds() []streamSeed {
+	corpus := Corpus()
+	pick := func(want func(model.Message) bool) byte {
+		for i, env := range corpus {
+			if want(env.Msg) {
+				return byte(i)
+			}
+		}
+		panic("no such corpus envelope")
+	}
+	is := func(m model.Message) func(model.Message) bool {
+		return func(c model.Message) bool { return reflect.TypeOf(c) == reflect.TypeOf(m) }
+	}
+	request, grant, release := pick(is(model.RequestBatchMsg{})), pick(is(model.GrantBatchMsg{})), pick(is(model.ReleaseBatchMsg{}))
+	snapReply, done, stats := pick(is(model.SnapReadReplyBatchMsg{})), pick(is(model.TxnDoneMsg{})), pick(is(model.QueueStatsMsg{}))
+	tick, submit := pick(is(model.TickMsg{})), pick(is(model.SubmitTxnMsg{}))
+	const wall = 1_760_000_000_000_000
+	const noStamp = int64(model.NoTimestamp)
+	type step struct {
+		pick   byte
+		seq    uint64
+		anchor int64
+	}
+	script := func(steps ...step) []byte {
+		var b []byte
+		for _, s := range steps {
+			b = append(b, s.pick)
+			b = binary.LittleEndian.AppendUint64(b, s.seq)
+			b = binary.LittleEndian.AppendUint64(b, uint64(s.anchor))
+		}
+		return b
+	}
+	tail, err := payloadOf(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(2),
+		Msg: model.RequestBatchMsg{Txn: model.TxnID{Site: 1, Seq: 9}, TS: 5, Members: []model.RequestMember{{Item: 3}}}})
+	if err != nil {
+		panic(err)
+	}
+	return []streamSeed{
+		{"hot-path", script(
+			step{submit, 1_000_000, 0}, step{request, 1_000_000, wall}, step{grant, 1_000_000, wall},
+			step{request, 1_000_002, wall + 40}, step{tick, 0, 0}, step{release, 1_000_000, wall + 310},
+			step{grant, 1_000_002, wall + 40}, step{done, 1_000_000, wall + 420}, step{stats, 0, wall + 500},
+		), tail},
+		{"extremes", script(
+			step{request, 1_000_000, wall}, step{request, 1_000_001, 0}, step{request, 1_000_002, noStamp},
+			step{grant, math.MaxUint64, math.MinInt64}, step{release, 0, math.MaxInt64},
+			step{snapReply, 1, -1 - wall}, step{done, math.MaxUint64, noStamp}, step{request, 7, math.MinInt64 + 1},
+		), tail},
+		{"backward", script(
+			step{request, 1_000_000, wall}, step{grant, 999_000, wall - 60_000_000}, step{release, 1_000_005, wall + 5},
+			step{snapReply, 3, 1}, step{request, 2, -2}, step{done, 1, wall},
+		), tail},
+	}
 }

@@ -20,12 +20,12 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 	cold := make([]engine.Envelope, len(corpus))
 	kept := make([]model.Message, len(corpus))
 	for i, env := range corpus {
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): encode: %v", i, env.Msg, err)
 		}
 		payloads[i] = payload
-		if cold[i], err = DecodeEnvelopePooled(payload); err != nil {
+		if cold[i], err = decodePayload(payload); err != nil {
 			t.Fatalf("envelope %d (%T): cold decode: %v", i, env.Msg, err)
 		}
 		kept[i] = valueForm(model.RetainMessage(cold[i].Msg))
@@ -34,7 +34,7 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 		model.RecycleMessage(env.Msg)
 	}
 	for i, env := range corpus {
-		warm, err := DecodeEnvelopePooled(payloads[i])
+		warm, err := decodePayload(payloads[i])
 		if err != nil {
 			t.Fatalf("envelope %d (%T): warm decode: %v", i, env.Msg, err)
 		}
@@ -44,7 +44,7 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 		if got := valueForm(warm.Msg); !reflect.DeepEqual(got, kept[i]) || !reflect.DeepEqual(got, env.Msg) {
 			t.Fatalf("envelope %d (%T): warm decode differs:\n warm: %+v\n cold: %+v\n   in: %+v", i, env.Msg, got, kept[i], env.Msg)
 		}
-		re, err := AppendEnvelope(nil, warm)
+		re, err := payloadOf(warm)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): re-encode: %v", i, env.Msg, err)
 		}
@@ -86,11 +86,11 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 		reflect.TypeOf(model.RestartMsg{}):            true,
 	}
 	for i, env := range Corpus() {
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("envelope %d: encode: %v", i, err)
 		}
-		got, err := DecodeEnvelopePooled(payload)
+		got, err := decodePayload(payload)
 		if err != nil {
 			t.Fatalf("envelope %d: decode: %v", i, err)
 		}
@@ -156,11 +156,11 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 			model.PooledTxnDone(model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6})},
 		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
 	} {
-		want, err := model.AppendMessage(nil, tc.value)
+		want, err := model.AppendMessage(nil, new(model.WireStream), tc.value)
 		if err != nil {
 			t.Fatalf("tag %d: encode value: %v", tc.tag, err)
 		}
-		got, err := model.AppendMessage(nil, tc.pooled)
+		got, err := model.AppendMessage(nil, new(model.WireStream), tc.pooled)
 		if err != nil {
 			t.Fatalf("tag %d: encode pooled: %v", tc.tag, err)
 		}
@@ -195,14 +195,14 @@ func TestPoolReuseSafety(t *testing.T) {
 	sparse := model.RequestMsg{Txn: model.TxnID{Site: 1, Seq: 1}}
 
 	encode := func(m model.Message) []byte {
-		payload, err := AppendEnvelope(nil, corpusEnvelopeWith(m))
+		payload, err := payloadOf(corpusEnvelopeWith(m))
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
 		return payload
 	}
 
-	env1, err := DecodeEnvelopePooled(encode(full))
+	env1, err := decodePayload(encode(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPoolReuseSafety(t *testing.T) {
 	}
 	model.RecycleMessage(p1)
 
-	env2, err := DecodeEnvelopePooled(encode(sparse))
+	env2, err := decodePayload(encode(sparse))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestPooledBatchReuse(t *testing.T) {
 	two := model.RequestBatchMsg{Txn: model.TxnID{Site: 1, Seq: 1}, CopySite: 2,
 		Members: []model.RequestMember{{Item: 4}, {Item: 5}}}
 	decode := func(m model.RequestBatchMsg) *model.RequestBatchMsg {
-		payload, err := AppendEnvelope(nil, corpusEnvelopeWith(m))
+		payload, err := payloadOf(corpusEnvelopeWith(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := DecodeEnvelopePooled(payload)
+		env, err := decodePayload(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,14 +267,14 @@ func TestPooledBatchReuse(t *testing.T) {
 // TestPooledDecodeErrorRecycles: a truncated payload must error, and return
 // no message.
 func TestPooledDecodeErrorRecycles(t *testing.T) {
-	payload, err := AppendEnvelope(nil, corpusEnvelopeWith(model.RequestMsg{
+	payload, err := payloadOf(corpusEnvelopeWith(model.RequestMsg{
 		Txn: model.TxnID{Site: 1, Seq: 2}, TS: 1 << 40,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := len(payload) - 1; cut > 0; cut-- {
-		env, err := DecodeEnvelopePooled(payload[:cut])
+		env, err := decodePayload(payload[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}

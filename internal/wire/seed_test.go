@@ -8,12 +8,14 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ucc/internal/model"
 )
 
-const seedDir = "testdata/fuzz/FuzzWireRoundTrip"
+// seedDir holds a directory of seeds per fuzz target.
+const seedDir = "testdata/fuzz"
 
 // batchOfOneTypes are the message types that declare the six tags whose
 // corpus messages are batches of one: a per-copy step travels as a batch of
@@ -27,11 +29,12 @@ var batchOfOneTypes = map[model.WireTag]model.Message{
 	model.TagSnapReadReply: model.SnapReadReplyMsg{},
 }
 
-// seedFiles returns the seed corpus, file name to contents: one file per
-// wire tag, the first corpus envelope carrying it, plus the first fill form
-// of the log-shipping pull and reply. A seed is named after its tag and the
-// message type that declares the tag, so every form sent under one tag
-// names the same file.
+// seedFiles returns the seed corpora, file path under seedDir to contents.
+// FuzzWireRoundTrip's holds one file per wire tag, the first corpus
+// envelope carrying it, plus the first fill form of the log-shipping pull
+// and reply. A seed is named after its tag and the message type that
+// declares the tag, so every form sent under one tag names the same file.
+// FuzzWireStream's is streamSeeds.
 func seedFiles(t *testing.T) map[string][]byte {
 	t.Helper()
 	files := map[string][]byte{}
@@ -41,7 +44,7 @@ func seedFiles(t *testing.T) map[string][]byte {
 		if m, ok := batchOfOneTypes[tag]; ok {
 			declaring = m
 		}
-		name := fmt.Sprintf("tag-%02d-%T", tag, declaring)
+		name := fmt.Sprintf("FuzzWireRoundTrip/tag-%02d-%T", tag, declaring)
 		switch m := env.Msg.(type) {
 		case model.ReplPullMsg:
 			if m.Epoch != 0 {
@@ -55,11 +58,15 @@ func seedFiles(t *testing.T) map[string][]byte {
 		if _, ok := files[name]; ok {
 			continue
 		}
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files[name] = fmt.Appendf(nil, "go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
+	}
+	for _, s := range streamSeeds() {
+		files["FuzzWireStream/"+s.name] = fmt.Appendf(nil, "go test fuzz v1\n[]byte(%s)\n[]byte(%s)\n",
+			strconv.Quote(string(s.script)), strconv.Quote(string(s.tail)))
 	}
 	return files
 }
@@ -72,12 +79,13 @@ func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("WIRE_WRITE_CORPUS") == "" {
 		t.Skip("set WIRE_WRITE_CORPUS=1 to regenerate the seed corpus")
 	}
-	if err := os.MkdirAll(seedDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	files := seedFiles(t)
 	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(seedDir, name), body, 0o644); err != nil {
+		path := filepath.Join(seedDir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +98,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 // iteration exercises every message type.
 func TestSeedCorpusCommitted(t *testing.T) {
 	for tag := model.TagRequest; tag <= model.TagLast; tag++ {
-		seeds, _ := filepath.Glob(filepath.Join(seedDir, fmt.Sprintf("tag-%02d-*", tag)))
+		seeds, _ := filepath.Glob(filepath.Join(seedDir, "FuzzWireRoundTrip", fmt.Sprintf("tag-%02d-*", tag)))
 		if (len(seeds) == 0) != model.TagRetired(tag) {
 			t.Errorf("tag %d (retired %v) has seeds %v (run WIRE_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus ./internal/wire)", tag, model.TagRetired(tag), seeds)
 		}
@@ -98,17 +106,21 @@ func TestSeedCorpusCommitted(t *testing.T) {
 }
 
 // TestSeedCorpusRegeneratesUnchanged fails if regenerating the corpus would
-// change the committed tag-NN-* seeds: a seed missing, stale or extra (a
-// second name for one tag would be committed beside the first and fuzzed
-// twice).
+// change the committed FuzzWireRoundTrip tag-NN-* seeds or FuzzWireStream
+// seeds: a seed missing, stale or extra (a second name for one tag would be
+// committed beside the first and fuzzed twice).
 func TestSeedCorpusRegeneratesUnchanged(t *testing.T) {
 	want := seedFiles(t)
-	committed, err := filepath.Glob(filepath.Join(seedDir, "tag-*"))
+	committed, err := filepath.Glob(filepath.Join(seedDir, "FuzzWireRoundTrip", "tag-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range committed {
-		name := filepath.Base(path)
+	stream, err := filepath.Glob(filepath.Join(seedDir, "FuzzWireStream", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(committed, stream...) {
+		name := filepath.ToSlash(strings.TrimPrefix(path, seedDir+string(filepath.Separator)))
 		body, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -37,7 +37,7 @@ func (e *EncodeError) Error() string { return "wire: encode: " + e.Err.Error() }
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *EncodeError) Unwrap() error { return e.Err }
 
-// bufPool recycles scratch buffers across Writers and one-shot encodes. 1 KiB
+// bufPool recycles scratch buffers across Writers and Readers. 1 KiB
 // starting capacity covers every protocol message; control-plane maps grow a
 // buffer once and the grown buffer is what returns to the pool.
 var bufPool = sync.Pool{
@@ -105,36 +105,20 @@ func AppendHeader(b []byte, from, to engine.Addr) ([]byte, error) {
 	return appendAddr(b, to)
 }
 
-// AppendEnvelope encodes one envelope payload (header + tagged message)
-// onto b.
-func AppendEnvelope(b []byte, env engine.Envelope) ([]byte, error) {
+// appendEnvelope encodes one envelope payload (header + tagged message)
+// onto b against the stream state s, which it advances.
+func appendEnvelope(b []byte, s *model.WireStream, env engine.Envelope) ([]byte, error) {
 	b, err := AppendHeader(b, env.From, env.To)
 	if err != nil {
 		return b, err
 	}
-	return model.AppendMessage(b, env.Msg)
-}
-
-// DecodeEnvelopePooled decodes exactly one envelope from payload; anything
-// short, long, or unknown errors. Messages come back as
-// model.DecodeMessagePooled returns them: the pooled types as pooled
-// pointers (*model.RequestBatchMsg, *model.GrantBatchMsg, ...), so storing
-// one in the Message interface costs no allocation, and the other types as
-// values. The caller owns the message until it passes it to
-// model.RecycleMessage or hands the envelope on to an owner that will — the
-// transport's read loop delivers it to the runtime, whose mailbox loop
-// recycles. Recycling a non-pooled message is a no-op, so a mixed stream
-// needs no per-type handling; a caller that keeps a message takes
-// model.RetainMessage's copy.
-func DecodeEnvelopePooled(payload []byte) (engine.Envelope, error) {
-	r := model.NewWireReader(payload)
-	return decodeEnvelope(&r)
+	return model.AppendMessage(b, s, env.Msg)
 }
 
 // decodeEnvelope decodes the header, then the tagged message through
-// model.DecodeMessagePooled. That decodes through a table of func values, so
-// r escapes to the heap: the one-shot form above pays that allocation per
-// call, and a Reader decodes through the one it owns.
+// model.DecodeMessagePooled, against the stream state r carries. That
+// decodes through a table of func values, so r escapes to the heap: a
+// Reader decodes through the one it owns.
 func decodeEnvelope(r *model.WireReader) (engine.Envelope, error) {
 	var env engine.Envelope
 	var fromOK, toOK bool
@@ -159,34 +143,24 @@ func decodeEnvelope(r *model.WireReader) (engine.Envelope, error) {
 	return env, nil
 }
 
-// EncodeEnvelope is the one-shot form: a fresh pooled buffer holding
-// uvarint-length-prefixed frame bytes. The caller returns it with
-// ReleaseFrame when done (tests, seed-corpus generation).
-func EncodeEnvelope(env engine.Envelope) ([]byte, error) {
-	payload, err := AppendEnvelope(getBuf(), env)
-	if err != nil {
-		putBuf(payload)
-		return nil, err
-	}
-	b := getBuf()
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	b = append(b, payload...)
-	putBuf(payload)
-	return b, nil
-}
-
-// ReleaseFrame returns a buffer from EncodeEnvelope to the pool.
-func ReleaseFrame(b []byte) { putBuf(b) }
-
-// Writer frames envelopes onto a buffered writer. Not safe for concurrent
-// use: in the transport each peer's single writer goroutine owns one Writer.
+// Writer frames envelopes onto a buffered writer. It holds the stream state
+// of its connection's direction (model.WireStream), so a connection has one
+// Writer for its life and a new connection a new Writer. Not safe for
+// concurrent use: in the transport each peer's single writer goroutine owns
+// one Writer.
 type Writer struct {
 	bw      *bufio.Writer
 	scratch []byte
+	// stream is the state the frames written so far left; next is the
+	// frame being encoded's, which becomes stream only once the frame has
+	// encoded, so an envelope that fails with an EncodeError leaves no
+	// trace (the reader never sees it).
+	stream, next model.WireStream
 }
 
-// NewWriter wraps bw. Release returns the scratch buffer to the pool when
-// the connection retires.
+// NewWriter wraps bw, starting from a fresh connection's stream state.
+// Release returns the scratch buffer to the pool when the connection
+// retires.
 func NewWriter(bw *bufio.Writer) *Writer {
 	return &Writer{bw: bw, scratch: getBuf()}
 }
@@ -203,7 +177,8 @@ func NewWriter(bw *bufio.Writer) *Writer {
 func (w *Writer) WriteEnvelope(env engine.Envelope) (int, error) {
 	const hdrMax = binary.MaxVarintLen64
 	var hdrZero [hdrMax]byte
-	buf, err := AppendEnvelope(append(w.scratch[:0], hdrZero[:]...), env)
+	w.next = w.stream
+	buf, err := appendEnvelope(append(w.scratch[:0], hdrZero[:]...), &w.next, env)
 	if err != nil {
 		return 0, &EncodeError{Err: err}
 	}
@@ -215,6 +190,7 @@ func (w *Writer) WriteEnvelope(env engine.Envelope) (int, error) {
 		w.scratch = getBuf()
 		return 0, &EncodeError{Err: ErrFrameTooLarge}
 	}
+	w.stream = w.next
 	start := hdrMax - uvarintLen(uint64(payloadLen))
 	binary.PutUvarint(buf[start:], uint64(payloadLen))
 	if _, err := w.bw.Write(buf[start:]); err != nil {
@@ -235,39 +211,60 @@ func (w *Writer) Release() {
 // Reader decodes frames from a buffered reader. The payload buffer grows to
 // the largest frame seen and is reused for every subsequent frame; decoded
 // messages never alias it (slice-carrying messages copy out during decode).
+// Like a Writer it holds its connection's stream state, so a connection has
+// one Reader for its life.
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
 	// wr decodes each payload; it lives here, already on the heap, because
 	// the decoders it is passed to make it escape.
 	wr model.WireReader
+	// stream is the state the frames decoded so far left. A frame advances
+	// it only once it has decoded: an unknown tag is rejected before its
+	// body is read, so a frame skipped for one leaves no trace, as on the
+	// writing side.
+	stream model.WireStream
 }
 
-// NewReader wraps br.
+// NewReader wraps br, starting from a fresh connection's stream state.
 func NewReader(br *bufio.Reader) *Reader {
 	return &Reader{br: br, buf: getBuf()}
 }
 
 // ReadEnvelopePooled reads and decodes one frame, returning the envelope
-// and the frame's size in bytes; see DecodeEnvelopePooled for the forms the
-// messages come back in and their lifetime. This is the transport's read
-// path. io.EOF is returned ONLY at a frame boundary (a clean stream end); a
+// and the frame's size in bytes. This is the transport's read path and the
+// codec's only decoder. The pooled types come back as pooled pointers
+// (*model.RequestBatchMsg, *model.GrantBatchMsg, ...), so storing one in the
+// Message interface costs no allocation, and the other types as values (see
+// model.DecodeMessagePooled). The caller owns the message until it passes it
+// to model.RecycleMessage or hands the envelope on to an owner that will —
+// the transport's read loop delivers it to the runtime, whose mailbox loop
+// recycles. Recycling a non-pooled message is a no-op, so a mixed stream
+// needs no per-type handling; a caller that keeps a message takes
+// model.RetainMessage's copy.
+//
+// io.EOF is returned ONLY at a frame boundary (a clean stream end); a
 // stream that dies inside the length prefix or the payload returns
 // io.ErrUnexpectedEOF, and a malformed payload a decode error. I/O errors
-// lose framing and the stream must be abandoned, but a DECODE error does
-// not: the payload was fully consumed before decoding, so the reader is
-// still at a frame boundary and the caller may skip the frame and continue —
-// the transport does exactly that for model.ErrWireUnknownTag, so a newer
-// peer's appended message types don't sever a stream between builds of one
-// wire version.
+// lose framing and the stream must be abandoned, but an unknown tag does
+// not: the payload was fully consumed before decoding and the stream state
+// is untouched, so the caller may skip the frame and continue — the
+// transport does exactly that for model.ErrWireUnknownTag, so a newer peer's
+// appended message types don't sever a stream between builds of one wire
+// version. Any other decode error leaves the reader at a frame boundary
+// too, but the writer advanced its stream state past the frame, so the
+// frames after it do not decode as sent.
 func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
 	payload, frameBytes, err := r.readFrame()
 	if err != nil {
 		return engine.Envelope{}, 0, err
 	}
 	// Frame fully consumed; a decode error is per-frame, not per-stream.
-	r.wr = model.NewWireReader(payload)
+	r.wr = model.NewStreamReader(payload, r.stream)
 	env, err := decodeEnvelope(&r.wr)
+	if err == nil {
+		r.stream = r.wr.Stream()
+	}
 	return env, frameBytes, err
 }
 

@@ -15,24 +15,54 @@ import (
 	"ucc/internal/model"
 )
 
+// payloadOf is env's frame payload as a fresh connection's Writer sends it.
+func payloadOf(env engine.Envelope) ([]byte, error) {
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	if _, err := w.WriteEnvelope(env); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	_, n := binary.Uvarint(sink.Bytes())
+	return sink.Bytes()[n:], nil
+}
+
+// frameOf length-prefixes a payload, as a Writer does.
+func frameOf(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// decodePayload decodes payload as a fresh connection's Reader reads its
+// frame.
+func decodePayload(payload []byte) (engine.Envelope, error) {
+	r := NewReader(bufio.NewReader(bytes.NewReader(frameOf(payload))))
+	defer r.Release()
+	env, _, err := r.ReadEnvelopePooled()
+	return env, err
+}
+
 // TestRoundTripCorpus: every corpus envelope (which covers every wire-
 // contract message type) must decode back exactly equal (a pooled message
 // in valueForm), and re-encoding the decoded envelope, pooled pointer and
 // all, must reproduce the identical bytes (canonical encoding).
 func TestRoundTripCorpus(t *testing.T) {
 	for i, env := range Corpus() {
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): encode: %v", i, env.Msg, err)
 		}
-		got, err := DecodeEnvelopePooled(payload)
+		got, err := decodePayload(payload)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): decode: %v", i, env.Msg, err)
 		}
 		if kept := valueEnvelope(got); !reflect.DeepEqual(env, kept) {
 			t.Fatalf("envelope %d (%T): round trip mismatch:\n in: %+v\nout: %+v", i, env.Msg, env, kept)
 		}
-		re, err := AppendEnvelope(nil, got)
+		re, err := payloadOf(got)
 		if err != nil {
 			t.Fatalf("envelope %d (%T): re-encode: %v", i, env.Msg, err)
 		}
@@ -66,12 +96,12 @@ func TestCorpusCoversEveryTag(t *testing.T) {
 // cleanly — no panic, no success on partial data.
 func TestDecodeTruncated(t *testing.T) {
 	for i, env := range Corpus() {
-		payload, err := AppendEnvelope(nil, env)
+		payload, err := payloadOf(env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(payload); cut++ {
-			if _, err := DecodeEnvelopePooled(payload[:cut]); err == nil {
+			if _, err := decodePayload(payload[:cut]); err == nil {
 				t.Fatalf("envelope %d (%T): decode of %d/%d-byte prefix succeeded", i, env.Msg, cut, len(payload))
 			}
 		}
@@ -81,11 +111,11 @@ func TestDecodeTruncated(t *testing.T) {
 // TestDecodeTrailingBytes: extra bytes after a valid message are an error,
 // not silently ignored — a frame is exactly one message.
 func TestDecodeTrailingBytes(t *testing.T) {
-	payload, err := AppendEnvelope(nil, Corpus()[0])
+	payload, err := payloadOf(Corpus()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelopePooled(append(payload, 0)); !errors.Is(err, ErrTrailingBytes) {
+	if _, err := decodePayload(append(payload, 0)); !errors.Is(err, ErrTrailingBytes) {
 		t.Fatalf("trailing byte: got %v, want ErrTrailingBytes", err)
 	}
 }
@@ -104,10 +134,10 @@ func header(t *testing.T, tag model.WireTag) []byte {
 // TestDecodeUnknownTag: a tag from a future build errors with
 // ErrWireUnknownTag instead of misparsing.
 func TestDecodeUnknownTag(t *testing.T) {
-	if _, err := DecodeEnvelopePooled(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := decodePayload(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("unknown tag: got %v, want ErrWireUnknownTag", err)
 	}
-	if _, err := DecodeEnvelopePooled(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := decodePayload(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("tag 0 must be invalid: got %v", err)
 	}
 }
@@ -120,7 +150,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	b = model.AppendVarint(b, 2)      // From
 	b = model.AppendUvarint(b, 1)     // Round
 	b = model.AppendUvarint(b, 1<<40) // Edges count: absurd
-	if _, err := DecodeEnvelopePooled(b); !errors.Is(err, model.ErrWireCorrupt) {
+	if _, err := decodePayload(b); !errors.Is(err, model.ErrWireCorrupt) {
 		t.Fatalf("oversized edge count: got %v, want ErrWireCorrupt", err)
 	}
 
@@ -133,7 +163,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	b = model.AppendUvarint(b, 0)     // WriteSet
 	b = model.AppendVarint(b, 100)    // ComputeMicros
 	b = model.AppendUvarint(b, 1<<50) // Class length: absurd
-	if _, err := DecodeEnvelopePooled(b); !errors.Is(err, model.ErrWireCorrupt) {
+	if _, err := decodePayload(b); !errors.Is(err, model.ErrWireCorrupt) {
 		t.Fatalf("oversized string length: got %v, want ErrWireCorrupt", err)
 	}
 }
@@ -153,7 +183,7 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 		}
 		return b
 	}
-	env, err := DecodeEnvelopePooled(report(2, 1, 10, 4, 3, 2, 0))
+	env, err := decodePayload(report(2, 1, 10, 4, 3, 2, 0))
 	if err != nil {
 		t.Fatalf("well-formed report: %v", err)
 	}
@@ -168,7 +198,7 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 		"truncated entry": {report(2, 1, 20_000, 4, 3, 2), model.ErrWireTruncated},
 		"oversized count": {report(1<<40, 1, 10, 4), model.ErrWireCorrupt},
 	} {
-		if _, err := DecodeEnvelopePooled(c.b); !errors.Is(err, c.want) {
+		if _, err := decodePayload(c.b); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", name, err, c.want)
 		}
 	}
@@ -198,7 +228,7 @@ func TestHeaderGoldenBytes(t *testing.T) {
 // accepted only in that form, so each envelope keeps exactly one encoding;
 // the addresses that do not fit it travel in the long form and round-trip.
 func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
-	body, err := model.AppendMessage(nil, model.TickMsg{Tag: 3})
+	body, err := model.AppendMessage(nil, new(model.WireStream), model.TickMsg{Tag: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +238,7 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		"long from": append(append(long[:3:3], short[1]), body...),
 		"long to":   append(append(short[:1:1], long...), body...),
 	} {
-		if _, err := DecodeEnvelopePooled(hdr); !errors.Is(err, model.ErrWireCorrupt) {
+		if _, err := decodePayload(hdr); !errors.Is(err, model.ErrWireCorrupt) {
 			t.Errorf("%s: got %v, want ErrWireCorrupt", name, err)
 		}
 	}
@@ -222,20 +252,20 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		{Kind: engine.KindQM, ID: math.MinInt32},
 	} {
 		env := engine.Envelope{From: a, To: engine.CollectorAddr(), Msg: model.TickMsg{Tag: 3}}
-		b, err := AppendEnvelope(nil, env)
+		b, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
 		if b[0] < 0x80 {
 			t.Errorf("%v encoded in the one-byte form %#x", a, b[0])
 		}
-		got, err := DecodeEnvelopePooled(b)
+		got, err := decodePayload(b)
 		if err != nil || got != env {
 			t.Errorf("%v decodes to %+v (%v)", a, got, err)
 		}
 	}
 
-	if _, err := AppendEnvelope(nil, engine.Envelope{From: engine.Addr{Kind: 0x80}, Msg: model.TickMsg{}}); !errors.Is(err, errAddrKind) {
+	if _, err := payloadOf(engine.Envelope{From: engine.Addr{Kind: 0x80}, Msg: model.TickMsg{}}); !errors.Is(err, errAddrKind) {
 		t.Errorf("kind 0x80 encoded: %v", err)
 	}
 }
@@ -256,11 +286,11 @@ func TestFrameTooLarge(t *testing.T) {
 // length prefix or payload — must error (never a clean io.EOF, never a
 // hang); io.EOF is reserved for exact frame boundaries.
 func TestFrameTornMidPayload(t *testing.T) {
-	frame, err := EncodeEnvelope(Corpus()[0])
+	payload, err := payloadOf(Corpus()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ReleaseFrame(frame)
+	frame := frameOf(payload)
 	for cut := 1; cut < len(frame); cut++ {
 		r := NewReader(bufio.NewReader(bytes.NewReader(frame[:cut])))
 		_, _, err := r.ReadEnvelopePooled()
@@ -313,6 +343,64 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 }
 
+// TestStreamSkipsLeaveNoTrace: the frames a connection skips touch neither
+// end's stream state. An envelope the Writer refuses (an EncodeError: a
+// frame over MaxFrameBytes, whose message has its own Seq and stamp) is
+// never sent, and a frame whose tag the Reader does not know is skipped
+// unread; the envelopes around each, with Seqs and stamps of their own,
+// decode exactly as sent.
+func TestStreamSkipsLeaveNoTrace(t *testing.T) {
+	const wall = 1_760_000_000_000_000
+	req := func(seq uint64, ts model.Timestamp, items int) engine.Envelope {
+		m := model.RequestBatchMsg{Txn: model.TxnID{Site: 1, Seq: seq}, Protocol: model.TO, TS: ts, CopySite: 2,
+			Members: make([]model.RequestMember, items)}
+		for i := range m.Members {
+			m.Members[i].Item = 1<<28 + model.ItemID(i) // six bytes a member
+		}
+		return engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(2), Msg: m}
+	}
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	write := func(env engine.Envelope) {
+		t.Helper()
+		if _, err := w.WriteEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := []engine.Envelope{req(1_000_000, wall, 1), req(1_000_004, wall+120, 2), req(1_000_009, wall+310, 1)}
+	write(sent[0])
+	var ee *EncodeError
+	if _, err := w.WriteEnvelope(req(5_000_000, wall+90_000, MaxFrameBytes/6+1)); !errors.As(err, &ee) {
+		t.Fatalf("oversized envelope: got %v, want an EncodeError", err)
+	}
+	write(sent[1])
+	bw.Flush()
+	sink.Write(frameOf(append(header(t, 200), 0x80, 0x89, 0x7a))) // a newer build's tag
+	write(sent[2])
+	bw.Flush()
+
+	r := NewReader(bufio.NewReader(&sink))
+	defer r.Release()
+	for i, want := range append(sent[:2:2], engine.Envelope{}, sent[2]) {
+		got, _, err := r.ReadEnvelopePooled()
+		if want.Msg == nil {
+			if !errors.Is(err, model.ErrWireUnknownTag) {
+				t.Fatalf("frame %d: got %v, want ErrWireUnknownTag", i, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if kept := valueEnvelope(got); !reflect.DeepEqual(want, kept) {
+			t.Fatalf("frame %d mismatch:\n in: %+v\nout: %+v", i, want, kept)
+		}
+		model.RecycleMessage(got.Msg)
+	}
+}
+
 // TestReaderBufferGrowsGeometrically: a stream whose frames creep up a few
 // bytes at a time (the periodic queue stats do) must not buy a new payload
 // buffer for every frame that is longer than the last.
@@ -324,7 +412,7 @@ func TestReaderBufferGrowsGeometrically(t *testing.T) {
 	defer w.Release()
 	var cycle []model.TxnID
 	for i := 0; i < 150+frames; i++ {
-		cycle = append(cycle, model.TxnID{Site: 1, Seq: 1<<40 + uint64(i)}) // 7 bytes encoded
+		cycle = append(cycle, model.TxnID{Site: 1, Seq: uint64(i) << 40}) // 7 bytes encoded
 		if i < 150 {
 			continue // past the pooled buffer's 1 KiB from the first frame
 		}
@@ -363,7 +451,7 @@ func TestReaderBufferGrowsGeometrically(t *testing.T) {
 // emitting a bogus frame.
 func TestEncodeUnknownMessageType(t *testing.T) {
 	for _, m := range []model.Message{nil, model.RequestBatchMsg{}, &model.GrantBatchMsg{}} {
-		if _, err := AppendEnvelope(nil, engine.Envelope{Msg: m}); err == nil {
+		if _, err := payloadOf(engine.Envelope{Msg: m}); err == nil {
 			t.Errorf("encoding %T %+v succeeded", m, m)
 		}
 	}
