@@ -29,6 +29,7 @@ import (
 // peer" site 2's node is closed before traffic starts: the transport NAKs
 // every request to it busy, the quorum excludes the dead copy and hedges
 // the spare in, and every transaction of the live sites' drivers commits.
+// With no site dead, no node drops an envelope.
 func TestLoopbackSites(t *testing.T) {
 	for _, c := range loopbackCases() {
 		t.Run(c.name, func(t *testing.T) { runLoopback(t, c.cfg(t), c.dead, nil) })
@@ -291,6 +292,15 @@ func runLoopback(t *testing.T, cfg Config, dead model.SiteID, forms *formCheck) 
 	for _, p := range model.Protocols {
 		if sum.Protocols[p].Committed == 0 {
 			t.Errorf("%v: nothing committed", p)
+		}
+	}
+	// With every site up no node drops an envelope: none is refused as
+	// unencodable, so no process-local message is addressed to a peer.
+	if dead < 0 {
+		for i, n := range nodes {
+			if dropped, _ := n.QueueStats(); dropped != 0 {
+				t.Errorf("node %d (of %d sites and the client) dropped %d envelopes", i, len(issuer), dropped)
+			}
 		}
 	}
 }

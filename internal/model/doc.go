@@ -28,22 +28,34 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v8
-// contract (wire.go): a stable one-byte WireTag per message type — never
-// renumbered — with explicit varint field encoders, stamps after a message's
-// anchor encoded as deltas from an earlier stamp of the same message, the
-// anchor and every transaction Seq as deltas from the previous ones on the
-// connection (WireStream), and error-latching decoding (WireReader).
-// internal/wire frames envelopes over it; internal/wal encodes its record
-// payloads with the same varint primitives, not with message encoders, so
-// the WAL format does not follow the wire version.
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v9
+// contract (wire.go): a stable one-byte WireTag per message type that crosses
+// a process — never renumbered — with explicit varint field encoders, stamps
+// after a message's anchor encoded as deltas from an earlier stamp of the
+// same message, the anchor and every transaction Seq as deltas from the
+// previous ones on the connection (WireStream), and error-latching decoding
+// (WireReader). internal/wire frames envelopes over it; internal/wal encodes
+// its record payloads with the same varint primitives, not with message
+// encoders, so the WAL format does not follow the wire version.
 //
 // # Adding a message type
 //
-// A message type is declared once, in these places:
+// A process-local message — one that never leaves its process, such as a
+// timer set with SetTimer, a self-addressed Post or a simulator fault — is
+// its struct and one line beside it:
+//
+//	func (FooMsg) wireTag() WireTag { return TagInvalid } // process-local
+//
+// plus an entry in processLocal (messages_test.go). It has no tag and no
+// encoder: AppendMessage refuses it, and a transport asked to send it to a
+// peer drops it (and NAKs it, if sheddable) rather than send it.
+//
+// A wire message — one that crosses a process — is declared in these
+// places:
 //
 //   - the struct and its wireTag method (messages.go), returning a new Tag
-//     constant appended after the last one (wire.go);
+//     constant (wire.go): the next is 41, since the retired tag 40 lies
+//     above the last live one;
 //   - its AppendWire encoder and decodeX decoder (wire.go), and one row in
 //     the decode table, codecs, at its tag — TagLast follows the table;
 //   - its tag in TestMessageTagsStable, an entry in internal/wire's Corpus,
@@ -56,18 +68,20 @@
 // advance at the writer and not at the reader. TestStreamTagsPinned lists
 // the tags that touch it at the current WireVersion.
 //
-// A type missing its tag or its encoder is not a Message and does not
-// compile; one missing its row, its corpus entry or its seed fails
-// TestEveryMessageTypeIsInTheTable, TestCorpusCoversEveryTag or
-// TestSeedCorpusCommitted. A pooled type (wirepool.go) adds its msgPool,
-// its PooledX constructor, its one-line recycle and its retain (a pooled
-// copy, RetainMessage), and its row uses pooled instead of plain, so it
-// reaches its actor as the pooled pointer however it travelled. No receiver
-// carries a value case for it.
+// A type missing its wireTag is not a Message and does not compile; a wire
+// type missing its encoder, its row, its corpus entry or its seed fails
+// TestMessageTable, TestEveryMessageTypeIsInTheTable,
+// TestCorpusCoversEveryTag or TestSeedCorpusCommitted. A pooled type
+// (wirepool.go) adds its msgPool, its PooledX constructor, its one-line
+// recycle and its retain (a pooled copy, RetainMessage), and a wire type's
+// row uses pooled instead of plain, so it reaches its actor as the pooled
+// pointer however it travelled. No receiver carries a value case for it.
 //
-// A deleted message type's tag is retired, not freed: TagRetired names it,
-// its decode-table row stays empty (it decodes as an unknown tag),
-// TestMessageTagsStable holds it apart from every live tag, and it is never
-// reused. Tags 32 and 33, the rebalance transfer's pull and reply, retired
-// with wire v7.
+// A deleted message type's tag, or one whose message became process-local,
+// is retired, not freed: TagRetired names it, its decode-table row stays
+// empty (it decodes as an unknown tag), TestMessageTagsStable holds it apart
+// from every live tag, and it is never reused. Tags 32 and 33, the rebalance
+// transfer's pull and reply, retired with wire v7; 19 to 21, 23 to 26 and
+// 40, the timers, the WAL offload pair and the simulator's fault injection,
+// with wire v9.
 package model

@@ -4,13 +4,13 @@ import "fmt"
 
 // Message is everything exchanged between actors. All concrete messages are
 // plain-data structs so the same protocol runs over the in-process engines and
-// the TCP transport; each declares its stable wire tag beside its struct and
-// its body encoder in wire.go, so a type missing either is not a Message.
+// the TCP transport. A message that crosses a process declares its stable
+// wire tag beside its struct and its body encoder, AppendWire, in wire.go
+// (wire v9). A process-local message — a timer, the WAL offload pair, a
+// simulator fault — declares only a wireTag of TagInvalid beside its struct:
+// it has no encoding, and the transport refuses it rather than send it.
 type Message interface {
 	wireTag() WireTag
-	// AppendWire encodes the message body (no tag) onto b against the
-	// connection's stream state s, which it advances past the message.
-	AppendWire(b []byte, s *WireStream) []byte
 }
 
 // Attempt distinguishes the restart attempts of one logical transaction.
@@ -629,6 +629,8 @@ type TickMsg struct {
 	Tag uint64
 }
 
+func (TickMsg) wireTag() WireTag { return TagInvalid } // process-local
+
 // ComputeDoneMsg is an issuer-internal timer marking the end of a
 // transaction's local computing phase.
 type ComputeDoneMsg struct {
@@ -636,12 +638,16 @@ type ComputeDoneMsg struct {
 	Attempt Attempt
 }
 
+func (ComputeDoneMsg) wireTag() WireTag { return TagInvalid } // process-local
+
 // RestartMsg is an issuer-internal timer that re-launches a transaction
 // attempt after a rejection or deadlock abort.
 type RestartMsg struct {
 	Txn     TxnID
 	Attempt Attempt
 }
+
+func (RestartMsg) wireTag() WireTag { return TagInvalid } // process-local
 
 // TxnFinishedMsg tells a closed-loop workload driver that one of its
 // transactions reached a terminal state (committed or dropped), freeing a
@@ -654,6 +660,8 @@ type TxnFinishedMsg struct {
 // StopMsg asks an actor to cease scheduling further work (workload drivers).
 type StopMsg struct{}
 
+func (StopMsg) wireTag() WireTag { return TagInvalid } // process-local
+
 // ---------------------------------------------------------------------------
 // Durability / fault-injection plane
 // ---------------------------------------------------------------------------
@@ -663,10 +671,14 @@ type StopMsg struct{}
 // (snapshot + synced log prefix) survives for RecoverMsg. Simulation only.
 type CrashMsg struct{}
 
+func (CrashMsg) wireTag() WireTag { return TagInvalid } // process-local
+
 // RecoverMsg brings a crashed queue manager back: the store is rebuilt from
 // snapshot + log replay, and messages that arrived during the outage are
 // then processed in arrival order.
 type RecoverMsg struct{}
+
+func (RecoverMsg) wireTag() WireTag { return TagInvalid } // process-local
 
 // FlushMsg is a queue-manager-internal group-commit timer: journaled writes
 // accumulated during the window are made durable with one sync. Shard names
@@ -677,6 +689,8 @@ type FlushMsg struct {
 	Shard int32
 }
 
+func (FlushMsg) wireTag() WireTag { return TagInvalid } // process-local
+
 // FlushDoneMsg is a queue-manager-internal sync completion: the WAL sync the
 // shard's FlushMsg started off its mailbox loop (engine.Offload) has
 // returned, and the queues it covered may un-park. Shard routes it back to
@@ -684,6 +698,8 @@ type FlushMsg struct {
 type FlushDoneMsg struct {
 	Shard int32
 }
+
+func (FlushDoneMsg) wireTag() WireTag { return TagInvalid } // process-local
 
 // ---------------------------------------------------------------------------
 // Replication catch-up plane (internal/repl)
@@ -824,15 +840,7 @@ func (SubmitTxnMsg) wireTag() WireTag     { return TagSubmitTxn }
 func (TxnDoneMsg) wireTag() WireTag       { return TagTxnDone }
 func (QueueStatsMsg) wireTag() WireTag    { return TagQueueStats }
 func (EstimateMsg) wireTag() WireTag      { return TagEstimate }
-func (TickMsg) wireTag() WireTag          { return TagTick }
-func (ComputeDoneMsg) wireTag() WireTag   { return TagComputeDone }
-func (RestartMsg) wireTag() WireTag       { return TagRestart }
 func (TxnFinishedMsg) wireTag() WireTag   { return TagTxnFinished }
-func (StopMsg) wireTag() WireTag          { return TagStop }
-func (CrashMsg) wireTag() WireTag         { return TagCrash }
-func (RecoverMsg) wireTag() WireTag       { return TagRecover }
-func (FlushMsg) wireTag() WireTag         { return TagFlush }
-func (FlushDoneMsg) wireTag() WireTag     { return TagFlushDone }
 func (ReplPullMsg) wireTag() WireTag      { return TagReplPull }
 func (ReplRecordsMsg) wireTag() WireTag   { return TagReplRecords }
 func (WrongEpochMsg) wireTag() WireTag    { return TagWrongEpoch }

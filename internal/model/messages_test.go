@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -80,7 +81,7 @@ func TestMessageTable(t *testing.T) {
 		TagSnapReadBatch: true, TagSnapReadReplyBatch: true, TagAbortBatch: true,
 		TagSubmitTxn: true,
 		TagReplPull:  true, TagReplRecords: true, TagWFGReport: true,
-		TagProbeWFG: true, TagQueueStats: true, TagComputeDone: true, TagRestart: true,
+		TagProbeWFG: true, TagQueueStats: true,
 	}
 	for tag := TagRequest; tag <= TagLast; tag++ {
 		m := rowValue(tag)
@@ -121,10 +122,20 @@ func TestMessageTable(t *testing.T) {
 	}
 }
 
-// TestEveryMessageTypeIsInTheTable: the types that declare a wire tag in this
-// package's sources are exactly the decode table's types and the six single
-// per-copy types, whose tags decode as their batch of one, so no message
-// type can encode without a decoder.
+// processLocal are the messages that never leave their process: timers,
+// the WAL offload pair and the simulator's fault injection. They have no
+// wire encoding.
+var processLocal = []Message{
+	TickMsg{}, ComputeDoneMsg{}, RestartMsg{}, StopMsg{},
+	CrashMsg{}, RecoverMsg{}, FlushMsg{}, FlushDoneMsg{},
+}
+
+// TestEveryMessageTypeIsInTheTable: the types that declare wireTag in this
+// package's sources are exactly the decode table's types, the six single
+// per-copy types, whose tags decode as their batch of one, and the
+// process-local types, so no message type can encode without a decoder.
+// A table type encodes (TestMessageTable), and a process-local one has
+// neither a tag nor an encoder, so AppendMessage refuses it.
 func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -161,8 +172,16 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 			table[reflect.TypeOf(m).Name()] = true
 		}
 	}
+	for _, m := range processLocal {
+		_, tagged := MessageTag(m)
+		_, encodes := m.(wireMessage)
+		if _, err := AppendMessage(nil, new(WireStream), m); tagged || encodes || !errors.Is(err, errNoEncoding) {
+			t.Errorf("process-local %T: tag %v, encoder %v, AppendMessage error %v", m, tagged, encodes, err)
+		}
+		table[reflect.TypeOf(m).Name()] = true
+	}
 	if !maps.Equal(declared, table) {
-		t.Fatalf("types declaring wireTag:\n%v\ndecode table's types:\n%v",
+		t.Fatalf("types declaring wireTag:\n%v\ndecode table's and process-local types:\n%v",
 			slices.Sorted(maps.Keys(declared)), slices.Sorted(maps.Keys(table)))
 	}
 }

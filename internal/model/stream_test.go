@@ -62,12 +62,12 @@ func TestAnchorCodes(t *testing.T) {
 // streamTagsVersion is the wire version streamTags was pinned at, and
 // streamTags the tags whose codec reads or writes the stream state at it:
 // every tag whose message carries a transaction id or an anchor stamp.
-const streamTagsVersion = 8
+const streamTagsVersion = 9
 
 var streamTags = []WireTag{
 	TagRequest, TagFinalTS, TagRelease, TagAbort, TagGrant, TagNormalGrant, TagReject, TagBackoff,
 	TagBusy, TagVictim, TagSnapRead, TagSnapReadReply, TagWFGReport, TagSubmitTxn, TagTxnDone,
-	TagQueueStats, TagComputeDone, TagRestart, TagTxnFinished, TagWrongEpoch, TagRequestBatch,
+	TagQueueStats, TagTxnFinished, TagWrongEpoch, TagRequestBatch,
 	TagReleaseBatch, TagGrantBatch, TagSnapReadBatch, TagSnapReadReplyBatch, TagAbortBatch,
 }
 

@@ -9,13 +9,14 @@ import (
 	"sort"
 )
 
-// Wire format v8: every message type carries a stable one-byte tag and an
-// explicit, hand-rolled field encoder — varint integers, IEEE-754 bits for
-// floats, length-prefixed strings and slices, sorted map keys so encoding is
-// deterministic. No reflection anywhere on the path, which is what lets the
-// transport encode and decode messages with zero steady-state allocations
-// (see internal/wire for framing and buffer pooling); the WAL frames its
-// records with the same varint primitives.
+// Wire format v9: every message type that crosses a process carries a
+// stable one-byte tag and an explicit, hand-rolled field encoder — varint
+// integers, IEEE-754 bits for floats, length-prefixed strings and slices,
+// sorted map keys so encoding is deterministic. No reflection anywhere on
+// the path, which is what lets the transport encode and decode messages
+// with zero steady-state allocations (see internal/wire for framing and
+// buffer pooling); the WAL frames its records with the same varint
+// primitives.
 //
 // Stamps are wall-clock microseconds, eight varint bytes each, and the
 // stamps of one message mostly lie within milliseconds of each other. So a
@@ -40,14 +41,16 @@ import (
 // pinned per version (TestStreamTagsPinned).
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v8 to each other, so tags must NEVER be renumbered or
+// builds speak v9 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
-// the transport's handshake refuses to mix.
+// the transport's handshake refuses to mix. A process-local message (a
+// timer, the WAL offload pair, a simulator fault) has no tag and no encoder:
+// its wireTag is TagInvalid, and AppendMessage refuses it.
 
 // WireVersion is the format these encoders speak; internal/transport opens
 // every connection with it.
-const WireVersion = 8
+const WireVersion = 9
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -74,23 +77,16 @@ const (
 	TagTxnDone       WireTag = 16
 	TagQueueStats    WireTag = 17
 	TagEstimate      WireTag = 18
-	TagTick          WireTag = 19
-	TagComputeDone   WireTag = 20
-	TagRestart       WireTag = 21
-	TagTxnFinished   WireTag = 22
-	TagStop          WireTag = 23
-	TagCrash         WireTag = 24
-	TagRecover       WireTag = 25
-	TagFlush         WireTag = 26
-	TagReplPull      WireTag = 27
-	TagReplRecords   WireTag = 28
+	// Tags 19 to 21 (TickMsg, ComputeDoneMsg, RestartMsg) are retired.
+	TagTxnFinished WireTag = 22
+	// Tags 23 to 26 (StopMsg, CrashMsg, RecoverMsg, FlushMsg) are retired.
+	TagReplPull    WireTag = 27
+	TagReplRecords WireTag = 28
 
 	TagWrongEpoch WireTag = 29
 	TagMapInstall WireTag = 30
 	TagMapUpdate  WireTag = 31
-	// Tags 32 and 33 carried the rebalance transfer's pull and reply until
-	// wire v7, when a fill became a ReplPullMsg; they are retired and never
-	// reused (TagRetired).
+	// Tags 32 and 33 (the rebalance transfer's pull and reply) are retired.
 
 	// Batches of two or more copies (a batch of one travels under its single
 	// message's tag, see batchTag).
@@ -102,20 +98,37 @@ const (
 	TagSnapReadReplyBatch WireTag = 38
 
 	TagAbortBatch WireTag = 39
-
-	TagFlushDone WireTag = 40
+	// Tag 40 (FlushDoneMsg) is retired: the next new tag is 41.
 )
 
-// TagLast is the highest assigned tag, the decode table's last row
+// TagLast is the highest live tag, the decode table's last row
 // (corpus-coverage loops range over TagRequest..TagLast, less TagRetired).
+// The retired tag 40 lies above it.
 const TagLast = WireTag(len(codecs) - 1)
 
-// TagRetired reports whether tag belonged to a deleted message type. Its
-// decode-table row stays empty, so it decodes as an unknown tag.
-func TagRetired(tag WireTag) bool { return tag == 32 || tag == 33 }
+// TagRetired reports whether tag belonged to a message type that no longer
+// travels, and is never reused. Its decode-table row is empty, so it decodes
+// as an unknown tag. Tags 32 and 33 retired with wire v7, when a rebalance
+// fill became a ReplPullMsg; 19 to 21, 23 to 26 and 40 with wire v9, when
+// the process-local messages that held them lost their encodings.
+func TagRetired(tag WireTag) bool {
+	switch tag {
+	case 19, 20, 21, 23, 24, 25, 26, 32, 33, 40:
+		return true
+	}
+	return false
+}
 
-// MessageTag returns the tag m travels under; ok is false for nil and for an
-// empty batch, which have no encoding.
+// wireMessage is a Message that crosses a process: one with a tag.
+type wireMessage interface {
+	Message
+	// AppendWire encodes the message body (no tag) onto b against the
+	// connection's stream state s, which it advances past the message.
+	AppendWire(b []byte, s *WireStream) []byte
+}
+
+// MessageTag returns the tag m travels under; ok is false for nil, for an
+// empty batch and for a process-local message, which have no encoding.
 func MessageTag(m Message) (WireTag, bool) {
 	if m == nil {
 		return TagInvalid, false
@@ -139,8 +152,9 @@ var ErrWireCorrupt = errors.New("model: wire payload corrupt")
 // ErrWireUnknownTag reports a message tag this build does not know.
 var ErrWireUnknownTag = errors.New("model: unknown wire message tag")
 
-// errNoEncoding reports a nil message or a batch with no members.
-var errNoEncoding = errors.New("model: nil message or empty batch has no encoding")
+// errNoEncoding reports a nil message, a batch with no members or a
+// process-local message.
+var errNoEncoding = errors.New("model: message has no wire encoding")
 
 // AppendUvarint appends v in unsigned LEB128.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -1256,69 +1270,10 @@ func decodeEstimate(r *WireReader) (m EstimateMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b.
-func (m TickMsg) AppendWire(b []byte, _ *WireStream) []byte { return AppendUvarint(b, m.Tag) }
-
-func decodeTick(r *WireReader) (m TickMsg) {
-	m.Tag = r.Uvarint()
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m ComputeDoneMsg) AppendWire(b []byte, s *WireStream) []byte {
-	b = appendTxnID(b, s, m.Txn)
-	return AppendUvarint(b, uint64(m.Attempt))
-}
-
-func decodeComputeDone(r *WireReader) (m ComputeDoneMsg) {
-	m.Txn = r.txnID()
-	m.Attempt = Attempt(r.Uvarint32())
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m RestartMsg) AppendWire(b []byte, s *WireStream) []byte {
-	b = appendTxnID(b, s, m.Txn)
-	return AppendUvarint(b, uint64(m.Attempt))
-}
-
-func decodeRestart(r *WireReader) (m RestartMsg) {
-	m.Txn = r.txnID()
-	m.Attempt = Attempt(r.Uvarint32())
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b.
 func (m TxnFinishedMsg) AppendWire(b []byte, s *WireStream) []byte { return appendTxnID(b, s, m.Txn) }
 
 func decodeTxnFinished(r *WireReader) (m TxnFinishedMsg) {
 	m.Txn = r.txnID()
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m StopMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m CrashMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m RecoverMsg) AppendWire(b []byte, _ *WireStream) []byte { return b }
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m FlushMsg) AppendWire(b []byte, _ *WireStream) []byte { return AppendVarint(b, int64(m.Shard)) }
-
-func decodeFlush(r *WireReader) (m FlushMsg) {
-	m.Shard = r.Varint32()
-	return m
-}
-
-// AppendWire encodes the message body (no tag) onto b.
-func (m FlushDoneMsg) AppendWire(b []byte, _ *WireStream) []byte {
-	return AppendVarint(b, int64(m.Shard))
-}
-
-func decodeFlushDone(r *WireReader) (m FlushDoneMsg) {
-	m.Shard = r.Varint32()
 	return m
 }
 
@@ -1442,9 +1397,6 @@ func decodeMapUpdate(r *WireReader) (m MapUpdateMsg) {
 	return m
 }
 
-// decodeEmpty decodes a message that has no fields.
-func decodeEmpty[T Message](*WireReader) (m T) { return m }
-
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
@@ -1506,14 +1458,7 @@ var codecs = [...]codec{
 	TagTxnDone:            plain(decodeTxnDone),
 	TagQueueStats:         decodeQueueStatsPooled,
 	TagEstimate:           plain(decodeEstimate),
-	TagTick:               plain(decodeTick),
-	TagComputeDone:        pooled(&computeDonePool, decodeComputeDone),
-	TagRestart:            pooled(&restartPool, decodeRestart),
 	TagTxnFinished:        plain(decodeTxnFinished),
-	TagStop:               plain(decodeEmpty[StopMsg]),
-	TagCrash:              plain(decodeEmpty[CrashMsg]),
-	TagRecover:            plain(decodeEmpty[RecoverMsg]),
-	TagFlush:              plain(decodeFlush),
 	TagReplPull:           decodeReplPullPooled,
 	TagReplRecords:        decodeReplRecordsPooled,
 	TagWrongEpoch:         plain(decodeWrongEpoch),
@@ -1525,7 +1470,6 @@ var codecs = [...]codec{
 	TagSnapReadBatch:      batch(&snapReadBatchPool, snapReadMembers, decodeSnapReadBatch),
 	TagSnapReadReplyBatch: batch(&snapReadReplyBatchPool, snapReadReplyMembers, decodeSnapReadReplyBatch),
 	TagAbortBatch:         batch(&abortBatchPool, abortMembers, decodeAbortBatch),
-	TagFlushDone:          plain(decodeFlushDone),
 }
 
 // The members array each pooled batch keeps, for the batch rows above (a
@@ -1537,15 +1481,16 @@ func grantMembers(p *GrantBatchMsg) []GrantMember                         { retu
 func snapReadMembers(p *SnapReadBatchMsg) []ItemID                        { return p.Members }
 func snapReadReplyMembers(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members }
 
-// AppendMessage appends tag + body. A nil message and an empty batch have no
-// encoding and return an error (the transport NAKs, counts, and drops them
-// rather than wedging the writer).
+// AppendMessage appends tag + body. A nil message, an empty batch and a
+// process-local message have no encoding and return an error (the transport
+// NAKs, counts, and drops them rather than wedging the writer or sending
+// what no peer decodes).
 func AppendMessage(b []byte, s *WireStream, m Message) ([]byte, error) {
 	tag, ok := MessageTag(m)
-	if !ok {
-		return b, errNoEncoding
+	if w, enc := m.(wireMessage); ok && enc {
+		return w.AppendWire(append(b, byte(tag)), s), nil
 	}
-	return m.AppendWire(append(b, byte(tag)), s), nil
+	return b, errNoEncoding
 }
 
 // DecodeMessagePooled decodes the body for tag from r through its

@@ -106,14 +106,7 @@ func TestMessageTagsStable(t *testing.T) {
 		16: TxnDoneMsg{},
 		17: QueueStatsMsg{},
 		18: EstimateMsg{},
-		19: TickMsg{},
-		20: ComputeDoneMsg{},
-		21: RestartMsg{},
 		22: TxnFinishedMsg{},
-		23: StopMsg{},
-		24: CrashMsg{},
-		25: RecoverMsg{},
-		26: FlushMsg{},
 		27: ReplPullMsg{},
 		28: ReplRecordsMsg{},
 		29: WrongEpochMsg{},
@@ -125,7 +118,6 @@ func TestMessageTagsStable(t *testing.T) {
 		37: SnapReadBatchMsg{Members: make([]ItemID, 2)},
 		38: SnapReadReplyBatchMsg{Members: make([]SnapReadReplyMember, 2)},
 		39: AbortBatchMsg{Members: make([]ItemID, 2)},
-		40: FlushDoneMsg{},
 	}
 	for tag, msg := range want {
 		got, ok := MessageTag(msg)
@@ -136,18 +128,27 @@ func TestMessageTagsStable(t *testing.T) {
 	if _, ok := MessageTag(nil); ok {
 		t.Error("nil message must have no tag")
 	}
-	// Tags 32 and 33 (the rebalance transfer's pull and reply) are retired:
-	// no type travels under them and they decode as unknown.
-	for tag := TagRequest; tag <= TagLast; tag++ {
+	// Every tag ever assigned is pinned to a type or retired, never both,
+	// and a retired one decodes as unknown. The retired tag 40 lies above
+	// TagLast, so the loop runs to highestTag: a new type takes tag 41, and
+	// one pinned at 40 fails here.
+	const highestTag = 40
+	retired := 0
+	for tag := TagRequest; tag <= highestTag; tag++ {
 		if _, pinned := want[tag]; pinned == TagRetired(tag) {
 			t.Errorf("tag %d: pinned to a type %v, retired %v; want exactly one", tag, pinned, TagRetired(tag))
 		}
-	}
-	for _, tag := range []WireTag{32, 33} {
+		if !TagRetired(tag) {
+			continue
+		}
+		retired++
 		r := NewWireReader(nil)
-		if _, err := DecodeMessagePooled(tag, &r); !errors.Is(err, ErrWireUnknownTag) || !TagRetired(tag) {
+		if _, err := DecodeMessagePooled(tag, &r); !errors.Is(err, ErrWireUnknownTag) {
 			t.Errorf("retired tag %d decodes with %v", tag, err)
 		}
+	}
+	if TagLast > highestTag || retired != 10 || len(want) != 30 {
+		t.Errorf("TagLast %d (highestTag %d), %d retired tags, %d live: pin the new tag here", TagLast, highestTag, retired, len(want))
 	}
 }
 
@@ -321,7 +322,7 @@ func TestBatchDecodeRejectsFewerThanTwo(t *testing.T) {
 		// A batch body ends with its member count and its members, so the
 		// bodies of no members and of two equal members give the body a
 		// batch of one would have had it not travelled as its single message.
-		var none, twins Message
+		var none, twins wireMessage
 		switch v := g.msg.(type) {
 		case RequestBatchMsg:
 			v.Members = []RequestMember{v.Members[0], v.Members[0]}

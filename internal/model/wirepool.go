@@ -19,16 +19,19 @@ import (
 // copy with RetainMessage.
 //
 // The pooled types are the fixed-size protocol messages (FinalTS,
-// NormalGrant, Reject, Backoff, Busy, ProbeWFG), the issuer's two timers
-// (ComputeDone, Restart), the six per-copy batches (RequestBatch,
-// ReleaseBatch, AbortBatch, GrantBatch, SnapReadBatch, SnapReadReplyBatch)
-// and four messages that carry an array (ReplPull, ReplRecords, WFGReport,
-// QueueStats). A per-copy step always travels as a batch: a batch of one is
-// encoded under its single message's tag (RequestMsg, GrantMsg, ...), and
-// the decoder returns that tag as the pooled batch of one it stands for. The
-// single structs are the members' views (RequestBatchMsg.Request(i)) and the
-// encoding of a batch of one, not messages any actor receives.
-// PooledRequest and PooledGrant remain as senders of those encodings.
+// NormalGrant, Reject, Backoff, Busy, ProbeWFG), the six per-copy batches
+// (RequestBatch, ReleaseBatch, AbortBatch, GrantBatch, SnapReadBatch,
+// SnapReadReplyBatch) and four messages that carry an array (ReplPull,
+// ReplRecords, WFGReport, QueueStats), each decoded by DecodeMessagePooled
+// into its pool, and the issuer's two timers (ComputeDone, Restart), which
+// are process-local: they have no encoding, and only PooledComputeDone and
+// PooledRestart box them, for free, into SetTimer. A per-copy step always
+// travels as a batch: a batch of one is encoded under its single message's
+// tag (RequestMsg, GrantMsg, ...), and the decoder returns that tag as the
+// pooled batch of one it stands for. The single structs are the members'
+// views (RequestBatchMsg.Request(i)) and the encoding of a batch of one, not
+// messages any actor receives. PooledRequest and PooledGrant remain as
+// senders of those encodings.
 //
 // Two types pool on the send side only: the issuer's completion reports,
 // TxnDone to metrics.Collector and TxnFinished to workload.Driver. In
@@ -72,8 +75,8 @@ import (
 //     Estimate, MapInstall, ...) are not pooled: their arrays would pin
 //     arbitrary memory in the pool. They travel as values.
 //
-// A pooled pointer encodes byte-for-byte like the value it holds, so pooled
-// sends cross the transport unchanged. Each pooled type declares, beside its
+// A pooled pointer of a wire type encodes byte-for-byte like the value it
+// holds, so pooled sends cross the transport unchanged. Each pooled type declares, beside its
 // pool, its PooledX constructor and the two pooledMsg methods RecycleMessage
 // and RetainMessage dispatch through.
 
@@ -209,14 +212,16 @@ func (m *ProbeWFGMsg) retain() Message          { return probeWFGPool.box(*m) }
 
 var computeDonePool msgPool[ComputeDoneMsg]
 
-// PooledComputeDone returns v as a pooled *ComputeDoneMsg.
+// PooledComputeDone returns v as a pooled *ComputeDoneMsg (process-local:
+// a timer, never encoded).
 func PooledComputeDone(v ComputeDoneMsg) *ComputeDoneMsg { return computeDonePool.box(v) }
 func (m *ComputeDoneMsg) recycle()                       { computeDonePool.put(m) }
 func (m *ComputeDoneMsg) retain() Message                { return computeDonePool.box(*m) }
 
 var restartPool msgPool[RestartMsg]
 
-// PooledRestart returns v as a pooled *RestartMsg.
+// PooledRestart returns v as a pooled *RestartMsg (process-local: a timer,
+// never encoded).
 func PooledRestart(v RestartMsg) *RestartMsg { return restartPool.box(v) }
 func (m *RestartMsg) recycle()               { restartPool.put(m) }
 func (m *RestartMsg) retain() Message        { return restartPool.box(*m) }

@@ -41,25 +41,10 @@ func RecoverSite(site model.SiteID, atMicros int64) Fault {
 	}
 }
 
-// SlowWAL is a fault that widens site's group-commit window to windowMicros
-// atMicros into the phase — the "disk got slow, batch harder" model: commits
-// wait up to the window for their sync, and each sync covers more of them.
-// Restore with another SlowWAL carrying window 0.
-func SlowWAL(site model.SiteID, atMicros, windowMicros int64) Fault {
-	name := fmt.Sprintf("slow-wal-site-%d", site)
-	if windowMicros == 0 {
-		name = fmt.Sprintf("restore-wal-site-%d", site)
-	}
-	return Fault{
-		Name:     name,
-		AtMicros: atMicros,
-		Apply: func(cl *cluster.Cluster) {
-			cl.SetGroupCommitWindow(site, windowMicros)
-		},
-	}
-}
-
-// SlowWALAll applies SlowWAL to every site at once.
+// SlowWALAll is a fault that widens every site's group-commit window to
+// windowMicros atMicros into the phase — the "disk got slow, batch harder"
+// model: commits wait up to the window for their sync, and each sync covers
+// more of them. Restore with another SlowWALAll carrying window 0.
 func SlowWALAll(atMicros, windowMicros int64) Fault {
 	name := "slow-wal-all"
 	if windowMicros == 0 {

@@ -13,7 +13,7 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 8): a dialer opens every connection with a single
+// Wire format (version 9, ack 0xC9): a dialer opens every connection with a single
 // version byte and sends nothing more until it has read the listener's
 // one-byte ack; then a stream of length-prefixed binary frames follows
 // (internal/wire: stable per-message tags, one-byte actor addresses,
@@ -26,8 +26,11 @@
 // connection whose first byte is not the version rather than decode a
 // misframed stream; a dialer whose peer closes, stalls past
 // handshakeTimeout, or answers a different byte has failed to connect — the
-// same outcome as a refused dial. So a v7 node and a v8 node refuse each
-// other in both directions. Frames carrying a message tag this build
+// same outcome as a refused dial. So a v8 node and a v9 node refuse each
+// other in both directions. A process-local message (a timer, the WAL
+// offload pair, a simulator fault) has no encoding: addressed to a peer, it
+// is dropped like any other unencodable envelope — NAK'd if sheddable,
+// counted in QueueStats' dropped, never written. Frames carrying a message tag this build
 // doesn't know are skipped, not fatal, and leave the stream state alone — a
 // newer peer's appended message types must not sever the stream
 // mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes

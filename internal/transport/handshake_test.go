@@ -109,7 +109,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v8 node: it accepts connections
+// stubPeer is a listener that is not a wire-v9 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -162,8 +162,8 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v8 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6 or v7
+// connection but is not a wire-v9 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6, v7 or v8
 // listener does — fails the dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
@@ -185,6 +185,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"acks as a v5 listener":      readVersionThen([]byte{0xC5}),
 		"acks as a v6 listener":      readVersionThen([]byte{0xC6}),
 		"acks as a v7 listener":      readVersionThen([]byte{0xC7}),
+		"acks as a v8 listener":      readVersionThen([]byte{0xC8}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -421,11 +422,59 @@ func TestEncodeFailureLeavesNoStreamTrace(t *testing.T) {
 	}
 }
 
+// TestLocalMessageToPeerRefused: a process-local message addressed to a
+// peer is refused at the writer, never sent. The tick between two requests
+// is dropped and counted like any unencodable envelope, it reaches no actor
+// at the peer, and the requests around it, whose Seqs and stamps are coded
+// against each other, decode exactly as sent.
+func TestLocalMessageToPeerRefused(t *testing.T) {
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	recv := &recorder{done: make(chan struct{}), want: 2}
+	rtB.Register(engine.QMAddr(1), recv)
+
+	const wall = 1_760_000_000_000_000
+	sent := []model.RequestMsg{
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_000}, Protocol: model.TO, Copy: model.CopyID{Item: 4, Site: 1}, TS: wall},
+		{Txn: model.TxnID{Site: 0, Seq: 1_000_005}, Protocol: model.TO, Copy: model.CopyID{Item: 5, Site: 1}, TS: wall + 260},
+	}
+	to := func(m model.Message) engine.Envelope {
+		return engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: m}
+	}
+	nodeA.forward(to(request(sent[0])))
+	nodeA.forward(to(model.TickMsg{Tag: 7}))
+	nodeA.forward(to(request(sent[1])))
+
+	waitRecorder(t, recv, "the requests around the tick")
+	recv.mu.Lock()
+	defer recv.mu.Unlock()
+	for i, m := range recv.got {
+		if req, ok := m.(model.RequestMsg); !ok || req != sent[i] {
+			t.Fatalf("message %d: %T %+v, want %+v", i, m, m, sent[i])
+		}
+	}
+	if dropped, _ := nodeA.QueueStats(); dropped != 1 {
+		t.Fatalf("droppedSends=%d, want the one process-local envelope", dropped)
+	}
+}
+
 // TestUnknownTagFrameSkipped: a frame carrying a message tag from a NEWER
-// build must be skipped — frames are length-prefixed precisely so the stream
-// survives — with the surrounding known frames delivered in order. Severing
-// would drop whole batches and redial-loop a mixed-build fleet during a
-// rolling upgrade.
+// build, or a retired tag, must be skipped — frames are length-prefixed
+// precisely so the stream survives — with the surrounding known frames
+// delivered in order. Severing would drop whole batches and redial-loop a
+// mixed-build fleet during a rolling upgrade.
 func TestUnknownTagFrameSkipped(t *testing.T) {
 	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
 	defer rtB.Shutdown()
@@ -438,8 +487,9 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 2}
 	rtB.Register(engine.QMAddr(1), recv)
 
-	// Speak the wire by hand: version byte, consume the ack, then three frames —
-	// known, unknown-tag (a future build's message), known.
+	// Speak the wire by hand: version byte, consume the ack, then four frames
+	// — known, unknown-tag (a future build's message), retired-tag (tag 20,
+	// ComputeDoneMsg's until v9), known.
 	c, err := net.Dial("tcp", nodeB.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -453,8 +503,10 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		t.Fatalf("no ack: %v %x", err, ack)
 	}
 	// The known frames carry Seqs and stamps of their own, the second coded
-	// against the first: skipping the future frame must leave the reader's
-	// stream state where the first left it.
+	// against the first: skipping the future and retired frames must leave
+	// the reader's stream state where the first left it. The retired frame's
+	// body is what v8 coded for ComputeDoneMsg{Txn: {0, 1_000_003},
+	// Attempt: 1}: a Seq delta that would move the state if it were read.
 	sent := []model.RequestMsg{
 		{Txn: model.TxnID{Site: 0, Seq: 1_000_000}, Protocol: model.TO, Kind: model.OpWrite,
 			Copy: model.CopyID{Item: 4, Site: 1}, TS: 1_760_000_000_000_000},
@@ -472,9 +524,11 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	future := frameOf(append(hdr, 200, 0xde, 0xad, 0xbe, 0xef))
+	retired := frameOf(append(hdr[:len(hdr):len(hdr)], 20, 0x00, 0x06, 0x01))
 	var stream []byte
 	stream = append(stream, known[:first]...)
 	stream = append(stream, future...)
+	stream = append(stream, retired...)
 	stream = append(stream, known[first:]...)
 	if _, err := c.Write(stream); err != nil {
 		t.Fatal(err)
@@ -488,8 +542,8 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		}
 	}
 	s := nodeB.Wire().Snapshot()
-	if s.UnknownIn != 1 {
-		t.Fatalf("UnknownIn=%d, want 1", s.UnknownIn)
+	if s.UnknownIn != 2 {
+		t.Fatalf("UnknownIn=%d, want 2", s.UnknownIn)
 	}
 	if s.MsgsIn != 2 {
 		t.Fatalf("MsgsIn=%d counted the skipped frame", s.MsgsIn)

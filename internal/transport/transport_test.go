@@ -217,14 +217,19 @@ const v2TickStream = "02677f0301010c57697265456e76656c6f706501ff8000010701084672
 // TickMsg{Tag: 7} (captured from the last build that spoke v3).
 const v3TickStream = "03080002000100001307"
 
+// v8TickFrame is, byte for byte, the frame a wire-v4 to v8 dialer wrote for
+// RI(1)→QM(0) TickMsg{} (v5 changed only the catch-up records, v6 only the
+// queue stats, v7 only the log-shipping pull and reply, and v8 only the
+// transaction Seqs and anchor stamps, which a TickMsg does not carry); v9
+// retired its tag, 19, with its encoding.
+const v8TickFrame = "0401101300"
+
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2, v3, v4, v5, v6 or v7 dialer's whole stream. (A v4 to v7 dialer's
-// TickMsg frame is byte for byte the current one: v5 changed only the
-// catch-up records, v6 only the queue stats, v7 only the log-shipping pull
-// and reply, and v8 only the transaction Seqs and anchor stamps, which a
-// TickMsg does not carry.)
+// v2, v3, v4, v5, v6, v7 or v8 dialer's whole stream. (A v8 dialer's request
+// frame is byte for byte the current one: v9 changed no frame a process
+// sends, only which tags exist.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -237,7 +242,12 @@ func TestWireVersionRejected(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 1}
 	rt.Register(engine.QMAddr(0), recv)
 
-	frame := framesOf(t, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}})
+	frame := framesOf(t, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0),
+		Msg: request(model.RequestMsg{Txn: model.TxnID{Site: 1, Seq: 7}, Copy: model.CopyID{Item: 3}})})
+	tick, err := hex.DecodeString(v8TickFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v2, err := hex.DecodeString(v2TickStream)
 	if err != nil {
 		t.Fatal(err)
@@ -249,20 +259,23 @@ func TestWireVersionRejected(t *testing.T) {
 	streams := map[string][]byte{
 		"v2 dialer":              v2,
 		"v3 dialer":              v3,
-		"v4 dialer":              append([]byte{4}, frame...),
-		"v5 dialer":              append([]byte{5}, frame...),
-		"v6 dialer":              append([]byte{6}, frame...),
-		"v7 dialer":              append([]byte{7}, frame...),
-		"byte 3 then v8 frame":   append([]byte{3}, frame...),
-		"byte 2 then v8 frame":   append([]byte{2}, frame...),
-		"byte 1 then v8 frame":   append([]byte{1}, frame...),
+		"v4 dialer":              append([]byte{4}, tick...),
+		"v5 dialer":              append([]byte{5}, tick...),
+		"v6 dialer":              append([]byte{6}, tick...),
+		"v7 dialer":              append([]byte{7}, tick...),
+		"v8 dialer":              append([]byte{8}, tick...),
+		"v8 dialer's request":    append([]byte{8}, frame...),
+		"byte 3 then v9 frame":   append([]byte{3}, frame...),
+		"byte 2 then v9 frame":   append([]byte{2}, frame...),
+		"byte 1 then v9 frame":   append([]byte{1}, frame...),
 		"ack byte as version":    append([]byte{wireAck}, frame...),
 		"v3 ack byte as version": append([]byte{0xC3}, frame...),
 		"v4 ack byte as version": append([]byte{0xC4}, frame...),
 		"v5 ack byte as version": append([]byte{0xC5}, frame...),
 		"v6 ack byte as version": append([]byte{0xC6}, frame...),
 		"v7 ack byte as version": append([]byte{0xC7}, frame...),
-		"random byte, v8 frame":  append([]byte{0x5a}, frame...),
+		"v8 ack byte as version": append([]byte{0xC8}, frame...),
+		"random byte, v9 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

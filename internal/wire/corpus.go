@@ -11,7 +11,8 @@ import (
 )
 
 // Corpus returns a deterministic mixed-message envelope set: every wire-
-// contract message type appears at least once, and the hot-path protocol
+// contract message type appears at least once (a process-local one, which
+// has no encoding, never), and the hot-path protocol
 // messages (request/grant/release and friends) are weighted the way a real
 // run weights them, so codec benchmarks over the corpus measure what the
 // cluster actually pays per message.
@@ -84,15 +85,7 @@ func Corpus() []engine.Envelope {
 		{Item: 1, Reads: 10, Writes: 5}, {Item: 2, Reads: 20}, {Item: 3, Reads: 30, Writes: -1}, {Item: 4, Writes: 9},
 	}})
 	add(col, ri, 1, model.EstimateMsg{AtMicros: 1 << 42, LambdaR: map[model.ItemID]float64{1: 1.5, 2: 2.25}, LambdaW: map[model.ItemID]float64{1: 0.5}, LambdaA: 4.25, Qr: 0.6, K: 4, U: [3]float64{0.01, 0.02, 0.03}, UPrime: [3]float64{0.005, 0.01, 0.015}, PAbort: 0.02, Pr: 0.1, PwR: 0.12, PB: 0.05, PBW: 0.06})
-	add(ri, ri, 1, model.TickMsg{Tag: 3})
-	add(ri, ri, 1, model.ComputeDoneMsg{Txn: txn, Attempt: 3})
-	add(ri, ri, 1, model.RestartMsg{Txn: txn, Attempt: 4})
 	add(ri, col, 1, model.TxnFinishedMsg{Txn: txn})
-	add(col, ri, 1, model.StopMsg{})
-	add(col, qm, 1, model.CrashMsg{})
-	add(col, qm, 1, model.RecoverMsg{})
-	add(qm, qm, 1, model.FlushMsg{Shard: 3})
-	add(qm, qm, 1, model.FlushDoneMsg{Shard: 3})
 
 	// Log-shipping plane: the periodic catch-up pull with its journal digest
 	// (internal/repl's codec: items 3@10 and 4@5 as varint deltas), the

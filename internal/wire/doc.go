@@ -1,13 +1,15 @@
-// Package wire is the v8 binary codec for everything the cluster exchanges:
-// a hand-rolled, length-prefixed framing of engine.Envelope over the
-// per-message field encoders in internal/model (stable one-byte tags, varint
-// integers, stamps as deltas within a message, transaction Seqs and anchor
-// stamps as deltas from the previous frame's, no reflection anywhere on the
-// path).
+// Package wire is the v9 binary codec for everything the cluster exchanges
+// between processes: a hand-rolled, length-prefixed framing of
+// engine.Envelope over the per-message field encoders in internal/model
+// (stable one-byte tags, varint integers, stamps as deltas within a
+// message, transaction Seqs and anchor stamps as deltas from the previous
+// frame's, no reflection anywhere on the path). A process-local message — a
+// timer, the WAL offload pair, a simulator fault — has no encoding, and a
+// Writer reports an EncodeError for it.
 //
 // # Frame layout
 //
-// A v8 stream is a sequence of frames, each:
+// A v9 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
@@ -73,8 +75,8 @@
 // model.RetainMessage's copy. The rare control-plane messages decode as
 // values and own the slices and maps they carry.
 //
-// The connection handshake (version byte 8, ack 0xC8) lives in
-// internal/transport, which refuses a v7 peer there: the two formats are not
+// The connection handshake (version byte 9, ack 0xC9) lives in
+// internal/transport, which refuses a v8 peer there: the two formats are not
 // mixed on one connection. The WAL reuses the model varint primitives for
 // its segment record payloads, whose format does not follow the wire
 // version; the catch-up batches a ReplRecordsMsg carries are internal/wal's

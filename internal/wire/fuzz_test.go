@@ -27,7 +27,9 @@ import (
 //
 // The seed corpus under testdata/fuzz/FuzzWireRoundTrip holds one encoded
 // payload per wire-contract message type (generated from Corpus(); see
-// TestWriteSeedCorpus in seed_test.go).
+// TestWriteSeedCorpus in seed_test.go). The fuzzer also starts from every
+// corpus envelope and from a frame under each retired tag, which decodes as
+// an unknown tag (TestDecodeUnknownTag).
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, env := range Corpus() {
 		payload, err := payloadOf(env)
@@ -35,6 +37,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(payload)
+	}
+	hdr, err := AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for tag := model.TagRequest; tag < math.MaxUint8; tag++ {
+		if model.TagRetired(tag) {
+			f.Add(append(hdr[:len(hdr):len(hdr)], byte(tag), 3))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := decodePayload(data)
@@ -172,12 +183,6 @@ func restamp(m model.Message, seq uint64, anchor int64) model.Message {
 	case model.WrongEpochMsg:
 		v.Txn.Seq = seq
 		return v
-	case model.ComputeDoneMsg:
-		v.Txn.Seq = seq
-		return v
-	case model.RestartMsg:
-		v.Txn.Seq = seq
-		return v
 	case model.TxnFinishedMsg:
 		v.Txn.Seq = seq
 		return v
@@ -220,7 +225,7 @@ func streamSeeds() []streamSeed {
 	}
 	request, grant, release := pick(is(model.RequestBatchMsg{})), pick(is(model.GrantBatchMsg{})), pick(is(model.ReleaseBatchMsg{}))
 	snapReply, done, stats := pick(is(model.SnapReadReplyBatchMsg{})), pick(is(model.TxnDoneMsg{})), pick(is(model.QueueStatsMsg{}))
-	tick, submit := pick(is(model.TickMsg{})), pick(is(model.SubmitTxnMsg{}))
+	probe, submit := pick(is(model.ProbeWFGMsg{})), pick(is(model.SubmitTxnMsg{}))
 	const wall = 1_760_000_000_000_000
 	const noStamp = int64(model.NoTimestamp)
 	type step struct {
@@ -245,7 +250,7 @@ func streamSeeds() []streamSeed {
 	return []streamSeed{
 		{"hot-path", script(
 			step{submit, 1_000_000, 0}, step{request, 1_000_000, wall}, step{grant, 1_000_000, wall},
-			step{request, 1_000_002, wall + 40}, step{tick, 0, 0}, step{release, 1_000_000, wall + 310},
+			step{request, 1_000_002, wall + 40}, step{probe, 0, 0}, step{release, 1_000_000, wall + 310},
 			step{grant, 1_000_002, wall + 40}, step{done, 1_000_000, wall + 420}, step{stats, 0, wall + 500},
 		), tail},
 		{"extremes", script(

@@ -56,13 +56,12 @@ func TestPooledDecodeEquivalence(t *testing.T) {
 }
 
 // TestPooledTypesAreHotSet pins WHICH corpus messages come back pooled: the
-// fixed-size protocol types and timers, the six bounded batches (of one
-// member, too), the catch-up pull and
-// reply, the wait-for report and the stats report with their bounded arrays,
-// the submit's Txn, and nothing else. Any other variable-size type coming back pooled
-// here means someone pooled a message whose slices or maps would pin memory;
-// a hot type coming back unpooled means the pool silently stopped covering
-// it.
+// fixed-size protocol types, the six bounded batches (of one member, too),
+// the catch-up pull and reply, the wait-for report and the stats report with
+// their bounded arrays, the submit's Txn, and nothing else. Any other
+// variable-size type coming back pooled here means someone pooled a message
+// whose slices or maps would pin memory; a hot type coming back unpooled
+// means the pool silently stopped covering it.
 func TestPooledTypesAreHotSet(t *testing.T) {
 	pooled := map[reflect.Type]bool{
 		reflect.TypeOf(model.SubmitTxnMsg{}):          true,
@@ -82,8 +81,6 @@ func TestPooledTypesAreHotSet(t *testing.T) {
 		reflect.TypeOf(model.BusyMsg{}):               true,
 		reflect.TypeOf(model.ProbeWFGMsg{}):           true,
 		reflect.TypeOf(model.QueueStatsMsg{}):         true,
-		reflect.TypeOf(model.ComputeDoneMsg{}):        true,
-		reflect.TypeOf(model.RestartMsg{}):            true,
 	}
 	for i, env := range Corpus() {
 		payload, err := payloadOf(env)

@@ -26,10 +26,10 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameBytes")
 var ErrTrailingBytes = errors.New("wire: trailing bytes after message")
 
 // EncodeError wraps a per-envelope encoding failure (a message with no
-// encoding — nil, or an empty batch — an address with none, or a frame over
-// MaxFrameBytes). Nothing was written, so
-// the stream is still intact: a writer may skip the envelope and continue,
-// where an I/O error would require retiring the connection.
+// encoding — nil, an empty batch or a process-local message — an address
+// with none, or a frame over MaxFrameBytes). Nothing was written, so the
+// stream is still intact: a writer may skip the envelope and continue, where
+// an I/O error would require retiring the connection.
 type EncodeError struct{ Err error }
 
 func (e *EncodeError) Error() string { return "wire: encode: " + e.Err.Error() }

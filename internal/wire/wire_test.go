@@ -131,14 +131,19 @@ func header(t *testing.T, tag model.WireTag) []byte {
 	return append(b, byte(tag))
 }
 
-// TestDecodeUnknownTag: a tag from a future build errors with
-// ErrWireUnknownTag instead of misparsing.
+// TestDecodeUnknownTag: a tag from a future build, and each retired tag,
+// errors with ErrWireUnknownTag instead of misparsing.
 func TestDecodeUnknownTag(t *testing.T) {
 	if _, err := decodePayload(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("unknown tag: got %v, want ErrWireUnknownTag", err)
 	}
 	if _, err := decodePayload(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("tag 0 must be invalid: got %v", err)
+	}
+	for _, tag := range []model.WireTag{19, 20, 21, 23, 24, 25, 26, 32, 33, 40} {
+		if _, err := decodePayload(append(header(t, tag), 3)); !errors.Is(err, model.ErrWireUnknownTag) {
+			t.Errorf("retired tag %d: got %v, want ErrWireUnknownTag", tag, err)
+		}
 	}
 }
 
@@ -228,7 +233,7 @@ func TestHeaderGoldenBytes(t *testing.T) {
 // accepted only in that form, so each envelope keeps exactly one encoding;
 // the addresses that do not fit it travel in the long form and round-trip.
 func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
-	body, err := model.AppendMessage(nil, new(model.WireStream), model.TickMsg{Tag: 3})
+	body, err := model.AppendMessage(nil, new(model.WireStream), model.ProbeWFGMsg{Round: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		{Kind: 0x7f, ID: math.MaxInt32, Shard: 255},
 		{Kind: engine.KindQM, ID: math.MinInt32},
 	} {
-		env := engine.Envelope{From: a, To: engine.CollectorAddr(), Msg: model.TickMsg{Tag: 3}}
+		env := engine.Envelope{From: a, To: engine.CollectorAddr(), Msg: model.TxnFinishedMsg{Txn: model.TxnID{Site: 1, Seq: 3}}}
 		b, err := payloadOf(env)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
@@ -265,7 +270,7 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		}
 	}
 
-	if _, err := payloadOf(engine.Envelope{From: engine.Addr{Kind: 0x80}, Msg: model.TickMsg{}}); !errors.Is(err, errAddrKind) {
+	if _, err := payloadOf(engine.Envelope{From: engine.Addr{Kind: 0x80}, Msg: model.ProbeWFGMsg{}}); !errors.Is(err, errAddrKind) {
 		t.Errorf("kind 0x80 encoded: %v", err)
 	}
 }
@@ -447,10 +452,11 @@ func TestReaderBufferGrowsGeometrically(t *testing.T) {
 }
 
 // TestEncodeUnknownMessageType: an envelope carrying a message with no
-// encoding — none at all, or a batch with no members — errors instead of
-// emitting a bogus frame.
+// encoding — none at all, a batch with no members, or a process-local
+// message, pooled or not — errors instead of emitting a bogus frame.
 func TestEncodeUnknownMessageType(t *testing.T) {
-	for _, m := range []model.Message{nil, model.RequestBatchMsg{}, &model.GrantBatchMsg{}} {
+	for _, m := range []model.Message{nil, model.RequestBatchMsg{}, &model.GrantBatchMsg{},
+		model.TickMsg{Tag: 3}, &model.RestartMsg{}, model.FlushDoneMsg{Shard: 3}} {
 		if _, err := payloadOf(engine.Envelope{Msg: m}); err == nil {
 			t.Errorf("encoding %T %+v succeeded", m, m)
 		}
