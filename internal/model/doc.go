@@ -28,9 +28,9 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v9
-// contract (wire.go): a stable one-byte WireTag per message type that crosses
-// a process — never renumbered — with explicit varint field encoders, stamps
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v10
+// contract (wire.go): a stable WireTag, at most MaxTag, per message type that
+// crosses a process — never renumbered — with explicit varint field encoders, stamps
 // after a message's anchor encoded as deltas from an earlier stamp of the
 // same message, the anchor and every transaction Seq as deltas from the
 // previous ones on the connection (WireStream), and error-latching decoding
@@ -54,8 +54,10 @@
 // places:
 //
 //   - the struct and its wireTag method (messages.go), returning a new Tag
-//     constant (wire.go): the next is 41, since the retired tag 40 lies
-//     above the last live one;
+//     constant (wire.go): the next is still 41, since the retired tag 40
+//     lies above the last live one, and 63 (MaxTag) is the last there will
+//     ever be: internal/wire's frame header holds the tag in six bits
+//     (TestTagsFitTheHeader);
 //   - its AppendWire encoder and decodeX decoder (wire.go), and one row in
 //     the decode table, codecs, at its tag — TagLast follows the table;
 //   - its tag in TestMessageTagsStable, an entry in internal/wire's Corpus,
@@ -66,7 +68,10 @@
 // (code no transaction id and no anchor): a reader of the same version
 // that predates the tag skips its frame undecoded, so the state would
 // advance at the writer and not at the reader. TestStreamTagsPinned lists
-// the tags that touch it at the current WireVersion.
+// the tags that touch it at the current WireVersion. The frame header's
+// address memo needs no such rule: it is kept per tag, so the skipped
+// frame moved only its own tag's slot at the writer, which no tag the
+// reader knows reads.
 //
 // A type missing its wireTag is not a Message and does not compile; a wire
 // type missing its encoder, its row, its corpus entry or its seed fails

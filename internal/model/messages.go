@@ -6,7 +6,7 @@ import "fmt"
 // plain-data structs so the same protocol runs over the in-process engines and
 // the TCP transport. A message that crosses a process declares its stable
 // wire tag beside its struct and its body encoder, AppendWire, in wire.go
-// (wire v9). A process-local message — a timer, the WAL offload pair, a
+// (wire v10). A process-local message — a timer, the WAL offload pair, a
 // simulator fault — declares only a wireTag of TagInvalid beside its struct:
 // it has no encoding, and the transport refuses it rather than send it.
 type Message interface {

@@ -175,7 +175,7 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 	for _, m := range processLocal {
 		_, tagged := MessageTag(m)
 		_, encodes := m.(wireMessage)
-		if _, err := AppendMessage(nil, new(WireStream), m); tagged || encodes || !errors.Is(err, errNoEncoding) {
+		if _, err := AppendMessage(nil, new(WireStream), m); tagged || encodes || !errors.Is(err, ErrNoEncoding) {
 			t.Errorf("process-local %T: tag %v, encoder %v, AppendMessage error %v", m, tagged, encodes, err)
 		}
 		table[reflect.TypeOf(m).Name()] = true

@@ -62,7 +62,7 @@ func TestAnchorCodes(t *testing.T) {
 // streamTagsVersion is the wire version streamTags was pinned at, and
 // streamTags the tags whose codec reads or writes the stream state at it:
 // every tag whose message carries a transaction id or an anchor stamp.
-const streamTagsVersion = 9
+const streamTagsVersion = 10
 
 var streamTags = []WireTag{
 	TagRequest, TagFinalTS, TagRelease, TagAbort, TagGrant, TagNormalGrant, TagReject, TagBackoff,

@@ -150,21 +150,6 @@ func (t *Txn) Ops() []Op {
 	return ops
 }
 
-// Accesses reports whether the transaction reads or writes item.
-func (t *Txn) Accesses(item ItemID) bool {
-	for _, it := range t.ReadSet {
-		if it == item {
-			return true
-		}
-	}
-	for _, it := range t.WriteSet {
-		if it == item {
-			return true
-		}
-	}
-	return false
-}
-
 // Writes reports whether the transaction writes item.
 func (t *Txn) Writes(item ItemID) bool {
 	for _, it := range t.WriteSet {

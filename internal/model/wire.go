@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// Wire format v9: every message type that crosses a process carries a
+// Wire format v10: every message type that crosses a process carries a
 // stable one-byte tag and an explicit, hand-rolled field encoder — varint
 // integers, IEEE-754 bits for floats, length-prefixed strings and slices,
 // sorted map keys so encoding is deterministic. No reflection anywhere on
@@ -41,16 +41,17 @@ import (
 // pinned per version (TestStreamTagsPinned).
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v9 to each other, so tags must NEVER be renumbered or
+// builds speak v10 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix. A process-local message (a
 // timer, the WAL offload pair, a simulator fault) has no tag and no encoder:
 // its wireTag is TagInvalid, and AppendMessage refuses it.
 
-// WireVersion is the format these encoders speak; internal/transport opens
-// every connection with it.
-const WireVersion = 9
+// WireVersion is the format these encoders and internal/wire's framing
+// speak. internal/transport opens every connection with it and derives its
+// handshake ack from it, so a version bump is this one edit.
+const WireVersion = 10
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -100,6 +101,11 @@ const (
 	TagAbortBatch WireTag = 39
 	// Tag 40 (FlushDoneMsg) is retired: the next new tag is 41.
 )
+
+// MaxTag is the highest tag a message type can ever take: wire v10's frame
+// header holds the tag in its low six bits (internal/wire), so the tags run
+// out at 63 (TestTagsFitTheHeader).
+const MaxTag WireTag = 63
 
 // TagLast is the highest live tag, the decode table's last row
 // (corpus-coverage loops range over TagRequest..TagLast, less TagRetired).
@@ -152,9 +158,9 @@ var ErrWireCorrupt = errors.New("model: wire payload corrupt")
 // ErrWireUnknownTag reports a message tag this build does not know.
 var ErrWireUnknownTag = errors.New("model: unknown wire message tag")
 
-// errNoEncoding reports a nil message, a batch with no members or a
+// ErrNoEncoding reports a nil message, a batch with no members or a
 // process-local message.
-var errNoEncoding = errors.New("model: message has no wire encoding")
+var ErrNoEncoding = errors.New("model: message has no wire encoding")
 
 // AppendUvarint appends v in unsigned LEB128.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -1482,15 +1488,25 @@ func snapReadMembers(p *SnapReadBatchMsg) []ItemID                        { retu
 func snapReadReplyMembers(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members }
 
 // AppendMessage appends tag + body. A nil message, an empty batch and a
-// process-local message have no encoding and return an error (the transport
-// NAKs, counts, and drops them rather than wedging the writer or sending
-// what no peer decodes).
+// process-local message have no encoding and return ErrNoEncoding (the
+// transport NAKs, counts, and drops them rather than wedging the writer or
+// sending what no peer decodes).
 func AppendMessage(b []byte, s *WireStream, m Message) ([]byte, error) {
 	tag, ok := MessageTag(m)
-	if w, enc := m.(wireMessage); ok && enc {
-		return w.AppendWire(append(b, byte(tag)), s), nil
+	if !ok {
+		return b, ErrNoEncoding
 	}
-	return b, errNoEncoding
+	return AppendBody(append(b, byte(tag)), s, m)
+}
+
+// AppendBody appends m's body alone, for a caller that has read m's tag
+// (MessageTag) and writes it itself, as internal/wire's frame header does.
+// A message with no encoding returns ErrNoEncoding.
+func AppendBody(b []byte, s *WireStream, m Message) ([]byte, error) {
+	if w, ok := m.(wireMessage); ok {
+		return w.AppendWire(b, s), nil
+	}
+	return b, ErrNoEncoding
 }
 
 // DecodeMessagePooled decodes the body for tag from r through its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -149,6 +150,21 @@ func TestMessageTagsStable(t *testing.T) {
 	}
 	if TagLast > highestTag || retired != 10 || len(want) != 30 {
 		t.Errorf("TagLast %d (highestTag %d), %d retired tags, %d live: pin the new tag here", TagLast, highestTag, retired, len(want))
+	}
+}
+
+// TestTagsFitTheHeader: internal/wire's frame header holds a tag in six
+// bits, so every decode-table row (TagLast is the last) and every retired
+// tag lie at or below MaxTag, 63. A tag past it would alias a lower one on
+// the wire.
+func TestTagsFitTheHeader(t *testing.T) {
+	if MaxTag != 1<<6-1 {
+		t.Fatalf("MaxTag is %d, want 63: the frame header holds a tag in six bits", MaxTag)
+	}
+	for tag := 0; tag <= math.MaxUint8; tag++ {
+		if (tag < len(codecs) || TagRetired(WireTag(tag))) && WireTag(tag) > MaxTag {
+			t.Errorf("tag %d (TagLast %d, retired %v) lies past MaxTag %d", tag, TagLast, TagRetired(WireTag(tag)), MaxTag)
+		}
 	}
 }
 

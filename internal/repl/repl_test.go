@@ -230,7 +230,7 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 // records carry no Seq or Version: neither is shipped. A catch-up reply ends
 // in a zero epoch and a clear NotReady flag (wire v7).
 func TestShippedBatchGoldenBytes(t *testing.T) {
-	const golden = "12111c043d070229e1a2f3ad078080808080400000ffffffffffffffffff01" +
+	const golden = "dc1211043d070229e1a2f3ad078080808080400000ffffffffffffffffff01" +
 		"feffffffffffffff7f818080808040ffffffff07ffffffff0709008280f28183898506030001010000"
 	want := []wal.Record{
 		{Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, CommitMicros: 1 << 40},

@@ -13,27 +13,29 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 9, ack 0xC9): a dialer opens every connection with a single
-// version byte and sends nothing more until it has read the listener's
-// one-byte ack; then a stream of length-prefixed binary frames follows
-// (internal/wire: stable per-message tags, one-byte actor addresses,
-// explicit varint field encoders with stamps as deltas within a message,
-// pooled buffers, no reflection; zero steady-state encode allocations for
-// the fixed-shape hot-path messages). Each frame codes its transaction Seq
-// and its anchor stamp against the previous frame's on the connection, so
-// the frame writer and reader of a connection carry that state from frame
-// to frame; both are built new with every connection. A listener closes any
-// connection whose first byte is not the version rather than decode a
-// misframed stream; a dialer whose peer closes, stalls past
-// handshakeTimeout, or answers a different byte has failed to connect — the
-// same outcome as a refused dial. So a v8 node and a v9 node refuse each
-// other in both directions. A process-local message (a timer, the WAL
-// offload pair, a simulator fault) has no encoding: addressed to a peer, it
-// is dropped like any other unencodable envelope — NAK'd if sheddable,
-// counted in QueueStats' dropped, never written. Frames carrying a message tag this build
-// doesn't know are skipped, not fatal, and leave the stream state alone — a
-// newer peer's appended message types must not sever the stream
-// mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes
+// Wire format (version 10, ack 0xCA, 0xC0 | the version): a dialer opens
+// every connection with a single version byte and sends nothing more until
+// it has read the listener's one-byte ack; then a stream of
+// length-prefixed binary frames follows (internal/wire: a one-byte header
+// holding the message tag, one-byte actor addresses, explicit varint field
+// encoders with stamps as deltas within a message, pooled buffers, no
+// reflection; zero steady-state encode allocations for the fixed-shape
+// hot-path messages). Each frame codes its transaction Seq and its anchor
+// stamp against the previous frame's on the connection, and leaves out the
+// addresses the last frame of its tag carried, so the frame writer and
+// reader of a connection carry that state from frame to frame; both are
+// built new with every connection. A listener closes any connection whose
+// first byte is not the version rather than decode a misframed stream; a
+// dialer whose peer closes, stalls past handshakeTimeout, or answers a
+// different byte has failed to connect — the same outcome as a refused
+// dial. So a v9 node and a v10 node refuse each other in both directions.
+// A process-local message (a timer, the WAL offload pair, a simulator
+// fault) has no encoding: addressed to a peer, it is dropped like any other
+// unencodable envelope — NAK'd if sheddable, counted in QueueStats'
+// dropped, never written. Frames carrying a message tag this build doesn't
+// know are skipped, not fatal, and leave the stream state and the address
+// memo alone — a newer peer's appended message types must not sever the
+// stream mid-upgrade. Node.Wire() exposes metrics.WireCounters (msgs/bytes
 // each way, completed outbound handshakes, skipped frames).
 //
 // Message ownership: the node is the runtime's uplink and owns every message

@@ -109,7 +109,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v9 node: it accepts connections
+// stubPeer is a listener that is not a wire-v10 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -162,8 +162,8 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v9 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6, v7 or v8
+// connection but is not a wire-v10 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6, v7, v8 or v9
 // listener does — fails the dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
@@ -186,6 +186,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"acks as a v6 listener":      readVersionThen([]byte{0xC6}),
 		"acks as a v7 listener":      readVersionThen([]byte{0xC7}),
 		"acks as a v8 listener":      readVersionThen([]byte{0xC8}),
+		"acks as a v9 listener":      readVersionThen([]byte{0xC9}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -518,13 +519,14 @@ func TestUnknownTagFrameSkipped(t *testing.T) {
 		engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: request(sent[1])})
 	n, k := binary.Uvarint(known)
 	first := k + int(n)
-	// The future frame: valid addresses, tag 200, arbitrary body.
-	hdr, err := wire.AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	future := frameOf(append(hdr, 200, 0xde, 0xad, 0xbe, 0xef))
-	retired := frameOf(append(hdr[:len(hdr):len(hdr)], 20, 0x00, 0x06, 0x01))
+	// The future frame: tag 63, the last a header holds, its addresses left
+	// out as a newer build's later frame of the tag has them, arbitrary
+	// body. The retired frame: tag 20 with both addresses explicit (the
+	// header byte 0xC0|20), RI(1) → QM(2). The second known frame leaves
+	// its addresses out, so it decodes as sent only if neither skipped
+	// frame moved what the first known frame left.
+	future := frameOf([]byte{63, 0xde, 0xad, 0xbe, 0xef})
+	retired := frameOf([]byte{0xC0 | 20, 0x01, 0x12, 0x00, 0x06, 0x01})
 	var stream []byte
 	stream = append(stream, known[:first]...)
 	stream = append(stream, future...)

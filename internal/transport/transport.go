@@ -19,27 +19,28 @@ import (
 )
 
 // WireVersion is the first byte a dialer writes on a fresh connection:
-// version 9, the hand-rolled binary codec (internal/wire) — length-prefixed
+// version 10, the hand-rolled binary codec (internal/wire) — length-prefixed
 // frames of explicitly-encoded envelopes, one-byte actor addresses, stamps
 // as deltas within a message, no reflection, pooled buffers. Every
 // transaction Seq and every message's anchor stamp is coded as the
-// difference from the previous one on the connection, so each connection's
-// frame writer and reader carry that state (model.WireStream) from frame to
-// frame. Version 9 sends every frame version 8 sent byte for byte, but
-// retired the tags of the eight process-local messages (timers, the WAL
-// offload pair, simulator faults), which no longer encode: the decode table
-// and the set of tags that touch the stream state changed. (Version 8
-// introduced that stream state, version 7 changed the log-shipping pull and
-// reply, version 6 the queue stats, version 5 what shipped records are.) A
-// reader that sees any other version byte — a v8 dialer's included — closes
-// the connection instead of feeding misframed bytes to a decoder.
+// difference from the previous one on the connection, and each frame leaves
+// out the addresses the last frame of its tag carried (a one-byte header),
+// so each connection's frame writer and reader carry that state
+// (model.WireStream and the address memo) from frame to frame. (Version 10
+// introduced the header memo; version 9 retired the tags of the
+// process-local messages, version 8 introduced the Seq and stamp state,
+// version 7 changed the log-shipping pull and reply, version 6 the queue
+// stats, version 5 what shipped records are.) A reader that sees any other
+// version byte — a v9 dialer's included — closes the connection instead of
+// feeding misframed bytes to a decoder.
 const WireVersion byte = model.WireVersion
 
 // wireAck is the single byte a listener writes back after reading the
-// version byte. A dialer sends nothing until it has read it: a peer that
-// closes, stalls, or answers anything else — a v8 listener's 0xC8 included —
-// is not a wire-v9 node, and the dial fails.
-const wireAck byte = 0xC9
+// version byte: 0xC0 | the version, so a version bump moves both. A dialer
+// sends nothing until it has read it: a peer that closes, stalls, or
+// answers anything else — a v9 listener's 0xC9 included — is not a
+// wire-v10 node, and the dial fails.
+const wireAck = 0xC0 | WireVersion
 
 // handshakeTimeout bounds the dialer's wait for the ack. A live peer acks in
 // one RTT, so this only fires against something that accepted the connection
@@ -118,7 +119,7 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope as a wire-v9 frame into a buffered writer and flushes once per
+// envelope as a wire-v10 frame into a buffered writer and flushes once per
 // drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
@@ -326,7 +327,7 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	if vb[0] != WireVersion {
-		return // not a wire-v9 dialer (or a port scanner); drop the conn
+		return // not a wire-v10 dialer (or a port scanner); drop the conn
 	}
 	if _, err := c.Write([]byte{wireAck}); err != nil {
 		return

@@ -224,11 +224,17 @@ const v3TickStream = "03080002000100001307"
 // retired its tag, 19, with its encoding.
 const v8TickFrame = "0401101300"
 
+// v9RequestFrame is, byte for byte, the frame a wire-v9 dialer wrote first
+// for RI(1)→QM(0) RequestMsg{Txn: {1, 7}, Copy: {Item: 3}}: the addresses,
+// then the tag, where v10's first frame of a tag carries the header byte
+// before the addresses (v9 sent every frame v8 sent byte for byte).
+const v9RequestFrame = "0e011001020e000600000000000000"
+
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2, v3, v4, v5, v6, v7 or v8 dialer's whole stream. (A v8 dialer's request
-// frame is byte for byte the current one: v9 changed no frame a process
+// v2, v3, v4, v5, v6, v7, v8 or v9 dialer's whole stream. (A v8 dialer's
+// request frame is byte for byte a v9 one: v9 changed no frame a process
 // sends, only which tags exist.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
@@ -248,6 +254,10 @@ func TestWireVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v9Request, err := hex.DecodeString(v9RequestFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v2, err := hex.DecodeString(v2TickStream)
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +274,12 @@ func TestWireVersionRejected(t *testing.T) {
 		"v6 dialer":              append([]byte{6}, tick...),
 		"v7 dialer":              append([]byte{7}, tick...),
 		"v8 dialer":              append([]byte{8}, tick...),
-		"v8 dialer's request":    append([]byte{8}, frame...),
-		"byte 3 then v9 frame":   append([]byte{3}, frame...),
-		"byte 2 then v9 frame":   append([]byte{2}, frame...),
-		"byte 1 then v9 frame":   append([]byte{1}, frame...),
+		"v8 dialer's request":    append([]byte{8}, v9Request...),
+		"v9 dialer":              append([]byte{9}, v9Request...),
+		"v9 dialer, v10 frame":   append([]byte{9}, frame...),
+		"byte 3 then v10 frame":  append([]byte{3}, frame...),
+		"byte 2 then v10 frame":  append([]byte{2}, frame...),
+		"byte 1 then v10 frame":  append([]byte{1}, frame...),
 		"ack byte as version":    append([]byte{wireAck}, frame...),
 		"v3 ack byte as version": append([]byte{0xC3}, frame...),
 		"v4 ack byte as version": append([]byte{0xC4}, frame...),
@@ -275,7 +287,8 @@ func TestWireVersionRejected(t *testing.T) {
 		"v6 ack byte as version": append([]byte{0xC6}, frame...),
 		"v7 ack byte as version": append([]byte{0xC7}, frame...),
 		"v8 ack byte as version": append([]byte{0xC8}, frame...),
-		"random byte, v9 frame":  append([]byte{0x5a}, frame...),
+		"v9 ack byte as version": append([]byte{0xC9}, frame...),
+		"random byte, v10 frame": append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

@@ -38,13 +38,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	hdr, err := AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for tag := model.TagRequest; tag < math.MaxUint8; tag++ {
+	for tag := model.TagRequest; tag <= model.MaxTag; tag++ {
 		if model.TagRetired(tag) {
-			f.Add(append(hdr[:len(hdr):len(hdr)], byte(tag), 3))
+			f.Add(append(header(tag), 3))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,15 +65,25 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // streamStep is the length of one step of a FuzzWireStream script: a corpus
-// pick, then the Seq and the anchor stamp to give it, little-endian.
-const streamStep = 1 + 8 + 8
+// pick, the addresses (streamAddrs[b&7] → streamAddrs[b>>4&7]), then the
+// Seq and the anchor stamp to give it, little-endian.
+const streamStep = 1 + 1 + 8 + 8
+
+// streamAddrs are the addresses a FuzzWireStream step picks from: few, so
+// a tag's frames repeat addresses as often as they change them, and
+// long forms among them.
+var streamAddrs = [8]engine.Addr{
+	engine.RIAddr(1), engine.QMAddr(2), engine.QMShardAddr(2, 1), engine.RIAddr(20),
+	engine.DriverAddr(1), engine.DriverAddr(2), engine.CollectorAddr(), engine.QMShardAddr(0, 3),
+}
 
 // FuzzWireStream sends a run of corpus envelopes through one Writer and
 // reads them back through one Reader, as one connection carries them. The
-// script gives each envelope its corpus pick and the transaction Seq and
-// anchor stamp it carries (restamp), so the run puts every value — 0,
-// NoTimestamp, the int64 extremes, backward jumps — against the stream state
-// the frames before it left. The invariants:
+// script gives each envelope its corpus pick, its addresses and the
+// transaction Seq and anchor stamp it carries (restamp), so the run puts
+// every value — 0, NoTimestamp, the int64 extremes, backward jumps, a
+// repeated or a changed address — against the stream state and the address
+// memo the frames before it left. The invariants:
 //
 //  1. Every envelope decodes exactly as sent, and the stream ends at a frame
 //     boundary.
@@ -99,7 +105,8 @@ func FuzzWireStream(f *testing.F) {
 		var sent []engine.Envelope
 		for ; len(script) >= streamStep; script = script[streamStep:] {
 			env := corpus[int(script[0])%len(corpus)]
-			env.Msg = restamp(env.Msg, binary.LittleEndian.Uint64(script[1:]), int64(binary.LittleEndian.Uint64(script[9:])))
+			env.From, env.To = streamAddrs[script[1]&7], streamAddrs[script[1]>>4&7]
+			env.Msg = restamp(env.Msg, binary.LittleEndian.Uint64(script[2:]), int64(binary.LittleEndian.Uint64(script[10:])))
 			if _, err := w.WriteEnvelope(env); err != nil {
 				t.Fatalf("%T: %v", env.Msg, err)
 			}
@@ -208,8 +215,10 @@ type streamSeed struct {
 
 // streamSeeds are FuzzWireStream's seeds: a hot-path run a few
 // transactions and microseconds apart, the stamps with codes of their own
-// and the int64 extremes against a wall-clock anchor, and Seqs and stamps
-// jumping backwards; each with a tail that decodes, a request frame.
+// and the int64 extremes against a wall-clock anchor, Seqs and stamps
+// jumping backwards, and one tag's frames changing one address, the other
+// or both, long forms included; each with a tail that decodes, a request
+// frame.
 func streamSeeds() []streamSeed {
 	corpus := Corpus()
 	pick := func(want func(model.Message) bool) byte {
@@ -228,15 +237,19 @@ func streamSeeds() []streamSeed {
 	probe, submit := pick(is(model.ProbeWFGMsg{})), pick(is(model.SubmitTxnMsg{}))
 	const wall = 1_760_000_000_000_000
 	const noStamp = int64(model.NoTimestamp)
+	// The addresses of a step: RI(1) → QM(2), QM(2) → RI(1) and
+	// Driver(1) → RI(1) are the hot path's.
+	const riQM, qmRI, drvRI = 0x10, 0x01, 0x04
 	type step struct {
 		pick   byte
+		addrs  byte
 		seq    uint64
 		anchor int64
 	}
 	script := func(steps ...step) []byte {
 		var b []byte
 		for _, s := range steps {
-			b = append(b, s.pick)
+			b = append(b, s.pick, s.addrs)
 			b = binary.LittleEndian.AppendUint64(b, s.seq)
 			b = binary.LittleEndian.AppendUint64(b, uint64(s.anchor))
 		}
@@ -249,18 +262,24 @@ func streamSeeds() []streamSeed {
 	}
 	return []streamSeed{
 		{"hot-path", script(
-			step{submit, 1_000_000, 0}, step{request, 1_000_000, wall}, step{grant, 1_000_000, wall},
-			step{request, 1_000_002, wall + 40}, step{probe, 0, 0}, step{release, 1_000_000, wall + 310},
-			step{grant, 1_000_002, wall + 40}, step{done, 1_000_000, wall + 420}, step{stats, 0, wall + 500},
+			step{submit, drvRI, 1_000_000, 0}, step{request, riQM, 1_000_000, wall}, step{grant, qmRI, 1_000_000, wall},
+			step{request, riQM, 1_000_002, wall + 40}, step{probe, 0x60, 0, 0}, step{release, riQM, 1_000_000, wall + 310},
+			step{grant, qmRI, 1_000_002, wall + 40}, step{done, 0x60, 1_000_000, wall + 420}, step{stats, 0x61, 0, wall + 500},
 		), tail},
 		{"extremes", script(
-			step{request, 1_000_000, wall}, step{request, 1_000_001, 0}, step{request, 1_000_002, noStamp},
-			step{grant, math.MaxUint64, math.MinInt64}, step{release, 0, math.MaxInt64},
-			step{snapReply, 1, -1 - wall}, step{done, math.MaxUint64, noStamp}, step{request, 7, math.MinInt64 + 1},
+			step{request, riQM, 1_000_000, wall}, step{request, riQM, 1_000_001, 0}, step{request, riQM, 1_000_002, noStamp},
+			step{grant, qmRI, math.MaxUint64, math.MinInt64}, step{release, riQM, 0, math.MaxInt64},
+			step{snapReply, qmRI, 1, -1 - wall}, step{done, 0x60, math.MaxUint64, noStamp}, step{request, riQM, 7, math.MinInt64 + 1},
 		), tail},
 		{"backward", script(
-			step{request, 1_000_000, wall}, step{grant, 999_000, wall - 60_000_000}, step{release, 1_000_005, wall + 5},
-			step{snapReply, 3, 1}, step{request, 2, -2}, step{done, 1, wall},
+			step{request, riQM, 1_000_000, wall}, step{grant, qmRI, 999_000, wall - 60_000_000}, step{release, riQM, 1_000_005, wall + 5},
+			step{snapReply, qmRI, 3, 1}, step{request, riQM, 2, -2}, step{done, 0x60, 1, wall},
+		), tail},
+		{"addresses", script(
+			step{submit, drvRI, 1_000_000, 0}, step{submit, 0x05, 1_000_001, 0}, step{submit, drvRI, 1_000_002, 0},
+			step{grant, 0x02, 1_000_000, wall}, step{grant, 0x02, 1_000_001, wall + 30}, step{grant, 0x32, 1_000_002, wall + 60},
+			step{grant, 0x37, 1_000_003, wall + 90}, step{grant, 0x32, 1_000_004, wall + 120},
+			step{request, 0x23, 1_000_005, wall + 150}, step{request, 0x23, 1_000_006, wall + 180}, step{request, riQM, 1_000_007, wall + 210},
 		), tail},
 	}
 }

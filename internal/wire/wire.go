@@ -63,6 +63,20 @@ var errAddrKind = errors.New("wire: actor kind has no address encoding")
 // address has exactly one accepted encoding, like every other field.
 var errLongAddr = fmt.Errorf("%w: long-form address fits one byte", model.ErrWireCorrupt)
 
+// errMemoAddr reports a header that breaks the memo rule: an explicit
+// address equal to the one its tag's last frame carried, which the writer
+// must leave out, or a left-out address where no frame of its tag came
+// before on the stream.
+var errMemoAddr = fmt.Errorf("%w: frame header does not follow the address memo", model.ErrWireCorrupt)
+
+// The frame header byte: the tag in the low six bits (model.MaxTag is 63),
+// and one flag bit per address that says it follows explicitly.
+const (
+	tagMask  = byte(model.MaxTag)
+	fromFlag = 0x40
+	toFlag   = 0x80
+)
+
 // shortAddr reports whether a travels as one byte, kind<<4 | id: shard 0,
 // kind < 8 and 0 ≤ id < 16, which is every address of a cluster of up to 16
 // sites except the queue-manager shards past 0.
@@ -96,66 +110,130 @@ func readAddr(r *model.WireReader) (a engine.Addr, ok bool) {
 	return a, !shortAddr(a)
 }
 
-// AppendHeader encodes an envelope's header, its two addresses, onto b.
-func AppendHeader(b []byte, from, to engine.Addr) ([]byte, error) {
-	b, err := appendAddr(b, from)
-	if err != nil {
-		return b, err
-	}
-	return appendAddr(b, to)
+// addrMemo is the header state of one direction of a connection: per tag,
+// the addresses the last frame of that tag carried. On one connection the
+// frames of one tag nearly always repeat them (every grant batch from a
+// site's queue manager to another site's issuer is QM(s) → RI(i)), so a
+// frame leaves out each address equal to its tag's slot, and the header is
+// one byte. Keyed per tag, so a frame a reader skips for an unknown tag,
+// which moved only its own tag's slot at the writer, leaves every slot a
+// known tag reads in step. A slot changes only for a frame that completed,
+// like model.WireStream: one slot per frame, so an encode or decode that
+// fails has nothing to undo.
+type addrMemo [model.MaxTag + 1]struct {
+	from, to engine.Addr
+	set      bool
 }
 
-// appendEnvelope encodes one envelope payload (header + tagged message)
-// onto b against the stream state s, which it advances.
-func appendEnvelope(b []byte, s *model.WireStream, env engine.Envelope) ([]byte, error) {
-	b, err := AppendHeader(b, env.From, env.To)
-	if err != nil {
-		return b, err
+// appendHeader encodes the header of env, a frame under tag, against m,
+// which it does not change: the header byte, then each address that
+// differs from tag's slot (both, if no frame of tag came before).
+func (m *addrMemo) appendHeader(b []byte, tag model.WireTag, env engine.Envelope) ([]byte, error) {
+	slot := &m[tag]
+	hdr := byte(tag)
+	if !slot.set || env.From != slot.from {
+		hdr |= fromFlag
 	}
-	return model.AppendMessage(b, s, env.Msg)
+	if !slot.set || env.To != slot.to {
+		hdr |= toFlag
+	}
+	b = append(b, hdr)
+	var err error
+	if hdr&fromFlag != 0 {
+		if b, err = appendAddr(b, env.From); err != nil {
+			return b, err
+		}
+	}
+	if hdr&toFlag != 0 {
+		b, err = appendAddr(b, env.To)
+	}
+	return b, err
 }
 
-// decodeEnvelope decodes the header, then the tagged message through
-// model.DecodeMessagePooled, against the stream state r carries. That
-// decodes through a table of func values, so r escapes to the heap: a
+// resolve fills the addresses the header byte hdr left out of env from
+// tag's slot, and rejects a header the writer could not have sent.
+func (m *addrMemo) resolve(hdr byte, tag model.WireTag, env *engine.Envelope) error {
+	slot := &m[tag]
+	if !slot.set {
+		if hdr&(fromFlag|toFlag) != fromFlag|toFlag {
+			return errMemoAddr
+		}
+		return nil
+	}
+	if hdr&fromFlag == 0 {
+		env.From = slot.from
+	} else if env.From == slot.from {
+		return errMemoAddr
+	}
+	if hdr&toFlag == 0 {
+		env.To = slot.to
+	} else if env.To == slot.to {
+		return errMemoAddr
+	}
+	return nil
+}
+
+// put records env as tag's last frame.
+func (m *addrMemo) put(tag model.WireTag, env engine.Envelope) {
+	m[tag].from, m[tag].to, m[tag].set = env.From, env.To, true
+}
+
+// decodeEnvelope decodes one payload, the header and then the message body
+// through model.DecodeMessagePooled, against the stream state r carries and
+// the address memo m, neither of which it advances: the caller commits both
+// once the frame has decoded. The body decodes before the memo is read, so
+// an unknown tag reports ErrWireUnknownTag whatever its flags say. The
+// decode goes through a table of func values, so r escapes to the heap: a
 // Reader decodes through the one it owns.
-func decodeEnvelope(r *model.WireReader) (engine.Envelope, error) {
+func decodeEnvelope(r *model.WireReader, m *addrMemo) (engine.Envelope, model.WireTag, error) {
 	var env engine.Envelope
-	var fromOK, toOK bool
-	env.From, fromOK = readAddr(r)
-	env.To, toOK = readAddr(r)
-	tag := model.WireTag(r.Byte())
+	fromOK, toOK := true, true
+	hdr := r.Byte()
+	tag := model.WireTag(hdr & tagMask)
+	if hdr&fromFlag != 0 {
+		env.From, fromOK = readAddr(r)
+	}
+	if hdr&toFlag != 0 {
+		env.To, toOK = readAddr(r)
+	}
 	if err := r.Err(); err != nil {
-		return engine.Envelope{}, err
+		return engine.Envelope{}, tag, err
 	}
 	if !fromOK || !toOK {
-		return engine.Envelope{}, errLongAddr
+		return engine.Envelope{}, tag, errLongAddr
 	}
 	msg, err := model.DecodeMessagePooled(tag, r)
 	if err != nil {
-		return engine.Envelope{}, err
+		return engine.Envelope{}, tag, err
 	}
 	if r.Remaining() != 0 {
+		err = fmt.Errorf("%w: %d", ErrTrailingBytes, r.Remaining())
+	} else {
+		err = m.resolve(hdr, tag, &env)
+	}
+	if err != nil {
 		model.RecycleMessage(msg)
-		return engine.Envelope{}, fmt.Errorf("%w: %d", ErrTrailingBytes, r.Remaining())
+		return engine.Envelope{}, tag, err
 	}
 	env.Msg = msg
-	return env, nil
+	return env, tag, nil
 }
 
 // Writer frames envelopes onto a buffered writer. It holds the stream state
-// of its connection's direction (model.WireStream), so a connection has one
-// Writer for its life and a new connection a new Writer. Not safe for
-// concurrent use: in the transport each peer's single writer goroutine owns
-// one Writer.
+// of its connection's direction (model.WireStream and the address memo), so
+// a connection has one Writer for its life and a new connection a new
+// Writer. Not safe for concurrent use: in the transport each peer's single
+// writer goroutine owns one Writer.
 type Writer struct {
 	bw      *bufio.Writer
 	scratch []byte
 	// stream is the state the frames written so far left; next is the
 	// frame being encoded's, which becomes stream only once the frame has
 	// encoded, so an envelope that fails with an EncodeError leaves no
-	// trace (the reader never sees it).
+	// trace (the reader never sees it). memo's one slot a frame moves is
+	// set at the same point.
 	stream, next model.WireStream
+	memo         addrMemo
 }
 
 // NewWriter wraps bw, starting from a fresh connection's stream state.
@@ -169,21 +247,28 @@ func NewWriter(bw *bufio.Writer) *Writer {
 // writer (no flush). It returns the frame size in bytes.
 //
 // The frame is assembled entirely inside the writer's persistent scratch —
-// payload encoded after a reserved header area, the uvarint length then
-// written backwards against the payload — so the write is one contiguous
-// slice of already-heap-resident memory and the steady-state path allocates
-// nothing (a stack-local header array would escape through the io.Writer
-// interface on every call).
+// payload encoded after an area reserved for the length prefix, the uvarint
+// length then written backwards against the payload — so the write is one
+// contiguous slice of already-heap-resident memory and the steady-state
+// path allocates nothing (a stack-local length array would escape through
+// the io.Writer interface on every call).
 func (w *Writer) WriteEnvelope(env engine.Envelope) (int, error) {
-	const hdrMax = binary.MaxVarintLen64
-	var hdrZero [hdrMax]byte
-	w.next = w.stream
-	buf, err := appendEnvelope(append(w.scratch[:0], hdrZero[:]...), &w.next, env)
+	const lenMax = binary.MaxVarintLen64
+	var lenZero [lenMax]byte
+	tag, ok := model.MessageTag(env.Msg)
+	if !ok {
+		return 0, &EncodeError{Err: model.ErrNoEncoding}
+	}
+	buf, err := w.memo.appendHeader(append(w.scratch[:0], lenZero[:]...), tag, env)
 	if err != nil {
 		return 0, &EncodeError{Err: err}
 	}
+	w.next = w.stream
+	if buf, err = model.AppendBody(buf, &w.next, env.Msg); err != nil {
+		return 0, &EncodeError{Err: err}
+	}
 	w.scratch = buf[:0] // keep the grown buffer
-	payloadLen := len(buf) - hdrMax
+	payloadLen := len(buf) - lenMax
 	if payloadLen > MaxFrameBytes {
 		// Don't pin the pathological buffer for the connection's lifetime
 		// (the pool would refuse it at Release for the same reason).
@@ -191,7 +276,8 @@ func (w *Writer) WriteEnvelope(env engine.Envelope) (int, error) {
 		return 0, &EncodeError{Err: ErrFrameTooLarge}
 	}
 	w.stream = w.next
-	start := hdrMax - uvarintLen(uint64(payloadLen))
+	w.memo.put(tag, env)
+	start := lenMax - uvarintLen(uint64(payloadLen))
 	binary.PutUvarint(buf[start:], uint64(payloadLen))
 	if _, err := w.bw.Write(buf[start:]); err != nil {
 		return 0, err
@@ -211,19 +297,20 @@ func (w *Writer) Release() {
 // Reader decodes frames from a buffered reader. The payload buffer grows to
 // the largest frame seen and is reused for every subsequent frame; decoded
 // messages never alias it (slice-carrying messages copy out during decode).
-// Like a Writer it holds its connection's stream state, so a connection has
-// one Reader for its life.
+// Like a Writer it holds its connection's stream state and address memo, so
+// a connection has one Reader for its life.
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
 	// wr decodes each payload; it lives here, already on the heap, because
 	// the decoders it is passed to make it escape.
 	wr model.WireReader
-	// stream is the state the frames decoded so far left. A frame advances
-	// it only once it has decoded: an unknown tag is rejected before its
-	// body is read, so a frame skipped for one leaves no trace, as on the
-	// writing side.
+	// stream is the state the frames decoded so far left, and memo their
+	// addresses. A frame advances both only once it has decoded: an
+	// unknown tag is rejected before its body or the memo is read, so a
+	// frame skipped for one leaves no trace, as on the writing side.
 	stream model.WireStream
+	memo   addrMemo
 }
 
 // NewReader wraps br, starting from a fresh connection's stream state.
@@ -248,12 +335,12 @@ func NewReader(br *bufio.Reader) *Reader {
 // io.ErrUnexpectedEOF, and a malformed payload a decode error. I/O errors
 // lose framing and the stream must be abandoned, but an unknown tag does
 // not: the payload was fully consumed before decoding and the stream state
-// is untouched, so the caller may skip the frame and continue — the
-// transport does exactly that for model.ErrWireUnknownTag, so a newer peer's
-// appended message types don't sever a stream between builds of one wire
-// version. Any other decode error leaves the reader at a frame boundary
-// too, but the writer advanced its stream state past the frame, so the
-// frames after it do not decode as sent.
+// and the address memo are untouched, so the caller may skip the frame and
+// continue — the transport does exactly that for model.ErrWireUnknownTag,
+// so a newer peer's appended message types don't sever a stream between
+// builds of one wire version. Any other decode error leaves the reader at
+// a frame boundary too, but the writer advanced its stream state and its
+// memo past the frame, so the frames after it do not decode as sent.
 func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
 	payload, frameBytes, err := r.readFrame()
 	if err != nil {
@@ -261,9 +348,10 @@ func (r *Reader) ReadEnvelopePooled() (engine.Envelope, int, error) {
 	}
 	// Frame fully consumed; a decode error is per-frame, not per-stream.
 	r.wr = model.NewStreamReader(payload, r.stream)
-	env, err := decodeEnvelope(&r.wr)
+	env, tag, err := decodeEnvelope(&r.wr, &r.memo)
 	if err == nil {
 		r.stream = r.wr.Stream()
+		r.memo.put(tag, env)
 	}
 	return env, frameBytes, err
 }

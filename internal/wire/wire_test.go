@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ucc/internal/engine"
@@ -29,6 +30,20 @@ func payloadOf(env engine.Envelope) ([]byte, error) {
 	}
 	_, n := binary.Uvarint(sink.Bytes())
 	return sink.Bytes()[n:], nil
+}
+
+// freshPayload is env's payload as a fresh connection's first frame,
+// encoded without a Writer: both addresses explicit, the stream state zero.
+func freshPayload(env engine.Envelope) ([]byte, error) {
+	tag, ok := model.MessageTag(env.Msg)
+	if !ok {
+		return nil, model.ErrNoEncoding
+	}
+	b, err := new(addrMemo).appendHeader(nil, tag, env)
+	if err != nil {
+		return nil, err
+	}
+	return model.AppendBody(b, new(model.WireStream), env.Msg)
 }
 
 // frameOf length-prefixes a payload, as a Writer does.
@@ -120,28 +135,29 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	}
 }
 
-// header returns the header of a hand-built frame, RI(1) → QM(2), followed
-// by tag.
-func header(t *testing.T, tag model.WireTag) []byte {
-	t.Helper()
-	b, err := AppendHeader(nil, engine.RIAddr(1), engine.QMAddr(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(b, byte(tag))
+// header returns the header a fresh connection's first frame under tag
+// carries from RI(1) to QM(2): both flags set, both addresses explicit.
+func header(tag model.WireTag) []byte {
+	return []byte{fromFlag | toFlag | byte(tag), 0x01, 0x12}
 }
 
-// TestDecodeUnknownTag: a tag from a future build, and each retired tag,
-// errors with ErrWireUnknownTag instead of misparsing.
+// TestDecodeUnknownTag: every tag a future build may take (41 to 63), and
+// each retired tag, errors with ErrWireUnknownTag instead of misparsing,
+// with its addresses explicit or left out.
 func TestDecodeUnknownTag(t *testing.T) {
-	if _, err := decodePayload(header(t, 200)); !errors.Is(err, model.ErrWireUnknownTag) {
-		t.Fatalf("unknown tag: got %v, want ErrWireUnknownTag", err)
-	}
-	if _, err := decodePayload(header(t, model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
+	if _, err := decodePayload(header(model.TagInvalid)); !errors.Is(err, model.ErrWireUnknownTag) {
 		t.Fatalf("tag 0 must be invalid: got %v", err)
 	}
+	for tag := model.TagLast + 1; tag <= model.MaxTag; tag++ {
+		if _, err := decodePayload(append(header(tag), 3)); !errors.Is(err, model.ErrWireUnknownTag) {
+			t.Errorf("future tag %d: got %v, want ErrWireUnknownTag", tag, err)
+		}
+		if _, err := decodePayload([]byte{byte(tag), 3}); !errors.Is(err, model.ErrWireUnknownTag) {
+			t.Errorf("future tag %d, addresses left out: got %v, want ErrWireUnknownTag", tag, err)
+		}
+	}
 	for _, tag := range []model.WireTag{19, 20, 21, 23, 24, 25, 26, 32, 33, 40} {
-		if _, err := decodePayload(append(header(t, tag), 3)); !errors.Is(err, model.ErrWireUnknownTag) {
+		if _, err := decodePayload(append(header(tag), 3)); !errors.Is(err, model.ErrWireUnknownTag) {
 			t.Errorf("retired tag %d: got %v, want ErrWireUnknownTag", tag, err)
 		}
 	}
@@ -151,7 +167,7 @@ func TestDecodeUnknownTag(t *testing.T) {
 // the payload could possibly back must error immediately (no giant
 // allocation, no hang). Construct a WFG report whose edge count is huge.
 func TestOversizedElementCounts(t *testing.T) {
-	b := header(t, model.TagWFGReport)
+	b := header(model.TagWFGReport)
 	b = model.AppendVarint(b, 2)      // From
 	b = model.AppendUvarint(b, 1)     // Round
 	b = model.AppendUvarint(b, 1<<40) // Edges count: absurd
@@ -160,7 +176,7 @@ func TestOversizedElementCounts(t *testing.T) {
 	}
 
 	// Same for a string length (Txn.Class) far past the payload end.
-	b = append(header(t, model.TagSubmitTxn), 1)
+	b = append(header(model.TagSubmitTxn), 1)
 	b = model.AppendVarint(b, 1)      // ID.Site
 	b = model.AppendUvarint(b, 9)     // ID.Seq
 	b = append(b, 0)                  // Protocol
@@ -178,7 +194,7 @@ func TestOversizedElementCounts(t *testing.T) {
 // is corrupt or truncated, never a shorter report.
 func TestQueueStatsDecodeRejects(t *testing.T) {
 	report := func(count uint64, entries ...uint64) []byte {
-		b := header(t, model.TagQueueStats)
+		b := header(model.TagQueueStats)
 		b = model.AppendVarint(b, 2)         // From
 		b = model.AppendVarint(b, 1_000_000) // AtMicros
 		b = model.AppendUvarint(b, 200_000)  // AtMicros − SinceMicros
@@ -209,22 +225,43 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestHeaderGoldenBytes pins both address forms: one byte kind<<4 | id, and
-// the marker 0x80|kind, the shard and the zig-zag id.
+// TestHeaderGoldenBytes pins the v10 frame header: the header byte (the
+// tag in six bits, 0x40 when from follows, 0x80 when to follows), then the
+// explicit addresses, each in one of two forms — one byte kind<<4 | id, or
+// the marker 0x80|kind, the shard and the zig-zag id. A fresh stream's
+// first frame of a tag carries both; a later frame of the tag leaves out
+// each address equal to the last frame of its tag's. The messages are
+// ProbeWFGMsg{Round: 3} (tag 14, body 03), which codes nothing against the
+// stream, and TxnFinishedMsg (tag 22) to show the memo is per tag.
 func TestHeaderGoldenBytes(t *testing.T) {
-	for _, g := range []struct {
+	round3 := model.ProbeWFGMsg{Round: 3}
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	for i, g := range []struct {
 		from, to engine.Addr
+		msg      model.Message
 		hex      string
 	}{
-		{engine.RIAddr(1), engine.QMAddr(2), "0112"},
-		{engine.QMShardAddr(2, 3), engine.RIAddr(20), "810304800028"},
+		{engine.RIAddr(1), engine.QMAddr(2), round3, "ce0112" + "03"},
+		{engine.RIAddr(1), engine.QMAddr(2), round3, "0e" + "03"},
+		{engine.RIAddr(1), engine.QMAddr(2), model.TxnFinishedMsg{}, "d60112" + "0000"},
+		{engine.RIAddr(3), engine.QMAddr(2), round3, "4e03" + "03"},
+		{engine.RIAddr(3), engine.QMAddr(4), round3, "8e14" + "03"},
+		{engine.QMShardAddr(2, 3), engine.RIAddr(20), round3, "ce810304800028" + "03"},
+		{engine.QMShardAddr(2, 3), engine.RIAddr(20), round3, "0e" + "03"},
+		{engine.RIAddr(1), engine.QMAddr(2), model.TxnFinishedMsg{}, "16" + "0000"},
 	} {
-		b, err := AppendHeader(nil, g.from, g.to)
-		if err != nil {
+		sink.Reset()
+		bw.Reset(&sink)
+		if _, err := w.WriteEnvelope(engine.Envelope{From: g.from, To: g.to, Msg: g.msg}); err != nil {
 			t.Fatal(err)
 		}
-		if got := hex.EncodeToString(b); got != g.hex {
-			t.Errorf("%v → %v encodes to %s, want %s", g.from, g.to, got, g.hex)
+		bw.Flush()
+		_, n := binary.Uvarint(sink.Bytes())
+		if got := hex.EncodeToString(sink.Bytes()[n:]); got != g.hex {
+			t.Errorf("frame %d, %v → %v %T: payload %s, want %s", i, g.from, g.to, g.msg, got, g.hex)
 		}
 	}
 }
@@ -237,13 +274,13 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, _ := AppendHeader(nil, engine.RIAddr(1), engine.RIAddr(1))
-	long := []byte{0x80 | byte(engine.KindRI), 0, 2} // RI(1), shard 0, varint id
-	for name, hdr := range map[string][]byte{
-		"long from": append(append(long[:3:3], short[1]), body...),
-		"long to":   append(append(short[:1:1], long...), body...),
+	hdr, short := fromFlag|toFlag|body[0], byte(0x01) // RI(1) in one byte
+	long := []byte{0x80 | byte(engine.KindRI), 0, 2}  // RI(1), shard 0, varint id
+	for name, payload := range map[string][]byte{
+		"long from": slices.Concat([]byte{hdr}, long, []byte{short}, body[1:]),
+		"long to":   slices.Concat([]byte{hdr, short}, long, body[1:]),
 	} {
-		if _, err := decodePayload(hdr); !errors.Is(err, model.ErrWireCorrupt) {
+		if _, err := decodePayload(payload); !errors.Is(err, model.ErrWireCorrupt) {
 			t.Errorf("%s: got %v, want ErrWireCorrupt", name, err)
 		}
 	}
@@ -261,8 +298,8 @@ func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		if b[0] < 0x80 {
-			t.Errorf("%v encoded in the one-byte form %#x", a, b[0])
+		if b[1] < 0x80 {
+			t.Errorf("%v encoded in the one-byte form %#x", a, b[1])
 		}
 		got, err := decodePayload(b)
 		if err != nil || got != env {
@@ -382,7 +419,7 @@ func TestStreamSkipsLeaveNoTrace(t *testing.T) {
 	}
 	write(sent[1])
 	bw.Flush()
-	sink.Write(frameOf(append(header(t, 200), 0x80, 0x89, 0x7a))) // a newer build's tag
+	sink.Write(frameOf(append(header(model.MaxTag), 0x80, 0x89, 0x7a))) // a newer build's tag
 	write(sent[2])
 	bw.Flush()
 
@@ -404,6 +441,210 @@ func TestStreamSkipsLeaveNoTrace(t *testing.T) {
 		}
 		model.RecycleMessage(got.Msg)
 	}
+}
+
+// writeFrames frames envs through w, flushes, and returns each frame.
+func writeFrames(t *testing.T, w *Writer, bw *bufio.Writer, sink *bytes.Buffer, envs ...engine.Envelope) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for _, env := range envs {
+		if _, err := w.WriteEnvelope(env); err != nil {
+			t.Fatalf("%v → %v %T: %v", env.From, env.To, env.Msg, err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, slices.Clone(sink.Bytes()))
+		sink.Reset()
+	}
+	return frames
+}
+
+// readFrames reads the frames of stream through one Reader and checks
+// each against want: an envelope to decode exactly, or, where want's
+// message is nil, a frame that fails with wantErr.
+func readFrames(t *testing.T, stream []byte, want []engine.Envelope, wantErr error) {
+	t.Helper()
+	r := NewReader(bufio.NewReader(bytes.NewReader(stream)))
+	defer r.Release()
+	for i, w := range want {
+		got, _, err := r.ReadEnvelopePooled()
+		if w.Msg == nil {
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("frame %d: got %v, want %v", i, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("frame %d (%v → %v %T): %v", i, w.From, w.To, w.Msg, err)
+		}
+		if kept := valueEnvelope(got); !reflect.DeepEqual(w, kept) {
+			t.Fatalf("frame %d mismatch:\n in: %+v\nout: %+v", i, w, kept)
+		}
+		model.RecycleMessage(got.Msg)
+	}
+	if _, _, err := r.ReadEnvelopePooled(); err != io.EOF {
+		t.Fatalf("stream end: got %v, want io.EOF", err)
+	}
+}
+
+// probe is an envelope whose body, ProbeWFGMsg{Round: 3} (tag 14, body 03),
+// codes nothing against the stream state, so its payload is its header
+// and one byte.
+func probe(from, to engine.Addr) engine.Envelope {
+	return engine.Envelope{From: from, To: to, Msg: model.ProbeWFGMsg{Round: 3}}
+}
+
+// TestMemoRefusedFrameLeavesSlots: an envelope the Writer refuses with an
+// EncodeError — a frame over MaxFrameBytes, an address with no encoding, a
+// process-local message — leaves every slot of its address memo as it
+// was, so the next frame of the tag still leaves out the addresses the
+// reader holds.
+func TestMemoRefusedFrameLeavesSlots(t *testing.T) {
+	batch := func(from, to engine.Addr, items int) engine.Envelope {
+		m := model.RequestBatchMsg{Txn: model.TxnID{Site: 1, Seq: 9}, CopySite: 2, Members: make([]model.RequestMember, items)}
+		for i := range m.Members {
+			m.Members[i].Item = 1<<28 + model.ItemID(i) // six bytes a member
+		}
+		return engine.Envelope{From: from, To: to, Msg: m}
+	}
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	sent := batch(engine.RIAddr(1), engine.QMAddr(2), 2)
+	first := writeFrames(t, w, bw, &sink, sent)[0]
+	memo := w.memo
+	for name, env := range map[string]engine.Envelope{
+		"oversized":           batch(engine.RIAddr(3), engine.QMAddr(4), MaxFrameBytes/6+1),
+		"no address encoding": batch(engine.RIAddr(3), engine.Addr{Kind: 0x80}, 2),
+		"process-local":       {From: engine.RIAddr(3), To: engine.QMAddr(4), Msg: model.TickMsg{Tag: 1}},
+	} {
+		var ee *EncodeError
+		if _, err := w.WriteEnvelope(env); !errors.As(err, &ee) {
+			t.Fatalf("%s: got %v, want an EncodeError", name, err)
+		}
+		if w.memo != memo {
+			t.Errorf("%s: a refused envelope moved the address memo", name)
+		}
+	}
+	bw.Reset(&sink)
+	second := writeFrames(t, w, bw, &sink, sent)[0]
+	if len(second) != len(first)-2 {
+		t.Errorf("the frame after the refusals is %d bytes, want %d: both addresses left out", len(second), len(first)-2)
+	}
+	readFrames(t, slices.Concat(first, second), []engine.Envelope{sent, sent}, nil)
+}
+
+// TestMemoSkippedTagsLeaveSlots: frames a reader skips — tags 41 and 63,
+// which a newer build of the version may send, with their addresses left
+// out (that build's second frame of the tag) or explicit, and the retired
+// tag 20 — touch no slot. The frames of known tags around them, coded by a
+// Writer that never saw the skipped frames, decode exactly: one with both
+// addresses left out, one with its from changed.
+func TestMemoSkippedTagsLeaveSlots(t *testing.T) {
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	known := []engine.Envelope{
+		probe(engine.RIAddr(1), engine.QMAddr(2)), probe(engine.RIAddr(1), engine.QMAddr(2)), probe(engine.RIAddr(3), engine.QMAddr(2)),
+	}
+	frames := writeFrames(t, w, bw, &sink, known...)
+	if len(frames[1]) != 3 {
+		t.Fatalf("the second frame is %x: want its addresses left out", frames[1])
+	}
+	// RI(7) → QM(9) explicit, where a slot moved by the frame would spoil
+	// the known frames after it.
+	skipped := [][]byte{
+		frameOf([]byte{41, 0xde, 0xad}),
+		frameOf([]byte{fromFlag | toFlag | 63, 0x07, 0x19, 0xbe}),
+		frameOf([]byte{fromFlag | toFlag | 20, 0x07, 0x19, 0x00, 0x06, 0x01}),
+		frameOf([]byte{toFlag | 20, 0x19, 0x00, 0x06, 0x01}),
+	}
+	stream := slices.Concat(append([][]byte{frames[0]}, append(skipped, frames[1:]...)...)...)
+	want := append([]engine.Envelope{known[0]}, make([]engine.Envelope, len(skipped))...)
+	readFrames(t, stream, append(want, known[1:]...), model.ErrWireUnknownTag)
+}
+
+// TestMemoFreshPairStartsEmpty: a new Writer and Reader, as a reconnect
+// builds, start with empty memos at both ends. The new Writer's first
+// frame carries both addresses, byte for byte the old Writer's first, and
+// a new Reader refuses a frame that leaves out addresses it never saw.
+func TestMemoFreshPairStartsEmpty(t *testing.T) {
+	env := probe(engine.RIAddr(1), engine.QMAddr(2))
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	old := writeFrames(t, w, bw, &sink, env, env)
+	w.Release()
+	w = NewWriter(bw)
+	defer w.Release()
+	if fresh := writeFrames(t, w, bw, &sink, env)[0]; !bytes.Equal(fresh, old[0]) {
+		t.Errorf("a new Writer's first frame is %x, want %x: a fresh stream's", fresh, old[0])
+	}
+	readFrames(t, old[1], []engine.Envelope{{}}, model.ErrWireCorrupt)
+	readFrames(t, slices.Concat(old...), []engine.Envelope{env, env}, nil)
+}
+
+// TestMemoRejectsNonCanonicalHeaders: every frame has exactly one header,
+// so a reader refuses as ErrWireCorrupt an explicit address equal to its
+// tag's slot, which the writer must have left out, and a left-out address
+// with no slot to fill it — on a fresh stream, or where only another tag's
+// frames came before.
+func TestMemoRejectsNonCanonicalHeaders(t *testing.T) {
+	first := frameOf([]byte{fromFlag | toFlag | 14, 0x01, 0x12, 0x03}) // RI(1) → QM(2)
+	for name, c := range map[string]struct {
+		before, frame []byte
+	}{
+		"explicit from equal to the slot":  {first, []byte{fromFlag | 14, 0x01, 0x03}},
+		"explicit to equal to the slot":    {first, []byte{toFlag | 14, 0x12, 0x03}},
+		"both explicit, equal to the slot": {first, []byte{fromFlag | toFlag | 14, 0x01, 0x12, 0x03}},
+		"from left out, fresh stream":      {nil, []byte{toFlag | 14, 0x12, 0x03}},
+		"to left out, fresh stream":        {nil, []byte{fromFlag | 14, 0x01, 0x03}},
+		"both left out, fresh stream":      {nil, []byte{14, 0x03}},
+		"left out, another tag's slot":     {first, []byte{22, 0x00, 0x00}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := []engine.Envelope{{}}
+			if c.before != nil {
+				want = []engine.Envelope{probe(engine.RIAddr(1), engine.QMAddr(2)), {}}
+			}
+			readFrames(t, append(c.before[:len(c.before):len(c.before)], frameOf(c.frame)...), want, model.ErrWireCorrupt)
+		})
+	}
+	// The one header of each change from the slot decodes.
+	readFrames(t, slices.Concat(first,
+		frameOf([]byte{fromFlag | 14, 0x03, 0x03}),
+		frameOf([]byte{toFlag | 14, 0x14, 0x03}),
+		frameOf([]byte{14, 0x03})),
+		[]engine.Envelope{probe(engine.RIAddr(1), engine.QMAddr(2)), probe(engine.RIAddr(3), engine.QMAddr(2)),
+			probe(engine.RIAddr(3), engine.QMAddr(4)), probe(engine.RIAddr(3), engine.QMAddr(4))}, nil)
+}
+
+// TestMemoLongAddresses: long-form addresses — queue-manager shards past
+// 0, an id past 15 — are left out and restored like one-byte ones, and a
+// shard that differs from the slot's in nothing but its shard is a
+// different address.
+func TestMemoLongAddresses(t *testing.T) {
+	envs := []engine.Envelope{
+		probe(engine.QMShardAddr(2, 1), engine.RIAddr(1)),
+		probe(engine.QMShardAddr(2, 1), engine.RIAddr(1)),
+		probe(engine.QMShardAddr(2, 1), engine.RIAddr(20)),
+		probe(engine.QMShardAddr(2, 3), engine.RIAddr(20)),
+		probe(engine.QMShardAddr(2, 3), engine.RIAddr(20)),
+	}
+	var sink bytes.Buffer
+	bw := bufio.NewWriter(&sink)
+	w := NewWriter(bw)
+	defer w.Release()
+	frames := writeFrames(t, w, bw, &sink, envs...)
+	for i, want := range []string{"ce81010401", "0e", "8e800028", "4e810304", "0e"} {
+		if got := hex.EncodeToString(frames[i][1 : len(frames[i])-1]); got != want {
+			t.Errorf("frame %d, %v → %v: header %s, want %s", i, envs[i].From, envs[i].To, got, want)
+		}
+	}
+	readFrames(t, slices.Concat(frames...), envs, nil)
 }
 
 // TestReaderBufferGrowsGeometrically: a stream whose frames creep up a few
