@@ -28,7 +28,7 @@
 //
 // The package is deliberately free of behaviour beyond ordering, formatting,
 // and serialization, so that every other package (simulator, runtime, TCP
-// transport, WAL) can share one wire vocabulary. Serialization is the wire-v10
+// transport, WAL) can share one wire vocabulary. Serialization is the wire-v11
 // contract (wire.go): a stable WireTag, at most MaxTag, per message type that
 // crosses a process — never renumbered — with explicit varint field encoders, stamps
 // after a message's anchor encoded as deltas from an earlier stamp of the
@@ -47,7 +47,7 @@
 //	func (FooMsg) wireTag() WireTag { return TagInvalid } // process-local
 //
 // plus an entry in processLocal (messages_test.go). It has no tag and no
-// encoder: AppendMessage refuses it, and a transport asked to send it to a
+// encoder: AppendBody refuses it, and a transport asked to send it to a
 // peer drops it (and NAKs it, if sheddable) rather than send it.
 //
 // A wire message — one that crosses a process — is declared in these

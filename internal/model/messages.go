@@ -6,7 +6,7 @@ import "fmt"
 // plain-data structs so the same protocol runs over the in-process engines and
 // the TCP transport. A message that crosses a process declares its stable
 // wire tag beside its struct and its body encoder, AppendWire, in wire.go
-// (wire v10). A process-local message — a timer, the WAL offload pair, a
+// (wire v11). A process-local message — a timer, the WAL offload pair, a
 // simulator fault — declares only a wireTag of TagInvalid beside its struct:
 // it has no encoding, and the transport refuses it rather than send it.
 type Message interface {
@@ -735,8 +735,8 @@ type ReplPullMsg struct {
 	// pull. The server answers a fill NotReady until it has installed that
 	// epoch and drained every item it lost.
 	Epoch uint64
-	// Scope is a fill's gained items in internal/repl's codec (ascending,
-	// delta-coded); the server ships only their records. Opaque here; empty
+	// Scope is a fill's gained items in internal/repl's codec (an item
+	// set, AppendItemSet); the server ships only their records. Opaque here; empty
 	// on a catch-up pull.
 	Scope []byte
 
@@ -747,9 +747,9 @@ type ReplPullMsg struct {
 
 // ReplRecordsMsg answers a ReplPullMsg with a batch of WAL records. Frames
 // carries them in internal/wal's shipped batch codec (wal.AppendShipped):
-// per record only the fields the receiver's apply reads, the commit stamp as
-// a delta against the previous record's, with no per-record header or
-// checksum. The receiver replays each record through its store's
+// per record only the fields the receiver's apply reads, the writer's Seq
+// and the commit stamp as deltas against the previous record's, with no
+// per-record header or checksum. The receiver replays each record through its store's
 // stamp-gated apply, which makes duplicate, overlapping, and out-of-order
 // shipments idempotent.
 type ReplRecordsMsg struct {

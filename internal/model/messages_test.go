@@ -95,11 +95,11 @@ func TestMessageTable(t *testing.T) {
 			t.Errorf("tag %d's row decodes a %T, which travels under tag %d", tag, m, got)
 			continue
 		}
-		b, err := AppendMessage(nil, new(WireStream), m)
+		b, err := AppendBody(nil, new(WireStream), m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
-		r := NewWireReader(b[1:])
+		r := NewWireReader(b)
 		p, err := DecodeMessagePooled(tag, &r)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
@@ -135,7 +135,7 @@ var processLocal = []Message{
 // per-copy types, whose tags decode as their batch of one, and the
 // process-local types, so no message type can encode without a decoder.
 // A table type encodes (TestMessageTable), and a process-local one has
-// neither a tag nor an encoder, so AppendMessage refuses it.
+// neither a tag nor an encoder, so AppendBody refuses it.
 func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -175,8 +175,8 @@ func TestEveryMessageTypeIsInTheTable(t *testing.T) {
 	for _, m := range processLocal {
 		_, tagged := MessageTag(m)
 		_, encodes := m.(wireMessage)
-		if _, err := AppendMessage(nil, new(WireStream), m); tagged || encodes || !errors.Is(err, ErrNoEncoding) {
-			t.Errorf("process-local %T: tag %v, encoder %v, AppendMessage error %v", m, tagged, encodes, err)
+		if _, err := AppendBody(nil, new(WireStream), m); tagged || encodes || !errors.Is(err, ErrNoEncoding) {
+			t.Errorf("process-local %T: tag %v, encoder %v, AppendBody error %v", m, tagged, encodes, err)
 		}
 		table[reflect.TypeOf(m).Name()] = true
 	}

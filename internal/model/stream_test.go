@@ -62,7 +62,7 @@ func TestAnchorCodes(t *testing.T) {
 // streamTagsVersion is the wire version streamTags was pinned at, and
 // streamTags the tags whose codec reads or writes the stream state at it:
 // every tag whose message carries a transaction id or an anchor stamp.
-const streamTagsVersion = 10
+const streamTagsVersion = 11
 
 var streamTags = []WireTag{
 	TagRequest, TagFinalTS, TagRelease, TagAbort, TagGrant, TagNormalGrant, TagReject, TagBackoff,
@@ -97,12 +97,12 @@ func TestStreamTagsPinned(t *testing.T) {
 		m = v.Interface().(Message)
 
 		var fresh WireStream
-		b, err := AppendMessage(nil, &fresh, m)
+		b, err := AppendBody(nil, &fresh, m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
 		after := used
-		b2, _ := AppendMessage(nil, &after, m)
+		b2, _ := AppendBody(nil, &after, m)
 		if fresh != (WireStream{}) || !bytes.Equal(b, b2) {
 			touching = append(touching, tag)
 		}
@@ -111,7 +111,7 @@ func TestStreamTagsPinned(t *testing.T) {
 			b           []byte
 			from, after WireStream
 		}{{b, WireStream{}, fresh}, {b2, used, after}} {
-			r := NewStreamReader(c.b[1:], c.from)
+			r := NewStreamReader(c.b, c.from)
 			back, err := DecodeMessagePooled(tag, &r)
 			if err != nil || r.Remaining() != 0 || r.Stream() != c.after {
 				t.Errorf("%T against %+v: decode err %v, %d left, stream %+v, want %+v", m, c.from, err, r.Remaining(), r.Stream(), c.after)
@@ -186,7 +186,8 @@ var goldenStream = []struct {
 func TestStreamGoldenBytes(t *testing.T) {
 	var ws, rs WireStream
 	for i, g := range goldenStream {
-		b, err := AppendMessage(nil, &ws, g.msg)
+		tag, _ := MessageTag(g.msg)
+		b, err := AppendBody([]byte{byte(tag)}, &ws, g.msg)
 		if err != nil {
 			t.Fatalf("%T: %v", g.msg, err)
 		}
@@ -194,7 +195,7 @@ func TestStreamGoldenBytes(t *testing.T) {
 			t.Errorf("frame %d: %T encodes to %s, want %s", i, g.msg, got, g.hex)
 		}
 		r := NewStreamReader(b[1:], rs)
-		back, err := DecodeMessagePooled(WireTag(b[0]), &r)
+		back, err := DecodeMessagePooled(tag, &r)
 		if err != nil || r.Remaining() != 0 || !reflect.DeepEqual(deref(back), g.msg) || r.Stream() != ws {
 			t.Errorf("frame %d: %T decodes to %+v (err %v, %d left)", i, g.msg, back, err, r.Remaining())
 		}
@@ -204,7 +205,7 @@ func TestStreamGoldenBytes(t *testing.T) {
 			continue
 		}
 		r = NewWireReader(b[1:])
-		if back, err := DecodeMessagePooled(WireTag(b[0]), &r); err == nil {
+		if back, err := DecodeMessagePooled(tag, &r); err == nil {
 			if reflect.DeepEqual(deref(back), g.msg) {
 				t.Errorf("frame %d: %T decodes as sent against a fresh stream", i, g.msg)
 			}

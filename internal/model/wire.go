@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// Wire format v10: every message type that crosses a process carries a
+// Wire format v11: every message type that crosses a process carries a
 // stable one-byte tag and an explicit, hand-rolled field encoder — varint
 // integers, IEEE-754 bits for floats, length-prefixed strings and slices,
 // sorted map keys so encoding is deterministic. No reflection anywhere on
@@ -40,18 +40,24 @@ import (
 // (appendTxnID, appendAnchor). The tags whose codec touches the stream are
 // pinned per version (TestStreamTagsPinned).
 //
+// A list of items — a QueueStatsMsg's copies, and internal/repl's journal
+// digest and fill scope, which ReplPullMsg carries as opaque bytes — is an
+// item set (itemset.go): a gap list, or a bitmap over the span from the
+// first item to the last when that is shorter, as it is for a site's
+// copies or for the items it journaled in a pull period.
+//
 // The tag values are part of the persistent wire contract: peers of different
-// builds speak v10 to each other, so tags must NEVER be renumbered or
+// builds speak v11 to each other, so tags must NEVER be renumbered or
 // reused — new message types append new tags. Field order is frozen per tag
 // within a version; a change to any tag's bytes is a new wire version, which
 // the transport's handshake refuses to mix. A process-local message (a
 // timer, the WAL offload pair, a simulator fault) has no tag and no encoder:
-// its wireTag is TagInvalid, and AppendMessage refuses it.
+// its wireTag is TagInvalid, and AppendBody refuses it.
 
 // WireVersion is the format these encoders and internal/wire's framing
 // speak. internal/transport opens every connection with it and derives its
 // handshake ack from it, so a version bump is this one edit.
-const WireVersion = 10
+const WireVersion = 11
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -102,7 +108,7 @@ const (
 	// Tag 40 (FlushDoneMsg) is retired: the next new tag is 41.
 )
 
-// MaxTag is the highest tag a message type can ever take: wire v10's frame
+// MaxTag is the highest tag a message type can ever take: the frame
 // header holds the tag in its low six bits (internal/wire), so the tags run
 // out at 63 (TestTagsFitTheHeader).
 const MaxTag WireTag = 63
@@ -1184,24 +1190,22 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 }
 
 // AppendWire encodes the message body (no tag) onto b: the period as
-// AtMicros − SinceMicros, then per entry the gap from the previous entry's
-// item (the first counts from −1), the reads and the writes. The entries
-// must be in strictly ascending item order, so every gap is at least 1 and
-// one message has one encoding.
+// AtMicros − SinceMicros, the entries' items as an item set (AppendItemSet),
+// then per entry the reads and the writes. The entries' items must be
+// non-negative and strictly ascending, so one message has one encoding.
 func (m QueueStatsMsg) AppendWire(b []byte, s *WireStream) []byte {
 	b = AppendVarint(b, int64(m.From))
 	b = appendAnchor(b, s, m.AtMicros)
 	b = AppendUvarint(b, uint64(m.AtMicros-m.SinceMicros))
-	b = AppendUvarint(b, uint64(len(m.Grants)))
-	prev := int64(-1)
+	b = AppendItemSet(b, m.Grants, grantItem)
 	for _, g := range m.Grants {
-		b = AppendUvarint(b, uint64(int64(g.Item)-prev))
 		b = AppendVarint(b, g.Reads)
 		b = AppendVarint(b, g.Writes)
-		prev = int64(g.Item)
 	}
 	return b
 }
+
+func grantItem(g QueueGrants) ItemID { return g.Item }
 
 // decodeQueueStats decodes a report, its entries into buf's array when it
 // has room (nil when there are none).
@@ -1209,24 +1213,17 @@ func decodeQueueStats(r *WireReader, buf []QueueGrants) (m QueueStatsMsg) {
 	m.From = SiteID(r.Varint32())
 	m.AtMicros = r.anchor()
 	m.SinceMicros = m.AtMicros - int64(r.Uvarint())
-	n := r.Count(3)
+	items := r.ItemSet()
+	n := items.Len()
+	if r.err == nil && n > len(r.b)/2 {
+		r.fail(ErrWireCorrupt) // each entry's counts take two bytes
+	}
 	if r.err != nil || n == 0 {
 		return m
 	}
 	m.Grants = slices.Grow(buf[:0], n)[:n]
-	prev := int64(-1)
 	for i := range m.Grants {
-		gap := r.Uvarint()
-		if r.err == nil && (gap == 0 || gap > uint64(math.MaxInt32-prev)) {
-			// A zero gap would repeat an item; any other order would give
-			// one message two encodings.
-			r.fail(ErrWireCorrupt)
-		}
-		if r.err != nil {
-			return m
-		}
-		prev += int64(gap)
-		m.Grants[i] = QueueGrants{Item: ItemID(prev), Reads: r.Varint(), Writes: r.Varint()}
+		m.Grants[i] = QueueGrants{Item: items.Next(), Reads: r.Varint(), Writes: r.Varint()}
 	}
 	return m
 }
@@ -1487,21 +1484,12 @@ func grantMembers(p *GrantBatchMsg) []GrantMember                         { retu
 func snapReadMembers(p *SnapReadBatchMsg) []ItemID                        { return p.Members }
 func snapReadReplyMembers(p *SnapReadReplyBatchMsg) []SnapReadReplyMember { return p.Members }
 
-// AppendMessage appends tag + body. A nil message, an empty batch and a
-// process-local message have no encoding and return ErrNoEncoding (the
-// transport NAKs, counts, and drops them rather than wedging the writer or
-// sending what no peer decodes).
-func AppendMessage(b []byte, s *WireStream, m Message) ([]byte, error) {
-	tag, ok := MessageTag(m)
-	if !ok {
-		return b, ErrNoEncoding
-	}
-	return AppendBody(append(b, byte(tag)), s, m)
-}
-
 // AppendBody appends m's body alone, for a caller that has read m's tag
 // (MessageTag) and writes it itself, as internal/wire's frame header does.
-// A message with no encoding returns ErrNoEncoding.
+// A process-local message returns ErrNoEncoding; a nil message and an empty
+// batch have no tag, and the caller refuses them at MessageTag (the
+// transport NAKs, counts, and drops what it cannot encode rather than
+// wedging the writer or sending what no peer decodes).
 func AppendBody(b []byte, s *WireStream, m Message) ([]byte, error) {
 	if w, ok := m.(wireMessage); ok {
 		return w.AppendWire(b, s), nil

@@ -215,7 +215,8 @@ var goldenStamped = []struct {
 // (a pooled batch to the pointer to it).
 func checkGolden(t *testing.T, msg Message, hexWant string) {
 	t.Helper()
-	b, err := AppendMessage(nil, new(WireStream), msg)
+	tag, _ := MessageTag(msg)
+	b, err := AppendBody([]byte{byte(tag)}, new(WireStream), msg)
 	if err != nil {
 		t.Fatalf("%T: %v", msg, err)
 	}
@@ -246,7 +247,10 @@ func TestBatchGoldenBytes(t *testing.T) {
 		checkGolden(t, g.msg, g.hex)
 	}
 	one := AbortBatchMsg{Txn: TxnID{Site: 1, Seq: 42}, Attempt: 3, CopySite: 2, Members: []ItemID{300}}
-	b, err := AppendMessage(nil, new(WireStream), one)
+	if tag, _ := MessageTag(one); tag != TagAbort {
+		t.Errorf("AbortBatchMsg of one travels under tag %d, want AbortMsg's", tag)
+	}
+	b, err := AppendBody([]byte{byte(TagAbort)}, new(WireStream), one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,27 +309,31 @@ func TestBatchOfOneIsItsSingleMessage(t *testing.T) {
 			v.Members = nil
 			empty = v
 		}
-		got, err := AppendMessage(nil, new(WireStream), one)
+		tag, _ := MessageTag(one)
+		if singleTag, _ := MessageTag(single); tag != singleTag {
+			t.Errorf("%T of one travels under tag %d, want its %T's %d", one, tag, single, singleTag)
+		}
+		got, err := AppendBody(nil, new(WireStream), one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := AppendMessage(nil, new(WireStream), single)
+		want, _ := AppendBody(nil, new(WireStream), single)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%T of one encodes to %x, want its %T's %x", one, got, single, want)
 		}
-		r := NewWireReader(want[1:])
-		back, err := DecodeMessagePooled(WireTag(want[0]), &r)
+		r := NewWireReader(want)
+		back, err := DecodeMessagePooled(tag, &r)
 		if err != nil || r.Remaining() != 0 {
 			t.Fatalf("%T's bytes: %v, %d left", single, err, r.Remaining())
 		}
-		again, _ := AppendMessage(nil, new(WireStream), back)
+		again, _ := AppendBody(nil, new(WireStream), back)
 		if reflect.ValueOf(back).Kind() != reflect.Pointer || !reflect.DeepEqual(deref(back), one) || !bytes.Equal(again, want) {
 			t.Errorf("%T's bytes decode to %T %+v, which encodes to %x; want the pooled batch of one %+v, %x",
 				single, back, back, again, one, want)
 		}
 		RecycleMessage(back)
-		if _, err := AppendMessage(nil, new(WireStream), empty); err == nil {
-			t.Errorf("empty %T encoded", empty)
+		if _, ok := MessageTag(empty); ok {
+			t.Errorf("empty %T has a tag", empty)
 		}
 	}
 }
@@ -407,8 +415,8 @@ func TestPooledBatchMembersAreBounded(t *testing.T) {
 // the other, and empty sets decode to nil as they encode from.
 func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	in := NewTxn(TxnID{Site: 1, Seq: 2}, PA, []ItemID{1, 2, 3}, []ItemID{4, 5}, 10)
-	b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: in})
-	r := NewWireReader(b[1:])
+	b, _ := AppendBody(nil, new(WireStream), SubmitTxnMsg{Txn: in})
+	r := NewWireReader(b)
 	m, err := DecodeMessagePooled(TagSubmitTxn, &r)
 	if err != nil {
 		t.Fatal(err)
@@ -436,8 +444,8 @@ func TestDecodeTxnSharesOneItemArray(t *testing.T) {
 	}
 	for _, sets := range [][2][]ItemID{{nil, {4}}, {{1}, nil}, {nil, nil}} {
 		in := &Txn{ID: TxnID{Site: 1, Seq: 3}, ReadSet: sets[0], WriteSet: sets[1]}
-		b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: in})
-		r := NewWireReader(b[1:])
+		b, _ := AppendBody(nil, new(WireStream), SubmitTxnMsg{Txn: in})
+		r := NewWireReader(b)
 		m, err := DecodeMessagePooled(TagSubmitTxn, &r)
 		if err != nil || !reflect.DeepEqual(RetainMessage(m).(SubmitTxnMsg).Txn, in) {
 			t.Fatalf("sets %v: decoded %+v (%v)", sets, m, err)
@@ -460,10 +468,11 @@ func TestPooledReplAllocs(t *testing.T) {
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path
 	s := new(WireStream) // and the encoder the stream's
 	roundTrip := func(m Message) Message {
-		wire, _ = AppendMessage(wire[:0], s, m)
+		tag, _ := MessageTag(m)
+		wire, _ = AppendBody(wire[:0], s, m)
 		RecycleMessage(m)
-		*r = NewWireReader(wire[1:])
-		got, err := DecodeMessagePooled(WireTag(wire[0]), r)
+		*r = NewWireReader(wire)
+		got, err := DecodeMessagePooled(tag, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,19 +501,20 @@ func TestPooledReplAllocs(t *testing.T) {
 }
 
 // TestPooledQueueStatsAllocs: a site's stats report, one entry per copy,
-// decodes pooled into the entry array the pooled report kept, so a client
-// decoding every site's report each period allocates nothing once warm. The
-// decode returns the report it was sent, and a report whose array outgrew
-// maxPooledBytes entries is not kept.
+// encodes into a buffer with room without allocating, and decodes pooled
+// into the entry array the pooled report kept, so a client decoding every
+// site's report each period allocates nothing once warm. The decode returns
+// the report it was sent, and a report whose array outgrew maxPooledBytes
+// entries is not kept.
 func TestPooledQueueStatsAllocs(t *testing.T) {
 	sent := QueueStatsMsg{From: 2, AtMicros: 1 << 42, SinceMicros: 1<<42 - 200_000}
 	for i := 0; i < 4096; i++ {
 		sent.Grants = append(sent.Grants, QueueGrants{Item: ItemID(i), Reads: int64(i % 7), Writes: int64(i % 3)})
 	}
-	b, _ := AppendMessage(nil, new(WireStream), sent)
+	b, _ := AppendBody(nil, new(WireStream), sent)
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path
 	decode := func() *QueueStatsMsg {
-		*r = NewWireReader(b[1:])
+		*r = NewWireReader(b)
 		m, err := DecodeMessagePooled(TagQueueStats, r)
 		if err != nil {
 			t.Fatal(err)
@@ -519,6 +529,10 @@ func TestPooledQueueStatsAllocs(t *testing.T) {
 	if !raceEnabled { // sync.Pool drops items at random under -race
 		if n := testing.AllocsPerRun(50, func() { RecycleMessage(decode()) }); n != 0 {
 			t.Fatalf("a warm pooled stats decode and recycle allocates %.0f times, want 0", n)
+		}
+		buf, s := make([]byte, 0, len(b)), new(WireStream)
+		if n := testing.AllocsPerRun(50, func() { buf = sent.AppendWire(buf[:0], s) }); n != 0 {
+			t.Fatalf("a stats encode into a buffer with room allocates %.0f times, want 0", n)
 		}
 	}
 	big := &QueueStatsMsg{buf: make([]QueueGrants, 0, maxPooledBytes+1)}
@@ -541,8 +555,8 @@ func TestPooledSubmitTxnAllocs(t *testing.T) {
 	classed.Class = "batch"
 	short := NewTxn(TxnID{Site: 1, Seq: 3}, TO, nil, []ItemID{9}, 0)
 	frame := func(t *Txn) []byte {
-		b, _ := AppendMessage(nil, new(WireStream), SubmitTxnMsg{Txn: t})
-		return b[1:]
+		b, _ := AppendBody(nil, new(WireStream), SubmitTxnMsg{Txn: t})
+		return b
 	}
 	r := new(WireReader) // the decoder takes its address: keep it off the measured path
 	decode := func(b []byte) SubmitTxnMsg {

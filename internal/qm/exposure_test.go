@@ -671,7 +671,7 @@ func TestControlPlaneUnparkPrecedesShardSends(t *testing.T) {
 			}
 		}
 		next.Store(3*round + 2)
-		frames := wal.AppendShipped(nil, 0, wal.Record{
+		frames := wal.AppendShipped(nil, wal.Record{}, wal.Record{
 			Item: item, Txn: model.TxnID{Site: 2, Seq: round}, Value: -int64(round), CommitMicros: int64(3*round + 2),
 		})
 		rt.Post(engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(0),

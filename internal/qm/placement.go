@@ -239,14 +239,15 @@ func (s storeSource) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uin
 // one of them pushes or prunes it.
 func (s storeSource) SnapshotRecords(skip func(model.ItemID, int64) bool, dst []byte) (frames []byte, appliedSeq uint64, err error) {
 	frames = dst
-	var prev int64
+	var prev wal.Record
 	s.store.EachChain(func(id model.CopyID, vs []storage.Version) {
 		ver := vs[len(vs)-1]
 		if skip != nil && skip(id.Item, ver.CommitMicros) {
 			return
 		}
-		frames = wal.AppendShipped(frames, prev, wal.Record{Item: id.Item, Txn: ver.Writer, Value: ver.Value, CommitMicros: ver.CommitMicros})
-		prev = ver.CommitMicros
+		r := wal.Record{Item: id.Item, Txn: ver.Writer, Value: ver.Value, CommitMicros: ver.CommitMicros}
+		frames = wal.AppendShipped(frames, prev, r)
+		prev = r
 	})
 	return frames, 1, nil
 }

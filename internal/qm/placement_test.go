@@ -139,7 +139,7 @@ func TestOutOfMapItemGetsWrongEpoch(t *testing.T) {
 		if len(ctx.sent) != 0 {
 			t.Fatalf("item %d: sent %v besides the NAKs", item, ctx.sent)
 		}
-		frames := wal.AppendShipped(nil, 0, wal.Record{Item: item, Txn: model.TxnID{Site: 1, Seq: 6}, Value: 7, CommitMicros: 10})
+		frames := wal.AppendShipped(nil, wal.Record{}, wal.Record{Item: item, Txn: model.TxnID{Site: 1, Seq: 6}, Value: 7, CommitMicros: 10})
 		m.OnMessage(ctx, engine.QMAddr(1), &model.ReplRecordsMsg{From: 1, Frames: frames, Incarnation: m.puller.Incarnation()})
 		// A negative item does not even decode (items ship unsigned): the
 		// batch is torn there, and nothing applies either way.
@@ -192,7 +192,7 @@ func TestMapInstallGainSealsUntilTransfer(t *testing.T) {
 	}
 
 	// The old owner's answer: one record for item 1 at commit stamp 5, done.
-	frames := wal.AppendShipped(nil, 0, wal.Record{
+	frames := wal.AppendShipped(nil, wal.Record{}, wal.Record{
 		Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5,
 	})
 	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{
@@ -353,7 +353,7 @@ func TestTransferReplyFromBeforeTheCrashIsDropped(t *testing.T) {
 	before := take[model.ReplPullMsg](ctx)
 	m.OnMessage(ctx, ctx.self, model.CrashMsg{})
 	m.OnMessage(ctx, ctx.self, model.RecoverMsg{})
-	frames := wal.AppendShipped(nil, 0, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
+	frames := wal.AppendShipped(nil, wal.Record{}, wal.Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: 3}, Value: 777, CommitMicros: 5})
 	deliver(m, ctx, ctx.self, model.ReplRecordsMsg{From: 1, Epoch: 2, Frames: frames, NextAfterSeq: 4, Incarnation: before[0].Incarnation})
 	if !m.FillsOpen() {
 		t.Fatal("a pre-crash reply completed the transfer")

@@ -36,10 +36,10 @@ func shippedRec(seq uint64, item model.ItemID, stamp int64) wal.Record {
 
 func frameAll(recs ...wal.Record) []byte {
 	var b []byte
-	var prev int64
+	var prev wal.Record
 	for _, r := range recs {
 		b = wal.AppendShipped(b, prev, r)
-		prev = r.CommitMicros
+		prev = r
 	}
 	return b
 }

@@ -19,16 +19,21 @@
 // across the period. The pull is a model.ReplPullMsg carrying the peer's
 // watermark and this site's journal digest (Have): the newest commit stamp
 // per item it journaled — local and shipped writes alike — since its
-// previous pull to that peer, item-sorted and varint-delta coded
-// (AppendHave/DecodeHave; Puller.NextPull keeps a cursor into the journal
-// per peer). The peer answers with a model.ReplRecordsMsg holding the synced
-// records past the watermark of the items its map gives the puller a copy
-// of, less what the puller is known to hold already (Peer knowledge,
-// below), in the WAL's shipped batch codec
-// (wal.AppendShipped): per record only what the puller's apply reads — item,
-// writer, value, and the commit stamp as a delta against the previous
-// record's — with no per-record header or checksum, the message's length
-// prefix delimiting the batch. The peer serves from wal.SiteLog's in-memory
+// previous pull to that peer (Puller.NextPull keeps a cursor into the
+// journal per peer). The digest has one encoding
+// (AppendHave/DecodeHave): its items as a model item set, which is a bitmap
+// over the span from its first item to its last whenever that is shorter
+// than the gap list, as it is when a pull period touched most items; then
+// its stamps as fixed-width offsets from the smallest of them, packed at
+// the fewest bits that hold the largest, about 18 for a 150 ms period. The
+// peer answers with a model.ReplRecordsMsg holding the synced records past
+// the watermark of the items its map gives the puller a copy of, less what
+// the puller is known to hold already (Peer knowledge, below), in the WAL's
+// shipped batch codec (wal.AppendShipped): per record only what the
+// puller's apply reads — item, writer, value — with the writer's Seq and
+// the commit stamp as deltas against the previous record's, and no
+// per-record header or checksum, the message's length prefix delimiting
+// the batch. The peer serves from wal.SiteLog's in-memory
 // tail of recent records; only a mark older than the tail makes it read its
 // segments. The receiver replays each record through storage.ApplyShipped behind the
 // owning queue-manager shard's lock and the store's writer/snapshot barrier,
@@ -43,7 +48,7 @@
 // of those items (Puller.OpenFill): a pull relationship of its own for that
 // map's epoch, scoped to the items gained from that peer, that starts at
 // watermark 0. Its pulls are model.ReplPullMsg with Epoch set and Scope the
-// gained items, ascending and delta-coded in the digest's item coding
+// gained items, an item set like the digest's items
 // (AppendScope/DecodeScope). The server answers NotReady until it has
 // installed that epoch, drained every item it lost, and finished its own
 // fills of earlier epochs that cover the scope (Puller.Filling), so the
@@ -52,8 +57,10 @@
 // serves the fill like a catch-up pull, from its log — or, without
 // catch-up, from an image of its store — less every record outside the
 // scope, and without reading or changing what it knows about the puller
-// (Peer knowledge, below). A scope that does not decode leaves the pull
-// unanswered; it never widens the fill to the whole log. A fill is done at
+// (Peer knowledge, below). A scope that does not decode, or is not the one
+// encoding of its items — a bitmap the gap list is no longer than, a gap
+// list a bitmap beats, set padding — leaves the pull unanswered; it never
+// widens the fill to the whole log. A fill is done at
 // its first reply with neither More nor NotReady set: the gained items open
 // for traffic. The pull tick re-pulls every open fill, so a NotReady answer
 // or a lost pull costs one tick; the tick is armed while catch-up runs or a
@@ -121,7 +128,8 @@
 // re-images the peer and forgets it the same way. Pulls and replies travel
 // per-pair FIFO on both engines, so every pre-crash digest reaches the
 // server before the post-crash pull that voids it. A missing or undecodable
-// digest (FuzzHaveDigest) is no digest: that pull teaches nothing. The
+// digest is no digest, and so is one in any form but the one AppendHave
+// gives its entries (FuzzHaveDigest): that pull teaches nothing. The
 // tables are bounded by the installed map's item count, dropped on a
 // placement change and on the serving site's own crash; forgetting only
 // ships more.

@@ -11,6 +11,7 @@ import (
 
 	"ucc/internal/model"
 	"ucc/internal/wal"
+	"ucc/internal/wire"
 )
 
 // seedCorpora maps each fuzz target to its committed seeds, under
@@ -140,10 +141,10 @@ func FuzzReplStream(f *testing.F) {
 		// Round-trip: one batch, one encoding — re-encoding every decoded
 		// record reproduces the intact prefix byte for byte.
 		var reenc []byte
-		var prev int64
+		var prev wal.Record
 		wal.DecodeShipped(data, func(r wal.Record) {
 			reenc = wal.AppendShipped(reenc, prev, r)
-			prev = r.CommitMicros
+			prev = r
 		})
 		if !bytes.Equal(reenc, data[:len(data)-torn]) {
 			t.Fatalf("accepted records are not the canonical encoding:\n in: %x\nout: %x", data[:len(data)-torn], reenc)
@@ -151,22 +152,81 @@ func FuzzReplStream(f *testing.F) {
 	})
 }
 
-// seedDigests are FuzzHaveDigest's committed seeds: a typical digest, one
-// spanning the field extremes, a truncation, items out of order, an item
-// beyond the ID range, a fill's scope, and raw garbage.
+// seedDigests are FuzzHaveDigest's committed seeds: a typical digest in
+// each item-set form, one spanning the field extremes, a fill's scope in
+// each form, and then the faults — a truncation, trailing bytes, an item
+// beyond the ID range, raw garbage — and one seed per non-canonical form:
+// a bitmap the gap list ties, a gap list a bitmap beats, a bitmap with a
+// clear end bit or set padding, an empty item set, a stamp width wider
+// than needed, a smallest stamp that is not the smallest, a stamp past the
+// int64 range, and set stamp padding; and two scopes in the form their
+// size did not pick.
 func seedDigests() map[string][]byte {
-	clean := AppendHave(nil, []wal.Have{{Item: 3, CommitMicros: 1_700_000_000_000_000}, {Item: 4, CommitMicros: 1_700_000_000_000_900}, {Item: 900, CommitMicros: 1_699_999_999_999_000}})
-	extremes := AppendHave(nil, []wal.Have{{Item: -1 << 31, CommitMicros: -1 << 63}, {Item: 0, CommitMicros: 1<<63 - 1}, {Item: 1<<31 - 1, CommitMicros: 0}})
-	unsorted := model.AppendVarint(model.AppendVarint(append([]byte(nil), clean...), -2), 5)
+	const t0 = 1_700_000_000_000_000
+	clean := AppendHave(nil, []wal.Have{{Item: 3, CommitMicros: t0}, {Item: 4, CommitMicros: t0 + 900}, {Item: 900, CommitMicros: t0 - 1000}})
+	var dense []wal.Have
+	for item := model.ItemID(5); item < 60; item++ {
+		if item%7 != 0 {
+			dense = append(dense, wal.Have{Item: item, CommitMicros: t0 + int64(item)*37%500})
+		}
+	}
+	// raw builds a digest by hand: an item set's bytes, the smallest stamp,
+	// the width and the packed stamps.
+	raw := func(set []byte, lo int64, w byte, packed ...byte) []byte {
+		return append(append(model.AppendVarint(append([]byte(nil), set...), lo), w), packed...)
+	}
+	// Items 10 and 14 tie: gap list {4, 10, 3}, bitmap {11, 10, 0b10001}.
+	tieGaps, tieBitmap := []byte{4, 10, 3}, []byte{11, 10, 0b10001}
 	return map[string][]byte{
 		"clean":     clean,
-		"extremes":  extremes,
-		"truncated": clean[:len(clean)-1],
-		"unsorted":  unsorted,
-		"wide-item": model.AppendVarint(model.AppendVarint(nil, 1<<31), 7),
+		"bitmap":    AppendHave(nil, dense),
+		"extremes":  AppendHave(nil, []wal.Have{{Item: 0, CommitMicros: -1 << 63}, {Item: 1 << 30, CommitMicros: 1<<63 - 1}, {Item: 1<<31 - 1, CommitMicros: 0}}),
 		"scope":     AppendScope(nil, []model.ItemID{0, 1, 3, 900, 1<<31 - 1}),
+		"scope-map": AppendScope(nil, []model.ItemID{4, 5, 6, 8, 9, 10, 11, 12, 13, 20}),
+
+		"truncated": clean[:len(clean)-1],
+		"unsorted":  model.AppendVarint(model.AppendVarint(append([]byte(nil), clean...), -2), 5), // v10's step back, now trailing bytes
+		"wide-item": raw(model.AppendUvarint([]byte{2}, 1<<31), 7, 0),
 		"garbage":   {0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF},
 		"empty":     {},
+
+		"bitmap-at-tie":   raw(tieBitmap, t0, 1, 0b10),
+		"gaps-past-map":   raw([]byte{8, 10, 0, 0, 0}, t0, 0),
+		"map-end-clear":   raw([]byte{9, 10, 0b0111}, t0, 0),
+		"map-padding":     raw([]byte{9, 10, 0b11111}, t0, 0),
+		"empty-set":       raw([]byte{0}, t0, 0),
+		"wide-stamps":     raw(tieGaps, t0, 2, 0b0100),
+		"no-zero-offset":  raw(tieGaps, t0, 1, 0b11),
+		"stamp-overflow":  raw(tieGaps, 1<<63-1, 1, 0b10),
+		"stamp-padding":   raw(tieGaps, t0, 1, 0b110),
+		"tie-gaps-digest": raw(tieGaps, t0, 1, 0b10),
+		"scope-at-tie":    tieBitmap,
+		"scope-past-map":  {8, 10, 0, 0, 0},
+	}
+}
+
+// TestDigestSeedsCoverEachForm: the seeds FuzzHaveDigest starts from hold a
+// digest and a scope in each item-set form, and every seed of a
+// non-canonical form is rejected, as a digest and as a scope.
+func TestDigestSeedsCoverEachForm(t *testing.T) {
+	seeds := seedDigests()
+	for name, bitmap := range map[string]bool{"clean": false, "bitmap": true, "scope": false, "scope-map": true} {
+		if form := seeds[name][0]&1 == 1; form != bitmap {
+			t.Errorf("seed %q is a bitmap: %v, want %v", name, form, bitmap)
+		}
+	}
+	for _, name := range []string{"bitmap-at-tie", "gaps-past-map", "map-end-clear", "map-padding", "empty-set",
+		"wide-stamps", "no-zero-offset", "stamp-overflow", "stamp-padding", "truncated", "unsorted", "wide-item",
+		"scope-at-tie", "scope-past-map"} {
+		if have, ok := DecodeHave(seeds[name], nil); ok {
+			t.Errorf("seed %q decoded as the digest %v", name, have)
+		}
+		if items, ok := DecodeScope(seeds[name], nil); ok {
+			t.Errorf("seed %q decoded as the scope %v", name, items)
+		}
+	}
+	if _, ok := DecodeHave(seeds["tie-gaps-digest"], nil); !ok {
+		t.Error("the gap list at a tie did not decode")
 	}
 }
 
@@ -179,7 +239,8 @@ const fuzzKnownItems = 1 << 16
 // input:
 //
 //   - DecodeHave must not panic; what it accepts is strictly item-ascending
-//     and re-encodes to the same bytes (one encoding per digest).
+//     and re-encodes to the same bytes (one encoding per digest), and a
+//     digest AppendHave built decodes to what it was built from.
 //   - A digest that does not decode is treated as absent: Known learns
 //     nothing from it, so the pull it rode on is served in full.
 //   - What Known learns from an accepted digest is exactly its entries.
@@ -204,6 +265,20 @@ func FuzzHaveDigest(f *testing.F) {
 		var sk Known
 		if _, served, _ := sk.Serve(0, &emptyLog{}, model.ReplPullMsg{From: 1, Epoch: 1, Scope: data}, pm, 16, nil); served != ok {
 			t.Fatalf("scope decoded %v but the fill was served %v", ok, served)
+		}
+
+		// The other direction: a digest and a scope built from the input
+		// decode to exactly what was encoded, in whichever form it took.
+		built := digestOf(data)
+		if got, ok := DecodeHave(AppendHave(nil, built), nil); !ok || !slices.Equal(got, built) {
+			t.Fatalf("digest %v decoded as %v (ok %v)", built, got, ok)
+		}
+		items := make([]model.ItemID, len(built))
+		for i, h := range built {
+			items[i] = h.Item
+		}
+		if got, ok := DecodeScope(AppendScope(nil, items), nil); !ok || !slices.Equal(got, items) {
+			t.Fatalf("scope %v decoded as %v (ok %v)", items, got, ok)
 		}
 
 		have, ok := DecodeHave(data, nil)
@@ -251,6 +326,19 @@ func FuzzHaveDigest(f *testing.F) {
 	})
 }
 
+// digestOf reads a digest off fuzz bytes, two per entry: the item step
+// from the previous entry less one, and the stamp offset from a wall-clock
+// base scaled so a few inputs span every stamp width.
+func digestOf(data []byte) []wal.Have {
+	var have []wal.Have
+	item := model.ItemID(-1)
+	for i := 0; i+1 < len(data); i += 2 {
+		item += model.ItemID(data[i]&0x3f) + 1
+		have = append(have, wal.Have{Item: item, CommitMicros: 1_700_000_000_000_000 + int64(data[i+1])<<(data[i]>>6*20)})
+	}
+	return have
+}
+
 // emptyLog is a Source holding nothing: what a fill over it is served does
 // not matter, only whether it is served.
 type emptyLog struct{}
@@ -263,4 +351,32 @@ func (*emptyLog) SnapshotRecords(_ func(model.ItemID, int64) bool, dst []byte) (
 }
 func (*emptyLog) HaveSince(afterSeq uint64, dst []wal.Have) ([]wal.Have, uint64) {
 	return dst, afterSeq
+}
+
+// TestWireCorpusDigestsDecode: the catch-up pull and the fill pull of
+// internal/wire's corpus carry this package's codings — the digest of items
+// 3@10 and 4@5, a gap list, and the scope of items 0, 1 and 3, a bitmap.
+func TestWireCorpusDigestsDecode(t *testing.T) {
+	var digests, scopes int
+	for _, env := range wire.Corpus() {
+		pull, ok := env.Msg.(model.ReplPullMsg)
+		if !ok {
+			continue
+		}
+		if pull.Have != nil {
+			digests++
+			if have, ok := DecodeHave(pull.Have, nil); !ok || !slices.Equal(have, []wal.Have{{Item: 3, CommitMicros: 10}, {Item: 4, CommitMicros: 5}}) {
+				t.Errorf("corpus digest %x decodes as %v (ok %v)", pull.Have, have, ok)
+			}
+		}
+		if pull.Scope != nil {
+			scopes++
+			if items, ok := DecodeScope(pull.Scope, nil); !ok || !slices.Equal(items, []model.ItemID{0, 1, 3}) {
+				t.Errorf("corpus scope %x decodes as %v (ok %v)", pull.Scope, items, ok)
+			}
+		}
+	}
+	if digests != 1 || scopes != 1 {
+		t.Errorf("the corpus holds %d digests and %d scopes, want one of each", digests, scopes)
+	}
 }

@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 
 	"ucc/internal/model"
@@ -8,75 +10,147 @@ import (
 )
 
 // AppendHave encodes a journal digest (wal.SiteLog.HaveSince: one entry per
-// item, ascending) onto b: per entry the item and the commit stamp, each a
-// varint delta against the previous entry. The length is the carrying
-// field's; an empty digest is zero bytes.
+// item, ascending, items non-negative) onto b: the items as an item set
+// (model.AppendItemSet), the smallest commit stamp as a varint, a width
+// byte w, then each entry's stamp less the smallest as a w-bit field, packed
+// least significant bit first and padded to a byte with zero bits. w is the
+// fewest bits that hold the largest offset: about 18 for the stamps of one
+// pull period. The length is the carrying field's; an empty digest is zero
+// bytes.
 func AppendHave(b []byte, have []wal.Have) []byte {
-	var prev wal.Have
-	for _, h := range have {
-		b = model.AppendVarint(b, int64(h.Item)-int64(prev.Item))
-		b = model.AppendVarint(b, h.CommitMicros-prev.CommitMicros)
-		prev = h
+	if len(have) == 0 {
+		return b
 	}
-	return b
+	b = model.AppendItemSet(b, have, haveItem)
+	lo, hi := have[0].CommitMicros, have[0].CommitMicros
+	for _, h := range have {
+		lo, hi = min(lo, h.CommitMicros), max(hi, h.CommitMicros)
+	}
+	w := uint(bits.Len64(uint64(hi - lo)))
+	b = append(model.AppendVarint(b, lo), byte(w))
+	p := bitPacker{b: b}
+	for _, h := range have {
+		p.put(uint64(h.CommitMicros-lo), w)
+	}
+	return p.flush()
 }
+
+func haveItem(h wal.Have) model.ItemID { return h.Item }
 
 // DecodeHave appends the entries of an encoded digest to dst. ok is false —
-// and the digest must be treated as absent — on truncation, an item outside
-// the ID range, or items not strictly ascending.
+// and the digest must be treated as absent — unless b is the one encoding
+// AppendHave gives its entries: on truncation or trailing bytes, an item
+// set that does not decode or is empty, a width that is not the fewest
+// bits, no stamp at the offset zero, a stamp past the int64 range, or
+// padding bits set.
 func DecodeHave(b []byte, dst []wal.Have) (have []wal.Have, ok bool) {
+	if len(b) == 0 {
+		return dst, true
+	}
 	rd := model.NewWireReader(b)
-	base := len(dst)
-	var prev wal.Have
-	for rd.Remaining() > 0 {
-		item, ok := readItem(&rd, prev.Item, len(dst) == base)
-		stamp := prev.CommitMicros + rd.Varint()
-		if !ok || rd.Err() != nil {
+	set := rd.ItemSet()
+	lo := rd.Varint()
+	w := uint(rd.Byte())
+	n, base := set.Len(), len(dst)
+	if rd.Err() != nil || n == 0 || w > 64 || rd.Remaining() != (n*int(w)+7)/8 {
+		return dst, false
+	}
+	// An offset past this would wrap the stamp past the int64 range.
+	limit := uint64(math.MaxInt64) - uint64(lo)
+	u := bitUnpacker{b: b[len(b)-rd.Remaining():]}
+	var hi, least uint64 = 0, math.MaxUint64
+	for range n {
+		off := u.get(w)
+		if off > limit {
 			return dst[:base], false
 		}
-		prev = wal.Have{Item: item, CommitMicros: stamp}
-		dst = append(dst, prev)
+		hi, least = max(hi, off), min(least, off)
+		dst = append(dst, wal.Have{Item: set.Next(), CommitMicros: lo + int64(off)})
+	}
+	if least != 0 || uint(bits.Len64(hi)) != w || u.acc != 0 {
+		return dst[:base], false
 	}
 	return dst, true
 }
 
-// AppendScope encodes a fill's scope (ascending items) onto b in the
-// digest's item coding, without the stamps: per item a varint delta against
-// the previous one. An empty scope is zero bytes.
+// bitPacker appends fixed-width fields to b, least significant bit first.
+type bitPacker struct {
+	b   []byte
+	acc uint64 // the bits not yet appended, fewer than 8 between puts
+	n   uint
+}
+
+// put appends the low w bits of v, w at most 64.
+func (p *bitPacker) put(v uint64, w uint) {
+	for w > 0 {
+		c := min(w, 32)
+		p.acc |= (v & (1<<c - 1)) << p.n
+		p.n += c
+		v, w = v>>c, w-c
+		for ; p.n >= 8; p.n -= 8 {
+			p.b = append(p.b, byte(p.acc))
+			p.acc >>= 8
+		}
+	}
+}
+
+// flush appends the last partial byte, its unused bits zero, and returns
+// the bytes.
+func (p *bitPacker) flush() []byte {
+	if p.n > 0 {
+		p.b = append(p.b, byte(p.acc))
+	}
+	return p.b
+}
+
+// bitUnpacker reads the fields a bitPacker packed; b must hold them all.
+type bitUnpacker struct {
+	b   []byte
+	acc uint64 // the bits read from b and not yet returned: a padding check reads it at the end
+	n   uint
+}
+
+// get returns the next w-bit field, w at most 64.
+func (u *bitUnpacker) get(w uint) (v uint64) {
+	for got := uint(0); got < w; {
+		c := min(w-got, 32)
+		for ; u.n < c; u.n += 8 {
+			u.acc |= uint64(u.b[0]) << u.n
+			u.b = u.b[1:]
+		}
+		v |= (u.acc & (1<<c - 1)) << got
+		u.acc >>= c
+		u.n -= c
+		got += c
+	}
+	return v
+}
+
+// AppendScope encodes a fill's scope (ascending, non-negative items) onto b
+// as an item set, the digest's item coding. An empty scope is zero bytes.
 func AppendScope(b []byte, items []model.ItemID) []byte {
-	var prev model.ItemID
-	for _, item := range items {
-		b = model.AppendVarint(b, int64(item)-int64(prev))
-		prev = item
+	if len(items) == 0 {
+		return b
 	}
-	return b
+	return model.AppendItemSet(b, items, func(item model.ItemID) model.ItemID { return item })
 }
 
-// DecodeScope appends the items of an encoded scope to dst. ok is false on
-// the same faults as DecodeHave: the scope is then unusable, never "every
-// item".
+// DecodeScope appends the items of an encoded scope to dst. ok is false
+// unless b is the one encoding AppendScope gives its items: the scope is
+// then unusable, never "every item".
 func DecodeScope(b []byte, dst []model.ItemID) (items []model.ItemID, ok bool) {
+	if len(b) == 0 {
+		return dst, true
+	}
 	rd := model.NewWireReader(b)
-	base := len(dst)
-	var prev model.ItemID
-	for rd.Remaining() > 0 {
-		if prev, ok = readItem(&rd, prev, len(dst) == base); !ok {
-			return dst[:base], false
-		}
-		dst = append(dst, prev)
+	set := rd.ItemSet()
+	if rd.Err() != nil || set.Len() == 0 || rd.Remaining() != 0 {
+		return dst, false
+	}
+	for range set.Len() {
+		dst = append(dst, set.Next())
 	}
 	return dst, true
-}
-
-// readItem decodes the item step of a digest or a scope entry: a varint
-// delta against prev, the entry before it unless first. ok is false on
-// truncation, an item outside the ID range, or an item not after prev.
-func readItem(rd *model.WireReader, prev model.ItemID, first bool) (model.ItemID, bool) {
-	item := int64(prev) + rd.Varint()
-	if rd.Err() != nil || int64(model.ItemID(item)) != item || (!first && item <= int64(prev)) {
-		return 0, false
-	}
-	return model.ItemID(item), true
 }
 
 // Known is the serving side of the plane. For catch-up it is what a serving

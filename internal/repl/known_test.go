@@ -294,7 +294,14 @@ func TestServeAndApplyAllocatesNothing(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		dst.Create(model.ItemID(i), 0)
 	}
-	pull := model.ReplPullMsg{From: 1, AfterSeq: 100, Have: digest(wal.Have{Item: 3, CommitMicros: 2000})}
+	// A digest of every item, a bitmap: only item 3's stamp is past the
+	// pull's mark, so it alone withholds records.
+	have := make([]wal.Have, 8)
+	for i := range have {
+		have[i] = wal.Have{Item: model.ItemID(i), CommitMicros: 1}
+	}
+	have[3].CommitMicros = 2000
+	pull := model.ReplPullMsg{From: 1, AfterSeq: 100, Have: digest(have...)}
 	var k Known
 	pm := installMap(&k, 8, 0, 1)
 	var frames []byte
@@ -366,12 +373,13 @@ func TestServeFillShipsOnlyItsScope(t *testing.T) {
 // installed map, is built in the puller's own scratch.
 func TestNextPullAllocatesNothing(t *testing.T) {
 	src := serverLog(t, wal.Options{}, wal.Have{Item: 1, CommitMicros: 10}, wal.Have{Item: 2, CommitMicros: 15}, wal.Have{Item: 5, CommitMicros: 20})
-	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0}, {0, 1}, {0}, {0}, {0}, {0, 1}, {0}, {0}}}
+	// Peer 1 holds items 1, 2 and 5, so the digest is a bitmap.
+	pm := &model.PartitionMap{Assignments: [][]model.SiteID{{0}, {0, 1}, {0, 1}, {0}, {0}, {0, 1}, {0}, {0}}}
 	p := NewPuller(Options{Site: 0, Peers: []model.SiteID{1}})
 	pull := func() {
 		p.ResetAll() // the pull digests the whole tail again
-		if _, pull, _ := p.NextPull(src, pm); len(pull.Have) == 0 {
-			t.Fatal("empty digest")
+		if _, pull, _ := p.NextPull(src, pm); len(pull.Have) == 0 || pull.Have[0]&1 == 0 {
+			t.Fatalf("digest %x, want a bitmap", pull.Have)
 		}
 	}
 	pull()

@@ -28,10 +28,10 @@ func rec(seq uint64, item int, value int64, commit int64) wal.Record {
 // frames encodes rs as one shipped batch.
 func frames(rs ...wal.Record) []byte {
 	var buf []byte
-	var prev int64
+	var prev wal.Record
 	for _, r := range rs {
 		buf = wal.AppendShipped(buf, prev, r)
-		prev = r.CommitMicros
+		prev = r
 	}
 	return buf
 }
@@ -227,11 +227,12 @@ func TestApplyTruncationEveryByte(t *testing.T) {
 // TestShippedBatchGoldenBytes: a ReplRecordsMsg envelope, QM(2) → QM(1),
 // shipping three records that span the field extremes in the shipped batch
 // codec, decodes to the same records and re-encodes to the same bytes. The
-// records carry no Seq or Version: neither is shipped. A catch-up reply ends
-// in a zero epoch and a clear NotReady flag (wire v7).
+// records carry no Seq or Version: neither is shipped, and each writer Seq
+// is a delta from the record before (wire v11). A catch-up reply ends in a
+// zero epoch and a clear NotReady flag (wire v7).
 func TestShippedBatchGoldenBytes(t *testing.T) {
-	const golden = "dc1211043d070229e1a2f3ad078080808080400000ffffffffffffffffff01" +
-		"feffffffffffffff7f818080808040ffffffff07ffffffff0709008280f28183898506030001010000"
+	const golden = "dc12110434070252e1a2f3ad07808080808040000053feffffffffffffff7f" +
+		"818080808040ffffffff07ffffffff0714008280f28183898506030001010000"
 	want := []wal.Record{
 		{Item: 7, Txn: model.TxnID{Site: 2, Seq: 41}, Value: -987654321, CommitMicros: 1 << 40},
 		{Item: 0, Txn: model.TxnID{Site: 0, Seq: 1<<64 - 1}, Value: 1<<62 - 1, CommitMicros: -1},

@@ -216,12 +216,13 @@ func TestROScatterOneEnvelopePerMailbox(t *testing.T) {
 					continue
 				}
 				ones++
-				got, _ := model.AppendMessage(nil, new(model.WireStream), b)
-				want, _ := model.AppendMessage(nil, new(model.WireStream), model.SnapReadMsg{
+				single := model.SnapReadMsg{
 					Txn: tx.ID, Copy: model.CopyID{Item: b.Members[0], Site: to[i].ID}, SnapMicros: b.SnapMicros, Site: 0,
-				})
-				if !bytes.Equal(got, want) {
-					t.Fatalf("a batch of one encodes to %x, its SnapReadMsg to %x", got, want)
+				}
+				got, _ := model.AppendBody(nil, new(model.WireStream), b)
+				want, _ := model.AppendBody(nil, new(model.WireStream), single)
+				if tag, _ := model.MessageTag(b); tag != model.TagSnapRead || !bytes.Equal(got, want) {
+					t.Fatalf("a batch of one travels under tag %d as %x, its SnapReadMsg as %x", tag, got, want)
 				}
 			}
 			if ones == 0 {

@@ -144,7 +144,7 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 	frames := make([][]byte, len(txns))
 	for i := range txns {
 		txns[i] = model.NewTxn(model.TxnID{Site: 0, Seq: uint64(i + 1)}, p, reads, writes, 0)
-		frames[i], _ = model.AppendMessage(nil, new(model.WireStream), model.SubmitTxnMsg{Txn: txns[i]})
+		frames[i], _ = model.AppendBody(nil, new(model.WireStream), model.SubmitTxnMsg{Txn: txns[i]})
 	}
 	// The decoder takes the reader's address, so it lives on the heap; a
 	// transport's wire.Reader likewise reuses the one it owns.
@@ -152,8 +152,8 @@ func testLifecycleAllocs(t *testing.T, pm *model.PartitionMap, p model.Protocol,
 	next := 0
 	commit := func() {
 		if wire {
-			*r = model.NewWireReader(frames[next][1:])
-			m, err := model.DecodeMessagePooled(model.WireTag(frames[next][0]), r)
+			*r = model.NewWireReader(frames[next])
+			m, err := model.DecodeMessagePooled(model.TagSubmitTxn, r)
 			if err != nil {
 				t.Fatal(err)
 			}

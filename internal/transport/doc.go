@@ -13,7 +13,7 @@
 // each lone envelope immediately; a busy one coalesces everything that
 // queued during the previous flush.
 //
-// Wire format (version 10, ack 0xCA, 0xC0 | the version): a dialer opens
+// Wire format (version 11, ack 0xCB, 0xC0 | the version): a dialer opens
 // every connection with a single version byte and sends nothing more until
 // it has read the listener's one-byte ack; then a stream of
 // length-prefixed binary frames follows (internal/wire: a one-byte header
@@ -28,7 +28,7 @@
 // first byte is not the version rather than decode a misframed stream; a
 // dialer whose peer closes, stalls past handshakeTimeout, or answers a
 // different byte has failed to connect — the same outcome as a refused
-// dial. So a v9 node and a v10 node refuse each other in both directions.
+// dial. So a v10 node and a v11 node refuse each other in both directions.
 // A process-local message (a timer, the WAL offload pair, a simulator
 // fault) has no encoding: addressed to a peer, it is dropped like any other
 // unencodable envelope — NAK'd if sheddable, counted in QueueStats'

@@ -109,7 +109,7 @@ func TestHandshakeThenFramedTraffic(t *testing.T) {
 	}
 }
 
-// stubPeer is a listener that is not a wire-v10 node: it accepts connections
+// stubPeer is a listener that is not a wire-v11 node: it accepts connections
 // and hands each to serve, which misbehaves in one specific way. Every
 // accepted connection is closed with the stub.
 type stubPeer struct {
@@ -162,9 +162,9 @@ func readVersionThen(reply []byte) func(net.Conn) {
 }
 
 // TestFailedHandshakeIsAFailedConnect: a peer that accepts the TCP
-// connection but is not a wire-v10 listener — it closes on the version byte,
-// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6, v7, v8 or v9
-// listener does — fails the dial like an unreachable peer does: connect gives up within
+// connection but is not a wire-v11 listener — it closes on the version byte,
+// never acks, acks the wrong byte, or acks as a v3, v4, v5, v6, v7, v8, v9 or
+// v10 listener does — fails the dial like an unreachable peer does: connect gives up within
 // handshakeTimeout, the queued request comes back to its local sender as its
 // BusyMsg NAK, QueueStats counts the drop, no handshake is counted. A real
 // node that later takes over the address is picked up by the next send,
@@ -187,6 +187,7 @@ func TestFailedHandshakeIsAFailedConnect(t *testing.T) {
 		"acks as a v7 listener":      readVersionThen([]byte{0xC7}),
 		"acks as a v8 listener":      readVersionThen([]byte{0xC8}),
 		"acks as a v9 listener":      readVersionThen([]byte{0xC9}),
+		"acks as a v10 listener":     readVersionThen([]byte{0xCA}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rtA := engine.NewRuntime(engine.FixedLatency{}, 1)

@@ -19,27 +19,29 @@ import (
 )
 
 // WireVersion is the first byte a dialer writes on a fresh connection:
-// version 10, the hand-rolled binary codec (internal/wire) — length-prefixed
+// version 11, the hand-rolled binary codec (internal/wire) — length-prefixed
 // frames of explicitly-encoded envelopes, one-byte actor addresses, stamps
 // as deltas within a message, no reflection, pooled buffers. Every
 // transaction Seq and every message's anchor stamp is coded as the
 // difference from the previous one on the connection, and each frame leaves
 // out the addresses the last frame of its tag carried (a one-byte header),
 // so each connection's frame writer and reader carry that state
-// (model.WireStream and the address memo) from frame to frame. (Version 10
-// introduced the header memo; version 9 retired the tags of the
-// process-local messages, version 8 introduced the Seq and stamp state,
-// version 7 changed the log-shipping pull and reply, version 6 the queue
-// stats, version 5 what shipped records are.) A reader that sees any other
-// version byte — a v9 dialer's included — closes the connection instead of
+// (model.WireStream and the address memo) from frame to frame. (Version 11
+// coded item lists as item sets, the digest's stamps as packed offsets and
+// shipped writer Seqs as deltas; version 10 introduced the header memo;
+// version 9 retired the tags of the process-local messages, version 8
+// introduced the Seq and stamp state, version 7 changed the log-shipping
+// pull and reply, version 6 the queue stats, version 5 what shipped records
+// are.) A reader that sees any other
+// version byte — a v10 dialer's included — closes the connection instead of
 // feeding misframed bytes to a decoder.
 const WireVersion byte = model.WireVersion
 
 // wireAck is the single byte a listener writes back after reading the
 // version byte: 0xC0 | the version, so a version bump moves both. A dialer
 // sends nothing until it has read it: a peer that closes, stalls, or
-// answers anything else — a v9 listener's 0xC9 included — is not a
-// wire-v10 node, and the dial fails.
+// answers anything else — a v10 listener's 0xCA included — is not a
+// wire-v11 node, and the dial fails.
 const wireAck = 0xC0 | WireVersion
 
 // handshakeTimeout bounds the dialer's wait for the ack. A live peer acks in
@@ -119,7 +121,7 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope as a wire-v10 frame into a buffered writer and flushes once per
+// envelope as a wire-v11 frame into a buffered writer and flushes once per
 // drained batch (or at defaultBatchBytes mid-batch) — one write instead of one
 // syscall-sized write per envelope. Under load the batch size grows
 // naturally; when idle, a lone envelope flushes immediately, adding no
@@ -327,7 +329,7 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	if vb[0] != WireVersion {
-		return // not a wire-v10 dialer (or a port scanner); drop the conn
+		return // not a wire-v11 dialer (or a port scanner); drop the conn
 	}
 	if _, err := c.Write([]byte{wireAck}); err != nil {
 		return

@@ -233,9 +233,10 @@ const v9RequestFrame = "0e011001020e000600000000000000"
 // TestWireVersionRejected: a connection whose first byte is not WireVersion
 // is closed before anything behind it reaches a decoder — no ack, nothing
 // injected — whether what follows is a well-formed current frame or a real
-// v2, v3, v4, v5, v6, v7, v8 or v9 dialer's whole stream. (A v8 dialer's
-// request frame is byte for byte a v9 one: v9 changed no frame a process
-// sends, only which tags exist.)
+// v2, v3, v4, v5, v6, v7, v8, v9 or v10 dialer's whole stream. (A v8
+// dialer's request frame is byte for byte a v9 one: v9 changed no frame a
+// process sends, only which tags exist; and a v10 dialer's is a v11 one:
+// v11 changed only the stats report and the log-shipping plane.)
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -267,28 +268,30 @@ func TestWireVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := map[string][]byte{
-		"v2 dialer":              v2,
-		"v3 dialer":              v3,
-		"v4 dialer":              append([]byte{4}, tick...),
-		"v5 dialer":              append([]byte{5}, tick...),
-		"v6 dialer":              append([]byte{6}, tick...),
-		"v7 dialer":              append([]byte{7}, tick...),
-		"v8 dialer":              append([]byte{8}, tick...),
-		"v8 dialer's request":    append([]byte{8}, v9Request...),
-		"v9 dialer":              append([]byte{9}, v9Request...),
-		"v9 dialer, v10 frame":   append([]byte{9}, frame...),
-		"byte 3 then v10 frame":  append([]byte{3}, frame...),
-		"byte 2 then v10 frame":  append([]byte{2}, frame...),
-		"byte 1 then v10 frame":  append([]byte{1}, frame...),
-		"ack byte as version":    append([]byte{wireAck}, frame...),
-		"v3 ack byte as version": append([]byte{0xC3}, frame...),
-		"v4 ack byte as version": append([]byte{0xC4}, frame...),
-		"v5 ack byte as version": append([]byte{0xC5}, frame...),
-		"v6 ack byte as version": append([]byte{0xC6}, frame...),
-		"v7 ack byte as version": append([]byte{0xC7}, frame...),
-		"v8 ack byte as version": append([]byte{0xC8}, frame...),
-		"v9 ack byte as version": append([]byte{0xC9}, frame...),
-		"random byte, v10 frame": append([]byte{0x5a}, frame...),
+		"v2 dialer":               v2,
+		"v3 dialer":               v3,
+		"v4 dialer":               append([]byte{4}, tick...),
+		"v5 dialer":               append([]byte{5}, tick...),
+		"v6 dialer":               append([]byte{6}, tick...),
+		"v7 dialer":               append([]byte{7}, tick...),
+		"v8 dialer":               append([]byte{8}, tick...),
+		"v8 dialer's request":     append([]byte{8}, v9Request...),
+		"v9 dialer":               append([]byte{9}, v9Request...),
+		"v9 dialer, v11 frame":    append([]byte{9}, frame...),
+		"v10 dialer":              append([]byte{10}, frame...),
+		"byte 3 then v11 frame":   append([]byte{3}, frame...),
+		"byte 2 then v11 frame":   append([]byte{2}, frame...),
+		"byte 1 then v11 frame":   append([]byte{1}, frame...),
+		"ack byte as version":     append([]byte{wireAck}, frame...),
+		"v3 ack byte as version":  append([]byte{0xC3}, frame...),
+		"v4 ack byte as version":  append([]byte{0xC4}, frame...),
+		"v5 ack byte as version":  append([]byte{0xC5}, frame...),
+		"v6 ack byte as version":  append([]byte{0xC6}, frame...),
+		"v7 ack byte as version":  append([]byte{0xC7}, frame...),
+		"v8 ack byte as version":  append([]byte{0xC8}, frame...),
+		"v9 ack byte as version":  append([]byte{0xC9}, frame...),
+		"v10 ack byte as version": append([]byte{0xCA}, frame...),
+		"random byte, v11 frame":  append([]byte{0x5a}, frame...),
 	}
 	for name, stream := range streams {
 		c, err := net.Dial("tcp", node.Addr())

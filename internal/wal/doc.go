@@ -37,7 +37,8 @@
 //
 // Records leave a site for catch-up and fills in a codec of their own
 // (AppendShipped, DecodeShipped): only the fields a replica's apply reads,
-// the commit stamp as a delta against the previous record's, no header and
-// no checksum — the carrying message's length prefix delimits the batch.
+// the writer's Seq and the commit stamp as deltas against the previous
+// record's, no header and no checksum — the carrying message's length
+// prefix delimits the batch.
 // That format is part of the wire contract, not of the media's.
 package wal

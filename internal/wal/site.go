@@ -463,7 +463,7 @@ var errBatchFull = fmt.Errorf("wal: records-since batch full")
 // path feed it the same records and so build the same bytes.
 type shipBatch struct {
 	frames []byte
-	prev   int64 // the commit stamp of the last record shipped
+	prev   Record // the last record shipped
 	next   uint64
 	more   bool
 	room   int
@@ -483,7 +483,7 @@ func (b *shipBatch) add(r Record) bool {
 		return false
 	}
 	b.frames = AppendShipped(b.frames, b.prev, r)
-	b.prev = r.CommitMicros
+	b.prev = r
 	b.next = r.Seq
 	b.room--
 	return true
@@ -572,14 +572,15 @@ func (s *SiteLog) SnapshotRecords(skip func(model.ItemID, int64) bool, dst []byt
 		return dst, 0, fmt.Errorf("wal: no valid snapshot on media at site %d", s.store.Site())
 	}
 	frames = dst
-	var prev int64
+	var prev Record
 	for _, cc := range snap.Chains {
 		v := cc.Versions[len(cc.Versions)-1]
 		if skip != nil && skip(cc.ID.Item, v.CommitMicros) {
 			continue
 		}
-		frames = AppendShipped(frames, prev, Record{Item: cc.ID.Item, Txn: v.Writer, Value: v.Value, CommitMicros: v.CommitMicros})
-		prev = v.CommitMicros
+		r := Record{Item: cc.ID.Item, Txn: v.Writer, Value: v.Value, CommitMicros: v.CommitMicros}
+		frames = AppendShipped(frames, prev, r)
+		prev = r
 	}
 	return frames, snap.AppliedSeq, nil
 }

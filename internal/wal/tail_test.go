@@ -268,7 +268,9 @@ func TestAppendRecordAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { buf = appendRecord(buf[:0], r) }); n != 0 {
 		t.Fatalf("appendRecord allocates %v times per record", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { buf = AppendShipped(buf[:0], r.CommitMicros-90, r) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() {
+		buf = AppendShipped(buf[:0], Record{Txn: model.TxnID{Seq: 1<<33 - 3}, CommitMicros: r.CommitMicros - 90}, r)
+	}); n != 0 {
 		t.Fatalf("AppendShipped allocates %v times per record", n)
 	}
 }
@@ -279,7 +281,7 @@ func TestAppendRecordAllocatesNothing(t *testing.T) {
 // back as the torn suffix.
 func TestDecodeShippedStopsAtAnUndecodableRecord(t *testing.T) {
 	first := Record{Item: 4095, Txn: model.TxnID{Site: 2, Seq: 1_000_003}, Value: -7, CommitMicros: 1_760_000_000_000_000}
-	intact := AppendShipped(nil, 0, first)
+	intact := AppendShipped(nil, Record{}, first)
 	uv := func(vs ...uint64) []byte {
 		var b []byte
 		for _, v := range vs {
@@ -288,7 +290,7 @@ func TestDecodeShippedStopsAtAnUndecodableRecord(t *testing.T) {
 		return b
 	}
 	for name, bad := range map[string][]byte{
-		"truncated":        AppendShipped(nil, first.CommitMicros, first)[:3],
+		"truncated":        AppendShipped(nil, first, first)[:3],
 		"item past int32":  uv(1<<31, 2, 9, 0, 0),
 		"site past int32":  uv(1, 1<<31, 9, 0, 0),
 		"overlong varint":  append([]byte{0x81, 0x00}, uv(2, 9, 0, 0)...),

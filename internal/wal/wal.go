@@ -170,20 +170,24 @@ func decodeRecords(data []byte, fn func(Record)) (torn int) {
 }
 
 // AppendShipped appends r to a shipped batch: the record codec of the
-// log-shipping plane, catch-up and fills alike (internal/repl). A shipped record carries
-// only what the receiver's apply reads, one record after another — uvarint
-// item, uvarint writer site, uvarint writer seq, zig-zag value, and the
-// zig-zag delta of its commit stamp against prevMicros, the stamp of the
-// batch's previous record (0 for the first). Seq and Version stay home.
-// There is no per-record header or checksum: the carrying message's length
-// prefix delimits the batch, as it does every other wire field. Item and
-// writer site are non-negative, as every ID this system assigns is.
-func AppendShipped(batch []byte, prevMicros int64, r Record) []byte {
+// log-shipping plane, catch-up and fills alike (internal/repl). A shipped
+// record carries only what the receiver's apply reads, one record after
+// another — uvarint item, uvarint writer site, the zig-zag delta of its
+// writer Seq against prev's, zig-zag value, and the zig-zag delta of its
+// commit stamp against prev's — where prev is the batch's previous record
+// (the zero Record for the first). A log's neighbouring records were
+// written by transactions a few Seqs apart, so the Seq takes a byte where
+// a Seq near 10⁶ takes three; the deltas wrap, so every value round-trips.
+// Seq and Version stay home. There is no per-record header or checksum:
+// the carrying message's length prefix delimits the batch, as it does
+// every other wire field. Item and writer site are non-negative, as every
+// ID this system assigns is.
+func AppendShipped(batch []byte, prev, r Record) []byte {
 	batch = model.AppendUvarint(batch, uint64(r.Item))
 	batch = model.AppendUvarint(batch, uint64(r.Txn.Site))
-	batch = model.AppendUvarint(batch, r.Txn.Seq)
+	batch = model.AppendVarint(batch, int64(r.Txn.Seq-prev.Txn.Seq))
 	batch = model.AppendVarint(batch, r.Value)
-	return model.AppendVarint(batch, r.CommitMicros-prevMicros)
+	return model.AppendVarint(batch, r.CommitMicros-prev.CommitMicros)
 }
 
 // DecodeShipped yields, in order, every record at the front of a batch built
@@ -195,19 +199,19 @@ func AppendShipped(batch []byte, prevMicros int64, r Record) []byte {
 // reproduces the decoded prefix byte for byte.
 func DecodeShipped(batch []byte, fn func(Record)) (torn int) {
 	rd := model.NewWireReader(batch)
-	var prev int64
+	var prev Record
 	for rd.Remaining() > 0 {
 		left := rd.Remaining()
 		item := rd.Uvarint()
 		site := rd.Uvarint()
-		seq := rd.Uvarint()
+		seq := rd.Varint()
 		value := rd.Varint()
 		delta := rd.Varint()
 		if rd.Err() != nil || item > math.MaxInt32 || site > math.MaxInt32 {
 			return left
 		}
-		prev += delta
-		fn(Record{Item: model.ItemID(item), Txn: model.TxnID{Site: model.SiteID(site), Seq: seq}, Value: value, CommitMicros: prev})
+		prev = Record{Item: model.ItemID(item), Txn: model.TxnID{Site: model.SiteID(site), Seq: prev.Txn.Seq + uint64(seq)}, Value: value, CommitMicros: prev.CommitMicros + delta}
+		fn(prev)
 	}
 	return 0
 }

@@ -8,6 +8,7 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/repl"
 	"ucc/internal/storage"
 	"ucc/internal/wal"
 )
@@ -201,15 +202,16 @@ func TestCorpusFrameBytes(t *testing.T) {
 
 // shippedRecordBudget is the most wire bytes one shipped catch-up record may
 // cost, its share of the carrying ReplRecordsMsg frame included (see
-// TestShippedRecordBudget). The compact batch codec takes about 11; the WAL
-// segment frame it replaced took about 29.
-const shippedRecordBudget = 12
+// TestShippedRecordBudget): the 8.92 the batch codec takes, plus 2 %. With
+// writer Seqs coded whole (wire v10) it took about 10.9, and the WAL
+// segment frame it replaced about 29.
+const shippedRecordBudget = 9.1
 
 // TestShippedRecordBudget serves a full catch-up batch of 512 records from a
-// site log shaped like a real tail — items below 4096, writer sequence
-// numbers near 10⁶, values near 10³, wall-clock commit stamps spread over
-// 150 ms — and sends it as one ReplRecordsMsg. Its frame must fit
-// shippedRecordBudget bytes per record.
+// site log shaped like a real tail — items below 4096, consecutive writer
+// sequence numbers near 10⁶, as issuers assign them, values near 10³,
+// wall-clock commit stamps spread over 150 ms — and sends it as one
+// ReplRecordsMsg. Its frame must fit shippedRecordBudget bytes per record.
 func TestShippedRecordBudget(t *testing.T) {
 	const (
 		records = 512
@@ -221,7 +223,7 @@ func TestShippedRecordBudget(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < records; i++ {
-		txn := model.TxnID{Site: model.SiteID(rng.Intn(3)), Seq: 1_000_000 + uint64(rng.Intn(50_000))}
+		txn := model.TxnID{Site: model.SiteID(rng.Intn(3)), Seq: 1_000_000 + uint64(i)}
 		sl.RecordWrite(model.ItemID(rng.Intn(4096)), txn, 500+rng.Int63n(1_000), uint64(1+rng.Intn(400)), t0+rng.Int63n(150_000))
 	}
 	if err := sl.Flush(); err != nil {
@@ -240,45 +242,92 @@ func TestShippedRecordBudget(t *testing.T) {
 	}
 	frame := len(model.AppendUvarint(nil, uint64(len(payload)))) + len(payload)
 	perRecord := float64(frame) / records
-	t.Logf("%d records in a %d-byte frame: %.2f B per record (budget %d)", records, frame, perRecord, shippedRecordBudget)
+	t.Logf("%d records in a %d-byte frame: %.2f B per record (budget %.1f)", records, frame, perRecord, shippedRecordBudget)
 	if perRecord > shippedRecordBudget {
-		t.Errorf("a shipped record takes %.2f wire bytes, over the budget of %d", perRecord, shippedRecordBudget)
+		t.Errorf("a shipped record takes %.2f wire bytes, over the budget of %.1f", perRecord, shippedRecordBudget)
 	}
 }
 
-// queueStatsPerCopy and queueStatsHeader bound a QueueStatsMsg frame (see
-// TestQueueStatsBudget): each copy's entry is an item gap, the reads and
-// the writes, one byte each while they stay small, and the header holds the
-// addresses, the tag, the site, a wall-clock stamp, the period and the
-// count. The two cumulative maps the per-period entries replaced took 6.7 B
-// per copy at these counts, and 8.6 B at the counts a 20 s run reaches.
-const (
-	queueStatsPerCopy = 3.1
-	queueStatsHeader  = 24
-)
+// queueStatsHeader bounds the header of a QueueStatsMsg frame (see
+// TestQueueStatsBudget): the addresses, the tag, the site, a wall-clock
+// stamp, the period and the item set's header and first item. Each copy
+// then costs its reads and its writes, one byte each while they stay
+// small, and its bit of the item set's bitmap: one bit per item the
+// copies span. The gap list v10 coded items in took a byte per copy, 3 B
+// per copy in all, and the two cumulative maps the per-period entries
+// replaced took 6.7 B per copy at these counts.
+const queueStatsHeader = 24
 
-// TestQueueStatsBudget encodes one site's report for 4 096 copies, every
-// third item, each with fewer than 64 reads and writes in the period. Its
-// frame must fit queueStatsHeader bytes plus queueStatsPerCopy per copy.
+// TestQueueStatsBudget encodes one site's report for 4 096 copies, each
+// with fewer than 64 reads and writes in the period, twice: a site holding
+// every third item, whose bitmap costs three bits per copy, and one holding
+// every item, whose bitmap costs one. Its frame must fit queueStatsHeader
+// bytes plus the shape's budget per copy.
 func TestQueueStatsBudget(t *testing.T) {
 	const (
 		copies = 4096
 		at     = 1_760_000_000_000_000 // µs since the Unix epoch
 	)
-	rng := rand.New(rand.NewSource(1))
-	grants := make([]model.QueueGrants, copies)
-	for i := range grants {
-		grants[i] = model.QueueGrants{Item: model.ItemID(3*i + 1), Reads: rng.Int63n(64), Writes: rng.Int63n(64)}
+	for _, c := range []struct {
+		name    string
+		stride  int
+		perCopy float64
+	}{{"every third item", 3, 2.5}, {"dense", 1, 2.2}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			grants := make([]model.QueueGrants, copies)
+			for i := range grants {
+				grants[i] = model.QueueGrants{Item: model.ItemID(c.stride*i + 1), Reads: rng.Int63n(64), Writes: rng.Int63n(64)}
+			}
+			payload, err := freshPayload(engine.Envelope{From: engine.QMAddr(2), To: engine.CollectorAddr(),
+				Msg: model.QueueStatsMsg{From: 2, AtMicros: at, SinceMicros: at - 200_000, Grants: grants}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := len(model.AppendUvarint(nil, uint64(len(payload)))) + len(payload)
+			budget := queueStatsHeader + c.perCopy*copies
+			t.Logf("%d copies in a %d-byte frame: %.3f B per copy (budget %.0f)", copies, frame, float64(frame)/copies, budget)
+			if float64(frame) > budget {
+				t.Errorf("a %d-copy stats report takes %d wire bytes, over the budget of %.0f", copies, frame, budget)
+			}
+		})
 	}
-	payload, err := freshPayload(engine.Envelope{From: engine.QMAddr(2), To: engine.CollectorAddr(),
-		Msg: model.QueueStatsMsg{From: 2, AtMicros: at, SinceMicros: at - 200_000, Grants: grants}})
+}
+
+// digestBudget is the most wire bytes one journal digest entry may cost,
+// its share of the carrying ReplPullMsg frame included (see
+// TestDigestBudget). An item set's bitmap and an 18-bit stamp offset take
+// about 2.4; v10's varint deltas took 3.88.
+const digestBudget = 2.6
+
+// TestDigestBudget builds the digest of a durable_quorum-shaped journal —
+// 10 000 records over 150 ms, three items to a commit stamp, items below
+// 4 096, so most items appear — and sends it in one ReplPullMsg. Its frame
+// must fit digestBudget bytes per entry.
+func TestDigestBudget(t *testing.T) {
+	const (
+		records = 10_000
+		t0      = 1_760_000_000_000_000 // µs since the Unix epoch
+	)
+	sl, err := wal.Open(wal.NewMemMedia(), storage.NewStore(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < records; i++ {
+		txn := model.TxnID{Site: model.SiteID(rng.Intn(3)), Seq: 1_000_000 + uint64(i/3)}
+		sl.RecordWrite(model.ItemID(rng.Intn(4096)), txn, 500+rng.Int63n(1_000), 1, t0+int64(i/3)*150_000/(records/3))
+	}
+	have, _ := sl.HaveSince(0, nil)
+	payload, err := freshPayload(engine.Envelope{From: engine.QMAddr(2), To: engine.QMAddr(1),
+		Msg: model.ReplPullMsg{From: 2, AfterSeq: 1 << 20, Have: repl.AppendHave(nil, have)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := len(model.AppendUvarint(nil, uint64(len(payload)))) + len(payload)
-	budget := queueStatsHeader + queueStatsPerCopy*copies
-	t.Logf("%d copies in a %d-byte frame: %.2f B per copy (budget %.0f)", copies, frame, float64(frame)/copies, budget)
-	if float64(frame) > budget {
-		t.Errorf("a %d-copy stats report takes %d wire bytes, over the budget of %.0f", copies, frame, budget)
+	perEntry := float64(frame) / float64(len(have))
+	t.Logf("%d entries in a %d-byte frame: %.3f B per entry (budget %.1f)", len(have), frame, perEntry, digestBudget)
+	if perEntry > digestBudget {
+		t.Errorf("a digest entry takes %.3f wire bytes, over the budget of %.1f", perEntry, digestBudget)
 	}
 }

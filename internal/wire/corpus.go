@@ -88,16 +88,17 @@ func Corpus() []engine.Envelope {
 	add(ri, col, 1, model.TxnFinishedMsg{Txn: txn})
 
 	// Log-shipping plane: the periodic catch-up pull with its journal digest
-	// (internal/repl's codec: items 3@10 and 4@5 as varint deltas), the
+	// (internal/repl's codec: items 3@10 and 4@5 as the gap list {4, 3, 0},
+	// the smallest stamp 5, the width 3 and the offsets 5 and 0 packed), the
 	// digest-less re-pull, and a small framed record batch (the frame bytes
 	// are opaque to this codec — internal/wal's framing — so any
 	// deterministic byte string exercises the length-prefixed path). Then a
-	// fill's pull (epoch 9, scoped to items 0, 1 and 3 as varint deltas),
-	// its NotReady answer and its closing batch.
-	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 20, Have: []byte{0x06, 0x14, 0x02, 0x09}})
+	// fill's pull (epoch 9, scoped to items 0, 1 and 3 as the bitmap
+	// {2·4+1, 0, 0b1011}), its NotReady answer and its closing batch.
+	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 20, Have: []byte{0x04, 0x03, 0x00, 0x0a, 0x03, 0x05}})
 	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1<<20 + 64})
 	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Frames: []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03}, NextAfterSeq: 1<<20 + 64, More: true})
-	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 18, Incarnation: 1, Epoch: 9, Scope: []byte{0x00, 0x02, 0x04}})
+	add(qm, qm, 1, model.ReplPullMsg{From: 3, AfterSeq: 1 << 18, Incarnation: 1, Epoch: 9, Scope: []byte{0x09, 0x00, 0x0b}})
 	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Incarnation: 1, Epoch: 9, NotReady: true})
 	add(qm, qm, 1, model.ReplRecordsMsg{From: 2, Frames: []byte{0x05, 0x06, 0x07}, NextAfterSeq: 1<<18 + 12, Incarnation: 1, Epoch: 9})
 

@@ -1,4 +1,4 @@
-// Package wire is the v10 binary codec for everything the cluster exchanges
+// Package wire is the v11 binary codec for everything the cluster exchanges
 // between processes: a hand-rolled, length-prefixed framing of
 // engine.Envelope over the per-message field encoders in internal/model
 // (stable tags, varint integers, stamps as deltas within a message,
@@ -10,7 +10,7 @@
 //
 // # Frame layout
 //
-// A v10 stream is a sequence of frames, each:
+// A v11 stream is a sequence of frames, each:
 //
 //	uvarint payloadLen | payload
 //
@@ -88,8 +88,8 @@
 // model.RetainMessage's copy. The rare control-plane messages decode as
 // values and own the slices and maps they carry.
 //
-// The connection handshake (version byte 10, ack 0xCA) lives in
-// internal/transport, which refuses a v9 peer there: the two formats are not
+// The connection handshake (version byte 11, ack 0xCB) lives in
+// internal/transport, which refuses a v10 peer there: the two formats are not
 // mixed on one connection. The WAL reuses the model varint primitives for
 // its segment record payloads, whose format does not follow the wire
 // version; the catch-up batches a ReplRecordsMsg carries are internal/wal's

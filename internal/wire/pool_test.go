@@ -153,19 +153,19 @@ func TestSendOnlyPooledTypesDecodeAsValues(t *testing.T) {
 			model.PooledTxnDone(model.TxnDoneMsg{Txn: txn, Outcome: model.OutcomeCommitted, Attempts: 1, Size: 3, Messages: 6})},
 		{22, model.TxnFinishedMsg{Txn: txn}, model.PooledTxnFinished(model.TxnFinishedMsg{Txn: txn})},
 	} {
-		want, err := model.AppendMessage(nil, new(model.WireStream), tc.value)
+		want, err := model.AppendBody(nil, new(model.WireStream), tc.value)
 		if err != nil {
 			t.Fatalf("tag %d: encode value: %v", tc.tag, err)
 		}
-		got, err := model.AppendMessage(nil, new(model.WireStream), tc.pooled)
+		got, err := model.AppendBody(nil, new(model.WireStream), tc.pooled)
 		if err != nil {
 			t.Fatalf("tag %d: encode pooled: %v", tc.tag, err)
 		}
-		if !bytes.Equal(got, want) || model.WireTag(got[0]) != tc.tag {
-			t.Fatalf("tag %d: pooled form encodes to % x, value form to % x", tc.tag, got, want)
+		if tag, _ := model.MessageTag(tc.pooled); !bytes.Equal(got, want) || tag != tc.tag {
+			t.Fatalf("tag %d: pooled form travels under tag %d as % x, value form as % x", tc.tag, tag, got, want)
 		}
 		model.RecycleMessage(tc.pooled)
-		r := model.NewWireReader(want[1:])
+		r := model.NewWireReader(want)
 		m, err := model.DecodeMessagePooled(tc.tag, &r)
 		if err != nil {
 			t.Fatalf("tag %d: decode: %v", tc.tag, err)

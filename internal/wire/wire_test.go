@@ -189,22 +189,28 @@ func TestOversizedElementCounts(t *testing.T) {
 	}
 }
 
-// TestQueueStatsDecodeRejects: a stats report whose entries repeat an item
-// (a zero gap), stop mid-entry, or number more than the bytes could hold
-// is corrupt or truncated, never a shorter report.
+// TestQueueStatsDecodeRejects: a stats report whose item set takes the
+// form its size did not pick, has a bitmap with a clear end bit or set
+// padding, or runs past int32, whose entries stop mid-entry, or whose
+// count is more than the bytes could hold is corrupt or truncated, never a
+// shorter report.
 func TestQueueStatsDecodeRejects(t *testing.T) {
-	report := func(count uint64, entries ...uint64) []byte {
+	report := func(set []uint64, entries ...uint64) []byte {
 		b := header(model.TagQueueStats)
 		b = model.AppendVarint(b, 2)         // From
 		b = model.AppendVarint(b, 1_000_000) // AtMicros
 		b = model.AppendUvarint(b, 200_000)  // AtMicros − SinceMicros
-		b = model.AppendUvarint(b, count)    // entries
+		for _, v := range set {
+			b = model.AppendUvarint(b, v) // header, first item, then gaps less one or bitmap bytes
+		}
 		for _, v := range entries {
-			b = model.AppendUvarint(b, v) // gap, zig-zag reads, zig-zag writes
+			b = model.AppendUvarint(b, v) // zig-zag reads, zig-zag writes
 		}
 		return b
 	}
-	env, err := decodePayload(report(2, 1, 10, 4, 3, 2, 0))
+	// Items 10 and 14: the gap list {2·2, 10, 3} ties the bitmap
+	// {2·5+1, 10, 0b10001}, and a tie goes to the gap list.
+	env, err := decodePayload(report([]uint64{4, 10, 3}, 4, 3, 2, 0))
 	if err != nil {
 		t.Fatalf("well-formed report: %v", err)
 	}
@@ -213,11 +219,16 @@ func TestQueueStatsDecodeRejects(t *testing.T) {
 		b    []byte
 		want error
 	}{
-		"zero gap":        {report(2, 1, 10, 4, 0, 2, 0), model.ErrWireCorrupt},
-		"zero first gap":  {report(1, 0, 10, 4), model.ErrWireCorrupt},
-		"item past int32": {report(2, 1, 10, 4, 1<<31, 2, 0), model.ErrWireCorrupt},
-		"truncated entry": {report(2, 1, 20_000, 4, 3, 2), model.ErrWireTruncated},
-		"oversized count": {report(1<<40, 1, 10, 4), model.ErrWireCorrupt},
+		"bitmap at a tie":       {report([]uint64{11, 10, 0b10001}, 4, 3, 2, 0), model.ErrWireCorrupt},
+		"gap list past bitmap":  {report([]uint64{8, 10, 0, 0, 0}, 4, 3, 2, 0, 1, 1, 1, 1), model.ErrWireCorrupt},
+		"bitmap first bit":      {report([]uint64{9, 10, 0b1110}, 4, 3, 2, 0, 1, 1, 1, 1), model.ErrWireCorrupt},
+		"bitmap padding":        {report([]uint64{9, 10, 0b11111}, 4, 3, 2, 0, 1, 1, 1, 1), model.ErrWireCorrupt},
+		"item past int32":       {report([]uint64{4, 10, 1 << 31}, 4, 3, 2, 0), model.ErrWireCorrupt},
+		"first item past int32": {report([]uint64{2, 1 << 31}, 4, 3), model.ErrWireCorrupt},
+		"bitmap past int32":     {report([]uint64{2*(1<<31) + 1, 1}), model.ErrWireCorrupt},
+		"truncated entry":       {report([]uint64{4, 10, 3}, 20_000, 3, 2), model.ErrWireTruncated},
+		"oversized count":       {report([]uint64{1 << 41, 1}, 10, 4), model.ErrWireCorrupt},
+		"oversized bitmap":      {report([]uint64{1<<20 + 1, 1}, 10, 4), model.ErrWireCorrupt},
 	} {
 		if _, err := decodePayload(c.b); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", name, err, c.want)
@@ -270,15 +281,15 @@ func TestHeaderGoldenBytes(t *testing.T) {
 // accepted only in that form, so each envelope keeps exactly one encoding;
 // the addresses that do not fit it travel in the long form and round-trip.
 func TestDecodeRejectsNonCanonicalAddress(t *testing.T) {
-	body, err := model.AppendMessage(nil, new(model.WireStream), model.ProbeWFGMsg{Round: 3})
+	body, err := model.AppendBody(nil, new(model.WireStream), model.ProbeWFGMsg{Round: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, short := fromFlag|toFlag|body[0], byte(0x01) // RI(1) in one byte
-	long := []byte{0x80 | byte(engine.KindRI), 0, 2}  // RI(1), shard 0, varint id
+	hdr, short := fromFlag|toFlag|byte(model.TagProbeWFG), byte(0x01) // RI(1) in one byte
+	long := []byte{0x80 | byte(engine.KindRI), 0, 2}                  // RI(1), shard 0, varint id
 	for name, payload := range map[string][]byte{
-		"long from": slices.Concat([]byte{hdr}, long, []byte{short}, body[1:]),
-		"long to":   slices.Concat([]byte{hdr, short}, long, body[1:]),
+		"long from": slices.Concat([]byte{hdr}, long, []byte{short}, body),
+		"long to":   slices.Concat([]byte{hdr, short}, long, body),
 	} {
 		if _, err := decodePayload(payload); !errors.Is(err, model.ErrWireCorrupt) {
 			t.Errorf("%s: got %v, want ErrWireCorrupt", name, err)
